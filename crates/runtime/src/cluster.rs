@@ -1,115 +1,51 @@
 //! Thread-per-replica TCP cluster running the unmodified ProBFT replica.
 //!
-//! Each replica owns a listener socket (an OS-assigned loopback port by
-//! default, or `127.0.0.1:base_port + id` when a fixed range is
-//! requested), a deadline-driven event loop (mpsc channel + timer heap),
-//! and lazy outgoing connections to its peers. Frames carry `u32 sender ‖
-//! message bytes`; the replica's own cryptographic verification decides
-//! what to trust, exactly as in the simulator. Malformed peer input never
-//! panics a reader thread — short, undecodable, and torn frames are
-//! dropped and counted in [`TransportStats`].
+//! The single-shot instantiation of the replica host (`crate::host`): each
+//! replica owns a listener socket (an OS-assigned loopback port by
+//! default, or `127.0.0.1:base_port + id` when a fixed range is requested)
+//! and a host running one [`Replica`] to decision. All this module adds is the frame
+//! codec — `u32 sender ‖ message bytes`; the replica's own cryptographic
+//! verification decides what to trust, exactly as in the simulator — and
+//! the decision fan-in.
 
-use crate::transport::{read_frame, write_frame, FrameError};
+use crate::host::{bind_listeners, FrameKind, Host, NetPolicy};
 use probft_core::config::{ProbftConfig, SharedConfig};
 use probft_core::message::Message;
 use probft_core::replica::{Decision, Replica};
 use probft_core::value::Value;
 use probft_core::wire::Wire;
 use probft_crypto::keyring::Keyring;
+use probft_obs::Obs;
 use probft_quorum::ReplicaId;
-use probft_simnet::process::{Action, Context, Process, ProcessId, TimerToken};
-use probft_simnet::time::{SimDuration, SimTime};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use probft_simnet::process::{Process, ProcessId};
 use std::error::Error;
 use std::fmt;
-use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-/// Counters for peer input the frame-read path rejected instead of
-/// trusting (or panicking on). Shared by every reader thread of a cluster.
-#[derive(Debug, Default)]
-pub struct TransportStats {
-    short_frames: AtomicU64,
-    malformed_frames: AtomicU64,
-    torn_frames: AtomicU64,
-    unsendable_frames: AtomicU64,
-}
-
-impl TransportStats {
-    pub(crate) fn note_short(&self) {
-        self.short_frames.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn note_unsendable(&self) {
-        self.unsendable_frames.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn note_malformed(&self) {
-        self.malformed_frames.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn note_torn(&self) {
-        self.torn_frames.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Frames too short to carry the 4-byte sender prefix.
-    pub fn short_frames(&self) -> u64 {
-        self.short_frames.load(Ordering::Relaxed)
-    }
-
-    /// Frames whose sender id, announced length, or message body failed
-    /// to decode (includes oversized length prefixes).
-    pub fn malformed_frames(&self) -> u64 {
-        self.malformed_frames.load(Ordering::Relaxed)
-    }
-
-    /// Outbound frames that could never be sent because they exceed the
-    /// transport's frame cap (e.g. a checkpoint snapshot past `MAX_FRAME`)
-    /// — the payload is dropped but the connection survives. Non-zero
-    /// here with a stalled laggard means the state machine has outgrown
-    /// single-frame snapshot transfer.
-    pub fn unsendable_frames(&self) -> u64 {
-        self.unsendable_frames.load(Ordering::Relaxed)
-    }
-
-    /// Connections that failed mid-stream: EOF inside a length prefix or
-    /// payload, a mid-frame stall, or a socket error.
-    pub fn torn_frames(&self) -> u64 {
-        self.torn_frames.load(Ordering::Relaxed)
-    }
-}
-
-/// Why an inbound frame was rejected before reaching the replica.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum FrameReject {
-    /// Shorter than the 4-byte sender prefix.
-    Short,
-    /// Sender id out of range or undecodable message body.
-    Malformed,
+/// Encodes `u32 sender ‖ message bytes`.
+fn encode_peer_frame(from: usize, msg: Message) -> (FrameKind, Vec<u8>) {
+    let mut frame = (from as u32).to_be_bytes().to_vec();
+    msg.encode(&mut frame);
+    (FrameKind::Peer, frame)
 }
 
 /// Decodes `u32 sender ‖ message bytes` without any panicking slice or
-/// conversion — every byte here is peer-controlled.
-fn parse_peer_frame(frame: &[u8], n: usize) -> Result<(ProcessId, Message), FrameReject> {
-    match frame {
-        [a, b, c, d, rest @ ..] => {
-            let from = u32::from_be_bytes([*a, *b, *c, *d]) as usize;
-            if from >= n {
-                return Err(FrameReject::Malformed);
-            }
-            let msg = Message::from_wire_bytes(rest).map_err(|_| FrameReject::Malformed)?;
-            Ok((ProcessId(from), msg))
-        }
-        _ => Err(FrameReject::Short),
+/// conversion — every byte here is peer-controlled. `None` for a frame
+/// shorter than the sender prefix, a sender id out of range, or an
+/// undecodable message body.
+pub(crate) fn parse_peer_frame(frame: &[u8], n: usize) -> Option<(ProcessId, Message)> {
+    let [a, b, c, d, rest @ ..] = frame else {
+        return None;
+    };
+    let from = u32::from_be_bytes([*a, *b, *c, *d]) as usize;
+    if from >= n {
+        return None;
     }
+    Some((ProcessId(from), Message::from_wire_bytes(rest).ok()?))
 }
 
 /// Errors from running a live cluster.
@@ -143,35 +79,6 @@ impl fmt::Display for ClusterError {
 }
 
 impl Error for ClusterError {}
-
-/// Binds one loopback listener per replica — OS-assigned ports by default,
-/// `base_port + i` when a fixed range was requested — and returns the
-/// listeners with their actual addresses.
-pub(crate) fn bind_listeners(
-    n: usize,
-    base_port: Option<u16>,
-) -> Result<(Vec<TcpListener>, Vec<SocketAddr>), ClusterError> {
-    let mut listeners = Vec::with_capacity(n);
-    let mut addrs = Vec::with_capacity(n);
-    for i in 0..n {
-        let addr = match base_port {
-            Some(base) => {
-                let port = base.checked_add(i as u16).ok_or_else(|| {
-                    ClusterError::Bind(std::io::Error::new(
-                        std::io::ErrorKind::InvalidInput,
-                        "base_port + replica id overflows u16",
-                    ))
-                })?;
-                format!("127.0.0.1:{port}")
-            }
-            None => "127.0.0.1:0".to_string(),
-        };
-        let listener = TcpListener::bind(&addr).map_err(ClusterError::Bind)?;
-        addrs.push(listener.local_addr().map_err(ClusterError::Bind)?);
-        listeners.push(listener);
-    }
-    Ok((listeners, addrs))
-}
 
 /// Builds and runs a localhost TCP ProBFT cluster.
 ///
@@ -224,53 +131,64 @@ impl ClusterBuilder {
     /// [`ClusterError::Bind`] if a port cannot be bound,
     /// [`ClusterError::Timeout`] if the deadline passes first.
     pub fn run(self) -> Result<Vec<Decision>, ClusterError> {
-        self.run_with_stats().map(|(decisions, _)| decisions)
+        self.run_observed().map(|(decisions, _)| decisions)
     }
 
-    /// Like [`run`](Self::run), additionally returning the cluster-wide
-    /// frame-rejection counters (for observability and malformed-peer
-    /// tests).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`run`](Self::run).
-    pub fn run_with_stats(self) -> Result<(Vec<Decision>, Arc<TransportStats>), ClusterError> {
+    /// [`run`](Self::run), also handing back every replica's telemetry
+    /// bundle.
+    fn run_observed(self) -> Result<(Vec<Decision>, Vec<Arc<Obs>>), ClusterError> {
         let cfg: SharedConfig = Arc::new(ProbftConfig::builder(self.n).build());
         let keyring = Keyring::generate(self.n, &self.seed.to_be_bytes());
         let public = Arc::new(keyring.public());
         let shutdown = Arc::new(AtomicBool::new(false));
-        let stats = Arc::new(TransportStats::default());
+        let net = Arc::new(NetPolicy::default());
         let (decision_tx, decision_rx) = mpsc::channel::<(usize, Decision)>();
 
         // Bind all listeners up front (collecting the OS-assigned
         // addresses) so peers can connect immediately.
-        let (listeners, addrs) = bind_listeners(self.n, self.base_port)?;
+        let (listeners, addrs) =
+            bind_listeners(self.n, self.base_port).map_err(ClusterError::Bind)?;
         let addrs = Arc::new(addrs);
+        let n = self.n;
 
-        let mut handles = Vec::with_capacity(self.n);
-        for (i, listener) in listeners.into_iter().enumerate() {
+        let observed: Vec<Arc<Obs>> = (0..n)
+            .map(|i| Arc::new(Obs::new(format!("replica-{i}"))))
+            .collect();
+        let mut handles = Vec::with_capacity(n);
+        for (i, (listener, obs)) in listeners.into_iter().zip(&observed).enumerate() {
             let cfg = cfg.clone();
             let sk = keyring
                 .signing_key(i)
                 .map_err(|_| ClusterError::Config("keyring shorter than cluster size"))?
                 .clone();
             let public = public.clone();
-            let shutdown = shutdown.clone();
-            let stats = stats.clone();
             let decision_tx = decision_tx.clone();
-            let addrs = addrs.clone();
+            let (addrs, shutdown, net, obs) =
+                (addrs.clone(), shutdown.clone(), net.clone(), obs.clone());
             handles.push(thread::spawn(move || {
-                replica_main(
-                    i,
-                    addrs,
-                    listener,
+                let mut host = Host::new(i, addrs, shutdown, net, obs, encode_peer_frame);
+                host.listen(listener, move |frame, _| parse_peer_frame(frame, n));
+                let mut replica = Replica::new(
                     cfg,
+                    ReplicaId::from(i),
                     sk,
                     public,
-                    shutdown,
-                    stats,
-                    decision_tx,
+                    Value::from_tag(i as u64),
                 );
+                host.drive(|ctx| replica.on_start(ctx));
+                let mut reported = false;
+                while host.running() {
+                    if let Some((from, msg)) = host.next_event(&mut replica) {
+                        host.drive(|ctx| replica.on_message(from, msg, ctx));
+                    }
+                    if !reported {
+                        if let Some(d) = replica.decision() {
+                            reported = true;
+                            let _ = decision_tx.send((i, d.clone()));
+                        }
+                    }
+                }
+                host.join();
             }));
         }
         drop(decision_tx);
@@ -315,297 +233,22 @@ impl ClusterBuilder {
                 n: self.n,
             });
         }
-        Ok((done, stats))
+        Ok((done, observed))
     }
-}
-
-/// Inbound events to a replica's event loop.
-enum Event {
-    Net(ProcessId, Message),
-}
-
-#[allow(clippy::too_many_arguments)]
-fn replica_main(
-    id: usize,
-    addrs: Arc<Vec<SocketAddr>>,
-    listener: TcpListener,
-    cfg: SharedConfig,
-    sk: probft_crypto::schnorr::SigningKey,
-    public: Arc<probft_crypto::keyring::PublicKeyring>,
-    shutdown: Arc<AtomicBool>,
-    stats: Arc<TransportStats>,
-    decision_tx: mpsc::Sender<(usize, Decision)>,
-) {
-    let n = addrs.len();
-    let (event_tx, event_rx) = mpsc::channel::<Event>();
-
-    // Accept loop: one reader thread per inbound connection. Handles are
-    // tracked so a finished (or timed-out) run can join every thread it
-    // spawned instead of leaking them.
-    let readers: Arc<std::sync::Mutex<Vec<thread::JoinHandle<()>>>> =
-        Arc::new(std::sync::Mutex::new(Vec::new()));
-    let accept_handle = {
-        let event_tx = event_tx.clone();
-        let shutdown = shutdown.clone();
-        let stats = stats.clone();
-        let readers = readers.clone();
-        if listener.set_nonblocking(true).is_err() {
-            return; // cannot accept peers; the deadline will report this
-        }
-        thread::spawn(move || {
-            while !shutdown.load(Ordering::SeqCst) {
-                match listener.accept() {
-                    Ok((stream, _peer)) => {
-                        let event_tx = event_tx.clone();
-                        let shutdown = shutdown.clone();
-                        let stats = stats.clone();
-                        let handle = thread::spawn(move || {
-                            reader_loop(stream, n, event_tx, shutdown, stats)
-                        });
-                        if let Ok(mut guard) = readers.lock() {
-                            reap_finished(&mut guard);
-                            guard.push(handle);
-                        }
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        crate::pacing::pause(crate::pacing::ACCEPT_POLL);
-                    }
-                    Err(_) => break,
-                }
-            }
-        })
-    };
-
-    let mut replica = Replica::new(
-        cfg,
-        ReplicaId::from(id),
-        sk,
-        public,
-        Value::from_tag(id as u64),
-    );
-    let mut rng = StdRng::seed_from_u64(0xC1A5 ^ id as u64);
-    let mut peers: Vec<Option<TcpStream>> = (0..n).map(|_| None).collect();
-    let mut timers: BinaryHeap<Reverse<(Instant, TimerToken)>> = BinaryHeap::new();
-    let started = Instant::now();
-    let now_sim = |started: Instant| SimTime::from_ticks(started.elapsed().as_micros() as u64);
-    let mut reported = false;
-
-    // Start the protocol.
-    let actions = {
-        let mut ctx: Context<'_, Message> =
-            Context::detached(ProcessId(id), now_sim(started), &mut rng);
-        replica.on_start(&mut ctx);
-        ctx.drain_actions()
-    };
-    apply_actions(id, &addrs, actions, &mut peers, &mut timers, started);
-
-    while !shutdown.load(Ordering::SeqCst) {
-        // Fire due timers.
-        while let Some(Reverse((deadline, token))) = timers.peek().copied() {
-            if deadline > Instant::now() {
-                break;
-            }
-            timers.pop();
-            let actions = {
-                let mut ctx: Context<'_, Message> =
-                    Context::detached(ProcessId(id), now_sim(started), &mut rng);
-                replica.on_timer(token, &mut ctx);
-                ctx.drain_actions()
-            };
-            apply_actions(id, &addrs, actions, &mut peers, &mut timers, started);
-        }
-
-        // Wait for the next event or timer deadline.
-        let wait = timers
-            .peek()
-            .map(|Reverse((deadline, _))| deadline.saturating_duration_since(Instant::now()))
-            .unwrap_or(Duration::from_millis(20))
-            .min(Duration::from_millis(20));
-        match event_rx.recv_timeout(wait) {
-            Ok(Event::Net(from, msg)) => {
-                let actions = {
-                    let mut ctx: Context<'_, Message> =
-                        Context::detached(ProcessId(id), now_sim(started), &mut rng);
-                    replica.on_message(from, msg, &mut ctx);
-                    ctx.drain_actions()
-                };
-                apply_actions(id, &addrs, actions, &mut peers, &mut timers, started);
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {}
-            Err(mpsc::RecvTimeoutError::Disconnected) => break,
-        }
-
-        if !reported {
-            if let Some(d) = replica.decision() {
-                reported = true;
-                let _ = decision_tx.send((id, d.clone()));
-            }
-        }
-    }
-
-    // Shutdown was requested: wait for the accept loop and every reader it
-    // spawned, so the cluster run (including a timed-out one) leaves no
-    // threads behind once `run` returns.
-    let _ = accept_handle.join();
-    let handles = match readers.lock() {
-        Ok(mut guard) => guard.drain(..).collect::<Vec<_>>(),
-        Err(_) => Vec::new(),
-    };
-    for handle in handles {
-        let _ = handle.join();
-    }
-}
-
-fn reader_loop(
-    stream: TcpStream,
-    n: usize,
-    event_tx: mpsc::Sender<Event>,
-    shutdown: Arc<AtomicBool>,
-    stats: Arc<TransportStats>,
-) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
-    let mut reader = BufReader::new(stream);
-    while !shutdown.load(Ordering::SeqCst) {
-        match read_frame(&mut reader) {
-            Ok(Some(frame)) => match parse_peer_frame(&frame, n) {
-                Ok((from, msg)) => {
-                    if event_tx.send(Event::Net(from, msg)).is_err() {
-                        return;
-                    }
-                }
-                // Rejected input is dropped, counted, and the connection
-                // kept — a malformed peer must not silence a link.
-                Err(FrameReject::Short) => stats.note_short(),
-                Err(FrameReject::Malformed) => stats.note_malformed(),
-            },
-            Ok(None) => return, // peer closed at a frame boundary
-            Err(FrameError::Io(e))
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue
-            }
-            // A peer-announced length beyond the cap is malformed input,
-            // not a connection fault.
-            Err(FrameError::Oversized(_)) => {
-                stats.note_malformed();
-                return;
-            }
-            // Everything else ended the connection mid-stream: EOF inside
-            // a frame, a mid-frame stall, or a socket error (reset etc.).
-            Err(FrameError::Io(_) | FrameError::Stalled { .. }) => {
-                stats.note_torn();
-                return;
-            }
-        }
-    }
-}
-
-fn apply_actions(
-    id: usize,
-    addrs: &[SocketAddr],
-    actions: Vec<Action<Message>>,
-    peers: &mut [Option<TcpStream>],
-    timers: &mut BinaryHeap<Reverse<(Instant, TimerToken)>>,
-    _started: Instant,
-) {
-    for action in actions {
-        match action {
-            Action::Send { to, msg } => {
-                if to.index() >= addrs.len() {
-                    continue;
-                }
-                let mut frame = (id as u32).to_be_bytes().to_vec();
-                msg.encode(&mut frame);
-                if let Some(stream) = connect_peer(peers, to.index(), addrs, BOOT_CONNECT_ATTEMPTS)
-                {
-                    if write_frame(stream, &frame).is_err() {
-                        // Drop the broken link; a later send reconnects.
-                        if let Some(slot) = peers.get_mut(to.index()) {
-                            *slot = None;
-                        }
-                    }
-                }
-            }
-            Action::SetTimer { delay, token } => {
-                let deadline = Instant::now() + tick_to_duration(delay);
-                timers.push(Reverse((deadline, token)));
-            }
-            Action::Halt => {}
-        }
-    }
-}
-
-/// Joins and removes reader threads that already exited (disconnected
-/// peers/clients), so a long-lived accept loop does not accumulate dead
-/// handles without bound.
-pub(crate) fn reap_finished(handles: &mut Vec<thread::JoinHandle<()>>) {
-    let mut i = 0;
-    while i < handles.len() {
-        if handles.get(i).is_some_and(|h| h.is_finished()) {
-            let _ = handles.swap_remove(i).join();
-        } else {
-            i += 1;
-        }
-    }
-}
-
-/// One simulator tick = one microsecond of wall time.
-pub(crate) fn tick_to_duration(d: SimDuration) -> Duration {
-    Duration::from_micros(d.ticks())
-}
-
-/// Connect attempts while a cluster boots (peers come up concurrently;
-/// retry for up to ~500 ms). Once a cluster is running, callers should
-/// fail fast instead — see [`STEADY_CONNECT_ATTEMPTS`].
-pub(crate) const BOOT_CONNECT_ATTEMPTS: u32 = 50;
-
-/// Connect attempts against a peer that was reachable before: one quick
-/// try, so a dead replica costs the sender an immediate refusal instead of
-/// a 500 ms stall inside its event loop on every send.
-pub(crate) const STEADY_CONNECT_ATTEMPTS: u32 = 1;
-
-/// Bound on how long a blocking socket write may stall the caller. A peer
-/// (or client) that stops reading fills its kernel buffer; without this a
-/// single such connection wedges the sender's whole event loop.
-pub(crate) const WRITE_STALL_LIMIT: Duration = Duration::from_secs(1);
-
-pub(crate) fn connect_peer<'a>(
-    peers: &'a mut [Option<TcpStream>],
-    to: usize,
-    addrs: &[SocketAddr],
-    attempts: u32,
-) -> Option<&'a mut TcpStream> {
-    let addr = *addrs.get(to)?;
-    let slot = peers.get_mut(to)?;
-    if slot.is_none() {
-        for attempt in 0..attempts {
-            if attempt > 0 {
-                crate::pacing::pause(crate::pacing::CONNECT_RETRY);
-            }
-            if let Ok(s) = TcpStream::connect(addr) {
-                let _ = s.set_nodelay(true);
-                let _ = s.set_write_timeout(Some(WRITE_STALL_LIMIT));
-                *slot = Some(s);
-                break;
-            }
-        }
-    }
-    slot.as_mut()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Write;
+    use std::net::TcpListener;
 
     #[test]
     fn five_replica_cluster_decides() {
         // Default OS-assigned ports: no fixed range, no collisions under
         // parallel test runs.
-        let (decisions, stats) = ClusterBuilder::new(5)
+        let (decisions, observed) = ClusterBuilder::new(5)
             .deadline(Duration::from_secs(30))
-            .run_with_stats()
+            .run_observed()
             .expect("cluster decides");
         assert_eq!(decisions.len(), 5);
         let first = decisions[0].value.digest();
@@ -615,9 +258,12 @@ mod tests {
         );
         // Replica 0 leads view 1 and proposes its own value.
         assert_eq!(decisions[0].value, Value::from_tag(0));
-        // Honest peers produce no rejected frames.
-        assert_eq!(stats.short_frames(), 0);
-        assert_eq!(stats.malformed_frames(), 0);
+        // Honest peers produce no rejected frames, and what they sent is
+        // on the same counters the SMR shape reports.
+        for obs in observed {
+            assert_eq!(obs.frames_malformed.get(), 0);
+            assert!(obs.frame_bytes_out("peer").get() > 0);
+        }
     }
 
     #[test]
@@ -630,113 +276,18 @@ mod tests {
         assert!(matches!(err, ClusterError::Bind(_)), "{err}");
     }
 
-    /// Regression: short (< 4 byte) and undecodable frames from a rogue
-    /// peer used to reach a panicking `expect` path; they must be counted
-    /// and dropped while the reader thread keeps serving the connection.
-    #[test]
-    fn malformed_peer_frames_are_counted_not_fatal() {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        let (event_tx, event_rx) = mpsc::channel();
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let stats = Arc::new(TransportStats::default());
-
-        let reader = {
-            let shutdown = shutdown.clone();
-            let stats = stats.clone();
-            thread::spawn(move || {
-                let (stream, _) = listener.accept().expect("accept");
-                reader_loop(stream, 4, event_tx, shutdown, stats);
-            })
-        };
-
-        let mut peer = TcpStream::connect(addr).expect("connect");
-        // Frame shorter than the sender prefix.
-        write_frame(&mut peer, &[0xAB, 0xCD]).expect("short frame");
-        // Valid sender id (0 < 4) but garbage message bytes.
-        write_frame(&mut peer, &[0, 0, 0, 0, 0xFF, 0xFF, 0xFF]).expect("garbage frame");
-        // Out-of-range sender id with a plausible length.
-        write_frame(&mut peer, &[0xFF, 0xFF, 0xFF, 0xFF, 1]).expect("bogus sender");
-        drop(peer); // clean EOF at a frame boundary: not a torn frame
-
-        reader.join().expect("reader thread exits cleanly");
-        assert_eq!(stats.short_frames(), 1);
-        assert_eq!(stats.malformed_frames(), 2);
-        assert_eq!(stats.torn_frames(), 0);
-        assert!(
-            event_rx.try_recv().is_err(),
-            "no rejected frame may reach the replica"
-        );
-    }
-
-    /// A peer dying mid-frame (torn length prefix) is recorded as a torn
-    /// connection, not mistaken for a clean close.
-    #[test]
-    fn torn_peer_connection_is_counted() {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        let (event_tx, _event_rx) = mpsc::channel();
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let stats = Arc::new(TransportStats::default());
-
-        let reader = {
-            let shutdown = shutdown.clone();
-            let stats = stats.clone();
-            thread::spawn(move || {
-                let (stream, _) = listener.accept().expect("accept");
-                reader_loop(stream, 4, event_tx, shutdown, stats);
-            })
-        };
-
-        let mut peer = TcpStream::connect(addr).expect("connect");
-        peer.write_all(&[0, 0]).expect("half a length prefix");
-        drop(peer);
-
-        reader.join().expect("reader thread exits cleanly");
-        assert_eq!(stats.torn_frames(), 1);
-    }
-
-    /// A peer announcing a frame beyond the size cap is counted as
-    /// malformed and disconnected — not silently dropped, not trusted
-    /// with the allocation.
-    #[test]
-    fn oversized_peer_frame_is_counted() {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        let (event_tx, _event_rx) = mpsc::channel();
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let stats = Arc::new(TransportStats::default());
-
-        let reader = {
-            let shutdown = shutdown.clone();
-            let stats = stats.clone();
-            thread::spawn(move || {
-                let (stream, _) = listener.accept().expect("accept");
-                reader_loop(stream, 4, event_tx, shutdown, stats);
-            })
-        };
-
-        let mut peer = TcpStream::connect(addr).expect("connect");
-        peer.write_all(&u32::MAX.to_be_bytes())
-            .expect("absurd length prefix");
-
-        reader.join().expect("reader thread exits cleanly");
-        assert_eq!(stats.malformed_frames(), 1);
-        assert_eq!(stats.torn_frames(), 0);
-    }
-
     #[test]
     fn parse_peer_frame_never_panics_on_garbage() {
-        assert_eq!(parse_peer_frame(&[], 4), Err(FrameReject::Short));
-        assert_eq!(parse_peer_frame(&[1, 2, 3], 4), Err(FrameReject::Short));
+        assert_eq!(parse_peer_frame(&[], 4), None);
+        assert_eq!(parse_peer_frame(&[1, 2, 3], 4), None);
         assert_eq!(
             parse_peer_frame(&[0, 0, 0, 9, 1, 2, 3], 4),
-            Err(FrameReject::Malformed),
+            None,
             "sender id beyond cluster size is rejected"
         );
         assert_eq!(
             parse_peer_frame(&[0, 0, 0, 0], 4),
-            Err(FrameReject::Malformed),
+            None,
             "empty message body is rejected"
         );
     }

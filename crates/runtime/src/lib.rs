@@ -8,19 +8,29 @@
 //! [`Context::drain_actions`]) — the runtime only interprets the resulting
 //! actions against sockets and the wall clock.
 //!
-//! Two cluster shapes are provided: [`ClusterBuilder`] runs one single-shot
-//! consensus instance to decision, and [`LiveSmrBuilder`] runs full
-//! state-machine replication of any
-//! [`StateMachine`](probft_smr::StateMachine) — pipelined, batched
-//! `SmrNode`s served by a real client front-end ([`SmrClient`]) with
-//! typed responses, leader routing, address-carrying redirects, retries,
-//! at-most-once execution of retried request ids, and a three-tier read
-//! path (`Local` / `Leader` reads bypass consensus; `Linearizable` reads
-//! are ordered through the log). With a checkpoint interval set, replicas
-//! exchange signed checkpoint attestations, truncate their logs behind
-//! stable checkpoints, and bring laggards back by snapshot state transfer
-//! over dedicated wire frames; `LiveSmrCluster::pause`/`resume` provide
-//! crash/partition fault injection for exercising exactly that.
+//! There is one replica host — peer sockets and connect policy, timer
+//! heap, action applier, [`NetPolicy`] fault rules, accept loop and reader
+//! loop, all counting into the replica's `probft-obs` registry — generic
+//! over the hosted [`Process`]'s message type, and it has two
+//! instantiations that differ only in their frame codec.
+//! [`ClusterBuilder`] hosts one [`Replica`] per thread and runs a single
+//! consensus instance to decision. [`LiveSmrBuilder`] hosts an `SmrNode`
+//! and adds the client side: full state-machine replication of any
+//! [`StateMachine`](probft_smr::StateMachine) — pipelined, batched, served
+//! to a real client front-end ([`SmrClient`]) with typed responses, leader
+//! routing, address-carrying redirects, retries, at-most-once execution of
+//! retried request ids, and a three-tier read path (`Local` / `Leader`
+//! reads bypass consensus; `Linearizable` reads are ordered through the
+//! log). With a checkpoint interval set, replicas exchange signed
+//! checkpoint attestations, truncate their logs behind stable checkpoints,
+//! and bring laggards back by snapshot state transfer over dedicated wire
+//! frames; `LiveSmrCluster::pause`/`resume` provide crash/partition fault
+//! injection for exercising exactly that.
+//!
+//! [`Replica`]: probft_core::replica::Replica
+//! [`Process`]: probft_simnet::process::Process
+//! [`Context::detached`]: probft_simnet::process::Context::detached
+//! [`Context::drain_actions`]: probft_simnet::process::Context::drain_actions
 //!
 //! `tokio` is not available in this offline build environment (see
 //! DESIGN.md, "Substitutions"); the thread-per-replica design over
@@ -46,13 +56,14 @@
 
 pub mod client;
 pub mod cluster;
+pub(crate) mod host;
 pub mod live;
 pub mod nemesis;
 pub(crate) mod pacing;
 pub mod transport;
 
 pub use client::{ClientError, SmrClient};
-pub use cluster::{ClusterBuilder, ClusterError, TransportStats};
+pub use cluster::{ClusterBuilder, ClusterError};
 pub use live::{
     LinkDecision, LinkRule, LiveSmrBuilder, LiveSmrCluster, NetPolicy, ReplicaReport, SmrFrame,
     SmrReply,

@@ -34,34 +34,30 @@
 //! [`SmrFrame::StateReply`] and resumes consensus from the checkpoint
 //! slot instead of replaying (or waiting forever for) the truncated log.
 
-use crate::cluster::{
-    bind_listeners, connect_peer, reap_finished, tick_to_duration, ClusterError, TransportStats,
-    BOOT_CONNECT_ATTEMPTS, STEADY_CONNECT_ATTEMPTS, WRITE_STALL_LIMIT,
-};
-use crate::transport::{read_frame, write_frame, FrameError};
+use crate::cluster::ClusterError;
+use crate::host::{bind_listeners, FrameKind, Host, ReplyHandle};
+use crate::transport::write_frame;
 use probft_core::config::{ProbftConfig, SharedConfig};
 use probft_core::wire::{put, Reader, Wire, WireError};
-use probft_crypto::keyring::{Keyring, PublicKeyring};
-use probft_crypto::schnorr::SigningKey;
+use probft_crypto::keyring::Keyring;
 use probft_crypto::sha256::Digest;
-use probft_obs::{Counter, MetricsSnapshot, Obs, TraceEvent, TraceKind};
+use probft_obs::{MetricsSnapshot, Obs, TraceEvent, TraceKind};
 use probft_quorum::ReplicaId;
-use probft_simnet::process::{Action, Context, Process, ProcessId, TimerToken};
-use probft_simnet::time::{SimDuration, SimTime};
+use probft_simnet::process::{Process, ProcessId};
+use probft_simnet::time::SimDuration;
 use probft_smr::node::SmrNode;
 use probft_smr::{
     CheckpointStats, CheckpointVote, Consistency, Entry, KvStore, OpKind, RequestId, SlotMessage,
     SmrMessage, SmrSettings, StateMachine, StateReply, StateRequest,
 };
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::collections::BTreeMap;
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
+
+pub use crate::host::{LinkDecision, LinkRule, NetPolicy};
 
 /// One frame of the live SMR wire protocol, typed by the replicated
 /// [`StateMachine`]. Self-describing, so replicas and clients share a
@@ -343,155 +339,6 @@ impl<S: StateMachine> Wire for SmrFrame<S> {
     }
 }
 
-/// A nemesis rule for one directed replica-to-replica link.
-///
-/// Rules are *directed*: a rule on `(a, b)` affects only frames a sends
-/// toward b, so asymmetric partitions (a cannot reach b, but b still
-/// reaches a) are expressed by installing a rule on one direction only.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct LinkRule {
-    /// Drop every frame on this link (a hard partition of the direction).
-    pub drop: bool,
-    /// Minimum added delivery latency per frame.
-    pub delay_min: Duration,
-    /// Maximum added delivery latency per frame. With `delay_max >
-    /// delay_min` each frame's extra latency is drawn uniformly from the
-    /// range by a deterministic per-frame hash — simnet's `Uniform` delay
-    /// model ported to real sockets (jitter reorders frames exactly the
-    /// way a real network would).
-    pub delay_max: Duration,
-}
-
-impl LinkRule {
-    /// A rule that drops everything on the link.
-    pub fn blackhole() -> Self {
-        LinkRule {
-            drop: true,
-            ..LinkRule::default()
-        }
-    }
-
-    /// A rule adding `min..=max` of latency to every frame on the link.
-    pub fn latency(min: Duration, max: Duration) -> Self {
-        LinkRule {
-            drop: false,
-            delay_min: min,
-            delay_max: max.max(min),
-        }
-    }
-}
-
-/// What the [`NetPolicy`] says to do with one outbound peer frame.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LinkDecision {
-    /// Write the frame now.
-    Deliver,
-    /// Discard the frame (partitioned link).
-    Drop,
-    /// Hold the frame and write it after the given delay.
-    Delay(Duration),
-}
-
-/// Cluster-wide per-link fault rules, shared by every replica's event
-/// loop and mutated live by the nemesis harness (via
-/// [`LiveSmrCluster::set_link`] and friends). Only replica-to-replica
-/// traffic consults it; client connections are outside its reach, exactly
-/// like a real switch fabric sitting between the replicas.
-#[derive(Debug, Default)]
-pub struct NetPolicy {
-    /// Directed link rules, by `(from, to)`.
-    rules: Mutex<BTreeMap<(usize, usize), LinkRule>>,
-    /// Frames discarded by drop rules.
-    dropped: AtomicU64,
-    /// Frames held back by latency rules.
-    delayed: AtomicU64,
-    /// Monotone per-frame counter feeding the deterministic jitter hash.
-    frames: AtomicU64,
-    /// Seed for the jitter hash (the cluster/nemesis seed).
-    seed: AtomicU64,
-}
-
-impl NetPolicy {
-    /// Installs `rule` on the directed link `from → to`.
-    pub fn set_link(&self, from: usize, to: usize, rule: LinkRule) {
-        if let Ok(mut rules) = self.rules.lock() {
-            rules.insert((from, to), rule);
-        }
-    }
-
-    /// Removes any rule on the directed link `from → to`.
-    pub fn clear_link(&self, from: usize, to: usize) {
-        if let Ok(mut rules) = self.rules.lock() {
-            rules.remove(&(from, to));
-        }
-    }
-
-    /// Removes every rule — the fully healed network.
-    pub fn heal(&self) {
-        if let Ok(mut rules) = self.rules.lock() {
-            rules.clear();
-        }
-    }
-
-    /// Frames discarded by drop rules so far.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::SeqCst)
-    }
-
-    /// Frames held back by latency rules so far.
-    pub fn delayed(&self) -> u64 {
-        self.delayed.load(Ordering::SeqCst)
-    }
-
-    /// Seeds the deterministic per-frame jitter hash.
-    pub fn reseed(&self, seed: u64) {
-        self.seed.store(seed, Ordering::SeqCst);
-    }
-
-    /// What to do with one frame on `from → to`, per the installed rules.
-    /// Latency is sampled by hashing `(seed, from, to, frame counter)` —
-    /// no shared RNG, so two runs with the same seed and the same send
-    /// interleaving delay identically.
-    pub fn decide(&self, from: usize, to: usize) -> LinkDecision {
-        let rule = match self.rules.lock() {
-            Ok(rules) => match rules.get(&(from, to)) {
-                Some(rule) => *rule,
-                None => return LinkDecision::Deliver,
-            },
-            Err(_) => return LinkDecision::Deliver,
-        };
-        if rule.drop {
-            self.dropped.fetch_add(1, Ordering::SeqCst);
-            return LinkDecision::Drop;
-        }
-        if rule.delay_max.is_zero() {
-            return LinkDecision::Deliver;
-        }
-        let n = self.frames.fetch_add(1, Ordering::SeqCst);
-        let seed = self.seed.load(Ordering::SeqCst);
-        let span = rule
-            .delay_max
-            .saturating_sub(rule.delay_min)
-            .as_micros()
-            .max(1) as u64;
-        let jitter = Duration::from_micros(
-            splitmix64(seed ^ (from as u64) << 40 ^ (to as u64) << 20 ^ n) % span,
-        );
-        self.delayed.fetch_add(1, Ordering::SeqCst);
-        LinkDecision::Delay(rule.delay_min + jitter)
-    }
-}
-
-/// SplitMix64 — the standard small deterministic mixer, here turning
-/// (seed, link, frame index) into per-frame jitter without any shared RNG
-/// state.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 /// What one replica held when the cluster was shut down.
 #[derive(Clone, Debug)]
 pub struct ReplicaReport<S: StateMachine = KvStore> {
@@ -513,18 +360,8 @@ pub struct ReplicaReport<S: StateMachine = KvStore> {
     /// Per-slot consensus instances still heap-resident (bounded by the
     /// pipeline depth — decided slots are pruned on apply).
     pub resident_slots: usize,
-    /// Messages its node rejected: bounded future-slot buffer drops plus
-    /// invalid checkpoint traffic (forged votes, unverifiable state
-    /// replies).
-    pub dropped_messages: u64,
     /// Checkpoint / truncation / state-transfer counters.
     pub checkpoints: CheckpointStats,
-    /// Client submissions this replica shed with an `Overloaded` reply
-    /// (admission control; never ordered, never applied).
-    pub shed_requests: u64,
-    /// The largest batch this replica ever proposed — the adaptive
-    /// batching loop's observed high-water mark.
-    pub max_batch: usize,
     /// Final snapshot of the replica's `probft-obs` metrics registry:
     /// latency histograms (commit/decide/apply/recovery), attributable
     /// drop counters, frame byte counters, and gauges.
@@ -680,74 +517,51 @@ impl<S: StateMachine> LiveSmrBuilder<S> {
         let keyring = Keyring::generate(self.n, &self.seed.to_be_bytes());
         let public = Arc::new(keyring.public());
         let shutdown = Arc::new(AtomicBool::new(false));
-        let stats = Arc::new(TransportStats::default());
         let mut settings = SmrSettings::live(self.pipeline_depth, self.batch_size);
         settings.checkpoint_interval = self.checkpoint_interval;
         settings.adaptive_batching = self.adaptive_batching;
         settings.max_pending = self.max_pending;
 
-        let (listeners, addrs) = bind_listeners(self.n, self.base_port)?;
+        let (listeners, addrs) =
+            bind_listeners(self.n, self.base_port).map_err(ClusterError::Bind)?;
         let addrs = Arc::new(addrs);
+        let n = self.n;
 
-        let applied_lens: Vec<Arc<AtomicU64>> =
-            (0..self.n).map(|_| Arc::new(AtomicU64::new(0))).collect();
-        let paused: Vec<Arc<AtomicBool>> = (0..self.n)
-            .map(|_| Arc::new(AtomicBool::new(false)))
-            .collect();
-        let leader_watches: Vec<Arc<AtomicU64>> =
-            (0..self.n).map(|_| Arc::new(AtomicU64::new(0))).collect();
         let net = Arc::new(NetPolicy::default());
         net.reseed(self.seed);
+        let watches: Vec<Arc<ReplicaWatch>> = (0..n).map(|_| Arc::default()).collect();
         // One telemetry bundle per replica, created up front so the
         // cluster handle (and through it the nemesis) shares the exact
         // registry and journal the replica thread records into.
-        let obs_handles: Vec<Arc<Obs>> = (0..self.n)
+        let obs_handles: Vec<Arc<Obs>> = (0..n)
             .map(|i| Arc::new(Obs::new(format!("replica-{i}"))))
             .collect();
 
-        let mut handles = Vec::with_capacity(self.n);
-        // Zip the per-replica handles instead of indexing them: the loop
-        // can then never panic, even if a future edit desynchronizes the
-        // vector lengths (it would shorten the zip, and the keyring lookup
-        // below reports that as a typed config error).
-        let per_replica = listeners
-            .into_iter()
-            .zip(applied_lens.iter().cloned())
-            .zip(paused.iter().cloned())
-            .zip(leader_watches.iter().cloned())
-            .enumerate();
-        for (i, (((listener, applied_len), paused), leader_watch)) in per_replica {
+        let mut handles = Vec::with_capacity(n);
+        let per_replica = listeners.into_iter().zip(&watches).zip(&obs_handles);
+        for (i, ((listener, watch), obs)) in per_replica.enumerate() {
             let cfg = cfg.clone();
             let sk = keyring
                 .signing_key(i)
                 .map_err(|_| ClusterError::Config("keyring shorter than cluster size"))?
                 .clone();
             let public = public.clone();
-            let shutdown = shutdown.clone();
-            let stats = stats.clone();
-            let addrs = addrs.clone();
-            let net = net.clone();
-            let obs = obs_handles
-                .get(i)
-                .cloned()
-                .unwrap_or_else(|| Arc::new(Obs::new(format!("replica-{i}"))));
+            let (addrs, shutdown, net) = (addrs.clone(), shutdown.clone(), net.clone());
+            let (watch, obs) = (watch.clone(), obs.clone());
             handles.push(thread::spawn(move || {
-                smr_replica_main::<S>(
-                    i,
-                    addrs,
-                    listener,
+                let mut node: SmrNode<S> = SmrNode::new(
                     cfg,
+                    ReplicaId::from(i),
                     sk,
                     public,
+                    Vec::new(), // no prebuilt workload: operations arrive from clients
                     settings,
-                    shutdown,
-                    stats,
-                    applied_len,
-                    paused,
-                    net,
-                    leader_watch,
-                    obs,
-                )
+                );
+                node.set_obs(obs.clone());
+                let decode = smr_decoder::<S>(n, &obs);
+                let mut host = Host::new(i, addrs, shutdown, net, obs, encode_smr_message::<S>);
+                host.listen(listener, decode);
+                smr_replica_main(node, host, &watch)
             }));
         }
 
@@ -755,15 +569,26 @@ impl<S: StateMachine> LiveSmrBuilder<S> {
             addrs,
             shutdown,
             handles,
-            stats,
-            applied_lens,
-            paused,
-            leader_watches,
+            watches,
             net,
             keyring,
             obs: obs_handles,
         })
     }
+}
+
+/// What a replica thread publishes for the cluster handle to read, and
+/// the one flag the handle sets for the thread.
+#[derive(Debug, Default)]
+struct ReplicaWatch {
+    /// Applied-log length, for the quiescence wait at shutdown.
+    applied_len: AtomicU64,
+    /// Fault injection: a paused replica drops everything it receives and
+    /// sends nothing, like a partitioned or stalled process.
+    paused: AtomicBool,
+    /// Who this replica currently believes leads, published every
+    /// event-loop turn (lets a nemesis target "the leader").
+    leader: AtomicU64,
 }
 
 /// A running live SMR cluster. Dropping without calling
@@ -774,17 +599,8 @@ pub struct LiveSmrCluster<S: StateMachine = KvStore> {
     addrs: Arc<Vec<SocketAddr>>,
     shutdown: Arc<AtomicBool>,
     handles: Vec<thread::JoinHandle<ReplicaReport<S>>>,
-    stats: Arc<TransportStats>,
-    /// Per-replica applied-log lengths, for the quiescence wait at
-    /// shutdown.
-    applied_lens: Vec<Arc<AtomicU64>>,
-    /// Per-replica pause flags (fault injection: a paused replica drops
-    /// everything it receives and sends nothing, like a partitioned or
-    /// stalled process).
-    paused: Vec<Arc<AtomicBool>>,
-    /// Per-replica current-leader beliefs, published every event-loop
-    /// turn (fault injection: lets a nemesis target "the leader").
-    leader_watches: Vec<Arc<AtomicU64>>,
+    /// Per-replica progress, pause flag and leader belief.
+    watches: Vec<Arc<ReplicaWatch>>,
     /// Per-link network fault policy every replica's outbound path
     /// consults (fault injection: partitions, latency, jitter).
     net: Arc<NetPolicy>,
@@ -810,16 +626,11 @@ impl<S: StateMachine> LiveSmrCluster<S> {
         crate::client::SmrClient::new(self.addrs.to_vec(), client_id)
     }
 
-    /// Cluster-wide frame-rejection counters.
-    pub fn stats(&self) -> Arc<TransportStats> {
-        self.stats.clone()
-    }
-
     /// Per-replica applied-log lengths right now (indexed by replica id).
     pub fn applied_lens(&self) -> Vec<u64> {
-        self.applied_lens
+        self.watches
             .iter()
-            .map(|len| len.load(Ordering::SeqCst))
+            .map(|w| w.applied_len.load(Ordering::SeqCst))
             .collect()
     }
 
@@ -828,8 +639,8 @@ impl<S: StateMachine> LiveSmrCluster<S> {
     /// or partition to the rest of the cluster. Fault injection for
     /// tests and experiments; a no-op for out-of-range ids.
     pub fn pause(&self, i: usize) {
-        if let Some(flag) = self.paused.get(i) {
-            flag.store(true, Ordering::SeqCst);
+        if let Some(watch) = self.watches.get(i) {
+            watch.paused.store(true, Ordering::SeqCst);
         }
     }
 
@@ -837,17 +648,17 @@ impl<S: StateMachine> LiveSmrCluster<S> {
     /// had when paused; if the cluster moved past a stable checkpoint in
     /// the meantime, it catches up by snapshot state transfer.
     pub fn resume(&self, i: usize) {
-        if let Some(flag) = self.paused.get(i) {
-            flag.store(false, Ordering::SeqCst);
+        if let Some(watch) = self.watches.get(i) {
+            watch.paused.store(false, Ordering::SeqCst);
         }
     }
 
     /// Whether replica `i` is currently [`pause`](Self::pause)d (false
     /// for out-of-range ids).
     pub fn is_paused(&self, i: usize) -> bool {
-        self.paused
+        self.watches
             .get(i)
-            .is_some_and(|flag| flag.load(Ordering::SeqCst))
+            .is_some_and(|watch| watch.paused.load(Ordering::SeqCst))
     }
 
     /// The per-link network fault policy: drop rules build (asymmetric)
@@ -865,9 +676,11 @@ impl<S: StateMachine> LiveSmrCluster<S> {
     /// get whoever most of the cluster would redirect a client to.
     pub fn current_leader(&self) -> usize {
         let mut votes: BTreeMap<u64, usize> = BTreeMap::new();
-        for (watch, paused) in self.leader_watches.iter().zip(&self.paused) {
-            if !paused.load(Ordering::SeqCst) {
-                *votes.entry(watch.load(Ordering::SeqCst)).or_default() += 1;
+        for watch in &self.watches {
+            if !watch.paused.load(Ordering::SeqCst) {
+                *votes
+                    .entry(watch.leader.load(Ordering::SeqCst))
+                    .or_default() += 1;
             }
         }
         votes
@@ -939,11 +752,10 @@ impl<S: StateMachine> LiveSmrCluster<S> {
         let mut stable: Option<(Vec<u64>, Instant)> = None;
         while Instant::now() < deadline {
             let lens: Vec<u64> = self
-                .applied_lens()
-                .into_iter()
-                .zip(&self.paused)
-                .filter(|(_, paused)| !paused.load(Ordering::SeqCst))
-                .map(|(len, _)| len)
+                .watches
+                .iter()
+                .filter(|w| !w.paused.load(Ordering::SeqCst))
+                .map(|w| w.applied_len.load(Ordering::SeqCst))
                 .collect();
             let all_equal = lens.iter().zip(lens.iter().skip(1)).all(|(a, b)| a == b);
             match &stable {
@@ -976,7 +788,7 @@ impl<S: StateMachine> LiveSmrCluster<S> {
 const FOLLOWER_PROBE_CONTACTS: u32 = 3;
 
 /// Inbound events to a live SMR replica's event loop.
-enum SmrEvent<S: StateMachine> {
+pub(crate) enum SmrEvent<S: StateMachine> {
     /// Consensus or checkpoint traffic from a peer replica.
     Peer(ProcessId, SmrMessage),
     /// A client submission to be ordered, with the write half of its
@@ -985,253 +797,185 @@ enum SmrEvent<S: StateMachine> {
         request: RequestId,
         kind: OpKind,
         op: S::Op,
-        reply: Arc<Mutex<TcpStream>>,
+        reply: ReplyHandle,
     },
     /// A consensus-bypassing client read.
     Read {
         request: RequestId,
         consistency: Consistency,
         op: S::Op,
-        reply: Arc<Mutex<TcpStream>>,
+        reply: ReplyHandle,
     },
 }
 
-#[allow(clippy::too_many_arguments)]
-fn smr_replica_main<S: StateMachine>(
-    id: usize,
-    addrs: Arc<Vec<SocketAddr>>,
-    listener: TcpListener,
-    cfg: SharedConfig,
-    sk: SigningKey,
-    public: Arc<PublicKeyring>,
-    settings: SmrSettings,
-    shutdown: Arc<AtomicBool>,
-    stats: Arc<TransportStats>,
-    applied_len: Arc<AtomicU64>,
-    paused: Arc<AtomicBool>,
-    net: Arc<NetPolicy>,
-    leader_watch: Arc<AtomicU64>,
-    obs: Arc<Obs>,
-) -> ReplicaReport<S> {
-    let n = addrs.len();
-    let (event_tx, event_rx) = mpsc::channel::<SmrEvent<S>>();
-
-    let mut node: SmrNode<S> = SmrNode::new(
-        cfg,
-        ReplicaId::from(id),
-        sk,
-        public,
-        Vec::new(), // no prebuilt workload: operations arrive from clients
-        settings,
-    );
-    // Record into the bundle the cluster handle (and the nemesis) shares.
-    node.set_obs(obs.clone());
-    // Pre-fetched per-kind outbound byte counters: one registry lookup
-    // here instead of one per sent frame.
-    let out_bytes = FrameOutCounters {
-        peer: obs.frame_bytes_out("peer"),
-        checkpoint: obs.frame_bytes_out("checkpoint"),
-        state: obs.frame_bytes_out("state"),
-        unsendable: obs.frames_unsendable.clone(),
+/// The SMR shape's outbound codec: each [`SmrMessage`] variant onto its
+/// wire frame, charged to its byte counter.
+fn encode_smr_message<S: StateMachine>(id: usize, msg: SmrMessage) -> (FrameKind, Vec<u8>) {
+    let from = id as u32;
+    let (kind, frame) = match msg {
+        SmrMessage::Slot(msg) => (FrameKind::Peer, SmrFrame::<S>::Peer { from, msg }),
+        SmrMessage::CheckpointVote(vote) => (FrameKind::Checkpoint, SmrFrame::CheckpointVote(vote)),
+        SmrMessage::StateRequest(req) => (FrameKind::State, SmrFrame::StateRequest { from, req }),
+        SmrMessage::StateReply(rep) => (FrameKind::State, SmrFrame::StateReply { from, rep }),
     };
+    (kind, frame.to_wire_bytes())
+}
 
-    // Accept loop: one tracked reader thread per inbound connection
-    // (peer or client — frames are self-describing).
-    let readers: Arc<Mutex<Vec<thread::JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-    let accept_handle = {
-        let event_tx = event_tx.clone();
-        let shutdown = shutdown.clone();
-        let stats = stats.clone();
-        let readers = readers.clone();
-        let obs = obs.clone();
-        let can_accept = listener.set_nonblocking(true).is_ok();
-        thread::spawn(move || {
-            while can_accept && !shutdown.load(Ordering::SeqCst) {
-                match listener.accept() {
-                    Ok((stream, _peer)) => {
-                        let event_tx = event_tx.clone();
-                        let shutdown = shutdown.clone();
-                        let stats = stats.clone();
-                        let obs = obs.clone();
-                        let handle = thread::spawn(move || {
-                            smr_reader_loop::<S>(stream, n, event_tx, shutdown, stats, obs)
-                        });
-                        if let Ok(mut guard) = readers.lock() {
-                            reap_finished(&mut guard);
-                            guard.push(handle);
-                        }
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        crate::pacing::pause(crate::pacing::ACCEPT_POLL);
-                    }
-                    Err(_) => break,
-                }
+/// The SMR shape's inbound codec for an `n`-replica cluster: one frame to
+/// one event, charging accepted frames to `obs`'s per-kind
+/// `frame_bytes_in` counters (fetched once here, not per frame). `None` —
+/// counted malformed by the reader loop, connection kept — for
+/// undecodable bytes, out-of-range sender ids, and replies sent *to* a
+/// replica.
+pub(crate) fn smr_decoder<S: StateMachine>(
+    n: usize,
+    obs: &Obs,
+) -> impl Fn(&[u8], &ReplyHandle) -> Option<SmrEvent<S>> + Clone + Send + 'static {
+    let in_peer = obs.frame_bytes_in("peer");
+    let in_request = obs.frame_bytes_in("request");
+    let in_read = obs.frame_bytes_in("read");
+    let in_checkpoint = obs.frame_bytes_in("checkpoint");
+    let in_state = obs.frame_bytes_in("state");
+    move |frame, reply| {
+        let peer = |from: usize, msg| (from < n).then_some(SmrEvent::Peer(ProcessId(from), msg));
+        let (bytes_in, event) = match SmrFrame::<S>::from_wire_bytes(frame).ok()? {
+            SmrFrame::Peer { from, msg } => (&in_peer, peer(from as usize, SmrMessage::Slot(msg))?),
+            // Checkpoint traffic: votes authenticate themselves (the node
+            // checks the Schnorr signature); requests and replies carry
+            // the sender id for reply routing, and a forged reply is
+            // discarded by the digest check against the attested quorum.
+            SmrFrame::CheckpointVote(vote) => (
+                &in_checkpoint,
+                peer(vote.from.index(), SmrMessage::CheckpointVote(vote))?,
+            ),
+            SmrFrame::StateRequest { from, req } => (
+                &in_state,
+                peer(from as usize, SmrMessage::StateRequest(req))?,
+            ),
+            SmrFrame::StateReply { from, rep } => {
+                (&in_state, peer(from as usize, SmrMessage::StateReply(rep))?)
             }
-        })
-    };
+            SmrFrame::Request { request, kind, op } => (
+                &in_request,
+                SmrEvent::Request {
+                    request,
+                    kind,
+                    op,
+                    reply: reply.clone(),
+                },
+            ),
+            // A linearizable read *is* an ordered request (a read-kind
+            // entry): rewrite it here so the event loop serves it through
+            // the one request path — dedup, reply cache, waiting map and
+            // all.
+            SmrFrame::ReadRequest {
+                request,
+                consistency: Consistency::Linearizable,
+                op,
+            } => (
+                &in_read,
+                SmrEvent::Request {
+                    request,
+                    kind: OpKind::Read,
+                    op,
+                    reply: reply.clone(),
+                },
+            ),
+            SmrFrame::ReadRequest {
+                request,
+                consistency,
+                op,
+            } => (
+                &in_read,
+                SmrEvent::Read {
+                    request,
+                    consistency,
+                    op,
+                    reply: reply.clone(),
+                },
+            ),
+            SmrFrame::Reply(_) | SmrFrame::ReadReply { .. } => return None,
+        };
+        bytes_in.add(frame.len() as u64);
+        Some(event)
+    }
+}
 
-    let mut rng = StdRng::seed_from_u64(0x11FE ^ id as u64);
-    let mut peers: Vec<Option<TcpStream>> = (0..n).map(|_| None).collect();
-    let mut timers: BinaryHeap<Reverse<(Instant, TimerToken)>> = BinaryHeap::new();
+/// One live SMR replica: `node` on `host`, serving client requests and
+/// reads between protocol steps until shutdown.
+fn smr_replica_main<S: StateMachine>(
+    mut node: SmrNode<S>,
+    mut host: Host<SmrMessage, SmrEvent<S>>,
+    watch: &ReplicaWatch,
+) -> ReplicaReport<S> {
+    let id = host.id();
+    let obs = host.obs().clone();
+    let addrs = host.addrs().clone();
     // Clients awaiting a post-apply reply, by request id, with the time
     // each entry was (last) registered.
-    let mut waiting: BTreeMap<RequestId, (Arc<Mutex<TcpStream>>, Instant)> = BTreeMap::new();
-    let started = Instant::now();
-    let now_sim = |started: Instant| SimTime::from_ticks(started.elapsed().as_micros() as u64);
-    // Retry connects while the cluster boots; fail fast afterwards so a
-    // dead peer costs a refusal, not a stall, per send.
-    let connect_attempts = |started: Instant| {
-        if started.elapsed() < Duration::from_secs(5) {
-            BOOT_CONNECT_ATTEMPTS
-        } else {
-            STEADY_CONNECT_ATTEMPTS
-        }
-    };
-    // The redirect hint: this replica's current belief about the leader,
-    // as an (id, address) pair taken from its current working view.
-    let leader_hint = |node: &SmrNode<S>| {
-        let leader = node.current_leader();
-        // `% n` keeps the index in range for any sane `addrs`; `.get`
-        // degrades an impossible empty list to a redirect the client
-        // treats as unreachable, instead of panicking the replica.
-        let addr = addrs
-            .get(leader.index() % n.max(1))
-            .copied()
-            .unwrap_or_else(crate::client::unusable_addr);
-        (leader.index() as u32, addr)
-    };
-
-    // Start the node (in live mode this opens no slots until traffic
-    // arrives).
-    let mut delayed = DelayedFrames::default();
-    let actions = {
-        let mut ctx: Context<'_, SmrMessage> =
-            Context::detached(ProcessId(id), now_sim(started), &mut rng);
-        node.on_start(&mut ctx);
-        ctx.drain_actions()
-    };
-    apply_smr_actions::<S>(
-        id,
-        &addrs,
-        actions,
-        &mut peers,
-        &mut timers,
-        connect_attempts(started),
-        &stats,
-        &net,
-        &mut delayed,
-        &out_bytes,
-    );
-
+    let mut waiting: BTreeMap<RequestId, (ReplyHandle, Instant)> = BTreeMap::new();
     // Follower probing (the idle-leader-crash escape hatch): client
     // contacts answered with a redirect since the log last advanced.
     let mut unserved_contacts: u32 = 0;
     let mut last_progress: u64 = 0;
-    // Admission control: submissions answered `Overloaded` instead of
-    // queued because the pending queue was at its cap.
-    let mut shed_requests: u64 = 0;
+    // Points a client at the leader of this replica's current working
+    // view (id and address). Callers count the contact toward the
+    // follower probe (checked once per loop turn, below).
+    let redirect = |node: &SmrNode<S>, reply: &ReplyHandle, request| {
+        let leader = node.current_leader().index();
+        // `% n` keeps the index in range for any sane `addrs`; `.get`
+        // degrades an impossible empty list to a redirect the client
+        // treats as unreachable, instead of panicking the replica.
+        let addr = addrs
+            .get(leader % addrs.len().max(1))
+            .copied()
+            .unwrap_or_else(crate::client::unusable_addr);
+        let leader = leader as u32;
+        send_frame::<S>(
+            reply,
+            SmrFrame::Reply(SmrReply::Redirect {
+                request,
+                leader,
+                addr,
+            }),
+        );
+        obs.redirects_served.inc();
+        obs.trace(TraceKind::RedirectServed {
+            leader: leader as u64,
+        });
+    };
 
-    while !shutdown.load(Ordering::SeqCst) {
-        if paused.load(Ordering::SeqCst) {
+    // Start the node (in live mode this opens no slots until traffic
+    // arrives).
+    host.drive(|ctx| node.on_start(ctx));
+
+    while host.running() {
+        if watch.paused.load(Ordering::SeqCst) {
             // Fault injection: a paused replica is a partitioned process.
             // Discard whatever arrives, fire nothing, send nothing.
-            while event_rx.try_recv().is_ok() {}
+            host.discard_events();
             crate::pacing::pause(crate::pacing::PAUSED_POLL);
             continue;
         }
-        // Fire due timers.
-        while let Some(Reverse((deadline, token))) = timers.peek().copied() {
-            if deadline > Instant::now() {
-                break;
-            }
-            timers.pop();
-            let actions = {
-                let mut ctx: Context<'_, SmrMessage> =
-                    Context::detached(ProcessId(id), now_sim(started), &mut rng);
-                node.on_timer(token, &mut ctx);
-                ctx.drain_actions()
-            };
-            apply_smr_actions::<S>(
-                id,
-                &addrs,
-                actions,
-                &mut peers,
-                &mut timers,
-                connect_attempts(started),
-                &stats,
-                &net,
-                &mut delayed,
-                &out_bytes,
-            );
-        }
-        // Release any latency-held outbound frames that came due.
-        delayed.flush(
-            &mut peers,
-            &addrs,
-            connect_attempts(started),
-            &stats,
-            &out_bytes.unsendable,
-        );
-
-        // Wait for the next event, timer deadline, or held-frame release.
-        let wait = timers
-            .peek()
-            .map(|Reverse((deadline, _))| deadline.saturating_duration_since(Instant::now()))
-            .unwrap_or(Duration::from_millis(20))
-            .min(delayed.next_due().unwrap_or(Duration::from_millis(20)))
-            .min(Duration::from_millis(20));
-        match event_rx.recv_timeout(wait) {
-            Ok(SmrEvent::Peer(from, msg)) => {
-                let actions = {
-                    let mut ctx: Context<'_, SmrMessage> =
-                        Context::detached(ProcessId(id), now_sim(started), &mut rng);
-                    node.on_message(from, msg, &mut ctx);
-                    ctx.drain_actions()
-                };
-                apply_smr_actions::<S>(
-                    id,
-                    &addrs,
-                    actions,
-                    &mut peers,
-                    &mut timers,
-                    connect_attempts(started),
-                    &stats,
-                    &net,
-                    &mut delayed,
-                    &out_bytes,
-                );
-            }
-            Ok(SmrEvent::Request {
+        match host.next_event(&mut node) {
+            Some(SmrEvent::Peer(from, msg)) => host.drive(|ctx| node.on_message(from, msg, ctx)),
+            Some(SmrEvent::Request {
                 request,
                 kind,
                 op,
                 reply,
             }) => {
-                let leader = node.current_leader();
-                if leader.index() != id {
-                    // Not the leader: point the client at who is, with
-                    // the current-view address.
-                    let (leader, addr) = leader_hint(&node);
-                    send_reply::<S>(
-                        &reply,
-                        SmrReply::Redirect {
-                            request,
-                            leader,
-                            addr,
-                        },
-                    );
-                    obs.redirects_served.inc();
-                    obs.trace(TraceKind::RedirectServed {
-                        leader: leader as u64,
-                    });
-                    // Counted toward the follower probe (checked once per
-                    // loop turn, below).
+                if node.current_leader().index() != id {
+                    redirect(&node, &reply, request);
                     unserved_contacts += 1;
                 } else if let Some(response) = node.cached_response(request).cloned() {
                     // A retry of something already applied: answer from
                     // the reply cache without re-ordering it
                     // (at-most-once).
-                    send_reply::<S>(&reply, SmrReply::Applied { request, response });
+                    send_frame::<S>(
+                        &reply,
+                        SmrFrame::Reply(SmrReply::Applied { request, response }),
+                    );
                 } else if node.overloaded() && !waiting.contains_key(&request) {
                     // Admission control: the pending queue is at its cap,
                     // so shed this submission with an explicit signal
@@ -1241,15 +985,14 @@ fn smr_replica_main<S: StateMachine>(
                     // would only earn a redirect straight back. Retries of
                     // an entry already queued are exempt: refusing those
                     // would orphan their reply handle.
-                    shed_requests += 1;
                     obs.shed_requests.inc();
                     obs.trace(TraceKind::OverloadShed);
-                    send_reply::<S>(
+                    send_frame::<S>(
                         &reply,
-                        SmrReply::Overloaded {
+                        SmrFrame::Reply(SmrReply::Overloaded {
                             request,
                             queued: node.pending_len().min(u32::MAX as usize) as u32,
-                        },
+                        }),
                     );
                 } else {
                     // Accept: remember who to answer, feed the entry into
@@ -1262,35 +1005,17 @@ fn smr_replica_main<S: StateMachine>(
                         kind,
                         op,
                     };
-                    let actions = {
-                        let mut ctx: Context<'_, SmrMessage> =
-                            Context::detached(ProcessId(id), now_sim(started), &mut rng);
-                        node.submit(entry, &mut ctx);
-                        ctx.drain_actions()
-                    };
-                    apply_smr_actions::<S>(
-                        id,
-                        &addrs,
-                        actions,
-                        &mut peers,
-                        &mut timers,
-                        connect_attempts(started),
-                        &stats,
-                        &net,
-                        &mut delayed,
-                        &out_bytes,
-                    );
+                    host.drive(|ctx| node.submit(entry, ctx));
                 }
             }
-            // Consensus-bypassing reads only: the reader loop rewrites a
-            // linearizable `ReadRequest` into an ordered `Request` (so it
-            // shares the dedup / reply-cache / waiting-map path above).
-            // A local read is served by any replica; a leader read only
-            // by the replica that believes it leads, redirecting
-            // otherwise — exactly like a write. Queries run here, between
-            // whole-batch applies on this thread, so the observation is
-            // stale-at-worst, never torn.
-            Ok(SmrEvent::Read {
+            // Consensus-bypassing reads only (the decoder rewrites a
+            // linearizable `ReadRequest` into an ordered `Request`). A
+            // local read is served by any replica; a leader read only by
+            // the replica that believes it leads, redirecting otherwise —
+            // exactly like a write. Queries run here, between whole-batch
+            // applies on this thread, so the observation is stale-at-worst,
+            // never torn.
+            Some(SmrEvent::Read {
                 request,
                 consistency,
                 op,
@@ -1298,30 +1023,17 @@ fn smr_replica_main<S: StateMachine>(
             }) => {
                 if consistency == Consistency::Local || node.current_leader().index() == id {
                     let response = node.query(&op);
-                    send_read_reply::<S>(&reply, request, response);
+                    send_frame::<S>(&reply, SmrFrame::ReadReply { request, response });
                 } else {
-                    let (leader, addr) = leader_hint(&node);
-                    send_reply::<S>(
-                        &reply,
-                        SmrReply::Redirect {
-                            request,
-                            leader,
-                            addr,
-                        },
-                    );
-                    obs.redirects_served.inc();
-                    obs.trace(TraceKind::RedirectServed {
-                        leader: leader as u64,
-                    });
                     // A leader read bounced off a silent leader is client
                     // contact too — it must count toward the probe, or an
                     // idle dead-leader cluster would serve writes but
                     // starve reads forever.
+                    redirect(&node, &reply, request);
                     unserved_contacts += 1;
                 }
             }
-            Err(mpsc::RecvTimeoutError::Timeout) => {}
-            Err(mpsc::RecvTimeoutError::Disconnected) => break,
+            None => {}
         }
 
         // Clients keep arriving but the leader every redirect names never
@@ -1330,24 +1042,9 @@ fn smr_replica_main<S: StateMachine>(
         // decision repoints every hint at a live leader. (A spurious
         // probe on a healthy cluster costs one empty slot.)
         if unserved_contacts >= FOLLOWER_PROBE_CONTACTS {
-            let actions = {
-                let mut ctx: Context<'_, SmrMessage> =
-                    Context::detached(ProcessId(id), now_sim(started), &mut rng);
-                node.probe_open(&mut ctx);
-                ctx.drain_actions()
-            };
-            apply_smr_actions::<S>(
-                id,
-                &addrs,
-                actions,
-                &mut peers,
-                &mut timers,
-                connect_attempts(started),
-                &stats,
-                &net,
-                &mut delayed,
-                &out_bytes,
-            );
+            host.drive(|ctx| {
+                node.probe_open(ctx);
+            });
             unserved_contacts = 0;
         }
 
@@ -1360,12 +1057,12 @@ fn smr_replica_main<S: StateMachine>(
                 // latency claims are about.
                 obs.commit_latency_us
                     .record(since.elapsed().as_micros().min(u64::MAX as u128) as u64);
-                send_reply::<S>(
+                send_frame::<S>(
                     &reply,
-                    SmrReply::Applied {
+                    SmrFrame::Reply(SmrReply::Applied {
                         request: applied.request,
                         response: applied.response,
-                    },
+                    }),
                 );
             }
         }
@@ -1381,22 +1078,15 @@ fn smr_replica_main<S: StateMachine>(
             last_progress = total;
             unserved_contacts = 0;
         }
-        applied_len.store(total, Ordering::SeqCst);
-        // Publish who this replica currently believes leads, so the
-        // nemesis layer can target "the leader" without guessing.
-        leader_watch.store(node.current_leader().index() as u64, Ordering::SeqCst);
+        watch.applied_len.store(total, Ordering::SeqCst);
+        watch
+            .leader
+            .store(node.current_leader().index() as u64, Ordering::SeqCst);
     }
 
     // Join the accept loop and every reader before reporting, so shutdown
     // leaves no running threads behind.
-    let _ = accept_handle.join();
-    let handles = match readers.lock() {
-        Ok(mut guard) => guard.drain(..).collect::<Vec<_>>(),
-        Err(_) => Vec::new(),
-    };
-    for handle in handles {
-        let _ = handle.join();
-    }
+    host.join();
 
     ReplicaReport {
         id,
@@ -1405,10 +1095,7 @@ fn smr_replica_main<S: StateMachine>(
         log_digest: node.log_digest(),
         state: node.state().clone(),
         resident_slots: node.resident_slots(),
-        dropped_messages: node.dropped_messages(),
         checkpoints: node.checkpoint_stats(),
-        shed_requests,
-        max_batch: node.max_batch_proposed(),
         metrics: obs.snapshot(),
         journal: obs.journal().snapshot(),
     }
@@ -1417,363 +1104,9 @@ fn smr_replica_main<S: StateMachine>(
 /// Writes one reply frame to a client connection, ignoring failures (a
 /// vanished client simply never reads its answer; the state machine is
 /// already consistent).
-fn send_reply<S: StateMachine>(conn: &Arc<Mutex<TcpStream>>, reply: SmrReply<S::Response>) {
+fn send_frame<S: StateMachine>(conn: &ReplyHandle, frame: SmrFrame<S>) {
     if let Ok(mut stream) = conn.lock() {
-        let _ = write_frame(&mut *stream, &SmrFrame::<S>::Reply(reply).to_wire_bytes());
-    }
-}
-
-/// Writes one read-reply frame to a client connection.
-fn send_read_reply<S: StateMachine>(
-    conn: &Arc<Mutex<TcpStream>>,
-    request: RequestId,
-    response: S::Response,
-) {
-    if let Ok(mut stream) = conn.lock() {
-        let frame = SmrFrame::<S>::ReadReply { request, response };
         let _ = write_frame(&mut *stream, &frame.to_wire_bytes());
-    }
-}
-
-/// Parses frames off one connection and forwards them as events. Torn,
-/// short, malformed, and oversized input is counted and never panics.
-fn smr_reader_loop<S: StateMachine>(
-    stream: TcpStream,
-    n: usize,
-    event_tx: mpsc::Sender<SmrEvent<S>>,
-    shutdown: Arc<AtomicBool>,
-    stats: Arc<TransportStats>,
-    obs: Arc<Obs>,
-) {
-    // One registry lookup per kind at connection start, not per frame.
-    let in_peer = obs.frame_bytes_in("peer");
-    let in_request = obs.frame_bytes_in("request");
-    let in_read = obs.frame_bytes_in("read");
-    let in_checkpoint = obs.frame_bytes_in("checkpoint");
-    let in_state = obs.frame_bytes_in("state");
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
-    let _ = stream.set_nodelay(true);
-    // Bound reply writes: a client that stops reading must cost the
-    // replica a failed write, not a wedged event loop.
-    let _ = stream.set_write_timeout(Some(WRITE_STALL_LIMIT));
-    // The write half, shared by every request event from this connection.
-    let reply = match stream.try_clone() {
-        Ok(clone) => Arc::new(Mutex::new(clone)),
-        Err(_) => return,
-    };
-    let mut reader = std::io::BufReader::new(stream);
-    while !shutdown.load(Ordering::SeqCst) {
-        match read_frame(&mut reader) {
-            Ok(Some(frame)) => match SmrFrame::<S>::from_wire_bytes(&frame) {
-                Ok(SmrFrame::Peer { from, msg }) if (from as usize) < n => {
-                    in_peer.add(frame.len() as u64);
-                    if event_tx
-                        .send(SmrEvent::Peer(
-                            ProcessId(from as usize),
-                            SmrMessage::Slot(msg),
-                        ))
-                        .is_err()
-                    {
-                        return;
-                    }
-                }
-                // Checkpoint traffic: votes authenticate themselves (the
-                // node checks the Schnorr signature); requests and
-                // replies carry the sender id for reply routing, and a
-                // forged reply is discarded by the digest check against
-                // the attested quorum.
-                Ok(SmrFrame::CheckpointVote(vote)) if vote.from.index() < n => {
-                    in_checkpoint.add(frame.len() as u64);
-                    let from = ProcessId(vote.from.index());
-                    if event_tx
-                        .send(SmrEvent::Peer(from, SmrMessage::CheckpointVote(vote)))
-                        .is_err()
-                    {
-                        return;
-                    }
-                }
-                Ok(SmrFrame::StateRequest { from, req }) if (from as usize) < n => {
-                    in_state.add(frame.len() as u64);
-                    if event_tx
-                        .send(SmrEvent::Peer(
-                            ProcessId(from as usize),
-                            SmrMessage::StateRequest(req),
-                        ))
-                        .is_err()
-                    {
-                        return;
-                    }
-                }
-                Ok(SmrFrame::StateReply { from, rep }) if (from as usize) < n => {
-                    in_state.add(frame.len() as u64);
-                    if event_tx
-                        .send(SmrEvent::Peer(
-                            ProcessId(from as usize),
-                            SmrMessage::StateReply(rep),
-                        ))
-                        .is_err()
-                    {
-                        return;
-                    }
-                }
-                Ok(SmrFrame::Request { request, kind, op }) => {
-                    in_request.add(frame.len() as u64);
-                    let event = SmrEvent::Request {
-                        request,
-                        kind,
-                        op,
-                        reply: reply.clone(),
-                    };
-                    if event_tx.send(event).is_err() {
-                        return;
-                    }
-                }
-                Ok(SmrFrame::ReadRequest {
-                    request,
-                    consistency,
-                    op,
-                }) => {
-                    in_read.add(frame.len() as u64);
-                    // A linearizable read *is* an ordered request (a
-                    // read-kind entry): rewrite it here so the event loop
-                    // serves it through the one request path — dedup,
-                    // reply cache, waiting map and all.
-                    let event = if consistency == Consistency::Linearizable {
-                        SmrEvent::Request {
-                            request,
-                            kind: OpKind::Read,
-                            op,
-                            reply: reply.clone(),
-                        }
-                    } else {
-                        SmrEvent::Read {
-                            request,
-                            consistency,
-                            op,
-                            reply: reply.clone(),
-                        }
-                    };
-                    if event_tx.send(event).is_err() {
-                        return;
-                    }
-                }
-                // Out-of-range sender ids and replies sent *to* a replica
-                // are malformed input; drop, count, keep the connection.
-                Ok(SmrFrame::Peer { .. })
-                | Ok(SmrFrame::Reply(_))
-                | Ok(SmrFrame::ReadReply { .. })
-                | Ok(SmrFrame::CheckpointVote(_))
-                | Ok(SmrFrame::StateRequest { .. })
-                | Ok(SmrFrame::StateReply { .. }) => {
-                    stats.note_malformed();
-                    obs.frames_malformed.inc();
-                }
-                Err(_) => {
-                    stats.note_malformed();
-                    obs.frames_malformed.inc();
-                }
-            },
-            Ok(None) => return, // clean close at a frame boundary
-            Err(FrameError::Io(e))
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue
-            }
-            Err(FrameError::Oversized(_)) => {
-                stats.note_malformed();
-                obs.frames_malformed.inc();
-                return;
-            }
-            Err(FrameError::Io(_) | FrameError::Stalled { .. }) => {
-                stats.note_torn();
-                obs.frames_torn.inc();
-                return;
-            }
-        }
-    }
-}
-
-/// Interprets an [`SmrNode`]'s drained actions against sockets and the
-/// timer heap, mapping each [`SmrMessage`] variant onto its wire frame.
-/// `connect_attempts` distinguishes the boot window (retry while peers
-/// come up) from steady state (fail fast so a dead replica cannot stall
-/// the event loop on every send).
-#[allow(clippy::too_many_arguments)]
-fn apply_smr_actions<S: StateMachine>(
-    id: usize,
-    addrs: &[SocketAddr],
-    actions: Vec<Action<SmrMessage>>,
-    peers: &mut [Option<TcpStream>],
-    timers: &mut BinaryHeap<Reverse<(Instant, TimerToken)>>,
-    connect_attempts: u32,
-    stats: &TransportStats,
-    net: &NetPolicy,
-    delayed: &mut DelayedFrames,
-    out: &FrameOutCounters,
-) {
-    for action in actions {
-        match action {
-            Action::Send { to, msg } => {
-                if to.index() >= addrs.len() {
-                    continue;
-                }
-                let out_bytes = match &msg {
-                    SmrMessage::Slot(_) => &out.peer,
-                    SmrMessage::CheckpointVote(_) => &out.checkpoint,
-                    SmrMessage::StateRequest(_) | SmrMessage::StateReply(_) => &out.state,
-                };
-                let frame = match msg {
-                    SmrMessage::Slot(msg) => SmrFrame::<S>::Peer {
-                        from: id as u32,
-                        msg,
-                    },
-                    SmrMessage::CheckpointVote(vote) => SmrFrame::<S>::CheckpointVote(vote),
-                    SmrMessage::StateRequest(req) => SmrFrame::<S>::StateRequest {
-                        from: id as u32,
-                        req,
-                    },
-                    SmrMessage::StateReply(rep) => SmrFrame::<S>::StateReply {
-                        from: id as u32,
-                        rep,
-                    },
-                }
-                .to_wire_bytes();
-                match net.decide(id, to.index()) {
-                    LinkDecision::Drop => continue,
-                    LinkDecision::Delay(by) => {
-                        out_bytes.add(frame.len() as u64);
-                        // Hold the frame on the heap; the event loop
-                        // flushes it once its delivery instant is due.
-                        // Per-link FIFO order is preserved: a later frame
-                        // on the same link never samples a deadline that
-                        // sorts before an earlier one already enqueued.
-                        let at = delayed
-                            .heap
-                            .iter()
-                            .filter(|Reverse((_, _, dest, _))| *dest == to.index())
-                            .map(|Reverse((at, ..))| *at)
-                            .max()
-                            .map_or(Instant::now() + by, |tail| tail.max(Instant::now() + by));
-                        delayed.seq = delayed.seq.saturating_add(1);
-                        delayed
-                            .heap
-                            .push(Reverse((at, delayed.seq, to.index(), frame)));
-                    }
-                    LinkDecision::Deliver => {
-                        out_bytes.add(frame.len() as u64);
-                        write_peer_frame(
-                            peers,
-                            to.index(),
-                            addrs,
-                            connect_attempts,
-                            stats,
-                            &out.unsendable,
-                            &frame,
-                        );
-                    }
-                }
-            }
-            Action::SetTimer { delay, token } => {
-                let deadline = Instant::now() + tick_to_duration(delay);
-                timers.push(Reverse((deadline, token)));
-            }
-            Action::Halt => {}
-        }
-    }
-}
-
-/// Outbound byte counters pre-fetched from the [`Obs`] registry once per
-/// replica thread, keyed by frame kind — one registry lock at boot instead
-/// of one per frame. `unsendable` mirrors [`TransportStats::unsendable`]
-/// into the metrics snapshot.
-struct FrameOutCounters {
-    peer: Counter,
-    checkpoint: Counter,
-    state: Counter,
-    unsendable: Counter,
-}
-
-/// One held-back frame: delivery instant, insertion sequence (FIFO tie
-/// break), destination replica index, encoded frame bytes.
-type HeldFrame = (Instant, u64, usize, Vec<u8>);
-
-/// Outbound frames held back by a [`LinkRule`]'s latency model, ordered by
-/// delivery instant (sequence number breaks ties to keep FIFO per link).
-#[derive(Debug, Default)]
-struct DelayedFrames {
-    heap: BinaryHeap<Reverse<HeldFrame>>,
-    seq: u64,
-}
-
-impl DelayedFrames {
-    /// Writes every frame whose delivery instant has passed.
-    fn flush(
-        &mut self,
-        peers: &mut [Option<TcpStream>],
-        addrs: &[SocketAddr],
-        connect_attempts: u32,
-        stats: &TransportStats,
-        unsendable: &Counter,
-    ) {
-        while let Some(Reverse((at, ..))) = self.heap.peek() {
-            if *at > Instant::now() {
-                break;
-            }
-            let Some(Reverse((_, _, to, frame))) = self.heap.pop() else {
-                break;
-            };
-            write_peer_frame(
-                peers,
-                to,
-                addrs,
-                connect_attempts,
-                stats,
-                unsendable,
-                &frame,
-            );
-        }
-    }
-
-    /// How long until the earliest held frame is due, if any.
-    fn next_due(&self) -> Option<Duration> {
-        self.heap
-            .peek()
-            .map(|Reverse((at, ..))| at.saturating_duration_since(Instant::now()))
-    }
-}
-
-/// Writes one already-encoded frame to peer `to`, (re)connecting as
-/// needed, with the shared unsendable/broken-link accounting.
-fn write_peer_frame(
-    peers: &mut [Option<TcpStream>],
-    to: usize,
-    addrs: &[SocketAddr],
-    connect_attempts: u32,
-    stats: &TransportStats,
-    unsendable: &Counter,
-    frame: &[u8],
-) {
-    if let Some(stream) = connect_peer(peers, to, addrs, connect_attempts) {
-        match write_frame(stream, frame) {
-            Ok(()) => {}
-            // An unsendable frame (e.g. a snapshot beyond the
-            // transport's MAX_FRAME cap) wrote nothing: the
-            // link is healthy and also carries consensus
-            // traffic, so keep it — but count the loss, or a
-            // too-big-to-transfer snapshot would strand its
-            // laggard with no observable signal.
-            Err(FrameError::Oversized(_)) => {
-                stats.note_unsendable();
-                unsendable.inc();
-            }
-            Err(_) => {
-                // Broken link; a later send reconnects.
-                if let Some(slot) = peers.get_mut(to) {
-                    *slot = None;
-                }
-            }
-        }
     }
 }
 

@@ -292,7 +292,7 @@ fn equivocate<S: StateMachine>(cluster: &LiveSmrCluster<S>, seed: u64) -> String
 
 /// The far-future slot-spray adversary: correctly signed traffic at
 /// slots and views far beyond any honest horizon. Every frame must be
-/// dropped and counted (`dropped_messages`), never buffered.
+/// dropped and counted (`drops_future_horizon`), never buffered.
 fn far_future_spray<S: StateMachine>(cluster: &LiveSmrCluster<S>, seed: u64) -> String {
     let n = cluster.addrs().len();
     let attacker = n.saturating_sub(1);

@@ -147,7 +147,7 @@ fn local_reads_are_stale_at_worst_never_torn() {
 #[test]
 fn malformed_read_frames_do_not_wedge_the_cluster() {
     use probft::core::wire::{put, Wire};
-    use probft::runtime::{write_frame, SmrFrame};
+    use probft::runtime::{write_frame, ReplicaReport, SmrFrame};
     use probft::smr::{KvStore, RequestId};
     use std::io::Write;
     use std::net::TcpStream;
@@ -190,13 +190,15 @@ fn malformed_read_frames_do_not_wedge_the_cluster() {
         );
     }
 
-    let stats = cluster.stats();
-    cluster.shutdown();
+    let metrics = ReplicaReport::aggregate_metrics(&cluster.shutdown());
     assert!(
-        stats.malformed_frames() >= 2,
+        metrics.counter("frames_malformed") >= 2,
         "malformed read frames must be counted"
     );
-    assert!(stats.torn_frames() >= 1, "torn frame must be counted");
+    assert!(
+        metrics.counter("frames_torn") >= 1,
+        "torn frame must be counted"
+    );
 }
 
 /// The whole consistency ladder in one session: a fresh key is written,

@@ -325,7 +325,7 @@ fn duplicate_request_id_executes_exactly_once() {
 /// command applied.
 #[test]
 fn torn_client_frames_do_not_wedge_the_cluster() {
-    use probft::runtime::write_frame;
+    use probft::runtime::{write_frame, ReplicaReport};
     use std::io::Write;
     use std::net::TcpStream;
 
@@ -343,14 +343,17 @@ fn torn_client_frames_do_not_wedge_the_cluster() {
     let mut client = cluster.client(2);
     client.put("alive", "yes").expect("cluster still serves");
 
-    let stats = cluster.stats();
     let reports = cluster.shutdown();
     assert!(reports.iter().all(|r| r.state.get("alive") == Some("yes")));
+    let metrics = ReplicaReport::aggregate_metrics(&reports);
     assert!(
-        stats.malformed_frames() >= 1,
+        metrics.counter("frames_malformed") >= 1,
         "garbage frame must be counted"
     );
-    assert!(stats.torn_frames() >= 1, "torn frame must be counted");
+    assert!(
+        metrics.counter("frames_torn") >= 1,
+        "torn frame must be counted"
+    );
 }
 
 mod live_matches_sim {

@@ -1,11 +1,13 @@
-//! Experiment harness: build a full ProBFT instance, run it, inspect the
-//! outcome.
+//! Experiment harness: build one single-shot consensus instance, run it,
+//! inspect the outcome — for ProBFT and for the PBFT and HotStuff
+//! baselines alike.
 //!
 //! Everything the integration tests, examples, and figure-regeneration
-//! binaries do goes through [`InstanceBuilder`]: it wires the keyring,
+//! binaries do goes through [`Instance`]: it wires the keyring,
 //! configuration, network model, honest replicas, and Byzantine strategies
 //! into one deterministic simulation and condenses the run into an
-//! [`InstanceOutcome`].
+//! [`InstanceOutcome`]. A protocol plugs in by implementing [`Protocol`]
+//! for its honest replica; [`InstanceBuilder`] is the ProBFT instantiation.
 //!
 //! # Examples
 //!
@@ -21,56 +23,185 @@
 
 use crate::byzantine::{ByzantineReplica, ByzantineStrategy};
 use crate::config::{ProbftConfig, SharedConfig, View};
-use crate::node::Node;
-use crate::replica::{Decision, Replica};
+use crate::replica::{Decision, Replica, ReplicaStats};
 use crate::value::{ValidityPredicate, Value};
-use probft_crypto::keyring::Keyring;
+use probft_crypto::keyring::{Keyring, PublicKeyring};
+use probft_crypto::schnorr::SigningKey;
 use probft_quorum::ReplicaId;
 use probft_simnet::delay::{DelayModel, HealingPartition, Lossy, PartialSynchrony};
-use probft_simnet::metrics::MessageMetrics;
-use probft_simnet::process::ProcessId;
+use probft_simnet::metrics::{Measurable, MessageMetrics};
+use probft_simnet::process::{Context, Process, ProcessId, TimerToken};
 use probft_simnet::sim::{RunOutcome, Simulation};
 use probft_simnet::time::{SimDuration, SimTime};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-/// Default per-event budget: generous enough for hundreds of views.
-const DEFAULT_MAX_EVENTS: u64 = 20_000_000;
+/// Per-event budget of an instance: generous enough for hundreds of views.
+const MAX_EVENTS: u64 = 20_000_000;
+
+/// One replica's place in a simulated cluster: what every replica
+/// constructor in the workspace takes before its protocol-specific input.
+#[derive(Debug)]
+pub struct Seat {
+    /// The cluster's shared configuration.
+    pub cfg: SharedConfig,
+    /// This replica's identifier.
+    pub id: ReplicaId,
+    /// This replica's signing key.
+    pub sk: SigningKey,
+    /// Everyone's public keys.
+    pub keys: Arc<PublicKeyring>,
+}
+
+/// Runs a cluster of `cfg.n()` simulated processes — keys generated from
+/// `seed`, one process per [`Seat`] from `spawn`, all over `network` — until
+/// every process is `done` or `max_events` ran out.
+pub fn run_cluster<P: Process<Message: Measurable + Clone>>(
+    cfg: SharedConfig,
+    seed: u64,
+    network: impl DelayModel + 'static,
+    mut spawn: impl FnMut(Seat) -> P,
+    done: impl Fn(&P) -> bool,
+    max_events: u64,
+) -> (Simulation<P>, RunOutcome) {
+    let keyring = Keyring::generate(cfg.n(), &seed.to_be_bytes());
+    let keys = Arc::new(keyring.public());
+    let mut sim = Simulation::new(network, seed);
+    for (i, id) in cfg.all_replicas().enumerate() {
+        let sk = keyring.signing_key(i).expect("index in range").clone();
+        sim.add_process(spawn(Seat {
+            cfg: cfg.clone(),
+            id,
+            sk,
+            keys: keys.clone(),
+        }));
+    }
+    let all_done = |s: &Simulation<P>| s.processes().all(|(_, p)| done(p));
+    let run_outcome = sim.run_until_condition(all_done, max_events);
+    (sim, run_outcome)
+}
+
+/// A single-shot consensus protocol the harness can run, implemented for
+/// the protocol's honest replica.
+pub trait Protocol: Process<Message: Measurable + Clone> + Sized {
+    /// The protocol's Byzantine behaviours.
+    type Strategy;
+    /// A replica executing one [`Strategy`](Self::Strategy).
+    type Byzantine: Process<Message = Self::Message>;
+
+    /// The quorum multiplier `l` and overprovision factor `o` instances
+    /// start from (the paper's operating point unless overridden).
+    const QUORUM_PARAMS: (f64, f64) = (2.0, 1.7);
+
+    /// Builds the honest replica proposing `value` when it leads.
+    fn honest(seat: Seat, value: Value) -> Self;
+
+    /// Builds a Byzantine replica colluding with the `faulty` set.
+    fn byzantine(
+        seat: Seat,
+        faulty: Arc<BTreeSet<ReplicaId>>,
+        strategy: Self::Strategy,
+    ) -> Self::Byzantine;
+
+    /// The decision, if one has been reached.
+    fn decision(&self) -> Option<&Decision>;
+    /// Run counters.
+    fn stats(&self) -> &ReplicaStats;
+    /// The view the replica currently occupies.
+    fn current_view(&self) -> View;
+    /// Whether the decide rule ever fired for two different values.
+    fn has_conflicting_decision(&self) -> bool;
+}
+
+impl Protocol for Replica {
+    type Strategy = ByzantineStrategy;
+    type Byzantine = ByzantineReplica;
+
+    fn honest(seat: Seat, value: Value) -> Self {
+        Replica::new(seat.cfg, seat.id, seat.sk, seat.keys, value)
+    }
+    fn byzantine(
+        seat: Seat,
+        faulty: Arc<BTreeSet<ReplicaId>>,
+        strategy: ByzantineStrategy,
+    ) -> ByzantineReplica {
+        ByzantineReplica::new(seat.cfg, seat.id, seat.sk, seat.keys, faulty, strategy)
+    }
+    fn decision(&self) -> Option<&Decision> {
+        Replica::decision(self)
+    }
+    fn stats(&self) -> &ReplicaStats {
+        Replica::stats(self)
+    }
+    fn current_view(&self) -> View {
+        Replica::current_view(self)
+    }
+    fn has_conflicting_decision(&self) -> bool {
+        Replica::has_conflicting_decision(self)
+    }
+}
+
+/// A simulated participant: the simulator runs one process type, so this
+/// is the sum of a protocol's honest and Byzantine behaviours.
+enum Node<P: Protocol> {
+    Honest(Box<P>),
+    Byzantine(Box<P::Byzantine>),
+}
+
+impl<P: Protocol> Process for Node<P> {
+    type Message = P::Message;
+
+    fn on_start(&mut self, ctx: &mut Context<'_, P::Message>) {
+        match self {
+            Node::Honest(r) => r.on_start(ctx),
+            Node::Byzantine(b) => b.on_start(ctx),
+        }
+    }
+    fn on_message(&mut self, from: ProcessId, msg: P::Message, ctx: &mut Context<'_, P::Message>) {
+        match self {
+            Node::Honest(r) => r.on_message(from, msg, ctx),
+            Node::Byzantine(b) => b.on_message(from, msg, ctx),
+        }
+    }
+    fn on_timer(&mut self, token: TimerToken, ctx: &mut Context<'_, P::Message>) {
+        match self {
+            Node::Honest(r) => r.on_timer(token, ctx),
+            Node::Byzantine(b) => b.on_timer(token, ctx),
+        }
+    }
+}
 
 /// Builds and runs a single ProBFT consensus instance.
+pub type InstanceBuilder = Instance<Replica>;
+
+/// Builds and runs a single consensus instance of protocol `P`.
 #[derive(Debug)]
-pub struct InstanceBuilder {
+pub struct Instance<P: Protocol> {
     n: usize,
-    f_override: Option<usize>,
     l: f64,
     o: f64,
     seed: u64,
     gst: SimTime,
     pre_gst_max_delay: SimDuration,
-    post_gst_delay: SimDuration,
     base_timeout: SimDuration,
-    byzantine: BTreeMap<ReplicaId, ByzantineStrategy>,
+    byzantine: BTreeMap<ReplicaId, P::Strategy>,
     values: BTreeMap<ReplicaId, Value>,
     validity: ValidityPredicate,
     drop_prob: f64,
     dup_prob: f64,
     partition: Option<(Vec<u8>, SimTime)>,
-    max_events: u64,
-    horizon: SimTime,
 }
 
-impl InstanceBuilder {
+impl<P: Protocol> Instance<P> {
     /// Starts building an instance with `n` replicas (all honest, GST = 0).
     pub fn new(n: usize) -> Self {
-        InstanceBuilder {
+        Instance {
             n,
-            f_override: None,
-            l: 2.0,
-            o: 1.7,
+            l: P::QUORUM_PARAMS.0,
+            o: P::QUORUM_PARAMS.1,
             seed: 0,
             gst: SimTime::ZERO,
             pre_gst_max_delay: SimDuration::from_ticks(30_000),
-            post_gst_delay: SimDuration::from_ticks(100),
             base_timeout: SimDuration::from_ticks(50_000),
             byzantine: BTreeMap::new(),
             values: BTreeMap::new(),
@@ -78,8 +209,6 @@ impl InstanceBuilder {
             drop_prob: 0.0,
             dup_prob: 0.0,
             partition: None,
-            max_events: DEFAULT_MAX_EVENTS,
-            horizon: SimTime::from_ticks(u64::MAX / 2),
         }
     }
 
@@ -101,12 +230,6 @@ impl InstanceBuilder {
         self
     }
 
-    /// Overrides the assumed fault threshold `f` (default `⌊(n−1)/3⌋`).
-    pub fn assumed_faults(mut self, f: usize) -> Self {
-        self.f_override = Some(f);
-        self
-    }
-
     /// Sets the global stabilization time (default 0: synchronous run).
     pub fn gst(mut self, gst: SimTime) -> Self {
         self.gst = gst;
@@ -119,12 +242,6 @@ impl InstanceBuilder {
         self
     }
 
-    /// Sets the post-GST delay bound Δ.
-    pub fn post_gst_delay(mut self, d: SimDuration) -> Self {
-        self.post_gst_delay = d;
-        self
-    }
-
     /// Sets the base view timeout.
     pub fn base_timeout(mut self, d: SimDuration) -> Self {
         self.base_timeout = d;
@@ -132,7 +249,7 @@ impl InstanceBuilder {
     }
 
     /// Assigns a Byzantine strategy to replica `id`.
-    pub fn byzantine(mut self, id: ReplicaId, strategy: ByzantineStrategy) -> Self {
+    pub fn byzantine(mut self, id: ReplicaId, strategy: P::Strategy) -> Self {
         self.byzantine.insert(id, strategy);
         self
     }
@@ -173,37 +290,20 @@ impl InstanceBuilder {
         self
     }
 
-    /// Caps the number of simulation events (default 20M).
-    pub fn max_events(mut self, max: u64) -> Self {
-        self.max_events = max;
-        self
-    }
-
-    /// Caps virtual time.
-    pub fn horizon(mut self, horizon: SimTime) -> Self {
-        self.horizon = horizon;
-        self
-    }
-
     /// Builds the configuration this instance will run with.
     pub fn config(&self) -> ProbftConfig {
-        let mut b = ProbftConfig::builder(self.n)
+        ProbftConfig::builder(self.n)
             .quorum_multiplier(self.l)
             .overprovision(self.o)
             .base_timeout(self.base_timeout)
-            .validity(self.validity.clone());
-        if let Some(f) = self.f_override {
-            b = b.faults(f);
-        }
-        b.build()
+            .validity(self.validity.clone())
+            .build()
     }
 
-    /// Runs the instance to completion (all correct replicas decided) or
-    /// until the event/time budget runs out.
-    pub fn run(self) -> InstanceOutcome {
+    /// Runs the instance until all correct replicas decided or the event
+    /// budget ran out.
+    pub fn run(mut self) -> InstanceOutcome {
         let cfg: SharedConfig = Arc::new(self.config());
-        let keyring = Keyring::generate(self.n, &self.seed.to_be_bytes());
-        let public = Arc::new(keyring.public());
         let faulty: Arc<BTreeSet<ReplicaId>> = Arc::new(self.byzantine.keys().copied().collect());
 
         let network = PartialSynchrony::new(
@@ -211,66 +311,64 @@ impl InstanceBuilder {
             SimDuration::from_ticks(1),
             self.pre_gst_max_delay,
             SimDuration::from_ticks(1),
-            self.post_gst_delay,
+            SimDuration::from_ticks(100), // the post-GST bound Δ
         );
         // Stack the optional fault wrappers around the base model.
-        let network: Box<dyn DelayModel> = {
-            let base: Box<dyn DelayModel> = match self.partition.clone() {
-                Some((groups, heal_at)) => {
-                    Box::new(HealingPartition::new(network, groups, heal_at))
-                }
-                None => Box::new(network),
-            };
-            if self.drop_prob > 0.0 || self.dup_prob > 0.0 {
-                Box::new(Lossy::new(base, self.drop_prob, self.dup_prob))
-            } else {
-                base
-            }
+        let mut network: Box<dyn DelayModel> = match self.partition.take() {
+            Some((groups, heal_at)) => Box::new(HealingPartition::new(network, groups, heal_at)),
+            None => Box::new(network),
         };
-        let mut sim: Simulation<Node> = Simulation::new(network, self.seed);
-
-        for i in 0..self.n {
-            let id = ReplicaId::from(i);
-            let sk = keyring.signing_key(i).expect("index in range").clone();
-            let node = match self.byzantine.get(&id) {
-                Some(strategy) => Node::Byzantine(Box::new(ByzantineReplica::new(
-                    cfg.clone(),
-                    id,
-                    sk,
-                    public.clone(),
-                    faulty.clone(),
-                    strategy.clone(),
-                ))),
-                None => {
-                    let value = self
-                        .values
-                        .get(&id)
-                        .cloned()
-                        .unwrap_or_else(|| Value::from_tag(i as u64));
-                    Node::Honest(Box::new(Replica::new(
-                        cfg.clone(),
-                        id,
-                        sk,
-                        public.clone(),
-                        value,
-                    )))
-                }
-            };
-            sim.add_process(node);
+        if self.drop_prob > 0.0 || self.dup_prob > 0.0 {
+            network = Box::new(Lossy::new(network, self.drop_prob, self.dup_prob));
         }
 
-        let honest: Vec<ProcessId> = (0..self.n)
-            .filter(|i| !self.byzantine.contains_key(&ReplicaId::from(*i)))
-            .map(ProcessId)
-            .collect();
-
-        let horizon = self.horizon;
-        let all_decided = move |s: &Simulation<Node>| {
-            honest.iter().all(|p| s.process(*p).decision().is_some()) || s.now() >= horizon
+        let spawn = |seat: Seat| match self.byzantine.remove(&seat.id) {
+            Some(strategy) => {
+                Node::Byzantine(Box::new(P::byzantine(seat, faulty.clone(), strategy)))
+            }
+            None => {
+                let value = self
+                    .values
+                    .remove(&seat.id)
+                    .unwrap_or_else(|| Value::from_tag(seat.id.index() as u64));
+                Node::<P>::Honest(Box::new(P::honest(seat, value)))
+            }
         };
-        let run_outcome = sim.run_until_condition(all_decided, self.max_events);
+        // Byzantine nodes never "decide"; the run waits for the honest ones.
+        let decided = |node: &Node<P>| match node {
+            Node::Honest(r) => r.decision().is_some(),
+            Node::Byzantine(_) => true,
+        };
+        let (sim, run_outcome) = run_cluster(cfg, self.seed, network, spawn, decided, MAX_EVENTS);
 
-        InstanceOutcome::collect(&sim, &cfg, &self.byzantine, run_outcome)
+        let mut outcome = InstanceOutcome {
+            decisions: BTreeMap::new(),
+            undecided: Vec::new(),
+            safety_violated: false,
+            equivocation_detections: 0,
+            max_view: View::NONE,
+            metrics: sim.metrics().clone(),
+            finished_at: sim.now(),
+            run_outcome,
+        };
+        for (p, node) in sim.processes() {
+            let Node::Honest(replica) = node else {
+                continue;
+            };
+            let id = ReplicaId::from(p.index());
+            outcome.max_view = outcome.max_view.max(replica.current_view());
+            outcome.equivocation_detections += replica.stats().equivocations_detected;
+            outcome.safety_violated |= replica.has_conflicting_decision();
+            match replica.decision() {
+                Some(d) => {
+                    outcome.decisions.insert(id, d.clone());
+                }
+                None => outcome.undecided.push(id),
+            }
+        }
+        // Pairwise agreement across honest deciders.
+        outcome.safety_violated |= outcome.distinct_decided_values() > 1;
+        outcome
     }
 }
 
@@ -297,58 +395,6 @@ pub struct InstanceOutcome {
 }
 
 impl InstanceOutcome {
-    fn collect(
-        sim: &Simulation<Node>,
-        cfg: &ProbftConfig,
-        byzantine: &BTreeMap<ReplicaId, ByzantineStrategy>,
-        run_outcome: RunOutcome,
-    ) -> Self {
-        let mut decisions = BTreeMap::new();
-        let mut undecided = Vec::new();
-        let mut safety_violated = false;
-        let mut equivocation_detections = 0;
-        let mut max_view = View::NONE;
-
-        for i in 0..cfg.n() {
-            let id = ReplicaId::from(i);
-            if byzantine.contains_key(&id) {
-                continue;
-            }
-            let node = sim.process(ProcessId(i));
-            let replica = node.as_honest().expect("non-byzantine node is honest");
-            max_view = max_view.max(replica.current_view());
-            equivocation_detections += replica.stats().equivocations_detected;
-            if replica.has_conflicting_decision() {
-                safety_violated = true;
-            }
-            match replica.decision() {
-                Some(d) => {
-                    decisions.insert(id, d.clone());
-                }
-                None => undecided.push(id),
-            }
-        }
-
-        // Pairwise agreement across honest deciders.
-        let mut digests = decisions.values().map(|d| d.value.digest());
-        if let Some(first) = digests.next() {
-            if digests.any(|d| d != first) {
-                safety_violated = true;
-            }
-        }
-
-        InstanceOutcome {
-            decisions,
-            undecided,
-            safety_violated,
-            equivocation_detections,
-            max_view,
-            metrics: sim.metrics().clone(),
-            finished_at: sim.now(),
-            run_outcome,
-        }
-    }
-
     /// Whether every honest replica decided.
     pub fn all_correct_decided(&self) -> bool {
         self.undecided.is_empty() && !self.decisions.is_empty()

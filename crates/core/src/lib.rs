@@ -22,8 +22,8 @@
 //! - [`synchronizer`] — wish-based view synchronizer (Bravo et al. style).
 //! - [`replica`] — the honest replica (Algorithm 1, line for line).
 //! - [`byzantine`] — adversary strategies incl. the optimal split attack.
-//! - [`node`] — honest/Byzantine sum type for the simulator.
-//! - [`harness`] — one-call experiment runner.
+//! - [`harness`] — one-call experiment runner, shared with the PBFT and
+//!   HotStuff baselines.
 //! - [`wire`] — the hand-rolled binary codec.
 //!
 //! ## Quickstart
@@ -46,7 +46,6 @@ pub mod config;
 pub mod error;
 pub mod harness;
 pub mod message;
-pub mod node;
 pub mod predicates;
 pub mod replica;
 pub mod sampling;
@@ -59,6 +58,5 @@ pub use config::{ProbftConfig, SharedConfig, View};
 pub use error::RejectReason;
 pub use harness::{InstanceBuilder, InstanceOutcome};
 pub use message::{Message, NewLeader, PhaseMessage, Propose, SignedProposal, VerifyCtx, Wish};
-pub use node::Node;
 pub use replica::{Decision, Replica, ReplicaStats};
 pub use value::{ValidityPredicate, Value};

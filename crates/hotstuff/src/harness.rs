@@ -1,21 +1,25 @@
-//! Experiment harness for the HotStuff baseline.
+//! HotStuff as the shared single-shot harness sees it: the one generic
+//! `probft_core::harness::Instance`, instantiated for [`HsReplica`].
 
 use crate::message::HsMessage;
 use crate::replica::HsReplica;
-use probft_core::config::{ProbftConfig, SharedConfig, View};
-use probft_core::replica::Decision;
+use probft_core::config::View;
+use probft_core::harness::{Instance, InstanceOutcome, Protocol, Seat};
+use probft_core::replica::{Decision, ReplicaStats};
 use probft_core::value::Value;
-use probft_crypto::keyring::Keyring;
 use probft_quorum::ReplicaId;
-use probft_simnet::delay::PartialSynchrony;
-use probft_simnet::metrics::MessageMetrics;
 use probft_simnet::process::{Context, Process, ProcessId, TimerToken};
-use probft_simnet::sim::{RunOutcome, Simulation};
-use probft_simnet::time::{SimDuration, SimTime};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
-/// Byzantine behaviours for the HotStuff baseline.
+/// Builds and runs a single-shot HotStuff instance.
+pub type HsInstanceBuilder = Instance<HsReplica>;
+/// Result of a HotStuff run.
+pub type HsOutcome = InstanceOutcome;
+
+/// Byzantine behaviours for the HotStuff baseline (crash/silent only;
+/// HotStuff's QC rules make equivocation experiments a ProBFT/PBFT
+/// concern). A strategy is its own Byzantine replica.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum HsStrategy {
     /// Halts immediately.
@@ -24,204 +28,40 @@ pub enum HsStrategy {
     Silent,
 }
 
-/// An honest or Byzantine HotStuff node.
-pub enum HsNode {
-    /// Correct replica.
-    Honest(Box<HsReplica>),
-    /// Byzantine replica (crash/silent only; HotStuff's QC rules make
-    /// equivocation experiments a ProBFT/PBFT concern).
-    Byzantine(HsStrategy),
-}
-
-impl HsNode {
-    /// The decision of an honest node.
-    pub fn decision(&self) -> Option<&Decision> {
-        match self {
-            HsNode::Honest(r) => r.decision(),
-            HsNode::Byzantine(_) => None,
-        }
-    }
-
-    /// The honest replica, if any.
-    pub fn as_honest(&self) -> Option<&HsReplica> {
-        match self {
-            HsNode::Honest(r) => Some(r),
-            HsNode::Byzantine(_) => None,
-        }
-    }
-}
-
-impl Process for HsNode {
+impl Process for HsStrategy {
     type Message = HsMessage;
 
     fn on_start(&mut self, ctx: &mut Context<'_, HsMessage>) {
-        match self {
-            HsNode::Honest(r) => r.on_start(ctx),
-            HsNode::Byzantine(HsStrategy::Crash) => ctx.halt(),
-            HsNode::Byzantine(HsStrategy::Silent) => {}
+        if *self == HsStrategy::Crash {
+            ctx.halt();
         }
     }
-    fn on_message(&mut self, from: ProcessId, msg: HsMessage, ctx: &mut Context<'_, HsMessage>) {
-        if let HsNode::Honest(r) = self {
-            r.on_message(from, msg, ctx);
-        }
-    }
-    fn on_timer(&mut self, token: TimerToken, ctx: &mut Context<'_, HsMessage>) {
-        if let HsNode::Honest(r) = self {
-            r.on_timer(token, ctx);
-        }
-    }
+    fn on_message(&mut self, _f: ProcessId, _m: HsMessage, _c: &mut Context<'_, HsMessage>) {}
+    fn on_timer(&mut self, _t: TimerToken, _c: &mut Context<'_, HsMessage>) {}
 }
 
-/// Builds and runs a single-shot HotStuff instance.
-#[derive(Debug)]
-pub struct HsInstanceBuilder {
-    n: usize,
-    seed: u64,
-    gst: SimTime,
-    byzantine: BTreeMap<ReplicaId, HsStrategy>,
-    max_events: u64,
-}
+impl Protocol for HsReplica {
+    type Strategy = HsStrategy;
+    type Byzantine = HsStrategy;
+    // Deterministic quorums: nothing is sampled.
+    const QUORUM_PARAMS: (f64, f64) = (1.0, 1.0);
 
-impl HsInstanceBuilder {
-    /// Starts building an instance with `n` replicas.
-    pub fn new(n: usize) -> Self {
-        HsInstanceBuilder {
-            n,
-            seed: 0,
-            gst: SimTime::ZERO,
-            byzantine: BTreeMap::new(),
-            max_events: 20_000_000,
-        }
+    fn honest(seat: Seat, value: Value) -> Self {
+        HsReplica::new(seat.cfg, seat.id, seat.sk, seat.keys, value)
     }
-
-    /// Sets the RNG seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
+    fn byzantine(_: Seat, _: Arc<BTreeSet<ReplicaId>>, strategy: HsStrategy) -> HsStrategy {
+        strategy
     }
-
-    /// Sets the global stabilization time.
-    pub fn gst(mut self, gst: SimTime) -> Self {
-        self.gst = gst;
-        self
+    fn decision(&self) -> Option<&Decision> {
+        HsReplica::decision(self)
     }
-
-    /// Assigns a Byzantine strategy to a replica.
-    pub fn byzantine(mut self, id: ReplicaId, strategy: HsStrategy) -> Self {
-        self.byzantine.insert(id, strategy);
-        self
+    fn stats(&self) -> &ReplicaStats {
+        HsReplica::stats(self)
     }
-
-    /// Runs the instance until all correct replicas decide.
-    pub fn run(self) -> HsOutcome {
-        let cfg: SharedConfig = Arc::new(
-            ProbftConfig::builder(self.n)
-                .quorum_multiplier(1.0)
-                .overprovision(1.0)
-                .base_timeout(SimDuration::from_ticks(50_000))
-                .build(),
-        );
-        let keyring = Keyring::generate(self.n, &self.seed.to_be_bytes());
-        let public = Arc::new(keyring.public());
-
-        let network = PartialSynchrony::new(
-            self.gst,
-            SimDuration::from_ticks(1),
-            SimDuration::from_ticks(30_000),
-            SimDuration::from_ticks(1),
-            SimDuration::from_ticks(100),
-        );
-        let mut sim: Simulation<HsNode> = Simulation::new(network, self.seed);
-        for i in 0..self.n {
-            let id = ReplicaId::from(i);
-            let node = match self.byzantine.get(&id) {
-                Some(strategy) => HsNode::Byzantine(strategy.clone()),
-                None => HsNode::Honest(Box::new(HsReplica::new(
-                    cfg.clone(),
-                    id,
-                    keyring.signing_key(i).expect("in range").clone(),
-                    public.clone(),
-                    Value::from_tag(i as u64),
-                ))),
-            };
-            sim.add_process(node);
-        }
-
-        let honest: Vec<ProcessId> = (0..self.n)
-            .filter(|i| !self.byzantine.contains_key(&ReplicaId::from(*i)))
-            .map(ProcessId)
-            .collect();
-        let all_decided =
-            move |s: &Simulation<HsNode>| honest.iter().all(|p| s.process(*p).decision().is_some());
-        let run_outcome = sim.run_until_condition(all_decided, self.max_events);
-
-        let mut decisions = BTreeMap::new();
-        let mut undecided = Vec::new();
-        let mut safety_violated = false;
-        for i in 0..self.n {
-            let id = ReplicaId::from(i);
-            if self.byzantine.contains_key(&id) {
-                continue;
-            }
-            let replica = sim.process(ProcessId(i)).as_honest().expect("honest");
-            if replica.has_conflicting_decision() {
-                safety_violated = true;
-            }
-            match replica.decision() {
-                Some(d) => {
-                    decisions.insert(id, d.clone());
-                }
-                None => undecided.push(id),
-            }
-        }
-        let digests: BTreeSet<_> = decisions.values().map(|d| d.value.digest()).collect();
-        if digests.len() > 1 {
-            safety_violated = true;
-        }
-
-        HsOutcome {
-            decisions,
-            undecided,
-            safety_violated,
-            metrics: sim.metrics().clone(),
-            finished_at: sim.now(),
-            run_outcome,
-        }
+    fn current_view(&self) -> View {
+        HsReplica::current_view(self)
     }
-}
-
-/// Result of a HotStuff run.
-#[derive(Clone, Debug)]
-pub struct HsOutcome {
-    /// Honest decisions by replica.
-    pub decisions: BTreeMap<ReplicaId, Decision>,
-    /// Honest replicas that did not decide.
-    pub undecided: Vec<ReplicaId>,
-    /// True on any disagreement.
-    pub safety_violated: bool,
-    /// Message metrics.
-    pub metrics: MessageMetrics,
-    /// Virtual completion time.
-    pub finished_at: SimTime,
-    /// Loop exit reason.
-    pub run_outcome: RunOutcome,
-}
-
-impl HsOutcome {
-    /// Whether every honest replica decided.
-    pub fn all_correct_decided(&self) -> bool {
-        self.undecided.is_empty() && !self.decisions.is_empty()
-    }
-
-    /// Whether agreement held.
-    pub fn agreement(&self) -> bool {
-        !self.safety_violated
-    }
-
-    /// Views in which decisions happened.
-    pub fn decided_views(&self) -> Vec<View> {
-        let set: BTreeSet<View> = self.decisions.values().map(|d| d.view).collect();
-        set.into_iter().collect()
+    fn has_conflicting_decision(&self) -> bool {
+        HsReplica::has_conflicting_decision(self)
     }
 }

@@ -27,6 +27,6 @@ pub mod harness;
 pub mod message;
 pub mod replica;
 
-pub use harness::{HsInstanceBuilder, HsNode, HsOutcome, HsStrategy};
+pub use harness::{HsInstanceBuilder, HsOutcome, HsStrategy};
 pub use message::{HsMessage, HsPhase, HsVote, LeaderBroadcast, Qc};
 pub use replica::HsReplica;

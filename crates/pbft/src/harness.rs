@@ -1,238 +1,43 @@
-//! Experiment harness for the PBFT baseline, mirroring
-//! `probft_core::harness` so cross-protocol comparisons are symmetric.
+//! PBFT as the shared single-shot harness sees it: the one generic
+//! `probft_core::harness::Instance`, instantiated for [`PbftReplica`].
 
 use crate::byzantine::{PbftByzantine, PbftStrategy};
 use crate::replica::PbftReplica;
-use probft_core::config::{ProbftConfig, SharedConfig, View};
-use probft_core::replica::Decision;
+use probft_core::config::View;
+use probft_core::harness::{Instance, InstanceOutcome, Protocol, Seat};
+use probft_core::replica::{Decision, ReplicaStats};
 use probft_core::value::Value;
-use probft_crypto::keyring::Keyring;
 use probft_quorum::ReplicaId;
-use probft_simnet::delay::PartialSynchrony;
-use probft_simnet::metrics::MessageMetrics;
-use probft_simnet::process::{Context, Process, ProcessId, TimerToken};
-use probft_simnet::sim::{RunOutcome, Simulation};
-use probft_simnet::time::{SimDuration, SimTime};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
-/// An honest or Byzantine PBFT node.
-pub enum PbftNode {
-    /// Correct replica.
-    Honest(Box<PbftReplica>),
-    /// Byzantine replica.
-    Byzantine(Box<PbftByzantine>),
-}
-
-impl PbftNode {
-    /// The decision of an honest node.
-    pub fn decision(&self) -> Option<&Decision> {
-        match self {
-            PbftNode::Honest(r) => r.decision(),
-            PbftNode::Byzantine(_) => None,
-        }
-    }
-
-    /// The honest replica, if this node is honest.
-    pub fn as_honest(&self) -> Option<&PbftReplica> {
-        match self {
-            PbftNode::Honest(r) => Some(r),
-            PbftNode::Byzantine(_) => None,
-        }
-    }
-}
-
-impl Process for PbftNode {
-    type Message = crate::message::PbftMessage;
-
-    fn on_start(&mut self, ctx: &mut Context<'_, Self::Message>) {
-        match self {
-            PbftNode::Honest(r) => r.on_start(ctx),
-            PbftNode::Byzantine(b) => b.on_start(ctx),
-        }
-    }
-    fn on_message(
-        &mut self,
-        from: ProcessId,
-        msg: Self::Message,
-        ctx: &mut Context<'_, Self::Message>,
-    ) {
-        match self {
-            PbftNode::Honest(r) => r.on_message(from, msg, ctx),
-            PbftNode::Byzantine(b) => b.on_message(from, msg, ctx),
-        }
-    }
-    fn on_timer(&mut self, token: TimerToken, ctx: &mut Context<'_, Self::Message>) {
-        match self {
-            PbftNode::Honest(r) => r.on_timer(token, ctx),
-            PbftNode::Byzantine(b) => b.on_timer(token, ctx),
-        }
-    }
-}
-
 /// Builds and runs a single-shot PBFT instance.
-#[derive(Debug)]
-pub struct PbftInstanceBuilder {
-    n: usize,
-    seed: u64,
-    gst: SimTime,
-    pre_gst_max_delay: SimDuration,
-    post_gst_delay: SimDuration,
-    base_timeout: SimDuration,
-    byzantine: BTreeMap<ReplicaId, PbftStrategy>,
-    max_events: u64,
-}
-
-impl PbftInstanceBuilder {
-    /// Starts building an instance with `n` replicas (all honest, GST = 0).
-    pub fn new(n: usize) -> Self {
-        PbftInstanceBuilder {
-            n,
-            seed: 0,
-            gst: SimTime::ZERO,
-            pre_gst_max_delay: SimDuration::from_ticks(30_000),
-            post_gst_delay: SimDuration::from_ticks(100),
-            base_timeout: SimDuration::from_ticks(50_000),
-            byzantine: BTreeMap::new(),
-            max_events: 20_000_000,
-        }
-    }
-
-    /// Sets the RNG seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Sets the global stabilization time.
-    pub fn gst(mut self, gst: SimTime) -> Self {
-        self.gst = gst;
-        self
-    }
-
-    /// Assigns a Byzantine strategy to a replica.
-    pub fn byzantine(mut self, id: ReplicaId, strategy: PbftStrategy) -> Self {
-        self.byzantine.insert(id, strategy);
-        self
-    }
-
-    /// Runs the instance until all correct replicas decide.
-    pub fn run(self) -> PbftOutcome {
-        let cfg: SharedConfig = Arc::new(
-            ProbftConfig::builder(self.n)
-                .quorum_multiplier(1.0)
-                .overprovision(1.0)
-                .base_timeout(self.base_timeout)
-                .build(),
-        );
-        let keyring = Keyring::generate(self.n, &self.seed.to_be_bytes());
-        let public = Arc::new(keyring.public());
-
-        let network = PartialSynchrony::new(
-            self.gst,
-            SimDuration::from_ticks(1),
-            self.pre_gst_max_delay,
-            SimDuration::from_ticks(1),
-            self.post_gst_delay,
-        );
-        let mut sim: Simulation<PbftNode> = Simulation::new(network, self.seed);
-        for i in 0..self.n {
-            let id = ReplicaId::from(i);
-            let sk = keyring.signing_key(i).expect("in range").clone();
-            let node = match self.byzantine.get(&id) {
-                Some(strategy) => PbftNode::Byzantine(Box::new(PbftByzantine::new(
-                    cfg.clone(),
-                    id,
-                    sk,
-                    strategy.clone(),
-                ))),
-                None => PbftNode::Honest(Box::new(PbftReplica::new(
-                    cfg.clone(),
-                    id,
-                    sk,
-                    public.clone(),
-                    Value::from_tag(i as u64),
-                ))),
-            };
-            sim.add_process(node);
-        }
-
-        let honest: Vec<ProcessId> = (0..self.n)
-            .filter(|i| !self.byzantine.contains_key(&ReplicaId::from(*i)))
-            .map(ProcessId)
-            .collect();
-        let all_decided = move |s: &Simulation<PbftNode>| {
-            honest.iter().all(|p| s.process(*p).decision().is_some())
-        };
-        let run_outcome = sim.run_until_condition(all_decided, self.max_events);
-
-        let mut decisions = BTreeMap::new();
-        let mut undecided = Vec::new();
-        let mut safety_violated = false;
-        for i in 0..self.n {
-            let id = ReplicaId::from(i);
-            if self.byzantine.contains_key(&id) {
-                continue;
-            }
-            let node = sim.process(ProcessId(i));
-            let replica = node.as_honest().expect("honest");
-            if replica.has_conflicting_decision() {
-                safety_violated = true;
-            }
-            match replica.decision() {
-                Some(d) => {
-                    decisions.insert(id, d.clone());
-                }
-                None => undecided.push(id),
-            }
-        }
-        let digests: BTreeSet<_> = decisions.values().map(|d| d.value.digest()).collect();
-        if digests.len() > 1 {
-            safety_violated = true;
-        }
-
-        PbftOutcome {
-            decisions,
-            undecided,
-            safety_violated,
-            metrics: sim.metrics().clone(),
-            finished_at: sim.now(),
-            run_outcome,
-        }
-    }
-}
-
+pub type PbftInstanceBuilder = Instance<PbftReplica>;
 /// Result of a PBFT run.
-#[derive(Clone, Debug)]
-pub struct PbftOutcome {
-    /// Honest decisions by replica.
-    pub decisions: BTreeMap<ReplicaId, Decision>,
-    /// Honest replicas that did not decide.
-    pub undecided: Vec<ReplicaId>,
-    /// True on any disagreement (must never happen for PBFT with f < n/3).
-    pub safety_violated: bool,
-    /// Message metrics.
-    pub metrics: MessageMetrics,
-    /// Virtual completion time.
-    pub finished_at: SimTime,
-    /// Loop exit reason.
-    pub run_outcome: RunOutcome,
-}
+pub type PbftOutcome = InstanceOutcome;
 
-impl PbftOutcome {
-    /// Whether every honest replica decided.
-    pub fn all_correct_decided(&self) -> bool {
-        self.undecided.is_empty() && !self.decisions.is_empty()
+impl Protocol for PbftReplica {
+    type Strategy = PbftStrategy;
+    type Byzantine = PbftByzantine;
+    // Deterministic quorums: nothing is sampled.
+    const QUORUM_PARAMS: (f64, f64) = (1.0, 1.0);
+
+    fn honest(seat: Seat, value: Value) -> Self {
+        PbftReplica::new(seat.cfg, seat.id, seat.sk, seat.keys, value)
     }
-
-    /// Whether agreement held.
-    pub fn agreement(&self) -> bool {
-        !self.safety_violated
+    fn byzantine(seat: Seat, _: Arc<BTreeSet<ReplicaId>>, strategy: PbftStrategy) -> PbftByzantine {
+        PbftByzantine::new(seat.cfg, seat.id, seat.sk, strategy)
     }
-
-    /// Views in which decisions happened.
-    pub fn decided_views(&self) -> Vec<View> {
-        let set: BTreeSet<View> = self.decisions.values().map(|d| d.view).collect();
-        set.into_iter().collect()
+    fn decision(&self) -> Option<&Decision> {
+        PbftReplica::decision(self)
+    }
+    fn stats(&self) -> &ReplicaStats {
+        PbftReplica::stats(self)
+    }
+    fn current_view(&self) -> View {
+        PbftReplica::current_view(self)
+    }
+    fn has_conflicting_decision(&self) -> bool {
+        PbftReplica::has_conflicting_decision(self)
     }
 }

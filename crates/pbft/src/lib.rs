@@ -31,6 +31,6 @@ pub mod message;
 pub mod replica;
 
 pub use byzantine::{PbftByzantine, PbftStrategy};
-pub use harness::{PbftInstanceBuilder, PbftNode, PbftOutcome};
+pub use harness::{PbftInstanceBuilder, PbftOutcome};
 pub use message::{PbftMessage, PbftNewLeader, PbftPropose, Vote, VotePhase};
 pub use replica::PbftReplica;

@@ -99,58 +99,6 @@ impl MessageMetrics {
     }
 }
 
-/// Throughput accounting for a run that orders application commands —
-/// filled in by replication harnesses (the SMR layer) so that batching and
-/// pipelining experiments measure, rather than estimate, delivered
-/// throughput.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ThroughputStats {
-    /// Commands applied to the replicated state machine.
-    pub commands: u64,
-    /// Consensus slots opened (including in-flight ones at run end).
-    pub slots_opened: u64,
-    /// Consensus slots decided and applied in order.
-    pub slots_applied: u64,
-    /// Virtual ticks from start to completion.
-    pub ticks: u64,
-}
-
-impl ThroughputStats {
-    /// Mean commands per applied slot (the effective batch size).
-    pub fn mean_batch_size(&self) -> f64 {
-        if self.slots_applied == 0 {
-            0.0
-        } else {
-            self.commands as f64 / self.slots_applied as f64
-        }
-    }
-
-    /// Commands ordered per million virtual ticks. With the runtime's
-    /// tick = 1 µs convention this is exactly commands per second.
-    pub fn commands_per_megatick(&self) -> f64 {
-        if self.ticks == 0 {
-            0.0
-        } else {
-            self.commands as f64 * 1_000_000.0 / self.ticks as f64
-        }
-    }
-}
-
-impl fmt::Display for ThroughputStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} cmds over {} slots ({} opened) in {} ticks — {:.1} cmds/Mtick, mean batch {:.2}",
-            self.commands,
-            self.slots_applied,
-            self.slots_opened,
-            self.ticks,
-            self.commands_per_megatick(),
-            self.mean_batch_size()
-        )
-    }
-}
-
 impl fmt::Display for MessageMetrics {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
@@ -208,24 +156,6 @@ mod tests {
         m.record_send("B", 2, false);
         let s = m.to_string();
         assert!(s.contains('A') && s.contains('B') && s.contains("TOTAL"));
-    }
-
-    #[test]
-    fn throughput_stats_math() {
-        let t = ThroughputStats {
-            commands: 64,
-            slots_opened: 10,
-            slots_applied: 8,
-            ticks: 2_000_000,
-        };
-        assert!((t.mean_batch_size() - 8.0).abs() < 1e-9);
-        assert!((t.commands_per_megatick() - 32.0).abs() < 1e-9);
-        let s = t.to_string();
-        assert!(s.contains("64 cmds") && s.contains("8 slots"), "{s}");
-
-        let zero = ThroughputStats::default();
-        assert_eq!(zero.mean_batch_size(), 0.0);
-        assert_eq!(zero.commands_per_megatick(), 0.0);
     }
 
     #[test]

@@ -4,17 +4,71 @@ use crate::checkpoint::CheckpointStats;
 use crate::kv::KvStore;
 use crate::machine::{Entry, StateMachine};
 use crate::node::{SmrNode, SmrSettings};
-use probft_core::config::{ProbftConfig, SharedConfig};
-use probft_crypto::keyring::Keyring;
+use probft_core::config::ProbftConfig;
+use probft_core::harness::{run_cluster, Seat};
 use probft_crypto::sha256::Digest;
+use probft_obs::MetricsSnapshot;
 use probft_quorum::ReplicaId;
 use probft_simnet::delay::PartialSynchrony;
-use probft_simnet::metrics::{MessageMetrics, ThroughputStats};
-use probft_simnet::process::ProcessId;
-use probft_simnet::sim::{RunOutcome, Simulation};
+use probft_simnet::metrics::MessageMetrics;
+use probft_simnet::sim::RunOutcome;
 use probft_simnet::time::{SimDuration, SimTime};
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::fmt;
+
+/// Event budget of one run.
+const MAX_EVENTS: u64 = 50_000_000;
+
+/// Throughput accounting for a run that orders application commands, so
+/// that batching and pipelining experiments measure, rather than estimate,
+/// delivered throughput.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ThroughputStats {
+    /// Commands applied to the replicated state machine.
+    pub commands: u64,
+    /// Consensus slots opened (including in-flight ones at run end).
+    pub slots_opened: u64,
+    /// Consensus slots decided and applied in order.
+    pub slots_applied: u64,
+    /// Virtual ticks from start to completion.
+    pub ticks: u64,
+}
+
+impl ThroughputStats {
+    /// Mean commands per applied slot (the effective batch size).
+    pub fn mean_batch_size(&self) -> f64 {
+        if self.slots_applied == 0 {
+            0.0
+        } else {
+            self.commands as f64 / self.slots_applied as f64
+        }
+    }
+
+    /// Commands ordered per million virtual ticks. With the runtime's
+    /// tick = 1 µs convention this is exactly commands per second.
+    pub fn commands_per_megatick(&self) -> f64 {
+        if self.ticks == 0 {
+            0.0
+        } else {
+            self.commands as f64 * 1_000_000.0 / self.ticks as f64
+        }
+    }
+}
+
+impl fmt::Display for ThroughputStats {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} cmds over {} slots ({} opened) in {} ticks — {:.1} cmds/Mtick, mean batch {:.2}",
+            self.commands,
+            self.slots_applied,
+            self.slots_opened,
+            self.ticks,
+            self.commands_per_megatick(),
+            self.mean_batch_size()
+        )
+    }
+}
 
 /// Builds and runs an SMR cluster ordering a shared workload against any
 /// [`StateMachine`] (the default is the reference [`KvStore`]).
@@ -24,7 +78,6 @@ pub struct SmrBuilder<S: StateMachine = KvStore> {
     seed: u64,
     workloads: BTreeMap<ReplicaId, Vec<S::Op>>,
     settings: SmrSettings,
-    max_events: u64,
 }
 
 impl SmrBuilder<KvStore> {
@@ -45,15 +98,9 @@ impl<S: StateMachine> SmrBuilder<S> {
             seed: 0,
             workloads: BTreeMap::new(),
             settings: SmrSettings {
-                target_len,
                 pipeline_depth: 4,
-                batch_size: 1,
-                lazy_open: false,
-                checkpoint_interval: 0,
-                adaptive_batching: false,
-                max_pending: 0,
+                ..SmrSettings::sequential(target_len)
             },
-            max_events: 50_000_000,
         }
     }
 
@@ -107,78 +154,39 @@ impl<S: StateMachine> SmrBuilder<S> {
     /// the log, and in a healthy run no other replica's queue is ever
     /// proposed — an over-sized target burns the whole event budget
     /// without completing.
-    pub fn run(self) -> SmrOutcome<S> {
-        let cfg: SharedConfig = Arc::new(
-            ProbftConfig::builder(self.n)
-                .base_timeout(SimDuration::from_ticks(50_000))
-                .build(),
-        );
-        let keyring = Keyring::generate(self.n, &self.seed.to_be_bytes());
-        let public = Arc::new(keyring.public());
-
+    pub fn run(mut self) -> SmrOutcome<S> {
+        let cfg = ProbftConfig::builder(self.n)
+            .base_timeout(SimDuration::from_ticks(50_000))
+            .build_shared();
         let network =
             PartialSynchrony::synchronous(SimDuration::from_ticks(1), SimDuration::from_ticks(100));
-        let mut sim: Simulation<SmrNode<S>> = Simulation::new(network, self.seed);
-        for i in 0..self.n {
-            let id = ReplicaId::from(i);
-            let workload = self.workloads.get(&id).cloned().unwrap_or_default();
-            sim.add_process(SmrNode::new(
-                cfg.clone(),
-                id,
-                keyring.signing_key(i).expect("in range").clone(),
-                public.clone(),
-                workload,
-                self.settings,
-            ));
-        }
+        let settings = self.settings;
+        let spawn = |seat: Seat| {
+            let workload = self.workloads.remove(&seat.id).unwrap_or_default();
+            SmrNode::<S>::new(seat.cfg, seat.id, seat.sk, seat.keys, workload, settings)
+        };
+        let (sim, run_outcome) =
+            run_cluster(cfg, self.seed, network, spawn, SmrNode::done, MAX_EVENTS);
 
-        let n = self.n;
-        let all_done =
-            move |s: &Simulation<SmrNode<S>>| (0..n).all(|i| s.process(ProcessId(i)).done());
-        let run_outcome = sim.run_until_condition(all_done, self.max_events);
-
-        let logs: Vec<Vec<Entry<S::Op>>> = (0..self.n)
-            .map(|i| sim.process(ProcessId(i)).log().to_vec())
-            .collect();
-        let states: Vec<S> = (0..self.n)
-            .map(|i| sim.process(ProcessId(i)).state().clone())
-            .collect();
-        let resident_slots: Vec<usize> = (0..self.n)
-            .map(|i| sim.process(ProcessId(i)).resident_slots())
-            .collect();
-        let dropped_messages: Vec<u64> = (0..self.n)
-            .map(|i| sim.process(ProcessId(i)).dropped_messages())
-            .collect();
-        let log_offsets: Vec<u64> = (0..self.n)
-            .map(|i| sim.process(ProcessId(i)).log_offset())
-            .collect();
-        let log_digests: Vec<Digest> = (0..self.n)
-            .map(|i| sim.process(ProcessId(i)).log_digest())
-            .collect();
-        let checkpoints: Vec<CheckpointStats> = (0..self.n)
-            .map(|i| sim.process(ProcessId(i)).checkpoint_stats())
-            .collect();
-
+        let nodes: Vec<&SmrNode<S>> = sim.processes().map(|(_, node)| node).collect();
         // Throughput is measured at replica 0: all correct replicas apply
         // the same slots, so its view is representative of the run.
-        let node0 = sim.process(ProcessId(0));
-        let throughput = ThroughputStats {
-            commands: node0.total_log_len(),
-            slots_opened: node0.slots_opened(),
-            slots_applied: node0.slots_applied(),
-            ticks: sim.now().ticks(),
-        };
-
+        let node0 = nodes.first().expect("a cluster has replicas");
         SmrOutcome {
-            logs,
-            states,
-            resident_slots,
-            dropped_messages,
-            log_offsets,
-            log_digests,
-            checkpoints,
+            logs: nodes.iter().map(|r| r.log().to_vec()).collect(),
+            states: nodes.iter().map(|r| r.state().clone()).collect(),
+            resident_slots: nodes.iter().map(|r| r.resident_slots()).collect(),
+            replica_metrics: nodes.iter().map(|r| r.obs().snapshot()).collect(),
+            log_offsets: nodes.iter().map(|r| r.log_offset()).collect(),
+            log_digests: nodes.iter().map(|r| r.log_digest()).collect(),
+            checkpoints: nodes.iter().map(|r| r.checkpoint_stats()).collect(),
             metrics: sim.metrics().clone(),
-            throughput,
+            throughput: ThroughputStats {
+                commands: node0.total_log_len(),
+                slots_opened: node0.slots_opened(),
+                slots_applied: node0.slots_applied(),
+                ticks: sim.now().ticks(),
+            },
             finished_at: sim.now(),
             run_outcome,
         }
@@ -204,10 +212,10 @@ pub struct SmrOutcome<S: StateMachine = KvStore> {
     /// end of the run (bounded by the pipeline depth: applied slots are
     /// pruned).
     pub resident_slots: Vec<usize>,
-    /// Per-replica count of rejected messages: bounded future-slot
-    /// buffer drops plus invalid checkpoint traffic (zero in honest
-    /// runs).
-    pub dropped_messages: Vec<u64>,
+    /// Per-replica snapshot of the node's `probft-obs` registry — the
+    /// field `ReplicaReport.metrics` carries on the live side, so rejected
+    /// messages are the same named `drops_*` counters in both.
+    pub replica_metrics: Vec<MetricsSnapshot>,
     /// Per-replica count of entries truncated below the stable checkpoint
     /// (all zero with checkpointing disabled).
     pub log_offsets: Vec<u64>,
@@ -259,5 +267,28 @@ impl<S: StateMachine> SmrOutcome<S> {
         } else {
             None
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn throughput_stats_math() {
+        let t = ThroughputStats {
+            commands: 64,
+            slots_opened: 10,
+            slots_applied: 8,
+            ticks: 2_000_000,
+        };
+        assert!((t.mean_batch_size() - 8.0).abs() < 1e-9);
+        assert!((t.commands_per_megatick() - 32.0).abs() < 1e-9);
+        let s = t.to_string();
+        assert!(s.contains("64 cmds") && s.contains("8 slots"), "{s}");
+
+        let zero = ThroughputStats::default();
+        assert_eq!(zero.mean_batch_size(), 0.0);
+        assert_eq!(zero.commands_per_megatick(), 0.0);
     }
 }

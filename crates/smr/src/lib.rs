@@ -63,7 +63,7 @@ pub mod node;
 pub use checkpoint::{
     CheckpointStats, CheckpointVote, Snapshot, StableCheckpoint, StateReply, StateRequest,
 };
-pub use harness::{SmrBuilder, SmrOutcome};
+pub use harness::{SmrBuilder, SmrOutcome, ThroughputStats};
 pub use kv::{Command, KvResponse, KvStore};
 pub use machine::{Batch, Consistency, Entry, OpKind, RequestId, StateMachine, MAX_BATCH};
 pub use node::{

@@ -39,7 +39,7 @@ use probft_core::wire::{put, Reader, Wire, WireError};
 use probft_crypto::keyring::PublicKeyring;
 use probft_crypto::schnorr::SigningKey;
 use probft_crypto::sha256::{Digest, Sha256};
-use probft_obs::{Counter, Obs, TraceKind};
+use probft_obs::{Obs, TraceKind};
 use probft_quorum::ReplicaId;
 use probft_simnet::metrics::Measurable;
 use probft_simnet::process::{Action, Context, Process, ProcessId, TimerToken};
@@ -306,11 +306,6 @@ pub struct SmrNode<S: StateMachine> {
     /// unapplied slot are buffered, and each slot buffers at most
     /// [`MAX_BUFFERED_PER_SLOT`] messages.
     future: BTreeMap<u64, Vec<Message>>,
-    /// Messages rejected: outside the buffering window (far-future slot
-    /// spray, stale slots), over the per-slot cap, or invalid checkpoint
-    /// traffic (forged/misaligned votes, unverifiable state replies,
-    /// vote-table evictions, attested-digest disagreement).
-    dropped_messages: u64,
     /// The lowest slot whose decision has not been applied yet.
     next_apply: u64,
     /// The next slot index to open (slots `next_apply..next_open` are in
@@ -373,10 +368,6 @@ pub struct SmrNode<S: StateMachine> {
     applied_requests: BTreeMap<u64, (u64, S::Response)>,
     /// Apply notifications not yet drained by the embedding runtime.
     applied_events: Vec<AppliedRequest<S::Response>>,
-    /// Largest batch this node ever proposed — the observable half of the
-    /// adaptive-batching loop (how far past the static cap load pushed
-    /// it).
-    max_batch_proposed: usize,
     /// Telemetry bundle: metrics registry plus flight-recorder journal
     /// (`probft-obs`). The live runtime attaches a shared handle so the
     /// nemesis and shutdown aggregation see what this node records.
@@ -415,7 +406,6 @@ impl<S: StateMachine> SmrNode<S> {
             settings: settings.normalized(),
             slots: BTreeMap::new(),
             future: BTreeMap::new(),
-            dropped_messages: 0,
             next_apply: 0,
             next_open: 0,
             last_decided_view: View::FIRST,
@@ -433,7 +423,6 @@ impl<S: StateMachine> SmrNode<S> {
             state: S::default(),
             applied_requests: BTreeMap::new(),
             applied_events: Vec::new(),
-            max_batch_proposed: 0,
             obs: Arc::new(Obs::new(format!("replica-{}", id.0))),
             opened_at: BTreeMap::new(),
             last_checkpoint_at: None,
@@ -507,15 +496,6 @@ impl<S: StateMachine> SmrNode<S> {
         self.slots.len()
     }
 
-    /// Messages rejected by this node: outside the bounded buffering
-    /// window, over the per-slot buffer cap, or invalid checkpoint
-    /// traffic (forged or misaligned votes, unverifiable state replies,
-    /// vote-table evictions, and attested-digest disagreement — the last
-    /// signalling this replica diverged from a checkpoint quorum).
-    pub fn dropped_messages(&self) -> u64 {
-        self.dropped_messages
-    }
-
     /// The telemetry bundle this node records into.
     pub fn obs(&self) -> Arc<Obs> {
         Arc::clone(&self.obs)
@@ -526,13 +506,6 @@ impl<S: StateMachine> SmrNode<S> {
     /// the registry and journal this node records into.
     pub fn set_obs(&mut self, obs: Arc<Obs>) {
         self.obs = obs;
-    }
-
-    /// Bumps the back-compat drop total *and* the attributable registry
-    /// counter for one rejected message, so drops stop being conflated.
-    fn note_dropped(&mut self, counter: Counter) {
-        self.dropped_messages = self.dropped_messages.saturating_add(1);
-        counter.inc();
     }
 
     /// Messages currently buffered for in-window slots not yet open here.
@@ -553,13 +526,6 @@ impl<S: StateMachine> SmrNode<S> {
     /// Always `false` with `max_pending = 0`.
     pub fn overloaded(&self) -> bool {
         self.settings.max_pending > 0 && self.pending.len() >= self.settings.max_pending
-    }
-
-    /// The largest batch this node ever proposed — with adaptive batching
-    /// this is the observed high-water mark of the queue-depth feedback
-    /// loop (it exceeds the static `batch_size` exactly when load did).
-    pub fn max_batch_proposed(&self) -> usize {
-        self.max_batch_proposed
     }
 
     /// The replica this node believes currently leads the cluster: the
@@ -619,7 +585,7 @@ impl<S: StateMachine> SmrNode<S> {
         // An embedding runtime that skips the `overloaded()` admission
         // check must still not grow this queue without bound.
         if self.pending.len() >= MAX_PENDING_ENTRIES {
-            self.note_dropped(self.obs.drops_pending_overflow.clone());
+            self.obs.drops_pending_overflow.inc();
             return;
         }
         self.pending.push_back(entry);
@@ -689,7 +655,6 @@ impl<S: StateMachine> SmrNode<S> {
             self.settings.batch_size
         }
         .min(pending);
-        self.max_batch_proposed = self.max_batch_proposed.max(take);
         let entries: Vec<Entry<S::Op>> = self.pending.drain(..take).collect();
         self.obs.pending_depth.set(self.pending.len() as u64);
         self.obs.batch_size.record(take as u64);
@@ -1006,7 +971,7 @@ impl<S: StateMachine> SmrNode<S> {
     fn record_vote(&mut self, vote: CheckpointVote, ctx: &mut Context<'_, SmrMessage>) {
         let interval = self.settings.checkpoint_interval as u64;
         if interval == 0 || vote.slot == 0 || !vote.slot.is_multiple_of(interval) {
-            self.note_dropped(self.obs.drops_invalid_checkpoint.clone());
+            self.obs.drops_invalid_checkpoint.inc();
             return;
         }
         if vote.slot <= self.stable_slot() {
@@ -1028,7 +993,7 @@ impl<S: StateMachine> SmrNode<S> {
                 .map(|(s, _)| s)
             {
                 self.votes.remove(&evict);
-                self.note_dropped(self.obs.drops_invalid_checkpoint.clone());
+                self.obs.drops_invalid_checkpoint.inc();
                 if evict == slot {
                     return;
                 }
@@ -1109,7 +1074,7 @@ impl<S: StateMachine> SmrNode<S> {
             // diverged (or the quorum is corrupt). Keep serving from the
             // old checkpoint and surface the disagreement as a drop.
             self.own_checkpoints.insert(slot, own);
-            self.note_dropped(self.obs.drops_invalid_checkpoint.clone());
+            self.obs.drops_invalid_checkpoint.inc();
             return;
         }
         let drop = usize::try_from(own.log_len.saturating_sub(self.log_offset))
@@ -1224,7 +1189,7 @@ impl<S: StateMachine> SmrNode<S> {
     fn handle_state_reply(&mut self, rep: StateReply, ctx: &mut Context<'_, SmrMessage>) {
         let interval = self.settings.checkpoint_interval as u64;
         if interval == 0 || !rep.slot.is_multiple_of(interval) {
-            self.note_dropped(self.obs.drops_invalid_checkpoint.clone());
+            self.obs.drops_invalid_checkpoint.inc();
             return;
         }
         // Mirror the request condition: a transfer is only *useful* (and
@@ -1241,15 +1206,15 @@ impl<S: StateMachine> SmrNode<S> {
         }
         let digest = Snapshot::<S>::digest(&rep.snapshot);
         if !self.certificate_proves(&rep, digest) {
-            self.note_dropped(self.obs.drops_invalid_checkpoint.clone());
+            self.obs.drops_invalid_checkpoint.inc();
             return;
         }
         let Ok(snapshot) = Snapshot::<S>::from_wire_bytes(&rep.snapshot) else {
-            self.note_dropped(self.obs.drops_invalid_checkpoint.clone());
+            self.obs.drops_invalid_checkpoint.inc();
             return;
         };
         if snapshot.slot != rep.slot {
-            self.note_dropped(self.obs.drops_invalid_checkpoint.clone());
+            self.obs.drops_invalid_checkpoint.inc();
             return;
         }
         self.restore_from(snapshot, rep, digest, ctx);
@@ -1369,7 +1334,7 @@ impl<S: StateMachine> SmrNode<S> {
             // is below our stable checkpoint, it is stranded (those slots
             // are truncated cluster-wide) and this traffic is our only
             // signal of its existence: push the checkpoint to it.
-            self.note_dropped(self.obs.drops_stale.clone());
+            self.obs.drops_stale.inc();
             self.maybe_push_checkpoint(from, slot, ctx);
             return;
         }
@@ -1382,7 +1347,7 @@ impl<S: StateMachine> SmrNode<S> {
         let window = self.settings.future_window();
         let horizon = self.next_apply.saturating_add(window);
         if slot >= horizon {
-            self.note_dropped(self.obs.drops_future_horizon.clone());
+            self.obs.drops_future_horizon.inc();
             return;
         }
         let open_horizon = self
@@ -1407,7 +1372,7 @@ impl<S: StateMachine> SmrNode<S> {
         // the slot, with a hard per-slot cap against single-slot floods.
         let buffered = self.future.entry(slot).or_default();
         if buffered.len() >= MAX_BUFFERED_PER_SLOT {
-            self.note_dropped(self.obs.drops_slot_flood.clone());
+            self.obs.drops_slot_flood.inc();
         } else {
             buffered.push(msg.inner);
         }
@@ -1431,7 +1396,7 @@ impl<S: StateMachine> Process for SmrNode<S> {
                 if vote.verify(&self.keys) {
                     self.record_vote(vote, ctx);
                 } else {
-                    self.note_dropped(self.obs.drops_invalid_checkpoint.clone());
+                    self.obs.drops_invalid_checkpoint.inc();
                 }
             }
             SmrMessage::StateRequest(req) => self.handle_state_request(from, req, ctx),
@@ -1529,7 +1494,7 @@ mod tests {
             let mut ctx = Context::detached(ProcessId(0), SimTime::ZERO, &mut rng);
             node.on_message(ProcessId(1), msg, &mut ctx);
         }
-        assert_eq!(node.dropped_messages(), spray);
+        assert_eq!(node.obs.drops_future_horizon.get(), spray);
         assert_eq!(
             node.buffered_future(),
             0,
@@ -1560,7 +1525,7 @@ mod tests {
             node.on_message(ProcessId(1), msg, &mut ctx);
         }
         assert_eq!(node.buffered_future(), MAX_BUFFERED_PER_SLOT);
-        assert_eq!(node.dropped_messages(), 500);
+        assert_eq!(node.obs.drops_slot_flood.get(), 500);
     }
 
     /// Stale traffic for already-applied (pruned) slots is dropped, and a
@@ -1570,7 +1535,16 @@ mod tests {
         let (node, _rng) = test_node(SmrSettings::sequential(4));
         assert_eq!(node.resident_slots(), 0);
         assert_eq!(node.buffered_future(), 0);
-        assert_eq!(node.dropped_messages(), 0);
+        let drops = node.obs.snapshot();
+        for counter in [
+            "drops_future_horizon",
+            "drops_slot_flood",
+            "drops_stale",
+            "drops_invalid_checkpoint",
+            "drops_pending_overflow",
+        ] {
+            assert_eq!(drops.counter(counter), 0, "{counter}");
+        }
         assert_eq!(node.pending_len(), 0);
         assert_eq!(node.current_leader(), ReplicaId(0));
         assert_eq!(node.last_decided_view(), View::FIRST);
@@ -1792,7 +1766,7 @@ mod tests {
         let mut bad = snapshot.clone();
         let last = bad.len() - 1;
         bad[last] ^= 0xFF;
-        let dropped_before = laggard.dropped_messages();
+        let dropped_before = laggard.obs.drops_invalid_checkpoint.get();
         let mut ctx = Context::detached(ProcessId(3), SimTime::ZERO, &mut rng);
         laggard.on_message(
             ProcessId(1),
@@ -1803,7 +1777,10 @@ mod tests {
             }),
             &mut ctx,
         );
-        assert_eq!(laggard.dropped_messages(), dropped_before + 1);
+        assert_eq!(
+            laggard.obs.drops_invalid_checkpoint.get(),
+            dropped_before + 1
+        );
         assert_eq!(laggard.slots_applied(), 0, "tampered snapshot ignored");
 
         // …as is a certificate short of the quorum…
@@ -1817,7 +1794,10 @@ mod tests {
             }),
             &mut ctx,
         );
-        assert_eq!(laggard.dropped_messages(), dropped_before + 2);
+        assert_eq!(
+            laggard.obs.drops_invalid_checkpoint.get(),
+            dropped_before + 2
+        );
         assert_eq!(laggard.slots_applied(), 0, "sub-quorum certificate ignored");
 
         // …the attested one restores.
@@ -1931,7 +1911,7 @@ mod tests {
             );
         }
         assert!(node.stable_checkpoint().is_none(), "forged quorum rejected");
-        assert_eq!(node.dropped_messages(), 2);
+        assert_eq!(node.obs.drops_invalid_checkpoint.get(), 2);
     }
 
     /// The buffering horizon is conditional: wide without checkpointing

@@ -34,7 +34,7 @@
 //!
 //! | Module alias | Crate | Contents |
 //! |---|---|---|
-//! | [`core`] | `probft-core` | ProBFT itself (Algorithm 1), Byzantine strategies, harness |
+//! | [`core`] | `probft-core` | ProBFT itself (Algorithm 1), Byzantine strategies, the harness for all three protocols |
 //! | [`crypto`] | `probft-crypto` | SHA-256, Schnorr, VRF with verifiable sampling |
 //! | [`simnet`] | `probft-simnet` | Deterministic discrete-event simulator (GST model) |
 //! | [`quorum`] | `probft-quorum` | Quorum sizes and vote trackers |

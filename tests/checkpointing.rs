@@ -64,7 +64,12 @@ fn sim_checkpoints_truncate_without_breaking_consistency() {
         );
     }
     // An honest run must stabilise checkpoints without any vote drops.
-    assert_eq!(outcome.dropped_messages.iter().sum::<u64>(), 0);
+    let vote_drops: u64 = outcome
+        .replica_metrics
+        .iter()
+        .map(|m| m.counter("drops_invalid_checkpoint"))
+        .sum();
+    assert_eq!(vote_drops, 0);
 }
 
 /// Acceptance: a long live run with `checkpoint_interval = 32` keeps

@@ -1,25 +1,61 @@
 //! Cross-protocol integration: the Figure 1 comparison, measured end to
 //! end on the same simulator substrate.
 
-use probft::core::harness::InstanceBuilder;
-use probft::hotstuff::HsInstanceBuilder;
-use probft::pbft::PbftInstanceBuilder;
+use probft::core::harness::{Instance, InstanceOutcome, Protocol};
+use probft::core::{Replica, Value};
+use probft::hotstuff::HsReplica;
+use probft::pbft::PbftReplica;
+
+/// One run of protocol `P`, each message delivered twice with probability
+/// `dup_prob`, in which every correct replica must decide and agree.
+fn run<P: Protocol>(n: usize, seed: u64, dup_prob: f64) -> InstanceOutcome {
+    let outcome = Instance::<P>::new(n)
+        .seed(seed)
+        .link_faults(0.0, dup_prob)
+        .run();
+    assert!(
+        outcome.all_correct_decided() && outcome.agreement(),
+        "{outcome:?}"
+    );
+    outcome
+}
+
+/// Clean `(ProBFT, PBFT, HotStuff)` runs at one population size and seed.
+fn all_three(n: usize, seed: u64) -> [InstanceOutcome; 3] {
+    [
+        run::<Replica>(n, seed, 0.0),
+        run::<PbftReplica>(n, seed, 0.0),
+        run::<HsReplica>(n, seed, 0.0),
+    ]
+}
 
 /// All three protocols decide and agree on the leader's value at the same
 /// population size and seed.
 #[test]
 fn all_three_protocols_decide() {
-    let n = 25;
-    let probft = InstanceBuilder::new(n).seed(4).run();
-    let pbft = PbftInstanceBuilder::new(n).seed(4).run();
-    let hs = HsInstanceBuilder::new(n).seed(4).run();
+    for outcome in all_three(25, 4) {
+        assert_eq!(outcome.decided_value(), Some(&Value::from_tag(0)));
+    }
+}
 
-    assert!(
-        probft.all_correct_decided() && probft.agreement(),
-        "{probft:?}"
-    );
-    assert!(pbft.all_correct_decided() && pbft.agreement(), "{pbft:?}");
-    assert!(hs.all_correct_decided() && hs.agreement(), "{hs:?}");
+/// Duplicated messages change nothing for the deterministic baselines
+/// either (the ProBFT case lives in `crates/core/tests/fault_injection.rs`):
+/// trackers count distinct senders, so the run decides the clean run's
+/// value. Duplication only — loss would test a retransmission property the
+/// single-shot baselines were never given.
+#[test]
+fn duplicated_messages_do_not_change_the_baselines_decision() {
+    fn check<P: Protocol>() {
+        let clean = run::<P>(20, 8, 0.0);
+        let noisy = run::<P>(20, 8, 0.5);
+        assert_eq!(
+            clean.decided_value().map(|v| v.digest()),
+            noisy.decided_value().map(|v| v.digest()),
+        );
+        assert!(noisy.metrics.total_delivered() > clean.metrics.total_delivered());
+    }
+    check::<PbftReplica>();
+    check::<HsReplica>();
 }
 
 /// Message-count ordering of Figure 1b: HotStuff < ProBFT < PBFT, with the
@@ -27,10 +63,7 @@ fn all_three_protocols_decide() {
 #[test]
 fn message_ordering_matches_figure_1b() {
     let n = 100;
-    let probft = InstanceBuilder::new(n).seed(5).run();
-    let pbft = PbftInstanceBuilder::new(n).seed(5).run();
-    let hs = HsInstanceBuilder::new(n).seed(5).run();
-    assert!(probft.all_correct_decided() && pbft.all_correct_decided() && hs.all_correct_decided());
+    let [probft, pbft, hs] = all_three(n, 5);
 
     let (p, b, h) = (
         probft.metrics.total_sent_excluding_self(),
@@ -55,11 +88,7 @@ fn message_ordering_matches_figure_1b() {
 /// extra phases cost real (virtual) time.
 #[test]
 fn latency_ordering_matches_figure_1a() {
-    let n = 31;
-    let probft = InstanceBuilder::new(n).seed(6).run();
-    let pbft = PbftInstanceBuilder::new(n).seed(6).run();
-    let hs = HsInstanceBuilder::new(n).seed(6).run();
-    assert!(probft.all_correct_decided() && pbft.all_correct_decided() && hs.all_correct_decided());
+    let [probft, pbft, hs] = all_three(31, 6);
 
     // HotStuff needs strictly more virtual time than both 3-step protocols.
     assert!(
@@ -85,10 +114,8 @@ fn latency_ordering_matches_figure_1a() {
 /// ceilings allowed for).
 #[test]
 fn measured_ratio_consistent_with_section_5() {
-    let n = 200;
-    let probft = InstanceBuilder::new(n).seed(7).run();
-    let pbft = PbftInstanceBuilder::new(n).seed(7).run();
-    assert!(probft.all_correct_decided() && pbft.all_correct_decided());
+    let probft = run::<Replica>(200, 7, 0.0);
+    let pbft = run::<PbftReplica>(200, 7, 0.0);
     let ratio = probft.metrics.total_sent_excluding_self() as f64
         / pbft.metrics.total_sent_excluding_self() as f64;
     assert!(

@@ -197,11 +197,14 @@ fn long_pipelined_run_keeps_resident_slots_bounded() {
              (pipeline depth 4) — decided slots must be pruned"
         );
     }
-    assert_eq!(
-        outcome.dropped_messages.iter().sum::<u64>(),
-        0,
-        "honest runs must not hit the future-buffer drop path"
-    );
+    for counter in ["drops_future_horizon", "drops_slot_flood"] {
+        let dropped: u64 = outcome
+            .replica_metrics
+            .iter()
+            .map(|m| m.counter(counter))
+            .sum();
+        assert_eq!(dropped, 0, "honest runs must not hit {counter}");
+    }
 }
 
 /// Acceptance: a live 4-replica TCP cluster serves commands submitted

@@ -28,7 +28,7 @@
 //! each other (`Π_F` is shared).
 
 use crate::config::{SharedConfig, View};
-use crate::message::{Message, PhaseMessage, Propose, SignedProposal};
+use crate::message::{Message, PhaseBody, PhaseMessage, Propose, SignedProposal};
 use crate::sampling::{derive_sample, Phase};
 use crate::value::Value;
 use probft_crypto::keyring::PublicKeyring;
@@ -155,8 +155,8 @@ impl ByzantineReplica {
         recipients: impl IntoIterator<Item = ReplicaId>,
         ctx: &mut Context<'_, Message>,
     ) -> SignedProposal {
-        let proposal = SignedProposal::sign(&self.sk, self.id, View::FIRST, value);
-        let propose = Propose::sign(&self.sk, proposal.clone(), vec![]);
+        let propose = Propose::lead(&self.sk, self.id, View::FIRST, value, vec![]);
+        let proposal = propose.proposal.clone();
         let targets: Vec<ProcessId> = recipients
             .into_iter()
             .map(|r| ProcessId(r.index()))
@@ -189,25 +189,12 @@ impl ByzantineReplica {
                 continue;
             };
             for phase in [Phase::Prepare, Phase::Commit] {
-                let (sample, proof) = derive_sample(
-                    &self.sk,
-                    View::FIRST,
-                    phase,
-                    self.cfg.sample_size(),
-                    self.cfg.n(),
-                );
-                let msg = PhaseMessage::sign(
-                    &self.sk,
-                    phase,
-                    self.id,
-                    proposal.clone(),
-                    sample.clone(),
-                    proof,
-                );
+                let msg = PhaseMessage::cast(&self.sk, &self.cfg, phase, self.id, proposal.clone());
                 // Omission within the sample is undetectable: send only to
                 // sample members in this proposal's side (or fellow
                 // Byzantine replicas, who cannot be tricked anyway).
-                let targets: Vec<ProcessId> = sample
+                let targets: Vec<ProcessId> = msg
+                    .sample
                     .iter()
                     .filter(|r| side.contains(r) || self.faulty.contains(r))
                     .map(|r| ProcessId(r.index()))
@@ -328,13 +315,15 @@ impl Process for ByzantineReplica {
                         self.cfg.n(),
                     );
                     let everyone: Vec<ReplicaId> = self.cfg.all_replicas().collect();
-                    let forged = PhaseMessage::sign(
+                    let forged = PhaseMessage::sign_in(
                         &self.sk,
                         Phase::Prepare,
-                        self.id,
-                        p.proposal.clone(),
-                        everyone.clone(),
-                        proof,
+                        PhaseBody {
+                            sender: self.id,
+                            proposal: p.proposal.clone(),
+                            sample: everyone.clone(),
+                            proof,
+                        },
                     );
                     let targets: Vec<ProcessId> =
                         everyone.iter().map(|r| ProcessId(r.index())).collect();

@@ -16,7 +16,8 @@
 //!
 //! - [`config`] — protocol parameters (`n`, `f`, `l`, `o`) and view math.
 //! - [`value`] — opaque proposal values + application validity predicate.
-//! - [`message`] — the five signed message types and their wire codec.
+//! - [`message`] — the five signed message bodies and the `Message` enum.
+//! - [`signed`] — the one signed envelope every body travels in.
 //! - [`predicates`] — `prepared`, `validNewLeader`, `safeProposal`.
 //! - [`sampling`] — VRF seeds (`v ‖ phase`) and sample derivation.
 //! - [`synchronizer`] — wish-based view synchronizer (Bravo et al. style).
@@ -49,6 +50,7 @@ pub mod message;
 pub mod predicates;
 pub mod replica;
 pub mod sampling;
+pub mod signed;
 pub mod synchronizer;
 pub mod value;
 pub mod wire;
@@ -59,4 +61,5 @@ pub use error::RejectReason;
 pub use harness::{InstanceBuilder, InstanceOutcome};
 pub use message::{Message, NewLeader, PhaseMessage, Propose, SignedProposal, VerifyCtx, Wish};
 pub use replica::{Decision, Replica, ReplicaStats};
+pub use signed::{Signed, SignedBody};
 pub use value::{ValidityPredicate, Value};

@@ -1,10 +1,13 @@
 //! ProBFT message types: `Propose`, `Prepare`, `Commit`, `NewLeader`, and
 //! the synchronizer's `Wish`.
 //!
-//! Every message is signed by its *signer*, which may differ from the
-//! transport-level sender: line 25 of Algorithm 1 has replicas re-broadcast
-//! a conflicting message verbatim to expose leader equivocation, so
-//! verification always runs against the signer recorded inside the message.
+//! Every message is a [`Signed`] body, signed by its *signer*, which may
+//! differ from the transport-level sender: line 25 of Algorithm 1 has
+//! replicas re-broadcast a conflicting message verbatim to expose leader
+//! equivocation, so verification always runs against the signer recorded
+//! inside the body. The bodies here are field lists plus the checks that
+//! are genuinely theirs; payload, signature and key lookup live in
+//! [`crate::signed`].
 //!
 //! `Prepare` and `Commit` additionally carry the sender's VRF-selected
 //! recipient sample and its proof (`S, P` in Algorithm 1 lines 15–16 and
@@ -14,12 +17,13 @@
 use crate::config::{ProbftConfig, View};
 use crate::error::RejectReason;
 use crate::sampling::{self, Phase};
+use crate::signed::{Signed, SignedBody};
 use crate::value::Value;
 use crate::wire::{put, Reader, Wire, WireError};
 use probft_crypto::keyring::PublicKeyring;
-use probft_crypto::schnorr::{Signature, SigningKey, SIGNATURE_LEN};
+use probft_crypto::schnorr::SigningKey;
 use probft_crypto::sha256::Digest;
-use probft_crypto::vrf::{VrfProof, VRF_PROOF_LEN};
+use probft_crypto::vrf::VrfProof;
 use probft_quorum::ReplicaId;
 use probft_simnet::metrics::Measurable;
 
@@ -56,38 +60,52 @@ impl<'a> VerifyCtx<'a> {
 /// Because only the leader of `v` can produce this signature, two distinct
 /// `SignedProposal`s for the same view are *proof of equivocation* (used by
 /// lines 23–25 of Algorithm 1).
+pub type SignedProposal = Signed<ProposalBody>;
+
+/// The contents of a [`SignedProposal`].
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub struct SignedProposal {
+pub struct ProposalBody {
     /// The view this proposal belongs to.
     pub view: View,
-    /// The proposed value.
-    pub value: Value,
     /// The signer — must be `leader(view)`.
     pub leader: ReplicaId,
-    /// The leader's signature over `(view, value)`.
-    pub signature: Signature,
+    /// The proposed value.
+    pub value: Value,
 }
 
-impl SignedProposal {
-    fn signing_bytes(view: View, value: &Value, leader: ReplicaId) -> Vec<u8> {
-        let mut out = b"probft-proposal|".to_vec();
-        put::u64(&mut out, view.0);
-        put::u32(&mut out, leader.0);
-        value.encode(&mut out);
-        out
+impl ProposalBody {
+    /// The `(view, value-digest)` pair used as a quorum matching key.
+    pub fn matching_key(&self) -> (View, Digest) {
+        (self.view, self.value.digest())
     }
+}
 
-    /// Creates and signs a proposal as `leader` for `view`.
-    pub fn sign(sk: &SigningKey, leader: ReplicaId, view: View, value: Value) -> Self {
-        let signature = sk.sign(&Self::signing_bytes(view, &value, leader));
-        SignedProposal {
-            view,
-            value,
-            leader,
-            signature,
-        }
+impl SignedBody for ProposalBody {
+    type Phase = ();
+    fn domain((): ()) -> &'static [u8] {
+        b"probft-proposal|"
     }
+    fn signer(&self) -> ReplicaId {
+        self.leader
+    }
+}
 
+impl Wire for ProposalBody {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.view.encode(out);
+        self.leader.encode(out);
+        self.value.encode(out);
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(ProposalBody {
+            view: Wire::decode(r)?,
+            leader: Wire::decode(r)?,
+            value: Wire::decode(r)?,
+        })
+    }
+}
+
+impl Signed<ProposalBody> {
     /// Verifies the leader signature and that the signer leads the view.
     ///
     /// # Errors
@@ -101,38 +119,9 @@ impl SignedProposal {
                 claimed: self.leader,
             });
         }
-        let pk = ctx.key_of(self.leader)?;
-        pk.verify(
-            &Self::signing_bytes(self.view, &self.value, self.leader),
-            &self.signature,
-        )
-        .map_err(|_| RejectReason::BadProposalSignature)
-    }
-
-    /// The `(view, value-digest)` pair used as a quorum matching key.
-    pub fn matching_key(&self) -> (View, Digest) {
-        (self.view, self.value.digest())
-    }
-}
-
-impl Wire for SignedProposal {
-    fn encode(&self, out: &mut Vec<u8>) {
-        put::u64(out, self.view.0);
-        put::u32(out, self.leader.0);
-        self.value.encode(out);
-        out.extend_from_slice(&self.signature.to_bytes());
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let view = View(r.u64()?);
-        let leader = ReplicaId(r.u32()?);
-        let value = Value::decode(r)?;
-        let signature = Signature::from_bytes(r.array::<SIGNATURE_LEN>()?)
-            .ok_or(WireError::BadCrypto("proposal signature"))?;
-        Ok(SignedProposal {
-            view,
-            value,
-            leader,
-            signature,
+        self.verify_signature(ctx.keys).map_err(|e| match e {
+            RejectReason::BadSignature => RejectReason::BadProposalSignature,
+            other => other,
         })
     }
 }
@@ -144,9 +133,13 @@ impl Wire for SignedProposal {
 /// A phase message: `⟨Prepare/Commit, ⟨v, x⟩_j, S, P⟩_i` (lines 16 and 20).
 ///
 /// `Prepare` and `Commit` share this structure; they differ only in the
-/// phase tag, which changes the VRF seed and therefore the valid sample.
+/// phase, which selects the signature's domain tag and the VRF seed (and
+/// therefore the valid sample).
+pub type PhaseMessage = Signed<PhaseBody>;
+
+/// The contents of a [`PhaseMessage`].
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PhaseMessage {
+pub struct PhaseBody {
     /// The signer `i`.
     pub sender: ReplicaId,
     /// The leader-signed proposal this vote supports.
@@ -155,77 +148,87 @@ pub struct PhaseMessage {
     pub sample: Vec<ReplicaId>,
     /// The VRF proof `P` binding `S` to `(sender, view, phase)`.
     pub proof: VrfProof,
-    /// The sender's signature over all of the above.
-    pub signature: Signature,
 }
 
-impl PhaseMessage {
-    fn signing_bytes(
-        phase: Phase,
-        sender: ReplicaId,
-        proposal: &SignedProposal,
-        sample: &[ReplicaId],
-        proof: &VrfProof,
-    ) -> Vec<u8> {
-        let mut out = match phase {
-            Phase::Prepare => b"probft-prepare|".to_vec(),
-            Phase::Commit => b"probft-commit|".to_vec(),
-        };
-        put::u32(&mut out, sender.0);
-        proposal.encode(&mut out);
-        put::u64(&mut out, sample.len() as u64);
-        for id in sample {
-            put::u32(&mut out, id.0);
-        }
-        out.extend_from_slice(&proof.to_bytes());
-        out
+impl PhaseBody {
+    /// Whether `id` is a member of the sample (precondition `i ∈ S`).
+    pub fn includes(&self, id: ReplicaId) -> bool {
+        self.sample.contains(&id)
     }
+}
 
-    /// Creates and signs a phase message.
-    pub fn sign(
+impl SignedBody for PhaseBody {
+    type Phase = Phase;
+    fn domain(phase: Phase) -> &'static [u8] {
+        match phase {
+            Phase::Prepare => b"probft-prepare|",
+            Phase::Commit => b"probft-commit|",
+        }
+    }
+    fn signer(&self) -> ReplicaId {
+        self.sender
+    }
+}
+
+impl Wire for PhaseBody {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.sender.encode(out);
+        self.proposal.encode(out);
+        self.sample.encode(out);
+        self.proof.encode(out);
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(PhaseBody {
+            sender: Wire::decode(r)?,
+            proposal: Wire::decode(r)?,
+            sample: Wire::decode(r)?,
+            proof: Wire::decode(r)?,
+        })
+    }
+}
+
+impl Signed<PhaseBody> {
+    /// Casts `sender`'s vote for `proposal` (lines 15–16 and 19–20): draws
+    /// the VRF recipient sample for the proposal's view and `phase`, and
+    /// signs. The vote goes to the replicas in its own `sample`.
+    pub fn cast(
         sk: &SigningKey,
+        cfg: &ProbftConfig,
         phase: Phase,
         sender: ReplicaId,
         proposal: SignedProposal,
-        sample: Vec<ReplicaId>,
-        proof: VrfProof,
     ) -> Self {
-        let signature = sk.sign(&Self::signing_bytes(
-            phase, sender, &proposal, &sample, &proof,
-        ));
-        PhaseMessage {
+        let (sample, proof) =
+            sampling::derive_sample(sk, proposal.view, phase, cfg.sample_size(), cfg.n());
+        let body = PhaseBody {
             sender,
             proposal,
             sample,
             proof,
-            signature,
-        }
+        };
+        Self::sign_in(sk, phase, body)
     }
 
-    /// Full verification: outer signature, inner proposal, and VRF sample.
+    /// Full verification: sample size, inner proposal, outer signature, and
+    /// VRF sample.
     ///
     /// Does **not** check receiver sample membership — that is a property of
-    /// a specific receiver, checked by [`PhaseMessage::includes`].
+    /// a specific receiver, checked by [`PhaseBody::includes`].
     ///
     /// # Errors
     ///
     /// Any [`RejectReason`] describing the first failed check.
     pub fn verify(&self, phase: Phase, ctx: &VerifyCtx<'_>) -> Result<(), RejectReason> {
+        // Cheapest check first: the signatures below hash a payload that
+        // embeds the sample, so a sample of the wrong size (up to a whole
+        // 16 MiB frame) must be turned away before any of that work.
+        if self.sample.len() != ctx.cfg.sample_size() {
+            return Err(RejectReason::BadVrfProof);
+        }
         self.proposal.verify(ctx)?;
-        let pk = ctx.key_of(self.sender)?;
-        pk.verify(
-            &Self::signing_bytes(
-                phase,
-                self.sender,
-                &self.proposal,
-                &self.sample,
-                &self.proof,
-            ),
-            &self.signature,
-        )
-        .map_err(|_| RejectReason::BadSignature)?;
+        self.verify_in(phase, ctx.keys)?;
         let ok = sampling::verify_sample(
-            pk,
+            ctx.key_of(self.sender)?,
             self.proposal.view,
             phase,
             ctx.cfg.sample_size(),
@@ -239,57 +242,71 @@ impl PhaseMessage {
             Err(RejectReason::BadVrfProof)
         }
     }
-
-    /// Whether `id` is a member of the sample (precondition `i ∈ S`).
-    pub fn includes(&self, id: ReplicaId) -> bool {
-        self.sample.contains(&id)
-    }
-}
-
-impl Wire for PhaseMessage {
-    fn encode(&self, out: &mut Vec<u8>) {
-        put::u32(out, self.sender.0);
-        self.proposal.encode(out);
-        put::u64(out, self.sample.len() as u64);
-        for id in &self.sample {
-            put::u32(out, id.0);
-        }
-        out.extend_from_slice(&self.proof.to_bytes());
-        out.extend_from_slice(&self.signature.to_bytes());
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let sender = ReplicaId(r.u32()?);
-        let proposal = SignedProposal::decode(r)?;
-        let count = r.len_prefix()?;
-        let mut sample = Vec::with_capacity(count.min(4096));
-        for _ in 0..count {
-            sample.push(ReplicaId(r.u32()?));
-        }
-        let proof = VrfProof::from_bytes(r.array::<VRF_PROOF_LEN>()?)
-            .ok_or(WireError::BadCrypto("vrf proof"))?;
-        let signature = Signature::from_bytes(r.array::<SIGNATURE_LEN>()?)
-            .ok_or(WireError::BadCrypto("signature"))?;
-        Ok(PhaseMessage {
-            sender,
-            proposal,
-            sample,
-            proof,
-            signature,
-        })
-    }
 }
 
 // ---------------------------------------------------------------------------
-// NewLeader — view-change report to the incoming leader.
+// NewLeader / Propose — the view-change report and the leader's broadcast,
+// generic over the vote their certificates are made of.
 // ---------------------------------------------------------------------------
+
+/// The Prepare/Commit vote body of a Propose → Prepare → Commit protocol:
+/// what view-change certificates are built from and what [`MessageOf`] is
+/// generic over. ProBFT (sampled [`PhaseBody`] votes) and the PBFT baseline
+/// (broadcast digest votes) instantiate the same [`NewLeaderBody`],
+/// [`ProposeBody`] and [`MessageOf`]; the vote supplies the domain tags, so
+/// the two never share a signature.
+pub trait CertVote: SignedBody<Phase = Phase> {
+    /// Domain tag of a [`NewLeader`] carrying these votes.
+    const NEW_LEADER_DOMAIN: &'static [u8];
+    /// Domain tag of a [`Propose`] justified by such NewLeaders.
+    const PROPOSE_DOMAIN: &'static [u8];
+
+    /// The view the vote was cast in.
+    fn view(&self) -> View;
+
+    /// Full verification of a vote cast in `phase`: its signature, plus
+    /// whatever else the vote carries that a receiver must check.
+    ///
+    /// # Errors
+    ///
+    /// Any [`RejectReason`] describing the first failed check.
+    fn verify_vote(
+        vote: &Signed<Self>,
+        phase: Phase,
+        ctx: &VerifyCtx<'_>,
+    ) -> Result<(), RejectReason> {
+        vote.verify_in(phase, ctx.keys)
+    }
+}
+
+impl CertVote for PhaseBody {
+    const NEW_LEADER_DOMAIN: &'static [u8] = b"probft-newleader|";
+    const PROPOSE_DOMAIN: &'static [u8] = b"probft-propose|";
+
+    fn view(&self) -> View {
+        self.proposal.view
+    }
+    fn verify_vote(
+        vote: &PhaseMessage,
+        phase: Phase,
+        ctx: &VerifyCtx<'_>,
+    ) -> Result<(), RejectReason> {
+        vote.verify(phase, ctx)
+    }
+}
 
 /// `⟨NewLeader, v, preparedView, preparedVal, cert⟩_i` (line 5).
 ///
 /// Reports the sender's latest prepared value (if any) to the leader of the
-/// new view `v`, carrying the prepared certificate — a probabilistic quorum
-/// of `Prepare` messages — as evidence.
+/// new view `v`, carrying the prepared certificate — a quorum of Prepare
+/// votes — as evidence. [`Signed::verify_signature`] checks the outer
+/// signature; the semantic `validNewLeader` check lives in
+/// [`crate::predicates`].
+pub type NewLeader = Signed<NewLeaderBody<PhaseBody>>;
+
+/// The contents of a [`NewLeader`].
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct NewLeader {
+pub struct NewLeaderBody<V> {
     /// The signer.
     pub sender: ReplicaId,
     /// The view being entered.
@@ -299,170 +316,109 @@ pub struct NewLeader {
     pub prepared_view: View,
     /// The prepared value, if any.
     pub prepared_value: Option<Value>,
-    /// The prepared certificate: `q` Prepare messages for
-    /// `(prepared_view, prepared_value)` that all include the sender.
-    pub cert: Vec<PhaseMessage>,
-    /// The sender's signature.
-    pub signature: Signature,
+    /// The prepared certificate: a quorum of Prepare votes for
+    /// `(prepared_view, prepared_value)` (in ProBFT, all including the
+    /// sender in their samples).
+    pub cert: Vec<Signed<V>>,
 }
 
-impl NewLeader {
-    fn signing_bytes(
-        sender: ReplicaId,
-        view: View,
-        prepared_view: View,
-        prepared_value: &Option<Value>,
-        cert: &[PhaseMessage],
-    ) -> Vec<u8> {
-        let mut out = b"probft-newleader|".to_vec();
-        put::u32(&mut out, sender.0);
-        put::u64(&mut out, view.0);
-        put::u64(&mut out, prepared_view.0);
-        match prepared_value {
-            Some(v) => {
-                out.push(1);
-                v.encode(&mut out);
-            }
-            None => out.push(0),
-        }
-        put::u64(&mut out, cert.len() as u64);
-        for p in cert {
-            p.encode(&mut out);
-        }
-        out
+impl<V: CertVote> SignedBody for NewLeaderBody<V> {
+    type Phase = ();
+    fn domain((): ()) -> &'static [u8] {
+        V::NEW_LEADER_DOMAIN
     }
-
-    /// Creates and signs a NewLeader message.
-    pub fn sign(
-        sk: &SigningKey,
-        sender: ReplicaId,
-        view: View,
-        prepared_view: View,
-        prepared_value: Option<Value>,
-        cert: Vec<PhaseMessage>,
-    ) -> Self {
-        let signature = sk.sign(&Self::signing_bytes(
-            sender,
-            view,
-            prepared_view,
-            &prepared_value,
-            &cert,
-        ));
-        NewLeader {
-            sender,
-            view,
-            prepared_view,
-            prepared_value,
-            cert,
-            signature,
-        }
-    }
-
-    /// Verifies the outer signature (the semantic `validNewLeader` check
-    /// lives in [`crate::predicates`]).
-    ///
-    /// # Errors
-    ///
-    /// [`RejectReason::BadSignature`] or [`RejectReason::UnknownSender`].
-    pub fn verify(&self, ctx: &VerifyCtx<'_>) -> Result<(), RejectReason> {
-        let pk = ctx.key_of(self.sender)?;
-        pk.verify(
-            &Self::signing_bytes(
-                self.sender,
-                self.view,
-                self.prepared_view,
-                &self.prepared_value,
-                &self.cert,
-            ),
-            &self.signature,
-        )
-        .map_err(|_| RejectReason::BadSignature)
+    fn signer(&self) -> ReplicaId {
+        self.sender
     }
 }
 
-impl Wire for NewLeader {
+impl<V: Wire> Wire for NewLeaderBody<V> {
     fn encode(&self, out: &mut Vec<u8>) {
-        put::u32(out, self.sender.0);
-        put::u64(out, self.view.0);
-        put::u64(out, self.prepared_view.0);
-        match &self.prepared_value {
-            Some(v) => {
-                out.push(1);
-                v.encode(out);
-            }
-            None => out.push(0),
-        }
-        put::u64(out, self.cert.len() as u64);
-        for p in &self.cert {
-            p.encode(out);
-        }
-        out.extend_from_slice(&self.signature.to_bytes());
+        self.sender.encode(out);
+        self.view.encode(out);
+        self.prepared_view.encode(out);
+        self.prepared_value.encode(out);
+        self.cert.encode(out);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let sender = ReplicaId(r.u32()?);
-        let view = View(r.u64()?);
-        let prepared_view = View(r.u64()?);
-        let prepared_value = match r.u8()? {
-            0 => None,
-            1 => Some(Value::decode(r)?),
-            t => return Err(WireError::UnknownTag(t)),
-        };
-        let count = r.len_prefix()?;
-        let mut cert = Vec::with_capacity(count.min(4096));
-        for _ in 0..count {
-            cert.push(PhaseMessage::decode(r)?);
-        }
-        let signature = Signature::from_bytes(r.array::<SIGNATURE_LEN>()?)
-            .ok_or(WireError::BadCrypto("signature"))?;
-        Ok(NewLeader {
-            sender,
-            view,
-            prepared_view,
-            prepared_value,
-            cert,
-            signature,
+        Ok(NewLeaderBody {
+            sender: Wire::decode(r)?,
+            view: Wire::decode(r)?,
+            prepared_view: Wire::decode(r)?,
+            prepared_value: Wire::decode(r)?,
+            cert: Wire::decode(r)?,
         })
     }
 }
-
-// ---------------------------------------------------------------------------
-// Propose — the leader's proposal broadcast.
-// ---------------------------------------------------------------------------
 
 /// `⟨Propose, ⟨v, x⟩_i, M⟩_i` (lines 3, 10, 12).
 ///
 /// In view 1 the justification `M` is empty; in later views it must contain
 /// a deterministic quorum of [`NewLeader`] messages proving the proposal
 /// respects earlier (probable) decisions — checked by `safeProposal`.
+pub type Propose = Signed<ProposeBody<PhaseBody>>;
+
+/// The contents of a [`Propose`].
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Propose {
+pub struct ProposeBody<V> {
     /// The leader-signed proposal.
     pub proposal: SignedProposal,
     /// The justification set `M` of NewLeader messages.
-    pub justification: Vec<NewLeader>,
-    /// The leader's outer signature over proposal and justification.
-    pub signature: Signature,
+    pub justification: Vec<Signed<NewLeaderBody<V>>>,
 }
 
-impl Propose {
-    fn signing_bytes(proposal: &SignedProposal, justification: &[NewLeader]) -> Vec<u8> {
-        let mut out = b"probft-propose|".to_vec();
-        proposal.encode(&mut out);
-        put::u64(&mut out, justification.len() as u64);
-        for m in justification {
-            m.encode(&mut out);
-        }
-        out
+impl<V> ProposeBody<V> {
+    /// The view this Propose belongs to.
+    pub fn view(&self) -> View {
+        self.proposal.view
     }
+}
 
-    /// Creates and signs a Propose as the leader.
-    pub fn sign(sk: &SigningKey, proposal: SignedProposal, justification: Vec<NewLeader>) -> Self {
-        let signature = sk.sign(&Self::signing_bytes(&proposal, &justification));
-        Propose {
+impl<V: CertVote> SignedBody for ProposeBody<V> {
+    type Phase = ();
+    fn domain((): ()) -> &'static [u8] {
+        V::PROPOSE_DOMAIN
+    }
+    fn signer(&self) -> ReplicaId {
+        self.proposal.leader
+    }
+}
+
+impl<V: Wire> Wire for ProposeBody<V> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.proposal.encode(out);
+        self.justification.encode(out);
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(ProposeBody {
+            proposal: Wire::decode(r)?,
+            justification: Wire::decode(r)?,
+        })
+    }
+}
+
+impl<V: CertVote> Signed<ProposeBody<V>> {
+    /// Signs `⟨v, x⟩` and the Propose carrying it, both as the leader.
+    pub fn lead(
+        sk: &SigningKey,
+        leader: ReplicaId,
+        view: View,
+        value: Value,
+        justification: Vec<Signed<NewLeaderBody<V>>>,
+    ) -> Self {
+        let proposal = Signed::sign(
+            sk,
+            ProposalBody {
+                view,
+                leader,
+                value,
+            },
+        );
+        let body = ProposeBody {
             proposal,
             justification,
-            signature,
-        }
+        };
+        Signed::sign(sk, body)
     }
 
     /// Verifies leader identity and both signatures (plus the signatures of
@@ -473,47 +429,10 @@ impl Propose {
     /// Any [`RejectReason`] describing the first failed check.
     pub fn verify(&self, ctx: &VerifyCtx<'_>) -> Result<(), RejectReason> {
         self.proposal.verify(ctx)?;
-        let pk = ctx.key_of(self.proposal.leader)?;
-        pk.verify(
-            &Self::signing_bytes(&self.proposal, &self.justification),
-            &self.signature,
-        )
-        .map_err(|_| RejectReason::BadSignature)?;
-        for m in &self.justification {
-            m.verify(ctx)?;
-        }
-        Ok(())
-    }
-
-    /// The view this Propose belongs to.
-    pub fn view(&self) -> View {
-        self.proposal.view
-    }
-}
-
-impl Wire for Propose {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.proposal.encode(out);
-        put::u64(out, self.justification.len() as u64);
-        for m in &self.justification {
-            m.encode(out);
-        }
-        out.extend_from_slice(&self.signature.to_bytes());
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let proposal = SignedProposal::decode(r)?;
-        let count = r.len_prefix()?;
-        let mut justification = Vec::with_capacity(count.min(4096));
-        for _ in 0..count {
-            justification.push(NewLeader::decode(r)?);
-        }
-        let signature = Signature::from_bytes(r.array::<SIGNATURE_LEN>()?)
-            .ok_or(WireError::BadCrypto("signature"))?;
-        Ok(Propose {
-            proposal,
-            justification,
-            signature,
-        })
+        self.verify_signature(ctx.keys)?;
+        self.justification
+            .iter()
+            .try_for_each(|m| m.verify_signature(ctx.keys))
     }
 }
 
@@ -526,64 +445,36 @@ impl Wire for Propose {
 /// Part of the Bravo–Chockler–Gotsman synchronizer abstraction the paper
 /// builds on (§3.2): `f+1` wishes for a view are amplified, `2f+1` wishes
 /// trigger entry.
+pub type Wish = Signed<WishBody>;
+
+/// The contents of a [`Wish`].
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Wish {
+pub struct WishBody {
     /// The signer.
     pub sender: ReplicaId,
     /// The wished-for view.
     pub view: View,
-    /// The sender's signature.
-    pub signature: Signature,
 }
 
-impl Wish {
-    fn signing_bytes(sender: ReplicaId, view: View) -> Vec<u8> {
-        let mut out = b"probft-wish|".to_vec();
-        put::u32(&mut out, sender.0);
-        put::u64(&mut out, view.0);
-        out
+impl SignedBody for WishBody {
+    type Phase = ();
+    fn domain((): ()) -> &'static [u8] {
+        b"probft-wish|"
     }
-
-    /// Creates and signs a wish.
-    pub fn sign(sk: &SigningKey, sender: ReplicaId, view: View) -> Self {
-        let signature = sk.sign(&Self::signing_bytes(sender, view));
-        Wish {
-            sender,
-            view,
-            signature,
-        }
-    }
-
-    /// Verifies the signature.
-    ///
-    /// # Errors
-    ///
-    /// [`RejectReason::BadSignature`] or [`RejectReason::UnknownSender`].
-    pub fn verify(&self, ctx: &VerifyCtx<'_>) -> Result<(), RejectReason> {
-        let pk = ctx.key_of(self.sender)?;
-        pk.verify(
-            &Self::signing_bytes(self.sender, self.view),
-            &self.signature,
-        )
-        .map_err(|_| RejectReason::BadSignature)
+    fn signer(&self) -> ReplicaId {
+        self.sender
     }
 }
 
-impl Wire for Wish {
+impl Wire for WishBody {
     fn encode(&self, out: &mut Vec<u8>) {
-        put::u32(out, self.sender.0);
-        put::u64(out, self.view.0);
-        out.extend_from_slice(&self.signature.to_bytes());
+        self.sender.encode(out);
+        self.view.encode(out);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let sender = ReplicaId(r.u32()?);
-        let view = View(r.u64()?);
-        let signature = Signature::from_bytes(r.array::<SIGNATURE_LEN>()?)
-            .ok_or(WireError::BadCrypto("signature"))?;
-        Ok(Wish {
-            sender,
-            view,
-            signature,
+        Ok(WishBody {
+            sender: Wire::decode(r)?,
+            view: Wire::decode(r)?,
         })
     }
 }
@@ -593,21 +484,25 @@ impl Wire for Wish {
 // ---------------------------------------------------------------------------
 
 /// Any ProBFT protocol message.
+pub type Message = MessageOf<PhaseBody>;
+
+/// Any message of a Propose → Prepare → Commit protocol whose votes are
+/// `V`: ProBFT's [`Message`], or the PBFT baseline's over its digest votes.
 #[derive(Clone, Debug, PartialEq)]
-pub enum Message {
+pub enum MessageOf<V> {
     /// Leader proposal (propose phase).
-    Propose(Propose),
-    /// Prepare-phase vote multicast to a VRF sample.
-    Prepare(PhaseMessage),
-    /// Commit-phase vote multicast to a VRF sample.
-    Commit(PhaseMessage),
+    Propose(Signed<ProposeBody<V>>),
+    /// Prepare-phase vote (in ProBFT, multicast to a VRF sample).
+    Prepare(Signed<V>),
+    /// Commit-phase vote (in ProBFT, multicast to a VRF sample).
+    Commit(Signed<V>),
     /// View-change report to the incoming leader.
-    NewLeader(NewLeader),
+    NewLeader(Signed<NewLeaderBody<V>>),
     /// Synchronizer view-advancement vote.
     Wish(Wish),
 }
 
-impl Message {
+impl MessageOf<PhaseBody> {
     /// The leader-signed proposal embedded in this message, if any.
     ///
     /// This is the `⟨v, x⟩_j` unit that lines 23–25 of Algorithm 1 compare
@@ -615,29 +510,31 @@ impl Message {
     /// carry no current-view proposal.
     pub fn embedded_proposal(&self) -> Option<&SignedProposal> {
         match self {
-            Message::Propose(p) => Some(&p.proposal),
-            Message::Prepare(p) | Message::Commit(p) => Some(&p.proposal),
-            Message::NewLeader(_) | Message::Wish(_) => None,
+            MessageOf::Propose(p) => Some(&p.proposal),
+            MessageOf::Prepare(p) | MessageOf::Commit(p) => Some(&p.proposal),
+            MessageOf::NewLeader(_) | MessageOf::Wish(_) => None,
         }
     }
+}
 
+impl<V: CertVote> MessageOf<V> {
     /// The view this message belongs to.
     pub fn view(&self) -> View {
         match self {
-            Message::Propose(p) => p.proposal.view,
-            Message::Prepare(p) | Message::Commit(p) => p.proposal.view,
-            Message::NewLeader(m) => m.view,
-            Message::Wish(w) => w.view,
+            MessageOf::Propose(p) => p.proposal.view,
+            MessageOf::Prepare(p) | MessageOf::Commit(p) => p.view(),
+            MessageOf::NewLeader(m) => m.view,
+            MessageOf::Wish(w) => w.view,
         }
     }
 
     /// The replica that signed (authored) this message.
     pub fn signer(&self) -> ReplicaId {
         match self {
-            Message::Propose(p) => p.proposal.leader,
-            Message::Prepare(p) | Message::Commit(p) => p.sender,
-            Message::NewLeader(m) => m.sender,
-            Message::Wish(w) => w.sender,
+            MessageOf::Propose(p) => p.signer(),
+            MessageOf::Prepare(p) | MessageOf::Commit(p) => p.signer(),
+            MessageOf::NewLeader(m) => m.signer(),
+            MessageOf::Wish(w) => w.signer(),
         }
     }
 
@@ -648,60 +545,45 @@ impl Message {
     /// Any [`RejectReason`] describing the first failed check.
     pub fn verify(&self, ctx: &VerifyCtx<'_>) -> Result<(), RejectReason> {
         match self {
-            Message::Propose(p) => p.verify(ctx),
-            Message::Prepare(p) => p.verify(Phase::Prepare, ctx),
-            Message::Commit(p) => p.verify(Phase::Commit, ctx),
-            Message::NewLeader(m) => m.verify(ctx),
-            Message::Wish(w) => w.verify(ctx),
+            MessageOf::Propose(p) => p.verify(ctx),
+            MessageOf::Prepare(p) => V::verify_vote(p, Phase::Prepare, ctx),
+            MessageOf::Commit(p) => V::verify_vote(p, Phase::Commit, ctx),
+            MessageOf::NewLeader(m) => m.verify_signature(ctx.keys),
+            MessageOf::Wish(w) => w.verify_signature(ctx.keys),
         }
     }
 }
 
-impl Wire for Message {
+impl<V: CertVote> Wire for MessageOf<V> {
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
-            Message::Propose(p) => {
-                out.push(1);
-                p.encode(out);
-            }
-            Message::Prepare(p) => {
-                out.push(2);
-                p.encode(out);
-            }
-            Message::Commit(p) => {
-                out.push(3);
-                p.encode(out);
-            }
-            Message::NewLeader(m) => {
-                out.push(4);
-                m.encode(out);
-            }
-            Message::Wish(w) => {
-                out.push(5);
-                w.encode(out);
-            }
+            MessageOf::Propose(p) => put::tagged(out, 1, p),
+            MessageOf::Prepare(p) => put::tagged(out, 2, p),
+            MessageOf::Commit(p) => put::tagged(out, 3, p),
+            MessageOf::NewLeader(m) => put::tagged(out, 4, m),
+            MessageOf::Wish(w) => put::tagged(out, 5, w),
         }
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         match r.u8()? {
-            1 => Ok(Message::Propose(Propose::decode(r)?)),
-            2 => Ok(Message::Prepare(PhaseMessage::decode(r)?)),
-            3 => Ok(Message::Commit(PhaseMessage::decode(r)?)),
-            4 => Ok(Message::NewLeader(NewLeader::decode(r)?)),
-            5 => Ok(Message::Wish(Wish::decode(r)?)),
+            1 => Ok(MessageOf::Propose(Wire::decode(r)?)),
+            2 => Ok(MessageOf::Prepare(Wire::decode(r)?)),
+            3 => Ok(MessageOf::Commit(Wire::decode(r)?)),
+            4 => Ok(MessageOf::NewLeader(Wire::decode(r)?)),
+            5 => Ok(MessageOf::Wish(Wire::decode(r)?)),
             t => Err(WireError::UnknownTag(t)),
         }
     }
 }
 
-impl Measurable for Message {
+impl<V: CertVote> Measurable for MessageOf<V> {
     fn kind(&self) -> &'static str {
         match self {
-            Message::Propose(_) => "Propose",
-            Message::Prepare(_) => "Prepare",
-            Message::Commit(_) => "Commit",
-            Message::NewLeader(_) => "NewLeader",
-            Message::Wish(_) => "Wish",
+            MessageOf::Propose(_) => "Propose",
+            MessageOf::Prepare(_) => "Prepare",
+            MessageOf::Commit(_) => "Commit",
+            MessageOf::NewLeader(_) => "NewLeader",
+            MessageOf::Wish(_) => "Wish",
         }
     }
     fn wire_size(&self) -> usize {
@@ -724,9 +606,11 @@ mod tests {
         let leader = cfg.leader_of(view);
         SignedProposal::sign(
             ring.signing_key(leader.index()).unwrap(),
-            leader,
-            view,
-            Value::from_tag(tag),
+            ProposalBody {
+                view,
+                leader,
+                value: Value::from_tag(tag),
+            },
         )
     }
 
@@ -745,9 +629,11 @@ mod tests {
         // Replica 2 signs a proposal for view 1, whose leader is replica 0.
         let p = SignedProposal::sign(
             ring.signing_key(2).unwrap(),
-            ReplicaId(2),
-            View(1),
-            Value::from_tag(1),
+            ProposalBody {
+                view: View(1),
+                leader: ReplicaId(2),
+                value: Value::from_tag(1),
+            },
         );
         let public = ring.public();
         let ctx = VerifyCtx::new(&cfg, &public);
@@ -764,7 +650,7 @@ mod tests {
     fn forged_proposal_signature_rejected() {
         let (cfg, ring) = setup(4);
         let mut p = proposal(&cfg, &ring, View(1), 7);
-        p.value = Value::from_tag(8); // tamper after signing
+        p.body.value = Value::from_tag(8); // tamper after signing
         let public = ring.public();
         let ctx = VerifyCtx::new(&cfg, &public);
         assert_eq!(p.verify(&ctx), Err(RejectReason::BadProposalSignature));
@@ -778,7 +664,16 @@ mod tests {
         let sk = ring.signing_key(3).unwrap();
         let (sample, proof) =
             crate::sampling::derive_sample(sk, View(1), Phase::Prepare, cfg.sample_size(), cfg.n());
-        let msg = PhaseMessage::sign(sk, Phase::Prepare, sender, p, sample, proof);
+        let msg = PhaseMessage::sign_in(
+            sk,
+            Phase::Prepare,
+            PhaseBody {
+                sender,
+                proposal: p,
+                sample,
+                proof,
+            },
+        );
         let public = ring.public();
         let ctx = VerifyCtx::new(&cfg, &public);
         assert!(msg.verify(Phase::Prepare, &ctx).is_ok());
@@ -788,8 +683,9 @@ mod tests {
             Err(RejectReason::BadSignature)
         );
 
+        // `Message` is `MessageOf<PhaseBody>`.
         let wire = Message::Prepare(msg.clone());
-        let decoded = Message::from_wire_bytes(&wire.to_wire_bytes()).unwrap();
+        let decoded = MessageOf::<PhaseBody>::from_wire_bytes(&wire.to_wire_bytes()).unwrap();
         assert_eq!(decoded, wire);
 
         // The bare structs (not just the enum wrapper) must roundtrip.
@@ -817,13 +713,55 @@ mod tests {
             .find(|id| !sample.contains(id))
             .unwrap();
         sample[0] = outsider;
-        let msg = PhaseMessage::sign(sk, Phase::Prepare, ReplicaId(3), p, sample, proof);
+        let msg = PhaseMessage::sign_in(
+            sk,
+            Phase::Prepare,
+            PhaseBody {
+                sender: ReplicaId(3),
+                proposal: p,
+                sample,
+                proof,
+            },
+        );
         let public = ring.public();
         let ctx = VerifyCtx::new(&cfg, &public);
         assert_eq!(
             msg.verify(Phase::Prepare, &ctx),
             Err(RejectReason::BadVrfProof)
         );
+    }
+
+    #[test]
+    fn wrong_size_sample_rejected_before_any_signature_work() {
+        let (cfg, ring) = setup(16);
+        let public = ring.public();
+        let ctx = VerifyCtx::new(&cfg, &public);
+        let sk = ring.signing_key(3).unwrap();
+        // The embedded proposal is forged (signed by a non-leader key), so
+        // any signature check would answer `BadProposalSignature`; the
+        // sample-size check must answer first.
+        let mut proposal = proposal(&cfg, &ring, View(1), 1);
+        proposal.signature = sk.sign(b"not the proposal");
+        assert_eq!(
+            proposal.verify(&ctx),
+            Err(RejectReason::BadProposalSignature)
+        );
+        let (sample, proof) =
+            crate::sampling::derive_sample(sk, View(1), Phase::Prepare, cfg.sample_size(), cfg.n());
+        let oversized: Vec<ReplicaId> = sample.iter().copied().cycle().take(100_000).collect();
+        for sample in [oversized, Vec::new()] {
+            let body = PhaseBody {
+                sender: ReplicaId(3),
+                proposal: proposal.clone(),
+                sample,
+                proof,
+            };
+            let msg = PhaseMessage::sign_in(sk, Phase::Prepare, body);
+            assert_eq!(
+                msg.verify(Phase::Prepare, &ctx),
+                Err(RejectReason::BadVrfProof)
+            );
+        }
     }
 
     #[test]
@@ -834,16 +772,24 @@ mod tests {
             .map(|i| {
                 NewLeader::sign(
                     ring.signing_key(i).unwrap(),
-                    ReplicaId::from(i),
-                    View(2),
-                    View::NONE,
-                    None,
-                    vec![],
+                    NewLeaderBody {
+                        sender: ReplicaId::from(i),
+                        view: View(2),
+                        prepared_view: View::NONE,
+                        prepared_value: None,
+                        cert: vec![],
+                    },
                 )
             })
             .collect();
         let p = proposal(&cfg, &ring, View(2), 9);
-        let propose = Propose::sign(ring.signing_key(1).unwrap(), p, justification);
+        let propose = Propose::sign(
+            ring.signing_key(1).unwrap(),
+            ProposeBody {
+                proposal: p,
+                justification,
+            },
+        );
         let public = ring.public();
         let ctx = VerifyCtx::new(&cfg, &public);
         assert!(propose.verify(&ctx).is_ok());
@@ -863,15 +809,23 @@ mod tests {
         let (cfg, ring) = setup(4);
         let mut nl = NewLeader::sign(
             ring.signing_key(0).unwrap(),
-            ReplicaId(0),
-            View(2),
-            View::NONE,
-            None,
-            vec![],
+            NewLeaderBody {
+                sender: ReplicaId(0),
+                view: View(2),
+                prepared_view: View::NONE,
+                prepared_value: None,
+                cert: vec![],
+            },
         );
-        nl.prepared_view = View(1); // tamper
+        nl.body.prepared_view = View(1); // tamper
         let p = proposal(&cfg, &ring, View(2), 9);
-        let propose = Propose::sign(ring.signing_key(1).unwrap(), p, vec![nl]);
+        let propose = Propose::sign(
+            ring.signing_key(1).unwrap(),
+            ProposeBody {
+                proposal: p,
+                justification: vec![nl],
+            },
+        );
         let public = ring.public();
         let ctx = VerifyCtx::new(&cfg, &public);
         assert_eq!(propose.verify(&ctx), Err(RejectReason::BadSignature));
@@ -880,10 +834,16 @@ mod tests {
     #[test]
     fn wish_round_trip() {
         let (cfg, ring) = setup(4);
-        let w = Wish::sign(ring.signing_key(2).unwrap(), ReplicaId(2), View(5));
+        let w = Wish::sign(
+            ring.signing_key(2).unwrap(),
+            WishBody {
+                sender: ReplicaId(2),
+                view: View(5),
+            },
+        );
         let public = ring.public();
         let ctx = VerifyCtx::new(&cfg, &public);
-        assert!(w.verify(&ctx).is_ok());
+        assert!(w.verify_signature(ctx.keys).is_ok());
         // The bare struct (not just the enum wrapper) must roundtrip.
         assert_eq!(Wish::from_wire_bytes(&w.to_wire_bytes()).unwrap(), w);
         let wire = Message::Wish(w);
@@ -907,27 +867,31 @@ mod tests {
                     cfg.sample_size(),
                     cfg.n(),
                 );
-                PhaseMessage::sign(
+                PhaseMessage::sign_in(
                     sk,
                     Phase::Prepare,
-                    ReplicaId::from(i),
-                    p.clone(),
-                    sample,
-                    proof,
+                    PhaseBody {
+                        sender: ReplicaId::from(i),
+                        proposal: p.clone(),
+                        sample,
+                        proof,
+                    },
                 )
             })
             .collect();
         let nl = NewLeader::sign(
             ring.signing_key(5).unwrap(),
-            ReplicaId(5),
-            View(2),
-            View(1),
-            Some(Value::from_tag(1)),
-            cert,
+            NewLeaderBody {
+                sender: ReplicaId(5),
+                view: View(2),
+                prepared_view: View(1),
+                prepared_value: Some(Value::from_tag(1)),
+                cert,
+            },
         );
         let public = ring.public();
         let ctx = VerifyCtx::new(&cfg, &public);
-        assert!(nl.verify(&ctx).is_ok());
+        assert!(nl.verify_signature(ctx.keys).is_ok());
         // The bare struct (not just the enum wrapper) must roundtrip.
         assert_eq!(NewLeader::from_wire_bytes(&nl.to_wire_bytes()).unwrap(), nl);
         let wire = Message::NewLeader(nl);
@@ -941,7 +905,13 @@ mod tests {
     fn message_accessors() {
         let (cfg, ring) = setup(4);
         let p = proposal(&cfg, &ring, View(1), 7);
-        let propose = Propose::sign(ring.signing_key(0).unwrap(), p.clone(), vec![]);
+        let propose = Propose::sign(
+            ring.signing_key(0).unwrap(),
+            ProposeBody {
+                proposal: p.clone(),
+                justification: vec![],
+            },
+        );
         let msg = Message::Propose(propose);
         assert_eq!(msg.view(), View(1));
         assert_eq!(msg.signer(), ReplicaId(0));
@@ -951,8 +921,10 @@ mod tests {
 
         let w = Message::Wish(Wish::sign(
             ring.signing_key(1).unwrap(),
-            ReplicaId(1),
-            View(2),
+            WishBody {
+                sender: ReplicaId(1),
+                view: View(2),
+            },
         ));
         assert_eq!(w.embedded_proposal(), None);
         assert_eq!(w.kind(), "Wish");
@@ -975,13 +947,15 @@ mod tests {
         let sk = ring.signing_key(3).unwrap();
         let (sample, proof) =
             crate::sampling::derive_sample(sk, View(1), Phase::Prepare, cfg.sample_size(), cfg.n());
-        let msg = Message::Prepare(PhaseMessage::sign(
+        let msg = Message::Prepare(PhaseMessage::sign_in(
             sk,
             Phase::Prepare,
-            ReplicaId(3),
-            p,
-            sample,
-            proof,
+            PhaseBody {
+                sender: ReplicaId(3),
+                proposal: p,
+                sample,
+                proof,
+            },
         ));
         // Decode as if received from a relay, then verify.
         let relayed = Message::from_wire_bytes(&msg.to_wire_bytes()).unwrap();

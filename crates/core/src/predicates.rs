@@ -157,7 +157,7 @@ pub fn safe_proposal(propose: &Propose, ctx: &VerifyCtx<'_>) -> bool {
 mod tests {
     use super::*;
     use crate::config::ProbftConfig;
-    use crate::message::SignedProposal;
+    use crate::message::{NewLeaderBody, PhaseBody, ProposalBody, ProposeBody, SignedProposal};
     use crate::sampling::derive_sample;
     use probft_crypto::keyring::Keyring;
     use probft_quorum::ReplicaId;
@@ -177,9 +177,11 @@ mod tests {
         let leader = cfg.leader_of(view);
         SignedProposal::sign(
             ring.signing_key(leader.index()).unwrap(),
-            leader,
-            view,
-            Value::from_tag(tag),
+            ProposalBody {
+                view,
+                leader,
+                value: Value::from_tag(tag),
+            },
         )
     }
 
@@ -200,13 +202,15 @@ mod tests {
             let (sample, proof) =
                 derive_sample(sk, view, Phase::Prepare, cfg.sample_size(), cfg.n());
             if sample.contains(&holder) {
-                cert.push(PhaseMessage::sign(
+                cert.push(PhaseMessage::sign_in(
                     sk,
                     Phase::Prepare,
-                    ReplicaId::from(i),
-                    proposal.clone(),
-                    sample,
-                    proof,
+                    PhaseBody {
+                        sender: ReplicaId::from(i),
+                        proposal: proposal.clone(),
+                        sample,
+                        proof,
+                    },
                 ));
                 if cert.len() == want {
                     break;
@@ -303,11 +307,13 @@ mod tests {
     fn new_leader_none(ring: &Keyring, sender: usize, view: View) -> NewLeader {
         NewLeader::sign(
             ring.signing_key(sender).unwrap(),
-            ReplicaId::from(sender),
-            view,
-            View::NONE,
-            None,
-            vec![],
+            NewLeaderBody {
+                sender: ReplicaId::from(sender),
+                view,
+                prepared_view: View::NONE,
+                prepared_value: None,
+                cert: vec![],
+            },
         )
     }
 
@@ -326,11 +332,13 @@ mod tests {
         let ctx = VerifyCtx::new(&cfg, &public);
         let m = NewLeader::sign(
             ring.signing_key(0).unwrap(),
-            ReplicaId(0),
-            View(2),
-            View(2), // not < view
-            Some(Value::from_tag(1)),
-            vec![],
+            NewLeaderBody {
+                sender: ReplicaId(0),
+                view: View(2),
+                prepared_view: View(2), // not < view
+                prepared_value: Some(Value::from_tag(1)),
+                cert: vec![],
+            },
         );
         assert!(!valid_new_leader(&m, &ctx));
     }
@@ -342,11 +350,13 @@ mod tests {
         let ctx = VerifyCtx::new(&cfg, &public);
         let m = NewLeader::sign(
             ring.signing_key(0).unwrap(),
-            ReplicaId(0),
-            View(2),
-            View(1),
-            Some(Value::from_tag(1)),
-            vec![],
+            NewLeaderBody {
+                sender: ReplicaId(0),
+                view: View(2),
+                prepared_view: View(1),
+                prepared_value: Some(Value::from_tag(1)),
+                cert: vec![],
+            },
         );
         assert!(!valid_new_leader(&m, &ctx));
     }
@@ -358,11 +368,13 @@ mod tests {
         let ctx = VerifyCtx::new(&cfg, &public);
         let m = NewLeader::sign(
             ring.signing_key(0).unwrap(),
-            ReplicaId(0),
-            View(2),
-            View(1),
-            None,
-            vec![],
+            NewLeaderBody {
+                sender: ReplicaId(0),
+                view: View(2),
+                prepared_view: View(1),
+                prepared_value: None,
+                cert: vec![],
+            },
         );
         assert!(!valid_new_leader(&m, &ctx));
     }
@@ -376,11 +388,13 @@ mod tests {
         let ctx = VerifyCtx::new(&cfg, &public);
         let m = NewLeader::sign(
             ring.signing_key(3).unwrap(),
-            holder,
-            View(2),
-            View(1),
-            Some(Value::from_tag(7)),
-            cert,
+            NewLeaderBody {
+                sender: holder,
+                view: View(2),
+                prepared_view: View(1),
+                prepared_value: Some(Value::from_tag(7)),
+                cert,
+            },
         );
         assert!(valid_new_leader(&m, &ctx));
     }
@@ -399,11 +413,13 @@ mod tests {
         let make = |sender: usize, pview: u64, tag: u64| {
             NewLeader::sign(
                 ring.signing_key(sender).unwrap(),
-                ReplicaId::from(sender),
-                View(5),
-                View(pview),
-                Some(Value::from_tag(tag)),
-                vec![], // cert validity not needed by choose_proposal
+                NewLeaderBody {
+                    sender: ReplicaId::from(sender),
+                    view: View(5),
+                    prepared_view: View(pview),
+                    prepared_value: Some(Value::from_tag(tag)),
+                    cert: vec![], // cert validity not needed by choose_proposal
+                },
             )
         };
         // Latest prepared view is 3; among those, value 9 appears twice,
@@ -418,11 +434,13 @@ mod tests {
         let make = |sender: usize, tag: u64| {
             NewLeader::sign(
                 ring.signing_key(sender).unwrap(),
-                ReplicaId::from(sender),
-                View(5),
-                View(3),
-                Some(Value::from_tag(tag)),
-                vec![],
+                NewLeaderBody {
+                    sender: ReplicaId::from(sender),
+                    view: View(5),
+                    prepared_view: View(3),
+                    prepared_value: Some(Value::from_tag(tag)),
+                    cert: vec![],
+                },
             )
         };
         let a = Value::from_tag(1);
@@ -441,8 +459,10 @@ mod tests {
         let proposal = leader_proposal(&cfg, &ring, View(1), 42);
         let propose = Propose::sign(
             ring.signing_key(proposal.leader.index()).unwrap(),
-            proposal,
-            vec![],
+            ProposeBody {
+                proposal,
+                justification: vec![],
+            },
         );
         let public = ring.public();
         let ctx = VerifyCtx::new(&cfg, &public);
@@ -457,7 +477,13 @@ mod tests {
             .validity(crate::value::ValidityPredicate::new(|v| v.len() < 4))
             .build();
         let proposal = leader_proposal(&cfg, &ring, View(1), 1); // "value-1" is 7 bytes
-        let propose = Propose::sign(ring.signing_key(0).unwrap(), proposal, vec![]);
+        let propose = Propose::sign(
+            ring.signing_key(0).unwrap(),
+            ProposeBody {
+                proposal,
+                justification: vec![],
+            },
+        );
         let public = ring.public();
         let ctx = VerifyCtx::new(&cfg, &public);
         assert!(!safe_proposal(&propose, &ctx));
@@ -474,8 +500,10 @@ mod tests {
         let proposal = leader_proposal(&cfg, &ring, view, 1);
         let propose = Propose::sign(
             ring.signing_key(leader.index()).unwrap(),
-            proposal,
-            justification,
+            ProposeBody {
+                proposal,
+                justification,
+            },
         );
         let public = ring.public();
         let ctx = VerifyCtx::new(&cfg, &public);
@@ -493,8 +521,10 @@ mod tests {
         let proposal = leader_proposal(&cfg, &ring, view, 1);
         let propose = Propose::sign(
             ring.signing_key(leader.index()).unwrap(),
-            proposal,
-            justification,
+            ProposeBody {
+                proposal,
+                justification,
+            },
         );
         let public = ring.public();
         let ctx = VerifyCtx::new(&cfg, &public);
@@ -513,8 +543,10 @@ mod tests {
         let proposal = leader_proposal(&cfg, &ring, view, 1);
         let propose = Propose::sign(
             ring.signing_key(leader.index()).unwrap(),
-            proposal,
-            justification,
+            ProposeBody {
+                proposal,
+                justification,
+            },
         );
         let public = ring.public();
         let ctx = VerifyCtx::new(&cfg, &public);
@@ -533,11 +565,13 @@ mod tests {
         let cert = cert_for(&cfg, &ring, View(1), 7, holder, cfg.probabilistic_quorum());
         let mut justification: Vec<NewLeader> = vec![NewLeader::sign(
             ring.signing_key(3).unwrap(),
-            holder,
-            view,
-            View(1),
-            Some(Value::from_tag(7)),
-            cert,
+            NewLeaderBody {
+                sender: holder,
+                view,
+                prepared_view: View(1),
+                prepared_value: Some(Value::from_tag(7)),
+                cert,
+            },
         )];
         for i in 0..dq - 1 {
             let sender = if i >= 3 { i + 1 } else { i }; // skip replica 3
@@ -550,16 +584,20 @@ mod tests {
         // Leader proposing the prepared value: safe.
         let good = Propose::sign(
             ring.signing_key(leader.index()).unwrap(),
-            leader_proposal(&cfg, &ring, view, 7),
-            justification.clone(),
+            ProposeBody {
+                proposal: leader_proposal(&cfg, &ring, view, 7),
+                justification: justification.clone(),
+            },
         );
         assert!(safe_proposal(&good, &ctx));
 
         // Leader proposing something else: unsafe.
         let bad = Propose::sign(
             ring.signing_key(leader.index()).unwrap(),
-            leader_proposal(&cfg, &ring, view, 8),
-            justification,
+            ProposeBody {
+                proposal: leader_proposal(&cfg, &ring, view, 8),
+                justification,
+            },
         );
         assert!(!safe_proposal(&bad, &ctx));
     }

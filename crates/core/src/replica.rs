@@ -16,9 +16,11 @@
 //! thread/TCP runtime (`probft-runtime`).
 
 use crate::config::{SharedConfig, View};
-use crate::message::{Message, NewLeader, PhaseMessage, Propose, SignedProposal, VerifyCtx};
+use crate::message::{
+    Message, NewLeader, NewLeaderBody, PhaseMessage, Propose, VerifyCtx, Wish, WishBody,
+};
 use crate::predicates;
-use crate::sampling::{derive_sample, Phase};
+use crate::sampling::Phase;
 use crate::value::Value;
 use probft_crypto::keyring::PublicKeyring;
 use probft_crypto::schnorr::SigningKey;
@@ -218,11 +220,13 @@ impl Replica {
             // Line 5: report the latest prepared value to the new leader.
             let nl = NewLeader::sign(
                 &self.sk,
-                self.id,
-                view,
-                self.prepared_view,
-                self.prepared_value.clone(),
-                self.prepared_cert.clone(),
+                NewLeaderBody {
+                    sender: self.id,
+                    view,
+                    prepared_view: self.prepared_view,
+                    prepared_value: self.prepared_value.clone(),
+                    cert: self.prepared_cert.clone(),
+                },
             );
             let leader = self.cfg.leader_of(view);
             ctx.send(ProcessId(leader.index()), Message::NewLeader(nl));
@@ -243,8 +247,7 @@ impl Replica {
         justification: Vec<NewLeader>,
         ctx: &mut Context<'_, Message>,
     ) {
-        let proposal = SignedProposal::sign(&self.sk, self.id, self.cur_view, value);
-        let propose = Propose::sign(&self.sk, proposal, justification);
+        let propose = Propose::lead(&self.sk, self.id, self.cur_view, value, justification);
         self.proposed = true;
         let peers: Vec<ProcessId> = self.all_peers().collect();
         ctx.multicast(peers, Message::Propose(propose));
@@ -300,22 +303,18 @@ impl Replica {
         self.accepted_propose = Some(propose.clone());
 
         // Lines 15–16: multicast Prepare to the VRF-selected sample.
-        let (sample, proof) = derive_sample(
+        let prepare = PhaseMessage::cast(
             &self.sk,
-            self.cur_view,
-            Phase::Prepare,
-            self.cfg.sample_size(),
-            self.cfg.n(),
-        );
-        let prepare = PhaseMessage::sign(
-            &self.sk,
+            &self.cfg,
             Phase::Prepare,
             self.id,
             propose.proposal.clone(),
-            sample.clone(),
-            proof,
         );
-        let recipients: Vec<ProcessId> = sample.iter().map(|r| ProcessId(r.index())).collect();
+        let recipients: Vec<ProcessId> = prepare
+            .sample
+            .iter()
+            .map(|r| ProcessId(r.index()))
+            .collect();
         ctx.multicast(recipients, Message::Prepare(prepare));
 
         // Votes buffered before we voted may already complete a quorum.
@@ -368,22 +367,9 @@ impl Replica {
             .expect("voted implies an accepted proposal")
             .proposal
             .clone();
-        let (sample, proof) = derive_sample(
-            &self.sk,
-            self.cur_view,
-            Phase::Commit,
-            self.cfg.sample_size(),
-            self.cfg.n(),
-        );
-        let commit = PhaseMessage::sign(
-            &self.sk,
-            Phase::Commit,
-            self.id,
-            proposal,
-            sample.clone(),
-            proof,
-        );
-        let recipients: Vec<ProcessId> = sample.iter().map(|r| ProcessId(r.index())).collect();
+        let commit = PhaseMessage::cast(&self.sk, &self.cfg, Phase::Commit, self.id, proposal);
+        let recipients: Vec<ProcessId> =
+            commit.sample.iter().map(|r| ProcessId(r.index())).collect();
         ctx.multicast(recipients, Message::Commit(commit));
         self.sent_commit = true;
 
@@ -558,7 +544,13 @@ impl Replica {
         ctx: &mut Context<'_, Message>,
     ) {
         if let Some(wish) = action.broadcast_wish {
-            let msg = Message::Wish(crate::message::Wish::sign(&self.sk, self.id, wish));
+            let msg = Message::Wish(Wish::sign(
+                &self.sk,
+                WishBody {
+                    sender: self.id,
+                    view: wish,
+                },
+            ));
             let peers: Vec<ProcessId> = self.all_peers().collect();
             ctx.multicast(peers, msg);
         }

@@ -3,9 +3,20 @@
 //! Message sizes drive the paper's communication-complexity results
 //! (§3.3), so the workspace uses an explicit, auditable encoding rather
 //! than a serializer dependency: fixed-width big-endian integers and
-//! length-prefixed byte strings. The same bytes serve as the signing
-//! payload, so "what is signed" is exactly "what is sent".
+//! length-prefixed byte strings. A `Vec<T>` is a `u64` count followed by
+//! the items; an `Option<T>` is a `0` byte, or a `1` byte followed by the
+//! value.
+//!
+//! "What is signed" is exactly "what is sent", and that is enforced, not
+//! promised: a signed message is a [`Signed<B>`](crate::signed::Signed)
+//! whose signing payload is built in one function, from the body's own
+//! [`Wire::encode`] — no type lists its fields a second time for signing.
 
+use crate::config::View;
+use probft_crypto::schnorr::{Signature, SIGNATURE_LEN};
+use probft_crypto::sha256::{Digest, DIGEST_LEN};
+use probft_crypto::vrf::{VrfProof, VRF_PROOF_LEN};
+use probft_quorum::ReplicaId;
 use std::error::Error;
 use std::fmt;
 
@@ -145,6 +156,12 @@ impl<'a> Reader<'a> {
 
 /// Encoder helpers mirroring [`Reader`].
 pub mod put {
+    /// Appends an enum variant's tag byte followed by its payload.
+    pub fn tagged(out: &mut Vec<u8>, tag: u8, payload: &impl super::Wire) {
+        out.push(tag);
+        payload.encode(out);
+    }
+
     /// Appends a big-endian `u32`.
     pub fn u32(out: &mut Vec<u8>, v: u32) {
         out.extend_from_slice(&v.to_be_bytes());
@@ -159,6 +176,86 @@ pub mod put {
     pub fn var_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
         u64(out, bytes.len() as u64);
         out.extend_from_slice(bytes);
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        put::u64(out, self.len() as u64);
+        for item in self {
+            item.encode(out);
+        }
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let count = r.len_prefix()?;
+        // The count is attacker-supplied: cap the up-front allocation and
+        // let reader exhaustion bound the loop.
+        let mut items = Vec::with_capacity(count.min(4096));
+        for _ in 0..count {
+            items.push(T::decode(r)?);
+        }
+        Ok(items)
+    }
+}
+
+impl<T: Wire> Wire for Option<T> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        match self {
+            Some(value) => put::tagged(out, 1, value),
+            None => out.push(0),
+        }
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        match r.u8()? {
+            0 => Ok(None),
+            1 => Ok(Some(T::decode(r)?)),
+            t => Err(WireError::UnknownTag(t)),
+        }
+    }
+}
+
+impl Wire for ReplicaId {
+    fn encode(&self, out: &mut Vec<u8>) {
+        put::u32(out, self.0);
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(ReplicaId(r.u32()?))
+    }
+}
+
+impl Wire for View {
+    fn encode(&self, out: &mut Vec<u8>) {
+        put::u64(out, self.0);
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(View(r.u64()?))
+    }
+}
+
+impl Wire for Digest {
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(self.as_bytes());
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(Digest(r.array::<DIGEST_LEN>()?))
+    }
+}
+
+impl Wire for Signature {
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.to_bytes());
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Signature::from_bytes(r.array::<SIGNATURE_LEN>()?).ok_or(WireError::BadCrypto("signature"))
+    }
+}
+
+impl Wire for VrfProof {
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.to_bytes());
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        VrfProof::from_bytes(r.array::<VRF_PROOF_LEN>()?).ok_or(WireError::BadCrypto("vrf proof"))
     }
 }
 
@@ -216,6 +313,65 @@ mod tests {
         ] {
             assert!(!e.to_string().is_empty());
         }
+    }
+
+    #[test]
+    fn containers_round_trip_and_reject_bad_framing() {
+        let ids = vec![ReplicaId(3), ReplicaId(9)];
+        let bytes = ids.to_wire_bytes();
+        assert_eq!(bytes.len(), 8 + 2 * 4); // u64 count, then the items
+        assert_eq!(Vec::<ReplicaId>::from_wire_bytes(&bytes).unwrap(), ids);
+        // A count larger than the data ends the decode, not the process.
+        assert_eq!(
+            Vec::<ReplicaId>::from_wire_bytes(&MAX_LEN.to_be_bytes()),
+            Err(WireError::UnexpectedEnd)
+        );
+        assert_eq!(
+            Vec::<ReplicaId>::from_wire_bytes(&(MAX_LEN + 1).to_be_bytes()),
+            Err(WireError::LengthOverflow(MAX_LEN + 1))
+        );
+
+        assert_eq!(None::<View>.to_wire_bytes(), [0]);
+        for opt in [None, Some(View(7))] {
+            assert_eq!(
+                Option::<View>::from_wire_bytes(&opt.to_wire_bytes()).unwrap(),
+                opt
+            );
+        }
+        assert_eq!(
+            Option::<View>::from_wire_bytes(&[2]),
+            Err(WireError::UnknownTag(2))
+        );
+    }
+
+    #[test]
+    fn primitives_round_trip() {
+        let id = ReplicaId(0xA1B2_C3D4);
+        assert_eq!(id.to_wire_bytes(), [0xA1, 0xB2, 0xC3, 0xD4]);
+        assert_eq!(ReplicaId::from_wire_bytes(&id.to_wire_bytes()).unwrap(), id);
+        assert_eq!(
+            View::from_wire_bytes(&View(9).to_wire_bytes()).unwrap(),
+            View(9)
+        );
+        let digest = probft_crypto::sha256::Sha256::digest(b"wire");
+        assert_eq!(digest.to_wire_bytes(), digest.as_bytes());
+        assert_eq!(Digest::from_wire_bytes(digest.as_bytes()).unwrap(), digest);
+
+        let ring = probft_crypto::keyring::Keyring::generate(1, b"wire-test");
+        let sk = ring.signing_key(0).unwrap();
+        let sig = sk.sign(b"payload");
+        assert_eq!(Signature::from_wire_bytes(&sig.to_bytes()).unwrap(), sig);
+        let (_, proof) = probft_crypto::vrf::vrf_prove(sk, b"seed", 2, 4);
+        assert_eq!(VrfProof::from_wire_bytes(&proof.to_bytes()).unwrap(), proof);
+        // Non-canonical scalars are a codec error, not a panic.
+        assert_eq!(
+            Signature::from_wire_bytes(&[0xFF; SIGNATURE_LEN]),
+            Err(WireError::BadCrypto("signature"))
+        );
+        assert_eq!(
+            VrfProof::from_wire_bytes(&[0xFF; VRF_PROOF_LEN]),
+            Err(WireError::BadCrypto("vrf proof"))
+        );
     }
 
     #[test]

@@ -28,5 +28,8 @@ pub mod message;
 pub mod replica;
 
 pub use harness::{HsInstanceBuilder, HsOutcome, HsStrategy};
-pub use message::{HsMessage, HsPhase, HsVote, LeaderBroadcast, Qc};
+pub use message::{
+    Broadcast, BroadcastBody, HsMessage, HsPhase, HsVote, HsVoteBody, LeaderBroadcast, NewView,
+    NewViewBody, Qc,
+};
 pub use replica::HsReplica;

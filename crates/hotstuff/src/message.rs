@@ -9,10 +9,10 @@
 
 use probft_core::config::View;
 use probft_core::error::RejectReason;
-use probft_core::message::VerifyCtx;
+use probft_core::message::{VerifyCtx, Wish};
+use probft_core::signed::{Signed, SignedBody};
 use probft_core::value::Value;
 use probft_core::wire::{put, Reader, Wire, WireError};
-use probft_crypto::schnorr::{Signature, SigningKey, SIGNATURE_LEN};
 use probft_crypto::sha256::Digest;
 use probft_quorum::ReplicaId;
 use probft_simnet::metrics::Measurable;
@@ -49,87 +49,44 @@ impl HsPhase {
 }
 
 /// A phase vote sent to the leader.
+pub type HsVote = Signed<HsVoteBody>;
+
+/// The contents of an [`HsVote`].
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct HsVote {
-    /// The voter.
-    pub sender: ReplicaId,
+pub struct HsVoteBody {
     /// The voting phase.
     pub phase: HsPhase,
+    /// The voter.
+    pub sender: ReplicaId,
     /// The vote's view.
     pub view: View,
     /// Digest of the value being voted.
     pub digest: Digest,
-    /// The voter's signature.
-    pub signature: Signature,
 }
 
-impl HsVote {
-    fn signing_bytes(phase: HsPhase, sender: ReplicaId, view: View, digest: &Digest) -> Vec<u8> {
-        let mut out = b"hotstuff-vote|".to_vec();
-        out.push(phase.tag());
-        put::u32(&mut out, sender.0);
-        put::u64(&mut out, view.0);
-        out.extend_from_slice(digest.as_bytes());
-        out
+impl SignedBody for HsVoteBody {
+    type Phase = ();
+    fn domain((): ()) -> &'static [u8] {
+        b"hotstuff-vote|"
     }
-
-    /// Creates and signs a vote.
-    pub fn sign(
-        sk: &SigningKey,
-        phase: HsPhase,
-        sender: ReplicaId,
-        view: View,
-        digest: Digest,
-    ) -> Self {
-        let signature = sk.sign(&Self::signing_bytes(phase, sender, view, &digest));
-        HsVote {
-            sender,
-            phase,
-            view,
-            digest,
-            signature,
-        }
-    }
-
-    /// Verifies the signature.
-    ///
-    /// # Errors
-    ///
-    /// [`RejectReason::BadSignature`] or [`RejectReason::UnknownSender`].
-    pub fn verify(&self, ctx: &VerifyCtx<'_>) -> Result<(), RejectReason> {
-        let pk = ctx
-            .keys
-            .verifying_key(self.sender.index())
-            .map_err(|_| RejectReason::UnknownSender(self.sender))?;
-        pk.verify(
-            &Self::signing_bytes(self.phase, self.sender, self.view, &self.digest),
-            &self.signature,
-        )
-        .map_err(|_| RejectReason::BadSignature)
+    fn signer(&self) -> ReplicaId {
+        self.sender
     }
 }
 
-impl Wire for HsVote {
+impl Wire for HsVoteBody {
     fn encode(&self, out: &mut Vec<u8>) {
         out.push(self.phase.tag());
-        put::u32(out, self.sender.0);
-        put::u64(out, self.view.0);
-        out.extend_from_slice(self.digest.as_bytes());
-        out.extend_from_slice(&self.signature.to_bytes());
+        self.sender.encode(out);
+        self.view.encode(out);
+        self.digest.encode(out);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let phase = HsPhase::from_tag(r.u8()?)?;
-        let sender = ReplicaId(r.u32()?);
-        let view = View(r.u64()?);
-        let digest = Digest(r.array::<32>()?);
-        let signature = Signature::from_bytes(r.array::<SIGNATURE_LEN>()?)
-            .ok_or(WireError::BadCrypto("signature"))?;
-        Ok(HsVote {
-            sender,
-            phase,
-            view,
-            digest,
-            signature,
+        Ok(HsVoteBody {
+            phase: HsPhase::from_tag(r.u8()?)?,
+            sender: Wire::decode(r)?,
+            view: Wire::decode(r)?,
+            digest: Wire::decode(r)?,
         })
     }
 }
@@ -162,7 +119,7 @@ impl Qc {
             if vote.phase == self.phase
                 && vote.view == self.view
                 && vote.digest == digest
-                && vote.verify(ctx).is_ok()
+                && vote.verify_signature(ctx.keys).is_ok()
             {
                 senders.insert(vote.sender);
             }
@@ -174,27 +131,16 @@ impl Qc {
 impl Wire for Qc {
     fn encode(&self, out: &mut Vec<u8>) {
         out.push(self.phase.tag());
-        put::u64(out, self.view.0);
+        self.view.encode(out);
         self.value.encode(out);
-        put::u64(out, self.votes.len() as u64);
-        for v in &self.votes {
-            v.encode(out);
-        }
+        self.votes.encode(out);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let phase = HsPhase::from_tag(r.u8()?)?;
-        let view = View(r.u64()?);
-        let value = Value::decode(r)?;
-        let count = r.len_prefix()?;
-        let mut votes = Vec::with_capacity(count.min(4096));
-        for _ in 0..count {
-            votes.push(HsVote::decode(r)?);
-        }
         Ok(Qc {
-            phase,
-            view,
-            value,
-            votes,
+            phase: HsPhase::from_tag(r.u8()?)?,
+            view: Wire::decode(r)?,
+            value: Wire::decode(r)?,
+            votes: Wire::decode(r)?,
         })
     }
 }
@@ -218,97 +164,131 @@ pub enum LeaderBroadcast {
     Decide(Qc),
 }
 
+impl Wire for LeaderBroadcast {
+    fn encode(&self, out: &mut Vec<u8>) {
+        match self {
+            LeaderBroadcast::Propose { value, high_qc } => {
+                out.push(1);
+                value.encode(out);
+                high_qc.encode(out);
+            }
+            LeaderBroadcast::PreCommit(qc) => put::tagged(out, 2, qc),
+            LeaderBroadcast::Commit(qc) => put::tagged(out, 3, qc),
+            LeaderBroadcast::Decide(qc) => put::tagged(out, 4, qc),
+        }
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        match r.u8()? {
+            1 => Ok(LeaderBroadcast::Propose {
+                value: Wire::decode(r)?,
+                high_qc: Wire::decode(r)?,
+            }),
+            2 => Ok(LeaderBroadcast::PreCommit(Qc::decode(r)?)),
+            3 => Ok(LeaderBroadcast::Commit(Qc::decode(r)?)),
+            4 => Ok(LeaderBroadcast::Decide(Qc::decode(r)?)),
+            t => Err(WireError::UnknownTag(t)),
+        }
+    }
+}
+
+/// View-change report to the new leader, carrying the sender's highest
+/// prepare QC.
+pub type NewView = Signed<NewViewBody>;
+
+/// The contents of a [`NewView`].
+#[derive(Clone, Debug, PartialEq)]
+pub struct NewViewBody {
+    /// The signer.
+    pub sender: ReplicaId,
+    /// The view being entered.
+    pub view: View,
+    /// The sender's highest prepare QC.
+    pub prepare_qc: Option<Qc>,
+}
+
+impl SignedBody for NewViewBody {
+    type Phase = ();
+    fn domain((): ()) -> &'static [u8] {
+        b"hotstuff-newview|"
+    }
+    fn signer(&self) -> ReplicaId {
+        self.sender
+    }
+}
+
+impl Wire for NewViewBody {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.sender.encode(out);
+        self.view.encode(out);
+        self.prepare_qc.encode(out);
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(NewViewBody {
+            sender: Wire::decode(r)?,
+            view: Wire::decode(r)?,
+            prepare_qc: Wire::decode(r)?,
+        })
+    }
+}
+
+/// A leader broadcast for `view`, signed by the leader.
+pub type Broadcast = Signed<BroadcastBody>;
+
+/// The contents of a [`Broadcast`].
+#[derive(Clone, Debug, PartialEq)]
+pub struct BroadcastBody {
+    /// The leader (signer).
+    pub sender: ReplicaId,
+    /// The broadcast's view.
+    pub view: View,
+    /// The payload.
+    pub payload: LeaderBroadcast,
+}
+
+impl SignedBody for BroadcastBody {
+    type Phase = ();
+    fn domain((): ()) -> &'static [u8] {
+        b"hotstuff-broadcast|"
+    }
+    fn signer(&self) -> ReplicaId {
+        self.sender
+    }
+}
+
+impl Wire for BroadcastBody {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.sender.encode(out);
+        self.view.encode(out);
+        self.payload.encode(out);
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(BroadcastBody {
+            sender: Wire::decode(r)?,
+            view: Wire::decode(r)?,
+            payload: Wire::decode(r)?,
+        })
+    }
+}
+
 /// Any single-shot HotStuff message.
 #[derive(Clone, Debug, PartialEq)]
 pub enum HsMessage {
-    /// View-change report to the new leader, carrying the sender's highest
-    /// prepare QC.
-    NewView {
-        /// The signer.
-        sender: ReplicaId,
-        /// The view being entered.
-        view: View,
-        /// The sender's highest prepare QC.
-        prepare_qc: Option<Qc>,
-        /// The sender's signature.
-        signature: Signature,
-    },
-    /// A leader broadcast for `view`, signed by the leader.
-    Broadcast {
-        /// The leader (signer).
-        sender: ReplicaId,
-        /// The broadcast's view.
-        view: View,
-        /// The payload.
-        payload: LeaderBroadcast,
-        /// The leader's signature.
-        signature: Signature,
-    },
+    /// View-change report to the new leader.
+    NewView(NewView),
+    /// A leader broadcast.
+    Broadcast(Broadcast),
     /// A phase vote to the leader.
     Vote(HsVote),
     /// Synchronizer wish (shared with ProBFT).
-    Wish(probft_core::message::Wish),
+    Wish(Wish),
 }
 
 impl HsMessage {
-    fn new_view_bytes(sender: ReplicaId, view: View, prepare_qc: &Option<Qc>) -> Vec<u8> {
-        let mut out = b"hotstuff-newview|".to_vec();
-        put::u32(&mut out, sender.0);
-        put::u64(&mut out, view.0);
-        match prepare_qc {
-            Some(qc) => {
-                out.push(1);
-                qc.encode(&mut out);
-            }
-            None => out.push(0),
-        }
-        out
-    }
-
-    fn broadcast_bytes(sender: ReplicaId, view: View, payload: &LeaderBroadcast) -> Vec<u8> {
-        let mut out = b"hotstuff-broadcast|".to_vec();
-        put::u32(&mut out, sender.0);
-        put::u64(&mut out, view.0);
-        payload.encode(&mut out);
-        out
-    }
-
-    /// Creates and signs a NewView.
-    pub fn sign_new_view(
-        sk: &SigningKey,
-        sender: ReplicaId,
-        view: View,
-        prepare_qc: Option<Qc>,
-    ) -> Self {
-        let signature = sk.sign(&Self::new_view_bytes(sender, view, &prepare_qc));
-        HsMessage::NewView {
-            sender,
-            view,
-            prepare_qc,
-            signature,
-        }
-    }
-
-    /// Creates and signs a leader broadcast.
-    pub fn sign_broadcast(
-        sk: &SigningKey,
-        sender: ReplicaId,
-        view: View,
-        payload: LeaderBroadcast,
-    ) -> Self {
-        let signature = sk.sign(&Self::broadcast_bytes(sender, view, &payload));
-        HsMessage::Broadcast {
-            sender,
-            view,
-            payload,
-            signature,
-        }
-    }
-
     /// The view this message belongs to.
     pub fn view(&self) -> View {
         match self {
-            HsMessage::NewView { view, .. } | HsMessage::Broadcast { view, .. } => *view,
+            HsMessage::NewView(m) => m.view,
+            HsMessage::Broadcast(b) => b.view,
             HsMessage::Vote(v) => v.view,
             HsMessage::Wish(w) => w.view,
         }
@@ -322,87 +302,18 @@ impl HsMessage {
     /// Any [`RejectReason`] describing the first failed check.
     pub fn verify(&self, ctx: &VerifyCtx<'_>) -> Result<(), RejectReason> {
         match self {
-            HsMessage::NewView {
-                sender,
-                view,
-                prepare_qc,
-                signature,
-            } => {
-                let pk = ctx
-                    .keys
-                    .verifying_key(sender.index())
-                    .map_err(|_| RejectReason::UnknownSender(*sender))?;
-                pk.verify(&Self::new_view_bytes(*sender, *view, prepare_qc), signature)
-                    .map_err(|_| RejectReason::BadSignature)
-            }
-            HsMessage::Broadcast {
-                sender,
-                view,
-                payload,
-                signature,
-            } => {
-                if ctx.cfg.leader_of(*view) != *sender {
+            HsMessage::NewView(m) => m.verify_signature(ctx.keys),
+            HsMessage::Broadcast(b) => {
+                if ctx.cfg.leader_of(b.view) != b.sender {
                     return Err(RejectReason::WrongLeader {
-                        view: *view,
-                        claimed: *sender,
+                        view: b.view,
+                        claimed: b.sender,
                     });
                 }
-                let pk = ctx
-                    .keys
-                    .verifying_key(sender.index())
-                    .map_err(|_| RejectReason::UnknownSender(*sender))?;
-                pk.verify(&Self::broadcast_bytes(*sender, *view, payload), signature)
-                    .map_err(|_| RejectReason::BadSignature)
+                b.verify_signature(ctx.keys)
             }
-            HsMessage::Vote(v) => v.verify(ctx),
-            HsMessage::Wish(w) => w.verify(ctx),
-        }
-    }
-}
-
-impl Wire for LeaderBroadcast {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            LeaderBroadcast::Propose { value, high_qc } => {
-                out.push(1);
-                value.encode(out);
-                match high_qc {
-                    Some(qc) => {
-                        out.push(1);
-                        qc.encode(out);
-                    }
-                    None => out.push(0),
-                }
-            }
-            LeaderBroadcast::PreCommit(qc) => {
-                out.push(2);
-                qc.encode(out);
-            }
-            LeaderBroadcast::Commit(qc) => {
-                out.push(3);
-                qc.encode(out);
-            }
-            LeaderBroadcast::Decide(qc) => {
-                out.push(4);
-                qc.encode(out);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            1 => {
-                let value = Value::decode(r)?;
-                let high_qc = match r.u8()? {
-                    0 => None,
-                    1 => Some(Qc::decode(r)?),
-                    t => return Err(WireError::UnknownTag(t)),
-                };
-                Ok(LeaderBroadcast::Propose { value, high_qc })
-            }
-            2 => Ok(LeaderBroadcast::PreCommit(Qc::decode(r)?)),
-            3 => Ok(LeaderBroadcast::Commit(Qc::decode(r)?)),
-            4 => Ok(LeaderBroadcast::Decide(Qc::decode(r)?)),
-            t => Err(WireError::UnknownTag(t)),
+            HsMessage::Vote(v) => v.verify_signature(ctx.keys),
+            HsMessage::Wish(w) => w.verify_signature(ctx.keys),
         }
     }
 }
@@ -410,80 +321,18 @@ impl Wire for LeaderBroadcast {
 impl Wire for HsMessage {
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
-            HsMessage::NewView {
-                sender,
-                view,
-                prepare_qc,
-                signature,
-            } => {
-                out.push(1);
-                put::u32(out, sender.0);
-                put::u64(out, view.0);
-                match prepare_qc {
-                    Some(qc) => {
-                        out.push(1);
-                        qc.encode(out);
-                    }
-                    None => out.push(0),
-                }
-                out.extend_from_slice(&signature.to_bytes());
-            }
-            HsMessage::Broadcast {
-                sender,
-                view,
-                payload,
-                signature,
-            } => {
-                out.push(2);
-                put::u32(out, sender.0);
-                put::u64(out, view.0);
-                payload.encode(out);
-                out.extend_from_slice(&signature.to_bytes());
-            }
-            HsMessage::Vote(v) => {
-                out.push(3);
-                v.encode(out);
-            }
-            HsMessage::Wish(w) => {
-                out.push(4);
-                w.encode(out);
-            }
+            HsMessage::NewView(m) => put::tagged(out, 1, m),
+            HsMessage::Broadcast(b) => put::tagged(out, 2, b),
+            HsMessage::Vote(v) => put::tagged(out, 3, v),
+            HsMessage::Wish(w) => put::tagged(out, 4, w),
         }
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         match r.u8()? {
-            1 => {
-                let sender = ReplicaId(r.u32()?);
-                let view = View(r.u64()?);
-                let prepare_qc = match r.u8()? {
-                    0 => None,
-                    1 => Some(Qc::decode(r)?),
-                    t => return Err(WireError::UnknownTag(t)),
-                };
-                let signature = Signature::from_bytes(r.array::<SIGNATURE_LEN>()?)
-                    .ok_or(WireError::BadCrypto("signature"))?;
-                Ok(HsMessage::NewView {
-                    sender,
-                    view,
-                    prepare_qc,
-                    signature,
-                })
-            }
-            2 => {
-                let sender = ReplicaId(r.u32()?);
-                let view = View(r.u64()?);
-                let payload = LeaderBroadcast::decode(r)?;
-                let signature = Signature::from_bytes(r.array::<SIGNATURE_LEN>()?)
-                    .ok_or(WireError::BadCrypto("signature"))?;
-                Ok(HsMessage::Broadcast {
-                    sender,
-                    view,
-                    payload,
-                    signature,
-                })
-            }
+            1 => Ok(HsMessage::NewView(NewView::decode(r)?)),
+            2 => Ok(HsMessage::Broadcast(Broadcast::decode(r)?)),
             3 => Ok(HsMessage::Vote(HsVote::decode(r)?)),
-            4 => Ok(HsMessage::Wish(probft_core::message::Wish::decode(r)?)),
+            4 => Ok(HsMessage::Wish(Wish::decode(r)?)),
             t => Err(WireError::UnknownTag(t)),
         }
     }
@@ -492,8 +341,8 @@ impl Wire for HsMessage {
 impl Measurable for HsMessage {
     fn kind(&self) -> &'static str {
         match self {
-            HsMessage::NewView { .. } => "NewView",
-            HsMessage::Broadcast { payload, .. } => match payload {
+            HsMessage::NewView(_) => "NewView",
+            HsMessage::Broadcast(b) => match b.payload {
                 LeaderBroadcast::Propose { .. } => "Propose",
                 LeaderBroadcast::PreCommit(_) => "PreCommit",
                 LeaderBroadcast::Commit(_) => "Commit",
@@ -532,12 +381,14 @@ mod tests {
         let ctx = VerifyCtx::new(&cfg, &public);
         let v = HsVote::sign(
             ring.signing_key(1).unwrap(),
-            HsPhase::PreCommit,
-            ReplicaId(1),
-            View(3),
-            Value::from_tag(1).digest(),
+            HsVoteBody {
+                phase: HsPhase::PreCommit,
+                sender: ReplicaId(1),
+                view: View(3),
+                digest: Value::from_tag(1).digest(),
+            },
         );
-        assert!(v.verify(&ctx).is_ok());
+        assert!(v.verify_signature(ctx.keys).is_ok());
         // The bare struct (not just the enum wrapper) must roundtrip.
         assert_eq!(HsVote::from_wire_bytes(&v.to_wire_bytes()).unwrap(), v);
         let wire = HsMessage::Vote(v);
@@ -558,10 +409,12 @@ mod tests {
             .map(|i| {
                 HsVote::sign(
                     ring.signing_key(i).unwrap(),
-                    HsPhase::Prepare,
-                    ReplicaId::from(i),
-                    View(1),
-                    value.digest(),
+                    HsVoteBody {
+                        phase: HsPhase::Prepare,
+                        sender: ReplicaId::from(i),
+                        view: View(1),
+                        digest: value.digest(),
+                    },
                 )
             })
             .collect();
@@ -598,15 +451,15 @@ mod tests {
         let public = ring.public();
         let ctx = VerifyCtx::new(&cfg, &public);
         // Replica 3 is not the leader of view 1.
-        let msg = HsMessage::sign_broadcast(
-            ring.signing_key(3).unwrap(),
-            ReplicaId(3),
-            View(1),
-            LeaderBroadcast::Propose {
+        let body = BroadcastBody {
+            sender: ReplicaId(3),
+            view: View(1),
+            payload: LeaderBroadcast::Propose {
                 value: Value::from_tag(1),
                 high_qc: None,
             },
-        );
+        };
+        let msg = HsMessage::Broadcast(Signed::sign(ring.signing_key(3).unwrap(), body));
         assert!(matches!(
             msg.verify(&ctx),
             Err(RejectReason::WrongLeader { .. })
@@ -625,6 +478,18 @@ mod tests {
             LeaderBroadcast::from_wire_bytes(&lb.to_wire_bytes()).unwrap(),
             lb
         );
+        // And so must the signed broadcast that carries it.
+        let ring = Keyring::generate(1, b"hs-msg");
+        let body = BroadcastBody {
+            sender: ReplicaId(0),
+            view: View(1),
+            payload: lb,
+        };
+        let signed = Broadcast::sign(ring.signing_key(0).unwrap(), body);
+        assert_eq!(
+            Broadcast::from_wire_bytes(&signed.to_wire_bytes()).unwrap(),
+            signed
+        );
     }
 
     #[test]
@@ -632,8 +497,18 @@ mod tests {
         let (cfg, ring) = setup();
         let public = ring.public();
         let ctx = VerifyCtx::new(&cfg, &public);
-        let msg =
-            HsMessage::sign_new_view(ring.signing_key(2).unwrap(), ReplicaId(2), View(4), None);
+        let body = NewViewBody {
+            sender: ReplicaId(2),
+            view: View(4),
+            prepare_qc: None,
+        };
+        let bare = NewView::sign(ring.signing_key(2).unwrap(), body);
+        // The bare signed body (not just the enum wrapper) must roundtrip.
+        assert_eq!(
+            NewView::from_wire_bytes(&bare.to_wire_bytes()).unwrap(),
+            bare
+        );
+        let msg = HsMessage::NewView(bare);
         assert!(msg.verify(&ctx).is_ok());
         assert_eq!(
             HsMessage::from_wire_bytes(&msg.to_wire_bytes()).unwrap(),

@@ -5,10 +5,13 @@
 //! and decide on the commit QC. Safety comes from the locking rule; view
 //! changes carry the highest prepare QC to the next leader.
 
-use crate::message::{HsMessage, HsPhase, HsVote, LeaderBroadcast, Qc};
+use crate::message::{
+    BroadcastBody, HsMessage, HsPhase, HsVote, HsVoteBody, LeaderBroadcast, NewViewBody, Qc,
+};
 use probft_core::config::{SharedConfig, View};
-use probft_core::message::{VerifyCtx, Wish};
+use probft_core::message::{VerifyCtx, Wish, WishBody};
 use probft_core::replica::{Decision, ReplicaStats};
+use probft_core::signed::Signed;
 use probft_core::synchronizer::Synchronizer;
 use probft_core::value::Value;
 use probft_crypto::keyring::PublicKeyring;
@@ -121,6 +124,16 @@ impl HsReplica {
         ctx.multicast(peers, msg);
     }
 
+    /// Signs `payload` as the current view's leader and broadcasts it.
+    fn broadcast_as_leader(&self, payload: LeaderBroadcast, ctx: &mut Context<'_, HsMessage>) {
+        let body = BroadcastBody {
+            sender: self.id,
+            view: self.cur_view,
+            payload,
+        };
+        self.broadcast(HsMessage::Broadcast(Signed::sign(&self.sk, body)), ctx);
+    }
+
     fn enter_view(&mut self, view: View, ctx: &mut Context<'_, HsMessage>) {
         self.cur_view = view;
         self.voted.clear();
@@ -136,19 +149,19 @@ impl HsReplica {
             if self.is_leader() {
                 let value = self.my_value.clone();
                 self.proposed = true;
-                let msg = HsMessage::sign_broadcast(
-                    &self.sk,
-                    self.id,
-                    view,
-                    LeaderBroadcast::Propose {
-                        value,
-                        high_qc: None,
-                    },
-                );
-                self.broadcast(msg, ctx);
+                let payload = LeaderBroadcast::Propose {
+                    value,
+                    high_qc: None,
+                };
+                self.broadcast_as_leader(payload, ctx);
             }
         } else {
-            let msg = HsMessage::sign_new_view(&self.sk, self.id, view, self.prepare_qc.clone());
+            let body = NewViewBody {
+                sender: self.id,
+                view,
+                prepare_qc: self.prepare_qc.clone(),
+            };
+            let msg = HsMessage::NewView(Signed::sign(&self.sk, body));
             ctx.send(self.leader_pid(), msg);
         }
 
@@ -193,13 +206,7 @@ impl HsReplica {
                 .map(|qc| qc.value.clone())
                 .unwrap_or_else(|| self.my_value.clone());
             self.proposed = true;
-            let msg = HsMessage::sign_broadcast(
-                &self.sk,
-                self.id,
-                self.cur_view,
-                LeaderBroadcast::Propose { value, high_qc },
-            );
-            self.broadcast(msg, ctx);
+            self.broadcast_as_leader(LeaderBroadcast::Propose { value, high_qc }, ctx);
         }
     }
 
@@ -227,7 +234,15 @@ impl HsReplica {
             return;
         }
         self.voted.insert(phase, true);
-        let vote = HsVote::sign(&self.sk, phase, self.id, self.cur_view, digest);
+        let vote = HsVote::sign(
+            &self.sk,
+            HsVoteBody {
+                phase,
+                sender: self.id,
+                view: self.cur_view,
+                digest,
+            },
+        );
         ctx.send(self.leader_pid(), HsMessage::Vote(vote));
     }
 
@@ -322,8 +337,7 @@ impl HsReplica {
             HsPhase::PreCommit => LeaderBroadcast::Commit(qc),
             HsPhase::Commit => LeaderBroadcast::Decide(qc),
         };
-        let msg = HsMessage::sign_broadcast(&self.sk, self.id, self.cur_view, payload);
-        self.broadcast(msg, ctx);
+        self.broadcast_as_leader(payload, ctx);
     }
 
     /// The value this leader proposed in the current view (if leader).
@@ -341,10 +355,8 @@ impl HsReplica {
 
     fn handle_current(&mut self, msg: HsMessage, ctx: &mut Context<'_, HsMessage>) {
         match msg {
-            HsMessage::NewView {
-                sender, prepare_qc, ..
-            } => self.on_new_view(sender, prepare_qc, ctx),
-            HsMessage::Broadcast { payload, .. } => self.on_broadcast(payload, ctx),
+            HsMessage::NewView(m) => self.on_new_view(m.body.sender, m.body.prepare_qc, ctx),
+            HsMessage::Broadcast(b) => self.on_broadcast(b.body.payload, ctx),
             HsMessage::Vote(v) => self.on_vote(v, ctx),
             HsMessage::Wish(_) => unreachable!("wishes routed separately"),
         }
@@ -356,7 +368,13 @@ impl HsReplica {
         ctx: &mut Context<'_, HsMessage>,
     ) {
         if let Some(wish) = action.broadcast_wish {
-            let msg = HsMessage::Wish(Wish::sign(&self.sk, self.id, wish));
+            let msg = HsMessage::Wish(Wish::sign(
+                &self.sk,
+                WishBody {
+                    sender: self.id,
+                    view: wish,
+                },
+            ));
             self.broadcast(msg, ctx);
         }
         if let Some(view) = action.enter_view {

@@ -140,6 +140,7 @@ pub fn l003(ctxs: &[FileCtx], out: &mut Vec<Finding>) {
             corpus.push('\n');
         }
     }
+    let aliases: Vec<(String, String)> = ctxs.iter().flat_map(signed_aliases).collect();
     for ctx in ctxs {
         // Shipped code only: examples are demo material and have no test
         // targets of their own.
@@ -150,7 +151,10 @@ pub fn l003(ctxs: &[FileCtx], out: &mut Vec<Finding>) {
             if ctx.in_tests(pos) {
                 continue;
             }
-            if has_roundtrip(&corpus, &name) {
+            let via_alias = aliases
+                .iter()
+                .any(|(body, alias)| *body == name && has_roundtrip(&corpus, alias));
+            if via_alias || has_roundtrip(&corpus, &name) {
                 continue;
             }
             out.push(finding(
@@ -220,6 +224,28 @@ fn wire_impls(ctx: &FileCtx) -> Vec<(usize, String)> {
         }
     }
     impls
+}
+
+/// `(Body, Alias)` for every `type Alias = Signed<Body..>;` in `ctx`.
+/// Decoding the alias decodes the body (and then its trailing signature),
+/// so a roundtrip of `Alias` is coverage for `impl Wire for Body`.
+fn signed_aliases(ctx: &FileCtx) -> Vec<(String, String)> {
+    let masked = &ctx.lexed.masked;
+    let ident = |s: &str| -> String {
+        s.bytes()
+            .take_while(|b| is_ident_byte(*b))
+            .map(char::from)
+            .collect()
+    };
+    let mut out = Vec::new();
+    for (at, probe) in masked.match_indices("= Signed<") {
+        let head = &masked[..at];
+        let Some(decl) = head.rfind("type ").filter(|t| !head[*t..].contains(';')) else {
+            continue;
+        };
+        out.push((ident(&masked[at + probe.len()..]), ident(&head[decl + 5..])));
+    }
+    out
 }
 
 fn has_roundtrip(corpus: &str, name: &str) -> bool {

@@ -11,6 +11,7 @@ use probft_lint::{
 const BAD_L001: &str = include_str!("../fixtures/bad/l001.rs");
 const BAD_L002: &str = include_str!("../fixtures/bad/l002.rs");
 const BAD_L003: &str = include_str!("../fixtures/bad/l003.rs");
+const BAD_L003_SIGNED: &str = include_str!("../fixtures/bad/l003_signed.rs");
 const BAD_L004: &str = include_str!("../fixtures/bad/l004.rs");
 const BAD_L005: &str = include_str!("../fixtures/bad/l005.rs");
 const BAD_L006: &str = include_str!("../fixtures/bad/l006.rs");
@@ -22,6 +23,7 @@ const BAD_L010: &str = include_str!("../fixtures/bad/l010.rs");
 const OK_L001: &str = include_str!("../fixtures/ok/l001.rs");
 const OK_L002: &str = include_str!("../fixtures/ok/l002.rs");
 const OK_L003: &str = include_str!("../fixtures/ok/l003.rs");
+const OK_L003_SIGNED: &str = include_str!("../fixtures/ok/l003_signed.rs");
 const OK_L004: &str = include_str!("../fixtures/ok/l004.rs");
 const OK_L005: &str = include_str!("../fixtures/ok/l005.rs");
 const OK_L006: &str = include_str!("../fixtures/ok/l006.rs");
@@ -131,6 +133,18 @@ fn l003_coverage_is_corpus_wide_not_per_file() {
     ]);
     assert_eq!(rules(&findings), ["L003"]);
     assert!(findings[0].message.contains("`Unproven`"));
+}
+
+#[test]
+fn l003_sees_through_the_signed_envelope_and_its_aliases() {
+    // Generic `impl<B: Wire> Wire for Signed<B>` is named `Signed`; a body
+    // is covered by a roundtrip of its `type Alias = Signed<Body>`.
+    let findings = scan_one("crates/core/src/fixture_signed.rs", BAD_L003_SIGNED);
+    assert_eq!(rules(&findings), ["L003", "L003"]);
+    assert!(findings[0].message.contains("`Signed`"));
+    assert!(findings[1].message.contains("`LooseBody`"));
+    let findings = scan_one("crates/core/src/fixture_signed.rs", OK_L003_SIGNED);
+    assert!(findings.is_empty(), "unexpected: {findings:?}");
 }
 
 // --- L004 ------------------------------------------------------------------

@@ -5,7 +5,7 @@
 //! votes for at most one value per view) — the strategies here exist to
 //! demonstrate exactly that in tests.
 
-use crate::message::{PbftMessage, PbftPropose, SignedProposal};
+use crate::message::{PbftMessage, PbftPropose};
 use probft_core::config::{SharedConfig, View};
 use probft_core::value::Value;
 use probft_crypto::schnorr::SigningKey;
@@ -62,8 +62,7 @@ impl Process for PbftByzantine {
                     Value::new(b"pbft-equiv-B".to_vec()),
                 );
                 for (value, range) in [(val1, 0..n / 2), (val2, n / 2..n)] {
-                    let proposal = SignedProposal::sign(&self.sk, self.id, View::FIRST, value);
-                    let propose = PbftPropose::sign(&self.sk, proposal, vec![]);
+                    let propose = PbftPropose::lead(&self.sk, self.id, View::FIRST, value, vec![]);
                     let targets: Vec<ProcessId> = range.map(ProcessId).collect();
                     ctx.multicast(targets, PbftMessage::Propose(propose));
                 }

@@ -32,5 +32,5 @@ pub mod replica;
 
 pub use byzantine::{PbftByzantine, PbftStrategy};
 pub use harness::{PbftInstanceBuilder, PbftOutcome};
-pub use message::{PbftMessage, PbftNewLeader, PbftPropose, Vote, VotePhase};
+pub use message::{PbftMessage, PbftNewLeader, PbftPropose, Vote, VoteBody, VotePhase};
 pub use replica::PbftReplica;

@@ -1,19 +1,19 @@
 //! Single-shot PBFT message types (paper §2.3, after Bravo et al. [6]).
 //!
-//! Structurally parallel to ProBFT's messages with two differences that
-//! *are* the comparison the paper draws: Prepare/Commit are **broadcast to
-//! everyone** (no VRF samples, no proofs), and all quorums are the
-//! deterministic `⌈(n+f+1)/2⌉`.
+//! The view-change report and the proposal are ProBFT's own
+//! `NewLeader` and `Propose` instantiated over PBFT's prepare vote, and
+//! that vote *is* the comparison the paper draws: Prepare/Commit are
+//! **broadcast to everyone** (no VRF samples, no proofs) and name the value
+//! by digest, and all quorums are the deterministic `⌈(n+f+1)/2⌉`.
 
 use probft_core::config::View;
-use probft_core::error::RejectReason;
-use probft_core::message::VerifyCtx;
+use probft_core::message::{CertVote, MessageOf, NewLeaderBody, ProposeBody, VerifyCtx};
+use probft_core::signed::{Signed, SignedBody};
 use probft_core::value::Value;
-use probft_core::wire::{put, Reader, Wire, WireError};
-use probft_crypto::schnorr::{Signature, SigningKey, SIGNATURE_LEN};
+use probft_core::wire::{Reader, Wire, WireError};
 use probft_crypto::sha256::Digest;
 use probft_quorum::ReplicaId;
-use probft_simnet::metrics::Measurable;
+use std::collections::BTreeSet;
 
 /// The leader-signed proposal, shared with ProBFT's structure.
 pub use probft_core::message::SignedProposal;
@@ -22,354 +22,121 @@ pub use probft_core::message::SignedProposal;
 ///
 /// PBFT votes reference the proposal by digest (the full value travelled in
 /// the Propose), which is also what production PBFT implementations do.
+pub type Vote = Signed<VoteBody>;
+
+/// The contents of a [`Vote`].
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Vote {
+pub struct VoteBody {
     /// The voter.
     pub sender: ReplicaId,
     /// The vote's view.
     pub view: View,
     /// Digest of the proposed value.
     pub digest: Digest,
-    /// The voter's signature.
-    pub signature: Signature,
 }
 
 /// Which phase a [`Vote`] belongs to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum VotePhase {
-    /// The prepare phase.
-    Prepare,
-    /// The commit phase.
-    Commit,
-}
+pub use probft_core::sampling::Phase as VotePhase;
 
-impl VotePhase {
-    fn domain(self) -> &'static [u8] {
-        match self {
+impl SignedBody for VoteBody {
+    type Phase = VotePhase;
+    fn domain(phase: VotePhase) -> &'static [u8] {
+        match phase {
             VotePhase::Prepare => b"pbft-prepare|",
             VotePhase::Commit => b"pbft-commit|",
         }
     }
-}
-
-impl Vote {
-    fn signing_bytes(phase: VotePhase, sender: ReplicaId, view: View, digest: &Digest) -> Vec<u8> {
-        let mut out = phase.domain().to_vec();
-        put::u32(&mut out, sender.0);
-        put::u64(&mut out, view.0);
-        out.extend_from_slice(digest.as_bytes());
-        out
-    }
-
-    /// Creates and signs a vote.
-    pub fn sign(
-        sk: &SigningKey,
-        phase: VotePhase,
-        sender: ReplicaId,
-        view: View,
-        digest: Digest,
-    ) -> Self {
-        let signature = sk.sign(&Self::signing_bytes(phase, sender, view, &digest));
-        Vote {
-            sender,
-            view,
-            digest,
-            signature,
-        }
-    }
-
-    /// Verifies the signature for the given phase.
-    ///
-    /// # Errors
-    ///
-    /// [`RejectReason::BadSignature`] or [`RejectReason::UnknownSender`].
-    pub fn verify(&self, phase: VotePhase, ctx: &VerifyCtx<'_>) -> Result<(), RejectReason> {
-        let pk = ctx
-            .keys
-            .verifying_key(self.sender.index())
-            .map_err(|_| RejectReason::UnknownSender(self.sender))?;
-        pk.verify(
-            &Self::signing_bytes(phase, self.sender, self.view, &self.digest),
-            &self.signature,
-        )
-        .map_err(|_| RejectReason::BadSignature)
+    fn signer(&self) -> ReplicaId {
+        self.sender
     }
 }
 
-impl Wire for Vote {
+impl CertVote for VoteBody {
+    const NEW_LEADER_DOMAIN: &'static [u8] = b"pbft-newleader|";
+    const PROPOSE_DOMAIN: &'static [u8] = b"pbft-propose|";
+
+    fn view(&self) -> View {
+        self.view
+    }
+}
+
+impl Wire for VoteBody {
     fn encode(&self, out: &mut Vec<u8>) {
-        put::u32(out, self.sender.0);
-        put::u64(out, self.view.0);
-        out.extend_from_slice(self.digest.as_bytes());
-        out.extend_from_slice(&self.signature.to_bytes());
+        self.sender.encode(out);
+        self.view.encode(out);
+        self.digest.encode(out);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let sender = ReplicaId(r.u32()?);
-        let view = View(r.u64()?);
-        let digest = Digest(r.array::<32>()?);
-        let signature = Signature::from_bytes(r.array::<SIGNATURE_LEN>()?)
-            .ok_or(WireError::BadCrypto("signature"))?;
-        Ok(Vote {
-            sender,
-            view,
-            digest,
-            signature,
+        Ok(VoteBody {
+            sender: Wire::decode(r)?,
+            view: Wire::decode(r)?,
+            digest: Wire::decode(r)?,
         })
     }
 }
 
-/// A PBFT view-change report: the sender's latest prepared value with its
-/// deterministic-quorum certificate of Prepare votes.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PbftNewLeader {
-    /// The signer.
-    pub sender: ReplicaId,
-    /// The view being entered.
-    pub view: View,
-    /// The view in which the sender last prepared ([`View::NONE`] if none).
-    pub prepared_view: View,
-    /// The prepared value (PBFT certificates carry the full value so the
-    /// new leader can re-propose it).
-    pub prepared_value: Option<Value>,
-    /// Quorum of Prepare votes for `(prepared_view, prepared_value)`.
-    pub cert: Vec<Vote>,
-    /// The sender's signature.
-    pub signature: Signature,
+/// A PBFT view-change report: the sender's latest prepared value (carried
+/// whole so the new leader can re-propose it) with its deterministic-quorum
+/// certificate of Prepare votes.
+pub type PbftNewLeader = Signed<NewLeaderBody<VoteBody>>;
+
+/// The leader's proposal broadcast, justified by [`PbftNewLeader`] reports
+/// (none in view 1).
+pub type PbftPropose = Signed<ProposeBody<VoteBody>>;
+
+/// The semantic `validNewLeader` check: a prepared report must carry a
+/// deterministic quorum of valid Prepare votes for the claimed value.
+pub fn valid_new_leader(m: &PbftNewLeader, ctx: &VerifyCtx<'_>) -> bool {
+    if m.prepared_view >= m.view {
+        return false;
+    }
+    if m.prepared_view.is_none() {
+        return m.prepared_value.is_none() && m.cert.is_empty();
+    }
+    let Some(value) = &m.prepared_value else {
+        return false;
+    };
+    let digest = value.digest();
+    let mut senders = BTreeSet::new();
+    for vote in &m.cert {
+        if vote.view == m.prepared_view
+            && vote.digest == digest
+            && vote.verify_in(VotePhase::Prepare, ctx.keys).is_ok()
+        {
+            senders.insert(vote.sender);
+        }
+    }
+    senders.len() >= ctx.cfg.deterministic_quorum()
 }
 
-impl PbftNewLeader {
-    fn signing_bytes(
-        sender: ReplicaId,
-        view: View,
-        prepared_view: View,
-        prepared_value: &Option<Value>,
-        cert: &[Vote],
-    ) -> Vec<u8> {
-        let mut out = b"pbft-newleader|".to_vec();
-        put::u32(&mut out, sender.0);
-        put::u64(&mut out, view.0);
-        put::u64(&mut out, prepared_view.0);
-        match prepared_value {
-            Some(v) => {
-                out.push(1);
-                v.encode(&mut out);
-            }
-            None => out.push(0),
-        }
-        put::u64(&mut out, cert.len() as u64);
-        for v in cert {
-            v.encode(&mut out);
-        }
-        out
+/// The safeProposal analogue: view 1 is free; later views need a
+/// deterministic quorum of valid reports, and the value must be the one
+/// prepared in the highest reported view (PBFT's deterministic quorums
+/// make that value unique).
+pub fn safe_proposal(propose: &PbftPropose, ctx: &VerifyCtx<'_>) -> bool {
+    let view = propose.proposal.view;
+    if view.is_none() || ctx.cfg.leader_of(view) != propose.proposal.leader {
+        return false;
     }
-
-    /// Creates and signs a NewLeader report.
-    pub fn sign(
-        sk: &SigningKey,
-        sender: ReplicaId,
-        view: View,
-        prepared_view: View,
-        prepared_value: Option<Value>,
-        cert: Vec<Vote>,
-    ) -> Self {
-        let signature = sk.sign(&Self::signing_bytes(
-            sender,
-            view,
-            prepared_view,
-            &prepared_value,
-            &cert,
-        ));
-        PbftNewLeader {
-            sender,
-            view,
-            prepared_view,
-            prepared_value,
-            cert,
-            signature,
-        }
+    if !ctx.cfg.validity().is_valid(&propose.proposal.value) {
+        return false;
     }
-
-    /// Verifies the outer signature.
-    ///
-    /// # Errors
-    ///
-    /// [`RejectReason::BadSignature`] or [`RejectReason::UnknownSender`].
-    pub fn verify(&self, ctx: &VerifyCtx<'_>) -> Result<(), RejectReason> {
-        let pk = ctx
-            .keys
-            .verifying_key(self.sender.index())
-            .map_err(|_| RejectReason::UnknownSender(self.sender))?;
-        pk.verify(
-            &Self::signing_bytes(
-                self.sender,
-                self.view,
-                self.prepared_view,
-                &self.prepared_value,
-                &self.cert,
-            ),
-            &self.signature,
-        )
-        .map_err(|_| RejectReason::BadSignature)
+    if view == View::FIRST {
+        return true;
     }
-
-    /// The semantic `validNewLeader` check: a prepared report must carry a
-    /// deterministic quorum of valid Prepare votes for the claimed value.
-    pub fn is_valid(&self, ctx: &VerifyCtx<'_>) -> bool {
-        if self.prepared_view >= self.view {
+    let mut senders = BTreeSet::new();
+    for m in &propose.justification {
+        if m.view != view || !valid_new_leader(m, ctx) {
             return false;
         }
-        if self.prepared_view.is_none() {
-            return self.prepared_value.is_none() && self.cert.is_empty();
-        }
-        let Some(value) = &self.prepared_value else {
-            return false;
-        };
-        let digest = value.digest();
-        let mut senders = std::collections::BTreeSet::new();
-        for vote in &self.cert {
-            if vote.view == self.prepared_view
-                && vote.digest == digest
-                && vote.verify(VotePhase::Prepare, ctx).is_ok()
-            {
-                senders.insert(vote.sender);
-            }
-        }
-        senders.len() >= ctx.cfg.deterministic_quorum()
+        senders.insert(m.sender);
     }
-}
-
-impl Wire for PbftNewLeader {
-    fn encode(&self, out: &mut Vec<u8>) {
-        put::u32(out, self.sender.0);
-        put::u64(out, self.view.0);
-        put::u64(out, self.prepared_view.0);
-        match &self.prepared_value {
-            Some(v) => {
-                out.push(1);
-                v.encode(out);
-            }
-            None => out.push(0),
-        }
-        put::u64(out, self.cert.len() as u64);
-        for v in &self.cert {
-            v.encode(out);
-        }
-        out.extend_from_slice(&self.signature.to_bytes());
+    if senders.len() < ctx.cfg.deterministic_quorum() {
+        return false;
     }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let sender = ReplicaId(r.u32()?);
-        let view = View(r.u64()?);
-        let prepared_view = View(r.u64()?);
-        let prepared_value = match r.u8()? {
-            0 => None,
-            1 => Some(Value::decode(r)?),
-            t => return Err(WireError::UnknownTag(t)),
-        };
-        let count = r.len_prefix()?;
-        let mut cert = Vec::with_capacity(count.min(4096));
-        for _ in 0..count {
-            cert.push(Vote::decode(r)?);
-        }
-        let signature = Signature::from_bytes(r.array::<SIGNATURE_LEN>()?)
-            .ok_or(WireError::BadCrypto("signature"))?;
-        Ok(PbftNewLeader {
-            sender,
-            view,
-            prepared_view,
-            prepared_value,
-            cert,
-            signature,
-        })
-    }
-}
-
-/// The leader's proposal broadcast.
-#[derive(Clone, Debug, PartialEq)]
-pub struct PbftPropose {
-    /// The leader-signed proposal.
-    pub proposal: SignedProposal,
-    /// View-change justification (empty in view 1).
-    pub justification: Vec<PbftNewLeader>,
-    /// The leader's outer signature.
-    pub signature: Signature,
-}
-
-impl PbftPropose {
-    fn signing_bytes(proposal: &SignedProposal, justification: &[PbftNewLeader]) -> Vec<u8> {
-        let mut out = b"pbft-propose|".to_vec();
-        proposal.encode(&mut out);
-        put::u64(&mut out, justification.len() as u64);
-        for m in justification {
-            m.encode(&mut out);
-        }
-        out
-    }
-
-    /// Creates and signs a Propose.
-    pub fn sign(
-        sk: &SigningKey,
-        proposal: SignedProposal,
-        justification: Vec<PbftNewLeader>,
-    ) -> Self {
-        let signature = sk.sign(&Self::signing_bytes(&proposal, &justification));
-        PbftPropose {
-            proposal,
-            justification,
-            signature,
-        }
-    }
-
-    /// Verifies both signatures and the justification signatures.
-    ///
-    /// # Errors
-    ///
-    /// Any [`RejectReason`] describing the first failed check.
-    pub fn verify(&self, ctx: &VerifyCtx<'_>) -> Result<(), RejectReason> {
-        self.proposal.verify(ctx)?;
-        let pk = ctx
-            .keys
-            .verifying_key(self.proposal.leader.index())
-            .map_err(|_| RejectReason::UnknownSender(self.proposal.leader))?;
-        pk.verify(
-            &Self::signing_bytes(&self.proposal, &self.justification),
-            &self.signature,
-        )
-        .map_err(|_| RejectReason::BadSignature)?;
-        for m in &self.justification {
-            m.verify(ctx)?;
-        }
-        Ok(())
-    }
-
-    /// The safeProposal analogue: view 1 is free; later views need a
-    /// deterministic quorum of valid reports, and the value must be the one
-    /// prepared in the highest reported view (PBFT's deterministic quorums
-    /// make that value unique).
-    pub fn is_safe(&self, ctx: &VerifyCtx<'_>) -> bool {
-        let view = self.proposal.view;
-        if view.is_none() || ctx.cfg.leader_of(view) != self.proposal.leader {
-            return false;
-        }
-        if !ctx.cfg.validity().is_valid(&self.proposal.value) {
-            return false;
-        }
-        if view == View::FIRST {
-            return true;
-        }
-        let mut senders = std::collections::BTreeSet::new();
-        for m in &self.justification {
-            if m.view != view || !m.is_valid(ctx) {
-                return false;
-            }
-            senders.insert(m.sender);
-        }
-        if senders.len() < ctx.cfg.deterministic_quorum() {
-            return false;
-        }
-        match choose_pbft_proposal(&self.justification) {
-            Some(required) => required.digest() == self.proposal.value.digest(),
-            None => true,
-        }
+    match choose_pbft_proposal(&propose.justification) {
+        Some(required) => required.digest() == propose.proposal.value.digest(),
+        None => true,
     }
 }
 
@@ -383,130 +150,15 @@ pub fn choose_pbft_proposal(justification: &[PbftNewLeader]) -> Option<Value> {
         .and_then(|m| m.prepared_value.clone())
 }
 
-impl Wire for PbftPropose {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.proposal.encode(out);
-        put::u64(out, self.justification.len() as u64);
-        for m in &self.justification {
-            m.encode(out);
-        }
-        out.extend_from_slice(&self.signature.to_bytes());
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let proposal = SignedProposal::decode(r)?;
-        let count = r.len_prefix()?;
-        let mut justification = Vec::with_capacity(count.min(4096));
-        for _ in 0..count {
-            justification.push(PbftNewLeader::decode(r)?);
-        }
-        let signature = Signature::from_bytes(r.array::<SIGNATURE_LEN>()?)
-            .ok_or(WireError::BadCrypto("signature"))?;
-        Ok(PbftPropose {
-            proposal,
-            justification,
-            signature,
-        })
-    }
-}
-
-/// Any single-shot PBFT message.
-#[derive(Clone, Debug, PartialEq)]
-pub enum PbftMessage {
-    /// Leader proposal.
-    Propose(PbftPropose),
-    /// Broadcast prepare vote.
-    Prepare(Vote),
-    /// Broadcast commit vote.
-    Commit(Vote),
-    /// View-change report.
-    NewLeader(PbftNewLeader),
-    /// Synchronizer wish (shared with ProBFT).
-    Wish(probft_core::message::Wish),
-}
-
-impl PbftMessage {
-    /// The view this message belongs to.
-    pub fn view(&self) -> View {
-        match self {
-            PbftMessage::Propose(p) => p.proposal.view,
-            PbftMessage::Prepare(v) | PbftMessage::Commit(v) => v.view,
-            PbftMessage::NewLeader(m) => m.view,
-            PbftMessage::Wish(w) => w.view,
-        }
-    }
-
-    /// Full cryptographic verification.
-    ///
-    /// # Errors
-    ///
-    /// Any [`RejectReason`] describing the first failed check.
-    pub fn verify(&self, ctx: &VerifyCtx<'_>) -> Result<(), RejectReason> {
-        match self {
-            PbftMessage::Propose(p) => p.verify(ctx),
-            PbftMessage::Prepare(v) => v.verify(VotePhase::Prepare, ctx),
-            PbftMessage::Commit(v) => v.verify(VotePhase::Commit, ctx),
-            PbftMessage::NewLeader(m) => m.verify(ctx),
-            PbftMessage::Wish(w) => w.verify(ctx),
-        }
-    }
-}
-
-impl Wire for PbftMessage {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            PbftMessage::Propose(p) => {
-                out.push(1);
-                p.encode(out);
-            }
-            PbftMessage::Prepare(v) => {
-                out.push(2);
-                v.encode(out);
-            }
-            PbftMessage::Commit(v) => {
-                out.push(3);
-                v.encode(out);
-            }
-            PbftMessage::NewLeader(m) => {
-                out.push(4);
-                m.encode(out);
-            }
-            PbftMessage::Wish(w) => {
-                out.push(5);
-                w.encode(out);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            1 => Ok(PbftMessage::Propose(PbftPropose::decode(r)?)),
-            2 => Ok(PbftMessage::Prepare(Vote::decode(r)?)),
-            3 => Ok(PbftMessage::Commit(Vote::decode(r)?)),
-            4 => Ok(PbftMessage::NewLeader(PbftNewLeader::decode(r)?)),
-            5 => Ok(PbftMessage::Wish(probft_core::message::Wish::decode(r)?)),
-            t => Err(WireError::UnknownTag(t)),
-        }
-    }
-}
-
-impl Measurable for PbftMessage {
-    fn kind(&self) -> &'static str {
-        match self {
-            PbftMessage::Propose(_) => "Propose",
-            PbftMessage::Prepare(_) => "Prepare",
-            PbftMessage::Commit(_) => "Commit",
-            PbftMessage::NewLeader(_) => "NewLeader",
-            PbftMessage::Wish(_) => "Wish",
-        }
-    }
-    fn wire_size(&self) -> usize {
-        self.to_wire_bytes().len()
-    }
-}
+/// Any single-shot PBFT message: ProBFT's message set over broadcast
+/// digest votes.
+pub type PbftMessage = MessageOf<VoteBody>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use probft_core::config::ProbftConfig;
+    use probft_core::message::{NewLeaderBody, ProposalBody, ProposeBody};
     use probft_crypto::keyring::Keyring;
 
     fn setup() -> (ProbftConfig, Keyring) {
@@ -522,16 +174,18 @@ mod tests {
         let public = ring.public();
         let ctx = VerifyCtx::new(&cfg, &public);
         let d = Value::from_tag(1).digest();
-        let v = Vote::sign(
+        let v = Vote::sign_in(
             ring.signing_key(2).unwrap(),
             VotePhase::Prepare,
-            ReplicaId(2),
-            View(1),
-            d,
+            VoteBody {
+                sender: ReplicaId(2),
+                view: View(1),
+                digest: d,
+            },
         );
-        assert!(v.verify(VotePhase::Prepare, &ctx).is_ok());
+        assert!(v.verify_in(VotePhase::Prepare, ctx.keys).is_ok());
         // Phase domain separation: a prepare vote is not a commit vote.
-        assert!(v.verify(VotePhase::Commit, &ctx).is_err());
+        assert!(v.verify_in(VotePhase::Commit, ctx.keys).is_err());
         let wire = PbftMessage::Prepare(v);
         assert_eq!(
             PbftMessage::from_wire_bytes(&wire.to_wire_bytes()).unwrap(),
@@ -549,25 +203,29 @@ mod tests {
         let dq = cfg.deterministic_quorum();
         let cert: Vec<Vote> = (0..dq)
             .map(|i| {
-                Vote::sign(
+                Vote::sign_in(
                     ring.signing_key(i).unwrap(),
                     VotePhase::Prepare,
-                    ReplicaId::from(i),
-                    View(1),
-                    d,
+                    VoteBody {
+                        sender: ReplicaId::from(i),
+                        view: View(1),
+                        digest: d,
+                    },
                 )
             })
             .collect();
         let good = PbftNewLeader::sign(
             ring.signing_key(0).unwrap(),
-            ReplicaId(0),
-            View(2),
-            View(1),
-            Some(value.clone()),
-            cert.clone(),
+            NewLeaderBody {
+                sender: ReplicaId(0),
+                view: View(2),
+                prepared_view: View(1),
+                prepared_value: Some(value.clone()),
+                cert: cert.clone(),
+            },
         );
-        assert!(good.verify(&ctx).is_ok());
-        assert!(good.is_valid(&ctx));
+        assert!(good.verify_signature(ctx.keys).is_ok());
+        assert!(valid_new_leader(&good, &ctx));
         // The bare struct (not just the enum wrapper) must roundtrip.
         assert_eq!(
             PbftNewLeader::from_wire_bytes(&good.to_wire_bytes()).unwrap(),
@@ -576,13 +234,15 @@ mod tests {
 
         let undersized = PbftNewLeader::sign(
             ring.signing_key(0).unwrap(),
-            ReplicaId(0),
-            View(2),
-            View(1),
-            Some(value),
-            cert[..dq - 1].to_vec(),
+            NewLeaderBody {
+                sender: ReplicaId(0),
+                view: View(2),
+                prepared_view: View(1),
+                prepared_value: Some(value),
+                cert: cert[..dq - 1].to_vec(),
+            },
         );
-        assert!(!undersized.is_valid(&ctx));
+        assert!(!valid_new_leader(&undersized, &ctx));
     }
 
     #[test]
@@ -591,15 +251,17 @@ mod tests {
         let make = |sender: usize, pview: u64, tag: u64| {
             PbftNewLeader::sign(
                 ring.signing_key(sender).unwrap(),
-                ReplicaId::from(sender),
-                View(9),
-                View(pview),
-                if pview == 0 {
-                    None
-                } else {
-                    Some(Value::from_tag(tag))
+                NewLeaderBody {
+                    sender: ReplicaId::from(sender),
+                    view: View(9),
+                    prepared_view: View(pview),
+                    prepared_value: if pview == 0 {
+                        None
+                    } else {
+                        Some(Value::from_tag(tag))
+                    },
+                    cert: vec![],
                 },
-                vec![],
             )
         };
         let ms = vec![make(0, 0, 0), make(1, 2, 7), make(2, 3, 8)];
@@ -615,13 +277,21 @@ mod tests {
         let ctx = VerifyCtx::new(&cfg, &public);
         let proposal = SignedProposal::sign(
             ring.signing_key(0).unwrap(),
-            ReplicaId(0),
-            View(1),
-            Value::from_tag(3),
+            ProposalBody {
+                view: View(1),
+                leader: ReplicaId(0),
+                value: Value::from_tag(3),
+            },
         );
-        let p = PbftPropose::sign(ring.signing_key(0).unwrap(), proposal, vec![]);
+        let p = PbftPropose::sign(
+            ring.signing_key(0).unwrap(),
+            ProposeBody {
+                proposal,
+                justification: vec![],
+            },
+        );
         assert!(p.verify(&ctx).is_ok());
-        assert!(p.is_safe(&ctx));
+        assert!(safe_proposal(&p, &ctx));
         // The bare struct (not just the enum wrapper) must roundtrip.
         assert_eq!(PbftPropose::from_wire_bytes(&p.to_wire_bytes()).unwrap(), p);
         let wire = PbftMessage::Propose(p);

@@ -7,10 +7,11 @@
 //! safety is deterministic — the property ProBFT deliberately relaxes.
 
 use crate::message::{
-    choose_pbft_proposal, PbftMessage, PbftNewLeader, PbftPropose, SignedProposal, Vote, VotePhase,
+    choose_pbft_proposal, safe_proposal, valid_new_leader, PbftMessage, PbftNewLeader, PbftPropose,
+    Vote, VoteBody, VotePhase,
 };
 use probft_core::config::{SharedConfig, View};
-use probft_core::message::{VerifyCtx, Wish};
+use probft_core::message::{NewLeaderBody, VerifyCtx, Wish, WishBody};
 use probft_core::replica::{Decision, ReplicaStats};
 use probft_core::synchronizer::Synchronizer;
 use probft_core::value::Value;
@@ -143,11 +144,13 @@ impl PbftReplica {
         } else {
             let nl = PbftNewLeader::sign(
                 &self.sk,
-                self.id,
-                view,
-                self.prepared_view,
-                self.prepared_value.clone(),
-                self.prepared_cert.clone(),
+                NewLeaderBody {
+                    sender: self.id,
+                    view,
+                    prepared_view: self.prepared_view,
+                    prepared_value: self.prepared_value.clone(),
+                    cert: self.prepared_cert.clone(),
+                },
             );
             let leader = self.cfg.leader_of(view);
             ctx.send(ProcessId(leader.index()), PbftMessage::NewLeader(nl));
@@ -167,8 +170,7 @@ impl PbftReplica {
         justification: Vec<PbftNewLeader>,
         ctx: &mut Context<'_, PbftMessage>,
     ) {
-        let proposal = SignedProposal::sign(&self.sk, self.id, self.cur_view, value);
-        let propose = PbftPropose::sign(&self.sk, proposal, justification);
+        let propose = PbftPropose::lead(&self.sk, self.id, self.cur_view, value, justification);
         self.proposed = true;
         self.broadcast(PbftMessage::Propose(propose), ctx);
     }
@@ -180,7 +182,7 @@ impl PbftReplica {
         {
             return;
         }
-        if !msg.is_valid(&self.verify_ctx()) {
+        if !valid_new_leader(&msg, &self.verify_ctx()) {
             self.stats.rejected += 1;
             return;
         }
@@ -198,7 +200,7 @@ impl PbftReplica {
         if self.voted || propose.proposal.view != self.cur_view {
             return;
         }
-        if !propose.is_safe(&self.verify_ctx()) {
+        if !safe_proposal(&propose, &self.verify_ctx()) {
             self.stats.rejected += 1;
             return;
         }
@@ -208,7 +210,15 @@ impl PbftReplica {
         self.voted = true;
         self.accepted_propose = Some(propose);
 
-        let vote = Vote::sign(&self.sk, VotePhase::Prepare, self.id, self.cur_view, digest);
+        let vote = Vote::sign_in(
+            &self.sk,
+            VotePhase::Prepare,
+            VoteBody {
+                sender: self.id,
+                view: self.cur_view,
+                digest,
+            },
+        );
         self.broadcast(PbftMessage::Prepare(vote), ctx);
 
         self.maybe_commit(ctx);
@@ -235,12 +245,14 @@ impl PbftReplica {
             .map(|(_, v)| v.clone())
             .collect();
 
-        let vote = Vote::sign(
+        let vote = Vote::sign_in(
             &self.sk,
             VotePhase::Commit,
-            self.id,
-            self.cur_view,
-            value.digest(),
+            VoteBody {
+                sender: self.id,
+                view: self.cur_view,
+                digest: value.digest(),
+            },
         );
         self.broadcast(PbftMessage::Commit(vote), ctx);
         self.sent_commit = true;
@@ -298,7 +310,13 @@ impl PbftReplica {
         ctx: &mut Context<'_, PbftMessage>,
     ) {
         if let Some(wish) = action.broadcast_wish {
-            let msg = PbftMessage::Wish(Wish::sign(&self.sk, self.id, wish));
+            let msg = PbftMessage::Wish(Wish::sign(
+                &self.sk,
+                WishBody {
+                    sender: self.id,
+                    view: wish,
+                },
+            ));
             self.broadcast(msg, ctx);
         }
         if let Some(view) = action.enter_view {

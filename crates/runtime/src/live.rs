@@ -1113,7 +1113,7 @@ fn send_frame<S: StateMachine>(conn: &ReplyHandle, frame: SmrFrame<S>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use probft_smr::{Command, KvResponse};
+    use probft_smr::{CheckpointBody, Command, KvResponse};
 
     fn sample_request() -> RequestId {
         RequestId { client: 3, seq: 9 }
@@ -1162,9 +1162,11 @@ mod tests {
                 let keyring = probft_crypto::keyring::Keyring::generate(4, b"frame-tests");
                 SmrFrame::CheckpointVote(CheckpointVote::sign(
                     keyring.signing_key(2).unwrap(),
-                    ReplicaId(2),
-                    64,
-                    probft_crypto::sha256::Sha256::digest(b"snapshot"),
+                    CheckpointBody {
+                        from: ReplicaId(2),
+                        slot: 64,
+                        digest: probft_crypto::sha256::Sha256::digest(b"snapshot"),
+                    },
                 ))
             },
             SmrFrame::StateRequest {
@@ -1183,9 +1185,11 @@ mod tests {
                             .map(|i| {
                                 CheckpointVote::sign(
                                     keyring.signing_key(i).unwrap(),
-                                    ReplicaId::from(i),
-                                    64,
-                                    digest,
+                                    CheckpointBody {
+                                        from: ReplicaId::from(i),
+                                        slot: 64,
+                                        digest,
+                                    },
                                 )
                             })
                             .collect()

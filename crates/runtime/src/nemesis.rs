@@ -44,7 +44,7 @@
 use crate::live::{LinkRule, LiveSmrCluster, ReplicaReport, SmrFrame};
 use crate::transport::write_frame;
 use probft_core::config::View;
-use probft_core::message::{Message, Propose, SignedProposal, Wish};
+use probft_core::message::{Message, Propose, Wish, WishBody};
 use probft_core::value::Value;
 use probft_quorum::ReplicaId;
 use probft_smr::{RequestId, SlotMessage, StateMachine};
@@ -270,8 +270,13 @@ fn equivocate<S: StateMachine>(cluster: &LiveSmrCluster<S>, seed: u64) -> String
     let slot = cluster.applied_lens().into_iter().max().unwrap_or(0) + 2;
     let forge = |tag: &str| {
         let value = Value::new(format!("nemesis-equivocation-{seed}-{slot}-{tag}").into_bytes());
-        let proposal = SignedProposal::sign(sk, ReplicaId::from(attacker), view, value);
-        let propose = Message::Propose(Propose::sign(sk, proposal, Vec::new()));
+        let propose = Message::Propose(Propose::lead(
+            sk,
+            ReplicaId::from(attacker),
+            view,
+            value,
+            Vec::new(),
+        ));
         peer_frame::<S>(attacker, slot, propose)
     };
     let (frame_a, frame_b) = (forge("a"), forge("b"));
@@ -303,7 +308,13 @@ fn far_future_spray<S: StateMachine>(cluster: &LiveSmrCluster<S>, seed: u64) -> 
     let frames: Vec<Vec<u8>> = (0..SPRAY_FRAMES)
         .map(|k| {
             let slot = base + (seed ^ k) % 1_000_000;
-            let wish = Wish::sign(sk, ReplicaId::from(attacker), View(1_000_000 + k));
+            let wish = Wish::sign(
+                sk,
+                WishBody {
+                    sender: ReplicaId::from(attacker),
+                    view: View(1_000_000 + k),
+                },
+            );
             peer_frame::<S>(attacker, slot, Message::Wish(wish))
         })
         .collect();

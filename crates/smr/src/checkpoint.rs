@@ -24,10 +24,9 @@
 //! needs no signature: its digest is what the quorum attested.
 
 use crate::machine::StateMachine;
+use probft_core::signed::{Signed, SignedBody};
 use probft_core::wire::{put, Reader, Wire, WireError};
-use probft_crypto::keyring::PublicKeyring;
-use probft_crypto::schnorr::{Signature, SigningKey, SIGNATURE_LEN};
-use probft_crypto::sha256::{Digest, Sha256, DIGEST_LEN};
+use probft_crypto::sha256::{Digest, Sha256};
 use probft_quorum::ReplicaId;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -82,7 +81,7 @@ impl<S: StateMachine> Wire for Snapshot<S> {
     fn encode(&self, out: &mut Vec<u8>) {
         put::u64(out, self.slot);
         put::u64(out, self.log_len);
-        out.extend_from_slice(self.log_digest.as_bytes());
+        self.log_digest.encode(out);
         put::var_bytes(out, &self.state.snapshot());
         put::u32(out, self.replies.len() as u32);
         for (client, (seq, response)) in &self.replies {
@@ -95,7 +94,7 @@ impl<S: StateMachine> Wire for Snapshot<S> {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let slot = r.u64()?;
         let log_len = r.u64()?;
-        let log_digest = Digest(r.array::<DIGEST_LEN>()?);
+        let log_digest = Digest::decode(r)?;
         let mut state = S::default();
         state.restore(r.var_bytes()?)?;
         let count = r.u32()?;
@@ -124,77 +123,49 @@ impl<S: StateMachine> Wire for Snapshot<S> {
 
 /// A replica's signed attestation that its state at `slot` digests to
 /// `digest`. A deterministic quorum of matching votes makes the
-/// checkpoint *stable* — the truncation and state-transfer trigger.
+/// checkpoint *stable* — the truncation and state-transfer trigger. The
+/// Schnorr signature is by the replica's key: checkpoint certificates must
+/// not be forgeable by whoever happens to hold a TCP connection.
+pub type CheckpointVote = Signed<CheckpointBody>;
+
+/// The contents of a [`CheckpointVote`].
 #[derive(Clone, Debug, PartialEq)]
-pub struct CheckpointVote {
+pub struct CheckpointBody {
     /// The attesting replica.
     pub from: ReplicaId,
     /// The checkpoint slot (a multiple of the cluster's interval).
     pub slot: u64,
     /// The snapshot digest being attested.
     pub digest: Digest,
-    /// Schnorr signature over `(from, slot, digest)` with the replica's
-    /// key — checkpoint certificates must not be forgeable by whoever
-    /// happens to hold a TCP connection.
-    pub signature: Signature,
 }
 
-impl CheckpointVote {
-    fn signing_bytes(from: ReplicaId, slot: u64, digest: &Digest) -> Vec<u8> {
-        let mut out = b"probft-checkpoint|".to_vec();
-        put::u32(&mut out, from.0);
-        put::u64(&mut out, slot);
-        out.extend_from_slice(digest.as_bytes());
-        out
+impl SignedBody for CheckpointBody {
+    type Phase = ();
+    fn domain((): ()) -> &'static [u8] {
+        b"probft-checkpoint|"
     }
-
-    /// Creates and signs a vote.
-    pub fn sign(sk: &SigningKey, from: ReplicaId, slot: u64, digest: Digest) -> Self {
-        let signature = sk.sign(&Self::signing_bytes(from, slot, &digest));
-        CheckpointVote {
-            from,
-            slot,
-            digest,
-            signature,
-        }
-    }
-
-    /// Whether the signature matches the claimed sender's public key.
-    pub fn verify(&self, keys: &PublicKeyring) -> bool {
-        keys.verifying_key(self.from.index()).is_ok_and(|pk| {
-            pk.verify(
-                &Self::signing_bytes(self.from, self.slot, &self.digest),
-                &self.signature,
-            )
-            .is_ok()
-        })
+    fn signer(&self) -> ReplicaId {
+        self.from
     }
 }
 
-impl Wire for CheckpointVote {
+impl Wire for CheckpointBody {
     fn encode(&self, out: &mut Vec<u8>) {
-        put::u32(out, self.from.0);
+        self.from.encode(out);
         put::u64(out, self.slot);
-        out.extend_from_slice(self.digest.as_bytes());
-        out.extend_from_slice(&self.signature.to_bytes());
+        self.digest.encode(out);
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let from = ReplicaId(r.u32()?);
-        let slot = r.u64()?;
-        let digest = Digest(r.array::<DIGEST_LEN>()?);
-        let signature = Signature::from_bytes(r.array::<SIGNATURE_LEN>()?)
-            .ok_or(WireError::BadCrypto("signature"))?;
-        Ok(CheckpointVote {
-            from,
-            slot,
-            digest,
-            signature,
+        Ok(CheckpointBody {
+            from: Wire::decode(r)?,
+            slot: r.u64()?,
+            digest: Wire::decode(r)?,
         })
     }
 }
 
-impl fmt::Display for CheckpointVote {
+impl fmt::Display for CheckpointBody {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let hex = self.digest.to_hex();
         write!(
@@ -321,6 +292,7 @@ pub struct CheckpointStats {
 mod tests {
     use super::*;
     use crate::kv::{Command, KvResponse, KvStore};
+    use probft_core::error::RejectReason;
     use probft_crypto::keyring::Keyring;
 
     fn sample_snapshot() -> Snapshot<KvStore> {
@@ -389,29 +361,48 @@ mod tests {
         let keyring = Keyring::generate(4, b"checkpoint-tests");
         let keys = keyring.public();
         let digest = Sha256::digest(b"snapshot");
-        let vote = CheckpointVote::sign(keyring.signing_key(1).unwrap(), ReplicaId(1), 32, digest);
-        assert!(vote.verify(&keys));
+        let vote = CheckpointVote::sign(
+            keyring.signing_key(1).unwrap(),
+            CheckpointBody {
+                from: ReplicaId(1),
+                slot: 32,
+                digest,
+            },
+        );
+        assert_eq!(vote.verify_signature(&keys), Ok(()));
 
         // Any tampering invalidates the signature.
         let mut wrong_slot = vote.clone();
-        wrong_slot.slot = 64;
-        assert!(!wrong_slot.verify(&keys));
+        wrong_slot.body.slot = 64;
+        assert_eq!(
+            wrong_slot.verify_signature(&keys),
+            Err(RejectReason::BadSignature)
+        );
         let mut wrong_sender = vote.clone();
-        wrong_sender.from = ReplicaId(2);
-        assert!(!wrong_sender.verify(&keys));
+        wrong_sender.body.from = ReplicaId(2);
+        assert_eq!(
+            wrong_sender.verify_signature(&keys),
+            Err(RejectReason::BadSignature)
+        );
         let mut wrong_digest = vote.clone();
-        wrong_digest.digest = Sha256::digest(b"other");
-        assert!(!wrong_digest.verify(&keys));
+        wrong_digest.body.digest = Sha256::digest(b"other");
+        assert_eq!(
+            wrong_digest.verify_signature(&keys),
+            Err(RejectReason::BadSignature)
+        );
         // Out-of-range sender: no key to verify against.
         let mut out_of_range = vote.clone();
-        out_of_range.from = ReplicaId(9);
-        assert!(!out_of_range.verify(&keys));
+        out_of_range.body.from = ReplicaId(9);
+        assert_eq!(
+            out_of_range.verify_signature(&keys),
+            Err(RejectReason::UnknownSender(ReplicaId(9)))
+        );
 
         // And the vote survives the wire.
         let bytes = vote.to_wire_bytes();
         let decoded = CheckpointVote::from_wire_bytes(&bytes).unwrap();
         assert_eq!(decoded, vote);
-        assert!(decoded.verify(&keys));
+        assert_eq!(decoded.verify_signature(&keys), Ok(()));
     }
 
     #[test]
@@ -428,9 +419,11 @@ mod tests {
             .map(|i| {
                 CheckpointVote::sign(
                     keyring.signing_key(i).unwrap(),
-                    ReplicaId::from(i),
-                    96,
-                    digest,
+                    CheckpointBody {
+                        from: ReplicaId::from(i),
+                        slot: 96,
+                        digest,
+                    },
                 )
             })
             .collect();

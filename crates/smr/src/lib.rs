@@ -61,7 +61,8 @@ pub mod machine;
 pub mod node;
 
 pub use checkpoint::{
-    CheckpointStats, CheckpointVote, Snapshot, StableCheckpoint, StateReply, StateRequest,
+    CheckpointBody, CheckpointStats, CheckpointVote, Snapshot, StableCheckpoint, StateReply,
+    StateRequest,
 };
 pub use harness::{SmrBuilder, SmrOutcome, ThroughputStats};
 pub use kv::{Command, KvResponse, KvStore};

@@ -28,7 +28,8 @@
 //! submitting client with the actual result, not a bare acknowledgement.
 
 use crate::checkpoint::{
-    CheckpointStats, CheckpointVote, Snapshot, StableCheckpoint, StateReply, StateRequest,
+    CheckpointBody, CheckpointStats, CheckpointVote, Snapshot, StableCheckpoint, StateReply,
+    StateRequest,
 };
 use crate::machine::{Batch, Entry, OpKind, RequestId, StateMachine, MAX_BATCH};
 use probft_core::config::{SharedConfig, View};
@@ -951,7 +952,14 @@ impl<S: StateMachine> SmrNode<S> {
         }
         self.last_checkpoint_at = Some(now);
         self.obs.trace(TraceKind::CheckpointVote { slot });
-        let vote = CheckpointVote::sign(&self.sk, self.id, slot, digest);
+        let vote = CheckpointVote::sign(
+            &self.sk,
+            CheckpointBody {
+                from: self.id,
+                slot,
+                digest,
+            },
+        );
         for peer in self.cfg.all_replicas() {
             if peer != self.id {
                 ctx.send(
@@ -1231,7 +1239,7 @@ impl<S: StateMachine> SmrNode<S> {
             if vote.slot != rep.slot
                 || vote.digest != digest
                 || vote.from.index() >= n
-                || !vote.verify(&self.keys)
+                || vote.verify_signature(&self.keys).is_err()
             {
                 return false;
             }
@@ -1393,7 +1401,7 @@ impl<S: StateMachine> Process for SmrNode<S> {
                 // The signature, not the connection, authenticates the
                 // attestation — checkpoint certificates must be as
                 // unforgeable as the consensus votes they garbage-collect.
-                if vote.verify(&self.keys) {
+                if vote.verify_signature(&self.keys).is_ok() {
                     self.record_vote(vote, ctx);
                 } else {
                     self.obs.drops_invalid_checkpoint.inc();
@@ -1429,7 +1437,7 @@ mod tests {
     use super::*;
     use crate::kv::{Command, KvResponse, KvStore};
     use probft_core::config::{ProbftConfig, View};
-    use probft_core::message::Wish;
+    use probft_core::message::{Wish, WishBody};
     use probft_crypto::keyring::Keyring;
     use probft_simnet::time::SimTime;
 
@@ -1454,8 +1462,10 @@ mod tests {
         let keyring = Keyring::generate(4, keyring_seed);
         let wish = Wish::sign(
             keyring.signing_key(1).expect("in range"),
-            ReplicaId(1),
-            View(2),
+            WishBody {
+                sender: ReplicaId(1),
+                view: View(2),
+            },
         );
         SmrMessage::Slot(SlotMessage {
             slot,
@@ -1644,9 +1654,11 @@ mod tests {
         let keyring = Keyring::generate(4, b"node-tests");
         SmrMessage::CheckpointVote(CheckpointVote::sign(
             keyring.signing_key(id).expect("in range"),
-            ReplicaId::from(id),
-            slot,
-            digest,
+            CheckpointBody {
+                from: ReplicaId::from(id),
+                slot,
+                digest,
+            },
         ))
     }
 
@@ -1755,9 +1767,11 @@ mod tests {
             .map(|&i| {
                 CheckpointVote::sign(
                     keyring.signing_key(i).expect("in range"),
-                    ReplicaId::from(i),
-                    4,
-                    digest,
+                    CheckpointBody {
+                        from: ReplicaId::from(i),
+                        slot: 4,
+                        digest,
+                    },
                 )
             })
             .collect();
@@ -1899,9 +1913,11 @@ mod tests {
         for peer in [1usize, 2] {
             let forged = CheckpointVote::sign(
                 other.signing_key(peer).expect("in range"),
-                ReplicaId::from(peer),
-                2,
-                digest,
+                CheckpointBody {
+                    from: ReplicaId::from(peer),
+                    slot: 2,
+                    digest,
+                },
             );
             let mut ctx = Context::detached(ProcessId(0), SimTime::ZERO, &mut rng);
             node.on_message(

@@ -3,7 +3,9 @@
 //! randomized inputs.
 
 use probft::core::config::{ProbftConfig, View};
-use probft::core::message::{Message, PhaseMessage, SignedProposal, VerifyCtx, Wish};
+use probft::core::message::{
+    Message, PhaseBody, PhaseMessage, ProposalBody, SignedProposal, VerifyCtx, Wish, WishBody,
+};
 use probft::core::sampling::{derive_sample, Phase};
 use probft::core::value::Value;
 use probft::core::wire::Wire;
@@ -134,7 +136,10 @@ proptest! {
         let ring = Keyring::generate(8, b"prop-corrupt");
         let public = ring.public();
         let ctx = VerifyCtx::new(&cfg, &public);
-        let w = Wish::sign(ring.signing_key(1).unwrap(), ReplicaId(1), View(3));
+        let w = Wish::sign(
+            ring.signing_key(1).unwrap(),
+            WishBody { sender: ReplicaId(1), view: View(3) },
+        );
         let msg = Message::Wish(w);
         let mut bytes = msg.to_wire_bytes();
         let idx = pos % bytes.len();
@@ -170,19 +175,14 @@ proptest! {
         let leader = cfg.leader_of(view);
         let proposal = SignedProposal::sign(
             ring.signing_key(leader.index()).unwrap(),
-            leader,
-            view,
-            Value::from_tag(tag),
+            ProposalBody { view, leader, value: Value::from_tag(tag) },
         );
         let sk = ring.signing_key(sender).unwrap();
         let (sample, proof) = derive_sample(sk, view, Phase::Prepare, cfg.sample_size(), cfg.n());
-        let msg = Message::Prepare(PhaseMessage::sign(
+        let msg = Message::Prepare(PhaseMessage::sign_in(
             sk,
             Phase::Prepare,
-            ReplicaId::from(sender),
-            proposal,
-            sample,
-            proof,
+            PhaseBody { sender: ReplicaId::from(sender), proposal, sample, proof },
         ));
         let relayed = Message::from_wire_bytes(&msg.to_wire_bytes()).unwrap();
         prop_assert_eq!(&relayed, &msg);
@@ -201,7 +201,10 @@ proptest! {
         let ring = Keyring::generate(8, b"prop-wish");
         let public = ring.public();
         let ctx = VerifyCtx::new(&cfg, &public);
-        let w = Wish::sign(ring.signing_key(sender).unwrap(), ReplicaId::from(sender), View(view));
+        let w = Wish::sign(
+            ring.signing_key(sender).unwrap(),
+            WishBody { sender: ReplicaId::from(sender), view: View(view) },
+        );
         let msg = Message::Wish(w);
         let decoded = Message::from_wire_bytes(&msg.to_wire_bytes()).unwrap();
         prop_assert_eq!(&decoded, &msg);

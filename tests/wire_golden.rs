@@ -5,21 +5,30 @@
 //! payloads moved into one envelope; a refactor of the codec or of the
 //! signing path must leave every row alone, and a deliberate wire or
 //! domain-tag change has to re-baseline them and say so.
+//!
+//! The same twelve fixtures feed one generic forgery check: no corrupted
+//! body byte, foreign key or neighbouring domain gets past the envelope.
 
 use probft::core::config::{ProbftConfig, View};
 use probft::core::message::{
-    Message, NewLeader, PhaseMessage, Propose, SignedProposal, VerifyCtx, Wish,
+    Message, NewLeader, NewLeaderBody, PhaseBody, PhaseMessage, ProposalBody, Propose, ProposeBody,
+    SignedProposal, VerifyCtx, Wish, WishBody,
 };
-use probft::core::sampling::{derive_sample, Phase};
+use probft::core::sampling::Phase;
+use probft::core::signed::{Signed, SignedBody};
 use probft::core::value::Value;
 use probft::core::wire::Wire;
+use probft::core::RejectReason;
 use probft::crypto::keyring::Keyring;
 use probft::crypto::sha256::Sha256;
-use probft::hotstuff::{HsMessage, HsPhase, HsVote, LeaderBroadcast, Qc};
-use probft::pbft::{PbftMessage, PbftNewLeader, PbftPropose, Vote, VotePhase};
+use probft::hotstuff::{
+    Broadcast, BroadcastBody, HsMessage, HsPhase, HsVote, HsVoteBody, LeaderBroadcast, NewView,
+    NewViewBody, Qc,
+};
+use probft::pbft::{PbftMessage, PbftNewLeader, PbftPropose, Vote, VoteBody, VotePhase};
 use probft::quorum::ReplicaId;
 use probft::runtime::SmrFrame;
-use probft::smr::{CheckpointVote, KvStore, SlotMessage};
+use probft::smr::{CheckpointBody, CheckpointVote, KvStore, SlotMessage};
 
 /// One fixed instance of each of the twelve signed types.
 struct Fixtures {
@@ -36,8 +45,8 @@ struct Fixtures {
     pbft_new_leader: PbftNewLeader,
     pbft_propose: PbftPropose,
     hs_vote: HsVote,
-    hs_new_view: HsMessage,
-    hs_broadcast: HsMessage,
+    hs_new_view: NewView,
+    hs_broadcast: Broadcast,
     checkpoint: CheckpointVote,
 }
 
@@ -45,12 +54,13 @@ fn phase_message(cfg: &ProbftConfig, ring: &Keyring, phase: Phase, i: usize) -> 
     let sk = ring.signing_key(i).unwrap();
     let proposal = SignedProposal::sign(
         ring.signing_key(0).unwrap(),
-        ReplicaId(0),
-        View(1),
-        Value::from_tag(1),
+        ProposalBody {
+            view: View(1),
+            leader: ReplicaId(0),
+            value: Value::from_tag(1),
+        },
     );
-    let (sample, proof) = derive_sample(sk, View(1), phase, cfg.sample_size(), cfg.n());
-    PhaseMessage::sign(sk, phase, ReplicaId::from(i), proposal, sample, proof)
+    PhaseMessage::cast(sk, cfg, phase, ReplicaId::from(i), proposal)
 }
 
 fn fixtures() -> Fixtures {
@@ -60,53 +70,138 @@ fn fixtures() -> Fixtures {
     let value = Value::from_tag(1);
     let digest = value.digest();
 
-    let proposal = SignedProposal::sign(sk(0), ReplicaId(0), View(1), value.clone());
+    let proposal = SignedProposal::sign(
+        sk(0),
+        ProposalBody {
+            view: View(1),
+            leader: ReplicaId(0),
+            value: value.clone(),
+        },
+    );
     let prepare = phase_message(&cfg, &ring, Phase::Prepare, 3);
     let commit = phase_message(&cfg, &ring, Phase::Commit, 4);
     let new_leader = NewLeader::sign(
         sk(5),
-        ReplicaId(5),
-        View(2),
-        View(1),
-        Some(value.clone()),
-        vec![prepare.clone()],
+        NewLeaderBody {
+            sender: ReplicaId(5),
+            view: View(2),
+            prepared_view: View(1),
+            prepared_value: Some(value.clone()),
+            cert: vec![prepare.clone()],
+        },
     );
-    let unprepared = NewLeader::sign(sk(6), ReplicaId(6), View(2), View::NONE, None, vec![]);
+    let unprepared = NewLeader::sign(
+        sk(6),
+        NewLeaderBody {
+            sender: ReplicaId(6),
+            view: View(2),
+            prepared_view: View::NONE,
+            prepared_value: None,
+            cert: vec![],
+        },
+    );
     // Replica 1 leads view 2.
-    let view2 = SignedProposal::sign(sk(1), ReplicaId(1), View(2), value.clone());
-    let propose = Propose::sign(sk(1), view2.clone(), vec![new_leader.clone(), unprepared]);
-    let wish = Wish::sign(sk(2), ReplicaId(2), View(5));
+    let view2 = SignedProposal::sign(
+        sk(1),
+        ProposalBody {
+            view: View(2),
+            leader: ReplicaId(1),
+            value: value.clone(),
+        },
+    );
+    let propose = Propose::sign(
+        sk(1),
+        ProposeBody {
+            proposal: view2.clone(),
+            justification: vec![new_leader.clone(), unprepared],
+        },
+    );
+    let wish = Wish::sign(
+        sk(2),
+        WishBody {
+            sender: ReplicaId(2),
+            view: View(5),
+        },
+    );
 
-    let pbft_prepare = Vote::sign(sk(2), VotePhase::Prepare, ReplicaId(2), View(1), digest);
-    let pbft_commit = Vote::sign(sk(3), VotePhase::Commit, ReplicaId(3), View(1), digest);
+    let pbft_prepare = Vote::sign_in(
+        sk(2),
+        VotePhase::Prepare,
+        VoteBody {
+            sender: ReplicaId(2),
+            view: View(1),
+            digest,
+        },
+    );
+    let pbft_commit = Vote::sign_in(
+        sk(3),
+        VotePhase::Commit,
+        VoteBody {
+            sender: ReplicaId(3),
+            view: View(1),
+            digest,
+        },
+    );
     let pbft_new_leader = PbftNewLeader::sign(
         sk(4),
-        ReplicaId(4),
-        View(2),
-        View(1),
-        Some(value.clone()),
-        vec![pbft_prepare.clone()],
+        NewLeaderBody {
+            sender: ReplicaId(4),
+            view: View(2),
+            prepared_view: View(1),
+            prepared_value: Some(value.clone()),
+            cert: vec![pbft_prepare.clone()],
+        },
     );
-    let pbft_propose = PbftPropose::sign(sk(1), view2, vec![pbft_new_leader.clone()]);
+    let pbft_propose = PbftPropose::sign(
+        sk(1),
+        ProposeBody {
+            proposal: view2,
+            justification: vec![pbft_new_leader.clone()],
+        },
+    );
 
-    let hs_vote = HsVote::sign(sk(1), HsPhase::PreCommit, ReplicaId(1), View(3), digest);
+    let hs_vote = HsVote::sign(
+        sk(1),
+        HsVoteBody {
+            phase: HsPhase::PreCommit,
+            sender: ReplicaId(1),
+            view: View(3),
+            digest,
+        },
+    );
     let qc = Qc {
         phase: HsPhase::PreCommit,
         view: View(3),
         value: value.clone(),
         votes: vec![hs_vote.clone()],
     };
-    let hs_new_view = HsMessage::sign_new_view(sk(2), ReplicaId(2), View(4), Some(qc.clone()));
-    let hs_broadcast = HsMessage::sign_broadcast(
-        sk(0),
-        ReplicaId(0),
-        View(1),
-        LeaderBroadcast::Propose {
-            value,
-            high_qc: None,
+    let hs_new_view = NewView::sign(
+        sk(2),
+        NewViewBody {
+            sender: ReplicaId(2),
+            view: View(4),
+            prepare_qc: Some(qc),
         },
     );
-    let checkpoint = CheckpointVote::sign(sk(1), ReplicaId(1), 32, Sha256::digest(b"snapshot"));
+    let hs_broadcast = Broadcast::sign(
+        sk(0),
+        BroadcastBody {
+            sender: ReplicaId(0),
+            view: View(1),
+            payload: LeaderBroadcast::Propose {
+                value,
+                high_qc: None,
+            },
+        },
+    );
+    let checkpoint = CheckpointVote::sign(
+        sk(1),
+        CheckpointBody {
+            from: ReplicaId(1),
+            slot: 32,
+            digest: Sha256::digest(b"snapshot"),
+        },
+    );
 
     Fixtures {
         cfg,
@@ -244,8 +339,14 @@ fn rows(f: &Fixtures) -> Vec<(&'static str, Vec<u8>)> {
         ("PbftNewLeader", f.pbft_new_leader.to_wire_bytes()),
         ("PbftPropose", f.pbft_propose.to_wire_bytes()),
         ("HsVote", f.hs_vote.to_wire_bytes()),
-        ("HsMessage::NewView", f.hs_new_view.to_wire_bytes()),
-        ("HsMessage::Broadcast", f.hs_broadcast.to_wire_bytes()),
+        (
+            "HsMessage::NewView",
+            HsMessage::NewView(f.hs_new_view.clone()).to_wire_bytes(),
+        ),
+        (
+            "HsMessage::Broadcast",
+            HsMessage::Broadcast(f.hs_broadcast.clone()).to_wire_bytes(),
+        ),
         ("CheckpointVote", f.checkpoint.to_wire_bytes()),
         ("Message", Message::Commit(f.commit.clone()).to_wire_bytes()),
         (
@@ -299,26 +400,37 @@ fn every_fixture_decodes_back_equal_and_verifies() {
     assert_eq!(round_trip(&f.proposal).verify(&ctx), Ok(()));
     assert_eq!(round_trip(&f.prepare).verify(Phase::Prepare, &ctx), Ok(()));
     assert_eq!(round_trip(&f.commit).verify(Phase::Commit, &ctx), Ok(()));
-    assert_eq!(round_trip(&f.new_leader).verify(&ctx), Ok(()));
+    assert_eq!(round_trip(&f.new_leader).verify_signature(&public), Ok(()));
     assert_eq!(round_trip(&f.propose).verify(&ctx), Ok(()));
-    assert_eq!(round_trip(&f.wish).verify(&ctx), Ok(()));
+    assert_eq!(round_trip(&f.wish).verify_signature(&public), Ok(()));
 
     assert_eq!(
-        round_trip(&f.pbft_prepare).verify(VotePhase::Prepare, &ctx),
+        round_trip(&f.pbft_prepare).verify_in(VotePhase::Prepare, &public),
         Ok(())
     );
     assert_eq!(
-        round_trip(&f.pbft_commit).verify(VotePhase::Commit, &ctx),
+        round_trip(&f.pbft_commit).verify_in(VotePhase::Commit, &public),
         Ok(())
     );
-    assert_eq!(round_trip(&f.pbft_new_leader).verify(&ctx), Ok(()));
+    assert_eq!(
+        round_trip(&f.pbft_new_leader).verify_signature(&public),
+        Ok(())
+    );
     assert_eq!(round_trip(&f.pbft_propose).verify(&ctx), Ok(()));
 
-    assert_eq!(round_trip(&f.hs_vote).verify(&ctx), Ok(()));
-    assert_eq!(round_trip(&f.hs_new_view).verify(&ctx), Ok(()));
-    assert_eq!(round_trip(&f.hs_broadcast).verify(&ctx), Ok(()));
+    assert_eq!(round_trip(&f.hs_vote).verify_signature(&public), Ok(()));
+    round_trip(&f.hs_new_view);
+    round_trip(&f.hs_broadcast);
+    assert_eq!(
+        round_trip(&HsMessage::NewView(f.hs_new_view.clone())).verify(&ctx),
+        Ok(())
+    );
+    assert_eq!(
+        round_trip(&HsMessage::Broadcast(f.hs_broadcast.clone())).verify(&ctx),
+        Ok(())
+    );
 
-    assert!(round_trip(&f.checkpoint).verify(&public));
+    assert_eq!(round_trip(&f.checkpoint).verify_signature(&public), Ok(()));
 
     assert_eq!(
         round_trip(&Message::Commit(f.commit.clone())).verify(&ctx),
@@ -345,4 +457,102 @@ fn every_fixture_decodes_back_equal_and_verifies() {
         },
     });
     round_trip(&SmrFrame::<KvStore>::CheckpointVote(f.checkpoint.clone()));
+}
+
+/// The envelope's whole promise, for any body: the signed fixture verifies;
+/// corrupting any one byte of the encoded body makes it fail to decode or
+/// to verify; and the same body signed with another replica's key is a
+/// `BadSignature`.
+fn assert_unforgeable<B>(phase: B::Phase, signed: &Signed<B>, ring: &Keyring)
+where
+    B: SignedBody + Clone + PartialEq + std::fmt::Debug,
+{
+    let keys = ring.public();
+    assert_eq!(signed.verify_in(phase, &keys), Ok(()));
+
+    let bytes = signed.to_wire_bytes();
+    for at in 0..signed.body.to_wire_bytes().len() {
+        for mask in [0x01, 0xFF] {
+            let mut corrupt = bytes.clone();
+            corrupt[at] ^= mask;
+            if let Ok(decoded) = Signed::<B>::from_wire_bytes(&corrupt) {
+                assert_ne!(&decoded, signed);
+                assert!(
+                    decoded.verify_in(phase, &keys).is_err(),
+                    "body byte {at} ^ {mask:#04x} still verifies: {decoded:?}"
+                );
+            }
+        }
+    }
+
+    let other = (signed.signer().index() + 1) % ring.len();
+    let resigned = Signed::sign_in(ring.signing_key(other).unwrap(), phase, signed.body.clone());
+    assert_eq!(
+        resigned.verify_in(phase, &keys),
+        Err(RejectReason::BadSignature)
+    );
+}
+
+#[test]
+fn no_signed_type_survives_tampering_or_a_foreign_key() {
+    let f = fixtures();
+    let ring = &f.ring;
+    assert_unforgeable((), &f.proposal, ring);
+    assert_unforgeable(Phase::Prepare, &f.prepare, ring);
+    assert_unforgeable(Phase::Commit, &f.commit, ring);
+    assert_unforgeable((), &f.new_leader, ring);
+    assert_unforgeable((), &f.propose, ring);
+    assert_unforgeable((), &f.wish, ring);
+    assert_unforgeable(VotePhase::Prepare, &f.pbft_prepare, ring);
+    assert_unforgeable(VotePhase::Commit, &f.pbft_commit, ring);
+    assert_unforgeable((), &f.pbft_new_leader, ring);
+    assert_unforgeable((), &f.pbft_propose, ring);
+    assert_unforgeable((), &f.hs_vote, ring);
+    assert_unforgeable((), &f.hs_new_view, ring);
+    assert_unforgeable((), &f.hs_broadcast, ring);
+    assert_unforgeable((), &f.checkpoint, ring);
+
+    // The phase lives outside the vote body, so only the domain tag keeps
+    // a Prepare vote from being replayed as a Commit vote.
+    let keys = ring.public();
+    assert_eq!(
+        f.prepare.verify_in(Phase::Commit, &keys),
+        Err(RejectReason::BadSignature)
+    );
+    assert_eq!(
+        f.pbft_prepare.verify_in(VotePhase::Commit, &keys),
+        Err(RejectReason::BadSignature)
+    );
+}
+
+#[test]
+fn domain_tags_are_distinct_and_prefix_free() {
+    let tags: [&[u8]; 14] = [
+        ProposalBody::domain(()),
+        PhaseBody::domain(Phase::Prepare),
+        PhaseBody::domain(Phase::Commit),
+        NewLeaderBody::<PhaseBody>::domain(()),
+        ProposeBody::<PhaseBody>::domain(()),
+        WishBody::domain(()),
+        VoteBody::domain(VotePhase::Prepare),
+        VoteBody::domain(VotePhase::Commit),
+        NewLeaderBody::<VoteBody>::domain(()),
+        ProposeBody::<VoteBody>::domain(()),
+        HsVoteBody::domain(()),
+        NewViewBody::domain(()),
+        BroadcastBody::domain(()),
+        CheckpointBody::domain(()),
+    ];
+    for (i, a) in tags.iter().enumerate() {
+        for (j, b) in tags.iter().enumerate() {
+            // A tag that prefixes another would let `tag_a ‖ body` be read
+            // as `tag_b ‖ other body`; equality is the degenerate case.
+            assert!(
+                i == j || !b.starts_with(a),
+                "{:?} is a prefix of {:?}",
+                String::from_utf8_lossy(a),
+                String::from_utf8_lossy(b)
+            );
+        }
+    }
 }

@@ -89,3 +89,28 @@ fn pipelined_smr_run_is_pinned() {
     assert_eq!(totals(&o.metrics, o.finished_at), (938, 197106, 473));
     assert_eq!(o.throughput.slots_applied, 8);
 }
+
+/// Algorithm 1 lines 23–25: an equivocating view-1 leader, the path on
+/// which the ProBFT and PBFT replicas differ most. ProBFT's votes embed
+/// the leader-signed proposal, so every correct replica sees the conflict,
+/// blocks the view and relays the evidence; PBFT's digest votes embed
+/// nothing to compare, so its replicas fail to form a quorum and time out.
+/// Rows measured on the commit before the two replicas became one.
+#[test]
+fn split_view_one_leader_runs_are_pinned() {
+    let o = InstanceBuilder::new(31)
+        .seed(3)
+        .byzantine(ReplicaId(0), ByzantineStrategy::SplitLeader)
+        .run();
+    assert_eq!(totals(&o.metrics, o.finished_at), (4772, 601740, 50317));
+    assert_eq!(o.max_view, View(2));
+    assert_eq!(o.equivocation_detections, 30);
+
+    let o = PbftInstanceBuilder::new(31)
+        .seed(3)
+        .byzantine(ReplicaId(0), PbftStrategy::SplitLeader)
+        .run();
+    assert_eq!(totals(&o.metrics, o.finished_at), (3812, 232206, 50347));
+    assert_eq!(o.max_view, View(2));
+    assert_eq!(o.equivocation_detections, 0);
+}

@@ -2,10 +2,10 @@
 //! theorems built on them.
 //!
 //! Every bound is implemented exactly as printed (with the one sign fix
-//! noted in DESIGN.md), with its domain of validity made explicit in the
+//! of DESIGN.md note 1), with its domain of validity made explicit in the
 //! return type: the paper's Chernoff-based agreement bounds require
-//! `r ≤ n/o`, which *fails* at several of Figure 5's operating points —
-//! one reason the numerical curves need the exact models in
+//! `r ≤ n/o`, which *fails* at several of Figure 5's operating points
+//! (note 2) — one reason the numerical curves need the exact models in
 //! [`crate::termination`] and [`crate::agreement`].
 
 /// Chernoff lower-tail bound (Appendix A, Inequality 1):

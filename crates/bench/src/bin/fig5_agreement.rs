@@ -14,7 +14,7 @@
 //! - `exact o=…` — the semi-analytic model (quorum formation × detection
 //!   avoidance, [`probft_analysis::agreement`]);
 //! - `bound o=…` — the paper's Theorem 7 Chernoff bound where its premise
-//!   `r ≤ n/o` holds (`n/a` where it does not — see DESIGN.md note 5);
+//!   `r ≤ n/o` holds (`n/a` where it does not — see DESIGN.md note 2);
 //! - with `--simulate`: violations observed in full protocol runs (the
 //!   event-driven simulator with every Byzantine replica double-voting).
 

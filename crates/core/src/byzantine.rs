@@ -199,11 +199,7 @@ impl ByzantineReplica {
                     .filter(|r| side.contains(r) || self.faulty.contains(r))
                     .map(|r| ProcessId(r.index()))
                     .collect();
-                let wrapped = match phase {
-                    Phase::Prepare => Message::Prepare(msg),
-                    Phase::Commit => Message::Commit(msg),
-                };
-                ctx.multicast(targets, wrapped);
+                ctx.multicast(targets, Message::vote(phase, msg));
             }
         }
     }

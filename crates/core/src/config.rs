@@ -61,7 +61,6 @@ pub struct ProbftConfig {
     s: usize,
     base_timeout: SimDuration,
     max_timeout: SimDuration,
-    view_buffer_horizon: u64,
     validity: ValidityPredicate,
 }
 
@@ -84,7 +83,6 @@ impl ProbftConfig {
             o: 1.7,
             base_timeout: SimDuration::from_ticks(50_000),
             max_timeout: SimDuration::from_ticks(4_000_000),
-            view_buffer_horizon: 8,
             validity: ValidityPredicate::accept_all(),
         }
     }
@@ -148,11 +146,6 @@ impl ProbftConfig {
         scaled.min(self.max_timeout)
     }
 
-    /// How many views ahead of the current one messages are buffered.
-    pub fn view_buffer_horizon(&self) -> u64 {
-        self.view_buffer_horizon
-    }
-
     /// The application validity predicate.
     pub fn validity(&self) -> &ValidityPredicate {
         &self.validity
@@ -186,7 +179,6 @@ pub struct ProbftConfigBuilder {
     o: f64,
     base_timeout: SimDuration,
     max_timeout: SimDuration,
-    view_buffer_horizon: u64,
     validity: ValidityPredicate,
 }
 
@@ -220,12 +212,6 @@ impl ProbftConfigBuilder {
     /// Sets the timeout growth cap.
     pub fn max_timeout(mut self, t: SimDuration) -> Self {
         self.max_timeout = t;
-        self
-    }
-
-    /// Sets how many views ahead messages are buffered (default 8).
-    pub fn view_buffer_horizon(mut self, views: u64) -> Self {
-        self.view_buffer_horizon = views;
         self
     }
 
@@ -263,7 +249,6 @@ impl ProbftConfigBuilder {
             s,
             base_timeout: self.base_timeout,
             max_timeout: self.max_timeout,
-            view_buffer_horizon: self.view_buffer_horizon,
             validity: self.validity,
         }
     }

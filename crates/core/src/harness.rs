@@ -6,8 +6,9 @@
 //! binaries do goes through [`Instance`]: it wires the keyring,
 //! configuration, network model, honest replicas, and Byzantine strategies
 //! into one deterministic simulation and condenses the run into an
-//! [`InstanceOutcome`]. A protocol plugs in by implementing [`Protocol`]
-//! for its honest replica; [`InstanceBuilder`] is the ProBFT instantiation.
+//! [`InstanceOutcome`]. A protocol plugs in by implementing
+//! [`Phases`]; every [`ViewShell`] is then a [`Protocol`], and
+//! [`InstanceBuilder`] is the ProBFT instantiation.
 //!
 //! # Examples
 //!
@@ -21,12 +22,11 @@
 //! assert_eq!(outcome.decided_views(), vec![probft_core::config::View(1)]);
 //! ```
 
-use crate::byzantine::{ByzantineReplica, ByzantineStrategy};
 use crate::config::{ProbftConfig, SharedConfig, View};
-use crate::replica::{Decision, Replica, ReplicaStats};
+use crate::replica::{Decision, Replica};
+use crate::shell::{Phases, ShellState, ViewShell};
 use crate::value::{ValidityPredicate, Value};
-use probft_crypto::keyring::{Keyring, PublicKeyring};
-use probft_crypto::schnorr::SigningKey;
+use probft_crypto::keyring::Keyring;
 use probft_quorum::ReplicaId;
 use probft_simnet::delay::{DelayModel, HealingPartition, Lossy, PartialSynchrony};
 use probft_simnet::metrics::{Measurable, MessageMetrics};
@@ -34,24 +34,13 @@ use probft_simnet::process::{Context, Process, ProcessId, TimerToken};
 use probft_simnet::sim::{RunOutcome, Simulation};
 use probft_simnet::time::{SimDuration, SimTime};
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Deref;
 use std::sync::Arc;
+
+pub use crate::shell::Seat;
 
 /// Per-event budget of an instance: generous enough for hundreds of views.
 const MAX_EVENTS: u64 = 20_000_000;
-
-/// One replica's place in a simulated cluster: what every replica
-/// constructor in the workspace takes before its protocol-specific input.
-#[derive(Debug)]
-pub struct Seat {
-    /// The cluster's shared configuration.
-    pub cfg: SharedConfig,
-    /// This replica's identifier.
-    pub id: ReplicaId,
-    /// This replica's signing key.
-    pub sk: SigningKey,
-    /// Everyone's public keys.
-    pub keys: Arc<PublicKeyring>,
-}
 
 /// Runs a cluster of `cfg.n()` simulated processes — keys generated from
 /// `seed`, one process per [`Seat`] from `spawn`, all over `network` — until
@@ -81,17 +70,20 @@ pub fn run_cluster<P: Process<Message: Measurable + Clone>>(
     (sim, run_outcome)
 }
 
-/// A single-shot consensus protocol the harness can run, implemented for
-/// the protocol's honest replica.
-pub trait Protocol: Process<Message: Measurable + Clone> + Sized {
+/// A single-shot consensus protocol the harness can run: the honest
+/// replica's type, which is some [`ViewShell`] and is inspected through the
+/// [`ShellState`] it dereferences to.
+pub trait Protocol:
+    Process<Message: Measurable + Clone> + Deref<Target = ShellState> + Sized
+{
     /// The protocol's Byzantine behaviours.
     type Strategy;
     /// A replica executing one [`Strategy`](Self::Strategy).
     type Byzantine: Process<Message = Self::Message>;
 
     /// The quorum multiplier `l` and overprovision factor `o` instances
-    /// start from (the paper's operating point unless overridden).
-    const QUORUM_PARAMS: (f64, f64) = (2.0, 1.7);
+    /// start from.
+    const QUORUM_PARAMS: (f64, f64);
 
     /// Builds the honest replica proposing `value` when it leads.
     fn honest(seat: Seat, value: Value) -> Self;
@@ -102,42 +94,22 @@ pub trait Protocol: Process<Message: Measurable + Clone> + Sized {
         faulty: Arc<BTreeSet<ReplicaId>>,
         strategy: Self::Strategy,
     ) -> Self::Byzantine;
-
-    /// The decision, if one has been reached.
-    fn decision(&self) -> Option<&Decision>;
-    /// Run counters.
-    fn stats(&self) -> &ReplicaStats;
-    /// The view the replica currently occupies.
-    fn current_view(&self) -> View;
-    /// Whether the decide rule ever fired for two different values.
-    fn has_conflicting_decision(&self) -> bool;
 }
 
-impl Protocol for Replica {
-    type Strategy = ByzantineStrategy;
-    type Byzantine = ByzantineReplica;
+impl<P: Phases<Message: Measurable>> Protocol for ViewShell<P> {
+    type Strategy = P::Strategy;
+    type Byzantine = P::Byzantine;
+    const QUORUM_PARAMS: (f64, f64) = P::QUORUM_PARAMS;
 
     fn honest(seat: Seat, value: Value) -> Self {
-        Replica::new(seat.cfg, seat.id, seat.sk, seat.keys, value)
+        ViewShell::new(seat.cfg, seat.id, seat.sk, seat.keys, value)
     }
     fn byzantine(
         seat: Seat,
         faulty: Arc<BTreeSet<ReplicaId>>,
-        strategy: ByzantineStrategy,
-    ) -> ByzantineReplica {
-        ByzantineReplica::new(seat.cfg, seat.id, seat.sk, seat.keys, faulty, strategy)
-    }
-    fn decision(&self) -> Option<&Decision> {
-        Replica::decision(self)
-    }
-    fn stats(&self) -> &ReplicaStats {
-        Replica::stats(self)
-    }
-    fn current_view(&self) -> View {
-        Replica::current_view(self)
-    }
-    fn has_conflicting_decision(&self) -> bool {
-        Replica::has_conflicting_decision(self)
+        strategy: P::Strategy,
+    ) -> P::Byzantine {
+        P::byzantine(seat, faulty, strategy)
     }
 }
 
@@ -357,7 +329,7 @@ impl<P: Protocol> Instance<P> {
             };
             let id = ReplicaId::from(p.index());
             outcome.max_view = outcome.max_view.max(replica.current_view());
-            outcome.equivocation_detections += replica.stats().equivocations_detected;
+            outcome.equivocation_detections += replica.stats.equivocations_detected;
             outcome.safety_violated |= replica.has_conflicting_decision();
             match replica.decision() {
                 Some(d) => {

@@ -21,7 +21,10 @@
 //! - [`predicates`] — `prepared`, `validNewLeader`, `safeProposal`.
 //! - [`sampling`] — VRF seeds (`v ‖ phase`) and sample derivation.
 //! - [`synchronizer`] — wish-based view synchronizer (Bravo et al. style).
-//! - [`replica`] — the honest replica (Algorithm 1, line for line).
+//! - [`shell`] — the view shell every replica runs in: synchronizer, timer,
+//!   future-view buffer, decision latch and the one `Process` impl.
+//! - [`replica`] — the honest replica (Algorithm 1, line for line), generic
+//!   over the vote policy so the PBFT baseline is an instantiation of it.
 //! - [`byzantine`] — adversary strategies incl. the optimal split attack.
 //! - [`harness`] — one-call experiment runner, shared with the PBFT and
 //!   HotStuff baselines.
@@ -50,6 +53,7 @@ pub mod message;
 pub mod predicates;
 pub mod replica;
 pub mod sampling;
+pub mod shell;
 pub mod signed;
 pub mod synchronizer;
 pub mod value;

@@ -14,9 +14,11 @@
 //! 19–20); receivers verify both that the proof is valid *and* that they are
 //! themselves members of the sample (preconditions of lines 17 and 21).
 
+use crate::byzantine::{ByzantineReplica, ByzantineStrategy};
 use crate::config::{ProbftConfig, View};
 use crate::error::RejectReason;
 use crate::sampling::{self, Phase};
+use crate::shell::Seat;
 use crate::signed::{Signed, SignedBody};
 use crate::value::Value;
 use crate::wire::{put, Reader, Wire, WireError};
@@ -26,6 +28,9 @@ use probft_crypto::sha256::Digest;
 use probft_crypto::vrf::VrfProof;
 use probft_quorum::ReplicaId;
 use probft_simnet::metrics::Measurable;
+use probft_simnet::process::{Process, ProcessId};
+use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// Context needed to verify any message: protocol parameters plus the
 /// public keys of the population.
@@ -71,13 +76,6 @@ pub struct ProposalBody {
     pub leader: ReplicaId,
     /// The proposed value.
     pub value: Value,
-}
-
-impl ProposalBody {
-    /// The `(view, value-digest)` pair used as a quorum matching key.
-    pub fn matching_key(&self) -> (View, Digest) {
-        (self.view, self.value.digest())
-    }
 }
 
 impl SignedBody for ProposalBody {
@@ -249,20 +247,42 @@ impl Signed<PhaseBody> {
 // generic over the vote their certificates are made of.
 // ---------------------------------------------------------------------------
 
-/// The Prepare/Commit vote body of a Propose → Prepare → Commit protocol:
-/// what view-change certificates are built from and what [`MessageOf`] is
-/// generic over. ProBFT (sampled [`PhaseBody`] votes) and the PBFT baseline
-/// (broadcast digest votes) instantiate the same [`NewLeaderBody`],
-/// [`ProposeBody`] and [`MessageOf`]; the vote supplies the domain tags, so
-/// the two never share a signature.
-pub trait CertVote: SignedBody<Phase = Phase> {
+/// The Prepare/Commit vote body of a Propose → Prepare → Commit protocol,
+/// and with it the protocol's *vote policy*: what view-change certificates
+/// are built from, what [`MessageOf`] is generic over, and the only places
+/// where the one replica ([`crate::replica::ThreePhase`]) behaves
+/// differently for ProBFT (sampled [`PhaseBody`] votes) and for the PBFT
+/// baseline (broadcast digest votes). The vote supplies the domain tags,
+/// so the two never share a signature.
+pub trait CertVote: SignedBody<Phase = Phase> + Clone {
     /// Domain tag of a [`NewLeader`] carrying these votes.
     const NEW_LEADER_DOMAIN: &'static [u8];
     /// Domain tag of a [`Propose`] justified by such NewLeaders.
     const PROPOSE_DOMAIN: &'static [u8];
+    /// The quorum multiplier `l` and overprovision factor `o` harness
+    /// instances of this policy start from.
+    const QUORUM_PARAMS: (f64, f64);
+
+    /// The Byzantine behaviours the experiment harness can seat against
+    /// this policy (named on the vote for the reason given on
+    /// [`Phases::Strategy`](crate::shell::Phases::Strategy)).
+    type Strategy;
+    /// A replica executing one [`Strategy`](Self::Strategy).
+    type Byzantine: Process<Message = MessageOf<Self>>;
+
+    /// Builds a Byzantine replica colluding with the `faulty` set.
+    fn byzantine(
+        seat: Seat,
+        faulty: Arc<BTreeSet<ReplicaId>>,
+        strategy: Self::Strategy,
+    ) -> Self::Byzantine;
 
     /// The view the vote was cast in.
     fn view(&self) -> View;
+
+    /// Digest of the value voted for; with [`view`](Self::view), the key
+    /// votes are matched under.
+    fn digest(&self) -> Digest;
 
     /// Full verification of a vote cast in `phase`: its signature, plus
     /// whatever else the vote carries that a receiver must check.
@@ -277,14 +297,55 @@ pub trait CertVote: SignedBody<Phase = Phase> {
     ) -> Result<(), RejectReason> {
         vote.verify_in(phase, ctx.keys)
     }
+
+    /// How `sender`'s vote for an accepted `proposal` is cast (lines 15–16
+    /// and 19–20).
+    fn cast(
+        sk: &SigningKey,
+        cfg: &ProbftConfig,
+        phase: Phase,
+        sender: ReplicaId,
+        proposal: &SignedProposal,
+    ) -> Signed<Self>;
+
+    /// Who the vote is sent to, in send order.
+    fn recipients(&self, cfg: &ProbftConfig) -> Vec<ProcessId>;
+
+    /// How many matching votes make a quorum (lines 17 and 21). Applied to
+    /// a certificate's votes that [`counts_for`](Self::counts_for) its
+    /// holder, this is also what `prepared(C, v, x, j)` means.
+    fn quorum(cfg: &ProbftConfig) -> usize;
+
+    /// Whether `receiver` may count this vote (the `i ∈ S` precondition).
+    fn counts_for(&self, receiver: ReplicaId) -> bool;
+
+    /// The leader-signed proposal the vote embeds, which lines 23–25
+    /// compare against `curVal`.
+    fn proposal(&self) -> Option<&SignedProposal>;
 }
 
 impl CertVote for PhaseBody {
     const NEW_LEADER_DOMAIN: &'static [u8] = b"probft-newleader|";
     const PROPOSE_DOMAIN: &'static [u8] = b"probft-propose|";
+    // The paper's operating point (§5).
+    const QUORUM_PARAMS: (f64, f64) = (2.0, 1.7);
+
+    type Strategy = ByzantineStrategy;
+    type Byzantine = ByzantineReplica;
+
+    fn byzantine(
+        seat: Seat,
+        faulty: Arc<BTreeSet<ReplicaId>>,
+        strategy: ByzantineStrategy,
+    ) -> ByzantineReplica {
+        ByzantineReplica::new(seat.cfg, seat.id, seat.sk, seat.keys, faulty, strategy)
+    }
 
     fn view(&self) -> View {
         self.proposal.view
+    }
+    fn digest(&self) -> Digest {
+        self.proposal.value.digest()
     }
     fn verify_vote(
         vote: &PhaseMessage,
@@ -292,6 +353,28 @@ impl CertVote for PhaseBody {
         ctx: &VerifyCtx<'_>,
     ) -> Result<(), RejectReason> {
         vote.verify(phase, ctx)
+    }
+
+    fn cast(
+        sk: &SigningKey,
+        cfg: &ProbftConfig,
+        phase: Phase,
+        sender: ReplicaId,
+        proposal: &SignedProposal,
+    ) -> PhaseMessage {
+        PhaseMessage::cast(sk, cfg, phase, sender, proposal.clone())
+    }
+    fn recipients(&self, _: &ProbftConfig) -> Vec<ProcessId> {
+        self.sample.iter().map(|r| ProcessId(r.index())).collect()
+    }
+    fn quorum(cfg: &ProbftConfig) -> usize {
+        cfg.probabilistic_quorum()
+    }
+    fn counts_for(&self, receiver: ReplicaId) -> bool {
+        self.includes(receiver)
+    }
+    fn proposal(&self) -> Option<&SignedProposal> {
+        Some(&self.proposal)
     }
 }
 
@@ -502,22 +585,35 @@ pub enum MessageOf<V> {
     Wish(Wish),
 }
 
-impl MessageOf<PhaseBody> {
-    /// The leader-signed proposal embedded in this message, if any.
-    ///
-    /// This is the `⟨v, x⟩_j` unit that lines 23–25 of Algorithm 1 compare
-    /// against `curVal` to detect equivocation; `NewLeader` and `Wish`
-    /// carry no current-view proposal.
-    pub fn embedded_proposal(&self) -> Option<&SignedProposal> {
-        match self {
-            MessageOf::Propose(p) => Some(&p.proposal),
-            MessageOf::Prepare(p) | MessageOf::Commit(p) => Some(&p.proposal),
-            MessageOf::NewLeader(_) | MessageOf::Wish(_) => None,
-        }
+impl<V> From<Wish> for MessageOf<V> {
+    fn from(wish: Wish) -> Self {
+        MessageOf::Wish(wish)
     }
 }
 
 impl<V: CertVote> MessageOf<V> {
+    /// Wraps a vote cast in `phase`.
+    pub fn vote(phase: Phase, vote: Signed<V>) -> Self {
+        match phase {
+            Phase::Prepare => MessageOf::Prepare(vote),
+            Phase::Commit => MessageOf::Commit(vote),
+        }
+    }
+
+    /// The leader-signed proposal embedded in this message, if any.
+    ///
+    /// This is the `⟨v, x⟩_j` unit that lines 23–25 of Algorithm 1 compare
+    /// against `curVal` to detect equivocation; `NewLeader` and `Wish`
+    /// carry no current-view proposal, and neither do votes that name the
+    /// value by digest.
+    pub fn embedded_proposal(&self) -> Option<&SignedProposal> {
+        match self {
+            MessageOf::Propose(p) => Some(&p.proposal),
+            MessageOf::Prepare(p) | MessageOf::Commit(p) => p.proposal(),
+            MessageOf::NewLeader(_) | MessageOf::Wish(_) => None,
+        }
+    }
+
     /// The view this message belongs to.
     pub fn view(&self) -> View {
         match self {

@@ -6,11 +6,14 @@
 //! they can be exhaustively unit-tested away from the event loop — and the
 //! leader's selection rule and the validators' `safeProposal` re-check are
 //! literally the same code, which is what the paper's "redoing the leader's
-//! computation" requires.
+//! computation" requires. They are generic over the vote policy
+//! ([`CertVote`]), so ProBFT and the PBFT baseline run the same predicates
+//! over their own certificates.
 
 use crate::config::View;
-use crate::message::{NewLeader, PhaseMessage, Propose, VerifyCtx};
+use crate::message::{CertVote, NewLeaderBody, ProposeBody, VerifyCtx};
 use crate::sampling::Phase;
+use crate::signed::Signed;
 use crate::value::Value;
 use probft_crypto::sha256::Digest;
 use probft_quorum::ReplicaId;
@@ -18,12 +21,12 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// The `prepared(C, v, x, j)` predicate (§3.2).
 ///
-/// True iff `cert` contains Prepare messages from at least `q` distinct
-/// replicas, each cryptographically valid, each for the leader-signed
-/// proposal `(view, value)`, and each whose recipient sample contains the
-/// certificate holder `j`.
-pub fn prepared(
-    cert: &[PhaseMessage],
+/// True iff `cert` contains Prepare votes from a quorum of distinct
+/// replicas, each cryptographically valid, each for `(view, value)`, and
+/// each one the certificate holder `j` may count (in ProBFT: whose
+/// recipient sample contains `j`).
+pub fn prepared<V: CertVote>(
+    cert: &[Signed<V>],
     view: View,
     value: &Value,
     holder: ReplicaId,
@@ -32,22 +35,15 @@ pub fn prepared(
     if view.is_none() {
         return false;
     }
-    let q = ctx.cfg.probabilistic_quorum();
     let digest = value.digest();
-    let mut senders: BTreeSet<ReplicaId> = BTreeSet::new();
-    for msg in cert {
-        if msg.proposal.view != view || msg.proposal.value.digest() != digest {
-            continue;
-        }
-        if !msg.includes(holder) {
-            continue;
-        }
-        if msg.verify(Phase::Prepare, ctx).is_err() {
-            continue;
-        }
-        senders.insert(msg.sender);
-    }
-    senders.len() >= q
+    let senders: BTreeSet<ReplicaId> = cert
+        .iter()
+        .filter(|vote| vote.view() == view && vote.digest() == digest)
+        .filter(|vote| vote.counts_for(holder))
+        .filter(|vote| V::verify_vote(vote, Phase::Prepare, ctx).is_ok())
+        .map(|vote| vote.signer())
+        .collect();
+    senders.len() >= V::quorum(ctx.cfg)
 }
 
 /// The `validNewLeader(m)` predicate (§3.2).
@@ -56,7 +52,7 @@ pub fn prepared(
 /// before the view being entered, and — when it reports one at all — backs
 /// it with a valid prepared certificate. A report of "never prepared"
 /// (`prepared_view = 0`) must carry no value and no certificate.
-pub fn valid_new_leader(m: &NewLeader, ctx: &VerifyCtx<'_>) -> bool {
+pub fn valid_new_leader<V: CertVote>(m: &Signed<NewLeaderBody<V>>, ctx: &VerifyCtx<'_>) -> bool {
     if m.prepared_view >= m.view {
         return false;
     }
@@ -76,8 +72,15 @@ pub fn valid_new_leader(m: &NewLeader, ctx: &VerifyCtx<'_>) -> bool {
 ///
 /// Ties in the mode are broken by smallest value digest, deterministically,
 /// so that the leader and every validator agree (see DESIGN.md,
-/// "Paper-fidelity notes").
-pub fn choose_proposal(justification: &[NewLeader]) -> Option<Value> {
+/// "Paper-fidelity notes", note 3).
+///
+/// This is also PBFT's rule, "the value of the highest prepared view":
+/// there a report counts only with a certificate of `⌈(n+f+1)/2⌉` Prepare
+/// votes, two such certificates for one view share a correct replica, and a
+/// correct replica casts one Prepare per view — so every valid report of
+/// the highest prepared view names the same value, and the mode over one
+/// distinct value is that value. The tie-break never runs.
+pub fn choose_proposal<V>(justification: &[Signed<NewLeaderBody<V>>]) -> Option<Value> {
     let v_max = justification
         .iter()
         .map(|m| m.prepared_view)
@@ -119,8 +122,8 @@ pub fn choose_proposal(justification: &[NewLeader]) -> Option<Value> {
 /// no replica reported a prepared value).
 ///
 /// Assumes `propose` has already passed cryptographic verification
-/// ([`Propose::verify`]); this function performs only the semantic checks.
-pub fn safe_proposal(propose: &Propose, ctx: &VerifyCtx<'_>) -> bool {
+/// (`Propose::verify`); this function performs only the semantic checks.
+pub fn safe_proposal<V: CertVote>(propose: &Signed<ProposeBody<V>>, ctx: &VerifyCtx<'_>) -> bool {
     let view = propose.proposal.view;
     if view.is_none() {
         return false;
@@ -157,7 +160,9 @@ pub fn safe_proposal(propose: &Propose, ctx: &VerifyCtx<'_>) -> bool {
 mod tests {
     use super::*;
     use crate::config::ProbftConfig;
-    use crate::message::{NewLeaderBody, PhaseBody, ProposalBody, ProposeBody, SignedProposal};
+    use crate::message::{
+        NewLeader, PhaseBody, PhaseMessage, ProposalBody, Propose, SignedProposal,
+    };
     use crate::sampling::derive_sample;
     use probft_crypto::keyring::Keyring;
     use probft_quorum::ReplicaId;
@@ -404,7 +409,7 @@ mod tests {
         let (_, ring) = setup();
         let ms: Vec<NewLeader> = (0..3).map(|i| new_leader_none(&ring, i, View(2))).collect();
         assert_eq!(choose_proposal(&ms), None);
-        assert_eq!(choose_proposal(&[]), None);
+        assert_eq!(choose_proposal::<PhaseBody>(&[]), None);
     }
 
     #[test]

@@ -283,6 +283,12 @@ pub enum HsMessage {
     Wish(Wish),
 }
 
+impl From<Wish> for HsMessage {
+    fn from(wish: Wish) -> Self {
+        HsMessage::Wish(wish)
+    }
+}
+
 impl HsMessage {
     /// The view this message belongs to.
     pub fn view(&self) -> View {

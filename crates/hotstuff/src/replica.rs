@@ -1,218 +1,182 @@
-//! The single-shot basic-HotStuff replica.
+//! The single-shot basic-HotStuff replica: its phases, inside core's view
+//! shell.
 //!
 //! Three vote rounds (prepare, pre-commit, commit), each aggregated by the
 //! leader into a QC and re-broadcast; replicas lock on the pre-commit QC
 //! and decide on the commit QC. Safety comes from the locking rule; view
 //! changes carry the highest prepare QC to the next leader.
 
+use crate::harness::HsStrategy;
 use crate::message::{
     BroadcastBody, HsMessage, HsPhase, HsVote, HsVoteBody, LeaderBroadcast, NewViewBody, Qc,
 };
-use probft_core::config::{SharedConfig, View};
-use probft_core::message::{VerifyCtx, Wish, WishBody};
-use probft_core::replica::{Decision, ReplicaStats};
+use probft_core::config::{ProbftConfig, View};
+use probft_core::error::RejectReason;
+use probft_core::message::{VerifyCtx, Wish};
+use probft_core::shell::{Phases, Seat, ShellState, ViewShell};
 use probft_core::signed::Signed;
-use probft_core::synchronizer::Synchronizer;
 use probft_core::value::Value;
-use probft_crypto::keyring::PublicKeyring;
-use probft_crypto::schnorr::SigningKey;
 use probft_crypto::sha256::Digest;
 use probft_quorum::{QuorumTracker, ReplicaId};
-use probft_simnet::process::{Context, Process, ProcessId, TimerToken};
-use std::collections::BTreeMap;
-use std::fmt;
+use probft_simnet::process::Context;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// A single-shot HotStuff replica.
-pub struct HsReplica {
-    cfg: SharedConfig,
-    id: ReplicaId,
-    sk: SigningKey,
-    keys: Arc<PublicKeyring>,
-    my_value: Value,
+pub type HsReplica = ViewShell<HsPhases>;
 
-    cur_view: View,
+/// HotStuff's state inside the view shell.
+pub struct HsPhases {
     /// Highest prepare QC seen (the `prepareQC` of the HotStuff paper).
     prepare_qc: Option<Qc>,
     /// The lock set by a valid pre-commit QC.
     locked_qc: Option<Qc>,
     /// Phases already voted in the current view (at most one vote each).
-    voted: BTreeMap<HsPhase, bool>,
+    voted: BTreeSet<HsPhase>,
 
     // Leader state.
     new_views: BTreeMap<ReplicaId, Option<Qc>>,
     votes: QuorumTracker<(View, HsPhase, Digest), HsVote>,
     proposed: bool,
     /// Phases for which this leader already emitted a QC broadcast.
-    qc_sent: BTreeMap<HsPhase, bool>,
-
-    sync: Synchronizer,
-    future: BTreeMap<View, Vec<HsMessage>>,
-
-    decision: Option<Decision>,
-    conflicting_decision: bool,
-    stats: ReplicaStats,
+    qc_sent: BTreeSet<HsPhase>,
 }
 
-impl HsReplica {
-    /// Creates a HotStuff replica.
-    pub fn new(
-        cfg: SharedConfig,
-        id: ReplicaId,
-        sk: SigningKey,
-        keys: Arc<PublicKeyring>,
-        my_value: Value,
-    ) -> Self {
-        let dq = cfg.deterministic_quorum();
-        let f = cfg.faults();
-        HsReplica {
-            cfg,
-            id,
-            sk,
-            keys,
-            my_value,
-            cur_view: View::FIRST,
+impl Phases for HsPhases {
+    type Message = HsMessage;
+    type Strategy = HsStrategy;
+    type Byzantine = HsStrategy;
+    // Deterministic quorums: nothing is sampled.
+    const QUORUM_PARAMS: (f64, f64) = (1.0, 1.0);
+
+    fn byzantine(_: Seat, _: Arc<BTreeSet<ReplicaId>>, strategy: HsStrategy) -> HsStrategy {
+        strategy
+    }
+
+    fn new(cfg: &ProbftConfig) -> Self {
+        HsPhases {
             prepare_qc: None,
             locked_qc: None,
-            voted: BTreeMap::new(),
+            voted: BTreeSet::new(),
             new_views: BTreeMap::new(),
-            votes: QuorumTracker::new(dq),
+            votes: QuorumTracker::new(cfg.deterministic_quorum()),
             proposed: false,
-            qc_sent: BTreeMap::new(),
-            sync: Synchronizer::new(id, f),
-            future: BTreeMap::new(),
-            decision: None,
-            conflicting_decision: false,
-            stats: ReplicaStats::default(),
+            qc_sent: BTreeSet::new(),
         }
     }
 
-    /// The decision, if reached.
-    pub fn decision(&self) -> Option<&Decision> {
-        self.decision.as_ref()
+    fn verify(msg: &HsMessage, ctx: &VerifyCtx<'_>) -> Result<(), RejectReason> {
+        msg.verify(ctx)
+    }
+    fn view_of(msg: &HsMessage) -> View {
+        msg.view()
+    }
+    fn as_wish(msg: &HsMessage) -> Option<&Wish> {
+        match msg {
+            HsMessage::Wish(w) => Some(w),
+            _ => None,
+        }
     }
 
-    /// Run counters.
-    pub fn stats(&self) -> &ReplicaStats {
-        &self.stats
-    }
-
-    /// Whether the decide rule fired with two different values.
-    pub fn has_conflicting_decision(&self) -> bool {
-        self.conflicting_decision
-    }
-
-    /// The replica's current view.
-    pub fn current_view(&self) -> View {
-        self.cur_view
-    }
-
-    fn verify_ctx(&self) -> VerifyCtx<'_> {
-        VerifyCtx::new(&self.cfg, &self.keys)
-    }
-
-    fn is_leader(&self) -> bool {
-        self.cfg.leader_of(self.cur_view) == self.id
-    }
-
-    fn leader_pid(&self) -> ProcessId {
-        ProcessId(self.cfg.leader_of(self.cur_view).index())
-    }
-
-    fn broadcast(&self, msg: HsMessage, ctx: &mut Context<'_, HsMessage>) {
-        let peers: Vec<ProcessId> = (0..self.cfg.n()).map(ProcessId).collect();
-        ctx.multicast(peers, msg);
-    }
-
-    /// Signs `payload` as the current view's leader and broadcasts it.
-    fn broadcast_as_leader(&self, payload: LeaderBroadcast, ctx: &mut Context<'_, HsMessage>) {
-        let body = BroadcastBody {
-            sender: self.id,
-            view: self.cur_view,
-            payload,
-        };
-        self.broadcast(HsMessage::Broadcast(Signed::sign(&self.sk, body)), ctx);
-    }
-
-    fn enter_view(&mut self, view: View, ctx: &mut Context<'_, HsMessage>) {
-        self.cur_view = view;
+    fn enter_view(&mut self, shell: &mut ShellState, ctx: &mut Context<'_, HsMessage>) {
         self.voted.clear();
         self.new_views.clear();
         self.votes.clear();
         self.proposed = false;
         self.qc_sent.clear();
-        self.stats.views_entered += 1;
 
-        ctx.set_timer(self.cfg.timeout_for(view), TimerToken(view.0));
-
+        let view = shell.current_view();
         if view == View::FIRST {
-            if self.is_leader() {
-                let value = self.my_value.clone();
+            if shell.is_leader() {
                 self.proposed = true;
                 let payload = LeaderBroadcast::Propose {
-                    value,
+                    value: shell.my_value.clone(),
                     high_qc: None,
                 };
-                self.broadcast_as_leader(payload, ctx);
+                broadcast_as_leader(payload, shell, ctx);
             }
         } else {
             let body = NewViewBody {
-                sender: self.id,
+                sender: shell.seat.id,
                 view,
                 prepare_qc: self.prepare_qc.clone(),
             };
-            let msg = HsMessage::NewView(Signed::sign(&self.sk, body));
-            ctx.send(self.leader_pid(), msg);
-        }
-
-        self.future.retain(|v, _| *v >= view);
-        if let Some(msgs) = self.future.remove(&view) {
-            for msg in msgs {
-                self.handle_current(msg, ctx);
-            }
+            let msg = HsMessage::NewView(Signed::sign(&shell.seat.sk, body));
+            ctx.send(shell.leader(), msg);
         }
     }
 
+    fn on_message(
+        &mut self,
+        msg: HsMessage,
+        shell: &mut ShellState,
+        ctx: &mut Context<'_, HsMessage>,
+    ) {
+        match msg {
+            HsMessage::NewView(m) => self.on_new_view(m.body.sender, m.body.prepare_qc, shell, ctx),
+            HsMessage::Broadcast(b) => self.on_broadcast(b.body.payload, shell, ctx),
+            HsMessage::Vote(v) => self.on_vote(v, shell, ctx),
+            HsMessage::Wish(_) => unreachable!("wishes routed separately"),
+        }
+    }
+}
+
+/// Signs `payload` as the current view's leader and broadcasts it.
+fn broadcast_as_leader(
+    payload: LeaderBroadcast,
+    shell: &ShellState,
+    ctx: &mut Context<'_, HsMessage>,
+) {
+    let body = BroadcastBody {
+        sender: shell.seat.id,
+        view: shell.current_view(),
+        payload,
+    };
+    let msg = HsMessage::Broadcast(Signed::sign(&shell.seat.sk, body));
+    ctx.multicast(shell.peers(), msg);
+}
+
+impl HsPhases {
     fn on_new_view(
         &mut self,
         sender: ReplicaId,
         prepare_qc: Option<Qc>,
+        shell: &mut ShellState,
         ctx: &mut Context<'_, HsMessage>,
     ) {
-        if !self.is_leader() || self.proposed {
+        if !shell.is_leader() || self.proposed {
             return;
         }
         // A carried QC must be a valid prepare QC from an earlier view.
         if let Some(qc) = &prepare_qc {
             if qc.phase != HsPhase::Prepare
-                || qc.view >= self.cur_view
-                || !qc.is_valid(&self.verify_ctx())
+                || qc.view >= shell.current_view()
+                || !qc.is_valid(&shell.verify_ctx())
             {
-                self.stats.rejected += 1;
+                shell.stats.rejected += 1;
                 return;
             }
         }
         self.new_views.insert(sender, prepare_qc);
-        if self.new_views.len() >= self.cfg.deterministic_quorum() {
+        if self.new_views.len() >= shell.seat.cfg.deterministic_quorum() {
             // Propose the value of the highest prepare QC, or our own.
-            let high_qc = self
-                .new_views
-                .values()
-                .flatten()
-                .max_by_key(|qc| qc.view)
-                .cloned();
+            let high_qc = self.high_qc().cloned();
             let value = high_qc
                 .as_ref()
-                .map(|qc| qc.value.clone())
-                .unwrap_or_else(|| self.my_value.clone());
+                .map_or_else(|| shell.my_value.clone(), |qc| qc.value.clone());
             self.proposed = true;
-            self.broadcast_as_leader(LeaderBroadcast::Propose { value, high_qc }, ctx);
+            broadcast_as_leader(LeaderBroadcast::Propose { value, high_qc }, shell, ctx);
         }
     }
 
+    /// The highest prepare QC reported to this leader in the current view.
+    fn high_qc(&self) -> Option<&Qc> {
+        self.new_views.values().flatten().max_by_key(|qc| qc.view)
+    }
+
     /// The HotStuff safety rule for voting on a proposal.
-    fn safe_to_vote(&self, value: &Value, high_qc: &Option<Qc>) -> bool {
-        if !self.cfg.validity().is_valid(value) {
+    fn safe_to_vote(&self, value: &Value, high_qc: &Option<Qc>, shell: &ShellState) -> bool {
+        if !shell.seat.cfg.validity().is_valid(value) {
             return false;
         }
         match (&self.locked_qc, high_qc) {
@@ -223,219 +187,105 @@ impl HsReplica {
             (Some(locked), Some(high)) => {
                 high.view > locked.view
                     && high.value.digest() == value.digest()
-                    && high.is_valid(&self.verify_ctx())
+                    && high.is_valid(&shell.verify_ctx())
             }
             (Some(_), None) => false,
         }
     }
 
-    fn send_vote(&mut self, phase: HsPhase, digest: Digest, ctx: &mut Context<'_, HsMessage>) {
-        if self.voted.get(&phase).copied().unwrap_or(false) {
+    fn send_vote(
+        &mut self,
+        phase: HsPhase,
+        digest: Digest,
+        shell: &ShellState,
+        ctx: &mut Context<'_, HsMessage>,
+    ) {
+        if !self.voted.insert(phase) {
             return;
         }
-        self.voted.insert(phase, true);
-        let vote = HsVote::sign(
-            &self.sk,
-            HsVoteBody {
-                phase,
-                sender: self.id,
-                view: self.cur_view,
-                digest,
-            },
-        );
-        ctx.send(self.leader_pid(), HsMessage::Vote(vote));
+        let body = HsVoteBody {
+            phase,
+            sender: shell.seat.id,
+            view: shell.current_view(),
+            digest,
+        };
+        let vote = HsVote::sign(&shell.seat.sk, body);
+        ctx.send(shell.leader(), HsMessage::Vote(vote));
     }
 
-    fn on_broadcast(&mut self, payload: LeaderBroadcast, ctx: &mut Context<'_, HsMessage>) {
+    fn on_broadcast(
+        &mut self,
+        payload: LeaderBroadcast,
+        shell: &mut ShellState,
+        ctx: &mut Context<'_, HsMessage>,
+    ) {
+        // A QC counts only if it certifies `phase` in the current view.
+        let certifies = |qc: &Qc, phase: HsPhase| {
+            qc.phase == phase && qc.view == shell.current_view() && qc.is_valid(&shell.verify_ctx())
+        };
         match payload {
-            LeaderBroadcast::Propose { value, high_qc } => {
-                if self.safe_to_vote(&value, &high_qc) {
-                    self.send_vote(HsPhase::Prepare, value.digest(), ctx);
-                } else {
-                    self.stats.rejected += 1;
-                }
+            LeaderBroadcast::Propose { value, high_qc }
+                if self.safe_to_vote(&value, &high_qc, shell) =>
+            {
+                self.send_vote(HsPhase::Prepare, value.digest(), shell, ctx);
             }
-            LeaderBroadcast::PreCommit(qc) => {
-                if qc.phase == HsPhase::Prepare
-                    && qc.view == self.cur_view
-                    && qc.is_valid(&self.verify_ctx())
-                {
-                    self.stats.prepare_quorums += 1;
-                    self.prepare_qc = Some(qc.clone());
-                    self.send_vote(HsPhase::PreCommit, qc.value.digest(), ctx);
-                } else {
-                    self.stats.rejected += 1;
-                }
+            LeaderBroadcast::PreCommit(qc) if certifies(&qc, HsPhase::Prepare) => {
+                shell.stats.prepare_quorums += 1;
+                self.send_vote(HsPhase::PreCommit, qc.value.digest(), shell, ctx);
+                self.prepare_qc = Some(qc);
             }
-            LeaderBroadcast::Commit(qc) => {
-                if qc.phase == HsPhase::PreCommit
-                    && qc.view == self.cur_view
-                    && qc.is_valid(&self.verify_ctx())
-                {
-                    self.locked_qc = Some(qc.clone());
-                    self.send_vote(HsPhase::Commit, qc.value.digest(), ctx);
-                } else {
-                    self.stats.rejected += 1;
-                }
+            LeaderBroadcast::Commit(qc) if certifies(&qc, HsPhase::PreCommit) => {
+                self.send_vote(HsPhase::Commit, qc.value.digest(), shell, ctx);
+                self.locked_qc = Some(qc);
             }
-            LeaderBroadcast::Decide(qc) => {
-                if qc.phase == HsPhase::Commit
-                    && qc.view == self.cur_view
-                    && qc.is_valid(&self.verify_ctx())
-                {
-                    self.stats.commit_quorums += 1;
-                    match &self.decision {
-                        None => {
-                            self.decision = Some(Decision {
-                                view: self.cur_view,
-                                value: qc.value.clone(),
-                                at: ctx.now(),
-                            });
-                        }
-                        Some(d) if d.value.digest() != qc.value.digest() => {
-                            self.conflicting_decision = true;
-                        }
-                        Some(_) => {}
-                    }
-                } else {
-                    self.stats.rejected += 1;
-                }
+            LeaderBroadcast::Decide(qc) if certifies(&qc, HsPhase::Commit) => {
+                shell.stats.commit_quorums += 1;
+                shell.decide(qc.value, ctx.now());
             }
+            _ => shell.stats.rejected += 1,
         }
     }
 
-    fn on_vote(&mut self, vote: HsVote, ctx: &mut Context<'_, HsMessage>) {
-        if !self.is_leader() || vote.view != self.cur_view {
+    fn on_vote(&mut self, vote: HsVote, shell: &ShellState, ctx: &mut Context<'_, HsMessage>) {
+        if !shell.is_leader() {
             return;
         }
         let phase = vote.phase;
         let digest = vote.digest;
         let key = (vote.view, phase, digest);
         self.votes.insert(key, vote.sender, vote);
-        if self.qc_sent.get(&phase).copied().unwrap_or(false) {
-            return;
-        }
-        if self.votes.count(&key) < self.cfg.deterministic_quorum() {
+        if self.qc_sent.contains(&phase)
+            || self.votes.count(&key) < shell.seat.cfg.deterministic_quorum()
+        {
             return;
         }
         // Assemble the QC; we need the full value, which the leader knows
         // from its own proposal (it proposed it).
-        let value = self.proposed_value().filter(|v| v.digest() == digest);
+        let value = self.proposed_value(shell).filter(|v| v.digest() == digest);
         let Some(value) = value else {
             return;
         };
         let votes: Vec<HsVote> = self.votes.votes(&key).map(|(_, v)| v.clone()).collect();
         let qc = Qc {
             phase,
-            view: self.cur_view,
+            view: shell.current_view(),
             value,
             votes,
         };
-        self.qc_sent.insert(phase, true);
+        self.qc_sent.insert(phase);
         let payload = match phase {
             HsPhase::Prepare => LeaderBroadcast::PreCommit(qc),
             HsPhase::PreCommit => LeaderBroadcast::Commit(qc),
             HsPhase::Commit => LeaderBroadcast::Decide(qc),
         };
-        self.broadcast_as_leader(payload, ctx);
+        broadcast_as_leader(payload, shell, ctx);
     }
 
     /// The value this leader proposed in the current view (if leader).
-    fn proposed_value(&self) -> Option<Value> {
-        if !self.proposed {
-            return None;
-        }
-        let high_qc = self.new_views.values().flatten().max_by_key(|qc| qc.view);
-        Some(
-            high_qc
-                .map(|qc| qc.value.clone())
-                .unwrap_or_else(|| self.my_value.clone()),
-        )
-    }
-
-    fn handle_current(&mut self, msg: HsMessage, ctx: &mut Context<'_, HsMessage>) {
-        match msg {
-            HsMessage::NewView(m) => self.on_new_view(m.body.sender, m.body.prepare_qc, ctx),
-            HsMessage::Broadcast(b) => self.on_broadcast(b.body.payload, ctx),
-            HsMessage::Vote(v) => self.on_vote(v, ctx),
-            HsMessage::Wish(_) => unreachable!("wishes routed separately"),
-        }
-    }
-
-    fn apply_sync_action(
-        &mut self,
-        action: probft_core::synchronizer::SyncAction,
-        ctx: &mut Context<'_, HsMessage>,
-    ) {
-        if let Some(wish) = action.broadcast_wish {
-            let msg = HsMessage::Wish(Wish::sign(
-                &self.sk,
-                WishBody {
-                    sender: self.id,
-                    view: wish,
-                },
-            ));
-            self.broadcast(msg, ctx);
-        }
-        if let Some(view) = action.enter_view {
-            self.enter_view(view, ctx);
-        }
-    }
-}
-
-impl Process for HsReplica {
-    type Message = HsMessage;
-
-    fn on_start(&mut self, ctx: &mut Context<'_, HsMessage>) {
-        self.enter_view(View::FIRST, ctx);
-    }
-
-    fn on_message(&mut self, _from: ProcessId, msg: HsMessage, ctx: &mut Context<'_, HsMessage>) {
-        if msg.verify(&self.verify_ctx()).is_err() {
-            self.stats.rejected += 1;
-            return;
-        }
-        if let HsMessage::Wish(w) = &msg {
-            let action = self.sync.on_wish(w.sender, w.view);
-            self.apply_sync_action(action, ctx);
-            return;
-        }
-        let view = msg.view();
-        if view < self.cur_view {
-            return;
-        }
-        if view > self.cur_view {
-            if view.0 - self.cur_view.0 <= self.cfg.view_buffer_horizon() {
-                self.future.entry(view).or_default().push(msg);
-            } else {
-                self.stats.rejected += 1;
-            }
-            return;
-        }
-        self.handle_current(msg, ctx);
-    }
-
-    fn on_timer(&mut self, token: TimerToken, ctx: &mut Context<'_, HsMessage>) {
-        let view = View(token.0);
-        if view != self.cur_view {
-            return;
-        }
-        let action = self.sync.on_timeout();
-        ctx.set_timer(
-            self.cfg.timeout_for(self.cur_view),
-            TimerToken(self.cur_view.0),
-        );
-        self.apply_sync_action(action, ctx);
-    }
-}
-
-impl fmt::Debug for HsReplica {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("HsReplica")
-            .field("id", &self.id)
-            .field("view", &self.cur_view)
-            .field("locked", &self.locked_qc.is_some())
-            .field("decided", &self.decision.is_some())
-            .finish()
+    fn proposed_value(&self, shell: &ShellState) -> Option<Value> {
+        self.proposed.then(|| {
+            self.high_qc()
+                .map_or_else(|| shell.my_value.clone(), |qc| qc.value.clone())
+        })
     }
 }

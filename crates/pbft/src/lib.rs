@@ -4,7 +4,9 @@
 //! formulation of Bravo et al. used by the ProBFT paper, §2.3) — the
 //! primary baseline ProBFT is measured against.
 //!
-//! Same three-phase structure as ProBFT (Propose → Prepare → Commit), but:
+//! The same Propose → Prepare → Commit state machine as ProBFT — core's
+//! `ReplicaOf`, instantiated over this crate's vote — under another vote
+//! policy (`impl CertVote for VoteBody`):
 //!
 //! - Prepare/Commit votes are **broadcast to all n replicas** — `O(n²)`
 //!   messages per view (Figure 1b's top curve);

@@ -4,16 +4,22 @@
 //! `NewLeader` and `Propose` instantiated over PBFT's prepare vote, and
 //! that vote *is* the comparison the paper draws: Prepare/Commit are
 //! **broadcast to everyone** (no VRF samples, no proofs) and name the value
-//! by digest, and all quorums are the deterministic `⌈(n+f+1)/2⌉`.
+//! by digest, and all quorums are the deterministic `⌈(n+f+1)/2⌉`. Its
+//! [`CertVote`] impl below is the whole of PBFT's difference from
+//! Algorithm 1.
 
-use probft_core::config::View;
-use probft_core::message::{CertVote, MessageOf, NewLeaderBody, ProposeBody, VerifyCtx};
+use crate::byzantine::{PbftByzantine, PbftStrategy};
+use probft_core::config::{ProbftConfig, View};
+use probft_core::harness::Seat;
+use probft_core::message::{CertVote, MessageOf, NewLeaderBody, ProposeBody};
 use probft_core::signed::{Signed, SignedBody};
-use probft_core::value::Value;
 use probft_core::wire::{Reader, Wire, WireError};
+use probft_crypto::schnorr::SigningKey;
 use probft_crypto::sha256::Digest;
 use probft_quorum::ReplicaId;
+use probft_simnet::process::ProcessId;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// The leader-signed proposal, shared with ProBFT's structure.
 pub use probft_core::message::SignedProposal;
@@ -54,9 +60,48 @@ impl SignedBody for VoteBody {
 impl CertVote for VoteBody {
     const NEW_LEADER_DOMAIN: &'static [u8] = b"pbft-newleader|";
     const PROPOSE_DOMAIN: &'static [u8] = b"pbft-propose|";
+    // Deterministic quorums: nothing is sampled.
+    const QUORUM_PARAMS: (f64, f64) = (1.0, 1.0);
+
+    type Strategy = PbftStrategy;
+    type Byzantine = PbftByzantine;
+
+    fn byzantine(seat: Seat, _: Arc<BTreeSet<ReplicaId>>, strategy: PbftStrategy) -> PbftByzantine {
+        PbftByzantine::new(seat.cfg, seat.id, seat.sk, strategy)
+    }
 
     fn view(&self) -> View {
         self.view
+    }
+    fn digest(&self) -> Digest {
+        self.digest
+    }
+
+    fn cast(
+        sk: &SigningKey,
+        _: &ProbftConfig,
+        phase: VotePhase,
+        sender: ReplicaId,
+        proposal: &SignedProposal,
+    ) -> Vote {
+        let body = VoteBody {
+            sender,
+            view: proposal.view,
+            digest: proposal.value.digest(),
+        };
+        Vote::sign_in(sk, phase, body)
+    }
+    fn recipients(&self, cfg: &ProbftConfig) -> Vec<ProcessId> {
+        (0..cfg.n()).map(ProcessId).collect()
+    }
+    fn quorum(cfg: &ProbftConfig) -> usize {
+        cfg.deterministic_quorum()
+    }
+    fn counts_for(&self, _: ReplicaId) -> bool {
+        true
+    }
+    fn proposal(&self) -> Option<&SignedProposal> {
+        None
     }
 }
 
@@ -84,72 +129,6 @@ pub type PbftNewLeader = Signed<NewLeaderBody<VoteBody>>;
 /// (none in view 1).
 pub type PbftPropose = Signed<ProposeBody<VoteBody>>;
 
-/// The semantic `validNewLeader` check: a prepared report must carry a
-/// deterministic quorum of valid Prepare votes for the claimed value.
-pub fn valid_new_leader(m: &PbftNewLeader, ctx: &VerifyCtx<'_>) -> bool {
-    if m.prepared_view >= m.view {
-        return false;
-    }
-    if m.prepared_view.is_none() {
-        return m.prepared_value.is_none() && m.cert.is_empty();
-    }
-    let Some(value) = &m.prepared_value else {
-        return false;
-    };
-    let digest = value.digest();
-    let mut senders = BTreeSet::new();
-    for vote in &m.cert {
-        if vote.view == m.prepared_view
-            && vote.digest == digest
-            && vote.verify_in(VotePhase::Prepare, ctx.keys).is_ok()
-        {
-            senders.insert(vote.sender);
-        }
-    }
-    senders.len() >= ctx.cfg.deterministic_quorum()
-}
-
-/// The safeProposal analogue: view 1 is free; later views need a
-/// deterministic quorum of valid reports, and the value must be the one
-/// prepared in the highest reported view (PBFT's deterministic quorums
-/// make that value unique).
-pub fn safe_proposal(propose: &PbftPropose, ctx: &VerifyCtx<'_>) -> bool {
-    let view = propose.proposal.view;
-    if view.is_none() || ctx.cfg.leader_of(view) != propose.proposal.leader {
-        return false;
-    }
-    if !ctx.cfg.validity().is_valid(&propose.proposal.value) {
-        return false;
-    }
-    if view == View::FIRST {
-        return true;
-    }
-    let mut senders = BTreeSet::new();
-    for m in &propose.justification {
-        if m.view != view || !valid_new_leader(m, ctx) {
-            return false;
-        }
-        senders.insert(m.sender);
-    }
-    if senders.len() < ctx.cfg.deterministic_quorum() {
-        return false;
-    }
-    match choose_pbft_proposal(&propose.justification) {
-        Some(required) => required.digest() == propose.proposal.value.digest(),
-        None => true,
-    }
-}
-
-/// The new leader's selection rule: the value prepared in the highest
-/// reported view, if any.
-pub fn choose_pbft_proposal(justification: &[PbftNewLeader]) -> Option<Value> {
-    justification
-        .iter()
-        .filter(|m| !m.prepared_view.is_none())
-        .max_by_key(|m| m.prepared_view)
-        .and_then(|m| m.prepared_value.clone())
-}
-
 /// Any single-shot PBFT message: ProBFT's message set over broadcast
 /// digest votes.
 pub type PbftMessage = MessageOf<VoteBody>;
@@ -157,8 +136,9 @@ pub type PbftMessage = MessageOf<VoteBody>;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use probft_core::config::ProbftConfig;
-    use probft_core::message::{NewLeaderBody, ProposalBody, ProposeBody};
+    use probft_core::message::{ProposalBody, VerifyCtx};
+    use probft_core::predicates::{choose_proposal, safe_proposal, valid_new_leader};
+    use probft_core::value::Value;
     use probft_crypto::keyring::Keyring;
 
     fn setup() -> (ProbftConfig, Keyring) {
@@ -265,9 +245,9 @@ mod tests {
             )
         };
         let ms = vec![make(0, 0, 0), make(1, 2, 7), make(2, 3, 8)];
-        assert_eq!(choose_pbft_proposal(&ms), Some(Value::from_tag(8)));
+        assert_eq!(choose_proposal(&ms), Some(Value::from_tag(8)));
         let none = vec![make(0, 0, 0), make(1, 0, 0)];
-        assert_eq!(choose_pbft_proposal(&none), None);
+        assert_eq!(choose_proposal(&none), None);
     }
 
     #[test]

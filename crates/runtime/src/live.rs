@@ -412,7 +412,6 @@ pub struct LiveSmrBuilder<S: StateMachine = KvStore> {
     pipeline_depth: usize,
     batch_size: usize,
     checkpoint_interval: usize,
-    adaptive_batching: bool,
     max_pending: usize,
     _machine: std::marker::PhantomData<S>,
 }
@@ -437,7 +436,6 @@ impl<S: StateMachine> LiveSmrBuilder<S> {
             pipeline_depth: 4,
             batch_size: 8,
             checkpoint_interval: 0,
-            adaptive_batching: true,
             max_pending: 0,
             _machine: std::marker::PhantomData,
         }
@@ -462,20 +460,12 @@ impl<S: StateMachine> LiveSmrBuilder<S> {
         self
     }
 
-    /// Most pending entries the leader packs into one slot's batch. With
-    /// adaptive batching (the default) this is only the light-load
-    /// behaviour's reference point — deep queues grow batches past it.
+    /// Most pending entries the leader packs into one slot's batch. A live
+    /// cluster batches adaptively ([`SmrSettings::live`]), so this is only
+    /// the light-load behaviour's reference point — batches are sized from
+    /// the observed pending-queue depth, and deep queues grow them past it.
     pub fn batch_size(mut self, batch: usize) -> Self {
         self.batch_size = batch.max(1);
-        self
-    }
-
-    /// Toggles adaptive batching (default on): batches are sized from the
-    /// observed pending-queue depth — small under light load, growing
-    /// past the static `batch_size` cap under a deep queue — instead of
-    /// always packing a fixed-size slice.
-    pub fn adaptive_batching(mut self, on: bool) -> Self {
-        self.adaptive_batching = on;
         self
     }
 
@@ -519,7 +509,6 @@ impl<S: StateMachine> LiveSmrBuilder<S> {
         let shutdown = Arc::new(AtomicBool::new(false));
         let mut settings = SmrSettings::live(self.pipeline_depth, self.batch_size);
         settings.checkpoint_interval = self.checkpoint_interval;
-        settings.adaptive_batching = self.adaptive_batching;
         settings.max_pending = self.max_pending;
 
         let (listeners, addrs) =

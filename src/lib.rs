@@ -34,19 +34,19 @@
 //!
 //! | Module alias | Crate | Contents |
 //! |---|---|---|
-//! | [`core`] | `probft-core` | ProBFT itself (Algorithm 1), Byzantine strategies, the harness for all three protocols |
+//! | [`core`] | `probft-core` | ProBFT itself (the view shell and the one Algorithm-1 replica), Byzantine strategies, the harness for all three protocols |
 //! | [`crypto`] | `probft-crypto` | SHA-256, Schnorr, VRF with verifiable sampling |
 //! | [`simnet`] | `probft-simnet` | Deterministic discrete-event simulator (GST model) |
 //! | [`quorum`] | `probft-quorum` | Quorum sizes and vote trackers |
-//! | [`pbft`] | `probft-pbft` | Single-shot PBFT baseline |
-//! | [`hotstuff`] | `probft-hotstuff` | Single-shot HotStuff baseline |
+//! | [`pbft`] | `probft-pbft` | Single-shot PBFT baseline: core's replica under PBFT's vote policy |
+//! | [`hotstuff`] | `probft-hotstuff` | Single-shot HotStuff baseline: its phases in core's view shell |
 //! | [`analysis`] | `probft-analysis` | Figure 5 / Figure 1 numerical models |
 //! | [`smr`] | `probft-smr` | Replicated state machine (future-work extension) |
 //! | [`runtime`] | `probft-runtime` | Thread-per-replica TCP deployment |
 //! | [`obs`] | `probft-obs` | Metrics registry, histograms, flight-recorder tracing |
 //!
-//! See `DESIGN.md` for the system inventory and per-experiment index, and
-//! `EXPERIMENTS.md` for paper-vs-measured results.
+//! See `DESIGN.md` for the substitutions this reproduction makes and its
+//! paper-fidelity notes, and `benchmarks/README.md` for measured results.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -123,3 +123,40 @@ fn measured_ratio_consistent_with_section_5() {
         "measured ratio {ratio} out of expected band"
     );
 }
+
+/// "PBFT is a vote policy of Algorithm 1", executed: ProBFT configured into
+/// the limit — `l = dq/√n`, so a quorum is PBFT's deterministic one, and
+/// `o = 4`, so every sample is the whole population — decides, agrees and
+/// sends exactly PBFT's messages, kind by kind.
+#[test]
+fn probft_in_the_limit_sends_exactly_pbfts_messages() {
+    for n in [16usize, 25] {
+        let dq = Instance::<PbftReplica>::new(n)
+            .config()
+            .deterministic_quorum();
+        let limit = Instance::<Replica>::new(n)
+            .seed(4)
+            .quorum_multiplier(dq as f64 / (n as f64).sqrt())
+            .overprovision(4.0);
+        let cfg = limit.config();
+        assert_eq!((cfg.probabilistic_quorum(), cfg.sample_size()), (dq, n));
+
+        let limit = limit.run();
+        assert!(
+            limit.all_correct_decided() && limit.agreement(),
+            "{limit:?}"
+        );
+        let pbft = run::<PbftReplica>(n, 4, 0.0);
+        let nn = (n * n) as u64;
+        for (kind, expected) in [
+            ("Propose", n as u64),
+            ("Prepare", nn),
+            ("Commit", nn),
+            ("NewLeader", 0),
+            ("Wish", 0),
+        ] {
+            assert_eq!(limit.metrics.kind(kind).sent, expected, "{kind}, n={n}");
+            assert_eq!(pbft.metrics.kind(kind).sent, expected, "PBFT {kind}, n={n}");
+        }
+    }
+}

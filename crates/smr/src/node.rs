@@ -1696,6 +1696,12 @@ mod tests {
         apply_slots(&mut node, &mut rng, 0, 2);
         assert_eq!(node.checkpoint_stats().taken, 1);
         let digest = node.own_checkpoints.get(&2).expect("own checkpoint").digest;
+        // Pinned on the commit that still encoded a cloned temporary: the
+        // live agreed state must encode to the same bytes.
+        assert_eq!(
+            digest.to_hex(),
+            "2202062675285a9cf69b985b0c917ca6073d1a90656e780fef2d9d700f705c66"
+        );
         let total_before = node.total_log_len();
         let chain_before = node.log_digest();
 

@@ -28,7 +28,11 @@ use probft::hotstuff::{
 use probft::pbft::{PbftMessage, PbftNewLeader, PbftPropose, Vote, VoteBody, VotePhase};
 use probft::quorum::ReplicaId;
 use probft::runtime::SmrFrame;
-use probft::smr::{CheckpointBody, CheckpointVote, KvStore, SlotMessage};
+use probft::smr::{
+    CheckpointBody, CheckpointVote, Command, KvResponse, KvStore, SlotMessage, Snapshot,
+    StateMachine, StateReply, StateRequest,
+};
+use std::collections::BTreeMap;
 
 /// One fixed instance of each of the twelve signed types.
 struct Fixtures {
@@ -555,4 +559,109 @@ fn domain_tags_are_distinct_and_prefix_free() {
             );
         }
     }
+}
+
+/// One fixed snapshot, the request for it and the certified reply that
+/// carries it: `(name, wire bytes)`, each checked to decode back equal.
+/// The checkpoint path's wire types had no vector before the checkpoint
+/// protocol moved behind `smr::checkpoint`; generated on the commit before
+/// that move.
+fn transfer_rows() -> Vec<(&'static str, Vec<u8>)> {
+    let ring = Keyring::generate(7, b"golden");
+    let mut state = KvStore::new();
+    for (key, value) in [("a", "1"), ("b", "2"), ("a", "3")] {
+        state.apply(&Command::Put {
+            key: key.into(),
+            value: value.into(),
+        });
+    }
+    let mut replies = BTreeMap::new();
+    replies.insert(7, (3, KvResponse::Prev(Some("1".into()))));
+    replies.insert(9, (1, KvResponse::Value(None)));
+    let snapshot = Snapshot {
+        slot: 32,
+        log_len: 40,
+        log_digest: Sha256::digest(b"log"),
+        state,
+        replies,
+    };
+    let snapshot_bytes = round_trip(&snapshot).to_wire_bytes();
+    let digest = Snapshot::<KvStore>::digest(&snapshot_bytes);
+
+    let req = round_trip(&StateRequest { min_slot: 32 });
+    // Five of seven: the deterministic quorum ⌈(n + f + 1) / 2⌉.
+    let certificate: Vec<CheckpointVote> = (0..5)
+        .map(|i| {
+            CheckpointVote::sign(
+                ring.signing_key(i).unwrap(),
+                CheckpointBody {
+                    from: ReplicaId::from(i),
+                    slot: 32,
+                    digest,
+                },
+            )
+        })
+        .collect();
+    let rep = round_trip(&StateReply {
+        slot: 32,
+        snapshot: snapshot_bytes.clone(),
+        certificate,
+    });
+    let req_frame = round_trip(&SmrFrame::<KvStore>::StateRequest { from: 6, req });
+    let rep_frame = round_trip(&SmrFrame::<KvStore>::StateReply {
+        from: 2,
+        rep: rep.clone(),
+    });
+    vec![
+        ("Snapshot<KvStore>", snapshot_bytes),
+        ("StateRequest", req.to_wire_bytes()),
+        ("StateReply", rep.to_wire_bytes()),
+        ("SmrFrame::StateRequest", req_frame.to_wire_bytes()),
+        ("SmrFrame::StateReply", rep_frame.to_wire_bytes()),
+    ]
+}
+
+/// `(name, wire length, SHA-256 of the wire bytes)`.
+const GOLDEN_TRANSFER: &[(&str, usize, &str)] = &[
+    (
+        "Snapshot<KvStore>",
+        153,
+        "94b865619e5fa503b8d5a6bac509311c9cbd252f442153a40796df5a1fb1ef10",
+    ),
+    (
+        "StateRequest",
+        8,
+        "707d56f1f282aee234577e650bea2e7b18bb6131a499582be18876aba99d4b60",
+    ),
+    (
+        "StateReply",
+        473,
+        "c83d8b16f6054a39dec45a7dc38348210e85985b1604bef11df7c7fb6adf9214",
+    ),
+    (
+        "SmrFrame::StateRequest",
+        13,
+        "558674a81729b8083c818330de31887a2698b10053a52996ffb21a3f9f8300b0",
+    ),
+    (
+        "SmrFrame::StateReply",
+        478,
+        "cc35e3f4bf69e68c094132c059d67286c5d9bef895e80eee595b12f844237b81",
+    ),
+];
+
+#[test]
+fn checkpoint_transfer_encodings_are_pinned() {
+    let actual: Vec<(&str, usize, String)> = transfer_rows()
+        .into_iter()
+        .map(|(name, bytes)| (name, bytes.len(), Sha256::digest(&bytes).to_hex()))
+        .collect();
+    let pinned: Vec<(&str, usize, String)> = GOLDEN_TRANSFER
+        .iter()
+        .map(|&(name, len, hex)| (name, len, hex.to_string()))
+        .collect();
+    assert_eq!(
+        actual, pinned,
+        "wire bytes moved; actual table: {actual:#?}"
+    );
 }

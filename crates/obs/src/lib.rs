@@ -95,6 +95,12 @@ pub struct Obs {
     pub checkpoints_taken: Counter,
     /// Bytes of snapshot state received via state transfer.
     pub state_transfer_bytes: Counter,
+    /// Log entries truncated below stable checkpoints.
+    pub truncated_entries: Counter,
+    /// Stable-checkpoint snapshots sent to laggards (requested or pushed).
+    pub snapshots_served: Counter,
+    /// Times this replica caught up by restoring a transferred snapshot.
+    pub state_transfers: Counter,
     /// Client-side: requests retried after a transport error.
     pub client_retries: Counter,
     /// Client-side: redirects followed to reach the leader.
@@ -104,6 +110,9 @@ pub struct Obs {
 
     /// Current depth of the pending client-request queue.
     pub pending_depth: Gauge,
+    /// Highest slot whose checkpoint this replica saw become stable
+    /// (0 = none yet).
+    pub stable_slot: Gauge,
 }
 
 impl std::fmt::Debug for Obs {
@@ -147,10 +156,14 @@ impl Obs {
             redirects_served: registry.counter("redirects_served"),
             checkpoints_taken: registry.counter("checkpoints_taken"),
             state_transfer_bytes: registry.counter("state_transfer_bytes"),
+            truncated_entries: registry.counter("truncated_entries"),
+            snapshots_served: registry.counter("snapshots_served"),
+            state_transfers: registry.counter("state_transfers"),
             client_retries: registry.counter("client_retries"),
             client_redirects: registry.counter("client_redirects"),
             client_overloads: registry.counter("client_overloads"),
             pending_depth: registry.gauge("pending_depth"),
+            stable_slot: registry.gauge("stable_slot"),
             registry,
             journal: Journal::new(capacity),
             epoch: Instant::now(),

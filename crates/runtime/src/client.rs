@@ -33,7 +33,6 @@ use probft_smr::{Command, Consistency, KvResponse, KvStore, OpKind, RequestId, S
 use std::error::Error;
 use std::fmt;
 use std::net::{SocketAddr, TcpStream};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Errors from submitting through an [`SmrClient`].
@@ -106,12 +105,10 @@ pub struct SmrClient<S: StateMachine = KvStore> {
     /// Consecutive redirects naming the same leader address without an
     /// applied reply in between.
     redirect_streak: Option<(SocketAddr, u32)>,
-    retries: u64,
-    redirects: u64,
-    overloads: u64,
-    /// Optional telemetry bundle: request RTTs land in `request_rtt_us`,
-    /// and retries/redirects/overloads mirror into `client_*` counters.
-    obs: Option<Arc<Obs>>,
+    /// This client's telemetry, labeled `client-<id>`: request RTTs land
+    /// in `request_rtt_us`, and retries / redirects / overload backoffs
+    /// are the `client_*` counters.
+    obs: Obs,
 }
 
 impl<S: StateMachine> SmrClient<S> {
@@ -131,22 +128,17 @@ impl<S: StateMachine> SmrClient<S> {
             overall_timeout: Duration::from_secs(30),
             last: None,
             redirect_streak: None,
-            retries: 0,
-            redirects: 0,
-            overloads: 0,
-            obs: None,
+            obs: Obs::new(format!("client-{client_id}")),
         }
     }
 
-    /// Attaches a telemetry bundle. Each completed submission or read
+    /// This client's telemetry bundle. Each completed submission or read
     /// records its end-to-end round-trip (across every retry and
-    /// redirect) into the bundle's `request_rtt_us` histogram, and
-    /// retries, redirects followed, and overload backoffs mirror into the
-    /// `client_retries` / `client_redirects` / `client_overloads`
-    /// counters.
-    pub fn attach_obs(mut self, obs: Arc<Obs>) -> Self {
-        self.obs = Some(obs);
-        self
+    /// redirect) into `request_rtt_us`; retries, redirects followed and
+    /// overload backoffs are the `client_retries` / `client_redirects` /
+    /// `client_overloads` counters.
+    pub fn obs(&self) -> &Obs {
+        &self.obs
     }
 
     /// Overrides the per-attempt reply timeout and the overall
@@ -178,18 +170,18 @@ impl<S: StateMachine> SmrClient<S> {
     /// Submission attempts beyond the first, across all requests (reply
     /// timeouts, reconnects — every resend of an already-sent request id).
     pub fn retries(&self) -> u64 {
-        self.retries
+        self.obs.client_retries.get()
     }
 
     /// Redirect replies followed, across all requests.
     pub fn redirects(&self) -> u64 {
-        self.redirects
+        self.obs.client_redirects.get()
     }
 
     /// `Overloaded` sheds absorbed (each answered with backoff-and-retry
     /// against the same leader), across all requests.
     pub fn overloads(&self) -> u64 {
-        self.overloads
+        self.obs.client_overloads.get()
     }
 
     /// Submits `op` as a write and blocks until the cluster confirms it
@@ -247,7 +239,7 @@ impl<S: StateMachine> SmrClient<S> {
         let Some((request, kind, op)) = self.last.clone() else {
             return Err(ClientError::NoReplicas);
         };
-        self.note_retry();
+        self.obs.client_retries.inc();
         self.send_until_applied(request, kind, &op)
     }
 
@@ -265,19 +257,8 @@ impl<S: StateMachine> SmrClient<S> {
     /// without progress, in which case rotate to the replica after the
     /// one we just asked (the redirect chain is going nowhere — probe the
     /// cluster instead of bouncing).
-    /// Bumps the retry count, mirrored into the attached bundle (if any).
-    fn note_retry(&mut self) {
-        self.retries += 1;
-        if let Some(obs) = &self.obs {
-            obs.client_retries.inc();
-        }
-    }
-
     fn follow_redirect(&mut self, named: SocketAddr, asked: SocketAddr) {
-        self.redirects += 1;
-        if let Some(obs) = &self.obs {
-            obs.client_redirects.inc();
-        }
+        self.obs.client_redirects.inc();
         let streak = match self.redirect_streak {
             Some((addr, count)) if addr == named => count + 1,
             _ => 1,
@@ -363,7 +344,7 @@ impl<S: StateMachine> SmrClient<S> {
                 if started.elapsed() >= self.overall_timeout {
                     return Err(ClientError::Exhausted { request, attempts });
                 }
-                self.note_retry();
+                self.obs.client_retries.inc();
             }
             attempts += 1;
 
@@ -384,10 +365,9 @@ impl<S: StateMachine> SmrClient<S> {
             match self.await_reply(request) {
                 Some(Answer::Applied(response)) => {
                     self.redirect_streak = None;
-                    if let Some(obs) = &self.obs {
-                        obs.request_rtt_us
-                            .record(started.elapsed().as_micros().min(u64::MAX as u128) as u64);
-                    }
+                    self.obs
+                        .request_rtt_us
+                        .record(started.elapsed().as_micros().min(u64::MAX as u128) as u64);
                     return Ok(response);
                 }
                 Some(Answer::Redirect(named)) => self.follow_redirect(named, target),
@@ -397,10 +377,7 @@ impl<S: StateMachine> SmrClient<S> {
                     // would only redirect us straight back, stampeding the
                     // shed load onto the rest of the cluster. Exponential
                     // with a cap; the connection stays up.
-                    self.overloads += 1;
-                    if let Some(obs) = &self.obs {
-                        obs.client_overloads.inc();
-                    }
+                    self.obs.client_overloads.inc();
                     self.redirect_streak = None;
                     let backoff = OVERLOAD_BACKOFF_BASE
                         .saturating_mul(1u32 << overload_streak.min(10))

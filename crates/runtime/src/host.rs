@@ -107,13 +107,6 @@ impl NetPolicy {
         }
     }
 
-    /// Removes any rule on the directed link `from → to`.
-    pub fn clear_link(&self, from: usize, to: usize) {
-        if let Ok(mut rules) = self.rules.lock() {
-            rules.remove(&(from, to));
-        }
-    }
-
     /// Removes every rule — the fully healed network.
     pub fn heal(&self) {
         if let Ok(mut rules) = self.rules.lock() {

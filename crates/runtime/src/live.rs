@@ -47,8 +47,8 @@ use probft_simnet::process::{Process, ProcessId};
 use probft_simnet::time::SimDuration;
 use probft_smr::node::SmrNode;
 use probft_smr::{
-    CheckpointStats, CheckpointVote, Consistency, Entry, KvStore, OpKind, RequestId, SlotMessage,
-    SmrMessage, SmrSettings, StateMachine, StateReply, StateRequest,
+    CheckpointVote, Consistency, Entry, KvStore, OpKind, RequestId, SlotMessage, SmrMessage,
+    SmrSettings, StateMachine, StateReply, StateRequest,
 };
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
@@ -360,11 +360,10 @@ pub struct ReplicaReport<S: StateMachine = KvStore> {
     /// Per-slot consensus instances still heap-resident (bounded by the
     /// pipeline depth — decided slots are pruned on apply).
     pub resident_slots: usize,
-    /// Checkpoint / truncation / state-transfer counters.
-    pub checkpoints: CheckpointStats,
     /// Final snapshot of the replica's `probft-obs` metrics registry:
     /// latency histograms (commit/decide/apply/recovery), attributable
-    /// drop counters, frame byte counters, and gauges.
+    /// drop counters, the checkpoint / truncation / state-transfer
+    /// counters, frame byte counters, and gauges.
     pub metrics: MetricsSnapshot,
     /// The replica's flight-recorder journal at shutdown: the last
     /// `DEFAULT_JOURNAL_CAPACITY` consensus-phase events, with any
@@ -460,10 +459,11 @@ impl<S: StateMachine> LiveSmrBuilder<S> {
         self
     }
 
-    /// Most pending entries the leader packs into one slot's batch. A live
-    /// cluster batches adaptively ([`SmrSettings::live`]), so this is only
-    /// the light-load behaviour's reference point — batches are sized from
-    /// the observed pending-queue depth, and deep queues grow them past it.
+    /// Has no effect: a live cluster always batches adaptively
+    /// ([`SmrSettings::live`]), sizing each batch from the observed
+    /// pending-queue depth up to [`MAX_BATCH`](probft_smr::MAX_BATCH), and
+    /// that rule never reads the static `batch_size` cap. The value is
+    /// stored in the settings and the setter is kept for its callers.
     pub fn batch_size(mut self, batch: usize) -> Self {
         self.batch_size = batch.max(1);
         self
@@ -1084,7 +1084,6 @@ fn smr_replica_main<S: StateMachine>(
         log_digest: node.log_digest(),
         state: node.state().clone(),
         resident_slots: node.resident_slots(),
-        checkpoints: node.checkpoint_stats(),
         metrics: obs.snapshot(),
         journal: obs.journal().snapshot(),
     }

@@ -1,16 +1,24 @@
-//! Checkpointing, log truncation, and snapshot state transfer.
+//! The agreed state, and the protocol that bounds it: checkpointing, log
+//! truncation, and snapshot state transfer.
 //!
-//! PBFT-style garbage collection (Castro–Liskov §4.3) adapted to the
-//! pipelined SMR engine: every [`checkpoint_interval`](crate::SmrSettings::
-//! checkpoint_interval) applied slots a node serializes a [`Snapshot`] of
-//! its replicated state — the application machine, the per-client reply
-//! cache (so at-most-once survives a transfer), the total log length, and
-//! the running log digest — and broadcasts a signed [`CheckpointVote`]
-//! carrying the snapshot's SHA-256 digest. Once a deterministic quorum
-//! (`⌈(n+f+1)/2⌉ ≥ 2f+1` honest-majority) of replicas attests the same
-//! digest for the same slot, the checkpoint is *stable*: everything at or
-//! below it — command-log entries, buffered slot traffic, older
-//! checkpoints and votes — is garbage, and the node truncates it.
+//! **The agreed state** is one value, [`Snapshot`]: the next slot to apply,
+//! the log length and running digest, the application machine and the
+//! per-client reply cache (so at-most-once survives a transfer). An
+//! [`SmrNode`](crate::SmrNode) holds one *live* `Snapshot` and feeds it
+//! decided entries through `apply_entry`, its single entry point — so a
+//! checkpoint is that value encoded as it stands, and restoring from a
+//! transferred one is an assignment.
+//!
+//! **The protocol** — the crate-private `Checkpointer` — is PBFT-style
+//! garbage collection (Castro–Liskov §4.3) adapted to the pipelined SMR
+//! engine: every
+//! [`checkpoint_interval`](crate::SmrSettings::checkpoint_interval)
+//! applied slots a node encodes its agreed state and broadcasts a signed
+//! [`CheckpointVote`] carrying the encoding's SHA-256 digest. Once a deterministic quorum (`⌈(n+f+1)/2⌉ ≥ 2f+1`
+//! honest-majority) of replicas attests the same digest for the same slot,
+//! the checkpoint is *stable*: everything at or below it — command-log
+//! entries, older checkpoints and votes — is garbage. The checkpointer
+//! drops its share and hands the node the log length to truncate to.
 //!
 //! Stability doubles as the catch-up signal. A replica that observes a
 //! quorum for a slot beyond its own pipeline window cannot recover by
@@ -18,17 +26,22 @@
 //! retransmit), so it asks the attesters for the snapshot with a
 //! [`StateRequest`]; any replica holding the stable checkpoint answers
 //! with a [`StateReply`], the laggard verifies the payload against the
-//! attested digest, restores, and resumes consensus from the checkpoint
-//! slot. Votes are Schnorr-signed with the replica keys — a single rogue
-//! connection cannot forge a quorum — while the snapshot payload itself
-//! needs no signature: its digest is what the quorum attested.
+//! attested digest, and the checkpointer hands the node the verified
+//! `Snapshot` to resume from. Votes are Schnorr-signed with the replica
+//! keys — a single rogue connection cannot forge a quorum — while the
+//! snapshot payload itself needs no signature: its digest is what the
+//! quorum attested. Everything counted here is a `probft-obs` metric.
 
-use crate::machine::StateMachine;
+use crate::machine::{Entry, OpKind, RequestId, StateMachine};
+use crate::node::{AppliedRequest, SmrMessage};
+use probft_core::shell::Seat;
 use probft_core::signed::{Signed, SignedBody};
 use probft_core::wire::{put, Reader, Wire, WireError};
 use probft_crypto::sha256::{Digest, Sha256};
+use probft_obs::{Obs, TraceKind};
 use probft_quorum::ReplicaId;
-use std::collections::BTreeMap;
+use probft_simnet::process::{Context, ProcessId};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// Everything a replica needs to resume service from a checkpoint slot
@@ -56,8 +69,10 @@ pub struct Snapshot<S: StateMachine> {
     /// The application state machine at the checkpoint.
     pub state: S,
     /// Per client: highest applied request sequence number and its
-    /// response — folding the reply cache into the snapshot keeps retried
-    /// requests at-most-once across a state transfer.
+    /// response — the dedup watermark *and* reply cache behind
+    /// at-most-once execution; folding it into the snapshot keeps retried
+    /// requests at-most-once across a state transfer. Bounded by the
+    /// number of distinct clients (one response each).
     pub replies: BTreeMap<u64, (u64, S::Response)>,
 }
 
@@ -66,6 +81,76 @@ impl<S: StateMachine> Snapshot<S> {
     /// attest and state-transfer payloads are verified against.
     pub fn digest(bytes: &[u8]) -> Digest {
         Sha256::digest_parts(&[b"probft-snapshot|", bytes])
+    }
+
+    /// The agreed state of an empty log: where every replica starts.
+    pub(crate) fn genesis() -> Self {
+        Snapshot {
+            slot: 0,
+            log_len: 0,
+            log_digest: Sha256::digest(b"probft-log-genesis"),
+            state: S::default(),
+            replies: BTreeMap::new(),
+        }
+    }
+
+    /// The cached response for an already-applied request, if any — the
+    /// reply-cache read path for answering client retries without
+    /// re-executing. For a sequential client (one request in flight) the
+    /// cache always holds the response of its latest applied request.
+    pub(crate) fn cached_response(&self, request: RequestId) -> Option<&S::Response> {
+        self.replies
+            .get(&request.client)
+            .filter(|(last, _)| *last >= request.seq)
+            .map(|(_, response)| response)
+    }
+
+    /// Applies one decided entry of slot `self.slot` to the log
+    /// bookkeeping and — unless it is a duplicate of an already-executed
+    /// client request — the state machine. Every replica sees the
+    /// identical decided sequence, so this dedup is deterministic and
+    /// replicated states stay equal. Read entries execute via
+    /// [`StateMachine::query`], observing the state at their log position
+    /// without mutating it. Returns what the submitting client is owed.
+    pub(crate) fn apply_entry(
+        &mut self,
+        entry: &Entry<S::Op>,
+    ) -> Option<AppliedRequest<S::Response>> {
+        self.log_digest =
+            Sha256::digest_parts(&[self.log_digest.as_bytes(), &entry.to_wire_bytes()]);
+        self.log_len = self.log_len.saturating_add(1);
+        let Some(request) = entry.request else {
+            // An untagged read has no client waiting and no effect:
+            // evaluating it would be pure wasted work (a full state clone
+            // under the default `query`), which a Byzantine proposer could
+            // otherwise exploit. Log it, skip it.
+            if entry.kind == OpKind::Write {
+                self.state.apply(&entry.op);
+            }
+            return None;
+        };
+        // A retry ordered twice skips execution and answers from the
+        // reply cache.
+        let cached = self.cached_response(request).cloned();
+        let executed = cached.is_none();
+        let response = cached.unwrap_or_else(|| {
+            let response = match entry.kind {
+                OpKind::Write => self.state.apply(&entry.op),
+                OpKind::Read => self.state.query(&entry.op),
+            };
+            // Not cached means the seq is above the watermark, so this
+            // insert keeps the watermark monotone even if a (misbehaving)
+            // client's sequence numbers get ordered out of order.
+            self.replies
+                .insert(request.client, (request.seq, response.clone()));
+            response
+        });
+        Some(AppliedRequest {
+            request,
+            slot: self.slot,
+            executed,
+            response,
+        })
     }
 }
 
@@ -249,51 +334,425 @@ impl Wire for StateReply {
     }
 }
 
-/// A checkpoint this node both produced (or received) and saw attested by
-/// a quorum — the node's truncation floor and what it serves to laggards.
-#[derive(Clone, Debug)]
-pub struct StableCheckpoint {
-    /// The checkpoint slot.
-    pub slot: u64,
-    /// The attested snapshot digest.
-    pub digest: Digest,
-    /// Total log entries captured below the checkpoint.
-    pub log_len: u64,
-    /// The encoded snapshot, kept for serving [`StateRequest`]s.
-    pub snapshot: Vec<u8>,
-    /// The quorum of signed votes that stabilised it, kept so served and
-    /// pushed snapshots prove themselves to any receiver.
-    pub certificate: Vec<CheckpointVote>,
+/// Most distinct checkpoint slots a node tracks attestations for. Honest
+/// clusters have votes in flight for one or two boundaries; a Byzantine
+/// peer spraying far-future checkpoint slots (each costing it one signed
+/// vote) hits this cap and evicts its own least-supported slots first.
+pub const MAX_TRACKED_CHECKPOINT_SLOTS: usize = 64;
+
+/// Most locally-taken checkpoints retained while awaiting stability; if
+/// attestation quorums lag by more than this many intervals, the oldest
+/// unstable snapshot is discarded (it can be rebuilt from newer ones).
+const MAX_PENDING_CHECKPOINTS: usize = 4;
+
+/// A locally produced checkpoint awaiting a stability quorum.
+struct OwnCheckpoint {
+    digest: Digest,
+    /// Total log entries at the checkpoint (the truncation mark).
+    log_len: u64,
+    /// The encoded [`Snapshot`].
+    bytes: Vec<u8>,
 }
 
-/// Checkpoint / truncation / transfer counters for one node, surfaced
-/// through `SmrOutcome` and `ReplicaReport`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CheckpointStats {
-    /// Checkpoints this node produced locally.
-    pub taken: u64,
-    /// The highest slot whose checkpoint this node saw become stable
-    /// (0 = none yet).
-    pub stable_slot: u64,
-    /// Log entries truncated below stable checkpoints.
-    pub truncated_entries: u64,
-    /// Snapshots served to laggards in answer to [`StateRequest`]s.
-    pub snapshots_served: u64,
-    /// Times this node caught up by restoring a transferred snapshot
-    /// instead of replaying the log.
-    pub state_transfers: u64,
-    /// Total encoded-snapshot bytes restored via state transfer (the
-    /// payload cost of catching up, mirrored into the `probft-obs`
-    /// registry as `state_transfer_bytes`).
-    pub transfer_bytes: u64,
+/// One node's side of the checkpoint protocol. It reads the node's agreed
+/// state and sends through the node's [`Context`], but owns none of the
+/// slot pipeline: what a stable checkpoint or a verified transfer means
+/// for the log and the in-flight slots is handed back to the caller.
+#[derive(Default)]
+pub(crate) struct Checkpointer {
+    /// Slots between checkpoints; 0 turns the protocol off.
+    interval: u64,
+    /// The node's pipeline depth: a stable checkpoint further than this
+    /// beyond the apply frontier is one consensus can no longer reach.
+    window: u64,
+    /// Locally taken checkpoints awaiting a stability quorum, by slot.
+    /// Bounded by [`MAX_PENDING_CHECKPOINTS`].
+    own_checkpoints: BTreeMap<u64, OwnCheckpoint>,
+    /// Checkpoint attestations by slot, one vote per replica (first one
+    /// wins — a Byzantine double-vote never counts twice). The full
+    /// signed votes are kept, so a stability quorum doubles as a
+    /// transferable *certificate*. Bounded by
+    /// [`MAX_TRACKED_CHECKPOINT_SLOTS`] slots of at most `n` votes each.
+    votes: BTreeMap<u64, BTreeMap<ReplicaId, CheckpointVote>>,
+    /// Per peer: the stable-checkpoint slot last sent to it. Caps
+    /// snapshot sends at one per peer per stable checkpoint — a forged
+    /// request cannot reflect more than one snapshot per checkpoint at a
+    /// victim. Bounded by `n`.
+    served_checkpoints: BTreeMap<ProcessId, u64>,
+    /// The highest checkpoint this node saw become stable, as the reply
+    /// it sends to laggards: snapshot plus certificate.
+    stable: Option<StateReply>,
+    /// A stable checkpoint known to exist beyond this node's pipeline
+    /// window — state transfer has been requested and not yet completed.
+    transfer_wanted: Option<(u64, Digest)>,
+    /// Obs-clock micros of the previous local checkpoint (drives the
+    /// checkpoint-interval histogram).
+    last_checkpoint_at: Option<u64>,
+    /// Obs-clock micros at which the outstanding state transfer was
+    /// requested (drives the state-transfer duration histogram).
+    transfer_started_at: Option<u64>,
+}
+
+impl Checkpointer {
+    pub(crate) fn new(interval: usize, pipeline_depth: usize) -> Self {
+        Checkpointer {
+            interval: interval as u64,
+            window: pipeline_depth as u64,
+            ..Checkpointer::default()
+        }
+    }
+
+    /// The highest checkpoint this node saw become stable, if any.
+    pub(crate) fn stable(&self) -> Option<&StateReply> {
+        self.stable.as_ref()
+    }
+
+    fn stable_slot(&self) -> u64 {
+        self.stable.as_ref().map_or(0, |s| s.slot)
+    }
+
+    /// Whether `slot` is a boundary this cluster checkpoints at.
+    fn is_boundary(&self, slot: u64) -> bool {
+        self.interval != 0 && slot != 0 && slot.is_multiple_of(self.interval)
+    }
+
+    /// With `applied` standing at an interval boundary: encodes it,
+    /// remembers the encoding pending stability, and broadcasts a signed
+    /// attestation of its digest. Returns the log length to truncate to
+    /// if this node's own vote completed the quorum.
+    pub(crate) fn maybe_take_checkpoint<S: StateMachine>(
+        &mut self,
+        applied: &Snapshot<S>,
+        seat: &Seat,
+        obs: &Obs,
+        ctx: &mut Context<'_, SmrMessage>,
+    ) -> Option<u64> {
+        let slot = applied.slot;
+        if !self.is_boundary(slot)
+            || slot <= self.stable_slot()
+            || self.own_checkpoints.contains_key(&slot)
+        {
+            return None;
+        }
+        let bytes = applied.to_wire_bytes();
+        let digest = Snapshot::<S>::digest(&bytes);
+        self.own_checkpoints.insert(
+            slot,
+            OwnCheckpoint {
+                digest,
+                log_len: applied.log_len,
+                bytes,
+            },
+        );
+        // Stability quorums normally lag by a round-trip, not by whole
+        // intervals; if they do fall behind, the oldest pending snapshot
+        // is expendable (a newer one subsumes it).
+        while self.own_checkpoints.len() > MAX_PENDING_CHECKPOINTS {
+            self.own_checkpoints.pop_first();
+        }
+        obs.checkpoints_taken.inc();
+        let now = obs.now_micros();
+        if let Some(prev) = self.last_checkpoint_at.replace(now) {
+            obs.checkpoint_interval_us.record(now.saturating_sub(prev));
+        }
+        obs.trace(TraceKind::CheckpointVote { slot });
+        let vote = CheckpointVote::sign(
+            &seat.sk,
+            CheckpointBody {
+                from: seat.id,
+                slot,
+                digest,
+            },
+        );
+        for peer in seat.cfg.all_replicas().filter(|&peer| peer != seat.id) {
+            let to = ProcessId(peer.index());
+            ctx.send(to, SmrMessage::CheckpointVote(vote.clone()));
+        }
+        // Peers may have attested this boundary before we reached it;
+        // recording our own vote may complete the quorum right here.
+        self.record_vote(vote, slot, seat, obs, ctx)
+    }
+
+    /// Handles a peer's attestation. The signature, not the connection,
+    /// authenticates it — checkpoint certificates must be as unforgeable
+    /// as the consensus votes they garbage-collect. Returns the log
+    /// length to truncate to if the vote made a checkpoint stable here.
+    pub(crate) fn handle_vote(
+        &mut self,
+        vote: CheckpointVote,
+        next_apply: u64,
+        seat: &Seat,
+        obs: &Obs,
+        ctx: &mut Context<'_, SmrMessage>,
+    ) -> Option<u64> {
+        if vote.verify_signature(&seat.keys).is_err() {
+            obs.drops_invalid_checkpoint.inc();
+            return None;
+        }
+        self.record_vote(vote, next_apply, seat, obs, ctx)
+    }
+
+    /// Records one (already signature-checked) attestation and acts if it
+    /// completes a quorum. One vote per replica per slot; tracked slots
+    /// are bounded against far-future checkpoint spray.
+    fn record_vote(
+        &mut self,
+        vote: CheckpointVote,
+        next_apply: u64,
+        seat: &Seat,
+        obs: &Obs,
+        ctx: &mut Context<'_, SmrMessage>,
+    ) -> Option<u64> {
+        let slot = vote.slot;
+        if !self.is_boundary(slot) {
+            obs.drops_invalid_checkpoint.inc();
+            return None;
+        }
+        if slot <= self.stable_slot() {
+            return None; // old news, already stable here
+        }
+        let slot_votes = self.votes.entry(slot).or_default();
+        if slot_votes.contains_key(&vote.from) {
+            return None; // first vote per replica per slot wins
+        }
+        slot_votes.insert(vote.from, vote);
+        if self.votes.len() > MAX_TRACKED_CHECKPOINT_SLOTS {
+            // Evict the least-supported tracked slot (ties: the highest,
+            // i.e. the most future — the shape of a spray).
+            let tracked = self.votes.iter();
+            let (&evict, _) = tracked.min_by_key(|(s, v)| (v.len(), std::cmp::Reverse(**s)))?;
+            self.votes.remove(&evict);
+            obs.drops_invalid_checkpoint.inc();
+            if evict == slot {
+                return None;
+            }
+        }
+        self.check_stability(slot, next_apply, seat, obs, ctx)
+    }
+
+    /// The recorded votes attesting exactly (`slot`, `digest`).
+    fn attesters(&self, slot: u64, digest: Digest) -> impl Iterator<Item = &CheckpointVote> {
+        self.votes
+            .get(&slot)
+            .into_iter()
+            .flat_map(BTreeMap::values)
+            .filter(move |vote| vote.digest == digest)
+    }
+
+    /// If `slot` has a digest attested by a deterministic quorum, the
+    /// checkpoint is stable: adopt-and-truncate if we have applied that
+    /// far, or request a snapshot transfer if it is beyond the pipeline
+    /// window (consensus cannot recover those slots — peers prune decided
+    /// slot state on apply and never retransmit).
+    fn check_stability(
+        &mut self,
+        slot: u64,
+        next_apply: u64,
+        seat: &Seat,
+        obs: &Obs,
+        ctx: &mut Context<'_, SmrMessage>,
+    ) -> Option<u64> {
+        let quorum = seat.cfg.deterministic_quorum();
+        let mut counts: BTreeMap<Digest, usize> = BTreeMap::new();
+        for vote in self.votes.get(&slot)?.values() {
+            *counts.entry(vote.digest).or_default() += 1;
+        }
+        let (&digest, _) = counts.iter().find(|(_, &count)| count >= quorum)?;
+        if slot <= next_apply {
+            return self.adopt_stable(slot, digest, obs);
+        }
+        if slot > next_apply.saturating_add(self.window)
+            && self.transfer_wanted != Some((slot, digest))
+        {
+            // Beyond anything in-flight consensus can still decide for
+            // us: fetch the snapshot from the replicas that attested it.
+            // `f + 1` recipients guarantee at least one honest holder
+            // without soliciting a quorum's worth of redundant
+            // snapshot-sized replies; the next boundary's quorum is the
+            // retry path if all of them fail.
+            self.transfer_wanted = Some((slot, digest));
+            self.transfer_started_at = Some(obs.now_micros());
+            obs.trace(TraceKind::StateTransferStart { slot });
+            let holders = self.attesters(slot, digest).filter(|v| v.from != seat.id);
+            for vote in holders.take(seat.cfg.faults() + 1) {
+                let request = SmrMessage::StateRequest(StateRequest { min_slot: slot });
+                ctx.send(ProcessId(vote.from.index()), request);
+            }
+        }
+        // Otherwise the slot is inside the pipeline window: in-flight
+        // consensus will carry us there, and our own checkpoint at that
+        // boundary will re-run this check and adopt.
+        None
+    }
+
+    /// Marks `slot` stable and forgets everything at or below it: older
+    /// pending checkpoints and votes. Returns the checkpoint's log length,
+    /// below which the caller truncates its resident log.
+    fn adopt_stable(&mut self, slot: u64, digest: Digest, obs: &Obs) -> Option<u64> {
+        // No pending snapshot: it was evicted, and the next boundary will
+        // stabilise instead.
+        if self.own_checkpoints.get(&slot)?.digest != digest {
+            // A quorum attested a state we do not hold: this replica has
+            // diverged (or the quorum is corrupt). Keep serving from the
+            // old checkpoint and surface the disagreement as a drop.
+            obs.drops_invalid_checkpoint.inc();
+            return None;
+        }
+        let own = self.own_checkpoints.remove(&slot)?;
+        obs.stable_slot.set(slot);
+        obs.trace(TraceKind::CheckpointStable { slot });
+        // The quorum of signed votes is the checkpoint's certificate:
+        // kept alongside the snapshot so served/pushed copies prove
+        // themselves to receivers with no vote state of their own.
+        self.stable = Some(StateReply {
+            slot,
+            snapshot: own.bytes,
+            certificate: self.attesters(slot, digest).cloned().collect(),
+        });
+        self.own_checkpoints.retain(|&s, _| s > slot);
+        self.votes.retain(|&s, _| s > slot);
+        if self.transfer_wanted.is_some_and(|(s, _)| s <= slot) {
+            self.transfer_wanted = None;
+        }
+        Some(own.log_len)
+    }
+
+    /// Sends the stable checkpoint (snapshot + certificate) to `to` if it
+    /// is at or above `min_slot` and that peer was not already sent it.
+    /// Serves a laggard's [`StateRequest`], and pushes to a peer observed
+    /// sending traffic for a slot *below* the stable checkpoint
+    /// (`min_slot` = that slot + 1): those slots are truncated
+    /// cluster-wide and the votes that said so were broadcast once, long
+    /// ago, so the checkpoint must come to it — the self-proving
+    /// certificate makes the unsolicited reply safe to accept.
+    ///
+    /// The once-per-peer-per-checkpoint cap keeps the unauthenticated
+    /// request harmless: `to` is only as trusted as the connection that
+    /// named it, so without the cap a forger could reflect unbounded
+    /// snapshot-sized replies at a third replica. A genuine laggard whose
+    /// one reply is lost retries via the next boundary's quorum (a *new*
+    /// stable slot, which re-arms the cap).
+    pub(crate) fn send_checkpoint(
+        &mut self,
+        to: ProcessId,
+        min_slot: u64,
+        seat: &Seat,
+        obs: &Obs,
+        ctx: &mut Context<'_, SmrMessage>,
+    ) {
+        let Some(stable) = self.stable.as_ref().filter(|s| s.slot >= min_slot) else {
+            return;
+        };
+        let served = self.served_checkpoints.get(&to);
+        if to.index() >= seat.cfg.n() || served.is_some_and(|&sent| sent >= stable.slot) {
+            return;
+        }
+        self.served_checkpoints.insert(to, stable.slot);
+        obs.snapshots_served.inc();
+        ctx.send(to, SmrMessage::StateReply(stable.clone()));
+    }
+
+    /// Verifies a transferred snapshot against its embedded certificate
+    /// and, if it is one this node should jump to, installs it as the
+    /// stable checkpoint and returns it for the caller to restore from.
+    /// The reply is self-proving: every vote in the certificate must
+    /// carry a valid Schnorr signature over the same `(slot, digest)`,
+    /// distinct signers must reach the deterministic quorum, and the
+    /// attested digest must equal the payload's own — so both solicited
+    /// replies and unsolicited catch-up pushes are accepted on identical
+    /// evidence, and no local vote state is required.
+    pub(crate) fn handle_state_reply<S: StateMachine>(
+        &mut self,
+        rep: StateReply,
+        next_apply: u64,
+        seat: &Seat,
+        obs: &Obs,
+    ) -> Option<Snapshot<S>> {
+        if self.interval == 0 || !rep.slot.is_multiple_of(self.interval) {
+            obs.drops_invalid_checkpoint.inc();
+            return None;
+        }
+        // Mirror the request condition: a transfer is only *useful* (and
+        // only ever requested or pushed) for a checkpoint beyond the
+        // pipeline window. A replayed-but-genuine reply for an in-window
+        // slot must not wipe live in-flight consensus state — those
+        // slots' traffic was already consumed and peers never retransmit.
+        if rep.slot <= next_apply.saturating_add(self.window) {
+            return None;
+        }
+        let digest = Snapshot::<S>::digest(&rep.snapshot);
+        let snapshot = certificate_proves(&rep, digest, seat)
+            .then(|| Snapshot::<S>::from_wire_bytes(&rep.snapshot).ok())
+            .flatten()
+            .filter(|snapshot| snapshot.slot == rep.slot);
+        let Some(snapshot) = snapshot else {
+            obs.drops_invalid_checkpoint.inc();
+            return None;
+        };
+        let bytes = rep.snapshot.len() as u64;
+        obs.stable_slot.set(rep.slot);
+        obs.state_transfers.inc();
+        obs.state_transfer_bytes.add(bytes);
+        if let Some(started) = self.transfer_started_at.take() {
+            obs.state_transfer_us
+                .record(obs.now_micros().saturating_sub(started));
+        }
+        obs.trace(TraceKind::StateTransferDone {
+            slot: rep.slot,
+            bytes,
+        });
+        self.own_checkpoints.clear();
+        self.votes.retain(|&s, _| s > rep.slot);
+        self.transfer_wanted = None;
+        self.stable = Some(rep);
+        Some(snapshot)
+    }
+}
+
+/// Whether a reply's certificate is a valid stability quorum for exactly
+/// (`rep.slot`, `digest`). Strict: one malformed vote damns the whole
+/// certificate (honest senders only ship valid ones).
+fn certificate_proves(rep: &StateReply, digest: Digest, seat: &Seat) -> bool {
+    let mut signers = BTreeSet::new();
+    for vote in &rep.certificate {
+        if vote.slot != rep.slot
+            || vote.digest != digest
+            || vote.from.index() >= seat.cfg.n()
+            || vote.verify_signature(&seat.keys).is_err()
+        {
+            return false;
+        }
+        signers.insert(vote.from);
+    }
+    signers.len() >= seat.cfg.deterministic_quorum()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::kv::{Command, KvResponse, KvStore};
+    use probft_core::config::ProbftConfig;
     use probft_core::error::RejectReason;
     use probft_crypto::keyring::Keyring;
+    use probft_simnet::process::Action;
+    use probft_simnet::time::SimTime;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use std::sync::Arc;
+
+    /// Peepholes for this crate's tests (the node's included).
+    impl Checkpointer {
+        /// The digest and encoding of the pending checkpoint at `slot`.
+        pub(crate) fn own_checkpoint(&self, slot: u64) -> Option<(Digest, &[u8])> {
+            let own = self.own_checkpoints.get(&slot)?;
+            Some((own.digest, &own.bytes))
+        }
+
+        /// The stable checkpoint a transfer has been requested for.
+        pub(crate) fn transfer_wanted(&self) -> Option<(u64, Digest)> {
+            self.transfer_wanted
+        }
+    }
 
     fn sample_snapshot() -> Snapshot<KvStore> {
         let mut state = KvStore::new();
@@ -415,22 +874,10 @@ mod tests {
         let keyring = Keyring::generate(4, b"checkpoint-tests");
         let snapshot = sample_snapshot().to_wire_bytes();
         let digest = Snapshot::<KvStore>::digest(&snapshot);
-        let certificate: Vec<CheckpointVote> = (0..3)
-            .map(|i| {
-                CheckpointVote::sign(
-                    keyring.signing_key(i).unwrap(),
-                    CheckpointBody {
-                        from: ReplicaId::from(i),
-                        slot: 96,
-                        digest,
-                    },
-                )
-            })
-            .collect();
         let rep = StateReply {
             slot: 96,
             snapshot,
-            certificate,
+            certificate: (0..3).map(|i| vote(&keyring, i, 96, digest)).collect(),
         };
         assert_eq!(
             StateReply::from_wire_bytes(&rep.to_wire_bytes()).unwrap(),
@@ -442,5 +889,156 @@ mod tests {
         put::var_bytes(&mut huge, b"snap");
         put::u32(&mut huge, u32::MAX);
         assert!(StateReply::from_wire_bytes(&huge).is_err());
+    }
+
+    /// Replica `id`'s seat in the 4-replica cluster of `ring` (stability
+    /// quorum 3), with the obs bundle and RNG a checkpointer call needs.
+    fn seat(ring: &Keyring, id: usize) -> (Seat, Obs, StdRng) {
+        let seat = Seat {
+            cfg: ProbftConfig::builder(4).build_shared(),
+            id: ReplicaId::from(id),
+            sk: ring.signing_key(id).unwrap().clone(),
+            keys: Arc::new(ring.public()),
+        };
+        (seat, Obs::new("test"), StdRng::seed_from_u64(1))
+    }
+
+    fn vote(ring: &Keyring, from: usize, slot: u64, digest: Digest) -> CheckpointVote {
+        let body = CheckpointBody {
+            from: ReplicaId::from(from),
+            slot,
+            digest,
+        };
+        CheckpointVote::sign(ring.signing_key(from).unwrap(), body)
+    }
+
+    /// The agreed state after `slots` one-PUT slots.
+    fn applied_through(slots: u64) -> Snapshot<KvStore> {
+        let mut applied = Snapshot::<KvStore>::genesis();
+        for i in 0..slots {
+            applied.apply_entry(&Entry::write(Command::Put {
+                key: format!("k{i}"),
+                value: "v".into(),
+            }));
+            applied.slot = i + 1;
+        }
+        applied
+    }
+
+    /// A Byzantine replica's *valid* votes for 200 distinct future
+    /// boundaries cost it one signature each and buy it nothing: tracked
+    /// slots stay capped, the spray evicts its own highest slots, every
+    /// eviction is counted, and an honest boundary with more support is
+    /// never the victim.
+    #[test]
+    fn checkpoint_slot_spray_evicts_itself_not_an_honest_boundary() {
+        let ring = Keyring::generate(4, b"checkpoint-tests");
+        let (seat, obs, mut rng) = seat(&ring, 0);
+        let mut ctx = Context::detached(ProcessId(0), SimTime::ZERO, &mut rng);
+        let mut ckpt = Checkpointer::new(2, 4);
+        let honest = Sha256::digest(b"honest");
+        for from in [1, 2] {
+            ckpt.handle_vote(vote(&ring, from, 2, honest), 0, &seat, &obs, &mut ctx);
+        }
+        // Highest first, so every eviction has an older victim to pick.
+        for boundary in (2..=201u64).rev() {
+            let sprayed = vote(&ring, 3, 2 * boundary, Sha256::digest(b"spray"));
+            ckpt.handle_vote(sprayed, 0, &seat, &obs, &mut ctx);
+        }
+        assert_eq!(ckpt.votes.len(), MAX_TRACKED_CHECKPOINT_SLOTS);
+        assert_eq!(ckpt.votes[&2].len(), 2, "the honest boundary survives");
+        // What is left of the spray is its 63 *lowest* slots: the highest
+        // single-vote slot went first each time.
+        let tracked: Vec<u64> = ckpt.votes.keys().copied().collect();
+        assert_eq!(tracked, (1..=64).map(|b| 2 * b).collect::<Vec<u64>>());
+        assert_eq!(obs.drops_invalid_checkpoint.get(), 201 - 64);
+        assert!(ctx.drain_actions().is_empty(), "no quorum, nothing sent");
+    }
+
+    /// Stability lagging by more than `MAX_PENDING_CHECKPOINTS` intervals
+    /// costs the oldest pending snapshot — a quorum for it then adopts
+    /// nothing — and the next boundary still stabilises and truncates.
+    #[test]
+    fn lagging_stability_drops_the_oldest_snapshot_and_the_next_still_stabilises() {
+        let ring = Keyring::generate(4, b"checkpoint-tests");
+        let (seat, obs, mut rng) = seat(&ring, 0);
+        let mut ctx = Context::detached(ProcessId(0), SimTime::ZERO, &mut rng);
+        let mut ckpt = Checkpointer::new(2, 1);
+        let boundaries = MAX_PENDING_CHECKPOINTS as u64 + 1;
+        for boundary in 1..=boundaries {
+            let applied = applied_through(2 * boundary);
+            assert_eq!(
+                ckpt.maybe_take_checkpoint(&applied, &seat, &obs, &mut ctx),
+                None
+            );
+        }
+        assert_eq!(obs.checkpoints_taken.get(), boundaries);
+        assert_eq!(ckpt.own_checkpoints.len(), MAX_PENDING_CHECKPOINTS);
+        assert!(ckpt.own_checkpoint(2).is_none(), "the oldest went");
+
+        let next_apply = 2 * boundaries;
+        let digest_of = |slot| Snapshot::<KvStore>::digest(&applied_through(slot).to_wire_bytes());
+        for from in [1, 2] {
+            let late = vote(&ring, from, 2, digest_of(2));
+            let stable = ckpt.handle_vote(late, next_apply, &seat, &obs, &mut ctx);
+            assert_eq!(stable, None, "nothing left to adopt at slot 2");
+        }
+        assert!(ckpt.stable().is_none());
+        assert_eq!(obs.drops_invalid_checkpoint.get(), 0);
+
+        let first = vote(&ring, 1, 4, digest_of(4));
+        assert_eq!(
+            ckpt.handle_vote(first, next_apply, &seat, &obs, &mut ctx),
+            None
+        );
+        let second = vote(&ring, 2, 4, digest_of(4));
+        assert_eq!(
+            ckpt.handle_vote(second, next_apply, &seat, &obs, &mut ctx),
+            Some(4),
+            "slot 4 stabilises: truncate the log to its four entries"
+        );
+        assert_eq!(ckpt.stable().expect("stable").slot, 4);
+        assert_eq!(obs.stable_slot.get(), 4);
+        assert!(ckpt.votes.keys().all(|&slot| slot > 4));
+    }
+
+    /// The two refusals of the guarded send: a request for more than the
+    /// stable checkpoint covers, and a second request from a peer already
+    /// sent this checkpoint, put nothing on the wire.
+    #[test]
+    fn state_request_above_stable_or_from_a_served_peer_sends_nothing() {
+        let ring = Keyring::generate(4, b"checkpoint-tests");
+        let (seat, obs, mut rng) = seat(&ring, 0);
+        let mut ctx = Context::detached(ProcessId(0), SimTime::ZERO, &mut rng);
+        let mut ckpt = Checkpointer::new(2, 1);
+        let applied = applied_through(2);
+        ckpt.maybe_take_checkpoint(&applied, &seat, &obs, &mut ctx);
+        let digest = ckpt.own_checkpoint(2).expect("own").0;
+        for from in [1, 2] {
+            ckpt.handle_vote(vote(&ring, from, 2, digest), 2, &seat, &obs, &mut ctx);
+        }
+        assert_eq!(ckpt.stable().expect("stable").slot, 2);
+        ctx.drain_actions();
+
+        ckpt.send_checkpoint(ProcessId(3), 4, &seat, &obs, &mut ctx);
+        assert!(ctx.drain_actions().is_empty(), "asked for more than held");
+        ckpt.send_checkpoint(ProcessId(9), 2, &seat, &obs, &mut ctx);
+        assert!(ctx.drain_actions().is_empty(), "no such replica");
+
+        ckpt.send_checkpoint(ProcessId(3), 2, &seat, &obs, &mut ctx);
+        let sent = ctx.drain_actions();
+        assert_eq!(sent.len(), 1);
+        let Some(Action::Send {
+            to: ProcessId(3),
+            msg: SmrMessage::StateReply(rep),
+        }) = sent.first()
+        else {
+            panic!("expected one StateReply to replica 3, got {sent:?}");
+        };
+        assert_eq!(Some(rep), ckpt.stable());
+
+        ckpt.send_checkpoint(ProcessId(3), 2, &seat, &obs, &mut ctx);
+        assert!(ctx.drain_actions().is_empty(), "already served");
+        assert_eq!(obs.snapshots_served.get(), 1);
     }
 }

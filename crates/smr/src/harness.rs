@@ -1,6 +1,5 @@
 //! Harness for replicated-state-machine experiments.
 
-use crate::checkpoint::CheckpointStats;
 use crate::kv::KvStore;
 use crate::machine::{Entry, StateMachine};
 use crate::node::{SmrNode, SmrSettings};
@@ -179,7 +178,6 @@ impl<S: StateMachine> SmrBuilder<S> {
             replica_metrics: nodes.iter().map(|r| r.obs().snapshot()).collect(),
             log_offsets: nodes.iter().map(|r| r.log_offset()).collect(),
             log_digests: nodes.iter().map(|r| r.log_digest()).collect(),
-            checkpoints: nodes.iter().map(|r| r.checkpoint_stats()).collect(),
             metrics: sim.metrics().clone(),
             throughput: ThroughputStats {
                 commands: node0.total_log_len(),
@@ -214,7 +212,10 @@ pub struct SmrOutcome<S: StateMachine = KvStore> {
     pub resident_slots: Vec<usize>,
     /// Per-replica snapshot of the node's `probft-obs` registry — the
     /// field `ReplicaReport.metrics` carries on the live side, so rejected
-    /// messages are the same named `drops_*` counters in both.
+    /// messages are the same named `drops_*` counters in both, and the
+    /// checkpoint / truncation / transfer counters (`checkpoints_taken`,
+    /// `truncated_entries`, `snapshots_served`, `state_transfers`,
+    /// `state_transfer_bytes`, the `stable_slot` gauge) are read here.
     pub replica_metrics: Vec<MetricsSnapshot>,
     /// Per-replica count of entries truncated below the stable checkpoint
     /// (all zero with checkpointing disabled).
@@ -223,8 +224,6 @@ pub struct SmrOutcome<S: StateMachine = KvStore> {
     /// what full-log equality is checked against once truncation makes
     /// resident logs incomparable.
     pub log_digests: Vec<Digest>,
-    /// Per-replica checkpoint / truncation / transfer counters.
-    pub checkpoints: Vec<CheckpointStats>,
     /// Message metrics.
     pub metrics: MessageMetrics,
     /// Commands/slots/ticks throughput accounting (measured at replica 0).

@@ -61,14 +61,13 @@ pub mod machine;
 pub mod node;
 
 pub use checkpoint::{
-    CheckpointBody, CheckpointStats, CheckpointVote, Snapshot, StableCheckpoint, StateReply,
-    StateRequest,
+    CheckpointBody, CheckpointVote, Snapshot, StateReply, StateRequest,
+    MAX_TRACKED_CHECKPOINT_SLOTS,
 };
 pub use harness::{SmrBuilder, SmrOutcome, ThroughputStats};
 pub use kv::{Command, KvResponse, KvStore};
 pub use machine::{Batch, Consistency, Entry, OpKind, RequestId, StateMachine, MAX_BATCH};
 pub use node::{
     AppliedRequest, SlotMessage, SmrMessage, SmrNode, SmrSettings, FALLBACK_FUTURE_WINDOW_DEPTHS,
-    FALLBACK_MIN_FUTURE_WINDOW, FUTURE_WINDOW_DEPTHS, MAX_BUFFERED_PER_SLOT,
-    MAX_TRACKED_CHECKPOINT_SLOTS, MIN_FUTURE_WINDOW,
+    FALLBACK_MIN_FUTURE_WINDOW, FUTURE_WINDOW_DEPTHS, MAX_BUFFERED_PER_SLOT, MIN_FUTURE_WINDOW,
 };

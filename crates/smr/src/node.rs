@@ -1,4 +1,5 @@
-//! State-machine replication by pipelining batched ProBFT instances.
+//! State-machine replication by pipelining batched ProBFT instances: the
+//! slot pipeline.
 //!
 //! The paper's future work (§7) proposes "leveraging ProBFT for
 //! constructing a scalable state machine replication protocol". This module
@@ -21,25 +22,35 @@
 //! *pure orchestration*, so any fix to the consensus core is inherited
 //! here.
 //!
+//! The node is the pipeline and nothing else: which slots are open, what
+//! each proposes, where their traffic and timers go, and the in-order
+//! apply frontier. Two owned values from [`checkpoint`](crate::checkpoint)
+//! sit beside it. The **agreed state** is one live [`Snapshot`] (next slot
+//! to apply, log length and digest, the machine, the reply cache), fed
+//! decided entries through its one apply method; the node keeps only the
+//! *resident* log suffix next to it. The **checkpointer** is the whole
+//! checkpoint / state-transfer protocol: the node hands it checkpoint
+//! votes, state requests and state replies, and acts on the two things it
+//! hands back — truncate the resident log to this length; restore from
+//! this verified snapshot.
+//!
 //! Applying an entry yields the machine's typed
 //! [`Response`](StateMachine::Response), which is recorded per client (the
 //! reply cache behind at-most-once retries) and surfaced through
 //! [`SmrNode::drain_applied`] so the embedding runtime can answer the
 //! submitting client with the actual result, not a bare acknowledgement.
 
-use crate::checkpoint::{
-    CheckpointBody, CheckpointStats, CheckpointVote, Snapshot, StableCheckpoint, StateReply,
-    StateRequest,
-};
-use crate::machine::{Batch, Entry, OpKind, RequestId, StateMachine, MAX_BATCH};
+use crate::checkpoint::{CheckpointVote, Checkpointer, Snapshot, StateReply, StateRequest};
+use crate::machine::{Batch, Entry, RequestId, StateMachine, MAX_BATCH};
 use probft_core::config::{SharedConfig, View};
 use probft_core::message::Message;
 use probft_core::replica::Replica;
+use probft_core::shell::Seat;
 use probft_core::value::Value;
 use probft_core::wire::{put, Reader, Wire, WireError};
 use probft_crypto::keyring::PublicKeyring;
 use probft_crypto::schnorr::SigningKey;
-use probft_crypto::sha256::{Digest, Sha256};
+use probft_crypto::sha256::Digest;
 use probft_obs::{Obs, TraceKind};
 use probft_quorum::ReplicaId;
 use probft_simnet::metrics::Measurable;
@@ -123,7 +134,12 @@ pub struct SmrSettings {
     /// How many slots may run consensus concurrently (≥ 1; 1 reproduces
     /// the strictly sequential chain).
     pub pipeline_depth: usize,
-    /// Most entries a proposer packs into one slot's batch (≥ 1).
+    /// Most entries a proposer packs into one slot's batch (≥ 1) —
+    /// *static batching only*: ignored when
+    /// [`adaptive_batching`](Self::adaptive_batching) is set, which sizes
+    /// every batch from the queue depth and caps it at
+    /// [`MAX_BATCH`] instead. [`SmrSettings::live`]
+    /// always sets it, so on a live cluster this field has no effect.
     pub batch_size: usize,
     /// Demand-driven slot opening (the live-cluster mode): a node opens a
     /// slot only when it holds pending entries to propose, or when peer
@@ -173,7 +189,8 @@ impl SmrSettings {
 
     /// Open-ended, demand-driven replication for a live cluster serving
     /// client traffic: no target length, slots open only for what actually
-    /// arrived. Checkpointing starts disabled; set
+    /// arrived, batches sized adaptively (`batch_size` is stored but not
+    /// read). Checkpointing starts disabled; set
     /// [`checkpoint_interval`](Self::checkpoint_interval) to bound the
     /// resident log.
     pub fn live(pipeline_depth: usize, batch_size: usize) -> Self {
@@ -240,32 +257,12 @@ pub const FALLBACK_FUTURE_WINDOW_DEPTHS: u64 = 4;
 /// disabled.
 pub const FALLBACK_MIN_FUTURE_WINDOW: u64 = 16;
 
-/// Most distinct checkpoint slots a node tracks attestations for. Honest
-/// clusters have votes in flight for one or two boundaries; a Byzantine
-/// peer spraying far-future checkpoint slots (each costing it one signed
-/// vote) hits this cap and evicts its own least-supported slots first.
-pub const MAX_TRACKED_CHECKPOINT_SLOTS: usize = 64;
-
-/// Most locally-taken checkpoints retained while awaiting stability; if
-/// attestation quorums lag by more than this many intervals, the oldest
-/// unstable snapshot is discarded (it can be rebuilt from newer ones).
-const MAX_PENDING_CHECKPOINTS: usize = 4;
-
 /// Hard ceiling on the locally pending (submitted but unproposed) entry
 /// queue, enforced at the push site. Admission control
 /// ([`SmrNode::overloaded`] against the configurable
 /// `SmrSettings::max_pending`) is the *caller's* shedding policy and can
 /// be disabled; this cap is the node's own memory bound and cannot.
 pub const MAX_PENDING_ENTRIES: usize = 65_536;
-
-/// A locally produced checkpoint awaiting a stability quorum.
-struct OwnCheckpoint {
-    digest: Digest,
-    /// Total log entries at the checkpoint (the truncation mark).
-    log_len: u64,
-    /// The encoded [`Snapshot`].
-    bytes: Vec<u8>,
-}
 
 /// Notification that a client-tagged entry reached the applied log —
 /// drained by the embedding runtime to answer the submitting client with
@@ -289,28 +286,28 @@ pub struct AppliedRequest<R> {
 /// A replica of the replicated state machine, generic over the
 /// application [`StateMachine`] it hosts.
 pub struct SmrNode<S: StateMachine> {
-    cfg: SharedConfig,
-    id: ReplicaId,
-    sk: SigningKey,
-    keys: Arc<PublicKeyring>,
+    /// This replica's place in the cluster — configuration, id, signing
+    /// key, everyone's public keys: what every slot's [`Replica`] is
+    /// built from and what the checkpointer signs and verifies with.
+    seat: Seat,
     /// Entries this node wants ordered, proposed in batches when this
     /// node leads a slot.
     pending: VecDeque<Entry<S::Op>>,
     settings: SmrSettings,
 
-    /// Per-slot consensus instances still in flight. Applied slots are
-    /// pruned immediately (only the log and machine state survive), so
-    /// this map never holds more than `pipeline_depth` replicas.
-    slots: BTreeMap<u64, Replica>,
+    /// Per-slot consensus instances still in flight, each with the
+    /// obs-clock micros at which it opened (feeds the decide/apply
+    /// latency histograms). Applied slots are pruned immediately (only
+    /// the log and the agreed state survive), so this map never holds
+    /// more than `pipeline_depth` replicas.
+    slots: BTreeMap<u64, (Replica, u64)>,
     /// Messages for in-window slots that have not started here yet.
     /// Bounded: only slots inside the pipeline window ahead of the lowest
     /// unapplied slot are buffered, and each slot buffers at most
     /// [`MAX_BUFFERED_PER_SLOT`] messages.
     future: BTreeMap<u64, Vec<Message>>,
-    /// The lowest slot whose decision has not been applied yet.
-    next_apply: u64,
-    /// The next slot index to open (slots `next_apply..next_open` are in
-    /// flight).
+    /// The next slot index to open (slots `applied.slot..next_open` are
+    /// in flight).
     next_open: u64,
     /// The view in which the most recently *applied* slot decided.
     /// Survives slot pruning, so an *idle* node still remembers which
@@ -327,62 +324,25 @@ pub struct SmrNode<S: StateMachine> {
     /// large the inner (view-carrying) tokens grow.
     timers: BTreeMap<u64, (u64, TimerToken)>,
     next_timer: u64,
+    /// The agreed state, live: `applied.slot` is the lowest slot whose
+    /// decision has not been applied yet, `log_len` / `log_digest` cover
+    /// every entry ever applied (two replicas with equal pairs hold the
+    /// identical logical log, however differently they truncated), and
+    /// the machine and reply cache are the ones being served from. A
+    /// checkpoint is this value encoded as it stands.
+    applied: Snapshot<S>,
     /// Decided entries in slot order — the *resident* suffix of the
-    /// logical log: entries below the stable checkpoint are truncated and
-    /// survive only in `log_offset`/`log_digest` and the snapshot.
+    /// logical log, ending at `applied.log_len`: entries below the stable
+    /// checkpoint are truncated and survive only in the agreed state.
     log: Vec<Entry<S::Op>>,
-    /// Entries truncated below the stable checkpoint (the resident log's
-    /// global starting index).
-    log_offset: u64,
-    /// Running SHA-256 chain over every entry ever applied. Two replicas
-    /// with equal `(log_offset + log.len(), log_digest)` hold the
-    /// identical logical log, however differently they truncated.
-    log_digest: Digest,
-    /// Locally taken checkpoints awaiting a stability quorum, by slot.
-    own_checkpoints: BTreeMap<u64, OwnCheckpoint>,
-    /// Checkpoint attestations by slot, one vote per replica (first one
-    /// wins — a Byzantine double-vote never counts twice). The full
-    /// signed votes are kept, so a stability quorum doubles as a
-    /// transferable *certificate*. Bounded by
-    /// [`MAX_TRACKED_CHECKPOINT_SLOTS`] slots of at most `n` votes each.
-    votes: BTreeMap<u64, BTreeMap<ReplicaId, CheckpointVote>>,
-    /// Per peer: the stable-checkpoint slot last sent to it (serving a
-    /// [`StateRequest`] or pushing after observing sub-checkpoint
-    /// traffic). Caps snapshot sends at one per peer per stable
-    /// checkpoint — a forged request cannot reflect more than one
-    /// snapshot per checkpoint at a victim. Bounded by `n`.
-    served_checkpoints: BTreeMap<u32, u64>,
-    /// The highest checkpoint this node saw become stable, with its
-    /// snapshot (served to laggards on [`StateRequest`]).
-    stable: Option<StableCheckpoint>,
-    /// A stable checkpoint known to exist beyond this node's pipeline
-    /// window — state transfer has been requested and not yet completed.
-    transfer_wanted: Option<(u64, Digest)>,
-    /// Checkpoint / truncation / transfer counters.
-    ckpt_stats: CheckpointStats,
-    /// The application state machine.
-    state: S,
-    /// Per client: the highest applied request sequence number and the
-    /// response it produced — the dedup watermark *and* reply cache
-    /// behind at-most-once execution of retried client requests. Bounded
-    /// by the number of distinct clients (one response each).
-    applied_requests: BTreeMap<u64, (u64, S::Response)>,
     /// Apply notifications not yet drained by the embedding runtime.
     applied_events: Vec<AppliedRequest<S::Response>>,
+    /// The checkpoint / state-transfer protocol.
+    checkpointer: Checkpointer,
     /// Telemetry bundle: metrics registry plus flight-recorder journal
     /// (`probft-obs`). The live runtime attaches a shared handle so the
     /// nemesis and shutdown aggregation see what this node records.
     obs: Arc<Obs>,
-    /// Obs-clock micros at which each in-flight slot opened — feeds the
-    /// decide/apply latency histograms. Entries live and die with
-    /// `slots`, so the map is bounded by the pipeline window.
-    opened_at: BTreeMap<u64, u64>,
-    /// Obs-clock micros of the previous local checkpoint (drives the
-    /// checkpoint-interval histogram).
-    last_checkpoint_at: Option<u64>,
-    /// Obs-clock micros at which the outstanding state transfer was
-    /// requested (drives the state-transfer duration histogram).
-    transfer_started_at: Option<u64>,
     rng: StdRng,
 }
 
@@ -397,38 +357,23 @@ impl<S: StateMachine> SmrNode<S> {
         workload: Vec<S::Op>,
         settings: SmrSettings,
     ) -> Self {
-        let seed = 0xD15C_0000 ^ id.0 as u64;
+        let settings = settings.normalized();
         SmrNode {
-            cfg,
-            id,
-            sk,
-            keys,
             pending: workload.into_iter().map(Entry::write).collect(),
-            settings: settings.normalized(),
             slots: BTreeMap::new(),
             future: BTreeMap::new(),
-            next_apply: 0,
             next_open: 0,
             last_decided_view: View::FIRST,
             timers: BTreeMap::new(),
             next_timer: 0,
+            applied: Snapshot::genesis(),
             log: Vec::new(),
-            log_offset: 0,
-            log_digest: log_genesis(),
-            own_checkpoints: BTreeMap::new(),
-            votes: BTreeMap::new(),
-            served_checkpoints: BTreeMap::new(),
-            stable: None,
-            transfer_wanted: None,
-            ckpt_stats: CheckpointStats::default(),
-            state: S::default(),
-            applied_requests: BTreeMap::new(),
             applied_events: Vec::new(),
+            checkpointer: Checkpointer::new(settings.checkpoint_interval, settings.pipeline_depth),
             obs: Arc::new(Obs::new(format!("replica-{}", id.0))),
-            opened_at: BTreeMap::new(),
-            last_checkpoint_at: None,
-            transfer_started_at: None,
-            rng: StdRng::seed_from_u64(seed),
+            rng: StdRng::seed_from_u64(0xD15C_0000 ^ id.0 as u64),
+            seat: Seat { cfg, id, sk, keys },
+            settings,
         }
     }
 
@@ -441,34 +386,30 @@ impl<S: StateMachine> SmrNode<S> {
     /// Entries truncated below the stable checkpoint — the global index
     /// of `log()[0]`.
     pub fn log_offset(&self) -> u64 {
-        self.log_offset
+        self.applied.log_len.saturating_sub(self.log.len() as u64)
     }
 
     /// Total entries ever applied: truncated plus resident.
     pub fn total_log_len(&self) -> u64 {
-        self.log_offset.saturating_add(self.log.len() as u64)
+        self.applied.log_len
     }
 
     /// Running digest chain over every entry ever applied. Equal
     /// `(total_log_len, log_digest)` pairs identify identical logical
     /// logs across replicas that truncated at different checkpoints.
     pub fn log_digest(&self) -> Digest {
-        self.log_digest
+        self.applied.log_digest
     }
 
-    /// Checkpoint / truncation / state-transfer counters.
-    pub fn checkpoint_stats(&self) -> CheckpointStats {
-        self.ckpt_stats
-    }
-
-    /// The highest checkpoint this node saw become stable, if any.
-    pub fn stable_checkpoint(&self) -> Option<&StableCheckpoint> {
-        self.stable.as_ref()
+    /// The highest checkpoint this node saw become stable, if any, as the
+    /// reply it serves to laggards.
+    pub fn stable_checkpoint(&self) -> Option<&StateReply> {
+        self.checkpointer.stable()
     }
 
     /// The application state.
     pub fn state(&self) -> &S {
-        &self.state
+        &self.applied.state
     }
 
     /// Whether the node has applied its target number of entries.
@@ -483,12 +424,7 @@ impl<S: StateMachine> SmrNode<S> {
 
     /// Slots decided *and applied* in order.
     pub fn slots_applied(&self) -> u64 {
-        self.next_apply
-    }
-
-    /// The replication settings this node runs under.
-    pub fn settings(&self) -> SmrSettings {
-        self.settings
+        self.applied.slot
     }
 
     /// Per-slot consensus instances currently resident on the heap.
@@ -540,9 +476,9 @@ impl<S: StateMachine> SmrNode<S> {
             .slots
             .values()
             .next()
-            .map(|r| r.current_view())
+            .map(|(replica, _)| replica.current_view())
             .unwrap_or(self.last_decided_view);
-        self.cfg.leader_of(view)
+        self.seat.cfg.leader_of(view)
     }
 
     /// The view in which the most recently applied slot decided
@@ -551,23 +487,10 @@ impl<S: StateMachine> SmrNode<S> {
         self.last_decided_view
     }
 
-    /// Whether `request` has already been applied to the state machine
-    /// (so a retried submission can be answered without re-ordering it).
-    pub fn request_applied(&self, request: RequestId) -> bool {
-        self.applied_requests
-            .get(&request.client)
-            .is_some_and(|(last, _)| *last >= request.seq)
-    }
-
-    /// The cached response for an already-applied request, if any — the
-    /// reply-cache read path for answering client retries without
-    /// re-executing. For a sequential client (one request in flight) the
-    /// cache always holds the response of its latest applied request.
+    /// The cached response for an already-applied request, if any — what
+    /// a retried submission is answered with, without re-ordering it.
     pub fn cached_response(&self, request: RequestId) -> Option<&S::Response> {
-        self.applied_requests
-            .get(&request.client)
-            .filter(|(last, _)| *last >= request.seq)
-            .map(|(_, response)| response)
+        self.applied.cached_response(request)
     }
 
     /// Evaluates `op` read-only against this node's applied state — the
@@ -575,7 +498,7 @@ impl<S: StateMachine> SmrNode<S> {
     /// [`Consistency::Leader`](crate::Consistency) reads. Runs between
     /// whole-batch applies, so the observation is never torn.
     pub fn query(&self, op: &S::Op) -> S::Response {
-        self.state.query(op)
+        self.applied.state.query(op)
     }
 
     /// Enqueues an entry for ordering and opens a slot for it if the
@@ -604,12 +527,11 @@ impl<S: StateMachine> SmrNode<S> {
     /// an empty batch), so a spurious probe costs one empty slot, never
     /// safety.
     pub fn probe_open(&mut self, ctx: &mut Context<'_, SmrMessage>) -> bool {
-        if !self.settings.lazy_open || !self.slots.is_empty() || self.next_open > self.next_apply {
+        if !self.settings.lazy_open || !self.slots.is_empty() || self.next_open > self.applied.slot
+        {
             return false;
         }
-        let slot = self.next_open;
-        self.next_open = self.next_open.saturating_add(1);
-        self.open_slot(slot, ctx);
+        self.open_next_slot(ctx);
         true
     }
 
@@ -617,6 +539,13 @@ impl<S: StateMachine> SmrNode<S> {
     /// for client-tagged entries since the last drain.
     pub fn drain_applied(&mut self) -> Vec<AppliedRequest<S::Response>> {
         std::mem::take(&mut self.applied_events)
+    }
+
+    /// One past the last slot the pipeline window lets this node open.
+    fn window_end(&self) -> u64 {
+        self.applied
+            .slot
+            .saturating_add(self.settings.pipeline_depth as u64)
     }
 
     /// The value this node proposes for the next slot: a batch of pending
@@ -639,18 +568,16 @@ impl<S: StateMachine> SmrNode<S> {
     fn next_value(&mut self) -> (Value, usize) {
         let pending = self.pending.len();
         let take = if self.settings.adaptive_batching {
-            // `next_value` runs from `open_slot`, after `next_open` was
-            // advanced past the slot being opened — so the slots this
+            // `next_value` runs from `open_next_slot`, after `next_open`
+            // was advanced past the slot being opened — so the slots this
             // window can still open, *including* this one, number
-            // `next_apply + depth - next_open + 1` (floored at 1: the
-            // lazy open-on-peer-traffic path can open a slot the local
-            // window would not have).
-            let window_left = (self
-                .next_apply
-                .saturating_add(self.settings.pipeline_depth as u64))
-            .saturating_sub(self.next_open)
-            .saturating_add(1)
-            .max(1) as usize;
+            // `window_end - next_open + 1` (floored at 1: the lazy
+            // open-on-peer-traffic path can open a slot the local window
+            // would not have).
+            let window_left = self
+                .window_end()
+                .saturating_sub(self.next_open)
+                .saturating_add(1) as usize;
             pending.div_ceil(window_left).min(MAX_BATCH as usize)
         } else {
             self.settings.batch_size
@@ -666,25 +593,19 @@ impl<S: StateMachine> SmrNode<S> {
     /// slot is only opened while entries are pending locally — peers
     /// instead open slots on demand when traffic for them arrives.
     fn open_ready_slots(&mut self, ctx: &mut Context<'_, SmrMessage>) {
-        while self.total_log_len() < self.settings.target_len as u64
-            && self.next_open
-                < self
-                    .next_apply
-                    .saturating_add(self.settings.pipeline_depth as u64)
-        {
+        while !self.done() && self.next_open < self.window_end() {
             if self.settings.lazy_open && self.pending.is_empty() {
                 break;
             }
-            let slot = self.next_open;
-            self.next_open = self.next_open.saturating_add(1);
-            self.open_slot(slot, ctx);
+            self.open_next_slot(ctx);
         }
     }
 
-    /// Opens slot `slot` and runs its `on_start`.
-    fn open_slot(&mut self, slot: u64, ctx: &mut Context<'_, SmrMessage>) {
+    /// Opens slot `next_open` and runs its `on_start`.
+    fn open_next_slot(&mut self, ctx: &mut Context<'_, SmrMessage>) {
+        let slot = self.next_open;
+        self.next_open = self.next_open.saturating_add(1);
         let (value, batched) = self.next_value();
-        self.opened_at.insert(slot, self.obs.now_micros());
         self.obs.trace(TraceKind::SlotOpened {
             slot,
             view: View::FIRST.0,
@@ -695,19 +616,14 @@ impl<S: StateMachine> SmrNode<S> {
                 entries: batched as u64,
             });
         }
-        let mut replica = Replica::new(
-            self.cfg.clone(),
-            self.id,
-            self.sk.clone(),
-            self.keys.clone(),
-            value,
-        );
+        let Seat { cfg, id, sk, keys } = &self.seat;
+        let mut replica = Replica::new(cfg.clone(), *id, sk.clone(), keys.clone(), value);
         let actions = {
-            let mut inner = Context::detached(ProcessId(self.id.index()), ctx.now(), &mut self.rng);
+            let mut inner = Context::detached(ProcessId(id.index()), ctx.now(), &mut self.rng);
             replica.on_start(&mut inner);
             inner.drain_actions()
         };
-        self.slots.insert(slot, replica);
+        self.slots.insert(slot, (replica, self.obs.now_micros()));
         self.relay(slot, actions, ctx);
 
         // Replay any buffered traffic for this slot.
@@ -750,51 +666,50 @@ impl<S: StateMachine> SmrNode<S> {
         event: DispatchEvent,
         ctx: &mut Context<'_, SmrMessage>,
     ) {
-        let Some(replica) = self.slots.get_mut(&slot) else {
+        let Some((replica, opened_at)) = self.slots.get_mut(&slot) else {
             return;
         };
         let already_decided = replica.decision().is_some();
+        let me = ProcessId(self.seat.id.index());
         let actions = {
-            let mut inner = Context::detached(ProcessId(self.id.index()), ctx.now(), &mut self.rng);
+            let mut inner = Context::detached(me, ctx.now(), &mut self.rng);
             match event {
                 DispatchEvent::Message(msg) => {
-                    let from = from.unwrap_or(ProcessId(self.id.index()));
-                    replica.on_message(from, msg, &mut inner);
+                    replica.on_message(from.unwrap_or(me), msg, &mut inner)
                 }
                 DispatchEvent::Timer(token) => replica.on_timer(token, &mut inner),
             }
             inner.drain_actions()
         };
-        let newly_decided = !already_decided && replica.decision().is_some();
+        let newly_decided = replica
+            .decision()
+            .filter(|_| !already_decided)
+            .map(|decision| (decision.view.0, *opened_at));
         self.relay(slot, actions, ctx);
-        if newly_decided {
-            let view = self
-                .slots
-                .get(&slot)
-                .and_then(|r| r.decision())
-                .map_or(0, |d| d.view.0);
-            if let Some(&opened) = self.opened_at.get(&slot) {
-                self.obs
-                    .decide_latency_us
-                    .record(self.obs.now_micros().saturating_sub(opened));
-            }
-            self.obs.trace(TraceKind::SlotDecided { slot, view });
-        }
+        let Some((view, opened_at)) = newly_decided else {
+            return;
+        };
+        self.obs
+            .decide_latency_us
+            .record(self.obs.now_micros().saturating_sub(opened_at));
+        self.obs.trace(TraceKind::SlotDecided { slot, view });
 
-        // Out-of-order decisions (slot > next_apply) stay buffered in their
-        // replica until the gap closes; only the in-order frontier advances
-        // the applied log.
-        if newly_decided && slot == self.next_apply {
+        // Out-of-order decisions (slot > applied.slot) stay buffered in
+        // their replica until the gap closes; only the in-order frontier
+        // advances the applied log.
+        if slot == self.applied.slot {
             self.advance(ctx);
         }
     }
 
     /// Applies decided slots in order, prunes their consensus state, and
-    /// refills the pipeline window. Every `checkpoint_interval` applied
-    /// slots the node snapshots its state and broadcasts an attestation.
+    /// refills the pipeline window. After each applied slot the
+    /// checkpointer gets to snapshot the agreed state (it does so every
+    /// `checkpoint_interval` slots).
     fn advance(&mut self, ctx: &mut Context<'_, SmrMessage>) {
-        while self.total_log_len() < self.settings.target_len as u64 {
-            let Some(decision) = self.slots.get(&self.next_apply).and_then(|r| r.decision()) else {
+        while !self.done() {
+            let slot = self.applied.slot;
+            let Some(decision) = self.slots.get(&slot).and_then(|(r, _)| r.decision()) else {
                 break;
             };
             // The deciding view outlives the slot: it is the leader hint
@@ -807,23 +722,24 @@ impl<S: StateMachine> SmrNode<S> {
             }
             self.last_decided_view = decision.view;
             let batch = Batch::from_value(&decision.value).unwrap_or_default();
-            let slot = self.next_apply;
             let entries = batch.0.len() as u64;
             for entry in batch.0 {
-                self.apply_entry(entry, slot);
+                self.apply_entry(entry);
             }
             // The slot is applied: free its replica and message state.
-            // Only the log, machine state, and checkpoints outlive a slot.
-            self.slots.remove(&slot);
-            if let Some(opened) = self.opened_at.remove(&slot) {
+            // Only the log, the agreed state, and checkpoints outlive it.
+            if let Some((_, opened_at)) = self.slots.remove(&slot) {
                 self.obs
                     .apply_latency_us
-                    .record(self.obs.now_micros().saturating_sub(opened));
+                    .record(self.obs.now_micros().saturating_sub(opened_at));
             }
             self.obs.trace(TraceKind::SlotApplied { slot, entries });
             self.obs.note_progress();
-            self.next_apply = self.next_apply.saturating_add(1);
-            self.maybe_take_checkpoint(ctx);
+            self.applied.slot = slot.saturating_add(1);
+            let stable =
+                self.checkpointer
+                    .maybe_take_checkpoint(&self.applied, &self.seat, &self.obs, ctx);
+            self.truncate_log(stable);
             self.open_ready_slots(ctx);
         }
         debug_assert!(
@@ -834,494 +750,54 @@ impl<S: StateMachine> SmrNode<S> {
         );
     }
 
-    /// Applies one decided entry to the log and — unless it is a
-    /// duplicate of an already-executed client request — the state
-    /// machine. Every replica sees the identical decided sequence, so this
-    /// dedup is deterministic and replicated states stay equal. Read
-    /// entries execute via [`StateMachine::query`], observing the state
-    /// at their log position without mutating it.
-    fn apply_entry(&mut self, entry: Entry<S::Op>, slot: u64) {
-        match entry.request {
-            Some(request) => {
-                // A retry ordered twice skips execution and answers from
-                // the reply cache. A dedup hit with no cached response is
-                // impossible today (`request_applied` reads the same map),
-                // but every replica must make the same call if that
-                // invariant ever breaks — so degrade deterministically to
-                // executing the entry instead of aborting the replica.
-                let cached = if self.request_applied(request) {
-                    self.applied_requests
-                        .get(&request.client)
-                        .map(|(_, response)| response.clone())
-                } else {
-                    None
-                };
-                let fresh = cached.is_none();
-                if !fresh {
-                    self.obs.reply_cache_hits.inc();
-                }
-                let response = match cached {
-                    Some(response) => response,
-                    None => {
-                        let response = match entry.kind {
-                            OpKind::Write => self.state.apply(&entry.op),
-                            OpKind::Read => self.state.query(&entry.op),
-                        };
-                        // `fresh` means the seq is above the watermark, so
-                        // this insert keeps the watermark monotone even if
-                        // a (misbehaving) client's sequence numbers get
-                        // ordered out of order.
-                        self.applied_requests
-                            .insert(request.client, (request.seq, response.clone()));
-                        response
-                    }
-                };
-                self.applied_events.push(AppliedRequest {
-                    request,
-                    slot,
-                    executed: fresh,
-                    response,
-                });
+    /// Applies one decided entry of the slot at the apply frontier to the
+    /// agreed state, queues the client's notification, and keeps the
+    /// entry in the resident log.
+    fn apply_entry(&mut self, entry: Entry<S::Op>) {
+        if let Some(event) = self.applied.apply_entry(&entry) {
+            if !event.executed {
+                self.obs.reply_cache_hits.inc();
             }
-            None => match entry.kind {
-                OpKind::Write => {
-                    self.state.apply(&entry.op);
-                }
-                // An untagged read has no client waiting and no effect:
-                // evaluating it would be pure wasted work (a full state
-                // clone under the default `query`), which a Byzantine
-                // proposer could otherwise exploit. Log it, skip it.
-                OpKind::Read => {}
-            },
+            self.applied_events.push(event);
         }
-        self.log_digest =
-            Sha256::digest_parts(&[self.log_digest.as_bytes(), &entry.to_wire_bytes()]);
         self.log.push(entry);
     }
 
-    // ------------------------------------------------------------------
-    // Checkpointing, truncation, and state transfer (PBFT §4.3 style).
-    // ------------------------------------------------------------------
-
-    fn stable_slot(&self) -> u64 {
-        self.stable.as_ref().map_or(0, |s| s.slot)
-    }
-
-    /// At an interval boundary: snapshot the replicated state, remember it
-    /// pending stability, and broadcast a signed attestation of its
-    /// digest.
-    fn maybe_take_checkpoint(&mut self, ctx: &mut Context<'_, SmrMessage>) {
-        let interval = self.settings.checkpoint_interval as u64;
-        if interval == 0 || self.next_apply == 0 || !self.next_apply.is_multiple_of(interval) {
-            return;
-        }
-        let slot = self.next_apply;
-        if slot <= self.stable_slot() || self.own_checkpoints.contains_key(&slot) {
-            return;
-        }
-        let snapshot = Snapshot {
-            slot,
-            log_len: self.total_log_len(),
-            log_digest: self.log_digest,
-            state: self.state.clone(),
-            replies: self.applied_requests.clone(),
-        };
-        let bytes = snapshot.to_wire_bytes();
-        let digest = Snapshot::<S>::digest(&bytes);
-        self.own_checkpoints.insert(
-            slot,
-            OwnCheckpoint {
-                digest,
-                log_len: snapshot.log_len,
-                bytes,
-            },
-        );
-        // Stability quorums normally lag by a round-trip, not by whole
-        // intervals; if they do fall behind, the oldest pending snapshot
-        // is expendable (a newer one subsumes it).
-        while self.own_checkpoints.len() > MAX_PENDING_CHECKPOINTS {
-            self.own_checkpoints.pop_first();
-        }
-        self.ckpt_stats.taken += 1;
-        self.obs.checkpoints_taken.inc();
-        let now = self.obs.now_micros();
-        if let Some(prev) = self.last_checkpoint_at {
-            self.obs
-                .checkpoint_interval_us
-                .record(now.saturating_sub(prev));
-        }
-        self.last_checkpoint_at = Some(now);
-        self.obs.trace(TraceKind::CheckpointVote { slot });
-        let vote = CheckpointVote::sign(
-            &self.sk,
-            CheckpointBody {
-                from: self.id,
-                slot,
-                digest,
-            },
-        );
-        for peer in self.cfg.all_replicas() {
-            if peer != self.id {
-                ctx.send(
-                    ProcessId(peer.index()),
-                    SmrMessage::CheckpointVote(vote.clone()),
-                );
-            }
-        }
-        // Peers may have attested this boundary before we reached it;
-        // recording our own vote may complete the quorum right here.
-        self.record_vote(vote, ctx);
-    }
-
-    /// Records one (already signature-checked) attestation and acts if it
-    /// completes a quorum. One vote per replica per slot; tracked slots
-    /// are bounded against far-future checkpoint spray.
-    fn record_vote(&mut self, vote: CheckpointVote, ctx: &mut Context<'_, SmrMessage>) {
-        let interval = self.settings.checkpoint_interval as u64;
-        if interval == 0 || vote.slot == 0 || !vote.slot.is_multiple_of(interval) {
-            self.obs.drops_invalid_checkpoint.inc();
-            return;
-        }
-        if vote.slot <= self.stable_slot() {
-            return; // old news, already stable here
-        }
-        let slot = vote.slot;
-        let slot_votes = self.votes.entry(slot).or_default();
-        if slot_votes.contains_key(&vote.from) {
-            return; // first vote per replica per slot wins
-        }
-        slot_votes.insert(vote.from, vote);
-        if self.votes.len() > MAX_TRACKED_CHECKPOINT_SLOTS {
-            // Evict the least-supported tracked slot (ties: the highest,
-            // i.e. the most future — the shape of a spray).
-            if let Some(&evict) = self
-                .votes
-                .iter()
-                .min_by_key(|(s, v)| (v.len(), std::cmp::Reverse(**s)))
-                .map(|(s, _)| s)
-            {
-                self.votes.remove(&evict);
-                self.obs.drops_invalid_checkpoint.inc();
-                if evict == slot {
-                    return;
-                }
-            }
-        }
-        self.check_stability(slot, ctx);
-    }
-
-    /// If `slot` has a digest attested by a deterministic quorum, the
-    /// checkpoint is stable: adopt-and-truncate if we have applied that
-    /// far, or request a snapshot transfer if it is beyond the pipeline
-    /// window (consensus cannot recover those slots — peers prune decided
-    /// slot state on apply and never retransmit).
-    fn check_stability(&mut self, slot: u64, ctx: &mut Context<'_, SmrMessage>) {
-        let quorum = self.cfg.deterministic_quorum();
-        let Some(slot_votes) = self.votes.get(&slot) else {
+    /// Drops the resident log below `stable_len` — the log length of a
+    /// checkpoint the checkpointer just saw become stable, if it did.
+    fn truncate_log(&mut self, stable_len: Option<u64>) {
+        let Some(stable_len) = stable_len else {
             return;
         };
-        let mut counts: BTreeMap<Digest, usize> = BTreeMap::new();
-        for vote in slot_votes.values() {
-            *counts.entry(vote.digest).or_default() += 1;
-        }
-        let Some((&digest, _)) = counts.iter().find(|(_, &count)| count >= quorum) else {
-            return;
-        };
-        if slot <= self.next_apply {
-            self.adopt_stable(slot, digest);
-        } else if slot
-            > self
-                .next_apply
-                .saturating_add(self.settings.pipeline_depth as u64)
-            && self.transfer_wanted != Some((slot, digest))
-        {
-            // Beyond anything in-flight consensus can still decide for
-            // us: fetch the snapshot from the replicas that attested it.
-            // `f + 1` recipients guarantee at least one honest holder
-            // without soliciting a quorum's worth of redundant
-            // snapshot-sized replies; the next boundary's quorum is the
-            // retry path if all of them fail.
-            self.transfer_wanted = Some((slot, digest));
-            self.transfer_started_at = Some(self.obs.now_micros());
-            self.obs.trace(TraceKind::StateTransferStart { slot });
-            let voters: Vec<ReplicaId> = self
-                .votes
-                .get(&slot)
-                .map(|v| {
-                    v.values()
-                        .filter(|vote| vote.digest == digest && vote.from != self.id)
-                        .map(|vote| vote.from)
-                        .take(self.cfg.faults() + 1)
-                        .collect()
-                })
-                .unwrap_or_default();
-            for voter in voters {
-                ctx.send(
-                    ProcessId(voter.index()),
-                    SmrMessage::StateRequest(StateRequest { min_slot: slot }),
-                );
-            }
-        }
-        // Otherwise the slot is inside the pipeline window: in-flight
-        // consensus will carry us there, and our own checkpoint at that
-        // boundary will re-run this check and adopt.
-    }
-
-    /// Marks `slot` stable and truncates everything at or below it: log
-    /// entries below the checkpoint's mark, older pending checkpoints,
-    /// and votes.
-    fn adopt_stable(&mut self, slot: u64, digest: Digest) {
-        if slot <= self.stable_slot() {
-            return;
-        }
-        let Some(own) = self.own_checkpoints.remove(&slot) else {
-            return; // pending snapshot was evicted; the next boundary will stabilise
-        };
-        if own.digest != digest {
-            // A quorum attested a state we do not hold: this replica has
-            // diverged (or the quorum is corrupt). Keep serving from the
-            // old checkpoint and surface the disagreement as a drop.
-            self.own_checkpoints.insert(slot, own);
-            self.obs.drops_invalid_checkpoint.inc();
-            return;
-        }
-        let drop = usize::try_from(own.log_len.saturating_sub(self.log_offset))
+        let drop = usize::try_from(stable_len.saturating_sub(self.log_offset()))
             .unwrap_or(0)
             .min(self.log.len());
         self.log.drain(..drop);
-        self.log_offset = self.log_offset.saturating_add(drop as u64);
-        self.ckpt_stats.truncated_entries += drop as u64;
-        self.ckpt_stats.stable_slot = slot;
-        self.obs.trace(TraceKind::CheckpointStable { slot });
-        // The quorum of signed votes is the checkpoint's certificate:
-        // kept alongside the snapshot so served/pushed copies prove
-        // themselves to receivers with no vote state of their own.
-        let certificate: Vec<CheckpointVote> = self
-            .votes
-            .get(&slot)
-            .map(|v| {
-                v.values()
-                    .filter(|vote| vote.digest == digest)
-                    .cloned()
-                    .collect()
-            })
-            .unwrap_or_default();
-        self.stable = Some(StableCheckpoint {
-            slot,
-            digest,
-            log_len: own.log_len,
-            snapshot: own.bytes,
-            certificate,
-        });
-        self.own_checkpoints.retain(|&s, _| s > slot);
-        self.votes.retain(|&s, _| s > slot);
-        if self.transfer_wanted.is_some_and(|(s, _)| s <= slot) {
-            self.transfer_wanted = None;
-        }
+        self.obs.truncated_entries.add(drop as u64);
     }
 
-    /// Serves a laggard's [`StateRequest`] from the stable checkpoint —
-    /// at most once per peer per stable checkpoint. The cap is what keeps
-    /// the unauthenticated request harmless: `from` is only as trusted as
-    /// the connection that carried it, so without the cap a forger could
-    /// reflect unbounded snapshot-sized replies at a third replica. A
-    /// genuine laggard whose one reply is lost retries via the next
-    /// boundary's quorum (a *new* stable slot, which re-arms the cap).
-    fn handle_state_request(
-        &mut self,
-        from: ProcessId,
-        req: StateRequest,
-        ctx: &mut Context<'_, SmrMessage>,
-    ) {
-        let Some(stable) = &self.stable else {
-            return;
-        };
-        if stable.slot < req.min_slot {
-            return;
-        }
-        self.send_checkpoint(from, ctx);
-    }
-
-    /// Sends the stable checkpoint (snapshot + certificate) to `to`,
-    /// unless that peer was already sent this checkpoint.
-    fn send_checkpoint(&mut self, to: ProcessId, ctx: &mut Context<'_, SmrMessage>) {
-        if to.index() >= self.cfg.n() {
-            return;
-        }
-        let Some(stable) = &self.stable else {
-            return;
-        };
-        let peer = to.index() as u32;
-        if self.served_checkpoints.get(&peer).copied().unwrap_or(0) >= stable.slot {
-            return;
-        }
-        self.served_checkpoints.insert(peer, stable.slot);
-        self.ckpt_stats.snapshots_served += 1;
-        ctx.send(
-            to,
-            SmrMessage::StateReply(StateReply {
-                slot: stable.slot,
-                snapshot: stable.snapshot.clone(),
-                certificate: stable.certificate.clone(),
-            }),
-        );
-    }
-
-    /// Pushes the stable checkpoint to a peer observed sending traffic
-    /// for a slot *below* it: that peer can never decide those slots
-    /// again (they are truncated cluster-wide), and the votes that would
-    /// have told it so were broadcast once, long ago — so the checkpoint
-    /// must come to it. At most one send per peer per stable checkpoint;
-    /// the self-proving certificate makes the unsolicited reply safe to
-    /// accept.
-    fn maybe_push_checkpoint(
-        &mut self,
-        to: ProcessId,
-        slot: u64,
-        ctx: &mut Context<'_, SmrMessage>,
-    ) {
-        if self.stable.as_ref().is_none_or(|s| slot >= s.slot) {
-            return; // ordinary frontier skew, not a stranded laggard
-        }
-        self.send_checkpoint(to, ctx);
-    }
-
-    /// Verifies a transferred snapshot against its embedded certificate
-    /// and restores from it. The reply is self-proving: every vote in the
-    /// certificate must carry a valid Schnorr signature over the same
-    /// `(slot, digest)`, distinct signers must reach the deterministic
-    /// quorum, and the attested digest must equal the payload's own —
-    /// so both solicited replies and unsolicited catch-up pushes are
-    /// accepted on identical evidence, and no local vote state is
-    /// required.
-    fn handle_state_reply(&mut self, rep: StateReply, ctx: &mut Context<'_, SmrMessage>) {
-        let interval = self.settings.checkpoint_interval as u64;
-        if interval == 0 || !rep.slot.is_multiple_of(interval) {
-            self.obs.drops_invalid_checkpoint.inc();
-            return;
-        }
-        // Mirror the request condition: a transfer is only *useful* (and
-        // only ever requested or pushed) for a checkpoint beyond the
-        // pipeline window. A replayed-but-genuine reply for an in-window
-        // slot must not wipe live in-flight consensus state — those
-        // slots' traffic was already consumed and peers never retransmit.
-        if rep.slot
-            <= self
-                .next_apply
-                .saturating_add(self.settings.pipeline_depth as u64)
-        {
-            return;
-        }
-        let digest = Snapshot::<S>::digest(&rep.snapshot);
-        if !self.certificate_proves(&rep, digest) {
-            self.obs.drops_invalid_checkpoint.inc();
-            return;
-        }
-        let Ok(snapshot) = Snapshot::<S>::from_wire_bytes(&rep.snapshot) else {
-            self.obs.drops_invalid_checkpoint.inc();
-            return;
-        };
-        if snapshot.slot != rep.slot {
-            self.obs.drops_invalid_checkpoint.inc();
-            return;
-        }
-        self.restore_from(snapshot, rep, digest, ctx);
-    }
-
-    /// Whether a reply's certificate is a valid stability quorum for
-    /// exactly (`rep.slot`, `digest`). Strict: one malformed vote damns
-    /// the whole certificate (honest senders only ship valid ones).
-    fn certificate_proves(&self, rep: &StateReply, digest: Digest) -> bool {
-        let quorum = self.cfg.deterministic_quorum();
-        let n = self.cfg.n();
-        let mut signers = std::collections::BTreeSet::new();
-        for vote in &rep.certificate {
-            if vote.slot != rep.slot
-                || vote.digest != digest
-                || vote.from.index() >= n
-                || vote.verify_signature(&self.keys).is_err()
-            {
-                return false;
-            }
-            signers.insert(vote.from);
-        }
-        signers.len() >= quorum
-    }
-
-    /// Jumps the node to a verified checkpoint: replicated state, reply
-    /// cache, and log bookkeeping come from the snapshot; every in-flight
-    /// slot below it is obsolete and dropped. Consensus resumes from the
-    /// checkpoint slot — transferred entries produce no
-    /// [`drain_applied`](Self::drain_applied) events (their clients were
-    /// answered by the replicas that applied them; the restored reply
-    /// cache still answers retries).
-    fn restore_from(
-        &mut self,
-        snapshot: Snapshot<S>,
-        rep: StateReply,
-        digest: Digest,
-        ctx: &mut Context<'_, SmrMessage>,
-    ) {
-        let transferred_bytes = rep.snapshot.len() as u64;
-        self.state = snapshot.state;
-        self.applied_requests = snapshot.replies;
-        // `last_decided_view` is deliberately NOT in the snapshot (it is a
-        // replica-local observation, not agreed state): the restored node
-        // keeps its own hint, which self-heals at its next applied
-        // decision.
-        self.next_apply = snapshot.slot;
+    /// Jumps the node to a verified checkpoint: the agreed state *is* the
+    /// snapshot; every in-flight slot below it is obsolete and dropped.
+    /// Consensus resumes from the checkpoint slot — transferred entries
+    /// produce no [`drain_applied`](Self::drain_applied) events (their
+    /// clients were answered by the replicas that applied them; the
+    /// restored reply cache still answers retries). `last_decided_view`
+    /// is deliberately *not* in the snapshot (it is a replica-local
+    /// observation, not agreed state): the restored node keeps its own
+    /// hint, which self-heals at its next applied decision.
+    fn restore_from(&mut self, snapshot: Snapshot<S>, ctx: &mut Context<'_, SmrMessage>) {
         self.next_open = snapshot.slot;
         self.slots.clear();
-        self.opened_at.clear();
         self.timers.clear();
         self.future.retain(|&s, _| s >= snapshot.slot);
         self.log.clear();
-        self.log_offset = snapshot.log_len;
-        self.log_digest = snapshot.log_digest;
-        self.own_checkpoints.clear();
-        self.votes.retain(|&s, _| s > snapshot.slot);
-        self.ckpt_stats.stable_slot = snapshot.slot;
-        self.ckpt_stats.state_transfers += 1;
-        self.ckpt_stats.transfer_bytes = self
-            .ckpt_stats
-            .transfer_bytes
-            .saturating_add(transferred_bytes);
-        self.obs.state_transfer_bytes.add(transferred_bytes);
-        if let Some(started) = self.transfer_started_at.take() {
-            self.obs
-                .state_transfer_us
-                .record(self.obs.now_micros().saturating_sub(started));
-        }
-        self.obs.trace(TraceKind::StateTransferDone {
-            slot: snapshot.slot,
-            bytes: transferred_bytes,
-        });
-        self.stable = Some(StableCheckpoint {
-            slot: snapshot.slot,
-            digest,
-            log_len: snapshot.log_len,
-            snapshot: rep.snapshot,
-            certificate: rep.certificate,
-        });
-        self.transfer_wanted = None;
+        self.applied = snapshot;
         // Rejoin the pipeline immediately: pending local entries (and, in
         // lazy mode, subsequent peer traffic) open slots from the
         // checkpoint onward.
         self.open_ready_slots(ctx);
     }
-}
 
-/// The starting point of every replica's log digest chain.
-fn log_genesis() -> Digest {
-    Sha256::digest(b"probft-log-genesis")
-}
-
-enum DispatchEvent {
-    Message(Message),
-    Timer(TimerToken),
-}
-
-impl<S: StateMachine> SmrNode<S> {
     /// Routes one slot-tagged consensus message: deliver to a resident
     /// slot, drop stale/far-future traffic, open in-window slots on
     /// demand (lazy mode), or buffer for the window to reach them.
@@ -1342,8 +818,16 @@ impl<S: StateMachine> SmrNode<S> {
             // is below our stable checkpoint, it is stranded (those slots
             // are truncated cluster-wide) and this traffic is our only
             // signal of its existence: push the checkpoint to it.
+            // Anything at or above the stable slot is ordinary frontier
+            // skew, and the checkpointer sends nothing.
             self.obs.drops_stale.inc();
-            self.maybe_push_checkpoint(from, slot, ctx);
+            self.checkpointer.send_checkpoint(
+                from,
+                slot.saturating_add(1),
+                &self.seat,
+                &self.obs,
+                ctx,
+            );
             return;
         }
         // Bounded buffering horizon ahead of the lowest unapplied slot.
@@ -1352,26 +836,20 @@ impl<S: StateMachine> SmrNode<S> {
         // horizon is tight when checkpointing is on (anyone dropped
         // recovers by state transfer) and wide when it is off (no
         // recovery path exists, so slack is the only protection).
-        let window = self.settings.future_window();
-        let horizon = self.next_apply.saturating_add(window);
+        let horizon = self
+            .applied
+            .slot
+            .saturating_add(self.settings.future_window());
         if slot >= horizon {
             self.obs.drops_future_horizon.inc();
             return;
         }
-        let open_horizon = self
-            .next_apply
-            .saturating_add(self.settings.pipeline_depth as u64);
-        if self.settings.lazy_open
-            && slot < open_horizon
-            && self.total_log_len() < self.settings.target_len as u64
-        {
+        if self.settings.lazy_open && slot < self.window_end() && !self.done() {
             // Live mode: peer traffic for an in-window slot is the signal
             // that the slot exists — open every slot up to it (proposing
             // whatever is pending locally, or an empty batch) and deliver.
             while self.next_open <= slot {
-                let open = self.next_open;
-                self.next_open = self.next_open.saturating_add(1);
-                self.open_slot(open, ctx);
+                self.open_next_slot(ctx);
             }
             self.dispatch(slot, Some(from), DispatchEvent::Message(msg.inner), ctx);
             return;
@@ -1387,6 +865,11 @@ impl<S: StateMachine> SmrNode<S> {
     }
 }
 
+enum DispatchEvent {
+    Message(Message),
+    Timer(TimerToken),
+}
+
 impl<S: StateMachine> Process for SmrNode<S> {
     type Message = SmrMessage;
 
@@ -1395,20 +878,27 @@ impl<S: StateMachine> Process for SmrNode<S> {
     }
 
     fn on_message(&mut self, from: ProcessId, msg: SmrMessage, ctx: &mut Context<'_, SmrMessage>) {
+        let (next_apply, seat, obs) = (self.applied.slot, &self.seat, &self.obs);
         match msg {
             SmrMessage::Slot(msg) => self.on_slot_message(from, msg, ctx),
             SmrMessage::CheckpointVote(vote) => {
-                // The signature, not the connection, authenticates the
-                // attestation — checkpoint certificates must be as
-                // unforgeable as the consensus votes they garbage-collect.
-                if vote.verify_signature(&self.keys).is_ok() {
-                    self.record_vote(vote, ctx);
-                } else {
-                    self.obs.drops_invalid_checkpoint.inc();
+                let stable = self
+                    .checkpointer
+                    .handle_vote(vote, next_apply, seat, obs, ctx);
+                self.truncate_log(stable);
+            }
+            SmrMessage::StateRequest(req) => {
+                self.checkpointer
+                    .send_checkpoint(from, req.min_slot, seat, obs, ctx)
+            }
+            SmrMessage::StateReply(rep) => {
+                if let Some(snapshot) = self
+                    .checkpointer
+                    .handle_state_reply(rep, next_apply, seat, obs)
+                {
+                    self.restore_from(snapshot, ctx);
                 }
             }
-            SmrMessage::StateRequest(req) => self.handle_state_request(from, req, ctx),
-            SmrMessage::StateReply(rep) => self.handle_state_reply(rep, ctx),
         }
     }
 
@@ -1424,8 +914,8 @@ impl<S: StateMachine> Process for SmrNode<S> {
 impl<S: StateMachine> fmt::Debug for SmrNode<S> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SmrNode")
-            .field("id", &self.id)
-            .field("next_apply", &self.next_apply)
+            .field("id", &self.seat.id)
+            .field("next_apply", &self.applied.slot)
             .field("next_open", &self.next_open)
             .field("log_len", &self.log.len())
             .finish()
@@ -1435,6 +925,7 @@ impl<S: StateMachine> fmt::Debug for SmrNode<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::CheckpointBody;
     use crate::kv::{Command, KvResponse, KvStore};
     use probft_core::config::{ProbftConfig, View};
     use probft_core::message::{Wish, WishBody};
@@ -1574,8 +1065,8 @@ mod tests {
                 value: "1".into(),
             },
         );
-        node.apply_entry(entry.clone(), 0);
-        node.apply_entry(entry, 1);
+        node.apply_entry(entry.clone());
+        node.apply_entry(entry);
 
         let events = node.drain_applied();
         assert_eq!(events.len(), 2);
@@ -1597,25 +1088,16 @@ mod tests {
     #[test]
     fn log_ordered_read_observes_prefix_without_mutation() {
         let (mut node, _rng) = test_node(SmrSettings::sequential(usize::MAX));
-        node.apply_entry(
-            Entry::write(Command::Put {
-                key: "k".into(),
-                value: "before".into(),
-            }),
-            0,
-        );
+        node.apply_entry(Entry::write(Command::Put {
+            key: "k".into(),
+            value: "before".into(),
+        }));
         let read = RequestId { client: 4, seq: 1 };
-        node.apply_entry(
-            Entry::tagged_read(read, Command::Get { key: "k".into() }),
-            1,
-        );
-        node.apply_entry(
-            Entry::write(Command::Put {
-                key: "k".into(),
-                value: "after".into(),
-            }),
-            2,
-        );
+        node.apply_entry(Entry::tagged_read(read, Command::Get { key: "k".into() }));
+        node.apply_entry(Entry::write(Command::Put {
+            key: "k".into(),
+            value: "after".into(),
+        }));
         let events = node.drain_applied();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].response, KvResponse::Value(Some("before".into())));
@@ -1677,13 +1159,19 @@ mod tests {
                     value: format!("v{i}"),
                 },
             );
-            node.apply_entry(entry, i);
-            node.next_apply = i + 1;
+            node.apply_entry(entry);
+            node.applied.slot = i + 1;
             // Preserve the next_open ≥ next_apply invariant the real
             // apply path maintains.
             node.next_open = node.next_open.max(i + 1);
-            let mut ctx = Context::detached(ProcessId(node.id.index()), SimTime::ZERO, rng);
-            node.maybe_take_checkpoint(&mut ctx);
+            let mut ctx = Context::detached(ProcessId(node.seat.id.index()), SimTime::ZERO, rng);
+            let stable = node.checkpointer.maybe_take_checkpoint(
+                &node.applied,
+                &node.seat,
+                &node.obs,
+                &mut ctx,
+            );
+            node.truncate_log(stable);
         }
     }
 
@@ -1694,8 +1182,12 @@ mod tests {
     fn stable_checkpoint_truncates_log_and_keeps_reply_cache() {
         let (mut node, mut rng) = checkpoint_node(0, 2, 1);
         apply_slots(&mut node, &mut rng, 0, 2);
-        assert_eq!(node.checkpoint_stats().taken, 1);
-        let digest = node.own_checkpoints.get(&2).expect("own checkpoint").digest;
+        assert_eq!(node.obs.checkpoints_taken.get(), 1);
+        let digest = node
+            .checkpointer
+            .own_checkpoint(2)
+            .expect("own checkpoint")
+            .0;
         // Pinned on the commit that still encoded a cloned temporary: the
         // live agreed state must encode to the same bytes.
         assert_eq!(
@@ -1718,12 +1210,11 @@ mod tests {
         assert_eq!(node.log_offset(), 2);
         assert_eq!(node.total_log_len(), total_before);
         assert_eq!(node.log_digest(), chain_before, "digest chain unbroken");
-        assert_eq!(node.checkpoint_stats().truncated_entries, 2);
-        assert_eq!(node.checkpoint_stats().stable_slot, 2);
+        assert_eq!(node.obs.truncated_entries.get(), 2);
+        assert_eq!(node.obs.stable_slot.get(), 2);
         // At-most-once survives truncation: the replies live in the
         // snapshot, not the truncated log.
         let request = RequestId { client: 1, seq: 2 };
-        assert!(node.request_applied(request));
         assert_eq!(node.cached_response(request), Some(&KvResponse::Prev(None)));
     }
 
@@ -1736,8 +1227,8 @@ mod tests {
         // Replica 0 applies 4 slots and checkpoints at slot 4.
         let (mut donor, mut donor_rng) = checkpoint_node(0, 4, 1);
         apply_slots(&mut donor, &mut donor_rng, 0, 4);
-        let digest = donor.own_checkpoints.get(&4).expect("own").digest;
-        let snapshot = donor.own_checkpoints.get(&4).expect("own").bytes.clone();
+        let (digest, snapshot) = donor.checkpointer.own_checkpoint(4).expect("own");
+        let snapshot = snapshot.to_vec();
 
         // Replica 3 never saw any of it. Votes from 0, 1, 2 arrive.
         let (mut laggard, mut rng) = checkpoint_node(3, 4, 1);
@@ -1764,7 +1255,7 @@ mod tests {
                 );
             }
         }
-        assert_eq!(laggard.transfer_wanted, Some((4, digest)));
+        assert_eq!(laggard.checkpointer.transfer_wanted(), Some((4, digest)));
 
         // The certificate: the quorum of signed votes for (slot 4, digest).
         let keyring = Keyring::generate(4, b"node-tests");
@@ -1836,7 +1327,7 @@ mod tests {
         assert_eq!(laggard.log_offset(), 4);
         assert_eq!(laggard.log().len(), 0, "transferred, not replayed");
         assert_eq!(laggard.log_digest(), donor.log_digest());
-        assert_eq!(laggard.checkpoint_stats().state_transfers, 1);
+        assert_eq!(laggard.obs.state_transfers.get(), 1);
         let request = RequestId { client: 1, seq: 4 };
         assert_eq!(
             laggard.cached_response(request),
@@ -1859,7 +1350,7 @@ mod tests {
             }),
             &mut ctx,
         );
-        assert_eq!(laggard.checkpoint_stats().state_transfers, 1);
+        assert_eq!(laggard.obs.state_transfers.get(), 1);
     }
 
     /// The self-proving certificate makes *unsolicited* catch-up pushes
@@ -1873,7 +1364,7 @@ mod tests {
         // from peers 1 and 2.
         let (mut donor, mut donor_rng) = checkpoint_node(0, 4, 1);
         apply_slots(&mut donor, &mut donor_rng, 0, 4);
-        let digest = donor.own_checkpoints.get(&4).expect("own").digest;
+        let digest = donor.checkpointer.own_checkpoint(4).expect("own").0;
         for peer in [1, 2] {
             let mut ctx = Context::detached(ProcessId(0), SimTime::ZERO, &mut donor_rng);
             donor.on_message(ProcessId(peer), peer_vote(peer, 4, digest), &mut ctx);
@@ -1905,7 +1396,38 @@ mod tests {
         laggard.on_message(ProcessId(0), SmrMessage::StateReply(rep), &mut ctx);
         assert_eq!(laggard.slots_applied(), 4);
         assert_eq!(laggard.state(), donor.state());
-        assert_eq!(laggard.checkpoint_stats().state_transfers, 1);
+        assert_eq!(laggard.obs.state_transfers.get(), 1);
+    }
+
+    /// A genuine, correctly certified `StateReply` for a checkpoint the
+    /// pipeline window can still reach is ignored: restoring would wipe
+    /// in-flight slots whose traffic peers never retransmit.
+    #[test]
+    fn in_window_state_reply_leaves_in_flight_slots_alone() {
+        let (mut donor, mut donor_rng) = checkpoint_node(0, 4, 1);
+        apply_slots(&mut donor, &mut donor_rng, 0, 4);
+        let digest = donor.checkpointer.own_checkpoint(4).expect("own").0;
+        for peer in [1, 2] {
+            let mut ctx = Context::detached(ProcessId(0), SimTime::ZERO, &mut donor_rng);
+            donor.on_message(ProcessId(peer), peer_vote(peer, 4, digest), &mut ctx);
+        }
+        let rep = donor.stable_checkpoint().expect("stable").clone();
+
+        // Depth 4: slot 4 is exactly `next_apply + pipeline_depth`.
+        let (mut node, mut rng) = checkpoint_node(3, 4, 4);
+        let mut ctx = Context::detached(ProcessId(3), SimTime::ZERO, &mut rng);
+        assert!(node.probe_open(&mut ctx));
+        node.on_message(ProcessId(0), SmrMessage::StateReply(rep.clone()), &mut ctx);
+        assert_eq!(node.resident_slots(), 1, "the open slot survives");
+        assert_eq!((node.slots_applied(), node.slots_opened()), (0, 1));
+        assert_eq!(node.obs.state_transfers.get(), 0);
+        assert_eq!(node.obs.drops_invalid_checkpoint.get(), 0, "genuine");
+
+        // One slot shallower and the same reply is out of reach: restore.
+        let (mut shallow, mut rng) = checkpoint_node(3, 4, 3);
+        let mut ctx = Context::detached(ProcessId(3), SimTime::ZERO, &mut rng);
+        shallow.on_message(ProcessId(0), SmrMessage::StateReply(rep), &mut ctx);
+        assert_eq!(shallow.slots_applied(), 4);
     }
 
     /// Unsigned or forged checkpoint votes never count toward a quorum.
@@ -1913,7 +1435,7 @@ mod tests {
     fn forged_checkpoint_votes_are_dropped() {
         let (mut node, mut rng) = checkpoint_node(0, 2, 1);
         apply_slots(&mut node, &mut rng, 0, 2);
-        let digest = node.own_checkpoints.get(&2).expect("own").digest;
+        let digest = node.checkpointer.own_checkpoint(2).expect("own").0;
         // Votes "from" replicas 1 and 2, but signed with the wrong keys.
         let other = Keyring::generate(4, b"imposter");
         for peer in [1usize, 2] {

@@ -188,7 +188,7 @@ fn main() {
             report.log_offset,
             report.state.total,
             report.state.ops,
-            report.checkpoints.taken,
+            report.metrics.counter("checkpoints_taken"),
         );
     }
     let first = &reports[0];

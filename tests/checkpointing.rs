@@ -38,23 +38,24 @@ fn sim_checkpoints_truncate_without_breaking_consistency() {
         .total_log_lens()
         .iter()
         .all(|&len| len == target as u64));
-    for (i, stats) in outcome.checkpoints.iter().enumerate() {
+    for (i, metrics) in outcome.replica_metrics.iter().enumerate() {
+        let taken = metrics.counter("checkpoints_taken");
         assert!(
-            stats.taken >= 2,
-            "replica {i} took only {} checkpoints over {} slots (interval {interval})",
-            stats.taken,
+            taken >= 2,
+            "replica {i} took only {taken} checkpoints over {} slots (interval {interval})",
             target / batch,
         );
         assert!(
-            stats.stable_slot >= interval as u64,
+            metrics.gauge("stable_slot") >= interval as u64,
             "replica {i} never saw a checkpoint become stable"
         );
+        let truncated = metrics.counter("truncated_entries");
         assert!(
-            stats.truncated_entries > 0,
+            truncated > 0,
             "replica {i} truncated nothing despite stable checkpoints"
         );
         assert_eq!(
-            outcome.log_offsets[i], stats.truncated_entries,
+            outcome.log_offsets[i], truncated,
             "offset and truncation accounting must agree"
         );
         // The resident log is the suffix above the stable checkpoint.
@@ -108,13 +109,13 @@ fn live_resident_log_stays_bounded_with_interval_32() {
             r.id,
             r.log.len(),
         );
+        let truncated = r.metrics.counter("truncated_entries");
         assert!(
-            r.checkpoints.truncated_entries >= (total - 2 * interval - depth) as u64,
-            "replica {} truncated only {} entries",
+            truncated >= (total - 2 * interval - depth) as u64,
+            "replica {} truncated only {truncated} entries",
             r.id,
-            r.checkpoints.truncated_entries,
         );
-        assert!(r.checkpoints.taken >= 2);
+        assert!(r.metrics.counter("checkpoints_taken") >= 2);
         assert_eq!(r.state, first.state);
         assert_eq!(r.log_digest, first.log_digest, "logical logs diverged");
         assert_eq!(r.state.applied(), total as u64);
@@ -182,7 +183,7 @@ fn live_stalled_replica_catches_up_by_state_transfer_not_replay() {
     let first = &reports[0];
     let lagger = &reports[laggard];
     assert!(
-        lagger.checkpoints.state_transfers >= 1,
+        lagger.metrics.counter("state_transfers") >= 1,
         "the laggard must have restored a transferred snapshot"
     );
     assert!(

@@ -23,6 +23,16 @@ fn totals(metrics: &MessageMetrics, finished_at: SimTime) -> (u64, u64, u64) {
     )
 }
 
+/// The workload of every SMR row: `count` distinct PUTs.
+fn puts(count: usize) -> Vec<Command> {
+    (0..count)
+        .map(|i| Command::Put {
+            key: format!("k{i}"),
+            value: format!("v{i}"),
+        })
+        .collect()
+}
+
 #[test]
 fn clean_runs_are_pinned() {
     for (n, seed, probft, pbft, hs) in [
@@ -74,17 +84,11 @@ fn silent_view_one_leader_runs_are_pinned() {
 
 #[test]
 fn pipelined_smr_run_is_pinned() {
-    let puts: Vec<Command> = (0..32)
-        .map(|i| Command::Put {
-            key: format!("k{i}"),
-            value: format!("v{i}"),
-        })
-        .collect();
     let o = SmrBuilder::new(7, 32)
         .seed(9)
         .pipeline_depth(4)
         .batch_size(4)
-        .workload(ReplicaId(0), puts)
+        .workload(ReplicaId(0), puts(32))
         .run();
     assert_eq!(totals(&o.metrics, o.finished_at), (938, 197106, 473));
     assert_eq!(o.throughput.slots_applied, 8);
@@ -115,15 +119,6 @@ fn split_view_one_leader_runs_are_pinned() {
     assert_eq!(o.equivocation_detections, 0);
 }
 
-fn puts(count: usize) -> Vec<Command> {
-    (0..count)
-        .map(|i| Command::Put {
-            key: format!("k{i}"),
-            value: format!("v{i}"),
-        })
-        .collect()
-}
-
 /// `(sent, bytes_sent)` of one message kind.
 fn kind_totals(metrics: &MessageMetrics, kind: &str) -> (u64, u64) {
     let stats = metrics.kind(kind);
@@ -134,14 +129,14 @@ fn kind_totals(metrics: &MessageMetrics, kind: &str) -> (u64, u64) {
 /// stable slot, entries truncated, snapshots served, state transfers
 /// restored, snapshot bytes restored.
 fn checkpoint_numbers(o: &SmrOutcome, i: usize) -> [u64; 6] {
-    let c = o.checkpoints[i];
+    let m = &o.replica_metrics[i];
     [
-        c.taken,
-        c.stable_slot,
-        c.truncated_entries,
-        c.snapshots_served,
-        c.state_transfers,
-        c.transfer_bytes,
+        m.counter("checkpoints_taken"),
+        m.gauge("stable_slot"),
+        m.counter("truncated_entries"),
+        m.counter("snapshots_served"),
+        m.counter("state_transfers"),
+        m.counter("state_transfer_bytes"),
     ]
 }
 

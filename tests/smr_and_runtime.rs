@@ -238,6 +238,13 @@ fn live_cluster_serves_clients_with_redirect_and_retry() {
         KvResponse::Removed(Some("1".into()))
     );
     assert!(client.redirects() >= 1, "no redirect was exercised");
+    // The client's telemetry is on without being asked for: one RTT sample
+    // per confirmed submission, and the redirect in its registry.
+    assert_eq!(client.obs().request_rtt_us.count(), 3);
+    assert_eq!(
+        client.obs().snapshot().counter("client_redirects"),
+        client.redirects()
+    );
 
     // Retry the last request id: acknowledged from the reply cache with
     // the *original* response, not re-executed.
@@ -246,6 +253,10 @@ fn live_cluster_serves_clients_with_redirect_and_retry() {
         KvResponse::Removed(Some("1".into()))
     );
     assert!(client.retries() >= 1);
+    let telemetry = client.obs().snapshot();
+    assert_eq!(telemetry.label(), "client-9");
+    assert_eq!(telemetry.counter("client_retries"), client.retries());
+    assert_eq!(client.obs().request_rtt_us.count(), 4);
 
     let reports = cluster.shutdown();
     assert_eq!(reports.len(), 4);

@@ -370,13 +370,13 @@ fn rows(f: &Fixtures) -> Vec<(&'static str, Vec<u8>)> {
     ]
 }
 
-#[test]
-fn encodings_are_pinned() {
-    let actual: Vec<(&str, usize, String)> = rows(&fixtures())
+/// Checks every row's length and SHA-256 against its pinned table.
+fn assert_pinned(rows: Vec<(&'static str, Vec<u8>)>, golden: &[(&str, usize, &str)]) {
+    let actual: Vec<(&str, usize, String)> = rows
         .into_iter()
         .map(|(name, bytes)| (name, bytes.len(), Sha256::digest(&bytes).to_hex()))
         .collect();
-    let pinned: Vec<(&str, usize, String)> = GOLDEN
+    let pinned: Vec<(&str, usize, String)> = golden
         .iter()
         .map(|&(name, len, hex)| (name, len, hex.to_string()))
         .collect();
@@ -384,6 +384,11 @@ fn encodings_are_pinned() {
         actual, pinned,
         "wire bytes moved; actual table: {actual:#?}"
     );
+}
+
+#[test]
+fn encodings_are_pinned() {
+    assert_pinned(rows(&fixtures()), GOLDEN);
 }
 
 /// Decodes `bytes` back and checks the value and its re-encoding.
@@ -652,16 +657,5 @@ const GOLDEN_TRANSFER: &[(&str, usize, &str)] = &[
 
 #[test]
 fn checkpoint_transfer_encodings_are_pinned() {
-    let actual: Vec<(&str, usize, String)> = transfer_rows()
-        .into_iter()
-        .map(|(name, bytes)| (name, bytes.len(), Sha256::digest(&bytes).to_hex()))
-        .collect();
-    let pinned: Vec<(&str, usize, String)> = GOLDEN_TRANSFER
-        .iter()
-        .map(|&(name, len, hex)| (name, len, hex.to_string()))
-        .collect();
-    assert_eq!(
-        actual, pinned,
-        "wire bytes moved; actual table: {actual:#?}"
-    );
+    assert_pinned(transfer_rows(), GOLDEN_TRANSFER);
 }

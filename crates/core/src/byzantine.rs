@@ -17,19 +17,23 @@
 //!   VRF-mandated) recipient samples, they support `val1` toward Π¹_C and
 //!   `val2` toward Π²_C, without waiting for quorums they never formed.
 //!
-//! Byzantine replicas cannot forge what the cryptography pins down: their
-//! recipient samples are fixed by the VRF (attempting otherwise is the
-//! [`ByzantineStrategy::FloodingReplica`] strategy, rejected by honest
-//! verifiers), and Prepare/Commit messages must embed a *leader-signed*
-//! proposal, so helpers can only amplify values the leader actually signed.
+//! Byzantine replicas cannot forge what the cryptography pins down. Their
+//! recipient samples are fixed by the VRF: a vote carries only the proof,
+//! each receiver derives the sample from it, so a sample of the sender's
+//! choosing is not something a message can express — all that is left is
+//! sending the genuine vote to replicas outside its sample
+//! ([`ByzantineStrategy::FloodingReplica`]), who find themselves absent from
+//! the derived sample and do not count it. And Prepare/Commit messages must
+//! embed a *leader-signed* header, so helpers can only amplify values the
+//! leader actually signed.
 //!
 //! All strategies are *static*: they are fixed before the run starts
 //! (static corruption adversary, §2.1), and the colluding replicas know
 //! each other (`Π_F` is shared).
 
 use crate::config::{SharedConfig, View};
-use crate::message::{Message, PhaseBody, PhaseMessage, Propose, SignedProposal};
-use crate::sampling::{derive_sample, Phase};
+use crate::message::{CertVote, Message, PhaseBody, Propose, SignedProposal};
+use crate::sampling::Phase;
 use crate::value::Value;
 use probft_crypto::keyring::PublicKeyring;
 use probft_crypto::schnorr::SigningKey;
@@ -62,8 +66,9 @@ pub enum ByzantineStrategy {
     /// replicas into two halves and sends both values to all of Π_F; as a
     /// follower, double-votes toward each half within its VRF samples.
     OptimalSplitLeader,
-    /// Sends Prepare messages with a forged recipient sample covering the
-    /// whole population (honest replicas must reject the VRF proof).
+    /// Multicasts its genuine Prepare vote to the whole population instead
+    /// of its VRF sample (honest replicas outside the sample must not count
+    /// it).
     FloodingReplica,
     /// As leader, proposes a value violating the application `valid`
     /// predicate (honest replicas must reject via `safeProposal`).
@@ -156,7 +161,7 @@ impl ByzantineReplica {
         ctx: &mut Context<'_, Message>,
     ) -> SignedProposal {
         let propose = Propose::lead(&self.sk, self.id, View::FIRST, value, vec![]);
-        let proposal = propose.proposal.clone();
+        let proposal = propose.proposal;
         let targets: Vec<ProcessId> = recipients
             .into_iter()
             .map(|r| ProcessId(r.index()))
@@ -178,23 +183,23 @@ impl ByzantineReplica {
         self.helper_voted = true;
         let (pi1, pi2) = self.optimal_split();
         let (val1, val2) = equivocation_values();
+        let (digest1, digest2) = (val1.digest(), val2.digest());
 
-        let proposals: Vec<SignedProposal> = self.seen_proposals.clone();
-        for proposal in proposals {
-            let side: &BTreeSet<ReplicaId> = if proposal.value.digest() == val1.digest() {
+        for proposal in self.seen_proposals.clone() {
+            let side: &BTreeSet<ReplicaId> = if proposal.digest == digest1 {
                 &pi1
-            } else if proposal.value.digest() == val2.digest() {
+            } else if proposal.digest == digest2 {
                 &pi2
             } else {
                 continue;
             };
             for phase in [Phase::Prepare, Phase::Commit] {
-                let msg = PhaseMessage::cast(&self.sk, &self.cfg, phase, self.id, proposal.clone());
+                let msg = PhaseBody::cast(&self.sk, &self.cfg, phase, self.id, &proposal);
                 // Omission within the sample is undetectable: send only to
                 // sample members in this proposal's side (or fellow
                 // Byzantine replicas, who cannot be tricked anyway).
                 let targets: Vec<ProcessId> = msg
-                    .sample
+                    .sample(&self.cfg)
                     .iter()
                     .filter(|r| side.contains(r) || self.faulty.contains(r))
                     .map(|r| ProcessId(r.index()))
@@ -288,42 +293,26 @@ impl Process for ByzantineReplica {
                         && !self
                             .seen_proposals
                             .iter()
-                            .any(|sp| sp.value.digest() == p.proposal.value.digest())
+                            .any(|sp| sp.digest == p.proposal.digest)
                     {
-                        self.seen_proposals.push(p.proposal.clone());
+                        self.seen_proposals.push(p.proposal);
                     }
                     self.cast_split_votes(ctx);
                 }
             }
             ByzantineStrategy::FloodingReplica => {
-                // On any view-1 proposal: claim the whole population as our
-                // sample. The VRF proof cannot cover it, so honest replicas
-                // reject — this strategy exists to *prove* that in tests.
+                // On any view-1 proposal: send our Prepare to the whole
+                // population. Each receiver derives our sample from the
+                // proof, so those outside it do not count the vote — this
+                // strategy exists to *prove* that in tests.
                 if let Message::Propose(p) = &msg {
                     if p.view() != View::FIRST {
                         return;
                     }
-                    let (_, proof) = derive_sample(
-                        &self.sk,
-                        View::FIRST,
-                        Phase::Prepare,
-                        self.cfg.sample_size(),
-                        self.cfg.n(),
-                    );
-                    let everyone: Vec<ReplicaId> = self.cfg.all_replicas().collect();
-                    let forged = PhaseMessage::sign_in(
-                        &self.sk,
-                        Phase::Prepare,
-                        PhaseBody {
-                            sender: self.id,
-                            proposal: p.proposal.clone(),
-                            sample: everyone.clone(),
-                            proof,
-                        },
-                    );
-                    let targets: Vec<ProcessId> =
-                        everyone.iter().map(|r| ProcessId(r.index())).collect();
-                    ctx.multicast(targets, Message::Prepare(forged));
+                    let vote =
+                        PhaseBody::cast(&self.sk, &self.cfg, Phase::Prepare, self.id, &p.proposal);
+                    let everyone = (0..self.cfg.n()).map(ProcessId);
+                    ctx.multicast(everyone, Message::Prepare(vote));
                 }
             }
             _ => {}

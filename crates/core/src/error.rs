@@ -26,8 +26,11 @@ pub enum RejectReason {
         /// Who signed it.
         claimed: ReplicaId,
     },
-    /// The VRF proof or its claimed sample failed verification.
+    /// The VRF proof failed verification.
     BadVrfProof,
+    /// A Propose's value does not hash to the digest in its leader-signed
+    /// header.
+    ValueDigestMismatch,
     /// The receiving replica is not a member of the sender's sample.
     NotInSample,
     /// The message's view does not match the replica's current view and is
@@ -58,6 +61,9 @@ impl fmt::Display for RejectReason {
                 write!(f, "replica {claimed} is not the leader of view {view}")
             }
             RejectReason::BadVrfProof => f.write_str("VRF sample proof invalid"),
+            RejectReason::ValueDigestMismatch => {
+                f.write_str("proposed value does not match its signed digest")
+            }
             RejectReason::NotInSample => f.write_str("receiver not in sender's sample"),
             RejectReason::StaleView { got, current } => {
                 write!(

@@ -9,10 +9,17 @@
 //! are genuinely theirs; payload, signature and key lookup live in
 //! [`crate::signed`].
 //!
-//! `Prepare` and `Commit` additionally carry the sender's VRF-selected
-//! recipient sample and its proof (`S, P` in Algorithm 1 lines 15–16 and
-//! 19–20); receivers verify both that the proof is valid *and* that they are
-//! themselves members of the sample (preconditions of lines 17 and 21).
+//! The value `x` travels once, in the `Propose`. The leader signs the header
+//! `⟨v, H(x)⟩_j` ([`SignedProposal`], 60 bytes), and that one signature
+//! serves the Propose, every vote and every certificate. A `Prepare` or
+//! `Commit` is the header, the voter's VRF proof `P` and the voter's
+//! signature: 104 bytes for every `n` and value size. The sample `S` of
+//! lines 15–16 and 19–20 is a function of `P` ([`PhaseBody::sample`]), so it
+//! is not shipped: the sender expands its proof to address the vote, a
+//! receiver checks the proof and expands it to find itself (preconditions
+//! of lines 17 and 21). A vote is counted by matching `(view, digest)`
+//! against the header of the Propose the receiver accepted, which carried
+//! `x` — so no replica prepares, commits or decides a value it lacks.
 
 use crate::byzantine::{ByzantineReplica, ByzantineStrategy};
 use crate::config::{ProbftConfig, View};
@@ -40,42 +47,46 @@ pub struct VerifyCtx<'a> {
     pub cfg: &'a ProbftConfig,
     /// Public keys of all replicas.
     pub keys: &'a PublicKeyring,
+    /// A header the caller has seen pass [`SignedProposal::verify`], which
+    /// accepts it again without redoing the work: all votes of a view embed
+    /// one header, so a replica that remembers it checks the leader's
+    /// signature once per view, not once per vote.
+    pub known_header: Option<SignedProposal>,
 }
 
 impl<'a> VerifyCtx<'a> {
-    /// Creates a verification context.
+    /// Creates a verification context that takes nothing on trust.
     pub fn new(cfg: &'a ProbftConfig, keys: &'a PublicKeyring) -> Self {
-        VerifyCtx { cfg, keys }
-    }
-
-    fn key_of(&self, id: ReplicaId) -> Result<&'a probft_crypto::VerifyingKey, RejectReason> {
-        self.keys
-            .verifying_key(id.index())
-            .map_err(|_| RejectReason::UnknownSender(id))
+        VerifyCtx {
+            cfg,
+            keys,
+            known_header: None,
+        }
     }
 }
 
 // ---------------------------------------------------------------------------
-// SignedProposal — the leader-signed ⟨v, x⟩_j unit.
+// SignedProposal — the leader-signed ⟨v, H(x)⟩_j header.
 // ---------------------------------------------------------------------------
 
-/// The leader-signed proposal `⟨v, x⟩_j` embedded in `Propose`, `Prepare`,
-/// and `Commit` messages.
+/// The leader-signed proposal header `⟨v, H(x)⟩_j` embedded in `Propose`,
+/// `Prepare`, and `Commit` messages.
 ///
-/// Because only the leader of `v` can produce this signature, two distinct
-/// `SignedProposal`s for the same view are *proof of equivocation* (used by
-/// lines 23–25 of Algorithm 1).
+/// Because only the leader of `v` can produce this signature, two
+/// `SignedProposal`s for the same view with different digests are *proof of
+/// equivocation* (used by lines 23–25 of Algorithm 1) — no payload needed.
 pub type SignedProposal = Signed<ProposalBody>;
 
-/// The contents of a [`SignedProposal`].
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+/// The contents of a [`SignedProposal`]: what the leader's signature binds.
+/// The value itself travels beside the header in the [`Propose`] alone.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct ProposalBody {
     /// The view this proposal belongs to.
     pub view: View,
     /// The signer — must be `leader(view)`.
     pub leader: ReplicaId,
-    /// The proposed value.
-    pub value: Value,
+    /// Digest of the proposed value.
+    pub digest: Digest,
 }
 
 impl SignedBody for ProposalBody {
@@ -92,25 +103,31 @@ impl Wire for ProposalBody {
     fn encode(&self, out: &mut Vec<u8>) {
         self.view.encode(out);
         self.leader.encode(out);
-        self.value.encode(out);
+        self.digest.encode(out);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(ProposalBody {
             view: Wire::decode(r)?,
             leader: Wire::decode(r)?,
-            value: Wire::decode(r)?,
+            digest: Wire::decode(r)?,
         })
     }
 }
 
 impl Signed<ProposalBody> {
-    /// Verifies the leader signature and that the signer leads the view.
+    /// Verifies the leader signature and that the signer leads the view —
+    /// or recognises the header `ctx` knows, by all of it, signature bytes
+    /// included (a known `(view, digest)` under another signature is
+    /// another header and is checked in full).
     ///
     /// # Errors
     ///
     /// [`RejectReason::WrongLeader`] if the signer does not lead `view`;
     /// [`RejectReason::BadProposalSignature`] on signature failure.
     pub fn verify(&self, ctx: &VerifyCtx<'_>) -> Result<(), RejectReason> {
+        if ctx.known_header.as_ref() == Some(self) {
+            return Ok(());
+        }
         if ctx.cfg.leader_of(self.view) != self.leader {
             return Err(RejectReason::WrongLeader {
                 view: self.view,
@@ -128,30 +145,32 @@ impl Signed<ProposalBody> {
 // Prepare / Commit — sample-multicast phase messages.
 // ---------------------------------------------------------------------------
 
-/// A phase message: `⟨Prepare/Commit, ⟨v, x⟩_j, S, P⟩_i` (lines 16 and 20).
+/// A phase message: `⟨Prepare/Commit, ⟨v, H(x)⟩_j, P⟩_i` (lines 16 and 20).
 ///
 /// `Prepare` and `Commit` share this structure; they differ only in the
 /// phase, which selects the signature's domain tag and the VRF seed (and
-/// therefore the valid sample).
+/// therefore the valid proof and its sample).
 pub type PhaseMessage = Signed<PhaseBody>;
 
-/// The contents of a [`PhaseMessage`].
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// The contents of a [`PhaseMessage`]: who votes, for which leader-signed
+/// header, and the proof of whom the vote may be counted by. Fixed size —
+/// neither the value nor the sample is in it (see the module docs).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PhaseBody {
     /// The signer `i`.
     pub sender: ReplicaId,
-    /// The leader-signed proposal this vote supports.
+    /// The leader-signed header this vote supports.
     pub proposal: SignedProposal,
-    /// The sender's VRF-selected recipient sample `S`.
-    pub sample: Vec<ReplicaId>,
-    /// The VRF proof `P` binding `S` to `(sender, view, phase)`.
+    /// The VRF proof `P` for `(sender, view, phase)`, which determines the
+    /// recipient sample `S`.
     pub proof: VrfProof,
 }
 
 impl PhaseBody {
-    /// Whether `id` is a member of the sample (precondition `i ∈ S`).
-    pub fn includes(&self, id: ReplicaId) -> bool {
-        self.sample.contains(&id)
+    /// The recipient sample `S` the proof determines, in send order.
+    /// Meaningful once the proof has verified.
+    pub fn sample(&self, cfg: &ProbftConfig) -> Vec<ReplicaId> {
+        sampling::sample_of(&self.proof, cfg.sample_size(), cfg.n())
     }
 }
 
@@ -172,69 +191,32 @@ impl Wire for PhaseBody {
     fn encode(&self, out: &mut Vec<u8>) {
         self.sender.encode(out);
         self.proposal.encode(out);
-        self.sample.encode(out);
         self.proof.encode(out);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(PhaseBody {
             sender: Wire::decode(r)?,
             proposal: Wire::decode(r)?,
-            sample: Wire::decode(r)?,
             proof: Wire::decode(r)?,
         })
     }
 }
 
 impl Signed<PhaseBody> {
-    /// Casts `sender`'s vote for `proposal` (lines 15–16 and 19–20): draws
-    /// the VRF recipient sample for the proposal's view and `phase`, and
-    /// signs. The vote goes to the replicas in its own `sample`.
-    pub fn cast(
-        sk: &SigningKey,
-        cfg: &ProbftConfig,
-        phase: Phase,
-        sender: ReplicaId,
-        proposal: SignedProposal,
-    ) -> Self {
-        let (sample, proof) =
-            sampling::derive_sample(sk, proposal.view, phase, cfg.sample_size(), cfg.n());
-        let body = PhaseBody {
-            sender,
-            proposal,
-            sample,
-            proof,
-        };
-        Self::sign_in(sk, phase, body)
-    }
-
-    /// Full verification: sample size, inner proposal, outer signature, and
-    /// VRF sample.
+    /// Full verification: leader-signed header, outer signature, and VRF
+    /// proof.
     ///
     /// Does **not** check receiver sample membership — that is a property of
-    /// a specific receiver, checked by [`PhaseBody::includes`].
+    /// a specific receiver, checked by [`CertVote::counts_for`].
     ///
     /// # Errors
     ///
     /// Any [`RejectReason`] describing the first failed check.
     pub fn verify(&self, phase: Phase, ctx: &VerifyCtx<'_>) -> Result<(), RejectReason> {
-        // Cheapest check first: the signatures below hash a payload that
-        // embeds the sample, so a sample of the wrong size (up to a whole
-        // 16 MiB frame) must be turned away before any of that work.
-        if self.sample.len() != ctx.cfg.sample_size() {
-            return Err(RejectReason::BadVrfProof);
-        }
         self.proposal.verify(ctx)?;
         self.verify_in(phase, ctx.keys)?;
-        let ok = sampling::verify_sample(
-            ctx.key_of(self.sender)?,
-            self.proposal.view,
-            phase,
-            ctx.cfg.sample_size(),
-            ctx.cfg.n(),
-            &self.sample,
-            &self.proof,
-        );
-        if ok {
+        let pk = ctx.keys.verifying_key(self.sender.index())?;
+        if sampling::verify_proof(pk, self.proposal.view, phase, &self.proof) {
             Ok(())
         } else {
             Err(RejectReason::BadVrfProof)
@@ -317,10 +299,10 @@ pub trait CertVote: SignedBody<Phase = Phase> + Clone {
     fn quorum(cfg: &ProbftConfig) -> usize;
 
     /// Whether `receiver` may count this vote (the `i ∈ S` precondition).
-    fn counts_for(&self, receiver: ReplicaId) -> bool;
+    fn counts_for(&self, receiver: ReplicaId, cfg: &ProbftConfig) -> bool;
 
-    /// The leader-signed proposal the vote embeds, which lines 23–25
-    /// compare against `curVal`.
+    /// The leader-signed header the vote embeds, which lines 23–25
+    /// compare against `curVal`'s.
     fn proposal(&self) -> Option<&SignedProposal>;
 }
 
@@ -345,7 +327,7 @@ impl CertVote for PhaseBody {
         self.proposal.view
     }
     fn digest(&self) -> Digest {
-        self.proposal.value.digest()
+        self.proposal.digest
     }
     fn verify_vote(
         vote: &PhaseMessage,
@@ -362,16 +344,25 @@ impl CertVote for PhaseBody {
         sender: ReplicaId,
         proposal: &SignedProposal,
     ) -> PhaseMessage {
-        PhaseMessage::cast(sk, cfg, phase, sender, proposal.clone())
+        // The vote goes to the sample this proof determines.
+        let (view, proposal) = (proposal.view, *proposal);
+        let (_, proof) = sampling::derive_sample(sk, view, phase, cfg.sample_size(), cfg.n());
+        let body = PhaseBody {
+            sender,
+            proposal,
+            proof,
+        };
+        Signed::sign_in(sk, phase, body)
     }
-    fn recipients(&self, _: &ProbftConfig) -> Vec<ProcessId> {
-        self.sample.iter().map(|r| ProcessId(r.index())).collect()
+    fn recipients(&self, cfg: &ProbftConfig) -> Vec<ProcessId> {
+        let sample = self.sample(cfg);
+        sample.iter().map(|r| ProcessId(r.index())).collect()
     }
     fn quorum(cfg: &ProbftConfig) -> usize {
         cfg.probabilistic_quorum()
     }
-    fn counts_for(&self, receiver: ReplicaId) -> bool {
-        self.includes(receiver)
+    fn counts_for(&self, receiver: ReplicaId, cfg: &ProbftConfig) -> bool {
+        self.sample(cfg).contains(&receiver)
     }
     fn proposal(&self) -> Option<&SignedProposal> {
         Some(&self.proposal)
@@ -397,10 +388,11 @@ pub struct NewLeaderBody<V> {
     /// The view in which the sender last prepared a value
     /// ([`View::NONE`] if it never prepared).
     pub prepared_view: View,
-    /// The prepared value, if any.
+    /// The prepared value, if any — carried whole, once, so the new leader
+    /// can re-propose it; the certificate's votes name it by digest.
     pub prepared_value: Option<Value>,
     /// The prepared certificate: a quorum of Prepare votes for
-    /// `(prepared_view, prepared_value)` (in ProBFT, all including the
+    /// `(prepared_view, H(prepared_value))` (in ProBFT, all including the
     /// sender in their samples).
     pub cert: Vec<Signed<V>>,
 }
@@ -434,18 +426,22 @@ impl<V: Wire> Wire for NewLeaderBody<V> {
     }
 }
 
-/// `⟨Propose, ⟨v, x⟩_i, M⟩_i` (lines 3, 10, 12).
+/// `⟨Propose, ⟨v, H(x)⟩_i, x, M⟩_i` (lines 3, 10, 12).
 ///
 /// In view 1 the justification `M` is empty; in later views it must contain
 /// a deterministic quorum of [`NewLeader`] messages proving the proposal
 /// respects earlier (probable) decisions — checked by `safeProposal`.
 pub type Propose = Signed<ProposeBody<PhaseBody>>;
 
-/// The contents of a [`Propose`].
+/// The contents of a [`Propose`]: the only message of a view that carries
+/// the value. Votes repeat its header, so a replica counts a vote by
+/// comparing headers and reads the value from the Propose it accepted.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ProposeBody<V> {
-    /// The leader-signed proposal.
+    /// The leader-signed header `⟨v, H(x)⟩`.
     pub proposal: SignedProposal,
+    /// The proposed value `x`, which must hash to the header's digest.
+    pub value: Value,
     /// The justification set `M` of NewLeader messages.
     pub justification: Vec<Signed<NewLeaderBody<V>>>,
 }
@@ -470,18 +466,20 @@ impl<V: CertVote> SignedBody for ProposeBody<V> {
 impl<V: Wire> Wire for ProposeBody<V> {
     fn encode(&self, out: &mut Vec<u8>) {
         self.proposal.encode(out);
+        self.value.encode(out);
         self.justification.encode(out);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(ProposeBody {
             proposal: Wire::decode(r)?,
+            value: Wire::decode(r)?,
             justification: Wire::decode(r)?,
         })
     }
 }
 
 impl<V: CertVote> Signed<ProposeBody<V>> {
-    /// Signs `⟨v, x⟩` and the Propose carrying it, both as the leader.
+    /// Signs `⟨v, H(x)⟩` and the Propose carrying it and `x`, as the leader.
     pub fn lead(
         sk: &SigningKey,
         leader: ReplicaId,
@@ -489,28 +487,30 @@ impl<V: CertVote> Signed<ProposeBody<V>> {
         value: Value,
         justification: Vec<Signed<NewLeaderBody<V>>>,
     ) -> Self {
-        let proposal = Signed::sign(
-            sk,
-            ProposalBody {
-                view,
-                leader,
-                value,
-            },
-        );
+        let header = ProposalBody {
+            view,
+            leader,
+            digest: value.digest(),
+        };
         let body = ProposeBody {
-            proposal,
+            proposal: Signed::sign(sk, header),
+            value,
             justification,
         };
         Signed::sign(sk, body)
     }
 
-    /// Verifies leader identity and both signatures (plus the signatures of
-    /// all justification messages).
+    /// Verifies that the value is the one the header names, then leader
+    /// identity and both signatures (plus the signatures of all
+    /// justification messages).
     ///
     /// # Errors
     ///
     /// Any [`RejectReason`] describing the first failed check.
     pub fn verify(&self, ctx: &VerifyCtx<'_>) -> Result<(), RejectReason> {
+        if self.value.digest() != self.proposal.digest {
+            return Err(RejectReason::ValueDigestMismatch);
+        }
         self.proposal.verify(ctx)?;
         self.verify_signature(ctx.keys)?;
         self.justification
@@ -600,12 +600,12 @@ impl<V: CertVote> MessageOf<V> {
         }
     }
 
-    /// The leader-signed proposal embedded in this message, if any.
+    /// The leader-signed header embedded in this message, if any.
     ///
-    /// This is the `⟨v, x⟩_j` unit that lines 23–25 of Algorithm 1 compare
-    /// against `curVal` to detect equivocation; `NewLeader` and `Wish`
-    /// carry no current-view proposal, and neither do votes that name the
-    /// value by digest.
+    /// This is the `⟨v, H(x)⟩_j` unit that lines 23–25 of Algorithm 1
+    /// compare against `curVal`'s to detect equivocation; `NewLeader` and
+    /// `Wish` carry no current-view header, and neither do the PBFT
+    /// baseline's votes, which name the digest unsigned by the leader.
     pub fn embedded_proposal(&self) -> Option<&SignedProposal> {
         match self {
             MessageOf::Propose(p) => Some(&p.proposal),
@@ -698,16 +698,32 @@ mod tests {
         (cfg, ring)
     }
 
-    fn proposal(cfg: &ProbftConfig, ring: &Keyring, view: View, tag: u64) -> SignedProposal {
+    fn header_for(cfg: &ProbftConfig, ring: &Keyring, view: View, value: &Value) -> SignedProposal {
         let leader = cfg.leader_of(view);
         SignedProposal::sign(
             ring.signing_key(leader.index()).unwrap(),
             ProposalBody {
                 view,
                 leader,
-                value: Value::from_tag(tag),
+                digest: value.digest(),
             },
         )
+    }
+
+    fn proposal(cfg: &ProbftConfig, ring: &Keyring, view: View, tag: u64) -> SignedProposal {
+        header_for(cfg, ring, view, &Value::from_tag(tag))
+    }
+
+    /// Replica `i`'s genuine `phase` vote for `proposal`.
+    fn vote(
+        cfg: &ProbftConfig,
+        ring: &Keyring,
+        phase: Phase,
+        i: usize,
+        proposal: SignedProposal,
+    ) -> PhaseMessage {
+        let sk = ring.signing_key(i).unwrap();
+        PhaseBody::cast(sk, cfg, phase, ReplicaId::from(i), &proposal)
     }
 
     #[test]
@@ -728,7 +744,7 @@ mod tests {
             ProposalBody {
                 view: View(1),
                 leader: ReplicaId(2),
-                value: Value::from_tag(1),
+                digest: Value::from_tag(1).digest(),
             },
         );
         let public = ring.public();
@@ -746,41 +762,53 @@ mod tests {
     fn forged_proposal_signature_rejected() {
         let (cfg, ring) = setup(4);
         let mut p = proposal(&cfg, &ring, View(1), 7);
-        p.body.value = Value::from_tag(8); // tamper after signing
+        p.body.digest = Value::from_tag(8).digest(); // tamper after signing
         let public = ring.public();
         let ctx = VerifyCtx::new(&cfg, &public);
         assert_eq!(p.verify(&ctx), Err(RejectReason::BadProposalSignature));
     }
 
     #[test]
+    fn known_header_is_recognised_by_all_of_its_bytes() {
+        let (cfg, ring) = setup(4);
+        let public = ring.public();
+        let genuine = proposal(&cfg, &ring, View(1), 7);
+        let ctx = VerifyCtx {
+            known_header: Some(genuine),
+            ..VerifyCtx::new(&cfg, &public)
+        };
+        assert_eq!(genuine.verify(&ctx), Ok(()));
+        // Same view and digest under another signature is another header:
+        // it gets the full check, and fails it.
+        let mut garbage = genuine;
+        garbage.signature = ring.signing_key(0).unwrap().sign(b"not the header");
+        assert_eq!(
+            garbage.verify(&ctx),
+            Err(RejectReason::BadProposalSignature)
+        );
+    }
+
+    #[test]
     fn prepare_round_trip_and_verify() {
         let (cfg, ring) = setup(16);
         let p = proposal(&cfg, &ring, View(1), 1);
-        let sender = ReplicaId(3);
-        let sk = ring.signing_key(3).unwrap();
-        let (sample, proof) =
-            crate::sampling::derive_sample(sk, View(1), Phase::Prepare, cfg.sample_size(), cfg.n());
-        let msg = PhaseMessage::sign_in(
-            sk,
-            Phase::Prepare,
-            PhaseBody {
-                sender,
-                proposal: p,
-                sample,
-                proof,
-            },
-        );
+        let msg = vote(&cfg, &ring, Phase::Prepare, 3, p);
         let public = ring.public();
         let ctx = VerifyCtx::new(&cfg, &public);
         assert!(msg.verify(Phase::Prepare, &ctx).is_ok());
-        // Same message fails commit-phase verification (different seed).
+        // Same message fails commit-phase verification (different domain).
         assert_eq!(
             msg.verify(Phase::Commit, &ctx),
             Err(RejectReason::BadSignature)
         );
+        // The sample is the one the sender drew, recomputed from the proof.
+        let sk = ring.signing_key(3).unwrap();
+        let (drawn, _) =
+            sampling::derive_sample(sk, View(1), Phase::Prepare, cfg.sample_size(), cfg.n());
+        assert_eq!(msg.sample(&cfg), drawn);
 
         // `Message` is `MessageOf<PhaseBody>`.
-        let wire = Message::Prepare(msg.clone());
+        let wire = Message::Prepare(msg);
         let decoded = MessageOf::<PhaseBody>::from_wire_bytes(&wire.to_wire_bytes()).unwrap();
         assert_eq!(decoded, wire);
 
@@ -789,7 +817,6 @@ mod tests {
             PhaseMessage::from_wire_bytes(&msg.to_wire_bytes()).unwrap(),
             msg
         );
-        let p = proposal(&cfg, &ring, View(1), 1);
         assert_eq!(
             SignedProposal::from_wire_bytes(&p.to_wire_bytes()).unwrap(),
             p
@@ -798,97 +825,82 @@ mod tests {
 
     #[test]
     fn forged_sample_rejected() {
+        // A vote cannot name its sample, so the only way left to claim
+        // another one is to attach a proof that determines another one:
+        // the sender's own proof for the other phase or for another view,
+        // or someone else's proof. Each is re-signed honestly, so only the
+        // proof check stands in the way.
         let (cfg, ring) = setup(16);
         let p = proposal(&cfg, &ring, View(1), 1);
-        let sk = ring.signing_key(3).unwrap();
-        let (mut sample, proof) =
-            crate::sampling::derive_sample(sk, View(1), Phase::Prepare, cfg.sample_size(), cfg.n());
-        // Byzantine trick: claim a different recipient set, re-sign honestly.
-        let outsider = (0..16u32)
-            .map(ReplicaId)
-            .find(|id| !sample.contains(id))
-            .unwrap();
-        sample[0] = outsider;
-        let msg = PhaseMessage::sign_in(
-            sk,
-            Phase::Prepare,
-            PhaseBody {
-                sender: ReplicaId(3),
-                proposal: p,
-                sample,
-                proof,
-            },
-        );
-        let public = ring.public();
-        let ctx = VerifyCtx::new(&cfg, &public);
-        assert_eq!(
-            msg.verify(Phase::Prepare, &ctx),
-            Err(RejectReason::BadVrfProof)
-        );
-    }
-
-    #[test]
-    fn wrong_size_sample_rejected_before_any_signature_work() {
-        let (cfg, ring) = setup(16);
         let public = ring.public();
         let ctx = VerifyCtx::new(&cfg, &public);
         let sk = ring.signing_key(3).unwrap();
-        // The embedded proposal is forged (signed by a non-leader key), so
-        // any signature check would answer `BadProposalSignature`; the
-        // sample-size check must answer first.
-        let mut proposal = proposal(&cfg, &ring, View(1), 1);
-        proposal.signature = sk.sign(b"not the proposal");
-        assert_eq!(
-            proposal.verify(&ctx),
-            Err(RejectReason::BadProposalSignature)
-        );
-        let (sample, proof) =
-            crate::sampling::derive_sample(sk, View(1), Phase::Prepare, cfg.sample_size(), cfg.n());
-        let oversized: Vec<ReplicaId> = sample.iter().copied().cycle().take(100_000).collect();
-        for sample in [oversized, Vec::new()] {
+        let proof_of = |i: usize, view, phase| {
+            let sk = ring.signing_key(i).unwrap();
+            sampling::derive_sample(sk, view, phase, cfg.sample_size(), cfg.n()).1
+        };
+        for (proof, genuine) in [
+            (proof_of(3, View(1), Phase::Prepare), true),
+            (proof_of(3, View(1), Phase::Commit), false),
+            (proof_of(3, View(2), Phase::Prepare), false),
+            (proof_of(4, View(1), Phase::Prepare), false),
+        ] {
             let body = PhaseBody {
                 sender: ReplicaId(3),
-                proposal: proposal.clone(),
-                sample,
+                proposal: p,
                 proof,
             };
             let msg = PhaseMessage::sign_in(sk, Phase::Prepare, body);
-            assert_eq!(
-                msg.verify(Phase::Prepare, &ctx),
+            let expected = if genuine {
+                Ok(())
+            } else {
                 Err(RejectReason::BadVrfProof)
-            );
+            };
+            assert_eq!(msg.verify(Phase::Prepare, &ctx), expected);
         }
+    }
+
+    #[test]
+    fn vote_is_one_size_for_every_cluster_and_value() {
+        let sizes: Vec<usize> = [7, 100]
+            .into_iter()
+            .flat_map(|n| {
+                let (cfg, ring) = setup(n);
+                [Value::from_tag(1), Value::new(vec![0xAB; 1024])].map(|value| {
+                    let header = header_for(&cfg, &ring, View(1), &value);
+                    vote(&cfg, &ring, Phase::Prepare, 3, header)
+                        .to_wire_bytes()
+                        .len()
+                })
+            })
+            .collect();
+        assert_eq!(sizes, [104; 4]);
+    }
+
+    fn new_leader_none(ring: &Keyring, sender: usize, view: View) -> NewLeader {
+        NewLeader::sign(
+            ring.signing_key(sender).unwrap(),
+            NewLeaderBody {
+                sender: ReplicaId::from(sender),
+                view,
+                prepared_view: View::NONE,
+                prepared_value: None,
+                cert: vec![],
+            },
+        )
     }
 
     #[test]
     fn propose_with_justification_round_trips() {
         let (cfg, ring) = setup(4);
         // View 2: leader is replica 1; all replicas report nothing prepared.
-        let justification: Vec<NewLeader> = (0..3)
-            .map(|i| {
-                NewLeader::sign(
-                    ring.signing_key(i).unwrap(),
-                    NewLeaderBody {
-                        sender: ReplicaId::from(i),
-                        view: View(2),
-                        prepared_view: View::NONE,
-                        prepared_value: None,
-                        cert: vec![],
-                    },
-                )
-            })
-            .collect();
-        let p = proposal(&cfg, &ring, View(2), 9);
-        let propose = Propose::sign(
-            ring.signing_key(1).unwrap(),
-            ProposeBody {
-                proposal: p,
-                justification,
-            },
-        );
+        let justification = (0..3).map(|i| new_leader_none(&ring, i, View(2))).collect();
+        let sk = ring.signing_key(1).unwrap();
+        let propose = Propose::lead(sk, ReplicaId(1), View(2), Value::from_tag(9), justification);
         let public = ring.public();
         let ctx = VerifyCtx::new(&cfg, &public);
         assert!(propose.verify(&ctx).is_ok());
+        assert_eq!(propose.proposal, proposal(&cfg, &ring, View(2), 9));
 
         // The bare struct (not just the enum wrapper) must roundtrip.
         assert_eq!(
@@ -901,27 +913,40 @@ mod tests {
     }
 
     #[test]
+    fn propose_whose_value_does_not_hash_to_its_header_is_rejected_first() {
+        let (cfg, ring) = setup(4);
+        let public = ring.public();
+        let ctx = VerifyCtx::new(&cfg, &public);
+        let sk = ring.signing_key(0).unwrap();
+        let genuine = Propose::lead(sk, ReplicaId(0), View(1), Value::from_tag(1), vec![]);
+        assert_eq!(genuine.verify(&ctx), Ok(()));
+
+        // The leader signs a header for one value and ships another.
+        let swapped = ProposeBody {
+            value: Value::from_tag(2),
+            ..genuine.body.clone()
+        };
+        assert_eq!(
+            Propose::sign(sk, swapped.clone()).verify(&ctx),
+            Err(RejectReason::ValueDigestMismatch)
+        );
+        // The mismatch answers before either signature is looked at.
+        let mut unsigned = Propose::sign(sk, swapped);
+        unsigned.signature = sk.sign(b"not the propose");
+        unsigned.body.proposal.signature = sk.sign(b"not the header");
+        assert_eq!(
+            unsigned.verify(&ctx),
+            Err(RejectReason::ValueDigestMismatch)
+        );
+    }
+
+    #[test]
     fn tampered_justification_rejected() {
         let (cfg, ring) = setup(4);
-        let mut nl = NewLeader::sign(
-            ring.signing_key(0).unwrap(),
-            NewLeaderBody {
-                sender: ReplicaId(0),
-                view: View(2),
-                prepared_view: View::NONE,
-                prepared_value: None,
-                cert: vec![],
-            },
-        );
+        let mut nl = new_leader_none(&ring, 0, View(2));
         nl.body.prepared_view = View(1); // tamper
-        let p = proposal(&cfg, &ring, View(2), 9);
-        let propose = Propose::sign(
-            ring.signing_key(1).unwrap(),
-            ProposeBody {
-                proposal: p,
-                justification: vec![nl],
-            },
-        );
+        let sk = ring.signing_key(1).unwrap();
+        let propose = Propose::lead(sk, ReplicaId(1), View(2), Value::from_tag(9), vec![nl]);
         let public = ring.public();
         let ctx = VerifyCtx::new(&cfg, &public);
         assert_eq!(propose.verify(&ctx), Err(RejectReason::BadSignature));
@@ -954,26 +979,7 @@ mod tests {
         let (cfg, ring) = setup(16);
         let p = proposal(&cfg, &ring, View(1), 1);
         let cert: Vec<PhaseMessage> = (0..3)
-            .map(|i| {
-                let sk = ring.signing_key(i).unwrap();
-                let (sample, proof) = crate::sampling::derive_sample(
-                    sk,
-                    View(1),
-                    Phase::Prepare,
-                    cfg.sample_size(),
-                    cfg.n(),
-                );
-                PhaseMessage::sign_in(
-                    sk,
-                    Phase::Prepare,
-                    PhaseBody {
-                        sender: ReplicaId::from(i),
-                        proposal: p.clone(),
-                        sample,
-                        proof,
-                    },
-                )
-            })
+            .map(|i| vote(&cfg, &ring, Phase::Prepare, i, p))
             .collect();
         let nl = NewLeader::sign(
             ring.signing_key(5).unwrap(),
@@ -1001,13 +1007,8 @@ mod tests {
     fn message_accessors() {
         let (cfg, ring) = setup(4);
         let p = proposal(&cfg, &ring, View(1), 7);
-        let propose = Propose::sign(
-            ring.signing_key(0).unwrap(),
-            ProposeBody {
-                proposal: p.clone(),
-                justification: vec![],
-            },
-        );
+        let sk = ring.signing_key(0).unwrap();
+        let propose = Propose::lead(sk, ReplicaId(0), View(1), Value::from_tag(7), vec![]);
         let msg = Message::Propose(propose);
         assert_eq!(msg.view(), View(1));
         assert_eq!(msg.signer(), ReplicaId(0));
@@ -1040,19 +1041,7 @@ mod tests {
         // embedded signer (not the transport sender) must validate.
         let (cfg, ring) = setup(16);
         let p = proposal(&cfg, &ring, View(1), 1);
-        let sk = ring.signing_key(3).unwrap();
-        let (sample, proof) =
-            crate::sampling::derive_sample(sk, View(1), Phase::Prepare, cfg.sample_size(), cfg.n());
-        let msg = Message::Prepare(PhaseMessage::sign_in(
-            sk,
-            Phase::Prepare,
-            PhaseBody {
-                sender: ReplicaId(3),
-                proposal: p,
-                sample,
-                proof,
-            },
-        ));
+        let msg = Message::Prepare(vote(&cfg, &ring, Phase::Prepare, 3, p));
         // Decode as if received from a relay, then verify.
         let relayed = Message::from_wire_bytes(&msg.to_wire_bytes()).unwrap();
         let public = ring.public();

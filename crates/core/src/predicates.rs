@@ -39,7 +39,7 @@ pub fn prepared<V: CertVote>(
     let senders: BTreeSet<ReplicaId> = cert
         .iter()
         .filter(|vote| vote.view() == view && vote.digest() == digest)
-        .filter(|vote| vote.counts_for(holder))
+        .filter(|vote| vote.counts_for(holder, ctx.cfg))
         .filter(|vote| V::verify_vote(vote, Phase::Prepare, ctx).is_ok())
         .map(|vote| vote.signer())
         .collect();
@@ -122,7 +122,8 @@ pub fn choose_proposal<V>(justification: &[Signed<NewLeaderBody<V>>]) -> Option<
 /// no replica reported a prepared value).
 ///
 /// Assumes `propose` has already passed cryptographic verification
-/// (`Propose::verify`); this function performs only the semantic checks.
+/// (`Propose::verify`, which also binds the value to the header's digest);
+/// this function performs only the semantic checks.
 pub fn safe_proposal<V: CertVote>(propose: &Signed<ProposeBody<V>>, ctx: &VerifyCtx<'_>) -> bool {
     let view = propose.proposal.view;
     if view.is_none() {
@@ -131,7 +132,7 @@ pub fn safe_proposal<V: CertVote>(propose: &Signed<ProposeBody<V>>, ctx: &Verify
     if ctx.cfg.leader_of(view) != propose.proposal.leader {
         return false;
     }
-    if !ctx.cfg.validity().is_valid(&propose.proposal.value) {
+    if !ctx.cfg.validity().is_valid(&propose.value) {
         return false;
     }
     if view == View::FIRST {
@@ -150,7 +151,7 @@ pub fn safe_proposal<V: CertVote>(propose: &Signed<ProposeBody<V>>, ctx: &Verify
     }
     match choose_proposal(&propose.justification) {
         // Some replica prepared: the leader is bound to the mode value.
-        Some(required) => required.digest() == propose.proposal.value.digest(),
+        Some(required) => required.digest() == propose.proposal.digest,
         // Nobody prepared: the leader may propose any valid value.
         None => true,
     }
@@ -160,10 +161,7 @@ pub fn safe_proposal<V: CertVote>(propose: &Signed<ProposeBody<V>>, ctx: &Verify
 mod tests {
     use super::*;
     use crate::config::ProbftConfig;
-    use crate::message::{
-        NewLeader, PhaseBody, PhaseMessage, ProposalBody, Propose, SignedProposal,
-    };
-    use crate::sampling::derive_sample;
+    use crate::message::{NewLeader, PhaseBody, PhaseMessage, Propose};
     use probft_crypto::keyring::Keyring;
     use probft_quorum::ReplicaId;
 
@@ -178,16 +176,17 @@ mod tests {
         (cfg, ring)
     }
 
-    fn leader_proposal(cfg: &ProbftConfig, ring: &Keyring, view: View, tag: u64) -> SignedProposal {
+    /// The leader of `view` proposing `Value::from_tag(tag)`.
+    fn propose(
+        cfg: &ProbftConfig,
+        ring: &Keyring,
+        view: View,
+        tag: u64,
+        justification: Vec<NewLeader>,
+    ) -> Propose {
         let leader = cfg.leader_of(view);
-        SignedProposal::sign(
-            ring.signing_key(leader.index()).unwrap(),
-            ProposalBody {
-                view,
-                leader,
-                value: Value::from_tag(tag),
-            },
-        )
+        let sk = ring.signing_key(leader.index()).unwrap();
+        Propose::lead(sk, leader, view, Value::from_tag(tag), justification)
     }
 
     /// Builds Prepare messages for `(view, tag)` from enough senders whose
@@ -200,23 +199,13 @@ mod tests {
         holder: ReplicaId,
         want: usize,
     ) -> Vec<PhaseMessage> {
-        let proposal = leader_proposal(cfg, ring, view, tag);
+        let proposal = propose(cfg, ring, view, tag, vec![]).proposal;
         let mut cert = Vec::new();
         for i in 0..cfg.n() {
             let sk = ring.signing_key(i).unwrap();
-            let (sample, proof) =
-                derive_sample(sk, view, Phase::Prepare, cfg.sample_size(), cfg.n());
-            if sample.contains(&holder) {
-                cert.push(PhaseMessage::sign_in(
-                    sk,
-                    Phase::Prepare,
-                    PhaseBody {
-                        sender: ReplicaId::from(i),
-                        proposal: proposal.clone(),
-                        sample,
-                        proof,
-                    },
-                ));
+            let vote = PhaseBody::cast(sk, cfg, Phase::Prepare, ReplicaId::from(i), &proposal);
+            if vote.counts_for(holder, cfg) {
+                cert.push(vote);
                 if cert.len() == want {
                     break;
                 }
@@ -267,8 +256,8 @@ mod tests {
         );
         // Pad with copies of the first message: distinct-sender count stays
         // below q.
-        let dup = cert[0].clone();
-        cert.push(dup.clone());
+        let dup = cert[0];
+        cert.push(dup);
         cert.push(dup);
         let public = ring.public();
         let ctx = VerifyCtx::new(&cfg, &public);
@@ -286,7 +275,7 @@ mod tests {
         // sample happens to contain it too; find one excluded somewhere.
         let other = (0..cfg.n())
             .map(ReplicaId::from)
-            .find(|id| cert.iter().any(|m| !m.includes(*id)))
+            .find(|id| cert.iter().any(|m| !m.counts_for(*id, &cfg)))
             .expect("some replica excluded from some sample");
         assert!(!prepared(&cert, View(1), &Value::from_tag(7), other, &ctx));
     }
@@ -461,14 +450,7 @@ mod tests {
     #[test]
     fn safe_proposal_view_one_accepts_any_valid_value() {
         let (cfg, ring) = setup();
-        let proposal = leader_proposal(&cfg, &ring, View(1), 42);
-        let propose = Propose::sign(
-            ring.signing_key(proposal.leader.index()).unwrap(),
-            ProposeBody {
-                proposal,
-                justification: vec![],
-            },
-        );
+        let propose = propose(&cfg, &ring, View(1), 42, vec![]);
         let public = ring.public();
         let ctx = VerifyCtx::new(&cfg, &public);
         assert!(safe_proposal(&propose, &ctx));
@@ -481,14 +463,7 @@ mod tests {
             .quorum_multiplier(1.0)
             .validity(crate::value::ValidityPredicate::new(|v| v.len() < 4))
             .build();
-        let proposal = leader_proposal(&cfg, &ring, View(1), 1); // "value-1" is 7 bytes
-        let propose = Propose::sign(
-            ring.signing_key(0).unwrap(),
-            ProposeBody {
-                proposal,
-                justification: vec![],
-            },
-        );
+        let propose = propose(&cfg, &ring, View(1), 1, vec![]); // "value-1" is 7 bytes
         let public = ring.public();
         let ctx = VerifyCtx::new(&cfg, &public);
         assert!(!safe_proposal(&propose, &ctx));
@@ -498,18 +473,10 @@ mod tests {
     fn safe_proposal_later_view_requires_quorum() {
         let (cfg, ring) = setup();
         let view = View(2);
-        let leader = cfg.leader_of(view);
         // Too few NewLeader messages.
         let justification: Vec<NewLeader> =
             (0..3).map(|i| new_leader_none(&ring, i, view)).collect();
-        let proposal = leader_proposal(&cfg, &ring, view, 1);
-        let propose = Propose::sign(
-            ring.signing_key(leader.index()).unwrap(),
-            ProposeBody {
-                proposal,
-                justification,
-            },
-        );
+        let propose = propose(&cfg, &ring, view, 1, justification);
         let public = ring.public();
         let ctx = VerifyCtx::new(&cfg, &public);
         assert!(!safe_proposal(&propose, &ctx));
@@ -519,18 +486,10 @@ mod tests {
     fn safe_proposal_later_view_with_full_quorum() {
         let (cfg, ring) = setup();
         let view = View(2);
-        let leader = cfg.leader_of(view);
         let dq = cfg.deterministic_quorum();
         let justification: Vec<NewLeader> =
             (0..dq).map(|i| new_leader_none(&ring, i, view)).collect();
-        let proposal = leader_proposal(&cfg, &ring, view, 1);
-        let propose = Propose::sign(
-            ring.signing_key(leader.index()).unwrap(),
-            ProposeBody {
-                proposal,
-                justification,
-            },
-        );
+        let propose = propose(&cfg, &ring, view, 1, justification);
         let public = ring.public();
         let ctx = VerifyCtx::new(&cfg, &public);
         assert!(safe_proposal(&propose, &ctx));
@@ -540,19 +499,11 @@ mod tests {
     fn safe_proposal_duplicate_senders_do_not_count() {
         let (cfg, ring) = setup();
         let view = View(2);
-        let leader = cfg.leader_of(view);
         let dq = cfg.deterministic_quorum();
         // dq messages but all from sender 0.
         let justification: Vec<NewLeader> =
             (0..dq).map(|_| new_leader_none(&ring, 0, view)).collect();
-        let proposal = leader_proposal(&cfg, &ring, view, 1);
-        let propose = Propose::sign(
-            ring.signing_key(leader.index()).unwrap(),
-            ProposeBody {
-                proposal,
-                justification,
-            },
-        );
+        let propose = propose(&cfg, &ring, view, 1, justification);
         let public = ring.public();
         let ctx = VerifyCtx::new(&cfg, &public);
         assert!(!safe_proposal(&propose, &ctx));
@@ -562,7 +513,6 @@ mod tests {
     fn safe_proposal_binds_leader_to_prepared_value() {
         let (cfg, ring) = setup();
         let view = View(2);
-        let leader = cfg.leader_of(view);
         let dq = cfg.deterministic_quorum();
 
         // Replica 3 prepared value 7 in view 1; everyone else reports none.
@@ -587,23 +537,11 @@ mod tests {
         let ctx = VerifyCtx::new(&cfg, &public);
 
         // Leader proposing the prepared value: safe.
-        let good = Propose::sign(
-            ring.signing_key(leader.index()).unwrap(),
-            ProposeBody {
-                proposal: leader_proposal(&cfg, &ring, view, 7),
-                justification: justification.clone(),
-            },
-        );
+        let good = propose(&cfg, &ring, view, 7, justification.clone());
         assert!(safe_proposal(&good, &ctx));
 
         // Leader proposing something else: unsafe.
-        let bad = Propose::sign(
-            ring.signing_key(leader.index()).unwrap(),
-            ProposeBody {
-                proposal: leader_proposal(&cfg, &ring, view, 8),
-                justification,
-            },
-        );
+        let bad = propose(&cfg, &ring, view, 8, justification);
         assert!(!safe_proposal(&bad, &ctx));
     }
 }

@@ -14,6 +14,12 @@
 //! | Commit quorum, lines 21–22 | `on_vote` / `maybe_decide` |
 //! | equivocation, lines 23–25 | `check_equivocation` |
 //!
+//! Votes name the value by the digest in the leader-signed header they
+//! embed. Every quorum rule below fires only for the header of the Propose
+//! this replica *accepted* — the message that carried the value — so the
+//! replica counts votes without the value and never prepares, commits or
+//! decides one it does not hold.
+//!
 //! The state machine is generic over the vote body. Where PBFT departs from
 //! Algorithm 1 — how a vote is cast, who receives it, how many make a
 //! quorum, who may count it, what a prepared certificate is and whether a
@@ -23,7 +29,9 @@
 
 use crate::config::{ProbftConfig, View};
 use crate::error::RejectReason;
-use crate::message::{CertVote, MessageOf, NewLeaderBody, PhaseBody, ProposeBody, VerifyCtx, Wish};
+use crate::message::{
+    CertVote, MessageOf, NewLeaderBody, PhaseBody, ProposeBody, SignedProposal, VerifyCtx, Wish,
+};
 use crate::predicates;
 use crate::sampling::Phase;
 use crate::shell::{Phases, Seat, ShellState, ViewShell};
@@ -48,10 +56,14 @@ pub type ReplicaOf<V> = ViewShell<ThreePhase<V>>;
 pub struct ThreePhase<V: CertVote> {
     // --- Algorithm 1, line 1 state ---
     /// The accepted Propose message: `proposal` in the pseudocode, with
-    /// `voted` (it is set) and `curVal` (its value). Re-broadcast on
-    /// equivocation detection (line 25).
+    /// `voted` (it is set) and `curVal` (its value, under the digest in its
+    /// header). Re-broadcast on equivocation detection (line 25).
     accepted: Option<Signed<ProposeBody<V>>>,
     block_view: bool,
+    /// The last leader-signed header that verified on arrival. Every vote
+    /// of a view repeats one header, so remembering it is what makes the
+    /// leader's signature cost one check per view rather than one per vote.
+    verified_header: Option<SignedProposal>,
 
     // --- prepared state (persists across views) ---
     prepared_view: View,
@@ -86,6 +98,7 @@ impl<V: CertVote> Phases for ThreePhase<V> {
         ThreePhase {
             accepted: None,
             block_view: false,
+            verified_header: None,
             prepared_view: View::NONE,
             prepared_value: None,
             prepared_cert: Vec::new(),
@@ -97,8 +110,16 @@ impl<V: CertVote> Phases for ThreePhase<V> {
         }
     }
 
-    fn verify(msg: &MessageOf<V>, ctx: &VerifyCtx<'_>) -> Result<(), RejectReason> {
-        msg.verify(ctx)
+    fn verify(&mut self, msg: &MessageOf<V>, ctx: &VerifyCtx<'_>) -> Result<(), RejectReason> {
+        let known_header = self.verified_header;
+        msg.verify(&VerifyCtx {
+            known_header,
+            ..*ctx
+        })?;
+        if let Some(header) = msg.embedded_proposal() {
+            self.verified_header = Some(*header);
+        }
+        Ok(())
     }
     fn view_of(msg: &MessageOf<V>) -> View {
         msg.view()
@@ -260,7 +281,7 @@ impl<V: CertVote> ThreePhase<V> {
         ctx: &mut Context<'_, MessageOf<V>>,
     ) {
         // Receiver-specific precondition (ProBFT: i ∈ S).
-        if !vote.counts_for(shell.seat.id) {
+        if !vote.counts_for(shell.seat.id, &shell.seat.cfg) {
             shell.stats.rejected += 1;
             return;
         }
@@ -286,8 +307,8 @@ impl<V: CertVote> ThreePhase<V> {
         let Some(accepted) = &self.accepted else {
             return; // ¬voted
         };
-        let (view, value) = (accepted.proposal.view, &accepted.proposal.value);
-        let key = (view, value.digest());
+        let view = accepted.proposal.view;
+        let key = (view, accepted.proposal.digest);
         if self.prepare_votes.count(&key) < V::quorum(&shell.seat.cfg) {
             return;
         }
@@ -295,7 +316,7 @@ impl<V: CertVote> ThreePhase<V> {
 
         // Line 18: preparedVal, preparedView, cert ← curVal, curView, C.
         self.prepared_view = view;
-        self.prepared_value = Some(value.clone());
+        self.prepared_value = Some(accepted.value.clone());
         self.prepared_cert = self
             .prepare_votes
             .votes(&key)
@@ -320,15 +341,18 @@ impl<V: CertVote> ThreePhase<V> {
         if self.block_view || self.prepared_view != view {
             return;
         }
-        let Some(value) = self.prepared_value.clone() else {
+        // Prepared in this view means prepared from this view's accepted
+        // Propose (line 18), so `preparedVal` is its value.
+        let Some(accepted) = &self.accepted else {
             return;
         };
-        if self.commit_votes.count(&(view, value.digest())) < V::quorum(&shell.seat.cfg) {
+        let digest = accepted.proposal.digest;
+        if self.commit_votes.count(&(view, digest)) < V::quorum(&shell.seat.cfg) {
             return;
         }
         shell.stats.commit_quorums += 1;
         // Line 22: decide(curVal).
-        shell.decide(value, ctx.now());
+        shell.decide(digest, &accepted.value, ctx.now());
     }
 
     // -----------------------------------------------------------------
@@ -350,9 +374,7 @@ impl<V: CertVote> ThreePhase<V> {
         let (Some(original), Some(prop)) = (&self.accepted, msg.embedded_proposal()) else {
             return false;
         };
-        if prop.view != shell.current_view()
-            || prop.value.digest() == original.proposal.value.digest()
-        {
+        if prop.view != shell.current_view() || prop.digest == original.proposal.digest {
             return false;
         }
         // Line 24: block the view; line 25: expose both proposals.
@@ -361,5 +383,176 @@ impl<V: CertVote> ThreePhase<V> {
         ctx.multicast(shell.peers(), msg.clone());
         ctx.multicast(shell.peers(), MessageOf::Propose(original.clone()));
         true
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::message::{Message, PhaseMessage, Propose};
+    use probft_crypto::keyring::Keyring;
+    use probft_crypto::schnorr::Signature;
+    use probft_simnet::process::{Action, Process, ProcessId};
+    use probft_simnet::time::SimTime;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// n = 16, l = 1 → q = 4, o = 1.5 → s = 6: samples leave most replicas
+    /// out, and a quorum is four votes.
+    fn setup() -> (crate::config::SharedConfig, Keyring) {
+        let cfg = ProbftConfig::builder(16)
+            .quorum_multiplier(1.0)
+            .overprovision(1.5)
+            .build_shared();
+        (cfg, Keyring::generate(16, b"replica-test"))
+    }
+
+    /// The view-1 leader's Propose of `Value::from_tag(tag)`.
+    fn propose(ring: &Keyring, tag: u64) -> Propose {
+        let sk = ring.signing_key(0).unwrap();
+        Propose::lead(sk, ReplicaId(0), View::FIRST, Value::from_tag(tag), vec![])
+    }
+
+    /// The replicas whose view-1 Prepare votes for `propose` do / do not
+    /// count for `receiver`, as those votes.
+    fn prepares(
+        cfg: &ProbftConfig,
+        ring: &Keyring,
+        propose: &Propose,
+        receiver: ReplicaId,
+    ) -> (Vec<PhaseMessage>, Vec<PhaseMessage>) {
+        (1..cfg.n())
+            .map(|i| {
+                let sk = ring.signing_key(i).unwrap();
+                PhaseBody::cast(sk, cfg, Phase::Prepare, i.into(), &propose.proposal)
+            })
+            .partition(|vote| vote.counts_for(receiver, cfg))
+    }
+
+    /// Replica 5, started, having accepted `accepted`.
+    fn replica_five(
+        cfg: &crate::config::SharedConfig,
+        ring: &Keyring,
+        rng: &mut StdRng,
+        accepted: &Propose,
+    ) -> Replica {
+        let sk = ring.signing_key(5).unwrap().clone();
+        let keys = Arc::new(ring.public());
+        let mut replica = Replica::new(cfg.clone(), ReplicaId(5), sk, keys, Value::from_tag(5));
+        let mut ctx = Context::detached(ProcessId(5), SimTime::ZERO, rng);
+        replica.on_start(&mut ctx);
+        replica.on_message(ProcessId(0), Message::Propose(accepted.clone()), &mut ctx);
+        replica
+    }
+
+    fn deliver(replica: &mut Replica, msg: Message, rng: &mut StdRng) -> Vec<Action<Message>> {
+        let mut ctx = Context::detached(ProcessId(5), SimTime::ZERO, rng);
+        replica.on_message(ProcessId(1), msg, &mut ctx);
+        ctx.drain_actions()
+    }
+
+    #[test]
+    fn remembered_header_is_matched_by_its_signature_too() {
+        let (cfg, ring) = setup();
+        let public = ring.public();
+        let ctx = VerifyCtx::new(&cfg, &public);
+        let header = propose(&ring, 1).proposal;
+        let sk = ring.signing_key(3).unwrap();
+        let genuine = PhaseBody::cast(sk, &cfg, Phase::Prepare, ReplicaId(3), &header);
+
+        let mut phases = ThreePhase::<PhaseBody>::new(&cfg);
+        assert_eq!(phases.verify(&Message::Prepare(genuine), &ctx), Ok(()));
+        assert_eq!(phases.verified_header, Some(header));
+
+        // A Byzantine voter flips one bit of the leader's signature in the
+        // header it embeds and signs the result as its own vote. Were the
+        // memory keyed by (view, digest), this would pass and end up in an
+        // honest prepared certificate that verifies nowhere else.
+        let mut bytes = header.signature.to_bytes();
+        bytes[15] ^= 1;
+        let mut poisoned = genuine.body;
+        poisoned.proposal.signature = Signature::from_bytes(bytes).unwrap();
+        let poisoned = PhaseMessage::sign_in(sk, Phase::Prepare, poisoned);
+        assert_eq!(
+            phases.verify(&Message::Prepare(poisoned), &ctx),
+            Err(RejectReason::BadProposalSignature)
+        );
+        // Only what verified is remembered.
+        assert_eq!(phases.verified_header, Some(header));
+    }
+
+    #[test]
+    fn vote_from_outside_its_derived_sample_is_rejected_and_not_tallied() {
+        let (cfg, ring) = setup();
+        let mut rng = StdRng::seed_from_u64(1);
+        let accepted = propose(&ring, 1);
+        let (counting, not_counting) = prepares(&cfg, &ring, &accepted, ReplicaId(5));
+        let quorum = cfg.probabilistic_quorum();
+        assert!(counting.len() >= quorum && !not_counting.is_empty());
+
+        let mut replica = replica_five(&cfg, &ring, &mut rng, &accepted);
+        for vote in &counting[..quorum - 1] {
+            deliver(&mut replica, Message::Prepare(*vote), &mut rng);
+        }
+        assert_eq!(
+            (replica.stats.rejected, replica.stats.prepare_quorums),
+            (0, 0)
+        );
+
+        // A genuine, verifying vote — whose sample replica 5 is not in.
+        deliver(&mut replica, Message::Prepare(not_counting[0]), &mut rng);
+        assert_eq!(
+            (replica.stats.rejected, replica.stats.prepare_quorums),
+            (1, 0)
+        );
+
+        // One more vote that does count completes the quorum.
+        deliver(
+            &mut replica,
+            Message::Prepare(counting[quorum - 1]),
+            &mut rng,
+        );
+        assert_eq!(
+            (replica.stats.rejected, replica.stats.prepare_quorums),
+            (1, 1)
+        );
+    }
+
+    #[test]
+    fn conflicting_header_in_a_relayed_vote_blocks_a_replica_outside_its_sample() {
+        let (cfg, ring) = setup();
+        let mut rng = StdRng::seed_from_u64(2);
+        let accepted = propose(&ring, 1);
+        // The leader also signed a header for another value; all replica 5
+        // ever sees of it is a vote relayed from outside the vote's sample.
+        let conflicting = propose(&ring, 2);
+        let (_, not_counting) = prepares(&cfg, &ring, &conflicting, ReplicaId(5));
+        let relayed = Message::Prepare(not_counting[0]);
+
+        let mut replica = replica_five(&cfg, &ring, &mut rng, &accepted);
+        let actions = deliver(&mut replica, relayed.clone(), &mut rng);
+        assert_eq!(replica.stats.equivocations_detected, 1);
+        assert_eq!(replica.stats.rejected, 0);
+
+        // Line 25: the conflicting message, then the accepted Propose, each
+        // to everyone — the two signed headers are the proof.
+        let sent: Vec<(usize, &Message)> = actions
+            .iter()
+            .map(|a| match a {
+                Action::Send { to, msg } => (to.index(), msg),
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        let everyone = |msg| (0..cfg.n()).map(move |to| (to, msg));
+        let original = Message::Propose(accepted.clone());
+        let expected: Vec<_> = everyone(&relayed).chain(everyone(&original)).collect();
+        assert_eq!(sent, expected);
+
+        // Line 24: the view is blocked — even a quorum no longer prepares.
+        let (counting, _) = prepares(&cfg, &ring, &accepted, ReplicaId(5));
+        for vote in counting {
+            assert!(deliver(&mut replica, Message::Prepare(vote), &mut rng).is_empty());
+        }
+        assert_eq!(replica.stats.prepare_quorums, 0);
     }
 }

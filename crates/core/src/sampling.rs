@@ -9,7 +9,7 @@
 
 use crate::config::View;
 use probft_crypto::schnorr::{SigningKey, VerifyingKey};
-use probft_crypto::vrf::{vrf_prove, vrf_verify, VrfProof};
+use probft_crypto::vrf::{expand_sample, vrf_check, vrf_prove, VrfProof};
 use probft_quorum::ReplicaId;
 
 /// The protocol phase a sample belongs to.
@@ -52,19 +52,18 @@ pub fn derive_sample(
     (ids.into_iter().map(ReplicaId).collect(), proof)
 }
 
-/// `VRF_verify(K_u, v ‖ T, s, S, P)`: checks that `sample` is the unique
-/// sample the owner of `pk` is allowed to use for `(view, phase)`.
-pub fn verify_sample(
-    pk: &VerifyingKey,
-    view: View,
-    phase: Phase,
-    sample_size: usize,
-    n: usize,
-    sample: &[ReplicaId],
-    proof: &VrfProof,
-) -> bool {
-    let raw: Vec<u32> = sample.iter().map(|r| r.0).collect();
-    vrf_verify(pk, &vrf_seed(view, phase), sample_size, n, &raw, proof)
+/// The `P` half of `VRF_verify(K_u, v ‖ T, s, S, P)`: whether `proof` is the
+/// proof the owner of `pk` must use for `(view, phase)`.
+pub fn verify_proof(pk: &VerifyingKey, view: View, phase: Phase, proof: &VrfProof) -> bool {
+    vrf_check(pk, &vrf_seed(view, phase), proof)
+}
+
+/// The `S` half: the unique sample a verified `proof` determines. A vote
+/// ships only `P`; whoever needs `S` (the sender to address the vote, a
+/// receiver to find itself in it) expands it from there.
+pub fn sample_of(proof: &VrfProof, sample_size: usize, n: usize) -> Vec<ReplicaId> {
+    let ids = expand_sample(proof, sample_size, n);
+    ids.into_iter().map(ReplicaId).collect()
 }
 
 #[cfg(test)]
@@ -88,37 +87,15 @@ mod tests {
     fn derive_and_verify_round_trip() {
         let ring = Keyring::generate(50, b"sampling-test");
         let sk = ring.signing_key(3).unwrap();
+        let pk = |i| ring.verifying_key(i).unwrap();
         let (sample, proof) = derive_sample(sk, View(7), Phase::Prepare, 12, 50);
         assert_eq!(sample.len(), 12);
-        assert!(verify_sample(
-            ring.verifying_key(3).unwrap(),
-            View(7),
-            Phase::Prepare,
-            12,
-            50,
-            &sample,
-            &proof
-        ));
-        // Wrong phase fails.
-        assert!(!verify_sample(
-            ring.verifying_key(3).unwrap(),
-            View(7),
-            Phase::Commit,
-            12,
-            50,
-            &sample,
-            &proof
-        ));
-        // Wrong key fails.
-        assert!(!verify_sample(
-            ring.verifying_key(4).unwrap(),
-            View(7),
-            Phase::Prepare,
-            12,
-            50,
-            &sample,
-            &proof
-        ));
+        assert!(verify_proof(pk(3), View(7), Phase::Prepare, &proof));
+        assert_eq!(sample_of(&proof, 12, 50), sample);
+        // Wrong phase, wrong view and wrong key fail.
+        assert!(!verify_proof(pk(3), View(7), Phase::Commit, &proof));
+        assert!(!verify_proof(pk(3), View(8), Phase::Prepare, &proof));
+        assert!(!verify_proof(pk(4), View(7), Phase::Prepare, &proof));
     }
 
     #[test]

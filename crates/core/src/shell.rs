@@ -19,6 +19,7 @@ use crate::synchronizer::{SyncAction, Synchronizer};
 use crate::value::Value;
 use probft_crypto::keyring::PublicKeyring;
 use probft_crypto::schnorr::SigningKey;
+use probft_crypto::sha256::Digest;
 use probft_quorum::ReplicaId;
 use probft_simnet::process::{Context, Process, ProcessId, TimerToken};
 use probft_simnet::time::SimTime;
@@ -118,12 +119,14 @@ pub trait Phases: Sized {
     /// The state of a replica that has not yet entered view 1.
     fn new(cfg: &ProbftConfig) -> Self;
 
-    /// Full cryptographic verification of an incoming message.
+    /// Full cryptographic verification of an incoming message. The
+    /// protocol's state is at hand so that a check many messages share can
+    /// be remembered instead of repeated.
     ///
     /// # Errors
     ///
     /// Any [`RejectReason`] describing the first failed check.
-    fn verify(msg: &Self::Message, ctx: &VerifyCtx<'_>) -> Result<(), RejectReason>;
+    fn verify(&mut self, msg: &Self::Message, ctx: &VerifyCtx<'_>) -> Result<(), RejectReason>;
 
     /// The view `msg` belongs to.
     fn view_of(msg: &Self::Message) -> View;
@@ -154,7 +157,8 @@ pub struct ShellState {
     /// Run counters.
     pub stats: ReplicaStats,
     sync: Synchronizer,
-    decision: Option<Decision>,
+    /// The latched decision, under the digest its decide rule named it by.
+    decision: Option<(Digest, Decision)>,
     /// Set if a *different* value would later satisfy the decide rule — a
     /// safety violation that experiments watch for.
     conflicting_decision: bool,
@@ -163,7 +167,7 @@ pub struct ShellState {
 impl ShellState {
     /// The decision, if one has been reached.
     pub fn decision(&self) -> Option<&Decision> {
-        self.decision.as_ref()
+        self.decision.as_ref().map(|(_, d)| d)
     }
 
     /// The view the replica currently occupies.
@@ -198,21 +202,22 @@ impl ShellState {
         (0..self.seat.cfg.n()).map(ProcessId)
     }
 
-    /// The decide rule fired for `value` at virtual time `at`: latch the
-    /// first decision, and flag any later one for a different value.
-    pub fn decide(&mut self, value: Value, at: SimTime) {
+    /// The decide rule fired at virtual time `at` for `value`, whose
+    /// `digest` the caller already holds: latch the first decision, and
+    /// flag any later one for a different digest. The rule keeps firing for
+    /// every late vote, so nothing is hashed or copied after the first.
+    pub fn decide(&mut self, digest: Digest, value: &Value, at: SimTime) {
         match &self.decision {
             None => {
-                self.decision = Some(Decision {
+                let decision = Decision {
                     view: self.current_view(),
-                    value,
+                    value: value.clone(),
                     at,
-                });
+                };
+                self.decision = Some((digest, decision));
             }
-            Some(d) if d.value.digest() != value.digest() => {
-                // Safety violation — latched for the experiment harness.
-                self.conflicting_decision = true;
-            }
+            // Safety violation — latched for the experiment harness.
+            Some((decided, _)) if *decided != digest => self.conflicting_decision = true,
             Some(_) => {}
         }
     }
@@ -307,7 +312,7 @@ impl<P: Phases> Process for ViewShell<P> {
         // arbitrary bytes; nothing below this line sees an unverified
         // message. (The transport sender is deliberately ignored — relayed
         // messages verify against their embedded signer, line 25.)
-        if P::verify(&msg, &self.state.verify_ctx()).is_err() {
+        if self.phases.verify(&msg, &self.state.verify_ctx()).is_err() {
             self.state.stats.rejected += 1;
             return;
         }
@@ -465,6 +470,27 @@ mod tests {
         assert_eq!(victim.decision().map(|d| d.view), Some(View(2)));
         assert!(victim.future.is_empty());
         assert_eq!(victim.stats.rejected, (REPLAYS - cap) as u64);
+    }
+
+    #[test]
+    fn decision_latch_keeps_the_first_value_and_flags_another_digest() {
+        let cfg = ProbftConfig::builder(4).build_shared();
+        let ring = Keyring::generate(4, b"shell-test");
+        let sk = ring.signing_key(1).unwrap().clone();
+        let keys = Arc::new(ring.public());
+        let mut replica = Replica::new(cfg, ReplicaId(1), sk, keys, Value::from_tag(1));
+        let (a, b) = (Value::from_tag(7), Value::from_tag(8));
+        let at = SimTime::from_ticks(3);
+
+        replica.state.decide(a.digest(), &a, at);
+        // The rule fires again for every late Commit vote.
+        replica.state.decide(a.digest(), &a, SimTime::from_ticks(9));
+        assert_eq!(replica.decision().map(|d| (&d.value, d.at)), Some((&a, at)));
+        assert!(!replica.has_conflicting_decision());
+
+        replica.state.decide(b.digest(), &b, SimTime::from_ticks(9));
+        assert_eq!(replica.decision().map(|d| &d.value), Some(&a));
+        assert!(replica.has_conflicting_decision());
     }
 
     #[test]

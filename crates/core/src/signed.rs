@@ -35,7 +35,7 @@ pub trait SignedBody: Wire {
 /// A body together with its signer's signature. Decoding does not verify:
 /// call [`verify_in`](Signed::verify_in) (or a type's own `verify`) before
 /// trusting the contents.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Signed<B> {
     /// The signed contents, also reachable through `Deref`.
     pub body: B,

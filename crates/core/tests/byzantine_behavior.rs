@@ -48,7 +48,7 @@ fn proposals_by_value(actions: &[Action<Message>]) -> BTreeMap<Vec<u8>, BTreeSet
             msg: Message::Propose(p),
         } = a
         {
-            map.entry(p.proposal.value.as_bytes().to_vec())
+            map.entry(p.value.as_bytes().to_vec())
                 .or_default()
                 .insert(to.index());
         }
@@ -91,6 +91,7 @@ fn optimal_split_helpers_vote_within_their_vrf_samples_only() {
     // The leader's own helper votes suffice to check the invariant.
     let (mut leader, mut rng) = setup(ByzantineStrategy::OptimalSplitLeader, 0);
     let actions = start_actions(&mut leader, &mut rng);
+    let cfg = ProbftConfig::builder(N).build();
 
     for a in &actions {
         if let Action::Send {
@@ -98,11 +99,11 @@ fn optimal_split_helpers_vote_within_their_vrf_samples_only() {
             msg: Message::Prepare(p) | Message::Commit(p),
         } = a
         {
-            // Every phase vote's recipient must be inside the
-            // (genuine, verifiable) VRF sample — omission is the
-            // only freedom the adversary has.
+            // Every phase vote's recipient must be inside the sample its
+            // (genuine, verifiable) VRF proof determines — omission is
+            // the only freedom the adversary has.
             assert!(
-                p.includes(ReplicaId::from(to.index())),
+                p.sample(&cfg).contains(&ReplicaId::from(to.index())),
                 "helper voted outside its VRF sample"
             );
         }

@@ -54,4 +54,4 @@ pub use error::CryptoError;
 pub use keyring::{Keyring, PublicKeyring};
 pub use schnorr::{Signature, SigningKey, VerifyingKey};
 pub use sha256::{Digest, Sha256};
-pub use vrf::{vrf_prove, vrf_verify, VrfProof};
+pub use vrf::{vrf_check, vrf_prove, vrf_verify, VrfProof};

@@ -8,7 +8,10 @@
 //!   *deterministically in the prover's key and the seed `z`*, together with
 //!   a proof `P`.
 //! - [`vrf_verify`]`(pk, z, s, n, S, P) → bool`: checks that `S` is exactly
-//!   the sample `vrf_prove` yields for those parameters.
+//!   the sample `vrf_prove` yields for those parameters. It is the
+//!   composition of [`vrf_check`] (is `P` the prover's proof for `z`?) and
+//!   [`expand_sample`] (which sample does `P` determine?), which a verifier
+//!   holding only the proof calls separately.
 //!
 //! The construction is ECVRF-shaped, instantiated over the workspace's
 //! Schnorr group: the prover computes `Γ = H2G(z)^x` and a Chaum–Pedersen
@@ -126,8 +129,9 @@ pub fn vrf_prove(
 
 /// `VRF_verify(K_u, z, s, S, P) ⇒ bool` — paper §2.4.
 ///
-/// Checks the DLEQ proof against the seed and public key, recomputes the
-/// sample from the proof's output, and compares it to `sample`.
+/// Checks the DLEQ proof against the seed and public key ([`vrf_check`]),
+/// recomputes the sample from the proof's output ([`expand_sample`]), and
+/// compares it to `sample`.
 pub fn vrf_verify(
     pk: &VerifyingKey,
     seed: &[u8],
@@ -136,17 +140,24 @@ pub fn vrf_verify(
     sample: &[u32],
     proof: &VrfProof,
 ) -> bool {
-    if sample.len() != sample_size || sample_size > n {
-        return false;
-    }
+    sample.len() == sample_size
+        && sample_size <= n
+        && vrf_check(pk, seed, proof)
+        && expand_sample(proof, sample_size, n) == sample
+}
+
+/// The DLEQ half of [`vrf_verify`]: whether `proof` is the one proof the
+/// owner of `pk` can produce for `seed`.
+///
+/// A proof that passes determines its sample — `expand_sample(proof, s, n)`
+/// — so a verifier that is handed no sample to compare against (a ProBFT
+/// vote ships only the proof) checks this and expands the proof itself.
+pub fn vrf_check(pk: &VerifyingKey, seed: &[u8], proof: &VrfProof) -> bool {
     let h = GroupElement::hash_to_group(seed);
     // u' = g^s · y^(−c), v' = h^s · Γ^(−c)
     let u = GroupElement::generator().pow(proof.s) * pk.element().pow(-proof.c);
     let v = h.pow(proof.s) * proof.gamma.pow(-proof.c);
-    if dleq_challenge(h, *pk, proof.gamma, u, v) != proof.c {
-        return false;
-    }
-    expand_sample(proof, sample_size, n) == sample
+    dleq_challenge(h, *pk, proof.gamma, u, v) == proof.c
 }
 
 /// Expands a proof's pseudorandom output into the recipient sample.
@@ -350,6 +361,47 @@ mod tests {
             &sample,
             &bad
         ));
+    }
+
+    #[test]
+    fn verify_is_check_then_expand_on_every_rejection_case() {
+        const S: usize = 10;
+        const N: usize = 50;
+        /// Checks one case against both halves and against what
+        /// `vrf_verify` is frozen as: their composition.
+        fn case(pk: &VerifyingKey, seed: &[u8], claimed: &[u32], proof: &VrfProof, dleq_ok: bool) {
+            assert_eq!(vrf_check(pk, seed, proof), dleq_ok);
+            let composed = claimed.len() == S
+                && S <= N
+                && vrf_check(pk, seed, proof)
+                && expand_sample(proof, S, N) == claimed;
+            assert_eq!(vrf_verify(pk, seed, S, N, claimed, proof), composed);
+        }
+        let (sk, other) = (key(15), key(16));
+        let (pk, other_pk) = (sk.verifying_key(), other.verifying_key());
+        let (sample, proof) = vrf_prove(&sk, b"z", S, N);
+        assert!(vrf_verify(&pk, b"z", S, N, &sample, &proof));
+        case(&pk, b"z", &sample, &proof, true);
+        case(&pk, b"wrong", &sample, &proof, false);
+        case(&other_pk, b"z", &sample, &proof, false);
+
+        // A tampered or short sample: the proof holds, the comparison fails.
+        let mut forged = sample.clone();
+        forged[0] = (0..50).find(|id| !sample.contains(id)).unwrap();
+        assert!(!vrf_verify(&pk, b"z", S, N, &forged, &proof));
+        case(&pk, b"z", &forged, &proof, true);
+        case(&pk, b"z", &sample[..9], &proof, true);
+
+        let bad_c = VrfProof {
+            c: proof.c + Scalar::ONE,
+            ..proof
+        };
+        let bad_gamma = VrfProof {
+            gamma: vrf_prove(&other, b"z", S, N).1.gamma,
+            ..proof
+        };
+        case(&pk, b"z", &sample, &bad_c, false);
+        case(&pk, b"z", &sample, &bad_gamma, false);
     }
 
     #[test]

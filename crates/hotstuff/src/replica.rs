@@ -65,7 +65,7 @@ impl Phases for HsPhases {
         }
     }
 
-    fn verify(msg: &HsMessage, ctx: &VerifyCtx<'_>) -> Result<(), RejectReason> {
+    fn verify(&mut self, msg: &HsMessage, ctx: &VerifyCtx<'_>) -> Result<(), RejectReason> {
         msg.verify(ctx)
     }
     fn view_of(msg: &HsMessage) -> View {
@@ -240,7 +240,7 @@ impl HsPhases {
             }
             LeaderBroadcast::Decide(qc) if certifies(&qc, HsPhase::Commit) => {
                 shell.stats.commit_quorums += 1;
-                shell.decide(qc.value, ctx.now());
+                shell.decide(qc.value.digest(), &qc.value, ctx.now());
             }
             _ => shell.stats.rejected += 1,
         }

@@ -4,7 +4,9 @@
 //! `NewLeader` and `Propose` instantiated over PBFT's prepare vote, and
 //! that vote *is* the comparison the paper draws: Prepare/Commit are
 //! **broadcast to everyone** (no VRF samples, no proofs) and name the value
-//! by digest, and all quorums are the deterministic `⌈(n+f+1)/2⌉`. Its
+//! by a bare digest (ProBFT's repeat the leader-signed `⟨v, digest⟩`
+//! header, which is what lets a vote convict an equivocating leader), and
+//! all quorums are the deterministic `⌈(n+f+1)/2⌉`. Its
 //! [`CertVote`] impl below is the whole of PBFT's difference from
 //! Algorithm 1.
 
@@ -87,7 +89,7 @@ impl CertVote for VoteBody {
         let body = VoteBody {
             sender,
             view: proposal.view,
-            digest: proposal.value.digest(),
+            digest: proposal.digest,
         };
         Vote::sign_in(sk, phase, body)
     }
@@ -97,7 +99,7 @@ impl CertVote for VoteBody {
     fn quorum(cfg: &ProbftConfig) -> usize {
         cfg.deterministic_quorum()
     }
-    fn counts_for(&self, _: ReplicaId) -> bool {
+    fn counts_for(&self, _: ReplicaId, _: &ProbftConfig) -> bool {
         true
     }
     fn proposal(&self) -> Option<&SignedProposal> {
@@ -136,7 +138,7 @@ pub type PbftMessage = MessageOf<VoteBody>;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use probft_core::message::{ProposalBody, VerifyCtx};
+    use probft_core::message::VerifyCtx;
     use probft_core::predicates::{choose_proposal, safe_proposal, valid_new_leader};
     use probft_core::value::Value;
     use probft_crypto::keyring::Keyring;
@@ -255,21 +257,8 @@ mod tests {
         let (cfg, ring) = setup();
         let public = ring.public();
         let ctx = VerifyCtx::new(&cfg, &public);
-        let proposal = SignedProposal::sign(
-            ring.signing_key(0).unwrap(),
-            ProposalBody {
-                view: View(1),
-                leader: ReplicaId(0),
-                value: Value::from_tag(3),
-            },
-        );
-        let p = PbftPropose::sign(
-            ring.signing_key(0).unwrap(),
-            ProposeBody {
-                proposal,
-                justification: vec![],
-            },
-        );
+        let sk = ring.signing_key(0).unwrap();
+        let p = PbftPropose::lead(sk, ReplicaId(0), View(1), Value::from_tag(3), vec![]);
         assert!(p.verify(&ctx).is_ok());
         assert!(safe_proposal(&p, &ctx));
         // The bare struct (not just the enum wrapper) must roundtrip.

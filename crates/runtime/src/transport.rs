@@ -73,8 +73,9 @@ pub fn write_frame<W: Write>(writer: &mut W, payload: &[u8]) -> Result<(), Frame
     if len > MAX_FRAME {
         return Err(FrameError::Oversized(len));
     }
-    writer.write_all(&len.to_be_bytes())?;
-    writer.write_all(payload)?;
+    // One buffer, one write: on a `TCP_NODELAY` socket a separate write of
+    // the 4-byte prefix is a segment — and a reader wake-up — of its own.
+    writer.write_all(&[len.to_be_bytes().as_slice(), payload].concat())?;
     writer.flush()?;
     Ok(())
 }
@@ -169,6 +170,46 @@ mod tests {
         assert_eq!(read_frame(&mut cur).unwrap().unwrap(), b"hello");
         assert_eq!(read_frame(&mut cur).unwrap().unwrap(), b"");
         assert_eq!(read_frame(&mut cur).unwrap().unwrap(), vec![0xAA; 1000]);
+        assert!(read_frame(&mut cur).unwrap().is_none(), "clean EOF");
+    }
+
+    /// A frame is one `write` — prefix and payload together — so a vote
+    /// does not cost two syscalls and two segments on a no-delay socket.
+    #[test]
+    fn each_frame_is_written_in_one_call() {
+        #[derive(Default)]
+        struct CountingWriter {
+            bytes: Vec<u8>,
+            writes: usize,
+        }
+        impl Write for CountingWriter {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.writes += 1;
+                self.bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut w = CountingWriter::default();
+        let payloads: [&[u8]; 3] = [b"hello", b"", &[0xAA; 1000]];
+        for (i, payload) in payloads.into_iter().enumerate() {
+            write_frame(&mut w, payload).unwrap();
+            assert_eq!(w.writes, i + 1);
+        }
+        // An oversized payload is refused before anything is written.
+        let huge = vec![0u8; MAX_FRAME as usize + 1];
+        assert!(matches!(
+            write_frame(&mut w, &huge),
+            Err(FrameError::Oversized(_))
+        ));
+        assert_eq!(w.writes, 3);
+
+        let mut cur = Cursor::new(w.bytes);
+        for payload in payloads {
+            assert_eq!(read_frame(&mut cur).unwrap().unwrap(), payload);
+        }
         assert!(read_frame(&mut cur).unwrap().is_none(), "clean EOF");
     }
 

@@ -175,14 +175,14 @@ proptest! {
         let leader = cfg.leader_of(view);
         let proposal = SignedProposal::sign(
             ring.signing_key(leader.index()).unwrap(),
-            ProposalBody { view, leader, value: Value::from_tag(tag) },
+            ProposalBody { view, leader, digest: Value::from_tag(tag).digest() },
         );
         let sk = ring.signing_key(sender).unwrap();
-        let (sample, proof) = derive_sample(sk, view, Phase::Prepare, cfg.sample_size(), cfg.n());
+        let (_, proof) = derive_sample(sk, view, Phase::Prepare, cfg.sample_size(), cfg.n());
         let msg = Message::Prepare(PhaseMessage::sign_in(
             sk,
             Phase::Prepare,
-            PhaseBody { sender: ReplicaId::from(sender), proposal, sample, proof },
+            PhaseBody { sender: ReplicaId::from(sender), proposal, proof },
         ));
         let relayed = Message::from_wire_bytes(&msg.to_wire_bytes()).unwrap();
         prop_assert_eq!(&relayed, &msg);

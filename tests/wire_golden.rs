@@ -6,13 +6,22 @@
 //! signing path must leave every row alone, and a deliberate wire or
 //! domain-tag change has to re-baseline them and say so.
 //!
+//! Re-baselined once since, when ProBFT's votes went lean: the leader signs
+//! the header `⟨view, leader, digest⟩` (60 B) instead of the value, a
+//! Prepare/Commit is that header plus a VRF proof (104 B, no value, no
+//! sample list), and a Propose carries the value beside the header. The
+//! eight rows that embed a proposal or a vote were regenerated —
+//! `SignedProposal`, `PhaseMessage`, `NewLeader`, `Propose`, `PbftPropose`,
+//! `Message`, `SlotMessage`, `SmrFrame::Peer`; the other ten, and the whole
+//! transfer table, did not move.
+//!
 //! The same twelve fixtures feed one generic forgery check: no corrupted
 //! body byte, foreign key or neighbouring domain gets past the envelope.
 
 use probft::core::config::{ProbftConfig, View};
 use probft::core::message::{
-    Message, NewLeader, NewLeaderBody, PhaseBody, PhaseMessage, ProposalBody, Propose, ProposeBody,
-    SignedProposal, VerifyCtx, Wish, WishBody,
+    CertVote, Message, NewLeader, NewLeaderBody, PhaseBody, PhaseMessage, ProposalBody, Propose,
+    ProposeBody, SignedProposal, VerifyCtx, Wish, WishBody,
 };
 use probft::core::sampling::Phase;
 use probft::core::signed::{Signed, SignedBody};
@@ -61,10 +70,10 @@ fn phase_message(cfg: &ProbftConfig, ring: &Keyring, phase: Phase, i: usize) -> 
         ProposalBody {
             view: View(1),
             leader: ReplicaId(0),
-            value: Value::from_tag(1),
+            digest: Value::from_tag(1).digest(),
         },
     );
-    PhaseMessage::cast(sk, cfg, phase, ReplicaId::from(i), proposal)
+    PhaseBody::cast(sk, cfg, phase, ReplicaId::from(i), &proposal)
 }
 
 fn fixtures() -> Fixtures {
@@ -79,7 +88,7 @@ fn fixtures() -> Fixtures {
         ProposalBody {
             view: View(1),
             leader: ReplicaId(0),
-            value: value.clone(),
+            digest,
         },
     );
     let prepare = phase_message(&cfg, &ring, Phase::Prepare, 3);
@@ -91,7 +100,7 @@ fn fixtures() -> Fixtures {
             view: View(2),
             prepared_view: View(1),
             prepared_value: Some(value.clone()),
-            cert: vec![prepare.clone()],
+            cert: vec![prepare],
         },
     );
     let unprepared = NewLeader::sign(
@@ -110,13 +119,14 @@ fn fixtures() -> Fixtures {
         ProposalBody {
             view: View(2),
             leader: ReplicaId(1),
-            value: value.clone(),
+            digest,
         },
     );
     let propose = Propose::sign(
         sk(1),
         ProposeBody {
-            proposal: view2.clone(),
+            proposal: view2,
+            value: value.clone(),
             justification: vec![new_leader.clone(), unprepared],
         },
     );
@@ -160,6 +170,7 @@ fn fixtures() -> Fixtures {
         sk(1),
         ProposeBody {
             proposal: view2,
+            value: value.clone(),
             justification: vec![pbft_new_leader.clone()],
         },
     );
@@ -231,23 +242,23 @@ fn fixtures() -> Fixtures {
 const GOLDEN: &[(&str, usize, &str)] = &[
     (
         "SignedProposal",
-        43,
-        "2e69841253ce69d52bf4b6b0f0262e98ffa79af1ad14c67c3e6dd96950710547",
+        60,
+        "252318fc766dff9603ed4858085b4a572fde93ca1bbf1ef42009e322e405d31f",
     ),
     (
         "PhaseMessage",
-        123,
-        "6bc05dd61481b548f255624849b73be8a930ddf953e0e33b1c5007c01de5ee90",
+        104,
+        "b148ae267126f7804d95c67dbfa4a35f476f41fb8fe96eaf708e7fa145e3d6c1",
     ),
     (
         "NewLeader",
-        183,
-        "d5893ad341b06338f399a0b9785eecefb2a771f2d26c048819d17f061ff98f2e",
+        164,
+        "12cf42ddf18228723046ebf2377bab0fd4540b0551a15e24faf414fb7f011389",
     ),
     (
         "Propose",
-        295,
-        "983fb0973f89264292e255a6b09db7c34d2dbb6d9caace88efa3a97092516853",
+        308,
+        "918258bd8202c27886bb7f40d2272295dcac2d9f9caf9ed741ef804f7319802a",
     ),
     (
         "Wish",
@@ -266,8 +277,8 @@ const GOLDEN: &[(&str, usize, &str)] = &[
     ),
     (
         "PbftPropose",
-        187,
-        "813994fe4500b33053d3b9cac52c4f776bdac77a57204086aa0dbe84fa0f82e1",
+        219,
+        "41279d102bb70156f1e34944bf409f4c6d9599d463154ba855d9c3154515f85b",
     ),
     (
         "HsVote",
@@ -291,8 +302,8 @@ const GOLDEN: &[(&str, usize, &str)] = &[
     ),
     (
         "Message",
-        124,
-        "fe3506ff162f7218d42f5afc5cb470b7f81316880e4d643b8c64d7f02262e018",
+        105,
+        "412390f62efc45d748f34a3347a6acd570029bee2c31e0274b893def8907ec4e",
     ),
     (
         "PbftMessage",
@@ -306,13 +317,13 @@ const GOLDEN: &[(&str, usize, &str)] = &[
     ),
     (
         "SlotMessage",
-        304,
-        "f24db7263148cb61b5db9dbbc7500368d532a1c35a0a6dbf82441b9839d1e26c",
+        317,
+        "7bb6f6c8eecdff33da0fc4a73d797b3e5a83439a3d61784b5ef8fce022c80de1",
     ),
     (
         "SmrFrame::Peer",
-        137,
-        "2305420fe5755035947cb4617e5aa25e0d90da251b32c7793975946bb9840888",
+        118,
+        "b2359ae431689463cbb7a507e10da4479829316f1d40da905bb148dcfc22e64c",
     ),
     (
         "SmrFrame::CheckpointVote",
@@ -326,7 +337,7 @@ fn rows(f: &Fixtures) -> Vec<(&'static str, Vec<u8>)> {
         from: 3,
         msg: SlotMessage {
             slot: 9,
-            inner: Message::Prepare(f.prepare.clone()),
+            inner: Message::Prepare(f.prepare),
         },
     };
     let slot = SlotMessage {
@@ -352,7 +363,7 @@ fn rows(f: &Fixtures) -> Vec<(&'static str, Vec<u8>)> {
             HsMessage::Broadcast(f.hs_broadcast.clone()).to_wire_bytes(),
         ),
         ("CheckpointVote", f.checkpoint.to_wire_bytes()),
-        ("Message", Message::Commit(f.commit.clone()).to_wire_bytes()),
+        ("Message", Message::Commit(f.commit).to_wire_bytes()),
         (
             "PbftMessage",
             PbftMessage::Commit(f.pbft_commit.clone()).to_wire_bytes(),
@@ -441,10 +452,7 @@ fn every_fixture_decodes_back_equal_and_verifies() {
 
     assert_eq!(round_trip(&f.checkpoint).verify_signature(&public), Ok(()));
 
-    assert_eq!(
-        round_trip(&Message::Commit(f.commit.clone())).verify(&ctx),
-        Ok(())
-    );
+    assert_eq!(round_trip(&Message::Commit(f.commit)).verify(&ctx), Ok(()));
     assert_eq!(
         round_trip(&PbftMessage::Commit(f.pbft_commit.clone())).verify(&ctx),
         Ok(())
@@ -462,7 +470,7 @@ fn every_fixture_decodes_back_equal_and_verifies() {
         from: 3,
         msg: SlotMessage {
             slot: 9,
-            inner: Message::Prepare(f.prepare.clone()),
+            inner: Message::Prepare(f.prepare),
         },
     });
     round_trip(&SmrFrame::<KvStore>::CheckpointVote(f.checkpoint.clone()));

@@ -21,8 +21,10 @@
 //! - [`predicates`] — `prepared`, `validNewLeader`, `safeProposal`.
 //! - [`sampling`] — VRF seeds (`v ‖ phase`) and sample derivation.
 //! - [`synchronizer`] — wish-based view synchronizer (Bravo et al. style).
-//! - [`shell`] — the view shell every replica runs in: synchronizer, timer,
-//!   future-view buffer, decision latch and the one `Process` impl.
+//! - [`shell`] — the view shell every replica runs in, in two halves: the
+//!   view (synchronizer, timer, wishes) and the instance (future-view
+//!   buffer, decision latch, phases), plus the single-shot `Process` impl
+//!   that is one of each.
 //! - [`replica`] — the honest replica (Algorithm 1, line for line), generic
 //!   over the vote policy so the PBFT baseline is an instantiation of it.
 //! - [`byzantine`] — adversary strategies incl. the optimal split attack.

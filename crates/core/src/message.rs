@@ -539,6 +539,14 @@ pub struct WishBody {
     pub view: View,
 }
 
+impl Signed<WishBody> {
+    /// The wish of the replica in `seat` to enter `view`.
+    pub fn cast(seat: &Seat, view: View) -> Self {
+        let sender = seat.id;
+        Signed::sign(&seat.sk, WishBody { sender, view })
+    }
+}
+
 impl SignedBody for WishBody {
     type Phase = ();
     fn domain((): ()) -> &'static [u8] {

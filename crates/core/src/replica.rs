@@ -34,7 +34,7 @@ use crate::message::{
 };
 use crate::predicates;
 use crate::sampling::Phase;
-use crate::shell::{Phases, Seat, ShellState, ViewShell};
+use crate::shell::{InstanceHalf, Phases, Seat, ShellState, ViewShell};
 use crate::signed::Signed;
 use crate::value::Value;
 use probft_crypto::sha256::Digest;
@@ -51,6 +51,10 @@ pub type Replica = ReplicaOf<PhaseBody>;
 /// The honest replica of the Propose → Prepare → Commit protocol whose
 /// votes are `V`: ProBFT's [`Replica`], or the PBFT baseline's.
 pub type ReplicaOf<V> = ViewShell<ThreePhase<V>>;
+
+/// One ProBFT instance without a view of its own — what a log keeps per
+/// slot in flight, under the one view it holds for all of them.
+pub type ReplicaInstance = InstanceHalf<ThreePhase<PhaseBody>>;
 
 /// Algorithm 1's state inside the view shell.
 pub struct ThreePhase<V: CertVote> {

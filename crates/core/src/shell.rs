@@ -1,20 +1,29 @@
-//! The view shell: everything a view-based single-shot replica does that is
-//! not its phases.
+//! The view shell: everything a view-based replica does that is not its
+//! phases, in two halves.
 //!
 //! ProBFT, the PBFT baseline and the HotStuff baseline sit on the same
 //! wish-based [`Synchronizer`] and differ only in what happens *inside* a
-//! view. [`ViewShell`] owns the rest, once: the replica's [`Seat`] and
-//! input value, the synchronizer (whose `current_view()` is the only copy
-//! of the view), the view timer and its re-arm, `Wish` signing and
-//! broadcast, the buffer of messages for views not yet entered, the
-//! decision latch, the [`ReplicaStats`] counters, and the one
-//! [`Process`] implementation — verify, then route to the synchronizer, the
-//! buffer or the current view. A protocol plugs in by implementing
+//! view. What is left belongs either to the *view* or to one consensus
+//! *instance*:
+//!
+//! - the view half is the [`Synchronizer`]: its `current_view()` is the
+//!   only copy of the view, and it keeps the one view timer with its
+//!   re-arm. It sends nothing; its driver signs and wraps its wishes.
+//! - [`InstanceHalf`] is the instance: the replica's [`Seat`] and input
+//!   value, the decision latch, the [`ReplicaStats`] counters, the
+//!   protocol's [`Phases`], the buffer of messages for views not yet
+//!   entered, and verify-then-route. It is in whatever view its driver
+//!   last ran `newView` for.
+//!
+//! [`ViewShell`] is one of each and the single-shot [`Process`]
+//! implementation. The SMR layer holds one `Synchronizer` for its whole
+//! log over one `InstanceHalf` per slot in flight (DESIGN.md, "One view per
+//! log", has the safety argument). A protocol plugs in by implementing
 //! [`Phases`]: its per-view state and two handlers.
 
 use crate::config::{ProbftConfig, SharedConfig, View};
 use crate::error::RejectReason;
-use crate::message::{VerifyCtx, Wish, WishBody};
+use crate::message::{VerifyCtx, Wish};
 use crate::synchronizer::{SyncAction, Synchronizer};
 use crate::value::Value;
 use probft_crypto::keyring::PublicKeyring;
@@ -47,7 +56,7 @@ const BUFFERED_PER_REPLICA: usize = 16;
 
 /// One replica's place in a cluster: what every replica constructor in the
 /// workspace takes before its protocol-specific input.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct Seat {
     /// The cluster's shared configuration.
     pub cfg: SharedConfig,
@@ -88,11 +97,10 @@ pub struct ReplicaStats {
 
 /// What a protocol does inside a view — the shell's only hook, statically
 /// dispatched. The implementing type is the protocol's own state (reset or
-/// carried across views as it sees fit); the shell calls
-/// [`enter_view`](Phases::enter_view) after arming the view's timer and
-/// before replaying the view's buffered messages, and
-/// [`on_message`](Phases::on_message) for every verified message of the
-/// current view.
+/// carried across views as it sees fit); the instance half calls
+/// [`enter_view`](Phases::enter_view) on `newView`, before replaying the
+/// view's buffered messages, and [`on_message`](Phases::on_message) for
+/// every verified message of the current view.
 pub trait Phases: Sized {
     /// The protocol's wire message; the synchronizer's `Wish` is one of its
     /// variants.
@@ -116,7 +124,7 @@ pub trait Phases: Sized {
         strategy: Self::Strategy,
     ) -> Self::Byzantine;
 
-    /// The state of a replica that has not yet entered view 1.
+    /// The state of a replica that has not yet entered any view.
     fn new(cfg: &ProbftConfig) -> Self;
 
     /// Full cryptographic verification of an incoming message. The
@@ -146,8 +154,9 @@ pub trait Phases: Sized {
     );
 }
 
-/// The protocol-independent state of a replica: what [`Phases`] handlers
-/// are handed, and what a [`ViewShell`] dereferences to for inspection.
+/// The protocol-independent state of an instance: what [`Phases`] handlers
+/// are handed, and what an [`InstanceHalf`] or a [`ViewShell`] dereferences
+/// to for inspection.
 #[derive(Debug)]
 pub struct ShellState {
     /// The replica's place in the cluster.
@@ -156,7 +165,9 @@ pub struct ShellState {
     pub my_value: Value,
     /// Run counters.
     pub stats: ReplicaStats,
-    sync: Synchronizer,
+    /// The view the instance is in: the one its driver last ran `newView`
+    /// for ([`View::FIRST`] until then).
+    view: View,
     /// The latched decision, under the digest its decide rule named it by.
     decision: Option<(Digest, Decision)>,
     /// Set if a *different* value would later satisfy the decide rule — a
@@ -172,7 +183,7 @@ impl ShellState {
 
     /// The view the replica currently occupies.
     pub fn current_view(&self) -> View {
-        self.sync.current_view()
+        self.view
     }
 
     /// True if the decide rule ever fired for two different values — a
@@ -223,11 +234,9 @@ impl ShellState {
     }
 }
 
-/// A replica: the shared view shell around one protocol's [`Phases`].
-/// Driven by the deterministic simulator through its [`Process`]
-/// implementation; the thread/TCP runtime and the SMR layer drive the same
-/// state machine through detached contexts.
-pub struct ViewShell<P: Phases> {
+/// The instance half: one consensus instance of protocol `P` at one
+/// replica, in whatever view it was last driven into.
+pub struct InstanceHalf<P: Phases> {
     state: ShellState,
     phases: P,
     /// Verified messages for views within the buffering horizon, replayed
@@ -235,43 +244,37 @@ pub struct ViewShell<P: Phases> {
     future: BTreeMap<View, Vec<P::Message>>,
 }
 
-impl<P: Phases> ViewShell<P> {
-    /// Creates a replica proposing `my_value` when it leads.
+impl<P: Phases> InstanceHalf<P> {
+    /// An instance at `seat` proposing `my_value` when it leads.
     ///
     /// # Panics
     ///
-    /// Panics if `id` is outside the keyring population.
-    pub fn new(
-        cfg: SharedConfig,
-        id: ReplicaId,
-        sk: SigningKey,
-        keys: Arc<PublicKeyring>,
-        my_value: Value,
-    ) -> Self {
-        assert!(id.index() < keys.len(), "replica id outside population");
-        ViewShell {
-            phases: P::new(&cfg),
+    /// Panics if the seat's id is outside the keyring population.
+    pub fn new(seat: Seat, my_value: Value) -> Self {
+        assert!(
+            seat.id.index() < seat.keys.len(),
+            "replica id outside population"
+        );
+        InstanceHalf {
+            phases: P::new(&seat.cfg),
             future: BTreeMap::new(),
             state: ShellState {
-                sync: Synchronizer::new(id, cfg.faults()),
-                seat: Seat { cfg, id, sk, keys },
+                seat,
                 my_value,
                 stats: ReplicaStats::default(),
+                view: View::FIRST,
                 decision: None,
                 conflicting_decision: false,
             },
         }
     }
 
-    /// `newView(v)` for the view the synchronizer has just moved to, in
-    /// pinned order: timer, then the protocol's own sends, then the view's
-    /// buffered messages.
-    fn enter_view(&mut self, ctx: &mut Context<'_, P::Message>) {
-        let view = self.state.current_view();
+    /// `newView(view)`, in pinned order: the protocol's own sends, then the
+    /// view's buffered messages. Views must be driven in increasing order;
+    /// any may be skipped.
+    pub fn new_view(&mut self, view: View, ctx: &mut Context<'_, P::Message>) {
+        self.state.view = view;
         self.state.stats.views_entered += 1;
-
-        // Arm the view timer (token = view number).
-        ctx.set_timer(self.state.seat.cfg.timeout_for(view), TimerToken(view.0));
         self.phases.enter_view(&mut self.state, ctx);
 
         // Replay buffered messages for this view (and drop older buffers).
@@ -281,12 +284,97 @@ impl<P: Phases> ViewShell<P> {
         }
     }
 
+    /// Verify, then route: to the current view's phases, to the buffer of
+    /// a view not yet entered, or — a verified `Wish`, which belongs to
+    /// the view half — back to the driver.
+    pub fn on_message(
+        &mut self,
+        msg: P::Message,
+        ctx: &mut Context<'_, P::Message>,
+    ) -> Option<Wish> {
+        // Cryptographic verification first: Byzantine peers may send
+        // arbitrary bytes; nothing below this line sees an unverified
+        // message. (The transport sender is deliberately ignored — relayed
+        // messages verify against their embedded signer, line 25.)
+        if self.phases.verify(&msg, &self.state.verify_ctx()).is_err() {
+            self.state.stats.rejected += 1;
+            return None;
+        }
+
+        // Synchronizer traffic is view-independent (cumulative wishes).
+        if let Some(wish) = P::as_wish(&msg) {
+            return Some(wish.clone());
+        }
+
+        let (view, current) = (P::view_of(&msg), self.state.view);
+        if view < current {
+            // Stale: consensus state for old views is gone.
+            return None;
+        }
+        if view == current {
+            self.phases.on_message(msg, &mut self.state, ctx);
+            return None;
+        }
+        // Buffer messages for imminent views; drop beyond the horizon, and
+        // past the per-view cap.
+        if view.0.saturating_sub(current.0) <= VIEW_BUFFER_HORIZON {
+            let buffered = self.future.entry(view).or_default();
+            if buffered.len() < BUFFERED_PER_REPLICA * self.state.seat.cfg.n() {
+                buffered.push(msg);
+                return None;
+            }
+        }
+        self.state.stats.rejected += 1;
+        None
+    }
+}
+
+impl<P: Phases> Deref for InstanceHalf<P> {
+    type Target = ShellState;
+    fn deref(&self) -> &ShellState {
+        &self.state
+    }
+}
+
+/// A single-shot replica: one [`Synchronizer`] around one [`InstanceHalf`].
+/// Driven by the deterministic simulator through its [`Process`]
+/// implementation; the thread/TCP runtime drives the same state machine
+/// through detached contexts.
+pub struct ViewShell<P: Phases> {
+    sync: Synchronizer,
+    instance: InstanceHalf<P>,
+}
+
+impl<P: Phases> ViewShell<P> {
+    /// Creates a replica proposing `my_value` when it leads (and panics
+    /// where [`InstanceHalf::new`] does).
+    pub fn new(
+        cfg: SharedConfig,
+        id: ReplicaId,
+        sk: SigningKey,
+        keys: Arc<PublicKeyring>,
+        my_value: Value,
+    ) -> Self {
+        ViewShell {
+            sync: Synchronizer::new(id, cfg.faults()),
+            instance: InstanceHalf::new(Seat { cfg, id, sk, keys }, my_value),
+        }
+    }
+
+    /// `newView(v)` for the view the synchronizer is in, in pinned order:
+    /// timer, the protocol's own sends, the view's buffered messages.
+    fn enter_view(&mut self, ctx: &mut Context<'_, P::Message>) {
+        self.sync.arm(&self.instance.seat.cfg, ctx);
+        self.instance.new_view(self.sync.current_view(), ctx);
+    }
+
     fn apply_sync_action(&mut self, action: SyncAction, ctx: &mut Context<'_, P::Message>) {
         if let Some(view) = action.broadcast_wish {
-            let sender = self.state.seat.id;
-            let wish = Wish::sign(&self.state.seat.sk, WishBody { sender, view });
-            ctx.multicast(self.state.peers(), wish.into());
+            let wish = Wish::cast(&self.instance.seat, view);
+            ctx.multicast(self.instance.peers(), wish.into());
         }
+        // `answer_wish` is not honoured: a single-shot replica ends at its
+        // decision, and nobody is left behind in a log it does not have.
         if action.enter_view.is_some() {
             self.enter_view(ctx);
         }
@@ -296,7 +384,7 @@ impl<P: Phases> ViewShell<P> {
 impl<P: Phases> Deref for ViewShell<P> {
     type Target = ShellState;
     fn deref(&self) -> &ShellState {
-        &self.state
+        &self.instance
     }
 }
 
@@ -308,62 +396,25 @@ impl<P: Phases> Process for ViewShell<P> {
     }
 
     fn on_message(&mut self, _from: ProcessId, msg: P::Message, ctx: &mut Context<'_, P::Message>) {
-        // Cryptographic verification first: Byzantine peers may send
-        // arbitrary bytes; nothing below this line sees an unverified
-        // message. (The transport sender is deliberately ignored — relayed
-        // messages verify against their embedded signer, line 25.)
-        if self.phases.verify(&msg, &self.state.verify_ctx()).is_err() {
-            self.state.stats.rejected += 1;
-            return;
-        }
-
-        // Synchronizer traffic is view-independent (cumulative wishes).
-        if let Some(wish) = P::as_wish(&msg) {
-            let action = self.state.sync.on_wish(wish.sender, wish.view);
+        if let Some(wish) = self.instance.on_message(msg, ctx) {
+            let action = self.sync.on_wish(wish.sender, wish.view);
             self.apply_sync_action(action, ctx);
-            return;
         }
-
-        let (view, current) = (P::view_of(&msg), self.state.current_view());
-        if view < current {
-            // Stale: consensus state for old views is gone.
-            return;
-        }
-        if view == current {
-            self.phases.on_message(msg, &mut self.state, ctx);
-            return;
-        }
-        // Buffer messages for imminent views; drop beyond the horizon, and
-        // past the per-view cap.
-        if view.0.saturating_sub(current.0) <= VIEW_BUFFER_HORIZON {
-            let buffered = self.future.entry(view).or_default();
-            if buffered.len() < BUFFERED_PER_REPLICA * self.state.seat.cfg.n() {
-                buffered.push(msg);
-                return;
-            }
-        }
-        self.state.stats.rejected += 1;
     }
 
     fn on_timer(&mut self, token: TimerToken, ctx: &mut Context<'_, P::Message>) {
-        let view = self.state.current_view();
-        if View(token.0) != view {
-            return; // stale timer from an earlier view
+        if let Some(action) = self.sync.on_timer(token, &self.instance.seat.cfg, ctx) {
+            self.apply_sync_action(action, ctx);
         }
-        // View timer expired: wish to advance, and re-arm so a stuck view
-        // keeps re-broadcasting its wish.
-        let action = self.state.sync.on_timeout();
-        ctx.set_timer(self.state.seat.cfg.timeout_for(view), TimerToken(view.0));
-        self.apply_sync_action(action, ctx);
     }
 }
 
 impl<P: Phases> fmt::Debug for ViewShell<P> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ViewShell")
-            .field("id", &self.state.seat.id)
-            .field("view", &self.state.current_view())
-            .field("decided", &self.state.decision.is_some())
+            .field("id", &self.instance.seat.id)
+            .field("view", &self.instance.current_view())
+            .field("decided", &self.instance.decision.is_some())
             .finish()
     }
 }
@@ -372,7 +423,7 @@ impl<P: Phases> fmt::Debug for ViewShell<P> {
 mod tests {
     use super::*;
     use crate::message::{Message, NewLeader, NewLeaderBody};
-    use crate::replica::Replica;
+    use crate::replica::{Replica, ReplicaInstance};
     use probft_crypto::keyring::Keyring;
     use probft_simnet::delay::Fixed;
     use probft_simnet::sim::{RunOutcome, Simulation};
@@ -455,7 +506,7 @@ mod tests {
         sim.run_until(SimTime::from_ticks(1_000), u64::MAX);
         let victim = honest(&sim, VICTIM);
         assert_eq!(victim.current_view(), View::FIRST);
-        assert_eq!(victim.future[&View(2)].len(), cap);
+        assert_eq!(victim.instance.future[&View(2)].len(), cap);
         assert_eq!(victim.stats.rejected, (REPLAYS - cap) as u64);
 
         // It still follows the cluster into view 2 and decides there.
@@ -468,7 +519,7 @@ mod tests {
         assert_eq!(outcome, RunOutcome::ConditionMet);
         let victim = honest(&sim, VICTIM);
         assert_eq!(victim.decision().map(|d| d.view), Some(View(2)));
-        assert!(victim.future.is_empty());
+        assert!(victim.instance.future.is_empty());
         assert_eq!(victim.stats.rejected, (REPLAYS - cap) as u64);
     }
 
@@ -482,13 +533,19 @@ mod tests {
         let (a, b) = (Value::from_tag(7), Value::from_tag(8));
         let at = SimTime::from_ticks(3);
 
-        replica.state.decide(a.digest(), &a, at);
+        replica.instance.state.decide(a.digest(), &a, at);
         // The rule fires again for every late Commit vote.
-        replica.state.decide(a.digest(), &a, SimTime::from_ticks(9));
+        replica
+            .instance
+            .state
+            .decide(a.digest(), &a, SimTime::from_ticks(9));
         assert_eq!(replica.decision().map(|d| (&d.value, d.at)), Some((&a, at)));
         assert!(!replica.has_conflicting_decision());
 
-        replica.state.decide(b.digest(), &b, SimTime::from_ticks(9));
+        replica
+            .instance
+            .state
+            .decide(b.digest(), &b, SimTime::from_ticks(9));
         assert_eq!(replica.decision().map(|d| &d.value), Some(&a));
         assert!(replica.has_conflicting_decision());
     }
@@ -516,8 +573,111 @@ mod tests {
             };
             let msg = Message::NewLeader(NewLeader::sign(&sk(3), report));
             replica.on_message(ProcessId(3), msg, &mut ctx);
-            assert_eq!(replica.future.contains_key(&View(view)), buffered);
+            assert_eq!(replica.instance.future.contains_key(&View(view)), buffered);
         }
         assert_eq!(replica.stats.rejected, 1);
+    }
+
+    /// An instance half at replica `id` of a 4-replica cluster, and the
+    /// key material to sign as anyone.
+    fn instance(id: usize) -> (ReplicaInstance, Keyring) {
+        let cfg = ProbftConfig::builder(4).build_shared();
+        let ring = Keyring::generate(4, b"shell-test");
+        let seat = Seat {
+            cfg,
+            id: ReplicaId::from(id),
+            sk: ring.signing_key(id).unwrap().clone(),
+            keys: Arc::new(ring.public()),
+        };
+        (InstanceHalf::new(seat, Value::from_tag(id as u64)), ring)
+    }
+
+    fn report(ring: &Keyring, sender: usize, view: View) -> Message {
+        let report = NewLeaderBody {
+            sender: ReplicaId::from(sender),
+            view,
+            prepared_view: View::NONE,
+            prepared_value: None,
+            cert: vec![],
+        };
+        Message::NewLeader(NewLeader::sign(ring.signing_key(sender).unwrap(), report))
+    }
+
+    /// What `drive` made the instance send, as `(to, message)` pairs.
+    fn sent(
+        instance: &mut ReplicaInstance,
+        drive: impl FnOnce(&mut ReplicaInstance, &mut Context<'_, Message>),
+    ) -> Vec<(usize, Message)> {
+        use probft_simnet::process::Action;
+        let mut rng = rand::SeedableRng::seed_from_u64(0);
+        let mut ctx =
+            Context::detached(ProcessId(instance.seat.id.index()), SimTime::ZERO, &mut rng);
+        drive(instance, &mut ctx);
+        ctx.drain_actions()
+            .into_iter()
+            .map(|action| match action {
+                Action::Send { to, msg } => (to.index(), msg),
+                other => panic!("an instance half only sends, got {other:?}"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn instance_born_in_view_three_reports_to_its_leader_having_prepared_nothing() {
+        // Views 1 and 2 never happened for this instance: it is a replica
+        // that was silent in them.
+        let (mut follower, ring) = instance(1);
+        let out = sent(&mut follower, |i, ctx| i.new_view(View(3), ctx));
+        assert_eq!(
+            out,
+            [(2, report(&ring, 1, View(3)))],
+            "one report, to leader(3)"
+        );
+        assert_eq!(follower.current_view(), View(3));
+        assert_eq!(follower.stats.views_entered, 1);
+        assert!(!follower.is_leader());
+    }
+
+    #[test]
+    fn leader_born_in_view_three_proposes_only_on_a_deterministic_quorum_of_reports() {
+        let (mut leader, ring) = instance(2);
+        let view = View(3);
+        let out = sent(&mut leader, |i, ctx| i.new_view(view, ctx));
+        assert_eq!(
+            out,
+            [(2, report(&ring, 2, view))],
+            "its own report, to itself"
+        );
+
+        let quorum = leader.seat.cfg.deterministic_quorum();
+        assert_eq!(quorum, 3);
+        // Its own report and one more: still short, nothing is proposed.
+        for sender in [2, 0] {
+            let out = sent(&mut leader, |i, ctx| {
+                assert!(i.on_message(report(&ring, sender, view), ctx).is_none());
+            });
+            assert!(out.is_empty(), "no proposal on {sender}'s report");
+        }
+        // The third completes the quorum: its own value, justified, to all.
+        let out = sent(&mut leader, |i, ctx| {
+            i.on_message(report(&ring, 1, view), ctx);
+        });
+        assert_eq!(
+            out.iter().map(|(to, _)| *to).collect::<Vec<_>>(),
+            [0, 1, 2, 3]
+        );
+        for (_, msg) in &out {
+            let Message::Propose(propose) = msg else {
+                panic!("expected a Propose, got {msg:?}");
+            };
+            assert_eq!(propose.proposal.view, view);
+            assert_eq!(propose.value, Value::from_tag(2));
+            assert_eq!(propose.justification.len(), quorum);
+        }
+        // A fourth report changes nothing: it has proposed.
+        let out = sent(&mut leader, |i, ctx| {
+            i.on_message(report(&ring, 3, view), ctx);
+        });
+        assert!(out.is_empty());
     }
 }

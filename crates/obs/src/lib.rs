@@ -50,6 +50,12 @@ pub struct Obs {
     /// commit progress after the fault, which records the elapsed time
     /// into `recovery_latency_us`.
     fault_marker: AtomicU64,
+    /// Microseconds-since-epoch, plus one, of the first sign that the
+    /// current view is in doubt (a local view timeout, or a peer's wish
+    /// for a later view) since the last commit progress; zero when there
+    /// is none. Entering a view records the elapsed time into
+    /// `view_change_latency_us`; commit progress refutes the doubt.
+    view_doubt_marker: AtomicU64,
 
     /// Request receive → reply sent, per request, at the serving replica (µs).
     pub commit_latency_us: Arc<Histogram>,
@@ -68,7 +74,15 @@ pub struct Obs {
     /// Nemesis fault marker → next commit progress (µs): the view-change
     /// recovery cost after a leader kill.
     pub recovery_latency_us: Arc<Histogram>,
+    /// First doubt about a view (local timeout or a peer's wish for a
+    /// later one) → the next view entered (µs).
+    pub view_change_latency_us: Arc<Histogram>,
 
+    /// Views the log entered after its first.
+    pub view_changes: Counter,
+    /// Leader equivocations detected (Algorithm 1 lines 23–25), summed
+    /// over applied slots.
+    pub equivocations_detected: Counter,
     /// Requests answered from the reply cache without re-execution.
     pub reply_cache_hits: Counter,
     /// Slot messages dropped beyond the future-slot horizon.
@@ -113,6 +127,10 @@ pub struct Obs {
     /// Highest slot whose checkpoint this replica saw become stable
     /// (0 = none yet).
     pub stable_slot: Gauge,
+    /// The view the log is in.
+    pub view: Gauge,
+    /// Slots applied in order (a slot may hold many entries, or none).
+    pub applied_slots: Gauge,
 }
 
 impl std::fmt::Debug for Obs {
@@ -143,6 +161,9 @@ impl Obs {
             state_transfer_us: registry.histogram("state_transfer_us"),
             request_rtt_us: registry.histogram("request_rtt_us"),
             recovery_latency_us: registry.histogram("recovery_latency_us"),
+            view_change_latency_us: registry.histogram("view_change_latency_us"),
+            view_changes: registry.counter("view_changes"),
+            equivocations_detected: registry.counter("equivocations_detected"),
             reply_cache_hits: registry.counter("reply_cache_hits"),
             drops_future_horizon: registry.counter("drops_future_horizon"),
             drops_slot_flood: registry.counter("drops_slot_flood"),
@@ -164,10 +185,13 @@ impl Obs {
             client_overloads: registry.counter("client_overloads"),
             pending_depth: registry.gauge("pending_depth"),
             stable_slot: registry.gauge("stable_slot"),
+            view: registry.gauge("view"),
+            applied_slots: registry.gauge("applied_slots"),
             registry,
             journal: Journal::new(capacity),
             epoch: Instant::now(),
             fault_marker: AtomicU64::new(0),
+            view_doubt_marker: AtomicU64::new(0),
         }
     }
 
@@ -239,12 +263,47 @@ impl Obs {
     }
 
     /// Notes commit progress (a slot applied). If a fault marker is
-    /// armed, records the fault→progress latency and disarms it.
+    /// armed, records the fault→progress latency and disarms it. Progress
+    /// also refutes any standing doubt about the view.
     pub fn note_progress(&self) {
         let marker = self.fault_marker.swap(0, Ordering::Relaxed);
         if marker != 0 {
             let elapsed = self.now_micros().saturating_sub(marker - 1);
             self.recovery_latency_us.record(elapsed);
+        }
+        self.view_doubt_marker.store(0, Ordering::Relaxed);
+    }
+
+    /// Notes the first sign that the current view may not last — a peer's
+    /// wish for a later one — starting the view-change clock unless it is
+    /// already running.
+    pub fn note_view_doubt(&self) {
+        let now = self.now_micros().saturating_add(1);
+        let _ =
+            self.view_doubt_marker
+                .compare_exchange(0, now, Ordering::Relaxed, Ordering::Relaxed);
+    }
+
+    /// The view timer expired in the current view: journals it and starts
+    /// the view-change clock.
+    pub fn note_view_timeout(&self) {
+        let view = self.view.get();
+        self.trace(TraceKind::ViewTimeout { view });
+        self.note_view_doubt();
+    }
+
+    /// The log entered `to_view`: journals the change, counts it, moves
+    /// the `view` gauge and, if the clock was running, records first doubt
+    /// → entry into `view_change_latency_us`.
+    pub fn note_view_entered(&self, to_view: u64) {
+        let from_view = self.view.get();
+        self.trace(TraceKind::ViewChange { from_view, to_view });
+        self.view_changes.inc();
+        self.view.set(to_view);
+        let marker = self.view_doubt_marker.swap(0, Ordering::Relaxed);
+        if marker != 0 {
+            let elapsed = self.now_micros().saturating_sub(marker - 1);
+            self.view_change_latency_us.record(elapsed);
         }
     }
 }
@@ -264,6 +323,43 @@ mod tests {
         assert_eq!(obs.recovery_latency_us.count(), 1);
         let journal = obs.journal().snapshot();
         assert!(matches!(journal[0].kind, TraceKind::FaultStart { .. }));
+    }
+
+    #[test]
+    fn view_change_clock_runs_from_first_doubt_and_progress_refutes_it() {
+        let obs = Obs::new("replica-0");
+        // A lone doubt that progress refutes leaves nothing behind.
+        obs.view.set(1);
+        obs.note_view_doubt();
+        obs.note_progress();
+        obs.note_view_entered(2);
+        assert_eq!(obs.view_change_latency_us.count(), 0);
+        assert_eq!((obs.view_changes.get(), obs.view.get()), (1, 2));
+
+        obs.note_view_timeout();
+        obs.note_view_doubt(); // the clock keeps its first start
+        obs.note_view_entered(3);
+        assert_eq!(obs.view_change_latency_us.count(), 1);
+        let kinds: Vec<_> = obs
+            .journal()
+            .snapshot()
+            .into_iter()
+            .map(|e| e.kind)
+            .collect();
+        assert_eq!(
+            kinds,
+            [
+                TraceKind::ViewChange {
+                    from_view: 1,
+                    to_view: 2
+                },
+                TraceKind::ViewTimeout { view: 2 },
+                TraceKind::ViewChange {
+                    from_view: 2,
+                    to_view: 3
+                },
+            ]
+        );
     }
 
     #[test]

@@ -81,8 +81,13 @@ pub enum TraceKind {
         /// Encoded snapshot size in bytes.
         bytes: u64,
     },
-    /// A decision arrived from a later view than the last one seen —
-    /// i.e. a view change completed somewhere between them.
+    /// The view timer expired in the given view: this replica now wishes
+    /// for the next one.
+    ViewTimeout {
+        /// The view that timed out.
+        view: u64,
+    },
+    /// The log's view moved: this replica entered `to_view`.
     ViewChange {
         /// Previous view.
         from_view: u64,
@@ -134,8 +139,9 @@ impl fmt::Display for TraceEvent {
             TraceKind::StateTransferDone { slot, bytes } => {
                 write!(f, "state transfer done to slot {slot} ({bytes} bytes)")
             }
+            TraceKind::ViewTimeout { view } => write!(f, "view {view} timed out"),
             TraceKind::ViewChange { from_view, to_view } => {
-                write!(f, "view change observed: view {from_view} -> {to_view}")
+                write!(f, "view change: view {from_view} -> {to_view}")
             }
             TraceKind::OverloadShed => write!(f, "request shed (overload)"),
             TraceKind::RedirectServed { leader } => {

@@ -9,9 +9,8 @@
 //! pending queue (demand-driven slot opening, so batching operates on what
 //! actually arrived), and once the operation reaches the applied log the
 //! replica answers with an [`SmrReply::Applied`] carrying the machine's
-//! *typed response*. Non-leaders redirect the client to the leader they
-//! currently observe (id *and* address, taken from the redirecting
-//! replica's current view, not the view-1 fallback); retried request ids
+//! *typed response*. Non-leaders redirect the client to the leader of the
+//! log's view as they hold it (id *and* address); retried request ids
 //! are deduplicated inside the replicated state machine and answered from
 //! its reply cache, so submissions stay at-most-once across redirects,
 //! reconnects, and view changes.
@@ -37,7 +36,7 @@
 use crate::cluster::ClusterError;
 use crate::host::{bind_listeners, FrameKind, Host, ReplyHandle};
 use crate::transport::write_frame;
-use probft_core::config::{ProbftConfig, SharedConfig};
+use probft_core::config::{ProbftConfig, SharedConfig, View};
 use probft_core::wire::{put, Reader, Wire, WireError};
 use probft_crypto::keyring::Keyring;
 use probft_crypto::sha256::Digest;
@@ -142,10 +141,10 @@ pub enum SmrReply<R> {
         /// What the operation returned when it executed.
         response: R,
     },
-    /// This replica is not the leader; resubmit to the named replica.
-    /// The hint reflects the redirecting replica's *current* view (the
-    /// view its latest applied slot decided in), so after a view change
-    /// even an idle replica points at the new leader.
+    /// This replica is not the leader; resubmit to the named replica:
+    /// the leader of the log's view as the redirecting replica holds it,
+    /// so after a view change even an idle replica points at the new
+    /// leader.
     Redirect {
         /// The request this reply answers.
         request: RequestId,
@@ -555,6 +554,7 @@ impl<S: StateMachine> LiveSmrBuilder<S> {
         }
 
         Ok(LiveSmrCluster {
+            cfg,
             addrs,
             shutdown,
             handles,
@@ -575,9 +575,6 @@ struct ReplicaWatch {
     /// Fault injection: a paused replica drops everything it receives and
     /// sends nothing, like a partitioned or stalled process.
     paused: AtomicBool,
-    /// Who this replica currently believes leads, published every
-    /// event-loop turn (lets a nemesis target "the leader").
-    leader: AtomicU64,
 }
 
 /// A running live SMR cluster. Dropping without calling
@@ -588,7 +585,9 @@ pub struct LiveSmrCluster<S: StateMachine = KvStore> {
     addrs: Arc<Vec<SocketAddr>>,
     shutdown: Arc<AtomicBool>,
     handles: Vec<thread::JoinHandle<ReplicaReport<S>>>,
-    /// Per-replica progress, pause flag and leader belief.
+    /// The configuration every replica runs under.
+    cfg: SharedConfig,
+    /// Per-replica progress and pause flag.
     watches: Vec<Arc<ReplicaWatch>>,
     /// Per-link network fault policy every replica's outbound path
     /// consults (fault injection: partitions, latency, jitter).
@@ -659,24 +658,29 @@ impl<S: StateMachine> LiveSmrCluster<S> {
         &self.net
     }
 
-    /// The id the (unpaused) cluster currently believes leads: the
-    /// plurality of the replicas' published beliefs, ties broken low.
-    /// Transiently stale mid-view-change — callers targeting "the leader"
-    /// get whoever most of the cluster would redirect a client to.
+    /// The id the (unpaused) cluster currently believes leads: the leader
+    /// of [`current_view`](Self::current_view). Transiently stale
+    /// mid-view-change — callers targeting "the leader" get whoever most
+    /// of the cluster would redirect a client to.
     pub fn current_leader(&self) -> usize {
+        self.cfg.leader_of(self.current_view()).index()
+    }
+
+    /// The view the (unpaused) cluster currently holds the log in: the
+    /// plurality of the replicas' `view` gauges, ties broken low (lets a
+    /// nemesis target "the leader", and forge in the view slots run in).
+    pub fn current_view(&self) -> View {
         let mut votes: BTreeMap<u64, usize> = BTreeMap::new();
-        for watch in &self.watches {
+        for (watch, obs) in self.watches.iter().zip(&self.obs) {
             if !watch.paused.load(Ordering::SeqCst) {
-                *votes
-                    .entry(watch.leader.load(Ordering::SeqCst))
-                    .or_default() += 1;
+                *votes.entry(obs.view.get()).or_default() += 1;
             }
         }
-        votes
+        let plurality = votes
             .into_iter()
-            .max_by_key(|&(id, count)| (count, std::cmp::Reverse(id)))
-            .map(|(id, _)| id as usize)
-            .unwrap_or(0)
+            .max_by_key(|&(view, count)| (count, std::cmp::Reverse(view)));
+        // (A replica that has not started yet still shows view 0.)
+        plurality.map_or(View::FIRST, |(view, _)| View(view).max(View::FIRST))
     }
 
     /// Replica `i`'s telemetry bundle — the exact registry and journal
@@ -767,14 +771,6 @@ impl<S: StateMachine> LiveSmrCluster<S> {
         reports
     }
 }
-
-/// How many client contacts a non-leading replica absorbs, without any
-/// log progress in between, before probing a slot open to force the
-/// view-change machinery to run. Covers the never-view-changed
-/// idle-leader-crash case: clients keep arriving, every redirect points
-/// at the silent view-1 leader, and nothing would ever time out because
-/// no slot is in flight anywhere.
-const FOLLOWER_PROBE_CONTACTS: u32 = 3;
 
 /// Inbound events to a live SMR replica's event loop.
 pub(crate) enum SmrEvent<S: StateMachine> {
@@ -903,13 +899,10 @@ fn smr_replica_main<S: StateMachine>(
     // Clients awaiting a post-apply reply, by request id, with the time
     // each entry was (last) registered.
     let mut waiting: BTreeMap<RequestId, (ReplyHandle, Instant)> = BTreeMap::new();
-    // Follower probing (the idle-leader-crash escape hatch): client
-    // contacts answered with a redirect since the log last advanced.
-    let mut unserved_contacts: u32 = 0;
-    let mut last_progress: u64 = 0;
-    // Points a client at the leader of this replica's current working
-    // view (id and address). Callers count the contact toward the
-    // follower probe (checked once per loop turn, below).
+    // Points a client at the leader of the log's view (id and address).
+    // Callers then tell the node (`on_redirect`): a client turned away is
+    // work the named leader owes, and that is what runs the view timer
+    // when no slot is in flight anywhere — the idle-leader-crash case.
     let redirect = |node: &SmrNode<S>, reply: &ReplyHandle, request| {
         let leader = node.current_leader().index();
         // `% n` keeps the index in range for any sane `addrs`; `.get`
@@ -956,7 +949,7 @@ fn smr_replica_main<S: StateMachine>(
             }) => {
                 if node.current_leader().index() != id {
                     redirect(&node, &reply, request);
-                    unserved_contacts += 1;
+                    host.drive(|ctx| node.on_redirect(ctx));
                 } else if let Some(response) = node.cached_response(request).cloned() {
                     // A retry of something already applied: answer from
                     // the reply cache without re-ordering it
@@ -1015,26 +1008,13 @@ fn smr_replica_main<S: StateMachine>(
                     send_frame::<S>(&reply, SmrFrame::ReadReply { request, response });
                 } else {
                     // A leader read bounced off a silent leader is client
-                    // contact too — it must count toward the probe, or an
-                    // idle dead-leader cluster would serve writes but
-                    // starve reads forever.
+                    // contact too, or an idle dead-leader cluster would
+                    // serve writes but starve reads forever.
                     redirect(&node, &reply, request);
-                    unserved_contacts += 1;
+                    host.drive(|ctx| node.on_redirect(ctx));
                 }
             }
             None => {}
-        }
-
-        // Clients keep arriving but the leader every redirect names never
-        // orders anything: after a few contacts with no log progress,
-        // probe a slot open so the view-change timers run and the next
-        // decision repoints every hint at a live leader. (A spurious
-        // probe on a healthy cluster costs one empty slot.)
-        if unserved_contacts >= FOLLOWER_PROBE_CONTACTS {
-            host.drive(|ctx| {
-                node.probe_open(ctx);
-            });
-            unserved_contacts = 0;
         }
 
         // Answer every client whose entry reached the applied log, with
@@ -1062,15 +1042,9 @@ fn smr_replica_main<S: StateMachine>(
         if !waiting.is_empty() {
             waiting.retain(|_, (_, since)| since.elapsed() < WAITER_TTL);
         }
-        let total = node.total_log_len();
-        if total != last_progress {
-            last_progress = total;
-            unserved_contacts = 0;
-        }
-        watch.applied_len.store(total, Ordering::SeqCst);
         watch
-            .leader
-            .store(node.current_leader().index() as u64, Ordering::SeqCst);
+            .applied_len
+            .store(node.total_log_len(), Ordering::SeqCst);
     }
 
     // Join the accept loop and every reader before reporting, so shutdown

@@ -44,7 +44,7 @@
 use crate::live::{LinkRule, LiveSmrCluster, ReplicaReport, SmrFrame};
 use crate::transport::write_frame;
 use probft_core::config::View;
-use probft_core::message::{Message, Propose, Wish, WishBody};
+use probft_core::message::{Message, NewLeader, NewLeaderBody, Propose, Wish, WishBody};
 use probft_core::value::Value;
 use probft_quorum::ReplicaId;
 use probft_smr::{RequestId, SlotMessage, StateMachine};
@@ -259,15 +259,44 @@ fn apply_fault<S: StateMachine>(cluster: &LiveSmrCluster<S>, fault: &Fault, seed
 /// adversarial value applies as an empty batch, never as fabricated
 /// client operations.
 fn equivocate<S: StateMachine>(cluster: &LiveSmrCluster<S>, seed: u64) -> String {
-    let attacker = cluster.current_leader();
-    // The smallest view `attacker` leads under round-robin rotation;
-    // in an unchanged cluster (attacker 0, view 1) this is the view
-    // live slots actually run, so the forgeries verify end to end.
-    let view = View(attacker as u64 + 1);
-    let Ok(sk) = cluster.keyring().signing_key(attacker) else {
+    // Forged in the view the log is in — the one slots actually run in —
+    // under that view's leader, so the forgeries verify end to end.
+    let (attacker, view) = (cluster.current_leader(), cluster.current_view());
+    let keyring = cluster.keyring();
+    let Ok(sk) = keyring.signing_key(attacker) else {
         return format!("equivocate: no signing key for replica {attacker}");
     };
-    let slot = cluster.applied_lens().into_iter().max().unwrap_or(0) + 2;
+    // Past view 1 a proposal is only safe with a quorum of `NewLeader`
+    // reports behind it: every replica "reports" having prepared nothing,
+    // which for a slot nobody has opened yet is true.
+    let reporters = if view > View::FIRST {
+        cluster.addrs().len()
+    } else {
+        0
+    };
+    let justification: Vec<NewLeader> = (0..reporters)
+        .filter_map(|i| {
+            let report = NewLeaderBody {
+                sender: ReplicaId::from(i),
+                view,
+                prepared_view: View::NONE,
+                prepared_value: None,
+                cert: Vec::new(),
+            };
+            Some(NewLeader::sign(keyring.signing_key(i).ok()?, report))
+        })
+        .collect();
+    // Six past the slot frontier (the applied *length* says nothing about
+    // it: a slot may hold many entries, or none): beyond a depth-4
+    // pipeline window and inside the tightest buffering horizon (8), so
+    // every replica buffers its forgery and meets it first when the log
+    // gets there. Forged into the window instead, the frames race the
+    // leader's own proposal, and a lone replica that loses the race blocks
+    // the slot by itself while the rest decide it — stranded, since nobody
+    // retransmits a decided slot (ROADMAP item 4), which tests that gap
+    // and not equivocation.
+    let frontier = cluster.obs_handles().iter().map(|o| o.applied_slots.get());
+    let slot = frontier.max().unwrap_or(0) + 6;
     let forge = |tag: &str| {
         let value = Value::new(format!("nemesis-equivocation-{seed}-{slot}-{tag}").into_bytes());
         let propose = Message::Propose(Propose::lead(
@@ -275,7 +304,7 @@ fn equivocate<S: StateMachine>(cluster: &LiveSmrCluster<S>, seed: u64) -> String
             ReplicaId::from(attacker),
             view,
             value,
-            Vec::new(),
+            justification.clone(),
         ));
         peer_frame::<S>(attacker, slot, propose)
     };

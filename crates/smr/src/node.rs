@@ -14,17 +14,23 @@
 //!   buffered and applied to the state machine strictly in order, so the
 //!   replicated state is identical to a sequential (`depth = 1`) run.
 //!
-//! Each [`SmrNode`] hosts the per-slot [`Replica`] state machines and
+//! Each [`SmrNode`] hosts one Algorithm-1 instance per slot in flight and
 //! multiplexes their traffic over one simulated (or real) network by
-//! wrapping every message in a [`SlotMessage`]. The composition reuses the
-//! unmodified single-shot replica via the simulator's embedding API
-//! ([`Context::detached`] + [`Context::drain_actions`]): the SMR layer is
-//! *pure orchestration*, so any fix to the consensus core is inherited
-//! here.
+//! wrapping every message in a [`SlotMessage`]. The instances are the
+//! consensus core's own [`ReplicaInstance`]s, driven through the
+//! simulator's embedding API ([`Context::detached`] +
+//! [`Context::drain_actions`]): the SMR layer is *pure orchestration*, so
+//! any fix to the consensus core is inherited here.
+//!
+//! **The view is a property of the log, held once**: the node owns the
+//! one [`Synchronizer`], and with it the one view timer, and an instance
+//! holds only what is per slot. A slot is born in the log's view, and a
+//! view change moves every slot in flight at once (DESIGN.md, "One view
+//! per log", has the six rules and why they are safe).
 //!
 //! The node is the pipeline and nothing else: which slots are open, what
-//! each proposes, where their traffic and timers go, and the in-order
-//! apply frontier. Two owned values from [`checkpoint`](crate::checkpoint)
+//! each proposes, where their traffic goes, the view they share, and the
+//! in-order apply frontier. Two owned values from [`checkpoint`](crate::checkpoint)
 //! sit beside it. The **agreed state** is one live [`Snapshot`] (next slot
 //! to apply, log length and digest, the machine, the reply cache), fed
 //! decided entries through its one apply method; the node keeps only the
@@ -44,8 +50,10 @@ use crate::checkpoint::{CheckpointVote, Checkpointer, Snapshot, StateReply, Stat
 use crate::machine::{Batch, Entry, RequestId, StateMachine, MAX_BATCH};
 use probft_core::config::{SharedConfig, View};
 use probft_core::message::Message;
-use probft_core::replica::Replica;
+use probft_core::message::Wish;
+use probft_core::replica::ReplicaInstance;
 use probft_core::shell::Seat;
+use probft_core::synchronizer::{SyncAction, Synchronizer};
 use probft_core::value::Value;
 use probft_core::wire::{put, Reader, Wire, WireError};
 use probft_crypto::keyring::PublicKeyring;
@@ -287,20 +295,23 @@ pub struct AppliedRequest<R> {
 /// application [`StateMachine`] it hosts.
 pub struct SmrNode<S: StateMachine> {
     /// This replica's place in the cluster — configuration, id, signing
-    /// key, everyone's public keys: what every slot's [`Replica`] is
-    /// built from and what the checkpointer signs and verifies with.
+    /// key, everyone's public keys: what every slot's instance is built
+    /// from and what the checkpointer signs and verifies with.
     seat: Seat,
     /// Entries this node wants ordered, proposed in batches when this
     /// node leads a slot.
     pending: VecDeque<Entry<S::Op>>,
     settings: SmrSettings,
 
+    /// The log's view: the one synchronizer, with the one view timer,
+    /// under which every slot runs.
+    sync: Synchronizer,
     /// Per-slot consensus instances still in flight, each with the
     /// obs-clock micros at which it opened (feeds the decide/apply
     /// latency histograms). Applied slots are pruned immediately (only
     /// the log and the agreed state survive), so this map never holds
-    /// more than `pipeline_depth` replicas.
-    slots: BTreeMap<u64, (Replica, u64)>,
+    /// more than `pipeline_depth` instances.
+    slots: BTreeMap<u64, (ReplicaInstance, u64)>,
     /// Messages for in-window slots that have not started here yet.
     /// Bounded: only slots inside the pipeline window ahead of the lowest
     /// unapplied slot are buffered, and each slot buffers at most
@@ -309,21 +320,6 @@ pub struct SmrNode<S: StateMachine> {
     /// The next slot index to open (slots `applied.slot..next_open` are
     /// in flight).
     next_open: u64,
-    /// The view in which the most recently *applied* slot decided.
-    /// Survives slot pruning, so an *idle* node still remembers which
-    /// view the cluster last worked in — the leader hint handed to
-    /// redirected clients points at that view's leader instead of
-    /// falling back to the (possibly long-dead) view-1 leader. Tracking
-    /// the *deciding* view (not the highest view ever entered) makes the
-    /// hint self-healing: one transient view change does not pin the
-    /// hint on a replica that keeps losing fresh slots to the live
-    /// view-1 leader, because the next view-1 decision lowers it back.
-    last_decided_view: View,
-    /// Outer timer token → (slot, inner token). Tokens are allocated from
-    /// a counter, so concurrent slots can never collide regardless of how
-    /// large the inner (view-carrying) tokens grow.
-    timers: BTreeMap<u64, (u64, TimerToken)>,
-    next_timer: u64,
     /// The agreed state, live: `applied.slot` is the lowest slot whose
     /// decision has not been applied yet, `log_len` / `log_digest` cover
     /// every entry ever applied (two replicas with equal pairs hold the
@@ -358,21 +354,20 @@ impl<S: StateMachine> SmrNode<S> {
         settings: SmrSettings,
     ) -> Self {
         let settings = settings.normalized();
+        let seat = Seat { cfg, id, sk, keys };
         SmrNode {
             pending: workload.into_iter().map(Entry::write).collect(),
+            sync: Synchronizer::born_in(id, seat.cfg.faults(), View::FIRST),
             slots: BTreeMap::new(),
             future: BTreeMap::new(),
             next_open: 0,
-            last_decided_view: View::FIRST,
-            timers: BTreeMap::new(),
-            next_timer: 0,
             applied: Snapshot::genesis(),
             log: Vec::new(),
             applied_events: Vec::new(),
             checkpointer: Checkpointer::new(settings.checkpoint_interval, settings.pipeline_depth),
             obs: Arc::new(Obs::new(format!("replica-{}", id.0))),
             rng: StdRng::seed_from_u64(0xD15C_0000 ^ id.0 as u64),
-            seat: Seat { cfg, id, sk, keys },
+            seat,
             settings,
         }
     }
@@ -465,26 +460,18 @@ impl<S: StateMachine> SmrNode<S> {
         self.settings.max_pending > 0 && self.pending.len() >= self.settings.max_pending
     }
 
-    /// The replica this node believes currently leads the cluster: the
-    /// leader of the lowest in-flight slot's view, or — when no slot is
-    /// in flight — of the view the most recently applied slot decided in
-    /// (so an idle cluster whose leader crashed and was voted out keeps
-    /// pointing clients at the *new* leader, not the view-1 fallback).
-    /// Clients are redirected here.
-    pub fn current_leader(&self) -> ReplicaId {
-        let view = self
-            .slots
-            .values()
-            .next()
-            .map(|(replica, _)| replica.current_view())
-            .unwrap_or(self.last_decided_view);
-        self.seat.cfg.leader_of(view)
+    /// The view the log is in at this node.
+    pub fn current_view(&self) -> View {
+        self.sync.current_view()
     }
 
-    /// The view in which the most recently applied slot decided
-    /// (retained across slot pruning).
-    pub fn last_decided_view(&self) -> View {
-        self.last_decided_view
+    /// The replica leading the log's view. Clients are redirected here.
+    pub fn current_leader(&self) -> ReplicaId {
+        self.seat.cfg.leader_of(self.sync.current_view())
+    }
+
+    fn leads(&self) -> bool {
+        self.current_leader() == self.seat.id
     }
 
     /// The cached response for an already-applied request, if any — what
@@ -517,22 +504,15 @@ impl<S: StateMachine> SmrNode<S> {
         self.open_ready_slots(ctx);
     }
 
-    /// Opens one slot on an otherwise idle node (lazy mode only) — the
-    /// follower-initiated probe behind the never-view-changed
-    /// idle-leader-crash case. A follower that keeps being contacted by
-    /// clients while the leader it redirects them to stays silent calls
-    /// this: the probe slot's view-1 leader times out, the view-change
-    /// machinery runs, and the next decision repoints every redirect hint
-    /// at the live leader. Proposes whatever is pending locally (usually
-    /// an empty batch), so a spurious probe costs one empty slot, never
-    /// safety.
-    pub fn probe_open(&mut self, ctx: &mut Context<'_, SmrMessage>) -> bool {
-        if !self.settings.lazy_open || !self.slots.is_empty() || self.next_open > self.applied.slot
-        {
-            return false;
+    /// A client was turned away toward the leader. With nothing in flight
+    /// (lazy mode) that opens the next slot — work, so the view timer runs,
+    /// and if the leader stays silent this node's wish, tagged with the
+    /// slot, starts its peers' timers too. A live leader refutes it by
+    /// proposing the slot: one (possibly empty) slot, no view change.
+    pub fn on_redirect(&mut self, ctx: &mut Context<'_, SmrMessage>) {
+        if self.settings.lazy_open && self.slots.is_empty() && !self.done() {
+            self.open_next_slot(ctx);
         }
-        self.open_next_slot(ctx);
-        true
     }
 
     /// Removes and returns the apply notifications (with typed responses)
@@ -565,8 +545,10 @@ impl<S: StateMachine> SmrNode<S> {
     /// Batches are drained in slot-open order, which is ascending slot
     /// order at every pipeline depth — that invariant is what makes a
     /// pipelined run decide the same value per slot as a sequential one.
+    /// Only the leader of the log's view drains its queue: a follower's
+    /// entries wait for a view it leads.
     fn next_value(&mut self) -> (Value, usize) {
-        let pending = self.pending.len();
+        let pending = if self.leads() { self.pending.len() } else { 0 };
         let take = if self.settings.adaptive_batching {
             // `next_value` runs from `open_next_slot`, after `next_open`
             // was advanced past the slot being opened — so the slots this
@@ -590,102 +572,85 @@ impl<S: StateMachine> SmrNode<S> {
     }
 
     /// Opens every slot the pipeline window allows. In lazy (live) mode a
-    /// slot is only opened while entries are pending locally — peers
-    /// instead open slots on demand when traffic for them arrives.
+    /// slot is only opened by the leader, while entries are pending —
+    /// followers open slots on demand when traffic for them arrives.
     fn open_ready_slots(&mut self, ctx: &mut Context<'_, SmrMessage>) {
         while !self.done() && self.next_open < self.window_end() {
-            if self.settings.lazy_open && self.pending.is_empty() {
+            if self.settings.lazy_open && (self.pending.is_empty() || !self.leads()) {
                 break;
             }
             self.open_next_slot(ctx);
         }
     }
 
-    /// Opens slot `next_open` and runs its `on_start`.
+    /// Opens slot `next_open`, born in the log's view.
     fn open_next_slot(&mut self, ctx: &mut Context<'_, SmrMessage>) {
         let slot = self.next_open;
         self.next_open = self.next_open.saturating_add(1);
         let (value, batched) = self.next_value();
-        self.obs.trace(TraceKind::SlotOpened {
-            slot,
-            view: View::FIRST.0,
-        });
+        let view = self.sync.current_view().0;
+        self.obs.trace(TraceKind::SlotOpened { slot, view });
         if batched > 0 {
             self.obs.trace(TraceKind::BatchFormed {
                 slot,
                 entries: batched as u64,
             });
         }
-        let Seat { cfg, id, sk, keys } = &self.seat;
-        let mut replica = Replica::new(cfg.clone(), *id, sk.clone(), keys.clone(), value);
-        let actions = {
-            let mut inner = Context::detached(ProcessId(id.index()), ctx.now(), &mut self.rng);
-            replica.on_start(&mut inner);
-            inner.drain_actions()
-        };
-        self.slots.insert(slot, (replica, self.obs.now_micros()));
-        self.relay(slot, actions, ctx);
+        let instance = ReplicaInstance::new(self.seat.clone(), value);
+        self.slots.insert(slot, (instance, self.obs.now_micros()));
+        if self.slots.len() == 1 {
+            self.sync.arm(&self.seat.cfg, ctx);
+        }
+        self.drive(slot, None, ctx);
 
         // Replay any buffered traffic for this slot.
-        if let Some(msgs) = self.future.remove(&slot) {
-            for msg in msgs {
-                self.dispatch(slot, None, DispatchEvent::Message(msg), ctx);
-            }
+        for msg in self.future.remove(&slot).unwrap_or_default() {
+            self.drive(slot, Some(msg), ctx);
         }
     }
 
-    /// Translates a slot replica's actions into outer-world actions.
-    fn relay(
-        &mut self,
-        slot: u64,
-        actions: Vec<Action<Message>>,
-        ctx: &mut Context<'_, SmrMessage>,
-    ) {
-        for action in actions {
-            match action {
-                Action::Send { to, msg } => {
-                    ctx.send(to, SmrMessage::Slot(SlotMessage { slot, inner: msg }))
-                }
-                Action::SetTimer { delay, token } => {
-                    let outer = self.next_timer;
-                    self.next_timer += 1;
-                    self.timers.insert(outer, (slot, token));
-                    ctx.set_timer(delay, TimerToken(outer));
-                }
-                Action::Halt => {}
-            }
-        }
-    }
-
-    /// Feeds one event into a slot replica and handles a resulting
-    /// decision.
-    fn dispatch(
-        &mut self,
-        slot: u64,
-        from: Option<ProcessId>,
-        event: DispatchEvent,
-        ctx: &mut Context<'_, SmrMessage>,
-    ) {
-        let Some((replica, opened_at)) = self.slots.get_mut(&slot) else {
+    /// Feeds one event into a slot's instance — a message, or with `None`
+    /// Algorithm 1's `newView` for the log's view — relays what it sends,
+    /// and handles a resulting decision.
+    fn drive(&mut self, slot: u64, msg: Option<Message>, ctx: &mut Context<'_, SmrMessage>) {
+        let Some((instance, opened_at)) = self.slots.get_mut(&slot) else {
             return;
         };
-        let already_decided = replica.decision().is_some();
+        let already_decided = instance.decision().is_some();
         let me = ProcessId(self.seat.id.index());
         let actions = {
             let mut inner = Context::detached(me, ctx.now(), &mut self.rng);
-            match event {
-                DispatchEvent::Message(msg) => {
-                    replica.on_message(from.unwrap_or(me), msg, &mut inner)
+            match msg {
+                // A wish is the node's, and was counted on arrival.
+                Some(Message::Wish(_)) => {}
+                Some(msg) => {
+                    let wish = instance.on_message(msg, &mut inner);
+                    debug_assert!(wish.is_none(), "all it hands back is a wish");
                 }
-                DispatchEvent::Timer(token) => replica.on_timer(token, &mut inner),
+                None => instance.new_view(self.sync.current_view(), &mut inner),
             }
             inner.drain_actions()
         };
-        let newly_decided = replica
+        let newly_decided = instance
             .decision()
             .filter(|_| !already_decided)
             .map(|decision| (decision.view.0, *opened_at));
-        self.relay(slot, actions, ctx);
+        for action in actions {
+            // An instance half sets no timer; the view's is the node's.
+            let Action::Send { to, msg } = action else {
+                continue;
+            };
+            // A `NewLeader` to itself: this node leads the view just
+            // entered. Followers open a slot only on traffic, so it goes
+            // to every replica.
+            let announce = to == me && matches!(msg, Message::NewLeader(_));
+            let msg = SmrMessage::Slot(SlotMessage { slot, inner: msg });
+            if announce {
+                ctx.multicast((0..self.seat.cfg.n()).map(ProcessId), msg);
+            } else {
+                ctx.send(to, msg);
+            }
+        }
         let Some((view, opened_at)) = newly_decided else {
             return;
         };
@@ -695,11 +660,52 @@ impl<S: StateMachine> SmrNode<S> {
         self.obs.trace(TraceKind::SlotDecided { slot, view });
 
         // Out-of-order decisions (slot > applied.slot) stay buffered in
-        // their replica until the gap closes; only the in-order frontier
+        // their instance until the gap closes; only the in-order frontier
         // advances the applied log.
         if slot == self.applied.slot {
             self.advance(ctx);
         }
+    }
+
+    /// A verified wish, whatever its tag: the log's synchronizer counts
+    /// it, and a sender found behind is told where the log is.
+    fn on_wish(&mut self, wish: &Wish, ctx: &mut Context<'_, SmrMessage>) {
+        if wish.view > self.sync.current_view() {
+            self.obs.note_view_doubt();
+        }
+        let action = self.sync.on_wish(wish.sender, wish.view);
+        if let Some(view) = action.answer_wish {
+            ctx.send(ProcessId(wish.sender.index()), self.wish(view));
+        }
+        self.follow(action, ctx);
+    }
+
+    /// This node's signed wish for `view`, tagged with its lowest
+    /// undecided slot.
+    fn wish(&self, view: View) -> SmrMessage {
+        SmrMessage::Slot(SlotMessage {
+            slot: self.applied.slot,
+            inner: Message::Wish(Wish::cast(&self.seat, view)),
+        })
+    }
+
+    /// Does what the synchronizer asked: broadcast this node's wish, and
+    /// on entry move the whole log — `newView` in every slot in flight.
+    fn follow(&mut self, action: SyncAction, ctx: &mut Context<'_, SmrMessage>) {
+        if let Some(view) = action.broadcast_wish {
+            ctx.multicast((0..self.seat.cfg.n()).map(ProcessId), self.wish(view));
+        }
+        let Some(view) = action.enter_view else {
+            return;
+        };
+        self.obs.note_view_entered(view.0);
+        self.sync
+            .restart(!self.slots.is_empty(), &self.seat.cfg, ctx);
+        for slot in self.applied.slot..self.next_open {
+            self.drive(slot, None, ctx);
+        }
+        // A new leader holding entries starts on them.
+        self.open_ready_slots(ctx);
     }
 
     /// Applies decided slots in order, prunes their consensus state, and
@@ -707,40 +713,42 @@ impl<S: StateMachine> SmrNode<S> {
     /// checkpointer gets to snapshot the agreed state (it does so every
     /// `checkpoint_interval` slots).
     fn advance(&mut self, ctx: &mut Context<'_, SmrMessage>) {
+        let frontier = self.applied.slot;
         while !self.done() {
             let slot = self.applied.slot;
             let Some(decision) = self.slots.get(&slot).and_then(|(r, _)| r.decision()) else {
                 break;
             };
-            // The deciding view outlives the slot: it is the leader hint
-            // handed to redirected clients while no slot is in flight.
-            if decision.view.0 > self.last_decided_view.0 {
-                self.obs.trace(TraceKind::ViewChange {
-                    from_view: self.last_decided_view.0,
-                    to_view: decision.view.0,
-                });
-            }
-            self.last_decided_view = decision.view;
+            self.sync.progressed(decision.view);
             let batch = Batch::from_value(&decision.value).unwrap_or_default();
             let entries = batch.0.len() as u64;
             for entry in batch.0 {
                 self.apply_entry(entry);
             }
-            // The slot is applied: free its replica and message state.
+            // The slot is applied: free its instance and message state.
             // Only the log, the agreed state, and checkpoints outlive it.
-            if let Some((_, opened_at)) = self.slots.remove(&slot) {
+            if let Some((instance, opened_at)) = self.slots.remove(&slot) {
                 self.obs
                     .apply_latency_us
                     .record(self.obs.now_micros().saturating_sub(opened_at));
+                self.obs
+                    .equivocations_detected
+                    .add(instance.stats.equivocations_detected);
             }
             self.obs.trace(TraceKind::SlotApplied { slot, entries });
             self.obs.note_progress();
             self.applied.slot = slot.saturating_add(1);
+            self.obs.applied_slots.set(self.applied.slot);
             let stable =
                 self.checkpointer
                     .maybe_take_checkpoint(&self.applied, &self.seat, &self.obs, ctx);
             self.truncate_log(stable);
             self.open_ready_slots(ctx);
+        }
+        if self.applied.slot > frontier {
+            // One timer, armed by work: progress begins it afresh.
+            self.sync
+                .restart(!self.slots.is_empty(), &self.seat.cfg, ctx);
         }
         debug_assert!(
             self.slots.len() <= self.settings.pipeline_depth,
@@ -781,17 +789,17 @@ impl<S: StateMachine> SmrNode<S> {
     /// Consensus resumes from the checkpoint slot — transferred entries
     /// produce no [`drain_applied`](Self::drain_applied) events (their
     /// clients were answered by the replicas that applied them; the
-    /// restored reply cache still answers retries). `last_decided_view`
-    /// is deliberately *not* in the snapshot (it is a replica-local
-    /// observation, not agreed state): the restored node keeps its own
-    /// hint, which self-heals at its next applied decision.
+    /// restored reply cache still answers retries). The view is not in
+    /// the snapshot (it is this replica's observation, not agreed state):
+    /// a node also behind on the view learns it as any straggler does.
     fn restore_from(&mut self, snapshot: Snapshot<S>, ctx: &mut Context<'_, SmrMessage>) {
         self.next_open = snapshot.slot;
         self.slots.clear();
-        self.timers.clear();
+        self.sync.restart(false, &self.seat.cfg, ctx);
         self.future.retain(|&s, _| s >= snapshot.slot);
         self.log.clear();
         self.applied = snapshot;
+        self.obs.applied_slots.set(self.applied.slot);
         // Rejoin the pipeline immediately: pending local entries (and, in
         // lazy mode, subsequent peer traffic) open slots from the
         // checkpoint onward.
@@ -800,7 +808,9 @@ impl<S: StateMachine> SmrNode<S> {
 
     /// Routes one slot-tagged consensus message: deliver to a resident
     /// slot, drop stale/far-future traffic, open in-window slots on
-    /// demand (lazy mode), or buffer for the window to reach them.
+    /// demand (lazy mode), or buffer for the window to reach them. A
+    /// `Wish` belongs to the log: it is verified and counted first,
+    /// whatever its tag, which is then routed like any slot traffic.
     fn on_slot_message(
         &mut self,
         from: ProcessId,
@@ -808,8 +818,14 @@ impl<S: StateMachine> SmrNode<S> {
         ctx: &mut Context<'_, SmrMessage>,
     ) {
         let slot = msg.slot;
+        if let Message::Wish(wish) = &msg.inner {
+            if wish.verify_signature(&self.seat.keys).is_err() {
+                return;
+            }
+            self.on_wish(wish, ctx);
+        }
         if self.slots.contains_key(&slot) {
-            self.dispatch(slot, Some(from), DispatchEvent::Message(msg.inner), ctx);
+            self.drive(slot, Some(msg.inner), ctx);
             return;
         }
         if slot < self.next_open {
@@ -846,12 +862,11 @@ impl<S: StateMachine> SmrNode<S> {
         }
         if self.settings.lazy_open && slot < self.window_end() && !self.done() {
             // Live mode: peer traffic for an in-window slot is the signal
-            // that the slot exists — open every slot up to it (proposing
-            // whatever is pending locally, or an empty batch) and deliver.
+            // that the slot exists — open every slot up to it and deliver.
             while self.next_open <= slot {
                 self.open_next_slot(ctx);
             }
-            self.dispatch(slot, Some(from), DispatchEvent::Message(msg.inner), ctx);
+            self.drive(slot, Some(msg.inner), ctx);
             return;
         }
         // Eager mode (or target reached): buffer until the window opens
@@ -865,15 +880,11 @@ impl<S: StateMachine> SmrNode<S> {
     }
 }
 
-enum DispatchEvent {
-    Message(Message),
-    Timer(TimerToken),
-}
-
 impl<S: StateMachine> Process for SmrNode<S> {
     type Message = SmrMessage;
 
     fn on_start(&mut self, ctx: &mut Context<'_, SmrMessage>) {
+        self.obs.view.set(self.sync.current_view().0);
         self.open_ready_slots(ctx);
     }
 
@@ -903,10 +914,9 @@ impl<S: StateMachine> Process for SmrNode<S> {
     }
 
     fn on_timer(&mut self, token: TimerToken, ctx: &mut Context<'_, SmrMessage>) {
-        // Timers fire once; forgetting the mapping afterwards keeps the
-        // table bounded by the number of outstanding timers.
-        if let Some((slot, inner)) = self.timers.remove(&token.0) {
-            self.dispatch(slot, None, DispatchEvent::Timer(inner), ctx);
+        if let Some(action) = self.sync.on_timer(token, &self.seat.cfg, ctx) {
+            self.obs.note_view_timeout();
+            self.follow(action, ctx);
         }
     }
 }
@@ -1048,7 +1058,7 @@ mod tests {
         }
         assert_eq!(node.pending_len(), 0);
         assert_eq!(node.current_leader(), ReplicaId(0));
-        assert_eq!(node.last_decided_view(), View::FIRST);
+        assert_eq!(node.current_view(), View::FIRST);
     }
 
     /// The reply cache: applying a tagged entry records its response;
@@ -1416,7 +1426,7 @@ mod tests {
         // Depth 4: slot 4 is exactly `next_apply + pipeline_depth`.
         let (mut node, mut rng) = checkpoint_node(3, 4, 4);
         let mut ctx = Context::detached(ProcessId(3), SimTime::ZERO, &mut rng);
-        assert!(node.probe_open(&mut ctx));
+        node.on_redirect(&mut ctx);
         node.on_message(ProcessId(0), SmrMessage::StateReply(rep.clone()), &mut ctx);
         assert_eq!(node.resident_slots(), 1, "the open slot survives");
         assert_eq!((node.slots_applied(), node.slots_opened()), (0, 1));
@@ -1474,20 +1484,34 @@ mod tests {
         assert_eq!(deep.future_window(), 32);
     }
 
-    /// The probe opens exactly one slot, only on an idle lazy node — the
-    /// follower's lever for forcing a view change on a silent leader.
+    /// A redirect opens exactly one slot, only on an idle lazy node — the
+    /// work that gets a follower's view timer running under a silent
+    /// leader.
     #[test]
-    fn probe_open_only_fires_on_idle_lazy_nodes() {
+    fn redirect_opens_one_slot_only_on_idle_lazy_nodes() {
         let (mut node, mut rng) = checkpoint_node(1, 0, 4);
         let mut ctx = Context::detached(ProcessId(1), SimTime::ZERO, &mut rng);
-        assert!(node.probe_open(&mut ctx));
+        node.on_redirect(&mut ctx);
         assert_eq!(node.slots_opened(), 1);
-        // Already probing: a second probe is a no-op.
-        assert!(!node.probe_open(&mut ctx));
+        // The one timer runs, sized for a view no further than progress.
+        let timers: Vec<_> = ctx
+            .drain_actions()
+            .into_iter()
+            .filter_map(|a| match a {
+                Action::SetTimer { delay, .. } => Some(delay),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(timers, [node.seat.cfg.base_timeout()]);
+        // Already in flight: a second redirect is a no-op.
+        let mut ctx = Context::detached(ProcessId(1), SimTime::ZERO, &mut rng);
+        node.on_redirect(&mut ctx);
         assert_eq!(node.slots_opened(), 1);
-        // Eager nodes never probe (the workload drives them).
+        assert!(ctx.drain_actions().is_empty());
+        // Eager nodes open nothing on a redirect (the workload drives them).
         let (mut eager, mut rng2) = test_node(SmrSettings::sequential(4));
         let mut ctx2 = Context::detached(ProcessId(0), SimTime::ZERO, &mut rng2);
-        assert!(!eager.probe_open(&mut ctx2));
+        eager.on_redirect(&mut ctx2);
+        assert_eq!(eager.slots_opened(), 0);
     }
 }

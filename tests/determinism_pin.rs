@@ -11,16 +11,20 @@
 //! ProBFT or SMR row fell, every PBFT row rose by exactly 32 B per Propose
 //! sent, HotStuff's did not move, and no message count, finish time, view,
 //! detection count, per-kind `sent` or log digest changed.
+//!
+//! One row added since (no other touched) when the view became a property
+//! of the log: an SMR run that loses its view-1 leader mid-log and carries
+//! on under the next one.
 
 use probft::core::byzantine::ByzantineStrategy;
-use probft::core::config::View;
-use probft::core::harness::InstanceBuilder;
+use probft::core::config::{ProbftConfig, View};
+use probft::core::harness::{run_cluster, InstanceBuilder};
 use probft::hotstuff::{HsInstanceBuilder, HsStrategy};
 use probft::pbft::{PbftInstanceBuilder, PbftStrategy};
 use probft::quorum::ReplicaId;
 use probft::simnet::metrics::MessageMetrics;
-use probft::simnet::SimTime;
-use probft::smr::{Command, SmrBuilder, SmrOutcome};
+use probft::simnet::{PartialSynchrony, ProcessId, RunOutcome, SimDuration, SimTime};
+use probft::smr::{Command, KvStore, SmrBuilder, SmrNode, SmrOutcome, SmrSettings};
 
 /// `(total_sent, total_bytes, finished_at)` of a run.
 fn totals(metrics: &MessageMetrics, finished_at: SimTime) -> (u64, u64, u64) {
@@ -222,5 +226,72 @@ fn state_transfer_smr_run_is_pinned() {
             [4, 32, 32, served, 0, 0]
         };
         assert_eq!(checkpoint_numbers(&o, i), expected, "replica {i}");
+    }
+}
+
+/// One view for the whole log: the first row of `crates/smr/tests/
+/// log_view.rs` (n = 7, seed 9, depth 4, eight PUTs queued at replica 0
+/// and eight at replica 1, as [`SmrBuilder`] wires a cluster), replica 0
+/// crashed once every replica has applied eight slots. The survivors time
+/// out once, enter view 2 together and finish the log under replica 1.
+#[test]
+fn leader_crash_smr_run_is_pinned() {
+    let cfg = ProbftConfig::builder(7)
+        .base_timeout(SimDuration::from_ticks(50_000))
+        .build_shared();
+    let network =
+        PartialSynchrony::synchronous(SimDuration::from_ticks(1), SimDuration::from_ticks(100));
+    let settings = SmrSettings {
+        pipeline_depth: 4,
+        ..SmrSettings::sequential(16)
+    };
+    let spawn = |seat: probft::core::harness::Seat| {
+        let workload = match seat.id.index() {
+            0 => puts(8),
+            1 => puts(16).split_off(8),
+            _ => Vec::new(),
+        };
+        SmrNode::<KvStore>::new(seat.cfg, seat.id, seat.sk, seat.keys, workload, settings)
+    };
+    let eight_applied = |node: &SmrNode<KvStore>| node.slots_applied() >= 8;
+    let (mut sim, outcome) = run_cluster(cfg, 9, network, spawn, eight_applied, 1_000_000);
+    assert_eq!(
+        (outcome, sim.now().ticks()),
+        (RunOutcome::ConditionMet, 473)
+    );
+    sim.crash(ProcessId(0));
+    let survivors_done = |sim: &probft::simnet::Simulation<SmrNode<KvStore>>| {
+        sim.processes().skip(1).all(|(_, node)| node.done())
+    };
+    let outcome = sim.run_until_condition(survivors_done, 1_000_000);
+    assert_eq!(outcome, RunOutcome::ConditionMet);
+
+    assert_eq!(totals(sim.metrics(), sim.now()), (2536, 294728, 51869));
+    let sent: Vec<(&str, u64)> = sim.metrics().iter().map(|(k, s)| (k, s.sent)).collect();
+    assert_eq!(
+        sent,
+        [
+            ("Commit", 1064),
+            ("NewLeader", 180),
+            ("Prepare", 1071),
+            ("Propose", 168),
+            ("Wish", 53)
+        ]
+    );
+    for (id, node) in sim.processes().skip(1) {
+        assert_eq!(
+            (node.total_log_len(), node.log_digest().to_hex().as_str()),
+            (
+                16,
+                "4e059d24f9fb12fbf6c42fbf8bac7044c7079fb74d6f0343cee911d3fcd900eb"
+            ),
+            "replica {id}"
+        );
+        assert_eq!(node.current_view().0, 2, "replica {id}");
+        assert_eq!(
+            node.obs().snapshot().counter("view_changes"),
+            1,
+            "replica {id}"
+        );
     }
 }

@@ -17,15 +17,17 @@
 //! *executed* more than once (a duplicate log entry is legal when a
 //! view-change re-proposal races a client retry; double execution is not).
 
+use probft::core::config::View;
+use probft::obs::TraceKind;
 use probft::quorum::ReplicaId;
 use probft::runtime::nemesis::{execute, verify_exactly_once, verify_invariants, Fault, FaultPlan};
-use probft::runtime::{LiveSmrBuilder, LiveSmrCluster, ReplicaReport};
+use probft::runtime::{LiveSmrBuilder, LiveSmrCluster, ReplicaReport, SmrClient};
 use probft::smr::{Command, RequestId, SmrBuilder};
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// The seed this process runs under (CI matrix: 1–4).
 fn seed() -> u64 {
@@ -63,12 +65,28 @@ fn hammer<F>(
 where
     F: FnOnce(),
 {
+    hammer_from(cluster, 1, clients, ops, nemesis)
+}
+
+/// [`hammer`] with client ids `first_id..first_id + clients`, for a test
+/// that loads one cluster in several phases: request ids must not repeat
+/// across them, or the later phase's writes are taken for retries.
+fn hammer_from<F>(
+    cluster: &LiveSmrCluster,
+    first_id: u64,
+    clients: u64,
+    ops: u64,
+    nemesis: F,
+) -> (BTreeSet<RequestId>, u64, u64)
+where
+    F: FnOnce(),
+{
     let overloads = AtomicU64::new(0);
     let redirects = AtomicU64::new(0);
     let confirmed = thread::scope(|s| {
         let handles: Vec<_> = (0..clients)
             .map(|c| {
-                let client_id = c + 1;
+                let client_id = first_id + c;
                 let mut client = cluster
                     .client(client_id)
                     .leader_hint(c as usize)
@@ -102,6 +120,90 @@ where
         overloads.load(Ordering::SeqCst),
         redirects.load(Ordering::SeqCst),
     )
+}
+
+/// Polls `done` until it holds. A wait on the cluster's own published
+/// state, not a sleep standing in for one: it ends the moment the
+/// condition does, and a condition that never comes fails the test.
+fn wait_for(what: &str, done: impl Fn() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while !done() {
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        thread::sleep(Duration::from_millis(5));
+    }
+}
+
+/// Kills the leader once `applied` writes have been applied somewhere —
+/// triggered by progress, not by the clock, so the load it interrupts is
+/// still running however fast the machine — and files the transcript.
+fn kill_leader_after(cluster: &LiveSmrCluster, seed: u64, applied: u64, test: &str) {
+    wait_for("the load to get going", || {
+        cluster.applied_lens().into_iter().max() >= Some(applied)
+    });
+    let run = execute(
+        cluster,
+        &FaultPlan::new(seed).at(Duration::ZERO, Fault::KillLeader),
+    );
+    run.write_transcript(transcript_path(test, seed))
+        .expect("transcript written");
+}
+
+/// Whether every unpaused replica has applied the same number of slots.
+fn level(cluster: &LiveSmrCluster) -> bool {
+    let slots = cluster.obs_handles().iter().map(|o| o.applied_slots.get());
+    let mut live = slots
+        .enumerate()
+        .filter(|&(i, _)| !cluster.is_paused(i))
+        .map(|(_, slots)| slots);
+    let first = live.next();
+    live.all(|s| Some(s) == first)
+}
+
+/// A client that brings a cluster level: one write at a time until every
+/// unpaused replica is [`level`]. A replica that was away has to be
+/// handed a checkpoint (those come with progress) and then keep up with
+/// live slots (which it can once nothing runs ahead of it).
+struct Leveller {
+    client: SmrClient,
+    confirmed: BTreeSet<RequestId>,
+}
+
+impl Leveller {
+    const ID: u64 = 900;
+
+    fn new(cluster: &LiveSmrCluster) -> Self {
+        let client = cluster
+            .client(Self::ID)
+            .timeouts(Duration::from_millis(500), Duration::from_secs(120));
+        Leveller {
+            client,
+            confirmed: BTreeSet::new(),
+        }
+    }
+
+    fn level_out(&mut self, cluster: &LiveSmrCluster) {
+        let deadline = Instant::now() + Duration::from_secs(60);
+        loop {
+            let seq = self.confirmed.len() as u64 + 1;
+            self.client
+                .submit(put(9_000_000 + seq))
+                .expect("write applies while levelling out");
+            let client = Self::ID;
+            self.confirmed.insert(RequestId { client, seq });
+            let settled = Instant::now() + Duration::from_millis(100);
+            while !level(cluster) && Instant::now() < settled {
+                thread::sleep(Duration::from_millis(5));
+            }
+            if level(cluster) {
+                return;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "replicas never levelled out: {:?} entries applied",
+                cluster.applied_lens()
+            );
+        }
+    }
 }
 
 /// Dumps every replica's flight-recorder journal (the probft-obs trace
@@ -177,11 +279,8 @@ fn leader_kill_mid_stream_under_concurrent_load() {
         .start()
         .expect("cluster boots");
 
-    // Post-kill slots each pay a view change to route around the dead
-    // view-1 leader (slots are single-shot instances starting at view 1),
-    // so the op count is sized for CI wall-time, not throughput.
     let plan = FaultPlan::new(seed).at(Duration::from_millis(200), Fault::KillLeader);
-    let (confirmed, _, _) = hammer(&cluster, 4, 24, || {
+    let (confirmed, _, _) = hammer(&cluster, 4, 200, || {
         let run = execute(&cluster, &plan);
         run.write_transcript(transcript_path("leader_kill", seed))
             .expect("transcript written");
@@ -191,11 +290,23 @@ fn leader_kill_mid_stream_under_concurrent_load() {
     assert_eq!(excluded.len(), 1, "exactly the killed leader is down");
     let reports = cluster.shutdown();
     assert!(
-        confirmed.len() >= 4 * 20,
+        confirmed.len() >= 4 * 190,
         "clients made no real progress: {} confirmed",
         confirmed.len()
     );
     sweep("leader_kill", seed, &reports, &excluded, &confirmed);
+
+    // One dead leader costs the log one view change (a second if a
+    // loaded machine stalls the new leader past its timeout) — not one
+    // per slot opened after the kill.
+    for r in reports.iter().filter(|r| !excluded.contains(&r.id)) {
+        let changes = r.metrics.counter("view_changes");
+        assert!(
+            changes <= 2,
+            "replica {} went through {changes} view changes",
+            r.id
+        );
+    }
 
     // The kill armed every survivor's recovery clock; the view change
     // that routed around the dead leader must have cleared it — at least
@@ -551,6 +662,243 @@ fn pausing_leader_at_checkpoint_boundary_keeps_resident_bound() {
     }
     sweep(
         "checkpoint_boundary_pause",
+        seed,
+        &reports,
+        &excluded,
+        &confirmed,
+    );
+}
+
+/// Leader kills back to back: the view-1 leader, and then — once it is
+/// back and level with the rest — the view-2 leader that replaced it. (At
+/// n = 7 the probabilistic quorum is q = 6: the cluster decides nothing
+/// with two replicas away, so the second kill waits for the first victim;
+/// what is back to back is the leaders, not the outages.) The log moves
+/// to view 2 and then to view 3, each for one timeout.
+#[test]
+fn back_to_back_leader_kills_move_the_log_twice() {
+    let seed = seed();
+    let cluster = LiveSmrBuilder::new(7)
+        .seed(seed)
+        .pipeline_depth(4)
+        .batch_size(2)
+        .checkpoint_interval(8)
+        .start()
+        .expect("cluster boots");
+
+    let first = cluster.current_leader();
+    let (mut confirmed, _, _) = hammer_from(&cluster, 1, 2, 40, || {
+        kill_leader_after(&cluster, seed, 10, "back_to_back_1");
+    });
+    assert!(cluster.is_paused(first));
+    wait_for("view 2", || cluster.current_view() >= View(2));
+
+    cluster.resume(first);
+    let mut leveller = Leveller::new(&cluster);
+    leveller.level_out(&cluster);
+
+    let second = cluster.current_leader();
+    assert_ne!(second, first, "the log still runs under the killed leader");
+    let before = cluster.applied_lens().into_iter().max().unwrap_or(0);
+    let (more, _, _) = hammer_from(&cluster, 11, 2, 40, || {
+        kill_leader_after(&cluster, seed, before + 10, "back_to_back_2");
+    });
+    confirmed.extend(more);
+    assert!(cluster.is_paused(second) && !cluster.is_paused(first));
+    wait_for("view 3", || cluster.current_view() >= View(3));
+    assert_eq!(confirmed.len(), 4 * 40, "a write was given up on");
+    confirmed.extend(leveller.confirmed);
+
+    let reports = cluster.shutdown();
+    sweep("back_to_back", seed, &reports, &[second], &confirmed);
+    for r in reports.iter().filter(|r| r.id != second) {
+        assert!(
+            r.metrics.gauge("view") >= 3,
+            "replica {} is in view {}",
+            r.id,
+            r.metrics.gauge("view")
+        );
+    }
+}
+
+/// A kill with a full pipeline: four closed-loop clients keep four slots
+/// in flight at depth 4, and the leader dies late enough in the run that
+/// the flight recorders still hold the view change at shutdown. Every
+/// slot a survivor opened is decided and applied — none is left in
+/// flight — every write is confirmed, and none that was confirmed is lost:
+/// a slot that had prepared a value before the view moved decided it.
+#[test]
+fn leader_kill_with_a_full_pipeline_decides_every_open_slot() {
+    let seed = seed();
+    let cluster = LiveSmrBuilder::new(7)
+        .seed(seed)
+        .pipeline_depth(4)
+        .batch_size(4)
+        .start()
+        .expect("cluster boots");
+
+    let (clients, ops) = (4, 200);
+    let (confirmed, _, _) = hammer(&cluster, clients, ops, || {
+        // With some 150 writes to go.
+        kill_leader_after(&cluster, seed, clients * ops - 150, "full_pipeline");
+    });
+    assert_eq!(
+        confirmed.len() as u64,
+        clients * ops,
+        "a write was given up on"
+    );
+
+    let excluded: Vec<usize> = (0..7).filter(|&i| cluster.is_paused(i)).collect();
+    assert_eq!(excluded.len(), 1);
+    let reports = cluster.shutdown();
+    sweep("full_pipeline", seed, &reports, &excluded, &confirmed);
+    for r in reports.iter().filter(|r| !excluded.contains(&r.id)) {
+        assert_eq!(
+            r.resident_slots, 0,
+            "replica {} left a slot in flight",
+            r.id
+        );
+        assert!((1..=2).contains(&r.metrics.counter("view_changes")));
+        let slots = |pick: fn(&TraceKind) -> Option<u64>| -> BTreeSet<u64> {
+            r.journal.iter().filter_map(|e| pick(&e.kind)).collect()
+        };
+        let opened = slots(|k| match k {
+            TraceKind::SlotOpened { slot, .. } => Some(*slot),
+            _ => None,
+        });
+        let decided = slots(|k| match k {
+            TraceKind::SlotDecided { slot, .. } => Some(*slot),
+            _ => None,
+        });
+        assert!(
+            r.journal
+                .iter()
+                .any(|e| matches!(e.kind, TraceKind::ViewChange { .. })),
+            "replica {}'s flight recorder lost the view change",
+            r.id
+        );
+        let undecided: Vec<_> = opened.difference(&decided).collect();
+        assert!(undecided.is_empty(), "replica {}: {undecided:?}", r.id);
+    }
+}
+
+/// Kill, then resume, the old leader. It comes back believing it leads
+/// view 1; the checkpoints hand it the log, the answers to its first wish
+/// hand it the view, and from then on it turns clients away toward the
+/// new leader like any follower — and ends the run level with everyone.
+#[test]
+fn resumed_old_leader_learns_the_view_and_redirects() {
+    let seed = seed();
+    let cluster = LiveSmrBuilder::new(7)
+        .seed(seed)
+        .pipeline_depth(4)
+        .batch_size(2)
+        .checkpoint_interval(8)
+        .start()
+        .expect("cluster boots");
+
+    let old = cluster.current_leader();
+    let (mut confirmed, _, _) = hammer(&cluster, 2, 40, || {
+        kill_leader_after(&cluster, seed, 10, "kill_resume");
+    });
+    wait_for("view 2", || cluster.current_view() >= View(2));
+    let new = cluster.current_leader();
+    assert_ne!(new, old);
+
+    cluster.resume(old);
+    let mut leveller = Leveller::new(&cluster);
+    leveller.level_out(&cluster);
+    let old_obs = cluster.obs(old).expect("in range");
+    wait_for("the resumed replica to reach the log's view", || {
+        View(old_obs.view.get()) == cluster.current_view()
+    });
+
+    // A client that still believes in the old leader is sent on.
+    let served_before = old_obs.redirects_served.get();
+    let mut late = cluster
+        .client(20)
+        .leader_hint(old)
+        .timeouts(Duration::from_millis(500), Duration::from_secs(120));
+    late.submit(put(7_000_000)).expect("write applies");
+    confirmed.insert(RequestId { client: 20, seq: 1 });
+    assert!(late.redirects() >= 1);
+    assert!(old_obs.redirects_served.get() > served_before);
+    leveller.level_out(&cluster);
+    confirmed.extend(leveller.confirmed);
+
+    let reports = cluster.shutdown();
+    let named: BTreeSet<u64> = reports[old]
+        .journal
+        .iter()
+        .filter_map(|e| match e.kind {
+            TraceKind::RedirectServed { leader } => Some(leader),
+            _ => None,
+        })
+        .collect();
+    assert!(
+        named.contains(&(new as u64)),
+        "it named {named:?}, never {new}"
+    );
+    assert_eq!(reports[old].metrics.counter("view_changes"), 1);
+    // The sweep includes the resumed replica.
+    sweep("kill_resume", seed, &reports, &[], &confirmed);
+}
+
+/// `Fault::Equivocate` after a `KillLeader`: the log is in view 2, so the
+/// nemesis must forge there — under replica 1's key, with the quorum of
+/// `NewLeader` reports a view-2 proposal needs — or its frames are thrown
+/// out at the door and test nothing. Every replica buffers its forgery for
+/// a slot a little ahead; when the load gets there each meets the forgery
+/// first and the leader's own proposal second, detects the equivocation
+/// (lines 23–25), and the slot waits out a view change — after which the
+/// log carries on under the next leader.
+#[test]
+fn equivocation_after_a_leader_kill_is_forged_in_the_logs_view() {
+    let seed = seed();
+    let cluster = LiveSmrBuilder::new(7)
+        .seed(seed)
+        .pipeline_depth(4)
+        .batch_size(2)
+        .start()
+        .expect("cluster boots");
+
+    let (mut confirmed, _, _) = hammer_from(&cluster, 1, 2, 20, || {
+        kill_leader_after(&cluster, seed, 5, "equivocate_after_kill_1");
+    });
+    wait_for("view 2, and quiet", || {
+        cluster.current_view() >= View(2) && level(&cluster)
+    });
+    let forged_in = cluster.current_view();
+
+    let run = execute(
+        &cluster,
+        &FaultPlan::new(seed).at(Duration::ZERO, Fault::Equivocate),
+    );
+    run.write_transcript(transcript_path("equivocate_after_kill_2", seed))
+        .expect("transcript written");
+    assert!(
+        run.transcript
+            .iter()
+            .any(|line| line.contains(&format!("view {}, ", forged_in.0))),
+        "{:?}",
+        run.transcript
+    );
+
+    let (more, _, _) = hammer_from(&cluster, 11, 2, 20, || {});
+    confirmed.extend(more);
+    assert_eq!(confirmed.len(), 80);
+    // The forged slot blocked its view; the log left it behind.
+    assert!(cluster.current_view() > forged_in);
+
+    let excluded: Vec<usize> = (0..7).filter(|&i| cluster.is_paused(i)).collect();
+    let reports = cluster.shutdown();
+    let detected: u64 = reports
+        .iter()
+        .map(|r| r.metrics.counter("equivocations_detected"))
+        .sum();
+    assert!(detected >= 1, "forgeries that verify are seen to conflict");
+    sweep(
+        "equivocate_after_kill",
         seed,
         &reports,
         &excluded,

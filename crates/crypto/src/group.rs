@@ -389,6 +389,47 @@ mod tests {
         assert_eq!(GroupElement::from_bytes(non_residue.to_be_bytes()), None);
     }
 
+    /// Edge inputs no public constructor reaches (`P − 1` is not a
+    /// residue), pinned before the arithmetic under them was replaced; the
+    /// vectors that go through the public API are in
+    /// `tests/known_answers.rs`.
+    #[test]
+    fn pow_and_invert_known_answers_on_edge_inputs() {
+        let (one, minus_one) = (GroupElement(1), GroupElement(P - 1));
+        for k in [0, 1, 2, Q - 1] {
+            assert_eq!(one.pow(Scalar(k)), one, "1^{k}");
+        }
+        assert_eq!(one.invert(), one);
+        assert_eq!(minus_one.pow(Scalar(0)), one);
+        assert_eq!(minus_one.pow(Scalar(1)), minus_one);
+        assert_eq!(minus_one.pow(Scalar(2)), one);
+        assert_eq!(minus_one.pow(Scalar(Q - 1)), one, "Q − 1 is even");
+        assert_eq!(minus_one.invert(), minus_one);
+        assert_eq!(minus_one * minus_one, one);
+        assert_eq!(minus_one * GroupElement(G), GroupElement(P - G));
+
+        // The raw exponentiation takes any 64-bit exponent, and reduces
+        // its base.
+        assert_eq!(pow_mod_p(P - 1, Q), P - 1, "Q is odd: −1 is no residue");
+        assert_eq!(pow_mod_p(P - 1, P - 1), 1);
+        assert_eq!(pow_mod_p(P - 1, P - 2), P - 1);
+        assert_eq!(pow_mod_p(P - 1, u64::MAX), P - 1);
+        assert_eq!(pow_mod_p(G, P - 1), 1, "Fermat");
+        assert_eq!(pow_mod_p(G, P - 2), 0x1fff_ffff_ffff_fb8a);
+        assert_eq!(pow_mod_p(G, u64::MAX), 0x536f_38cc_8d06_bb8d);
+        assert_eq!(pow_mod_p(0x6546_505f_6cc5_7aa1, Q), 1);
+        assert_eq!(pow_mod_p(3, Q), 1);
+        assert_eq!(pow_mod_p(11, Q), P - 1, "11 is no residue");
+        assert_eq!(pow_mod_p(P + 2, 3), 8);
+        assert_eq!(pow_mod_p(u64::MAX, 1), u64::MAX - P - P);
+        assert_eq!(pow_mod_p(0, 0), 1);
+        assert_eq!(pow_mod_p(0, 5), 0);
+        assert_eq!(pow_mod_p(1, u64::MAX), 1);
+        assert_eq!(mul_mod_p(P - 1, P - 1), 1);
+        assert_eq!(mul_mod_p(P - 1, 1), P - 1);
+        assert_eq!(mul_mod_p(0, P - 1), 0);
+    }
+
     #[test]
     fn scalar_from_bytes_rejects_noncanonical() {
         assert_eq!(Scalar::from_bytes(Q.to_be_bytes()), None);

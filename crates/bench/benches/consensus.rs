@@ -1,12 +1,19 @@
 //! Criterion timings for full consensus instances: wall-clock cost of one
 //! simulated good-case decision for ProBFT, PBFT, and HotStuff, and ProBFT
-//! scaling across n. (Virtual-time latency and message counts are covered
-//! by the figure binaries; these benches measure the implementation.)
+//! scaling across n — and for the pieces one vote costs its sender and each
+//! receiver. (Virtual-time latency and message counts are covered by the
+//! figure binaries; these benches measure the implementation.)
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use probft_core::config::{ProbftConfig, View};
 use probft_core::harness::InstanceBuilder;
+use probft_core::message::{CertVote, PhaseBody, Propose, VerifyCtx};
+use probft_core::sampling::Phase;
+use probft_core::value::Value;
+use probft_crypto::keyring::Keyring;
 use probft_hotstuff::HsInstanceBuilder;
 use probft_pbft::PbftInstanceBuilder;
+use probft_quorum::ReplicaId;
 
 fn bench_protocol_comparison(c: &mut Criterion) {
     let n = 40;
@@ -60,5 +67,58 @@ fn bench_probft_scaling(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_protocol_comparison, bench_probft_scaling);
+/// What a vote costs: `cast` once at its sender; at each receiver `verify`
+/// (as a replica runs it, the leader's header already known from the
+/// Propose) and `counts_for`, which stops at the draw that picks the
+/// receiver — so it is timed for the first and the last member of the
+/// sample and for a replica outside it (n = 100; at n = 16 all but two are
+/// inside).
+fn bench_vote(c: &mut Criterion) {
+    let mut g = c.benchmark_group("vote");
+    for n in [16usize, 100] {
+        let cfg = ProbftConfig::builder(n).build();
+        let ring = Keyring::generate(n, b"bench-vote");
+        let public = ring.public();
+        let sk = ring.signing_key(0).unwrap();
+        let header =
+            Propose::lead(sk, ReplicaId(0), View::FIRST, Value::from_tag(1), vec![]).proposal;
+        let voter = ring.signing_key(3).unwrap();
+        let cast = || PhaseBody::cast(voter, &cfg, Phase::Prepare, ReplicaId(3), &header);
+        let vote = cast();
+        let ctx = VerifyCtx {
+            known_header: Some(header),
+            ..VerifyCtx::new(&cfg, &public)
+        };
+
+        g.bench_function(BenchmarkId::new("cast", n), |b| b.iter(cast));
+        g.bench_function(BenchmarkId::new("verify", n), |b| {
+            b.iter(|| {
+                black_box(&vote)
+                    .verify(Phase::Prepare, &ctx)
+                    .expect("genuine")
+            })
+        });
+        let sample = vote.sample(&cfg);
+        let outsider = cfg.all_replicas().find(|id| !sample.contains(id));
+        let receivers = [
+            ("counts_for_first", sample.first().copied()),
+            ("counts_for_last", sample.last().copied()),
+            ("counts_for_outsider", outsider),
+        ];
+        for (name, receiver) in receivers {
+            let Some(receiver) = receiver else { continue };
+            g.bench_function(BenchmarkId::new(name, n), |b| {
+                b.iter(|| black_box(&vote).counts_for(receiver, &cfg))
+            });
+        }
+    }
+    g.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_protocol_comparison,
+    bench_probft_scaling,
+    bench_vote
+);
 criterion_main!(benches);

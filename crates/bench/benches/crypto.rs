@@ -1,8 +1,9 @@
 //! Criterion timings for the cryptographic substrate: SHA-256 throughput,
-//! Schnorr sign/verify, VRF prove/verify — the per-message costs that
-//! dominate a replica's CPU budget.
+//! the three group exponentiations, Schnorr sign/verify, VRF prove/verify —
+//! the per-message costs that dominate a replica's CPU budget.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use probft_crypto::group::{GroupElement, Scalar};
 use probft_crypto::keyring::Keyring;
 use probft_crypto::sha256::Sha256;
 use probft_crypto::vrf::{vrf_prove, vrf_verify};
@@ -16,6 +17,30 @@ fn bench_sha256(c: &mut Criterion) {
             b.iter(|| Sha256::digest(d))
         });
     }
+    g.finish();
+}
+
+/// The three exponentiations a verifier is made of: a window `pow` of an
+/// arbitrary base, `g^k` from the fixed-base table, and `a^x · b^y` in one
+/// pass (next to the two `pow`s and a product it stands in for).
+fn bench_group(c: &mut Criterion) {
+    let a = GroupElement::hash_to_group(b"bench-a");
+    let b = GroupElement::hash_to_group(b"bench-b");
+    let x = Scalar::new(0x0123_4567_89AB_CDEF);
+    let y = Scalar::new(0xFEDC_BA98_7654_3210);
+
+    let mut g = c.benchmark_group("group");
+    g.bench_function("pow", |bench| bench.iter(|| black_box(a).pow(black_box(x))));
+    g.bench_function("generator_pow", |bench| {
+        bench.iter(|| GroupElement::generator_pow(black_box(x)))
+    });
+    g.bench_function("double_pow", |bench| {
+        bench.iter(|| GroupElement::double_pow(black_box(a), black_box(x), black_box(b), y))
+    });
+    g.bench_function("pow_times_pow", |bench| {
+        bench.iter(|| black_box(a).pow(black_box(x)) * black_box(b).pow(y))
+    });
+    g.bench_function("mul", |bench| bench.iter(|| black_box(a) * black_box(b)));
     g.finish();
 }
 
@@ -52,5 +77,5 @@ fn bench_vrf(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_sha256, bench_schnorr, bench_vrf);
+criterion_group!(benches, bench_sha256, bench_group, bench_schnorr, bench_vrf);
 criterion_main!(benches);

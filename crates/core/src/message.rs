@@ -16,10 +16,11 @@
 //! signature: 104 bytes for every `n` and value size. The sample `S` of
 //! lines 15–16 and 19–20 is a function of `P` ([`PhaseBody::sample`]), so it
 //! is not shipped: the sender expands its proof to address the vote, a
-//! receiver checks the proof and expands it to find itself (preconditions
-//! of lines 17 and 21). A vote is counted by matching `(view, digest)`
-//! against the header of the Propose the receiver accepted, which carried
-//! `x` — so no replica prepares, commits or decides a value it lacks.
+//! receiver checks the proof and draws from it until it finds itself
+//! (preconditions of lines 17 and 21). A vote is counted by matching
+//! `(view, digest)` against the header of the Propose the receiver
+//! accepted, which carried `x` — so no replica prepares, commits or decides
+//! a value it lacks.
 
 use crate::byzantine::{ByzantineReplica, ByzantineStrategy};
 use crate::config::{ProbftConfig, View};
@@ -362,7 +363,7 @@ impl CertVote for PhaseBody {
         cfg.probabilistic_quorum()
     }
     fn counts_for(&self, receiver: ReplicaId, cfg: &ProbftConfig) -> bool {
-        self.sample(cfg).contains(&receiver)
+        sampling::in_sample(&self.proof, cfg.sample_size(), cfg.n(), receiver)
     }
     fn proposal(&self) -> Option<&SignedProposal> {
         Some(&self.proposal)

@@ -14,6 +14,10 @@
 //! | Commit quorum, lines 21–22 | `on_vote` / `maybe_decide` |
 //! | equivocation, lines 23–25 | `check_equivocation` |
 //!
+//! A vote that arrives after the quorum rule it feeds has fired is *moot*
+//! ([`Phases::is_moot`]): the shell drops it before verification, since the
+//! rule would return at its latch without reading it.
+//!
 //! Votes name the value by the digest in the leader-signed header they
 //! embed. Every quorum rule below fires only for the header of the Propose
 //! this replica *accepted* — the message that carried the value — so the
@@ -77,7 +81,10 @@ pub struct ThreePhase<V: CertVote> {
     // --- per-view vote tracking ---
     prepare_votes: QuorumTracker<(View, Digest), Signed<V>>,
     commit_votes: QuorumTracker<(View, Digest), Signed<V>>,
+    /// The prepare-quorum rule (lines 17–20) has fired in this view.
     sent_commit: bool,
+    /// The commit-quorum rule (lines 21–22) has fired in this view.
+    decided: bool,
 
     // --- leader state for the current view ---
     new_leader_msgs: BTreeMap<ReplicaId, Signed<NewLeaderBody<V>>>,
@@ -109,6 +116,7 @@ impl<V: CertVote> Phases for ThreePhase<V> {
             prepare_votes: QuorumTracker::new(V::quorum(cfg)),
             commit_votes: QuorumTracker::new(V::quorum(cfg)),
             sent_commit: false,
+            decided: false,
             new_leader_msgs: BTreeMap::new(),
             proposed: false,
         }
@@ -125,6 +133,29 @@ impl<V: CertVote> Phases for ThreePhase<V> {
         }
         Ok(())
     }
+
+    /// A Prepare or Commit is moot when it names the view and digest of the
+    /// Propose this replica accepted in the current view and that phase's
+    /// quorum rule has already fired here. It cannot trip lines 23–25 (its
+    /// digest is `curVal`'s); the tracker it would join is read only by the
+    /// rule that has fired, which now returns before reading; and nothing
+    /// else keeps a vote. So with it or without it this replica sends,
+    /// holds and decides the same — the vote is as good as lost, and a lost
+    /// vote needs no verifying. (`accepted` is reset on `newView`, so a
+    /// vote that matches it is a vote of the current view.)
+    fn is_moot(&self, msg: &MessageOf<V>) -> bool {
+        let (vote, fired) = match msg {
+            MessageOf::Prepare(vote) => (vote, self.sent_commit),
+            MessageOf::Commit(vote) => (vote, self.decided),
+            _ => return false,
+        };
+        fired
+            && self.accepted.as_ref().is_some_and(|accepted| {
+                let header = &accepted.proposal;
+                (vote.view(), vote.digest()) == (header.view, header.digest)
+            })
+    }
+
     fn view_of(msg: &MessageOf<V>) -> View {
         msg.view()
     }
@@ -142,6 +173,7 @@ impl<V: CertVote> Phases for ThreePhase<V> {
         self.accepted = None;
         self.block_view = false;
         self.sent_commit = false;
+        self.decided = false;
         self.proposed = false;
         self.new_leader_msgs.clear();
         self.prepare_votes.clear();
@@ -342,7 +374,7 @@ impl<V: CertVote> ThreePhase<V> {
         // pre (line 21): ¬blockView ∧ preparedVal = x ∧
         //                curView = preparedView = v.
         let view = shell.current_view();
-        if self.block_view || self.prepared_view != view {
+        if self.block_view || self.decided || self.prepared_view != view {
             return;
         }
         // Prepared in this view means prepared from this view's accepted
@@ -357,6 +389,7 @@ impl<V: CertVote> ThreePhase<V> {
         shell.stats.commit_quorums += 1;
         // Line 22: decide(curVal).
         shell.decide(digest, &accepted.value, ctx.now());
+        self.decided = true;
     }
 
     // -----------------------------------------------------------------
@@ -404,9 +437,14 @@ mod tests {
     /// n = 16, l = 1 → q = 4, o = 1.5 → s = 6: samples leave most replicas
     /// out, and a quorum is four votes.
     fn setup() -> (crate::config::SharedConfig, Keyring) {
+        setup_with_overprovision(1.5)
+    }
+
+    /// n = 16, q = 4 and `s = ⌈4·o⌉`.
+    fn setup_with_overprovision(o: f64) -> (crate::config::SharedConfig, Keyring) {
         let cfg = ProbftConfig::builder(16)
             .quorum_multiplier(1.0)
-            .overprovision(1.5)
+            .overprovision(o)
             .build_shared();
         (cfg, Keyring::generate(16, b"replica-test"))
     }
@@ -417,20 +455,31 @@ mod tests {
         Propose::lead(sk, ReplicaId(0), View::FIRST, Value::from_tag(tag), vec![])
     }
 
-    /// The replicas whose view-1 Prepare votes for `propose` do / do not
-    /// count for `receiver`, as those votes.
+    /// The replicas whose `phase` votes for `header` do / do not count for
+    /// `receiver`, as those votes.
+    fn votes(
+        cfg: &ProbftConfig,
+        ring: &Keyring,
+        phase: Phase,
+        header: &SignedProposal,
+        receiver: ReplicaId,
+    ) -> (Vec<PhaseMessage>, Vec<PhaseMessage>) {
+        (1..cfg.n())
+            .map(|i| {
+                let sk = ring.signing_key(i).unwrap();
+                PhaseBody::cast(sk, cfg, phase, i.into(), header)
+            })
+            .partition(|vote| vote.counts_for(receiver, cfg))
+    }
+
+    /// [`votes`] cast in view 1's prepare phase for `propose`.
     fn prepares(
         cfg: &ProbftConfig,
         ring: &Keyring,
         propose: &Propose,
         receiver: ReplicaId,
     ) -> (Vec<PhaseMessage>, Vec<PhaseMessage>) {
-        (1..cfg.n())
-            .map(|i| {
-                let sk = ring.signing_key(i).unwrap();
-                PhaseBody::cast(sk, cfg, Phase::Prepare, i.into(), &propose.proposal)
-            })
-            .partition(|vote| vote.counts_for(receiver, cfg))
+        votes(cfg, ring, Phase::Prepare, &propose.proposal, receiver)
     }
 
     /// Replica 5, started, having accepted `accepted`.
@@ -558,5 +607,206 @@ mod tests {
             assert!(deliver(&mut replica, Message::Prepare(vote), &mut rng).is_empty());
         }
         assert_eq!(replica.stats.prepare_quorums, 0);
+    }
+
+    // -----------------------------------------------------------------
+    // The moot rule: votes past their quorum.
+    // -----------------------------------------------------------------
+
+    const FIVE: ReplicaId = ReplicaId(5);
+
+    /// Replica 5 as a bare instance (the log's view of a replica), in view 1.
+    fn instance_five(cfg: &crate::config::SharedConfig, ring: &Keyring) -> ReplicaInstance {
+        let seat = Seat {
+            cfg: cfg.clone(),
+            id: FIVE,
+            sk: ring.signing_key(5).unwrap().clone(),
+            keys: Arc::new(ring.public()),
+        };
+        let mut instance = ReplicaInstance::new(seat, Value::from_tag(5));
+        drive(&mut instance, |i, ctx| i.new_view(View::FIRST, ctx));
+        instance
+    }
+
+    /// What `step` makes the instance send.
+    fn drive(
+        instance: &mut ReplicaInstance,
+        step: impl FnOnce(&mut ReplicaInstance, &mut Context<'_, Message>),
+    ) -> Vec<Action<Message>> {
+        let mut rng = StdRng::seed_from_u64(0);
+        let mut ctx = Context::detached(ProcessId(5), SimTime::ZERO, &mut rng);
+        step(instance, &mut ctx);
+        ctx.drain_actions()
+    }
+
+    /// What receiving `msg` makes the instance send.
+    fn hand(instance: &mut ReplicaInstance, msg: Message) -> Vec<Action<Message>> {
+        drive(instance, |i, ctx| assert!(i.on_message(msg, ctx).is_none()))
+    }
+
+    /// `vote` under a signature that verifies for nothing.
+    fn garbled(ring: &Keyring, mut vote: PhaseMessage) -> PhaseMessage {
+        vote.signature = ring.signing_key(5).unwrap().sign(b"garbage");
+        vote
+    }
+
+    /// Hands the instance a quorum of the `phase` votes for `header` that
+    /// count for it; returns the votes not delivered, `(counting, not
+    /// counting)`.
+    fn deliver_quorum(
+        instance: &mut ReplicaInstance,
+        ring: &Keyring,
+        phase: Phase,
+        header: &SignedProposal,
+    ) -> (Vec<PhaseMessage>, Vec<PhaseMessage>) {
+        let cfg = instance.seat.cfg.clone();
+        let quorum = cfg.probabilistic_quorum();
+        let (mut counting, not_counting) = votes(&cfg, ring, phase, header, FIVE);
+        assert!(counting.len() >= quorum + 2 && !not_counting.is_empty());
+        for vote in counting.drain(..quorum) {
+            hand(instance, Message::vote(phase, vote));
+        }
+        (counting, not_counting)
+    }
+
+    /// Hands the instance `propose` and a quorum of Prepares for it: it has
+    /// sent its Commit.
+    fn prepare(instance: &mut ReplicaInstance, ring: &Keyring, propose: &Propose) {
+        hand(instance, Message::Propose(propose.clone()));
+        deliver_quorum(instance, ring, Phase::Prepare, &propose.proposal);
+    }
+
+    /// [`prepare`], then a quorum of Commits: it has decided.
+    fn decide(instance: &mut ReplicaInstance, ring: &Keyring, propose: &Propose) {
+        prepare(instance, ring, propose);
+        deliver_quorum(instance, ring, Phase::Commit, &propose.proposal);
+    }
+
+    #[test]
+    fn votes_past_their_quorum_are_dropped_unverified_and_change_nothing() {
+        let (cfg, ring) = setup_with_overprovision(2.5);
+        let accepted = propose(&ring, 1);
+        let key = (View::FIRST, accepted.proposal.digest);
+        let quorum = cfg.probabilistic_quorum();
+        let mut replica = instance_five(&cfg, &ring);
+        hand(&mut replica, Message::Propose(accepted.clone()));
+
+        // Four late votes per phase: a genuine one that would count, two
+        // whose signatures are garbage, a genuine one that would not count.
+        // Verified, the last three would each be counted rejected.
+        let mut late = 0;
+        for phase in [Phase::Prepare, Phase::Commit] {
+            let (counting, not_counting) =
+                deliver_quorum(&mut replica, &ring, phase, &accepted.proposal);
+            let tracker = |replica: &ReplicaInstance| match phase {
+                Phase::Prepare => replica.phases().prepare_votes.count(&key),
+                Phase::Commit => replica.phases().commit_votes.count(&key),
+            };
+            assert_eq!(tracker(&replica), quorum);
+            for vote in [
+                counting[0],
+                garbled(&ring, counting[1]),
+                garbled(&ring, not_counting[0]),
+                not_counting[0],
+            ] {
+                let sent = hand(&mut replica, Message::vote(phase, vote));
+                assert!(sent.is_empty(), "a late {phase:?} made the replica send");
+                late += 1;
+                assert_eq!(replica.stats.late_votes, late);
+            }
+            assert_eq!(tracker(&replica), quorum);
+            assert_eq!(replica.stats.rejected, 0);
+        }
+        // One quorum per phase, however many votes followed it.
+        assert_eq!(replica.stats.prepare_quorums, 1);
+        assert_eq!(replica.stats.commit_quorums, 1);
+        assert_eq!(replica.decision().map(|d| &d.value), Some(&accepted.value));
+        assert!(!replica.has_conflicting_decision());
+    }
+
+    #[test]
+    fn late_vote_with_a_conflicting_header_is_verified_and_blocks_the_view() {
+        let (cfg, ring) = setup_with_overprovision(2.5);
+        let accepted = propose(&ring, 1);
+        let conflicting = propose(&ring, 2).proposal;
+        for phase in [Phase::Prepare, Phase::Commit] {
+            let mut replica = instance_five(&cfg, &ring);
+            match phase {
+                Phase::Prepare => prepare(&mut replica, &ring, &accepted),
+                Phase::Commit => decide(&mut replica, &ring, &accepted),
+            }
+            let (_, not_counting) = votes(&cfg, &ring, phase, &conflicting, FIVE);
+
+            // Its digest is not `curVal`'s, so it is not moot: a garbled
+            // copy is rejected, the genuine one trips lines 23–25.
+            let garbage = Message::vote(phase, garbled(&ring, not_counting[0]));
+            assert!(hand(&mut replica, garbage).is_empty());
+            assert_eq!(replica.stats.rejected, 1);
+
+            let relayed = Message::vote(phase, not_counting[0]);
+            let sent = hand(&mut replica, relayed.clone());
+            assert_eq!(replica.stats.equivocations_detected, 1);
+            assert_eq!(replica.stats.late_votes, 0);
+            let sent: Vec<(usize, &Message)> = sent
+                .iter()
+                .map(|a| match a {
+                    Action::Send { to, msg } => (to.index(), msg),
+                    other => panic!("unexpected {other:?}"),
+                })
+                .collect();
+            let everyone = |msg| (0..cfg.n()).map(move |to| (to, msg));
+            let original = Message::Propose(accepted.clone());
+            let expected: Vec<_> = everyone(&relayed).chain(everyone(&original)).collect();
+            assert_eq!(sent, expected);
+        }
+    }
+
+    #[test]
+    fn commit_for_another_digest_in_a_later_view_is_verified_and_flags_the_conflict() {
+        let (cfg, ring) = setup_with_overprovision(2.5);
+        let first = propose(&ring, 1);
+        let mut replica = instance_five(&cfg, &ring);
+        decide(&mut replica, &ring, &first);
+        assert_eq!(replica.decision().map(|d| d.view), Some(View::FIRST));
+
+        // View 2: a deterministic quorum reports nothing prepared, so its
+        // leader is free to propose another value (replica 5's own report
+        // is not among them).
+        let view = View(2);
+        drive(&mut replica, |i, ctx| i.new_view(view, ctx));
+        let reports = (6..6 + cfg.deterministic_quorum())
+            .map(|i| {
+                let report = NewLeaderBody {
+                    sender: ReplicaId::from(i % cfg.n()),
+                    view,
+                    prepared_view: View::NONE,
+                    prepared_value: None,
+                    cert: vec![],
+                };
+                Signed::sign(ring.signing_key(i % cfg.n()).unwrap(), report)
+            })
+            .collect();
+        let sk = ring.signing_key(1).unwrap();
+        let second = Propose::lead(sk, ReplicaId(1), view, Value::from_tag(2), reports);
+        prepare(&mut replica, &ring, &second);
+        assert_eq!(replica.stats.prepare_quorums, 2);
+        assert_eq!(replica.stats.late_votes, 0);
+
+        // The first decision does not make view 2's Commits moot: each is
+        // verified (a garbled one is rejected) and counted.
+        let quorum = cfg.probabilistic_quorum();
+        let (commits, _) = votes(&cfg, &ring, Phase::Commit, &second.proposal, FIVE);
+        hand(&mut replica, Message::Commit(garbled(&ring, commits[0])));
+        assert_eq!(replica.stats.rejected, 1);
+        for vote in &commits[..quorum] {
+            assert!(!replica.has_conflicting_decision());
+            hand(&mut replica, Message::Commit(*vote));
+        }
+        assert!(replica.has_conflicting_decision());
+        assert_eq!(replica.decision().map(|d| &d.value), Some(&first.value));
+        // One per deciding view; view 2's late Commits are moot in turn.
+        hand(&mut replica, Message::Commit(commits[quorum]));
+        assert_eq!(replica.stats.commit_quorums, 2);
+        assert_eq!(replica.stats.late_votes, 1);
     }
 }

@@ -9,7 +9,7 @@
 
 use crate::config::View;
 use probft_crypto::schnorr::{SigningKey, VerifyingKey};
-use probft_crypto::vrf::{expand_sample, vrf_check, vrf_prove, VrfProof};
+use probft_crypto::vrf::{expand_sample, sample_contains, vrf_check, vrf_prove, VrfProof};
 use probft_quorum::ReplicaId;
 
 /// The protocol phase a sample belongs to.
@@ -59,11 +59,17 @@ pub fn verify_proof(pk: &VerifyingKey, view: View, phase: Phase, proof: &VrfProo
 }
 
 /// The `S` half: the unique sample a verified `proof` determines. A vote
-/// ships only `P`; whoever needs `S` (the sender to address the vote, a
-/// receiver to find itself in it) expands it from there.
+/// ships only `P`; the sender expands it from there to address the vote.
 pub fn sample_of(proof: &VrfProof, sample_size: usize, n: usize) -> Vec<ReplicaId> {
     let ids = expand_sample(proof, sample_size, n);
     ids.into_iter().map(ReplicaId).collect()
+}
+
+/// `receiver ∈ S` for the sample `proof` determines — the precondition of
+/// lines 17 and 21 — answered at the draw that picks `receiver`, without
+/// building `S`.
+pub fn in_sample(proof: &VrfProof, sample_size: usize, n: usize, receiver: ReplicaId) -> bool {
+    sample_contains(proof, sample_size, n, receiver.0)
 }
 
 #[cfg(test)]
@@ -92,6 +98,9 @@ mod tests {
         assert_eq!(sample.len(), 12);
         assert!(verify_proof(pk(3), View(7), Phase::Prepare, &proof));
         assert_eq!(sample_of(&proof, 12, 50), sample);
+        for id in (0..50).map(ReplicaId) {
+            assert_eq!(in_sample(&proof, 12, 50, id), sample.contains(&id));
+        }
         // Wrong phase, wrong view and wrong key fail.
         assert!(!verify_proof(pk(3), View(7), Phase::Commit, &proof));
         assert!(!verify_proof(pk(3), View(8), Phase::Prepare, &proof));

@@ -12,8 +12,10 @@
 //! - [`InstanceHalf`] is the instance: the replica's [`Seat`] and input
 //!   value, the decision latch, the [`ReplicaStats`] counters, the
 //!   protocol's [`Phases`], the buffer of messages for views not yet
-//!   entered, and verify-then-route. It is in whatever view its driver
-//!   last ran `newView` for.
+//!   entered, and verify-then-route — after asking the phases whether the
+//!   message is moot and can be dropped unread (DESIGN.md, "What receiving
+//!   a vote costs"). It is in whatever view its driver last ran `newView`
+//!   for.
 //!
 //! [`ViewShell`] is one of each and the single-shot [`Process`]
 //! implementation. The SMR layer holds one `Synchronizer` for its whole
@@ -91,8 +93,12 @@ pub struct ReplicaStats {
     pub equivocations_detected: u64,
     /// Prepare-phase quorums formed.
     pub prepare_quorums: u64,
-    /// Commit-phase quorums formed.
+    /// Commit-phase quorums formed: one per view the decide rule fired in.
     pub commit_quorums: u64,
+    /// Votes dropped unverified because the quorum rule they would have fed
+    /// had already fired ([`Phases::is_moot`]). Every other vote received
+    /// was verified, so this is the share of verification not spent.
+    pub late_votes: u64,
 }
 
 /// What a protocol does inside a view — the shell's only hook, statically
@@ -135,6 +141,16 @@ pub trait Phases: Sized {
     ///
     /// Any [`RejectReason`] describing the first failed check.
     fn verify(&mut self, msg: &Self::Message, ctx: &VerifyCtx<'_>) -> Result<(), RejectReason>;
+
+    /// Whether `msg`, whatever it turned out to be if verified, could no
+    /// longer change what this replica does or holds — asked *before*
+    /// [`verify`](Phases::verify), so that a moot message is dropped at the
+    /// price of the question. Only a message whose loss is indistinguishable
+    /// from its delivery may be called moot; a protocol with none keeps the
+    /// default.
+    fn is_moot(&self, _msg: &Self::Message) -> bool {
+        false
+    }
 
     /// The view `msg` belongs to.
     fn view_of(msg: &Self::Message) -> View;
@@ -215,8 +231,9 @@ impl ShellState {
 
     /// The decide rule fired at virtual time `at` for `value`, whose
     /// `digest` the caller already holds: latch the first decision, and
-    /// flag any later one for a different digest. The rule keeps firing for
-    /// every late vote, so nothing is hashed or copied after the first.
+    /// flag any later one for a different digest. The rule fires once per
+    /// view, so a replica that outlives its decision comes back here once
+    /// for every later view that decides.
     pub fn decide(&mut self, digest: Digest, value: &Value, at: SimTime) {
         match &self.decision {
             None => {
@@ -286,16 +303,25 @@ impl<P: Phases> InstanceHalf<P> {
 
     /// Verify, then route: to the current view's phases, to the buffer of
     /// a view not yet entered, or — a verified `Wish`, which belongs to
-    /// the view half — back to the driver.
+    /// the view half — back to the driver. A message the phases call moot
+    /// is dropped before either.
     pub fn on_message(
         &mut self,
         msg: P::Message,
         ctx: &mut Context<'_, P::Message>,
     ) -> Option<Wish> {
+        // A vote for a quorum rule that has already fired is dropped as if
+        // the network had lost it: unverified, uncounted but for this.
+        if self.phases.is_moot(&msg) {
+            self.state.stats.late_votes += 1;
+            return None;
+        }
+
         // Cryptographic verification first: Byzantine peers may send
         // arbitrary bytes; nothing below this line sees an unverified
-        // message. (The transport sender is deliberately ignored — relayed
-        // messages verify against their embedded signer, line 25.)
+        // message, and nothing above it did more than drop one. (The
+        // transport sender is deliberately ignored — relayed messages
+        // verify against their embedded signer, line 25.)
         if self.phases.verify(&msg, &self.state.verify_ctx()).is_err() {
             self.state.stats.rejected += 1;
             return None;
@@ -326,6 +352,14 @@ impl<P: Phases> InstanceHalf<P> {
         }
         self.state.stats.rejected += 1;
         None
+    }
+}
+
+#[cfg(test)]
+impl<P: Phases> InstanceHalf<P> {
+    /// The protocol's state, for the protocol's own tests.
+    pub(crate) fn phases(&self) -> &P {
+        &self.phases
     }
 }
 
@@ -534,7 +568,7 @@ mod tests {
         let at = SimTime::from_ticks(3);
 
         replica.instance.state.decide(a.digest(), &a, at);
-        // The rule fires again for every late Commit vote.
+        // The rule fires again in every later view that decides.
         replica
             .instance
             .state

@@ -2,7 +2,15 @@
 //!
 //! We work in the subgroup of quadratic residues of `Z_p^*` for the safe
 //! prime `p = 2q + 1`, which has prime order `q`. All arithmetic is
-//! implemented from scratch on `u64` limbs with `u128` intermediates.
+//! implemented from scratch. Modulo `p` it runs in Montgomery form (no
+//! division; `u128` only to hold a 64×64 product), with a fixed 4-bit window
+//! for [`GroupElement::pow`], a precomputed table for powers of the
+//! generator and a simultaneous double exponentiation for the product a
+//! verifier needs — but only *inside* an operation: a [`GroupElement`] at
+//! rest is the canonical residue, so encodings, equality and every digest
+//! over an element are those of the textbook arithmetic (DESIGN.md, "What
+//! receiving a vote costs"). Scalars modulo `q` are reduced with `%`: a
+//! verifier negates one and multiplies none.
 //!
 //! **Security note (documented substitution):** `p` is a 63-bit safe prime,
 //! so the discrete logarithm here is breakable in practice (~2³¹ work). The
@@ -34,22 +42,158 @@ pub const Q: u64 = 4_611_686_018_427_385_619;
 /// The subgroup generator `g = 4 = 2²`, a quadratic residue.
 pub const G: u64 = 4;
 
-/// Multiplication modulo `P` via `u128` intermediates.
+// ---------------------------------------------------------------------------
+// Arithmetic modulo `P`, in Montgomery form with `R = 2⁶⁴`.
+//
+// The Montgomery form of `a` is `a·R mod P`; `redc` divides by `R` modulo
+// `P` with two multiplications and no division, so a product of two forms
+// costs three 64×64 multiplications where `u128 % P` costs a 128-bit
+// division. Forms never leave this section: every function whose name
+// lacks `mont_` takes and returns canonical residues.
+// ---------------------------------------------------------------------------
+
+/// `−P⁻¹ mod 2⁶⁴`, by Newton's iteration (`P` is its own inverse modulo 8,
+/// and each step doubles the number of correct low bits: 3 → 96).
+const P_NEG_INV: u64 = {
+    let mut inv = P;
+    let mut step = 0;
+    while step < 5 {
+        inv = inv.wrapping_mul(2u64.wrapping_sub(P.wrapping_mul(inv)));
+        step += 1;
+    }
+    inv.wrapping_neg()
+};
+
+/// `R mod P`: the Montgomery form of 1.
+const MONT_ONE: u64 = ((1u128 << 64) % P as u128) as u64;
+
+/// `R² mod P`: multiplying by it (and reducing) converts into Montgomery
+/// form.
+const MONT_R2: u64 = ((MONT_ONE as u128 * MONT_ONE as u128) % P as u128) as u64;
+
+/// Montgomery reduction: `t·R⁻¹ mod P`, for `t < P·R`.
+///
+/// `m` is chosen so that `t + m·P` is divisible by `R`. With `t < P·R` and
+/// `m < R`, the sum is below `2·P·R < 2¹²⁸` (since `P < 2⁶³`) — no overflow —
+/// and the quotient is below `2·P`, so one subtraction finishes.
 #[inline]
-fn mul_mod_p(a: u64, b: u64) -> u64 {
-    ((a as u128 * b as u128) % P as u128) as u64
+const fn redc(t: u128) -> u64 {
+    let m = (t as u64).wrapping_mul(P_NEG_INV);
+    let u = ((t + m as u128 * P as u128) >> 64) as u64;
+    if u >= P {
+        u - P
+    } else {
+        u
+    }
 }
 
-/// Modular exponentiation `base^exp mod P` by square-and-multiply.
-fn pow_mod_p(base: u64, mut exp: u64) -> u64 {
-    let mut acc: u64 = 1;
-    let mut b = base % P;
-    while exp > 0 {
-        if exp & 1 == 1 {
-            acc = mul_mod_p(acc, b);
-        }
-        b = mul_mod_p(b, b);
-        exp >>= 1;
+/// `a·b·R⁻¹ mod P`: the product of two Montgomery forms, as one. Needs
+/// `a·b < P·R`, which holds when either factor is below `P`.
+#[inline]
+const fn mont_mul(a: u64, b: u64) -> u64 {
+    redc(a as u128 * b as u128)
+}
+
+/// The Montgomery form of any `u64` (reducing it modulo `P` on the way).
+#[inline]
+const fn to_mont(a: u64) -> u64 {
+    mont_mul(a, MONT_R2)
+}
+
+/// The canonical residue of a Montgomery form.
+#[inline]
+const fn from_mont(a: u64) -> u64 {
+    redc(a as u128)
+}
+
+/// Multiplication modulo `P`: into Montgomery form and back in two
+/// reductions.
+#[inline]
+fn mul_mod_p(a: u64, b: u64) -> u64 {
+    mont_mul(to_mont(a), b)
+}
+
+/// The first sixteen powers of the Montgomery form `base`.
+const fn mont_powers(base: u64) -> [u64; 16] {
+    let mut table = [MONT_ONE; 16];
+    let mut i = 1;
+    while i < 16 {
+        table[i] = mont_mul(table[i - 1], base);
+        i += 1;
+    }
+    table
+}
+
+/// `base^exp` on Montgomery forms, by a 4-bit fixed window: one table of
+/// `base⁰ … base¹⁵`, then, from the highest nibble of `exp` that is set
+/// down, four squarings and one table multiplication per nibble.
+fn mont_pow(base: u64, exp: u64) -> u64 {
+    let table = mont_powers(base);
+    let mut shift = (63 - (exp | 1).leading_zeros()) & !3;
+    let mut acc = table[((exp >> shift) & 15) as usize];
+    while shift > 0 {
+        shift -= 4;
+        acc = mont_mul(acc, acc);
+        acc = mont_mul(acc, acc);
+        acc = mont_mul(acc, acc);
+        acc = mont_mul(acc, acc);
+        acc = mont_mul(acc, table[((exp >> shift) & 15) as usize]);
+    }
+    acc
+}
+
+/// Modular exponentiation `base^exp mod P`, for any 64-bit base and
+/// exponent.
+fn pow_mod_p(base: u64, exp: u64) -> u64 {
+    from_mont(mont_pow(to_mont(base), exp))
+}
+
+/// `G_POWERS[i][d]` is the Montgomery form of `g^(d·16^i)`: every value a
+/// nibble of an exponent of `g` can contribute, so `g^k` is the product of
+/// one entry per nibble of `k` and takes no squaring at all.
+static G_POWERS: [[u64; 16]; 16] = {
+    let mut table = [[MONT_ONE; 16]; 16];
+    let mut base = to_mont(G);
+    let mut i = 0;
+    while i < 16 {
+        table[i] = mont_powers(base);
+        base = mont_mul(table[i][15], base);
+        i += 1;
+    }
+    table
+};
+
+/// `g^exp` as a Montgomery form, from [`G_POWERS`].
+fn mont_pow_g(exp: u64) -> u64 {
+    let mut acc = MONT_ONE;
+    for (i, powers) in G_POWERS.iter().enumerate() {
+        acc = mont_mul(acc, powers[((exp >> (4 * i)) & 15) as usize]);
+    }
+    acc
+}
+
+/// `a^x · b^y` on Montgomery forms by simultaneous exponentiation (Straus;
+/// "Shamir's trick"): the squarings are shared, and a table of `a^i · b^j`
+/// for `i, j < 4` supplies both bases' share of two exponent bits in one
+/// multiplication — some 105 multiplications where two [`mont_pow`]s take
+/// 180.
+fn mont_pow2(a: u64, x: u64, b: u64, y: u64) -> u64 {
+    // table[i + 4j] = a^i · b^j
+    let mut table = [MONT_ONE; 16];
+    for i in 1..4 {
+        table[i] = mont_mul(table[i - 1], a);
+    }
+    for ij in 4..16 {
+        table[ij] = mont_mul(table[ij - 4], b);
+    }
+    let digit = |shift: u32| (((x >> shift) & 3) | ((y >> shift) & 3) << 2) as usize;
+    let mut shift = (63 - (x | y | 1).leading_zeros()) & !1;
+    let mut acc = table[digit(shift)];
+    while shift > 0 {
+        shift -= 2;
+        acc = mont_mul(acc, acc);
+        acc = mont_mul(acc, acc);
+        acc = mont_mul(acc, table[digit(shift)]);
     }
     acc
 }
@@ -181,6 +325,20 @@ impl GroupElement {
         GroupElement(pow_mod_p(self.0, k.0))
     }
 
+    /// `g^k` for the fixed generator, from a precomputed table: a sixth of
+    /// the multiplications [`pow`](Self::pow) takes. What signing, key
+    /// generation and the `g` half of every verification use.
+    pub fn generator_pow(k: Scalar) -> Self {
+        GroupElement(from_mont(mont_pow_g(k.0)))
+    }
+
+    /// `a^x · b^y` in one pass over both exponents — the `h^s · Γ^(−c)` of
+    /// a DLEQ check — for little more than the price of one
+    /// [`pow`](Self::pow).
+    pub fn double_pow(a: Self, x: Scalar, b: Self, y: Scalar) -> Self {
+        GroupElement(from_mont(mont_pow2(to_mont(a.0), x.0, to_mont(b.0), y.0)))
+    }
+
     /// The group inverse.
     pub fn invert(self) -> Self {
         // a^(P-2) mod P
@@ -250,6 +408,106 @@ impl fmt::Display for GroupElement {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    // The arithmetic the Montgomery code replaced, kept as the reference it
+    // must agree with: reduce a `u128` product with `%`, square and multiply.
+    fn ref_mul(a: u64, b: u64) -> u64 {
+        ((a as u128 * b as u128) % P as u128) as u64
+    }
+
+    fn ref_pow(base: u64, mut exp: u64) -> u64 {
+        let (mut acc, mut b) = (1, base % P);
+        while exp > 0 {
+            if exp & 1 == 1 {
+                acc = ref_mul(acc, b);
+            }
+            b = ref_mul(b, b);
+            exp >>= 1;
+        }
+        acc
+    }
+
+    /// `a^x · b^y` through the Montgomery double exponentiation, on and to
+    /// canonical residues.
+    fn pow2_mod_p(a: u64, x: u64, b: u64, y: u64) -> u64 {
+        from_mont(mont_pow2(to_mont(a), x, to_mont(b), y))
+    }
+
+    /// Operands on and beside every boundary the code has: zero, the
+    /// window sizes, `Q`, `P`, the top bit and `R − 1`.
+    const EDGES: [u64; 16] = [
+        0,
+        1,
+        2,
+        3,
+        G,
+        15,
+        16,
+        Q - 1,
+        Q,
+        P - 2,
+        P - 1,
+        P,
+        P + 1,
+        1 << 63,
+        u64::MAX - 1,
+        u64::MAX,
+    ];
+
+    /// Run by CI's debug-profile pass too, where an intermediate that did
+    /// not fit — `t + m·P` in `redc` is the one that comes close, and stays
+    /// below `2¹²⁸` because `P < 2⁶³` — would panic.
+    #[test]
+    fn montgomery_arithmetic_matches_the_reference_on_edge_operands() {
+        assert_eq!(P.wrapping_mul(P_NEG_INV), u64::MAX, "P · (−P⁻¹) ≡ −1");
+        assert_eq!(from_mont(MONT_ONE), 1);
+        assert_eq!(to_mont(1), MONT_ONE);
+        for a in EDGES {
+            assert_eq!(from_mont(to_mont(a)), a % P);
+            assert_eq!(from_mont(mont_pow_g(a)), ref_pow(G, a), "g^{a}");
+            for b in EDGES {
+                assert_eq!(mul_mod_p(a, b), ref_mul(a, b), "{a} · {b}");
+                assert_eq!(pow_mod_p(a, b), ref_pow(a, b), "{a}^{b}");
+                for (x, y) in [(0, 0), (1, 0), (0, 1), (3, 12), (Q - 1, 1), (a, b), (b, a)] {
+                    let expected = ref_mul(ref_pow(a, x), ref_pow(b, y));
+                    assert_eq!(pow2_mod_p(a, x, b, y), expected, "{a}^{x} · {b}^{y}");
+                }
+                for x in EDGES {
+                    let expected = ref_mul(ref_pow(a, x), ref_pow(b, u64::MAX - x));
+                    assert_eq!(pow2_mod_p(a, x, b, u64::MAX - x), expected);
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Random operands, with exponents of every length so that each
+        /// window is the first one some of the time.
+        #[test]
+        fn montgomery_arithmetic_matches_the_reference(
+            (a, b) in (any::<u64>(), any::<u64>()),
+            (x, y) in (any::<u64>(), any::<u64>()),
+            (short_x, short_y) in (0u32..64, 0u32..64),
+        ) {
+            let (x, y) = (x >> short_x, y >> short_y);
+            prop_assert_eq!(mul_mod_p(a, b), ref_mul(a, b));
+            prop_assert_eq!(pow_mod_p(a, x), ref_pow(a, x));
+            prop_assert_eq!(from_mont(mont_pow_g(x)), ref_pow(G, x));
+            prop_assert_eq!(pow2_mod_p(a, x, b, y), ref_mul(ref_pow(a, x), ref_pow(b, y)));
+
+            // The same through the public operations, on group elements.
+            let (ea, eb) = (GroupElement(ref_pow(a | 1, 2)), GroupElement(ref_pow(b | 1, 2)));
+            let (sx, sy) = (Scalar::new(x), Scalar::new(y));
+            prop_assert_eq!((ea * eb).0, ref_mul(ea.0, eb.0));
+            prop_assert_eq!(ea.pow(sx).0, ref_pow(ea.0, sx.0));
+            prop_assert_eq!(GroupElement::generator_pow(sx), GroupElement::generator().pow(sx));
+            prop_assert_eq!(GroupElement::double_pow(ea, sx, eb, sy), ea.pow(sx) * eb.pow(sy));
+            prop_assert_eq!(GroupElement::from_bytes(ea.pow(sx).to_bytes()), Some(ea.pow(sx)));
+        }
+    }
 
     /// Deterministic Miller–Rabin, exact for all u64 with these bases.
     fn is_prime_u64(n: u64) -> bool {

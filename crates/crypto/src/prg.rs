@@ -6,7 +6,9 @@
 //! identical sample from β — so it cannot use an OS or thread-local RNG.
 //! [`Prg`] provides the deterministic stream, and [`sample_distinct`]
 //! implements the without-replacement draw via a partial Fisher–Yates
-//! shuffle.
+//! shuffle over a plain vector of the population. [`distinct_draws`] is the
+//! same shuffle one draw at a time, for a receiver that only needs to know
+//! whether *it* is in a sample and can stop at the draw that says so.
 //!
 //! # Examples
 //!
@@ -101,13 +103,43 @@ impl Prg {
     }
 }
 
+/// The draws of a partial Fisher–Yates shuffle of `0..population`, one at a
+/// time: the `i`-th item is position `i` of the shuffled order, and it is
+/// final the moment it is drawn — later draws swap only later positions. So
+/// a caller looking for one value can stop at the draw that produces it,
+/// having consumed only the stream bytes those draws needed.
+///
+/// The shuffle runs over a plain vector of the population (`4·population`
+/// bytes, each draw one swap).
+///
+/// # Panics
+///
+/// Panics if `count > population`.
+pub fn distinct_draws(
+    prg: &mut Prg,
+    count: usize,
+    population: usize,
+) -> impl Iterator<Item = u32> + '_ {
+    assert!(
+        count <= population,
+        "cannot draw {count} distinct items from a population of {population}"
+    );
+    let mut order: Vec<u32> = (0..population as u32).collect();
+    (0..count).map(move |i| {
+        let j = i + prg.next_below((population - i) as u64) as usize;
+        order.swap(i, j);
+        order[i]
+    })
+}
+
 /// Draws `count` distinct values uniformly at random (without replacement)
 /// from `0..population`, determined entirely by `prg`'s seed.
 ///
 /// This is the sample-selection step of `VRF_prove` (paper §2.4): the VRF
-/// output seeds the PRG, and a partial Fisher–Yates shuffle yields the
-/// recipient sample. The returned IDs are in selection order (callers that
-/// need a canonical set should sort).
+/// output seeds the PRG, and a partial Fisher–Yates shuffle
+/// ([`distinct_draws`], run to its end) yields the recipient sample. The
+/// returned IDs are in selection order (callers that need a canonical set
+/// should sort).
 ///
 /// # Panics
 ///
@@ -126,22 +158,7 @@ impl Prg {
 /// assert_eq!(sorted.len(), 10, "all distinct");
 /// ```
 pub fn sample_distinct(prg: &mut Prg, count: usize, population: usize) -> Vec<u32> {
-    assert!(
-        count <= population,
-        "cannot draw {count} distinct items from a population of {population}"
-    );
-    // Partial Fisher–Yates over a sparse index map: only touched positions
-    // are materialised, so sampling s of n costs O(s) memory, not O(n).
-    let mut swaps: std::collections::HashMap<usize, u32> = std::collections::HashMap::new();
-    let mut out = Vec::with_capacity(count);
-    for i in 0..count {
-        let j = i + prg.next_below((population - i) as u64) as usize;
-        let pick = swaps.get(&j).copied().unwrap_or(j as u32);
-        let displaced = swaps.get(&i).copied().unwrap_or(i as u32);
-        swaps.insert(j, displaced);
-        out.push(pick);
-    }
-    out
+    distinct_draws(prg, count, population).collect()
 }
 
 #[cfg(test)]

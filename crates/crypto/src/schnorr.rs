@@ -101,7 +101,7 @@ impl SigningKey {
     /// Panics if `x` is zero (the identity public key is invalid).
     pub fn from_scalar(x: Scalar) -> Self {
         assert!(x != Scalar::ZERO, "secret scalar must be nonzero");
-        let public = VerifyingKey(GroupElement::generator().pow(x));
+        let public = VerifyingKey(GroupElement::generator_pow(x));
         SigningKey { x, public }
     }
 
@@ -134,7 +134,7 @@ impl SigningKey {
     /// Signs `message`.
     pub fn sign(&self, message: &[u8]) -> Signature {
         let k = self.nonce_for(NONCE_DOMAIN, message);
-        let r = GroupElement::generator().pow(k);
+        let r = GroupElement::generator_pow(k);
         let e = challenge(r, self.public, message);
         let s = k + e * self.x;
         Signature { e, s }
@@ -163,7 +163,7 @@ impl VerifyingKey {
     /// verify under this key.
     pub fn verify(&self, message: &[u8], signature: &Signature) -> Result<(), CryptoError> {
         // R' = g^s · y^(−e); accept iff H(R' ‖ y ‖ m) = e.
-        let r = GroupElement::generator().pow(signature.s) * self.0.pow(-signature.e);
+        let r = GroupElement::generator_pow(signature.s) * self.0.pow(-signature.e);
         if challenge(r, *self, message) == signature.e {
             Ok(())
         } else {

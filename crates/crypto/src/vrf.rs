@@ -11,7 +11,8 @@
 //!   the sample `vrf_prove` yields for those parameters. It is the
 //!   composition of [`vrf_check`] (is `P` the prover's proof for `z`?) and
 //!   [`expand_sample`] (which sample does `P` determine?), which a verifier
-//!   holding only the proof calls separately.
+//!   holding only the proof calls separately — or, when all it wants to know
+//!   is whether it is in that sample itself, [`sample_contains`].
 //!
 //! The construction is ECVRF-shaped, instantiated over the workspace's
 //! Schnorr group: the prover computes `Γ = H2G(z)^x` and a Chaum–Pedersen
@@ -40,7 +41,7 @@
 //! ```
 
 use crate::group::{GroupElement, Scalar};
-use crate::prg::{sample_distinct, Prg};
+use crate::prg::{distinct_draws, Prg};
 use crate::schnorr::{SigningKey, VerifyingKey};
 use crate::sha256::{Digest, Sha256};
 use std::fmt;
@@ -88,6 +89,11 @@ impl VrfProof {
     pub fn output(&self) -> Digest {
         Sha256::digest_parts(&[VRF_OUTPUT_DOMAIN, &self.gamma.to_bytes()])
     }
+
+    /// The deterministic stream β seeds, which the sample is drawn from.
+    fn stream(&self) -> Prg {
+        Prg::from_digest(self.output())
+    }
 }
 
 impl fmt::Debug for VrfProof {
@@ -117,7 +123,7 @@ pub fn vrf_prove(
 
     // Chaum–Pedersen DLEQ: prove log_g(y) = log_h(Γ) without revealing x.
     let k = sk.nonce_for(VRF_NONCE_DOMAIN, seed);
-    let u = GroupElement::generator().pow(k);
+    let u = GroupElement::generator_pow(k);
     let v = h.pow(k);
     let c = dleq_challenge(h, sk.verifying_key(), gamma, u, v);
     let s = k + c * x;
@@ -155,8 +161,8 @@ pub fn vrf_verify(
 pub fn vrf_check(pk: &VerifyingKey, seed: &[u8], proof: &VrfProof) -> bool {
     let h = GroupElement::hash_to_group(seed);
     // u' = g^s · y^(−c), v' = h^s · Γ^(−c)
-    let u = GroupElement::generator().pow(proof.s) * pk.element().pow(-proof.c);
-    let v = h.pow(proof.s) * proof.gamma.pow(-proof.c);
+    let u = GroupElement::generator_pow(proof.s) * pk.element().pow(-proof.c);
+    let v = GroupElement::double_pow(h, proof.s, proof.gamma, -proof.c);
     dleq_challenge(h, *pk, proof.gamma, u, v) == proof.c
 }
 
@@ -164,8 +170,15 @@ pub fn vrf_check(pk: &VerifyingKey, seed: &[u8], proof: &VrfProof) -> bool {
 ///
 /// Exposed so analysis code can reproduce sampling without a full keypair.
 pub fn expand_sample(proof: &VrfProof, sample_size: usize, n: usize) -> Vec<u32> {
-    let mut prg = Prg::from_digest(proof.output());
-    sample_distinct(&mut prg, sample_size, n)
+    distinct_draws(&mut proof.stream(), sample_size, n).collect()
+}
+
+/// Whether `id` is in [`expand_sample`]`(proof, sample_size, n)` — what a
+/// receiver of a vote asks about itself. Draws only as far as the draw that
+/// picks `id`, so a member found at position `i` costs the `i + 1` draws
+/// (and the hash blocks behind them) that fix it, and no list is built.
+pub fn sample_contains(proof: &VrfProof, sample_size: usize, n: usize, id: u32) -> bool {
+    distinct_draws(&mut proof.stream(), sample_size, n).any(|drawn| drawn == id)
 }
 
 /// The Fiat–Shamir challenge over the full DLEQ transcript.
@@ -190,6 +203,32 @@ fn dleq_challenge(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Early-exit membership is membership in the expanded sample, for
+        /// every id of the population (and one beyond it), whatever the
+        /// proof and sizes — `s = 0`, `s = n` and `n = 1` included.
+        #[test]
+        fn sample_contains_is_membership_in_the_expanded_sample(
+            gamma in any::<u64>(),
+            n in 1usize..130,
+            s in 0usize..130,
+        ) {
+            let s = s % (n + 1);
+            // Only Γ enters the expansion; any element serves as one.
+            let proof = VrfProof {
+                gamma: GroupElement::hash_to_group(&gamma.to_be_bytes()),
+                c: Scalar::ONE,
+                s: Scalar::ONE,
+            };
+            let sample = expand_sample(&proof, s, n);
+            prop_assert_eq!(sample.len(), s);
+            for id in 0..=n as u32 {
+                prop_assert_eq!(sample_contains(&proof, s, n, id), sample.contains(&id));
+            }
+        }
+    }
 
     fn key(i: u32) -> SigningKey {
         SigningKey::from_seed(format!("vrf-test-{i}").as_bytes())

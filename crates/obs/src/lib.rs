@@ -83,6 +83,11 @@ pub struct Obs {
     /// Leader equivocations detected (Algorithm 1 lines 23–25), summed
     /// over applied slots.
     pub equivocations_detected: Counter,
+    /// Prepare/Commit votes dropped unverified because the quorum rule
+    /// they fed had already fired in their slot, summed over applied slots
+    /// (votes for a slot already applied are in `drops_stale`). Every
+    /// other vote received was verified.
+    pub votes_late: Counter,
     /// Requests answered from the reply cache without re-execution.
     pub reply_cache_hits: Counter,
     /// Slot messages dropped beyond the future-slot horizon.
@@ -164,6 +169,7 @@ impl Obs {
             view_change_latency_us: registry.histogram("view_change_latency_us"),
             view_changes: registry.counter("view_changes"),
             equivocations_detected: registry.counter("equivocations_detected"),
+            votes_late: registry.counter("votes_late"),
             reply_cache_hits: registry.counter("reply_cache_hits"),
             drops_future_horizon: registry.counter("drops_future_horizon"),
             drops_slot_flood: registry.counter("drops_slot_flood"),

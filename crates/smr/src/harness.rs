@@ -290,4 +290,37 @@ mod tests {
         assert_eq!(zero.mean_batch_size(), 0.0);
         assert_eq!(zero.commands_per_megatick(), 0.0);
     }
+
+    #[test]
+    fn votes_past_their_quorum_are_counted_late_not_verified() {
+        // n = 16: a quorum is 8 of the ≈ 14 votes a phase brings a replica,
+        // so a good third of a slot's votes arrive after their rule fired.
+        let ops: Vec<_> = (0..6)
+            .map(|i| crate::kv::Command::Put {
+                key: format!("k{i}"),
+                value: "v".into(),
+            })
+            .collect();
+        let outcome = SmrBuilder::new(16, ops.len())
+            .seed(3)
+            .workload(ReplicaId(0), ops)
+            .run();
+        assert_eq!(outcome.run_outcome, RunOutcome::ConditionMet);
+        assert!(outcome.logs_consistent());
+
+        let late: Vec<u64> = outcome
+            .replica_metrics
+            .iter()
+            .map(|m| m.counter("votes_late"))
+            .collect();
+        assert!(late.iter().all(|&l| l > 0), "{late:?}");
+        // Every replica applied every slot, so it verified at least a
+        // quorum of each phase in each; what is left of the votes delivered
+        // bounds the late ones (the rest were for slots already applied).
+        let quorum = ProbftConfig::builder(16).build().probabilistic_quorum() as u64;
+        let delivered =
+            outcome.metrics.kind("Prepare").delivered + outcome.metrics.kind("Commit").delivered;
+        let verified_at_least = 2 * quorum * outcome.throughput.slots_applied * 16;
+        assert!(late.iter().sum::<u64>() + verified_at_least <= delivered);
+    }
 }

@@ -734,6 +734,7 @@ impl<S: StateMachine> SmrNode<S> {
                 self.obs
                     .equivocations_detected
                     .add(instance.stats.equivocations_detected);
+                self.obs.votes_late.add(instance.stats.late_votes);
             }
             self.obs.trace(TraceKind::SlotApplied { slot, entries });
             self.obs.note_progress();

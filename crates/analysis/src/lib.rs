@@ -29,7 +29,6 @@
 //! assert!(prob > 0.9 && prob <= 1.0);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod agreement;

@@ -16,7 +16,6 @@
 //! Each prints the series the paper reports plus our measured counterparts,
 //! in aligned plain-text columns (easily diffed and plotted).
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 /// Prints a row of right-aligned columns with a left-aligned label.

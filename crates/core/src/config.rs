@@ -131,6 +131,10 @@ impl ProbftConfig {
     /// Panics on the sentinel view 0.
     pub fn leader_of(&self, view: View) -> ReplicaId {
         assert!(!view.is_none(), "view 0 has no leader");
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "the remainder is below n, which is a usize"
+        )]
         ReplicaId::from((view.0.saturating_sub(1) % self.n as u64) as usize)
     }
 

@@ -144,7 +144,7 @@ impl<'a> Reader<'a> {
         if len > MAX_LEN {
             return Err(WireError::LengthOverflow(len));
         }
-        Ok(len as usize)
+        usize::try_from(len).map_err(|_| WireError::LengthOverflow(len))
     }
 
     /// Reads a length-prefixed byte string.

@@ -38,7 +38,6 @@
 //! # Ok::<(), probft_crypto::error::CryptoError>(())
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod error;

@@ -20,7 +20,6 @@
 //! assert!(outcome.agreement());
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod harness;

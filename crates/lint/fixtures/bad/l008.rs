@@ -1,14 +1,9 @@
-// Deliberate L008 bait: raw arithmetic and narrowing casts on slot-,
-// view-, and length-typed values. At the wraparound these silently reorder
-// the log or truncate a wire length instead of failing loudly.
+// Deliberate L008 bait: raw arithmetic on slot- and view-named values. At
+// the wraparound these silently reorder the log instead of failing loudly.
 pub fn advance(slot: u64) -> u64 {
     slot + 1
 }
 
 pub fn previous(view: u64) -> u64 {
     view - 1
-}
-
-pub fn header(len: usize) -> u32 {
-    len as u32
 }

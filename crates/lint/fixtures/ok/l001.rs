@@ -1,20 +1,23 @@
-//! Panic-free shipped code. Mentions of unwrap(), expect(), panic! and
-//! unsafe in comments or string literals are masked before any rule runs,
-//! and test regions tolerate all of them.
+//! Index-free shipped code. A mention of values[slot] in a comment or a
+//! string literal is masked before any rule runs; array types, array
+//! literals, attributes and `vec![…]` are not index expressions; and test
+//! regions may index.
 
 pub fn describe() -> &'static str {
-    "calling unwrap() or panic! here would be bad, but this is just a string"
+    "writing values[slot] here would be bad, but this is just a string"
 }
 
 pub fn lookup(values: &[u32], hint: Option<usize>) -> Option<u32> {
     values.get(hint?).copied()
 }
 
-/// Unreachable from any socket root: reachability, not the directory,
-/// decides the scope — panicking here is a tooling concern, not a replica
-/// abort mid-consensus. (v1 flagged this whole file by path prefix.)
-pub fn offline_report(values: &[u32]) -> u32 {
-    values.first().copied().unwrap()
+#[derive(Default)]
+pub struct Header {
+    pub tag: [u8; 4],
+}
+
+pub fn defaults() -> Vec<[u8; 4]> {
+    vec![[0; 4], [1; 4]]
 }
 
 #[cfg(test)]
@@ -22,8 +25,8 @@ mod tests {
     use super::lookup;
 
     #[test]
-    fn test_regions_tolerate_panicking_constructs() {
+    fn test_regions_tolerate_index_expressions() {
         let values = [7u32, 9];
-        assert_eq!(lookup(&values, Some(1)).unwrap(), values[1]);
+        assert_eq!(lookup(&values, Some(1)), Some(values[1]));
     }
 }

@@ -1,5 +1,5 @@
 //! A lightweight item/brace-tree parser over the token stream, plus the
-//! intra-workspace call graph the reachability-scoped rules run on.
+//! intra-workspace call graph the lock rules run on.
 //!
 //! This is deliberately not a full Rust parser: the lint needs exactly
 //! three structural facts — *where functions are* (name, impl context,
@@ -22,17 +22,11 @@ pub struct FnItem {
     /// `NetPolicy`, …). Trait impls record the *self* type, so
     /// `impl Wire for SlotMessage` methods qualify as `SlotMessage::…`.
     pub impl_ty: Option<String>,
-    /// Token index of the `fn` keyword.
-    pub fn_tok: usize,
     /// Inclusive token indices of the body's `{` and `}`; `None` for
     /// bodyless declarations (trait methods without defaults).
     pub body: Option<(usize, usize)>,
-    /// Byte offset of the `fn` keyword (for line mapping).
-    pub start_byte: usize,
     /// Whether the item sits inside a test region or a `tests/` file.
     pub is_test: bool,
-    /// Whether the signature's return segment mentions `Result`.
-    pub returns_result: bool,
 }
 
 /// How a call site names its callee.
@@ -54,8 +48,6 @@ pub struct CallSite {
     pub name: String,
     /// Qualification shape.
     pub kind: CallKind,
-    /// Token index of the callee identifier.
-    pub tok: usize,
 }
 
 /// Everything the rules need to know about one file: tokens, masked text,
@@ -118,30 +110,6 @@ impl FileCtx {
     /// Whether byte offset `pos` falls in a test region.
     pub fn in_tests(&self, pos: usize) -> bool {
         self.tests.iter().any(|&(a, b)| pos >= a && pos < b)
-    }
-
-    /// Index (into `fns`) of the innermost function whose body contains
-    /// byte offset `pos`.
-    pub fn fn_at_byte(&self, pos: usize) -> Option<usize> {
-        let mut best: Option<(usize, usize)> = None; // (span, idx)
-        for (idx, f) in self.fns.iter().enumerate() {
-            let Some((open, close)) = f.body else {
-                continue;
-            };
-            let (Some(a), Some(b)) = (
-                self.lexed.tokens.get(open).map(|t| t.start),
-                self.lexed.tokens.get(close).map(|t| t.end),
-            ) else {
-                continue;
-            };
-            if pos >= a && pos < b {
-                let span = b - a;
-                if best.is_none_or(|(s, _)| span < s) {
-                    best = Some((span, idx));
-                }
-            }
-        }
-        best.map(|(_, idx)| idx)
     }
 
     /// Call sites inside the body of `fns[idx]`.
@@ -435,7 +403,6 @@ fn parse_fn_item(
     // where clause. Track bracket depth so a `;` inside an array type
     // (`[u8; 4]`) does not end the signature.
     let mut k = args_close + 1;
-    let mut returns_result = false;
     let mut body = None;
     let mut depth = 0isize;
     while let Some(t) = toks.get(k) {
@@ -447,7 +414,6 @@ fn parse_fn_item(
                 break;
             }
             TokKind::Punct if depth == 0 && t.text(src) == ";" => break,
-            TokKind::Ident if t.text(src) == "Result" => returns_result = true,
             _ => {}
         }
         k += 1;
@@ -459,11 +425,8 @@ fn parse_fn_item(
     Some(FnItem {
         name,
         impl_ty: current_impl.map(|(ty, _)| ty.clone()),
-        fn_tok: fn_idx,
         body,
-        start_byte,
         is_test: in_test_region || is_test_file(path),
-        returns_result,
     })
 }
 
@@ -507,7 +470,6 @@ pub fn calls_in(src: &str, toks: &[Token], from: usize, to: usize) -> Vec<CallSi
         calls.push(CallSite {
             name: name.to_string(),
             kind,
-            tok: idx,
         });
     }
     calls
@@ -516,21 +478,6 @@ pub fn calls_in(src: &str, toks: &[Token], from: usize, to: usize) -> Vec<CallSi
 // ---------------------------------------------------------------------------
 // The call graph.
 // ---------------------------------------------------------------------------
-
-/// Identifier tokens in a function body that make it a *socket root*: it
-/// performs frame or socket I/O directly, so everything it (transitively)
-/// calls runs on attacker-reachable input or holds attacker-visible
-/// output. `write_frame` counts — the reply path handles attacker-derived
-/// state and its stalls are attacker-schedulable.
-pub const SOCKET_MARKERS: &[&str] = &[
-    "read_frame",
-    "write_frame",
-    "accept",
-    "incoming",
-    "connect",
-    "TcpStream",
-    "TcpListener",
-];
 
 /// Method names shadowed by std collection and handle types (`Vec`, the
 /// maps, `Option`, `JoinHandle`, …). A bare `x.get(…)` or `Vec::new()` is
@@ -580,23 +527,14 @@ pub struct Graph {
     pub nodes: Vec<(usize, usize)>,
     /// Forward edges: caller node → callee nodes.
     pub edges: Vec<Vec<usize>>,
-    /// Nodes that directly mention a [`SOCKET_MARKERS`] identifier.
-    pub socket_direct: Vec<bool>,
-    /// Nodes reachable (inclusive) from a socket-direct node — the
-    /// precise scope for the socket-path rules.
-    pub socket_reachable: Vec<bool>,
     /// Nodes that perform frame I/O directly or via any callee.
     pub trans_io: Vec<bool>,
-    /// Whether each node's signature mentions `Result` in its return.
-    pub returns_result: Vec<bool>,
     /// Free functions by name.
     free_idx: BTreeMap<String, Vec<usize>>,
     /// Methods by bare name, merged across impls.
     method_idx: BTreeMap<String, Vec<usize>>,
     /// Methods by `(impl type, name)`.
     qual_idx: BTreeMap<(String, String), Vec<usize>>,
-    /// Graph node by `(file index, fn index)`.
-    node_idx: BTreeMap<(usize, usize), usize>,
 }
 
 impl Graph {
@@ -604,17 +542,14 @@ impl Graph {
     /// neither extends the attack surface nor counts as a path into it).
     pub fn build(files: &[FileCtx]) -> Graph {
         let mut nodes = Vec::new();
-        let mut node_of: BTreeMap<(usize, usize), usize> = BTreeMap::new();
         for (fi, ctx) in files.iter().enumerate() {
             for (gi, f) in ctx.fns.iter().enumerate() {
                 if f.is_test || f.body.is_none() {
                     continue;
                 }
-                node_of.insert((fi, gi), nodes.len());
                 nodes.push((fi, gi));
             }
         }
-        let node_idx = node_of.clone();
         // Resolution indexes.
         let mut free_idx: BTreeMap<String, Vec<usize>> = BTreeMap::new();
         let mut method_idx: BTreeMap<String, Vec<usize>> = BTreeMap::new();
@@ -632,29 +567,19 @@ impl Graph {
                 }
             }
         }
-        let returns_result = nodes
-            .iter()
-            .map(|&(fi, gi)| files[fi].fns[gi].returns_result)
-            .collect();
         let mut graph = Graph {
             nodes,
             edges: Vec::new(),
-            socket_direct: Vec::new(),
-            socket_reachable: Vec::new(),
             trans_io: Vec::new(),
-            returns_result,
             free_idx,
             method_idx,
             qual_idx,
-            node_idx,
         };
         let mut edges = vec![Vec::new(); graph.nodes.len()];
-        let mut socket_direct = vec![false; graph.nodes.len()];
         let mut io_direct = vec![false; graph.nodes.len()];
         for node in 0..graph.nodes.len() {
             let (fi, gi) = graph.nodes[node];
             let ctx = &files[fi];
-            socket_direct[node] = ctx.body_mentions(gi, SOCKET_MARKERS);
             io_direct[node] = ctx.body_mentions(gi, &["read_frame", "write_frame"]);
             let enclosing_ty = ctx.fns[gi].impl_ty.as_deref();
             let mut targets = BTreeSet::new();
@@ -663,9 +588,7 @@ impl Graph {
             }
             edges[node] = targets.into_iter().collect();
         }
-        graph.socket_reachable = closure_forward(&edges, &socket_direct);
         graph.trans_io = closure_backward(&edges, &io_direct);
-        graph.socket_direct = socket_direct;
         graph.edges = edges;
         graph
     }
@@ -714,30 +637,6 @@ impl Graph {
         }
         self.method_idx.get(name).map_or(&[], |v| v.as_slice())
     }
-
-    /// Graph node for `(file, fn)` if that function is in the graph.
-    pub fn node_of(&self, file: usize, item: usize) -> Option<usize> {
-        self.node_idx.get(&(file, item)).copied()
-    }
-}
-
-/// Every node reachable (inclusive) from a seed along forward edges.
-pub fn closure_forward(edges: &[Vec<usize>], seed: &[bool]) -> Vec<bool> {
-    let mut reach = seed.to_vec();
-    let mut work: Vec<usize> = seed
-        .iter()
-        .enumerate()
-        .filter_map(|(i, &s)| s.then_some(i))
-        .collect();
-    while let Some(node) = work.pop() {
-        for &next in edges.get(node).map_or(&[][..], |v| v.as_slice()) {
-            if !reach[next] {
-                reach[next] = true;
-                work.push(next);
-            }
-        }
-    }
-    reach
 }
 
 /// Every node from which a seed node is reachable (inclusive): seeds
@@ -772,14 +671,14 @@ mod tests {
         let names: Vec<_> = ctx
             .fns
             .iter()
-            .map(|f| (f.impl_ty.clone(), f.name.clone(), f.returns_result))
+            .map(|f| (f.impl_ty.clone(), f.name.clone()))
             .collect();
         assert_eq!(
             names,
             [
-                (Some("SlotMessage".into()), "encode".into(), false),
-                (Some("SlotMessage".into()), "decode".into(), true),
-                (None, "free_helper".into(), false),
+                (Some("SlotMessage".into()), "encode".into()),
+                (Some("SlotMessage".into()), "decode".into()),
+                (None, "free_helper".into()),
             ]
         );
     }
@@ -815,19 +714,15 @@ mod tests {
     }
 
     #[test]
-    fn socket_reachability_propagates_through_calls() {
+    fn frame_io_propagates_back_to_callers() {
         let a = FileCtx::new(
             "crates/x/src/io.rs",
-            "fn reader(s: &mut TcpStream) { let f = read_frame(s); handle(f); }\n\
-             fn handle(f: Frame) { inner(f) }\n\
-             fn inner(f: Frame) { record(f) }\n\
-             fn record(f: Frame) {}\n\
+            "fn outer(s: &mut TcpStream) { relay(s) }\n\
+             fn relay(s: &mut TcpStream) { write_frame(s, &b); }\n\
              fn orphan() { record_nothing() }\n",
         );
         let graph = Graph::build(&[a]);
-        let reach: Vec<bool> = graph.socket_reachable.clone();
-        // reader, handle, inner, record are reachable; orphan is not.
-        assert_eq!(reach, [true, true, true, true, false]);
+        assert_eq!(graph.trans_io, [true, true, false]);
     }
 
     #[test]
@@ -853,7 +748,6 @@ mod tests {
         let call = CallSite {
             name: "u64".to_string(),
             kind: CallKind::Qualified("put".to_string()),
-            tok: 0,
         };
         let resolved = graph.resolve(&call, None);
         assert_eq!(resolved.len(), 1);
@@ -875,7 +769,6 @@ mod tests {
                 let call = CallSite {
                     name: name.to_string(),
                     kind: kind.clone(),
-                    tok: 0,
                 };
                 assert!(graph.resolve(&call, None).is_empty(), "{name} merged");
             }
@@ -884,7 +777,6 @@ mod tests {
         let call = CallSite {
             name: "get".to_string(),
             kind: CallKind::Qualified("Client".to_string()),
-            tok: 0,
         };
         assert_eq!(graph.resolve(&call, None).len(), 1);
     }

@@ -1,60 +1,47 @@
 //! # probft-lint
 //!
-//! A repo-specific static-analysis gate for the ProBFT workspace. v2 is a
-//! hand-rolled, dependency-free **Rust lexer + item/brace-tree parser**
-//! ([`lexer`], [`ast`]): spanned tokens, `fn`-item extraction, and an
-//! intra-workspace call graph. The graph gives the rules *reachability* —
-//! "a remote peer can drive this code" is now a computed set, not a
-//! directory prefix — and *structure*: guard liveness, lock-acquisition
-//! ordering, and `Result` flow.
+//! The repo-specific half of the ProBFT workspace's static analysis: the
+//! rules whose vocabulary — wire lengths, lock classes, slot arithmetic,
+//! queue names — no compiler lint knows. Everything rustc or clippy can
+//! state is declared as a lint level instead (crate-root `deny` lists in
+//! `runtime`/`smr`/`core`, the root `clippy.toml`, `[workspace.lints]`)
+//! and is not scanned here; the README's *Correctness tooling* table says
+//! which tool owns which rule.
+//!
+//! The engine is a hand-rolled, dependency-free **Rust lexer + item/brace-
+//! tree parser** ([`lexer`], [`ast`]): spanned tokens, `fn`-item
+//! extraction, and an intra-workspace call graph for the two lock rules.
 //!
 //! Rules:
 //!
-//! - **L001** — no `unwrap`/`expect`/`panic!`-family macros or
-//!   possibly-panicking index expressions in *socket-reachable* functions
-//!   of `crates/runtime` and `crates/smr`. Frame handling must degrade to
-//!   counted errors, never abort a replica.
+//! - **L001** — no index expressions (`expr[…]`) in the non-test code of
+//!   `crates/runtime` and `crates/smr`: `clippy::indexing_slicing` does
+//!   not see `BTreeMap`/`VecDeque` `Index`, which panic just the same.
 //! - **L002** — every allocation or decode loop sized from a wire-decoded
 //!   length must be capped by a `MAX_*`-derived bound before use.
 //! - **L003** — every `impl Wire for X` must have a matching roundtrip
 //!   test.
 //! - **L004** — no `Mutex` guard *live* across socket I/O, direct or via
 //!   any callee; `drop(guard)` and shadowing rebinds end liveness.
-//! - **L005** — no raw `thread::sleep` in consensus crates outside the
-//!   `pacing` abstraction.
-//! - **L006** — no `unsafe` outside `vendor/`.
 //! - **L007** — the `crates/runtime` lock graph must be acyclic
 //!   (call-graph-propagated static deadlock detection).
-//! - **L008** — unchecked `+`/`*`/`-`/`as`-narrowing on slot-, view-,
-//!   length-, or sequence-typed values must use `checked_*`/`saturating_*`
-//!   or carry an allowlist reason.
-//! - **L009** — no swallowed errors (`let _ =`, dropped `.ok()`, ignored
-//!   `Result` calls) in socket-reachable or apply-path functions.
+//! - **L008** — unchecked `+`/`*`/`-` on slot-, view-, length-, or
+//!   sequence-named values must use `checked_*`/`saturating_*`.
 //! - **L010** — every `VecDeque`/`Vec` used as a queue in `runtime`/`smr`
 //!   must enforce a `MAX_*`-derived cap at the push site.
 //!
 //! Diagnostics are stable `file:line: RULE message` lines (sorted by file,
-//! then line, then rule) so CI output is byte-for-byte reproducible; SARIF
-//! and JSON renderings ([`output`]) are derived from the same findings. A
-//! checked-in `lint-allow.toml` carries per-site justifications; the binary
-//! exits nonzero on any unallowlisted finding, and `--strict` turns stale
-//! allowlist entries into hard errors.
+//! then line, then rule) so CI output is byte-for-byte reproducible. There
+//! is no allowlist: the binary exits nonzero on any finding.
 
-#![forbid(unsafe_code)]
-
-pub mod allow;
 pub mod ast;
 pub mod lexer;
-pub mod output;
 pub mod rules;
 
 use std::fmt;
 use std::fs;
 use std::io;
 use std::path::Path;
-
-pub use allow::{apply_allowlist, parse_allowlist, AllowEntry, Allowlist, Filtered};
-pub use output::{render, render_json, render_sarif, Format};
 
 /// One source file presented to the scanner, with a repo-relative path
 /// (forward slashes) used both for rule scoping and for diagnostics.
@@ -77,9 +64,6 @@ pub struct Finding {
     pub rule: &'static str,
     /// Human-readable description, stable across runs.
     pub message: String,
-    /// The raw source line, used for allowlist `pattern` matching (never
-    /// printed, so diagnostics stay byte-stable when code is reformatted).
-    pub line_text: String,
 }
 
 impl fmt::Display for Finding {
@@ -90,6 +74,12 @@ impl fmt::Display for Finding {
             self.file, self.line, self.rule, self.message
         )
     }
+}
+
+/// Render findings exactly as the binary prints them — one
+/// `file:line: RULE message` per line. Byte-stable across runs.
+pub fn render(findings: &[Finding]) -> String {
+    findings.iter().map(|f| format!("{f}\n")).collect()
 }
 
 /// Replace comment text and string/char-literal contents with spaces,

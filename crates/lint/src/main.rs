@@ -1,32 +1,20 @@
-//! The `probft-lint` binary: scan the repo, filter through
-//! `lint-allow.toml`, print stable diagnostics, and exit nonzero on any
-//! unallowlisted finding. Run from the repo root (CI does) or pass
+//! The `probft-lint` binary: scan the repo, print stable diagnostics, and
+//! exit nonzero on any finding. Run from the repo root (CI does) or pass
 //! `--root <dir>`.
-
-#![forbid(unsafe_code)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use probft_lint::{
-    apply_allowlist, parse_allowlist, render, render_json, render_sarif, scan_repo, Allowlist,
-    Format,
-};
+use probft_lint::{render, scan_repo};
 
-const USAGE: &str =
-    "usage: probft-lint [--root DIR] [--allow FILE] [--format text|json|sarif] [--strict]
+const USAGE: &str = "usage: probft-lint [--root DIR]
 
-Scans the workspace for violations of the repo lint rules (L001-L010) and
-exits nonzero on any finding not justified in lint-allow.toml.
-
-  --format FMT   output findings as text (default), json, or sarif
-  --strict       stale allowlist entries are hard errors, not warnings";
+Scans the workspace for violations of the repo lint rules (L001-L004,
+L007, L008, L010) and exits nonzero on any finding. A deliberate site is
+fixed or restructured, not listed: there is no allowlist.";
 
 fn main() -> ExitCode {
     let mut root = PathBuf::from(".");
-    let mut allow_path: Option<PathBuf> = None;
-    let mut format = Format::Text;
-    let mut strict = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -34,15 +22,6 @@ fn main() -> ExitCode {
                 Some(dir) => root = PathBuf::from(dir),
                 None => return usage_error("--root needs a directory"),
             },
-            "--allow" => match args.next() {
-                Some(file) => allow_path = Some(PathBuf::from(file)),
-                None => return usage_error("--allow needs a file"),
-            },
-            "--format" => match args.next().as_deref().and_then(Format::parse) {
-                Some(fmt) => format = fmt,
-                None => return usage_error("--format needs one of: text, json, sarif"),
-            },
-            "--strict" => strict = true,
             "--help" | "-h" => {
                 println!("{USAGE}");
                 return ExitCode::SUCCESS;
@@ -51,19 +30,6 @@ fn main() -> ExitCode {
         }
     }
 
-    let allow_path = allow_path.unwrap_or_else(|| root.join("lint-allow.toml"));
-    let allow = match std::fs::read_to_string(&allow_path) {
-        Ok(text) => match parse_allowlist(&text) {
-            Ok(allow) => allow,
-            Err(err) => {
-                eprintln!("error: {err}");
-                return ExitCode::from(2);
-            }
-        },
-        // No allowlist is fine: everything found must then be clean.
-        Err(_) => Allowlist::default(),
-    };
-
     let findings = match scan_repo(&root) {
         Ok(findings) => findings,
         Err(err) => {
@@ -71,49 +37,12 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-
-    let filtered = apply_allowlist(findings, &allow);
-    let mut stale = false;
-    for idx in &filtered.unused {
-        if let Some(entry) = allow.entries.get(*idx) {
-            let level = if strict { "error" } else { "warning" };
-            eprintln!(
-                "{level}: unused allow entry ({} {} pattern {:?}) — remove it or fix the pattern",
-                entry.path, entry.rule, entry.pattern
-            );
-            stale = true;
-        }
-    }
-
-    match format {
-        Format::Text => print!("{}", render(&filtered.kept)),
-        Format::Json => print!("{}", render_json(&filtered.kept)),
-        Format::Sarif => print!("{}", render_sarif(&filtered.kept)),
-    }
-
-    let clean = filtered.kept.is_empty() && !(strict && stale);
-    if format == Format::Text {
-        if filtered.kept.is_empty() {
-            println!(
-                "probft-lint: clean ({} finding(s) justified in {})",
-                filtered.suppressed,
-                allow_path.display()
-            );
-        } else {
-            println!(
-                "probft-lint: {} violation(s) ({} suppressed); fix them or justify each in {}",
-                filtered.kept.len(),
-                filtered.suppressed,
-                allow_path.display()
-            );
-        }
-    }
-    if strict && stale {
-        eprintln!("probft-lint: stale allowlist entries are errors under --strict");
-    }
-    if clean {
+    print!("{}", render(&findings));
+    if findings.is_empty() {
+        println!("probft-lint: clean");
         ExitCode::SUCCESS
     } else {
+        println!("probft-lint: {} violation(s)", findings.len());
         ExitCode::FAILURE
     }
 }

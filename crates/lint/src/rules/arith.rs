@@ -2,17 +2,14 @@
 //!
 //! A Byzantine peer picks the numbers honest replicas do math on: a forged
 //! far-future slot delta or length field that wraps an unchecked `+`/`*`
-//! turns bounds checks inside out, and an `as`-narrowing cast silently
-//! truncates. In `crates/{smr,runtime,core}`, arithmetic whose operand is
-//! *tracked* — an identifier with a slot/view/seq/len/offset/horizon
-//! segment — must go through `checked_*`/`saturating_*`/`wrapping_*` (or
-//! `min`/`clamp`/`try_from`), or carry an allowlist reason.
-//!
-//! Widening `as` casts are fine; only narrowing targets (`u8`…`u32`,
-//! `i8`…`i32`) are flagged. `usize` is deliberately not a narrowing target:
-//! the workspace documents a 64-bit deployment assumption, and `u64 →
-//! usize` casts guarded by `MAX_*` comparisons are the dominant decode
-//! idiom.
+//! turns bounds checks inside out. In `crates/{smr,runtime,core}`,
+//! arithmetic whose operand is *tracked* — an identifier with a
+//! slot/view/seq/len/offset/horizon segment — must go through
+//! `checked_*`/`saturating_*`/`wrapping_*` (or `min`/`clamp`/`try_from`).
+//! Which values are consensus arithmetic is this repo's vocabulary, so the
+//! rule lives here; the narrowing-cast half of the hazard is type-shaped
+//! and is `clippy::cast_possible_truncation`'s, denied at the three crate
+//! roots.
 
 use crate::ast::FileCtx;
 use crate::lexer::{TokKind, Token};
@@ -25,10 +22,6 @@ const L008_SCOPE: &[&str] = &["crates/smr/src/", "crates/runtime/src/", "crates/
 const TRACKED_SEGMENTS: &[&str] = &["slot", "view", "seq", "len", "offset", "horizon"];
 /// Whole identifiers tracked regardless of segmentation.
 const TRACKED_IDENTS: &[&str] = &["next_open", "next_apply"];
-
-/// Narrowing `as` targets. `u64`/`i64`/`usize` are not narrowing on the
-/// documented 64-bit deployment.
-const NARROW_TYPES: &[&str] = &["u8", "u16", "u32", "i8", "i16", "i32"];
 
 /// Mitigations: a line mentioning any of these is already doing checked
 /// math (or explicitly clamping), so the raw operator next to it is the
@@ -66,57 +59,26 @@ pub fn l008(ctx: &FileCtx, out: &mut Vec<Finding>) {
         };
         for idx in open + 1..close {
             let t = toks[idx];
-            match t.kind {
-                TokKind::Punct => {
-                    let op = t.text(src);
-                    let compound = matches!(op, "+=" | "-=");
-                    let binary = matches!(op, "+" | "*" | "-") && is_binary_position(toks, idx);
-                    if !compound && !binary {
-                        continue;
-                    }
-                    let tracked =
-                        left_tracked(src, toks, idx).or_else(|| right_tracked(src, toks, idx));
-                    let Some(name) = tracked else { continue };
-                    if line_mitigated(ctx, t.start) {
-                        continue;
-                    }
-                    out.push(finding(
-                        ctx,
-                        t.start,
-                        "L008",
-                        format!(
-                            "unchecked `{op}` on tracked value `{name}`; use checked_*/saturating_* or add an allow entry"
-                        ),
-                    ));
-                }
-                TokKind::Ident if t.text(src) == "as" => {
-                    let Some(ty) = toks
-                        .get(idx + 1)
-                        .filter(|n| n.kind == TokKind::Ident)
-                        .map(|n| n.text(src))
-                    else {
-                        continue;
-                    };
-                    if !NARROW_TYPES.contains(&ty) {
-                        continue;
-                    }
-                    let Some(name) = left_tracked(src, toks, idx) else {
-                        continue;
-                    };
-                    if line_mitigated(ctx, t.start) {
-                        continue;
-                    }
-                    out.push(finding(
-                        ctx,
-                        t.start,
-                        "L008",
-                        format!(
-                            "narrowing `as {ty}` cast of tracked value `{name}`; use try_from or add an allow entry"
-                        ),
-                    ));
-                }
-                _ => {}
+            if t.kind != TokKind::Punct {
+                continue;
             }
+            let op = t.text(src);
+            let compound = matches!(op, "+=" | "-=");
+            let binary = matches!(op, "+" | "*" | "-") && is_binary_position(toks, idx);
+            if !compound && !binary {
+                continue;
+            }
+            let tracked = left_tracked(src, toks, idx).or_else(|| right_tracked(src, toks, idx));
+            let Some(name) = tracked else { continue };
+            if line_mitigated(ctx, t.start) {
+                continue;
+            }
+            out.push(finding(
+                ctx,
+                t.start,
+                "L008",
+                format!("unchecked `{op}` on tracked value `{name}`; use checked_*/saturating_*"),
+            ));
         }
     }
 }
@@ -162,7 +124,7 @@ fn left_tracked(src: &str, toks: &[Token], idx: usize) -> Option<String> {
         }
         TokKind::CloseParen => {
             // Walk to the matching `(`; the token before it is the callee
-            // (`self.map.len() as u32` → `len`).
+            // (`self.map.len() + 1` → `len`).
             let mut depth = 0usize;
             let mut k = p;
             loop {
@@ -253,14 +215,14 @@ mod tests {
     }
 
     #[test]
-    fn len_call_narrowing_cast_is_flagged() {
-        let out = scan("fn f(v: &[u8]) -> u32 { v.len() as u32 }");
+    fn trailing_call_names_the_tracked_operand() {
+        let out = scan("fn f(v: &[u8]) -> usize { v.len() + 1 }");
         assert_eq!(out.len(), 1, "{out:?}");
-        assert!(out[0].message.contains("as u32"));
+        assert!(out[0].message.contains("`len`"));
     }
 
     #[test]
-    fn widening_cast_and_untracked_math_are_clean() {
+    fn casts_and_untracked_math_are_clean() {
         let out = scan("fn f(n: u32, x: u64) -> u64 { n as u64 + x }");
         assert!(out.is_empty(), "{out:?}");
     }

@@ -1,13 +1,12 @@
-//! The masked-text rules carried over from the v1 engine: L002 (capped
-//! wire-length allocations), L003 (Wire roundtrip coverage), L005 (no raw
-//! sleeps), L006 (no unsafe). These are genuinely textual properties —
+//! The masked-text rules: L002 (capped wire-length allocations) and L003
+//! (Wire roundtrip coverage). These are genuinely textual properties —
 //! "is there a MAX-derived guard above this allocation" does not need a
-//! call graph — so they still run on the masked text, which the lexer now
-//! produces as a byproduct of tokenization.
+//! call graph — so they run on the masked text the lexer produces as a
+//! byproduct of tokenization.
 
 use crate::ast::{matching_byte, FileCtx};
 use crate::lexer::is_ident_byte;
-use crate::rules::{finding, in_scope, occurrences};
+use crate::rules::{finding, in_scope};
 use crate::Finding;
 
 // --- L002 ------------------------------------------------------------------
@@ -273,58 +272,4 @@ fn has_roundtrip(corpus: &str, name: &str) -> bool {
         }
     }
     false
-}
-
-// --- L005 ------------------------------------------------------------------
-
-const L005_CRATES: &[&str] = &[
-    "crates/core/src/",
-    "crates/hotstuff/src/",
-    "crates/pbft/src/",
-    "crates/quorum/src/",
-    "crates/runtime/src/",
-    "crates/smr/src/",
-];
-
-pub fn l005(ctx: &FileCtx, out: &mut Vec<Finding>) {
-    if !in_scope(&ctx.path, L005_CRATES) {
-        return;
-    }
-    if ctx.path.ends_with("pacing.rs") {
-        // The one sanctioned home for real sleeps.
-        return;
-    }
-    for pos in occurrences(ctx, "thread::sleep") {
-        out.push(finding(
-            ctx,
-            pos,
-            "L005",
-            "raw thread::sleep in consensus code; route waits through runtime::pacing".to_string(),
-        ));
-    }
-}
-
-// --- L006 ------------------------------------------------------------------
-
-pub fn l006(ctx: &FileCtx, out: &mut Vec<Finding>) {
-    if ctx.path.starts_with("vendor/") {
-        return;
-    }
-    let masked = &ctx.lexed.masked;
-    let bytes = masked.as_bytes();
-    let mut from = 0usize;
-    while let Some(rel) = masked[from..].find("unsafe") {
-        let at = from + rel;
-        from = at + 6;
-        let before_ok = at == 0 || !is_ident_byte(bytes[at - 1]);
-        let after_ok = bytes.get(at + 6).is_none_or(|b| !is_ident_byte(*b));
-        if before_ok && after_ok {
-            out.push(finding(
-                ctx,
-                at,
-                "L006",
-                "unsafe code outside vendor/".to_string(),
-            ));
-        }
-    }
 }

@@ -381,7 +381,7 @@ const L004_FREE_IO: &[&str] = &["write_frame", "read_frame"];
 /// Socket methods that block on the peer.
 const L004_METHOD_IO: &[&str] = &["flush", "write_all", "read_exact"];
 
-pub fn l004(ctx: &FileCtx, _fi: usize, _ctxs: &[FileCtx], graph: &Graph, out: &mut Vec<Finding>) {
+pub fn l004(ctx: &FileCtx, graph: &Graph, out: &mut Vec<Finding>) {
     if ctx.path.starts_with("vendor/") {
         return;
     }
@@ -567,7 +567,7 @@ mod tests {
              }\n");
         let graph = Graph::build(std::slice::from_ref(&c));
         let mut out = Vec::new();
-        l004(&c, 0, std::slice::from_ref(&c), &graph, &mut out);
+        l004(&c, &graph, &mut out);
         assert!(out.is_empty(), "drop(g) must end liveness: {out:?}");
     }
 
@@ -579,7 +579,7 @@ mod tests {
              }\n");
         let graph = Graph::build(std::slice::from_ref(&c));
         let mut out = Vec::new();
-        l004(&c, 0, std::slice::from_ref(&c), &graph, &mut out);
+        l004(&c, &graph, &mut out);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].rule, "L004");
     }
@@ -593,7 +593,7 @@ mod tests {
              fn relay(s: &mut TcpStream) { write_frame(s, &b); }\n");
         let graph = Graph::build(std::slice::from_ref(&c));
         let mut out = Vec::new();
-        l004(&c, 0, std::slice::from_ref(&c), &graph, &mut out);
+        l004(&c, &graph, &mut out);
         assert_eq!(out.len(), 1, "{out:?}");
         assert!(out[0].message.contains("`relay`"));
     }
@@ -606,7 +606,7 @@ mod tests {
              }\n");
         let graph = Graph::build(std::slice::from_ref(&c));
         let mut out = Vec::new();
-        l004(&c, 0, std::slice::from_ref(&c), &graph, &mut out);
+        l004(&c, &graph, &mut out);
         assert!(out.is_empty(), "temporary guard: {out:?}");
     }
 

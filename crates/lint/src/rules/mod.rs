@@ -1,7 +1,8 @@
 //! The rule implementations, and the shared helpers they run on.
 //!
 //! Each rule consumes the structured view built in [`crate::ast`]: lexed
-//! tokens, masked text, parsed `fn` items, and the workspace call graph.
+//! tokens, masked text, parsed `fn` items, and (the lock rules only) the
+//! workspace call graph.
 //! Path scoping treats a bare filename (no `/`) as in scope for every
 //! rule — that is what a fixture-directory scan (`--root
 //! crates/lint/fixtures/bad`) produces, and it keeps the CI self-test
@@ -9,7 +10,6 @@
 //! lives under `crates/`, `examples/`, `src/`, or `tests/`.
 
 mod arith;
-mod flow;
 mod legacy;
 mod locks;
 mod panics;
@@ -21,30 +21,25 @@ use crate::Finding;
 /// Run every rule over the parsed files and the call graph.
 pub fn run(ctxs: &[FileCtx], graph: &Graph) -> Vec<Finding> {
     let mut findings = Vec::new();
-    for (fi, ctx) in ctxs.iter().enumerate() {
-        panics::l001(ctx, fi, graph, &mut findings);
+    for ctx in ctxs {
+        panics::l001(ctx, &mut findings);
         legacy::l002(ctx, &mut findings);
-        locks::l004(ctx, fi, ctxs, graph, &mut findings);
-        legacy::l005(ctx, &mut findings);
-        legacy::l006(ctx, &mut findings);
+        locks::l004(ctx, graph, &mut findings);
         arith::l008(ctx, &mut findings);
         queues::l010(ctx, &mut findings);
     }
     legacy::l003(ctxs, &mut findings);
     locks::l007(ctxs, graph, &mut findings);
-    flow::l009(ctxs, graph, &mut findings);
     findings
 }
 
 /// Build a [`Finding`] at byte offset `pos` of `ctx`.
 pub(crate) fn finding(ctx: &FileCtx, pos: usize, rule: &'static str, message: String) -> Finding {
-    let line = ctx.line_of(pos);
     Finding {
         file: ctx.path.clone(),
-        line,
+        line: ctx.line_of(pos),
         rule,
         message,
-        line_text: ctx.raw_line(line),
     }
 }
 

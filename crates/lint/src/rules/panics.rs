@@ -1,85 +1,40 @@
-//! L001 — no panicking constructs on socket-reachable consensus paths.
+//! L001 (the part clippy cannot state) — no index expressions in the
+//! non-test code of `crates/runtime` and `crates/smr`.
 //!
-//! v2 re-scope: instead of flagging every occurrence anywhere in
-//! `crates/runtime`/`crates/smr`, the rule now consults the call graph and
-//! flags only code inside functions reachable from a socket root (a
-//! function that performs socket or frame I/O directly). A panic in a
-//! function no remote peer can drive is a local bug, not a remote replica
-//! abort; the old whole-crate scope forced allowlist entries for exactly
-//! those sites.
+//! The calls and macros that panic (`unwrap`, `expect`, `panic!`, …) are
+//! denied by clippy at those crates' roots. Indexing stays here because
+//! `clippy::indexing_slicing` only sees slices and arrays: `map[&key]` on a
+//! `BTreeMap` or `queue[i]` on a `VecDeque` go through `Index` impls it
+//! does not look at, and both panic on a miss. The scan is textual and
+//! type-blind, so it catches every `expr[…]`.
 
-use crate::ast::{FileCtx, Graph};
+use crate::ast::FileCtx;
 use crate::lexer::is_ident_byte;
 use crate::rules::{finding, in_scope, occurrences};
 use crate::Finding;
 
 const L001_CRATES: &[&str] = &["crates/runtime/src/", "crates/smr/src/"];
-const L001_CALLS: &[&str] = &[".unwrap()", ".expect("];
-const L001_MACROS: &[&str] = &["panic!", "unreachable!", "todo!", "unimplemented!"];
 
-pub fn l001(ctx: &FileCtx, fi: usize, graph: &Graph, out: &mut Vec<Finding>) {
+pub fn l001(ctx: &FileCtx, out: &mut Vec<Finding>) {
     if !in_scope(&ctx.path, L001_CRATES) {
         return;
     }
-    let reachable = |pos: usize| {
-        ctx.fn_at_byte(pos)
-            .and_then(|g| graph.node_of(fi, g))
-            .is_some_and(|n| graph.socket_reachable[n])
-    };
-    for tok in L001_CALLS {
-        for pos in occurrences(ctx, tok) {
-            if !reachable(pos) {
-                continue;
-            }
-            out.push(finding(
-                ctx,
-                pos,
-                "L001",
-                format!(
-                    "panicking call `{}` in socket-reachable consensus code",
-                    tok.trim_end_matches('(')
-                ),
-            ));
-        }
-    }
-    for tok in L001_MACROS {
-        for pos in occurrences(ctx, tok) {
-            // `debug_assert!`-style prefixes and idents like `dont_panic`
-            // must not match: require a non-ident char before the token.
-            let bytes = ctx.lexed.masked.as_bytes();
-            if pos > 0 && is_ident_byte(bytes[pos - 1]) {
-                continue;
-            }
-            if !reachable(pos) {
-                continue;
-            }
-            out.push(finding(
-                ctx,
-                pos,
-                "L001",
-                format!("panicking macro `{tok}` in socket-reachable consensus code"),
-            ));
-        }
-    }
-    // Index expressions: `expr[...]` can panic. A `[` counts as indexing
-    // when the previous non-space byte is an identifier char, `)`, or `]` —
-    // which excludes array literals, attributes (`#[`), and macros (`vec![`).
+    // A `[` counts as indexing when the previous byte is an identifier
+    // char, `)`, or `]` — which excludes array literals and types,
+    // attributes (`#[`), and macros (`vec![`).
     let bytes = ctx.lexed.masked.as_bytes();
     for pos in occurrences(ctx, "[") {
         let Some(prev) = pos.checked_sub(1).map(|i| bytes[i]) else {
             continue;
         };
-        if !(is_ident_byte(prev) || prev == b')' || prev == b']') {
-            continue;
+        if is_ident_byte(prev) || prev == b')' || prev == b']' {
+            out.push(finding(
+                ctx,
+                pos,
+                "L001",
+                "possibly-panicking index expression in consensus code; use get/get_mut"
+                    .to_string(),
+            ));
         }
-        if !reachable(pos) {
-            continue;
-        }
-        out.push(finding(
-            ctx,
-            pos,
-            "L001",
-            "possibly-panicking index expression in socket-reachable consensus code".to_string(),
-        ));
     }
 }

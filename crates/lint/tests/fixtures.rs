@@ -4,20 +4,15 @@
 //! the paths they are scanned under are synthetic, chosen to land inside —
 //! or deliberately outside — each rule's scope.
 
-use probft_lint::{
-    apply_allowlist, mask_code, parse_allowlist, render, scan_sources, Finding, SourceFile,
-};
+use probft_lint::{mask_code, render, scan_sources, Finding, SourceFile};
 
 const BAD_L001: &str = include_str!("../fixtures/bad/l001.rs");
 const BAD_L002: &str = include_str!("../fixtures/bad/l002.rs");
 const BAD_L003: &str = include_str!("../fixtures/bad/l003.rs");
 const BAD_L003_SIGNED: &str = include_str!("../fixtures/bad/l003_signed.rs");
 const BAD_L004: &str = include_str!("../fixtures/bad/l004.rs");
-const BAD_L005: &str = include_str!("../fixtures/bad/l005.rs");
-const BAD_L006: &str = include_str!("../fixtures/bad/l006.rs");
 const BAD_L007: &str = include_str!("../fixtures/bad/l007.rs");
 const BAD_L008: &str = include_str!("../fixtures/bad/l008.rs");
-const BAD_L009: &str = include_str!("../fixtures/bad/l009.rs");
 const BAD_L010: &str = include_str!("../fixtures/bad/l010.rs");
 
 const OK_L001: &str = include_str!("../fixtures/ok/l001.rs");
@@ -25,11 +20,8 @@ const OK_L002: &str = include_str!("../fixtures/ok/l002.rs");
 const OK_L003: &str = include_str!("../fixtures/ok/l003.rs");
 const OK_L003_SIGNED: &str = include_str!("../fixtures/ok/l003_signed.rs");
 const OK_L004: &str = include_str!("../fixtures/ok/l004.rs");
-const OK_L005: &str = include_str!("../fixtures/ok/l005.rs");
-const OK_L006: &str = include_str!("../fixtures/ok/l006.rs");
 const OK_L007: &str = include_str!("../fixtures/ok/l007.rs");
 const OK_L008: &str = include_str!("../fixtures/ok/l008.rs");
-const OK_L009: &str = include_str!("../fixtures/ok/l009.rs");
 const OK_L010: &str = include_str!("../fixtures/ok/l010.rs");
 
 /// The paths the combined bad-suite scan uses; each places its snippet in
@@ -39,11 +31,8 @@ const BAD_SUITE: &[(&str, &str)] = &[
     ("crates/core/src/fixture_l002.rs", BAD_L002),
     ("crates/core/src/fixture_l003.rs", BAD_L003),
     ("crates/core/src/fixture_l004.rs", BAD_L004),
-    ("crates/smr/src/fixture_l005.rs", BAD_L005),
-    ("crates/core/src/fixture_l006.rs", BAD_L006),
     ("crates/runtime/src/fixture_l007.rs", BAD_L007),
     ("crates/smr/src/fixture_l008.rs", BAD_L008),
-    ("crates/runtime/src/fixture_l009.rs", BAD_L009),
     ("crates/smr/src/fixture_l010.rs", BAD_L010),
 ];
 
@@ -61,20 +50,18 @@ fn rules(findings: &[Finding]) -> Vec<&'static str> {
 // --- L001 ------------------------------------------------------------------
 
 #[test]
-fn l001_flags_every_panicking_construct() {
+fn l001_flags_slice_and_map_index_expressions() {
     let findings = scan_one("crates/runtime/src/fixture_l001.rs", BAD_L001);
-    assert_eq!(rules(&findings), ["L001", "L001", "L001", "L001"]);
-    let messages: Vec<&str> = findings.iter().map(|f| f.message.as_str()).collect();
-    assert!(messages.iter().any(|m| m.contains("unwrap")));
-    assert!(messages.iter().any(|m| m.contains("expect")));
-    assert!(messages.iter().any(|m| m.contains("panic!")));
-    assert!(messages.iter().any(|m| m.contains("index expression")));
-    // v2 scope: the findings are reachability-phrased, not directory-phrased.
-    assert!(messages.iter().all(|m| m.contains("socket-reachable")));
+    assert_eq!(rules(&findings), ["L001", "L001"]);
+    assert!(findings
+        .iter()
+        .all(|f| f.message.contains("index expression")));
+    // The second is the `BTreeMap` index clippy::indexing_slicing misses.
+    assert_eq!(findings.iter().map(|f| f.line).collect::<Vec<_>>(), [9, 13]);
 }
 
 #[test]
-fn l001_ignores_strings_comments_and_test_regions() {
+fn l001_ignores_strings_comments_types_literals_and_test_regions() {
     let findings = scan_one("crates/runtime/src/fixture_l001.rs", OK_L001);
     assert!(findings.is_empty(), "unexpected: {findings:?}");
 }
@@ -153,7 +140,7 @@ fn l003_sees_through_the_signed_envelope_and_its_aliases() {
 fn l004_flags_guard_held_across_socket_io() {
     let findings = scan_one("crates/core/src/fixture_l004.rs", BAD_L004);
     assert_eq!(rules(&findings), ["L004", "L004"]);
-    assert!(findings[0].line_text.contains("peer.lock()"));
+    assert_eq!(findings[0].line, 4, "anchored at the `peer.lock()` line");
     // The second acquisition reaches the socket only through `forward`.
     assert!(findings[1].message.contains("`forward`"), "{findings:?}");
 }
@@ -168,42 +155,6 @@ fn l004_accepts_guard_dropped_before_io() {
 fn l004_skips_whole_file_test_targets() {
     // Files under a tests/ directory are one big test region.
     let findings = scan_one("crates/runtime/tests/io.rs", BAD_L004);
-    assert!(findings.is_empty(), "unexpected: {findings:?}");
-}
-
-// --- L005 ------------------------------------------------------------------
-
-#[test]
-fn l005_flags_raw_sleep_in_consensus_code() {
-    let findings = scan_one("crates/smr/src/fixture_l005.rs", BAD_L005);
-    assert_eq!(rules(&findings), ["L005"]);
-}
-
-#[test]
-fn l005_exempts_the_pacing_module() {
-    let findings = scan_one("crates/runtime/src/pacing.rs", BAD_L005);
-    assert!(findings.is_empty(), "unexpected: {findings:?}");
-}
-
-#[test]
-fn l005_ignores_sleeps_in_test_regions() {
-    let findings = scan_one("crates/smr/src/fixture_l005.rs", OK_L005);
-    assert!(findings.is_empty(), "unexpected: {findings:?}");
-}
-
-// --- L006 ------------------------------------------------------------------
-
-#[test]
-fn l006_flags_unsafe_outside_vendor() {
-    let findings = scan_one("crates/core/src/fixture_l006.rs", BAD_L006);
-    assert_eq!(rules(&findings), ["L006"]);
-}
-
-#[test]
-fn l006_ignores_unsafe_in_prose_and_exempts_vendor() {
-    let findings = scan_one("crates/core/src/fixture_l006.rs", OK_L006);
-    assert!(findings.is_empty(), "unexpected: {findings:?}");
-    let findings = scan_one("vendor/rand/src/lib.rs", BAD_L006);
     assert!(findings.is_empty(), "unexpected: {findings:?}");
 }
 
@@ -233,44 +184,16 @@ fn l007_is_scoped_to_the_runtime_crate() {
 // --- L008 ------------------------------------------------------------------
 
 #[test]
-fn l008_flags_unchecked_arithmetic_and_narrowing_casts() {
+fn l008_flags_unchecked_arithmetic_on_tracked_names() {
     let findings = scan_one("crates/smr/src/fixture_l008.rs", BAD_L008);
-    assert_eq!(rules(&findings), ["L008", "L008", "L008"]);
-    let messages: Vec<&str> = findings.iter().map(|f| f.message.as_str()).collect();
-    assert!(messages
-        .iter()
-        .any(|m| m.contains("`+` on tracked value `slot`")));
-    assert!(messages
-        .iter()
-        .any(|m| m.contains("`-` on tracked value `view`")));
-    assert!(messages
-        .iter()
-        .any(|m| m.contains("`as u32` cast of tracked value `len`")));
+    assert_eq!(rules(&findings), ["L008", "L008"]);
+    assert!(findings[0].message.contains("`+` on tracked value `slot`"));
+    assert!(findings[1].message.contains("`-` on tracked value `view`"));
 }
 
 #[test]
 fn l008_accepts_checked_forms_and_untracked_values() {
     let findings = scan_one("crates/smr/src/fixture_l008.rs", OK_L008);
-    assert!(findings.is_empty(), "unexpected: {findings:?}");
-}
-
-// --- L009 ------------------------------------------------------------------
-
-#[test]
-fn l009_flags_every_swallow_shape_on_the_socket_path() {
-    let findings = scan_one("crates/runtime/src/fixture_l009.rs", BAD_L009);
-    assert_eq!(rules(&findings), ["L009", "L009", "L009"]);
-    let messages: Vec<&str> = findings.iter().map(|f| f.message.as_str()).collect();
-    assert!(messages.iter().any(|m| m.contains("let _ =")));
-    assert!(messages.iter().any(|m| m.contains(".ok()")));
-    assert!(messages
-        .iter()
-        .any(|m| m.contains("`record` returns Result")));
-}
-
-#[test]
-fn l009_accepts_propagated_checked_and_unreachable_results() {
-    let findings = scan_one("crates/runtime/src/fixture_l009.rs", OK_L009);
     assert!(findings.is_empty(), "unexpected: {findings:?}");
 }
 
@@ -293,9 +216,9 @@ fn l010_accepts_a_capped_push_and_non_queue_vectors() {
 
 #[test]
 fn masking_neutralizes_nested_comments_and_raw_strings() {
-    let text = "/* outer /* nested .unwrap() panic! */ still comment */\n\
+    let text = "/* outer /* nested values[0] slot + 1 */ still comment */\n\
                 pub fn f() -> &'static str {\n\
-                    r#\"raw string with .expect( and unsafe inside\"#\n\
+                    r#\"raw string with owners[&slot] and view - 1 inside\"#\n\
                 }\n";
     let findings = scan_one("crates/runtime/src/fixture_masking.rs", text);
     assert!(findings.is_empty(), "unexpected: {findings:?}");
@@ -305,61 +228,6 @@ fn masking_neutralizes_nested_comments_and_raw_strings() {
         mask_code(text).matches('\n').count(),
         text.matches('\n').count()
     );
-}
-
-// --- Allowlist -------------------------------------------------------------
-
-#[test]
-fn allowlist_suppresses_a_justified_finding() {
-    let findings = scan_one("crates/core/src/fixture_l004.rs", BAD_L004);
-    let allow = parse_allowlist(
-        r#"
-[[allow]]
-path = "crates/core/src/fixture_l004.rs"
-rule = "L004"
-pattern = "peer.lock()"
-reason = "fixture: the guard is the write half and the frame is bounded"
-"#,
-    )
-    .expect("allowlist parses");
-    let filtered = apply_allowlist(findings, &allow);
-    assert!(filtered.kept.is_empty(), "unexpected: {:?}", filtered.kept);
-    // One entry covers both acquisitions: the pattern matches each line.
-    assert_eq!(filtered.suppressed, 2);
-    assert!(filtered.unused.is_empty());
-}
-
-#[test]
-fn allowlist_rejects_entries_without_a_reason() {
-    let err = parse_allowlist(
-        r#"
-[[allow]]
-path = "crates/core/src/fixture_l004.rs"
-rule = "L004"
-pattern = "peer.lock()"
-"#,
-    )
-    .expect_err("reasonless entry must fail");
-    assert!(err.contains("reason"), "unexpected error: {err}");
-}
-
-#[test]
-fn allowlist_reports_unused_entries_and_keeps_unmatched_findings() {
-    let findings = scan_one("crates/core/src/fixture_l004.rs", BAD_L004);
-    let allow = parse_allowlist(
-        r#"
-[[allow]]
-path = "crates/core/src/fixture_l004.rs"
-rule = "L004"
-pattern = "this pattern matches nothing"
-reason = "stale entry that should be flagged as unused"
-"#,
-    )
-    .expect("allowlist parses");
-    let filtered = apply_allowlist(findings, &allow);
-    assert_eq!(filtered.kept.len(), 2);
-    assert_eq!(filtered.suppressed, 0);
-    assert_eq!(filtered.unused, [0]);
 }
 
 // --- Byte-stable diagnostics ----------------------------------------------

@@ -22,7 +22,6 @@
 //! and registration take short mutexes never held across I/O), and cheap
 //! enough to stay on in benches.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod hist;

@@ -24,7 +24,6 @@
 //! assert!(outcome.agreement());
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod byzantine;

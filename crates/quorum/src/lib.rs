@@ -29,7 +29,6 @@
 //! assert_eq!(sample_size(q, 1.7), 34);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod sizes;

@@ -367,7 +367,7 @@ impl<S: StateMachine> SmrClient<S> {
                     self.redirect_streak = None;
                     self.obs
                         .request_rtt_us
-                        .record(started.elapsed().as_micros().min(u64::MAX as u128) as u64);
+                        .record(crate::host::micros(started.elapsed()));
                     return Ok(response);
                 }
                 Some(Answer::Redirect(named)) => self.follow_redirect(named, target),
@@ -453,9 +453,15 @@ impl<S: StateMachine> SmrClient<S> {
                 self.attempt_timeout.max(Duration::from_millis(100)),
             )
             .ok()?;
-            let _ = stream.set_nodelay(true);
-            // Short read timeout so `await_reply` can poll its deadline.
-            let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "client socket tuning (nodelay, read timeout): a failed setsockopt degrades latency, never correctness — the request/reply protocol carries its own deadlines and retries"
+            )]
+            {
+                let _ = stream.set_nodelay(true);
+                // Short read timeout so `await_reply` can poll its deadline.
+                let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
+            }
             self.conn = Some(stream);
             self.conn_to = Some(target);
         }

@@ -8,7 +8,7 @@
 //! verification decides what to trust, exactly as in the simulator — and
 //! the decision fan-in.
 
-use crate::host::{bind_listeners, FrameKind, Host, NetPolicy};
+use crate::host::{bind_listeners, wire_id, FrameKind, Host, NetPolicy};
 use probft_core::config::{ProbftConfig, SharedConfig};
 use probft_core::message::Message;
 use probft_core::replica::{Decision, Replica};
@@ -28,7 +28,7 @@ use std::time::{Duration, Instant};
 
 /// Encodes `u32 sender ‖ message bytes`.
 fn encode_peer_frame(from: usize, msg: Message) -> (FrameKind, Vec<u8>) {
-    let mut frame = (from as u32).to_be_bytes().to_vec();
+    let mut frame = wire_id(from).to_be_bytes().to_vec();
     msg.encode(&mut frame);
     (FrameKind::Peer, frame)
 }
@@ -184,7 +184,10 @@ impl ClusterBuilder {
                     if !reported {
                         if let Some(d) = replica.decision() {
                             reported = true;
-                            let _ = decision_tx.send((i, d.clone()));
+                            if decision_tx.send((i, d.clone())).is_err() {
+                                // The collector is gone: nobody is left to tell.
+                                break;
+                            }
                         }
                     }
                 }
@@ -219,6 +222,10 @@ impl ClusterBuilder {
 
         shutdown.store(true, Ordering::SeqCst);
         for h in handles {
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "teardown join: the Err payload is a replica thread's panic, and a replica that panicked before reporting already surfaces as ClusterError::Timeout below; the join exists to bound thread lifetime"
+            )]
             let _ = h.join();
         }
 

@@ -150,11 +150,7 @@ impl NetPolicy {
         }
         let n = self.frames.fetch_add(1, Ordering::SeqCst);
         let seed = self.seed.load(Ordering::SeqCst);
-        let span = rule
-            .delay_max
-            .saturating_sub(rule.delay_min)
-            .as_micros()
-            .max(1) as u64;
+        let span = micros(rule.delay_max.saturating_sub(rule.delay_min)).max(1);
         let jitter = Duration::from_micros(
             splitmix64(seed ^ (from as u64) << 40 ^ (to as u64) << 20 ^ n) % span,
         );
@@ -173,6 +169,31 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// Whole microseconds in `d` — one simulator tick each — saturating.
+pub(crate) fn micros(d: Duration) -> u64 {
+    u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
+}
+
+/// A replica index as the `u32` sender id frames carry. Saturating: an
+/// index that does not fit is beyond every receiver's cluster size and is
+/// rejected there, where a wrapped one would name another replica.
+pub(crate) fn wire_id(id: usize) -> u32 {
+    u32::try_from(id).unwrap_or(u32::MAX)
+}
+
+/// The fixed port of replica `i` in the range starting at `base`.
+fn replica_port(base: u16, i: usize) -> std::io::Result<u16> {
+    u16::try_from(i)
+        .ok()
+        .and_then(|i| base.checked_add(i))
+        .ok_or_else(|| {
+            std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "base_port + replica id overflows u16",
+            )
+        })
+}
+
 /// Binds one loopback listener per replica — OS-assigned ports by default,
 /// `base_port + i` when a fixed range was requested — and returns the
 /// listeners with their actual addresses.
@@ -184,12 +205,7 @@ pub(crate) fn bind_listeners(
     let mut addrs = Vec::with_capacity(n);
     for i in 0..n {
         let port = match base_port {
-            Some(base) => base.checked_add(i as u16).ok_or_else(|| {
-                std::io::Error::new(
-                    std::io::ErrorKind::InvalidInput,
-                    "base_port + replica id overflows u16",
-                )
-            })?,
+            Some(base) => replica_port(base, i)?,
             None => 0,
         };
         let listener = TcpListener::bind(("127.0.0.1", port))?;
@@ -220,9 +236,9 @@ const WRITE_STALL_LIMIT: Duration = Duration::from_secs(1);
 const IDLE_WAIT: Duration = Duration::from_millis(20);
 
 /// The write half of an inbound connection. The frame decoder receives it
-/// so a client request can carry its reply path into the event loop; the
-/// mutex serializes reply frames onto the one socket.
-pub(crate) type ReplyHandle = Arc<Mutex<TcpStream>>;
+/// so a client request can carry its reply path into the event loop, the
+/// replica's one thread and so the socket's only writer.
+pub(crate) type ReplyHandle = Arc<TcpStream>;
 
 /// Which `frame_bytes_out{kind=…}` counter an outbound frame is charged to.
 #[derive(Clone, Copy, Debug)]
@@ -266,8 +282,9 @@ pub(crate) struct Host<M, E> {
     /// disconnected channel.
     event_tx: mpsc::Sender<E>,
     events: mpsc::Receiver<E>,
-    accept: Option<thread::JoinHandle<()>>,
-    readers: Arc<Mutex<Vec<thread::JoinHandle<()>>>>,
+    /// The accept loop, which owns the reader threads it spawned and hands
+    /// the ones still running back when it exits.
+    accept: Option<thread::JoinHandle<Vec<thread::JoinHandle<()>>>>,
 }
 
 impl<M, E: Send + 'static> Host<M, E> {
@@ -303,7 +320,6 @@ impl<M, E: Send + 'static> Host<M, E> {
             event_tx,
             events,
             accept: None,
-            readers: Arc::default(),
         }
     }
 
@@ -317,9 +333,9 @@ impl<M, E: Send + 'static> Host<M, E> {
         let event_tx = self.event_tx.clone();
         let shutdown = self.shutdown.clone();
         let obs = self.obs.clone();
-        let readers = self.readers.clone();
         let can_accept = listener.set_nonblocking(true).is_ok();
         self.accept = Some(thread::spawn(move || {
+            let mut readers = Vec::new();
             while can_accept && !shutdown.load(Ordering::SeqCst) {
                 match listener.accept() {
                     Ok((stream, _peer)) => {
@@ -330,10 +346,8 @@ impl<M, E: Send + 'static> Host<M, E> {
                         let handle = thread::spawn(move || {
                             reader_loop(stream, decode, event_tx, shutdown, obs)
                         });
-                        if let Ok(mut guard) = readers.lock() {
-                            reap_finished(&mut guard);
-                            guard.push(handle);
-                        }
+                        reap_finished(&mut readers);
+                        readers.push(handle);
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                         crate::pacing::pause(crate::pacing::ACCEPT_POLL);
@@ -341,6 +355,7 @@ impl<M, E: Send + 'static> Host<M, E> {
                     Err(_) => break,
                 }
             }
+            readers
         }));
     }
 
@@ -366,7 +381,7 @@ impl<M, E: Send + 'static> Host<M, E> {
     /// the timer heap.
     pub(crate) fn drive(&mut self, step: impl FnOnce(&mut Context<'_, M>)) {
         // One simulator tick = one microsecond of wall time.
-        let now = SimTime::from_ticks(self.started.elapsed().as_micros() as u64);
+        let now = SimTime::from_ticks(micros(self.started.elapsed()));
         let actions = {
             let mut ctx = Context::detached(ProcessId(self.id), now, &mut self.rng);
             step(&mut ctx);
@@ -424,15 +439,12 @@ impl<M, E: Send + 'static> Host<M, E> {
     /// (or timed-out) run leaves no threads behind. Call once the shutdown
     /// flag is up.
     pub(crate) fn join(&mut self) {
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
-        let handles = match self.readers.lock() {
-            Ok(mut guard) => guard.drain(..).collect::<Vec<_>>(),
-            Err(_) => Vec::new(),
+        let Some(accept) = self.accept.take() else {
+            return;
         };
-        for handle in handles {
-            let _ = handle.join();
+        // (An accept loop that panicked takes its reader handles with it.)
+        for reader in accept.join().unwrap_or_default() {
+            join_reader(reader);
         }
     }
 
@@ -514,8 +526,14 @@ impl<M, E: Send + 'static> Host<M, E> {
                     crate::pacing::pause(crate::pacing::CONNECT_RETRY);
                 }
                 if let Ok(s) = TcpStream::connect(addr) {
-                    let _ = s.set_nodelay(true);
-                    let _ = s.set_write_timeout(Some(WRITE_STALL_LIMIT));
+                    #[expect(
+                        clippy::let_underscore_must_use,
+                        reason = "peer-connect socket tuning (nodelay, write timeout): best-effort; a peer write that stalls past WRITE_STALL_LIMIT is already handled by the counted write-error path"
+                    )]
+                    {
+                        let _ = s.set_nodelay(true);
+                        let _ = s.set_write_timeout(Some(WRITE_STALL_LIMIT));
+                    }
                     *slot = Some(s);
                     break;
                 }
@@ -541,11 +559,17 @@ fn reader_loop<E, D>(
     // The read timeout lets the loop poll the shutdown flag; the write
     // timeout bounds reply writes, so a client that stops reading costs
     // the replica a failed write, not a wedged event loop.
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_write_timeout(Some(WRITE_STALL_LIMIT));
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "reader-loop socket tuning (read timeout, nodelay, write timeout): best-effort latency/liveness knobs — the read timeout lets the loop poll the shutdown flag, and if it fails the loop still terminates when the peer closes; failure leaves a slower but correct connection"
+    )]
+    {
+        let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
+        let _ = stream.set_nodelay(true);
+        let _ = stream.set_write_timeout(Some(WRITE_STALL_LIMIT));
+    }
     let reply: ReplyHandle = match stream.try_clone() {
-        Ok(clone) => Arc::new(Mutex::new(clone)),
+        Ok(clone) => Arc::new(clone),
         Err(_) => return,
     };
     let mut reader = BufReader::new(stream);
@@ -589,11 +613,20 @@ fn reap_finished(handles: &mut Vec<thread::JoinHandle<()>>) {
     let mut i = 0;
     while i < handles.len() {
         if handles.get(i).is_some_and(|h| h.is_finished()) {
-            let _ = handles.swap_remove(i).join();
+            join_reader(handles.swap_remove(i));
         } else {
             i += 1;
         }
     }
+}
+
+/// Waits for one reader thread to exit.
+fn join_reader(reader: thread::JoinHandle<()>) {
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "teardown joins (Host::join, reap_finished): the Err payload is a thread panic, and reader threads are panic-free by the crate's deny list (they degrade to counted errors instead of panicking); the join exists to bound thread lifetime, not to collect a result"
+    )]
+    let _ = reader.join();
 }
 
 #[cfg(test)]
@@ -662,6 +695,17 @@ mod tests {
             assert_eq!(malformed, 3);
             assert_eq!(torn, 0);
             assert_eq!(events, 0, "no rejected frame may reach the replica");
+        }
+    }
+
+    /// Regression: the replica index was narrowed to `u16` before the
+    /// checked add, so index 65 536 wrapped to 0 and landed on `base`.
+    #[test]
+    fn fixed_ports_that_do_not_fit_are_an_error_not_a_wrap() {
+        assert_eq!(replica_port(46_000, 3).expect("in range"), 46_003);
+        for (base, i) in [(1, 65_536), (65_535, 1), (0, usize::MAX)] {
+            let err = replica_port(base, i).expect_err("beyond u16");
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
         }
     }
 

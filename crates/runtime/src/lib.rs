@@ -1,8 +1,10 @@
 //! # probft-runtime
 //!
-//! A real-clock, real-network deployment substrate for ProBFT: one OS
-//! thread per replica, TCP links with length-prefixed framing, and a
-//! deadline-driven timer loop. The same unmodified [`Replica`] state
+//! A real-clock, real-network deployment substrate for ProBFT: one event
+//! loop thread per replica, fed by an accept thread and one reader thread
+//! per inbound connection (so about n² threads in an n-replica cluster),
+//! TCP links with length-prefixed framing, and a deadline-driven timer
+//! loop. The same unmodified [`Replica`] state
 //! machine that runs in the deterministic simulator runs here, driven
 //! through the simulator's embedding API ([`Context::detached`] +
 //! [`Context::drain_actions`]) — the runtime only interprets the resulting
@@ -33,7 +35,7 @@
 //! [`Context::drain_actions`]: probft_simnet::process::Context::drain_actions
 //!
 //! `tokio` is not available in this offline build environment (see
-//! DESIGN.md, "Substitutions"); the thread-per-replica design over
+//! DESIGN.md, "Substitutions"); the thread-per-connection design over
 //! `std::net` provides equivalent message-passing semantics for
 //! laptop-scale clusters, which is all the paper's evaluation needs.
 //!
@@ -51,8 +53,27 @@
 //! assert_eq!(decisions.len(), 5);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// The repo's panic-, swallow- and truncation-freedom rules (L001, L009,
+// L008's casts), stated by the tools that see types — DESIGN.md, "Who
+// checks what". Inert under plain rustc; `cargo clippy -- -D warnings` is
+// the gate, and a deliberate site carries `#[expect(.., reason = "…")]`,
+// which clippy rejects once the site stops needing it.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::let_underscore_must_use,
+        clippy::unused_result_ok,
+        unused_must_use,
+        clippy::cast_possible_truncation
+    )
+)]
 
 pub mod client;
 pub mod cluster;

@@ -34,7 +34,7 @@
 //! slot instead of replaying (or waiting forever for) the truncated log.
 
 use crate::cluster::ClusterError;
-use crate::host::{bind_listeners, FrameKind, Host, ReplyHandle};
+use crate::host::{bind_listeners, micros, wire_id, FrameKind, Host, ReplyHandle};
 use crate::transport::write_frame;
 use probft_core::config::{ProbftConfig, SharedConfig, View};
 use probft_core::wire::{put, Reader, Wire, WireError};
@@ -50,7 +50,7 @@ use probft_smr::{
     SmrSettings, StateMachine, StateReply, StateRequest,
 };
 use std::collections::BTreeMap;
-use std::net::SocketAddr;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -796,7 +796,7 @@ pub(crate) enum SmrEvent<S: StateMachine> {
 /// The SMR shape's outbound codec: each [`SmrMessage`] variant onto its
 /// wire frame, charged to its byte counter.
 fn encode_smr_message<S: StateMachine>(id: usize, msg: SmrMessage) -> (FrameKind, Vec<u8>) {
-    let from = id as u32;
+    let from = wire_id(id);
     let (kind, frame) = match msg {
         SmrMessage::Slot(msg) => (FrameKind::Peer, SmrFrame::<S>::Peer { from, msg }),
         SmrMessage::CheckpointVote(vote) => (FrameKind::Checkpoint, SmrFrame::CheckpointVote(vote)),
@@ -912,7 +912,7 @@ fn smr_replica_main<S: StateMachine>(
             .get(leader % addrs.len().max(1))
             .copied()
             .unwrap_or_else(crate::client::unusable_addr);
-        let leader = leader as u32;
+        let leader = wire_id(leader);
         send_frame::<S>(
             reply,
             SmrFrame::Reply(SmrReply::Redirect {
@@ -973,7 +973,7 @@ fn smr_replica_main<S: StateMachine>(
                         &reply,
                         SmrFrame::Reply(SmrReply::Overloaded {
                             request,
-                            queued: node.pending_len().min(u32::MAX as usize) as u32,
+                            queued: u32::try_from(node.pending_len()).unwrap_or(u32::MAX),
                         }),
                     );
                 } else {
@@ -1024,8 +1024,7 @@ fn smr_replica_main<S: StateMachine>(
                 // Receive → applied-and-answered at this replica: the
                 // server-side commit latency the paper's probabilistic
                 // latency claims are about.
-                obs.commit_latency_us
-                    .record(since.elapsed().as_micros().min(u64::MAX as u128) as u64);
+                obs.commit_latency_us.record(micros(since.elapsed()));
                 send_frame::<S>(
                     &reply,
                     SmrFrame::Reply(SmrReply::Applied {
@@ -1067,9 +1066,12 @@ fn smr_replica_main<S: StateMachine>(
 /// vanished client simply never reads its answer; the state machine is
 /// already consistent).
 fn send_frame<S: StateMachine>(conn: &ReplyHandle, frame: SmrFrame<S>) {
-    if let Ok(mut stream) = conn.lock() {
-        let _ = write_frame(&mut *stream, &frame.to_wire_bytes());
-    }
+    let mut stream: &TcpStream = conn;
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "send_frame is documented best-effort: a vanished client simply never reads its answer, the state machine is already consistent, and the client's retry path re-fetches the cached reply"
+    )]
+    let _ = write_frame(&mut stream, &frame.to_wire_bytes());
 }
 
 #[cfg(test)]

@@ -362,7 +362,7 @@ fn far_future_spray<S: StateMachine>(cluster: &LiveSmrCluster<S>, seed: u64) -> 
 fn peer_frame<S: StateMachine>(from: usize, slot: u64, inner: Message) -> Vec<u8> {
     use probft_core::wire::Wire;
     SmrFrame::<S>::Peer {
-        from: from as u32,
+        from: crate::host::wire_id(from),
         msg: SlotMessage { slot, inner },
     }
     .to_wire_bytes()
@@ -375,6 +375,10 @@ fn inject(addr: SocketAddr, frames: &[Vec<u8>]) -> usize {
     let Ok(mut stream) = TcpStream::connect_timeout(&addr, Duration::from_millis(500)) else {
         return 0;
     };
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "fault injector: the injected connection is adversarial traffic by construction — tuning it is opportunistic and its failure is part of the chaos being injected"
+    )]
     let _ = stream.set_nodelay(true);
     frames
         .iter()

@@ -2,11 +2,11 @@
 //!
 //! Consensus code must never sprinkle raw `thread::sleep` calls around:
 //! every intentional wait is a latency decision, and scattering them makes
-//! the latency budget unauditable (the repo lint's L005 rule enforces
-//! exactly this — `crates/runtime/src/pacing.rs` is the only file in the
-//! consensus crates allowed to call `thread::sleep`). Callers pick one of
-//! the named waits below so each site documents *why* it is waiting, not
-//! just for how long.
+//! the latency budget unauditable (the root `clippy.toml` disallows
+//! `std::thread::sleep` workspace-wide — rule L005 — and the one call
+//! below carries the `#[expect]`). Callers pick one of the named waits
+//! below so each site documents *why* it is waiting, not just for how
+//! long.
 
 use std::time::Duration;
 
@@ -36,5 +36,9 @@ pub(crate) const CLIENT_RETRY: Duration = Duration::from_millis(10);
 /// consensus crates; use the named constants above (or a computed backoff,
 /// e.g. overload retry-after) so every wait is attributable.
 pub(crate) fn pause(d: Duration) {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the one sanctioned sleep: every other wait calls this with a named interval"
+    )]
     std::thread::sleep(d);
 }

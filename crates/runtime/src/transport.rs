@@ -117,8 +117,8 @@ pub fn read_frame<R: Read>(reader: &mut R) -> Result<Option<Vec<u8>>, FrameError
 fn fill<R: Read>(reader: &mut R, buf: &mut [u8], mid_frame: bool) -> Result<bool, FrameError> {
     let mut filled = 0;
     let mut timeouts = 0u32;
-    while filled < buf.len() {
-        match reader.read(&mut buf[filled..]) {
+    while let Some(rest) = buf.get_mut(filled..).filter(|rest| !rest.is_empty()) {
+        match reader.read(rest) {
             Ok(0) => {
                 if filled == 0 && !mid_frame {
                     return Ok(false);

@@ -26,7 +26,6 @@
 //!
 //! See [`sim::Simulation`] for a complete runnable example.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod delay;

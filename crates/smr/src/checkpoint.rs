@@ -160,6 +160,10 @@ impl<S: StateMachine> Snapshot<S> {
 /// the 16 MiB `MAX_FRAME`/`MAX_LEN` transport cap can never carry more
 /// than `MAX_LEN / 17` real entries. A count above this is an attack (or
 /// corruption), rejected before the decode loop runs.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "a compile-time constant: 16 MiB / 17 is below 2^20"
+)]
 pub const MAX_SNAPSHOT_REPLIES: u32 = (probft_core::wire::MAX_LEN / 17) as u32;
 
 impl<S: StateMachine> Wire for Snapshot<S> {
@@ -168,6 +172,10 @@ impl<S: StateMachine> Wire for Snapshot<S> {
         put::u64(out, self.log_len);
         self.log_digest.encode(out);
         put::var_bytes(out, &self.state.snapshot());
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "snapshot reply-cache count: one entry per distinct client ever answered, >= 17 bytes each, and the decoder rejects counts above MAX_SNAPSHOT_REPLIES; reaching u32::MAX entries would need >68 GiB of reply cache"
+        )]
         put::u32(out, self.replies.len() as u32);
         for (client, (seq, response)) in &self.replies {
             put::u64(out, *client);
@@ -310,6 +318,10 @@ impl Wire for StateReply {
     fn encode(&self, out: &mut Vec<u8>) {
         put::u64(out, self.slot);
         put::var_bytes(out, &self.snapshot);
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "checkpoint certificate count: at most one signed vote per replica (n is small), and the decoder rejects counts above MAX_CERTIFICATE = 4096"
+        )]
         put::u32(out, self.certificate.len() as u32);
         for vote in &self.certificate {
             vote.encode(out);

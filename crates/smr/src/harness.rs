@@ -170,7 +170,14 @@ impl<S: StateMachine> SmrBuilder<S> {
         let nodes: Vec<&SmrNode<S>> = sim.processes().map(|(_, node)| node).collect();
         // Throughput is measured at replica 0: all correct replicas apply
         // the same slots, so its view is representative of the run.
-        let node0 = nodes.first().expect("a cluster has replicas");
+        let throughput = nodes
+            .first()
+            .map_or_else(ThroughputStats::default, |node0| ThroughputStats {
+                commands: node0.total_log_len(),
+                slots_opened: node0.slots_opened(),
+                slots_applied: node0.slots_applied(),
+                ticks: sim.now().ticks(),
+            });
         SmrOutcome {
             logs: nodes.iter().map(|r| r.log().to_vec()).collect(),
             states: nodes.iter().map(|r| r.state().clone()).collect(),
@@ -179,12 +186,7 @@ impl<S: StateMachine> SmrBuilder<S> {
             log_offsets: nodes.iter().map(|r| r.log_offset()).collect(),
             log_digests: nodes.iter().map(|r| r.log_digest()).collect(),
             metrics: sim.metrics().clone(),
-            throughput: ThroughputStats {
-                commands: node0.total_log_len(),
-                slots_opened: node0.slots_opened(),
-                slots_applied: node0.slots_applied(),
-                ticks: sim.now().ticks(),
-            },
+            throughput,
             finished_at: sim.now(),
             run_outcome,
         }

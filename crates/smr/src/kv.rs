@@ -242,6 +242,10 @@ impl KvStore {
 /// the transport bound: two u64 length prefixes per entry mean at least
 /// 16 bytes each, so any count above `MAX_LEN / 16` cannot fit in a frame
 /// the transport would accept.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "a compile-time constant: 16 MiB / 16 is 2^20"
+)]
 pub const MAX_KV_ENTRIES: u32 = (probft_core::wire::MAX_LEN / 16) as u32;
 
 /// The store's checkpoint encoding: live keys in `BTreeMap` (ascending)
@@ -249,6 +253,10 @@ pub const MAX_KV_ENTRIES: u32 = (probft_core::wire::MAX_LEN / 16) as u32;
 /// same log position produces the identical snapshot digest.
 impl Wire for KvStore {
     fn encode(&self, out: &mut Vec<u8>) {
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "KV snapshot entry count: bounded by MAX_KV_ENTRIES at decode and by replica memory at encode (each entry holds at least a key byte plus framing)"
+        )]
         put::u32(out, self.map.len() as u32);
         for (key, value) in &self.map {
             put::var_bytes(out, key.as_bytes());

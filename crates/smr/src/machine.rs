@@ -364,6 +364,10 @@ impl<Op: Wire> Batch<Op> {
 impl<Op: Wire> Wire for Batch<Op> {
     fn encode(&self, out: &mut Vec<u8>) {
         out.push(BATCH_TAG);
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "batch entry count: proposals cap the drained batch at MAX_BATCH = 65536 entries, two orders of magnitude under u32::MAX"
+        )]
         put::u32(out, self.0.len() as u32);
         for entry in &self.0 {
             entry.encode(out);

@@ -559,7 +559,8 @@ impl<S: StateMachine> SmrNode<S> {
             let window_left = self
                 .window_end()
                 .saturating_sub(self.next_open)
-                .saturating_add(1) as usize;
+                .saturating_add(1);
+            let window_left = usize::try_from(window_left).unwrap_or(usize::MAX);
             pending.div_ceil(window_left).min(MAX_BATCH as usize)
         } else {
             self.settings.batch_size

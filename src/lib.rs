@@ -48,7 +48,6 @@
 //! See `DESIGN.md` for the substitutions this reproduction makes and its
 //! paper-fidelity notes, and `benchmarks/README.md` for measured results.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use probft_analysis as analysis;

@@ -2,6 +2,11 @@
 //! checkpoints, log truncation, snapshot state transfer for laggards, and
 //! the follower-initiated slot probe that unsticks a silent leader.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "this file polls a live cluster from outside: std::thread::sleep is its clock"
+)]
+
 use probft::quorum::ReplicaId;
 use probft::runtime::LiveSmrBuilder;
 use probft::smr::{Command, SmrBuilder};

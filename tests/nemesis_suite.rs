@@ -17,6 +17,11 @@
 //! *executed* more than once (a duplicate log entry is legal when a
 //! view-change re-proposal races a client retry; double execution is not).
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "this file polls a live cluster from outside: std::thread::sleep is its clock"
+)]
+
 use probft::core::config::View;
 use probft::obs::TraceKind;
 use probft::quorum::ReplicaId;

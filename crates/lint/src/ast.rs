@@ -19,7 +19,7 @@ pub struct FnItem {
     /// The function's bare name.
     pub name: String,
     /// The `impl` type the function sits in, if any (`SmrNode`,
-    /// `NetPolicy`, …). Trait impls record the *self* type, so
+    /// `Checkpointer`, …). Trait impls record the *self* type, so
     /// `impl Wire for SlotMessage` methods qualify as `SlotMessage::…`.
     pub impl_ty: Option<String>,
     /// Inclusive token indices of the body's `{` and `}`; `None` for

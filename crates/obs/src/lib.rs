@@ -135,6 +135,9 @@ pub struct Obs {
     pub view: Gauge,
     /// Slots applied in order (a slot may hold many entries, or none).
     pub applied_slots: Gauge,
+    /// Entries in the logical log: every entry ever applied, truncated or
+    /// resident.
+    pub log_len: Gauge,
 }
 
 impl std::fmt::Debug for Obs {
@@ -192,6 +195,7 @@ impl Obs {
             stable_slot: registry.gauge("stable_slot"),
             view: registry.gauge("view"),
             applied_slots: registry.gauge("applied_slots"),
+            log_len: registry.gauge("log_len"),
             registry,
             journal: Journal::new(capacity),
             epoch: Instant::now(),

@@ -101,7 +101,7 @@ pub enum TraceKind {
         /// The leader the client was pointed at.
         leader: u64,
     },
-    /// A nemesis fault started (kill, isolate, jitter, …).
+    /// A nemesis fault started (kill, equivocate, spray, …).
     FaultStart {
         /// Human-readable fault description from the nemesis plan.
         fault: String,

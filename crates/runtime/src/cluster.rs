@@ -1,4 +1,5 @@
-//! Thread-per-replica TCP cluster running the unmodified ProBFT replica.
+//! A TCP cluster running the unmodified ProBFT replica, one event-loop
+//! thread per replica.
 //!
 //! The single-shot instantiation of the replica host (`crate::host`): each
 //! replica owns a listener socket (an OS-assigned loopback port by
@@ -8,7 +9,7 @@
 //! verification decides what to trust, exactly as in the simulator — and
 //! the decision fan-in.
 
-use crate::host::{bind_listeners, wire_id, FrameKind, Host, NetPolicy};
+use crate::host::{bind_listeners, wire_id, FrameKind, Host};
 use probft_core::config::{ProbftConfig, SharedConfig};
 use probft_core::message::Message;
 use probft_core::replica::{Decision, Replica};
@@ -141,7 +142,6 @@ impl ClusterBuilder {
         let keyring = Keyring::generate(self.n, &self.seed.to_be_bytes());
         let public = Arc::new(keyring.public());
         let shutdown = Arc::new(AtomicBool::new(false));
-        let net = Arc::new(NetPolicy::default());
         let (decision_tx, decision_rx) = mpsc::channel::<(usize, Decision)>();
 
         // Bind all listeners up front (collecting the OS-assigned
@@ -163,10 +163,9 @@ impl ClusterBuilder {
                 .clone();
             let public = public.clone();
             let decision_tx = decision_tx.clone();
-            let (addrs, shutdown, net, obs) =
-                (addrs.clone(), shutdown.clone(), net.clone(), obs.clone());
+            let (addrs, shutdown, obs) = (addrs.clone(), shutdown.clone(), obs.clone());
             handles.push(thread::spawn(move || {
-                let mut host = Host::new(i, addrs, shutdown, net, obs, encode_peer_frame);
+                let mut host = Host::new(i, addrs, shutdown, obs, encode_peer_frame);
                 host.listen(listener, move |frame, _| parse_peer_frame(frame, n));
                 let mut replica = Replica::new(
                     cfg,

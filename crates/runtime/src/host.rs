@@ -2,10 +2,11 @@
 //! sockets and the wall clock, shared by both cluster shapes.
 //!
 //! A [`Host`] owns a replica's lazily connected peer sockets (and the
-//! boot-window/steady-state connect policy), its timer heap, the
-//! [`NetPolicy`] consultation with the delayed-frame heap behind it, the
-//! per-kind outbound byte counters, and the accept loop whose reader
-//! threads turn inbound frames into events. [`Host::drive`] is the single
+//! boot-window/steady-state connect policy), its timer heap, the per-kind
+//! outbound byte counters, and the accept loop whose reader threads turn
+//! inbound frames into events. It models no network of its own: a frame
+//! is encoded, counted and written, and link faults (drops, partitions,
+//! jitter) are the simulator's `DelayModel`s. [`Host::drive`] is the single
 //! place a process's [`Action`]s are interpreted: build a detached
 //! [`Context`], let the caller poke the process, drain, and apply the
 //! sends and timers. The only things a cluster shape supplies are its
@@ -22,152 +23,13 @@ use probft_simnet::time::SimTime;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::{Duration, Instant};
-
-/// A nemesis rule for one directed replica-to-replica link.
-///
-/// Rules are *directed*: a rule on `(a, b)` affects only frames a sends
-/// toward b, so asymmetric partitions (a cannot reach b, but b still
-/// reaches a) are expressed by installing a rule on one direction only.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct LinkRule {
-    /// Drop every frame on this link (a hard partition of the direction).
-    pub drop: bool,
-    /// Minimum added delivery latency per frame.
-    pub delay_min: Duration,
-    /// Maximum added delivery latency per frame. With `delay_max >
-    /// delay_min` each frame's extra latency is drawn uniformly from the
-    /// range by a deterministic per-frame hash — simnet's `Uniform` delay
-    /// model ported to real sockets (jitter reorders frames exactly the
-    /// way a real network would).
-    pub delay_max: Duration,
-}
-
-impl LinkRule {
-    /// A rule that drops everything on the link.
-    pub fn blackhole() -> Self {
-        LinkRule {
-            drop: true,
-            ..LinkRule::default()
-        }
-    }
-
-    /// A rule adding `min..=max` of latency to every frame on the link.
-    pub fn latency(min: Duration, max: Duration) -> Self {
-        LinkRule {
-            drop: false,
-            delay_min: min,
-            delay_max: max.max(min),
-        }
-    }
-}
-
-/// What the [`NetPolicy`] says to do with one outbound peer frame.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LinkDecision {
-    /// Write the frame now.
-    Deliver,
-    /// Discard the frame (partitioned link).
-    Drop,
-    /// Hold the frame and write it after the given delay.
-    Delay(Duration),
-}
-
-/// Cluster-wide per-link fault rules, shared by every replica's event
-/// loop and mutated live by the nemesis harness (via
-/// [`LiveSmrCluster::net`](crate::LiveSmrCluster::net)). Only
-/// replica-to-replica traffic consults it; client connections are outside
-/// its reach, exactly like a real switch fabric sitting between the
-/// replicas.
-#[derive(Debug, Default)]
-pub struct NetPolicy {
-    /// Directed link rules, by `(from, to)`.
-    rules: Mutex<BTreeMap<(usize, usize), LinkRule>>,
-    /// Frames discarded by drop rules.
-    dropped: AtomicU64,
-    /// Frames held back by latency rules.
-    delayed: AtomicU64,
-    /// Monotone per-frame counter feeding the deterministic jitter hash.
-    frames: AtomicU64,
-    /// Seed for the jitter hash (the cluster/nemesis seed).
-    seed: AtomicU64,
-}
-
-impl NetPolicy {
-    /// Installs `rule` on the directed link `from → to`.
-    pub fn set_link(&self, from: usize, to: usize, rule: LinkRule) {
-        if let Ok(mut rules) = self.rules.lock() {
-            rules.insert((from, to), rule);
-        }
-    }
-
-    /// Removes every rule — the fully healed network.
-    pub fn heal(&self) {
-        if let Ok(mut rules) = self.rules.lock() {
-            rules.clear();
-        }
-    }
-
-    /// Frames discarded by drop rules so far.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::SeqCst)
-    }
-
-    /// Frames held back by latency rules so far.
-    pub fn delayed(&self) -> u64 {
-        self.delayed.load(Ordering::SeqCst)
-    }
-
-    /// Seeds the deterministic per-frame jitter hash.
-    pub fn reseed(&self, seed: u64) {
-        self.seed.store(seed, Ordering::SeqCst);
-    }
-
-    /// What to do with one frame on `from → to`, per the installed rules.
-    /// Latency is sampled by hashing `(seed, from, to, frame counter)` —
-    /// no shared RNG, so two runs with the same seed and the same send
-    /// interleaving delay identically.
-    pub fn decide(&self, from: usize, to: usize) -> LinkDecision {
-        let rule = match self.rules.lock() {
-            Ok(rules) => match rules.get(&(from, to)) {
-                Some(rule) => *rule,
-                None => return LinkDecision::Deliver,
-            },
-            Err(_) => return LinkDecision::Deliver,
-        };
-        if rule.drop {
-            self.dropped.fetch_add(1, Ordering::SeqCst);
-            return LinkDecision::Drop;
-        }
-        if rule.delay_max.is_zero() {
-            return LinkDecision::Deliver;
-        }
-        let n = self.frames.fetch_add(1, Ordering::SeqCst);
-        let seed = self.seed.load(Ordering::SeqCst);
-        let span = micros(rule.delay_max.saturating_sub(rule.delay_min)).max(1);
-        let jitter = Duration::from_micros(
-            splitmix64(seed ^ (from as u64) << 40 ^ (to as u64) << 20 ^ n) % span,
-        );
-        self.delayed.fetch_add(1, Ordering::SeqCst);
-        LinkDecision::Delay(rule.delay_min + jitter)
-    }
-}
-
-/// SplitMix64 — the standard small deterministic mixer, here turning
-/// (seed, link, frame index) into per-frame jitter without any shared RNG
-/// state.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
 
 /// Whole microseconds in `d` — one simulator tick each — saturating.
 pub(crate) fn micros(d: Duration) -> u64 {
@@ -251,17 +113,12 @@ pub(crate) enum FrameKind {
     State,
 }
 
-/// One held-back frame: delivery instant, insertion sequence (FIFO tie
-/// break), destination replica index, encoded frame bytes.
-type HeldFrame = (Instant, u64, usize, Vec<u8>);
-
 /// One replica's sockets, timers and action loop. `M` is the hosted
 /// process's message type, `E` the event type its frame decoder produces.
 pub(crate) struct Host<M, E> {
     id: usize,
     addrs: Arc<Vec<SocketAddr>>,
     shutdown: Arc<AtomicBool>,
-    net: Arc<NetPolicy>,
     obs: Arc<Obs>,
     /// Sender id + message → charged counter and frame payload.
     encode: fn(usize, M) -> (FrameKind, Vec<u8>),
@@ -270,10 +127,6 @@ pub(crate) struct Host<M, E> {
     out_state: Counter,
     peers: Vec<Option<TcpStream>>,
     timers: BinaryHeap<Reverse<(Instant, TimerToken)>>,
-    /// Outbound frames held back by a [`LinkRule`]'s latency model,
-    /// ordered by delivery instant.
-    delayed: BinaryHeap<Reverse<HeldFrame>>,
-    delayed_seq: u64,
     rng: StdRng,
     started: Instant,
     /// Kept (not just cloned into the accept loop) so the channel outlives
@@ -295,7 +148,6 @@ impl<M, E: Send + 'static> Host<M, E> {
         id: usize,
         addrs: Arc<Vec<SocketAddr>>,
         shutdown: Arc<AtomicBool>,
-        net: Arc<NetPolicy>,
         obs: Arc<Obs>,
         encode: fn(usize, M) -> (FrameKind, Vec<u8>),
     ) -> Self {
@@ -305,7 +157,6 @@ impl<M, E: Send + 'static> Host<M, E> {
             peers: addrs.iter().map(|_| None).collect(),
             addrs,
             shutdown,
-            net,
             // One registry lookup per kind here instead of one per frame.
             out_peer: obs.frame_bytes_out("peer"),
             out_checkpoint: obs.frame_bytes_out("checkpoint"),
@@ -313,8 +164,6 @@ impl<M, E: Send + 'static> Host<M, E> {
             obs,
             encode,
             timers: BinaryHeap::new(),
-            delayed: BinaryHeap::new(),
-            delayed_seq: 0,
             rng: StdRng::seed_from_u64(0x11FE ^ id as u64),
             started: Instant::now(),
             event_tx,
@@ -399,9 +248,8 @@ impl<M, E: Send + 'static> Host<M, E> {
         }
     }
 
-    /// Fires `process`'s due timers, releases latency-held frames that
-    /// came due, then waits for the next inbound event — at most until the
-    /// next timer deadline or held-frame release, and never longer than
+    /// Fires `process`'s due timers, then waits for the next inbound event
+    /// — at most until the next timer deadline, and never longer than
     /// [`IDLE_WAIT`]. `None` means the wait ended without an event.
     pub(crate) fn next_event<P: Process<Message = M>>(&mut self, process: &mut P) -> Option<E> {
         while let Some(Reverse((deadline, token))) = self.timers.peek().copied() {
@@ -411,22 +259,9 @@ impl<M, E: Send + 'static> Host<M, E> {
             self.timers.pop();
             self.drive(|ctx| process.on_timer(token, ctx));
         }
-        while let Some(Reverse((at, ..))) = self.delayed.peek() {
-            if *at > Instant::now() {
-                break;
-            }
-            let Some(Reverse((_, _, to, frame))) = self.delayed.pop() else {
-                break;
-            };
-            self.write_peer(to, &frame);
-        }
-        let until = |at: Instant| at.saturating_duration_since(Instant::now());
-        let timer = self.timers.peek().map(|Reverse((at, _))| until(*at));
-        let held = self.delayed.peek().map(|Reverse((at, ..))| until(*at));
-        let wait = [timer, held]
-            .into_iter()
-            .flatten()
-            .fold(IDLE_WAIT, Duration::min);
+        let wait = self.timers.peek().map_or(IDLE_WAIT, |Reverse((at, _))| {
+            at.saturating_duration_since(Instant::now()).min(IDLE_WAIT)
+        });
         self.events.recv_timeout(wait).ok()
     }
 
@@ -448,51 +283,23 @@ impl<M, E: Send + 'static> Host<M, E> {
         }
     }
 
-    /// Encodes `msg` and sends it toward replica `to` as the [`NetPolicy`]
-    /// directs: now, never, or from the delayed-frame heap later.
+    /// Encodes `msg`, charges it to its byte counter and writes it to peer
+    /// `to`, (re)connecting as needed.
     fn send(&mut self, to: usize, msg: M) {
         if to >= self.addrs.len() {
             return;
         }
         let (kind, frame) = (self.encode)(self.id, msg);
-        let decision = self.net.decide(self.id, to);
-        if decision != LinkDecision::Drop {
-            match kind {
-                FrameKind::Peer => &self.out_peer,
-                FrameKind::Checkpoint => &self.out_checkpoint,
-                FrameKind::State => &self.out_state,
-            }
-            .add(frame.len() as u64);
+        match kind {
+            FrameKind::Peer => &self.out_peer,
+            FrameKind::Checkpoint => &self.out_checkpoint,
+            FrameKind::State => &self.out_state,
         }
-        match decision {
-            LinkDecision::Drop => {}
-            LinkDecision::Deliver => self.write_peer(to, &frame),
-            LinkDecision::Delay(by) => {
-                // Per-link FIFO order is preserved: a later frame on the
-                // same link never gets a deadline that sorts before an
-                // earlier one already enqueued.
-                let due = Instant::now() + by;
-                let at = self
-                    .delayed
-                    .iter()
-                    .filter(|Reverse((_, _, dest, _))| *dest == to)
-                    .map(|Reverse((at, ..))| *at)
-                    .max()
-                    .map_or(due, |tail| tail.max(due));
-                self.delayed_seq = self.delayed_seq.saturating_add(1);
-                self.delayed
-                    .push(Reverse((at, self.delayed_seq, to, frame)));
-            }
-        }
-    }
-
-    /// Writes one already-encoded frame to peer `to`, (re)connecting as
-    /// needed.
-    fn write_peer(&mut self, to: usize, frame: &[u8]) {
+        .add(frame.len() as u64);
         let Some(stream) = self.connect_peer(to) else {
             return;
         };
-        match write_frame(stream, frame) {
+        match write_frame(stream, &frame) {
             Ok(()) => {}
             // An unsendable frame (e.g. a snapshot beyond the transport's
             // MAX_FRAME cap) wrote nothing: the link is healthy and also
@@ -696,6 +503,87 @@ mod tests {
             assert_eq!(torn, 0);
             assert_eq!(events, 0, "no rejected frame may reach the replica");
         }
+    }
+
+    /// Well-formed SMR frames the decoder must still refuse: replica
+    /// traffic claiming a sender outside the cluster (`from ≥ n`, the
+    /// boundary included, and a checkpoint vote signed as such a replica),
+    /// and replies sent *to* a replica. Each decodes, so what rejects it
+    /// is the sender check, not the tag or length checks; each is counted
+    /// malformed and none reaches the replica. (The single-shot decoder
+    /// reads the tag byte as the top of an out-of-range sender id.)
+    #[test]
+    fn frames_from_outside_the_cluster_are_counted_not_forwarded() {
+        use crate::live::{SmrFrame, SmrReply};
+        use probft_core::config::View;
+        use probft_core::message::{Message, Wish, WishBody};
+        use probft_core::wire::Wire;
+        use probft_crypto::keyring::Keyring;
+        use probft_crypto::sha256::Sha256;
+        use probft_quorum::ReplicaId;
+        use probft_smr::{
+            CheckpointBody, CheckpointVote, KvResponse, KvStore, SlotMessage, StateReply,
+            StateRequest,
+        };
+
+        // Replica 4 of a 5-key ring: a real signature, one past a 4-cluster.
+        let keyring = Keyring::generate(5, b"outsider");
+        let outsider = keyring.signing_key(4).expect("in range");
+        let wish = Wish::sign(
+            outsider,
+            WishBody {
+                sender: ReplicaId(4),
+                view: View(2),
+            },
+        );
+        let request = probft_smr::RequestId { client: 1, seq: 1 };
+        let frames: Vec<SmrFrame<KvStore>> = vec![
+            SmrFrame::Peer {
+                from: 4,
+                msg: SlotMessage {
+                    slot: 0,
+                    inner: Message::Wish(wish),
+                },
+            },
+            SmrFrame::StateRequest {
+                from: 4,
+                req: StateRequest { min_slot: 8 },
+            },
+            SmrFrame::StateReply {
+                from: u32::MAX,
+                rep: StateReply {
+                    slot: 8,
+                    snapshot: Vec::new(),
+                    certificate: Vec::new(),
+                },
+            },
+            SmrFrame::CheckpointVote(CheckpointVote::sign(
+                outsider,
+                CheckpointBody {
+                    from: ReplicaId(4),
+                    slot: 8,
+                    digest: Sha256::digest(b"snapshot"),
+                },
+            )),
+            SmrFrame::Reply(SmrReply::Applied {
+                request,
+                response: KvResponse::Prev(None),
+            }),
+            SmrFrame::ReadReply {
+                request,
+                response: KvResponse::Value(None),
+            },
+        ];
+        let bytes: Vec<Vec<u8>> = frames.iter().map(|f| f.to_wire_bytes()).collect();
+        for frame in &bytes {
+            assert!(SmrFrame::<KvStore>::from_wire_bytes(frame).is_ok());
+        }
+        let counts = feed(|peer| {
+            for frame in &bytes {
+                write_frame(peer, frame).expect("frame written");
+            }
+        });
+        assert_eq!(counts, [(bytes.len() as u64, 0, 0); 2]);
     }
 
     /// Regression: the replica index was narrowed to `u16` before the

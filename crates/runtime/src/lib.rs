@@ -11,10 +11,12 @@
 //! actions against sockets and the wall clock.
 //!
 //! There is one replica host — peer sockets and connect policy, timer
-//! heap, action applier, [`NetPolicy`] fault rules, accept loop and reader
-//! loop, all counting into the replica's `probft-obs` registry — generic
-//! over the hosted [`Process`]'s message type, and it has two
-//! instantiations that differ only in their frame codec.
+//! heap, action applier, accept loop and reader loop, all counting into
+//! the replica's `probft-obs` registry — generic over the hosted
+//! [`Process`]'s message type, and it has two instantiations that differ
+//! only in their frame codec. The host writes what the process sends and
+//! models no network of its own: link faults (partitions, drops, jitter)
+//! belong to the simulator's delay models, where they replay from a seed.
 //! [`ClusterBuilder`] hosts one [`Replica`] per thread and runs a single
 //! consensus instance to decision. [`LiveSmrBuilder`] hosts an `SmrNode`
 //! and adds the client side: full state-machine replication of any
@@ -26,8 +28,8 @@
 //! log). With a checkpoint interval set, replicas exchange signed
 //! checkpoint attestations, truncate their logs behind stable checkpoints,
 //! and bring laggards back by snapshot state transfer over dedicated wire
-//! frames; `LiveSmrCluster::pause`/`resume` provide crash/partition fault
-//! injection for exercising exactly that.
+//! frames; `LiveSmrCluster::pause`/`resume` stall and revive a replica
+//! for exercising exactly that.
 //!
 //! [`Replica`]: probft_core::replica::Replica
 //! [`Process`]: probft_simnet::process::Process
@@ -35,9 +37,10 @@
 //! [`Context::drain_actions`]: probft_simnet::process::Context::drain_actions
 //!
 //! `tokio` is not available in this offline build environment (see
-//! DESIGN.md, "Substitutions"); the thread-per-connection design over
-//! `std::net` provides equivalent message-passing semantics for
-//! laptop-scale clusters, which is all the paper's evaluation needs.
+//! DESIGN.md, "Substitutions"); blocking `std::net` sockets with an event
+//! loop per replica and a reader thread per connection provide equivalent
+//! message-passing semantics for laptop-scale clusters, which is all the
+//! paper's evaluation needs.
 //!
 //! Virtual-time convention: one simulator tick = one microsecond of wall
 //! time (so the default 50 ms base view timeout carries over sensibly).
@@ -85,9 +88,6 @@ pub mod transport;
 
 pub use client::{ClientError, SmrClient};
 pub use cluster::{ClusterBuilder, ClusterError};
-pub use live::{
-    LinkDecision, LinkRule, LiveSmrBuilder, LiveSmrCluster, NetPolicy, ReplicaReport, SmrFrame,
-    SmrReply,
-};
+pub use live::{LiveSmrBuilder, LiveSmrCluster, ReplicaReport, SmrFrame, SmrReply};
 pub use nemesis::{execute, verify_exactly_once, verify_invariants, Fault, FaultPlan, NemesisRun};
 pub use transport::{read_frame, write_frame, FrameError};

@@ -51,12 +51,10 @@ use probft_smr::{
 };
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
-
-pub use crate::host::{LinkDecision, LinkRule, NetPolicy};
 
 /// One frame of the live SMR wire protocol, typed by the replicated
 /// [`StateMachine`]. Self-describing, so replicas and clients share a
@@ -408,7 +406,6 @@ pub struct LiveSmrBuilder<S: StateMachine = KvStore> {
     seed: u64,
     base_port: Option<u16>,
     pipeline_depth: usize,
-    batch_size: usize,
     checkpoint_interval: usize,
     max_pending: usize,
     _machine: std::marker::PhantomData<S>,
@@ -416,7 +413,7 @@ pub struct LiveSmrBuilder<S: StateMachine = KvStore> {
 
 impl LiveSmrBuilder<KvStore> {
     /// Starts building an `n`-replica live KV cluster on OS-assigned
-    /// loopback ports, pipeline depth 4, batch size 8.
+    /// loopback ports, pipeline depth 4.
     pub fn new(n: usize) -> Self {
         Self::for_machine(n)
     }
@@ -432,7 +429,6 @@ impl<S: StateMachine> LiveSmrBuilder<S> {
             seed: 1,
             base_port: None,
             pipeline_depth: 4,
-            batch_size: 8,
             checkpoint_interval: 0,
             max_pending: 0,
             _machine: std::marker::PhantomData,
@@ -461,10 +457,9 @@ impl<S: StateMachine> LiveSmrBuilder<S> {
     /// Has no effect: a live cluster always batches adaptively
     /// ([`SmrSettings::live`]), sizing each batch from the observed
     /// pending-queue depth up to [`MAX_BATCH`](probft_smr::MAX_BATCH), and
-    /// that rule never reads the static `batch_size` cap. The value is
-    /// stored in the settings and the setter is kept for its callers.
-    pub fn batch_size(mut self, batch: usize) -> Self {
-        self.batch_size = batch.max(1);
+    /// that rule has no static cap to set. The setter is kept, and the
+    /// value dropped, because the frozen benchmark calls it.
+    pub fn batch_size(self, _batch: usize) -> Self {
         self
     }
 
@@ -506,7 +501,7 @@ impl<S: StateMachine> LiveSmrBuilder<S> {
         let keyring = Keyring::generate(self.n, &self.seed.to_be_bytes());
         let public = Arc::new(keyring.public());
         let shutdown = Arc::new(AtomicBool::new(false));
-        let mut settings = SmrSettings::live(self.pipeline_depth, self.batch_size);
+        let mut settings = SmrSettings::live(self.pipeline_depth);
         settings.checkpoint_interval = self.checkpoint_interval;
         settings.max_pending = self.max_pending;
 
@@ -515,9 +510,7 @@ impl<S: StateMachine> LiveSmrBuilder<S> {
         let addrs = Arc::new(addrs);
         let n = self.n;
 
-        let net = Arc::new(NetPolicy::default());
-        net.reseed(self.seed);
-        let watches: Vec<Arc<ReplicaWatch>> = (0..n).map(|_| Arc::default()).collect();
+        let paused: Vec<Arc<AtomicBool>> = (0..n).map(|_| Arc::default()).collect();
         // One telemetry bundle per replica, created up front so the
         // cluster handle (and through it the nemesis) shares the exact
         // registry and journal the replica thread records into.
@@ -526,16 +519,16 @@ impl<S: StateMachine> LiveSmrBuilder<S> {
             .collect();
 
         let mut handles = Vec::with_capacity(n);
-        let per_replica = listeners.into_iter().zip(&watches).zip(&obs_handles);
-        for (i, ((listener, watch), obs)) in per_replica.enumerate() {
+        let per_replica = listeners.into_iter().zip(&paused).zip(&obs_handles);
+        for (i, ((listener, paused), obs)) in per_replica.enumerate() {
             let cfg = cfg.clone();
             let sk = keyring
                 .signing_key(i)
                 .map_err(|_| ClusterError::Config("keyring shorter than cluster size"))?
                 .clone();
             let public = public.clone();
-            let (addrs, shutdown, net) = (addrs.clone(), shutdown.clone(), net.clone());
-            let (watch, obs) = (watch.clone(), obs.clone());
+            let (addrs, shutdown) = (addrs.clone(), shutdown.clone());
+            let (paused, obs) = (paused.clone(), obs.clone());
             handles.push(thread::spawn(move || {
                 let mut node: SmrNode<S> = SmrNode::new(
                     cfg,
@@ -547,9 +540,9 @@ impl<S: StateMachine> LiveSmrBuilder<S> {
                 );
                 node.set_obs(obs.clone());
                 let decode = smr_decoder::<S>(n, &obs);
-                let mut host = Host::new(i, addrs, shutdown, net, obs, encode_smr_message::<S>);
+                let mut host = Host::new(i, addrs, shutdown, obs, encode_smr_message::<S>);
                 host.listen(listener, decode);
-                smr_replica_main(node, host, &watch)
+                smr_replica_main(node, host, &paused)
             }));
         }
 
@@ -558,23 +551,11 @@ impl<S: StateMachine> LiveSmrBuilder<S> {
             addrs,
             shutdown,
             handles,
-            watches,
-            net,
+            paused,
             keyring,
             obs: obs_handles,
         })
     }
-}
-
-/// What a replica thread publishes for the cluster handle to read, and
-/// the one flag the handle sets for the thread.
-#[derive(Debug, Default)]
-struct ReplicaWatch {
-    /// Applied-log length, for the quiescence wait at shutdown.
-    applied_len: AtomicU64,
-    /// Fault injection: a paused replica drops everything it receives and
-    /// sends nothing, like a partitioned or stalled process.
-    paused: AtomicBool,
 }
 
 /// A running live SMR cluster. Dropping without calling
@@ -587,11 +568,9 @@ pub struct LiveSmrCluster<S: StateMachine = KvStore> {
     handles: Vec<thread::JoinHandle<ReplicaReport<S>>>,
     /// The configuration every replica runs under.
     cfg: SharedConfig,
-    /// Per-replica progress and pause flag.
-    watches: Vec<Arc<ReplicaWatch>>,
-    /// Per-link network fault policy every replica's outbound path
-    /// consults (fault injection: partitions, latency, jitter).
-    net: Arc<NetPolicy>,
+    /// Per-replica pause flag (fault injection: a paused replica drops
+    /// everything it receives and sends nothing, like a stalled process).
+    paused: Vec<Arc<AtomicBool>>,
     /// The cluster's keyring (fault injection: lets a live Byzantine
     /// agent sign protocol-valid equivocation with a real replica's key —
     /// the deployment-secret analogue of the sim's in-process adversary).
@@ -614,12 +593,10 @@ impl<S: StateMachine> LiveSmrCluster<S> {
         crate::client::SmrClient::new(self.addrs.to_vec(), client_id)
     }
 
-    /// Per-replica applied-log lengths right now (indexed by replica id).
+    /// Per-replica applied-log lengths right now (indexed by replica id):
+    /// each replica's `log_len` gauge.
     pub fn applied_lens(&self) -> Vec<u64> {
-        self.watches
-            .iter()
-            .map(|w| w.applied_len.load(Ordering::SeqCst))
-            .collect()
+        self.obs.iter().map(|o| o.log_len.get()).collect()
     }
 
     /// Stalls replica `i`: it stops firing timers, sends nothing, and
@@ -627,8 +604,8 @@ impl<S: StateMachine> LiveSmrCluster<S> {
     /// or partition to the rest of the cluster. Fault injection for
     /// tests and experiments; a no-op for out-of-range ids.
     pub fn pause(&self, i: usize) {
-        if let Some(watch) = self.watches.get(i) {
-            watch.paused.store(true, Ordering::SeqCst);
+        if let Some(paused) = self.paused.get(i) {
+            paused.store(true, Ordering::SeqCst);
         }
     }
 
@@ -636,26 +613,17 @@ impl<S: StateMachine> LiveSmrCluster<S> {
     /// had when paused; if the cluster moved past a stable checkpoint in
     /// the meantime, it catches up by snapshot state transfer.
     pub fn resume(&self, i: usize) {
-        if let Some(watch) = self.watches.get(i) {
-            watch.paused.store(false, Ordering::SeqCst);
+        if let Some(paused) = self.paused.get(i) {
+            paused.store(false, Ordering::SeqCst);
         }
     }
 
     /// Whether replica `i` is currently [`pause`](Self::pause)d (false
     /// for out-of-range ids).
     pub fn is_paused(&self, i: usize) -> bool {
-        self.watches
+        self.paused
             .get(i)
-            .is_some_and(|watch| watch.paused.load(Ordering::SeqCst))
-    }
-
-    /// The per-link network fault policy: drop rules build (asymmetric)
-    /// partitions, latency rules inject deterministic jitter. Every
-    /// replica's outbound peer path consults it; client connections are
-    /// deliberately unaffected (the nemesis attacks the cluster, not the
-    /// observer).
-    pub fn net(&self) -> &NetPolicy {
-        &self.net
+            .is_some_and(|paused| paused.load(Ordering::SeqCst))
     }
 
     /// The id the (unpaused) cluster currently believes leads: the leader
@@ -671,8 +639,8 @@ impl<S: StateMachine> LiveSmrCluster<S> {
     /// nemesis target "the leader", and forge in the view slots run in).
     pub fn current_view(&self) -> View {
         let mut votes: BTreeMap<u64, usize> = BTreeMap::new();
-        for (watch, obs) in self.watches.iter().zip(&self.obs) {
-            if !watch.paused.load(Ordering::SeqCst) {
+        for (paused, obs) in self.paused.iter().zip(&self.obs) {
+            if !paused.load(Ordering::SeqCst) {
                 *votes.entry(obs.view.get()).or_default() += 1;
             }
         }
@@ -745,10 +713,11 @@ impl<S: StateMachine> LiveSmrCluster<S> {
         let mut stable: Option<(Vec<u64>, Instant)> = None;
         while Instant::now() < deadline {
             let lens: Vec<u64> = self
-                .watches
+                .paused
                 .iter()
-                .filter(|w| !w.paused.load(Ordering::SeqCst))
-                .map(|w| w.applied_len.load(Ordering::SeqCst))
+                .zip(&self.obs)
+                .filter(|(paused, _)| !paused.load(Ordering::SeqCst))
+                .map(|(_, obs)| obs.log_len.get())
                 .collect();
             let all_equal = lens.iter().zip(lens.iter().skip(1)).all(|(a, b)| a == b);
             match &stable {
@@ -891,7 +860,7 @@ pub(crate) fn smr_decoder<S: StateMachine>(
 fn smr_replica_main<S: StateMachine>(
     mut node: SmrNode<S>,
     mut host: Host<SmrMessage, SmrEvent<S>>,
-    watch: &ReplicaWatch,
+    paused: &AtomicBool,
 ) -> ReplicaReport<S> {
     let id = host.id();
     let obs = host.obs().clone();
@@ -932,7 +901,7 @@ fn smr_replica_main<S: StateMachine>(
     host.drive(|ctx| node.on_start(ctx));
 
     while host.running() {
-        if watch.paused.load(Ordering::SeqCst) {
+        if paused.load(Ordering::SeqCst) {
             // Fault injection: a paused replica is a partitioned process.
             // Discard whatever arrives, fire nothing, send nothing.
             host.discard_events();
@@ -1041,9 +1010,6 @@ fn smr_replica_main<S: StateMachine>(
         if !waiting.is_empty() {
             waiting.retain(|_, (_, since)| since.elapsed() < WAITER_TTL);
         }
-        watch
-            .applied_len
-            .store(node.total_log_len(), Ordering::SeqCst);
     }
 
     // Join the accept loop and every reader before reporting, so shutdown

@@ -1,9 +1,12 @@
 //! Jepsen-style nemesis harness for the live SMR cluster.
 //!
-//! A [`FaultPlan`] is a seeded, schedulable list of faults — leader
-//! kills, asymmetric per-link partitions, latency/jitter injection, and
-//! live Byzantine agents replaying the simulator's equivocation and
-//! far-future slot-spray adversaries over real sockets. [`execute`]
+//! A [`FaultPlan`] is a seeded, schedulable list of faults — process
+//! faults (leader kills, pauses, resumes) and live Byzantine agents
+//! replaying the simulator's equivocation and far-future slot-spray
+//! adversaries over real sockets, through the replicas' real frame
+//! decoder. Link faults — partitions, drops, jitter — are not here: they
+//! are the simulator's `DelayModel`s, run deterministically against
+//! `SmrNode`s in virtual time (`crates/smr/tests/link_faults.rs`). [`execute`]
 //! walks the plan against a running [`LiveSmrCluster`] while client
 //! threads hammer it, recording a transcript; afterwards
 //! [`verify_invariants`] sweeps the shutdown [`ReplicaReport`]s for the
@@ -14,10 +17,9 @@
 //! when a view-change re-proposal races a client retry; double
 //! execution never is).
 //!
-//! Determinism-where-possible: the plan's schedule is fixed, the fault
-//! payloads (equivocating values, sprayed slots) derive from the seed,
-//! and the cluster's own latency jitter is a seeded hash
-//! ([`NetPolicy::reseed`]) — only thread interleaving varies run to run.
+//! Determinism-where-possible: the plan's schedule is fixed and the fault
+//! payloads (equivocating values, sprayed slots) derive from the seed —
+//! only thread interleaving varies run to run.
 //! Failures must surface the seed so a CI artifact reproduces locally;
 //! [`NemesisRun::transcript`] starts with a `seed=` line for exactly
 //! that.
@@ -41,7 +43,7 @@
 //! });
 //! ```
 
-use crate::live::{LinkRule, LiveSmrCluster, ReplicaReport, SmrFrame};
+use crate::live::{LiveSmrCluster, ReplicaReport, SmrFrame};
 use crate::transport::write_frame;
 use probft_core::config::View;
 use probft_core::message::{Message, NewLeader, NewLeaderBody, Propose, Wish, WishBody};
@@ -68,31 +70,6 @@ pub enum Fault {
     Resume(usize),
     /// Resume every replica.
     ResumeAll,
-    /// Install a directed blackhole: frames from `from` to `to` are
-    /// silently discarded (the reverse direction still flows — an
-    /// *asymmetric* partition).
-    Isolate {
-        /// Sending side of the dead link.
-        from: usize,
-        /// Receiving side of the dead link.
-        to: usize,
-    },
-    /// Inject seeded latency jitter on the directed link `from → to`:
-    /// each frame is held for a uniform duration in `[min, max]` sampled
-    /// from the cluster's deterministic jitter stream (the live analogue
-    /// of simnet's `Uniform` delay model).
-    Jitter {
-        /// Sending side of the slowed link.
-        from: usize,
-        /// Receiving side of the slowed link.
-        to: usize,
-        /// Shortest per-frame hold.
-        min: Duration,
-        /// Longest per-frame hold.
-        max: Duration,
-    },
-    /// Clear every link rule (partitions and jitter both).
-    Heal,
     /// A live Byzantine agent equivocates with the current leader's
     /// signing key: two conflicting, correctly signed proposals for the
     /// same in-horizon slot, one sent to each half of the cluster — the
@@ -218,27 +195,6 @@ fn apply_fault<S: StateMachine>(cluster: &LiveSmrCluster<S>, fault: &Fault, seed
             }
             cluster.note_fault_lifted("resume-all");
             "resume-all".into()
-        }
-        Fault::Isolate { from, to } => {
-            cluster.note_fault("isolate", false);
-            cluster.net().set_link(*from, *to, LinkRule::blackhole());
-            format!("isolate: blackhole {from} -> {to}")
-        }
-        Fault::Jitter { from, to, min, max } => {
-            cluster.note_fault("jitter", false);
-            cluster
-                .net()
-                .set_link(*from, *to, LinkRule::latency(*min, *max));
-            format!(
-                "jitter: {from} -> {to} held {}..{}ms per frame",
-                min.as_millis(),
-                max.as_millis()
-            )
-        }
-        Fault::Heal => {
-            cluster.net().heal();
-            cluster.note_fault_lifted("heal");
-            "heal: all link rules cleared".into()
         }
         Fault::Equivocate => {
             cluster.note_fault("equivocate", false);
@@ -524,16 +480,11 @@ mod tests {
     fn plan_events_fire_in_offset_order() {
         let plan = FaultPlan::new(7)
             .at(Duration::from_millis(50), Fault::ResumeAll)
-            .at(Duration::from_millis(10), Fault::KillLeader)
-            .at(Duration::from_millis(30), Fault::Heal);
+            .at(Duration::from_millis(10), Fault::KillLeader);
         let order: Vec<Duration> = plan.events().into_iter().map(|(at, _)| at).collect();
         assert_eq!(
             order,
-            vec![
-                Duration::from_millis(10),
-                Duration::from_millis(30),
-                Duration::from_millis(50)
-            ]
+            vec![Duration::from_millis(10), Duration::from_millis(50)]
         );
         assert_eq!(plan.seed(), 7);
     }

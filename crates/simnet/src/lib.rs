@@ -37,5 +37,5 @@ pub mod time;
 pub use delay::{DelayModel, Fixed, HealingPartition, Lossy, PartialSynchrony, Uniform};
 pub use metrics::{KindStats, Measurable, MessageMetrics};
 pub use process::{Action, Context, Process, ProcessId, TimerToken};
-pub use sim::{RunOutcome, Simulation, TraceEvent};
+pub use sim::{RunOutcome, Simulation};
 pub use time::{SimDuration, SimTime};

@@ -55,42 +55,6 @@ impl<M> Ord for QueuedEvent<M> {
     }
 }
 
-/// A recorded simulation event, for debugging and test assertions.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum TraceEvent {
-    /// A message was delivered.
-    Delivered {
-        /// Delivery time.
-        at: SimTime,
-        /// Sender.
-        from: ProcessId,
-        /// Receiver.
-        to: ProcessId,
-        /// Message kind tag.
-        kind: &'static str,
-    },
-    /// A timer fired.
-    TimerFired {
-        /// Firing time.
-        at: SimTime,
-        /// Owner process.
-        process: ProcessId,
-        /// The token it was set with.
-        token: TimerToken,
-    },
-    /// A message was dropped (lossy network or dead receiver).
-    Dropped {
-        /// Time of the drop decision.
-        at: SimTime,
-        /// Sender.
-        from: ProcessId,
-        /// Intended receiver.
-        to: ProcessId,
-        /// Message kind tag.
-        kind: &'static str,
-    },
-}
-
 /// Why a run loop returned.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RunOutcome {
@@ -150,7 +114,6 @@ pub struct Simulation<P: Process> {
     rng: StdRng,
     network: Box<dyn DelayModel>,
     metrics: MessageMetrics,
-    trace: Option<Vec<TraceEvent>>,
     started: bool,
     events_processed: u64,
 }
@@ -170,7 +133,6 @@ where
             rng: StdRng::seed_from_u64(seed),
             network: Box::new(network),
             metrics: MessageMetrics::new(),
-            trace: None,
             started: false,
             events_processed: 0,
         }
@@ -187,16 +149,6 @@ where
         self.processes.push(process);
         self.alive.push(true);
         id
-    }
-
-    /// Enables event tracing (off by default; costs memory on long runs).
-    pub fn enable_trace(&mut self) {
-        self.trace = Some(Vec::new());
-    }
-
-    /// The recorded trace, if tracing is enabled.
-    pub fn trace(&self) -> Option<&[TraceEvent]> {
-        self.trace.as_deref()
     }
 
     /// Current virtual time.
@@ -304,17 +256,7 @@ where
                                 },
                             );
                         }
-                        None => {
-                            self.metrics.record_drop(kind);
-                            if let Some(trace) = &mut self.trace {
-                                trace.push(TraceEvent::Dropped {
-                                    at: self.now,
-                                    from: origin,
-                                    to,
-                                    kind,
-                                });
-                            }
-                        }
+                        None => self.metrics.record_drop(kind),
                     }
                 }
                 Action::SetTimer { delay, token } => {
@@ -356,39 +298,16 @@ where
             EventKind::Deliver { to, from, msg } => {
                 if self.alive[to.index()] {
                     self.metrics.record_delivery(msg.kind());
-                    if let Some(trace) = &mut self.trace {
-                        trace.push(TraceEvent::Delivered {
-                            at: self.now,
-                            from,
-                            to,
-                            kind: msg.kind(),
-                        });
-                    }
                     let mut ctx = Context::new(to, self.now, &mut self.rng);
                     self.processes[to.index()].on_message(from, msg, &mut ctx);
                     let actions = std::mem::take(&mut ctx.actions);
                     self.flush_actions(to, actions);
                 } else {
                     self.metrics.record_drop(msg.kind());
-                    if let Some(trace) = &mut self.trace {
-                        trace.push(TraceEvent::Dropped {
-                            at: self.now,
-                            from,
-                            to,
-                            kind: msg.kind(),
-                        });
-                    }
                 }
             }
             EventKind::Timer { process, token } => {
                 if self.alive[process.index()] {
-                    if let Some(trace) = &mut self.trace {
-                        trace.push(TraceEvent::TimerFired {
-                            at: self.now,
-                            process,
-                            token,
-                        });
-                    }
                     let mut ctx = Context::new(process, self.now, &mut self.rng);
                     self.processes[process.index()].on_timer(token, &mut ctx);
                     let actions = std::mem::take(&mut ctx.actions);
@@ -469,6 +388,7 @@ impl<P: Process> fmt::Debug for Simulation<P> {
 mod tests {
     use super::*;
     use crate::delay::{Fixed, Lossy, Uniform};
+    use crate::metrics::KindStats;
     use crate::time::SimDuration;
 
     #[derive(Clone, Debug, PartialEq)]
@@ -555,14 +475,19 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
-        let mut a = two_process_sim(99);
-        let mut b = two_process_sim(99);
-        a.enable_trace();
-        b.enable_trace();
-        a.run_to_quiescence(1000);
-        b.run_to_quiescence(1000);
-        assert_eq!(a.trace(), b.trace());
-        assert_eq!(a.now(), b.now());
+        let run = || {
+            let mut sim = Simulation::new(
+                Uniform::new(SimDuration::from_ticks(1), SimDuration::from_ticks(100)),
+                99,
+            );
+            sim.add_process(PingPong::new(5));
+            sim.add_process(PingPong::new(0));
+            sim.run_to_quiescence(1000);
+            let kinds: Vec<(&str, KindStats)> =
+                sim.metrics().iter().map(|(k, s)| (k, *s)).collect();
+            (sim.now(), sim.events_processed(), kinds)
+        };
+        assert_eq!(run(), run());
     }
 
     #[test]

@@ -121,15 +121,6 @@ impl<S: StateMachine> SmrBuilder<S> {
         self
     }
 
-    /// Sizes batches from the observed pending-queue depth instead of
-    /// the static `batch_size` cap (off by default in the sim harness,
-    /// which predates the adaptive loop and keeps batch boundaries
-    /// reproducible for slot-level assertions).
-    pub fn adaptive_batching(mut self, on: bool) -> Self {
-        self.settings.adaptive_batching = on;
-        self
-    }
-
     /// Takes a checkpoint every `interval` applied slots (0 disables —
     /// the default). Stable checkpoints truncate each replica's resident
     /// command log, so long runs hold O(interval × batch) entries instead

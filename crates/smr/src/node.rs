@@ -142,36 +142,34 @@ pub struct SmrSettings {
     /// How many slots may run consensus concurrently (≥ 1; 1 reproduces
     /// the strictly sequential chain).
     pub pipeline_depth: usize,
-    /// Most entries a proposer packs into one slot's batch (≥ 1) —
-    /// *static batching only*: ignored when
-    /// [`adaptive_batching`](Self::adaptive_batching) is set, which sizes
-    /// every batch from the queue depth and caps it at
-    /// [`MAX_BATCH`] instead. [`SmrSettings::live`]
-    /// always sets it, so on a live cluster this field has no effect.
+    /// Most entries a proposer packs into one slot's batch (≥ 1) — the
+    /// workload mode's static cap, ignored in [`serving`](Self::serving)
+    /// mode, which sizes every batch from the queue depth and caps it at
+    /// [`MAX_BATCH`] instead.
     pub batch_size: usize,
-    /// Demand-driven slot opening (the live-cluster mode): a node opens a
-    /// slot only when it holds pending entries to propose, or when peer
-    /// traffic for an in-window slot arrives. With `false` (the simulator
-    /// workload mode) slots open eagerly up to the pipeline window until
-    /// `target_len` is reached.
-    pub lazy_open: bool,
+    /// Serving mode (the live cluster's; [`SmrSettings::live`]) instead of
+    /// workload mode (the simulator's). It changes two things.
+    ///
+    /// * **Demand-driven slot opening**: a node opens a slot only when it
+    ///   holds pending entries to propose, or when peer traffic for an
+    ///   in-window slot arrives. In workload mode slots open eagerly up to
+    ///   the pipeline window until `target_len` is reached.
+    /// * **Adaptive batching**: each proposed batch is sized from the
+    ///   *observed* pending-queue depth — targeting a drain of the whole
+    ///   queue across the slots the pipeline window can still open —
+    ///   instead of the static `batch_size` cap. Under light load batches
+    ///   stay small (one consensus round per operation, minimal latency);
+    ///   under a deep queue they grow up to the wire cap ([`MAX_BATCH`]),
+    ///   so throughput scales with offered load instead of collapsing into
+    ///   per-op rounds. The choice is proposer-local (followers decide on
+    ///   whatever value was proposed), so it never affects agreement.
+    pub serving: bool,
     /// Take a checkpoint every this many applied slots (0 disables the
     /// checkpoint subsystem). With a quorum of matching attestations the
     /// checkpoint becomes *stable*: the command log is truncated below it
     /// and laggards past the buffering horizon catch up by snapshot
     /// transfer instead of log replay.
     pub checkpoint_interval: usize,
-    /// Adaptive batching: size each proposed batch from the *observed*
-    /// pending-queue depth — targeting a drain of the whole queue across
-    /// the slots the pipeline window can still open — instead of always
-    /// packing up to the static `batch_size` cap. Under light load
-    /// batches stay small (one consensus round per operation, minimal
-    /// latency); under a deep queue they grow past `batch_size` up to the
-    /// wire cap ([`MAX_BATCH`](crate::MAX_BATCH)), so throughput scales
-    /// with offered load instead of collapsing into per-op rounds. The
-    /// choice is proposer-local (followers decide on whatever value was
-    /// proposed), so it never affects cross-replica agreement.
-    pub adaptive_batching: bool,
     /// Admission control: most entries the pending queue may hold before
     /// the node reports itself [`overloaded`](SmrNode::overloaded)
     /// (0 = unbounded). The live runtime sheds client submissions with an
@@ -188,28 +186,22 @@ impl SmrSettings {
             target_len,
             pipeline_depth: 1,
             batch_size: 1,
-            lazy_open: false,
+            serving: false,
             checkpoint_interval: 0,
-            adaptive_batching: false,
             max_pending: 0,
         }
     }
 
-    /// Open-ended, demand-driven replication for a live cluster serving
-    /// client traffic: no target length, slots open only for what actually
-    /// arrived, batches sized adaptively (`batch_size` is stored but not
-    /// read). Checkpointing starts disabled; set
-    /// [`checkpoint_interval`](Self::checkpoint_interval) to bound the
+    /// Open-ended [`serving`](Self::serving) replication for a live
+    /// cluster: no target length, slots open only for what actually
+    /// arrived, batches sized adaptively. Checkpointing starts disabled;
+    /// set [`checkpoint_interval`](Self::checkpoint_interval) to bound the
     /// resident log.
-    pub fn live(pipeline_depth: usize, batch_size: usize) -> Self {
+    pub fn live(pipeline_depth: usize) -> Self {
         SmrSettings {
-            target_len: usize::MAX,
             pipeline_depth,
-            batch_size,
-            lazy_open: true,
-            checkpoint_interval: 0,
-            adaptive_batching: true,
-            max_pending: 0,
+            serving: true,
+            ..SmrSettings::sequential(usize::MAX)
         }
         .normalized()
     }
@@ -505,12 +497,12 @@ impl<S: StateMachine> SmrNode<S> {
     }
 
     /// A client was turned away toward the leader. With nothing in flight
-    /// (lazy mode) that opens the next slot — work, so the view timer runs,
-    /// and if the leader stays silent this node's wish, tagged with the
-    /// slot, starts its peers' timers too. A live leader refutes it by
+    /// (serving mode) that opens the next slot — work, so the view timer
+    /// runs, and if the leader stays silent this node's wish, tagged with
+    /// the slot, starts its peers' timers too. A live leader refutes it by
     /// proposing the slot: one (possibly empty) slot, no view change.
     pub fn on_redirect(&mut self, ctx: &mut Context<'_, SmrMessage>) {
-        if self.settings.lazy_open && self.slots.is_empty() && !self.done() {
+        if self.settings.serving && self.slots.is_empty() && !self.done() {
             self.open_next_slot(ctx);
         }
     }
@@ -533,10 +525,9 @@ impl<S: StateMachine> SmrNode<S> {
     /// keeps the slot progressing without growing the log (the generic
     /// replacement for ordering filler no-ops).
     ///
-    /// With static batching the batch packs up to `batch_size` entries.
-    /// With [`adaptive_batching`](SmrSettings::adaptive_batching) the size
-    /// closes a feedback loop on the observed queue depth instead: each
-    /// batch takes `ceil(pending / slots the window can still open)`, so a
+    /// In workload mode the batch packs up to `batch_size` entries. In
+    /// [`serving`](SmrSettings::serving) mode the size closes a feedback
+    /// loop on the observed queue depth instead: each batch takes `ceil(pending / slots the window can still open)`, so a
     /// short queue spreads across the pipeline in small low-latency
     /// batches while a deep queue drains in batches that grow past the
     /// static cap (up to the wire limit) rather than falling behind one
@@ -549,7 +540,7 @@ impl<S: StateMachine> SmrNode<S> {
     /// entries wait for a view it leads.
     fn next_value(&mut self) -> (Value, usize) {
         let pending = if self.leads() { self.pending.len() } else { 0 };
-        let take = if self.settings.adaptive_batching {
+        let take = if self.settings.serving {
             // `next_value` runs from `open_next_slot`, after `next_open`
             // was advanced past the slot being opened — so the slots this
             // window can still open, *including* this one, number
@@ -572,12 +563,12 @@ impl<S: StateMachine> SmrNode<S> {
         (Batch(entries).to_value(), take)
     }
 
-    /// Opens every slot the pipeline window allows. In lazy (live) mode a
+    /// Opens every slot the pipeline window allows. In serving mode a
     /// slot is only opened by the leader, while entries are pending —
     /// followers open slots on demand when traffic for them arrives.
     fn open_ready_slots(&mut self, ctx: &mut Context<'_, SmrMessage>) {
         while !self.done() && self.next_open < self.window_end() {
-            if self.settings.lazy_open && (self.pending.is_empty() || !self.leads()) {
+            if self.settings.serving && (self.pending.is_empty() || !self.leads()) {
                 break;
             }
             self.open_next_slot(ctx);
@@ -741,6 +732,7 @@ impl<S: StateMachine> SmrNode<S> {
             self.obs.note_progress();
             self.applied.slot = slot.saturating_add(1);
             self.obs.applied_slots.set(self.applied.slot);
+            self.obs.log_len.set(self.applied.log_len);
             let stable =
                 self.checkpointer
                     .maybe_take_checkpoint(&self.applied, &self.seat, &self.obs, ctx);
@@ -802,15 +794,16 @@ impl<S: StateMachine> SmrNode<S> {
         self.log.clear();
         self.applied = snapshot;
         self.obs.applied_slots.set(self.applied.slot);
+        self.obs.log_len.set(self.applied.log_len);
         // Rejoin the pipeline immediately: pending local entries (and, in
-        // lazy mode, subsequent peer traffic) open slots from the
+        // serving mode, subsequent peer traffic) open slots from the
         // checkpoint onward.
         self.open_ready_slots(ctx);
     }
 
     /// Routes one slot-tagged consensus message: deliver to a resident
     /// slot, drop stale/far-future traffic, open in-window slots on
-    /// demand (lazy mode), or buffer for the window to reach them. A
+    /// demand (serving mode), or buffer for the window to reach them. A
     /// `Wish` belongs to the log: it is verified and counted first,
     /// whatever its tag, which is then routed like any slot traffic.
     fn on_slot_message(
@@ -862,8 +855,8 @@ impl<S: StateMachine> SmrNode<S> {
             self.obs.drops_future_horizon.inc();
             return;
         }
-        if self.settings.lazy_open && slot < self.window_end() && !self.done() {
-            // Live mode: peer traffic for an in-window slot is the signal
+        if self.settings.serving && slot < self.window_end() && !self.done() {
+            // Serving mode: peer traffic for an in-window slot is the signal
             // that the slot exists — open every slot up to it and deliver.
             while self.next_open <= slot {
                 self.open_next_slot(ctx);
@@ -871,7 +864,7 @@ impl<S: StateMachine> SmrNode<S> {
             self.drive(slot, Some(msg.inner), ctx);
             return;
         }
-        // Eager mode (or target reached): buffer until the window opens
+        // Workload mode (or target reached): buffer until the window opens
         // the slot, with a hard per-slot cap against single-slot floods.
         let buffered = self.future.entry(slot).or_default();
         if buffered.len() >= MAX_BUFFERED_PER_SLOT {
@@ -993,13 +986,8 @@ mod tests {
     #[test]
     fn far_future_slot_spray_is_dropped_not_buffered() {
         let (mut node, mut rng) = test_node(SmrSettings {
-            target_len: 1_000_000,
             pipeline_depth: 2,
-            batch_size: 1,
-            lazy_open: false,
-            checkpoint_interval: 0,
-            adaptive_batching: false,
-            max_pending: 0,
+            ..SmrSettings::sequential(1_000_000)
         });
         let spray = 1000;
         for i in 0..spray {
@@ -1020,13 +1008,8 @@ mod tests {
     #[test]
     fn single_slot_flood_is_capped() {
         let (mut node, mut rng) = test_node(SmrSettings {
-            target_len: 1_000_000,
             pipeline_depth: 2,
-            batch_size: 1,
-            lazy_open: false,
-            checkpoint_interval: 0,
-            adaptive_batching: false,
-            max_pending: 0,
+            ..SmrSettings::sequential(1_000_000)
         });
         // Slot inside the buffering horizon but not yet open (the node
         // has not started, so nothing is open).
@@ -1131,13 +1114,8 @@ mod tests {
             public,
             Vec::new(),
             SmrSettings {
-                target_len: usize::MAX,
-                pipeline_depth: depth,
-                batch_size: 1,
-                lazy_open: true,
                 checkpoint_interval: interval,
-                adaptive_batching: false,
-                max_pending: 0,
+                ..SmrSettings::live(depth)
             },
         );
         (node, StdRng::seed_from_u64(id as u64 + 1))
@@ -1475,18 +1453,18 @@ mod tests {
     /// it (state transfer recovers them).
     #[test]
     fn buffering_horizon_is_wide_without_checkpointing_tight_with() {
-        assert_eq!(SmrSettings::live(4, 1).future_window(), 16);
-        let mut with = SmrSettings::live(4, 1);
+        assert_eq!(SmrSettings::live(4).future_window(), 16);
+        let mut with = SmrSettings::live(4);
         with.checkpoint_interval = 8;
         assert_eq!(with.future_window(), 8);
         // Deep pipelines scale both horizons past their floors.
-        assert_eq!(SmrSettings::live(16, 1).future_window(), 64);
-        let mut deep = SmrSettings::live(16, 1);
+        assert_eq!(SmrSettings::live(16).future_window(), 64);
+        let mut deep = SmrSettings::live(16);
         deep.checkpoint_interval = 8;
         assert_eq!(deep.future_window(), 32);
     }
 
-    /// A redirect opens exactly one slot, only on an idle lazy node — the
+    /// A redirect opens exactly one slot, only on an idle serving node — the
     /// work that gets a follower's view timer running under a silent
     /// leader.
     #[test]
@@ -1510,7 +1488,8 @@ mod tests {
         node.on_redirect(&mut ctx);
         assert_eq!(node.slots_opened(), 1);
         assert!(ctx.drain_actions().is_empty());
-        // Eager nodes open nothing on a redirect (the workload drives them).
+        // Workload-mode nodes open nothing on a redirect (the workload
+        // drives them).
         let (mut eager, mut rng2) = test_node(SmrSettings::sequential(4));
         let mut ctx2 = Context::detached(ProcessId(0), SimTime::ZERO, &mut rng2);
         eager.on_redirect(&mut ctx2);

@@ -451,7 +451,7 @@ fn straggler_is_told_the_view_by_the_answers_to_its_first_wish() {
     // Every wish is sent at the first timeout and delivered within 100.
     let deaf_until = SimTime::from_ticks(BASE + 101);
     let workloads = [Vec::new(), puts("b", 6)];
-    let lazy = SmrSettings::live(4, 1);
+    let lazy = SmrSettings::live(4);
     let mut cluster = Cluster::new(config(n), 3, lazy, &workloads, &[], |i, probe| {
         if (1..=5).contains(&i) {
             probe.redirect_at = Some(SimTime::ZERO);
@@ -507,7 +507,7 @@ fn straggler_is_told_the_view_by_the_answers_to_its_first_wish() {
 /// other far-future traffic: no view moves, no slot opens, no timer runs.
 #[test]
 fn byzantine_far_future_wishes_move_no_view_and_open_no_slot() {
-    let lazy = SmrSettings::live(4, 1);
+    let lazy = SmrSettings::live(4);
     let mut cluster = Cluster::new(config(7), 11, lazy, &[], &[5, 6], |_, _| {});
     assert_eq!(
         cluster.sim.run_to_quiescence(MAX_EVENTS),
@@ -537,7 +537,7 @@ fn byzantine_far_future_wishes_move_no_view_and_open_no_slot() {
 #[test]
 fn lone_tagged_wish_on_a_healthy_cluster_costs_one_empty_slot() {
     let n = 7;
-    let lazy = SmrSettings::live(4, 1);
+    let lazy = SmrSettings::live(4);
     let mut cluster = Cluster::new(config(n), 13, lazy, &[], &[], |i, probe| {
         if i == 3 {
             probe.redirect_at = Some(SimTime::ZERO);

@@ -42,7 +42,7 @@
 //! | [`hotstuff`] | `probft-hotstuff` | Single-shot HotStuff baseline: its phases in core's view shell |
 //! | [`analysis`] | `probft-analysis` | Figure 5 / Figure 1 numerical models |
 //! | [`smr`] | `probft-smr` | Replicated state machine (future-work extension) |
-//! | [`runtime`] | `probft-runtime` | Thread-per-replica TCP deployment |
+//! | [`runtime`] | `probft-runtime` | TCP deployment: one event-loop thread per replica, plus an accept thread and one reader thread per inbound connection |
 //! | [`obs`] | `probft-obs` | Metrics registry, histograms, flight-recorder tracing |
 //!
 //! See `DESIGN.md` for the substitutions this reproduction makes and its

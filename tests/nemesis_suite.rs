@@ -1,6 +1,9 @@
 //! The nemesis suite: Jepsen-style fault injection against the live TCP
-//! cluster, plus the traffic-engineering half (adaptive batching,
-//! admission-control shedding, client backoff).
+//! cluster — process faults and Byzantine frames pushed through the real
+//! decoder — plus the traffic-engineering half (admission-control
+//! shedding, client backoff). Link faults (partitions, jitter) and
+//! adaptive batching run deterministically under the simulator instead:
+//! `crates/smr/tests/link_faults.rs`.
 //!
 //! Every test derives its cluster seed and fault plan from `NEMESIS_SEED`
 //! (default 1; CI runs a 4-seed matrix) and writes the nemesis transcript
@@ -24,10 +27,9 @@
 
 use probft::core::config::View;
 use probft::obs::TraceKind;
-use probft::quorum::ReplicaId;
 use probft::runtime::nemesis::{execute, verify_exactly_once, verify_invariants, Fault, FaultPlan};
 use probft::runtime::{LiveSmrBuilder, LiveSmrCluster, ReplicaReport, SmrClient};
-use probft::smr::{Command, RequestId, SmrBuilder};
+use probft::smr::{Command, RequestId};
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -348,88 +350,6 @@ fn leader_kill_mid_stream_under_concurrent_load() {
     }
 }
 
-/// An asymmetric partition (leader's frames to one follower blackholed,
-/// reverse direction intact) with checkpointing on: the starved follower
-/// recovers — by quorum traffic from the others or snapshot transfer —
-/// and after healing the whole cluster converges on one logical log.
-#[test]
-fn asymmetric_partition_heals_and_cluster_converges() {
-    let seed = seed();
-    let n = 7;
-    let victim = 3;
-    let cluster = LiveSmrBuilder::new(n)
-        .seed(seed)
-        .pipeline_depth(4)
-        .batch_size(2)
-        .checkpoint_interval(8)
-        .start()
-        .expect("cluster boots");
-
-    let leader = cluster.current_leader();
-    let plan = FaultPlan::new(seed)
-        .at(
-            Duration::from_millis(100),
-            Fault::Isolate {
-                from: leader,
-                to: victim,
-            },
-        )
-        .at(Duration::from_millis(700), Fault::Heal);
-    let (confirmed, _, _) = hammer(&cluster, 4, 40, || {
-        let run = execute(&cluster, &plan);
-        run.write_transcript(transcript_path("asymmetric_partition", seed))
-            .expect("transcript written");
-        // Keep submitting after the heal (inside hammer) until every
-        // replica converges; shutdown() also waits for quiescence.
-    });
-    assert!(!confirmed.is_empty());
-
-    let reports = cluster.shutdown();
-    sweep("asymmetric_partition", seed, &reports, &[], &confirmed);
-}
-
-/// Seeded latency jitter on every link out of the leader (simnet's
-/// `Uniform` delay model ported to real sockets): frames arrive late but
-/// never lost, so agreement and the exact lost-request check both hold
-/// with checkpointing off.
-#[test]
-fn latency_jitter_preserves_agreement() {
-    let seed = seed();
-    let n = 4;
-    let cluster = LiveSmrBuilder::new(n)
-        .seed(seed)
-        .pipeline_depth(4)
-        .batch_size(2)
-        .start()
-        .expect("cluster boots");
-
-    let leader = cluster.current_leader();
-    let mut plan = FaultPlan::new(seed);
-    for to in 0..n {
-        if to != leader {
-            plan = plan.at(
-                Duration::from_millis(50),
-                Fault::Jitter {
-                    from: leader,
-                    to,
-                    min: Duration::from_millis(1),
-                    max: Duration::from_millis(8),
-                },
-            );
-        }
-    }
-    plan = plan.at(Duration::from_millis(900), Fault::Heal);
-    let (confirmed, _, _) = hammer(&cluster, 4, 30, || {
-        let run = execute(&cluster, &plan);
-        run.write_transcript(transcript_path("latency_jitter", seed))
-            .expect("transcript written");
-    });
-    assert!(cluster.net().delayed() > 0, "jitter rules never fired");
-
-    let reports = cluster.shutdown();
-    sweep("latency_jitter", seed, &reports, &[], &confirmed);
-}
-
 /// Live Byzantine peers replay the sim's adversaries over real sockets:
 /// equivocating proposals signed with the leader's actual key, plus a
 /// far-future slot spray. Safety must hold (identical logs, nothing
@@ -501,44 +421,6 @@ fn overloaded_leader_sheds_and_clients_back_off() {
         "clients never observed an Overloaded reply despite {shed} sheds"
     );
     sweep("overload", seed, &reports, &[], &confirmed);
-}
-
-/// Adaptive batching closes the loop deterministically in the sim
-/// harness: with the whole workload queued up front, batch sizes grow to
-/// drain the queue across the pipeline window instead of trickling out
-/// `batch_size` at a time — far fewer slots for the same log, with logs
-/// still identical.
-#[test]
-fn sim_adaptive_batching_drains_deep_queues_in_fewer_slots() {
-    let target = 96;
-    let static_run = SmrBuilder::new(4, target)
-        .seed(5)
-        .pipeline_depth(4)
-        .batch_size(2)
-        .workload(ReplicaId(0), (0..target).map(|i| put(i as u64)).collect())
-        .run();
-    let adaptive_run = SmrBuilder::new(4, target)
-        .seed(5)
-        .pipeline_depth(4)
-        .batch_size(2)
-        .adaptive_batching(true)
-        .workload(ReplicaId(0), (0..target).map(|i| put(i as u64)).collect())
-        .run();
-
-    assert!(static_run.logs_consistent() && static_run.states_consistent());
-    assert!(adaptive_run.logs_consistent() && adaptive_run.states_consistent());
-    assert_eq!(adaptive_run.total_log_lens()[0], target as u64);
-    assert!(
-        adaptive_run.throughput.slots_applied < static_run.throughput.slots_applied,
-        "adaptive batching must pack deep queues into fewer slots \
-         ({} vs {} static)",
-        adaptive_run.throughput.slots_applied,
-        static_run.throughput.slots_applied,
-    );
-    assert!(
-        adaptive_run.throughput.mean_batch_size() > static_run.throughput.mean_batch_size(),
-        "observed-queue batches must beat the static cap"
-    );
 }
 
 /// Pause/resume edge cases: double-pause, resume-without-pause, and

@@ -1,6 +1,6 @@
 //! The view synchronizer (Bravo–Chockler–Gotsman abstraction, §3.2).
 //!
-//! ProBFT assumes "a synchronizer exactly like the one presented in [6]"
+//! ProBFT assumes "a synchronizer exactly like the one presented in \[6\]"
 //! that emits `newView(v)` notifications such that, after GST, all correct
 //! replicas eventually overlap in the same view for long enough to decide
 //! under a correct leader. This module implements the classic wish-based

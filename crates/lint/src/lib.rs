@@ -1,16 +1,16 @@
 //! # probft-lint
 //!
 //! The repo-specific half of the ProBFT workspace's static analysis: the
-//! rules whose vocabulary — wire lengths, lock classes, slot arithmetic,
-//! queue names — no compiler lint knows. Everything rustc or clippy can
-//! state is declared as a lint level instead (crate-root `deny` lists in
+//! rules whose vocabulary — wire lengths, slot arithmetic, queue names —
+//! no compiler lint knows. Everything rustc or clippy can state is
+//! declared as a lint level instead (crate-root `deny` lists in
 //! `runtime`/`smr`/`core`, the root `clippy.toml`, `[workspace.lints]`)
 //! and is not scanned here; the README's *Correctness tooling* table says
 //! which tool owns which rule.
 //!
 //! The engine is a hand-rolled, dependency-free **Rust lexer + item/brace-
-//! tree parser** ([`lexer`], [`ast`]): spanned tokens, `fn`-item
-//! extraction, and an intra-workspace call graph for the two lock rules.
+//! tree parser** ([`lexer`], [`ast`]): spanned tokens, a masked copy of
+//! the source, and `fn`-item extraction.
 //!
 //! Rules:
 //!
@@ -21,10 +21,6 @@
 //!   length must be capped by a `MAX_*`-derived bound before use.
 //! - **L003** — every `impl Wire for X` must have a matching roundtrip
 //!   test.
-//! - **L004** — no `Mutex` guard *live* across socket I/O, direct or via
-//!   any callee; `drop(guard)` and shadowing rebinds end liveness.
-//! - **L007** — the `crates/runtime` lock graph must be acyclic
-//!   (call-graph-propagated static deadlock detection).
 //! - **L008** — unchecked `+`/`*`/`-` on slot-, view-, length-, or
 //!   sequence-named values must use `checked_*`/`saturating_*`.
 //! - **L010** — every `VecDeque`/`Vec` used as a queue in `runtime`/`smr`
@@ -97,8 +93,7 @@ pub fn scan_sources(files: &[SourceFile]) -> Vec<Finding> {
         .iter()
         .map(|f| ast::FileCtx::new(&f.path, &f.text))
         .collect();
-    let graph = ast::Graph::build(&ctxs);
-    let mut findings = rules::run(&ctxs, &graph);
+    let mut findings = rules::run(&ctxs);
     findings
         .sort_by(|a, b| (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule)));
     findings
@@ -112,7 +107,7 @@ pub fn scan_sources(files: &[SourceFile]) -> Vec<Finding> {
 /// and the lint fixtures (which are deliberately full of violations).
 const SKIP_DIRS: &[&str] = &["vendor", "target", ".git", "fixtures"];
 
-/// Collect every `.rs` file under `root` (skipping [`SKIP_DIRS`]) with
+/// Collect every `.rs` file under `root` (skipping the `SKIP_DIRS`) with
 /// repo-relative forward-slash paths, sorted for determinism.
 pub fn collect_sources(root: &Path) -> io::Result<Vec<SourceFile>> {
     let mut files = Vec::new();

@@ -9,8 +9,8 @@ use probft_lint::{render, scan_repo};
 
 const USAGE: &str = "usage: probft-lint [--root DIR]
 
-Scans the workspace for violations of the repo lint rules (L001-L004,
-L007, L008, L010) and exits nonzero on any finding. A deliberate site is
+Scans the workspace for violations of the repo lint rules (L001-L003,
+L008, L010) and exits nonzero on any finding. A deliberate site is
 fixed or restructured, not listed: there is no allowlist.";
 
 fn main() -> ExitCode {

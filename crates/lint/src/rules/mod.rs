@@ -1,8 +1,7 @@
 //! The rule implementations, and the shared helpers they run on.
 //!
 //! Each rule consumes the structured view built in [`crate::ast`]: lexed
-//! tokens, masked text, parsed `fn` items, and (the lock rules only) the
-//! workspace call graph.
+//! tokens, masked text and parsed `fn` items.
 //! Path scoping treats a bare filename (no `/`) as in scope for every
 //! rule — that is what a fixture-directory scan (`--root
 //! crates/lint/fixtures/bad`) produces, and it keeps the CI self-test
@@ -11,25 +10,22 @@
 
 mod arith;
 mod legacy;
-mod locks;
 mod panics;
 mod queues;
 
-use crate::ast::{FileCtx, Graph};
+use crate::ast::FileCtx;
 use crate::Finding;
 
-/// Run every rule over the parsed files and the call graph.
-pub fn run(ctxs: &[FileCtx], graph: &Graph) -> Vec<Finding> {
+/// Run every rule over the parsed files.
+pub fn run(ctxs: &[FileCtx]) -> Vec<Finding> {
     let mut findings = Vec::new();
     for ctx in ctxs {
         panics::l001(ctx, &mut findings);
         legacy::l002(ctx, &mut findings);
-        locks::l004(ctx, graph, &mut findings);
         arith::l008(ctx, &mut findings);
         queues::l010(ctx, &mut findings);
     }
     legacy::l003(ctxs, &mut findings);
-    locks::l007(ctxs, graph, &mut findings);
     findings
 }
 

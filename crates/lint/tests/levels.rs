@@ -65,13 +65,31 @@ fn crate_roots_deny_every_moved_rule() {
     }
 }
 
-#[test]
-fn sleep_is_disallowed_and_unsafe_forbidden_workspace_wide() {
-    // L005: the root clippy.toml entry (comments do not count).
-    let clippy: String = repo_file("clippy.toml")
+/// The root `clippy.toml`, comment lines dropped.
+fn root_clippy_toml() -> String {
+    repo_file("clippy.toml")
         .lines()
         .filter(|l| !l.trim_start().starts_with('#'))
-        .collect();
+        .collect()
+}
+
+#[test]
+fn locks_are_disallowed_types_workspace_wide() {
+    // L004 and L007: a lock that cannot be named cannot be held across
+    // socket I/O or closed into a cycle.
+    let clippy = root_clippy_toml();
+    let (_, types) = clippy
+        .split_once("disallowed-types")
+        .expect("clippy.toml no longer has disallowed-types");
+    for ty in ["\"std::sync::Mutex\"", "\"std::sync::RwLock\""] {
+        assert!(types.contains(ty), "clippy.toml no longer disallows {ty}");
+    }
+}
+
+#[test]
+fn sleep_is_disallowed_and_unsafe_forbidden_workspace_wide() {
+    // L005: the root clippy.toml entry.
+    let clippy = root_clippy_toml();
     assert!(
         clippy.contains("disallowed-methods") && clippy.contains("\"std::thread::sleep\""),
         "clippy.toml no longer disallows std::thread::sleep"

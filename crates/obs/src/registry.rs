@@ -12,7 +12,12 @@ use crate::hist::{Histogram, HistogramSnapshot};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
+#[expect(
+    clippy::disallowed_types,
+    reason = "registration only: a hot-path update is an atomic on a handle fetched once, and no guard outlives a map lookup"
+)]
+use std::sync::Mutex;
 
 /// A metric identity: name plus sorted extra label pairs. The registry
 /// label (`replica="..."`) is added at exposition time, not stored here.
@@ -71,6 +76,10 @@ impl Gauge {
 
 /// A registry of named counters, gauges, and histograms for one entity
 /// (a replica or a client), identified by its `label`.
+#[expect(
+    clippy::disallowed_types,
+    reason = "registration only: a hot-path update is an atomic on a handle fetched once, and no guard outlives a map lookup"
+)]
 pub struct Registry {
     label: String,
     counters: Mutex<BTreeMap<MetricKey, Counter>>,
@@ -80,6 +89,10 @@ pub struct Registry {
 
 impl Registry {
     /// Creates an empty registry labeled `label` (e.g. `replica-0`).
+    #[expect(
+        clippy::disallowed_types,
+        reason = "registration only: a hot-path update is an atomic on a handle fetched once, and no guard outlives a map lookup"
+    )]
     pub fn new(label: impl Into<String>) -> Self {
         Self {
             label: label.into(),

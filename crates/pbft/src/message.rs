@@ -1,4 +1,4 @@
-//! Single-shot PBFT message types (paper §2.3, after Bravo et al. [6]).
+//! Single-shot PBFT message types (paper §2.3, after Bravo et al. \[6\]).
 //!
 //! The view-change report and the proposal are ProBFT's own
 //! `NewLeader` and `Propose` instantiated over PBFT's prepare vote, and

@@ -151,8 +151,9 @@ impl<S: StateMachine> SmrClient<S> {
 
     /// Starts submissions at the `hint`-th replica of the address list
     /// instead of the first — e.g. to exercise the redirect path
-    /// deliberately. (Convenience over [`leader_hint_addr`]
-    /// (Self::leader_hint_addr); the stored hint is the address.)
+    /// deliberately. (Convenience over
+    /// [`leader_hint_addr`](Self::leader_hint_addr); the stored hint is
+    /// the address.)
     pub fn leader_hint(self, hint: usize) -> Self {
         match self.addrs.get(hint % self.addrs.len().max(1)).copied() {
             Some(addr) => self.leader_hint_addr(addr),

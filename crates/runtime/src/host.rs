@@ -1,5 +1,5 @@
 //! The one replica host: everything a [`Process`] needs to run on real
-//! sockets and the wall clock, shared by both cluster shapes.
+//! sockets and the wall clock.
 //!
 //! A [`Host`] owns a replica's lazily connected peer sockets (and the
 //! boot-window/steady-state connect policy), its timer heap, the per-kind
@@ -9,12 +9,12 @@
 //! jitter) are the simulator's `DelayModel`s. [`Host::drive`] is the single
 //! place a process's [`Action`]s are interpreted: build a detached
 //! [`Context`], let the caller poke the process, drain, and apply the
-//! sends and timers. The only things a cluster shape supplies are its
-//! frame codec — `encode` for outbound messages, `decode` for "bytes →
-//! event" — and whatever it does with non-protocol events (the SMR shape's
-//! client requests). Rejected input is counted in the replica's [`Obs`]
-//! (`frames_malformed`, `frames_torn`, `frames_unsendable`) and never
-//! panics a thread.
+//! sends and timers. The frame codec is not the host's: the caller
+//! supplies `encode` for outbound messages and `decode` for "bytes →
+//! event", and handles the non-protocol events (client requests) itself,
+//! which keeps the SMR frame types in `live`. Rejected input is counted
+//! in the replica's [`Obs`] (`frames_malformed`, `frames_torn`,
+//! `frames_unsendable`) and never panics a thread.
 
 use crate::transport::{read_frame, write_frame, FrameError};
 use probft_obs::{Counter, Obs};
@@ -441,47 +441,31 @@ mod tests {
     use super::*;
     use std::io::Write;
 
-    /// Runs the shared reader loop over one connection, once per frame
-    /// decoder (the single-shot `u32 sender ‖ Message` codec and the SMR
-    /// frame codec), lets `rogue` write to it, and returns each run's
+    /// Runs the shared reader loop over one connection with the SMR frame
+    /// decoder, lets `rogue` write to it, and returns
     /// `(frames_malformed, frames_torn, events forwarded)`.
-    fn feed(rogue: impl Fn(&mut TcpStream)) -> [(u64, u64, usize); 2] {
-        fn run<E: Send + 'static>(
-            decode: impl Fn(&[u8], &ReplyHandle) -> Option<E> + Send + 'static,
-            rogue: &dyn Fn(&mut TcpStream),
-        ) -> (u64, u64, usize) {
-            let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-            let addr = listener.local_addr().expect("addr");
-            let (event_tx, event_rx) = mpsc::channel();
-            let obs = Arc::new(Obs::new("reader"));
-            let reader = {
-                let obs = obs.clone();
-                thread::spawn(move || {
-                    let (stream, _) = listener.accept().expect("accept");
-                    reader_loop(stream, decode, event_tx, Arc::default(), obs);
-                })
-            };
-            let mut peer = TcpStream::connect(addr).expect("connect");
-            rogue(&mut peer);
-            drop(peer);
-            reader.join().expect("reader thread exits cleanly");
-            (
-                obs.frames_malformed.get(),
-                obs.frames_torn.get(),
-                event_rx.try_iter().count(),
-            )
-        }
-        let obs = Obs::new("decoder");
-        [
-            run(
-                |frame, _| crate::cluster::parse_peer_frame(frame, 4),
-                &rogue,
-            ),
-            run(
-                crate::live::smr_decoder::<probft_smr::KvStore>(4, &obs),
-                &rogue,
-            ),
-        ]
+    fn feed(rogue: impl Fn(&mut TcpStream)) -> (u64, u64, usize) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let decode = crate::live::smr_decoder::<probft_smr::KvStore>(4, &Obs::new("decoder"));
+        let (event_tx, event_rx) = mpsc::channel();
+        let obs = Arc::new(Obs::new("reader"));
+        let reader = {
+            let obs = obs.clone();
+            thread::spawn(move || {
+                let (stream, _) = listener.accept().expect("accept");
+                reader_loop(stream, decode, event_tx, Arc::default(), obs);
+            })
+        };
+        let mut peer = TcpStream::connect(addr).expect("connect");
+        rogue(&mut peer);
+        drop(peer);
+        reader.join().expect("reader thread exits cleanly");
+        (
+            obs.frames_malformed.get(),
+            obs.frames_torn.get(),
+            event_rx.try_iter().count(),
+        )
     }
 
     /// Regression: short (< 4 byte) and undecodable frames from a rogue
@@ -490,19 +474,17 @@ mod tests {
     /// and the clean EOF that follows is not a torn frame.
     #[test]
     fn malformed_frames_are_counted_not_fatal() {
-        let counts = feed(|peer| {
-            // Shorter than the single-shot codec's sender prefix.
+        let (malformed, torn, events) = feed(|peer| {
+            // Shorter than a 4-byte word.
             write_frame(peer, &[0xAB, 0xCD]).expect("short frame");
-            // Valid sender id (0 < 4) but garbage message bytes.
+            // A zero first word followed by garbage bytes.
             write_frame(peer, &[0, 0, 0, 0, 0xFF, 0xFF, 0xFF]).expect("garbage frame");
-            // Out-of-range sender id with a plausible length.
+            // An out-of-range first word with a plausible length.
             write_frame(peer, &[0xFF, 0xFF, 0xFF, 0xFF, 1]).expect("bogus sender");
         });
-        for (malformed, torn, events) in counts {
-            assert_eq!(malformed, 3);
-            assert_eq!(torn, 0);
-            assert_eq!(events, 0, "no rejected frame may reach the replica");
-        }
+        assert_eq!(malformed, 3);
+        assert_eq!(torn, 0);
+        assert_eq!(events, 0, "no rejected frame may reach the replica");
     }
 
     /// Well-formed SMR frames the decoder must still refuse: replica
@@ -510,8 +492,7 @@ mod tests {
     /// boundary included, and a checkpoint vote signed as such a replica),
     /// and replies sent *to* a replica. Each decodes, so what rejects it
     /// is the sender check, not the tag or length checks; each is counted
-    /// malformed and none reaches the replica. (The single-shot decoder
-    /// reads the tag byte as the top of an out-of-range sender id.)
+    /// malformed and none reaches the replica.
     #[test]
     fn frames_from_outside_the_cluster_are_counted_not_forwarded() {
         use crate::live::{SmrFrame, SmrReply};
@@ -583,7 +564,7 @@ mod tests {
                 write_frame(peer, frame).expect("frame written");
             }
         });
-        assert_eq!(counts, [(bytes.len() as u64, 0, 0); 2]);
+        assert_eq!(counts, (bytes.len() as u64, 0, 0));
     }
 
     /// Regression: the replica index was narrowed to `u16` before the
@@ -602,7 +583,7 @@ mod tests {
     #[test]
     fn torn_connection_is_counted() {
         let counts = feed(|peer| peer.write_all(&[0, 0]).expect("half a length prefix"));
-        assert_eq!(counts, [(0, 1, 0); 2]);
+        assert_eq!(counts, (0, 1, 0));
     }
 
     /// A peer announcing a frame beyond the size cap is counted as
@@ -614,6 +595,6 @@ mod tests {
             peer.write_all(&u32::MAX.to_be_bytes())
                 .expect("absurd length prefix")
         });
-        assert_eq!(counts, [(1, 0, 0); 2]);
+        assert_eq!(counts, (1, 0, 0));
     }
 }

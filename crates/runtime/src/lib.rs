@@ -4,22 +4,22 @@
 //! loop thread per replica, fed by an accept thread and one reader thread
 //! per inbound connection (so about n² threads in an n-replica cluster),
 //! TCP links with length-prefixed framing, and a deadline-driven timer
-//! loop. The same unmodified [`Replica`] state
-//! machine that runs in the deterministic simulator runs here, driven
-//! through the simulator's embedding API ([`Context::detached`] +
-//! [`Context::drain_actions`]) — the runtime only interprets the resulting
-//! actions against sockets and the wall clock.
+//! loop. The same unmodified [`SmrNode`] that runs in the deterministic
+//! simulator runs here, driven through the simulator's embedding API
+//! ([`Context::detached`] + [`Context::drain_actions`]) — the runtime only
+//! interprets the resulting actions against sockets and the wall clock.
 //!
 //! There is one replica host — peer sockets and connect policy, timer
 //! heap, action applier, accept loop and reader loop, all counting into
 //! the replica's `probft-obs` registry — generic over the hosted
-//! [`Process`]'s message type, and it has two instantiations that differ
-//! only in their frame codec. The host writes what the process sends and
-//! models no network of its own: link faults (partitions, drops, jitter)
-//! belong to the simulator's delay models, where they replay from a seed.
-//! [`ClusterBuilder`] hosts one [`Replica`] per thread and runs a single
-//! consensus instance to decision. [`LiveSmrBuilder`] hosts an `SmrNode`
-//! and adds the client side: full state-machine replication of any
+//! [`Process`]'s message type and the events its frame codec yields, and
+//! one instantiation of it: [`LiveSmrBuilder`], whose codec ([`SmrFrame`])
+//! carries replica traffic and the client side together. The host writes
+//! what the process sends and models no network of its own: link faults
+//! (partitions, drops, jitter) belong to the simulator's delay models,
+//! where they replay from a seed.
+//!
+//! A live cluster serves full state-machine replication of any
 //! [`StateMachine`](probft_smr::StateMachine) — pipelined, batched, served
 //! to a real client front-end ([`SmrClient`]) with typed responses, leader
 //! routing, address-carrying redirects, retries, at-most-once execution of
@@ -31,7 +31,7 @@
 //! frames; `LiveSmrCluster::pause`/`resume` stall and revive a replica
 //! for exercising exactly that.
 //!
-//! [`Replica`]: probft_core::replica::Replica
+//! [`SmrNode`]: probft_smr::node::SmrNode
 //! [`Process`]: probft_simnet::process::Process
 //! [`Context::detached`]: probft_simnet::process::Context::detached
 //! [`Context::drain_actions`]: probft_simnet::process::Context::drain_actions
@@ -48,12 +48,15 @@
 //! # Examples
 //!
 //! ```no_run
-//! use probft_runtime::ClusterBuilder;
+//! use probft_runtime::LiveSmrBuilder;
 //!
-//! // Run a 5-replica ProBFT cluster over localhost TCP. Each replica
+//! // Boot a 4-replica replicated KV store over localhost TCP. Each replica
 //! // binds an OS-assigned loopback port, so runs never collide.
-//! let decisions = ClusterBuilder::new(5).run().unwrap();
-//! assert_eq!(decisions.len(), 5);
+//! let cluster = LiveSmrBuilder::new(4).start().unwrap();
+//! let mut client = cluster.client(1);
+//! client.put("greeting", "hello").unwrap();
+//! let reports = cluster.shutdown();
+//! assert!(reports.iter().all(|r| r.state.get("greeting") == Some("hello")));
 //! ```
 
 #![warn(missing_docs)]
@@ -79,7 +82,6 @@
 )]
 
 pub mod client;
-pub mod cluster;
 pub(crate) mod host;
 pub mod live;
 pub mod nemesis;
@@ -87,7 +89,6 @@ pub(crate) mod pacing;
 pub mod transport;
 
 pub use client::{ClientError, SmrClient};
-pub use cluster::{ClusterBuilder, ClusterError};
-pub use live::{LiveSmrBuilder, LiveSmrCluster, ReplicaReport, SmrFrame, SmrReply};
+pub use live::{ClusterError, LiveSmrBuilder, LiveSmrCluster, ReplicaReport, SmrFrame, SmrReply};
 pub use nemesis::{execute, verify_exactly_once, verify_invariants, Fault, FaultPlan, NemesisRun};
 pub use transport::{read_frame, write_frame, FrameError};

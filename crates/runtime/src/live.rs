@@ -33,7 +33,6 @@
 //! [`SmrFrame::StateReply`] and resumes consensus from the checkpoint
 //! slot instead of replaying (or waiting forever for) the truncated log.
 
-use crate::cluster::ClusterError;
 use crate::host::{bind_listeners, micros, wire_id, FrameKind, Host, ReplyHandle};
 use crate::transport::write_frame;
 use probft_core::config::{ProbftConfig, SharedConfig, View};
@@ -50,6 +49,8 @@ use probft_smr::{
     SmrSettings, StateMachine, StateReply, StateRequest,
 };
 use std::collections::BTreeMap;
+use std::error::Error;
+use std::fmt;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -386,6 +387,28 @@ impl<S: StateMachine> ReplicaReport<S> {
         merged
     }
 }
+
+/// Why [`LiveSmrBuilder::start`] could not boot a cluster.
+#[derive(Debug)]
+pub enum ClusterError {
+    /// A listener could not bind (port in use?).
+    Bind(std::io::Error),
+    /// The cluster was misconfigured (e.g. a keyring shorter than `n`).
+    /// Surfaced as a typed error so setup bugs fail the run, not the
+    /// process.
+    Config(&'static str),
+}
+
+impl fmt::Display for ClusterError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ClusterError::Bind(e) => write!(f, "failed to bind listener: {e}"),
+            ClusterError::Config(what) => write!(f, "cluster misconfigured: {what}"),
+        }
+    }
+}
+
+impl Error for ClusterError {}
 
 /// Builds a live TCP cluster that serves state-machine replication of any
 /// [`StateMachine`] to [`SmrClient`](crate::SmrClient)s (default: the

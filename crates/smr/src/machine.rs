@@ -62,9 +62,9 @@ pub trait StateMachine: Clone + Default + PartialEq + fmt::Debug + Wire + Send +
         self.to_wire_bytes()
     }
 
-    /// Replaces the state with one produced by [`snapshot`]
-    /// (Self::snapshot) — the receiving half of checkpoint state
-    /// transfer.
+    /// Replaces the state with one produced by
+    /// [`snapshot`](Self::snapshot) — the receiving half of checkpoint
+    /// state transfer.
     ///
     /// # Errors
     ///

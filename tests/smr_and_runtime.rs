@@ -85,22 +85,6 @@ fn smr_is_deterministic() {
     assert_eq!(a.logs, b.logs);
 }
 
-/// The live TCP cluster reaches agreement with real sockets and clocks.
-/// (OS-assigned ports: safe under parallel test runs.)
-#[test]
-fn tcp_cluster_reaches_agreement() {
-    use probft::runtime::ClusterBuilder;
-    use std::time::Duration;
-
-    let decisions = ClusterBuilder::new(5)
-        .seed(2)
-        .deadline(Duration::from_secs(60))
-        .run()
-        .expect("live cluster decides");
-    let first = decisions[0].value.digest();
-    assert!(decisions.iter().all(|d| d.value.digest() == first));
-}
-
 /// A put-heavy workload for throughput experiments.
 fn put_workload(count: usize) -> Vec<Command> {
     (0..count)
@@ -257,6 +241,10 @@ fn live_cluster_serves_clients_with_redirect_and_retry() {
     assert_eq!(telemetry.label(), "client-9");
     assert_eq!(telemetry.counter("client_retries"), client.retries());
     assert_eq!(client.obs().request_rtt_us.count(), 4);
+    // Honest peers and clients send no frame a replica rejects.
+    for obs in cluster.obs_handles() {
+        assert_eq!(obs.frames_malformed.get(), 0);
+    }
 
     let reports = cluster.shutdown();
     assert_eq!(reports.len(), 4);
@@ -273,6 +261,19 @@ fn live_cluster_serves_clients_with_redirect_and_retry() {
     assert_eq!(first.state.get("x"), None);
     // Slot state was pruned as the log advanced.
     assert!(reports.iter().all(|r| r.resident_slots <= 4));
+}
+
+/// A port that cannot be bound is a typed error from `start`, not a panic.
+#[test]
+fn live_cluster_reports_a_bind_conflict() {
+    use probft::runtime::ClusterError;
+
+    // Hold an OS-assigned port, then ask the cluster to use exactly it —
+    // a guaranteed conflict without hardcoding a port number.
+    let hold = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let port = hold.local_addr().expect("addr").port();
+    let err = LiveSmrBuilder::new(4).base_port(port).start().err();
+    assert!(matches!(err, Some(ClusterError::Bind(_))), "{err:?}");
 }
 
 /// A duplicate request frame racing its original through consensus may be

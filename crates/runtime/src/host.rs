@@ -1,34 +1,41 @@
 //! The one replica host: everything a [`Process`] needs to run on real
-//! sockets and the wall clock.
+//! sockets and the wall clock, on the replica's own thread.
 //!
-//! A [`Host`] owns a replica's lazily connected peer sockets (and the
-//! boot-window/steady-state connect policy), its timer heap, the per-kind
-//! outbound byte counters, and the accept loop whose reader threads turn
-//! inbound frames into events. It models no network of its own: a frame
-//! is encoded, counted and written, and link faults (drops, partitions,
-//! jitter) are the simulator's `DelayModel`s. [`Host::drive`] is the single
-//! place a process's [`Action`]s are interpreted: build a detached
-//! [`Context`], let the caller poke the process, drain, and apply the
-//! sends and timers. The frame codec is not the host's: the caller
-//! supplies `encode` for outbound messages and `decode` for "bytes →
-//! event", and handles the non-protocol events (client requests) itself,
-//! which keeps the SMR frame types in `live`. Rejected input is counted
-//! in the replica's [`Obs`] (`frames_malformed`, `frames_torn`,
-//! `frames_unsendable`) and never panics a thread.
+//! A [`Host`] owns a replica's listener and every connection it accepted
+//! or opened — a slab of non-blocking sockets, each with an inbound
+//! [`FrameAssembler`] and an outbound byte queue — plus the epoll
+//! [`Poller`] that says which of them are ready, the timer heap, and the
+//! per-kind outbound byte counters. No call here waits on a socket (the
+//! one exception is connecting to a peer while the cluster boots), so one
+//! thread serves every peer and client: [`Host::next_event`] fires due
+//! timers, hands out decoded events, and otherwise sleeps in `epoll_wait`
+//! until a socket is ready or a timer is due. It models no network of its
+//! own: a frame is encoded, counted and queued, and link faults (drops,
+//! partitions, jitter) are the simulator's `DelayModel`s.
+//!
+//! [`Host::drive`] is the single place a process's [`Action`]s are
+//! interpreted: build a detached [`Context`], let the caller poke the
+//! process, drain, and apply the sends and timers. The frame codec is not
+//! the host's: the caller supplies `encode` for outbound messages and
+//! `decode` for "bytes → event", and handles the non-protocol events
+//! (client requests) itself — answering through [`Host::write`] — which
+//! keeps the SMR frame types in `live`. Rejected input is counted in the
+//! replica's [`Obs`] (`frames_malformed`, `frames_torn`,
+//! `frames_unsendable`) and never panics the loop.
 
-use crate::transport::{read_frame, write_frame, FrameError};
+use crate::transport::{FrameAssembler, MAX_FRAME};
+use epoll::{Events, Interest, Poller};
 use probft_obs::{Counter, Obs};
 use probft_simnet::process::{Action, Context, Process, ProcessId, TimerToken};
 use probft_simnet::time::SimTime;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-use std::io::BufReader;
+use std::collections::{BinaryHeap, VecDeque};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
-use std::thread;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Whole microseconds in `d` — one simulator tick each — saturating.
@@ -89,18 +96,57 @@ const STEADY_CONNECT_ATTEMPTS: u32 = 1;
 /// How long after start a host still retries refused connects.
 const BOOT_WINDOW: Duration = Duration::from_secs(5);
 
-/// Bound on how long a blocking socket write may stall the caller. A peer
-/// (or client) that stops reading fills its kernel buffer; without this a
-/// single such connection wedges the sender's whole event loop.
-const WRITE_STALL_LIMIT: Duration = Duration::from_secs(1);
+/// How long a connection's outbound queue may go without the socket
+/// taking a byte before the connection is dropped. A peer (or client)
+/// that stops reading fills its kernel buffer; without this its queue
+/// would grow for as long as the replica has something to tell it.
+pub(crate) const WRITE_STALL_LIMIT: Duration = Duration::from_secs(1);
+
+/// Most bytes a connection may have queued for sending: a reader slow
+/// enough to let more pile up — but not so stalled as to trip
+/// [`WRITE_STALL_LIMIT`] — is dropped as well.
+const MAX_OUTBOUND: usize = 4 * MAX_FRAME as usize;
+
+/// Most bytes read from one connection per readiness report, so one busy
+/// sender cannot monopolise the loop (level-triggered readiness brings the
+/// rest on the next wait), and so what one wait can decode stays bounded.
+const MAX_READ_PER_WAKE: usize = 4 * READ_CHUNK;
+
+/// Bytes asked of the socket per `read`.
+const READ_CHUNK: usize = 64 * 1024;
+
+/// Readiness reports taken per `epoll_wait`.
+const EVENTS_PER_WAIT: usize = 256;
 
 /// Longest an idle event loop sleeps before re-checking the shutdown flag.
 const IDLE_WAIT: Duration = Duration::from_millis(20);
 
-/// The write half of an inbound connection. The frame decoder receives it
-/// so a client request can carry its reply path into the event loop, the
-/// replica's one thread and so the socket's only writer.
-pub(crate) type ReplyHandle = Arc<TcpStream>;
+/// The poller key of the listener; connections use [`ConnId::key`], whose
+/// generation half never reaches `u32::MAX` in a run.
+const LISTENER_KEY: u64 = u64::MAX;
+
+/// One connection of a [`Host`]: its slab index and that slot's
+/// generation when it opened, so the id of a closed connection never
+/// reaches a later one that reuses the slot. The frame decoder receives
+/// it so a client request carries its reply path into the event loop.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct ConnId {
+    index: u32,
+    generation: u32,
+}
+
+impl ConnId {
+    fn key(self) -> u64 {
+        u64::from(self.generation) << 32 | u64::from(self.index)
+    }
+
+    fn from_key(key: u64) -> Self {
+        ConnId {
+            index: u32::try_from(key & 0xFFFF_FFFF).unwrap_or(u32::MAX),
+            generation: u32::try_from(key >> 32).unwrap_or(u32::MAX),
+        }
+    }
+}
 
 /// Which `frame_bytes_out{kind=…}` counter an outbound frame is charged to.
 #[derive(Clone, Copy, Debug)]
@@ -113,6 +159,64 @@ pub(crate) enum FrameKind {
     State,
 }
 
+/// Bytes of one inbound frame → the event it carries, or `None` (counted
+/// malformed, connection kept).
+type Decoder<E> = Box<dyn Fn(&[u8], ConnId) -> Option<E> + Send>;
+
+/// One open, non-blocking socket.
+struct Conn {
+    stream: TcpStream,
+    inbound: FrameAssembler,
+    /// Framed bytes not yet taken by the socket: `outbound[sent..]`.
+    outbound: Vec<u8>,
+    sent: usize,
+    /// When the socket last took bytes, or the queue last became
+    /// non-empty.
+    progress: Instant,
+    /// Whether the poller reports this socket writable as well as
+    /// readable (exactly while bytes are queued).
+    want_write: bool,
+    /// Whether this connection is listed in [`Host::unflushed`].
+    flush_due: bool,
+}
+
+impl Conn {
+    fn queued(&self) -> usize {
+        self.outbound.len().saturating_sub(self.sent)
+    }
+
+    /// Writes queued bytes until the socket would block.
+    fn flush(&mut self, now: Instant) -> io::Result<()> {
+        while let Some(rest) = self.outbound.get(self.sent..).filter(|r| !r.is_empty()) {
+            match self.stream.write(rest) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => {
+                    self.sent = self.sent.saturating_add(n);
+                    self.progress = now;
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) => return Err(e),
+            }
+        }
+        if self.queued() == 0 {
+            self.outbound.clear();
+            self.sent = 0;
+        } else if self.sent > self.outbound.len() / 2 {
+            self.outbound.drain(..self.sent);
+            self.sent = 0;
+        }
+        Ok(())
+    }
+}
+
+/// A slab entry: the connection, if open, and how many times the slot
+/// has been reused.
+struct Slot {
+    generation: u32,
+    conn: Option<Conn>,
+}
+
 /// One replica's sockets, timers and action loop. `M` is the hosted
 /// process's message type, `E` the event type its frame decoder produces.
 pub(crate) struct Host<M, E> {
@@ -122,37 +226,52 @@ pub(crate) struct Host<M, E> {
     obs: Arc<Obs>,
     /// Sender id + message → charged counter and frame payload.
     encode: fn(usize, M) -> (FrameKind, Vec<u8>),
+    decode: Decoder<E>,
     out_peer: Counter,
     out_checkpoint: Counter,
     out_state: Counter,
-    peers: Vec<Option<TcpStream>>,
+    listener: TcpListener,
+    poller: Poller,
+    events: Events,
+    slots: Vec<Slot>,
+    free: Vec<u32>,
+    /// The connection to each peer this host opened, by replica index.
+    peers: Vec<Option<ConnId>>,
+    /// Events decoded by the last wait and not yet handed out: at most
+    /// what [`MAX_READ_PER_WAKE`] bytes per ready connection hold.
+    ready: VecDeque<E>,
+    /// Connections written to since the last wait, each listed once: they
+    /// are flushed just before the next, so the frames one batch of
+    /// events produces for a peer leave in one write.
+    unflushed: Vec<ConnId>,
+    read_buf: Box<[u8]>,
     timers: BinaryHeap<Reverse<(Instant, TimerToken)>>,
     rng: StdRng,
     started: Instant,
-    /// Kept (not just cloned into the accept loop) so the channel outlives
-    /// a listener that failed: the event loop then still sleeps in
-    /// `recv_timeout` and runs on timers alone, instead of spinning on a
-    /// disconnected channel.
-    event_tx: mpsc::Sender<E>,
-    events: mpsc::Receiver<E>,
-    /// The accept loop, which owns the reader threads it spawned and hands
-    /// the ones still running back when it exits.
-    accept: Option<thread::JoinHandle<Vec<thread::JoinHandle<()>>>>,
 }
 
-impl<M, E: Send + 'static> Host<M, E> {
-    /// A host for replica `id` of the cluster listening on `addrs`. Peer
-    /// connections are opened on first send; nothing is accepted until
-    /// [`listen`](Self::listen).
+impl<M, E> Host<M, E> {
+    /// A host for replica `id` of the cluster listening on `addrs`,
+    /// accepting on `listener` and turning inbound frames into events
+    /// with `decode`. Peer connections are opened on first send.
+    ///
+    /// # Errors
+    ///
+    /// The listener cannot be made non-blocking or the poller cannot be
+    /// created or told about it.
     pub(crate) fn new(
         id: usize,
+        listener: TcpListener,
         addrs: Arc<Vec<SocketAddr>>,
         shutdown: Arc<AtomicBool>,
         obs: Arc<Obs>,
         encode: fn(usize, M) -> (FrameKind, Vec<u8>),
-    ) -> Self {
-        let (event_tx, events) = mpsc::channel();
-        Host {
+        decode: impl Fn(&[u8], ConnId) -> Option<E> + Send + 'static,
+    ) -> io::Result<Self> {
+        listener.set_nonblocking(true)?;
+        let poller = Poller::new()?;
+        poller.add(&listener, LISTENER_KEY, Interest::Read)?;
+        Ok(Host {
             id,
             peers: addrs.iter().map(|_| None).collect(),
             addrs,
@@ -163,49 +282,19 @@ impl<M, E: Send + 'static> Host<M, E> {
             out_state: obs.frame_bytes_out("state"),
             obs,
             encode,
+            decode: Box::new(decode),
+            listener,
+            poller,
+            events: Events::with_capacity(EVENTS_PER_WAIT),
+            slots: Vec::new(),
+            free: Vec::new(),
+            ready: VecDeque::new(),
+            unflushed: Vec::new(),
+            read_buf: vec![0; READ_CHUNK].into_boxed_slice(),
             timers: BinaryHeap::new(),
             rng: StdRng::seed_from_u64(0x11FE ^ id as u64),
             started: Instant::now(),
-            event_tx,
-            events,
-            accept: None,
-        }
-    }
-
-    /// Starts the accept loop: one tracked reader thread per inbound
-    /// connection (peer or client), each feeding `decode`'s events into
-    /// this host's queue.
-    pub(crate) fn listen<D>(&mut self, listener: TcpListener, decode: D)
-    where
-        D: Fn(&[u8], &ReplyHandle) -> Option<E> + Clone + Send + 'static,
-    {
-        let event_tx = self.event_tx.clone();
-        let shutdown = self.shutdown.clone();
-        let obs = self.obs.clone();
-        let can_accept = listener.set_nonblocking(true).is_ok();
-        self.accept = Some(thread::spawn(move || {
-            let mut readers = Vec::new();
-            while can_accept && !shutdown.load(Ordering::SeqCst) {
-                match listener.accept() {
-                    Ok((stream, _peer)) => {
-                        let decode = decode.clone();
-                        let event_tx = event_tx.clone();
-                        let shutdown = shutdown.clone();
-                        let obs = obs.clone();
-                        let handle = thread::spawn(move || {
-                            reader_loop(stream, decode, event_tx, shutdown, obs)
-                        });
-                        reap_finished(&mut readers);
-                        readers.push(handle);
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        crate::pacing::pause(crate::pacing::ACCEPT_POLL);
-                    }
-                    Err(_) => break,
-                }
-            }
-            readers
-        }));
+        })
     }
 
     pub(crate) fn id(&self) -> usize {
@@ -248,9 +337,11 @@ impl<M, E: Send + 'static> Host<M, E> {
         }
     }
 
-    /// Fires `process`'s due timers, then waits for the next inbound event
-    /// — at most until the next timer deadline, and never longer than
-    /// [`IDLE_WAIT`]. `None` means the wait ended without an event.
+    /// Fires `process`'s due timers, then hands out the next inbound
+    /// event: one already decoded, or else whatever the sockets yield
+    /// after waiting for them — at most until the next timer deadline,
+    /// and never longer than [`IDLE_WAIT`]. `None` means the wait ended
+    /// without an event.
     pub(crate) fn next_event<P: Process<Message = M>>(&mut self, process: &mut P) -> Option<E> {
         while let Some(Reverse((deadline, token))) = self.timers.peek().copied() {
             if deadline > Instant::now() {
@@ -259,32 +350,61 @@ impl<M, E: Send + 'static> Host<M, E> {
             self.timers.pop();
             self.drive(|ctx| process.on_timer(token, ctx));
         }
+        if let Some(event) = self.ready.pop_front() {
+            return Some(event);
+        }
         let wait = self.timers.peek().map_or(IDLE_WAIT, |Reverse((at, _))| {
             at.saturating_duration_since(Instant::now()).min(IDLE_WAIT)
         });
-        self.events.recv_timeout(wait).ok()
+        self.poll(wait);
+        self.ready.pop_front()
     }
 
-    /// Discards everything queued (a paused replica hears nothing).
-    pub(crate) fn discard_events(&mut self) {
-        while self.events.try_recv().is_ok() {}
+    /// Serves the sockets for up to `wait` and discards every event they
+    /// carry (a paused replica hears nothing, but its peers' and clients'
+    /// writes still drain).
+    pub(crate) fn discard_events(&mut self, wait: Duration) {
+        self.poll(wait);
+        self.ready.clear();
     }
 
-    /// Joins the accept loop and every reader it spawned, so a finished
-    /// (or timed-out) run leaves no threads behind. Call once the shutdown
-    /// flag is up.
-    pub(crate) fn join(&mut self) {
-        let Some(accept) = self.accept.take() else {
+    /// Queues one frame with `payload` on connection `to`, to be written
+    /// before the host next waits; what the socket does not take then
+    /// goes out as it drains. A frame over
+    /// [`MAX_FRAME`] is counted unsendable and the connection kept; a
+    /// closed connection drops it.
+    pub(crate) fn write(&mut self, to: ConnId, payload: &[u8]) {
+        let Some(prefix) = u32::try_from(payload.len())
+            .ok()
+            .filter(|&len| len <= MAX_FRAME)
+        else {
+            // Nothing was queued: the link is healthy and also carries
+            // consensus traffic, so keep it — but count the loss, or a
+            // too-big-to-transfer snapshot would strand its laggard with
+            // no observable signal.
+            self.obs.frames_unsendable.inc();
             return;
         };
-        // (An accept loop that panicked takes its reader handles with it.)
-        for reader in accept.join().unwrap_or_default() {
-            join_reader(reader);
+        let Some(conn) = open_conn(&mut self.slots, to) else {
+            return;
+        };
+        if conn.queued().saturating_add(payload.len()) > MAX_OUTBOUND {
+            self.close(to);
+            return;
+        }
+        if conn.outbound.is_empty() {
+            conn.progress = Instant::now();
+        }
+        conn.outbound.extend_from_slice(&prefix.to_be_bytes());
+        conn.outbound.extend_from_slice(payload);
+        if !conn.want_write && !conn.flush_due {
+            conn.flush_due = true;
+            self.unflushed.push(to);
         }
     }
 
-    /// Encodes `msg`, charges it to its byte counter and writes it to peer
-    /// `to`, (re)connecting as needed.
+    /// Encodes `msg`, charges it to its byte counter and queues it for
+    /// peer `to`, (re)connecting as needed.
     fn send(&mut self, to: usize, msg: M) {
         if to >= self.addrs.len() {
             return;
@@ -296,182 +416,330 @@ impl<M, E: Send + 'static> Host<M, E> {
             FrameKind::State => &self.out_state,
         }
         .add(frame.len() as u64);
-        let Some(stream) = self.connect_peer(to) else {
-            return;
-        };
-        match write_frame(stream, &frame) {
-            Ok(()) => {}
-            // An unsendable frame (e.g. a snapshot beyond the transport's
-            // MAX_FRAME cap) wrote nothing: the link is healthy and also
-            // carries consensus traffic, so keep it — but count the loss,
-            // or a too-big-to-transfer snapshot would strand its laggard
-            // with no observable signal.
-            Err(FrameError::Oversized(_)) => self.obs.frames_unsendable.inc(),
-            Err(_) => {
-                // Broken link; a later send reconnects.
-                if let Some(slot) = self.peers.get_mut(to) {
-                    *slot = None;
-                }
-            }
+        if let Some(conn) = self.connect_peer(to) {
+            self.write(conn, &frame);
         }
     }
 
     /// The connection to peer `to`, opened if there is none: retrying
     /// while the cluster boots (peers come up concurrently), failing fast
     /// afterwards so a dead peer costs a refusal, not a stall, per send.
-    fn connect_peer(&mut self, to: usize) -> Option<&mut TcpStream> {
+    fn connect_peer(&mut self, to: usize) -> Option<ConnId> {
+        if let Some(open) = self.peers.get(to).copied().flatten() {
+            if open_conn(&mut self.slots, open).is_some() {
+                return Some(open);
+            }
+        }
         let addr = *self.addrs.get(to)?;
         let attempts = if self.started.elapsed() < BOOT_WINDOW {
             BOOT_CONNECT_ATTEMPTS
         } else {
             STEADY_CONNECT_ATTEMPTS
         };
-        let slot = self.peers.get_mut(to)?;
-        if slot.is_none() {
-            for attempt in 0..attempts {
-                if attempt > 0 {
-                    crate::pacing::pause(crate::pacing::CONNECT_RETRY);
+        for attempt in 0..attempts {
+            if attempt > 0 {
+                crate::pacing::pause(crate::pacing::CONNECT_RETRY);
+            }
+            if let Ok(stream) = TcpStream::connect(addr) {
+                let conn = self.insert(stream);
+                if let Some(slot) = self.peers.get_mut(to) {
+                    *slot = conn;
                 }
-                if let Ok(s) = TcpStream::connect(addr) {
-                    #[expect(
-                        clippy::let_underscore_must_use,
-                        reason = "peer-connect socket tuning (nodelay, write timeout): best-effort; a peer write that stalls past WRITE_STALL_LIMIT is already handled by the counted write-error path"
-                    )]
-                    {
-                        let _ = s.set_nodelay(true);
-                        let _ = s.set_write_timeout(Some(WRITE_STALL_LIMIT));
-                    }
-                    *slot = Some(s);
-                    break;
-                }
+                return conn;
             }
         }
-        slot.as_mut()
+        None
     }
-}
 
-/// Reads frames off one inbound connection and forwards what `decode`
-/// makes of them. A frame `decode` rejects is counted and the connection
-/// kept — a malformed peer must not silence a link; torn and oversized
-/// input is counted and ends the connection. Nothing here panics.
-fn reader_loop<E, D>(
-    stream: TcpStream,
-    decode: D,
-    event_tx: mpsc::Sender<E>,
-    shutdown: Arc<AtomicBool>,
-    obs: Arc<Obs>,
-) where
-    D: Fn(&[u8], &ReplyHandle) -> Option<E>,
-{
-    // The read timeout lets the loop poll the shutdown flag; the write
-    // timeout bounds reply writes, so a client that stops reading costs
-    // the replica a failed write, not a wedged event loop.
-    #[expect(
-        clippy::let_underscore_must_use,
-        reason = "reader-loop socket tuning (read timeout, nodelay, write timeout): best-effort latency/liveness knobs — the read timeout lets the loop poll the shutdown flag, and if it fails the loop still terminates when the peer closes; failure leaves a slower but correct connection"
-    )]
-    {
-        let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
-        let _ = stream.set_nodelay(true);
-        let _ = stream.set_write_timeout(Some(WRITE_STALL_LIMIT));
+    /// Waits up to `wait` for a socket to be ready, then accepts, reads
+    /// and flushes whatever is, and drops connections stalled past their
+    /// bounds.
+    fn poll(&mut self, wait: Duration) {
+        let mut due = std::mem::take(&mut self.unflushed);
+        for id in due.drain(..) {
+            self.flush(id);
+        }
+        self.unflushed = due;
+        if self.poller.wait(&mut self.events, Some(wait)).is_err() {
+            // Only a broken poller fails here; wait out the interval
+            // instead of spinning on it.
+            crate::pacing::pause(wait);
+            return;
+        }
+        for i in 0..self.events.len() {
+            let Some(event) = self.events.get(i) else {
+                break;
+            };
+            if event.key() == LISTENER_KEY {
+                self.accept();
+                continue;
+            }
+            let conn = ConnId::from_key(event.key());
+            if event.is_writable() {
+                self.flush(conn);
+            }
+            if event.is_readable() {
+                self.read(conn);
+            }
+        }
+        self.drop_stalled();
     }
-    let reply: ReplyHandle = match stream.try_clone() {
-        Ok(clone) => Arc::new(clone),
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(stream);
-    while !shutdown.load(Ordering::SeqCst) {
-        match read_frame(&mut reader) {
-            Ok(Some(frame)) => match decode(&frame, &reply) {
-                Some(event) => {
-                    if event_tx.send(event).is_err() {
+
+    /// Takes every connection waiting in the listener's backlog.
+    fn accept(&mut self) {
+        loop {
+            match self.listener.accept() {
+                Ok((stream, _)) => {
+                    self.insert(stream);
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                // WouldBlock: the backlog is empty. Anything else (a
+                // connection aborted in the backlog, the descriptor
+                // limit): try again on the next readiness report.
+                Err(_) => return,
+            }
+        }
+    }
+
+    /// Puts `stream` in the slab, non-blocking and registered for reads.
+    fn insert(&mut self, stream: TcpStream) -> Option<ConnId> {
+        stream.set_nonblocking(true).ok()?;
+        // Best-effort: without it the connection is slower, not wrong.
+        stream.set_nodelay(true).unwrap_or_default();
+        let index = match self.free.pop() {
+            Some(index) => index,
+            None => {
+                let index = u32::try_from(self.slots.len()).ok()?;
+                self.slots.push(Slot {
+                    generation: 0,
+                    conn: None,
+                });
+                index
+            }
+        };
+        let slot = self.slots.get_mut(usize::try_from(index).ok()?)?;
+        let id = ConnId {
+            index,
+            generation: slot.generation,
+        };
+        if self.poller.add(&stream, id.key(), Interest::Read).is_err() {
+            self.free.push(index);
+            return None;
+        }
+        slot.conn = Some(Conn {
+            stream,
+            inbound: FrameAssembler::default(),
+            outbound: Vec::new(),
+            sent: 0,
+            progress: Instant::now(),
+            want_write: false,
+            flush_due: false,
+        });
+        Some(id)
+    }
+
+    /// Closes connection `id` (its descriptor leaves the poller with it)
+    /// and retires the id.
+    fn close(&mut self, id: ConnId) {
+        let Some(slot) = usize::try_from(id.index)
+            .ok()
+            .and_then(|i| self.slots.get_mut(i))
+            .filter(|slot| slot.generation == id.generation && slot.conn.is_some())
+        else {
+            return;
+        };
+        slot.conn = None;
+        slot.generation = slot.generation.wrapping_add(1);
+        self.free.push(id.index);
+    }
+
+    /// Reads what connection `id` has (up to [`MAX_READ_PER_WAKE`]) and
+    /// decodes every frame it completes into `ready`. A frame `decode`
+    /// rejects is counted and the connection kept — a malformed peer must
+    /// not silence a link; an oversized length prefix is counted and ends
+    /// the connection, as do an end of stream inside a frame and a socket
+    /// error (counted torn).
+    fn read(&mut self, id: ConnId) {
+        let now = Instant::now();
+        let mut budget = MAX_READ_PER_WAKE;
+        let Host {
+            slots,
+            read_buf,
+            decode,
+            ready,
+            obs,
+            ..
+        } = self;
+        let Some(conn) = open_conn(slots, id) else {
+            return;
+        };
+        let end = loop {
+            match conn.stream.read(read_buf) {
+                Ok(0) => break conn.inbound.mid_frame().then(|| &obs.frames_torn),
+                Ok(n) => {
+                    let chunk = read_buf.get(..n).unwrap_or_default();
+                    let fed = conn
+                        .inbound
+                        .feed(chunk, now, |frame| match decode(frame, id) {
+                            Some(event) => ready.push_back(event),
+                            None => obs.frames_malformed.inc(),
+                        });
+                    if fed.is_err() {
+                        break Some(&obs.frames_malformed);
+                    }
+                    budget = budget.saturating_sub(n);
+                    // A short read drained the socket: skip the read that
+                    // would only say so.
+                    if budget == 0 || n < read_buf.len() {
                         return;
                     }
                 }
-                None => obs.frames_malformed.inc(),
-            },
-            Ok(None) => return, // peer closed at a frame boundary
-            Err(FrameError::Io(e))
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
+                Err(_) => break Some(&obs.frames_torn),
             }
-            // A peer-announced length beyond the cap is malformed input,
-            // not a connection fault.
-            Err(FrameError::Oversized(_)) => {
-                obs.frames_malformed.inc();
-                return;
-            }
-            // Everything else ended the connection mid-stream: EOF inside
-            // a frame, a mid-frame stall, or a socket error (reset etc.).
-            Err(FrameError::Io(_) | FrameError::Stalled { .. }) => {
-                obs.frames_torn.inc();
-                return;
-            }
+        };
+        if let Some(counter) = end {
+            counter.inc();
         }
+        self.close(id);
     }
-}
 
-/// Joins and removes reader threads that already exited (disconnected
-/// peers/clients), so a long-lived accept loop does not accumulate dead
-/// handles without bound.
-fn reap_finished(handles: &mut Vec<thread::JoinHandle<()>>) {
-    let mut i = 0;
-    while i < handles.len() {
-        if handles.get(i).is_some_and(|h| h.is_finished()) {
-            join_reader(handles.swap_remove(i));
+    /// Writes what connection `id` has queued, and asks the poller for
+    /// writability exactly while something stays queued.
+    fn flush(&mut self, id: ConnId) {
+        let now = Instant::now();
+        let Some(conn) = open_conn(&mut self.slots, id) else {
+            return;
+        };
+        conn.flush_due = false;
+        if conn.flush(now).is_err() {
+            // A broken link; a later send to a peer reconnects.
+            self.close(id);
+            return;
+        }
+        let backlogged = conn.queued() > 0;
+        if backlogged == conn.want_write {
+            return;
+        }
+        conn.want_write = backlogged;
+        let interest = if backlogged {
+            Interest::ReadWrite
         } else {
-            i += 1;
+            Interest::Read
+        };
+        if self
+            .poller
+            .modify(&conn.stream, id.key(), interest)
+            .is_err()
+        {
+            self.close(id);
+        }
+    }
+
+    /// Drops every connection whose outbound queue has not moved for
+    /// [`WRITE_STALL_LIMIT`], or whose inbound frame has been silent for
+    /// the mid-frame bound (counted torn).
+    fn drop_stalled(&mut self) {
+        let now = Instant::now();
+        let mut stalled = Vec::new();
+        for (index, slot) in self.slots.iter().enumerate() {
+            let Some(conn) = &slot.conn else {
+                continue;
+            };
+            let write_stalled = conn.queued() > 0
+                && now.saturating_duration_since(conn.progress) >= WRITE_STALL_LIMIT;
+            let read_stalled = conn.inbound.stalled(now);
+            if write_stalled || read_stalled {
+                if read_stalled {
+                    self.obs.frames_torn.inc();
+                }
+                if let Ok(index) = u32::try_from(index) {
+                    stalled.push(ConnId {
+                        index,
+                        generation: slot.generation,
+                    });
+                }
+            }
+        }
+        for id in stalled {
+            self.close(id);
         }
     }
 }
 
-/// Waits for one reader thread to exit.
-fn join_reader(reader: thread::JoinHandle<()>) {
-    #[expect(
-        clippy::let_underscore_must_use,
-        reason = "teardown joins (Host::join, reap_finished): the Err payload is a thread panic, and reader threads are panic-free by the crate's deny list (they degrade to counted errors instead of panicking); the join exists to bound thread lifetime, not to collect a result"
-    )]
-    let _ = reader.join();
+/// Connection `id`, if it is still open.
+fn open_conn(slots: &mut [Slot], id: ConnId) -> Option<&mut Conn> {
+    slots
+        .get_mut(usize::try_from(id.index).ok()?)
+        .filter(|slot| slot.generation == id.generation)?
+        .conn
+        .as_mut()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Write;
+    use crate::live::{smr_decoder, LiveSmrBuilder, SmrEvent, SmrFrame};
+    use crate::transport::{read_frame, write_frame, FrameError};
+    use probft_core::wire::Wire;
+    use probft_smr::{Command, Consistency, KvStore, RequestId, SmrMessage};
+    use std::io::BufReader;
 
-    /// Runs the shared reader loop over one connection with the SMR frame
-    /// decoder, lets `rogue` write to it, and returns
-    /// `(frames_malformed, frames_torn, events forwarded)`.
+    /// A process with nothing to do: these tests drive the host.
+    struct Idle;
+
+    impl Process for Idle {
+        type Message = SmrMessage;
+        fn on_start(&mut self, _: &mut Context<'_, SmrMessage>) {}
+        fn on_message(&mut self, _: ProcessId, _: SmrMessage, _: &mut Context<'_, SmrMessage>) {}
+        fn on_timer(&mut self, _: TimerToken, _: &mut Context<'_, SmrMessage>) {}
+    }
+
+    fn unused_encoder(_: usize, _: SmrMessage) -> (FrameKind, Vec<u8>) {
+        (FrameKind::Peer, Vec::new())
+    }
+
+    /// Runs a real host — replica 0 of a 4-replica SMR cluster, with the
+    /// SMR frame decoder — lets `rogue` write to one connection and hang
+    /// up, drives `next_event` until the host has accepted and closed
+    /// that connection, and returns `(frames_malformed, frames_torn,
+    /// events handed out)`.
     fn feed(rogue: impl Fn(&mut TcpStream)) -> (u64, u64, usize) {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr");
-        let decode = crate::live::smr_decoder::<probft_smr::KvStore>(4, &Obs::new("decoder"));
-        let (event_tx, event_rx) = mpsc::channel();
-        let obs = Arc::new(Obs::new("reader"));
-        let reader = {
-            let obs = obs.clone();
-            thread::spawn(move || {
-                let (stream, _) = listener.accept().expect("accept");
-                reader_loop(stream, decode, event_tx, Arc::default(), obs);
-            })
-        };
+        let decode = smr_decoder::<KvStore>(4, &Obs::new("decoder"));
+        let obs = Arc::new(Obs::new("host"));
+        let mut host: Host<SmrMessage, SmrEvent<KvStore>> = Host::new(
+            0,
+            listener,
+            Arc::new(vec![addr]),
+            Arc::default(),
+            obs.clone(),
+            unused_encoder,
+            decode,
+        )
+        .expect("host");
         let mut peer = TcpStream::connect(addr).expect("connect");
         rogue(&mut peer);
         drop(peer);
-        reader.join().expect("reader thread exits cleanly");
-        (
-            obs.frames_malformed.get(),
-            obs.frames_torn.get(),
-            event_rx.try_iter().count(),
-        )
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let mut events = 0;
+        while host.slots.is_empty() || host.slots.iter().any(|slot| slot.conn.is_some()) {
+            assert!(
+                Instant::now() < deadline,
+                "the host never closed the connection"
+            );
+            events += usize::from(host.next_event(&mut Idle).is_some());
+        }
+        events += host.ready.len();
+        (obs.frames_malformed.get(), obs.frames_torn.get(), events)
     }
 
     /// Regression: short (< 4 byte) and undecodable frames from a rogue
     /// peer used to reach a panicking `expect` path; they must be counted
-    /// and dropped while the reader thread keeps serving the connection,
-    /// and the clean EOF that follows is not a torn frame.
+    /// and dropped while the host keeps serving the connection, and the
+    /// clean EOF that follows is not a torn frame.
     #[test]
     fn malformed_frames_are_counted_not_fatal() {
         let (malformed, torn, events) = feed(|peer| {
@@ -495,16 +763,14 @@ mod tests {
     /// malformed and none reaches the replica.
     #[test]
     fn frames_from_outside_the_cluster_are_counted_not_forwarded() {
-        use crate::live::{SmrFrame, SmrReply};
+        use crate::live::SmrReply;
         use probft_core::config::View;
         use probft_core::message::{Message, Wish, WishBody};
-        use probft_core::wire::Wire;
         use probft_crypto::keyring::Keyring;
         use probft_crypto::sha256::Sha256;
         use probft_quorum::ReplicaId;
         use probft_smr::{
-            CheckpointBody, CheckpointVote, KvResponse, KvStore, SlotMessage, StateReply,
-            StateRequest,
+            CheckpointBody, CheckpointVote, KvResponse, SlotMessage, StateReply, StateRequest,
         };
 
         // Replica 4 of a 5-key ring: a real signature, one past a 4-cluster.
@@ -517,7 +783,7 @@ mod tests {
                 view: View(2),
             },
         );
-        let request = probft_smr::RequestId { client: 1, seq: 1 };
+        let request = RequestId { client: 1, seq: 1 };
         let frames: Vec<SmrFrame<KvStore>> = vec![
             SmrFrame::Peer {
                 from: 4,
@@ -596,5 +862,89 @@ mod tests {
                 .expect("absurd length prefix")
         });
         assert_eq!(counts, (1, 0, 0));
+    }
+
+    #[test]
+    fn connection_ids_round_trip_through_poller_keys() {
+        for id in [
+            ConnId {
+                index: 0,
+                generation: 0,
+            },
+            ConnId {
+                index: 7,
+                generation: 3,
+            },
+            ConnId {
+                index: u32::MAX - 1,
+                generation: u32::MAX - 1,
+            },
+        ] {
+            assert_eq!(ConnId::from_key(id.key()), id);
+            assert_ne!(id.key(), LISTENER_KEY);
+        }
+    }
+
+    /// A client that submits and never reads its replies costs the
+    /// replica that one connection, once its outbound queue has stalled
+    /// for [`WRITE_STALL_LIMIT`] — and nothing else: a second client is
+    /// served the whole time, none of its attempts waiting out a timeout.
+    #[test]
+    fn a_client_that_never_reads_is_dropped_and_nobody_waits_for_it() {
+        const READS: u64 = 512;
+        let cluster = LiveSmrBuilder::new(4).seed(61).start().expect("boots");
+        let mut client = cluster.client(1);
+        client.put("big", &"v".repeat(64 * 1024)).expect("applied");
+        // 512 replies of 64 KiB: 32 MiB, far past what the kernel buffers
+        // of a connection nobody reads will hold, and under MAX_OUTBOUND,
+        // so the stall (not the cap) is what ends the connection.
+        let leader = cluster.addrs()[cluster.current_leader()];
+        let mut rogue = TcpStream::connect(leader).expect("connect");
+        for seq in 1..=READS {
+            let read = SmrFrame::<KvStore>::ReadRequest {
+                request: RequestId { client: 2, seq },
+                consistency: Consistency::Local,
+                op: Command::Get { key: "big".into() },
+            };
+            write_frame(&mut rogue, &read.to_wire_bytes()).expect("request");
+        }
+        let started = Instant::now();
+        let mut served = 0;
+        while started.elapsed() < 2 * WRITE_STALL_LIMIT {
+            client.put(&format!("k{served}"), "v").expect("served");
+            served += 1;
+        }
+        assert_eq!(client.retries(), 0, "an attempt waited out its timeout");
+
+        // The replica gave up on the rogue: what it had handed the kernel
+        // arrives (typically ending inside a reply), then the end of the
+        // stream — not every reply, and not a read that times out on a
+        // connection still held open.
+        rogue
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("timeout");
+        let mut reader = BufReader::new(&rogue);
+        let mut replies = 0;
+        let end = loop {
+            match read_frame(&mut reader) {
+                Ok(Some(_)) => replies += 1,
+                other => break other,
+            }
+        };
+        let closed = match &end {
+            Ok(None) => true,
+            Err(FrameError::Io(e)) => matches!(
+                e.kind(),
+                io::ErrorKind::UnexpectedEof | io::ErrorKind::ConnectionReset
+            ),
+            _ => false,
+        };
+        assert!(
+            closed,
+            "expected the connection closed, got {end:?} after {replies} replies"
+        );
+        assert!(replies < READS, "all {replies} replies were delivered");
+        let reports = cluster.shutdown();
+        assert!(reports.iter().all(|r| r.state.get("k0") == Some("v")));
     }
 }

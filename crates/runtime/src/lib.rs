@@ -1,23 +1,24 @@
 //! # probft-runtime
 //!
-//! A real-clock, real-network deployment substrate for ProBFT: one event
-//! loop thread per replica, fed by an accept thread and one reader thread
-//! per inbound connection (so about n² threads in an n-replica cluster),
-//! TCP links with length-prefixed framing, and a deadline-driven timer
-//! loop. The same unmodified [`SmrNode`] that runs in the deterministic
-//! simulator runs here, driven through the simulator's embedding API
-//! ([`Context::detached`] + [`Context::drain_actions`]) — the runtime only
-//! interprets the resulting actions against sockets and the wall clock.
+//! A real-clock, real-network deployment substrate for ProBFT: one thread
+//! per replica, whose event loop accepts, reads and writes every socket
+//! itself — non-blocking, told which are ready by epoll — over TCP links
+//! with length-prefixed framing, between deadline-driven timers (so n
+//! threads in an n-replica cluster). The same unmodified [`SmrNode`] that
+//! runs in the deterministic simulator runs here, driven through the
+//! simulator's embedding API ([`Context::detached`] +
+//! [`Context::drain_actions`]) — the runtime only interprets the resulting
+//! actions against sockets and the wall clock.
 //!
-//! There is one replica host — peer sockets and connect policy, timer
-//! heap, action applier, accept loop and reader loop, all counting into
-//! the replica's `probft-obs` registry — generic over the hosted
-//! [`Process`]'s message type and the events its frame codec yields, and
-//! one instantiation of it: [`LiveSmrBuilder`], whose codec ([`SmrFrame`])
-//! carries replica traffic and the client side together. The host writes
-//! what the process sends and models no network of its own: link faults
-//! (partitions, drops, jitter) belong to the simulator's delay models,
-//! where they replay from a seed.
+//! There is one replica host — listener and connection slab, frame
+//! assembly and outbound queues, connect policy, timer heap and action
+//! applier, all counting into the replica's `probft-obs` registry —
+//! generic over the hosted [`Process`]'s message type and the events its
+//! frame codec yields, and one instantiation of it: [`LiveSmrBuilder`],
+//! whose codec ([`SmrFrame`]) carries replica traffic and the client side
+//! together. The host writes what the process sends and models no network
+//! of its own: link faults (partitions, drops, jitter) belong to the
+//! simulator's delay models, where they replay from a seed.
 //!
 //! A live cluster serves full state-machine replication of any
 //! [`StateMachine`](probft_smr::StateMachine) — pipelined, batched, served
@@ -36,11 +37,10 @@
 //! [`Context::detached`]: probft_simnet::process::Context::detached
 //! [`Context::drain_actions`]: probft_simnet::process::Context::drain_actions
 //!
-//! `tokio` is not available in this offline build environment (see
-//! DESIGN.md, "Substitutions"); blocking `std::net` sockets with an event
-//! loop per replica and a reader thread per connection provide equivalent
-//! message-passing semantics for laptop-scale clusters, which is all the
-//! paper's evaluation needs.
+//! `tokio` and `mio` are not available in this offline build environment
+//! (see DESIGN.md, "Substitutions"): readiness comes from a hand-written
+//! epoll binding (the workspace's `epoll` crate), so the runtime builds on
+//! Linux only. Clients ([`SmrClient`]) keep plain blocking sockets.
 //!
 //! Virtual-time convention: one simulator tick = one microsecond of wall
 //! time (so the default 50 ms base view timeout carries over sensibly).

@@ -33,8 +33,7 @@
 //! [`SmrFrame::StateReply`] and resumes consensus from the checkpoint
 //! slot instead of replaying (or waiting forever for) the truncated log.
 
-use crate::host::{bind_listeners, micros, wire_id, FrameKind, Host, ReplyHandle};
-use crate::transport::write_frame;
+use crate::host::{bind_listeners, micros, wire_id, ConnId, FrameKind, Host};
 use probft_core::config::{ProbftConfig, SharedConfig, View};
 use probft_core::wire::{put, Reader, Wire, WireError};
 use probft_crypto::keyring::Keyring;
@@ -51,7 +50,7 @@ use probft_smr::{
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -391,7 +390,8 @@ impl<S: StateMachine> ReplicaReport<S> {
 /// Why [`LiveSmrBuilder::start`] could not boot a cluster.
 #[derive(Debug)]
 pub enum ClusterError {
-    /// A listener could not bind (port in use?).
+    /// A listener could not bind (port in use?) or be set up for
+    /// non-blocking service.
     Bind(std::io::Error),
     /// The cluster was misconfigured (e.g. a keyring shorter than `n`).
     /// Surfaced as a typed error so setup bugs fail the run, not the
@@ -541,16 +541,31 @@ impl<S: StateMachine> LiveSmrBuilder<S> {
             .map(|i| Arc::new(Obs::new(format!("replica-{i}"))))
             .collect();
 
+        // Every host is built before any replica runs, so a socket that
+        // cannot be set up fails the boot instead of a replica thread.
+        let mut hosts = Vec::with_capacity(n);
+        for (i, (listener, obs)) in listeners.into_iter().zip(&obs_handles).enumerate() {
+            let host = Host::new(
+                i,
+                listener,
+                addrs.clone(),
+                shutdown.clone(),
+                obs.clone(),
+                encode_smr_message::<S>,
+                smr_decoder::<S>(n, obs),
+            );
+            hosts.push(host.map_err(ClusterError::Bind)?);
+        }
+
         let mut handles = Vec::with_capacity(n);
-        let per_replica = listeners.into_iter().zip(&paused).zip(&obs_handles);
-        for (i, ((listener, paused), obs)) in per_replica.enumerate() {
+        let per_replica = hosts.into_iter().zip(&paused).zip(&obs_handles);
+        for (i, ((host, paused), obs)) in per_replica.enumerate() {
             let cfg = cfg.clone();
             let sk = keyring
                 .signing_key(i)
                 .map_err(|_| ClusterError::Config("keyring shorter than cluster size"))?
                 .clone();
             let public = public.clone();
-            let (addrs, shutdown) = (addrs.clone(), shutdown.clone());
             let (paused, obs) = (paused.clone(), obs.clone());
             handles.push(thread::spawn(move || {
                 let mut node: SmrNode<S> = SmrNode::new(
@@ -561,10 +576,7 @@ impl<S: StateMachine> LiveSmrBuilder<S> {
                     Vec::new(), // no prebuilt workload: operations arrive from clients
                     settings,
                 );
-                node.set_obs(obs.clone());
-                let decode = smr_decoder::<S>(n, &obs);
-                let mut host = Host::new(i, addrs, shutdown, obs, encode_smr_message::<S>);
-                host.listen(listener, decode);
+                node.set_obs(obs);
                 smr_replica_main(node, host, &paused)
             }));
         }
@@ -768,20 +780,20 @@ impl<S: StateMachine> LiveSmrCluster<S> {
 pub(crate) enum SmrEvent<S: StateMachine> {
     /// Consensus or checkpoint traffic from a peer replica.
     Peer(ProcessId, SmrMessage),
-    /// A client submission to be ordered, with the write half of its
-    /// connection for the eventual reply.
+    /// A client submission to be ordered, with the connection the
+    /// eventual reply goes out on.
     Request {
         request: RequestId,
         kind: OpKind,
         op: S::Op,
-        reply: ReplyHandle,
+        reply: ConnId,
     },
     /// A consensus-bypassing client read.
     Read {
         request: RequestId,
         consistency: Consistency,
         op: S::Op,
-        reply: ReplyHandle,
+        reply: ConnId,
     },
 }
 
@@ -801,13 +813,12 @@ fn encode_smr_message<S: StateMachine>(id: usize, msg: SmrMessage) -> (FrameKind
 /// The SMR shape's inbound codec for an `n`-replica cluster: one frame to
 /// one event, charging accepted frames to `obs`'s per-kind
 /// `frame_bytes_in` counters (fetched once here, not per frame). `None` —
-/// counted malformed by the reader loop, connection kept — for
-/// undecodable bytes, out-of-range sender ids, and replies sent *to* a
-/// replica.
+/// counted malformed by the host, connection kept — for undecodable
+/// bytes, out-of-range sender ids, and replies sent *to* a replica.
 pub(crate) fn smr_decoder<S: StateMachine>(
     n: usize,
     obs: &Obs,
-) -> impl Fn(&[u8], &ReplyHandle) -> Option<SmrEvent<S>> + Clone + Send + 'static {
+) -> impl Fn(&[u8], ConnId) -> Option<SmrEvent<S>> + Send + 'static {
     let in_peer = obs.frame_bytes_in("peer");
     let in_request = obs.frame_bytes_in("request");
     let in_read = obs.frame_bytes_in("read");
@@ -838,7 +849,7 @@ pub(crate) fn smr_decoder<S: StateMachine>(
                     request,
                     kind,
                     op,
-                    reply: reply.clone(),
+                    reply,
                 },
             ),
             // A linearizable read *is* an ordered request (a read-kind
@@ -855,7 +866,7 @@ pub(crate) fn smr_decoder<S: StateMachine>(
                     request,
                     kind: OpKind::Read,
                     op,
-                    reply: reply.clone(),
+                    reply,
                 },
             ),
             SmrFrame::ReadRequest {
@@ -868,7 +879,7 @@ pub(crate) fn smr_decoder<S: StateMachine>(
                     request,
                     consistency,
                     op,
-                    reply: reply.clone(),
+                    reply,
                 },
             ),
             SmrFrame::Reply(_) | SmrFrame::ReadReply { .. } => return None,
@@ -887,37 +898,9 @@ fn smr_replica_main<S: StateMachine>(
 ) -> ReplicaReport<S> {
     let id = host.id();
     let obs = host.obs().clone();
-    let addrs = host.addrs().clone();
     // Clients awaiting a post-apply reply, by request id, with the time
     // each entry was (last) registered.
-    let mut waiting: BTreeMap<RequestId, (ReplyHandle, Instant)> = BTreeMap::new();
-    // Points a client at the leader of the log's view (id and address).
-    // Callers then tell the node (`on_redirect`): a client turned away is
-    // work the named leader owes, and that is what runs the view timer
-    // when no slot is in flight anywhere — the idle-leader-crash case.
-    let redirect = |node: &SmrNode<S>, reply: &ReplyHandle, request| {
-        let leader = node.current_leader().index();
-        // `% n` keeps the index in range for any sane `addrs`; `.get`
-        // degrades an impossible empty list to a redirect the client
-        // treats as unreachable, instead of panicking the replica.
-        let addr = addrs
-            .get(leader % addrs.len().max(1))
-            .copied()
-            .unwrap_or_else(crate::client::unusable_addr);
-        let leader = wire_id(leader);
-        send_frame::<S>(
-            reply,
-            SmrFrame::Reply(SmrReply::Redirect {
-                request,
-                leader,
-                addr,
-            }),
-        );
-        obs.redirects_served.inc();
-        obs.trace(TraceKind::RedirectServed {
-            leader: leader as u64,
-        });
-    };
+    let mut waiting: BTreeMap<RequestId, (ConnId, Instant)> = BTreeMap::new();
 
     // Start the node (in live mode this opens no slots until traffic
     // arrives).
@@ -927,8 +910,7 @@ fn smr_replica_main<S: StateMachine>(
         if paused.load(Ordering::SeqCst) {
             // Fault injection: a paused replica is a partitioned process.
             // Discard whatever arrives, fire nothing, send nothing.
-            host.discard_events();
-            crate::pacing::pause(crate::pacing::PAUSED_POLL);
+            host.discard_events(crate::pacing::PAUSED_POLL);
             continue;
         }
         match host.next_event(&mut node) {
@@ -940,14 +922,14 @@ fn smr_replica_main<S: StateMachine>(
                 reply,
             }) => {
                 if node.current_leader().index() != id {
-                    redirect(&node, &reply, request);
-                    host.drive(|ctx| node.on_redirect(ctx));
+                    redirect(&mut node, &mut host, reply, request);
                 } else if let Some(response) = node.cached_response(request).cloned() {
                     // A retry of something already applied: answer from
                     // the reply cache without re-ordering it
                     // (at-most-once).
-                    send_frame::<S>(
-                        &reply,
+                    answer(
+                        &mut host,
+                        reply,
                         SmrFrame::Reply(SmrReply::Applied { request, response }),
                     );
                 } else if node.overloaded() && !waiting.contains_key(&request) {
@@ -958,21 +940,20 @@ fn smr_replica_main<S: StateMachine>(
                     // backs off and retries here — rotating to a follower
                     // would only earn a redirect straight back. Retries of
                     // an entry already queued are exempt: refusing those
-                    // would orphan their reply handle.
+                    // would orphan their reply connection.
                     obs.shed_requests.inc();
                     obs.trace(TraceKind::OverloadShed);
-                    send_frame::<S>(
-                        &reply,
-                        SmrFrame::Reply(SmrReply::Overloaded {
-                            request,
-                            queued: u32::try_from(node.pending_len()).unwrap_or(u32::MAX),
-                        }),
+                    let queued = u32::try_from(node.pending_len()).unwrap_or(u32::MAX);
+                    answer(
+                        &mut host,
+                        reply,
+                        SmrFrame::Reply(SmrReply::Overloaded { request, queued }),
                     );
                 } else {
                     // Accept: remember who to answer, feed the entry into
                     // the pending queue. Duplicate in-flight retries just
-                    // refresh the reply handle; the decided log's dedup
-                    // keeps execution at-most-once.
+                    // refresh the reply connection; the decided log's
+                    // dedup keeps execution at-most-once.
                     waiting.insert(request, (reply, Instant::now()));
                     let entry = Entry {
                         request: Some(request),
@@ -997,13 +978,12 @@ fn smr_replica_main<S: StateMachine>(
             }) => {
                 if consistency == Consistency::Local || node.current_leader().index() == id {
                     let response = node.query(&op);
-                    send_frame::<S>(&reply, SmrFrame::ReadReply { request, response });
+                    answer(&mut host, reply, SmrFrame::ReadReply { request, response });
                 } else {
                     // A leader read bounced off a silent leader is client
                     // contact too, or an idle dead-leader cluster would
                     // serve writes but starve reads forever.
-                    redirect(&node, &reply, request);
-                    host.drive(|ctx| node.on_redirect(ctx));
+                    redirect(&mut node, &mut host, reply, request);
                 }
             }
             None => {}
@@ -1017,8 +997,9 @@ fn smr_replica_main<S: StateMachine>(
                 // server-side commit latency the paper's probabilistic
                 // latency claims are about.
                 obs.commit_latency_us.record(micros(since.elapsed()));
-                send_frame::<S>(
-                    &reply,
+                answer(
+                    &mut host,
+                    reply,
                     SmrFrame::Reply(SmrReply::Applied {
                         request: applied.request,
                         response: applied.response,
@@ -1028,16 +1009,11 @@ fn smr_replica_main<S: StateMachine>(
         }
         // Forget waiters whose entry never reached the log (e.g. lost
         // to a view change before being re-proposed): past the client's
-        // retry budget nobody reads the handle any more, and keeping it
-        // would pin the connection forever.
+        // retry budget nobody reads the answer any more.
         if !waiting.is_empty() {
             waiting.retain(|_, (_, since)| since.elapsed() < WAITER_TTL);
         }
     }
-
-    // Join the accept loop and every reader before reporting, so shutdown
-    // leaves no running threads behind.
-    host.join();
 
     ReplicaReport {
         id,
@@ -1051,16 +1027,48 @@ fn smr_replica_main<S: StateMachine>(
     }
 }
 
-/// Writes one reply frame to a client connection, ignoring failures (a
-/// vanished client simply never reads its answer; the state machine is
-/// already consistent).
-fn send_frame<S: StateMachine>(conn: &ReplyHandle, frame: SmrFrame<S>) {
-    let mut stream: &TcpStream = conn;
-    #[expect(
-        clippy::let_underscore_must_use,
-        reason = "send_frame is documented best-effort: a vanished client simply never reads its answer, the state machine is already consistent, and the client's retry path re-fetches the cached reply"
-    )]
-    let _ = write_frame(&mut stream, &frame.to_wire_bytes());
+/// Queues one frame to a client. Best-effort: a client that has gone
+/// simply never reads its answer (the state machine is already
+/// consistent, and a retry is answered from the reply cache).
+fn answer<S: StateMachine>(
+    host: &mut Host<SmrMessage, SmrEvent<S>>,
+    conn: ConnId,
+    frame: SmrFrame<S>,
+) {
+    host.write(conn, &frame.to_wire_bytes());
+}
+
+/// Points a client at the leader of the log's view (id and address), then
+/// tells the node (`on_redirect`): a client turned away is work the named
+/// leader owes, and that is what runs the view timer when no slot is in
+/// flight anywhere — the idle-leader-crash case.
+fn redirect<S: StateMachine>(
+    node: &mut SmrNode<S>,
+    host: &mut Host<SmrMessage, SmrEvent<S>>,
+    conn: ConnId,
+    request: RequestId,
+) {
+    let leader = node.current_leader().index();
+    // `% n` keeps the index in range for any sane `addrs`; `.get`
+    // degrades an impossible empty list to a redirect the client treats
+    // as unreachable, instead of panicking the replica.
+    let addrs = host.addrs();
+    let addr = addrs
+        .get(leader % addrs.len().max(1))
+        .copied()
+        .unwrap_or_else(crate::client::unusable_addr);
+    let leader = wire_id(leader);
+    let frame = SmrFrame::Reply(SmrReply::Redirect {
+        request,
+        leader,
+        addr,
+    });
+    answer(host, conn, frame);
+    host.obs().redirects_served.inc();
+    host.obs().trace(TraceKind::RedirectServed {
+        leader: leader as u64,
+    });
+    host.drive(|ctx| node.on_redirect(ctx));
 }
 
 #[cfg(test)]

@@ -10,17 +10,12 @@
 
 use std::time::Duration;
 
-/// Poll interval for non-blocking accept loops: long enough to keep an
-/// idle listener cheap, short enough that a connecting peer is picked up
-/// within a few milliseconds.
-pub(crate) const ACCEPT_POLL: Duration = Duration::from_millis(5);
-
 /// Poll interval while watching replica progress counters settle during
 /// shutdown quiescence.
 pub(crate) const QUIESCE_POLL: Duration = Duration::from_millis(5);
 
-/// Poll interval for a paused (fault-injected) replica waiting to be
-/// resumed.
+/// How long a paused (fault-injected) replica serves its sockets, and
+/// discards what they bring, between looks at its resume flag.
 pub(crate) const PAUSED_POLL: Duration = Duration::from_millis(5);
 
 /// Backoff between TCP connect attempts against a peer that refused: peers

@@ -4,18 +4,32 @@
 //! the standard minimal framing for message-oriented protocols over a
 //! stream transport. A sanity cap rejects frames larger than the wire
 //! codec's own limit so a malicious peer cannot force huge allocations.
+//!
+//! [`read_frame`] / [`write_frame`] serve blocking streams (the client
+//! side); the replica host reads non-blocking sockets through a frame
+//! assembler, which applies the same checks to whatever chunks the socket
+//! yields.
 
 use std::error::Error;
 use std::fmt;
 use std::io::{self, Read, Write};
+use std::time::{Duration, Instant};
 
 /// Maximum accepted frame size (matches `probft_core::wire::MAX_LEN`).
 pub const MAX_FRAME: u32 = 16 * 1024 * 1024;
 
+/// Bytes of the length prefix.
+const PREFIX: usize = 4;
+
+/// How long a connection may stay silent in the middle of a frame before
+/// the host declares it torn: the bound [`read_frame`] enforces on a
+/// socket with a 200 ms read timeout ([`MAX_MID_FRAME_RETRIES`] × 200 ms).
+pub(crate) const MID_FRAME_SILENCE: Duration = Duration::from_secs(10);
+
 /// How many consecutive timed-out reads a mid-frame fill tolerates before
-/// declaring the peer stalled. With the runtime's 200 ms socket read
-/// timeout this bounds a mid-frame stall to ~10 s, so a peer that sends a
-/// partial frame and goes silent cannot pin a reader thread forever.
+/// declaring the peer stalled. With a 200 ms socket read timeout this
+/// bounds a mid-frame stall to ~10 s, so a peer that sends a partial frame
+/// and goes silent cannot pin a reading thread forever.
 pub const MAX_MID_FRAME_RETRIES: u32 = 50;
 
 /// Errors produced by frame I/O.
@@ -152,6 +166,95 @@ fn fill<R: Read>(reader: &mut R, buf: &mut [u8], mid_frame: bool) -> Result<bool
         }
     }
     Ok(true)
+}
+
+/// The payload length a prefix announces, refused above [`MAX_FRAME`].
+fn frame_len(prefix: [u8; PREFIX]) -> Result<usize, FrameError> {
+    let len = u32::from_be_bytes(prefix);
+    if len > MAX_FRAME {
+        return Err(FrameError::Oversized(len));
+    }
+    usize::try_from(len).map_err(|_| FrameError::Oversized(len))
+}
+
+/// Reassembles frames from the chunks a non-blocking socket yields, in
+/// whatever sizes they come: the incremental counterpart of
+/// [`read_frame`], with the same length cap. Whole frames in a chunk are
+/// handed out as slices of it; only a frame split across chunks is
+/// copied, and never beyond [`MAX_FRAME`] plus its prefix.
+#[derive(Debug, Default)]
+pub(crate) struct FrameAssembler {
+    /// The frame begun but not finished, prefix included.
+    partial: Vec<u8>,
+    /// When the last byte of `partial` arrived (`None` while empty).
+    last_byte: Option<Instant>,
+}
+
+impl FrameAssembler {
+    /// Takes `chunk`, received at `now`, and hands every frame it
+    /// completes to `on_frame`, in stream order. A prefix announcing more
+    /// than [`MAX_FRAME`] is [`FrameError::Oversized`]: the frames before
+    /// it were handed out, and nothing after it can be trusted to be
+    /// frame-aligned.
+    pub(crate) fn feed(
+        &mut self,
+        chunk: &[u8],
+        now: Instant,
+        mut on_frame: impl FnMut(&[u8]),
+    ) -> Result<(), FrameError> {
+        let mut chunk = chunk;
+        if chunk.is_empty() {
+            return Ok(());
+        }
+        // Finish the frame the last chunk left open: its prefix, then its
+        // payload.
+        while !self.partial.is_empty() {
+            let want = match self.partial.first_chunk::<PREFIX>() {
+                Some(prefix) => PREFIX.saturating_add(frame_len(*prefix)?),
+                None => PREFIX,
+            };
+            let missing = want.saturating_sub(self.partial.len());
+            if missing == 0 {
+                on_frame(self.partial.get(PREFIX..).unwrap_or_default());
+                self.partial.clear();
+                break;
+            }
+            if chunk.is_empty() {
+                break;
+            }
+            let (head, rest) = chunk
+                .split_at_checked(missing.min(chunk.len()))
+                .unwrap_or((chunk, &[]));
+            self.partial.extend_from_slice(head);
+            chunk = rest;
+        }
+        // Whole frames straight out of the chunk; keep the tail.
+        if self.partial.is_empty() {
+            while let Some((prefix, rest)) = chunk.split_first_chunk::<PREFIX>() {
+                let Some((frame, after)) = rest.split_at_checked(frame_len(*prefix)?) else {
+                    break;
+                };
+                on_frame(frame);
+                chunk = after;
+            }
+            self.partial.extend_from_slice(chunk);
+        }
+        self.last_byte = (!self.partial.is_empty()).then_some(now);
+        Ok(())
+    }
+
+    /// Whether the stream stopped inside a frame: an end of stream here
+    /// tears that frame.
+    pub(crate) fn mid_frame(&self) -> bool {
+        !self.partial.is_empty()
+    }
+
+    /// Whether a frame has been open and silent for [`MID_FRAME_SILENCE`]
+    /// by `now`.
+    pub(crate) fn stalled(&self, now: Instant) -> bool {
+        self.last_byte
+            .is_some_and(|at| now.saturating_duration_since(at) >= MID_FRAME_SILENCE)
+    }
 }
 
 #[cfg(test)]
@@ -344,5 +447,186 @@ mod tests {
             needed: 4,
         };
         assert!(s.to_string().contains("2 of 4"));
+    }
+
+    /// `payloads` framed back to back, as `write_frame` puts them on the
+    /// wire.
+    fn stream_of(payloads: &[Vec<u8>]) -> Vec<u8> {
+        let mut stream = Vec::new();
+        for payload in payloads {
+            write_frame(&mut stream, payload).unwrap();
+        }
+        stream
+    }
+
+    /// Feeds `stream` cut at `cuts` (offsets, any order, out-of-range
+    /// ones ignored) and returns the frames, or the first error.
+    fn assemble(
+        asm: &mut FrameAssembler,
+        stream: &[u8],
+        cuts: &[usize],
+        now: Instant,
+    ) -> (Vec<Vec<u8>>, Result<(), FrameError>) {
+        let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (stream.len() + 1)).collect();
+        cuts.push(stream.len());
+        cuts.sort_unstable();
+        let mut frames = Vec::new();
+        let mut from = 0;
+        for cut in cuts {
+            let result = asm.feed(&stream[from..cut], now, |f| frames.push(f.to_vec()));
+            if result.is_err() {
+                return (frames, result);
+            }
+            from = cut;
+        }
+        (frames, Ok(()))
+    }
+
+    #[test]
+    fn assembler_hands_out_whole_frames_and_keeps_the_tail() {
+        let payloads = vec![b"hello".to_vec(), Vec::new(), vec![0xAA; 1000]];
+        let stream = stream_of(&payloads);
+        let now = Instant::now();
+
+        // One chunk: every frame, nothing left open.
+        let mut asm = FrameAssembler::default();
+        let (frames, result) = assemble(&mut asm, &stream, &[], now);
+        assert!(result.is_ok());
+        assert_eq!(frames, payloads);
+        assert!(!asm.mid_frame());
+
+        // One byte at a time, through every prefix boundary.
+        let mut asm = FrameAssembler::default();
+        let cuts: Vec<usize> = (0..stream.len()).collect();
+        let (frames, result) = assemble(&mut asm, &stream, &cuts, now);
+        assert!(result.is_ok());
+        assert_eq!(frames, payloads);
+
+        // Cut inside the second prefix: the first frame out, the rest
+        // waiting, and the stream now open mid-frame.
+        let mut asm = FrameAssembler::default();
+        let (frames, _) = assemble(&mut asm, &stream[..9 + 2], &[], now);
+        assert_eq!(frames, [b"hello".to_vec()]);
+        assert!(asm.mid_frame());
+        let (frames, _) = assemble(&mut asm, &stream[11..], &[], now);
+        assert_eq!(frames, payloads[1..]);
+        assert!(!asm.mid_frame());
+    }
+
+    #[test]
+    fn assembler_refuses_an_oversized_prefix_after_the_frames_before_it() {
+        let mut stream = stream_of(&[b"ok".to_vec()]);
+        stream.extend_from_slice(&(MAX_FRAME + 1).to_be_bytes());
+        stream.extend_from_slice(&[0; 16]);
+        let mut asm = FrameAssembler::default();
+        let (frames, result) = assemble(&mut asm, &stream, &[7], Instant::now());
+        assert_eq!(frames, [b"ok".to_vec()]);
+        assert!(matches!(result, Err(FrameError::Oversized(len)) if len == MAX_FRAME + 1));
+        // The cap itself is a frame like any other (announced, not sent).
+        let mut asm = FrameAssembler::default();
+        let at_cap = MAX_FRAME.to_be_bytes();
+        assert!(asm.feed(&at_cap, Instant::now(), |_| {}).is_ok());
+        assert!(asm.mid_frame());
+    }
+
+    #[test]
+    fn assembler_declares_a_silent_partial_frame_stalled() {
+        let t0 = Instant::now();
+        let mut asm = FrameAssembler::default();
+        assert!(!asm.stalled(t0 + MID_FRAME_SILENCE), "nothing open");
+        asm.feed(&[0, 0], t0, |_| {}).unwrap();
+        assert!(!asm.stalled(t0 + MID_FRAME_SILENCE - Duration::from_millis(1)));
+        assert!(asm.stalled(t0 + MID_FRAME_SILENCE));
+        // A byte restarts the clock; finishing the frame stops it.
+        let t1 = t0 + Duration::from_secs(5);
+        asm.feed(&[0, 1], t1, |_| {}).unwrap();
+        assert!(!asm.stalled(t0 + MID_FRAME_SILENCE));
+        assert!(asm.stalled(t1 + MID_FRAME_SILENCE));
+        asm.feed(&[7], t1, |_| {}).unwrap();
+        assert!(!asm.mid_frame());
+        assert!(!asm.stalled(t1 + MID_FRAME_SILENCE * 2));
+    }
+
+    proptest::proptest! {
+        /// Any chunking of a frame stream yields the frames written, in
+        /// order, and ends at a frame boundary.
+        #[test]
+        fn any_chunking_yields_the_same_frames(
+            sizes in proptest::collection::vec(0usize..600, 0..12),
+            fill in proptest::any::<u8>(),
+            cuts in proptest::collection::vec(proptest::any::<usize>(), 0..40),
+        ) {
+            let payloads: Vec<Vec<u8>> = sizes
+                .iter()
+                .enumerate()
+                .map(|(i, &n)| (0..n).map(|j| fill ^ (i + j) as u8).collect())
+                .collect();
+            let stream = stream_of(&payloads);
+            let mut asm = FrameAssembler::default();
+            let (frames, result) = assemble(&mut asm, &stream, &cuts, Instant::now());
+            proptest::prop_assert!(result.is_ok());
+            proptest::prop_assert_eq!(frames, payloads);
+            proptest::prop_assert!(!asm.mid_frame());
+        }
+
+        /// A stream that ends anywhere but a frame boundary ends mid-frame
+        /// (the host counts it torn), having handed out exactly the frames
+        /// completed before the cut.
+        #[test]
+        fn eof_inside_a_frame_is_mid_frame(
+            sizes in proptest::collection::vec(0usize..300, 1..8),
+            end in proptest::any::<usize>(),
+            cuts in proptest::collection::vec(proptest::any::<usize>(), 0..20),
+        ) {
+            let payloads: Vec<Vec<u8>> = sizes.iter().map(|&n| vec![0x5A; n]).collect();
+            let stream = stream_of(&payloads);
+            let mut boundaries = vec![0];
+            for payload in &payloads {
+                boundaries.push(boundaries.last().unwrap() + PREFIX + payload.len());
+            }
+            let end = end % stream.len();
+            proptest::prop_assume!(!boundaries.contains(&end));
+            let mut asm = FrameAssembler::default();
+            let (frames, result) = assemble(&mut asm, &stream[..end], &cuts, Instant::now());
+            proptest::prop_assert!(result.is_ok());
+            proptest::prop_assert!(asm.mid_frame());
+            let whole = boundaries.iter().filter(|&&b| b > 0 && b <= end).count();
+            proptest::prop_assert_eq!(frames, payloads[..whole].to_vec());
+        }
+
+        /// A length above the cap, however it is chunked, is refused once
+        /// its prefix is whole — after every frame before it.
+        #[test]
+        fn a_length_above_the_cap_is_refused(
+            before in proptest::collection::vec(0usize..200, 0..5),
+            len in (MAX_FRAME + 1)..u32::MAX,
+            cuts in proptest::collection::vec(proptest::any::<usize>(), 0..20),
+        ) {
+            let payloads: Vec<Vec<u8>> = before.iter().map(|&n| vec![1; n]).collect();
+            let mut stream = stream_of(&payloads);
+            stream.extend_from_slice(&len.to_be_bytes());
+            stream.extend_from_slice(&[0xEE; 32]);
+            let mut asm = FrameAssembler::default();
+            let (frames, result) = assemble(&mut asm, &stream, &cuts, Instant::now());
+            proptest::prop_assert!(matches!(result, Err(FrameError::Oversized(l)) if l == len));
+            proptest::prop_assert_eq!(frames, payloads);
+        }
+
+        /// A partial frame is stalled exactly when it has been silent for
+        /// the bound, wherever the stream stopped.
+        #[test]
+        fn a_partial_frame_silent_past_the_bound_is_stalled(
+            size in 1usize..300,
+            end in proptest::any::<usize>(),
+            silent_ms in 0u64..20_000,
+        ) {
+            let stream = stream_of(&[vec![3; size]]);
+            let end = 1 + end % (stream.len() - 1);
+            let t0 = Instant::now();
+            let mut asm = FrameAssembler::default();
+            asm.feed(&stream[..end], t0, |_| {}).unwrap();
+            let silent = Duration::from_millis(silent_ms);
+            proptest::prop_assert_eq!(asm.stalled(t0 + silent), silent >= MID_FRAME_SILENCE);
+        }
     }
 }

@@ -565,10 +565,14 @@ impl<S: StateMachine> SmrNode<S> {
 
     /// Opens every slot the pipeline window allows. In serving mode a
     /// slot is only opened by the leader, while entries are pending —
-    /// followers open slots on demand when traffic for them arrives.
+    /// followers open slots on demand when traffic for them arrives,
+    /// including traffic buffered while its slot was beyond the window:
+    /// nobody repeats it, so the window reaching it is that demand.
     fn open_ready_slots(&mut self, ctx: &mut Context<'_, SmrMessage>) {
         while !self.done() && self.next_open < self.window_end() {
-            if self.settings.serving && (self.pending.is_empty() || !self.leads()) {
+            let proposing = !self.pending.is_empty() && self.leads();
+            let buffered = self.future.range(self.next_open..self.window_end()).next();
+            if self.settings.serving && !proposing && buffered.is_none() {
                 break;
             }
             self.open_next_slot(ctx);
@@ -826,15 +830,19 @@ impl<S: StateMachine> SmrNode<S> {
         if slot < self.next_open {
             // Below the open frontier but not resident: the slot was
             // applied and pruned. Stale traffic, drop — but if the sender
-            // is below our stable checkpoint, it is stranded (those slots
-            // are truncated cluster-wide) and this traffic is our only
-            // signal of its existence: push the checkpoint to it.
-            // Anything at or above the stable slot is ordinary frontier
-            // skew, and the checkpointer sends nothing.
+            // is a pipeline window or more below our stable checkpoint, it
+            // is stranded (those slots are truncated cluster-wide) and
+            // this traffic is our only signal of its existence: push the
+            // checkpoint to it. Anything nearer is ordinary frontier skew
+            // — a late vote from a peer in step — and a push would be
+            // refused there (`handle_state_reply` takes only a checkpoint
+            // beyond `next_apply + window`), so the checkpointer sends
+            // nothing.
             self.obs.drops_stale.inc();
+            let depth = self.settings.pipeline_depth as u64;
             self.checkpointer.send_checkpoint(
                 from,
-                slot.saturating_add(1),
+                slot.saturating_add(1).saturating_add(depth),
                 &self.seat,
                 &self.obs,
                 ctx,
@@ -1387,6 +1395,125 @@ mod tests {
         assert_eq!(laggard.slots_applied(), 4);
         assert_eq!(laggard.state(), donor.state());
         assert_eq!(laggard.obs.state_transfers.get(), 1);
+    }
+
+    /// Stale traffic draws a checkpoint push only from a sender the push
+    /// could restore: one a pipeline window or more behind the stable
+    /// checkpoint. A late message at `stable − 1` — a peer in step, whose
+    /// `handle_state_reply` would refuse the snapshot — draws nothing.
+    /// (A wish stands in for any slot traffic: the stale branch routes
+    /// every kind alike, before any verification.)
+    #[test]
+    fn checkpoint_is_pushed_only_to_a_peer_that_would_take_it() {
+        let depth = 2;
+        let (mut donor, mut donor_rng) = checkpoint_node(0, 4, depth);
+        apply_slots(&mut donor, &mut donor_rng, 0, 4);
+        let digest = donor.checkpointer.own_checkpoint(4).expect("own").0;
+        for peer in [1, 2] {
+            let mut ctx = Context::detached(ProcessId(0), SimTime::ZERO, &mut donor_rng);
+            donor.on_message(ProcessId(peer), peer_vote(peer, 4, digest), &mut ctx);
+        }
+        let stable = donor.stable_checkpoint().expect("stable").slot;
+        let mut push_for = |slot: u64| {
+            let mut ctx = Context::detached(ProcessId(0), SimTime::ZERO, &mut donor_rng);
+            donor.on_message(ProcessId(3), slot_msg(b"node-tests", slot), &mut ctx);
+            ctx.drain_actions().into_iter().any(|a| {
+                matches!(
+                    a,
+                    Action::Send {
+                        msg: SmrMessage::StateReply(_),
+                        ..
+                    }
+                )
+            })
+        };
+        assert!(!push_for(stable - 1), "an in-step peer is not pushed to");
+        assert!(push_for(stable - depth as u64 - 1), "a stranded one is");
+        assert_eq!(donor.obs.snapshots_served.get(), 1);
+    }
+
+    /// Serving mode opens a slot on peer traffic — including traffic that
+    /// arrived while the slot was still beyond the pipeline window and was
+    /// buffered. Here replica 6 hears every message for slot 1 before the
+    /// votes that let it apply slot 0 (links reorder freely); when slot 0
+    /// applies, the window reaches slot 1, and since nobody will repeat
+    /// that traffic, the buffered messages must open it then.
+    #[test]
+    fn traffic_buffered_beyond_the_window_opens_its_slot_once_in_reach() {
+        // n = 7 so that six replicas are a quorum without the seventh.
+        const N: usize = 7;
+        const LATE: usize = N - 1;
+        let cfg: SharedConfig = Arc::new(ProbftConfig::builder(N).build());
+        let keyring = Keyring::generate(N, b"node-tests");
+        let public = Arc::new(keyring.public());
+        let mut nodes: Vec<(SmrNode<KvStore>, StdRng)> = (0..N)
+            .map(|id| {
+                let node = SmrNode::new(
+                    cfg.clone(),
+                    ReplicaId::from(id),
+                    keyring.signing_key(id).expect("in range").clone(),
+                    public.clone(),
+                    Vec::new(),
+                    SmrSettings::live(1),
+                );
+                (node, StdRng::seed_from_u64(id as u64))
+            })
+            .collect();
+        /// Runs `f` on node `id`; returns what it sent as `(from, to, msg)`.
+        fn step(
+            nodes: &mut [(SmrNode<KvStore>, StdRng)],
+            id: usize,
+            f: impl FnOnce(&mut SmrNode<KvStore>, &mut Context<'_, SmrMessage>),
+        ) -> Vec<(usize, usize, SmrMessage)> {
+            let (node, rng) = &mut nodes[id];
+            let mut ctx = Context::detached(ProcessId(id), SimTime::ZERO, rng);
+            f(node, &mut ctx);
+            ctx.drain_actions()
+                .into_iter()
+                .filter_map(|a| match a {
+                    Action::Send { to, msg } => Some((id, to.index(), msg)),
+                    _ => None,
+                })
+                .collect()
+        }
+        let mut queue = std::collections::VecDeque::new();
+        // Two entries at the leader: slots 0 and 1, one window apart.
+        for seq in 1..=2 {
+            let entry = Entry::tagged_write(
+                RequestId { client: 1, seq },
+                Command::Put {
+                    key: format!("k{seq}"),
+                    value: "v".into(),
+                },
+            );
+            queue.extend(step(&mut nodes, 0, |n, ctx| n.submit(entry, ctx)));
+        }
+        // Replicas 0–5 (a quorum) run both slots; replica 6's mail waits.
+        let mut held = Vec::new();
+        while let Some((from, to, msg)) = queue.pop_front() {
+            if to == LATE {
+                held.push((from, msg));
+            } else {
+                queue.extend(step(&mut nodes, to, |n, ctx| {
+                    n.on_message(ProcessId(from), msg, ctx)
+                }));
+            }
+        }
+        assert_eq!(nodes[0].0.slots_applied(), 2);
+        // Slot 1's traffic first (buffered: the window is slot 0 alone),
+        // then slot 0's.
+        let slot_of = |msg: &SmrMessage| match msg {
+            SmrMessage::Slot(m) => m.slot,
+            _ => u64::MAX,
+        };
+        held.sort_by_key(|(_, msg)| std::cmp::Reverse(slot_of(msg)));
+        for (from, msg) in held {
+            step(&mut nodes, LATE, |n, ctx| {
+                n.on_message(ProcessId(from), msg, ctx)
+            });
+        }
+        assert_eq!(nodes[LATE].0.slots_applied(), 2, "slot 1 never opened");
+        assert_eq!(nodes[LATE].0.log_digest(), nodes[0].0.log_digest());
     }
 
     /// A genuine, correctly certified `StateReply` for a checkpoint the

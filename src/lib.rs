@@ -5,7 +5,8 @@
 //! the ProBFT consensus protocol, the PBFT and HotStuff baselines it is
 //! compared against, a deterministic partial-synchrony network simulator,
 //! the paper's numerical analysis, a state-machine-replication extension,
-//! and a live TCP runtime — all built from scratch on `std` (plus `rand`).
+//! and a live TCP runtime — all implemented directly on `std` (plus
+//! `rand`, and a hand-written epoll binding under the runtime).
 //!
 //! This umbrella crate re-exports every sub-crate under one roof and hosts
 //! the runnable examples and cross-crate integration tests.
@@ -42,7 +43,7 @@
 //! | [`hotstuff`] | `probft-hotstuff` | Single-shot HotStuff baseline: its phases in core's view shell |
 //! | [`analysis`] | `probft-analysis` | Figure 5 / Figure 1 numerical models |
 //! | [`smr`] | `probft-smr` | Replicated state machine (future-work extension) |
-//! | [`runtime`] | `probft-runtime` | TCP deployment: one event-loop thread per replica, plus an accept thread and one reader thread per inbound connection |
+//! | [`runtime`] | `probft-runtime` | TCP deployment: one thread per replica, an epoll event loop over every peer and client socket (Linux only) |
 //! | [`obs`] | `probft-obs` | Metrics registry, histograms, flight-recorder tracing |
 //!
 //! See `DESIGN.md` for the substitutions this reproduction makes and its

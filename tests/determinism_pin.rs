@@ -15,6 +15,11 @@
 //! One row added since (no other touched) when the view became a property
 //! of the log: an SMR run that loses its view-1 leader mid-log and carries
 //! on under the next one.
+//!
+//! One row re-pinned since (no other touched) when stale traffic stopped
+//! drawing checkpoint pushes to peers in step: the state-transfer run
+//! serves 37 snapshots instead of 98, and its laggard still restores four
+//! times.
 
 use probft::core::byzantine::ByzantineStrategy;
 use probft::core::config::{ProbftConfig, View};
@@ -201,7 +206,8 @@ fn checkpointing_smr_run_is_pinned() {
 /// restores a transferred snapshot (scanned on the same commit as the row
 /// above: no seed at n=16, seed 161 alone at n=31). Replica 13 takes no
 /// checkpoint of its own and restores four times; the other thirty differ
-/// only in how many snapshots they served.
+/// only in how many snapshots they served (a push goes only to a replica
+/// a pipeline window or more behind, so thirteen of them serve none).
 #[test]
 fn state_transfer_smr_run_is_pinned() {
     let o = SmrBuilder::new(31, 32)
@@ -209,15 +215,14 @@ fn state_transfer_smr_run_is_pinned() {
         .checkpoint_interval(8)
         .workload(ReplicaId(0), puts(32))
         .run();
-    assert_eq!(totals(&o.metrics, o.finished_at), (49011, 5568521, 1448));
+    assert_eq!(totals(&o.metrics, o.finished_at), (48866, 5450476, 1416));
     assert_eq!(kind_totals(&o.metrics, "checkpoint-vote"), (3600, 219600));
     assert_eq!(kind_totals(&o.metrics, "state-request"), (44, 396));
-    assert_eq!(kind_totals(&o.metrics, "state-reply"), (98, 172266));
+    assert_eq!(kind_totals(&o.metrics, "state-reply"), (37, 63797));
     assert_every_log_is(&o, LOG_32_PUTS);
     assert_eq!(o.log_offsets, [32; 31]);
     const SERVED: [u64; 31] = [
-        5, 4, 4, 2, 2, 4, 8, 1, 5, 6, 3, 5, 2, 0, 2, 6, 2, 1, 0, 0, 10, 4, 2, 1, 1, 3, 5, 5, 0, 4,
-        1,
+        3, 1, 3, 1, 2, 2, 4, 2, 1, 2, 2, 1, 4, 0, 3, 3, 2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
     ];
     for (i, served) in SERVED.into_iter().enumerate() {
         let expected = if i == 13 {

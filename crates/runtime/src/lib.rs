@@ -89,6 +89,8 @@ pub(crate) mod pacing;
 pub mod transport;
 
 pub use client::{ClientError, SmrClient};
-pub use live::{ClusterError, LiveSmrBuilder, LiveSmrCluster, ReplicaReport, SmrFrame, SmrReply};
-pub use nemesis::{execute, verify_exactly_once, verify_invariants, Fault, FaultPlan, NemesisRun};
+pub use live::{ClusterError, LiveSmrBuilder, LiveSmrCluster, SmrFrame, SmrReply};
+pub use nemesis::{
+    execute, verify_exactly_once, verify_invariants, Fault, FaultPlan, NemesisRun, ReplicaReport,
+};
 pub use transport::{read_frame, write_frame, FrameError};

@@ -37,11 +37,11 @@ use crate::host::{bind_listeners, micros, wire_id, ConnId, FrameKind, Host};
 use probft_core::config::{ProbftConfig, SharedConfig, View};
 use probft_core::wire::{put, Reader, Wire, WireError};
 use probft_crypto::keyring::Keyring;
-use probft_crypto::sha256::Digest;
-use probft_obs::{MetricsSnapshot, Obs, TraceEvent, TraceKind};
+use probft_obs::{Obs, TraceKind};
 use probft_quorum::ReplicaId;
 use probft_simnet::process::{Process, ProcessId};
 use probft_simnet::time::SimDuration;
+use probft_smr::nemesis::{plurality_view, ReplicaReport};
 use probft_smr::node::SmrNode;
 use probft_smr::{
     CheckpointVote, Consistency, Entry, KvStore, OpKind, RequestId, SlotMessage, SmrMessage,
@@ -336,57 +336,6 @@ impl<S: StateMachine> Wire for SmrFrame<S> {
     }
 }
 
-/// What one replica held when the cluster was shut down.
-#[derive(Clone, Debug)]
-pub struct ReplicaReport<S: StateMachine = KvStore> {
-    /// The replica's id.
-    pub id: usize,
-    /// Its *resident* decided entry log: the suffix above the stable
-    /// checkpoint (the full log while checkpointing is off; identical
-    /// across correct replicas up to truncation points).
-    pub log: Vec<Entry<S::Op>>,
-    /// Entries truncated below the stable checkpoint — the global index
-    /// of `log[0]`.
-    pub log_offset: u64,
-    /// Running SHA-256 chain over every entry the replica ever applied;
-    /// with [`total_log_len`](Self::total_log_len) it identifies the full
-    /// logical log even after truncation.
-    pub log_digest: Digest,
-    /// Its application state.
-    pub state: S,
-    /// Per-slot consensus instances still heap-resident (bounded by the
-    /// pipeline depth — decided slots are pruned on apply).
-    pub resident_slots: usize,
-    /// Final snapshot of the replica's `probft-obs` metrics registry:
-    /// latency histograms (commit/decide/apply/recovery), attributable
-    /// drop counters, the checkpoint / truncation / state-transfer
-    /// counters, frame byte counters, and gauges.
-    pub metrics: MetricsSnapshot,
-    /// The replica's flight-recorder journal at shutdown: the last
-    /// `DEFAULT_JOURNAL_CAPACITY` consensus-phase events, with any
-    /// nemesis fault markers interleaved on the same clock.
-    pub journal: Vec<TraceEvent>,
-}
-
-impl<S: StateMachine> ReplicaReport<S> {
-    /// Total entries the replica applied: truncated plus resident.
-    pub fn total_log_len(&self) -> u64 {
-        self.log_offset.saturating_add(self.log.len() as u64)
-    }
-
-    /// Folds every replica's metrics snapshot into one cluster-wide
-    /// snapshot (labeled `cluster`): counters and histogram buckets add,
-    /// so percentiles read over the union of all replicas' samples.
-    pub fn aggregate_metrics(reports: &[ReplicaReport<S>]) -> MetricsSnapshot {
-        let mut merged = MetricsSnapshot::default();
-        merged.set_label("cluster");
-        for report in reports {
-            merged.merge(&report.metrics);
-        }
-        merged
-    }
-}
-
 /// Why [`LiveSmrBuilder::start`] could not boot a cluster.
 #[derive(Debug)]
 pub enum ClusterError {
@@ -670,20 +619,12 @@ impl<S: StateMachine> LiveSmrCluster<S> {
     }
 
     /// The view the (unpaused) cluster currently holds the log in: the
-    /// plurality of the replicas' `view` gauges, ties broken low (lets a
-    /// nemesis target "the leader", and forge in the view slots run in).
+    /// [`plurality_view`] of the replicas' `view` gauges (lets a nemesis
+    /// target "the leader", and forge in the view slots run in).
     pub fn current_view(&self) -> View {
-        let mut votes: BTreeMap<u64, usize> = BTreeMap::new();
-        for (paused, obs) in self.paused.iter().zip(&self.obs) {
-            if !paused.load(Ordering::SeqCst) {
-                *votes.entry(obs.view.get()).or_default() += 1;
-            }
-        }
-        let plurality = votes
-            .into_iter()
-            .max_by_key(|&(view, count)| (count, std::cmp::Reverse(view)));
-        // (A replica that has not started yet still shows view 0.)
-        plurality.map_or(View::FIRST, |(view, _)| View(view).max(View::FIRST))
+        let unpaused = self.paused.iter().zip(&self.obs);
+        let views = unpaused.filter(|(paused, _)| !paused.load(Ordering::SeqCst));
+        plurality_view(views.map(|(_, obs)| View(obs.view.get())))
     }
 
     /// Replica `i`'s telemetry bundle — the exact registry and journal
@@ -695,32 +636,6 @@ impl<S: StateMachine> LiveSmrCluster<S> {
     /// Every replica's telemetry bundle, indexed by replica id.
     pub fn obs_handles(&self) -> &[Arc<Obs>] {
         &self.obs
-    }
-
-    /// Journals a nemesis fault marker on every replica's flight
-    /// recorder. With `kill` set the marker also arms each replica's
-    /// recovery-latency clock: its next applied slot records the
-    /// fault→progress time into the `recovery_latency_us` histogram —
-    /// the post-leader-kill view-change recovery cost.
-    pub fn note_fault(&self, fault: &str, kill: bool) {
-        for obs in &self.obs {
-            if kill {
-                obs.mark_fault(fault);
-            } else {
-                obs.trace(TraceKind::FaultStart {
-                    fault: fault.to_string(),
-                });
-            }
-        }
-    }
-
-    /// Journals the lifting of a nemesis fault on every replica's flight
-    /// recorder (the recovery clock, if armed, stays armed: recovery
-    /// means commit progress, not fault removal).
-    pub fn note_fault_lifted(&self, fault: &str) {
-        for obs in &self.obs {
-            obs.mark_fault_lifted(fault);
-        }
     }
 
     /// The cluster's full keyring. Fault-injection surface: a nemesis
@@ -1015,16 +930,7 @@ fn smr_replica_main<S: StateMachine>(
         }
     }
 
-    ReplicaReport {
-        id,
-        log: node.log().to_vec(),
-        log_offset: node.log_offset(),
-        log_digest: node.log_digest(),
-        state: node.state().clone(),
-        resident_slots: node.resident_slots(),
-        metrics: obs.snapshot(),
-        journal: obs.journal().snapshot(),
-    }
+    node.report()
 }
 
 /// Queues one frame to a client. Best-effort: a client that has gone

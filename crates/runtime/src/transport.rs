@@ -22,14 +22,16 @@ pub const MAX_FRAME: u32 = 16 * 1024 * 1024;
 const PREFIX: usize = 4;
 
 /// How long a connection may stay silent in the middle of a frame before
-/// the host declares it torn: the bound [`read_frame`] enforces on a
-/// socket with a 200 ms read timeout ([`MAX_MID_FRAME_RETRIES`] × 200 ms).
+/// the replica host, which reads non-blocking sockets on its event loop,
+/// declares it torn and drops it — so a peer that sends a partial frame
+/// and goes silent holds no buffer for longer.
 pub(crate) const MID_FRAME_SILENCE: Duration = Duration::from_secs(10);
 
-/// How many consecutive timed-out reads a mid-frame fill tolerates before
-/// declaring the peer stalled. With a 200 ms socket read timeout this
-/// bounds a mid-frame stall to ~10 s, so a peer that sends a partial frame
-/// and goes silent cannot pin a reading thread forever.
+/// How many consecutive timed-out reads a mid-frame [`read_frame`] on a
+/// blocking stream tolerates before declaring the peer stalled: the bound
+/// is this many read timeouts — 2.5 s for an `SmrClient`, which reads with
+/// a 50 ms timeout — so a replica that sends a partial reply and goes
+/// silent cannot pin a client forever.
 pub const MAX_MID_FRAME_RETRIES: u32 = 50;
 
 /// Errors produced by frame I/O.

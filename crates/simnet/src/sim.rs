@@ -175,6 +175,23 @@ where
         &self.processes[id.index()]
     }
 
+    /// Mutable access to a process between events (for injecting faults
+    /// into it).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is out of range.
+    pub fn process_mut(&mut self, id: ProcessId) -> &mut P {
+        &mut self.processes[id.index()]
+    }
+
+    /// Sends `msg` to `to` as if `from` had sent it now: through the
+    /// network model, and counted in the metrics like any send (for
+    /// delivering forged traffic from an attacker's process).
+    pub fn send_from(&mut self, from: ProcessId, to: ProcessId, msg: P::Message) {
+        self.flush_actions(from, vec![Action::Send { to, msg }]);
+    }
+
     /// Iterates over `(id, process)` pairs.
     pub fn processes(&self) -> impl Iterator<Item = (ProcessId, &P)> {
         self.processes
@@ -537,6 +554,20 @@ mod tests {
         // Only the first ping (t=5) has been delivered.
         assert_eq!(sim.metrics().kind("Ping").delivered, 1);
         assert_eq!(sim.metrics().kind("Pong").delivered, 0);
+    }
+
+    #[test]
+    fn a_message_sent_from_outside_is_delivered_and_counted_as_the_senders() {
+        let mut sim = two_process_sim(1);
+        sim.run_until(SimTime::from_ticks(7), 1000);
+        sim.process_mut(ProcessId(0)).rounds_left = 0;
+        sim.send_from(ProcessId(1), ProcessId(0), Msg::Pong(9));
+        sim.run_to_quiescence(1000);
+        // The injected pong arrives at p0 beside the pong to its own ping,
+        // and with no rounds left p0 pings no more.
+        assert_eq!(sim.process(ProcessId(0)).pongs_seen, 2);
+        assert_eq!(sim.metrics().kind("Pong").sent, 2);
+        assert_eq!(sim.metrics().kind("Ping").sent, 1);
     }
 
     #[test]

@@ -77,6 +77,7 @@ pub mod checkpoint;
 pub mod harness;
 pub mod kv;
 pub mod machine;
+pub mod nemesis;
 pub mod node;
 
 pub use checkpoint::{

@@ -48,6 +48,7 @@
 
 use crate::checkpoint::{CheckpointVote, Checkpointer, Snapshot, StateReply, StateRequest};
 use crate::machine::{Batch, Entry, RequestId, StateMachine, MAX_BATCH};
+use crate::nemesis::ReplicaReport;
 use probft_core::config::{SharedConfig, View};
 use probft_core::message::Message;
 use probft_core::message::Wish;
@@ -418,6 +419,20 @@ impl<S: StateMachine> SmrNode<S> {
     /// Bounded by `pipeline_depth`: decided slots are pruned on apply.
     pub fn resident_slots(&self) -> usize {
         self.slots.len()
+    }
+
+    /// What this replica holds now, as the invariant sweep reads it.
+    pub fn report(&self) -> ReplicaReport<S> {
+        ReplicaReport {
+            id: self.seat.id.index(),
+            log: self.log.clone(),
+            log_offset: self.log_offset(),
+            log_digest: self.log_digest(),
+            state: self.applied.state.clone(),
+            resident_slots: self.resident_slots(),
+            metrics: self.obs.snapshot(),
+            journal: self.obs.journal().snapshot(),
+        }
     }
 
     /// The telemetry bundle this node records into.

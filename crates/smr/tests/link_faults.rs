@@ -1,23 +1,22 @@
 //! Link faults, deterministically: a partition and jitter as a test-local
-//! [`DelayModel`] around the harness's network, with [`SmrNode`]s driven
-//! through `core::harness::run_cluster` — no socket, no wall clock, and
-//! every seed replays bit for bit. (The live nemesis suite keeps the
-//! process faults, and the Byzantine frames that must cross a real
-//! decoder.) Beside them, serving mode's adaptive batching, which needs no
-//! fault at all to show.
+//! [`DelayModel`] around the harness's network, with `SmrNode`s driven by
+//! the shared virtual-time executor (`support`) — no socket, no wall
+//! clock, and every seed replays bit for bit. (Process faults and forged
+//! traffic are nemesis plans, `chaos.rs`.) Beside them, serving mode's
+//! adaptive batching, which needs no fault at all to show.
+
+mod support;
 
 use probft_core::config::ProbftConfig;
-use probft_core::harness::{run_cluster, Seat};
 use probft_crypto::sha256::Digest;
 use probft_simnet::delay::{DelayModel, PartialSynchrony, Uniform};
 use probft_simnet::process::ProcessId;
-use probft_simnet::sim::{RunOutcome, Simulation};
 use probft_simnet::time::{SimDuration, SimTime};
-use probft_smr::{Command, KvStore, SmrNode, SmrSettings};
+use probft_smr::SmrSettings;
 use rand::rngs::StdRng;
 use std::ops::Range;
+use support::{puts, Cluster, Spec};
 
-const MAX_EVENTS: u64 = 20_000_000;
 /// Seeds each scenario runs under.
 const SEEDS: Range<u64> = 0..24;
 /// The view-1 leader, whose queue holds the whole workload.
@@ -62,45 +61,26 @@ impl DelayModel for LinkFault {
 }
 
 /// `n` replicas under `settings`, `settings.target_len` PUTs queued at
-/// [`LEADER`], over `network`, run until every replica has applied them.
-fn run(
-    n: usize,
-    seed: u64,
-    settings: SmrSettings,
-    network: impl DelayModel + 'static,
-) -> Simulation<SmrNode<KvStore>> {
-    let cfg = ProbftConfig::builder(n)
+/// [`LEADER`], over `network`, run until every replica has applied them
+/// and swept.
+fn run(n: usize, seed: u64, settings: SmrSettings, network: impl DelayModel + 'static) -> Cluster {
+    let mut spec = Spec::new(n, seed);
+    spec.cfg = ProbftConfig::builder(n)
         .base_timeout(SimDuration::from_ticks(50_000))
-        .build_shared();
-    let spawn = |seat: Seat| {
-        let workload = if seat.id.index() == LEADER.index() {
-            (0..settings.target_len)
-                .map(|i| Command::Put {
-                    key: format!("key{i}"),
-                    value: format!("val{i}"),
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-        SmrNode::new(seat.cfg, seat.id, seat.sk, seat.keys, workload, settings)
-    };
-    let (sim, outcome) = run_cluster(cfg, seed, network, spawn, SmrNode::done, MAX_EVENTS);
-    assert_eq!(outcome, RunOutcome::ConditionMet, "seed {seed}");
-    sim
+        .build();
+    spec.settings = settings;
+    spec.network = Box::new(network);
+    spec.workloads = vec![puts("key", settings.target_len)];
+    let mut cluster = Cluster::new(spec);
+    cluster.run_until(|m| m.node.done());
+    cluster.sweep();
+    cluster
 }
 
-/// The `(total_log_len, log_digest)` every replica ends with, after
-/// checking that they all end with the same one, and the same state.
-fn agreed(sim: &Simulation<SmrNode<KvStore>>, seed: u64) -> (u64, Digest) {
-    let mut nodes = sim.processes().map(|(_, node)| node);
-    let first = nodes.next().expect("a cluster");
-    let log = |node: &SmrNode<KvStore>| (node.total_log_len(), node.log_digest());
-    for node in nodes {
-        assert_eq!(log(node), log(first), "seed {seed}");
-        assert_eq!(node.state(), first.state(), "seed {seed}");
-    }
-    log(first)
+/// The `(total_log_len, log_digest)` the swept replicas all end with.
+fn agreed(cluster: &Cluster) -> (u64, Digest) {
+    let node = &cluster.member(LEADER.index()).node;
+    (node.total_log_len(), node.log_digest())
 }
 
 /// Workload mode, depth 4, two entries per slot.
@@ -130,11 +110,16 @@ fn directed_partition_heals_and_the_victim_catches_up_by_state_transfer() {
             to: victim,
             heal_at: SimTime::from_ticks(2_000),
         };
-        let sim = run(7, seed, settings, cut);
-        assert_eq!(agreed(&sim, seed).0, 96, "seed {seed}");
-        let dropped: u64 = sim.metrics().iter().map(|(_, kind)| kind.dropped).sum();
+        let cluster = run(7, seed, settings, cut);
+        assert_eq!(agreed(&cluster).0, 96, "seed {seed}");
+        let dropped: u64 = cluster.sim.metrics().iter().map(|(_, k)| k.dropped).sum();
         assert!(dropped > 0, "seed {seed}: the cut dropped nothing");
-        let transfers = sim.process(victim).obs().state_transfers.get();
+        let transfers = cluster
+            .member(victim.index())
+            .node
+            .obs()
+            .state_transfers
+            .get();
         assert!(
             transfers >= 1,
             "seed {seed}: the victim transferred no state"
@@ -158,14 +143,13 @@ fn jitter_out_of_the_leader_delays_the_log_without_changing_it() {
             SimDuration::from_ticks(8_000),
         );
         let jittered = run(4, seed, settings, LinkFault::Slow { extra });
-        let log = agreed(&clean, seed);
+        let log = agreed(&clean);
         assert_eq!(log.0, 60, "seed {seed}");
-        assert_eq!(agreed(&jittered, seed), log, "seed {seed}");
+        assert_eq!(agreed(&jittered), log, "seed {seed}");
+        let (jittered, clean) = (jittered.sim.now(), clean.sim.now());
         assert!(
-            jittered.now() > clean.now(),
-            "seed {seed}: jittered run finished at {}, clean at {}",
-            jittered.now(),
-            clean.now()
+            jittered > clean,
+            "seed {seed}: jittered run finished at {jittered}, clean at {clean}"
         );
     }
 }
@@ -182,9 +166,9 @@ fn serving_mode_drains_a_deep_queue_in_fewer_slots() {
         ..SmrSettings::live(4)
     };
     let runs = [workload_mode(target), serving].map(|settings| {
-        let sim = run(4, 5, settings, network());
-        let (len, _) = agreed(&sim, 5);
-        let slots = sim.process(LEADER).slots_applied();
+        let cluster = run(4, 5, settings, network());
+        let (len, _) = agreed(&cluster);
+        let slots = cluster.member(LEADER.index()).node.slots_applied();
         (len, slots, len as f64 / slots as f64)
     });
     let [(static_len, static_slots, static_batch), (len, slots, batch)] = runs;

@@ -1,252 +1,62 @@
-//! The log-wide view, deterministically: hand-wired `Simulation`s of
-//! [`SmrNode`]s — no socket, no wall clock — each behind a [`Probe`] that
-//! forwards every event and writes down what the node did with its one
-//! view timer and what wishes it heard.
+//! The log-wide view, deterministically: [`SmrNode`]s under the shared
+//! virtual-time executor (`support`) — no socket, no wall clock — each
+//! behind a member that writes down what its node did with its one view
+//! timer and what wishes it heard.
 //!
 //! Every test here fails on the commit before the view was lifted out of
 //! the per-slot replicas into the node: there each slot timed out on the
 //! dead view-1 leader by itself, wishes were slot-scoped, and no
 //! `view_changes` / `view` metric existed.
+//!
+//! [`SmrNode`]: probft_smr::SmrNode
 
-use probft_core::config::{ProbftConfig, SharedConfig, View};
+mod support;
+
+use probft_core::config::{ProbftConfig, View};
 use probft_core::message::{Message, Wish, WishBody};
-use probft_crypto::keyring::Keyring;
-use probft_obs::{MetricsSnapshot, TraceKind};
+use probft_obs::TraceKind;
 use probft_quorum::ReplicaId;
-use probft_simnet::delay::PartialSynchrony;
-use probft_simnet::process::{Action, Context, Process, ProcessId, TimerToken};
-use probft_simnet::sim::{RunOutcome, Simulation};
+use probft_simnet::process::ProcessId;
+use probft_simnet::sim::RunOutcome;
 use probft_simnet::time::{SimDuration, SimTime};
-use probft_smr::{Command, KvStore, SlotMessage, SmrMessage, SmrNode, SmrSettings};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use std::sync::Arc;
+use probft_smr::nemesis::{Fault, FaultPlan};
+use probft_smr::{Command, SlotMessage, SmrMessage, SmrSettings};
+use std::time::Duration;
+use support::{keyring, puts, Cluster, Member, Spec, Strategy, MAX_EVENTS};
 
 const BASE: u64 = 50_000;
-const MAX_EVENTS: u64 = 20_000_000;
-/// The probe's own timer (a node numbers its timers from 1).
-const REDIRECT: TimerToken = TimerToken(u64::MAX);
 
-/// One member of a test cluster.
-enum Member {
-    /// An honest node, observed.
-    Honest(Box<Probe>),
-    /// A Byzantine replica that, at start, sends every replica a signed
-    /// wish for view 100 tagged with a far-future slot, and then nothing.
-    Wisher(Wish),
-}
-
-/// An [`SmrNode`] with its input and output in view.
-struct Probe {
-    node: SmrNode<KvStore>,
-    rng: StdRng,
-    /// All input is dropped before this time (a replica cut off from the
-    /// cluster that can still send).
-    deaf_until: SimTime,
-    /// When to tell the node that a client was just turned away.
-    redirect_at: Option<SimTime>,
-    /// `(when, delay)` of every timer the node set.
-    timers: Vec<(SimTime, SimDuration)>,
-    /// When the node first broadcast a wish of its own.
-    first_wish_at: Option<SimTime>,
-    /// Wishes delivered to the node (its own broadcasts to itself aside).
-    wishes_heard: u64,
-    /// When the node was first seen in each view after its first.
-    entered: Vec<(View, SimTime)>,
-}
-
-impl Probe {
-    fn new(node: SmrNode<KvStore>) -> Self {
-        Probe {
-            node,
-            // Handed to the node's contexts, which draw nothing from it.
-            rng: StdRng::seed_from_u64(0),
-            deaf_until: SimTime::ZERO,
-            redirect_at: None,
-            timers: Vec::new(),
-            first_wish_at: None,
-            wishes_heard: 0,
-            entered: Vec::new(),
+/// A Byzantine replica that, at start, sends every replica a signed wish
+/// for view 100 tagged with a far-future slot, and then nothing.
+fn wisher(wish: Wish) -> Strategy {
+    Box::new(move |heard, _, ctx| {
+        for to in (0..7).filter(|_| heard.is_none()) {
+            let inner = Message::Wish(wish.clone());
+            let slot = 1_000_000 + to as u64;
+            ctx.send(ProcessId(to), SmrMessage::Slot(SlotMessage { slot, inner }));
         }
-    }
-
-    /// Runs `step` against the node and passes on what it did.
-    fn observe(
-        &mut self,
-        ctx: &mut Context<'_, SmrMessage>,
-        step: impl FnOnce(&mut SmrNode<KvStore>, &mut Context<'_, SmrMessage>),
-    ) {
-        let view = self.node.current_view();
-        let actions = {
-            let mut inner = Context::detached(ctx.id(), ctx.now(), &mut self.rng);
-            step(&mut self.node, &mut inner);
-            inner.drain_actions()
-        };
-        if self.node.current_view() != view {
-            self.entered.push((self.node.current_view(), ctx.now()));
-        }
-        for action in actions {
-            match action {
-                Action::Send { to, msg } => {
-                    if is_wish(&msg) && to != ctx.id() {
-                        self.first_wish_at.get_or_insert(ctx.now());
-                    }
-                    ctx.send(to, msg);
-                }
-                Action::SetTimer { delay, token } => {
-                    self.timers.push((ctx.now(), delay));
-                    ctx.set_timer(delay, token);
-                }
-                Action::Halt => ctx.halt(),
-            }
-        }
-    }
-
-    fn metrics(&self) -> MetricsSnapshot {
-        self.node.obs().snapshot()
-    }
-}
-
-fn is_wish(msg: &SmrMessage) -> bool {
-    matches!(
-        msg,
-        SmrMessage::Slot(SlotMessage {
-            inner: Message::Wish(_),
-            ..
-        })
-    )
-}
-
-impl Process for Member {
-    type Message = SmrMessage;
-
-    fn on_start(&mut self, ctx: &mut Context<'_, SmrMessage>) {
-        match self {
-            Member::Honest(probe) => {
-                if let Some(at) = probe.redirect_at {
-                    ctx.set_timer(SimDuration::from_ticks(at.ticks()), REDIRECT);
-                }
-                probe.observe(ctx, |node, ctx| node.on_start(ctx));
-            }
-            Member::Wisher(wish) => {
-                for to in 0..7 {
-                    let spray = SlotMessage {
-                        slot: 1_000_000 + to as u64,
-                        inner: Message::Wish(wish.clone()),
-                    };
-                    ctx.send(ProcessId(to), SmrMessage::Slot(spray));
-                }
-            }
-        }
-    }
-
-    fn on_message(&mut self, from: ProcessId, msg: SmrMessage, ctx: &mut Context<'_, SmrMessage>) {
-        let Member::Honest(probe) = self else {
-            return;
-        };
-        if ctx.now() < probe.deaf_until {
-            return;
-        }
-        if is_wish(&msg) && from != ctx.id() {
-            probe.wishes_heard += 1;
-        }
-        probe.observe(ctx, |node, ctx| node.on_message(from, msg, ctx));
-    }
-
-    fn on_timer(&mut self, token: TimerToken, ctx: &mut Context<'_, SmrMessage>) {
-        let Member::Honest(probe) = self else {
-            return;
-        };
-        if token == REDIRECT {
-            probe.observe(ctx, |node, ctx| node.on_redirect(ctx));
-        } else {
-            probe.observe(ctx, |node, ctx| node.on_timer(token, ctx));
-        }
-    }
+    })
 }
 
 /// A cluster as [`SmrBuilder`](probft_smr::SmrBuilder) wires one — base
 /// view timeout 50 000 ticks, delays uniform in 1..=100 — with `settings`
-/// everywhere, `workloads[i]` queued at replica `i`, and each honest probe
-/// passed through `tune` before it joins.
-struct Cluster {
-    sim: Simulation<Member>,
-    cfg: SharedConfig,
+/// everywhere and `workloads[i]` queued at replica `i`.
+fn spec(cfg: ProbftConfig, seed: u64, settings: SmrSettings, workloads: Vec<Vec<Command>>) -> Spec {
+    let mut spec = Spec::new(cfg.n(), seed);
+    spec.cfg = cfg;
+    spec.settings = settings;
+    spec.workloads = workloads;
+    spec
 }
 
-impl Cluster {
-    fn new(
-        cfg: ProbftConfig,
-        seed: u64,
-        settings: SmrSettings,
-        workloads: &[Vec<Command>],
-        byzantine: &[usize],
-        tune: impl Fn(usize, &mut Probe),
-    ) -> Self {
-        let cfg: SharedConfig = Arc::new(cfg);
-        let keyring = Keyring::generate(cfg.n(), &seed.to_be_bytes());
-        let keys = Arc::new(keyring.public());
-        let network =
-            PartialSynchrony::synchronous(SimDuration::from_ticks(1), SimDuration::from_ticks(100));
-        let mut sim = Simulation::new(network, seed);
-        for (i, id) in cfg.all_replicas().enumerate() {
-            let sk = keyring.signing_key(i).expect("in range").clone();
-            if byzantine.contains(&i) {
-                let view = View(100);
-                let wish = Wish::sign(&sk, WishBody { sender: id, view });
-                sim.add_process(Member::Wisher(wish));
-                continue;
-            }
-            let workload = workloads.get(i).cloned().unwrap_or_default();
-            let node = SmrNode::new(cfg.clone(), id, sk, keys.clone(), workload, settings);
-            let mut probe = Probe::new(node);
-            tune(i, &mut probe);
-            sim.add_process(Member::Honest(Box::new(probe)));
-        }
-        Cluster { sim, cfg }
-    }
-
-    fn probe(&self, i: usize) -> &Probe {
-        match self.sim.process(ProcessId(i)) {
-            Member::Honest(probe) => probe,
-            Member::Wisher(_) => panic!("replica {i} is Byzantine"),
-        }
-    }
-
-    /// The honest replicas still alive.
-    fn live(&self) -> impl Iterator<Item = (usize, &Probe)> {
-        self.sim
-            .processes()
-            .filter_map(|(id, member)| match member {
-                Member::Honest(probe) if self.sim.is_alive(id) => Some((id.index(), &**probe)),
-                _ => None,
-            })
-    }
-
-    /// Runs until `done` holds of every live honest replica.
-    fn run_until(&mut self, done: impl Fn(&Probe) -> bool) {
-        let all = |sim: &Simulation<Member>| {
-            sim.processes().all(|(id, member)| match member {
-                Member::Honest(probe) => !sim.is_alive(id) || done(probe),
-                Member::Wisher(_) => true,
-            })
-        };
-        let outcome = self.sim.run_until_condition(all, MAX_EVENTS);
-        assert_eq!(outcome, RunOutcome::ConditionMet);
-    }
-
-    fn base(&self) -> SimDuration {
-        self.cfg.base_timeout()
-    }
-}
-
-fn puts(tag: &str, count: usize) -> Vec<Command> {
-    (0..count)
-        .map(|i| Command::Put {
-            key: format!("{tag}{i}"),
-            value: format!("v{i}"),
-        })
-        .collect()
+/// Pauses `victims` now, for good: crashed replicas, to the rest.
+fn crash(cluster: &mut Cluster, victims: &[usize]) {
+    let plan = victims
+        .iter()
+        .fold(FaultPlan::new(cluster.seed), |plan, &i| {
+            plan.at(Duration::ZERO, Fault::Kill(i))
+        });
+    cluster.execute(&plan);
 }
 
 /// Eager, depth 4, one entry per slot, until `target_len` entries applied.
@@ -269,10 +79,10 @@ fn config(n: usize) -> ProbftConfig {
 /// decides in view 2, wishes cost one round in total rather than one per
 /// slot, and the run ends one timeout — not one per slot — after the crash.
 fn leader_crash(n: usize, seed: u64) {
-    let workloads = [puts("a", 8), puts("b", 8)];
-    let mut cluster = Cluster::new(config(n), seed, eager(16), &workloads, &[], |_, _| {});
+    let workloads = vec![puts("a", 8), puts("b", 8)];
+    let mut cluster = Cluster::new(spec(config(n), seed, eager(16), workloads));
     cluster.run_until(|probe| probe.node.slots_applied() >= 8);
-    cluster.sim.crash(ProcessId(0));
+    crash(&mut cluster, &[0]);
     let crashed_at = cluster.sim.now();
     let applied_at_crash: Vec<u64> = cluster
         .live()
@@ -282,7 +92,6 @@ fn leader_crash(n: usize, seed: u64) {
     cluster.run_until(|probe| probe.node.done());
     let finished_at = cluster.sim.now();
 
-    let mut logs = Vec::new();
     for ((i, probe), applied_before) in cluster.live().zip(applied_at_crash) {
         let metrics = probe.metrics();
         assert_eq!(metrics.counter("view_changes"), 1, "replica {i}");
@@ -293,7 +102,6 @@ fn leader_crash(n: usize, seed: u64) {
             (0..8).all(|k| probe.node.state().get(&format!("b{k}")).is_some()),
             "replica {i} is missing one of replica 1's PUTs"
         );
-        logs.push((probe.node.total_log_len(), probe.node.log_digest().to_hex()));
 
         // The journal, in order: decisions in view 1, the one view change,
         // decisions in view 2 — among them every slot applied after the
@@ -340,7 +148,7 @@ fn leader_crash(n: usize, seed: u64) {
             "replica {i}: finished at {finished_at}, bound {bound}"
         );
     }
-    assert!(logs.windows(2).all(|w| w[0] == w[1]), "{logs:?}");
+    cluster.sweep();
 
     let wishes = cluster.sim.metrics().kind("Wish").sent;
     assert!(
@@ -366,16 +174,15 @@ fn timeouts_are_sized_from_the_last_progress_not_from_view_one() {
     let cfg = ProbftConfig::builder(7)
         .quorum_multiplier(1.0)
         .base_timeout(SimDuration::from_ticks(BASE));
-    let workloads = [puts("a", 64), Vec::new(), puts("c", 64)];
-    let mut cluster = Cluster::new(cfg.build(), 5, eager(128), &workloads, &[], |_, _| {});
+    let workloads = vec![puts("a", 64), Vec::new(), puts("c", 64)];
+    let mut cluster = Cluster::new(spec(cfg.build(), 5, eager(128), workloads));
     cluster.run_until(|probe| probe.node.slots_applied() >= 4);
-    cluster.sim.crash(ProcessId(0));
-    cluster.sim.crash(ProcessId(1));
+    crash(&mut cluster, &[0, 1]);
     let crashed_at = cluster.sim.now();
 
     // Until every survivor has applied a slot decided in view 3, and then
     // one more, so that the timer restarted by it is on record.
-    let applied_in_view_3 = |probe: &Probe| -> Option<usize> {
+    let applied_in_view_3 = |probe: &Member| -> Option<usize> {
         let journal = probe.node.obs().journal().snapshot();
         let decided = journal.iter().position(|e| {
             matches!(e.kind, TraceKind::SlotDecided { view: 3, slot } if slot < probe.node.slots_applied())
@@ -389,7 +196,8 @@ fn timeouts_are_sized_from_the_last_progress_not_from_view_one() {
     };
     cluster.run_until(|probe| applied_in_view_3(probe).is_some_and(|applied| applied >= 2));
 
-    let (base, live): (SimDuration, Vec<_>) = (cluster.base(), cluster.live().collect());
+    let (base, live): (SimDuration, Vec<_>) =
+        (SimDuration::from_ticks(BASE), cluster.live().collect());
     assert_eq!(live.len(), 5);
     for (i, probe) in live {
         assert_eq!(probe.node.current_view(), View(3), "replica {i}");
@@ -448,31 +256,28 @@ fn timeouts_are_sized_from_the_last_progress_not_from_view_one() {
 #[test]
 fn straggler_is_told_the_view_by_the_answers_to_its_first_wish() {
     let n = 7;
-    // Every wish is sent at the first timeout and delivered within 100.
-    let deaf_until = SimTime::from_ticks(BASE + 101);
-    let workloads = [Vec::new(), puts("b", 6)];
-    let lazy = SmrSettings::live(4);
-    let mut cluster = Cluster::new(config(n), 3, lazy, &workloads, &[], |i, probe| {
-        if (1..=5).contains(&i) {
-            probe.redirect_at = Some(SimTime::ZERO);
-        }
-        if i == 6 {
-            probe.deaf_until = deaf_until;
-        }
-    });
-    cluster.sim.crash(ProcessId(0));
-    cluster.sim.run_until(deaf_until, MAX_EVENTS);
+    let workloads = vec![Vec::new(), puts("b", 6)];
+    let mut spec = spec(config(n), 3, SmrSettings::live(4), workloads);
+    spec.redirects = (1..=5).map(|i| (i, SimTime::ZERO)).collect();
+    let mut cluster = Cluster::new(spec);
+    // Replica 6 hears nothing until every wish — sent at the first timeout,
+    // delivered within 100 — is in.
+    let deaf = FaultPlan::new(3)
+        .at(Duration::ZERO, Fault::Kill(0))
+        .at(Duration::ZERO, Fault::Kill(6))
+        .at(Duration::from_micros(BASE + 100), Fault::Resume(6));
+    cluster.execute(&deaf);
     for (i, probe) in cluster.live() {
         let expected = if i == 6 { View(1) } else { View(2) };
         assert_eq!(probe.node.current_view(), expected, "replica {i}");
     }
-    let straggler = cluster.probe(6);
+    let straggler = cluster.member(6);
     assert_eq!((straggler.wishes_heard, straggler.first_wish_at), (0, None));
     assert!(straggler.timers.is_empty(), "idle: no timer runs");
 
     cluster.run_until(|probe| probe.node.total_log_len() == 6);
 
-    let straggler = cluster.probe(6);
+    let straggler = cluster.member(6);
     let wished_at = straggler.first_wish_at.expect("the straggler wished");
     let [(view, entered_at)] = straggler.entered[..] else {
         panic!("entered {:?}", straggler.entered);
@@ -488,17 +293,11 @@ fn straggler_is_told_the_view_by_the_answers_to_its_first_wish() {
     assert!(straggler.wishes_heard <= n as u64);
     assert_eq!(straggler.node.current_leader(), ReplicaId(1));
     assert_eq!(straggler.metrics().counter("view_changes"), 1);
-    let first = cluster.probe(1);
     for (i, probe) in cluster.live() {
         // Nobody else moved: a straggler's wish is answered, not amplified.
         assert_eq!(probe.node.current_view(), View(2), "replica {i}");
-        assert_eq!(
-            probe.node.log_digest(),
-            first.node.log_digest(),
-            "replica {i}"
-        );
-        assert_eq!(probe.node.state(), first.node.state(), "replica {i}");
     }
+    cluster.sweep();
 }
 
 /// Rule (iv): f Byzantine replicas wishing for view 100, tagged with
@@ -507,8 +306,18 @@ fn straggler_is_told_the_view_by_the_answers_to_its_first_wish() {
 /// other far-future traffic: no view moves, no slot opens, no timer runs.
 #[test]
 fn byzantine_far_future_wishes_move_no_view_and_open_no_slot() {
-    let lazy = SmrSettings::live(4);
-    let mut cluster = Cluster::new(config(7), 11, lazy, &[], &[5, 6], |_, _| {});
+    let seed = 11;
+    let mut spec = spec(config(7), seed, SmrSettings::live(4), Vec::new());
+    let keyring = keyring(7, seed);
+    for i in [5, 6] {
+        let (sender, view) = (ReplicaId::from(i), View(100));
+        let wish = Wish::sign(
+            keyring.signing_key(i).expect("in range"),
+            WishBody { sender, view },
+        );
+        spec.byzantine.push((i, wisher(wish)));
+    }
+    let mut cluster = Cluster::new(spec);
     assert_eq!(
         cluster.sim.run_to_quiescence(MAX_EVENTS),
         RunOutcome::Quiescent
@@ -537,12 +346,9 @@ fn byzantine_far_future_wishes_move_no_view_and_open_no_slot() {
 #[test]
 fn lone_tagged_wish_on_a_healthy_cluster_costs_one_empty_slot() {
     let n = 7;
-    let lazy = SmrSettings::live(4);
-    let mut cluster = Cluster::new(config(n), 13, lazy, &[], &[], |i, probe| {
-        if i == 3 {
-            probe.redirect_at = Some(SimTime::ZERO);
-        }
-    });
+    let mut spec = spec(config(n), 13, SmrSettings::live(4), Vec::new());
+    spec.redirects = vec![(3, SimTime::ZERO)];
+    let mut cluster = Cluster::new(spec);
     assert_eq!(
         cluster.sim.run_to_quiescence(MAX_EVENTS),
         RunOutcome::Quiescent
@@ -582,7 +388,8 @@ fn lone_tagged_wish_on_a_healthy_cluster_costs_one_empty_slot() {
     }
     assert_eq!(cluster.sim.metrics().kind("Wish").sent, n as u64);
     // The cluster is as it was: the next wait is a base timeout again.
+    let base = SimDuration::from_ticks(BASE);
     assert!(cluster
         .live()
-        .all(|(_, p)| p.timers.iter().all(|(_, d)| *d == cluster.base())));
+        .all(|(_, p)| p.timers.iter().all(|(_, d)| *d == base)));
 }

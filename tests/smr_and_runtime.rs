@@ -1,5 +1,8 @@
 //! Integration tests for the SMR extension and the live TCP runtime.
 
+mod live;
+
+use live::{hammer, sweep};
 use probft::quorum::ReplicaId;
 use probft::runtime::LiveSmrBuilder;
 use probft::smr::{Command, Entry, KvResponse, SmrBuilder};
@@ -369,6 +372,76 @@ fn torn_client_frames_do_not_wedge_the_cluster() {
         metrics.counter("frames_torn") >= 1,
         "torn frame must be counted"
     );
+}
+
+/// Admission control plus the client-side bugfix: an overloaded leader
+/// sheds with an explicit `Overloaded` reply, the client backs off and
+/// retries the *same* leader (no rotation stampede), and every
+/// submission still lands exactly once.
+#[test]
+fn overloaded_leader_sheds_and_clients_back_off() {
+    let seed = 1;
+    let cluster = LiveSmrBuilder::new(4)
+        .seed(seed)
+        .pipeline_depth(1)
+        .batch_size(1)
+        .max_pending(1)
+        .start()
+        .expect("cluster boots");
+
+    // No nemesis: the fault is the load itself against a 1-deep queue.
+    let (confirmed, overloads, _) = hammer(&cluster, 6, 15, || {});
+    assert_eq!(
+        confirmed.len(),
+        6 * 15,
+        "every submission must eventually be confirmed despite shedding"
+    );
+
+    let reports = cluster.shutdown();
+    let shed: u64 = reports
+        .iter()
+        .map(|r| r.metrics.counter("shed_requests"))
+        .sum();
+    assert!(shed > 0, "the 1-deep queue never shed under 6 clients");
+    assert!(
+        overloads > 0,
+        "clients never observed an Overloaded reply despite {shed} sheds"
+    );
+    sweep("overload", seed, &reports, &[], &confirmed);
+}
+
+/// Pause/resume edge cases: double-pause, resume-without-pause, and
+/// out-of-range ids are all harmless no-ops, and the cluster keeps
+/// serving through them.
+#[test]
+fn pause_resume_edge_cases_are_idempotent() {
+    let seed = 1;
+    let cluster = LiveSmrBuilder::new(4)
+        .seed(seed)
+        .pipeline_depth(4)
+        .batch_size(2)
+        .start()
+        .expect("cluster boots");
+
+    // Resume a replica that was never paused, twice.
+    cluster.resume(2);
+    cluster.resume(2);
+    assert!(!cluster.is_paused(2));
+    // Double-pause is one pause.
+    cluster.pause(3);
+    cluster.pause(3);
+    assert!(cluster.is_paused(3));
+    // Out-of-range ids are no-ops, not panics.
+    cluster.pause(99);
+    cluster.resume(99);
+    assert!(!cluster.is_paused(99));
+    // A double-paused replica needs exactly one resume.
+    cluster.resume(3);
+    assert!(!cluster.is_paused(3));
+
+    let (confirmed, _, _) = hammer(&cluster, 2, 10, || {});
+    let reports = cluster.shutdown();
+    sweep("pause_edge_cases", seed, &reports, &[], &confirmed);
 }
 
 mod live_matches_sim {

@@ -1,12 +1,14 @@
 //! Criterion timings for the cryptographic substrate: SHA-256 throughput,
-//! the three group exponentiations, Schnorr sign/verify, VRF prove/verify —
-//! the per-message costs that dominate a replica's CPU budget.
+//! the group exponentiations, Schnorr sign/verify, VRF prove/verify — the
+//! per-message costs that dominate a replica's CPU budget. Verification is
+//! timed twice: against a bare key, and against the key's table in a
+//! `PublicKeyring`, which is how a replica verifies.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use probft_crypto::group::{GroupElement, Scalar};
+use probft_crypto::group::{FixedBase, GroupElement, Scalar};
 use probft_crypto::keyring::Keyring;
 use probft_crypto::sha256::Sha256;
-use probft_crypto::vrf::{vrf_prove, vrf_verify};
+use probft_crypto::vrf::{vrf_check, vrf_prove, vrf_verify};
 
 fn bench_sha256(c: &mut Criterion) {
     let mut g = c.benchmark_group("sha256");
@@ -20,9 +22,9 @@ fn bench_sha256(c: &mut Criterion) {
     g.finish();
 }
 
-/// The three exponentiations a verifier is made of: a window `pow` of an
-/// arbitrary base, `g^k` from the fixed-base table, and `a^x · b^y` in one
-/// pass (next to the two `pow`s and a product it stands in for).
+/// The exponentiations a verifier is made of: a window `pow` of an
+/// arbitrary base, `g^k` and `a^k` from a fixed-base table, and `a^x · b^y`
+/// in one pass (next to the two `pow`s and a product it stands in for).
 fn bench_group(c: &mut Criterion) {
     let a = GroupElement::hash_to_group(b"bench-a");
     let b = GroupElement::hash_to_group(b"bench-b");
@@ -33,6 +35,10 @@ fn bench_group(c: &mut Criterion) {
     g.bench_function("pow", |bench| bench.iter(|| black_box(a).pow(black_box(x))));
     g.bench_function("generator_pow", |bench| {
         bench.iter(|| GroupElement::generator_pow(black_box(x)))
+    });
+    let table = FixedBase::new(a);
+    g.bench_function("fixed_base_pow", |bench| {
+        bench.iter(|| black_box(&table).pow(black_box(x)))
     });
     g.bench_function("double_pow", |bench| {
         bench.iter(|| GroupElement::double_pow(black_box(a), black_box(x), black_box(b), y))
@@ -48,12 +54,17 @@ fn bench_schnorr(c: &mut Criterion) {
     let ring = Keyring::generate(4, b"bench");
     let sk = ring.signing_key(0).unwrap();
     let pk = ring.verifying_key(0).unwrap();
+    let public = ring.public();
+    let tabled = public.tabled_key(0).unwrap();
     let msg = vec![0x42u8; 256];
     let sig = sk.sign(&msg);
 
     c.bench_function("schnorr/sign", |b| b.iter(|| sk.sign(&msg)));
     c.bench_function("schnorr/verify", |b| {
         b.iter(|| pk.verify(&msg, &sig).expect("valid"))
+    });
+    c.bench_function("schnorr/verify_tabled", |b| {
+        b.iter(|| tabled.verify(&msg, &sig).expect("valid"))
     });
 }
 
@@ -73,6 +84,18 @@ fn bench_vrf(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("verify", n), &n, |b, &n| {
             b.iter(|| assert!(vrf_verify(pk, b"7|prepare", s, n, &sample, &proof)))
         });
+        if n == 100 {
+            // The DLEQ half alone, which a vote's receiver runs: bare, and
+            // with the key's table.
+            let public = ring.public();
+            let tabled = public.tabled_key(0).unwrap();
+            g.bench_function("check", |b| {
+                b.iter(|| assert!(vrf_check(pk, b"7|prepare", &proof)))
+            });
+            g.bench_function("check_tabled", |b| {
+                b.iter(|| assert!(tabled.vrf_check(b"7|prepare", &proof)))
+            });
+        }
     }
     g.finish();
 }

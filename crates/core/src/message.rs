@@ -29,7 +29,7 @@ use crate::sampling::{self, Phase};
 use crate::shell::Seat;
 use crate::signed::{Signed, SignedBody};
 use crate::value::Value;
-use crate::wire::{put, Reader, Wire, WireError};
+use crate::wire::{fields_len, put, Reader, Wire, WireError};
 use probft_crypto::keyring::PublicKeyring;
 use probft_crypto::schnorr::SigningKey;
 use probft_crypto::sha256::Digest;
@@ -105,6 +105,13 @@ impl Wire for ProposalBody {
         self.view.encode(out);
         self.leader.encode(out);
         self.digest.encode(out);
+    }
+    fn wire_len(&self) -> usize {
+        fields_len([
+            self.view.wire_len(),
+            self.leader.wire_len(),
+            self.digest.wire_len(),
+        ])
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(ProposalBody {
@@ -194,6 +201,13 @@ impl Wire for PhaseBody {
         self.proposal.encode(out);
         self.proof.encode(out);
     }
+    fn wire_len(&self) -> usize {
+        fields_len([
+            self.sender.wire_len(),
+            self.proposal.wire_len(),
+            self.proof.wire_len(),
+        ])
+    }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(PhaseBody {
             sender: Wire::decode(r)?,
@@ -216,8 +230,8 @@ impl Signed<PhaseBody> {
     pub fn verify(&self, phase: Phase, ctx: &VerifyCtx<'_>) -> Result<(), RejectReason> {
         self.proposal.verify(ctx)?;
         self.verify_in(phase, ctx.keys)?;
-        let pk = ctx.keys.verifying_key(self.sender.index())?;
-        if sampling::verify_proof(pk, self.proposal.view, phase, &self.proof) {
+        let key = ctx.keys.tabled_key(self.sender.index())?;
+        if sampling::verify_proof(key, self.proposal.view, phase, &self.proof) {
             Ok(())
         } else {
             Err(RejectReason::BadVrfProof)
@@ -416,6 +430,15 @@ impl<V: Wire> Wire for NewLeaderBody<V> {
         self.prepared_value.encode(out);
         self.cert.encode(out);
     }
+    fn wire_len(&self) -> usize {
+        fields_len([
+            self.sender.wire_len(),
+            self.view.wire_len(),
+            self.prepared_view.wire_len(),
+            self.prepared_value.wire_len(),
+            self.cert.wire_len(),
+        ])
+    }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(NewLeaderBody {
             sender: Wire::decode(r)?,
@@ -469,6 +492,13 @@ impl<V: Wire> Wire for ProposeBody<V> {
         self.proposal.encode(out);
         self.value.encode(out);
         self.justification.encode(out);
+    }
+    fn wire_len(&self) -> usize {
+        fields_len([
+            self.proposal.wire_len(),
+            self.value.wire_len(),
+            self.justification.wire_len(),
+        ])
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(ProposeBody {
@@ -562,6 +592,9 @@ impl Wire for WishBody {
     fn encode(&self, out: &mut Vec<u8>) {
         self.sender.encode(out);
         self.view.encode(out);
+    }
+    fn wire_len(&self) -> usize {
+        fields_len([self.sender.wire_len(), self.view.wire_len()])
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(WishBody {
@@ -669,6 +702,15 @@ impl<V: CertVote> Wire for MessageOf<V> {
             MessageOf::Wish(w) => put::tagged(out, 5, w),
         }
     }
+    fn wire_len(&self) -> usize {
+        let payload = match self {
+            MessageOf::Propose(p) => p.wire_len(),
+            MessageOf::Prepare(p) | MessageOf::Commit(p) => p.wire_len(),
+            MessageOf::NewLeader(m) => m.wire_len(),
+            MessageOf::Wish(w) => w.wire_len(),
+        };
+        fields_len([1, payload])
+    }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         match r.u8()? {
             1 => Ok(MessageOf::Propose(Wire::decode(r)?)),
@@ -692,7 +734,7 @@ impl<V: CertVote> Measurable for MessageOf<V> {
         }
     }
     fn wire_size(&self) -> usize {
-        self.to_wire_bytes().len()
+        self.wire_len()
     }
 }
 

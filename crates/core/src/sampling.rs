@@ -8,8 +8,9 @@
 //! Prepare/Commit messages reveal them.
 
 use crate::config::View;
-use probft_crypto::schnorr::{SigningKey, VerifyingKey};
-use probft_crypto::vrf::{expand_sample, sample_contains, vrf_check, vrf_prove, VrfProof};
+use probft_crypto::keyring::TabledKey;
+use probft_crypto::schnorr::SigningKey;
+use probft_crypto::vrf::{expand_sample, sample_contains, vrf_prove, VrfProof};
 use probft_quorum::ReplicaId;
 
 /// The protocol phase a sample belongs to.
@@ -53,9 +54,11 @@ pub fn derive_sample(
 }
 
 /// The `P` half of `VRF_verify(K_u, v ‖ T, s, S, P)`: whether `proof` is the
-/// proof the owner of `pk` must use for `(view, phase)`.
-pub fn verify_proof(pk: &VerifyingKey, view: View, phase: Phase, proof: &VrfProof) -> bool {
-    vrf_check(pk, &vrf_seed(view, phase), proof)
+/// proof the owner of `key` must use for `(view, phase)` —
+/// [`vrf_check`](probft_crypto::vrf::vrf_check), with `y^(−c)` from the
+/// key's table.
+pub fn verify_proof(key: &TabledKey, view: View, phase: Phase, proof: &VrfProof) -> bool {
+    key.vrf_check(&vrf_seed(view, phase), proof)
 }
 
 /// The `S` half: the unique sample a verified `proof` determines. A vote
@@ -93,7 +96,8 @@ mod tests {
     fn derive_and_verify_round_trip() {
         let ring = Keyring::generate(50, b"sampling-test");
         let sk = ring.signing_key(3).unwrap();
-        let pk = |i| ring.verifying_key(i).unwrap();
+        let public = ring.public();
+        let pk = |i| public.tabled_key(i).unwrap();
         let (sample, proof) = derive_sample(sk, View(7), Phase::Prepare, 12, 50);
         assert_eq!(sample.len(), 12);
         assert!(verify_proof(pk(3), View(7), Phase::Prepare, &proof));

@@ -11,7 +11,7 @@
 //! in this module's `payload` function alone.
 
 use crate::error::RejectReason;
-use crate::wire::{Reader, Wire, WireError};
+use crate::wire::{fields_len, Reader, Wire, WireError};
 use probft_crypto::keyring::PublicKeyring;
 use probft_crypto::schnorr::{Signature, SigningKey};
 use probft_quorum::ReplicaId;
@@ -66,7 +66,7 @@ impl<B: SignedBody> Signed<B> {
     /// population; [`RejectReason::BadSignature`] on signature failure.
     pub fn verify_in(&self, phase: B::Phase, keys: &PublicKeyring) -> Result<(), RejectReason> {
         let signer = self.body.signer();
-        keys.verifying_key(signer.index())
+        keys.tabled_key(signer.index())
             .map_err(|_| RejectReason::UnknownSender(signer))?
             .verify(&payload(phase, &self.body), &self.signature)
             .map_err(|_| RejectReason::BadSignature)
@@ -100,6 +100,9 @@ impl<B: Wire> Wire for Signed<B> {
     fn encode(&self, out: &mut Vec<u8>) {
         self.body.encode(out);
         self.signature.encode(out);
+    }
+    fn wire_len(&self) -> usize {
+        fields_len([self.body.wire_len(), self.signature.wire_len()])
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(Signed {

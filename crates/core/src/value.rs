@@ -5,7 +5,7 @@
 //! decided value satisfies it. [`Value`] is the opaque proposal payload and
 //! [`ValidityPredicate`] the pluggable check.
 
-use crate::wire::{put, Reader, Wire, WireError};
+use crate::wire::{fields_len, put, Reader, Wire, WireError};
 use probft_crypto::sha256::{Digest, Sha256};
 use std::fmt;
 use std::sync::Arc;
@@ -64,6 +64,9 @@ impl fmt::Debug for Value {
 impl Wire for Value {
     fn encode(&self, out: &mut Vec<u8>) {
         put::var_bytes(out, &self.0);
+    }
+    fn wire_len(&self) -> usize {
+        fields_len([8, self.0.len()])
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(Value(r.var_bytes()?.to_vec()))

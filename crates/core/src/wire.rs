@@ -53,6 +53,13 @@ impl Error for WireError {}
 /// allocation bombs from malformed input.
 pub const MAX_LEN: u64 = 16 * 1024 * 1024;
 
+/// The length of an encoding made of `fields`, each the [`Wire::wire_len`]
+/// of a field or the width of a fixed-size one. Saturating: no length sum
+/// here is a bare `+` (probft-lint's L008).
+pub fn fields_len(fields: impl IntoIterator<Item = usize>) -> usize {
+    fields.into_iter().fold(0, usize::saturating_add)
+}
+
 /// Types that can be encoded to and decoded from wire bytes.
 pub trait Wire: Sized {
     /// Appends this value's encoding to `out`.
@@ -64,6 +71,14 @@ pub trait Wire: Sized {
     ///
     /// Returns a [`WireError`] on malformed input.
     fn decode(reader: &mut Reader<'_>) -> Result<Self, WireError>;
+
+    /// The length of this value's encoding. The default encodes and
+    /// counts; every type a simulated run sends computes it from its
+    /// fields instead, because the simulator charges each send its bytes
+    /// (`Measurable::wire_size`) and never needs the encoding itself.
+    fn wire_len(&self) -> usize {
+        self.to_wire_bytes().len()
+    }
 
     /// Convenience: the full encoding as a fresh buffer.
     fn to_wire_bytes(&self) -> Vec<u8> {
@@ -186,6 +201,9 @@ impl<T: Wire> Wire for Vec<T> {
             item.encode(out);
         }
     }
+    fn wire_len(&self) -> usize {
+        fields_len(std::iter::once(8).chain(self.iter().map(Wire::wire_len)))
+    }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let count = r.len_prefix()?;
         // The count is attacker-supplied: cap the up-front allocation and
@@ -205,6 +223,9 @@ impl<T: Wire> Wire for Option<T> {
             None => out.push(0),
         }
     }
+    fn wire_len(&self) -> usize {
+        fields_len([1, self.as_ref().map_or(0, Wire::wire_len)])
+    }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         match r.u8()? {
             0 => Ok(None),
@@ -218,6 +239,9 @@ impl Wire for ReplicaId {
     fn encode(&self, out: &mut Vec<u8>) {
         put::u32(out, self.0);
     }
+    fn wire_len(&self) -> usize {
+        4
+    }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(ReplicaId(r.u32()?))
     }
@@ -226,6 +250,9 @@ impl Wire for ReplicaId {
 impl Wire for View {
     fn encode(&self, out: &mut Vec<u8>) {
         put::u64(out, self.0);
+    }
+    fn wire_len(&self) -> usize {
+        8
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(View(r.u64()?))
@@ -236,6 +263,9 @@ impl Wire for Digest {
     fn encode(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(self.as_bytes());
     }
+    fn wire_len(&self) -> usize {
+        DIGEST_LEN
+    }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(Digest(r.array::<DIGEST_LEN>()?))
     }
@@ -245,6 +275,9 @@ impl Wire for Signature {
     fn encode(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.to_bytes());
     }
+    fn wire_len(&self) -> usize {
+        SIGNATURE_LEN
+    }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Signature::from_bytes(r.array::<SIGNATURE_LEN>()?).ok_or(WireError::BadCrypto("signature"))
     }
@@ -253,6 +286,9 @@ impl Wire for Signature {
 impl Wire for VrfProof {
     fn encode(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.to_bytes());
+    }
+    fn wire_len(&self) -> usize {
+        VRF_PROOF_LEN
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         VrfProof::from_bytes(r.array::<VRF_PROOF_LEN>()?).ok_or(WireError::BadCrypto("vrf proof"))

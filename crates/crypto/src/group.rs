@@ -4,13 +4,15 @@
 //! prime `p = 2q + 1`, which has prime order `q`. All arithmetic is
 //! implemented from scratch. Modulo `p` it runs in Montgomery form (no
 //! division; `u128` only to hold a 64×64 product), with a fixed 4-bit window
-//! for [`GroupElement::pow`], a precomputed table for powers of the
-//! generator and a simultaneous double exponentiation for the product a
-//! verifier needs — but only *inside* an operation: a [`GroupElement`] at
-//! rest is the canonical residue, so encodings, equality and every digest
-//! over an element are those of the textbook arithmetic (DESIGN.md, "What
-//! receiving a vote costs"). Scalars modulo `q` are reduced with `%`: a
-//! verifier negates one and multiplies none.
+//! for [`GroupElement::pow`], a [`FixedBase`] table of nibble powers for a
+//! base raised to many exponents (the generator, and each public key in a
+//! [`PublicKeyring`](crate::keyring::PublicKeyring): 15 multiplications
+//! instead of some 90) and a simultaneous double exponentiation for the
+//! `h^s · Γ^(−c)` a VRF verifier needs — but only *inside* an operation: a
+//! [`GroupElement`] at rest is the canonical residue, so encodings,
+//! equality and every digest over an element are those of the textbook
+//! arithmetic (DESIGN.md, "What receiving a vote costs"). Scalars modulo
+//! `q` are reduced with `%`: a verifier negates one and multiplies none.
 //!
 //! **Security note (documented substitution):** `p` is a 63-bit safe prime,
 //! so the discrete logarithm here is breakable in practice (~2³¹ work). The
@@ -148,28 +150,60 @@ fn pow_mod_p(base: u64, exp: u64) -> u64 {
     from_mont(mont_pow(to_mont(base), exp))
 }
 
-/// `G_POWERS[i][d]` is the Montgomery form of `g^(d·16^i)`: every value a
-/// nibble of an exponent of `g` can contribute, so `g^k` is the product of
-/// one entry per nibble of `k` and takes no squaring at all.
-static G_POWERS: [[u64; 16]; 16] = {
-    let mut table = [[MONT_ONE; 16]; 16];
-    let mut base = to_mont(G);
-    let mut i = 0;
-    while i < 16 {
-        table[i] = mont_powers(base);
-        base = mont_mul(table[i][15], base);
-        i += 1;
-    }
-    table
-};
+/// Powers of one fixed base from a precomputed table: `table[i][d]` is the
+/// Montgomery form of `base^(d·16^i)` — every value a nibble of an exponent
+/// can contribute — so `base^k` is the product of one entry per nibble of
+/// `k` and takes no squaring at all: 15 multiplications where
+/// [`GroupElement::pow`] takes some 90.
+///
+/// The table is 2 KiB and costs 256 multiplications to build, so it pays
+/// for a base raised to many exponents: the generator (one `static`
+/// instance, behind [`GroupElement::generator_pow`]) and each replica's
+/// public key, whose `y^(−e)` every signature and VRF check needs
+/// ([`PublicKeyring`](crate::keyring::PublicKeyring) builds one per key).
+#[derive(Clone, PartialEq, Eq)]
+pub struct FixedBase {
+    table: [[u64; 16]; 16],
+}
 
-/// `g^exp` as a Montgomery form, from [`G_POWERS`].
-fn mont_pow_g(exp: u64) -> u64 {
-    let mut acc = MONT_ONE;
-    for (i, powers) in G_POWERS.iter().enumerate() {
-        acc = mont_mul(acc, powers[((exp >> (4 * i)) & 15) as usize]);
+/// The generator's table, evaluated at compile time.
+static G_TABLE: FixedBase = FixedBase::new(GroupElement(G));
+
+impl FixedBase {
+    /// The table of `base`.
+    pub const fn new(base: GroupElement) -> Self {
+        let mut table = [[MONT_ONE; 16]; 16];
+        let mut base = to_mont(base.0);
+        let mut i = 0;
+        while i < 16 {
+            table[i] = mont_powers(base);
+            base = mont_mul(table[i][15], base);
+            i += 1;
+        }
+        FixedBase { table }
     }
-    acc
+
+    /// `base^k`.
+    pub fn pow(&self, k: Scalar) -> GroupElement {
+        GroupElement(from_mont(self.mont_pow(k.0)))
+    }
+
+    /// `base^exp` as a Montgomery form, for any 64-bit exponent.
+    fn mont_pow(&self, exp: u64) -> u64 {
+        let [first, rest @ ..] = &self.table;
+        let mut acc = first[(exp & 15) as usize];
+        for (i, powers) in rest.iter().enumerate() {
+            acc = mont_mul(acc, powers[((exp >> (4 * (i + 1))) & 15) as usize]);
+        }
+        acc
+    }
+}
+
+impl fmt::Debug for FixedBase {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let base = GroupElement(from_mont(self.table[0][1]));
+        write!(f, "FixedBase({base})")
+    }
 }
 
 /// `a^x · b^y` on Montgomery forms by simultaneous exponentiation (Straus;
@@ -325,11 +359,11 @@ impl GroupElement {
         GroupElement(pow_mod_p(self.0, k.0))
     }
 
-    /// `g^k` for the fixed generator, from a precomputed table: a sixth of
-    /// the multiplications [`pow`](Self::pow) takes. What signing, key
+    /// `g^k` for the fixed generator, from its [`FixedBase`] table: a sixth
+    /// of the multiplications [`pow`](Self::pow) takes. What signing, key
     /// generation and the `g` half of every verification use.
     pub fn generator_pow(k: Scalar) -> Self {
-        GroupElement(from_mont(mont_pow_g(k.0)))
+        G_TABLE.pow(k)
     }
 
     /// `a^x · b^y` in one pass over both exponents — the `h^s · Γ^(−c)` of
@@ -465,8 +499,14 @@ mod tests {
         assert_eq!(to_mont(1), MONT_ONE);
         for a in EDGES {
             assert_eq!(from_mont(to_mont(a)), a % P);
-            assert_eq!(from_mont(mont_pow_g(a)), ref_pow(G, a), "g^{a}");
+            assert_eq!(from_mont(G_TABLE.mont_pow(a)), ref_pow(G, a), "g^{a}");
+            let table = FixedBase::new(GroupElement(a));
             for b in EDGES {
+                assert_eq!(
+                    from_mont(table.mont_pow(b)),
+                    ref_pow(a, b),
+                    "{a}^{b} by table"
+                );
                 assert_eq!(mul_mod_p(a, b), ref_mul(a, b), "{a} · {b}");
                 assert_eq!(pow_mod_p(a, b), ref_pow(a, b), "{a}^{b}");
                 for (x, y) in [(0, 0), (1, 0), (0, 1), (3, 12), (Q - 1, 1), (a, b), (b, a)] {
@@ -495,7 +535,9 @@ mod tests {
             let (x, y) = (x >> short_x, y >> short_y);
             prop_assert_eq!(mul_mod_p(a, b), ref_mul(a, b));
             prop_assert_eq!(pow_mod_p(a, x), ref_pow(a, x));
-            prop_assert_eq!(from_mont(mont_pow_g(x)), ref_pow(G, x));
+            prop_assert_eq!(from_mont(G_TABLE.mont_pow(x)), ref_pow(G, x));
+            let table = FixedBase::new(GroupElement(a));
+            prop_assert_eq!(from_mont(table.mont_pow(x)), ref_pow(a, x));
             prop_assert_eq!(pow2_mod_p(a, x, b, y), ref_mul(ref_pow(a, x), ref_pow(b, y)));
 
             // The same through the public operations, on group elements.
@@ -504,6 +546,7 @@ mod tests {
             prop_assert_eq!((ea * eb).0, ref_mul(ea.0, eb.0));
             prop_assert_eq!(ea.pow(sx).0, ref_pow(ea.0, sx.0));
             prop_assert_eq!(GroupElement::generator_pow(sx), GroupElement::generator().pow(sx));
+            prop_assert_eq!(FixedBase::new(ea).pow(sx), ea.pow(sx));
             prop_assert_eq!(GroupElement::double_pow(ea, sx, eb, sy), ea.pow(sx) * eb.pow(sy));
             prop_assert_eq!(GroupElement::from_bytes(ea.pow(sx).to_bytes()), Some(ea.pow(sx)));
         }

@@ -11,11 +11,14 @@
 //!    `VRF_verify(K_u, z, s, S, P) → bool`, selecting verifiable uniform
 //!    samples of replica IDs. Provided by [`vrf`].
 //! 3. **Pre-distributed keys** for the fixed population. Provided by
-//!    [`keyring`].
+//!    [`keyring`], whose [`PublicKeyring`] keeps a fixed-base table per key
+//!    so that verifying a replica's signature or VRF proof raises its key
+//!    to a power by table lookup.
 //!
-//! Everything bottoms out in a from-scratch [SHA-256](sha256), [HMAC](hmac),
-//! a deterministic [counter-mode PRG](prg), and [Schnorr-group
-//! arithmetic](group) over a 63-bit safe prime. The small group size is a
+//! Everything bottoms out in a from-scratch [SHA-256](sha256) (whose
+//! compression function runs on the CPU's SHA instructions when it has
+//! them), [HMAC](hmac), a deterministic [counter-mode PRG](prg), and
+//! [Schnorr-group arithmetic](group) over a 63-bit safe prime. The small group size is a
 //! documented simulation substitution (see `DESIGN.md`): the constructions
 //! are structurally identical to production instantiations, and the paper's
 //! model assumes the adversary cannot break cryptography regardless.
@@ -50,7 +53,7 @@ pub mod sha256;
 pub mod vrf;
 
 pub use error::CryptoError;
-pub use keyring::{Keyring, PublicKeyring};
+pub use keyring::{Keyring, PublicKeyring, TabledKey};
 pub use schnorr::{Signature, SigningKey, VerifyingKey};
 pub use sha256::{Digest, Sha256};
 pub use vrf::{vrf_check, vrf_prove, vrf_verify, VrfProof};

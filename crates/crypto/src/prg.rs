@@ -65,8 +65,18 @@ impl Prg {
         b
     }
 
-    /// Returns the next pseudorandom `u64` (big-endian over 8 stream bytes).
+    /// Returns the next pseudorandom `u64` (big-endian over 8 stream bytes):
+    /// in one read when the block holds them, byte by byte across a block
+    /// boundary.
     pub fn next_u64(&mut self) -> u64 {
+        if self.offset == self.block.len() {
+            self.refill();
+        }
+        if let Some(word) = self.block[self.offset..].first_chunk::<8>() {
+            let word = u64::from_be_bytes(*word);
+            self.offset += 8;
+            return word;
+        }
         let mut bytes = [0u8; 8];
         for b in &mut bytes {
             *b = self.next_byte();
@@ -171,6 +181,22 @@ mod tests {
         let mut b = Prg::from_seed(b"alpha");
         for _ in 0..100 {
             assert_eq!(a.next_u64(), b.next_u64());
+        }
+    }
+
+    #[test]
+    fn next_u64_is_eight_next_bytes_at_every_offset() {
+        for skip in 0..=72 {
+            let (mut words, mut bytes) = (Prg::from_seed(b"offsets"), Prg::from_seed(b"offsets"));
+            for _ in 0..skip {
+                assert_eq!(words.next_byte(), bytes.next_byte());
+            }
+            // Enough words to cross two block boundaries from any offset.
+            for _ in 0..10 {
+                let expected = u64::from_be_bytes(std::array::from_fn(|_| bytes.next_byte()));
+                assert_eq!(words.next_u64(), expected, "after {skip} bytes");
+            }
+            assert_eq!(words.next_byte(), bytes.next_byte());
         }
     }
 

@@ -162,8 +162,21 @@ impl VerifyingKey {
     /// Returns [`CryptoError::InvalidSignature`] if the signature does not
     /// verify under this key.
     pub fn verify(&self, message: &[u8], signature: &Signature) -> Result<(), CryptoError> {
+        self.verify_with(|k| self.0.pow(k), message, signature)
+    }
+
+    /// The one Schnorr verification, given how to raise this key to a
+    /// power: by [`GroupElement::pow`] for a bare key, from the key's
+    /// [`FixedBase`](crate::group::FixedBase) table in a
+    /// [`PublicKeyring`](crate::keyring::PublicKeyring).
+    pub(crate) fn verify_with(
+        &self,
+        key_pow: impl Fn(Scalar) -> GroupElement,
+        message: &[u8],
+        signature: &Signature,
+    ) -> Result<(), CryptoError> {
         // R' = g^s · y^(−e); accept iff H(R' ‖ y ‖ m) = e.
-        let r = GroupElement::generator_pow(signature.s) * self.0.pow(-signature.e);
+        let r = GroupElement::generator_pow(signature.s) * key_pow(-signature.e);
         if challenge(r, *self, message) == signature.e {
             Ok(())
         } else {

@@ -2,9 +2,16 @@
 //!
 //! This is the only hash primitive in the workspace; signatures, the VRF,
 //! message digests, and the deterministic PRG are all built on top of it.
-//! The implementation is a straightforward, allocation-free translation of
-//! the specification and is validated against the official NIST test
-//! vectors in this module's tests.
+//! The padding and buffering are a straightforward, allocation-free
+//! translation of the specification. The compression function runs on the
+//! CPU's SHA instructions when it has them (`vendor/sha_ni`, detected at
+//! run time, one documented `unsafe` block) and otherwise as the portable
+//! rounds below — the same bits either way: a proptest compares the two on
+//! random states and blocks, and digests of every length up to 200 bytes
+//! against a portable-only reference. A vote's dozen compressions are most
+//! of what hashing costs a receiver, so the choice shows (DESIGN.md, "What
+//! receiving a vote costs"). The NIST test vectors are in this module's
+//! tests.
 //!
 //! # Examples
 //!
@@ -248,59 +255,66 @@ impl Sha256 {
         self.total_len = saved;
     }
 
-    /// The SHA-256 compression function applied to one 64-byte block.
+    /// The SHA-256 compression function applied to one 64-byte block: on
+    /// the CPU's SHA instructions when it has them ([`sha_ni::compress`]),
+    /// else by [`compress_portable`].
     fn compress(&mut self, block: &[u8; BLOCK_LEN]) {
-        let mut w = [0u32; 64];
-        for i in 0..16 {
-            w[i] = u32::from_be_bytes(block[i * 4..i * 4 + 4].try_into().expect("4 bytes"));
+        if !sha_ni::compress(&mut self.state, block) {
+            compress_portable(&mut self.state, block);
         }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
-        }
+    }
+}
 
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+/// The compression function as FIPS 180-4 §6.2.2 writes it: what every
+/// digest computes on a CPU without the SHA extensions, and the reference
+/// the hardware path is tested against.
+fn compress_portable(state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
+    let mut w = [0u32; 64];
+    for i in 0..16 {
+        w[i] = u32::from_be_bytes(block[i * 4..i * 4 + 4].try_into().expect("4 bytes"));
+    }
+    for i in 16..64 {
+        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16]
+            .wrapping_add(s0)
+            .wrapping_add(w[i - 7])
+            .wrapping_add(s1);
+    }
 
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ ((!e) & g);
-            let t1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
 
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
+    for i in 0..64 {
+        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ ((!e) & g);
+        let t1 = h
+            .wrapping_add(s1)
+            .wrapping_add(ch)
+            .wrapping_add(K[i])
+            .wrapping_add(w[i]);
+        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let t2 = s0.wrapping_add(maj);
 
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        h = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(t1);
+        d = c;
+        c = b;
+        b = a;
+        a = t1.wrapping_add(t2);
+    }
+
+    for (word, add) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        *word = word.wrapping_add(add);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// NIST FIPS 180-4 / common reference vectors.
     const VECTORS: &[(&[u8], &str)] = &[
@@ -394,6 +408,61 @@ mod tests {
         let mut bytes = [0u8; 32];
         bytes[..8].copy_from_slice(&0x0102030405060708u64.to_be_bytes());
         assert_eq!(Digest(bytes).to_u64(), 0x0102030405060708);
+    }
+
+    /// SHA-256 with no hardware: FIPS 180-4's padding written out, and
+    /// every block through [`compress_portable`].
+    fn portable_digest(data: &[u8]) -> Digest {
+        let mut padded = data.to_vec();
+        padded.push(0x80);
+        while padded.len() % BLOCK_LEN != 56 {
+            padded.push(0);
+        }
+        padded.extend_from_slice(&(data.len() as u64 * 8).to_be_bytes());
+        let mut state = H0;
+        for block in padded.chunks_exact(BLOCK_LEN) {
+            compress_portable(&mut state, block.try_into().unwrap());
+        }
+        let mut out = [0u8; DIGEST_LEN];
+        for (bytes, word) in out.chunks_exact_mut(4).zip(state) {
+            bytes.copy_from_slice(&word.to_be_bytes());
+        }
+        Digest(out)
+    }
+
+    #[test]
+    fn digest_matches_the_portable_path_at_every_length() {
+        let data: Vec<u8> = (0..=200u16).map(|i| (i * 7 % 256) as u8).collect();
+        for len in 0..=data.len() {
+            assert_eq!(
+                Sha256::digest(&data[..len]),
+                portable_digest(&data[..len]),
+                "len {len}"
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Where the CPU has the SHA extensions, they compute the portable
+        /// rounds' result on any state and block; where it has not, the
+        /// hardware path declines and leaves the state alone.
+        #[test]
+        fn hardware_compression_matches_the_portable_rounds(
+            state in proptest::collection::vec(any::<u32>(), 8..9),
+            block in proptest::collection::vec(any::<u8>(), BLOCK_LEN..BLOCK_LEN + 1),
+        ) {
+            let state: [u32; 8] = state.try_into().unwrap();
+            let block: [u8; BLOCK_LEN] = block.try_into().unwrap();
+            let (mut hardware, mut portable) = (state, state);
+            compress_portable(&mut portable, &block);
+            if sha_ni::compress(&mut hardware, &block) {
+                prop_assert_eq!(hardware, portable);
+            } else {
+                prop_assert_eq!(hardware, state);
+            }
+        }
     }
 
     #[test]

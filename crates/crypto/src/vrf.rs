@@ -159,9 +159,22 @@ pub fn vrf_verify(
 /// — so a verifier that is handed no sample to compare against (a ProBFT
 /// vote ships only the proof) checks this and expands the proof itself.
 pub fn vrf_check(pk: &VerifyingKey, seed: &[u8], proof: &VrfProof) -> bool {
+    dleq_check(pk, |k| pk.element().pow(k), seed, proof)
+}
+
+/// The one DLEQ check, given how to raise the prover's key to a power: by
+/// [`GroupElement::pow`] for a bare key ([`vrf_check`]), from the key's
+/// [`FixedBase`](crate::group::FixedBase) table in a
+/// [`PublicKeyring`](crate::keyring::PublicKeyring).
+pub(crate) fn dleq_check(
+    pk: &VerifyingKey,
+    key_pow: impl Fn(Scalar) -> GroupElement,
+    seed: &[u8],
+    proof: &VrfProof,
+) -> bool {
     let h = GroupElement::hash_to_group(seed);
     // u' = g^s · y^(−c), v' = h^s · Γ^(−c)
-    let u = GroupElement::generator_pow(proof.s) * pk.element().pow(-proof.c);
+    let u = GroupElement::generator_pow(proof.s) * key_pow(-proof.c);
     let v = GroupElement::double_pow(h, proof.s, proof.gamma, -proof.c);
     dleq_challenge(h, *pk, proof.gamma, u, v) == proof.c
 }

@@ -12,7 +12,7 @@ use probft_core::error::RejectReason;
 use probft_core::message::{VerifyCtx, Wish};
 use probft_core::signed::{Signed, SignedBody};
 use probft_core::value::Value;
-use probft_core::wire::{put, Reader, Wire, WireError};
+use probft_core::wire::{fields_len, put, Reader, Wire, WireError};
 use probft_crypto::sha256::Digest;
 use probft_quorum::ReplicaId;
 use probft_simnet::metrics::Measurable;
@@ -81,6 +81,14 @@ impl Wire for HsVoteBody {
         self.view.encode(out);
         self.digest.encode(out);
     }
+    fn wire_len(&self) -> usize {
+        fields_len([
+            1,
+            self.sender.wire_len(),
+            self.view.wire_len(),
+            self.digest.wire_len(),
+        ])
+    }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(HsVoteBody {
             phase: HsPhase::from_tag(r.u8()?)?,
@@ -135,6 +143,14 @@ impl Wire for Qc {
         self.value.encode(out);
         self.votes.encode(out);
     }
+    fn wire_len(&self) -> usize {
+        fields_len([
+            1,
+            self.view.wire_len(),
+            self.value.wire_len(),
+            self.votes.wire_len(),
+        ])
+    }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(Qc {
             phase: HsPhase::from_tag(r.u8()?)?,
@@ -176,6 +192,17 @@ impl Wire for LeaderBroadcast {
             LeaderBroadcast::Commit(qc) => put::tagged(out, 3, qc),
             LeaderBroadcast::Decide(qc) => put::tagged(out, 4, qc),
         }
+    }
+    fn wire_len(&self) -> usize {
+        let payload = match self {
+            LeaderBroadcast::Propose { value, high_qc } => {
+                fields_len([value.wire_len(), high_qc.wire_len()])
+            }
+            LeaderBroadcast::PreCommit(qc)
+            | LeaderBroadcast::Commit(qc)
+            | LeaderBroadcast::Decide(qc) => qc.wire_len(),
+        };
+        fields_len([1, payload])
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         match r.u8()? {
@@ -222,6 +249,13 @@ impl Wire for NewViewBody {
         self.view.encode(out);
         self.prepare_qc.encode(out);
     }
+    fn wire_len(&self) -> usize {
+        fields_len([
+            self.sender.wire_len(),
+            self.view.wire_len(),
+            self.prepare_qc.wire_len(),
+        ])
+    }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(NewViewBody {
             sender: Wire::decode(r)?,
@@ -260,6 +294,13 @@ impl Wire for BroadcastBody {
         self.sender.encode(out);
         self.view.encode(out);
         self.payload.encode(out);
+    }
+    fn wire_len(&self) -> usize {
+        fields_len([
+            self.sender.wire_len(),
+            self.view.wire_len(),
+            self.payload.wire_len(),
+        ])
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(BroadcastBody {
@@ -333,6 +374,15 @@ impl Wire for HsMessage {
             HsMessage::Wish(w) => put::tagged(out, 4, w),
         }
     }
+    fn wire_len(&self) -> usize {
+        let payload = match self {
+            HsMessage::NewView(m) => m.wire_len(),
+            HsMessage::Broadcast(b) => b.wire_len(),
+            HsMessage::Vote(v) => v.wire_len(),
+            HsMessage::Wish(w) => w.wire_len(),
+        };
+        fields_len([1, payload])
+    }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         match r.u8()? {
             1 => Ok(HsMessage::NewView(NewView::decode(r)?)),
@@ -363,7 +413,7 @@ impl Measurable for HsMessage {
         }
     }
     fn wire_size(&self) -> usize {
-        self.to_wire_bytes().len()
+        self.wire_len()
     }
 }
 

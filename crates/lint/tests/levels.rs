@@ -116,10 +116,12 @@ fn sleep_is_disallowed_and_unsafe_forbidden_workspace_wide() {
         .map(|m| m.trim().trim_matches('"'))
         .filter(|m| !m.is_empty())
         .collect();
-    assert!(members.contains(&EPOLL), "{EPOLL} left the workspace");
+    for (member, _) in UNSAFE_MEMBERS {
+        assert!(members.contains(member), "{member} left the workspace");
+    }
     let manifests = members
         .iter()
-        .filter(|&&m| m != EPOLL)
+        .filter(|m| UNSAFE_MEMBERS.iter().all(|(exempt, _)| exempt != *m))
         .map(|m| format!("{m}/Cargo.toml"))
         .chain(["Cargo.toml".to_string()]);
     for manifest in manifests {
@@ -130,73 +132,75 @@ fn sleep_is_disallowed_and_unsafe_forbidden_workspace_wide() {
     }
 }
 
-/// The one member that states its own lints: the epoll binding, whose
-/// three `extern "C"` calls need the `unsafe` the workspace forbids.
-const EPOLL: &str = "vendor/epoll";
+/// The members that state their own lints, and how many unsafe blocks
+/// each has: the epoll binding (`epoll_create1`, adopting its descriptor,
+/// `epoll_ctl`, `epoll_wait` — calling C) and the SHA-256 instruction
+/// binding (calling its `#[target_feature]` function once the features are
+/// detected). The workspace forbids the `unsafe` they need.
+const UNSAFE_MEMBERS: &[(&str, usize)] = &[("vendor/epoll", 4), ("vendor/sha_ni", 1)];
 
 #[test]
-fn the_epoll_binding_denies_unsafe_outside_its_documented_calls() {
-    // Its own table, exactly: `deny` where the workspace says `forbid`,
-    // plus clippy's demand for a `// SAFETY:` comment on every block.
-    let manifest = repo_file(&format!("{EPOLL}/Cargo.toml"));
-    let tables: Vec<String> = manifest
-        .split("\n[")
-        .filter(|t| t.starts_with("lints"))
-        .map(|t| {
-            t.lines()
-                .map(str::trim)
-                .filter(|l| !l.is_empty() && !l.starts_with('#'))
-                .collect::<Vec<_>>()
-                .join("\n")
-        })
-        .collect();
-    assert_eq!(
-        tables,
-        [
-            "lints.rust]\nunsafe_code = \"deny\"",
-            "lints.clippy]\nundocumented_unsafe_blocks = \"deny\"",
-        ],
-        "{EPOLL}/Cargo.toml no longer states exactly its two levels"
-    );
-    // Every unsafe block sits under an `#[expect(unsafe_code, reason)]`
-    // and a `// SAFETY:` comment — in the one source file there is.
-    let src_dir = format!("{}/../../{EPOLL}/src", env!("CARGO_MANIFEST_DIR"));
-    let files: Vec<_> = std::fs::read_dir(&src_dir)
-        .unwrap_or_else(|e| panic!("{src_dir}: {e}"))
-        .map(|entry| entry.expect("dir entry").file_name())
-        .collect();
-    assert_eq!(files, ["lib.rs"], "{EPOLL}/src grew a file");
-    let src = repo_file(&format!("{EPOLL}/src/lib.rs"));
-    let code = mask_code(&src);
-    let lines: Vec<&str> = src.lines().collect();
-    let mut blocks = 0;
-    for (at, _) in code.match_indices("unsafe {") {
-        blocks += 1;
-        let line = code[..at].matches('\n').count();
-        // The comments and attributes directly above the statement.
-        let above: Vec<&str> = lines[..line]
-            .iter()
-            .rev()
-            .map(|l| l.trim_start())
-            .take_while(|l| l.starts_with("//") || l.starts_with("#["))
+fn unsafe_members_deny_unsafe_outside_their_documented_blocks() {
+    for &(member, expected_blocks) in UNSAFE_MEMBERS {
+        // Its own table, exactly: `deny` where the workspace says `forbid`,
+        // plus clippy's demand for a `// SAFETY:` comment on every block.
+        let manifest = repo_file(&format!("{member}/Cargo.toml"));
+        let tables: Vec<String> = manifest
+            .split("\n[")
+            .filter(|t| t.starts_with("lints"))
+            .map(|t| {
+                t.lines()
+                    .map(str::trim)
+                    .filter(|l| !l.is_empty() && !l.starts_with('#'))
+                    .collect::<Vec<_>>()
+                    .join("\n")
+            })
             .collect();
-        assert!(
-            above
+        assert_eq!(
+            tables,
+            [
+                "lints.rust]\nunsafe_code = \"deny\"",
+                "lints.clippy]\nundocumented_unsafe_blocks = \"deny\"",
+            ],
+            "{member}/Cargo.toml no longer states exactly its two levels"
+        );
+        // Every unsafe block sits under an `#[expect(unsafe_code, reason)]`
+        // and a `// SAFETY:` comment — in the one source file there is.
+        let src_dir = format!("{}/../../{member}/src", env!("CARGO_MANIFEST_DIR"));
+        let files: Vec<_> = std::fs::read_dir(&src_dir)
+            .unwrap_or_else(|e| panic!("{src_dir}: {e}"))
+            .map(|entry| entry.expect("dir entry").file_name())
+            .collect();
+        assert_eq!(files, ["lib.rs"], "{member}/src grew a file");
+        let src = repo_file(&format!("{member}/src/lib.rs"));
+        let code = mask_code(&src);
+        let lines: Vec<&str> = src.lines().collect();
+        let mut blocks = 0;
+        for (at, _) in code.match_indices("unsafe {") {
+            blocks += 1;
+            let line = code[..at].matches('\n').count();
+            // The comments and attributes directly above the statement.
+            let above: Vec<&str> = lines[..line]
                 .iter()
-                .any(|l| l.starts_with("#[expect(unsafe_code, reason = \"")),
-            "lib.rs:{}: unsafe block without #[expect(unsafe_code, reason = …)]",
-            line + 1
-        );
-        assert!(
-            above.iter().any(|l| l.starts_with("// SAFETY:")),
-            "lib.rs:{}: unsafe block without a // SAFETY: comment",
-            line + 1
-        );
+                .rev()
+                .map(|l| l.trim_start())
+                .take_while(|l| l.starts_with("//") || l.starts_with("#["))
+                .collect();
+            assert!(
+                above
+                    .iter()
+                    .any(|l| l.starts_with("#[expect(unsafe_code, reason = \"")),
+                "{member}/src/lib.rs:{}: unsafe block without #[expect(unsafe_code, reason = …)]",
+                line + 1
+            );
+            assert!(
+                above.iter().any(|l| l.starts_with("// SAFETY:")),
+                "{member}/src/lib.rs:{}: unsafe block without a // SAFETY: comment",
+                line + 1
+            );
+        }
+        let unsafe_words = code.matches("unsafe").count() - code.matches("unsafe_code").count();
+        assert_eq!(unsafe_words, blocks, "{member}: unsafe outside a block");
+        assert_eq!(blocks, expected_blocks, "{member}: unsafe blocks");
     }
-    let unsafe_words = code.matches("unsafe").count() - code.matches("unsafe_code").count();
-    assert_eq!(unsafe_words, blocks, "unsafe outside a block");
-    assert_eq!(
-        blocks, 4,
-        "epoll_create1, adopting its fd, epoll_ctl, epoll_wait"
-    );
 }

@@ -15,7 +15,7 @@ use probft_core::config::{ProbftConfig, View};
 use probft_core::harness::Seat;
 use probft_core::message::{CertVote, MessageOf, NewLeaderBody, ProposeBody};
 use probft_core::signed::{Signed, SignedBody};
-use probft_core::wire::{Reader, Wire, WireError};
+use probft_core::wire::{fields_len, Reader, Wire, WireError};
 use probft_crypto::schnorr::SigningKey;
 use probft_crypto::sha256::Digest;
 use probft_quorum::ReplicaId;
@@ -112,6 +112,13 @@ impl Wire for VoteBody {
         self.sender.encode(out);
         self.view.encode(out);
         self.digest.encode(out);
+    }
+    fn wire_len(&self) -> usize {
+        fields_len([
+            self.sender.wire_len(),
+            self.view.wire_len(),
+            self.digest.wire_len(),
+        ])
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(VoteBody {

@@ -36,7 +36,7 @@ use crate::machine::{Entry, OpKind, RequestId, StateMachine};
 use crate::node::{AppliedRequest, SmrMessage};
 use probft_core::shell::Seat;
 use probft_core::signed::{Signed, SignedBody};
-use probft_core::wire::{put, Reader, Wire, WireError};
+use probft_core::wire::{fields_len, put, Reader, Wire, WireError};
 use probft_crypto::sha256::{Digest, Sha256};
 use probft_obs::{Obs, TraceKind};
 use probft_quorum::ReplicaId;
@@ -248,6 +248,9 @@ impl Wire for CheckpointBody {
         put::u64(out, self.slot);
         self.digest.encode(out);
     }
+    fn wire_len(&self) -> usize {
+        fields_len([self.from.wire_len(), 8, self.digest.wire_len()])
+    }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(CheckpointBody {
@@ -286,6 +289,9 @@ pub struct StateRequest {
 impl Wire for StateRequest {
     fn encode(&self, out: &mut Vec<u8>) {
         put::u64(out, self.min_slot);
+    }
+    fn wire_len(&self) -> usize {
+        8
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(StateRequest { min_slot: r.u64()? })
@@ -326,6 +332,10 @@ impl Wire for StateReply {
         for vote in &self.certificate {
             vote.encode(out);
         }
+    }
+    fn wire_len(&self) -> usize {
+        let votes = self.certificate.iter().map(Wire::wire_len);
+        fields_len([8, 8, self.snapshot.len(), 4].into_iter().chain(votes))
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let slot = r.u64()?;

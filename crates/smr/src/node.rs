@@ -56,7 +56,7 @@ use probft_core::replica::ReplicaInstance;
 use probft_core::shell::Seat;
 use probft_core::synchronizer::{SyncAction, Synchronizer};
 use probft_core::value::Value;
-use probft_core::wire::{put, Reader, Wire, WireError};
+use probft_core::wire::{fields_len, put, Reader, Wire, WireError};
 use probft_crypto::keyring::PublicKeyring;
 use probft_crypto::schnorr::SigningKey;
 use probft_crypto::sha256::Digest;
@@ -84,7 +84,7 @@ impl Measurable for SlotMessage {
         self.inner.kind()
     }
     fn wire_size(&self) -> usize {
-        8 + self.inner.to_wire_bytes().len()
+        self.wire_len()
     }
 }
 
@@ -92,6 +92,9 @@ impl Wire for SlotMessage {
     fn encode(&self, out: &mut Vec<u8>) {
         put::u64(out, self.slot);
         self.inner.encode(out);
+    }
+    fn wire_len(&self) -> usize {
+        fields_len([8, self.inner.wire_len()])
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let slot = r.u64()?;
@@ -127,10 +130,10 @@ impl Measurable for SmrMessage {
     }
     fn wire_size(&self) -> usize {
         1 + match self {
-            SmrMessage::Slot(m) => m.wire_size(),
-            SmrMessage::CheckpointVote(v) => v.to_wire_bytes().len(),
-            SmrMessage::StateRequest(r) => r.to_wire_bytes().len(),
-            SmrMessage::StateReply(r) => r.to_wire_bytes().len(),
+            SmrMessage::Slot(m) => m.wire_len(),
+            SmrMessage::CheckpointVote(v) => v.wire_len(),
+            SmrMessage::StateRequest(r) => r.wire_len(),
+            SmrMessage::StateReply(r) => r.wire_len(),
         }
     }
 }

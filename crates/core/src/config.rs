@@ -20,7 +20,7 @@ impl View {
 
     /// The next view.
     pub fn next(self) -> View {
-        View(self.0 + 1)
+        View(self.0.saturating_add(1))
     }
 
     /// Whether this is the sentinel [`View::NONE`].
@@ -131,11 +131,12 @@ impl ProbftConfig {
     /// Panics on the sentinel view 0.
     pub fn leader_of(&self, view: View) -> ReplicaId {
         assert!(!view.is_none(), "view 0 has no leader");
+        let index = view.0.saturating_sub(1).checked_rem(self.n as u64);
         #[expect(
             clippy::cast_possible_truncation,
             reason = "the remainder is below n, which is a usize"
         )]
-        ReplicaId::from((view.0.saturating_sub(1) % self.n as u64) as usize)
+        ReplicaId::from(index.unwrap_or(0) as usize)
     }
 
     /// Initial view timeout for the synchronizer.
@@ -237,7 +238,7 @@ impl ProbftConfigBuilder {
     /// `o < 1`, or a quorum size exceeding `n`).
     pub fn build(self) -> ProbftConfig {
         assert!(
-            self.n > 3 * self.f,
+            self.f.checked_mul(3).is_some_and(|bound| self.n > bound),
             "need n ≥ 3f+1 (n={}, f={})",
             self.n,
             self.f
@@ -311,10 +312,25 @@ mod tests {
         assert_eq!(cfg.deterministic_quorum(), 61); // ⌈121/2⌉
     }
 
+    /// Rejected with the builder's own message, whatever the profile:
+    /// `3·f` for the second `f` wraps to 2, which an unchecked product
+    /// let through in release and turned into an overflow panic in debug.
     #[test]
-    #[should_panic(expected = "need n ≥ 3f+1")]
     fn excess_faults_rejected() {
-        ProbftConfig::builder(9).faults(3).build();
+        for (n, f) in [(9, 3), (4, usize::MAX / 3 + 1)] {
+            let Err(panic) =
+                std::panic::catch_unwind(|| ProbftConfig::builder(n).faults(f).build())
+            else {
+                panic!("n = {n}, f = {f} built");
+            };
+            let message = (panic.downcast_ref::<String>().map(String::as_str))
+                .or_else(|| panic.downcast_ref::<&str>().copied())
+                .unwrap_or_default();
+            assert!(
+                message.contains("need n ≥ 3f+1"),
+                "n = {n}, f = {f}: {message}"
+            );
+        }
     }
 
     #[test]

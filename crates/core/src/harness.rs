@@ -329,7 +329,9 @@ impl<P: Protocol> Instance<P> {
             };
             let id = ReplicaId::from(p.index());
             outcome.max_view = outcome.max_view.max(replica.current_view());
-            outcome.equivocation_detections += replica.stats.equivocations_detected;
+            outcome.equivocation_detections = outcome
+                .equivocation_detections
+                .saturating_add(replica.stats.equivocations_detected);
             outcome.safety_violated |= replica.has_conflicting_decision();
             match replica.decision() {
                 Some(d) => {

@@ -45,9 +45,14 @@
 //! ```
 
 #![warn(missing_docs)]
-// L008's narrowing-cast half, stated by clippy (DESIGN.md, "Who checks
-// what").
-#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
+// L008, stated by clippy (DESIGN.md, "Who checks what"): no narrowing
+// cast, and no integer or `Instant` arithmetic that can overflow, divide
+// by zero or panic — every step is checked, saturating or wrapping by
+// intent.
+#![cfg_attr(
+    not(test),
+    deny(clippy::cast_possible_truncation, clippy::arithmetic_side_effects)
+)]
 
 pub mod byzantine;
 pub mod config;

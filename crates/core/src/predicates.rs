@@ -95,7 +95,7 @@ pub fn choose_proposal<V>(justification: &[Signed<NewLeaderBody<V>>]) -> Option<
         if m.prepared_view == v_max {
             if let Some(value) = &m.prepared_value {
                 let e = counts.entry(value.digest()).or_insert((0, value));
-                e.0 += 1;
+                e.0 = e.0.saturating_add(1);
             }
         }
     }

@@ -251,7 +251,7 @@ impl<V: CertVote> ThreePhase<V> {
             return;
         }
         if !predicates::valid_new_leader(&msg, &shell.verify_ctx()) {
-            shell.stats.rejected += 1;
+            shell.stats.rejected = shell.stats.rejected.saturating_add(1);
             return;
         }
         self.new_leader_msgs.insert(msg.sender, msg);
@@ -281,7 +281,7 @@ impl<V: CertVote> ThreePhase<V> {
             return;
         }
         if !predicates::safe_proposal(&propose, &shell.verify_ctx()) {
-            shell.stats.rejected += 1;
+            shell.stats.rejected = shell.stats.rejected.saturating_add(1);
             return;
         }
         // Line 14.
@@ -318,7 +318,7 @@ impl<V: CertVote> ThreePhase<V> {
     ) {
         // Receiver-specific precondition (ProBFT: i ∈ S).
         if !vote.counts_for(shell.seat.id, &shell.seat.cfg) {
-            shell.stats.rejected += 1;
+            shell.stats.rejected = shell.stats.rejected.saturating_add(1);
             return;
         }
         let key = (vote.view(), vote.digest());
@@ -348,7 +348,7 @@ impl<V: CertVote> ThreePhase<V> {
         if self.prepare_votes.count(&key) < V::quorum(&shell.seat.cfg) {
             return;
         }
-        shell.stats.prepare_quorums += 1;
+        shell.stats.prepare_quorums = shell.stats.prepare_quorums.saturating_add(1);
 
         // Line 18: preparedVal, preparedView, cert ← curVal, curView, C.
         self.prepared_view = view;
@@ -386,7 +386,7 @@ impl<V: CertVote> ThreePhase<V> {
         if self.commit_votes.count(&(view, digest)) < V::quorum(&shell.seat.cfg) {
             return;
         }
-        shell.stats.commit_quorums += 1;
+        shell.stats.commit_quorums = shell.stats.commit_quorums.saturating_add(1);
         // Line 22: decide(curVal).
         shell.decide(digest, &accepted.value, ctx.now());
         self.decided = true;
@@ -416,7 +416,7 @@ impl<V: CertVote> ThreePhase<V> {
         }
         // Line 24: block the view; line 25: expose both proposals.
         self.block_view = true;
-        shell.stats.equivocations_detected += 1;
+        shell.stats.equivocations_detected = shell.stats.equivocations_detected.saturating_add(1);
         ctx.multicast(shell.peers(), msg.clone());
         ctx.multicast(shell.peers(), MessageOf::Propose(original.clone()));
         true

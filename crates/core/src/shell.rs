@@ -291,7 +291,7 @@ impl<P: Phases> InstanceHalf<P> {
     /// any may be skipped.
     pub fn new_view(&mut self, view: View, ctx: &mut Context<'_, P::Message>) {
         self.state.view = view;
-        self.state.stats.views_entered += 1;
+        self.state.stats.views_entered = self.state.stats.views_entered.saturating_add(1);
         self.phases.enter_view(&mut self.state, ctx);
 
         // Replay buffered messages for this view (and drop older buffers).
@@ -313,7 +313,7 @@ impl<P: Phases> InstanceHalf<P> {
         // A vote for a quorum rule that has already fired is dropped as if
         // the network had lost it: unverified, uncounted but for this.
         if self.phases.is_moot(&msg) {
-            self.state.stats.late_votes += 1;
+            self.state.stats.late_votes = self.state.stats.late_votes.saturating_add(1);
             return None;
         }
 
@@ -323,7 +323,7 @@ impl<P: Phases> InstanceHalf<P> {
         // transport sender is deliberately ignored — relayed messages
         // verify against their embedded signer, line 25.)
         if self.phases.verify(&msg, &self.state.verify_ctx()).is_err() {
-            self.state.stats.rejected += 1;
+            self.state.stats.rejected = self.state.stats.rejected.saturating_add(1);
             return None;
         }
 
@@ -345,12 +345,12 @@ impl<P: Phases> InstanceHalf<P> {
         // past the per-view cap.
         if view.0.saturating_sub(current.0) <= VIEW_BUFFER_HORIZON {
             let buffered = self.future.entry(view).or_default();
-            if buffered.len() < BUFFERED_PER_REPLICA * self.state.seat.cfg.n() {
+            if buffered.len() < BUFFERED_PER_REPLICA.saturating_mul(self.state.seat.cfg.n()) {
                 buffered.push(msg);
                 return None;
             }
         }
-        self.state.stats.rejected += 1;
+        self.state.stats.rejected = self.state.stats.rejected.saturating_add(1);
         None
     }
 }

@@ -114,7 +114,7 @@ impl Synchronizer {
     pub fn arm<M>(&mut self, cfg: &ProbftConfig, ctx: &mut Context<'_, M>) {
         let behind = self.current.0.saturating_sub(self.progress_view.0);
         let delay = cfg.timeout_for(View(behind.saturating_add(1)));
-        self.timer += 1;
+        self.timer = self.timer.wrapping_add(1);
         ctx.set_timer(delay, TimerToken(self.timer));
     }
 
@@ -124,7 +124,7 @@ impl Synchronizer {
         if work {
             self.arm(cfg, ctx);
         } else {
-            self.timer += 1;
+            self.timer = self.timer.wrapping_add(1);
         }
     }
 
@@ -210,12 +210,13 @@ impl Synchronizer {
     /// The largest view `v` such that at least `count` replicas wish `≥ v`,
     /// or `None` if fewer than `count` wishes exist.
     fn kth_highest_wish(&self, count: usize) -> Option<View> {
-        if self.wishes.len() < count || count == 0 {
+        let kth = count.checked_sub(1)?;
+        if self.wishes.len() < count {
             return None;
         }
         let mut views: Vec<View> = self.wishes.values().copied().collect();
         views.sort_unstable_by(|a, b| b.cmp(a)); // descending
-        Some(views[count - 1])
+        views.get(kth).copied()
     }
 
     /// Applies the amplification (`f+1`) and entry (`2f+1`) rules.
@@ -223,7 +224,7 @@ impl Synchronizer {
         let mut action = SyncAction::nothing();
 
         // Amplification: f+1 wishes ≥ v means a correct replica wants v.
-        if let Some(v) = self.kth_highest_wish(self.f + 1) {
+        if let Some(v) = self.kth_highest_wish(self.f.saturating_add(1)) {
             if v > self.my_wish && v > self.current {
                 self.my_wish = v;
                 self.wishes.insert(self.me, v);
@@ -232,7 +233,7 @@ impl Synchronizer {
         }
 
         // Entry: 2f+1 wishes ≥ v > current.
-        if let Some(v) = self.kth_highest_wish(2 * self.f + 1) {
+        if let Some(v) = self.kth_highest_wish(self.f.saturating_mul(2).saturating_add(1)) {
             if v > self.current {
                 self.current = v;
                 action.enter_view = Some(v);

@@ -55,7 +55,8 @@ pub const MAX_LEN: u64 = 16 * 1024 * 1024;
 
 /// The length of an encoding made of `fields`, each the [`Wire::wire_len`]
 /// of a field or the width of a fixed-size one. Saturating: no length sum
-/// here is a bare `+` (probft-lint's L008).
+/// here is a bare `+` (`clippy::arithmetic_side_effects`, denied at the
+/// crate root).
 pub fn fields_len(fields: impl IntoIterator<Item = usize>) -> usize {
     fields.into_iter().fold(0, usize::saturating_add)
 }
@@ -160,6 +161,22 @@ impl<'a> Reader<'a> {
             return Err(WireError::LengthOverflow(len));
         }
         usize::try_from(len).map_err(|_| WireError::LengthOverflow(len))
+    }
+
+    /// Reads a `u32` item count, rejecting one above `max` before a single
+    /// item is decoded: the count is attacker-supplied, and a forged one
+    /// must buy neither 4 billion decode iterations nor an allocation to
+    /// match. Every `u32`-counted collection on the wire takes its count here.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::LengthOverflow`] if the count exceeds `max`.
+    pub fn count(&mut self, max: u32) -> Result<usize, WireError> {
+        let count = self.u32()?;
+        if count > max {
+            return Err(WireError::LengthOverflow(u64::from(count)));
+        }
+        usize::try_from(count).map_err(|_| WireError::LengthOverflow(u64::from(count)))
     }
 
     /// Reads a length-prefixed byte string.
@@ -319,6 +336,16 @@ mod tests {
     fn unexpected_end() {
         let mut r = Reader::new(&[1, 2]);
         assert_eq!(r.u32(), Err(WireError::UnexpectedEnd));
+    }
+
+    #[test]
+    fn count_is_checked_against_its_cap() {
+        let mut out = Vec::new();
+        put::u32(&mut out, 7);
+        put::u32(&mut out, 8);
+        let mut r = Reader::new(&out);
+        assert_eq!(r.count(7), Ok(7));
+        assert_eq!(r.count(7), Err(WireError::LengthOverflow(8)));
     }
 
     #[test]

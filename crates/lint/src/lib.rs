@@ -1,150 +1,60 @@
-//! # probft-lint
-//!
-//! The repo-specific half of the ProBFT workspace's static analysis: the
-//! rules whose vocabulary — wire lengths, slot arithmetic, queue names —
-//! no compiler lint knows. Everything rustc or clippy can state is
-//! declared as a lint level instead (crate-root `deny` lists in
-//! `runtime`/`smr`/`core`, the root `clippy.toml`, `[workspace.lints]`)
-//! and is not scanned here; the README's *Correctness tooling* table says
-//! which tool owns which rule.
-//!
-//! The engine is a hand-rolled, dependency-free **Rust lexer + item/brace-
-//! tree parser** ([`lexer`], [`ast`]): spanned tokens, a masked copy of
-//! the source, and `fn`-item extraction.
-//!
-//! Rules:
-//!
-//! - **L001** — no index expressions (`expr[…]`) in the non-test code of
-//!   `crates/runtime` and `crates/smr`: `clippy::indexing_slicing` does
-//!   not see `BTreeMap`/`VecDeque` `Index`, which panic just the same.
-//! - **L002** — every allocation or decode loop sized from a wire-decoded
-//!   length must be capped by a `MAX_*`-derived bound before use.
-//! - **L003** — every `impl Wire for X` must have a matching roundtrip
-//!   test.
-//! - **L008** — unchecked `+`/`*`/`-` on slot-, view-, length-, or
-//!   sequence-named values must use `checked_*`/`saturating_*`.
-//! - **L010** — every `VecDeque`/`Vec` used as a queue in `runtime`/`smr`
-//!   must enforce a `MAX_*`-derived cap at the push site.
-//!
-//! Diagnostics are stable `file:line: RULE message` lines (sorted by file,
-//! then line, then rule) so CI output is byte-for-byte reproducible. There
-//! is no allowlist: the binary exits nonzero on any finding.
+//! What the workspace's source checks share — `tests/levels.rs`, which pins
+//! the lint levels, and `tests/scan.rs`, the rules no lint can state: a copy
+//! of a file with comments and literal contents blanked, and a bracket
+//! matcher to walk it with.
 
-pub mod ast;
-pub mod lexer;
-pub mod rules;
-
-use std::fmt;
-use std::fs;
-use std::io;
-use std::path::Path;
-
-/// One source file presented to the scanner, with a repo-relative path
-/// (forward slashes) used both for rule scoping and for diagnostics.
-#[derive(Clone, Debug)]
-pub struct SourceFile {
-    /// Repo-relative path, e.g. `crates/runtime/src/live.rs`.
-    pub path: String,
-    /// Full file contents.
-    pub text: String,
-}
-
-/// A single diagnostic produced by a rule.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Finding {
-    /// Repo-relative path of the offending file.
-    pub file: String,
-    /// 1-based line number.
-    pub line: usize,
-    /// Rule identifier (`L001`..`L010`).
-    pub rule: &'static str,
-    /// Human-readable description, stable across runs.
-    pub message: String,
-}
-
-impl fmt::Display for Finding {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}:{}: {} {}",
-            self.file, self.line, self.rule, self.message
-        )
-    }
-}
-
-/// Render findings exactly as the binary prints them — one
-/// `file:line: RULE message` per line. Byte-stable across runs.
-pub fn render(findings: &[Finding]) -> String {
-    findings.iter().map(|f| format!("{f}\n")).collect()
-}
-
-/// Replace comment text and string/char-literal contents with spaces,
-/// preserving newlines and byte offsets. Kept as a public entry point for
-/// tests and tools; internally this is a byproduct of [`lexer::lex`].
-pub fn mask_code(text: &str) -> String {
-    lexer::lex(text).masked
-}
-
-/// Scan a set of sources (path → text) and return all findings, sorted.
-/// This is the engine entry point the fixture tests drive with synthetic
-/// paths; [`scan_repo`] feeds it the real tree.
-pub fn scan_sources(files: &[SourceFile]) -> Vec<Finding> {
-    let ctxs: Vec<ast::FileCtx> = files
-        .iter()
-        .map(|f| ast::FileCtx::new(&f.path, &f.text))
-        .collect();
-    let mut findings = rules::run(&ctxs);
-    findings
-        .sort_by(|a, b| (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule)));
-    findings
-}
-
-// ---------------------------------------------------------------------------
-// Repo walking.
-// ---------------------------------------------------------------------------
-
-/// Directories never scanned: external shims, build output, VCS internals,
-/// and the lint fixtures (which are deliberately full of violations).
-const SKIP_DIRS: &[&str] = &["vendor", "target", ".git", "fixtures"];
-
-/// Collect every `.rs` file under `root` (skipping the `SKIP_DIRS`) with
-/// repo-relative forward-slash paths, sorted for determinism.
-pub fn collect_sources(root: &Path) -> io::Result<Vec<SourceFile>> {
-    let mut files = Vec::new();
-    walk(root, root, &mut files)?;
-    files.sort_by(|a, b| a.path.cmp(&b.path));
-    Ok(files)
-}
-
-fn walk(root: &Path, dir: &Path, out: &mut Vec<SourceFile>) -> io::Result<()> {
-    for entry in fs::read_dir(dir)? {
-        let entry = entry?;
-        let path = entry.path();
-        let name = entry.file_name();
-        let name = name.to_string_lossy();
-        if path.is_dir() {
-            if SKIP_DIRS.contains(&name.as_ref()) {
+/// `src` with its comments (block comments unnested) and the contents of its
+/// string, char and byte literals blanked. Newlines and byte offsets are kept, so
+/// a position in the copy is the same position in `src`.
+pub fn mask_code(src: &str) -> String {
+    let b = src.as_bytes();
+    let mut out = b.to_vec();
+    let mut i = 0;
+    while i < b.len() {
+        let hashes = b[i + 1..].iter().take_while(|&&c| c == b'#').count();
+        let after_ident = i > 0 && (b[i - 1].is_ascii_alphanumeric() || b[i - 1] == b'_');
+        let char_literal = src.get(i + 1..).and_then(|s| s.chars().nth(1)) == Some('\'');
+        // (blanking starts at, the closing delimiter, escapes honoured, is a comment)
+        let (from, close, escapes, comment) = match (b[i], b.get(i + 1)) {
+            (b'/', Some(b'/')) => (i, b"\n".to_vec(), false, true),
+            (b'/', Some(b'*')) => (i, b"*/".to_vec(), false, true),
+            (b'r', _) if b.get(i + 1 + hashes) == Some(&b'"') && !after_ident => {
+                let close = [&b"\""[..], &vec![b'#'; hashes]].concat();
+                (i + 2 + hashes, close, false, false)
+            }
+            (b'"', _) => (i + 1, b"\"".to_vec(), true, false),
+            (b'\'', Some(b'\\')) => (i + 1, b"'".to_vec(), true, false),
+            (b'\'', _) if char_literal => (i + 1, b"'".to_vec(), true, false),
+            _ => {
+                i += 1;
                 continue;
             }
-            walk(root, &path, out)?;
-        } else if name.ends_with(".rs") {
-            let text = fs::read_to_string(&path)?;
-            let rel = path
-                .strip_prefix(root)
-                .unwrap_or(&path)
-                .components()
-                .map(|c| c.as_os_str().to_string_lossy().into_owned())
-                .collect::<Vec<_>>()
-                .join("/");
-            out.push(SourceFile { path: rel, text });
+        };
+        let mut end = if comment { i + 2 } else { from };
+        while end < b.len() && !b[end..].starts_with(&close) {
+            end += if escapes && b[end] == b'\\' { 2 } else { 1 };
         }
+        let end = end.min(b.len());
+        let to = if comment { end + close.len() } else { end };
+        let blank = |c: &mut u8| *c = if *c == b'\n' { b'\n' } else { b' ' };
+        out[from..to.min(b.len())].iter_mut().for_each(blank);
+        i = end + close.len();
     }
-    Ok(())
+    String::from_utf8_lossy(&out).into_owned()
 }
 
-/// Scan the repo rooted at `root`: collect sources, run every rule, and
-/// return sorted findings.
-pub fn scan_repo(root: &Path) -> io::Result<Vec<Finding>> {
-    let files = collect_sources(root)?;
-    Ok(scan_sources(&files))
+/// The index of the `closer` that matches the `opener` at `open`.
+pub fn matching_byte(bytes: &[u8], open: usize, opener: u8, closer: u8) -> Option<usize> {
+    let mut depth = 0usize;
+    for (i, &c) in bytes.iter().enumerate().skip(open) {
+        if c == opener {
+            depth += 1;
+        } else if c == closer {
+            depth = depth.checked_sub(1)?;
+            if depth == 0 {
+                return Some(i);
+            }
+        }
+    }
+    None
 }

@@ -1,14 +1,15 @@
-//! The rules rustc and clippy own are lint *levels*, not scans, so a clean
-//! `probft-lint` run says nothing about them. This pins where the levels
-//! are declared: deleting one must fail a test, not pass as "0 findings".
-//! (The in-tree `#[expect]`s cannot stand in for this: an `#[expect]`
-//! switches its lint on for its own scope, so it stays fulfilled with the
-//! crate-root level gone — only new violations would go unseen.)
+//! The rules rustc and clippy own are lint *levels*, not scans, so no
+//! finding in a clean build says anything about them. This pins where the
+//! levels are declared: deleting one must fail a test, not pass as "0
+//! findings". (The in-tree `#[expect]`s cannot stand in for this: an
+//! `#[expect]` switches its lint on for its own scope, so it stays
+//! fulfilled with the crate-root level gone — only new violations would go
+//! unseen.)
 
-use probft_lint::ast::matching_byte;
-use probft_lint::mask_code;
+use probft_lint::{mask_code, matching_byte};
 
-/// L001's calls and macros, L009, and L008's narrowing casts.
+/// L001's calls and macros, L009, and L008: narrowing casts and arithmetic
+/// that can overflow.
 const RUNTIME_AND_SMR: &[&str] = &[
     "clippy::unwrap_used",
     "clippy::expect_used",
@@ -20,8 +21,12 @@ const RUNTIME_AND_SMR: &[&str] = &[
     "clippy::unused_result_ok",
     "unused_must_use",
     "clippy::cast_possible_truncation",
+    "clippy::arithmetic_side_effects",
 ];
-const CORE: &[&str] = &["clippy::cast_possible_truncation"];
+const CORE: &[&str] = &[
+    "clippy::cast_possible_truncation",
+    "clippy::arithmetic_side_effects",
+];
 
 fn repo_file(rel: &str) -> String {
     let path = format!("{}/../../{rel}", env!("CARGO_MANIFEST_DIR"));

@@ -175,6 +175,7 @@ mod tests {
         assert!(v.verify_in(VotePhase::Prepare, ctx.keys).is_ok());
         // Phase domain separation: a prepare vote is not a commit vote.
         assert!(v.verify_in(VotePhase::Commit, ctx.keys).is_err());
+        assert_eq!(Vote::from_wire_bytes(&v.to_wire_bytes()).unwrap(), v);
         let wire = PbftMessage::Prepare(v);
         assert_eq!(
             PbftMessage::from_wire_bytes(&wire.to_wire_bytes()).unwrap(),

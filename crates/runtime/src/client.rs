@@ -155,7 +155,11 @@ impl<S: StateMachine> SmrClient<S> {
     /// [`leader_hint_addr`](Self::leader_hint_addr); the stored hint is
     /// the address.)
     pub fn leader_hint(self, hint: usize) -> Self {
-        match self.addrs.get(hint % self.addrs.len().max(1)).copied() {
+        match hint
+            .checked_rem(self.addrs.len())
+            .and_then(|i| self.addrs.get(i))
+            .copied()
+        {
             Some(addr) => self.leader_hint_addr(addr),
             None => self,
         }
@@ -261,7 +265,7 @@ impl<S: StateMachine> SmrClient<S> {
     fn follow_redirect(&mut self, named: SocketAddr, asked: SocketAddr) {
         self.obs.client_redirects.inc();
         let streak = match self.redirect_streak {
-            Some((addr, count)) if addr == named => count + 1,
+            Some((addr, count)) if addr == named => count.saturating_add(1),
             _ => 1,
         };
         self.redirect_streak = Some((named, streak));
@@ -283,7 +287,10 @@ impl<S: StateMachine> SmrClient<S> {
             return addr;
         }
         let next = match self.addrs.iter().position(|&a| a == addr) {
-            Some(i) => self.addrs.get((i + 1) % self.addrs.len()),
+            Some(i) => i
+                .saturating_add(1)
+                .checked_rem(self.addrs.len())
+                .and_then(|next| self.addrs.get(next)),
             // Redirected to an address outside the configured list and it
             // failed: start over at the front of the list.
             None => self.addrs.first(),
@@ -347,7 +354,7 @@ impl<S: StateMachine> SmrClient<S> {
                 }
                 self.obs.client_retries.inc();
             }
-            attempts += 1;
+            attempts = attempts.saturating_add(1);
 
             let target = self.hint;
             let sent = match self.connection(target) {
@@ -383,7 +390,7 @@ impl<S: StateMachine> SmrClient<S> {
                     let backoff = OVERLOAD_BACKOFF_BASE
                         .saturating_mul(1u32 << overload_streak.min(10))
                         .min(OVERLOAD_BACKOFF_CAP);
-                    overload_streak += 1;
+                    overload_streak = overload_streak.saturating_add(1);
                     crate::pacing::pause(backoff);
                 }
                 None => {
@@ -405,10 +412,12 @@ impl<S: StateMachine> SmrClient<S> {
     /// times out. Stale replies (earlier retries, earlier sequence
     /// numbers) are skipped.
     fn await_reply(&mut self, request: RequestId) -> Option<Answer<S::Response>> {
-        let deadline = Instant::now() + self.attempt_timeout;
+        // Elapsed time against the timeout, not a deadline: an attempt
+        // timeout too long for an `Instant` (`Duration::MAX`) is no limit.
+        let started = Instant::now();
         let stream = self.conn.as_mut()?;
         loop {
-            if Instant::now() >= deadline {
+            if started.elapsed() >= self.attempt_timeout {
                 return None;
             }
             match read_frame(stream) {
@@ -531,4 +540,23 @@ enum Answer<R> {
 pub(crate) fn unusable_addr() -> SocketAddr {
     use std::net::{IpAddr, Ipv4Addr};
     SocketAddr::new(IpAddr::V4(Ipv4Addr::UNSPECIFIED), 0)
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::LiveSmrBuilder;
+    use std::time::Duration;
+
+    /// An attempt timeout too long to add to an `Instant` means no
+    /// per-attempt limit; the overall budget still bounds the operation.
+    #[test]
+    fn an_unrepresentable_attempt_timeout_is_no_limit() {
+        let cluster = LiveSmrBuilder::new(4).start().expect("boots");
+        let mut client = cluster
+            .client(1)
+            .timeouts(Duration::MAX, Duration::from_secs(10));
+        client.put("k", "v").expect("applied");
+        let reports = cluster.shutdown();
+        assert!(reports.iter().all(|r| r.state.get("k") == Some("v")));
+    }
 }

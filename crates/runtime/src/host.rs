@@ -329,8 +329,11 @@ impl<M, E> Host<M, E> {
             match action {
                 Action::Send { to, msg } => self.send(to.index(), msg),
                 Action::SetTimer { delay, token } => {
-                    let deadline = Instant::now() + Duration::from_micros(delay.ticks());
-                    self.timers.push(Reverse((deadline, token)));
+                    // A deadline past what an `Instant` holds never fires.
+                    let deadline = Instant::now().checked_add(Duration::from_micros(delay.ticks()));
+                    if let Some(deadline) = deadline {
+                        self.timers.push(Reverse((deadline, token)));
+                    }
                 }
                 Action::Halt => {}
             }

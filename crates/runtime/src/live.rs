@@ -492,7 +492,7 @@ impl<S: StateMachine> LiveSmrBuilder<S> {
 
         // Every host is built before any replica runs, so a socket that
         // cannot be set up fails the boot instead of a replica thread.
-        let mut hosts = Vec::with_capacity(n);
+        let mut hosts = Vec::new();
         for (i, (listener, obs)) in listeners.into_iter().zip(&obs_handles).enumerate() {
             let host = Host::new(
                 i,
@@ -506,7 +506,7 @@ impl<S: StateMachine> LiveSmrBuilder<S> {
             hosts.push(host.map_err(ClusterError::Bind)?);
         }
 
-        let mut handles = Vec::with_capacity(n);
+        let mut handles = Vec::new();
         let per_replica = hosts.into_iter().zip(&paused).zip(&obs_handles);
         for (i, ((host, paused), obs)) in per_replica.enumerate() {
             let cfg = cfg.clone();
@@ -659,9 +659,9 @@ impl<S: StateMachine> LiveSmrCluster<S> {
     /// [`pause`](Self::pause)d are excluded from the wait (they cannot
     /// make progress by definition).
     pub fn shutdown(self) -> Vec<ReplicaReport<S>> {
-        let deadline = Instant::now() + Duration::from_secs(10);
+        let started = Instant::now();
         let mut stable: Option<(Vec<u64>, Instant)> = None;
-        while Instant::now() < deadline {
+        while started.elapsed() < Duration::from_secs(10) {
             let lens: Vec<u64> = self
                 .paused
                 .iter()
@@ -960,7 +960,7 @@ fn redirect<S: StateMachine>(
     // as unreachable, instead of panicking the replica.
     let addrs = host.addrs();
     let addr = addrs
-        .get(leader % addrs.len().max(1))
+        .get(leader.checked_rem(addrs.len()).unwrap_or(0))
         .copied()
         .unwrap_or_else(crate::client::unusable_addr);
     let leader = wire_id(leader);

@@ -145,7 +145,7 @@ fn fill<R: Read>(reader: &mut R, buf: &mut [u8], mid_frame: bool) -> Result<bool
                 )));
             }
             Ok(n) => {
-                filled += n;
+                filled = filled.saturating_add(n);
                 timeouts = 0;
             }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
@@ -156,7 +156,7 @@ fn fill<R: Read>(reader: &mut R, buf: &mut [u8], mid_frame: bool) -> Result<bool
                         io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
                     ) =>
             {
-                timeouts += 1;
+                timeouts = timeouts.saturating_add(1);
                 if timeouts >= MAX_MID_FRAME_RETRIES {
                     return Err(FrameError::Stalled {
                         filled,

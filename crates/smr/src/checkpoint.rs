@@ -190,13 +190,7 @@ impl<S: StateMachine> Wire for Snapshot<S> {
         let log_digest = Digest::decode(r)?;
         let mut state = S::default();
         state.restore(r.var_bytes()?)?;
-        let count = r.u32()?;
-        // Reject attacker-sized counts before looping: a forged header
-        // must not buy 4 billion decode iterations (nor let a future
-        // preallocation here turn into an OOM).
-        if count > MAX_SNAPSHOT_REPLIES {
-            return Err(WireError::LengthOverflow(u64::from(count)));
-        }
+        let count = r.count(MAX_SNAPSHOT_REPLIES)?;
         let mut replies = BTreeMap::new();
         for _ in 0..count {
             let client = r.u64()?;
@@ -340,14 +334,10 @@ impl Wire for StateReply {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let slot = r.u64()?;
         let snapshot = r.var_bytes()?.to_vec();
-        let count = r.u32()?;
-        if count > MAX_CERTIFICATE {
-            return Err(WireError::LengthOverflow(u64::from(count)));
-        }
-        let mut certificate = Vec::with_capacity(count as usize);
-        for _ in 0..count {
-            certificate.push(CheckpointVote::decode(r)?);
-        }
+        let count = r.count(MAX_CERTIFICATE)?;
+        let certificate = (0..count)
+            .map(|_| CheckpointVote::decode(r))
+            .collect::<Result<_, _>>()?;
         Ok(StateReply {
             slot,
             snapshot,
@@ -577,7 +567,8 @@ impl Checkpointer {
         let quorum = seat.cfg.deterministic_quorum();
         let mut counts: BTreeMap<Digest, usize> = BTreeMap::new();
         for vote in self.votes.get(&slot)?.values() {
-            *counts.entry(vote.digest).or_default() += 1;
+            let count = counts.entry(vote.digest).or_default();
+            *count = count.saturating_add(1);
         }
         let (&digest, _) = counts.iter().find(|(_, &count)| count >= quorum)?;
         if slot <= next_apply {
@@ -596,7 +587,7 @@ impl Checkpointer {
             self.transfer_started_at = Some(obs.now_micros());
             obs.trace(TraceKind::StateTransferStart { slot });
             let holders = self.attesters(slot, digest).filter(|v| v.from != seat.id);
-            for vote in holders.take(seat.cfg.faults() + 1) {
+            for vote in holders.take(seat.cfg.faults().saturating_add(1)) {
                 let request = SmrMessage::StateRequest(StateRequest { min_slot: slot });
                 ctx.send(ProcessId(vote.from.index()), request);
             }
@@ -910,7 +901,10 @@ mod tests {
         put::u64(&mut huge, 96);
         put::var_bytes(&mut huge, b"snap");
         put::u32(&mut huge, u32::MAX);
-        assert!(StateReply::from_wire_bytes(&huge).is_err());
+        assert_eq!(
+            StateReply::from_wire_bytes(&huge),
+            Err(WireError::LengthOverflow(u64::from(u32::MAX)))
+        );
     }
 
     /// Replica `id`'s seat in the 4-replica cluster of `ring` (stability

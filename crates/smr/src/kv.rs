@@ -266,13 +266,7 @@ impl Wire for KvStore {
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let count = r.u32()?;
-        // Each entry costs at least 16 encoded bytes (two u64 length
-        // prefixes), so a count beyond MAX_KV_ENTRIES cannot fit in any
-        // frame the transport accepts: reject it before the decode loop.
-        if count > MAX_KV_ENTRIES {
-            return Err(WireError::LengthOverflow(u64::from(count)));
-        }
+        let count = r.count(MAX_KV_ENTRIES)?;
         let mut map = BTreeMap::new();
         for _ in 0..count {
             let key = decode_string(r, "utf-8 key")?;
@@ -299,7 +293,7 @@ impl StateMachine for KvStore {
             // exactly like `query`: observation only.
             Command::Get { key } => return KvResponse::Value(self.map.get(key).cloned()),
         };
-        self.applied += 1;
+        self.applied = self.applied.saturating_add(1);
         response
     }
 

@@ -52,8 +52,8 @@
 //! ```
 
 #![warn(missing_docs)]
-// The repo's panic-, swallow- and truncation-freedom rules (L001, L009,
-// L008's casts), stated by the tools that see types — DESIGN.md, "Who
+// The repo's panic-, swallow-, truncation- and overflow-freedom rules
+// (L001, L009, L008), stated by the tools that see types — DESIGN.md, "Who
 // checks what". Inert under plain rustc; `cargo clippy -- -D warnings` is
 // the gate, and a deliberate site carries `#[expect(.., reason = "…")]`,
 // which clippy rejects once the site stops needing it.
@@ -69,10 +69,12 @@
         clippy::let_underscore_must_use,
         clippy::unused_result_ok,
         unused_must_use,
-        clippy::cast_possible_truncation
+        clippy::cast_possible_truncation,
+        clippy::arithmetic_side_effects
     )
 )]
 
+mod bounded;
 pub mod checkpoint;
 pub mod harness;
 pub mod kv;

@@ -376,15 +376,11 @@ impl<Op: Wire> Wire for Batch<Op> {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         match r.u8()? {
             BATCH_TAG => {
-                let count = r.u32()?;
-                if count > MAX_BATCH {
-                    return Err(WireError::LengthOverflow(u64::from(count)));
-                }
-                let mut entries = Vec::with_capacity(count as usize);
-                for _ in 0..count {
-                    entries.push(Entry::decode(r)?);
-                }
-                Ok(Batch(entries))
+                let count = r.count(MAX_BATCH)?;
+                (0..count)
+                    .map(|_| Entry::decode(r))
+                    .collect::<Result<_, _>>()
+                    .map(Batch)
             }
             t => Err(WireError::UnknownTag(t)),
         }
@@ -424,6 +420,16 @@ mod tests {
             let bytes = entry.to_wire_bytes();
             assert_eq!(Entry::<Command>::from_wire_bytes(&bytes).unwrap(), entry);
         }
+    }
+
+    #[test]
+    fn batch_rejects_forged_entry_count() {
+        let mut bytes = vec![BATCH_TAG];
+        put::u32(&mut bytes, u32::MAX);
+        assert_eq!(
+            Batch::<Command>::from_wire_bytes(&bytes),
+            Err(WireError::LengthOverflow(u64::from(u32::MAX)))
+        );
     }
 
     #[test]

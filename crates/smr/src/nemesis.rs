@@ -159,7 +159,8 @@ impl FaultPlan {
 pub fn plurality_view(views: impl IntoIterator<Item = View>) -> View {
     let mut votes: BTreeMap<View, usize> = BTreeMap::new();
     for view in views {
-        *votes.entry(view).or_default() += 1;
+        let count = votes.entry(view).or_default();
+        *count = count.saturating_add(1);
     }
     let plurality = votes
         .into_iter()
@@ -394,10 +395,10 @@ pub fn verify_exactly_once(
             match entry.request {
                 Some(id) => {
                     if distinct.insert(id) {
-                        expected += 1;
+                        expected = expected.saturating_add(1);
                     }
                 }
-                None => expected += 1,
+                None => expected = expected.saturating_add(1),
             }
         }
         if r.state.applied() != expected {

@@ -46,6 +46,7 @@
 //! [`SmrNode::drain_applied`] so the embedding runtime can answer the
 //! submitting client with the actual result, not a bare acknowledgement.
 
+use crate::bounded::Bounded;
 use crate::checkpoint::{CheckpointVote, Checkpointer, Snapshot, StateReply, StateRequest};
 use crate::machine::{Batch, Entry, RequestId, StateMachine, MAX_BATCH};
 use crate::nemesis::ReplicaReport;
@@ -66,7 +67,7 @@ use probft_simnet::metrics::Measurable;
 use probft_simnet::process::{Action, Context, Process, ProcessId, TimerToken};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -129,12 +130,13 @@ impl Measurable for SmrMessage {
         }
     }
     fn wire_size(&self) -> usize {
-        1 + match self {
+        let payload = match self {
             SmrMessage::Slot(m) => m.wire_len(),
             SmrMessage::CheckpointVote(v) => v.wire_len(),
             SmrMessage::StateRequest(r) => r.wire_len(),
             SmrMessage::StateReply(r) => r.wire_len(),
-        }
+        };
+        payload.saturating_add(1)
     }
 }
 
@@ -225,9 +227,13 @@ impl SmrSettings {
     pub fn future_window(&self) -> u64 {
         let depth = self.pipeline_depth as u64;
         if self.checkpoint_interval == 0 {
-            (depth * FALLBACK_FUTURE_WINDOW_DEPTHS).max(FALLBACK_MIN_FUTURE_WINDOW)
+            depth
+                .saturating_mul(FALLBACK_FUTURE_WINDOW_DEPTHS)
+                .max(FALLBACK_MIN_FUTURE_WINDOW)
         } else {
-            (depth * FUTURE_WINDOW_DEPTHS).max(MIN_FUTURE_WINDOW)
+            depth
+                .saturating_mul(FUTURE_WINDOW_DEPTHS)
+                .max(MIN_FUTURE_WINDOW)
         }
     }
 }
@@ -262,7 +268,7 @@ pub const FALLBACK_FUTURE_WINDOW_DEPTHS: u64 = 4;
 pub const FALLBACK_MIN_FUTURE_WINDOW: u64 = 16;
 
 /// Hard ceiling on the locally pending (submitted but unproposed) entry
-/// queue, enforced at the push site. Admission control
+/// queue, the cap of its bounded type. Admission control
 /// ([`SmrNode::overloaded`] against the configurable
 /// `SmrSettings::max_pending`) is the *caller's* shedding policy and can
 /// be disabled; this cap is the node's own memory bound and cannot.
@@ -295,8 +301,9 @@ pub struct SmrNode<S: StateMachine> {
     /// from and what the checkpointer signs and verifies with.
     seat: Seat,
     /// Entries this node wants ordered, proposed in batches when this
-    /// node leads a slot.
-    pending: VecDeque<Entry<S::Op>>,
+    /// node leads a slot. A submission is turned away once it holds
+    /// [`MAX_PENDING_ENTRIES`].
+    pending: Bounded<Entry<S::Op>>,
     settings: SmrSettings,
 
     /// The log's view: the one synchronizer, with the one view timer,
@@ -312,7 +319,7 @@ pub struct SmrNode<S: StateMachine> {
     /// Bounded: only slots inside the pipeline window ahead of the lowest
     /// unapplied slot are buffered, and each slot buffers at most
     /// [`MAX_BUFFERED_PER_SLOT`] messages.
-    future: BTreeMap<u64, Vec<Message>>,
+    future: BTreeMap<u64, Bounded<Message>>,
     /// The next slot index to open (slots `applied.slot..next_open` are
     /// in flight).
     next_open: u64,
@@ -352,7 +359,7 @@ impl<S: StateMachine> SmrNode<S> {
         let settings = settings.normalized();
         let seat = Seat { cfg, id, sk, keys };
         SmrNode {
-            pending: workload.into_iter().map(Entry::write).collect(),
+            pending: Bounded::new(MAX_PENDING_ENTRIES, workload.into_iter().map(Entry::write)),
             sync: Synchronizer::born_in(id, seat.cfg.faults(), View::FIRST),
             slots: BTreeMap::new(),
             future: BTreeMap::new(),
@@ -452,7 +459,7 @@ impl<S: StateMachine> SmrNode<S> {
 
     /// Messages currently buffered for in-window slots not yet open here.
     pub fn buffered_future(&self) -> usize {
-        self.future.values().map(Vec::len).sum()
+        self.future.values().map(Bounded::len).sum()
     }
 
     /// Entries queued locally but not yet proposed into a slot.
@@ -505,11 +512,10 @@ impl<S: StateMachine> SmrNode<S> {
     pub fn submit(&mut self, entry: Entry<S::Op>, ctx: &mut Context<'_, SmrMessage>) {
         // An embedding runtime that skips the `overloaded()` admission
         // check must still not grow this queue without bound.
-        if self.pending.len() >= MAX_PENDING_ENTRIES {
+        if self.pending.try_push(entry).is_err() {
             self.obs.drops_pending_overflow.inc();
             return;
         }
-        self.pending.push_back(entry);
         self.obs.pending_depth.set(self.pending.len() as u64);
         self.open_ready_slots(ctx);
     }
@@ -575,7 +581,7 @@ impl<S: StateMachine> SmrNode<S> {
             self.settings.batch_size
         }
         .min(pending);
-        let entries: Vec<Entry<S::Op>> = self.pending.drain(..take).collect();
+        let entries: Vec<Entry<S::Op>> = self.pending.drain_front(take).collect();
         self.obs.pending_depth.set(self.pending.len() as u64);
         self.obs.batch_size.record(take as u64);
         (Batch(entries).to_value(), take)
@@ -618,7 +624,7 @@ impl<S: StateMachine> SmrNode<S> {
         self.drive(slot, None, ctx);
 
         // Replay any buffered traffic for this slot.
-        for msg in self.future.remove(&slot).unwrap_or_default() {
+        for msg in self.future.remove(&slot).into_iter().flatten() {
             self.drive(slot, Some(msg), ctx);
         }
     }
@@ -892,11 +898,10 @@ impl<S: StateMachine> SmrNode<S> {
         }
         // Workload mode (or target reached): buffer until the window opens
         // the slot, with a hard per-slot cap against single-slot floods.
-        let buffered = self.future.entry(slot).or_default();
-        if buffered.len() >= MAX_BUFFERED_PER_SLOT {
+        let buffered =
+            (self.future.entry(slot)).or_insert_with(|| Bounded::new(MAX_BUFFERED_PER_SLOT, []));
+        if buffered.try_push(msg.inner).is_err() {
             self.obs.drops_slot_flood.inc();
-        } else {
-            buffered.push(msg.inner);
         }
     }
 }

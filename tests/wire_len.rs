@@ -5,7 +5,8 @@
 //! justification and a NewLeader with a certificate among them), PBFT's,
 //! the checkpoint protocol's three and HotStuff's — so that a field added
 //! to an `encode` and not to its `wire_len` fails here, not as a silently
-//! shifted byte count.
+//! shifted byte count. Each encoding must also decode back to the message
+//! it came from: the roundtrip every `Wire` kind a run sends owes.
 
 use probft::core::config::{ProbftConfig, View};
 use probft::core::message::{
@@ -26,21 +27,30 @@ use probft::simnet::Measurable;
 use probft::smr::{
     CheckpointBody, CheckpointVote, SlotMessage, SmrMessage, StateReply, StateRequest,
 };
+use std::fmt::Debug;
 
 /// `wire_len` is the encoding's length, and so is `wire_size`, which the
-/// simulator charges.
-fn check<M: Wire + Measurable>(name: &str, message: &M) {
-    let encoded = message.to_wire_bytes().len();
-    assert_eq!(message.wire_len(), encoded, "{name}: wire_len");
+/// simulator charges; and the encoding decodes to `message`.
+fn check<M: Wire + Measurable + PartialEq + Debug>(name: &str, message: &M) {
+    let encoded = roundtrip(name, message);
     assert_eq!(message.wire_size(), encoded, "{name}: wire_size");
 }
 
 /// As [`check`], for an SMR message: a one-byte kind tag, then the
 /// payload's encoding (what the live runtime's frame carries).
-fn check_smr(name: &str, message: SmrMessage, payload: &impl Wire) {
-    let encoded = payload.to_wire_bytes().len();
-    assert_eq!(payload.wire_len(), encoded, "{name}: wire_len");
+fn check_smr<P: Wire + PartialEq + Debug>(name: &str, message: SmrMessage, payload: &P) {
+    let encoded = roundtrip(name, payload);
     assert_eq!(message.wire_size(), 1 + encoded, "{name}: wire_size");
+}
+
+/// `decode(encode(m)) == m`, and `wire_len` is the encoding's length,
+/// which is returned.
+fn roundtrip<M: Wire + PartialEq + Debug>(name: &str, message: &M) -> usize {
+    let encoded = message.to_wire_bytes();
+    assert_eq!(message.wire_len(), encoded.len(), "{name}: wire_len");
+    let decoded = M::from_wire_bytes(&encoded);
+    assert_eq!(decoded.as_ref(), Ok(message), "{name}: roundtrip");
+    encoded.len()
 }
 
 #[test]

@@ -3,22 +3,14 @@
 //! [`SmrClient`] is generic over the replicated [`StateMachine`]: it
 //! submits operations over TCP with unique request ids and returns the
 //! machine's *typed response* once the operation has been applied by the
-//! cluster. It routes to the replica it believes leads, follows
-//! [`SmrReply::Redirect`] answers (which carry the leader's address, so
-//! hints survive any ordering of the client's replica list), and retries
-//! — on a reply timeout, a torn connection, or a view change — by
-//! *resending the same request id*, so the cluster's replicated dedup and
-//! reply cache keep execution at-most-once no matter how many times a
-//! submission is retried or rerouted. A redirect loop (replicas pointing
-//! at a leader that never answers) is broken by rotating to the next
-//! replica after a few identical redirects.
-//!
-//! An [`SmrReply::Overloaded`] answer is *not* a redirect: the leader is
-//! alive and shedding by choice, and every follower would bounce the
-//! client straight back to it. The client therefore backs off
-//! (exponentially, capped) and retries the **same** replica — rotating
-//! would just stampede the shed load onto the next replica's redirect
-//! path.
+//! cluster. Where each attempt goes — the hinted replica, a redirect's
+//! leader (by address, so hints survive any ordering of the client's
+//! list), the next replica after a silent one, the same one after an
+//! [`SmrReply::Overloaded`] backoff — is the sans-I/O [`ClientPolicy`]
+//! (`probft_smr::client`), the one the virtual-time executor's clients run
+//! too; this module only connects, writes, reads and sleeps. Every retry
+//! resends the *same request id*, so the cluster's replicated dedup and
+//! reply cache keep execution at-most-once.
 //!
 //! Reads go through [`read`](SmrClient::read) at a chosen [`Consistency`]
 //! tier: `Local` asks whichever replica the client currently points at
@@ -29,6 +21,7 @@ use crate::live::{SmrFrame, SmrReply};
 use crate::transport::{read_frame, write_frame, FrameError};
 use probft_core::wire::Wire;
 use probft_obs::Obs;
+use probft_smr::client::{ClientPolicy, ATTEMPT_TIMEOUT};
 use probft_smr::{Command, Consistency, KvResponse, KvStore, OpKind, RequestId, StateMachine};
 use std::error::Error;
 use std::fmt;
@@ -63,20 +56,6 @@ impl fmt::Display for ClientError {
 
 impl Error for ClientError {}
 
-/// How many consecutive redirects naming the *same* leader the client
-/// follows before concluding that leader is unresponsive and rotating to
-/// the next replica in its list instead. Breaks the bounce-forever loop
-/// between a follower and a crashed leader the follower still believes
-/// in.
-const MAX_REDIRECT_STREAK: u32 = 3;
-
-/// First pause after an `Overloaded` shed; doubles per consecutive shed
-/// of the same request, capped at [`OVERLOAD_BACKOFF_CAP`].
-const OVERLOAD_BACKOFF_BASE: Duration = Duration::from_millis(5);
-
-/// Longest single overload backoff pause.
-const OVERLOAD_BACKOFF_CAP: Duration = Duration::from_millis(200);
-
 /// A client of a live SMR cluster, generic over the replicated
 /// [`StateMachine`] (default: the reference [`KvStore`]).
 ///
@@ -86,14 +65,10 @@ const OVERLOAD_BACKOFF_CAP: Duration = Duration::from_millis(200);
 /// several clients (distinct `client_id`s) for concurrent load.
 #[derive(Debug)]
 pub struct SmrClient<S: StateMachine = KvStore> {
-    addrs: Vec<SocketAddr>,
     client_id: u64,
     next_seq: u64,
-    /// The replica address to try first (updated by redirects and
-    /// failures). Address-based, not an index: redirects carry the
-    /// leader's address, so the hint stays meaningful however the
-    /// client's `addrs` list is ordered.
-    hint: SocketAddr,
+    /// Where each attempt goes, over the replicas' addresses.
+    policy: ClientPolicy<SocketAddr>,
     conn: Option<TcpStream>,
     /// Replica address the current connection points at.
     conn_to: Option<SocketAddr>,
@@ -102,9 +77,6 @@ pub struct SmrClient<S: StateMachine = KvStore> {
     /// Overall per-submission budget across all retries.
     overall_timeout: Duration,
     last: Option<(RequestId, OpKind, S::Op)>,
-    /// Consecutive redirects naming the same leader address without an
-    /// applied reply in between.
-    redirect_streak: Option<(SocketAddr, u32)>,
     /// This client's telemetry, labeled `client-<id>`: request RTTs land
     /// in `request_rtt_us`, and retries / redirects / overload backoffs
     /// are the `client_*` counters.
@@ -118,16 +90,14 @@ impl<S: StateMachine> SmrClient<S> {
     pub fn new(addrs: Vec<SocketAddr>, client_id: u64) -> Self {
         let hint = addrs.first().copied().unwrap_or_else(unusable_addr);
         SmrClient {
-            addrs,
             client_id,
             next_seq: 1,
-            hint,
+            policy: ClientPolicy::new(addrs, hint),
             conn: None,
             conn_to: None,
-            attempt_timeout: Duration::from_millis(1000),
+            attempt_timeout: ATTEMPT_TIMEOUT,
             overall_timeout: Duration::from_secs(30),
             last: None,
-            redirect_streak: None,
             obs: Obs::new(format!("client-{client_id}")),
         }
     }
@@ -155,9 +125,10 @@ impl<S: StateMachine> SmrClient<S> {
     /// [`leader_hint_addr`](Self::leader_hint_addr); the stored hint is
     /// the address.)
     pub fn leader_hint(self, hint: usize) -> Self {
+        let addrs = self.policy.targets();
         match hint
-            .checked_rem(self.addrs.len())
-            .and_then(|i| self.addrs.get(i))
+            .checked_rem(addrs.len())
+            .and_then(|i| addrs.get(i))
             .copied()
         {
             Some(addr) => self.leader_hint_addr(addr),
@@ -168,7 +139,7 @@ impl<S: StateMachine> SmrClient<S> {
     /// Starts submissions at `addr`. Unknown addresses are accepted — the
     /// cluster's redirects will route the client from there.
     pub fn leader_hint_addr(mut self, addr: SocketAddr) -> Self {
-        self.hint = addr;
+        self.policy.prefer(addr);
         self
     }
 
@@ -198,7 +169,7 @@ impl<S: StateMachine> SmrClient<S> {
     pub fn submit(&mut self, op: S::Op) -> Result<S::Response, ClientError> {
         let request = self.next_request();
         self.last = Some((request, OpKind::Write, op.clone()));
-        self.send_until_applied(request, OpKind::Write, &op)
+        self.send_until_applied(request, OpKind::Write, op)
     }
 
     /// Reads through the cluster at the chosen [`Consistency`] tier,
@@ -222,11 +193,18 @@ impl<S: StateMachine> SmrClient<S> {
             Consistency::Linearizable => {
                 let request = self.next_request();
                 self.last = Some((request, OpKind::Read, op.clone()));
-                self.send_until_applied(request, OpKind::Read, &op)
+                self.send_until_applied(request, OpKind::Read, op)
             }
             Consistency::Local | Consistency::Leader => {
+                // Served off a replica's applied state: nothing executes,
+                // so resending is always safe.
                 let request = self.next_request();
-                self.send_read(request, consistency, &op)
+                let frame = SmrFrame::<S>::ReadRequest {
+                    request,
+                    consistency,
+                    op,
+                };
+                self.drive_frame(request, &frame.to_wire_bytes())
             }
         }
     }
@@ -245,7 +223,7 @@ impl<S: StateMachine> SmrClient<S> {
             return Err(ClientError::NoReplicas);
         };
         self.obs.client_retries.inc();
-        self.send_until_applied(request, kind, &op)
+        self.send_until_applied(request, kind, op)
     }
 
     fn next_request(&mut self) -> RequestId {
@@ -257,96 +235,31 @@ impl<S: StateMachine> SmrClient<S> {
         request
     }
 
-    /// Follows one redirect: adopt the named leader address unless the
-    /// same leader has been named [`MAX_REDIRECT_STREAK`] times in a row
-    /// without progress, in which case rotate to the replica after the
-    /// one we just asked (the redirect chain is going nowhere — probe the
-    /// cluster instead of bouncing).
-    fn follow_redirect(&mut self, named: SocketAddr, asked: SocketAddr) {
-        self.obs.client_redirects.inc();
-        let streak = match self.redirect_streak {
-            Some((addr, count)) if addr == named => count.saturating_add(1),
-            _ => 1,
-        };
-        self.redirect_streak = Some((named, streak));
-        if streak >= MAX_REDIRECT_STREAK || named == asked {
-            // A replica never names itself, and a streak means the named
-            // leader is not answering: either way, rotate past `asked`.
-            self.hint = self.next_addr_after(asked);
-            self.redirect_streak = None;
-        } else {
-            self.drop_conn();
-            self.hint = named;
-        }
-    }
-
-    /// The address after `addr` in the configured list (wrapping), or
-    /// `addr` itself if it is unknown and the list is empty.
-    fn next_addr_after(&self, addr: SocketAddr) -> SocketAddr {
-        if self.addrs.is_empty() {
-            return addr;
-        }
-        let next = match self.addrs.iter().position(|&a| a == addr) {
-            Some(i) => i
-                .saturating_add(1)
-                .checked_rem(self.addrs.len())
-                .and_then(|next| self.addrs.get(next)),
-            // Redirected to an address outside the configured list and it
-            // failed: start over at the front of the list.
-            None => self.addrs.first(),
-        };
-        next.copied().unwrap_or(addr)
-    }
-
     fn send_until_applied(
         &mut self,
         request: RequestId,
         kind: OpKind,
-        op: &S::Op,
+        op: S::Op,
     ) -> Result<S::Response, ClientError> {
-        let frame = SmrFrame::<S>::Request {
-            request,
-            kind,
-            op: op.clone(),
-        }
-        .to_wire_bytes();
-        self.drive_frame(request, &frame)
-    }
-
-    /// Drives one consensus-bypassing read to completion: send a
-    /// `ReadRequest`, follow redirects (`Leader` tier), rotate on
-    /// failures, retry on timeouts. Reads execute nothing, so resending
-    /// is always safe.
-    fn send_read(
-        &mut self,
-        request: RequestId,
-        consistency: Consistency,
-        op: &S::Op,
-    ) -> Result<S::Response, ClientError> {
-        let frame = SmrFrame::<S>::ReadRequest {
-            request,
-            consistency,
-            op: op.clone(),
-        }
-        .to_wire_bytes();
-        self.drive_frame(request, &frame)
+        let frame = SmrFrame::<S>::Request { request, kind, op };
+        self.drive_frame(request, &frame.to_wire_bytes())
     }
 
     /// The one retry loop behind every submission and read: send `frame`
-    /// to the hinted replica, await the matching reply, follow redirects,
-    /// rotate past unreachable replicas, and resend the same request id
-    /// on timeouts or torn connections until the overall budget runs out.
+    /// where the policy says, await the matching reply, and tell the
+    /// policy how the attempt went, resending the same request id until
+    /// it is answered or the overall budget runs out.
     fn drive_frame(
         &mut self,
         request: RequestId,
         frame: &[u8],
     ) -> Result<S::Response, ClientError> {
-        if self.addrs.is_empty() {
+        if self.policy.targets().is_empty() {
             return Err(ClientError::NoReplicas);
         }
         let started = Instant::now();
         let mut attempts = 0u32;
-        let mut overload_streak = 0u32;
+        self.policy.begin();
         loop {
             if attempts > 0 {
                 if started.elapsed() >= self.overall_timeout {
@@ -356,53 +269,41 @@ impl<S: StateMachine> SmrClient<S> {
             }
             attempts = attempts.saturating_add(1);
 
-            let target = self.hint;
+            let target = self.policy.target();
             let sent = match self.connection(target) {
                 Some(stream) => write_frame(stream, frame).is_ok(),
                 None => false,
             };
             if !sent {
-                // Unreachable or broken link: try the next replica after a
-                // short pause (avoids a hot spin while a cluster boots).
+                // A short pause avoids a hot spin while a cluster boots.
                 self.drop_conn();
-                self.hint = self.next_addr_after(target);
+                self.policy.silent(target);
                 crate::pacing::pause(crate::pacing::CLIENT_RETRY);
                 continue;
             }
 
             match self.await_reply(request) {
                 Some(Answer::Applied(response)) => {
-                    self.redirect_streak = None;
+                    self.policy.answered();
                     self.obs
                         .request_rtt_us
                         .record(crate::host::micros(started.elapsed()));
                     return Ok(response);
                 }
-                Some(Answer::Redirect(named)) => self.follow_redirect(named, target),
+                Some(Answer::Redirect(named)) => {
+                    self.obs.client_redirects.inc();
+                    self.policy.redirected(target, named);
+                }
                 Some(Answer::Overloaded) => {
-                    // The leader is alive and shedding by choice: back off
-                    // and retry *it*, rather than rotating — a follower
-                    // would only redirect us straight back, stampeding the
-                    // shed load onto the rest of the cluster. Exponential
-                    // with a cap; the connection stays up.
+                    // The connection stays up: the retry goes to the same
+                    // replica.
                     self.obs.client_overloads.inc();
-                    self.redirect_streak = None;
-                    let backoff = OVERLOAD_BACKOFF_BASE
-                        .saturating_mul(1u32 << overload_streak.min(10))
-                        .min(OVERLOAD_BACKOFF_CAP);
-                    overload_streak = overload_streak.saturating_add(1);
-                    crate::pacing::pause(backoff);
+                    crate::pacing::pause(self.policy.overloaded());
                 }
                 None => {
-                    // Reply timeout or torn connection: resend the same
-                    // request id (safe: ordered entries are deduplicated,
-                    // reads execute nothing) — but to the *next* replica.
-                    // A silent-but-reachable replica (stalled, partitioned
-                    // from its peers, deposed mid-request) must not absorb
-                    // the whole submission budget; whoever we land on will
-                    // serve or redirect us back to a live leader.
+                    // Reply timeout or torn connection.
                     self.drop_conn();
-                    self.hint = self.next_addr_after(target);
+                    self.policy.silent(target);
                 }
             }
         }

@@ -297,16 +297,8 @@ impl<M, E> Host<M, E> {
         })
     }
 
-    pub(crate) fn id(&self) -> usize {
-        self.id
-    }
-
     pub(crate) fn addrs(&self) -> &Arc<Vec<SocketAddr>> {
         &self.addrs
-    }
-
-    pub(crate) fn obs(&self) -> &Arc<Obs> {
-        &self.obs
     }
 
     /// False once the cluster's shutdown flag is raised.
@@ -315,15 +307,14 @@ impl<M, E> Host<M, E> {
     }
 
     /// One step of the hosted process: `step` pokes it through a detached
-    /// context, and the actions it emitted are applied to the sockets and
-    /// the timer heap.
-    pub(crate) fn drive(&mut self, step: impl FnOnce(&mut Context<'_, M>)) {
+    /// context, the actions it emitted are applied to the sockets and the
+    /// timer heap, and what `step` returned is returned.
+    pub(crate) fn drive<R>(&mut self, step: impl FnOnce(&mut Context<'_, M>) -> R) -> R {
         // One simulator tick = one microsecond of wall time.
         let now = SimTime::from_ticks(micros(self.started.elapsed()));
-        let actions = {
+        let (out, actions) = {
             let mut ctx = Context::detached(ProcessId(self.id), now, &mut self.rng);
-            step(&mut ctx);
-            ctx.drain_actions()
+            (step(&mut ctx), ctx.drain_actions())
         };
         for action in actions {
             match action {
@@ -338,6 +329,7 @@ impl<M, E> Host<M, E> {
                 Action::Halt => {}
             }
         }
+        out
     }
 
     /// Fires `process`'s due timers, then hands out the next inbound

@@ -4,25 +4,13 @@
 //! runs in the simulator — generic over the replicated [`StateMachine`] —
 //! but its slot-tagged consensus traffic travels as [`SmrFrame::Peer`]
 //! frames over loopback TCP and its operations come from real clients
-//! instead of a prebuilt workload: an [`SmrFrame::Request`] carries a
-//! client operation plus its [`RequestId`], the node feeds it into the
-//! pending queue (demand-driven slot opening, so batching operates on what
-//! actually arrived), and once the operation reaches the applied log the
-//! replica answers with an [`SmrReply::Applied`] carrying the machine's
-//! *typed response*. Non-leaders redirect the client to the leader of the
-//! log's view as they hold it (id *and* address); retried request ids
-//! are deduplicated inside the replicated state machine and answered from
-//! its reply cache, so submissions stay at-most-once across redirects,
-//! reconnects, and view changes.
-//!
-//! Reads have their own consensus-bypassing frames:
-//! [`SmrFrame::ReadRequest`] is evaluated against the contacted replica's
-//! applied state ([`Consistency::Local`] — any replica, possibly stale;
-//! [`Consistency::Leader`] — only the replica that believes it leads,
-//! redirecting otherwise) and answered with [`SmrFrame::ReadReply`].
-//! [`Consistency::Linearizable`] reads never use these frames: the client
-//! submits them as ordered read entries through the normal request path,
-//! paying one consensus round for a log-ordered observation.
+//! instead of a prebuilt workload. What becomes of a client's
+//! [`SmrFrame::Request`] or [`SmrFrame::ReadRequest`] — redirect to the
+//! leader, reply-cache answer, shed, or accept and answer once applied —
+//! is decided by the sans-I/O [`Frontend`] (`probft_smr::frontend`), the
+//! one the virtual-time executor runs too; this module only decodes the
+//! frame, calls it, and writes the [`SmrReply`] or [`SmrFrame::ReadReply`]
+//! it returns, adding the leader's address to a redirect.
 //!
 //! With a [`checkpoint_interval`](LiveSmrBuilder::checkpoint_interval)
 //! set, the checkpoint subsystem rides three more frames: signed
@@ -33,21 +21,21 @@
 //! [`SmrFrame::StateReply`] and resumes consensus from the checkpoint
 //! slot instead of replaying (or waiting forever for) the truncated log.
 
-use crate::host::{bind_listeners, micros, wire_id, ConnId, FrameKind, Host};
+use crate::host::{bind_listeners, wire_id, ConnId, FrameKind, Host};
 use probft_core::config::{ProbftConfig, SharedConfig, View};
 use probft_core::wire::{put, Reader, Wire, WireError};
 use probft_crypto::keyring::Keyring;
-use probft_obs::{Obs, TraceKind};
+use probft_obs::Obs;
 use probft_quorum::ReplicaId;
 use probft_simnet::process::{Process, ProcessId};
 use probft_simnet::time::SimDuration;
+use probft_smr::frontend::{Frontend, Reply};
 use probft_smr::nemesis::{plurality_view, ReplicaReport};
 use probft_smr::node::SmrNode;
 use probft_smr::{
-    CheckpointVote, Consistency, Entry, KvStore, OpKind, RequestId, SlotMessage, SmrMessage,
-    SmrSettings, StateMachine, StateReply, StateRequest,
+    CheckpointVote, Consistency, KvStore, OpKind, RequestId, SlotMessage, SmrMessage, SmrSettings,
+    StateMachine, StateReply, StateRequest,
 };
-use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 use std::net::SocketAddr;
@@ -165,12 +153,6 @@ pub enum SmrReply<R> {
         queued: u32,
     },
 }
-
-/// How long a replica keeps an unanswered client reply handle before
-/// concluding the request was lost upstream (view change, deposed
-/// leadership) and the client has long since retried elsewhere. Twice the
-/// client's default overall submission budget.
-const WAITER_TTL: Duration = Duration::from_secs(60);
 
 const FRAME_PEER: u8 = 1;
 const FRAME_REQUEST: u8 = 2;
@@ -695,21 +677,9 @@ impl<S: StateMachine> LiveSmrCluster<S> {
 pub(crate) enum SmrEvent<S: StateMachine> {
     /// Consensus or checkpoint traffic from a peer replica.
     Peer(ProcessId, SmrMessage),
-    /// A client submission to be ordered, with the connection the
-    /// eventual reply goes out on.
-    Request {
-        request: RequestId,
-        kind: OpKind,
-        op: S::Op,
-        reply: ConnId,
-    },
-    /// A consensus-bypassing client read.
-    Read {
-        request: RequestId,
-        consistency: Consistency,
-        op: S::Op,
-        reply: ConnId,
-    },
+    /// A client's `Request` or `ReadRequest`, with the connection its
+    /// reply goes out on.
+    Client(ConnId, SmrFrame<S>),
 }
 
 /// The SMR shape's outbound codec: each [`SmrMessage`] variant onto its
@@ -758,45 +728,8 @@ pub(crate) fn smr_decoder<S: StateMachine>(
             SmrFrame::StateReply { from, rep } => {
                 (&in_state, peer(from as usize, SmrMessage::StateReply(rep))?)
             }
-            SmrFrame::Request { request, kind, op } => (
-                &in_request,
-                SmrEvent::Request {
-                    request,
-                    kind,
-                    op,
-                    reply,
-                },
-            ),
-            // A linearizable read *is* an ordered request (a read-kind
-            // entry): rewrite it here so the event loop serves it through
-            // the one request path — dedup, reply cache, waiting map and
-            // all.
-            SmrFrame::ReadRequest {
-                request,
-                consistency: Consistency::Linearizable,
-                op,
-            } => (
-                &in_read,
-                SmrEvent::Request {
-                    request,
-                    kind: OpKind::Read,
-                    op,
-                    reply,
-                },
-            ),
-            SmrFrame::ReadRequest {
-                request,
-                consistency,
-                op,
-            } => (
-                &in_read,
-                SmrEvent::Read {
-                    request,
-                    consistency,
-                    op,
-                    reply,
-                },
-            ),
+            frame @ SmrFrame::Request { .. } => (&in_request, SmrEvent::Client(reply, frame)),
+            frame @ SmrFrame::ReadRequest { .. } => (&in_read, SmrEvent::Client(reply, frame)),
             SmrFrame::Reply(_) | SmrFrame::ReadReply { .. } => return None,
         };
         bytes_in.add(frame.len() as u64);
@@ -804,19 +737,14 @@ pub(crate) fn smr_decoder<S: StateMachine>(
     }
 }
 
-/// One live SMR replica: `node` on `host`, serving client requests and
-/// reads between protocol steps until shutdown.
+/// One live SMR replica: `node` on `host`, its client requests decided by
+/// a [`Frontend`] between protocol steps, until shutdown.
 fn smr_replica_main<S: StateMachine>(
     mut node: SmrNode<S>,
     mut host: Host<SmrMessage, SmrEvent<S>>,
     paused: &AtomicBool,
 ) -> ReplicaReport<S> {
-    let id = host.id();
-    let obs = host.obs().clone();
-    // Clients awaiting a post-apply reply, by request id, with the time
-    // each entry was (last) registered.
-    let mut waiting: BTreeMap<RequestId, (ConnId, Instant)> = BTreeMap::new();
-
+    let mut frontend = Frontend::default();
     // Start the node (in live mode this opens no slots until traffic
     // arrives).
     host.drive(|ctx| node.on_start(ctx));
@@ -830,151 +758,66 @@ fn smr_replica_main<S: StateMachine>(
         }
         match host.next_event(&mut node) {
             Some(SmrEvent::Peer(from, msg)) => host.drive(|ctx| node.on_message(from, msg, ctx)),
-            Some(SmrEvent::Request {
-                request,
-                kind,
-                op,
-                reply,
-            }) => {
-                if node.current_leader().index() != id {
-                    redirect(&mut node, &mut host, reply, request);
-                } else if let Some(response) = node.cached_response(request).cloned() {
-                    // A retry of something already applied: answer from
-                    // the reply cache without re-ordering it
-                    // (at-most-once).
-                    answer(
-                        &mut host,
-                        reply,
-                        SmrFrame::Reply(SmrReply::Applied { request, response }),
-                    );
-                } else if node.overloaded() && !waiting.contains_key(&request) {
-                    // Admission control: the pending queue is at its cap,
-                    // so shed this submission with an explicit signal
-                    // instead of letting the queue (and every queued
-                    // client's latency) grow without bound. The client
-                    // backs off and retries here — rotating to a follower
-                    // would only earn a redirect straight back. Retries of
-                    // an entry already queued are exempt: refusing those
-                    // would orphan their reply connection.
-                    obs.shed_requests.inc();
-                    obs.trace(TraceKind::OverloadShed);
-                    let queued = u32::try_from(node.pending_len()).unwrap_or(u32::MAX);
-                    answer(
-                        &mut host,
-                        reply,
-                        SmrFrame::Reply(SmrReply::Overloaded { request, queued }),
-                    );
-                } else {
-                    // Accept: remember who to answer, feed the entry into
-                    // the pending queue. Duplicate in-flight retries just
-                    // refresh the reply connection; the decided log's
-                    // dedup keeps execution at-most-once.
-                    waiting.insert(request, (reply, Instant::now()));
-                    let entry = Entry {
-                        request: Some(request),
-                        kind,
+            Some(SmrEvent::Client(conn, frame)) => {
+                let reply = host.drive(|ctx| match frame {
+                    SmrFrame::Request { request, kind, op } => {
+                        frontend.on_request(&mut node, request, kind, op, conn, ctx)
+                    }
+                    SmrFrame::ReadRequest {
+                        request,
+                        consistency,
                         op,
-                    };
-                    host.drive(|ctx| node.submit(entry, ctx));
-                }
-            }
-            // Consensus-bypassing reads only (the decoder rewrites a
-            // linearizable `ReadRequest` into an ordered `Request`). A
-            // local read is served by any replica; a leader read only by
-            // the replica that believes it leads, redirecting otherwise —
-            // exactly like a write. Queries run here, between whole-batch
-            // applies on this thread, so the observation is stale-at-worst,
-            // never torn.
-            Some(SmrEvent::Read {
-                request,
-                consistency,
-                op,
-                reply,
-            }) => {
-                if consistency == Consistency::Local || node.current_leader().index() == id {
-                    let response = node.query(&op);
-                    answer(&mut host, reply, SmrFrame::ReadReply { request, response });
-                } else {
-                    // A leader read bounced off a silent leader is client
-                    // contact too, or an idle dead-leader cluster would
-                    // serve writes but starve reads forever.
-                    redirect(&mut node, &mut host, reply, request);
+                    } => frontend.on_read(&mut node, request, consistency, op, conn, ctx),
+                    _ => None, // the decoder hands on client frames only
+                });
+                if let Some(reply) = reply {
+                    write_reply(&mut host, conn, reply);
                 }
             }
             None => {}
         }
-
-        // Answer every client whose entry reached the applied log, with
-        // the typed response its operation produced.
-        for applied in node.drain_applied() {
-            if let Some((reply, since)) = waiting.remove(&applied.request) {
-                // Receive → applied-and-answered at this replica: the
-                // server-side commit latency the paper's probabilistic
-                // latency claims are about.
-                obs.commit_latency_us.record(micros(since.elapsed()));
-                answer(
-                    &mut host,
-                    reply,
-                    SmrFrame::Reply(SmrReply::Applied {
-                        request: applied.request,
-                        response: applied.response,
-                    }),
-                );
-            }
-        }
-        // Forget waiters whose entry never reached the log (e.g. lost
-        // to a view change before being re-proposed): past the client's
-        // retry budget nobody reads the answer any more.
-        if !waiting.is_empty() {
-            waiting.retain(|_, (_, since)| since.elapsed() < WAITER_TTL);
+        for (conn, reply) in host.drive(|ctx| frontend.on_applied(&mut node, ctx)) {
+            write_reply(&mut host, conn, reply);
         }
     }
 
     node.report()
 }
 
-/// Queues one frame to a client. Best-effort: a client that has gone
-/// simply never reads its answer (the state machine is already
-/// consistent, and a retry is answered from the reply cache).
-fn answer<S: StateMachine>(
+/// Queues `reply` to a client as its frame; a redirect also carries the
+/// leader's address. Best-effort: a client that has gone never reads its
+/// answer, and a retry is answered from the reply cache.
+fn write_reply<S: StateMachine>(
     host: &mut Host<SmrMessage, SmrEvent<S>>,
     conn: ConnId,
-    frame: SmrFrame<S>,
+    reply: Reply<S::Response>,
 ) {
+    let frame = match reply {
+        Reply::Applied { request, response } => {
+            SmrFrame::<S>::Reply(SmrReply::Applied { request, response })
+        }
+        Reply::Read { request, response } => SmrFrame::ReadReply { request, response },
+        Reply::Overloaded { request, queued } => {
+            SmrFrame::Reply(SmrReply::Overloaded { request, queued })
+        }
+        Reply::Redirect { request, leader } => {
+            // `% n` keeps the index in range for any sane `addrs`; `.get`
+            // degrades an impossible empty list to a redirect the client
+            // treats as unreachable, instead of panicking the replica.
+            let addrs = host.addrs();
+            let addr = addrs
+                .get(leader.index().checked_rem(addrs.len()).unwrap_or(0))
+                .copied()
+                .unwrap_or_else(crate::client::unusable_addr);
+            let leader = leader.0;
+            SmrFrame::Reply(SmrReply::Redirect {
+                request,
+                leader,
+                addr,
+            })
+        }
+    };
     host.write(conn, &frame.to_wire_bytes());
-}
-
-/// Points a client at the leader of the log's view (id and address), then
-/// tells the node (`on_redirect`): a client turned away is work the named
-/// leader owes, and that is what runs the view timer when no slot is in
-/// flight anywhere — the idle-leader-crash case.
-fn redirect<S: StateMachine>(
-    node: &mut SmrNode<S>,
-    host: &mut Host<SmrMessage, SmrEvent<S>>,
-    conn: ConnId,
-    request: RequestId,
-) {
-    let leader = node.current_leader().index();
-    // `% n` keeps the index in range for any sane `addrs`; `.get`
-    // degrades an impossible empty list to a redirect the client treats
-    // as unreachable, instead of panicking the replica.
-    let addrs = host.addrs();
-    let addr = addrs
-        .get(leader.checked_rem(addrs.len()).unwrap_or(0))
-        .copied()
-        .unwrap_or_else(crate::client::unusable_addr);
-    let leader = wire_id(leader);
-    let frame = SmrFrame::Reply(SmrReply::Redirect {
-        request,
-        leader,
-        addr,
-    });
-    answer(host, conn, frame);
-    host.obs().redirects_served.inc();
-    host.obs().trace(TraceKind::RedirectServed {
-        leader: leader as u64,
-    });
-    host.drive(|ctx| node.on_redirect(ctx));
 }
 
 #[cfg(test)]

@@ -76,6 +76,8 @@
 
 mod bounded;
 pub mod checkpoint;
+pub mod client;
+pub mod frontend;
 pub mod harness;
 pub mod kv;
 pub mod machine;

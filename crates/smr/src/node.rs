@@ -43,8 +43,9 @@
 //! Applying an entry yields the machine's typed
 //! [`Response`](StateMachine::Response), which is recorded per client (the
 //! reply cache behind at-most-once retries) and surfaced through
-//! [`SmrNode::drain_applied`] so the embedding runtime can answer the
-//! submitting client with the actual result, not a bare acknowledgement.
+//! [`SmrNode::drain_applied`] so the client front-end
+//! ([`Frontend`](crate::frontend::Frontend)) can answer the submitting
+//! client with the actual result, not a bare acknowledgement.
 
 use crate::bounded::Bounded;
 use crate::checkpoint::{CheckpointVote, Checkpointer, Snapshot, StateReply, StateRequest};
@@ -178,7 +179,7 @@ pub struct SmrSettings {
     pub checkpoint_interval: usize,
     /// Admission control: most entries the pending queue may hold before
     /// the node reports itself [`overloaded`](SmrNode::overloaded)
-    /// (0 = unbounded). The live runtime sheds client submissions with an
+    /// (0 = unbounded). The client front-end sheds submissions with an
     /// explicit `Overloaded` reply at that point instead of queueing
     /// without bound and collapsing.
     pub max_pending: usize,
@@ -275,7 +276,7 @@ pub const FALLBACK_MIN_FUTURE_WINDOW: u64 = 16;
 pub const MAX_PENDING_ENTRIES: usize = 65_536;
 
 /// Notification that a client-tagged entry reached the applied log —
-/// drained by the embedding runtime to answer the submitting client with
+/// drained by the client front-end to answer the submitting client with
 /// the typed response.
 #[derive(Clone, Debug, PartialEq)]
 pub struct AppliedRequest<R> {
@@ -469,7 +470,7 @@ impl<S: StateMachine> SmrNode<S> {
 
     /// Whether admission control considers this node overloaded: the
     /// pending queue is at or past [`SmrSettings::max_pending`]. The
-    /// embedding runtime checks this before accepting a client submission
+    /// client front-end checks this before accepting a client submission
     /// and sheds with an explicit `Overloaded` reply instead of letting
     /// the queue (and every queued client's latency) grow without bound.
     /// Always `false` with `max_pending = 0`.
@@ -487,7 +488,8 @@ impl<S: StateMachine> SmrNode<S> {
         self.seat.cfg.leader_of(self.sync.current_view())
     }
 
-    fn leads(&self) -> bool {
+    /// Whether this node believes it leads the log's view.
+    pub fn leads(&self) -> bool {
         self.current_leader() == self.seat.id
     }
 
@@ -506,12 +508,12 @@ impl<S: StateMachine> SmrNode<S> {
     }
 
     /// Enqueues an entry for ordering and opens a slot for it if the
-    /// pipeline window allows. The live runtime calls this on the leader
-    /// for each accepted client request (writes *and* linearizable
-    /// reads).
+    /// pipeline window allows. The client front-end calls this on the
+    /// leader for each accepted client request (writes *and*
+    /// linearizable reads).
     pub fn submit(&mut self, entry: Entry<S::Op>, ctx: &mut Context<'_, SmrMessage>) {
-        // An embedding runtime that skips the `overloaded()` admission
-        // check must still not grow this queue without bound.
+        // A caller that skips the `overloaded()` admission check must
+        // still not grow this queue without bound.
         if self.pending.try_push(entry).is_err() {
             self.obs.drops_pending_overflow.inc();
             return;

@@ -1,7 +1,8 @@
 //! The virtual-time executor the `probft-smr` tests share: [`SmrNode`]s
-//! under `simnet`, built by `core::harness::run_cluster`, each behind a
-//! [`Member`] that pauses and resumes with the live cluster's semantics,
-//! fed by a client [`Load`] that retries like `SmrClient`, walked through
+//! under `simnet`, each behind a [`Member`] that pauses and resumes with the
+//! live cluster's semantics and serves clients through the live replica's
+//! [`Frontend`], and [`Client`] processes that run the live client's
+//! [`ClientPolicy`] against them over the same delay model — walked through
 //! nemesis [`FaultPlan`]s (1 tick = 1 µs) and ended by the live nemesis's
 //! invariant sweep. No socket, no wall clock: a seed replays bit for bit.
 
@@ -11,36 +12,39 @@
 )]
 
 use probft_core::config::{ProbftConfig, SharedConfig, View};
-use probft_core::harness::{run_cluster, Seat};
 use probft_core::message::Message;
+use probft_core::wire::Wire;
 use probft_crypto::keyring::Keyring;
 use probft_obs::MetricsSnapshot;
+use probft_quorum::ReplicaId;
 use probft_simnet::delay::{DelayModel, PartialSynchrony};
+use probft_simnet::metrics::Measurable;
 use probft_simnet::process::{Action, Context, Process, ProcessId, TimerToken};
 use probft_simnet::sim::{RunOutcome, Simulation};
 use probft_simnet::time::{SimDuration, SimTime};
+use probft_smr::client::ClientPolicy;
+use probft_smr::frontend::{Frontend, Reply};
 use probft_smr::nemesis::{self, Fault, FaultPlan, ReplicaReport};
 use probft_smr::{
-    Command, Entry, KvStore, RequestId, SlotMessage, SmrMessage, SmrNode, SmrSettings,
+    Command, KvResponse, KvStore, OpKind, RequestId, SlotMessage, SmrMessage, SmrNode, SmrSettings,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::cell::RefCell;
-use std::collections::BTreeSet;
-use std::rc::Rc;
+use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
+use std::time::Duration;
 
 pub const MAX_EVENTS: u64 = 20_000_000;
 /// How often a paused replica looks for its resume (the live host's wait).
 const PAUSED_POLL: u64 = 5_000;
-/// A client's attempt timeout (the live nemesis clients').
-const RETRY: u64 = 500_000;
-/// A member's own timers (a node numbers its timers from 1); request `r`'s
-/// is `CLIENT + r`.
+/// A member's own timer (a node numbers its timers from 1).
 const REDIRECT: TimerToken = TimerToken(u64::MAX - 1);
-const CLIENT: u64 = 1 << 62;
+/// A client's timer for its next send; an attempt's carries its number.
+const WAKE: TimerToken = TimerToken(u64::MAX);
+/// The live nemesis clients' attempt timeout.
+const RETRY: Duration = Duration::from_millis(500);
 
-/// The keys `run_cluster` deals a cluster of `n` built with `seed`.
+/// The keys a cluster of `n` built with `seed` is dealt.
 pub fn keyring(n: usize, seed: u64) -> Keyring {
     Keyring::generate(n, &seed.to_be_bytes())
 }
@@ -54,11 +58,42 @@ pub fn puts(tag: &str, count: usize) -> Vec<Command> {
     (0..count).map(put).collect()
 }
 
-/// Client requests over time: request `r`, a PUT of `key{r}` from a client
-/// of its own, is first sent at `r × every` ticks to every replica. The
-/// one that believes it leads queues it or answers it from its reply
-/// cache; the others treat it as a client turned away
-/// (`SmrNode::on_redirect`). Unanswered, it is sent again every `RETRY`.
+fn ticks(d: Duration) -> SimDuration {
+    SimDuration::from_ticks(d.as_micros() as u64)
+}
+
+/// What the processes send: replica traffic, a client's write, and the
+/// front-end's reply to it.
+#[derive(Clone, Debug)]
+pub enum Msg {
+    Peer(SmrMessage),
+    Request(RequestId, Command),
+    Reply(Reply<KvResponse>),
+}
+
+impl Measurable for Msg {
+    fn kind(&self) -> &'static str {
+        match self {
+            Msg::Peer(msg) => msg.kind(),
+            Msg::Request(..) => "client-request",
+            Msg::Reply(_) => "client-reply",
+        }
+    }
+
+    /// A client frame is metered at its id (16 B) and op.
+    fn wire_size(&self) -> usize {
+        match self {
+            Msg::Peer(msg) => msg.wire_size(),
+            Msg::Request(_, op) => 16 + op.wire_len(),
+            Msg::Reply(_) => 16,
+        }
+    }
+}
+
+/// Client requests over time: request `r`, a PUT of `key{r}`, is sent at
+/// `r × every` ticks by a client of its own, which — like the live
+/// nemesis clients — starts at replica `r mod n` and gives an attempt
+/// `RETRY`.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Load {
     pub count: usize,
@@ -70,10 +105,127 @@ impl Load {
         let client = r as u64 + 1;
         RequestId { client, seq: 1 }
     }
+
+    fn clients(self, n: usize) -> impl Iterator<Item = Client> {
+        (0..self.count).map(move |r| {
+            let op = Command::Put {
+                key: format!("key{r}"),
+                value: format!("val{r}"),
+            };
+            let due = SimTime::from_ticks(r as u64 * self.every);
+            Client::new(n, r % n, RETRY, [(due, Load::id(r), op)])
+        })
+    }
+}
+
+/// A client process: `SmrClient`'s [`ClientPolicy`] over the replicas'
+/// process ids, one request in flight, each sent when due or once the one
+/// before is answered, and resent under its id until answered — with no
+/// overall budget: the settle window bounds the run.
+pub struct Client {
+    policy: ClientPolicy<ProcessId>,
+    timeout: SimDuration,
+    /// What is still to send: when it is due, its id, its PUT.
+    queue: VecDeque<(SimTime, RequestId, Command)>,
+    /// The attempt in flight: its timer (its send time, unique to it) and
+    /// the replica asked.
+    asked: Option<(TimerToken, ProcessId)>,
+    /// When the front request was first sent.
+    sent: Option<SimTime>,
+    /// `(request, first sent, answered)` of every request answered.
+    answered: Vec<(RequestId, SimTime, SimTime)>,
+}
+
+impl Client {
+    /// A client of replicas `0..n` that starts at `hint` and gives an
+    /// attempt `timeout`.
+    pub fn new(
+        n: usize,
+        hint: usize,
+        timeout: Duration,
+        requests: impl IntoIterator<Item = (SimTime, RequestId, Command)>,
+    ) -> Self {
+        Client {
+            policy: ClientPolicy::new((0..n).map(ProcessId).collect(), ProcessId(hint)),
+            timeout: ticks(timeout),
+            queue: requests.into_iter().collect(),
+            asked: None,
+            sent: None,
+            answered: Vec::new(),
+        }
+    }
+
+    /// Sends the front request where the policy says, or wakes when it is
+    /// due.
+    fn send(&mut self, ctx: &mut Context<'_, Msg>) {
+        let Some((due, request, op)) = self.queue.front() else {
+            return;
+        };
+        if ctx.now() < *due {
+            return ctx.set_timer(*due - ctx.now(), WAKE);
+        }
+        if self.sent.is_none() {
+            self.sent = Some(ctx.now());
+            self.policy.begin();
+        }
+        let (attempt, to) = (TimerToken(ctx.now().ticks()), self.policy.target());
+        self.asked = Some((attempt, to));
+        ctx.send(to, Msg::Request(*request, op.clone()));
+        ctx.set_timer(self.timeout, attempt);
+    }
+}
+
+impl Process for Client {
+    type Message = Msg;
+
+    fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
+        self.send(ctx);
+    }
+
+    /// A reply to the attempt in flight; any other (an earlier attempt's,
+    /// from a replica since left) is dropped, as with its connection.
+    fn on_message(&mut self, from: ProcessId, msg: Msg, ctx: &mut Context<'_, Msg>) {
+        let (Msg::Reply(reply), Some((_, asked))) = (msg, self.asked) else {
+            return;
+        };
+        let (Reply::Applied { request, .. }
+        | Reply::Read { request, .. }
+        | Reply::Redirect { request, .. }
+        | Reply::Overloaded { request, .. }) = reply;
+        if from != asked || self.queue.front().map(|q| q.1) != Some(request) {
+            return;
+        }
+        self.asked = None;
+        match reply {
+            Reply::Redirect { leader, .. } => {
+                self.policy.redirected(asked, ProcessId(leader.index()));
+                self.send(ctx);
+            }
+            Reply::Overloaded { .. } => ctx.set_timer(ticks(self.policy.overloaded()), WAKE),
+            Reply::Applied { .. } | Reply::Read { .. } => {
+                self.policy.answered();
+                self.queue.pop_front();
+                let sent = self.sent.take().unwrap_or(ctx.now());
+                self.answered.push((request, sent, ctx.now()));
+                self.send(ctx);
+            }
+        }
+    }
+
+    fn on_timer(&mut self, token: TimerToken, ctx: &mut Context<'_, Msg>) {
+        match self.asked {
+            None if token == WAKE => self.send(ctx),
+            Some((attempt, asked)) if token == attempt => {
+                self.policy.silent(asked);
+                self.send(ctx);
+            }
+            _ => {}
+        }
+    }
 }
 
 /// A Byzantine replica's behaviour beside its honest node: called at start
-/// (`None`) and after the node handled each message.
+/// (`None`) and after the node handled each peer message.
 pub type Strategy =
     Box<dyn FnMut(Option<&SmrMessage>, &SmrNode<KvStore>, &mut Context<'_, SmrMessage>)>;
 
@@ -88,6 +240,8 @@ pub struct Spec {
     /// Untagged writes queued at replica `i` from the start.
     pub workloads: Vec<Vec<Command>>,
     pub load: Load,
+    /// Clients beside the load's.
+    pub clients: Vec<Client>,
     pub byzantine: Vec<(usize, Strategy)>,
     /// Replica `i` is told at the given time that a client was turned away.
     pub redirects: Vec<(usize, SimTime)>,
@@ -105,23 +259,23 @@ impl Spec {
             network: Box::new(PartialSynchrony::synchronous(ticks(1), ticks(100))),
             workloads: Vec::new(),
             load: Load::default(),
+            clients: Vec::new(),
             byzantine: Vec::new(),
             redirects: Vec::new(),
         }
     }
 }
 
-/// One replica: its node, with its input and output in view, pausable.
+/// One replica: its node and its clients' front-end, with its input and
+/// output in view, pausable.
 pub struct Member {
     pub id: usize,
     pub node: SmrNode<KvStore>,
+    frontend: Frontend<ProcessId>,
     strategy: Option<Strategy>,
-    load: Load,
     redirect_at: Option<SimTime>,
     /// Paused: input dropped, timers held until resume, nothing sent.
     paused: bool,
-    /// The requests the load's clients had answered, shared by all.
-    answered: Rc<RefCell<BTreeSet<RequestId>>>,
     /// Handed to the node's contexts, which draw nothing from it.
     rng: StdRng,
     /// `(when, delay)` of every timer the node set.
@@ -141,22 +295,28 @@ impl Member {
     }
 
     pub fn leads(&self) -> bool {
-        self.node.current_leader().index() == self.id
+        self.node.leads()
     }
 
     pub fn metrics(&self) -> MetricsSnapshot {
         self.node.obs().snapshot()
     }
 
-    /// Runs `step` against the node and passes on what it did.
-    fn observe(
+    /// Runs `step` against the node and its front-end, passes on what the
+    /// node did, and sends the answers it applied.
+    fn observe<R>(
         &mut self,
-        ctx: &mut Context<'_, SmrMessage>,
-        step: impl FnOnce(&mut SmrNode<KvStore>, &mut Context<'_, SmrMessage>),
-    ) {
+        ctx: &mut Context<'_, Msg>,
+        step: impl FnOnce(
+            &mut SmrNode<KvStore>,
+            &mut Frontend<ProcessId>,
+            &mut Context<'_, SmrMessage>,
+        ) -> R,
+    ) -> R {
         let view = self.node.current_view();
         let mut inner = Context::detached(ctx.id(), ctx.now(), &mut self.rng);
-        step(&mut self.node, &mut inner);
+        let out = step(&mut self.node, &mut self.frontend, &mut inner);
+        let answers = self.frontend.on_applied(&mut self.node, &inner);
         if self.node.current_view() != view {
             self.entered.push((self.node.current_view(), ctx.now()));
         }
@@ -166,7 +326,7 @@ impl Member {
                     if is_wish(&msg) && to != ctx.id() {
                         self.first_wish_at.get_or_insert(ctx.now());
                     }
-                    ctx.send(to, msg);
+                    ctx.send(to, Msg::Peer(msg));
                 }
                 Action::SetTimer { delay, token } => {
                     self.timers.push((ctx.now(), delay));
@@ -175,42 +335,18 @@ impl Member {
                 Action::Halt => ctx.halt(),
             }
         }
-        // The leader answers what it applies.
-        let applied = self.node.drain_applied().into_iter().map(|a| a.request);
-        if self.leads() {
-            self.answered.borrow_mut().extend(applied);
+        for (to, reply) in answers {
+            ctx.send(to, Msg::Reply(reply));
         }
+        out
     }
 
-    fn fire(&mut self, token: TimerToken, ctx: &mut Context<'_, SmrMessage>) {
-        match token {
-            REDIRECT => self.observe(ctx, |node, ctx| node.on_redirect(ctx)),
-            TimerToken(t) if t >= CLIENT => self.client(t - CLIENT, ctx),
-            token => self.observe(ctx, |node, ctx| node.on_timer(token, ctx)),
+    /// Runs the Byzantine strategy, if any, after the node heard `heard`.
+    fn scheme(&mut self, heard: Option<&SmrMessage>, ctx: &mut Context<'_, Msg>) {
+        if let Some(mut strategy) = self.strategy.take() {
+            self.observe(ctx, |node, _, ctx| strategy(heard, node, ctx));
+            self.strategy = Some(strategy);
         }
-    }
-
-    /// Unanswered request `r` reaches this replica.
-    fn client(&mut self, r: u64, ctx: &mut Context<'_, SmrMessage>) {
-        let id = Load::id(r as usize);
-        if self.answered.borrow().contains(&id) {
-            return;
-        }
-        if !self.leads() {
-            self.observe(ctx, |node, ctx| node.on_redirect(ctx));
-        } else if self.node.cached_response(id).is_some() {
-            self.answered.borrow_mut().insert(id);
-            return;
-        } else {
-            let op = Command::Put {
-                key: format!("key{r}"),
-                value: format!("val{r}"),
-            };
-            self.observe(ctx, |node, ctx| {
-                node.submit(Entry::tagged_write(id, op), ctx)
-            });
-        }
-        ctx.set_timer(SimDuration::from_ticks(RETRY), TimerToken(CLIENT + r));
     }
 }
 
@@ -222,56 +358,106 @@ fn is_wish(msg: &SmrMessage) -> bool {
 }
 
 impl Process for Member {
-    type Message = SmrMessage;
+    type Message = Msg;
 
-    fn on_start(&mut self, ctx: &mut Context<'_, SmrMessage>) {
+    fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
         if let Some(at) = self.redirect_at {
             ctx.set_timer(SimDuration::from_ticks(at.ticks()), REDIRECT);
         }
-        for r in 0..self.load.count as u64 {
-            ctx.set_timer(
-                SimDuration::from_ticks(r * self.load.every),
-                TimerToken(CLIENT + r),
-            );
-        }
-        self.observe(ctx, |node, ctx| node.on_start(ctx));
-        if let Some(strategy) = &mut self.strategy {
-            strategy(None, &self.node, ctx);
-        }
+        self.observe(ctx, |node, _, ctx| node.on_start(ctx));
+        self.scheme(None, ctx);
     }
 
-    fn on_message(&mut self, from: ProcessId, msg: SmrMessage, ctx: &mut Context<'_, SmrMessage>) {
+    fn on_message(&mut self, from: ProcessId, msg: Msg, ctx: &mut Context<'_, Msg>) {
         if self.paused {
             return;
         }
-        if is_wish(&msg) && from != ctx.id() {
-            self.wishes_heard += 1;
-        }
-        let heard = self.strategy.is_some().then(|| msg.clone());
-        self.observe(ctx, |node, ctx| node.on_message(from, msg, ctx));
-        if let Some(strategy) = &mut self.strategy {
-            strategy(heard.as_ref(), &self.node, ctx);
+        match msg {
+            Msg::Peer(msg) => {
+                if is_wish(&msg) && from != ctx.id() {
+                    self.wishes_heard += 1;
+                }
+                let heard = self.strategy.is_some().then(|| msg.clone());
+                self.observe(ctx, |node, _, ctx| node.on_message(from, msg, ctx));
+                self.scheme(heard.as_ref(), ctx);
+            }
+            Msg::Request(request, op) => {
+                let reply = self.observe(ctx, |node, frontend, ctx| {
+                    frontend.on_request(node, request, OpKind::Write, op, from, ctx)
+                });
+                if let Some(reply) = reply {
+                    ctx.send(from, Msg::Reply(reply));
+                }
+            }
+            Msg::Reply(_) => {}
         }
     }
 
-    fn on_timer(&mut self, token: TimerToken, ctx: &mut Context<'_, SmrMessage>) {
+    fn on_timer(&mut self, token: TimerToken, ctx: &mut Context<'_, Msg>) {
         if self.paused {
             // Held: looked at again after the host's paused-replica wait.
             ctx.set_timer(SimDuration::from_ticks(PAUSED_POLL), token);
+        } else if token == REDIRECT {
+            self.observe(ctx, |node, _, ctx| node.on_redirect(ctx));
         } else {
-            self.fire(token, ctx);
+            self.observe(ctx, |node, _, ctx| node.on_timer(token, ctx));
         }
     }
 }
 
+/// A process of the cluster: replicas first, then clients.
+pub enum Proc {
+    Replica(Box<Member>),
+    Client(Client),
+}
+
+impl Proc {
+    fn process(&mut self) -> &mut dyn Process<Message = Msg> {
+        match self {
+            Proc::Replica(m) => &mut **m,
+            Proc::Client(c) => c,
+        }
+    }
+}
+
+impl Process for Proc {
+    type Message = Msg;
+
+    fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
+        self.process().on_start(ctx);
+    }
+
+    fn on_message(&mut self, from: ProcessId, msg: Msg, ctx: &mut Context<'_, Msg>) {
+        self.process().on_message(from, msg, ctx);
+    }
+
+    fn on_timer(&mut self, token: TimerToken, ctx: &mut Context<'_, Msg>) {
+        self.process().on_timer(token, ctx);
+    }
+}
+
+fn members(sim: &Simulation<Proc>) -> impl Iterator<Item = &Member> {
+    sim.processes().filter_map(|(_, p)| match p {
+        Proc::Replica(m) => Some(&**m),
+        Proc::Client(_) => None,
+    })
+}
+
+fn clients(sim: &Simulation<Proc>) -> impl Iterator<Item = &Client> {
+    sim.processes().filter_map(|(_, p)| match p {
+        Proc::Client(c) => Some(c),
+        Proc::Replica(_) => None,
+    })
+}
+
 /// A running cluster, and the executor of fault plans against it.
 pub struct Cluster {
-    pub sim: Simulation<Member>,
+    pub sim: Simulation<Proc>,
     pub seed: u64,
     cfg: SharedConfig,
     keyring: Keyring,
-    load: Load,
-    answered: Rc<RefCell<BTreeSet<RequestId>>>,
+    /// How many requests the clients send in all.
+    requests: usize,
     /// One line per fault fired, as the live executor's transcript.
     pub transcript: Vec<String>,
 }
@@ -286,64 +472,67 @@ impl Cluster {
             network,
             mut workloads,
             load,
+            clients,
             mut byzantine,
             redirects,
         } = spec;
+        let n = cfg.n();
         let cfg: SharedConfig = Arc::new(cfg);
-        let answered = Rc::default();
-        let spawn = |seat: Seat| {
-            let id = seat.id.index();
+        let keyring = keyring(n, seed);
+        let keys = Arc::new(keyring.public());
+        let mut sim = Simulation::new(network, seed);
+        for id in 0..n {
+            let sk = keyring.signing_key(id).expect("in range").clone();
             let workload = workloads
                 .get_mut(id)
                 .map(std::mem::take)
                 .unwrap_or_default();
+            let replica = ReplicaId::from(id);
+            let node = SmrNode::new(cfg.clone(), replica, sk, keys.clone(), workload, settings);
             let strategy = byzantine.iter().position(|(i, _)| *i == id);
-            Member {
+            sim.add_process(Proc::Replica(Box::new(Member {
                 id,
-                node: SmrNode::new(seat.cfg, seat.id, seat.sk, seat.keys, workload, settings),
+                node,
+                frontend: Frontend::default(),
                 strategy: strategy.map(|k| byzantine.remove(k).1),
-                load,
                 redirect_at: redirects.iter().find(|(i, _)| *i == id).map(|(_, at)| *at),
                 paused: false,
-                answered: Rc::clone(&answered),
                 rng: StdRng::seed_from_u64(0),
                 timers: Vec::new(),
                 first_wish_at: None,
                 wishes_heard: 0,
                 entered: Vec::new(),
-            }
-        };
-        // With no event budget this builds and starts the cluster, which
-        // runs in phases from here.
-        let (sim, _) = run_cluster(cfg.clone(), seed, network, spawn, |_| true, 0);
-        let keyring = keyring(cfg.n(), seed);
-        let transcript = Vec::new();
+            })));
+        }
+        let mut requests = 0;
+        for client in load.clients(n).chain(clients) {
+            requests += client.queue.len();
+            sim.add_process(Proc::Client(client));
+        }
         Cluster {
             sim,
             seed,
             cfg,
             keyring,
-            load,
-            answered,
-            transcript,
+            requests,
+            transcript: Vec::new(),
         }
     }
 
     pub fn member(&self, i: usize) -> &Member {
-        self.sim.process(ProcessId(i))
+        members(&self.sim).nth(i).expect("a replica")
     }
 
     /// The honest, unpaused replicas.
     pub fn live(&self) -> impl Iterator<Item = (usize, &Member)> {
-        self.sim
-            .processes()
-            .map(|(id, m)| (id.index(), m))
-            .filter(|(_, m)| m.is_live())
+        members(&self.sim)
+            .filter(|m| m.is_live())
+            .map(|m| (m.id, m))
     }
 
     /// Runs until `done` holds of every honest unpaused replica.
     pub fn run_until(&mut self, done: impl Fn(&Member) -> bool) {
-        let all = |sim: &Simulation<Member>| sim.processes().all(|(_, m)| !m.is_live() || done(m));
+        let all = |sim: &Simulation<Proc>| members(sim).all(|m| !m.is_live() || done(m));
         let outcome = self.sim.run_until_condition(all, MAX_EVENTS);
         assert_eq!(outcome, RunOutcome::ConditionMet, "seed {}", self.seed);
     }
@@ -351,9 +540,9 @@ impl Cluster {
     /// Runs until every honest unpaused replica has applied as many slots
     /// as every other.
     pub fn run_until_level(&mut self) {
-        let level = |sim: &Simulation<Member>| {
-            let live = sim.processes().filter(|(_, m)| m.is_live());
-            let mut applied = live.map(|(_, m)| m.node.slots_applied());
+        let level = |sim: &Simulation<Proc>| {
+            let live = members(sim).filter(|m| m.is_live());
+            let mut applied = live.map(|m| m.node.slots_applied());
             let first = applied.next();
             applied.all(|a| Some(a) == first)
         };
@@ -366,9 +555,12 @@ impl Cluster {
     pub fn execute(&mut self, plan: &FaultPlan) {
         let start = self.sim.now();
         for (offset, fault) in plan.events() {
-            let ticks = u64::try_from(offset.as_micros()).expect("an offset in range");
-            self.sim
-                .run_until(start + SimDuration::from_ticks(ticks), MAX_EVENTS);
+            let at = start + ticks(offset);
+            // A fault due now fires now, in the state the caller saw —
+            // not after the events that happen to share its tick.
+            if at > self.sim.now() {
+                self.sim.run_until(at, MAX_EVENTS);
+            }
             let line = self.fire(&fault, plan.seed());
             self.transcript
                 .push(format!("t+{}ms {line}", offset.as_millis()));
@@ -376,15 +568,15 @@ impl Cluster {
     }
 
     fn fire(&mut self, fault: &Fault, seed: u64) -> String {
-        for (_, m) in self.sim.processes() {
+        for m in members(&self.sim) {
             fault.journal(&m.node.obs());
         }
-        let (n, leader, view) = (self.sim.len(), self.leader(), self.view());
-        let applied = self.sim.processes().map(|(_, m)| m.node.slots_applied());
+        let (n, leader, view) = (self.cfg.n(), self.leader(), self.view());
+        let applied = members(&self.sim).map(|m| m.node.slots_applied());
         let frontier = applied.max().unwrap_or(0);
         let mut pause = |i: usize, paused| {
-            if i < n {
-                self.sim.process_mut(ProcessId(i)).paused = paused;
+            if let (true, Proc::Replica(m)) = (i < n, self.sim.process_mut(ProcessId(i))) {
+                m.paused = paused;
             }
         };
         let line = match fault {
@@ -437,7 +629,7 @@ impl Cluster {
         let mut sent = 0;
         for i in targets {
             for msg in forged(i) {
-                let msg = SmrMessage::Slot(msg);
+                let msg = Msg::Peer(SmrMessage::Slot(msg));
                 self.sim.send_from(ProcessId(attacker), ProcessId(i), msg);
                 sent += 1;
             }
@@ -446,10 +638,7 @@ impl Cluster {
     }
 
     fn unpaused(&self) -> impl Iterator<Item = usize> + '_ {
-        self.sim
-            .processes()
-            .filter(|(_, m)| !m.paused)
-            .map(|(id, _)| id.index())
+        members(&self.sim).filter(|m| !m.paused).map(|m| m.id)
     }
 
     /// The view the unpaused replicas hold the log in
@@ -463,39 +652,46 @@ impl Cluster {
         self.cfg.leader_of(self.view()).index()
     }
 
-    /// Runs until every honest unpaused replica holds the whole load,
-    /// level with the others, and every request was answered — or until
-    /// `within` has passed. Whether it got there.
+    /// Runs until every honest unpaused replica holds every client
+    /// request, level with the others, and every request was answered — or
+    /// until `within` has passed. Whether it got there.
     pub fn settle(&mut self, within: SimDuration) -> bool {
-        let deadline = self.sim.now() + within;
-        let (count, answered) = (self.load.count, Rc::clone(&self.answered));
-        let settled = move |sim: &Simulation<Member>| {
-            let mut lens = sim.processes().filter(|(_, m)| m.is_live()).map(|(_, m)| {
+        let (deadline, count) = (self.sim.now() + within, self.requests);
+        let settled = move |sim: &Simulation<Proc>| {
+            let mut lens = members(sim).filter(|m| m.is_live()).map(|m| {
                 let all = m.node.state().applied() as usize >= count;
                 all.then(|| m.node.total_log_len())
             });
             let first = lens.next().flatten();
-            first.is_some() && lens.all(|len| len == first) && answered.borrow().len() == count
+            first.is_some()
+                && lens.all(|len| len == first)
+                && clients(sim).all(|c| c.queue.is_empty())
         };
-        let done = |sim: &Simulation<Member>| sim.now() > deadline || settled(sim);
+        let done = |sim: &Simulation<Proc>| sim.now() > deadline || settled(sim);
         self.sim.run_until_condition(done, MAX_EVENTS);
         settled(&self.sim)
     }
 
     pub fn reports(&self) -> Vec<ReplicaReport> {
-        self.sim.processes().map(|(_, m)| m.node.report()).collect()
+        members(&self.sim).map(|m| m.node.report()).collect()
     }
 
-    /// The requests the load's clients had answered.
+    /// `(request, first sent, answered)` of every request a client had
+    /// answered.
+    pub fn answers(&self) -> impl Iterator<Item = &(RequestId, SimTime, SimTime)> {
+        clients(&self.sim).flat_map(|c| &c.answered)
+    }
+
+    /// The requests the clients had answered.
     pub fn confirmed(&self) -> BTreeSet<RequestId> {
-        self.answered.borrow().clone()
+        self.answers().map(|(request, ..)| *request).collect()
     }
 
     /// The paused and the Byzantine replicas: what the sweep leaves out.
     pub fn excluded(&self) -> Vec<usize> {
-        let all = self.sim.processes();
-        all.filter(|(_, m)| !m.is_live())
-            .map(|(id, _)| id.index())
+        members(&self.sim)
+            .filter(|m| !m.is_live())
+            .map(|m| m.id)
             .collect()
     }
 

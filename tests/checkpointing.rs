@@ -197,11 +197,12 @@ fn live_stalled_replica_catches_up_by_state_transfer_not_replay() {
          not replay (stalled at {stalled_at})",
         lagger.log_offset,
     );
-    assert!(
-        lagger.metrics.counter("drops_future_horizon") > 0,
-        "traffic beyond the shrunken horizon must have been dropped, \
-         proving recovery came from transfer"
-    );
+    // Whether it dropped traffic beyond its horizon first is a race here:
+    // its held view timer fires first on resume, and the wish, tagged with
+    // a slot below the peers' stable checkpoint, can bring the checkpoint
+    // back before any out-of-window frame arrives. The drop is pinned in
+    // virtual time, where a seed fixes the order
+    // (`chaos::pausing_leader_at_checkpoint_boundary_keeps_resident_bound`).
     for r in &reports {
         assert_eq!(r.total_log_len(), submitted as u64, "replica {}", r.id);
         assert_eq!(r.log_digest, first.log_digest, "replica {}", r.id);

@@ -78,6 +78,8 @@ pub struct Synchronizer {
     progress_view: View,
     /// Generation of the running timer: only the latest one set counts.
     timer: u64,
+    /// Whether a timer is running: armed, and not stopped since.
+    running: bool,
 }
 
 impl Synchronizer {
@@ -100,6 +102,7 @@ impl Synchronizer {
             answered: BTreeMap::new(),
             progress_view: View::FIRST,
             timer: 0,
+            running: false,
         }
     }
 
@@ -115,7 +118,13 @@ impl Synchronizer {
         let behind = self.current.0.saturating_sub(self.progress_view.0);
         let delay = cfg.timeout_for(View(behind.saturating_add(1)));
         self.timer = self.timer.wrapping_add(1);
+        self.running = true;
         ctx.set_timer(delay, TimerToken(self.timer));
+    }
+
+    /// Whether the view timer is running.
+    pub fn running(&self) -> bool {
+        self.running
     }
 
     /// The view timer follows the work: begun afresh while there is
@@ -125,6 +134,7 @@ impl Synchronizer {
             self.arm(cfg, ctx);
         } else {
             self.timer = self.timer.wrapping_add(1);
+            self.running = false;
         }
     }
 

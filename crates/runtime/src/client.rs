@@ -283,18 +283,18 @@ impl<S: StateMachine> SmrClient<S> {
             }
 
             match self.await_reply(request) {
-                Some(Answer::Applied(response)) => {
+                Some(SmrReply::Applied { response, .. } | SmrReply::Read { response, .. }) => {
                     self.policy.answered();
                     self.obs
                         .request_rtt_us
                         .record(crate::host::micros(started.elapsed()));
                     return Ok(response);
                 }
-                Some(Answer::Redirect(named)) => {
+                Some(SmrReply::Redirect { addr, .. }) => {
                     self.obs.client_redirects.inc();
-                    self.policy.redirected(target, named);
+                    self.policy.redirected(target, addr);
                 }
-                Some(Answer::Overloaded) => {
+                Some(SmrReply::Overloaded { .. }) => {
                     // The connection stays up: the retry goes to the same
                     // replica.
                     self.obs.client_overloads.inc();
@@ -312,7 +312,7 @@ impl<S: StateMachine> SmrClient<S> {
     /// Reads frames until the reply for `request` arrives or the attempt
     /// times out. Stale replies (earlier retries, earlier sequence
     /// numbers) are skipped.
-    fn await_reply(&mut self, request: RequestId) -> Option<Answer<S::Response>> {
+    fn await_reply(&mut self, request: RequestId) -> Option<SmrReply<S::Response>> {
         // Elapsed time against the timeout, not a deadline: an attempt
         // timeout too long for an `Instant` (`Duration::MAX`) is no limit.
         let started = Instant::now();
@@ -323,22 +323,7 @@ impl<S: StateMachine> SmrClient<S> {
             }
             match read_frame(stream) {
                 Ok(Some(bytes)) => match SmrFrame::<S>::from_wire_bytes(&bytes) {
-                    Ok(SmrFrame::Reply(SmrReply::Applied {
-                        request: r,
-                        response,
-                    })) if r == request => return Some(Answer::Applied(response)),
-                    Ok(SmrFrame::Reply(SmrReply::Redirect {
-                        request: r, addr, ..
-                    })) if r == request => return Some(Answer::Redirect(addr)),
-                    Ok(SmrFrame::Reply(SmrReply::Overloaded { request: r, .. }))
-                        if r == request =>
-                    {
-                        return Some(Answer::Overloaded)
-                    }
-                    Ok(SmrFrame::ReadReply {
-                        request: r,
-                        response,
-                    }) if r == request => return Some(Answer::Applied(response)),
+                    Ok(SmrFrame::Reply(reply)) if reply.request() == request => return Some(reply),
                     Ok(_) | Err(_) => continue, // stale or foreign frame
                 },
                 Ok(None) => return None, // replica closed the connection
@@ -424,15 +409,6 @@ impl SmrClient<KvStore> {
         let response = self.read(Command::Get { key: key.into() }, consistency)?;
         Ok(response.value().map(str::to_owned))
     }
-}
-
-/// A reply that concerns the in-flight request.
-enum Answer<R> {
-    Applied(R),
-    Redirect(SocketAddr),
-    /// The leader shed the request under admission control; retry it
-    /// after a backoff instead of rotating.
-    Overloaded,
 }
 
 /// A placeholder address for a client constructed with no replicas; every

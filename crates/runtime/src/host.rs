@@ -811,10 +811,10 @@ mod tests {
                 request,
                 response: KvResponse::Prev(None),
             }),
-            SmrFrame::ReadReply {
+            SmrFrame::Reply(SmrReply::Read {
                 request,
                 response: KvResponse::Value(None),
-            },
+            }),
         ];
         let bytes: Vec<Vec<u8>> = frames.iter().map(|f| f.to_wire_bytes()).collect();
         for frame in &bytes {

@@ -9,8 +9,8 @@
 //! leader, reply-cache answer, shed, or accept and answer once applied —
 //! is decided by the sans-I/O [`Frontend`] (`probft_smr::frontend`), the
 //! one the virtual-time executor runs too; this module only decodes the
-//! frame, calls it, and writes the [`SmrReply`] or [`SmrFrame::ReadReply`]
-//! it returns, adding the leader's address to a redirect.
+//! frame, calls it, and writes the [`SmrReply`] it returns, adding the
+//! leader's address to a redirect.
 //!
 //! With a [`checkpoint_interval`](LiveSmrBuilder::checkpoint_interval)
 //! set, the checkpoint subsystem rides three more frames: signed
@@ -69,7 +69,8 @@ pub enum SmrFrame<S: StateMachine> {
         /// The operation to order.
         op: S::Op,
     },
-    /// Replica-to-client outcome of a [`Request`](Self::Request).
+    /// Replica-to-client outcome of a [`Request`](Self::Request) or a
+    /// [`ReadRequest`](Self::ReadRequest).
     Reply(SmrReply<S::Response>),
     /// Client-to-replica read served off the replica's applied state,
     /// bypassing consensus ([`Consistency::Local`] and
@@ -82,14 +83,6 @@ pub enum SmrFrame<S: StateMachine> {
         consistency: Consistency,
         /// The read operation to evaluate.
         op: S::Op,
-    },
-    /// Replica-to-client answer to a consensus-bypassing read.
-    ReadReply {
-        /// The read this answers.
-        request: RequestId,
-        /// The machine's typed response, evaluated between whole-batch
-        /// applies (never torn).
-        response: S::Response,
     },
     /// Replica-to-replica signed checkpoint attestation. The Schnorr
     /// signature inside the vote (not the connection it arrived on) is
@@ -115,44 +108,10 @@ pub enum SmrFrame<S: StateMachine> {
     },
 }
 
-/// A replica's answer to a client submission.
-#[derive(Clone, Debug, PartialEq)]
-pub enum SmrReply<R> {
-    /// The operation reached the replicated log and was applied (or was
-    /// recognised as an already-applied retry and answered from the
-    /// reply cache). Sent only after apply, carrying the typed result.
-    Applied {
-        /// The request this reply answers.
-        request: RequestId,
-        /// What the operation returned when it executed.
-        response: R,
-    },
-    /// This replica is not the leader; resubmit to the named replica:
-    /// the leader of the log's view as the redirecting replica holds it,
-    /// so after a view change even an idle replica points at the new
-    /// leader.
-    Redirect {
-        /// The request this reply answers.
-        request: RequestId,
-        /// The replica currently believed to lead, by id.
-        leader: u32,
-        /// The same replica's listening address — the authoritative hint,
-        /// valid even if the client orders its address list differently.
-        addr: SocketAddr,
-    },
-    /// Admission control: the leader *is* alive and *is* the leader, but
-    /// its pending queue is full, so this submission was shed instead of
-    /// queued. The right client response is to back off and retry the
-    /// same request id *here* — rotating to another replica would only
-    /// stampede a follower that redirects straight back.
-    Overloaded {
-        /// The request that was shed (not ordered, not applied).
-        request: RequestId,
-        /// The queue depth observed when shedding — a load signal the
-        /// client can feed into its backoff.
-        queued: u32,
-    },
-}
+/// A replica's answer to a client, as the wire carries it: the
+/// [`Frontend`]'s [`Reply`], a redirect's leader named by its listening
+/// address too.
+pub type SmrReply<R> = Reply<R, SocketAddr>;
 
 const FRAME_PEER: u8 = 1;
 const FRAME_REQUEST: u8 = 2;
@@ -214,7 +173,7 @@ impl<S: StateMachine> Wire for SmrFrame<S> {
             }) => {
                 out.push(FRAME_REDIRECT);
                 encode_request(out, *request);
-                put::u32(out, *leader);
+                put::u32(out, leader.0);
                 encode_addr(out, addr);
             }
             SmrFrame::Reply(SmrReply::Overloaded { request, queued }) => {
@@ -232,7 +191,7 @@ impl<S: StateMachine> Wire for SmrFrame<S> {
                 consistency.encode(out);
                 op.encode(out);
             }
-            SmrFrame::ReadReply { request, response } => {
+            SmrFrame::Reply(SmrReply::Read { request, response }) => {
                 out.push(FRAME_READ_REPLY);
                 encode_request(out, *request);
                 response.encode(out);
@@ -274,7 +233,7 @@ impl<S: StateMachine> Wire for SmrFrame<S> {
             }
             FRAME_REDIRECT => {
                 let request = decode_request(r)?;
-                let leader = r.u32()?;
+                let leader = ReplicaId(r.u32()?);
                 let addr = decode_addr(r)?;
                 Ok(SmrFrame::Reply(SmrReply::Redirect {
                     request,
@@ -300,7 +259,7 @@ impl<S: StateMachine> Wire for SmrFrame<S> {
             FRAME_READ_REPLY => {
                 let request = decode_request(r)?;
                 let response = S::Response::decode(r)?;
-                Ok(SmrFrame::ReadReply { request, response })
+                Ok(SmrFrame::Reply(SmrReply::Read { request, response }))
             }
             FRAME_CHECKPOINT_VOTE => Ok(SmrFrame::CheckpointVote(CheckpointVote::decode(r)?)),
             FRAME_STATE_REQUEST => {
@@ -730,7 +689,7 @@ pub(crate) fn smr_decoder<S: StateMachine>(
             }
             frame @ SmrFrame::Request { .. } => (&in_request, SmrEvent::Client(reply, frame)),
             frame @ SmrFrame::ReadRequest { .. } => (&in_read, SmrEvent::Client(reply, frame)),
-            SmrFrame::Reply(_) | SmrFrame::ReadReply { .. } => return None,
+            SmrFrame::Reply(_) => return None,
         };
         bytes_in.add(frame.len() as u64);
         Some(event)
@@ -784,39 +743,26 @@ fn smr_replica_main<S: StateMachine>(
     node.report()
 }
 
-/// Queues `reply` to a client as its frame; a redirect also carries the
-/// leader's address. Best-effort: a client that has gone never reads its
-/// answer, and a retry is answered from the reply cache.
+/// Queues `reply` to a client as its frame, a redirect naming the
+/// leader's address too. Best-effort: a client that has gone never reads
+/// its answer, and a retry is answered from the reply cache.
 fn write_reply<S: StateMachine>(
     host: &mut Host<SmrMessage, SmrEvent<S>>,
     conn: ConnId,
     reply: Reply<S::Response>,
 ) {
-    let frame = match reply {
-        Reply::Applied { request, response } => {
-            SmrFrame::<S>::Reply(SmrReply::Applied { request, response })
-        }
-        Reply::Read { request, response } => SmrFrame::ReadReply { request, response },
-        Reply::Overloaded { request, queued } => {
-            SmrFrame::Reply(SmrReply::Overloaded { request, queued })
-        }
-        Reply::Redirect { request, leader } => {
-            // `% n` keeps the index in range for any sane `addrs`; `.get`
-            // degrades an impossible empty list to a redirect the client
-            // treats as unreachable, instead of panicking the replica.
-            let addrs = host.addrs();
-            let addr = addrs
-                .get(leader.index().checked_rem(addrs.len()).unwrap_or(0))
-                .copied()
-                .unwrap_or_else(crate::client::unusable_addr);
-            let leader = leader.0;
-            SmrFrame::Reply(SmrReply::Redirect {
-                request,
-                leader,
-                addr,
-            })
-        }
+    // `% n` keeps the index in range for any sane `addrs`; `.get`
+    // degrades an impossible empty list to a redirect the client treats
+    // as unreachable, instead of panicking the replica.
+    let addrs = host.addrs();
+    let addr = |leader: ReplicaId| {
+        let i = leader.index().checked_rem(addrs.len()).unwrap_or(0);
+        addrs
+            .get(i)
+            .copied()
+            .unwrap_or_else(crate::client::unusable_addr)
     };
+    let frame = SmrFrame::<S>::Reply(reply.addressed(addr));
     host.write(conn, &frame.to_wire_bytes());
 }
 
@@ -851,7 +797,7 @@ mod tests {
             }),
             SmrFrame::Reply(SmrReply::Redirect {
                 request: sample_request(),
-                leader: 2,
+                leader: ReplicaId(2),
                 addr: "127.0.0.1:4242".parse().unwrap(),
             }),
             SmrFrame::ReadRequest {
@@ -864,10 +810,10 @@ mod tests {
                 consistency: Consistency::Leader,
                 op: Command::Get { key: "k".into() },
             },
-            SmrFrame::ReadReply {
+            SmrFrame::Reply(SmrReply::Read {
                 request: sample_request(),
                 response: KvResponse::Value(None),
-            },
+            }),
             {
                 let keyring = probft_crypto::keyring::Keyring::generate(4, b"frame-tests");
                 SmrFrame::CheckpointVote(CheckpointVote::sign(

@@ -11,23 +11,23 @@ use std::time::Duration;
 /// follows before concluding that leader is unresponsive and rotating
 /// instead: breaks the bounce-forever loop between a follower and a
 /// crashed leader the follower still believes in.
-pub const MAX_REDIRECT_STREAK: u32 = 3;
+const MAX_REDIRECT_STREAK: u32 = 3;
 
 /// First pause after an `Overloaded` shed; it doubles per consecutive
-/// shed of the same request, up to [`OVERLOAD_BACKOFF_CAP`].
-pub const OVERLOAD_BACKOFF_BASE: Duration = Duration::from_millis(5);
+/// shed of the same request, up to `OVERLOAD_BACKOFF_CAP`.
+const OVERLOAD_BACKOFF_BASE: Duration = Duration::from_millis(5);
 
 /// Longest single overload backoff pause.
-pub const OVERLOAD_BACKOFF_CAP: Duration = Duration::from_millis(200);
+const OVERLOAD_BACKOFF_CAP: Duration = Duration::from_millis(200);
 
 /// How long a client waits for the reply to one attempt by default.
 pub const ATTEMPT_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Where a client's next attempt goes, over replicas named by `T`. It
 /// starts at its hint and follows a redirect to the named leader — unless
-/// that leader was named [`MAX_REDIRECT_STREAK`] times in a row, or named
-/// the replica asked: then the chain is going nowhere, and it rotates past
-/// the replica asked instead. A silent or unreachable replica is rotated
+/// that leader was named three times in a row, or named the replica
+/// asked: then the chain is going nowhere, and it rotates past the
+/// replica asked instead. A silent or unreachable replica is rotated
 /// past too: it must not absorb the whole submission. An overloaded
 /// leader is alive and shedding by choice — every follower would bounce
 /// the client straight back — so the client backs off and retries it.

@@ -24,39 +24,77 @@ use std::time::Duration;
 /// overall submission budget.
 pub const WAITER_TTL: Duration = Duration::from_secs(60);
 
-/// A replica's answer to one client request.
+/// A replica's answer to one client request. A redirect names the leader
+/// by id, and by `A` where its embedder reaches it otherwise: the live
+/// wire's socket address ([`Reply::addressed`]), nothing in virtual time.
 #[derive(Clone, Debug, PartialEq)]
-pub enum Reply<R> {
+pub enum Reply<R, A = ()> {
     /// The ordered request was applied — now, or before, and answered
-    /// from the reply cache.
+    /// from the reply cache — carrying what its one execution returned.
     Applied {
         /// The request answered.
         request: RequestId,
         /// What its one execution returned.
         response: R,
     },
-    /// A consensus-bypassing read, evaluated off the applied state.
+    /// A consensus-bypassing read, evaluated off the applied state
+    /// between whole-batch applies: stale at worst, never torn.
     Read {
         /// The read answered.
         request: RequestId,
-        /// What it observed: stale at worst, never torn.
+        /// What it observed.
         response: R,
     },
     /// Not the leader: resubmit to the leader of the log's view as this
-    /// replica holds it.
+    /// replica holds it, so after a view change even an idle replica
+    /// points at the new leader.
     Redirect {
         /// The request turned away.
         request: RequestId,
         /// The replica believed to lead.
         leader: ReplicaId,
+        /// Where that replica is reached: the authoritative hint, valid
+        /// however the client orders its own list.
+        addr: A,
     },
-    /// The leader's pending queue is full: back off and retry here.
+    /// Admission control: the leader is alive and leads, but its pending
+    /// queue is full, so the request was shed, not queued. The client
+    /// backs off and retries the same id *here* — any follower would
+    /// redirect it straight back.
     Overloaded {
-        /// The request shed.
+        /// The request shed (not ordered, not applied).
         request: RequestId,
-        /// The queue depth it was shed at.
+        /// The queue depth it was shed at: a load signal.
         queued: u32,
     },
+}
+
+impl<R, A> Reply<R, A> {
+    /// The request this answers.
+    pub fn request(&self) -> RequestId {
+        match self {
+            Reply::Applied { request, .. }
+            | Reply::Read { request, .. }
+            | Reply::Redirect { request, .. }
+            | Reply::Overloaded { request, .. } => *request,
+        }
+    }
+
+    /// The same reply, a redirect's leader reached at `addr(leader)`.
+    pub fn addressed<B>(self, addr: impl FnOnce(ReplicaId) -> B) -> Reply<R, B> {
+        match self {
+            Reply::Applied { request, response } => Reply::Applied { request, response },
+            Reply::Read { request, response } => Reply::Read { request, response },
+            Reply::Redirect {
+                request, leader, ..
+            } => Reply::Redirect {
+                request,
+                leader,
+                addr: addr(leader),
+            },
+            Reply::Overloaded { request, queued } => Reply::Overloaded { request, queued },
+        }
+    }
 }
 
 /// One replica's client-facing half: the requests it accepted, each with
@@ -174,7 +212,11 @@ fn redirect<S: StateMachine, R>(
     node.obs()
         .trace(TraceKind::RedirectServed { leader: traced });
     node.on_redirect(ctx);
-    Reply::Redirect { request, leader }
+    Reply::Redirect {
+        request,
+        leader,
+        addr: (),
+    }
 }
 
 #[cfg(test)]
@@ -283,7 +325,8 @@ mod tests {
             reply,
             Some(Reply::Redirect {
                 request: id(1),
-                leader
+                leader,
+                addr: ()
             })
         );
         let obs = net.nodes[2].obs();
@@ -357,7 +400,8 @@ mod tests {
             leader,
             Some(Reply::Redirect {
                 request,
-                leader: leader_id
+                leader: leader_id,
+                addr: ()
             })
         );
         assert_eq!(net.nodes[3].obs().redirects_served.get(), 1);

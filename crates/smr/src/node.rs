@@ -620,7 +620,7 @@ impl<S: StateMachine> SmrNode<S> {
         }
         let instance = ReplicaInstance::new(self.seat.clone(), value);
         self.slots.insert(slot, (instance, self.obs.now_micros()));
-        if self.slots.len() == 1 {
+        if !self.sync.running() {
             self.sync.arm(&self.seat.cfg, ctx);
         }
         self.drive(slot, None, ctx);
@@ -816,10 +816,13 @@ impl<S: StateMachine> SmrNode<S> {
     /// restored reply cache still answers retries). The view is not in
     /// the snapshot (it is this replica's observation, not agreed state):
     /// a node also behind on the view learns it as any straggler does.
+    /// Nor is a transfer progress in that view: the log moved without
+    /// this node, so a view timer already running keeps running — a
+    /// deposed leader that took a checkpoint every interval would
+    /// otherwise never time out of the view it no longer leads.
     fn restore_from(&mut self, snapshot: Snapshot<S>, ctx: &mut Context<'_, SmrMessage>) {
         self.next_open = snapshot.slot;
         self.slots.clear();
-        self.sync.restart(false, &self.seat.cfg, ctx);
         self.future.retain(|&s, _| s >= snapshot.slot);
         self.log.clear();
         self.applied = snapshot;
@@ -829,6 +832,23 @@ impl<S: StateMachine> SmrNode<S> {
         // serving mode, subsequent peer traffic) open slots from the
         // checkpoint onward.
         self.open_ready_slots(ctx);
+    }
+
+    /// Whether `slot` lies past the buffering horizon ahead of the lowest
+    /// unapplied slot — and past the horizon this node will have once
+    /// restored to the first checkpoint it would fetch rather than
+    /// decide: that checkpoint's first slots open with it, often before
+    /// its snapshot arrives, and a node restored without their traffic
+    /// never decides them.
+    fn beyond_horizon(&self, slot: u64) -> bool {
+        let ahead = self.settings.future_window();
+        if slot < self.applied.slot.saturating_add(ahead) {
+            return false;
+        }
+        let interval = self.settings.checkpoint_interval as u64;
+        let landing = (self.window_end().checked_div(interval))
+            .map(|k| k.saturating_add(1).saturating_mul(interval));
+        !landing.is_some_and(|first| (first..first.saturating_add(ahead)).contains(&slot))
     }
 
     /// Routes one slot-tagged consensus message: deliver to a resident
@@ -881,11 +901,7 @@ impl<S: StateMachine> SmrNode<S> {
         // horizon is tight when checkpointing is on (anyone dropped
         // recovers by state transfer) and wide when it is off (no
         // recovery path exists, so slack is the only protection).
-        let horizon = self
-            .applied
-            .slot
-            .saturating_add(self.settings.future_window());
-        if slot >= horizon {
+        if self.beyond_horizon(slot) {
             self.obs.drops_future_horizon.inc();
             return;
         }
@@ -945,6 +961,11 @@ impl<S: StateMachine> Process for SmrNode<S> {
         if let Some(action) = self.sync.on_timer(token, &self.seat.cfg, ctx) {
             self.obs.note_view_timeout();
             self.follow(action, ctx);
+            // Only a timer kept across a state transfer runs with nothing
+            // in flight: it wished once, and times nothing more.
+            if self.slots.is_empty() {
+                self.sync.restart(false, &self.seat.cfg, ctx);
+            }
         }
     }
 }
@@ -1420,6 +1441,58 @@ mod tests {
         assert_eq!(laggard.slots_applied(), 4);
         assert_eq!(laggard.state(), donor.state());
         assert_eq!(laggard.obs.state_transfers.get(), 1);
+    }
+
+    /// A transfer is neither progress in the view nor a reason to lose the
+    /// slots it lands on. A laggard with a slot in flight keeps the view
+    /// timer that slot started (the restore arms none, and the old timer
+    /// still times out), and traffic for the first slot past the fetched
+    /// checkpoint — beyond its horizon when it came, ahead of the
+    /// snapshot — is kept and opens that slot once restored.
+    #[test]
+    fn a_transfer_keeps_the_view_timer_and_the_slots_it_lands_on() {
+        let (interval, depth) = (8, 1);
+        let (mut donor, mut donor_rng) = checkpoint_node(0, interval, depth);
+        apply_slots(&mut donor, &mut donor_rng, 0, 8);
+        let digest = donor.checkpointer.own_checkpoint(8).expect("own").0;
+        let mut ctx = Context::detached(ProcessId(0), SimTime::ZERO, &mut donor_rng);
+        for peer in [1, 2] {
+            donor.on_message(ProcessId(peer), peer_vote(peer, 8, digest), &mut ctx);
+        }
+        donor.on_message(ProcessId(3), slot_msg(b"node-tests", 0), &mut ctx);
+        let rep = ctx.drain_actions().into_iter().find_map(|a| match a {
+            Action::Send {
+                msg: SmrMessage::StateReply(rep),
+                ..
+            } => Some(rep),
+            _ => None,
+        });
+
+        let (mut laggard, mut rng) = checkpoint_node(3, interval, depth);
+        let mut ctx = Context::detached(ProcessId(3), SimTime::ZERO, &mut rng);
+        for slot in [0, 8] {
+            laggard.on_message(ProcessId(1), slot_msg(b"node-tests", slot), &mut ctx);
+        }
+        let timers = |actions: Vec<Action<SmrMessage>>| {
+            let timer = |a: Action<_>| matches!(a, Action::SetTimer { .. }).then_some(());
+            actions.into_iter().filter_map(timer).count()
+        };
+        assert_eq!(timers(ctx.drain_actions()), 1, "slot 0 started the timer");
+        assert_eq!(laggard.buffered_future(), 1, "slot 8 kept");
+        let rep = SmrMessage::StateReply(rep.expect("pushed"));
+        laggard.on_message(ProcessId(0), rep, &mut ctx);
+        assert_eq!(laggard.slots_applied(), 8);
+        assert_eq!(timers(ctx.drain_actions()), 0, "the restore armed none");
+        assert_eq!(
+            (laggard.resident_slots(), laggard.buffered_future()),
+            (1, 0)
+        );
+        assert_eq!(laggard.slots_opened(), 9, "slot 8 opened on its traffic");
+        laggard.on_timer(TimerToken(1), &mut ctx);
+        let journal = laggard.obs.journal().snapshot();
+        assert!(journal
+            .iter()
+            .any(|e| matches!(e.kind, TraceKind::ViewTimeout { .. })));
     }
 
     /// Stale traffic draws a checkpoint push only from a sender the push

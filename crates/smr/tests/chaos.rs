@@ -5,10 +5,10 @@
 //! policy against the live replica's front-end. Every run ends in the
 //! live nemesis's invariant sweep, and every seed replays bit for bit.
 //!
-//! Six fault scenarios over 24 seeds each; a swarm of random plans over
-//! 200 seeds; and three reproducers kept red until they are fixed:
-//! ROADMAP item 1's cross-slot replay, item 2's stranded-replica wedge,
-//! and item 10's client outage after a leader kill.
+//! Seven fault scenarios over 24 seeds each; a swarm of random plans over
+//! 200 seeds; and two reproducers kept red until they are fixed: ROADMAP
+//! item 1's cross-slot replay and item 10's client outage after a leader
+//! kill.
 
 mod support;
 
@@ -112,25 +112,28 @@ fn back_to_back_leader_kills_move_the_log_twice() {
     }
 }
 
-/// ROADMAP item 2's wedge, pinned: the same kills, but the second comes as
-/// soon as the resumed replica has applied what the rest had when it came
-/// back. It is then four slots short and inside its window, where neither
-/// a retransmission (there is none) nor a checkpoint (none is far enough
-/// ahead) reaches it; with the second leader down five replicas are left,
-/// q = 6, and the log never moves again.
+/// The same kills, but the second comes as soon as the resumed replica
+/// has applied what the rest had when it came back. It came back by state
+/// transfer, and the first slots past the checkpoint it fetched opened
+/// with that checkpoint, their traffic ahead of its snapshot: kept, that
+/// traffic lets it decide them, and with the second leader down the five
+/// left and it still make q = 6. (Dropped, it left the replica four slots
+/// short and inside its window, where neither a retransmission nor a
+/// checkpoint reaches it, and the log never moved again — ROADMAP item
+/// 2's wedge, which the decision pull closes in general.)
 #[test]
-#[ignore = "ROADMAP item 2: a replica that misses a decided slot is never brought back"]
-fn a_stranded_replica_and_a_second_kill_wedge_the_log() {
-    let seed = 0;
-    let mut cluster = cluster(seed, 60, 20_000, 8);
-    let plan = FaultPlan::new(seed)
-        .at(ms(100), Fault::KillLeader)
-        .at(ms(700), Fault::Resume(0));
-    cluster.execute(&plan);
-    let frontier = cluster.live().map(|(_, m)| m.node.slots_applied()).max();
-    cluster.run_until(|m| Some(m.node.slots_applied()) >= frontier);
-    cluster.execute(&FaultPlan::new(seed).at(ms(100), Fault::KillLeader));
-    settle(&mut cluster);
+fn a_replica_restored_at_a_checkpoint_survives_a_second_kill() {
+    for seed in SEEDS {
+        let mut cluster = cluster(seed, 60, 20_000, 8);
+        let plan = FaultPlan::new(seed)
+            .at(ms(100), Fault::KillLeader)
+            .at(ms(700), Fault::Resume(0));
+        cluster.execute(&plan);
+        let frontier = cluster.live().map(|(_, m)| m.node.slots_applied()).max();
+        cluster.run_until(|m| Some(m.node.slots_applied()) >= frontier);
+        cluster.execute(&FaultPlan::new(seed).at(ms(100), Fault::KillLeader));
+        settle(&mut cluster);
+    }
 }
 
 /// Client `c` of the benchmark's paced load (`client_pacer`): `count`
@@ -220,12 +223,12 @@ fn pausing_leader_at_checkpoint_boundary_keeps_resident_bound() {
         }
     }
     // What it hears first once resumed is fixed by the seed: the live
-    // slots, beyond its horizon, which it drops — or, on a few seeds, a
-    // checkpoint (votes in flight, or pushed back at its own stale
-    // traffic), which it takes before any slot is out of reach.
+    // slots, beyond its horizon, which it drops — or, on four seeds (1, 3,
+    // 15, 16), a checkpoint (votes in flight, or pushed back at its own
+    // stale traffic), which it takes before any slot is out of reach.
     assert!(
-        !dropped_on.is_empty(),
-        "no seed dropped out-of-horizon traffic"
+        dropped_on.len() >= 20,
+        "out-of-horizon traffic dropped on seeds {dropped_on:?} only"
     );
 }
 

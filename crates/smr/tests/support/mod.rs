@@ -188,10 +188,7 @@ impl Process for Client {
         let (Msg::Reply(reply), Some((_, asked))) = (msg, self.asked) else {
             return;
         };
-        let (Reply::Applied { request, .. }
-        | Reply::Read { request, .. }
-        | Reply::Redirect { request, .. }
-        | Reply::Overloaded { request, .. }) = reply;
+        let request = reply.request();
         if from != asked || self.queue.front().map(|q| q.1) != Some(request) {
             return;
         }

@@ -317,9 +317,10 @@ pub struct SmrNode<S: StateMachine> {
     /// more than `pipeline_depth` instances.
     slots: BTreeMap<u64, (ReplicaInstance, u64)>,
     /// Messages for in-window slots that have not started here yet.
-    /// Bounded: only slots inside the pipeline window ahead of the lowest
-    /// unapplied slot are buffered, and each slot buffers at most
-    /// [`MAX_BUFFERED_PER_SLOT`] messages.
+    /// Bounded: only slots inside the buffering horizon ahead of the
+    /// lowest unapplied slot, or inside the one a state transfer would
+    /// give this node (see `beyond_horizon`), are buffered, and each slot
+    /// buffers at most [`MAX_BUFFERED_PER_SLOT`] messages.
     future: BTreeMap<u64, Bounded<Message>>,
     /// The next slot index to open (slots `applied.slot..next_open` are
     /// in flight).

@@ -1481,7 +1481,7 @@ mod tests {
         assert_eq!(timers(ctx.drain_actions()), 1, "slot 0 started the timer");
         assert_eq!(laggard.buffered_future(), 1, "slot 8 kept");
         let rep = SmrMessage::StateReply(rep.expect("pushed"));
-        laggard.on_message(ProcessId(0), rep, &mut ctx);
+        laggard.on_message(ProcessId(0), rep.clone(), &mut ctx);
         assert_eq!(laggard.slots_applied(), 8);
         assert_eq!(timers(ctx.drain_actions()), 0, "the restore armed none");
         assert_eq!(
@@ -1494,6 +1494,26 @@ mod tests {
         assert!(journal
             .iter()
             .any(|e| matches!(e.kind, TraceKind::ViewTimeout { .. })));
+
+        // Restored with nothing to reopen, the kept timer wishes once when
+        // it fires and then stops: an idle node times nothing.
+        let (mut idle, mut rng) = checkpoint_node(3, interval, depth);
+        let mut ctx = Context::detached(ProcessId(3), SimTime::ZERO, &mut rng);
+        idle.on_message(ProcessId(1), slot_msg(b"node-tests", 0), &mut ctx);
+        idle.on_message(ProcessId(0), rep, &mut ctx);
+        assert_eq!(idle.resident_slots(), 0);
+        ctx.drain_actions();
+        idle.on_timer(TimerToken(1), &mut ctx);
+        let actions = ctx.drain_actions();
+        let wish = |a: &Action<SmrMessage>| match a {
+            Action::Send {
+                msg: SmrMessage::Slot(msg),
+                ..
+            } => matches!(msg.inner, Message::Wish(_)),
+            _ => false,
+        };
+        assert!(actions.iter().any(wish), "the timeout wished");
+        assert!(!idle.sync.running(), "and stopped");
     }
 
     /// Stale traffic draws a checkpoint push only from a sender the push

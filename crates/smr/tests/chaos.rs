@@ -233,10 +233,12 @@ fn pausing_leader_at_checkpoint_boundary_keeps_resident_bound() {
 }
 
 /// Kill, then resume, the old leader. It comes back believing it leads
-/// view 1; its held view timer runs out, the answers to its wish hand it
-/// the view, the checkpoints hand it the log, and from then on it leads
-/// nothing — it forms no batch, and turns clients away toward the new
-/// leader like any follower — and it ends the run level, in the sweep.
+/// view 1; the view timer its first slot starts runs out (the state
+/// transfers it takes meanwhile do not restart it), the answers to its
+/// wish hand it the view, the checkpoints hand it the log, and from then
+/// on it leads nothing — it forms no batch, and turns clients away toward
+/// the new leader like any follower — and it ends the run level, in the
+/// sweep.
 #[test]
 fn resumed_old_leader_learns_the_view_and_redirects() {
     for seed in SEEDS {

@@ -20,7 +20,11 @@
 //!
 //! Everything here is `std`-only, lock-free on the hot paths (the journal
 //! and registration take short mutexes never held across I/O), and cheap
-//! enough to stay on in benches.
+//! enough to stay on in benches. It reads no clock: every journal stamp
+//! and latency sample is the caller's time, in microseconds of its process
+//! context (`Context::now()`, 1 tick = 1 µs) — virtual time in the
+//! simulator, so a simulated run's metrics and journals are fixed by its
+//! seed, and time since cluster boot on sockets.
 
 #![warn(missing_docs)]
 
@@ -34,25 +38,23 @@ pub use trace::{Journal, TraceEvent, TraceKind, DEFAULT_JOURNAL_CAPACITY};
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// The per-entity telemetry bundle: a registry, a flight-recorder journal,
-/// a shared epoch clock, and pre-fetched handles for every metric the live
-/// stack records. Wrap it in an [`Arc`] and hand clones to each thread
-/// touching the entity.
+/// and pre-fetched handles for every metric the live stack records. It
+/// keeps no clock: each stamp is the caller's context time, in µs. Wrap it
+/// in an [`Arc`] and hand clones to each thread touching the entity.
 pub struct Obs {
     registry: Arc<Registry>,
     journal: Journal,
-    epoch: Instant,
-    /// Microseconds-since-epoch of the most recent nemesis fault, plus
-    /// one (so zero means "no outstanding fault"). Cleared by the first
-    /// commit progress after the fault, which records the elapsed time
-    /// into `recovery_latency_us`.
+    /// Microseconds of the most recent nemesis fault, plus one (so zero
+    /// means "no outstanding fault"). Cleared by the first commit
+    /// progress after the fault, which records the elapsed time into
+    /// `recovery_latency_us`.
     fault_marker: AtomicU64,
-    /// Microseconds-since-epoch, plus one, of the first sign that the
-    /// current view is in doubt (a local view timeout, or a peer's wish
-    /// for a later view) since the last commit progress; zero when there
-    /// is none. Entering a view records the elapsed time into
+    /// Microseconds, plus one, of the first sign that the current view
+    /// is in doubt (a local view timeout, or a peer's wish for a later
+    /// view) since the last commit progress; zero when there is none.
+    /// Entering a view records the elapsed time into
     /// `view_change_latency_us`; commit progress refutes the doubt.
     view_doubt_marker: AtomicU64,
 
@@ -150,14 +152,9 @@ impl std::fmt::Debug for Obs {
 }
 
 impl Obs {
-    /// Creates a bundle labeled `label` (e.g. `replica-0`) with the
-    /// default journal capacity.
+    /// Creates a bundle labeled `label` (e.g. `replica-0`) whose journal
+    /// retains the last [`DEFAULT_JOURNAL_CAPACITY`] events.
     pub fn new(label: impl Into<String>) -> Self {
-        Self::with_journal_capacity(label, DEFAULT_JOURNAL_CAPACITY)
-    }
-
-    /// Creates a bundle retaining at most `capacity` journal events.
-    pub fn with_journal_capacity(label: impl Into<String>, capacity: usize) -> Self {
         let registry = Arc::new(Registry::new(label));
         Self {
             commit_latency_us: registry.histogram("commit_latency_us"),
@@ -197,8 +194,7 @@ impl Obs {
             applied_slots: registry.gauge("applied_slots"),
             log_len: registry.gauge("log_len"),
             registry,
-            journal: Journal::new(capacity),
-            epoch: Instant::now(),
+            journal: Journal::new(DEFAULT_JOURNAL_CAPACITY),
             fault_marker: AtomicU64::new(0),
             view_doubt_marker: AtomicU64::new(0),
         }
@@ -207,12 +203,6 @@ impl Obs {
     /// The label this bundle reports under.
     pub fn label(&self) -> &str {
         self.registry.label()
-    }
-
-    /// Microseconds elapsed since this bundle was created — the clock all
-    /// journal timestamps and fault markers share.
-    pub fn now_micros(&self) -> u64 {
-        self.epoch.elapsed().as_micros().min(u64::MAX as u128) as u64
     }
 
     /// The underlying registry, for ad-hoc (e.g. per-frame-kind labeled)
@@ -238,9 +228,9 @@ impl Obs {
         &self.journal
     }
 
-    /// Appends an event to the journal, stamped with [`Obs::now_micros`].
-    pub fn trace(&self, kind: TraceKind) {
-        self.journal.push(self.now_micros(), kind);
+    /// Appends an event to the journal, stamped `at` (µs).
+    pub fn trace(&self, at: u64, kind: TraceKind) {
+        self.journal.push(at, kind);
     }
 
     /// Captures a point-in-time copy of every metric.
@@ -248,71 +238,65 @@ impl Obs {
         self.registry.snapshot()
     }
 
-    /// Injects a nemesis fault marker: journals `FaultStart` and arms the
-    /// recovery-latency clock. The next [`Obs::note_progress`] records the
-    /// elapsed time into `recovery_latency_us`.
-    pub fn mark_fault(&self, fault: &str) {
-        let now = self.now_micros();
-        self.journal.push(
-            now,
-            TraceKind::FaultStart {
-                fault: fault.to_string(),
-            },
-        );
+    /// Injects a nemesis fault marker at `at`: journals `FaultStart` and
+    /// arms the recovery-latency clock. The next [`Obs::note_progress`]
+    /// records the elapsed time into `recovery_latency_us`.
+    pub fn mark_fault(&self, at: u64, fault: &str) {
+        let fault = fault.to_string();
+        self.trace(at, TraceKind::FaultStart { fault });
         self.fault_marker
-            .store(now.saturating_add(1), Ordering::Relaxed);
+            .store(at.saturating_add(1), Ordering::Relaxed);
     }
 
-    /// Journals that a nemesis fault was lifted. Does *not* disarm the
-    /// recovery clock: recovery means commit progress, not fault removal.
-    pub fn mark_fault_lifted(&self, fault: &str) {
-        self.trace(TraceKind::FaultStop {
-            fault: fault.to_string(),
-        });
+    /// Journals that a nemesis fault was lifted at `at`. Does *not* disarm
+    /// the recovery clock: recovery means commit progress.
+    pub fn mark_fault_lifted(&self, at: u64, fault: &str) {
+        let fault = fault.to_string();
+        self.trace(at, TraceKind::FaultStop { fault });
     }
 
-    /// Notes commit progress (a slot applied). If a fault marker is
-    /// armed, records the fault→progress latency and disarms it. Progress
-    /// also refutes any standing doubt about the view.
-    pub fn note_progress(&self) {
+    /// Notes commit progress (a slot applied) at `at`. If a fault marker
+    /// is armed, records the fault→progress latency and disarms it.
+    /// Progress also refutes any standing doubt about the view.
+    pub fn note_progress(&self, at: u64) {
         let marker = self.fault_marker.swap(0, Ordering::Relaxed);
         if marker != 0 {
-            let elapsed = self.now_micros().saturating_sub(marker - 1);
-            self.recovery_latency_us.record(elapsed);
+            self.recovery_latency_us
+                .record(at.saturating_sub(marker - 1));
         }
         self.view_doubt_marker.store(0, Ordering::Relaxed);
     }
 
     /// Notes the first sign that the current view may not last — a peer's
-    /// wish for a later one — starting the view-change clock unless it is
-    /// already running.
-    pub fn note_view_doubt(&self) {
-        let now = self.now_micros().saturating_add(1);
+    /// wish for a later one — at `at`, starting the view-change clock
+    /// unless it is already running.
+    pub fn note_view_doubt(&self, at: u64) {
+        let armed = at.saturating_add(1);
         let _ =
             self.view_doubt_marker
-                .compare_exchange(0, now, Ordering::Relaxed, Ordering::Relaxed);
+                .compare_exchange(0, armed, Ordering::Relaxed, Ordering::Relaxed);
     }
 
-    /// The view timer expired in the current view: journals it and starts
-    /// the view-change clock.
-    pub fn note_view_timeout(&self) {
+    /// The view timer expired in the current view at `at`: journals it
+    /// and starts the view-change clock.
+    pub fn note_view_timeout(&self, at: u64) {
         let view = self.view.get();
-        self.trace(TraceKind::ViewTimeout { view });
-        self.note_view_doubt();
+        self.trace(at, TraceKind::ViewTimeout { view });
+        self.note_view_doubt(at);
     }
 
-    /// The log entered `to_view`: journals the change, counts it, moves
-    /// the `view` gauge and, if the clock was running, records first doubt
-    /// → entry into `view_change_latency_us`.
-    pub fn note_view_entered(&self, to_view: u64) {
+    /// The log entered `to_view` at `at`: journals the change, counts it,
+    /// moves the `view` gauge and, if the clock was running, records
+    /// first doubt → entry into `view_change_latency_us`.
+    pub fn note_view_entered(&self, at: u64, to_view: u64) {
         let from_view = self.view.get();
-        self.trace(TraceKind::ViewChange { from_view, to_view });
+        self.trace(at, TraceKind::ViewChange { from_view, to_view });
         self.view_changes.inc();
         self.view.set(to_view);
         let marker = self.view_doubt_marker.swap(0, Ordering::Relaxed);
         if marker != 0 {
-            let elapsed = self.now_micros().saturating_sub(marker - 1);
-            self.view_change_latency_us.record(elapsed);
+            self.view_change_latency_us
+                .record(at.saturating_sub(marker - 1));
         }
     }
 }
@@ -321,16 +305,22 @@ impl Obs {
 mod tests {
     use super::*;
 
+    /// How many samples `hist` holds and what they sum to, exactly.
+    fn samples(hist: &Histogram) -> (u64, u64) {
+        (hist.count(), hist.snapshot().sum())
+    }
+
     #[test]
     fn fault_marker_drives_recovery_histogram() {
         let obs = Obs::new("replica-0");
-        obs.note_progress();
+        obs.note_progress(50);
         assert_eq!(obs.recovery_latency_us.count(), 0);
-        obs.mark_fault("kill leader 0");
-        obs.note_progress();
-        obs.note_progress();
-        assert_eq!(obs.recovery_latency_us.count(), 1);
+        obs.mark_fault(100, "kill leader 0");
+        obs.note_progress(350);
+        obs.note_progress(900);
+        assert_eq!(samples(&obs.recovery_latency_us), (1, 250));
         let journal = obs.journal().snapshot();
+        assert_eq!(journal[0].at_micros, 100);
         assert!(matches!(journal[0].kind, TraceKind::FaultStart { .. }));
     }
 
@@ -339,34 +329,40 @@ mod tests {
         let obs = Obs::new("replica-0");
         // A lone doubt that progress refutes leaves nothing behind.
         obs.view.set(1);
-        obs.note_view_doubt();
-        obs.note_progress();
-        obs.note_view_entered(2);
+        obs.note_view_doubt(10);
+        obs.note_progress(20);
+        obs.note_view_entered(30, 2);
         assert_eq!(obs.view_change_latency_us.count(), 0);
         assert_eq!((obs.view_changes.get(), obs.view.get()), (1, 2));
 
-        obs.note_view_timeout();
-        obs.note_view_doubt(); // the clock keeps its first start
-        obs.note_view_entered(3);
-        assert_eq!(obs.view_change_latency_us.count(), 1);
-        let kinds: Vec<_> = obs
+        obs.note_view_timeout(1_000);
+        obs.note_view_doubt(1_500); // the clock keeps its first start
+        obs.note_view_entered(1_700, 3);
+        assert_eq!(samples(&obs.view_change_latency_us), (1, 700));
+        let events: Vec<_> = obs
             .journal()
             .snapshot()
             .into_iter()
-            .map(|e| e.kind)
+            .map(|e| (e.at_micros, e.kind))
             .collect();
         assert_eq!(
-            kinds,
+            events,
             [
-                TraceKind::ViewChange {
-                    from_view: 1,
-                    to_view: 2
-                },
-                TraceKind::ViewTimeout { view: 2 },
-                TraceKind::ViewChange {
-                    from_view: 2,
-                    to_view: 3
-                },
+                (
+                    30,
+                    TraceKind::ViewChange {
+                        from_view: 1,
+                        to_view: 2
+                    }
+                ),
+                (1_000, TraceKind::ViewTimeout { view: 2 }),
+                (
+                    1_700,
+                    TraceKind::ViewChange {
+                        from_view: 2,
+                        to_view: 3
+                    }
+                ),
             ]
         );
     }

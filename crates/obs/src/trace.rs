@@ -20,13 +20,13 @@ use std::sync::Mutex;
 /// Default number of events a journal retains.
 pub const DEFAULT_JOURNAL_CAPACITY: usize = 1024;
 
-/// One traced transition. Timestamps are microseconds since the owning
-/// [`crate::Obs`] was created, so events from one replica totally order,
-/// and fault markers injected by the nemesis interleave with consensus
-/// events on the same clock.
+/// One traced transition, stamped by its caller with its process
+/// context's time (virtual in the simulator, µs since cluster boot on
+/// sockets), so nemesis fault markers interleave with consensus events on
+/// one clock and a simulated run's journal is fixed by its seed.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TraceEvent {
-    /// Microseconds since the owning `Obs` epoch.
+    /// Context time of the transition, in microseconds (1 tick = 1 µs).
     pub at_micros: u64,
     /// What happened.
     pub kind: TraceKind,

@@ -3,7 +3,7 @@
 //! flight-recorder ring under wrap and snapshot-while-writing, and golden
 //! JSON / Prometheus expositions.
 
-use probft_obs::{Histogram, Journal, Obs, Registry, TraceKind};
+use probft_obs::{Histogram, Journal, Obs, Registry, TraceEvent, TraceKind};
 use proptest::prelude::*;
 use std::sync::Arc;
 use std::thread;
@@ -276,26 +276,31 @@ fn prometheus_exposition_lines_parse() {
 }
 
 /// The `Obs` fault marker drives the recovery histogram: arming then
-/// making progress records exactly one sample; repeated progress without
-/// a new fault records nothing further.
+/// making progress records exactly one sample, fault → progress; repeated
+/// progress without a new fault records nothing further.
 #[test]
 fn fault_marker_records_one_recovery_sample() {
     let obs = Obs::new("replica-1");
-    obs.note_progress();
+    obs.note_progress(40);
     assert_eq!(
         obs.recovery_latency_us.count(),
         0,
         "disarmed clock is silent"
     );
-    obs.mark_fault("kill-leader");
-    obs.note_progress();
-    obs.note_progress();
-    assert_eq!(obs.recovery_latency_us.count(), 1);
+    obs.mark_fault(100, "kill-leader");
+    obs.note_progress(350);
+    obs.note_progress(2_000);
+    let recovery = obs.recovery_latency_us.snapshot();
+    assert_eq!((recovery.count(), recovery.sum()), (1, 250));
     let events = obs.journal().snapshot();
-    assert!(
-        events
-            .iter()
-            .any(|e| matches!(&e.kind, TraceKind::FaultStart { fault } if fault == "kill-leader")),
-        "the fault is journaled"
+    assert_eq!(
+        events,
+        [TraceEvent {
+            at_micros: 100,
+            kind: TraceKind::FaultStart {
+                fault: "kill-leader".into()
+            },
+        }],
+        "the fault is journaled at its time"
     );
 }

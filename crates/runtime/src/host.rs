@@ -84,6 +84,23 @@ pub(crate) fn bind_listeners(
     Ok((listeners, addrs))
 }
 
+/// What the hosts of one cluster share: the replicas' addresses, the
+/// shutdown flag, and the boot instant that every host's context time and
+/// the nemesis's fault stamps count from — one clock per cluster.
+#[derive(Debug)]
+pub(crate) struct Shared {
+    pub(crate) addrs: Vec<SocketAddr>,
+    pub(crate) shutdown: AtomicBool,
+    pub(crate) boot: Instant,
+}
+
+impl Shared {
+    /// Context time: one simulator tick per microsecond since boot.
+    pub(crate) fn now(&self) -> SimTime {
+        SimTime::from_ticks(micros(self.boot.elapsed()))
+    }
+}
+
 /// Connect attempts while a cluster boots (peers come up concurrently;
 /// retry for up to ~500 ms).
 const BOOT_CONNECT_ATTEMPTS: u32 = 50;
@@ -221,8 +238,7 @@ struct Slot {
 /// process's message type, `E` the event type its frame decoder produces.
 pub(crate) struct Host<M, E> {
     id: usize,
-    addrs: Arc<Vec<SocketAddr>>,
-    shutdown: Arc<AtomicBool>,
+    shared: Arc<Shared>,
     obs: Arc<Obs>,
     /// Sender id + message → charged counter and frame payload.
     encode: fn(usize, M) -> (FrameKind, Vec<u8>),
@@ -247,12 +263,11 @@ pub(crate) struct Host<M, E> {
     read_buf: Box<[u8]>,
     timers: BinaryHeap<Reverse<(Instant, TimerToken)>>,
     rng: StdRng,
-    started: Instant,
 }
 
 impl<M, E> Host<M, E> {
-    /// A host for replica `id` of the cluster listening on `addrs`,
-    /// accepting on `listener` and turning inbound frames into events
+    /// A host for replica `id` of the `shared` cluster, accepting on
+    /// `listener` and turning inbound frames into events
     /// with `decode`. Peer connections are opened on first send.
     ///
     /// # Errors
@@ -262,8 +277,7 @@ impl<M, E> Host<M, E> {
     pub(crate) fn new(
         id: usize,
         listener: TcpListener,
-        addrs: Arc<Vec<SocketAddr>>,
-        shutdown: Arc<AtomicBool>,
+        shared: Arc<Shared>,
         obs: Arc<Obs>,
         encode: fn(usize, M) -> (FrameKind, Vec<u8>),
         decode: impl Fn(&[u8], ConnId) -> Option<E> + Send + 'static,
@@ -273,9 +287,8 @@ impl<M, E> Host<M, E> {
         poller.add(&listener, LISTENER_KEY, Interest::Read)?;
         Ok(Host {
             id,
-            peers: addrs.iter().map(|_| None).collect(),
-            addrs,
-            shutdown,
+            peers: shared.addrs.iter().map(|_| None).collect(),
+            shared,
             // One registry lookup per kind here instead of one per frame.
             out_peer: obs.frame_bytes_out("peer"),
             out_checkpoint: obs.frame_bytes_out("checkpoint"),
@@ -293,25 +306,23 @@ impl<M, E> Host<M, E> {
             read_buf: vec![0; READ_CHUNK].into_boxed_slice(),
             timers: BinaryHeap::new(),
             rng: StdRng::seed_from_u64(0x11FE ^ id as u64),
-            started: Instant::now(),
         })
     }
 
-    pub(crate) fn addrs(&self) -> &Arc<Vec<SocketAddr>> {
-        &self.addrs
+    pub(crate) fn addrs(&self) -> &[SocketAddr] {
+        &self.shared.addrs
     }
 
     /// False once the cluster's shutdown flag is raised.
     pub(crate) fn running(&self) -> bool {
-        !self.shutdown.load(Ordering::SeqCst)
+        !self.shared.shutdown.load(Ordering::SeqCst)
     }
 
     /// One step of the hosted process: `step` pokes it through a detached
     /// context, the actions it emitted are applied to the sockets and the
     /// timer heap, and what `step` returned is returned.
     pub(crate) fn drive<R>(&mut self, step: impl FnOnce(&mut Context<'_, M>) -> R) -> R {
-        // One simulator tick = one microsecond of wall time.
-        let now = SimTime::from_ticks(micros(self.started.elapsed()));
+        let now = self.shared.now();
         let (out, actions) = {
             let mut ctx = Context::detached(ProcessId(self.id), now, &mut self.rng);
             (step(&mut ctx), ctx.drain_actions())
@@ -401,7 +412,7 @@ impl<M, E> Host<M, E> {
     /// Encodes `msg`, charges it to its byte counter and queues it for
     /// peer `to`, (re)connecting as needed.
     fn send(&mut self, to: usize, msg: M) {
-        if to >= self.addrs.len() {
+        if to >= self.addrs().len() {
             return;
         }
         let (kind, frame) = (self.encode)(self.id, msg);
@@ -425,8 +436,8 @@ impl<M, E> Host<M, E> {
                 return Some(open);
             }
         }
-        let addr = *self.addrs.get(to)?;
-        let attempts = if self.started.elapsed() < BOOT_WINDOW {
+        let addr = *self.addrs().get(to)?;
+        let attempts = if self.shared.boot.elapsed() < BOOT_WINDOW {
             BOOT_CONNECT_ATTEMPTS
         } else {
             STEADY_CONNECT_ATTEMPTS
@@ -708,8 +719,11 @@ mod tests {
         let mut host: Host<SmrMessage, SmrEvent<KvStore>> = Host::new(
             0,
             listener,
-            Arc::new(vec![addr]),
-            Arc::default(),
+            Arc::new(Shared {
+                addrs: vec![addr],
+                shutdown: AtomicBool::new(false),
+                boot: Instant::now(),
+            }),
             obs.clone(),
             unused_encoder,
             decode,

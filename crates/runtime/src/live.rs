@@ -21,7 +21,7 @@
 //! [`SmrFrame::StateReply`] and resumes consensus from the checkpoint
 //! slot instead of replaying (or waiting forever for) the truncated log.
 
-use crate::host::{bind_listeners, wire_id, ConnId, FrameKind, Host};
+use crate::host::{bind_listeners, wire_id, ConnId, FrameKind, Host, Shared};
 use probft_core::config::{ProbftConfig, SharedConfig, View};
 use probft_core::wire::{put, Reader, Wire, WireError};
 use probft_crypto::keyring::Keyring;
@@ -413,14 +413,17 @@ impl<S: StateMachine> LiveSmrBuilder<S> {
         );
         let keyring = Keyring::generate(self.n, &self.seed.to_be_bytes());
         let public = Arc::new(keyring.public());
-        let shutdown = Arc::new(AtomicBool::new(false));
         let mut settings = SmrSettings::live(self.pipeline_depth);
         settings.checkpoint_interval = self.checkpoint_interval;
         settings.max_pending = self.max_pending;
 
         let (listeners, addrs) =
             bind_listeners(self.n, self.base_port).map_err(ClusterError::Bind)?;
-        let addrs = Arc::new(addrs);
+        let shared = Arc::new(Shared {
+            addrs,
+            shutdown: AtomicBool::new(false),
+            boot: Instant::now(),
+        });
         let n = self.n;
 
         let paused: Vec<Arc<AtomicBool>> = (0..n).map(|_| Arc::default()).collect();
@@ -438,8 +441,7 @@ impl<S: StateMachine> LiveSmrBuilder<S> {
             let host = Host::new(
                 i,
                 listener,
-                addrs.clone(),
-                shutdown.clone(),
+                shared.clone(),
                 obs.clone(),
                 encode_smr_message::<S>,
                 smr_decoder::<S>(n, obs),
@@ -473,8 +475,7 @@ impl<S: StateMachine> LiveSmrBuilder<S> {
 
         Ok(LiveSmrCluster {
             cfg,
-            addrs,
-            shutdown,
+            shared,
             handles,
             paused,
             keyring,
@@ -488,8 +489,7 @@ impl<S: StateMachine> LiveSmrBuilder<S> {
 /// `shutdown` to stop them and collect their final logs and states.
 #[derive(Debug)]
 pub struct LiveSmrCluster<S: StateMachine = KvStore> {
-    addrs: Arc<Vec<SocketAddr>>,
-    shutdown: Arc<AtomicBool>,
+    pub(crate) shared: Arc<Shared>,
     handles: Vec<thread::JoinHandle<ReplicaReport<S>>>,
     /// The configuration every replica runs under.
     cfg: SharedConfig,
@@ -509,13 +509,13 @@ pub struct LiveSmrCluster<S: StateMachine = KvStore> {
 impl<S: StateMachine> LiveSmrCluster<S> {
     /// The replicas' listening addresses, indexed by replica id.
     pub fn addrs(&self) -> &[SocketAddr] {
-        &self.addrs
+        &self.shared.addrs
     }
 
     /// Creates a client for this cluster. `client_id` must be unique among
     /// concurrently submitting clients — it namespaces request ids.
     pub fn client(&self, client_id: u64) -> crate::client::SmrClient<S> {
-        crate::client::SmrClient::new(self.addrs.to_vec(), client_id)
+        crate::client::SmrClient::new(self.addrs().to_vec(), client_id)
     }
 
     /// Per-replica applied-log lengths right now (indexed by replica id):
@@ -621,7 +621,7 @@ impl<S: StateMachine> LiveSmrCluster<S> {
             }
             crate::pacing::pause(crate::pacing::QUIESCE_POLL);
         }
-        self.shutdown.store(true, Ordering::SeqCst);
+        self.shared.shutdown.store(true, Ordering::SeqCst);
         let mut reports: Vec<ReplicaReport<S>> = self
             .handles
             .into_iter()

@@ -94,9 +94,10 @@ pub fn execute<S: StateMachine>(cluster: &LiveSmrCluster<S>, plan: &FaultPlan) -
 /// Applies one fault, returning the transcript line describing it.
 fn apply_fault<S: StateMachine>(cluster: &LiveSmrCluster<S>, fault: &Fault, seed: u64) -> String {
     // Marked before a kill takes effect, so the recovery clock spans the
-    // whole outage.
+    // whole outage; stamped on the replicas' own clock.
+    let at = cluster.shared.now().ticks();
     for obs in cluster.obs_handles() {
-        fault.journal(obs);
+        fault.journal(obs, at);
     }
     let n = cluster.addrs().len();
     let line = match fault {

@@ -397,10 +397,10 @@ pub(crate) struct Checkpointer {
     /// A stable checkpoint known to exist beyond this node's pipeline
     /// window — state transfer has been requested and not yet completed.
     transfer_wanted: Option<(u64, Digest)>,
-    /// Obs-clock micros of the previous local checkpoint (drives the
+    /// Context micros of the previous local checkpoint (drives the
     /// checkpoint-interval histogram).
     last_checkpoint_at: Option<u64>,
-    /// Obs-clock micros at which the outstanding state transfer was
+    /// Context micros at which the outstanding state transfer was
     /// requested (drives the state-transfer duration histogram).
     transfer_started_at: Option<u64>,
 }
@@ -463,11 +463,11 @@ impl Checkpointer {
             self.own_checkpoints.pop_first();
         }
         obs.checkpoints_taken.inc();
-        let now = obs.now_micros();
+        let now = ctx.now().ticks();
         if let Some(prev) = self.last_checkpoint_at.replace(now) {
             obs.checkpoint_interval_us.record(now.saturating_sub(prev));
         }
-        obs.trace(TraceKind::CheckpointVote { slot });
+        obs.trace(now, TraceKind::CheckpointVote { slot });
         let vote = CheckpointVote::sign(
             &seat.sk,
             CheckpointBody {
@@ -572,7 +572,7 @@ impl Checkpointer {
         }
         let (&digest, _) = counts.iter().find(|(_, &count)| count >= quorum)?;
         if slot <= next_apply {
-            return self.adopt_stable(slot, digest, obs);
+            return self.adopt_stable(slot, digest, obs, ctx.now().ticks());
         }
         if slot > next_apply.saturating_add(self.window)
             && self.transfer_wanted != Some((slot, digest))
@@ -584,8 +584,9 @@ impl Checkpointer {
             // snapshot-sized replies; the next boundary's quorum is the
             // retry path if all of them fail.
             self.transfer_wanted = Some((slot, digest));
-            self.transfer_started_at = Some(obs.now_micros());
-            obs.trace(TraceKind::StateTransferStart { slot });
+            let now = ctx.now().ticks();
+            self.transfer_started_at = Some(now);
+            obs.trace(now, TraceKind::StateTransferStart { slot });
             let holders = self.attesters(slot, digest).filter(|v| v.from != seat.id);
             for vote in holders.take(seat.cfg.faults().saturating_add(1)) {
                 let request = SmrMessage::StateRequest(StateRequest { min_slot: slot });
@@ -601,7 +602,7 @@ impl Checkpointer {
     /// Marks `slot` stable and forgets everything at or below it: older
     /// pending checkpoints and votes. Returns the checkpoint's log length,
     /// below which the caller truncates its resident log.
-    fn adopt_stable(&mut self, slot: u64, digest: Digest, obs: &Obs) -> Option<u64> {
+    fn adopt_stable(&mut self, slot: u64, digest: Digest, obs: &Obs, now: u64) -> Option<u64> {
         // No pending snapshot: it was evicted, and the next boundary will
         // stabilise instead.
         if self.own_checkpoints.get(&slot)?.digest != digest {
@@ -613,7 +614,7 @@ impl Checkpointer {
         }
         let own = self.own_checkpoints.remove(&slot)?;
         obs.stable_slot.set(slot);
-        obs.trace(TraceKind::CheckpointStable { slot });
+        obs.trace(now, TraceKind::CheckpointStable { slot });
         // The quorum of signed votes is the checkpoint's certificate:
         // kept alongside the snapshot so served/pushed copies prove
         // themselves to receivers with no vote state of their own.
@@ -680,6 +681,7 @@ impl Checkpointer {
         next_apply: u64,
         seat: &Seat,
         obs: &Obs,
+        ctx: &Context<'_, SmrMessage>,
     ) -> Option<Snapshot<S>> {
         if self.interval == 0 || !rep.slot.is_multiple_of(self.interval) {
             obs.drops_invalid_checkpoint.inc();
@@ -702,18 +704,14 @@ impl Checkpointer {
             obs.drops_invalid_checkpoint.inc();
             return None;
         };
-        let bytes = rep.snapshot.len() as u64;
-        obs.stable_slot.set(rep.slot);
+        let (slot, bytes, now) = (rep.slot, rep.snapshot.len() as u64, ctx.now().ticks());
+        obs.stable_slot.set(slot);
         obs.state_transfers.inc();
         obs.state_transfer_bytes.add(bytes);
         if let Some(started) = self.transfer_started_at.take() {
-            obs.state_transfer_us
-                .record(obs.now_micros().saturating_sub(started));
+            obs.state_transfer_us.record(now.saturating_sub(started));
         }
-        obs.trace(TraceKind::StateTransferDone {
-            slot: rep.slot,
-            bytes,
-        });
+        obs.trace(now, TraceKind::StateTransferDone { slot, bytes });
         self.own_checkpoints.clear();
         self.votes.retain(|&s, _| s > rep.slot);
         self.transfer_wanted = None;

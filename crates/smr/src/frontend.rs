@@ -135,7 +135,7 @@ impl<C> Frontend<C> {
         }
         if node.overloaded() && !self.waiting.contains_key(&request) {
             node.obs().shed_requests.inc();
-            node.obs().trace(TraceKind::OverloadShed);
+            node.obs().trace(ctx.now().ticks(), TraceKind::OverloadShed);
             let queued = u32::try_from(node.pending_len()).unwrap_or(u32::MAX);
             return Some(Reply::Overloaded { request, queued });
         }
@@ -206,11 +206,10 @@ fn redirect<S: StateMachine, R>(
     request: RequestId,
     ctx: &mut Context<'_, SmrMessage>,
 ) -> Reply<R> {
-    let leader = node.current_leader();
-    node.obs().redirects_served.inc();
+    let (leader, obs, now) = (node.current_leader(), node.obs(), ctx.now().ticks());
+    obs.redirects_served.inc();
     let traced = u64::from(leader.0);
-    node.obs()
-        .trace(TraceKind::RedirectServed { leader: traced });
+    obs.trace(now, TraceKind::RedirectServed { leader: traced });
     node.on_redirect(ctx);
     Reply::Redirect {
         request,

@@ -96,18 +96,19 @@ impl Fault {
         }
     }
 
-    /// Marks the fault on a replica's flight recorder, as both executors
-    /// do on every replica. A kill also arms the recovery-latency clock
-    /// (the next applied slot records fault → progress into
-    /// `recovery_latency_us`); a resume marks the fault lifted, which
-    /// leaves the clock armed: recovery means progress, not the resume.
-    pub fn journal(&self, obs: &Obs) {
+    /// Marks the fault at `at` (the replicas' context µs) on a replica's
+    /// flight recorder, as both executors do on every replica. A kill also
+    /// arms the recovery-latency clock (the next applied slot records fault
+    /// → progress into `recovery_latency_us`); a resume marks the fault
+    /// lifted, which leaves the clock armed: recovery means progress.
+    pub fn journal(&self, obs: &Obs, at: u64) {
+        let fault = self.name().to_string();
         match self {
-            Fault::KillLeader | Fault::Kill(_) => obs.mark_fault(self.name()),
-            Fault::Resume(_) | Fault::ResumeAll => obs.mark_fault_lifted(self.name()),
-            Fault::Equivocate | Fault::FarFutureSpray => obs.trace(TraceKind::FaultStart {
-                fault: self.name().into(),
-            }),
+            Fault::KillLeader | Fault::Kill(_) => obs.mark_fault(at, &fault),
+            Fault::Resume(_) | Fault::ResumeAll => obs.mark_fault_lifted(at, &fault),
+            Fault::Equivocate | Fault::FarFutureSpray => {
+                obs.trace(at, TraceKind::FaultStart { fault })
+            }
         }
     }
 }

@@ -311,7 +311,7 @@ pub struct SmrNode<S: StateMachine> {
     /// under which every slot runs.
     sync: Synchronizer,
     /// Per-slot consensus instances still in flight, each with the
-    /// obs-clock micros at which it opened (feeds the decide/apply
+    /// context micros at which it opened (feeds the decide/apply
     /// latency histograms). Applied slots are pruned immediately (only
     /// the log and the agreed state survive), so this map never holds
     /// more than `pipeline_depth` instances.
@@ -611,16 +611,15 @@ impl<S: StateMachine> SmrNode<S> {
         let slot = self.next_open;
         self.next_open = self.next_open.saturating_add(1);
         let (value, batched) = self.next_value();
-        let view = self.sync.current_view().0;
-        self.obs.trace(TraceKind::SlotOpened { slot, view });
+        let (view, now) = (self.sync.current_view().0, ctx.now().ticks());
+        self.obs.trace(now, TraceKind::SlotOpened { slot, view });
         if batched > 0 {
-            self.obs.trace(TraceKind::BatchFormed {
-                slot,
-                entries: batched as u64,
-            });
+            let entries = batched as u64;
+            self.obs
+                .trace(now, TraceKind::BatchFormed { slot, entries });
         }
         let instance = ReplicaInstance::new(self.seat.clone(), value);
-        self.slots.insert(slot, (instance, self.obs.now_micros()));
+        self.slots.insert(slot, (instance, now));
         if !self.sync.running() {
             self.sync.arm(&self.seat.cfg, ctx);
         }
@@ -677,10 +676,10 @@ impl<S: StateMachine> SmrNode<S> {
         let Some((view, opened_at)) = newly_decided else {
             return;
         };
-        self.obs
-            .decide_latency_us
-            .record(self.obs.now_micros().saturating_sub(opened_at));
-        self.obs.trace(TraceKind::SlotDecided { slot, view });
+        let now = ctx.now().ticks();
+        let decided = now.saturating_sub(opened_at);
+        self.obs.decide_latency_us.record(decided);
+        self.obs.trace(now, TraceKind::SlotDecided { slot, view });
 
         // Out-of-order decisions (slot > applied.slot) stay buffered in
         // their instance until the gap closes; only the in-order frontier
@@ -694,7 +693,7 @@ impl<S: StateMachine> SmrNode<S> {
     /// it, and a sender found behind is told where the log is.
     fn on_wish(&mut self, wish: &Wish, ctx: &mut Context<'_, SmrMessage>) {
         if wish.view > self.sync.current_view() {
-            self.obs.note_view_doubt();
+            self.obs.note_view_doubt(ctx.now().ticks());
         }
         let action = self.sync.on_wish(wish.sender, wish.view);
         if let Some(view) = action.answer_wish {
@@ -721,7 +720,7 @@ impl<S: StateMachine> SmrNode<S> {
         let Some(view) = action.enter_view else {
             return;
         };
-        self.obs.note_view_entered(view.0);
+        self.obs.note_view_entered(ctx.now().ticks(), view.0);
         self.sync
             .restart(!self.slots.is_empty(), &self.seat.cfg, ctx);
         for slot in self.applied.slot..self.next_open {
@@ -736,7 +735,7 @@ impl<S: StateMachine> SmrNode<S> {
     /// checkpointer gets to snapshot the agreed state (it does so every
     /// `checkpoint_interval` slots).
     fn advance(&mut self, ctx: &mut Context<'_, SmrMessage>) {
-        let frontier = self.applied.slot;
+        let (frontier, now) = (self.applied.slot, ctx.now().ticks());
         while !self.done() {
             let slot = self.applied.slot;
             let Some(decision) = self.slots.get(&slot).and_then(|(r, _)| r.decision()) else {
@@ -751,16 +750,16 @@ impl<S: StateMachine> SmrNode<S> {
             // The slot is applied: free its instance and message state.
             // Only the log, the agreed state, and checkpoints outlive it.
             if let Some((instance, opened_at)) = self.slots.remove(&slot) {
-                self.obs
-                    .apply_latency_us
-                    .record(self.obs.now_micros().saturating_sub(opened_at));
+                let applied = now.saturating_sub(opened_at);
+                self.obs.apply_latency_us.record(applied);
                 self.obs
                     .equivocations_detected
                     .add(instance.stats.equivocations_detected);
                 self.obs.votes_late.add(instance.stats.late_votes);
             }
-            self.obs.trace(TraceKind::SlotApplied { slot, entries });
-            self.obs.note_progress();
+            self.obs
+                .trace(now, TraceKind::SlotApplied { slot, entries });
+            self.obs.note_progress(now);
             self.applied.slot = slot.saturating_add(1);
             self.obs.applied_slots.set(self.applied.slot);
             self.obs.log_len.set(self.applied.log_len);
@@ -950,7 +949,7 @@ impl<S: StateMachine> Process for SmrNode<S> {
             SmrMessage::StateReply(rep) => {
                 if let Some(snapshot) = self
                     .checkpointer
-                    .handle_state_reply(rep, next_apply, seat, obs)
+                    .handle_state_reply(rep, next_apply, seat, obs, ctx)
                 {
                     self.restore_from(snapshot, ctx);
                 }
@@ -960,7 +959,7 @@ impl<S: StateMachine> Process for SmrNode<S> {
 
     fn on_timer(&mut self, token: TimerToken, ctx: &mut Context<'_, SmrMessage>) {
         if let Some(action) = self.sync.on_timer(token, &self.seat.cfg, ctx) {
-            self.obs.note_view_timeout();
+            self.obs.note_view_timeout(ctx.now().ticks());
             self.follow(action, ctx);
             // Only a timer kept across a state transfer runs with nothing
             // in flight: it wished once, and times nothing more.

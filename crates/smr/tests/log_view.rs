@@ -203,8 +203,8 @@ fn timeouts_are_sized_from_the_last_progress_not_from_view_one() {
         assert_eq!(probe.node.current_view(), View(3), "replica {i}");
         assert_eq!(probe.node.current_leader(), ReplicaId(2), "replica {i}");
         assert_eq!(probe.metrics().counter("view_changes"), 2, "replica {i}");
-        let [(v2, entered_2), (v3, entered_3)] = probe.entered[..] else {
-            panic!("replica {i} entered {:?}", probe.entered);
+        let [(v2, entered_2), (v3, entered_3)] = probe.entered()[..] else {
+            panic!("replica {i} entered {:?}", probe.entered());
         };
         assert_eq!((v2, v3), (View(2), View(3)));
 
@@ -279,8 +279,8 @@ fn straggler_is_told_the_view_by_the_answers_to_its_first_wish() {
 
     let straggler = cluster.member(6);
     let wished_at = straggler.first_wish_at.expect("the straggler wished");
-    let [(view, entered_at)] = straggler.entered[..] else {
-        panic!("entered {:?}", straggler.entered);
+    let [(view, entered_at)] = straggler.entered()[..] else {
+        panic!("entered {:?}", straggler.entered());
     };
     assert_eq!(view, View(2));
     assert!(

@@ -15,7 +15,7 @@ use probft_core::config::{ProbftConfig, SharedConfig, View};
 use probft_core::message::Message;
 use probft_core::wire::Wire;
 use probft_crypto::keyring::Keyring;
-use probft_obs::MetricsSnapshot;
+use probft_obs::{MetricsSnapshot, TraceKind};
 use probft_quorum::ReplicaId;
 use probft_simnet::delay::{DelayModel, PartialSynchrony};
 use probft_simnet::metrics::Measurable;
@@ -281,8 +281,6 @@ pub struct Member {
     pub first_wish_at: Option<SimTime>,
     /// Wishes delivered to the node (its own to itself aside).
     pub wishes_heard: u64,
-    /// When the node was first seen in each view after its first.
-    pub entered: Vec<(View, SimTime)>,
 }
 
 impl Member {
@@ -299,6 +297,18 @@ impl Member {
         self.node.obs().snapshot()
     }
 
+    /// `(view, when)` of every view the node entered after its first: the
+    /// `ViewChange` events of its journal.
+    pub fn entered(&self) -> Vec<(View, SimTime)> {
+        let journal = self.node.obs().journal().snapshot().into_iter();
+        let at = SimTime::from_ticks;
+        let views = journal.filter_map(|e| match e.kind {
+            TraceKind::ViewChange { to_view, .. } => Some((View(to_view), at(e.at_micros))),
+            _ => None,
+        });
+        views.collect()
+    }
+
     /// Runs `step` against the node and its front-end, passes on what the
     /// node did, and sends the answers it applied.
     fn observe<R>(
@@ -310,13 +320,9 @@ impl Member {
             &mut Context<'_, SmrMessage>,
         ) -> R,
     ) -> R {
-        let view = self.node.current_view();
         let mut inner = Context::detached(ctx.id(), ctx.now(), &mut self.rng);
         let out = step(&mut self.node, &mut self.frontend, &mut inner);
         let answers = self.frontend.on_applied(&mut self.node, &inner);
-        if self.node.current_view() != view {
-            self.entered.push((self.node.current_view(), ctx.now()));
-        }
         for action in inner.drain_actions() {
             match action {
                 Action::Send { to, msg } => {
@@ -498,7 +504,6 @@ impl Cluster {
                 timers: Vec::new(),
                 first_wish_at: None,
                 wishes_heard: 0,
-                entered: Vec::new(),
             })));
         }
         let mut requests = 0;
@@ -566,7 +571,7 @@ impl Cluster {
 
     fn fire(&mut self, fault: &Fault, seed: u64) -> String {
         for m in members(&self.sim) {
-            fault.journal(&m.node.obs());
+            fault.journal(&m.node.obs(), self.sim.now().ticks());
         }
         let (n, leader, view) = (self.cfg.n(), self.leader(), self.view());
         let applied = members(&self.sim).map(|m| m.node.slots_applied());

@@ -7,8 +7,8 @@
 //! leader (by address, so hints survive any ordering of the client's
 //! list), the next replica after a silent one, the same one after an
 //! [`SmrReply::Overloaded`] backoff — is the sans-I/O [`ClientPolicy`]
-//! (`probft_smr::client`), the one the virtual-time executor's clients run
-//! too; this module only connects, writes, reads and sleeps. Every retry
+//! (`probft_smr::client`), the one the virtual-time executor's clients
+//! (`probft_smr::sim`) run too; this module only connects, writes, reads and sleeps. Every retry
 //! resends the *same request id*, so the cluster's replicated dedup and
 //! reply cache keep execution at-most-once.
 //!

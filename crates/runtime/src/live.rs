@@ -8,7 +8,7 @@
 //! [`SmrFrame::Request`] or [`SmrFrame::ReadRequest`] — redirect to the
 //! leader, reply-cache answer, shed, or accept and answer once applied —
 //! is decided by the sans-I/O [`Frontend`] (`probft_smr::frontend`), the
-//! one the virtual-time executor runs too; this module only decodes the
+//! one the virtual-time executor (`probft_smr::sim`) runs too; this module only decodes the
 //! frame, calls it, and writes the [`SmrReply`] it returns, adding the
 //! leader's address to a redirect.
 //!

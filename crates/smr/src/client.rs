@@ -1,6 +1,6 @@
 //! The client's retry and redirect policy, without I/O: a [`ClientPolicy`]
 //! over replicas named by socket address (the live client) or process id
-//! (the virtual-time executor) says where each attempt goes and how long
+//! (the virtual-time executor, [`crate::sim`]) says where each attempt goes and how long
 //! to back off first; its embedder connects, sends, reads and sleeps, and
 //! resends the *same request id*, so the replicas' dedup and reply cache
 //! keep execution at-most-once however often it is rerouted.

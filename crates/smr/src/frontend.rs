@@ -1,8 +1,8 @@
 //! The replica's client-facing half, without I/O: one [`Frontend`] beside
 //! an [`SmrNode`] decides what becomes of each client request, and which
 //! client each applied answer goes to. Its embedder moves the bytes — the
-//! live runtime over connections, the virtual-time executor between
-//! processes — so both run the same decisions: a replica that does not
+//! live runtime over connections, the virtual-time executor
+//! ([`crate::sim`]) between processes — so both run the same decisions: a replica that does not
 //! lead redirects (and tells the node, [`SmrNode::on_redirect`]); the
 //! leader answers an applied retry from the reply cache, sheds a new
 //! request past [`max_pending`](crate::SmrSettings::max_pending), or

@@ -1,22 +1,14 @@
 //! Harness for replicated-state-machine experiments.
 
-use crate::kv::KvStore;
-use crate::machine::{Entry, StateMachine};
-use crate::node::{SmrNode, SmrSettings};
+use crate::sim::{Cluster, Spec};
+use crate::{Command, Entry, KvStore, SmrNode, SmrSettings};
 use probft_core::config::ProbftConfig;
-use probft_core::harness::{run_cluster, Seat};
 use probft_crypto::sha256::Digest;
 use probft_obs::MetricsSnapshot;
 use probft_quorum::ReplicaId;
-use probft_simnet::delay::PartialSynchrony;
 use probft_simnet::metrics::MessageMetrics;
 use probft_simnet::sim::RunOutcome;
 use probft_simnet::time::{SimDuration, SimTime};
-use std::collections::BTreeMap;
-use std::fmt;
-
-/// Event budget of one run.
-const MAX_EVENTS: u64 = 50_000_000;
 
 /// Throughput accounting for a run that orders application commands, so
 /// that batching and pipelining experiments measure, rather than estimate,
@@ -54,70 +46,48 @@ impl ThroughputStats {
     }
 }
 
-impl fmt::Display for ThroughputStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} cmds over {} slots ({} opened) in {} ticks — {:.1} cmds/Mtick, mean batch {:.2}",
-            self.commands,
-            self.slots_applied,
-            self.slots_opened,
-            self.ticks,
-            self.commands_per_megatick(),
-            self.mean_batch_size()
-        )
-    }
+/// Builds and runs an SMR cluster of [`KvStore`]s ordering a shared
+/// workload: a virtual-time [`Spec`] with no client, run until every
+/// replica is done.
+pub struct SmrBuilder {
+    spec: Spec,
 }
 
-/// Builds and runs an SMR cluster ordering a shared workload against any
-/// [`StateMachine`] (the default is the reference [`KvStore`]).
-#[derive(Debug)]
-pub struct SmrBuilder<S: StateMachine = KvStore> {
-    n: usize,
-    seed: u64,
-    workloads: BTreeMap<ReplicaId, Vec<S::Op>>,
-    settings: SmrSettings,
-}
-
-impl SmrBuilder<KvStore> {
+impl SmrBuilder {
     /// Starts building an `n`-replica KV cluster that stops after
     /// `target_len` entries are applied everywhere. Defaults to a
-    /// pipeline depth of 4 and one entry per batch.
+    /// pipeline depth of 4, one entry per batch and a base view timeout of
+    /// 50 000 ticks, on [`Spec::new`]'s links.
     pub fn new(n: usize, target_len: usize) -> Self {
-        Self::for_machine(n, target_len)
-    }
-}
-
-impl<S: StateMachine> SmrBuilder<S> {
-    /// Starts building an `n`-replica cluster replicating an arbitrary
-    /// [`StateMachine`] `S` (`SmrBuilder::<MyMachine>::for_machine(..)`).
-    pub fn for_machine(n: usize, target_len: usize) -> Self {
+        let cfg = ProbftConfig::builder(n).base_timeout(SimDuration::from_ticks(50_000));
+        let settings = SmrSettings {
+            pipeline_depth: 4,
+            ..SmrSettings::sequential(target_len)
+        };
         SmrBuilder {
-            n,
-            seed: 0,
-            workloads: BTreeMap::new(),
-            settings: SmrSettings {
-                pipeline_depth: 4,
-                ..SmrSettings::sequential(target_len)
+            spec: Spec {
+                cfg: cfg.build(),
+                settings,
+                ..Spec::new(n, 0)
             },
         }
     }
 
     /// Sets the RNG seed.
     pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+        self.spec.seed = seed;
         self
     }
 
     /// Sets how many slots run consensus concurrently (1 = sequential).
     pub fn pipeline_depth(mut self, depth: usize) -> Self {
-        self.settings.pipeline_depth = depth.max(1);
+        self.spec.settings.pipeline_depth = depth.max(1);
         self
     }
 
     /// Sets how many pending entries a proposer packs per slot.
     pub fn batch_size(mut self, batch: usize) -> Self {
-        self.settings.batch_size = batch.max(1);
+        self.spec.settings.batch_size = batch.max(1);
         self
     }
 
@@ -126,14 +96,20 @@ impl<S: StateMachine> SmrBuilder<S> {
     /// command log, so long runs hold O(interval × batch) entries instead
     /// of the full history.
     pub fn checkpoint_interval(mut self, interval: usize) -> Self {
-        self.settings.checkpoint_interval = interval;
+        self.spec.settings.checkpoint_interval = interval;
         self
     }
 
     /// Queues `ops` at replica `id` (proposed when it leads a slot).
-    pub fn workload(mut self, id: ReplicaId, ops: Vec<S::Op>) -> Self {
-        self.workloads.insert(id, ops);
+    pub fn workload(mut self, id: ReplicaId, ops: Vec<Command>) -> Self {
+        self.spec.workloads.insert(id, ops);
         self
+    }
+
+    /// The cluster [`run`](Self::run) runs, to adjust or drive through a
+    /// [`Cluster`] (faults, clients, other links).
+    pub fn spec(self) -> Spec {
+        self.spec
     }
 
     /// Runs the cluster until every replica applied `target_len` entries.
@@ -143,22 +119,11 @@ impl<S: StateMachine> SmrBuilder<S> {
     /// *empty* batches, which keep the pipeline moving but never grow
     /// the log, and in a healthy run no other replica's queue is ever
     /// proposed — an over-sized target burns the whole event budget
-    /// without completing.
-    pub fn run(mut self) -> SmrOutcome<S> {
-        let cfg = ProbftConfig::builder(self.n)
-            .base_timeout(SimDuration::from_ticks(50_000))
-            .build_shared();
-        let network =
-            PartialSynchrony::synchronous(SimDuration::from_ticks(1), SimDuration::from_ticks(100));
-        let settings = self.settings;
-        let spawn = |seat: Seat| {
-            let workload = self.workloads.remove(&seat.id).unwrap_or_default();
-            SmrNode::<S>::new(seat.cfg, seat.id, seat.sk, seat.keys, workload, settings)
-        };
-        let (sim, run_outcome) =
-            run_cluster(cfg, self.seed, network, spawn, SmrNode::done, MAX_EVENTS);
-
-        let nodes: Vec<&SmrNode<S>> = sim.processes().map(|(_, node)| node).collect();
+    /// ([`sim::MAX_EVENTS`](crate::sim::MAX_EVENTS)) without completing.
+    pub fn run(self) -> SmrOutcome {
+        let mut cluster = Cluster::new(self.spec());
+        let run_outcome = cluster.run_until(|m| m.node.done());
+        let nodes: Vec<&SmrNode<KvStore>> = cluster.members().map(|m| &m.node).collect();
         // Throughput is measured at replica 0: all correct replicas apply
         // the same slots, so its view is representative of the run.
         let throughput = nodes
@@ -167,7 +132,7 @@ impl<S: StateMachine> SmrBuilder<S> {
                 commands: node0.total_log_len(),
                 slots_opened: node0.slots_opened(),
                 slots_applied: node0.slots_applied(),
-                ticks: sim.now().ticks(),
+                ticks: cluster.sim.now().ticks(),
             });
         SmrOutcome {
             logs: nodes.iter().map(|r| r.log().to_vec()).collect(),
@@ -176,9 +141,9 @@ impl<S: StateMachine> SmrBuilder<S> {
             replica_metrics: nodes.iter().map(|r| r.obs().snapshot()).collect(),
             log_offsets: nodes.iter().map(|r| r.log_offset()).collect(),
             log_digests: nodes.iter().map(|r| r.log_digest()).collect(),
-            metrics: sim.metrics().clone(),
+            metrics: cluster.sim.metrics().clone(),
             throughput,
-            finished_at: sim.now(),
+            finished_at: cluster.sim.now(),
             run_outcome,
         }
     }
@@ -193,12 +158,12 @@ fn all_adjacent_equal<T: PartialEq>(items: &[T]) -> bool {
 
 /// Result of an SMR run.
 #[derive(Clone, Debug)]
-pub struct SmrOutcome<S: StateMachine = KvStore> {
+pub struct SmrOutcome {
     /// Per-replica *resident* decided entry logs (the full logs unless
     /// checkpoint truncation ran; see [`log_offsets`](Self::log_offsets)).
-    pub logs: Vec<Vec<Entry<S::Op>>>,
+    pub logs: Vec<Vec<Entry<Command>>>,
     /// Per-replica final application states.
-    pub states: Vec<S>,
+    pub states: Vec<KvStore>,
     /// Per-replica count of consensus instances still heap-resident at the
     /// end of the run (bounded by the pipeline depth: applied slots are
     /// pruned).
@@ -227,7 +192,7 @@ pub struct SmrOutcome<S: StateMachine = KvStore> {
     pub run_outcome: RunOutcome,
 }
 
-impl<S: StateMachine> SmrOutcome<S> {
+impl SmrOutcome {
     /// Per-replica *total* log length: truncated plus resident entries.
     pub fn total_log_lens(&self) -> Vec<u64> {
         self.logs
@@ -253,7 +218,7 @@ impl<S: StateMachine> SmrOutcome<S> {
 
     /// Replica 0's resident log, if all logs agree (the full agreed log
     /// when nothing was truncated).
-    pub fn agreed_log(&self) -> Option<&[Entry<S::Op>]> {
+    pub fn agreed_log(&self) -> Option<&[Entry<Command>]> {
         if self.logs_consistent() {
             self.logs.first().map(|l| l.as_slice())
         } else {
@@ -276,8 +241,6 @@ mod tests {
         };
         assert!((t.mean_batch_size() - 8.0).abs() < 1e-9);
         assert!((t.commands_per_megatick() - 32.0).abs() < 1e-9);
-        let s = t.to_string();
-        assert!(s.contains("64 cmds") && s.contains("8 slots"), "{s}");
 
         let zero = ThroughputStats::default();
         assert_eq!(zero.mean_batch_size(), 0.0);

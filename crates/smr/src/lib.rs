@@ -31,6 +31,9 @@
 //! Laggards past the buffering horizon catch up by verified snapshot
 //! transfer ([`StateRequest`]/[`StateReply`]) instead of log replay.
 //!
+//! [`sim`] runs the log in virtual time, under clients and fault plans;
+//! [`SmrBuilder`] is its plainest configuration.
+//!
 //! # Examples
 //!
 //! ```
@@ -83,6 +86,7 @@ pub mod kv;
 pub mod machine;
 pub mod nemesis;
 pub mod node;
+pub mod sim;
 
 pub use checkpoint::{
     CheckpointBody, CheckpointVote, Snapshot, StateReply, StateRequest,

@@ -9,8 +9,8 @@
 //! * **on the wall clock**, `probft_runtime::nemesis::execute`, against a
 //!   live TCP cluster under real clients: the forged messages are framed
 //!   and injected over sockets, through the replicas' real decoder;
-//! * **in virtual time**, the simulator executor the `probft-smr` tests
-//!   share (`crates/smr/tests/support`), against [`SmrNode`](crate::SmrNode)s
+//! * **in virtual time**, [`Cluster::execute`](crate::sim::Cluster::execute)
+//!   ([`crate::sim`]), against [`SmrNode`](crate::SmrNode)s
 //!   under `simnet`: event offsets become ticks (1 tick = 1 µs), the forged
 //!   messages are delivered from the attacker's process, and every seed
 //!   replays bit for bit.

@@ -1,16 +1,40 @@
-//! The virtual-time executor the `probft-smr` tests share: [`SmrNode`]s
-//! under `simnet`, each behind a [`Member`] that pauses and resumes with the
-//! live cluster's semantics and serves clients through the live replica's
-//! [`Frontend`], and [`Client`] processes that run the live client's
-//! [`ClientPolicy`] against them over the same delay model — walked through
-//! nemesis [`FaultPlan`]s (1 tick = 1 µs) and ended by the live nemesis's
-//! invariant sweep. No socket, no wall clock: a seed replays bit for bit.
+//! The log in virtual time: [`SmrNode`]s under `simnet`, each behind a
+//! [`Member`] that pauses and resumes with the live cluster's semantics and
+//! serves clients through the live replica's [`Frontend`], and [`Client`]
+//! processes that run the live client's [`ClientPolicy`] against them over
+//! the same delay model — walked through nemesis [`FaultPlan`]s (1 tick =
+//! 1 µs) and ended by the live nemesis's invariant sweep. No socket, no
+//! wall clock: a seed replays bit for bit. [`SmrBuilder::run`] is one
+//! configuration of it ([`SmrBuilder::spec`]): workloads queued at
+//! replicas, no client, run until every replica is done.
+//!
+//! # Examples
+//!
+//! ```
+//! use probft_smr::nemesis::{Fault, FaultPlan};
+//! use probft_smr::sim::{Cluster, Load, Spec};
+//! let ms = std::time::Duration::from_millis;
+//!
+//! let mut spec = Spec::new(4, 7);
+//! spec.load = Load { count: 20, every: 10_000 };
+//! spec.settings.checkpoint_interval = 8;
+//! let mut cluster = Cluster::new(spec);
+//! // At n = 4 a quorum is all four: the log waits for the leader's return.
+//! cluster.execute(&FaultPlan::new(7).at(ms(50), Fault::KillLeader).at(ms(400), Fault::ResumeAll));
+//! assert_eq!(cluster.transcript[0], "t+50ms kill-leader: paused replica 0");
+//! assert!(cluster.settle(probft_simnet::time::SimDuration::from_ticks(30_000_000)));
+//! assert_eq!(cluster.sweep(), Ok(()));
+//! ```
+//!
+//! [`SmrBuilder::run`]: crate::SmrBuilder::run
+//! [`SmrBuilder::spec`]: crate::SmrBuilder::spec
 
-#![allow(
-    dead_code,
-    reason = "each test binary compiles its own copy and uses a part of it"
-)]
-
+use crate::client::ClientPolicy;
+use crate::frontend::{Frontend, Reply};
+use crate::nemesis::{self, Fault, FaultPlan, ReplicaReport};
+use crate::{
+    Command, KvResponse, KvStore, OpKind, RequestId, SlotMessage, SmrMessage, SmrNode, SmrSettings,
+};
 use probft_core::config::{ProbftConfig, SharedConfig, View};
 use probft_core::message::Message;
 use probft_core::wire::Wire;
@@ -22,19 +46,14 @@ use probft_simnet::metrics::Measurable;
 use probft_simnet::process::{Action, Context, Process, ProcessId, TimerToken};
 use probft_simnet::sim::{RunOutcome, Simulation};
 use probft_simnet::time::{SimDuration, SimTime};
-use probft_smr::client::ClientPolicy;
-use probft_smr::frontend::{Frontend, Reply};
-use probft_smr::nemesis::{self, Fault, FaultPlan, ReplicaReport};
-use probft_smr::{
-    Command, KvResponse, KvStore, OpKind, RequestId, SlotMessage, SmrMessage, SmrNode, SmrSettings,
-};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 use std::time::Duration;
 
-pub const MAX_EVENTS: u64 = 20_000_000;
+/// The event budget of every run loop here.
+pub const MAX_EVENTS: u64 = 50_000_000;
 /// How often a paused replica looks for its resume (the live host's wait).
 const PAUSED_POLL: u64 = 5_000;
 /// A member's own timer (a node numbers its timers from 1).
@@ -49,6 +68,11 @@ pub fn keyring(n: usize, seed: u64) -> Keyring {
     Keyring::generate(n, &seed.to_be_bytes())
 }
 
+/// The links a [`Spec`] starts on: delays uniform in 1..=100 ticks.
+pub fn network() -> PartialSynchrony {
+    PartialSynchrony::synchronous(SimDuration::from_ticks(1), SimDuration::from_ticks(100))
+}
+
 /// `count` PUTs `{tag}{i} = v{i}`.
 pub fn puts(tag: &str, count: usize) -> Vec<Command> {
     let put = |i| Command::Put {
@@ -59,15 +83,18 @@ pub fn puts(tag: &str, count: usize) -> Vec<Command> {
 }
 
 fn ticks(d: Duration) -> SimDuration {
-    SimDuration::from_ticks(d.as_micros() as u64)
+    SimDuration::from_ticks(u64::try_from(d.as_micros()).unwrap_or(u64::MAX))
 }
 
 /// What the processes send: replica traffic, a client's write, and the
 /// front-end's reply to it.
 #[derive(Clone, Debug)]
 pub enum Msg {
+    /// Between replicas.
     Peer(SmrMessage),
+    /// A client's write.
     Request(RequestId, Command),
+    /// A front-end's answer to a client.
     Reply(Reply<KvResponse>),
 }
 
@@ -84,7 +111,7 @@ impl Measurable for Msg {
     fn wire_size(&self) -> usize {
         match self {
             Msg::Peer(msg) => msg.wire_size(),
-            Msg::Request(_, op) => 16 + op.wire_len(),
+            Msg::Request(_, op) => op.wire_len().saturating_add(16),
             Msg::Reply(_) => 16,
         }
     }
@@ -93,16 +120,19 @@ impl Measurable for Msg {
 /// Client requests over time: request `r`, a PUT of `key{r}`, is sent at
 /// `r × every` ticks by a client of its own, which — like the live
 /// nemesis clients — starts at replica `r mod n` and gives an attempt
-/// `RETRY`.
+/// 500 ms.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Load {
+    /// How many requests.
     pub count: usize,
+    /// Ticks between two requests.
     pub every: u64,
 }
 
 impl Load {
+    /// The id of request `r`.
     pub fn id(r: usize) -> RequestId {
-        let client = r as u64 + 1;
+        let client = u64::try_from(r).map_or(u64::MAX, |r| r.saturating_add(1));
         RequestId { client, seq: 1 }
     }
 
@@ -112,8 +142,10 @@ impl Load {
                 key: format!("key{r}"),
                 value: format!("val{r}"),
             };
-            let due = SimTime::from_ticks(r as u64 * self.every);
-            Client::new(n, r % n, RETRY, [(due, Load::id(r), op)])
+            let r64 = u64::try_from(r).unwrap_or(u64::MAX);
+            let due = SimTime::from_ticks(r64.saturating_mul(self.every));
+            let hint = r.checked_rem(n).unwrap_or(0);
+            Client::new(n, hint, RETRY, [(due, Load::id(r), op)])
         })
     }
 }
@@ -162,7 +194,8 @@ impl Client {
             return;
         };
         if ctx.now() < *due {
-            return ctx.set_timer(*due - ctx.now(), WAKE);
+            let wait = due.ticks().saturating_sub(ctx.now().ticks());
+            return ctx.set_timer(SimDuration::from_ticks(wait), WAKE);
         }
         if self.sent.is_none() {
             self.sent = Some(ctx.now());
@@ -227,34 +260,40 @@ pub type Strategy =
     Box<dyn FnMut(Option<&SmrMessage>, &SmrNode<KvStore>, &mut Context<'_, SmrMessage>)>;
 
 /// What a cluster is made of. [`Spec::new`] is the live cluster's shape —
-/// its view timeout, serving mode at depth 4 — on links delivering in
-/// 1..=100 ticks.
+/// its view timeout, serving mode at depth 4 — on [`network`].
 pub struct Spec {
+    /// The protocol's parameters; its `n` is the cluster's.
     pub cfg: ProbftConfig,
+    /// Fixes the keys, the links' delays and so the whole run.
     pub seed: u64,
+    /// Every replica's.
     pub settings: SmrSettings,
+    /// The links.
     pub network: Box<dyn DelayModel>,
-    /// Untagged writes queued at replica `i` from the start.
-    pub workloads: Vec<Vec<Command>>,
+    /// Untagged writes queued at a replica from the start.
+    pub workloads: BTreeMap<ReplicaId, Vec<Command>>,
+    /// One-shot clients over time.
     pub load: Load,
     /// Clients beside the load's.
     pub clients: Vec<Client>,
+    /// The replicas that run a [`Strategy`] beside their node.
     pub byzantine: Vec<(usize, Strategy)>,
     /// Replica `i` is told at the given time that a client was turned away.
     pub redirects: Vec<(usize, SimTime)>,
 }
 
 impl Spec {
+    /// `n` replicas with keys and links drawn from `seed`, nothing queued
+    /// and no client.
     pub fn new(n: usize, seed: u64) -> Self {
-        let ticks = SimDuration::from_ticks;
         Spec {
             cfg: ProbftConfig::builder(n)
-                .base_timeout(ticks(250_000))
+                .base_timeout(SimDuration::from_ticks(250_000))
                 .build(),
             seed,
             settings: SmrSettings::live(4),
-            network: Box::new(PartialSynchrony::synchronous(ticks(1), ticks(100))),
-            workloads: Vec::new(),
+            network: Box::new(network()),
+            workloads: BTreeMap::new(),
             load: Load::default(),
             clients: Vec::new(),
             byzantine: Vec::new(),
@@ -266,7 +305,9 @@ impl Spec {
 /// One replica: its node and its clients' front-end, with its input and
 /// output in view, pausable.
 pub struct Member {
+    /// Its replica index.
     pub id: usize,
+    /// The replica.
     pub node: SmrNode<KvStore>,
     frontend: Frontend<ProcessId>,
     strategy: Option<Strategy>,
@@ -289,10 +330,7 @@ impl Member {
         !self.paused && self.strategy.is_none()
     }
 
-    pub fn leads(&self) -> bool {
-        self.node.leads()
-    }
-
+    /// The node's registry.
     pub fn metrics(&self) -> MetricsSnapshot {
         self.node.obs().snapshot()
     }
@@ -378,7 +416,7 @@ impl Process for Member {
         match msg {
             Msg::Peer(msg) => {
                 if is_wish(&msg) && from != ctx.id() {
-                    self.wishes_heard += 1;
+                    self.wishes_heard = self.wishes_heard.saturating_add(1);
                 }
                 let heard = self.strategy.is_some().then(|| msg.clone());
                 self.observe(ctx, |node, _, ctx| node.on_message(from, msg, ctx));
@@ -410,7 +448,9 @@ impl Process for Member {
 
 /// A process of the cluster: replicas first, then clients.
 pub enum Proc {
+    /// Process `i < n`: replica `i`.
     Replica(Box<Member>),
+    /// A process past the replicas.
     Client(Client),
 }
 
@@ -455,50 +495,38 @@ fn clients(sim: &Simulation<Proc>) -> impl Iterator<Item = &Client> {
 
 /// A running cluster, and the executor of fault plans against it.
 pub struct Cluster {
+    /// The simulation it runs in.
     pub sim: Simulation<Proc>,
+    /// The seed it was built with.
     pub seed: u64,
     cfg: SharedConfig,
     keyring: Keyring,
-    /// How many requests the clients send in all.
-    requests: usize,
     /// One line per fault fired, as the live executor's transcript.
     pub transcript: Vec<String>,
 }
 
 impl Cluster {
     /// Builds the cluster `spec` describes, not yet run.
-    pub fn new(spec: Spec) -> Self {
-        let Spec {
-            cfg,
-            seed,
-            settings,
-            network,
-            mut workloads,
-            load,
-            clients,
-            mut byzantine,
-            redirects,
-        } = spec;
-        let n = cfg.n();
-        let cfg: SharedConfig = Arc::new(cfg);
+    pub fn new(mut spec: Spec) -> Self {
+        let (n, seed, settings) = (spec.cfg.n(), spec.seed, spec.settings);
+        let cfg: SharedConfig = Arc::new(spec.cfg);
         let keyring = keyring(n, seed);
         let keys = Arc::new(keyring.public());
-        let mut sim = Simulation::new(network, seed);
-        for id in 0..n {
-            let sk = keyring.signing_key(id).expect("in range").clone();
-            let workload = workloads
-                .get_mut(id)
-                .map(std::mem::take)
-                .unwrap_or_default();
+        let mut sim = Simulation::new(spec.network, seed);
+        // The keyring deals exactly `n` keys.
+        let dealt = (0..n).map_while(|id| Some((id, keyring.signing_key(id).ok()?.clone())));
+        for (id, sk) in dealt {
             let replica = ReplicaId::from(id);
+            let workload = spec.workloads.remove(&replica).unwrap_or_default();
             let node = SmrNode::new(cfg.clone(), replica, sk, keys.clone(), workload, settings);
-            let strategy = byzantine.iter().position(|(i, _)| *i == id);
+            let strategy = spec.byzantine.iter().position(|(i, _)| *i == id);
+            let redirect_at = spec.redirects.iter().find(|(i, _)| *i == id).map(|r| r.1);
             sim.add_process(Proc::Replica(Box::new(Member {
                 id,
                 node,
                 frontend: Frontend::default(),
-                strategy: strategy.map(|k| byzantine.remove(k).1),
-                redirect_at: redirects.iter().find(|(i, _)| *i == id).map(|(_, at)| *at),
+                strategy: strategy.map(|k| spec.byzantine.remove(k).1),
+                redirect_at,
                 paused: false,
                 rng: StdRng::seed_from_u64(0),
                 timers: Vec::new(),
@@ -506,9 +534,7 @@ impl Cluster {
                 wishes_heard: 0,
             })));
         }
-        let mut requests = 0;
-        for client in load.clients(n).chain(clients) {
-            requests += client.queue.len();
+        for client in spec.load.clients(n).chain(spec.clients) {
             sim.add_process(Proc::Client(client));
         }
         Cluster {
@@ -516,40 +542,44 @@ impl Cluster {
             seed,
             cfg,
             keyring,
-            requests,
             transcript: Vec::new(),
         }
     }
 
-    pub fn member(&self, i: usize) -> &Member {
-        members(&self.sim).nth(i).expect("a replica")
+    /// The replicas, in order.
+    pub fn members(&self) -> impl Iterator<Item = &Member> {
+        members(&self.sim)
+    }
+
+    /// Replica `i`, if the cluster has one.
+    pub fn member(&self, i: usize) -> Option<&Member> {
+        self.members().nth(i)
     }
 
     /// The honest, unpaused replicas.
     pub fn live(&self) -> impl Iterator<Item = (usize, &Member)> {
-        members(&self.sim)
-            .filter(|m| m.is_live())
-            .map(|m| (m.id, m))
+        self.members().filter(|m| m.is_live()).map(|m| (m.id, m))
     }
 
-    /// Runs until `done` holds of every honest unpaused replica.
-    pub fn run_until(&mut self, done: impl Fn(&Member) -> bool) {
+    /// Runs until `done` holds of every honest unpaused replica, or the
+    /// event budget runs out.
+    #[must_use]
+    pub fn run_until(&mut self, done: impl Fn(&Member) -> bool) -> RunOutcome {
         let all = |sim: &Simulation<Proc>| members(sim).all(|m| !m.is_live() || done(m));
-        let outcome = self.sim.run_until_condition(all, MAX_EVENTS);
-        assert_eq!(outcome, RunOutcome::ConditionMet, "seed {}", self.seed);
+        self.sim.run_until_condition(all, MAX_EVENTS)
     }
 
     /// Runs until every honest unpaused replica has applied as many slots
-    /// as every other.
-    pub fn run_until_level(&mut self) {
+    /// as every other, or the event budget runs out.
+    #[must_use]
+    pub fn run_until_level(&mut self) -> RunOutcome {
         let level = |sim: &Simulation<Proc>| {
             let live = members(sim).filter(|m| m.is_live());
             let mut applied = live.map(|m| m.node.slots_applied());
             let first = applied.next();
             applied.all(|a| Some(a) == first)
         };
-        let outcome = self.sim.run_until_condition(level, MAX_EVENTS);
-        assert_eq!(outcome, RunOutcome::ConditionMet, "seed {}", self.seed);
+        self.sim.run_until_condition(level, MAX_EVENTS)
     }
 
     /// Walks `plan`, its offsets counted from now: runs to each event's
@@ -557,7 +587,7 @@ impl Cluster {
     pub fn execute(&mut self, plan: &FaultPlan) {
         let start = self.sim.now();
         for (offset, fault) in plan.events() {
-            let at = start + ticks(offset);
+            let at = start.saturating_add(ticks(offset));
             // A fault due now fires now, in the state the caller saw —
             // not after the events that happen to share its tick.
             if at > self.sim.now() {
@@ -569,6 +599,8 @@ impl Cluster {
         }
     }
 
+    /// Fires `fault`; the transcript line. A replica the cluster does not
+    /// have is left alone, as on sockets.
     fn fire(&mut self, fault: &Fault, seed: u64) -> String {
         for m in members(&self.sim) {
             fault.journal(&m.node.obs(), self.sim.now().ticks());
@@ -577,7 +609,7 @@ impl Cluster {
         let applied = members(&self.sim).map(|m| m.node.slots_applied());
         let frontier = applied.max().unwrap_or(0);
         let mut pause = |i: usize, paused| {
-            if let (true, Proc::Replica(m)) = (i < n, self.sim.process_mut(ProcessId(i))) {
+            if let Some(Proc::Replica(m)) = (i < n).then(|| self.sim.process_mut(ProcessId(i))) {
                 m.paused = paused;
             }
         };
@@ -600,7 +632,9 @@ impl Cluster {
             }
             Fault::Equivocate => {
                 let forged = nemesis::equivocation(&self.keyring, leader, view, frontier, seed);
-                let [a, b] = forged.expect("the attacker is in the keyring");
+                let Some([a, b]) = forged else {
+                    return format!("equivocate: no signing key for replica {leader}");
+                };
                 let slot = a.slot;
                 let sent = self.inject(leader, |i| [if i % 2 == 0 { &a } else { &b }.clone()]);
                 format!(
@@ -609,13 +643,13 @@ impl Cluster {
                 )
             }
             Fault::FarFutureSpray => {
-                let spray = nemesis::far_future_spray(&self.keyring, n - 1, frontier, seed);
-                let spray = spray.expect("the attacker is in the keyring");
-                let sent = self.inject(n - 1, |_| spray.clone());
-                format!(
-                    "replica {}'s key, slots past {frontier}, {sent} frames",
-                    n - 1
-                )
+                let attacker = n.saturating_sub(1);
+                let spray = nemesis::far_future_spray(&self.keyring, attacker, frontier, seed);
+                let Some(spray) = spray else {
+                    return format!("far-future-spray: no signing key for replica {attacker}");
+                };
+                let sent = self.inject(attacker, |_| spray.clone());
+                format!("replica {attacker}'s key, slots past {frontier}, {sent} frames")
             }
         };
         format!("{}: {line}", fault.name())
@@ -627,26 +661,24 @@ impl Cluster {
     where
         I: IntoIterator<Item = SlotMessage>,
     {
-        let targets: Vec<usize> = self.unpaused().filter(|&i| i != attacker).collect();
-        let mut sent = 0;
+        let unpaused = self.members().filter(|m| !m.paused && m.id != attacker);
+        let targets: Vec<usize> = unpaused.map(|m| m.id).collect();
+        let mut sent = 0usize;
         for i in targets {
             for msg in forged(i) {
                 let msg = Msg::Peer(SmrMessage::Slot(msg));
                 self.sim.send_from(ProcessId(attacker), ProcessId(i), msg);
-                sent += 1;
+                sent = sent.saturating_add(1);
             }
         }
         sent
     }
 
-    fn unpaused(&self) -> impl Iterator<Item = usize> + '_ {
-        members(&self.sim).filter(|m| !m.paused).map(|m| m.id)
-    }
-
     /// The view the unpaused replicas hold the log in
     /// (`LiveSmrCluster::current_view`'s rule).
     pub fn view(&self) -> View {
-        nemesis::plurality_view(self.unpaused().map(|i| self.member(i).node.current_view()))
+        let unpaused = self.members().filter(|m| !m.paused);
+        nemesis::plurality_view(unpaused.map(|m| m.node.current_view()))
     }
 
     /// The leader of [`view`](Self::view).
@@ -658,10 +690,12 @@ impl Cluster {
     /// request, level with the others, and every request was answered — or
     /// until `within` has passed. Whether it got there.
     pub fn settle(&mut self, within: SimDuration) -> bool {
-        let (deadline, count) = (self.sim.now() + within, self.requests);
+        let deadline = self.sim.now().saturating_add(within);
+        let requests = clients(&self.sim).map(|c| c.queue.len().saturating_add(c.answered.len()));
+        let count = u64::try_from(requests.sum::<usize>()).unwrap_or(u64::MAX);
         let settled = move |sim: &Simulation<Proc>| {
             let mut lens = members(sim).filter(|m| m.is_live()).map(|m| {
-                let all = m.node.state().applied() as usize >= count;
+                let all = m.node.state().applied() >= count;
                 all.then(|| m.node.total_log_len())
             });
             let first = lens.next().flatten();
@@ -674,8 +708,9 @@ impl Cluster {
         settled(&self.sim)
     }
 
+    /// Every replica's report, as the live cluster's shutdown hands them.
     pub fn reports(&self) -> Vec<ReplicaReport> {
-        members(&self.sim).map(|m| m.node.report()).collect()
+        self.members().map(|m| m.node.report()).collect()
     }
 
     /// `(request, first sent, answered)` of every request a client had
@@ -691,7 +726,7 @@ impl Cluster {
 
     /// The paused and the Byzantine replicas: what the sweep leaves out.
     pub fn excluded(&self) -> Vec<usize> {
-        members(&self.sim)
+        self.members()
             .filter(|m| !m.is_live())
             .map(|m| m.id)
             .collect()
@@ -711,14 +746,37 @@ impl Cluster {
             .collect()
     }
 
-    /// The invariant sweep over every honest unpaused replica; panics with
-    /// the seed and the transcript.
-    pub fn sweep(&self) {
+    /// The invariant sweep over every honest unpaused replica; a violation
+    /// is told with the seed and the transcript.
+    pub fn sweep(&self) -> Result<(), String> {
         let violations = self.violations(&self.excluded());
         let (seed, transcript) = (self.seed, &self.transcript);
-        assert!(
-            violations.is_empty(),
-            "seed {seed} {transcript:?}: {violations:#?}"
+        if violations.is_empty() {
+            Ok(())
+        } else {
+            Err(format!("seed {seed} {transcript:?}: {violations:#?}"))
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A fault naming a replica past the cluster fires as on sockets:
+    /// transcribed, and nothing paused or resumed.
+    #[test]
+    fn a_fault_past_the_cluster_is_a_no_op() {
+        let mut cluster = Cluster::new(Spec::new(7, 1));
+        let plan = FaultPlan::new(1)
+            .at(Duration::ZERO, Fault::Kill(9))
+            .at(Duration::ZERO, Fault::Resume(9));
+        cluster.execute(&plan);
+        assert_eq!(
+            cluster.transcript,
+            ["t+0ms kill: paused replica 9", "t+0ms resume: replica 9"]
         );
+        assert!(cluster.excluded().is_empty());
+        assert_eq!(cluster.live().count(), 7);
     }
 }

@@ -6,11 +6,10 @@
 //! live nemesis's invariant sweep, and every seed replays bit for bit.
 //!
 //! Seven fault scenarios over 24 seeds each; a swarm of random plans over
-//! 200 seeds; and two reproducers kept red until they are fixed: ROADMAP
-//! item 1's cross-slot replay and item 10's client outage after a leader
-//! kill.
-
-mod support;
+//! 200 seeds; and three reproducers kept red until they are fixed: ROADMAP
+//! item 1's cross-slot replay, item 2's replicas left behind with f dead
+//! from the start (at n = 16 and 31), and item 10's client outage after a
+//! leader kill. The executor is the library's, `probft_smr::sim`.
 
 use probft_core::config::{ProbftConfig, View};
 use probft_core::message::Message;
@@ -18,16 +17,17 @@ use probft_core::wire::Wire;
 use probft_crypto::sha256::Sha256;
 use probft_obs::TraceKind;
 use probft_simnet::process::ProcessId;
+use probft_simnet::sim::RunOutcome::ConditionMet;
 use probft_simnet::time::{SimDuration, SimTime};
 use probft_smr::client::ATTEMPT_TIMEOUT;
 use probft_smr::nemesis::{Fault, FaultPlan, SPRAY_FRAMES};
+use probft_smr::sim::{Client, Cluster, Load, Member, Spec, Strategy};
 use probft_smr::{Command, RequestId, SlotMessage, SmrMessage};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 use std::time::Duration;
-use support::{Client, Cluster, Load, Member, Spec, Strategy};
 
 const SEEDS: Range<u64> = 0..24;
 const SWARM: Range<u64> = 0..200;
@@ -52,7 +52,7 @@ fn settle(cluster: &mut Cluster) {
     let settled = cluster.settle(SimDuration::from_ticks(30_000_000));
     let (seed, transcript) = (cluster.seed, &cluster.transcript);
     assert!(settled, "seed {seed} {transcript:?}: never settled");
-    cluster.sweep();
+    cluster.sweep().unwrap_or_else(|e| panic!("{e}"));
 }
 
 /// The leader dies mid-stream with its whole pipeline window in flight:
@@ -65,13 +65,15 @@ fn settle(cluster: &mut Cluster) {
 fn leader_kill_with_a_full_pipeline_decides_every_open_slot() {
     for seed in SEEDS {
         let mut cluster = cluster(seed, 100, 50, 0);
-        cluster.run_until(|m| {
-            m.node.slots_applied() >= 20 && !(m.leads() && m.node.resident_slots() < 4)
+        let full = cluster.run_until(|m| {
+            m.node.slots_applied() >= 20 && !(m.node.leads() && m.node.resident_slots() < 4)
         });
+        assert_eq!(full, ConditionMet, "seed {seed}");
         cluster.execute(&FaultPlan::new(seed).at(Duration::ZERO, Fault::KillLeader));
         settle(&mut cluster);
         assert_eq!(cluster.excluded(), [0], "seed {seed}");
-        assert_eq!(cluster.member(0).node.resident_slots(), 4, "seed {seed}");
+        let killed = cluster.member(0).expect("a replica");
+        assert_eq!(killed.node.resident_slots(), 4, "seed {seed}");
         for (i, m) in cluster.live() {
             let node = &m.node;
             let (opened, applied) = (node.slots_opened(), node.slots_applied());
@@ -99,7 +101,7 @@ fn back_to_back_leader_kills_move_the_log_twice() {
             .at(ms(700), Fault::Resume(0));
         cluster.execute(&plan);
         assert_eq!(cluster.view(), View(2), "seed {seed}");
-        cluster.run_until_level();
+        assert_eq!(cluster.run_until_level(), ConditionMet, "seed {seed}");
         cluster.execute(&FaultPlan::new(seed).at(Duration::ZERO, Fault::KillLeader));
         settle(&mut cluster);
         assert_eq!(cluster.excluded(), [1], "seed {seed}");
@@ -130,7 +132,8 @@ fn a_replica_restored_at_a_checkpoint_survives_a_second_kill() {
             .at(ms(700), Fault::Resume(0));
         cluster.execute(&plan);
         let frontier = cluster.live().map(|(_, m)| m.node.slots_applied()).max();
-        cluster.run_until(|m| Some(m.node.slots_applied()) >= frontier);
+        let caught_up = cluster.run_until(|m| Some(m.node.slots_applied()) >= frontier);
+        assert_eq!(caught_up, ConditionMet, "seed {seed}");
         cluster.execute(&FaultPlan::new(seed).at(ms(100), Fault::KillLeader));
         settle(&mut cluster);
     }
@@ -243,9 +246,11 @@ fn pausing_leader_at_checkpoint_boundary_keeps_resident_bound() {
     let mut dropped_on = Vec::new();
     for seed in SEEDS {
         let mut cluster = cluster(seed, 40, 20_000, interval as usize);
-        cluster.run_until(|m| m.node.slots_applied() >= interval);
+        let one = cluster.run_until(|m| m.node.slots_applied() >= interval);
+        assert_eq!(one, ConditionMet, "seed {seed}");
         cluster.execute(&FaultPlan::new(seed).at(Duration::ZERO, Fault::Kill(0)));
-        cluster.run_until(|m| m.node.total_log_len() >= 3 * interval);
+        let three = cluster.run_until(|m| m.node.total_log_len() >= 3 * interval);
+        assert_eq!(three, ConditionMet, "seed {seed}");
         cluster.execute(&FaultPlan::new(seed).at(Duration::ZERO, Fault::Resume(0)));
         settle(&mut cluster);
         for (i, m) in cluster.live() {
@@ -263,9 +268,10 @@ fn pausing_leader_at_checkpoint_boundary_keeps_resident_bound() {
             let transfers = metrics.counter("state_transfers");
             assert!(transfers > 0 || taken >= 2, "seed {seed}: replica {i}");
         }
-        let transfers = cluster.member(0).metrics().counter("state_transfers");
+        let old = cluster.member(0).expect("a replica").metrics();
+        let transfers = old.counter("state_transfers");
         assert!(transfers >= 1, "seed {seed}: the old leader replayed");
-        if cluster.member(0).metrics().counter("drops_future_horizon") > 0 {
+        if old.counter("drops_future_horizon") > 0 {
             dropped_on.push(seed);
         }
     }
@@ -291,11 +297,12 @@ fn resumed_old_leader_learns_the_view_and_redirects() {
     for seed in SEEDS {
         let mut cluster = cluster(seed, 50, 20_000, 8);
         cluster.execute(&FaultPlan::new(seed).at(ms(100), Fault::KillLeader));
-        cluster.run_until(|m| m.node.current_view() >= View(2));
+        let moved = cluster.run_until(|m| m.node.current_view() >= View(2));
+        assert_eq!(moved, ConditionMet, "seed {seed}");
         let resumed_at = cluster.sim.now();
         cluster.execute(&FaultPlan::new(seed).at(ms(100), Fault::Resume(0)));
         settle(&mut cluster);
-        let old = cluster.member(0);
+        let old = cluster.member(0).expect("a replica");
         assert_eq!(old.node.current_leader().index(), 1, "seed {seed}");
         assert_eq!(old.metrics().counter("view_changes"), 1, "seed {seed}");
         let [(View(2), entered)] = old.entered()[..] else {
@@ -326,8 +333,9 @@ fn equivocation_after_a_leader_kill_is_forged_in_the_logs_view() {
     for seed in SEEDS {
         let mut cluster = cluster(seed, 40, 20_000, 0);
         cluster.execute(&FaultPlan::new(seed).at(ms(50), Fault::KillLeader));
-        cluster.run_until(|m| m.node.current_view() >= View(2));
-        cluster.run_until_level();
+        let moved = cluster.run_until(|m| m.node.current_view() >= View(2));
+        assert_eq!(moved, ConditionMet, "seed {seed}");
+        assert_eq!(cluster.run_until_level(), ConditionMet, "seed {seed}");
         cluster.execute(&FaultPlan::new(seed).at(Duration::ZERO, Fault::Equivocate));
         let line = cluster.transcript.last().expect("transcribed");
         assert!(line.contains("view 2, "), "seed {seed}: {line}");
@@ -366,6 +374,56 @@ fn byzantine_equivocation_and_far_future_spray_survived() {
             assert_eq!(m.node.buffered_future(), 0, "seed {seed}: replica {i}");
         }
     }
+}
+
+/// ROADMAP item 2's attack: the last f replicas dead from the start, at
+/// the paper's fault bound and `o = 1.7` (pinned, so that a larger default
+/// cannot hide the defect), a checkpoint every 8 slots and 30 requests
+/// 10 ms apart. A live replica that misses a decided slot is never brought
+/// back, so the log stops after a window or two. A failure prints, per
+/// seed, the fewest and the most of the requests a live replica holds.
+#[test]
+#[ignore = "ROADMAP item 2: a replica that misses a decided slot is never brought back"]
+fn f_replicas_dead_from_the_start_leave_no_live_replica_behind() {
+    let count = 30;
+    let run = |n: usize, f: usize, seed: u64| {
+        let mut spec = Spec::new(n, seed);
+        let timeout = spec.cfg.base_timeout();
+        spec.cfg = ProbftConfig::builder(n)
+            .overprovision(1.7)
+            .base_timeout(timeout)
+            .build();
+        spec.settings.checkpoint_interval = 8;
+        spec.load = Load {
+            count,
+            every: 10_000,
+        };
+        let mut cluster = Cluster::new(spec);
+        let dead = (n - f..n).fold(FaultPlan::new(seed), |plan, i| {
+            plan.at(Duration::ZERO, Fault::Kill(i))
+        });
+        cluster.execute(&dead);
+        let settled = cluster.settle(SimDuration::from_ticks(30_000_000));
+        let held = cluster.live().map(|(_, m)| {
+            let held = (0..count).filter(|&r| m.node.cached_response(Load::id(r)).is_some());
+            held.count()
+        });
+        let (least, most) = held.fold((count, 0), |(lo, hi), h| (lo.min(h), hi.max(h)));
+        (settled, format!("seed {seed}: {least}..={most}"))
+    };
+    let (mut unsettled, mut tally) = (0, Vec::new());
+    for (n, f) in [(16, 5), (31, 10)] {
+        let runs: Vec<(bool, String)> = SEEDS.map(|seed| run(n, f, seed)).collect();
+        let settled = runs.iter().filter(|(settled, _)| *settled).count();
+        unsettled += runs.len() - settled;
+        let seeds: Vec<&str> = runs.iter().map(|(_, line)| line.as_str()).collect();
+        tally.push(format!(
+            "n = {n}, f = {f}: settled on {settled}/{}; requests held by the live replicas, {}",
+            runs.len(),
+            seeds.join(", ")
+        ));
+    }
+    assert_eq!(unsettled, 0, "{}", tally.join("\n"));
 }
 
 /// A random plan for 300 ms of load: one to four faults in its first
@@ -438,16 +496,8 @@ fn swarm_case(seed: u64) -> Result<(), String> {
             violations.push(format!("replica {}'s log is not a prefix", lag.id));
         }
     }
-    let holds_all = |i| {
-        (0..count).all(|r| {
-            cluster
-                .member(i)
-                .node
-                .cached_response(Load::id(r))
-                .is_some()
-        })
-    };
-    let complete = (0..N).filter(|&i| holds_all(i)).count();
+    let holds_all = |m: &Member| (0..count).all(|r| m.node.cached_response(Load::id(r)).is_some());
+    let complete = cluster.members().filter(|m| holds_all(m)).count();
     if complete < N - cfg.faults() {
         violations.push(format!("only {complete} replicas hold every request"));
     }

@@ -1,32 +1,25 @@
 //! Link faults, deterministically: a partition and jitter as a test-local
 //! [`DelayModel`] around the harness's network, with `SmrNode`s driven by
-//! the shared virtual-time executor (`support`) — no socket, no wall
+//! the shared virtual-time executor (`probft_smr::sim`) — no socket, no wall
 //! clock, and every seed replays bit for bit. (Process faults and forged
 //! traffic are nemesis plans, `chaos.rs`.) Beside them, serving mode's
 //! adaptive batching, which needs no fault at all to show.
 
-mod support;
-
-use probft_core::config::ProbftConfig;
 use probft_crypto::sha256::Digest;
-use probft_simnet::delay::{DelayModel, PartialSynchrony, Uniform};
+use probft_quorum::ReplicaId;
+use probft_simnet::delay::{DelayModel, Uniform};
 use probft_simnet::process::ProcessId;
+use probft_simnet::sim::RunOutcome::ConditionMet;
 use probft_simnet::time::{SimDuration, SimTime};
-use probft_smr::SmrSettings;
+use probft_smr::sim::{network, puts, Cluster};
+use probft_smr::{SmrBuilder, SmrSettings};
 use rand::rngs::StdRng;
 use std::ops::Range;
-use support::{puts, Cluster, Spec};
 
 /// Seeds each scenario runs under.
 const SEEDS: Range<u64> = 0..24;
 /// The view-1 leader, whose queue holds the whole workload.
 const LEADER: ProcessId = ProcessId(0);
-
-/// The network [`SmrBuilder`](probft_smr::SmrBuilder) runs on: delays
-/// uniform in 1..=100 ticks.
-fn network() -> PartialSynchrony {
-    PartialSynchrony::synchronous(SimDuration::from_ticks(1), SimDuration::from_ticks(100))
-}
 
 /// [`network`] with one fault on the links out of [`LEADER`].
 #[derive(Debug)]
@@ -64,22 +57,20 @@ impl DelayModel for LinkFault {
 /// [`LEADER`], over `network`, run until every replica has applied them
 /// and swept.
 fn run(n: usize, seed: u64, settings: SmrSettings, network: impl DelayModel + 'static) -> Cluster {
-    let mut spec = Spec::new(n, seed);
-    spec.cfg = ProbftConfig::builder(n)
-        .base_timeout(SimDuration::from_ticks(50_000))
-        .build();
+    let mut spec = SmrBuilder::new(n, 0).seed(seed).spec();
     spec.settings = settings;
     spec.network = Box::new(network);
-    spec.workloads = vec![puts("key", settings.target_len)];
+    spec.workloads
+        .insert(ReplicaId(0), puts("key", settings.target_len));
     let mut cluster = Cluster::new(spec);
-    cluster.run_until(|m| m.node.done());
-    cluster.sweep();
+    assert_eq!(cluster.run_until(|m| m.node.done()), ConditionMet);
+    cluster.sweep().unwrap_or_else(|e| panic!("{e}"));
     cluster
 }
 
 /// The `(total_log_len, log_digest)` the swept replicas all end with.
 fn agreed(cluster: &Cluster) -> (u64, Digest) {
-    let node = &cluster.member(LEADER.index()).node;
+    let node = &cluster.member(LEADER.index()).expect("the leader").node;
     (node.total_log_len(), node.log_digest())
 }
 
@@ -116,6 +107,7 @@ fn directed_partition_heals_and_the_victim_catches_up_by_state_transfer() {
         assert!(dropped > 0, "seed {seed}: the cut dropped nothing");
         let transfers = cluster
             .member(victim.index())
+            .expect("the victim")
             .node
             .obs()
             .state_transfers
@@ -168,7 +160,8 @@ fn serving_mode_drains_a_deep_queue_in_fewer_slots() {
     let runs = [workload_mode(target), serving].map(|settings| {
         let cluster = run(4, 5, settings, network());
         let (len, _) = agreed(&cluster);
-        let slots = cluster.member(LEADER.index()).node.slots_applied();
+        let leader = cluster.member(LEADER.index()).expect("the leader");
+        let slots = leader.node.slots_applied();
         (len, slots, len as f64 / slots as f64)
     });
     let [(static_len, static_slots, static_batch), (len, slots, batch)] = runs;

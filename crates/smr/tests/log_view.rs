@@ -1,5 +1,5 @@
 //! The log-wide view, deterministically: [`SmrNode`]s under the shared
-//! virtual-time executor (`support`) — no socket, no wall clock — each
+//! virtual-time executor (`probft_smr::sim`) — no socket, no wall clock — each
 //! behind a member that writes down what its node did with its one view
 //! timer and what wishes it heard.
 //!
@@ -10,19 +10,17 @@
 //!
 //! [`SmrNode`]: probft_smr::SmrNode
 
-mod support;
-
 use probft_core::config::{ProbftConfig, View};
 use probft_core::message::{Message, Wish, WishBody};
 use probft_obs::TraceKind;
 use probft_quorum::ReplicaId;
 use probft_simnet::process::ProcessId;
-use probft_simnet::sim::RunOutcome;
+use probft_simnet::sim::RunOutcome::{self, ConditionMet};
 use probft_simnet::time::{SimDuration, SimTime};
 use probft_smr::nemesis::{Fault, FaultPlan};
-use probft_smr::{Command, SlotMessage, SmrMessage, SmrSettings};
+use probft_smr::sim::{keyring, puts, Cluster, Member, Strategy, MAX_EVENTS};
+use probft_smr::{SlotMessage, SmrBuilder, SmrMessage, SmrSettings};
 use std::time::Duration;
-use support::{keyring, puts, Cluster, Member, Spec, Strategy, MAX_EVENTS};
 
 const BASE: u64 = 50_000;
 
@@ -38,17 +36,6 @@ fn wisher(wish: Wish) -> Strategy {
     })
 }
 
-/// A cluster as [`SmrBuilder`](probft_smr::SmrBuilder) wires one — base
-/// view timeout 50 000 ticks, delays uniform in 1..=100 — with `settings`
-/// everywhere and `workloads[i]` queued at replica `i`.
-fn spec(cfg: ProbftConfig, seed: u64, settings: SmrSettings, workloads: Vec<Vec<Command>>) -> Spec {
-    let mut spec = Spec::new(cfg.n(), seed);
-    spec.cfg = cfg;
-    spec.settings = settings;
-    spec.workloads = workloads;
-    spec
-}
-
 /// Pauses `victims` now, for good: crashed replicas, to the rest.
 fn crash(cluster: &mut Cluster, victims: &[usize]) {
     let plan = victims
@@ -59,29 +46,19 @@ fn crash(cluster: &mut Cluster, victims: &[usize]) {
     cluster.execute(&plan);
 }
 
-/// Eager, depth 4, one entry per slot, until `target_len` entries applied.
-fn eager(target_len: usize) -> SmrSettings {
-    SmrSettings {
-        pipeline_depth: 4,
-        ..SmrSettings::sequential(target_len)
-    }
-}
-
-fn config(n: usize) -> ProbftConfig {
-    ProbftConfig::builder(n)
-        .base_timeout(SimDuration::from_ticks(BASE))
-        .build()
-}
-
 /// Rule (i): eight PUTs queued at replica 0 and eight at replica 1, replica
 /// 0 crashed once every replica has applied eight slots. One view change
 /// carries the whole log over to replica 1: every slot decided after it
 /// decides in view 2, wishes cost one round in total rather than one per
 /// slot, and the run ends one timeout — not one per slot — after the crash.
 fn leader_crash(n: usize, seed: u64) {
-    let workloads = vec![puts("a", 8), puts("b", 8)];
-    let mut cluster = Cluster::new(spec(config(n), seed, eager(16), workloads));
-    cluster.run_until(|probe| probe.node.slots_applied() >= 8);
+    let spec = SmrBuilder::new(n, 16)
+        .seed(seed)
+        .workload(ReplicaId(0), puts("a", 8))
+        .workload(ReplicaId(1), puts("b", 8));
+    let mut cluster = Cluster::new(spec.spec());
+    let eight = cluster.run_until(|probe| probe.node.slots_applied() >= 8);
+    assert_eq!(eight, ConditionMet);
     crash(&mut cluster, &[0]);
     let crashed_at = cluster.sim.now();
     let applied_at_crash: Vec<u64> = cluster
@@ -89,7 +66,7 @@ fn leader_crash(n: usize, seed: u64) {
         .map(|(_, p)| p.node.slots_applied())
         .collect();
 
-    cluster.run_until(|probe| probe.node.done());
+    assert_eq!(cluster.run_until(|probe| probe.node.done()), ConditionMet);
     let finished_at = cluster.sim.now();
 
     for ((i, probe), applied_before) in cluster.live().zip(applied_at_crash) {
@@ -148,7 +125,7 @@ fn leader_crash(n: usize, seed: u64) {
             "replica {i}: finished at {finished_at}, bound {bound}"
         );
     }
-    cluster.sweep();
+    cluster.sweep().unwrap_or_else(|e| panic!("{e}"));
 
     let wishes = cluster.sim.metrics().kind("Wish").sent;
     assert!(
@@ -174,9 +151,15 @@ fn timeouts_are_sized_from_the_last_progress_not_from_view_one() {
     let cfg = ProbftConfig::builder(7)
         .quorum_multiplier(1.0)
         .base_timeout(SimDuration::from_ticks(BASE));
-    let workloads = vec![puts("a", 64), Vec::new(), puts("c", 64)];
-    let mut cluster = Cluster::new(spec(cfg.build(), 5, eager(128), workloads));
-    cluster.run_until(|probe| probe.node.slots_applied() >= 4);
+    let mut spec = SmrBuilder::new(7, 128)
+        .seed(5)
+        .workload(ReplicaId(0), puts("a", 64))
+        .workload(ReplicaId(2), puts("c", 64))
+        .spec();
+    spec.cfg = cfg.build();
+    let mut cluster = Cluster::new(spec);
+    let four = cluster.run_until(|probe| probe.node.slots_applied() >= 4);
+    assert_eq!(four, ConditionMet);
     crash(&mut cluster, &[0, 1]);
     let crashed_at = cluster.sim.now();
 
@@ -194,7 +177,9 @@ fn timeouts_are_sized_from_the_last_progress_not_from_view_one() {
                 .count(),
         )
     };
-    cluster.run_until(|probe| applied_in_view_3(probe).is_some_and(|applied| applied >= 2));
+    let two =
+        cluster.run_until(|probe| applied_in_view_3(probe).is_some_and(|applied| applied >= 2));
+    assert_eq!(two, ConditionMet);
 
     let (base, live): (SimDuration, Vec<_>) =
         (SimDuration::from_ticks(BASE), cluster.live().collect());
@@ -256,8 +241,9 @@ fn timeouts_are_sized_from_the_last_progress_not_from_view_one() {
 #[test]
 fn straggler_is_told_the_view_by_the_answers_to_its_first_wish() {
     let n = 7;
-    let workloads = vec![Vec::new(), puts("b", 6)];
-    let mut spec = spec(config(n), 3, SmrSettings::live(4), workloads);
+    let mut spec = SmrBuilder::new(n, 0).seed(3).spec();
+    spec.settings = SmrSettings::live(4);
+    spec.workloads.insert(ReplicaId(1), puts("b", 6));
     spec.redirects = (1..=5).map(|i| (i, SimTime::ZERO)).collect();
     let mut cluster = Cluster::new(spec);
     // Replica 6 hears nothing until every wish — sent at the first timeout,
@@ -271,13 +257,16 @@ fn straggler_is_told_the_view_by_the_answers_to_its_first_wish() {
         let expected = if i == 6 { View(1) } else { View(2) };
         assert_eq!(probe.node.current_view(), expected, "replica {i}");
     }
-    let straggler = cluster.member(6);
+    let straggler = cluster.member(6).expect("replica 6");
     assert_eq!((straggler.wishes_heard, straggler.first_wish_at), (0, None));
     assert!(straggler.timers.is_empty(), "idle: no timer runs");
 
-    cluster.run_until(|probe| probe.node.total_log_len() == 6);
+    assert_eq!(
+        cluster.run_until(|probe| probe.node.total_log_len() == 6),
+        ConditionMet
+    );
 
-    let straggler = cluster.member(6);
+    let straggler = cluster.member(6).expect("replica 6");
     let wished_at = straggler.first_wish_at.expect("the straggler wished");
     let [(view, entered_at)] = straggler.entered()[..] else {
         panic!("entered {:?}", straggler.entered());
@@ -297,7 +286,7 @@ fn straggler_is_told_the_view_by_the_answers_to_its_first_wish() {
         // Nobody else moved: a straggler's wish is answered, not amplified.
         assert_eq!(probe.node.current_view(), View(2), "replica {i}");
     }
-    cluster.sweep();
+    cluster.sweep().unwrap_or_else(|e| panic!("{e}"));
 }
 
 /// Rule (iv): f Byzantine replicas wishing for view 100, tagged with
@@ -307,7 +296,8 @@ fn straggler_is_told_the_view_by_the_answers_to_its_first_wish() {
 #[test]
 fn byzantine_far_future_wishes_move_no_view_and_open_no_slot() {
     let seed = 11;
-    let mut spec = spec(config(7), seed, SmrSettings::live(4), Vec::new());
+    let mut spec = SmrBuilder::new(7, 0).seed(seed).spec();
+    spec.settings = SmrSettings::live(4);
     let keyring = keyring(7, seed);
     for i in [5, 6] {
         let (sender, view) = (ReplicaId::from(i), View(100));
@@ -346,7 +336,8 @@ fn byzantine_far_future_wishes_move_no_view_and_open_no_slot() {
 #[test]
 fn lone_tagged_wish_on_a_healthy_cluster_costs_one_empty_slot() {
     let n = 7;
-    let mut spec = spec(config(n), 13, SmrSettings::live(4), Vec::new());
+    let mut spec = SmrBuilder::new(n, 0).seed(13).spec();
+    spec.settings = SmrSettings::live(4);
     spec.redirects = vec![(3, SimTime::ZERO)];
     let mut cluster = Cluster::new(spec);
     assert_eq!(

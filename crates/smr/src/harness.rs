@@ -9,6 +9,7 @@ use probft_quorum::ReplicaId;
 use probft_simnet::metrics::MessageMetrics;
 use probft_simnet::sim::RunOutcome;
 use probft_simnet::time::{SimDuration, SimTime};
+use std::fmt;
 
 /// Throughput accounting for a run that orders application commands, so
 /// that batching and pipelining experiments measure, rather than estimate,
@@ -46,6 +47,21 @@ impl ThroughputStats {
     }
 }
 
+impl fmt::Display for ThroughputStats {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} cmds over {} slots ({} opened) in {} ticks — {:.1} cmds/Mtick, mean batch {:.2}",
+            self.commands,
+            self.slots_applied,
+            self.slots_opened,
+            self.ticks,
+            self.commands_per_megatick(),
+            self.mean_batch_size()
+        )
+    }
+}
+
 /// Builds and runs an SMR cluster of [`KvStore`]s ordering a shared
 /// workload: a virtual-time [`Spec`] with no client, run until every
 /// replica is done.
@@ -59,18 +75,12 @@ impl SmrBuilder {
     /// pipeline depth of 4, one entry per batch and a base view timeout of
     /// 50 000 ticks, on [`Spec::new`]'s links.
     pub fn new(n: usize, target_len: usize) -> Self {
-        let cfg = ProbftConfig::builder(n).base_timeout(SimDuration::from_ticks(50_000));
-        let settings = SmrSettings {
-            pipeline_depth: 4,
-            ..SmrSettings::sequential(target_len)
-        };
-        SmrBuilder {
-            spec: Spec {
-                cfg: cfg.build(),
-                settings,
-                ..Spec::new(n, 0)
-            },
-        }
+        let mut spec = Spec::new(n, 0);
+        let timeout = SimDuration::from_ticks(50_000);
+        spec.cfg = ProbftConfig::builder(n).base_timeout(timeout).build();
+        spec.settings = SmrSettings::sequential(target_len);
+        spec.settings.pipeline_depth = 4;
+        SmrBuilder { spec }
     }
 
     /// Sets the RNG seed.
@@ -241,6 +251,8 @@ mod tests {
         };
         assert!((t.mean_batch_size() - 8.0).abs() < 1e-9);
         assert!((t.commands_per_megatick() - 32.0).abs() < 1e-9);
+        let s = t.to_string();
+        assert!(s.contains("64 cmds") && s.contains("8 slots"), "{s}");
 
         let zero = ThroughputStats::default();
         assert_eq!(zero.mean_batch_size(), 0.0);

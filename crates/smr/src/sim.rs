@@ -56,6 +56,8 @@ use std::time::Duration;
 pub const MAX_EVENTS: u64 = 50_000_000;
 /// How often a paused replica looks for its resume (the live host's wait).
 const PAUSED_POLL: u64 = 5_000;
+/// How many timers [`Member::timers`] keeps.
+const TIMER_PROBES: usize = 4_096;
 /// A member's own timer (a node numbers its timers from 1).
 const REDIRECT: TimerToken = TimerToken(u64::MAX - 1);
 /// A client's timer for its next send; an attempt's carries its number.
@@ -286,10 +288,9 @@ impl Spec {
     /// `n` replicas with keys and links drawn from `seed`, nothing queued
     /// and no client.
     pub fn new(n: usize, seed: u64) -> Self {
+        let timeout = SimDuration::from_ticks(250_000);
         Spec {
-            cfg: ProbftConfig::builder(n)
-                .base_timeout(SimDuration::from_ticks(250_000))
-                .build(),
+            cfg: ProbftConfig::builder(n).base_timeout(timeout).build(),
             seed,
             settings: SmrSettings::live(4),
             network: Box::new(network()),
@@ -316,11 +317,11 @@ pub struct Member {
     paused: bool,
     /// Handed to the node's contexts, which draw nothing from it.
     rng: StdRng,
-    /// `(when, delay)` of every timer the node set.
+    /// Test probe: `(when, delay)` of the first 4 096 timers the node set.
     pub timers: Vec<(SimTime, SimDuration)>,
-    /// When the node first sent a wish of its own to a peer.
+    /// Test probe: when the node first sent a wish of its own to a peer.
     pub first_wish_at: Option<SimTime>,
-    /// Wishes delivered to the node (its own to itself aside).
+    /// Test probe: wishes delivered to the node (its own to itself aside).
     pub wishes_heard: u64,
 }
 
@@ -370,7 +371,9 @@ impl Member {
                     ctx.send(to, Msg::Peer(msg));
                 }
                 Action::SetTimer { delay, token } => {
-                    self.timers.push((ctx.now(), delay));
+                    if self.timers.len() < TIMER_PROBES {
+                        self.timers.push((ctx.now(), delay));
+                    }
                     ctx.set_timer(delay, token);
                 }
                 Action::Halt => ctx.halt(),
@@ -392,10 +395,7 @@ impl Member {
 }
 
 fn is_wish(msg: &SmrMessage) -> bool {
-    let SmrMessage::Slot(SlotMessage { inner, .. }) = msg else {
-        return false;
-    };
-    matches!(inner, Message::Wish(_))
+    matches!(msg, SmrMessage::Slot(slot) if matches!(slot.inner, Message::Wish(_)))
 }
 
 impl Process for Member {
@@ -602,9 +602,8 @@ impl Cluster {
     /// Fires `fault`; the transcript line. A replica the cluster does not
     /// have is left alone, as on sockets.
     fn fire(&mut self, fault: &Fault, seed: u64) -> String {
-        for m in members(&self.sim) {
-            fault.journal(&m.node.obs(), self.sim.now().ticks());
-        }
+        let now = self.sim.now().ticks();
+        members(&self.sim).for_each(|m| fault.journal(&m.node.obs(), now));
         let (n, leader, view) = (self.cfg.n(), self.leader(), self.view());
         let applied = members(&self.sim).map(|m| m.node.slots_applied());
         let frontier = applied.max().unwrap_or(0);
@@ -635,12 +634,9 @@ impl Cluster {
                 let Some([a, b]) = forged else {
                     return format!("equivocate: no signing key for replica {leader}");
                 };
-                let slot = a.slot;
+                let (slot, View(view)) = (a.slot, view);
                 let sent = self.inject(leader, |i| [if i % 2 == 0 { &a } else { &b }.clone()]);
-                format!(
-                    "replica {leader}'s key, slot {slot}, view {}, {sent} frames",
-                    view.0
-                )
+                format!("replica {leader}'s key, slot {slot}, view {view}, {sent} frames")
             }
             Fault::FarFutureSpray => {
                 let attacker = n.saturating_sub(1);
@@ -726,10 +722,8 @@ impl Cluster {
 
     /// The paused and the Byzantine replicas: what the sweep leaves out.
     pub fn excluded(&self) -> Vec<usize> {
-        self.members()
-            .filter(|m| !m.is_live())
-            .map(|m| m.id)
-            .collect()
+        let excluded = self.members().filter(|m| !m.is_live());
+        excluded.map(|m| m.id).collect()
     }
 
     /// The invariant sweep over every replica but `excluded`.
@@ -739,11 +733,7 @@ impl Cluster {
             nemesis::verify_invariants(&reports, excluded, &confirmed),
             nemesis::verify_exactly_once(&reports, excluded),
         ];
-        sweep
-            .into_iter()
-            .filter_map(Result::err)
-            .flatten()
-            .collect()
+        sweep.into_iter().flat_map(Result::err).flatten().collect()
     }
 
     /// The invariant sweep over every honest unpaused replica; a violation

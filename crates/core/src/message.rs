@@ -29,7 +29,8 @@ use crate::sampling::{self, Phase};
 use crate::shell::Seat;
 use crate::signed::{Signed, SignedBody};
 use crate::value::Value;
-use crate::wire::{fields_len, put, Reader, Wire, WireError};
+use crate::wire::Wire;
+use crate::wire_fields;
 use probft_crypto::keyring::PublicKeyring;
 use probft_crypto::schnorr::SigningKey;
 use probft_crypto::sha256::Digest;
@@ -100,27 +101,7 @@ impl SignedBody for ProposalBody {
     }
 }
 
-impl Wire for ProposalBody {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.view.encode(out);
-        self.leader.encode(out);
-        self.digest.encode(out);
-    }
-    fn wire_len(&self) -> usize {
-        fields_len([
-            self.view.wire_len(),
-            self.leader.wire_len(),
-            self.digest.wire_len(),
-        ])
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(ProposalBody {
-            view: Wire::decode(r)?,
-            leader: Wire::decode(r)?,
-            digest: Wire::decode(r)?,
-        })
-    }
-}
+wire_fields! { impl Wire for ProposalBody { view, leader, digest } }
 
 impl Signed<ProposalBody> {
     /// Verifies the leader signature and that the signer leads the view —
@@ -195,27 +176,7 @@ impl SignedBody for PhaseBody {
     }
 }
 
-impl Wire for PhaseBody {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.sender.encode(out);
-        self.proposal.encode(out);
-        self.proof.encode(out);
-    }
-    fn wire_len(&self) -> usize {
-        fields_len([
-            self.sender.wire_len(),
-            self.proposal.wire_len(),
-            self.proof.wire_len(),
-        ])
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(PhaseBody {
-            sender: Wire::decode(r)?,
-            proposal: Wire::decode(r)?,
-            proof: Wire::decode(r)?,
-        })
-    }
-}
+wire_fields! { impl Wire for PhaseBody { sender, proposal, proof } }
 
 impl Signed<PhaseBody> {
     /// Full verification: leader-signed header, outer signature, and VRF
@@ -422,32 +383,8 @@ impl<V: CertVote> SignedBody for NewLeaderBody<V> {
     }
 }
 
-impl<V: Wire> Wire for NewLeaderBody<V> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.sender.encode(out);
-        self.view.encode(out);
-        self.prepared_view.encode(out);
-        self.prepared_value.encode(out);
-        self.cert.encode(out);
-    }
-    fn wire_len(&self) -> usize {
-        fields_len([
-            self.sender.wire_len(),
-            self.view.wire_len(),
-            self.prepared_view.wire_len(),
-            self.prepared_value.wire_len(),
-            self.cert.wire_len(),
-        ])
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(NewLeaderBody {
-            sender: Wire::decode(r)?,
-            view: Wire::decode(r)?,
-            prepared_view: Wire::decode(r)?,
-            prepared_value: Wire::decode(r)?,
-            cert: Wire::decode(r)?,
-        })
-    }
+wire_fields! {
+    impl<V: Wire> Wire for NewLeaderBody<V> { sender, view, prepared_view, prepared_value, cert }
 }
 
 /// `⟨Propose, ⟨v, H(x)⟩_i, x, M⟩_i` (lines 3, 10, 12).
@@ -487,27 +424,7 @@ impl<V: CertVote> SignedBody for ProposeBody<V> {
     }
 }
 
-impl<V: Wire> Wire for ProposeBody<V> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.proposal.encode(out);
-        self.value.encode(out);
-        self.justification.encode(out);
-    }
-    fn wire_len(&self) -> usize {
-        fields_len([
-            self.proposal.wire_len(),
-            self.value.wire_len(),
-            self.justification.wire_len(),
-        ])
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(ProposeBody {
-            proposal: Wire::decode(r)?,
-            value: Wire::decode(r)?,
-            justification: Wire::decode(r)?,
-        })
-    }
-}
+wire_fields! { impl<V: Wire> Wire for ProposeBody<V> { proposal, value, justification } }
 
 impl<V: CertVote> Signed<ProposeBody<V>> {
     /// Signs `⟨v, H(x)⟩` and the Propose carrying it and `x`, as the leader.
@@ -588,21 +505,7 @@ impl SignedBody for WishBody {
     }
 }
 
-impl Wire for WishBody {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.sender.encode(out);
-        self.view.encode(out);
-    }
-    fn wire_len(&self) -> usize {
-        fields_len([self.sender.wire_len(), self.view.wire_len()])
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(WishBody {
-            sender: Wire::decode(r)?,
-            view: Wire::decode(r)?,
-        })
-    }
-}
+wire_fields! { impl Wire for WishBody { sender, view } }
 
 // ---------------------------------------------------------------------------
 // Message — the transport envelope.
@@ -692,34 +595,9 @@ impl<V: CertVote> MessageOf<V> {
     }
 }
 
-impl<V: CertVote> Wire for MessageOf<V> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            MessageOf::Propose(p) => put::tagged(out, 1, p),
-            MessageOf::Prepare(p) => put::tagged(out, 2, p),
-            MessageOf::Commit(p) => put::tagged(out, 3, p),
-            MessageOf::NewLeader(m) => put::tagged(out, 4, m),
-            MessageOf::Wish(w) => put::tagged(out, 5, w),
-        }
-    }
-    fn wire_len(&self) -> usize {
-        let payload = match self {
-            MessageOf::Propose(p) => p.wire_len(),
-            MessageOf::Prepare(p) | MessageOf::Commit(p) => p.wire_len(),
-            MessageOf::NewLeader(m) => m.wire_len(),
-            MessageOf::Wish(w) => w.wire_len(),
-        };
-        fields_len([1, payload])
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            1 => Ok(MessageOf::Propose(Wire::decode(r)?)),
-            2 => Ok(MessageOf::Prepare(Wire::decode(r)?)),
-            3 => Ok(MessageOf::Commit(Wire::decode(r)?)),
-            4 => Ok(MessageOf::NewLeader(Wire::decode(r)?)),
-            5 => Ok(MessageOf::Wish(Wire::decode(r)?)),
-            t => Err(WireError::UnknownTag(t)),
-        }
+wire_fields! {
+    impl<V: CertVote> Wire for MessageOf<V> {
+        1 => Propose, 2 => Prepare, 3 => Commit, 4 => NewLeader, 5 => Wish
     }
 }
 
@@ -741,6 +619,7 @@ impl<V: CertVote> Measurable for MessageOf<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::WireError;
     use probft_crypto::keyring::Keyring;
 
     fn setup(n: usize) -> (ProbftConfig, Keyring) {

@@ -11,7 +11,8 @@
 //! in this module's `payload` function alone.
 
 use crate::error::RejectReason;
-use crate::wire::{fields_len, Reader, Wire, WireError};
+use crate::wire::Wire;
+use crate::wire_fields;
 use probft_crypto::keyring::PublicKeyring;
 use probft_crypto::schnorr::{Signature, SigningKey};
 use probft_quorum::ReplicaId;
@@ -96,21 +97,7 @@ impl<B> Deref for Signed<B> {
     }
 }
 
-impl<B: Wire> Wire for Signed<B> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.body.encode(out);
-        self.signature.encode(out);
-    }
-    fn wire_len(&self) -> usize {
-        fields_len([self.body.wire_len(), self.signature.wire_len()])
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Signed {
-            body: B::decode(r)?,
-            signature: Signature::decode(r)?,
-        })
-    }
-}
+wire_fields! { impl<B: Wire> Wire for Signed<B> { body, signature } }
 
 #[cfg(test)]
 mod tests {

@@ -7,6 +7,13 @@
 //! the items; an `Option<T>` is a `0` byte, or a `1` byte followed by the
 //! value.
 //!
+//! A message's field order *is* its wire format, and each type states it
+//! once: a [`wire_fields!`](crate::wire_fields) declaration writes the
+//! type's [`Wire::encode`], [`Wire::wire_len`] and [`Wire::decode`] from
+//! one field list, so the byte count the simulator charges cannot drift
+//! from the bytes a socket carries. Only what is not a plain field list
+//! (a capped count, a flag byte, a struct variant) is written by hand.
+//!
 //! "What is signed" is exactly "what is sent", and that is enforced, not
 //! promised: a signed message is a [`Signed<B>`](crate::signed::Signed)
 //! whose signing payload is built in one function, from the body's own
@@ -101,6 +108,78 @@ pub trait Wire: Sized {
         }
         Ok(value)
     }
+}
+
+/// Implements [`Wire`] from one list, written as the impl it expands to.
+///
+/// * A struct, by its fields in wire order:
+///   `wire_fields! { impl<V: Wire> Wire for NewLeaderBody<V> { sender, view, … } }`
+///   encodes the fields in list order, sums their [`Wire::wire_len`]s with
+///   [`fields_len`], and decodes a struct literal in the same order.
+/// * An enum whose variants each wrap one `Wire` value, by tag:
+///   `wire_fields! { impl Wire for HsMessage { 1 => NewView, 2 => Broadcast, … } }`
+///   writes the tag byte, then the payload; an unlisted tag decodes to
+///   [`WireError::UnknownTag`].
+/// * An enum of unit variants, by tag: `wire_fields! { impl Wire for HsPhase
+///   { Prepare = 1, … } }` is the tag byte alone.
+#[macro_export]
+macro_rules! wire_fields {
+    (impl $(<$g:ident: $bound:path>)? Wire for $ty:ident $(<$p:ident>)? {
+        $($field:ident),+ $(,)?
+    }) => {
+        impl $(<$g: $bound>)? $crate::wire::Wire for $ty $(<$p>)? {
+            fn encode(&self, out: &mut Vec<u8>) {
+                $($crate::wire::Wire::encode(&self.$field, out);)+
+            }
+            fn wire_len(&self) -> usize {
+                $crate::wire::fields_len([$($crate::wire::Wire::wire_len(&self.$field)),+])
+            }
+            fn decode(r: &mut $crate::wire::Reader<'_>) -> Result<Self, $crate::wire::WireError> {
+                Ok(Self { $($field: $crate::wire::Wire::decode(r)?),+ })
+            }
+        }
+    };
+    (impl $(<$g:ident: $bound:path>)? Wire for $ty:ident $(<$p:ident>)? {
+        $($tag:literal => $variant:ident),+ $(,)?
+    }) => {
+        impl $(<$g: $bound>)? $crate::wire::Wire for $ty $(<$p>)? {
+            fn encode(&self, out: &mut Vec<u8>) {
+                match self {
+                    $(Self::$variant(v) => $crate::wire::put::tagged(out, $tag, v),)+
+                }
+            }
+            fn wire_len(&self) -> usize {
+                let payload = match self {
+                    $(Self::$variant(v) => $crate::wire::Wire::wire_len(v),)+
+                };
+                $crate::wire::fields_len([1, payload])
+            }
+            fn decode(r: &mut $crate::wire::Reader<'_>) -> Result<Self, $crate::wire::WireError> {
+                match r.u8()? {
+                    $($tag => Ok(Self::$variant($crate::wire::Wire::decode(r)?)),)+
+                    t => Err($crate::wire::WireError::UnknownTag(t)),
+                }
+            }
+        }
+    };
+    (impl Wire for $ty:ident { $($variant:ident = $tag:literal),+ $(,)? }) => {
+        impl $crate::wire::Wire for $ty {
+            fn encode(&self, out: &mut Vec<u8>) {
+                out.push(match self {
+                    $(Self::$variant => $tag,)+
+                });
+            }
+            fn wire_len(&self) -> usize {
+                1
+            }
+            fn decode(r: &mut $crate::wire::Reader<'_>) -> Result<Self, $crate::wire::WireError> {
+                match r.u8()? {
+                    $($tag => Ok(Self::$variant),)+
+                    t => Err($crate::wire::WireError::UnknownTag(t)),
+                }
+            }
+        }
+    };
 }
 
 /// A cursor over input bytes with bounds-checked primitive reads.
@@ -252,6 +331,18 @@ impl<T: Wire> Wire for Option<T> {
     }
 }
 
+impl Wire for u64 {
+    fn encode(&self, out: &mut Vec<u8>) {
+        put::u64(out, *self);
+    }
+    fn wire_len(&self) -> usize {
+        8
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        r.u64()
+    }
+}
+
 impl Wire for ReplicaId {
     fn encode(&self, out: &mut Vec<u8>) {
         put::u32(out, self.0);
@@ -330,6 +421,11 @@ mod tests {
         assert_eq!(r.u64().unwrap(), 42);
         assert_eq!(r.var_bytes().unwrap(), b"hello");
         assert_eq!(r.remaining(), 0);
+
+        let slot = 0x0102_0304_0506_0708_u64;
+        assert_eq!(slot.to_wire_bytes(), [1, 2, 3, 4, 5, 6, 7, 8]);
+        assert_eq!(slot.wire_len(), 8);
+        assert_eq!(u64::from_wire_bytes(&slot.to_wire_bytes()), Ok(slot));
     }
 
     #[test]

@@ -13,6 +13,7 @@ use probft_core::message::{VerifyCtx, Wish};
 use probft_core::signed::{Signed, SignedBody};
 use probft_core::value::Value;
 use probft_core::wire::{fields_len, put, Reader, Wire, WireError};
+use probft_core::wire_fields;
 use probft_crypto::sha256::Digest;
 use probft_quorum::ReplicaId;
 use probft_simnet::metrics::Measurable;
@@ -29,24 +30,7 @@ pub enum HsPhase {
     Commit,
 }
 
-impl HsPhase {
-    fn tag(self) -> u8 {
-        match self {
-            HsPhase::Prepare => 1,
-            HsPhase::PreCommit => 2,
-            HsPhase::Commit => 3,
-        }
-    }
-
-    fn from_tag(tag: u8) -> Result<Self, WireError> {
-        match tag {
-            1 => Ok(HsPhase::Prepare),
-            2 => Ok(HsPhase::PreCommit),
-            3 => Ok(HsPhase::Commit),
-            t => Err(WireError::UnknownTag(t)),
-        }
-    }
-}
+wire_fields! { impl Wire for HsPhase { Prepare = 1, PreCommit = 2, Commit = 3 } }
 
 /// A phase vote sent to the leader.
 pub type HsVote = Signed<HsVoteBody>;
@@ -74,30 +58,7 @@ impl SignedBody for HsVoteBody {
     }
 }
 
-impl Wire for HsVoteBody {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.push(self.phase.tag());
-        self.sender.encode(out);
-        self.view.encode(out);
-        self.digest.encode(out);
-    }
-    fn wire_len(&self) -> usize {
-        fields_len([
-            1,
-            self.sender.wire_len(),
-            self.view.wire_len(),
-            self.digest.wire_len(),
-        ])
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(HsVoteBody {
-            phase: HsPhase::from_tag(r.u8()?)?,
-            sender: Wire::decode(r)?,
-            view: Wire::decode(r)?,
-            digest: Wire::decode(r)?,
-        })
-    }
-}
+wire_fields! { impl Wire for HsVoteBody { phase, sender, view, digest } }
 
 /// A quorum certificate: `⌈(n+f+1)/2⌉` matching votes for one phase.
 ///
@@ -136,30 +97,7 @@ impl Qc {
     }
 }
 
-impl Wire for Qc {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.push(self.phase.tag());
-        self.view.encode(out);
-        self.value.encode(out);
-        self.votes.encode(out);
-    }
-    fn wire_len(&self) -> usize {
-        fields_len([
-            1,
-            self.view.wire_len(),
-            self.value.wire_len(),
-            self.votes.wire_len(),
-        ])
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Qc {
-            phase: HsPhase::from_tag(r.u8()?)?,
-            view: Wire::decode(r)?,
-            value: Wire::decode(r)?,
-            votes: Wire::decode(r)?,
-        })
-    }
-}
+wire_fields! { impl Wire for Qc { phase, view, value, votes } }
 
 /// A leader broadcast: the proposal or a phase-advancing QC.
 #[derive(Clone, Debug, PartialEq)]
@@ -243,27 +181,7 @@ impl SignedBody for NewViewBody {
     }
 }
 
-impl Wire for NewViewBody {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.sender.encode(out);
-        self.view.encode(out);
-        self.prepare_qc.encode(out);
-    }
-    fn wire_len(&self) -> usize {
-        fields_len([
-            self.sender.wire_len(),
-            self.view.wire_len(),
-            self.prepare_qc.wire_len(),
-        ])
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(NewViewBody {
-            sender: Wire::decode(r)?,
-            view: Wire::decode(r)?,
-            prepare_qc: Wire::decode(r)?,
-        })
-    }
-}
+wire_fields! { impl Wire for NewViewBody { sender, view, prepare_qc } }
 
 /// A leader broadcast for `view`, signed by the leader.
 pub type Broadcast = Signed<BroadcastBody>;
@@ -289,27 +207,7 @@ impl SignedBody for BroadcastBody {
     }
 }
 
-impl Wire for BroadcastBody {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.sender.encode(out);
-        self.view.encode(out);
-        self.payload.encode(out);
-    }
-    fn wire_len(&self) -> usize {
-        fields_len([
-            self.sender.wire_len(),
-            self.view.wire_len(),
-            self.payload.wire_len(),
-        ])
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(BroadcastBody {
-            sender: Wire::decode(r)?,
-            view: Wire::decode(r)?,
-            payload: Wire::decode(r)?,
-        })
-    }
-}
+wire_fields! { impl Wire for BroadcastBody { sender, view, payload } }
 
 /// Any single-shot HotStuff message.
 #[derive(Clone, Debug, PartialEq)]
@@ -365,34 +263,7 @@ impl HsMessage {
     }
 }
 
-impl Wire for HsMessage {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            HsMessage::NewView(m) => put::tagged(out, 1, m),
-            HsMessage::Broadcast(b) => put::tagged(out, 2, b),
-            HsMessage::Vote(v) => put::tagged(out, 3, v),
-            HsMessage::Wish(w) => put::tagged(out, 4, w),
-        }
-    }
-    fn wire_len(&self) -> usize {
-        let payload = match self {
-            HsMessage::NewView(m) => m.wire_len(),
-            HsMessage::Broadcast(b) => b.wire_len(),
-            HsMessage::Vote(v) => v.wire_len(),
-            HsMessage::Wish(w) => w.wire_len(),
-        };
-        fields_len([1, payload])
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            1 => Ok(HsMessage::NewView(NewView::decode(r)?)),
-            2 => Ok(HsMessage::Broadcast(Broadcast::decode(r)?)),
-            3 => Ok(HsMessage::Vote(HsVote::decode(r)?)),
-            4 => Ok(HsMessage::Wish(Wish::decode(r)?)),
-            t => Err(WireError::UnknownTag(t)),
-        }
-    }
-}
+wire_fields! { impl Wire for HsMessage { 1 => NewView, 2 => Broadcast, 3 => Vote, 4 => Wish } }
 
 impl Measurable for HsMessage {
     fn kind(&self) -> &'static str {
@@ -428,6 +299,18 @@ mod tests {
             ProbftConfig::builder(7).quorum_multiplier(1.0).build(),
             Keyring::generate(7, b"hs-msg"),
         )
+    }
+
+    #[test]
+    fn phase_round_trips_and_refuses_an_unknown_tag() {
+        for phase in [HsPhase::Prepare, HsPhase::PreCommit, HsPhase::Commit] {
+            assert_eq!(phase.wire_len(), 1);
+            assert_eq!(HsPhase::from_wire_bytes(&phase.to_wire_bytes()), Ok(phase));
+        }
+        assert_eq!(
+            HsPhase::from_wire_bytes(&[4]),
+            Err(WireError::UnknownTag(4))
+        );
     }
 
     #[test]

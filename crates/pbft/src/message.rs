@@ -15,7 +15,7 @@ use probft_core::config::{ProbftConfig, View};
 use probft_core::harness::Seat;
 use probft_core::message::{CertVote, MessageOf, NewLeaderBody, ProposeBody};
 use probft_core::signed::{Signed, SignedBody};
-use probft_core::wire::{fields_len, Reader, Wire, WireError};
+use probft_core::wire_fields;
 use probft_crypto::schnorr::SigningKey;
 use probft_crypto::sha256::Digest;
 use probft_quorum::ReplicaId;
@@ -107,27 +107,7 @@ impl CertVote for VoteBody {
     }
 }
 
-impl Wire for VoteBody {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.sender.encode(out);
-        self.view.encode(out);
-        self.digest.encode(out);
-    }
-    fn wire_len(&self) -> usize {
-        fields_len([
-            self.sender.wire_len(),
-            self.view.wire_len(),
-            self.digest.wire_len(),
-        ])
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(VoteBody {
-            sender: Wire::decode(r)?,
-            view: Wire::decode(r)?,
-            digest: Wire::decode(r)?,
-        })
-    }
-}
+wire_fields! { impl Wire for VoteBody { sender, view, digest } }
 
 /// A PBFT view-change report: the sender's latest prepared value (carried
 /// whole so the new leader can re-propose it) with its deterministic-quorum
@@ -148,6 +128,7 @@ mod tests {
     use probft_core::message::VerifyCtx;
     use probft_core::predicates::{choose_proposal, safe_proposal, valid_new_leader};
     use probft_core::value::Value;
+    use probft_core::wire::Wire;
     use probft_crypto::keyring::Keyring;
 
     fn setup() -> (ProbftConfig, Keyring) {

@@ -37,6 +37,7 @@ use crate::node::{AppliedRequest, SmrMessage};
 use probft_core::shell::Seat;
 use probft_core::signed::{Signed, SignedBody};
 use probft_core::wire::{fields_len, put, Reader, Wire, WireError};
+use probft_core::wire_fields;
 use probft_crypto::sha256::{Digest, Sha256};
 use probft_obs::{Obs, TraceKind};
 use probft_quorum::ReplicaId;
@@ -236,24 +237,7 @@ impl SignedBody for CheckpointBody {
     }
 }
 
-impl Wire for CheckpointBody {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.from.encode(out);
-        put::u64(out, self.slot);
-        self.digest.encode(out);
-    }
-    fn wire_len(&self) -> usize {
-        fields_len([self.from.wire_len(), 8, self.digest.wire_len()])
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(CheckpointBody {
-            from: Wire::decode(r)?,
-            slot: r.u64()?,
-            digest: Wire::decode(r)?,
-        })
-    }
-}
+wire_fields! { impl Wire for CheckpointBody { from, slot, digest } }
 
 impl fmt::Display for CheckpointBody {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -280,17 +264,7 @@ pub struct StateRequest {
     pub min_slot: u64,
 }
 
-impl Wire for StateRequest {
-    fn encode(&self, out: &mut Vec<u8>) {
-        put::u64(out, self.min_slot);
-    }
-    fn wire_len(&self) -> usize {
-        8
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(StateRequest { min_slot: r.u64()? })
-    }
-}
+wire_fields! { impl Wire for StateRequest { min_slot } }
 
 /// Most votes a transferred checkpoint certificate may carry on the wire
 /// (anti-allocation bound; real certificates hold at most `n` votes).

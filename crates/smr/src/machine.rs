@@ -14,6 +14,7 @@
 
 use probft_core::value::Value;
 use probft_core::wire::{put, Reader, Wire, WireError};
+use probft_core::wire_fields;
 use std::fmt;
 
 /// A deterministic application state machine replicated by the SMR layer.
@@ -127,33 +128,9 @@ impl Consistency {
     pub fn all() -> [Consistency; 3] {
         Self::ALL
     }
-
-    fn to_u8(self) -> u8 {
-        match self {
-            Consistency::Local => 0,
-            Consistency::Leader => 1,
-            Consistency::Linearizable => 2,
-        }
-    }
-
-    fn from_u8(v: u8) -> Result<Self, WireError> {
-        match v {
-            0 => Ok(Consistency::Local),
-            1 => Ok(Consistency::Leader),
-            2 => Ok(Consistency::Linearizable),
-            t => Err(WireError::UnknownTag(t)),
-        }
-    }
 }
 
-impl Wire for Consistency {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.push(self.to_u8());
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Consistency::from_u8(r.u8()?)
-    }
-}
+wire_fields! { impl Wire for Consistency { Local = 0, Leader = 1, Linearizable = 2 } }
 
 impl fmt::Display for Consistency {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -175,21 +152,7 @@ pub enum OpKind {
     Read,
 }
 
-impl Wire for OpKind {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.push(match self {
-            OpKind::Write => 0,
-            OpKind::Read => 1,
-        });
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            0 => Ok(OpKind::Write),
-            1 => Ok(OpKind::Read),
-            t => Err(WireError::UnknownTag(t)),
-        }
-    }
-}
+wire_fields! { impl Wire for OpKind { Write = 0, Read = 1 } }
 
 /// One unit of the replicated log: an operation, its read/write kind, and
 /// — for client submissions — the [`RequestId`] used for deduplication

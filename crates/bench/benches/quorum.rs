@@ -1,7 +1,13 @@
 //! Criterion timings for quorum tracking: vote-insertion throughput at
-//! ProBFT (q = 2√n) and PBFT (⌈(n+f+1)/2⌉) thresholds.
+//! ProBFT (q = 2√n) and PBFT (⌈(n+f+1)/2⌉) thresholds, and one phase of
+//! votes as a replica tracks them.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use probft_core::config::{ProbftConfig, View};
+use probft_core::message::{CertVote, PhaseBody, Propose};
+use probft_core::sampling::Phase;
+use probft_core::value::Value;
+use probft_crypto::keyring::Keyring;
 use probft_quorum::{sizes, QuorumTracker, ReplicaId};
 
 fn bench_tracker(c: &mut Criterion) {
@@ -30,6 +36,34 @@ fn bench_tracker(c: &mut Criterion) {
             })
         });
     }
+    // The shape a replica runs, which the `u64`-keyed rows above hide: a
+    // `(View, Digest)` key and a signed vote per sender, one phase's
+    // s = 34 votes at n = 100 against q = 20.
+    let cfg = ProbftConfig::builder(100).build();
+    let ring = Keyring::generate(cfg.n(), b"bench-tracker");
+    let leader = ring.signing_key(0).unwrap();
+    let header = Propose::lead(
+        leader,
+        ReplicaId(0),
+        View::FIRST,
+        Value::from_tag(1),
+        vec![],
+    )
+    .proposal;
+    let voter = ring.signing_key(3).unwrap();
+    let vote = PhaseBody::cast(voter, &cfg, Phase::Prepare, ReplicaId(3), &header);
+    let key = (header.view, header.digest);
+    let (q, s) = (cfg.probabilistic_quorum(), cfg.sample_size());
+    assert_eq!((q, s), (20, 34));
+    g.bench_function("vote_shaped", |b| {
+        b.iter(|| {
+            let mut t = QuorumTracker::new(q);
+            for i in 0..s {
+                t.insert(key, ReplicaId::from(i), vote);
+            }
+            assert!(t.is_reached(&key));
+        })
+    });
     g.finish();
 }
 

@@ -315,18 +315,17 @@ impl CertVote for PhaseBody {
 
     fn cast(
         sk: &SigningKey,
-        cfg: &ProbftConfig,
+        _: &ProbftConfig,
         phase: Phase,
         sender: ReplicaId,
         proposal: &SignedProposal,
     ) -> PhaseMessage {
-        // The vote goes to the sample this proof determines.
-        let (view, proposal) = (proposal.view, *proposal);
-        let (_, proof) = sampling::derive_sample(sk, view, phase, cfg.sample_size(), cfg.n());
+        // The vote goes to the sample this proof determines, which
+        // `recipients` expands when it is sent.
         let body = PhaseBody {
             sender,
-            proposal,
-            proof,
+            proposal: *proposal,
+            proof: sampling::derive_proof(sk, proposal.view, phase),
         };
         Signed::sign_in(sk, phase, body)
     }
@@ -751,6 +750,23 @@ mod tests {
             SignedProposal::from_wire_bytes(&p.to_wire_bytes()).unwrap(),
             p
         );
+    }
+
+    #[test]
+    fn a_cast_vote_is_sent_to_the_sample_its_sender_derives() {
+        for n in [4, 16, 100] {
+            let (cfg, ring) = setup(n);
+            let sk = ring.signing_key(3).unwrap();
+            for (view, phase) in [(View(1), Phase::Prepare), (View(2), Phase::Commit)] {
+                let header = proposal(&cfg, &ring, view, 1);
+                let vote = PhaseBody::cast(sk, &cfg, phase, ReplicaId(3), &header);
+                let (sample, proof) =
+                    sampling::derive_sample(sk, view, phase, cfg.sample_size(), cfg.n());
+                assert_eq!(vote.proof, proof, "n = {n}, {phase:?}");
+                let sent: Vec<ProcessId> = sample.iter().map(|r| ProcessId(r.index())).collect();
+                assert_eq!(vote.recipients(&cfg), sent, "n = {n}, {phase:?}");
+            }
+        }
     }
 
     #[test]

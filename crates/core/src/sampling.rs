@@ -10,7 +10,7 @@
 use crate::config::View;
 use probft_crypto::keyring::TabledKey;
 use probft_crypto::schnorr::SigningKey;
-use probft_crypto::vrf::{expand_sample, sample_contains, vrf_prove, VrfProof};
+use probft_crypto::vrf::{expand_sample, sample_contains, vrf_proof, VrfProof};
 use probft_quorum::ReplicaId;
 
 /// The protocol phase a sample belongs to.
@@ -49,8 +49,15 @@ pub fn derive_sample(
     sample_size: usize,
     n: usize,
 ) -> (Vec<ReplicaId>, VrfProof) {
-    let (ids, proof) = vrf_prove(sk, &vrf_seed(view, phase), sample_size, n);
-    (ids.into_iter().map(ReplicaId).collect(), proof)
+    let proof = derive_proof(sk, view, phase);
+    (sample_of(&proof, sample_size, n), proof)
+}
+
+/// The `P` half of [`derive_sample`]: the proof alone. A vote ships only
+/// `P`, and its sender expands the sample once, when it addresses the vote
+/// ([`sample_of`]).
+pub fn derive_proof(sk: &SigningKey, view: View, phase: Phase) -> VrfProof {
+    vrf_proof(sk, &vrf_seed(view, phase))
 }
 
 /// The `P` half of `VRF_verify(K_u, v ‖ T, s, S, P)`: whether `proof` is the

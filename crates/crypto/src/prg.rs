@@ -6,9 +6,10 @@
 //! identical sample from β — so it cannot use an OS or thread-local RNG.
 //! [`Prg`] provides the deterministic stream, and [`sample_distinct`]
 //! implements the without-replacement draw via a partial Fisher–Yates
-//! shuffle over a plain vector of the population. [`distinct_draws`] is the
-//! same shuffle one draw at a time, for a receiver that only needs to know
-//! whether *it* is in a sample and can stop at the draw that says so.
+//! shuffle over a vector of the population. [`is_drawn`] answers whether
+//! one item is in that sample without the vector: it follows only that
+//! item's position through the shuffle's swaps, and stops at the draw that
+//! picks it.
 //!
 //! # Examples
 //!
@@ -20,12 +21,18 @@
 //! assert_eq!(a.next_u64(), b.next_u64());
 //! ```
 
-use crate::sha256::{Digest, Sha256};
+use crate::sha256::{Digest, Sha256, BLOCK_LEN, DIGEST_LEN};
+
+/// Byte length of `seed ‖ counter`, the message each stream block hashes.
+const INPUT_LEN: usize = DIGEST_LEN + 8;
 
 /// Deterministic byte/integer stream: `block_i = SHA256(seed ‖ i)`.
 #[derive(Clone, Debug)]
 pub struct Prg {
-    seed: Digest,
+    /// `seed ‖ counter ‖ 0x80 ‖ 0… ‖ 320`: the message `seed ‖ i` already
+    /// padded to the one SHA-256 block it fits in; `refill` writes the
+    /// counter into it and compresses it.
+    input: [u8; BLOCK_LEN],
     counter: u64,
     block: [u8; 32],
     /// Next unread offset within `block`; 32 means "exhausted".
@@ -40,8 +47,12 @@ impl Prg {
 
     /// Creates a PRG directly from a digest-sized seed.
     pub fn from_digest(seed: Digest) -> Self {
+        let mut input = [0u8; BLOCK_LEN];
+        input[..DIGEST_LEN].copy_from_slice(seed.as_bytes());
+        input[INPUT_LEN] = 0x80;
+        input[BLOCK_LEN - 8..].copy_from_slice(&(INPUT_LEN as u64 * 8).to_be_bytes());
         Prg {
-            seed,
+            input,
             counter: 0,
             block: [0u8; 32],
             offset: 32,
@@ -49,8 +60,8 @@ impl Prg {
     }
 
     fn refill(&mut self) {
-        let d = Sha256::digest_parts(&[self.seed.as_bytes(), &self.counter.to_be_bytes()]);
-        self.block.copy_from_slice(d.as_bytes());
+        self.input[DIGEST_LEN..INPUT_LEN].copy_from_slice(&self.counter.to_be_bytes());
+        self.block = Sha256::digest_padded_block(&self.input).0;
         self.counter += 1;
         self.offset = 0;
     }
@@ -113,43 +124,15 @@ impl Prg {
     }
 }
 
-/// The draws of a partial Fisher–Yates shuffle of `0..population`, one at a
-/// time: the `i`-th item is position `i` of the shuffled order, and it is
-/// final the moment it is drawn — later draws swap only later positions. So
-/// a caller looking for one value can stop at the draw that produces it,
-/// having consumed only the stream bytes those draws needed.
-///
-/// The shuffle runs over a plain vector of the population (`4·population`
-/// bytes, each draw one swap).
-///
-/// # Panics
-///
-/// Panics if `count > population`.
-pub fn distinct_draws(
-    prg: &mut Prg,
-    count: usize,
-    population: usize,
-) -> impl Iterator<Item = u32> + '_ {
-    assert!(
-        count <= population,
-        "cannot draw {count} distinct items from a population of {population}"
-    );
-    let mut order: Vec<u32> = (0..population as u32).collect();
-    (0..count).map(move |i| {
-        let j = i + prg.next_below((population - i) as u64) as usize;
-        order.swap(i, j);
-        order[i]
-    })
-}
-
 /// Draws `count` distinct values uniformly at random (without replacement)
 /// from `0..population`, determined entirely by `prg`'s seed.
 ///
 /// This is the sample-selection step of `VRF_prove` (paper §2.4): the VRF
-/// output seeds the PRG, and a partial Fisher–Yates shuffle
-/// ([`distinct_draws`], run to its end) yields the recipient sample. The
-/// returned IDs are in selection order (callers that need a canonical set
-/// should sort).
+/// output seeds the PRG, and a partial Fisher–Yates shuffle of a vector of
+/// the population yields the recipient sample — draw `i` takes `j_i`
+/// uniform in `i..population` and swaps positions `i` and `j_i`, and
+/// position `i` is then final. The returned IDs are in selection order
+/// (callers that need a canonical set should sort).
 ///
 /// # Panics
 ///
@@ -168,12 +151,79 @@ pub fn distinct_draws(
 /// assert_eq!(sorted.len(), 10, "all distinct");
 /// ```
 pub fn sample_distinct(prg: &mut Prg, count: usize, population: usize) -> Vec<u32> {
-    distinct_draws(prg, count, population).collect()
+    assert_drawable(count, population);
+    let mut order: Vec<u32> = (0..population as u32).collect();
+    for i in 0..count {
+        let j = i + prg.next_below((population - i) as u64) as usize;
+        order.swap(i, j);
+    }
+    order.truncate(count);
+    order
+}
+
+/// Whether `item` is in [`sample_distinct`]`(prg, count, population)`,
+/// answered without the population vector: only `item`'s own position is
+/// followed through the swaps. Draw `i` picks `item` iff `j_i` is where
+/// `item` stands, and moves it to `j_i` if it stands at `i` (positions
+/// below `i` are final, so it never stands there). The walk stops at the
+/// draw that picks `item`: a member drawn at position `i` costs the
+/// `i + 1` draws, and the hash blocks behind them, that fix it.
+///
+/// # Panics
+///
+/// Panics if `count > population`.
+///
+/// # Examples
+///
+/// ```
+/// use probft_crypto::prg::{is_drawn, sample_distinct, Prg};
+///
+/// let sample = sample_distinct(&mut Prg::from_seed(b"s"), 10, 100);
+/// for item in 0..100 {
+///     let drawn = is_drawn(&mut Prg::from_seed(b"s"), 10, 100, item);
+///     assert_eq!(drawn, sample.contains(&item));
+/// }
+/// ```
+pub fn is_drawn(prg: &mut Prg, count: usize, population: usize, item: u32) -> bool {
+    assert_drawable(count, population);
+    let mut at = item as usize;
+    if at >= population {
+        return false;
+    }
+    for i in 0..count {
+        let j = i + prg.next_below((population - i) as u64) as usize;
+        if j == at {
+            return true;
+        }
+        if i == at {
+            at = j;
+        }
+    }
+    false
+}
+
+fn assert_drawable(count: usize, population: usize) {
+    assert!(
+        count <= population,
+        "cannot draw {count} distinct items from a population of {population}"
+    );
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn stream_block_i_is_the_digest_of_seed_and_i() {
+        let seed = Sha256::digest(b"blocks");
+        let mut prg = Prg::from_digest(seed);
+        for i in 0u64..4 {
+            let expected = Sha256::digest_parts(&[seed.as_bytes(), &i.to_be_bytes()]);
+            let mut block = [0u8; 32];
+            prg.fill_bytes(&mut block);
+            assert_eq!(block, expected.0, "block {i}");
+        }
+    }
 
     #[test]
     fn deterministic_streams() {

@@ -205,7 +205,7 @@ impl Sha256 {
             input = &input[take..];
             if self.buffered == BLOCK_LEN {
                 let block = self.buffer;
-                self.compress(&block);
+                compress(&mut self.state, &block);
                 self.buffered = 0;
             }
         }
@@ -214,7 +214,7 @@ impl Sha256 {
         while input.len() >= BLOCK_LEN {
             let (block, rest) = input.split_at(BLOCK_LEN);
             let block: [u8; BLOCK_LEN] = block.try_into().expect("split_at gives BLOCK_LEN");
-            self.compress(&block);
+            compress(&mut self.state, &block);
             input = rest;
         }
 
@@ -240,11 +240,18 @@ impl Sha256 {
         pad[pad_len..pad_len + 8].copy_from_slice(&bit_len.to_be_bytes());
         self.update_padding(&pad[..pad_len + 8]);
 
-        let mut out = [0u8; DIGEST_LEN];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
-        }
-        Digest(out)
+        output(self.state)
+    }
+
+    /// The digest of a message short enough (at most 55 bytes) to fit one
+    /// block with its padding, handed over already padded:
+    /// `message ‖ 0x80 ‖ 0… ‖ bit length`. One compression from the initial
+    /// state, with no buffering — what [`Prg`](crate::prg::Prg) hashes each
+    /// block of its stream with.
+    pub(crate) fn digest_padded_block(block: &[u8; BLOCK_LEN]) -> Digest {
+        let mut state = H0;
+        compress(&mut state, block);
+        output(state)
     }
 
     /// Like `update`, but does not advance `total_len` (padding is not part
@@ -254,15 +261,24 @@ impl Sha256 {
         self.update(data);
         self.total_len = saved;
     }
+}
 
-    /// The SHA-256 compression function applied to one 64-byte block: on
-    /// the CPU's SHA instructions when it has them ([`sha_ni::compress`]),
-    /// else by [`compress_portable`].
-    fn compress(&mut self, block: &[u8; BLOCK_LEN]) {
-        if !sha_ni::compress(&mut self.state, block) {
-            compress_portable(&mut self.state, block);
-        }
+/// The SHA-256 compression function applied to one 64-byte block: on the
+/// CPU's SHA instructions when it has them ([`sha_ni::compress`]), else by
+/// [`compress_portable`].
+fn compress(state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
+    if !sha_ni::compress(state, block) {
+        compress_portable(state, block);
     }
+}
+
+/// The digest a final state encodes: its words, big-endian.
+fn output(state: [u32; 8]) -> Digest {
+    let mut out = [0u8; DIGEST_LEN];
+    for (bytes, word) in out.chunks_exact_mut(4).zip(state) {
+        bytes.copy_from_slice(&word.to_be_bytes());
+    }
+    Digest(out)
 }
 
 /// The compression function as FIPS 180-4 §6.2.2 writes it: what every
@@ -423,11 +439,23 @@ mod tests {
         for block in padded.chunks_exact(BLOCK_LEN) {
             compress_portable(&mut state, block.try_into().unwrap());
         }
-        let mut out = [0u8; DIGEST_LEN];
-        for (bytes, word) in out.chunks_exact_mut(4).zip(state) {
-            bytes.copy_from_slice(&word.to_be_bytes());
+        output(state)
+    }
+
+    #[test]
+    fn a_padded_block_digests_as_its_message_at_every_length_that_fits() {
+        let data: Vec<u8> = (0..56u8).map(|i| i.wrapping_mul(37)).collect();
+        for len in 0..=55 {
+            let mut block = [0u8; BLOCK_LEN];
+            block[..len].copy_from_slice(&data[..len]);
+            block[len] = 0x80;
+            block[56..].copy_from_slice(&(len as u64 * 8).to_be_bytes());
+            assert_eq!(
+                Sha256::digest_padded_block(&block),
+                Sha256::digest(&data[..len]),
+                "len {len}"
+            );
         }
-        Digest(out)
     }
 
     #[test]

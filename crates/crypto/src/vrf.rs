@@ -6,7 +6,9 @@
 //! - [`vrf_prove`]`(sk, z, s, n) → (S, P)`: selects a sample `S` of `s`
 //!   distinct replica IDs from a population of `n`, uniformly at random but
 //!   *deterministically in the prover's key and the seed `z`*, together with
-//!   a proof `P`.
+//!   a proof `P`. It is [`vrf_proof`] (the proof alone) followed by
+//!   [`expand_sample`], which a prover that ships only the proof calls
+//!   when it addresses the sample.
 //! - [`vrf_verify`]`(pk, z, s, n, S, P) → bool`: checks that `S` is exactly
 //!   the sample `vrf_prove` yields for those parameters. It is the
 //!   composition of [`vrf_check`] (is `P` the prover's proof for `z`?) and
@@ -41,7 +43,7 @@
 //! ```
 
 use crate::group::{GroupElement, Scalar};
-use crate::prg::{distinct_draws, Prg};
+use crate::prg::{is_drawn, sample_distinct, Prg};
 use crate::schnorr::{SigningKey, VerifyingKey};
 use crate::sha256::{Digest, Sha256};
 use std::fmt;
@@ -117,6 +119,14 @@ pub fn vrf_prove(
     sample_size: usize,
     n: usize,
 ) -> (Vec<u32>, VrfProof) {
+    let proof = vrf_proof(sk, seed);
+    (expand_sample(&proof, sample_size, n), proof)
+}
+
+/// The `P` half of [`vrf_prove`]: the one proof the owner of `sk` can
+/// produce for `seed`, without expanding the sample it determines — for a
+/// prover that ships the proof and expands the sample once, when it sends.
+pub fn vrf_proof(sk: &SigningKey, seed: &[u8]) -> VrfProof {
     let h = GroupElement::hash_to_group(seed);
     let x = sk.secret();
     let gamma = h.pow(x);
@@ -127,10 +137,7 @@ pub fn vrf_prove(
     let v = h.pow(k);
     let c = dleq_challenge(h, sk.verifying_key(), gamma, u, v);
     let s = k + c * x;
-
-    let proof = VrfProof { gamma, c, s };
-    let sample = expand_sample(&proof, sample_size, n);
-    (sample, proof)
+    VrfProof { gamma, c, s }
 }
 
 /// `VRF_verify(K_u, z, s, S, P) ⇒ bool` — paper §2.4.
@@ -183,15 +190,17 @@ pub(crate) fn dleq_check(
 ///
 /// Exposed so analysis code can reproduce sampling without a full keypair.
 pub fn expand_sample(proof: &VrfProof, sample_size: usize, n: usize) -> Vec<u32> {
-    distinct_draws(&mut proof.stream(), sample_size, n).collect()
+    sample_distinct(&mut proof.stream(), sample_size, n)
 }
 
 /// Whether `id` is in [`expand_sample`]`(proof, sample_size, n)` — what a
-/// receiver of a vote asks about itself. Draws only as far as the draw that
-/// picks `id`, so a member found at position `i` costs the `i + 1` draws
-/// (and the hash blocks behind them) that fix it, and no list is built.
+/// receiver of a vote asks about itself ([`is_drawn`]): it follows `id`'s
+/// one position through the shuffle and stops at the draw that picks it,
+/// so a member found at position `i` costs the `i + 1` draws (and the hash
+/// blocks behind them) that fix it, and neither the sample nor the
+/// population is built.
 pub fn sample_contains(proof: &VrfProof, sample_size: usize, n: usize, id: u32) -> bool {
-    distinct_draws(&mut proof.stream(), sample_size, n).any(|drawn| drawn == id)
+    is_drawn(&mut proof.stream(), sample_size, n, id)
 }
 
 /// The Fiat–Shamir challenge over the full DLEQ transcript.
@@ -259,6 +268,16 @@ mod tests {
             &sample,
             &proof
         ));
+    }
+
+    #[test]
+    fn prove_is_the_proof_then_its_expansion() {
+        let sk = key(17);
+        for (s, n) in [(0, 4), (4, 4), (14, 16), (34, 100)] {
+            let (sample, proof) = vrf_prove(&sk, b"7|commit", s, n);
+            assert_eq!(vrf_proof(&sk, b"7|commit"), proof);
+            assert_eq!(expand_sample(&proof, s, n), sample);
+        }
     }
 
     #[test]

@@ -11,11 +11,15 @@
 //! Byzantine replica cannot inflate a quorum by repeating itself (first
 //! message wins, matching the "receive from a quorum of *distinct*
 //! replicas" wording of Algorithm 1).
+//!
+//! A replica's tracker holds about one key at a time (the view and digest
+//! of the proposal it is voting on), so keys are a short list searched by
+//! `==`, with no hashing, and each key's votes are a vector in arrival
+//! order beside a bitset of the senders seen, which answers the duplicate
+//! check in one word. Readers still get the votes in sender order.
 
 use crate::ReplicaId;
-use std::collections::{BTreeMap, HashMap};
 use std::fmt;
-use std::hash::Hash;
 
 /// Result of inserting a vote into a [`QuorumTracker`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -35,6 +39,10 @@ pub enum QuorumOutcome {
 
 /// Collects votes from distinct senders, keyed by a matching key.
 ///
+/// Memory is one bit per replica id up to the largest sender of a key, so
+/// senders are expected to be replica indices (below `n`), as every
+/// verified vote's signer is.
+///
 /// # Examples
 ///
 /// ```
@@ -48,11 +56,36 @@ pub enum QuorumOutcome {
 #[derive(Clone)]
 pub struct QuorumTracker<K, M> {
     threshold: usize,
-    votes: HashMap<K, BTreeMap<ReplicaId, M>>,
-    reached: HashMap<K, bool>,
+    /// One entry per key with at least one vote, in first-vote order.
+    keys: Vec<KeyVotes<K, M>>,
 }
 
-impl<K: Eq + Hash + Clone, M> QuorumTracker<K, M> {
+/// The votes for one key.
+#[derive(Clone)]
+struct KeyVotes<K, M> {
+    key: K,
+    /// In arrival order.
+    votes: Vec<(ReplicaId, M)>,
+    /// Bit `id % 64` of word `id / 64` is set iff replica `id` voted.
+    senders: Vec<u64>,
+    reached: bool,
+}
+
+impl<K, M> KeyVotes<K, M> {
+    /// Marks `sender` as having voted; `false` if it already had.
+    fn mark(&mut self, sender: ReplicaId) -> bool {
+        let id = sender.index();
+        let (word, bit) = (id / 64, 1u64 << (id % 64));
+        if self.senders.len() <= word {
+            self.senders.resize(word + 1, 0);
+        }
+        let fresh = self.senders[word] & bit == 0;
+        self.senders[word] |= bit;
+        fresh
+    }
+}
+
+impl<K: Eq, M> QuorumTracker<K, M> {
     /// Creates a tracker that fires once `threshold` distinct senders have
     /// voted for the same key.
     ///
@@ -63,8 +96,7 @@ impl<K: Eq + Hash + Clone, M> QuorumTracker<K, M> {
         assert!(threshold > 0, "threshold must be positive");
         QuorumTracker {
             threshold,
-            votes: HashMap::new(),
-            reached: HashMap::new(),
+            keys: Vec::new(),
         }
     }
 
@@ -73,19 +105,34 @@ impl<K: Eq + Hash + Clone, M> QuorumTracker<K, M> {
         self.threshold
     }
 
+    fn entry(&self, key: &K) -> Option<&KeyVotes<K, M>> {
+        self.keys.iter().find(|entry| entry.key == *key)
+    }
+
     /// Records a vote. See [`QuorumOutcome`] for the possible results.
     pub fn insert(&mut self, key: K, sender: ReplicaId, payload: M) -> QuorumOutcome {
-        let entry = self.votes.entry(key.clone()).or_default();
-        if entry.contains_key(&sender) {
+        let at = match self.keys.iter().position(|entry| entry.key == key) {
+            Some(at) => at,
+            None => {
+                self.keys.push(KeyVotes {
+                    key,
+                    votes: Vec::new(),
+                    senders: Vec::new(),
+                    reached: false,
+                });
+                self.keys.len() - 1
+            }
+        };
+        let entry = &mut self.keys[at];
+        if !entry.mark(sender) {
             return QuorumOutcome::Duplicate;
         }
-        entry.insert(sender, payload);
-        let count = entry.len();
-        let reached_flag = self.reached.entry(key).or_insert(false);
-        if *reached_flag {
+        entry.votes.push((sender, payload));
+        let count = entry.votes.len();
+        if entry.reached {
             QuorumOutcome::AlreadyReached
         } else if count >= self.threshold {
-            *reached_flag = true;
+            entry.reached = true;
             QuorumOutcome::Reached
         } else {
             QuorumOutcome::Pending { count }
@@ -94,47 +141,46 @@ impl<K: Eq + Hash + Clone, M> QuorumTracker<K, M> {
 
     /// Number of distinct senders that voted for `key`.
     pub fn count(&self, key: &K) -> usize {
-        self.votes.get(key).map_or(0, BTreeMap::len)
+        self.entry(key).map_or(0, |entry| entry.votes.len())
     }
 
     /// Whether the quorum for `key` has been reached.
     pub fn is_reached(&self, key: &K) -> bool {
-        self.reached.get(key).copied().unwrap_or(false)
+        self.entry(key).is_some_and(|entry| entry.reached)
     }
 
     /// The votes collected for `key`, ordered by sender.
     pub fn votes(&self, key: &K) -> impl Iterator<Item = (ReplicaId, &M)> {
-        self.votes
-            .get(key)
+        let mut votes: Vec<(ReplicaId, &M)> = self
+            .entry(key)
             .into_iter()
-            .flat_map(|m| m.iter().map(|(id, p)| (*id, p)))
+            .flat_map(|entry| entry.votes.iter().map(|(id, m)| (*id, m)))
+            .collect();
+        votes.sort_unstable_by_key(|(id, _)| *id);
+        votes.into_iter()
     }
 
     /// The senders that voted for `key`, in ascending order.
     pub fn senders(&self, key: &K) -> Vec<ReplicaId> {
-        self.votes
-            .get(key)
-            .map(|m| m.keys().copied().collect())
-            .unwrap_or_default()
+        self.votes(key).map(|(id, _)| id).collect()
     }
 
     /// Total number of keys with at least one vote.
     pub fn keys_len(&self) -> usize {
-        self.votes.len()
+        self.keys.len()
     }
 
     /// Removes all state (e.g. on view change).
     pub fn clear(&mut self) {
-        self.votes.clear();
-        self.reached.clear();
+        self.keys.clear();
     }
 }
 
-impl<K: fmt::Debug, M> fmt::Debug for QuorumTracker<K, M> {
+impl<K, M> fmt::Debug for QuorumTracker<K, M> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("QuorumTracker")
             .field("threshold", &self.threshold)
-            .field("keys", &self.votes.len())
+            .field("keys", &self.keys.len())
             .finish()
     }
 }
@@ -142,6 +188,77 @@ impl<K: fmt::Debug, M> fmt::Debug for QuorumTracker<K, M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The tracker against a map of maps: every insert's outcome, and
+        /// after it every key's count, flag, votes and senders (in sender
+        /// order), the number of keys, and `clear` — over up to three keys
+        /// and senders 0..300, so the bitset spans five words, with senders
+        /// repeated often enough to hit the duplicate path.
+        #[test]
+        fn tracker_matches_a_map_of_maps(
+            votes in proptest::collection::vec((0u8..3, 0u32..300, any::<u8>()), 0..200),
+            repeats in proptest::collection::vec(0usize..200, 0..40),
+            threshold in 1usize..40,
+        ) {
+            let mut tracker: QuorumTracker<u8, u8> = QuorumTracker::new(threshold);
+            let mut model: BTreeMap<u8, BTreeMap<ReplicaId, u8>> = BTreeMap::new();
+            let mut reached: BTreeMap<u8, bool> = BTreeMap::new();
+            // Some inserts replay an earlier (key, sender) with a new payload.
+            let mut inserts = votes.clone();
+            for at in repeats {
+                if let Some(&(key, sender, payload)) = votes.get(at) {
+                    inserts.push((key, sender, payload.wrapping_add(1)));
+                }
+            }
+            for (key, sender, payload) in inserts {
+                let sender = ReplicaId(sender);
+                let outcome = tracker.insert(key, sender, payload);
+                let senders = model.entry(key).or_default();
+                let before = senders.len();
+                senders.entry(sender).or_insert(payload);
+                let expected = if senders.len() == before {
+                    QuorumOutcome::Duplicate
+                } else {
+                    let flag = reached.entry(key).or_default();
+                    if *flag {
+                        QuorumOutcome::AlreadyReached
+                    } else if senders.len() >= threshold {
+                        *flag = true;
+                        QuorumOutcome::Reached
+                    } else {
+                        QuorumOutcome::Pending { count: senders.len() }
+                    }
+                };
+                prop_assert_eq!(outcome, expected);
+                for key in 0..3 {
+                    let held = model.get(&key);
+                    prop_assert_eq!(tracker.count(&key), held.map_or(0, BTreeMap::len));
+                    prop_assert_eq!(tracker.is_reached(&key), reached.get(&key) == Some(&true));
+                    let votes: Vec<(ReplicaId, u8)> =
+                        tracker.votes(&key).map(|(id, m)| (id, *m)).collect();
+                    let modelled: Vec<(ReplicaId, u8)> =
+                        held.into_iter().flatten().map(|(id, m)| (*id, *m)).collect();
+                    prop_assert_eq!(votes, modelled);
+                    let senders: Vec<ReplicaId> =
+                        held.into_iter().flat_map(|m| m.keys().copied()).collect();
+                    prop_assert_eq!(tracker.senders(&key), senders);
+                }
+                prop_assert_eq!(tracker.keys_len(), model.len());
+            }
+            tracker.clear();
+            prop_assert_eq!(tracker.keys_len(), 0);
+            for key in 0..3 {
+                prop_assert_eq!(tracker.count(&key), 0);
+                prop_assert!(!tracker.is_reached(&key));
+                prop_assert!(tracker.senders(&key).is_empty());
+            }
+        }
+    }
 
     #[test]
     fn quorum_fires_exactly_once() {

@@ -5,6 +5,11 @@
 //! reproducible: the same processes, network model, and seed yield the same
 //! event sequence, which the integration tests rely on for Monte Carlo
 //! experiments and regression debugging.
+//!
+//! The queue is a binary heap of 24-byte keys `(at, seq, slot)`: events
+//! fire in `(at, seq)` order, `seq` counting every event ever queued, and
+//! each event itself (a message, mostly) waits in a slab slot that the heap
+//! never moves; a popped slot is reused by the next push.
 
 use crate::delay::DelayModel;
 use crate::metrics::{Measurable, MessageMetrics};
@@ -12,7 +17,7 @@ use crate::process::{Action, Context, Process, ProcessId, TimerToken};
 use crate::time::SimTime;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
 
@@ -30,29 +35,15 @@ enum EventKind<M> {
     },
 }
 
-struct QueuedEvent<M> {
+/// A queued event's place in the order. Fields compare in declaration
+/// order, and `seq` is unique, so `slot` never decides.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct EventKey {
     at: SimTime,
     /// Monotone sequence number; makes event order total and deterministic.
     seq: u64,
-    kind: EventKind<M>,
-}
-
-impl<M> PartialEq for QueuedEvent<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<M> Eq for QueuedEvent<M> {}
-impl<M> PartialOrd for QueuedEvent<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for QueuedEvent<M> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want earliest-first.
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
+    /// Where the event waits in [`Simulation::events`].
+    slot: usize,
 }
 
 /// Why a run loop returned.
@@ -108,7 +99,11 @@ pub enum RunOutcome {
 pub struct Simulation<P: Process> {
     processes: Vec<P>,
     alive: Vec<bool>,
-    queue: BinaryHeap<QueuedEvent<P::Message>>,
+    /// Earliest key first (`Reverse`: `BinaryHeap` is a max-heap).
+    queue: BinaryHeap<Reverse<EventKey>>,
+    /// The queued events by slot; `None` in a slot on `free`.
+    events: Vec<Option<EventKind<P::Message>>>,
+    free: Vec<usize>,
     now: SimTime,
     seq: u64,
     rng: StdRng,
@@ -128,6 +123,8 @@ where
             processes: Vec::new(),
             alive: Vec::new(),
             queue: BinaryHeap::new(),
+            events: Vec::new(),
+            free: Vec::new(),
             now: SimTime::ZERO,
             seq: 0,
             rng: StdRng::seed_from_u64(seed),
@@ -224,7 +221,27 @@ where
     fn push(&mut self, at: SimTime, kind: EventKind<P::Message>) {
         let seq = self.seq;
         self.seq += 1;
-        self.queue.push(QueuedEvent { at, seq, kind });
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.events[slot] = Some(kind);
+                slot
+            }
+            None => {
+                self.events.push(Some(kind));
+                self.events.len() - 1
+            }
+        };
+        self.queue.push(Reverse(EventKey { at, seq, slot }));
+    }
+
+    /// Removes the earliest event from the queue.
+    fn pop(&mut self) -> Option<(SimTime, EventKind<P::Message>)> {
+        let Reverse(EventKey { at, slot, .. }) = self.queue.pop()?;
+        let kind = self.events[slot]
+            .take()
+            .expect("a queued key's slot holds its event");
+        self.free.push(slot);
+        Some((at, kind))
     }
 
     /// Schedules all `on_start` callbacks at the current time. Called
@@ -296,14 +313,14 @@ where
     /// Processes the next event. Returns `false` if the queue is empty.
     pub fn step(&mut self) -> bool {
         self.ensure_started();
-        let Some(event) = self.queue.pop() else {
+        let Some((at, kind)) = self.pop() else {
             return false;
         };
-        debug_assert!(event.at >= self.now, "events must not travel backwards");
-        self.now = event.at;
+        debug_assert!(at >= self.now, "events must not travel backwards");
+        self.now = at;
         self.events_processed += 1;
 
-        match event.kind {
+        match kind {
             EventKind::Start(pid) => {
                 if self.alive[pid.index()] {
                     let mut ctx = Context::new(pid, self.now, &mut self.rng);
@@ -356,7 +373,7 @@ where
         for _ in 0..max_events {
             match self.queue.peek() {
                 None => return RunOutcome::Quiescent,
-                Some(e) if e.at > horizon => {
+                Some(Reverse(next)) if next.at > horizon => {
                     self.now = horizon;
                     return RunOutcome::HorizonReached;
                 }
@@ -407,6 +424,9 @@ mod tests {
     use crate::delay::{Fixed, Lossy, Uniform};
     use crate::metrics::KindStats;
     use crate::time::SimDuration;
+    use proptest::prelude::*;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     #[derive(Clone, Debug, PartialEq)]
     enum Msg {
@@ -476,6 +496,119 @@ mod tests {
         sim.add_process(PingPong::new(3));
         sim.add_process(PingPong::new(0));
         sim
+    }
+
+    /// What the processes of the order property record, shared among
+    /// them. `made` numbers every send and timer in the order the handlers
+    /// make them, which is the order the simulator queues them in: the
+    /// handlers run one at a time, and each one's actions are queued in
+    /// order as it returns.
+    #[derive(Default)]
+    struct Trace {
+        made: u64,
+        /// `(time, number)` of every delivery and timer, as handled.
+        handled: Vec<(SimTime, u64)>,
+    }
+
+    /// Sends one message to each process in the next mask of its plan on
+    /// start and on every delivery while the plan lasts, and sets one
+    /// far-off timer on start.
+    struct Gossip {
+        trace: Rc<RefCell<Trace>>,
+        plan: Vec<u8>,
+        timer_at: u64,
+    }
+
+    impl Gossip {
+        fn number(&self) -> u64 {
+            let mut trace = self.trace.borrow_mut();
+            trace.made += 1;
+            trace.made - 1
+        }
+
+        fn gossip(&mut self, ctx: &mut Context<'_, Msg>) {
+            let Some(mask) = self.plan.pop() else { return };
+            for to in 0..8 {
+                if mask & (1 << to) != 0 {
+                    ctx.send(ProcessId(to), Msg::Ping(self.number()));
+                }
+            }
+        }
+    }
+
+    impl Process for Gossip {
+        type Message = Msg;
+        fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
+            let token = TimerToken(self.number());
+            ctx.set_timer(SimDuration::from_ticks(self.timer_at), token);
+            self.gossip(ctx);
+        }
+        fn on_message(&mut self, _: ProcessId, msg: Msg, ctx: &mut Context<'_, Msg>) {
+            let (Msg::Ping(number) | Msg::Pong(number)) = msg;
+            self.trace.borrow_mut().handled.push((ctx.now(), number));
+            self.gossip(ctx);
+        }
+        fn on_timer(&mut self, token: TimerToken, ctx: &mut Context<'_, Msg>) {
+            self.trace.borrow_mut().handled.push((ctx.now(), token.0));
+        }
+    }
+
+    fn gossip_sim(
+        plans: &[Vec<u8>],
+        timers: &[u64],
+        seed: u64,
+    ) -> (Simulation<Gossip>, Rc<RefCell<Trace>>) {
+        let trace = Rc::new(RefCell::new(Trace::default()));
+        let delays = Uniform::new(SimDuration::from_ticks(1), SimDuration::from_ticks(20));
+        let mut sim = Simulation::new(delays, seed);
+        for (plan, &timer_at) in plans.iter().zip(timers) {
+            let n = plans.len();
+            sim.add_process(Gossip {
+                trace: Rc::clone(&trace),
+                plan: plan
+                    .iter()
+                    .map(|mask| mask & ((1 << n) - 1) as u8)
+                    .collect(),
+                timer_at,
+            });
+        }
+        (sim, trace)
+    }
+
+    proptest! {
+        /// Random gossip under uniform delays (ties in delivery time are
+        /// common), beside far-off timers: every send and timer is handled
+        /// once, in `(time, queue order)` order; and a run stopped at a
+        /// horizon has handled exactly the events up to it, and then
+        /// finishes as the uninterrupted run does.
+        #[test]
+        fn events_are_handled_in_time_then_queue_order(
+            plans in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..8), 2..6),
+            timers in proptest::collection::vec(500u64..503, 5..6),
+            seed in any::<u64>(),
+            horizon in 0u64..120,
+        ) {
+            let (mut sim, trace) = gossip_sim(&plans, &timers, seed);
+            prop_assert_eq!(sim.run_to_quiescence(100_000), RunOutcome::Quiescent);
+            let full = std::mem::take(&mut trace.borrow_mut().handled);
+            let mut sorted = full.clone();
+            sorted.sort_unstable();
+            prop_assert_eq!(&full, &sorted);
+            let mut numbers: Vec<u64> = full.iter().map(|&(_, number)| number).collect();
+            numbers.sort_unstable();
+            let made: Vec<u64> = (0..trace.borrow().made).collect();
+            prop_assert_eq!(numbers, made);
+
+            let (mut stopped, trace) = gossip_sim(&plans, &timers, seed);
+            let horizon = SimTime::from_ticks(horizon);
+            prop_assert_eq!(stopped.run_until(horizon, 100_000), RunOutcome::HorizonReached);
+            prop_assert_eq!(stopped.now(), horizon);
+            let upto: Vec<(SimTime, u64)> =
+                full.iter().copied().take_while(|&(at, _)| at <= horizon).collect();
+            prop_assert_eq!(&trace.borrow().handled, &upto);
+            prop_assert_eq!(stopped.run_to_quiescence(100_000), RunOutcome::Quiescent);
+            prop_assert_eq!(&trace.borrow().handled, &full);
+        }
     }
 
     #[test]

@@ -30,18 +30,28 @@
 //! All strategies are *static*: they are fixed before the run starts
 //! (static corruption adversary, §2.1), and the colluding replicas know
 //! each other (`Π_F` is shared).
+//!
+//! The replica is generic over the vote, like the honest one: it casts
+//! with [`CertVote::cast`] and addresses with [`CertVote::recipients`], so
+//! [`ByzantineReplica`] over [`PhaseBody`] is ProBFT's adversary and the
+//! PBFT baseline's is the same type over its digest votes. Against PBFT the
+//! votes are broadcast and embed no leader-signed header, so a split
+//! leader's helpers vote unsampled and nobody detects the equivocation;
+//! deterministic quorum intersection is what keeps agreement there.
 
 use crate::config::{SharedConfig, View};
-use crate::message::{CertVote, Message, PhaseBody, Propose, SignedProposal};
+use crate::message::{CertVote, MessageOf, PhaseBody, SignedProposal};
 use crate::sampling::Phase;
+use crate::shell::Seat;
+use crate::signed::Signed;
 use crate::value::Value;
-use probft_crypto::keyring::PublicKeyring;
 use probft_crypto::schnorr::SigningKey;
 use probft_quorum::ReplicaId;
 use probft_simnet::process::{Context, Process, ProcessId, TimerToken};
 use rand::Rng;
 use std::collections::BTreeSet;
 use std::fmt;
+use std::marker::PhantomData;
 use std::sync::Arc;
 
 /// A Byzantine behaviour, fixed at the start of the run.
@@ -89,13 +99,12 @@ pub fn equivocation_values() -> (Value, Value) {
     )
 }
 
-/// A Byzantine replica executing one [`ByzantineStrategy`].
-pub struct ByzantineReplica {
+/// A Byzantine replica executing one [`ByzantineStrategy`] in the protocol
+/// whose votes are `V`.
+pub struct ByzantineReplica<V: CertVote = PhaseBody> {
     cfg: SharedConfig,
     id: ReplicaId,
     sk: SigningKey,
-    #[allow(dead_code)] // kept for strategies that verify before misusing
-    keys: Arc<PublicKeyring>,
     /// The colluding set Π_F (known to every Byzantine replica, §2.1).
     faulty: Arc<BTreeSet<ReplicaId>>,
     strategy: ByzantineStrategy,
@@ -103,33 +112,23 @@ pub struct ByzantineReplica {
     seen_proposals: Vec<SignedProposal>,
     /// Guards against double-casting the helper votes.
     helper_voted: bool,
+    vote: PhantomData<V>,
 }
 
-impl ByzantineReplica {
-    /// Creates a Byzantine replica.
-    pub fn new(
-        cfg: SharedConfig,
-        id: ReplicaId,
-        sk: SigningKey,
-        keys: Arc<PublicKeyring>,
-        faulty: Arc<BTreeSet<ReplicaId>>,
-        strategy: ByzantineStrategy,
-    ) -> Self {
+impl<V: CertVote> ByzantineReplica<V> {
+    /// A Byzantine replica in `seat`, colluding with the `faulty` set.
+    pub fn new(seat: Seat, faulty: Arc<BTreeSet<ReplicaId>>, strategy: ByzantineStrategy) -> Self {
+        let Seat { cfg, id, sk, .. } = seat;
         ByzantineReplica {
             cfg,
             id,
             sk,
-            keys,
             faulty,
             strategy,
             seen_proposals: Vec::new(),
             helper_voted: false,
+            vote: PhantomData,
         }
-    }
-
-    /// The strategy this replica executes.
-    pub fn strategy(&self) -> &ByzantineStrategy {
-        &self.strategy
     }
 
     /// The correct replicas, in index order.
@@ -158,15 +157,15 @@ impl ByzantineReplica {
         &mut self,
         value: Value,
         recipients: impl IntoIterator<Item = ReplicaId>,
-        ctx: &mut Context<'_, Message>,
+        ctx: &mut Context<'_, MessageOf<V>>,
     ) -> SignedProposal {
-        let propose = Propose::lead(&self.sk, self.id, View::FIRST, value, vec![]);
+        let propose = Signed::lead(&self.sk, self.id, View::FIRST, value, vec![]);
         let proposal = propose.proposal;
         let targets: Vec<ProcessId> = recipients
             .into_iter()
             .map(|r| ProcessId(r.index()))
             .collect();
-        ctx.multicast(targets, Message::Propose(propose));
+        ctx.multicast(targets, MessageOf::Propose(propose));
         proposal
     }
 
@@ -176,7 +175,7 @@ impl ByzantineReplica {
     ///
     /// Byzantine replicas skip quorum formation entirely — they commit
     /// without having prepared, which honest verifiers cannot observe.
-    fn cast_split_votes(&mut self, ctx: &mut Context<'_, Message>) {
+    fn cast_split_votes(&mut self, ctx: &mut Context<'_, MessageOf<V>>) {
         if self.helper_voted || self.seen_proposals.len() < 2 {
             return;
         }
@@ -194,26 +193,28 @@ impl ByzantineReplica {
                 continue;
             };
             for phase in [Phase::Prepare, Phase::Commit] {
-                let msg = PhaseBody::cast(&self.sk, &self.cfg, phase, self.id, &proposal);
+                let vote = V::cast(&self.sk, &self.cfg, phase, self.id, &proposal);
                 // Omission within the sample is undetectable: send only to
                 // sample members in this proposal's side (or fellow
                 // Byzantine replicas, who cannot be tricked anyway).
-                let targets: Vec<ProcessId> = msg
-                    .sample(&self.cfg)
-                    .iter()
-                    .filter(|r| side.contains(r) || self.faulty.contains(r))
-                    .map(|r| ProcessId(r.index()))
+                let targets: Vec<ProcessId> = vote
+                    .recipients(&self.cfg)
+                    .into_iter()
+                    .filter(|p| {
+                        let r = ReplicaId::from(p.index());
+                        side.contains(&r) || self.faulty.contains(&r)
+                    })
                     .collect();
-                ctx.multicast(targets, Message::vote(phase, msg));
+                ctx.multicast(targets, MessageOf::vote(phase, vote));
             }
         }
     }
 }
 
-impl Process for ByzantineReplica {
-    type Message = Message;
+impl<V: CertVote> Process for ByzantineReplica<V> {
+    type Message = MessageOf<V>;
 
-    fn on_start(&mut self, ctx: &mut Context<'_, Message>) {
+    fn on_start(&mut self, ctx: &mut Context<'_, MessageOf<V>>) {
         match self.strategy.clone() {
             ByzantineStrategy::Crash => ctx.halt(),
             ByzantineStrategy::Silent => {}
@@ -283,12 +284,17 @@ impl Process for ByzantineReplica {
         }
     }
 
-    fn on_message(&mut self, _from: ProcessId, msg: Message, ctx: &mut Context<'_, Message>) {
+    fn on_message(
+        &mut self,
+        _from: ProcessId,
+        msg: MessageOf<V>,
+        ctx: &mut Context<'_, MessageOf<V>>,
+    ) {
         match &self.strategy {
             ByzantineStrategy::OptimalSplitLeader => {
                 // Helpers collect the leader's signed equivocating
                 // proposals, then double-vote.
-                if let Message::Propose(p) = &msg {
+                if let MessageOf::Propose(p) = &msg {
                     if p.view() == View::FIRST
                         && !self
                             .seen_proposals
@@ -305,24 +311,23 @@ impl Process for ByzantineReplica {
                 // population. Each receiver derives our sample from the
                 // proof, so those outside it do not count the vote — this
                 // strategy exists to *prove* that in tests.
-                if let Message::Propose(p) = &msg {
+                if let MessageOf::Propose(p) = &msg {
                     if p.view() != View::FIRST {
                         return;
                     }
-                    let vote =
-                        PhaseBody::cast(&self.sk, &self.cfg, Phase::Prepare, self.id, &p.proposal);
+                    let vote = V::cast(&self.sk, &self.cfg, Phase::Prepare, self.id, &p.proposal);
                     let everyone = (0..self.cfg.n()).map(ProcessId);
-                    ctx.multicast(everyone, Message::Prepare(vote));
+                    ctx.multicast(everyone, MessageOf::Prepare(vote));
                 }
             }
             _ => {}
         }
     }
 
-    fn on_timer(&mut self, _token: TimerToken, _ctx: &mut Context<'_, Message>) {}
+    fn on_timer(&mut self, _token: TimerToken, _ctx: &mut Context<'_, MessageOf<V>>) {}
 }
 
-impl fmt::Debug for ByzantineReplica {
+impl<V: CertVote> fmt::Debug for ByzantineReplica<V> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ByzantineReplica")
             .field("id", &self.id)

@@ -60,9 +60,12 @@ pub struct ProbftConfig {
     q: usize,
     s: usize,
     base_timeout: SimDuration,
-    max_timeout: SimDuration,
     validity: ValidityPredicate,
 }
+
+/// The cap on a view's timeout in ticks, whatever its base: 4 s at
+/// 1 tick = 1 µs.
+const MAX_TIMEOUT_TICKS: u64 = 4_000_000;
 
 /// Shared handle to a [`ProbftConfig`].
 pub type SharedConfig = Arc<ProbftConfig>;
@@ -82,7 +85,6 @@ impl ProbftConfig {
             l: 2.0,
             o: 1.7,
             base_timeout: SimDuration::from_ticks(50_000),
-            max_timeout: SimDuration::from_ticks(4_000_000),
             validity: ValidityPredicate::accept_all(),
         }
     }
@@ -144,11 +146,11 @@ impl ProbftConfig {
         self.base_timeout
     }
 
-    /// The per-view timeout: doubles each view, capped at the maximum.
+    /// The per-view timeout: doubles each view, capped at 4 000 000 ticks.
     pub fn timeout_for(&self, view: View) -> SimDuration {
         let exp = view.0.saturating_sub(1).min(16) as u32;
         let scaled = self.base_timeout.saturating_mul(1u64 << exp);
-        scaled.min(self.max_timeout)
+        scaled.min(SimDuration::from_ticks(MAX_TIMEOUT_TICKS))
     }
 
     /// The application validity predicate.
@@ -183,7 +185,6 @@ pub struct ProbftConfigBuilder {
     l: f64,
     o: f64,
     base_timeout: SimDuration,
-    max_timeout: SimDuration,
     validity: ValidityPredicate,
 }
 
@@ -211,12 +212,6 @@ impl ProbftConfigBuilder {
     /// Sets the initial per-view timeout.
     pub fn base_timeout(mut self, t: SimDuration) -> Self {
         self.base_timeout = t;
-        self
-    }
-
-    /// Sets the timeout growth cap.
-    pub fn max_timeout(mut self, t: SimDuration) -> Self {
-        self.max_timeout = t;
         self
     }
 
@@ -253,7 +248,6 @@ impl ProbftConfigBuilder {
             q,
             s,
             base_timeout: self.base_timeout,
-            max_timeout: self.max_timeout,
             validity: self.validity,
         }
     }
@@ -296,13 +290,15 @@ mod tests {
     #[test]
     fn timeout_doubles_and_caps() {
         let cfg = ProbftConfig::builder(4)
-            .base_timeout(SimDuration::from_ticks(100))
-            .max_timeout(SimDuration::from_ticks(350))
+            .base_timeout(SimDuration::from_ticks(1_000_000))
             .build();
-        assert_eq!(cfg.timeout_for(View(1)), SimDuration::from_ticks(100));
-        assert_eq!(cfg.timeout_for(View(2)), SimDuration::from_ticks(200));
-        assert_eq!(cfg.timeout_for(View(3)), SimDuration::from_ticks(350));
-        assert_eq!(cfg.timeout_for(View(10)), SimDuration::from_ticks(350));
+        assert_eq!(cfg.timeout_for(View(1)), SimDuration::from_ticks(1_000_000));
+        assert_eq!(cfg.timeout_for(View(2)), SimDuration::from_ticks(2_000_000));
+        assert_eq!(cfg.timeout_for(View(3)), SimDuration::from_ticks(4_000_000));
+        assert_eq!(
+            cfg.timeout_for(View(10)),
+            SimDuration::from_ticks(4_000_000)
+        );
     }
 
     #[test]

@@ -6,9 +6,11 @@
 //! binaries do goes through [`Instance`]: it wires the keyring,
 //! configuration, network model, honest replicas, and Byzantine strategies
 //! into one deterministic simulation and condenses the run into an
-//! [`InstanceOutcome`]. A protocol plugs in by implementing
-//! [`Phases`]; every [`ViewShell`] is then a [`Protocol`], and
-//! [`InstanceBuilder`] is the ProBFT instantiation.
+//! [`InstanceOutcome`]. What the harness knows of a protocol is one trait,
+//! [`Protocol`]: its [`Phases`], its Byzantine replica and its default
+//! `(l, o)`. Every vote policy ([`CertVote`]) is a protocol, so
+//! [`InstanceBuilder`] is `Instance<PhaseBody>` and the PBFT baseline's is
+//! `Instance` over its vote; HotStuff implements it for its phases.
 //!
 //! # Examples
 //!
@@ -22,9 +24,11 @@
 //! assert_eq!(outcome.decided_views(), vec![probft_core::config::View(1)]);
 //! ```
 
+use crate::byzantine::{ByzantineReplica, ByzantineStrategy};
 use crate::config::{ProbftConfig, SharedConfig, View};
-use crate::replica::{Decision, Replica};
-use crate::shell::{Phases, ShellState, ViewShell};
+use crate::message::{CertVote, PhaseBody};
+use crate::replica::{Decision, ThreePhase};
+use crate::shell::{Phases, ViewShell};
 use crate::value::{ValidityPredicate, Value};
 use probft_crypto::keyring::Keyring;
 use probft_quorum::ReplicaId;
@@ -34,7 +38,6 @@ use probft_simnet::process::{Context, Process, ProcessId, TimerToken};
 use probft_simnet::sim::{RunOutcome, Simulation};
 use probft_simnet::time::{SimDuration, SimTime};
 use std::collections::{BTreeMap, BTreeSet};
-use std::ops::Deref;
 use std::sync::Arc;
 
 pub use crate::shell::Seat;
@@ -70,23 +73,23 @@ pub fn run_cluster<P: Process<Message: Measurable + Clone>>(
     (sim, run_outcome)
 }
 
-/// A single-shot consensus protocol the harness can run: the honest
-/// replica's type, which is some [`ViewShell`] and is inspected through the
-/// [`ShellState`] it dereferences to.
-pub trait Protocol:
-    Process<Message: Measurable + Clone> + Deref<Target = ShellState> + Sized
-{
+/// A single-shot consensus protocol as the harness seats it: the
+/// [`Phases`] its honest replica runs inside a [`ViewShell`], the
+/// Byzantine replica seated beside it, and the `(l, o)` instances start
+/// from. Every [`CertVote`] is one — ProBFT's [`PhaseBody`] and the PBFT
+/// baseline's vote — with [`ByzantineReplica`] as its adversary; a
+/// protocol of other phases implements it for its [`Phases`] type.
+pub trait Protocol {
+    /// What the honest replica does inside a view.
+    type Phases: Phases<Message: Measurable>;
     /// The protocol's Byzantine behaviours.
     type Strategy;
     /// A replica executing one [`Strategy`](Self::Strategy).
-    type Byzantine: Process<Message = Self::Message>;
+    type Byzantine: Process<Message = <Self::Phases as Phases>::Message>;
 
     /// The quorum multiplier `l` and overprovision factor `o` instances
     /// start from.
     const QUORUM_PARAMS: (f64, f64);
-
-    /// Builds the honest replica proposing `value` when it leads.
-    fn honest(seat: Seat, value: Value) -> Self;
 
     /// Builds a Byzantine replica colluding with the `faulty` set.
     fn byzantine(
@@ -96,46 +99,47 @@ pub trait Protocol:
     ) -> Self::Byzantine;
 }
 
-impl<P: Phases<Message: Measurable>> Protocol for ViewShell<P> {
-    type Strategy = P::Strategy;
-    type Byzantine = P::Byzantine;
-    const QUORUM_PARAMS: (f64, f64) = P::QUORUM_PARAMS;
+/// The wire message of protocol `P`.
+type Msg<P> = <<P as Protocol>::Phases as Phases>::Message;
 
-    fn honest(seat: Seat, value: Value) -> Self {
-        ViewShell::new(seat.cfg, seat.id, seat.sk, seat.keys, value)
-    }
+impl<V: CertVote> Protocol for V {
+    type Phases = ThreePhase<V>;
+    type Strategy = ByzantineStrategy;
+    type Byzantine = ByzantineReplica<V>;
+    const QUORUM_PARAMS: (f64, f64) = V::QUORUM_PARAMS;
+
     fn byzantine(
         seat: Seat,
         faulty: Arc<BTreeSet<ReplicaId>>,
-        strategy: P::Strategy,
-    ) -> P::Byzantine {
-        P::byzantine(seat, faulty, strategy)
+        strategy: ByzantineStrategy,
+    ) -> ByzantineReplica<V> {
+        ByzantineReplica::new(seat, faulty, strategy)
     }
 }
 
 /// A simulated participant: the simulator runs one process type, so this
 /// is the sum of a protocol's honest and Byzantine behaviours.
 enum Node<P: Protocol> {
-    Honest(Box<P>),
+    Honest(Box<ViewShell<P::Phases>>),
     Byzantine(Box<P::Byzantine>),
 }
 
 impl<P: Protocol> Process for Node<P> {
-    type Message = P::Message;
+    type Message = Msg<P>;
 
-    fn on_start(&mut self, ctx: &mut Context<'_, P::Message>) {
+    fn on_start(&mut self, ctx: &mut Context<'_, Msg<P>>) {
         match self {
             Node::Honest(r) => r.on_start(ctx),
             Node::Byzantine(b) => b.on_start(ctx),
         }
     }
-    fn on_message(&mut self, from: ProcessId, msg: P::Message, ctx: &mut Context<'_, P::Message>) {
+    fn on_message(&mut self, from: ProcessId, msg: Msg<P>, ctx: &mut Context<'_, Msg<P>>) {
         match self {
             Node::Honest(r) => r.on_message(from, msg, ctx),
             Node::Byzantine(b) => b.on_message(from, msg, ctx),
         }
     }
-    fn on_timer(&mut self, token: TimerToken, ctx: &mut Context<'_, P::Message>) {
+    fn on_timer(&mut self, token: TimerToken, ctx: &mut Context<'_, Msg<P>>) {
         match self {
             Node::Honest(r) => r.on_timer(token, ctx),
             Node::Byzantine(b) => b.on_timer(token, ctx),
@@ -144,7 +148,7 @@ impl<P: Protocol> Process for Node<P> {
 }
 
 /// Builds and runs a single ProBFT consensus instance.
-pub type InstanceBuilder = Instance<Replica>;
+pub type InstanceBuilder = Instance<PhaseBody>;
 
 /// Builds and runs a single consensus instance of protocol `P`.
 #[derive(Debug)]
@@ -303,7 +307,8 @@ impl<P: Protocol> Instance<P> {
                     .values
                     .remove(&seat.id)
                     .unwrap_or_else(|| Value::from_tag(seat.id.index() as u64));
-                Node::<P>::Honest(Box::new(P::honest(seat, value)))
+                let Seat { cfg, id, sk, keys } = seat;
+                Node::<P>::Honest(Box::new(ViewShell::new(cfg, id, sk, keys, value)))
             }
         };
         // Byzantine nodes never "decide"; the run waits for the honest ones.

@@ -22,7 +22,6 @@
 //! accepted, which carried `x` — so no replica prepares, commits or decides
 //! a value it lacks.
 
-use crate::byzantine::{ByzantineReplica, ByzantineStrategy};
 use crate::config::{ProbftConfig, View};
 use crate::error::RejectReason;
 use crate::sampling::{self, Phase};
@@ -37,9 +36,7 @@ use probft_crypto::sha256::Digest;
 use probft_crypto::vrf::VrfProof;
 use probft_quorum::ReplicaId;
 use probft_simnet::metrics::Measurable;
-use probft_simnet::process::{Process, ProcessId};
-use std::collections::BTreeSet;
-use std::sync::Arc;
+use probft_simnet::process::ProcessId;
 
 /// Context needed to verify any message: protocol parameters plus the
 /// public keys of the population.
@@ -208,10 +205,11 @@ impl Signed<PhaseBody> {
 /// The Prepare/Commit vote body of a Propose → Prepare → Commit protocol,
 /// and with it the protocol's *vote policy*: what view-change certificates
 /// are built from, what [`MessageOf`] is generic over, and the only places
-/// where the one replica ([`crate::replica::ThreePhase`]) behaves
-/// differently for ProBFT (sampled [`PhaseBody`] votes) and for the PBFT
-/// baseline (broadcast digest votes). The vote supplies the domain tags,
-/// so the two never share a signature.
+/// where the one replica ([`crate::replica::ThreePhase`]) and the one
+/// adversary ([`crate::byzantine::ByzantineReplica`]) behave differently
+/// for ProBFT (sampled [`PhaseBody`] votes) and for the PBFT baseline
+/// (broadcast digest votes). The vote supplies the domain tags, so the two
+/// never share a signature.
 pub trait CertVote: SignedBody<Phase = Phase> + Clone {
     /// Domain tag of a [`NewLeader`] carrying these votes.
     const NEW_LEADER_DOMAIN: &'static [u8];
@@ -220,20 +218,6 @@ pub trait CertVote: SignedBody<Phase = Phase> + Clone {
     /// The quorum multiplier `l` and overprovision factor `o` harness
     /// instances of this policy start from.
     const QUORUM_PARAMS: (f64, f64);
-
-    /// The Byzantine behaviours the experiment harness can seat against
-    /// this policy (named on the vote for the reason given on
-    /// [`Phases::Strategy`](crate::shell::Phases::Strategy)).
-    type Strategy;
-    /// A replica executing one [`Strategy`](Self::Strategy).
-    type Byzantine: Process<Message = MessageOf<Self>>;
-
-    /// Builds a Byzantine replica colluding with the `faulty` set.
-    fn byzantine(
-        seat: Seat,
-        faulty: Arc<BTreeSet<ReplicaId>>,
-        strategy: Self::Strategy,
-    ) -> Self::Byzantine;
 
     /// The view the vote was cast in.
     fn view(&self) -> View;
@@ -287,17 +271,6 @@ impl CertVote for PhaseBody {
     const PROPOSE_DOMAIN: &'static [u8] = b"probft-propose|";
     // The paper's operating point (§5).
     const QUORUM_PARAMS: (f64, f64) = (2.0, 1.7);
-
-    type Strategy = ByzantineStrategy;
-    type Byzantine = ByzantineReplica;
-
-    fn byzantine(
-        seat: Seat,
-        faulty: Arc<BTreeSet<ReplicaId>>,
-        strategy: ByzantineStrategy,
-    ) -> ByzantineReplica {
-        ByzantineReplica::new(seat.cfg, seat.id, seat.sk, seat.keys, faulty, strategy)
-    }
 
     fn view(&self) -> View {
         self.proposal.view

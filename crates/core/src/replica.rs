@@ -38,14 +38,13 @@ use crate::message::{
 };
 use crate::predicates;
 use crate::sampling::Phase;
-use crate::shell::{InstanceHalf, Phases, Seat, ShellState, ViewShell};
+use crate::shell::{InstanceHalf, Phases, ShellState, ViewShell};
 use crate::signed::Signed;
 use crate::value::Value;
 use probft_crypto::sha256::Digest;
 use probft_quorum::{QuorumTracker, ReplicaId};
 use probft_simnet::process::Context;
-use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
+use std::collections::BTreeMap;
 
 pub use crate::shell::{Decision, ReplicaStats};
 
@@ -93,17 +92,6 @@ pub struct ThreePhase<V: CertVote> {
 
 impl<V: CertVote> Phases for ThreePhase<V> {
     type Message = MessageOf<V>;
-    type Strategy = V::Strategy;
-    type Byzantine = V::Byzantine;
-    const QUORUM_PARAMS: (f64, f64) = V::QUORUM_PARAMS;
-
-    fn byzantine(
-        seat: Seat,
-        faulty: Arc<BTreeSet<ReplicaId>>,
-        strategy: V::Strategy,
-    ) -> V::Byzantine {
-        V::byzantine(seat, faulty, strategy)
-    }
 
     fn new(cfg: &ProbftConfig) -> Self {
         ThreePhase {
@@ -427,12 +415,14 @@ impl<V: CertVote> ThreePhase<V> {
 mod tests {
     use super::*;
     use crate::message::{Message, PhaseMessage, Propose};
+    use crate::shell::Seat;
     use probft_crypto::keyring::Keyring;
     use probft_crypto::schnorr::Signature;
     use probft_simnet::process::{Action, Process, ProcessId};
     use probft_simnet::time::SimTime;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::sync::Arc;
 
     /// n = 16, l = 1 → q = 4, o = 1.5 → s = 6: samples leave most replicas
     /// out, and a quorum is four votes.

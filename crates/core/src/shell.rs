@@ -21,7 +21,9 @@
 //! implementation. The SMR layer holds one `Synchronizer` for its whole
 //! log over one `InstanceHalf` per slot in flight (DESIGN.md, "One view per
 //! log", has the safety argument). A protocol plugs in by implementing
-//! [`Phases`]: its per-view state and two handlers.
+//! [`Phases`]: its per-view state and two handlers. What an experiment
+//! seats beside the replica — Byzantine strategies, default `(l, o)` — is
+//! not the shell's business; it is declared on `harness::Protocol`.
 
 use crate::config::{ProbftConfig, SharedConfig, View};
 use crate::error::RejectReason;
@@ -34,7 +36,7 @@ use probft_crypto::sha256::Digest;
 use probft_quorum::ReplicaId;
 use probft_simnet::process::{Context, Process, ProcessId, TimerToken};
 use probft_simnet::time::SimTime;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Deref;
 use std::sync::Arc;
@@ -102,33 +104,16 @@ pub struct ReplicaStats {
 }
 
 /// What a protocol does inside a view — the shell's only hook, statically
-/// dispatched. The implementing type is the protocol's own state (reset or
-/// carried across views as it sees fit); the instance half calls
-/// [`enter_view`](Phases::enter_view) on `newView`, before replaying the
-/// view's buffered messages, and [`on_message`](Phases::on_message) for
-/// every verified message of the current view.
+/// dispatched, and nothing else about the protocol. The implementing type
+/// is the protocol's own state (reset or carried across views as it sees
+/// fit); the instance half calls [`enter_view`](Phases::enter_view) on
+/// `newView`, before replaying the view's buffered messages, and
+/// [`on_message`](Phases::on_message) for every verified message of the
+/// current view.
 pub trait Phases: Sized {
     /// The protocol's wire message; the synchronizer's `Wish` is one of its
     /// variants.
     type Message: Clone + From<Wish>;
-    /// The protocol's Byzantine behaviours, for the experiment harness.
-    /// (They are named here, not on the harness's `Protocol`, because a
-    /// baseline crate may implement a core trait only for a type of its
-    /// own, and its replica type — a `ViewShell` — is core's.)
-    type Strategy;
-    /// A replica executing one [`Strategy`](Self::Strategy).
-    type Byzantine: Process<Message = Self::Message>;
-
-    /// The quorum multiplier `l` and overprovision factor `o` harness
-    /// instances start from.
-    const QUORUM_PARAMS: (f64, f64);
-
-    /// Builds a Byzantine replica colluding with the `faulty` set.
-    fn byzantine(
-        seat: Seat,
-        faulty: Arc<BTreeSet<ReplicaId>>,
-        strategy: Self::Strategy,
-    ) -> Self::Byzantine;
 
     /// The state of a replica that has not yet entered any view.
     fn new(cfg: &ProbftConfig) -> Self;
@@ -505,7 +490,7 @@ mod tests {
         }
     }
 
-    fn honest(sim: &Simulation<Node>, id: ProcessId) -> &Replica {
+    fn honest_replica(sim: &Simulation<Node>, id: ProcessId) -> &Replica {
         match sim.process(id) {
             Node::Honest(r) => r,
             Node::Flooder(_) => panic!("{id} is the flooder"),
@@ -538,7 +523,7 @@ mod tests {
         // keeps a capful and counts the rest.
         let cap = BUFFERED_PER_REPLICA * cfg.n();
         sim.run_until(SimTime::from_ticks(1_000), u64::MAX);
-        let victim = honest(&sim, VICTIM);
+        let victim = honest_replica(&sim, VICTIM);
         assert_eq!(victim.current_view(), View::FIRST);
         assert_eq!(victim.instance.future[&View(2)].len(), cap);
         assert_eq!(victim.stats.rejected, (REPLAYS - cap) as u64);
@@ -551,7 +536,7 @@ mod tests {
         let outcome =
             sim.run_until_condition(|s| s.processes().all(|(_, p)| decided(p)), 1_000_000);
         assert_eq!(outcome, RunOutcome::ConditionMet);
-        let victim = honest(&sim, VICTIM);
+        let victim = honest_replica(&sim, VICTIM);
         assert_eq!(victim.decision().map(|d| d.view), Some(View(2)));
         assert!(victim.instance.future.is_empty());
         assert_eq!(victim.stats.rejected, (REPLAYS - cap) as u64);

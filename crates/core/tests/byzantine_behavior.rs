@@ -4,6 +4,7 @@
 
 use probft_core::byzantine::{equivocation_values, ByzantineReplica, ByzantineStrategy};
 use probft_core::config::{ProbftConfig, View};
+use probft_core::harness::Seat;
 use probft_core::message::Message;
 use probft_core::value::Value;
 use probft_crypto::keyring::Keyring;
@@ -22,14 +23,13 @@ fn setup(strategy: ByzantineStrategy, id: u32) -> (ByzantineReplica, StdRng) {
     let cfg = Arc::new(ProbftConfig::builder(N).build());
     let ring = Keyring::generate(N, b"byz-test");
     let faulty: Arc<BTreeSet<ReplicaId>> = Arc::new((0..F).map(ReplicaId::from).collect());
-    let replica = ByzantineReplica::new(
+    let seat = Seat {
         cfg,
-        ReplicaId(id),
-        ring.signing_key(id as usize).unwrap().clone(),
-        Arc::new(ring.public()),
-        faulty,
-        strategy,
-    );
+        id: ReplicaId(id),
+        sk: ring.signing_key(id as usize).unwrap().clone(),
+        keys: Arc::new(ring.public()),
+    };
+    let replica = ByzantineReplica::new(seat, faulty, strategy);
     (replica, StdRng::seed_from_u64(7))
 }
 

@@ -80,11 +80,6 @@ impl Keyring {
         self.verifying.get(i).ok_or(CryptoError::UnknownReplica(i))
     }
 
-    /// All verifying keys, indexed by replica.
-    pub fn verifying_keys(&self) -> &[VerifyingKey] {
-        &self.verifying
-    }
-
     /// A public-only view of the keyring (what a verifier-only party holds).
     pub fn public(&self) -> PublicKeyring {
         PublicKeyring::new(self.verifying.clone())

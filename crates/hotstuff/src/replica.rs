@@ -6,26 +6,25 @@
 //! and decide on the commit QC. Safety comes from the locking rule; view
 //! changes carry the highest prepare QC to the next leader.
 
-use crate::harness::HsStrategy;
 use crate::message::{
     BroadcastBody, HsMessage, HsPhase, HsVote, HsVoteBody, LeaderBroadcast, NewViewBody, Qc,
 };
 use probft_core::config::{ProbftConfig, View};
 use probft_core::error::RejectReason;
 use probft_core::message::{VerifyCtx, Wish};
-use probft_core::shell::{Phases, Seat, ShellState, ViewShell};
+use probft_core::shell::{Phases, ShellState, ViewShell};
 use probft_core::signed::Signed;
 use probft_core::value::Value;
 use probft_crypto::sha256::Digest;
 use probft_quorum::{QuorumTracker, ReplicaId};
 use probft_simnet::process::Context;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
 
 /// A single-shot HotStuff replica.
 pub type HsReplica = ViewShell<HsPhases>;
 
 /// HotStuff's state inside the view shell.
+#[derive(Debug)]
 pub struct HsPhases {
     /// Highest prepare QC seen (the `prepareQC` of the HotStuff paper).
     prepare_qc: Option<Qc>,
@@ -44,14 +43,6 @@ pub struct HsPhases {
 
 impl Phases for HsPhases {
     type Message = HsMessage;
-    type Strategy = HsStrategy;
-    type Byzantine = HsStrategy;
-    // Deterministic quorums: nothing is sampled.
-    const QUORUM_PARAMS: (f64, f64) = (1.0, 1.0);
-
-    fn byzantine(_: Seat, _: Arc<BTreeSet<ReplicaId>>, strategy: HsStrategy) -> HsStrategy {
-        strategy
-    }
 
     fn new(cfg: &ProbftConfig) -> Self {
         HsPhases {

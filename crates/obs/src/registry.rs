@@ -59,15 +59,6 @@ impl Gauge {
         self.0.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Decrements by one, saturating at zero.
-    pub fn dec(&self) {
-        let _ = self
-            .0
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-                Some(v.saturating_sub(1))
-            });
-    }
-
     /// Current value.
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
@@ -205,15 +196,6 @@ impl MetricsSnapshot {
             .get(&(name.to_string(), Vec::new()))
             .copied()
             .unwrap_or(0)
-    }
-
-    /// Sum of counter `name` across all of its extra-label variants.
-    pub fn counter_total(&self, name: &str) -> u64 {
-        self.counters
-            .iter()
-            .filter(|((n, _), _)| n == name)
-            .map(|(_, v)| *v)
-            .fold(0, u64::saturating_add)
     }
 
     /// Value of the gauge `name` (0 if absent).
@@ -459,22 +441,22 @@ mod tests {
     }
 
     #[test]
-    fn labeled_counters_are_distinct_and_total() {
+    fn labeled_counters_are_distinct() {
         let r = Registry::new("replica-0");
-        r.counter_labeled("bytes", &[("kind", "vote")]).add(5);
+        let vote = r.counter_labeled("bytes", &[("kind", "vote")]);
+        vote.add(5);
         r.counter_labeled("bytes", &[("kind", "peer")]).add(7);
-        let s = r.snapshot();
-        assert_eq!(s.counter("bytes"), 0);
-        assert_eq!(s.counter_total("bytes"), 12);
+        assert_eq!(vote.get(), 5);
+        assert_eq!(r.snapshot().counter("bytes"), 0);
     }
 
     #[test]
-    fn gauge_saturates_at_zero() {
+    fn gauge_increments_and_sets() {
         let r = Registry::new("x");
         let g = r.gauge("depth");
-        g.dec();
         assert_eq!(g.get(), 0);
         g.inc();
+        assert_eq!(g.get(), 1);
         g.set(10);
         assert_eq!(r.snapshot().gauge("depth"), 10);
     }

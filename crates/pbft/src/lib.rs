@@ -14,6 +14,11 @@
 //!   votes, so any two quorums intersect in a correct replica and safety is
 //!   certain, not probabilistic.
 //!
+//! The adversary is core's too: [`PbftByzantine`] is core's Byzantine
+//! replica over this crate's vote, running every ProBFT strategy
+//! ([`PbftStrategy`] is core's `ByzantineStrategy`), and PBFT's vote is,
+//! like ProBFT's, the harness protocol [`PbftInstanceBuilder`] runs.
+//!
 //! # Examples
 //!
 //! ```

@@ -10,9 +10,7 @@
 //! [`CertVote`] impl below is the whole of PBFT's difference from
 //! Algorithm 1.
 
-use crate::byzantine::{PbftByzantine, PbftStrategy};
 use probft_core::config::{ProbftConfig, View};
-use probft_core::harness::Seat;
 use probft_core::message::{CertVote, MessageOf, NewLeaderBody, ProposeBody};
 use probft_core::signed::{Signed, SignedBody};
 use probft_core::wire_fields;
@@ -20,8 +18,6 @@ use probft_crypto::schnorr::SigningKey;
 use probft_crypto::sha256::Digest;
 use probft_quorum::ReplicaId;
 use probft_simnet::process::ProcessId;
-use std::collections::BTreeSet;
-use std::sync::Arc;
 
 /// The leader-signed proposal, shared with ProBFT's structure.
 pub use probft_core::message::SignedProposal;
@@ -64,13 +60,6 @@ impl CertVote for VoteBody {
     const PROPOSE_DOMAIN: &'static [u8] = b"pbft-propose|";
     // Deterministic quorums: nothing is sampled.
     const QUORUM_PARAMS: (f64, f64) = (1.0, 1.0);
-
-    type Strategy = PbftStrategy;
-    type Byzantine = PbftByzantine;
-
-    fn byzantine(seat: Seat, _: Arc<BTreeSet<ReplicaId>>, strategy: PbftStrategy) -> PbftByzantine {
-        PbftByzantine::new(seat.cfg, seat.id, seat.sk, strategy)
-    }
 
     fn view(&self) -> View {
         self.view

@@ -61,6 +61,33 @@ fn split_leader_cannot_violate_safety() {
     }
 }
 
+/// The optimal split of Fig. 4c, which the ProBFT agreement analysis is
+/// proved against, seated against PBFT: the view-1 leader and four helpers
+/// (f = 5 of n = 16) split the 11 correct replicas and double-vote toward
+/// each half. The side of 6 correct + 5 faulty replicas reaches PBFT's
+/// quorum of 11 in view 1, the other side cannot, and the rest decide the
+/// same value in view 6, the first with a correct leader — deterministic
+/// quorums intersect in a correct replica. PBFT's digest votes embed no
+/// leader-signed header, so no replica detects the equivocation.
+#[test]
+fn optimal_split_cannot_violate_safety() {
+    for seed in 0..24 {
+        let mut builder = PbftInstanceBuilder::new(16).seed(seed);
+        for i in 0..5 {
+            builder = builder.byzantine(ReplicaId(i), PbftStrategy::OptimalSplitLeader);
+        }
+        let outcome = builder.run();
+        assert!(outcome.agreement(), "seed {seed}: {outcome:?}");
+        assert!(outcome.all_correct_decided(), "seed {seed}: {outcome:?}");
+        assert_eq!(outcome.equivocation_detections, 0, "seed {seed}");
+        assert_eq!(
+            outcome.decided_views(),
+            vec![View(1), View(6)],
+            "seed {seed}"
+        );
+    }
+}
+
 #[test]
 fn deterministic_replay() {
     let a = PbftInstanceBuilder::new(10).seed(7).run();

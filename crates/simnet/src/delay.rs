@@ -84,39 +84,6 @@ impl DelayModel for Fixed {
     }
 }
 
-/// Uniformly random delay in `[min, max]`.
-#[derive(Clone, Copy, Debug)]
-pub struct Uniform {
-    min: SimDuration,
-    max: SimDuration,
-}
-
-impl Uniform {
-    /// Creates a uniform delay model.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `min > max`.
-    pub fn new(min: SimDuration, max: SimDuration) -> Self {
-        assert!(min <= max, "min delay must not exceed max delay");
-        Uniform { min, max }
-    }
-}
-
-impl DelayModel for Uniform {
-    fn delay(
-        &mut self,
-        _from: ProcessId,
-        _to: ProcessId,
-        _now: SimTime,
-        rng: &mut StdRng,
-    ) -> Option<SimDuration> {
-        Some(SimDuration::from_ticks(
-            rng.gen_range(self.min.ticks()..=self.max.ticks()),
-        ))
-    }
-}
-
 /// The paper's partial-synchrony model.
 ///
 /// Before [GST](Self::gst), delays are drawn uniformly from
@@ -343,8 +310,9 @@ mod tests {
     }
 
     #[test]
-    fn uniform_respects_bounds() {
-        let mut m = Uniform::new(SimDuration::from_ticks(3), SimDuration::from_ticks(9));
+    fn synchronous_respects_bounds() {
+        let mut m =
+            PartialSynchrony::synchronous(SimDuration::from_ticks(3), SimDuration::from_ticks(9));
         let mut r = rng();
         for _ in 0..200 {
             let d = m
@@ -406,9 +374,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "min delay must not exceed max")]
-    fn uniform_inverted_panics() {
-        Uniform::new(SimDuration::from_ticks(2), SimDuration::from_ticks(1));
+    #[should_panic(expected = "pre-GST interval inverted")]
+    fn synchronous_inverted_panics() {
+        PartialSynchrony::synchronous(SimDuration::from_ticks(2), SimDuration::from_ticks(1));
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub mod process;
 pub mod sim;
 pub mod time;
 
-pub use delay::{DelayModel, Fixed, HealingPartition, Lossy, PartialSynchrony, Uniform};
+pub use delay::{DelayModel, Fixed, HealingPartition, Lossy, PartialSynchrony};
 pub use metrics::{KindStats, Measurable, MessageMetrics};
 pub use process::{Action, Context, Process, ProcessId, TimerToken};
 pub use sim::{RunOutcome, Simulation};

@@ -421,7 +421,7 @@ impl<P: Process> fmt::Debug for Simulation<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::delay::{Fixed, Lossy, Uniform};
+    use crate::delay::{Fixed, Lossy, PartialSynchrony};
     use crate::metrics::KindStats;
     use crate::time::SimDuration;
     use proptest::prelude::*;
@@ -559,7 +559,8 @@ mod tests {
         seed: u64,
     ) -> (Simulation<Gossip>, Rc<RefCell<Trace>>) {
         let trace = Rc::new(RefCell::new(Trace::default()));
-        let delays = Uniform::new(SimDuration::from_ticks(1), SimDuration::from_ticks(20));
+        let delays =
+            PartialSynchrony::synchronous(SimDuration::from_ticks(1), SimDuration::from_ticks(20));
         let mut sim = Simulation::new(delays, seed);
         for (plan, &timer_at) in plans.iter().zip(timers) {
             let n = plans.len();
@@ -627,7 +628,10 @@ mod tests {
     fn deterministic_given_seed() {
         let run = || {
             let mut sim = Simulation::new(
-                Uniform::new(SimDuration::from_ticks(1), SimDuration::from_ticks(100)),
+                PartialSynchrony::synchronous(
+                    SimDuration::from_ticks(1),
+                    SimDuration::from_ticks(100),
+                ),
                 99,
             );
             sim.add_process(PingPong::new(5));
@@ -644,7 +648,10 @@ mod tests {
     fn different_seeds_may_differ_with_random_delays() {
         let make = |seed| {
             let mut sim = Simulation::new(
-                Uniform::new(SimDuration::from_ticks(1), SimDuration::from_ticks(100)),
+                PartialSynchrony::synchronous(
+                    SimDuration::from_ticks(1),
+                    SimDuration::from_ticks(100),
+                ),
                 seed,
             );
             sim.add_process(PingPong::new(5));

@@ -7,7 +7,7 @@
 
 use probft_crypto::sha256::Digest;
 use probft_quorum::ReplicaId;
-use probft_simnet::delay::{DelayModel, Uniform};
+use probft_simnet::delay::{DelayModel, PartialSynchrony};
 use probft_simnet::process::ProcessId;
 use probft_simnet::sim::RunOutcome::ConditionMet;
 use probft_simnet::time::{SimDuration, SimTime};
@@ -28,7 +28,7 @@ enum LinkFault {
     /// direction, and every other link, delivers.
     Cut { to: ProcessId, heal_at: SimTime },
     /// Every message is held for `extra` on top of its delay.
-    Slow { extra: Uniform },
+    Slow { extra: PartialSynchrony },
 }
 
 impl DelayModel for LinkFault {
@@ -130,7 +130,7 @@ fn jitter_out_of_the_leader_delays_the_log_without_changing_it() {
     let settings = workload_mode(60);
     for seed in SEEDS {
         let clean = run(4, seed, settings, network());
-        let extra = Uniform::new(
+        let extra = PartialSynchrony::synchronous(
             SimDuration::from_ticks(1_000),
             SimDuration::from_ticks(8_000),
         );

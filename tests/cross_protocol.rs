@@ -2,9 +2,10 @@
 //! end on the same simulator substrate.
 
 use probft::core::harness::{Instance, InstanceOutcome, Protocol};
-use probft::core::{Replica, Value};
-use probft::hotstuff::HsReplica;
-use probft::pbft::PbftReplica;
+use probft::core::message::PhaseBody;
+use probft::core::Value;
+use probft::hotstuff::replica::HsPhases;
+use probft::pbft::VoteBody;
 
 /// One run of protocol `P`, each message delivered twice with probability
 /// `dup_prob`, in which every correct replica must decide and agree.
@@ -23,9 +24,9 @@ fn run<P: Protocol>(n: usize, seed: u64, dup_prob: f64) -> InstanceOutcome {
 /// Clean `(ProBFT, PBFT, HotStuff)` runs at one population size and seed.
 fn all_three(n: usize, seed: u64) -> [InstanceOutcome; 3] {
     [
-        run::<Replica>(n, seed, 0.0),
-        run::<PbftReplica>(n, seed, 0.0),
-        run::<HsReplica>(n, seed, 0.0),
+        run::<PhaseBody>(n, seed, 0.0),
+        run::<VoteBody>(n, seed, 0.0),
+        run::<HsPhases>(n, seed, 0.0),
     ]
 }
 
@@ -54,8 +55,8 @@ fn duplicated_messages_do_not_change_the_baselines_decision() {
         );
         assert!(noisy.metrics.total_delivered() > clean.metrics.total_delivered());
     }
-    check::<PbftReplica>();
-    check::<HsReplica>();
+    check::<VoteBody>();
+    check::<HsPhases>();
 }
 
 /// Message-count ordering of Figure 1b: HotStuff < ProBFT < PBFT, with the
@@ -114,8 +115,8 @@ fn latency_ordering_matches_figure_1a() {
 /// ceilings allowed for).
 #[test]
 fn measured_ratio_consistent_with_section_5() {
-    let probft = run::<Replica>(200, 7, 0.0);
-    let pbft = run::<PbftReplica>(200, 7, 0.0);
+    let probft = run::<PhaseBody>(200, 7, 0.0);
+    let pbft = run::<VoteBody>(200, 7, 0.0);
     let ratio = probft.metrics.total_sent_excluding_self() as f64
         / pbft.metrics.total_sent_excluding_self() as f64;
     assert!(
@@ -131,10 +132,8 @@ fn measured_ratio_consistent_with_section_5() {
 #[test]
 fn probft_in_the_limit_sends_exactly_pbfts_messages() {
     for n in [16usize, 25] {
-        let dq = Instance::<PbftReplica>::new(n)
-            .config()
-            .deterministic_quorum();
-        let limit = Instance::<Replica>::new(n)
+        let dq = Instance::<VoteBody>::new(n).config().deterministic_quorum();
+        let limit = Instance::<PhaseBody>::new(n)
             .seed(4)
             .quorum_multiplier(dq as f64 / (n as f64).sqrt())
             .overprovision(4.0);
@@ -146,7 +145,7 @@ fn probft_in_the_limit_sends_exactly_pbfts_messages() {
             limit.all_correct_decided() && limit.agreement(),
             "{limit:?}"
         );
-        let pbft = run::<PbftReplica>(n, 4, 0.0);
+        let pbft = run::<VoteBody>(n, 4, 0.0);
         let nn = (n * n) as u64;
         for (kind, expected) in [
             ("Propose", n as u64),

@@ -72,10 +72,12 @@ fn bench_probft_scaling(c: &mut Criterion) {
 /// Propose) and `counts_for`, which stops at the draw that picks the
 /// receiver — so it is timed for the first and the last member of the
 /// sample and for a replica outside it (n = 100; at n = 16 all but two are
-/// inside).
+/// inside). At n = 7 the sample is everyone (`s = n`): the vote carries no
+/// proof, so `cast` derives none, `verify` checks none and `counts_for`
+/// draws nothing, and there is no outsider.
 fn bench_vote(c: &mut Criterion) {
     let mut g = c.benchmark_group("vote");
-    for n in [16usize, 100] {
+    for n in [7usize, 16, 100] {
         let cfg = ProbftConfig::builder(n).build();
         let ring = Keyring::generate(n, b"bench-vote");
         let public = ring.public();

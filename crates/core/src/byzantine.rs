@@ -23,9 +23,11 @@
 //! choosing is not something a message can express — all that is left is
 //! sending the genuine vote to replicas outside its sample
 //! ([`ByzantineStrategy::FloodingReplica`]), who find themselves absent from
-//! the derived sample and do not count it. And Prepare/Commit messages must
-//! embed a *leader-signed* header, so helpers can only amplify values the
-//! leader actually signed.
+//! the derived sample and do not count it. Dropping the proof does not help
+//! either: a vote without one counts for everyone only where the sample is
+//! everyone (`s = n`), and fails verification where the cluster samples.
+//! And Prepare/Commit messages must embed a *leader-signed* header, so
+//! helpers can only amplify values the leader actually signed.
 //!
 //! All strategies are *static*: they are fixed before the run starts
 //! (static corruption adversary, §2.1), and the colluding replicas know

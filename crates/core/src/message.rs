@@ -13,14 +13,18 @@
 //! `⟨v, H(x)⟩_j` ([`SignedProposal`], 60 bytes), and that one signature
 //! serves the Propose, every vote and every certificate. A `Prepare` or
 //! `Commit` is the header, the voter's VRF proof `P` and the voter's
-//! signature: 104 bytes for every `n` and value size. The sample `S` of
-//! lines 15–16 and 19–20 is a function of `P` ([`PhaseBody::sample`]), so it
-//! is not shipped: the sender expands its proof to address the vote, a
-//! receiver checks the proof and draws from it until it finds itself
-//! (preconditions of lines 17 and 21). A vote is counted by matching
-//! `(view, digest)` against the header of the Propose the receiver
-//! accepted, which carried `x` — so no replica prepares, commits or decides
-//! a value it lacks.
+//! signature: 104 bytes for every `n` with `s < n` and every value size.
+//! The sample `S` of lines 15–16 and 19–20 is a function of `P`
+//! ([`PhaseBody::sample`]), so it is not shipped: the sender expands its
+//! proof to address the vote, a receiver checks the proof and draws from it
+//! until it finds itself (preconditions of lines 17 and 21). Where `s = n`
+//! the sample is everyone whatever the proof says, so a vote carries none
+//! (81 bytes, a one-byte marker in the proof's place), goes to every
+//! replica in id order and counts for each; a vote whose proof is present
+//! or absent against its cluster's regime fails verification. A vote is
+//! counted by matching `(view, digest)` against the header of the Propose
+//! the receiver accepted, which carried `x` — so no replica prepares,
+//! commits or decides a value it lacks.
 
 use crate::config::{ProbftConfig, View};
 use crate::error::RejectReason;
@@ -28,7 +32,7 @@ use crate::sampling::{self, Phase};
 use crate::shell::Seat;
 use crate::signed::{Signed, SignedBody};
 use crate::value::Value;
-use crate::wire::Wire;
+use crate::wire::{self, Reader, Wire, WireError};
 use crate::wire_fields;
 use probft_crypto::keyring::PublicKeyring;
 use probft_crypto::schnorr::SigningKey;
@@ -139,8 +143,8 @@ impl Signed<ProposalBody> {
 pub type PhaseMessage = Signed<PhaseBody>;
 
 /// The contents of a [`PhaseMessage`]: who votes, for which leader-signed
-/// header, and the proof of whom the vote may be counted by. Fixed size —
-/// neither the value nor the sample is in it (see the module docs).
+/// header, and the proof of whom the vote may be counted by. One size per
+/// regime — neither the value nor the sample is in it (see the module docs).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PhaseBody {
     /// The signer `i`.
@@ -148,15 +152,26 @@ pub struct PhaseBody {
     /// The leader-signed header this vote supports.
     pub proposal: SignedProposal,
     /// The VRF proof `P` for `(sender, view, phase)`, which determines the
-    /// recipient sample `S`.
-    pub proof: VrfProof,
+    /// recipient sample `S`: present exactly when the cluster samples
+    /// (`s < n`); where `s = n` the sample is everyone and there is none.
+    pub proof: Option<VrfProof>,
+}
+
+/// Whether `cfg`'s votes go to a sample smaller than the cluster, and so
+/// carry the VRF proof that names it.
+fn samples(cfg: &ProbftConfig) -> bool {
+    cfg.sample_size() < cfg.n()
 }
 
 impl PhaseBody {
-    /// The recipient sample `S` the proof determines, in send order.
-    /// Meaningful once the proof has verified.
+    /// The recipient sample `S`, in send order: the one the proof
+    /// determines, or every replica in id order for a vote without one.
+    /// Meaningful once the vote has verified.
     pub fn sample(&self, cfg: &ProbftConfig) -> Vec<ReplicaId> {
-        sampling::sample_of(&self.proof, cfg.sample_size(), cfg.n())
+        match &self.proof {
+            Some(proof) => sampling::sample_of(proof, cfg.sample_size(), cfg.n()),
+            None => cfg.all_replicas().collect(),
+        }
     }
 }
 
@@ -173,26 +188,73 @@ impl SignedBody for PhaseBody {
     }
 }
 
-wire_fields! { impl Wire for PhaseBody { sender, proposal, proof } }
+/// What stands in a vote's proof slot when it has no proof. A proof's first
+/// byte is the top byte of `Γ < P < 2⁶³`, below `0x80`, so this byte cannot
+/// begin one; any other leading byte at or above it is an unknown tag.
+const NO_PROOF: u8 = 0x80;
+
+// By hand, not `wire_fields!`: the proof slot is a proof or the one-byte
+// `NO_PROOF`, which keeps a vote with a proof byte-identical to the vote
+// before the slot became optional.
+impl Wire for PhaseBody {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.sender.encode(out);
+        self.proposal.encode(out);
+        match &self.proof {
+            Some(proof) => proof.encode(out),
+            None => out.push(NO_PROOF),
+        }
+    }
+    fn wire_len(&self) -> usize {
+        let proof = self.proof.as_ref().map_or(1, Wire::wire_len);
+        wire::fields_len([self.sender.wire_len(), self.proposal.wire_len(), proof])
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let sender = ReplicaId::decode(r)?;
+        let proposal = SignedProposal::decode(r)?;
+        let proof = match r.peek()? {
+            NO_PROOF => {
+                r.u8()?;
+                None
+            }
+            t if t > NO_PROOF => return Err(WireError::UnknownTag(t)),
+            _ => Some(VrfProof::decode(r)?),
+        };
+        Ok(PhaseBody {
+            sender,
+            proposal,
+            proof,
+        })
+    }
+}
 
 impl Signed<PhaseBody> {
     /// Full verification: leader-signed header, outer signature, and VRF
-    /// proof.
+    /// proof — which must be present exactly when the cluster samples
+    /// (`s < n`); where `s = n` there is no proof to check.
     ///
     /// Does **not** check receiver sample membership — that is a property of
     /// a specific receiver, checked by [`CertVote::counts_for`].
     ///
     /// # Errors
     ///
-    /// Any [`RejectReason`] describing the first failed check.
+    /// Any [`RejectReason`] describing the first failed check;
+    /// [`RejectReason::BadVrfProof`] also for a proof present or absent
+    /// against the regime.
     pub fn verify(&self, phase: Phase, ctx: &VerifyCtx<'_>) -> Result<(), RejectReason> {
         self.proposal.verify(ctx)?;
         self.verify_in(phase, ctx.keys)?;
-        let key = ctx.keys.tabled_key(self.sender.index())?;
-        if sampling::verify_proof(key, self.proposal.view, phase, &self.proof) {
-            Ok(())
-        } else {
-            Err(RejectReason::BadVrfProof)
+        match (&self.proof, samples(ctx.cfg)) {
+            (None, false) => Ok(()),
+            (Some(proof), true) => {
+                let key = ctx.keys.tabled_key(self.sender.index())?;
+                if sampling::verify_proof(key, self.proposal.view, phase, proof) {
+                    Ok(())
+                } else {
+                    Err(RejectReason::BadVrfProof)
+                }
+            }
+            (Some(_), false) | (None, true) => Err(RejectReason::BadVrfProof),
         }
     }
 }
@@ -288,17 +350,18 @@ impl CertVote for PhaseBody {
 
     fn cast(
         sk: &SigningKey,
-        _: &ProbftConfig,
+        cfg: &ProbftConfig,
         phase: Phase,
         sender: ReplicaId,
         proposal: &SignedProposal,
     ) -> PhaseMessage {
         // The vote goes to the sample this proof determines, which
-        // `recipients` expands when it is sent.
+        // `recipients` expands when it is sent — or, where the sample is
+        // everyone, to everyone, with no proof to derive.
         let body = PhaseBody {
             sender,
             proposal: *proposal,
-            proof: sampling::derive_proof(sk, proposal.view, phase),
+            proof: samples(cfg).then(|| sampling::derive_proof(sk, proposal.view, phase)),
         };
         Signed::sign_in(sk, phase, body)
     }
@@ -310,7 +373,9 @@ impl CertVote for PhaseBody {
         cfg.probabilistic_quorum()
     }
     fn counts_for(&self, receiver: ReplicaId, cfg: &ProbftConfig) -> bool {
-        sampling::in_sample(&self.proof, cfg.sample_size(), cfg.n(), receiver)
+        self.proof
+            .as_ref()
+            .is_none_or(|proof| sampling::in_sample(proof, cfg.sample_size(), cfg.n(), receiver))
     }
     fn proposal(&self) -> Option<&SignedProposal> {
         Some(&self.proposal)
@@ -727,7 +792,7 @@ mod tests {
 
     #[test]
     fn a_cast_vote_is_sent_to_the_sample_its_sender_derives() {
-        for n in [4, 16, 100] {
+        for n in [16, 100] {
             let (cfg, ring) = setup(n);
             let sk = ring.signing_key(3).unwrap();
             for (view, phase) in [(View(1), Phase::Prepare), (View(2), Phase::Commit)] {
@@ -735,11 +800,21 @@ mod tests {
                 let vote = PhaseBody::cast(sk, &cfg, phase, ReplicaId(3), &header);
                 let (sample, proof) =
                     sampling::derive_sample(sk, view, phase, cfg.sample_size(), cfg.n());
-                assert_eq!(vote.proof, proof, "n = {n}, {phase:?}");
+                assert_eq!(vote.proof, Some(proof), "n = {n}, {phase:?}");
                 let sent: Vec<ProcessId> = sample.iter().map(|r| ProcessId(r.index())).collect();
                 assert_eq!(vote.recipients(&cfg), sent, "n = {n}, {phase:?}");
             }
         }
+        // At n = 4 the sample is everyone (s = n): no proof, and the vote
+        // goes to every replica in id order and counts for each.
+        let (cfg, ring) = setup(4);
+        assert_eq!(cfg.sample_size(), 4);
+        let header = proposal(&cfg, &ring, View(1), 1);
+        let vote = vote(&cfg, &ring, Phase::Prepare, 3, header);
+        let everyone: Vec<ProcessId> = (0..4).map(ProcessId).collect();
+        assert_eq!(vote.proof, None);
+        assert_eq!(vote.recipients(&cfg), everyone);
+        assert!(cfg.all_replicas().all(|id| vote.counts_for(id, &cfg)));
     }
 
     #[test]
@@ -767,7 +842,7 @@ mod tests {
             let body = PhaseBody {
                 sender: ReplicaId(3),
                 proposal: p,
-                proof,
+                proof: Some(proof),
             };
             let msg = PhaseMessage::sign_in(sk, Phase::Prepare, body);
             let expected = if genuine {
@@ -780,20 +855,73 @@ mod tests {
     }
 
     #[test]
-    fn vote_is_one_size_for_every_cluster_and_value() {
-        let sizes: Vec<usize> = [7, 100]
+    fn a_proof_present_or_absent_against_the_regime_is_rejected() {
+        // Each vote is the sender's genuine one with its proof swapped for
+        // the other regime's, then re-signed honestly: only the regime
+        // check stands in the way.
+        for (n, samples) in [(4, false), (16, true)] {
+            let (cfg, ring) = setup(n);
+            assert_eq!(cfg.sample_size() < n, samples, "n = {n}");
+            let public = ring.public();
+            let ctx = VerifyCtx::new(&cfg, &public);
+            let sk = ring.signing_key(3).unwrap();
+            let header = proposal(&cfg, &ring, View(1), 1);
+            let genuine = vote(&cfg, &ring, Phase::Prepare, 3, header);
+            assert_eq!(genuine.verify(Phase::Prepare, &ctx), Ok(()), "n = {n}");
+            let swapped = PhaseBody {
+                proof: match genuine.proof {
+                    Some(_) => None,
+                    None => Some(sampling::derive_proof(sk, View(1), Phase::Prepare)),
+                },
+                ..genuine.body
+            };
+            let forged = PhaseMessage::sign_in(sk, Phase::Prepare, swapped);
+            assert_eq!(
+                forged.verify(Phase::Prepare, &ctx),
+                Err(RejectReason::BadVrfProof),
+                "n = {n}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_proof_slot_byte_above_the_marker_is_an_unknown_tag() {
+        // The proof slot follows the sender (4 B) and the header (60 B).
+        const SLOT: usize = 64;
+        for n in [4, 16] {
+            let (cfg, ring) = setup(n);
+            let header = proposal(&cfg, &ring, View(1), 1);
+            let genuine = vote(&cfg, &ring, Phase::Prepare, 3, header);
+            let bytes = genuine.to_wire_bytes();
+            assert_eq!(PhaseMessage::from_wire_bytes(&bytes), Ok(genuine));
+            assert!(bytes[SLOT] <= NO_PROOF, "n = {n}");
+            for tag in [0x81, 0xC0, 0xFF] {
+                let mut corrupt = bytes.clone();
+                corrupt[SLOT] = tag;
+                assert_eq!(
+                    PhaseMessage::from_wire_bytes(&corrupt),
+                    Err(WireError::UnknownTag(tag)),
+                    "n = {n}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn vote_is_one_size_per_regime_for_every_value() {
+        let sizes: Vec<(usize, usize)> = [7, 100]
             .into_iter()
             .flat_map(|n| {
                 let (cfg, ring) = setup(n);
                 [Value::from_tag(1), Value::new(vec![0xAB; 1024])].map(|value| {
                     let header = header_for(&cfg, &ring, View(1), &value);
-                    vote(&cfg, &ring, Phase::Prepare, 3, header)
-                        .to_wire_bytes()
-                        .len()
+                    let vote = vote(&cfg, &ring, Phase::Prepare, 3, header);
+                    (vote.to_wire_bytes().len(), vote.wire_len())
                 })
             })
             .collect();
-        assert_eq!(sizes, [104; 4]);
+        // n = 7 samples everyone (s = n): no proof. n = 100 samples.
+        assert_eq!(sizes, [(81, 81), (81, 81), (104, 104), (104, 104)]);
     }
 
     fn new_leader_none(ring: &Keyring, sender: usize, view: View) -> NewLeader {

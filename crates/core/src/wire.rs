@@ -12,7 +12,8 @@
 //! type's [`Wire::encode`], [`Wire::wire_len`] and [`Wire::decode`] from
 //! one field list, so the byte count the simulator charges cannot drift
 //! from the bytes a socket carries. Only what is not a plain field list
-//! (a capped count, a flag byte, a struct variant) is written by hand.
+//! (a capped count, a flag byte, a struct variant, a vote's optional
+//! proof) is written by hand.
 //!
 //! "What is signed" is exactly "what is sent", and that is enforced, not
 //! promised: a signed message is a [`Signed<B>`](crate::signed::Signed)
@@ -216,6 +217,15 @@ impl<'a> Reader<'a> {
     /// Reads a fixed-size array.
     pub fn array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
         Ok(self.bytes(N)?.try_into().expect("length checked"))
+    }
+
+    /// The next byte, not consumed.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::UnexpectedEnd`] if no byte remains.
+    pub fn peek(&self) -> Result<u8, WireError> {
+        self.input.first().copied().ok_or(WireError::UnexpectedEnd)
     }
 
     /// Reads one byte.

@@ -128,9 +128,14 @@ fn measured_ratio_consistent_with_section_5() {
 /// "PBFT is a vote policy of Algorithm 1", executed: ProBFT configured into
 /// the limit — `l = dq/√n`, so a quorum is PBFT's deterministic one, and
 /// `o = 4`, so every sample is the whole population — decides, agrees and
-/// sends exactly PBFT's messages, kind by kind.
+/// sends exactly PBFT's messages, kind by kind. In the limit a vote ships
+/// no VRF proof either: every Prepare and Commit is charged the proof-less
+/// size.
 #[test]
 fn probft_in_the_limit_sends_exactly_pbfts_messages() {
+    // The message tag, the sender (4 B), the leader-signed header (60 B),
+    // the no-proof marker (1 B) and the signature (16 B).
+    const PROOF_LESS_VOTE: u64 = 1 + 4 + 60 + 1 + 16;
     for n in [16usize, 25] {
         let dq = Instance::<VoteBody>::new(n).config().deterministic_quorum();
         let limit = Instance::<PhaseBody>::new(n)
@@ -156,6 +161,13 @@ fn probft_in_the_limit_sends_exactly_pbfts_messages() {
         ] {
             assert_eq!(limit.metrics.kind(kind).sent, expected, "{kind}, n={n}");
             assert_eq!(pbft.metrics.kind(kind).sent, expected, "PBFT {kind}, n={n}");
+            if matches!(kind, "Prepare" | "Commit") {
+                assert_eq!(
+                    limit.metrics.kind(kind).bytes_sent,
+                    expected * PROOF_LESS_VOTE,
+                    "{kind} bytes, n={n}"
+                );
+            }
         }
     }
 }

@@ -182,7 +182,7 @@ proptest! {
         let msg = Message::Prepare(PhaseMessage::sign_in(
             sk,
             Phase::Prepare,
-            PhaseBody { sender: ReplicaId::from(sender), proposal, proof },
+            PhaseBody { sender: ReplicaId::from(sender), proposal, proof: Some(proof) },
         ));
         let relayed = Message::from_wire_bytes(&msg.to_wire_bytes()).unwrap();
         prop_assert_eq!(&relayed, &msg);

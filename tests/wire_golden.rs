@@ -15,8 +15,22 @@
 //! `Message`, `SlotMessage`, `SmrFrame::Peer`; the other ten, and the whole
 //! transfer table, did not move.
 //!
-//! The same twelve fixtures feed one generic forgery check: no corrupted
-//! body byte, foreign key or neighbouring domain gets past the envelope.
+//! Re-baselined a second time when a vote began to carry its VRF proof only
+//! where the sample is smaller than the cluster: the fixtures' cluster is
+//! n = 7, where `s = n`, so its votes now carry the one-byte no-proof marker
+//! in the proof's 24 B. The six rows that embed a ProBFT vote each fell by
+//! 23 B — `PhaseMessage` 104 → 81, `NewLeader` 164 → 141, `Propose`
+//! 308 → 285, `Message` 105 → 82, `SlotMessage` 317 → 294, `SmrFrame::Peer`
+//! 118 → 95; no PBFT, HotStuff or checkpoint row, and nothing in the
+//! transfer table, moved. The row `PhaseMessage (s < n)`, a vote cast at
+//! n = 16 (s = 14), was added then and taken on the commit before the
+//! change: it is byte for byte the n = 7 vote as it was, since a vote's
+//! bytes do not depend on `n` where it carries a proof.
+//!
+//! The same fixtures feed one generic forgery check: no corrupted body
+//! byte, foreign key or neighbouring domain gets past the envelope, and a
+//! vote whose proof is present or absent against its cluster's regime is
+//! a `BadVrfProof`.
 
 use probft::core::config::{ProbftConfig, View};
 use probft::core::message::{
@@ -61,6 +75,11 @@ struct Fixtures {
     hs_new_view: NewView,
     hs_broadcast: Broadcast,
     checkpoint: CheckpointVote,
+    /// A cluster whose sample is smaller than itself (n = 16, s = 14), and
+    /// a vote cast in it: the one place here a vote carries a VRF proof.
+    sampled_cfg: ProbftConfig,
+    sampled_ring: Keyring,
+    sampled_prepare: PhaseMessage,
 }
 
 fn phase_message(cfg: &ProbftConfig, ring: &Keyring, phase: Phase, i: usize) -> PhaseMessage {
@@ -218,6 +237,10 @@ fn fixtures() -> Fixtures {
         },
     );
 
+    let sampled_cfg = ProbftConfig::builder(16).build();
+    let sampled_ring = Keyring::generate(16, b"golden");
+    let sampled_prepare = phase_message(&sampled_cfg, &sampled_ring, Phase::Prepare, 3);
+
     Fixtures {
         cfg,
         ring,
@@ -235,6 +258,9 @@ fn fixtures() -> Fixtures {
         hs_new_view,
         hs_broadcast,
         checkpoint,
+        sampled_cfg,
+        sampled_ring,
+        sampled_prepare,
     }
 }
 
@@ -247,18 +273,18 @@ const GOLDEN: &[(&str, usize, &str)] = &[
     ),
     (
         "PhaseMessage",
-        104,
-        "b148ae267126f7804d95c67dbfa4a35f476f41fb8fe96eaf708e7fa145e3d6c1",
+        81,
+        "3689fa7607f329aa6cd0adb8e417520f01863386e941700e8c6413221cd21ec3",
     ),
     (
         "NewLeader",
-        164,
-        "12cf42ddf18228723046ebf2377bab0fd4540b0551a15e24faf414fb7f011389",
+        141,
+        "464be19af46f8d13400c39acdff02b21e8e72f0d668374e62e8b602adfc4b2c9",
     ),
     (
         "Propose",
-        308,
-        "918258bd8202c27886bb7f40d2272295dcac2d9f9caf9ed741ef804f7319802a",
+        285,
+        "d3af713a7556a74e8ad1673180dabf7ae78371b9ce7d3d29d8ba6587d657ec7d",
     ),
     (
         "Wish",
@@ -302,8 +328,8 @@ const GOLDEN: &[(&str, usize, &str)] = &[
     ),
     (
         "Message",
-        105,
-        "412390f62efc45d748f34a3347a6acd570029bee2c31e0274b893def8907ec4e",
+        82,
+        "9b312dc241d443194b72ca4dd43ecd5335ffa10842376293f18099045f13f255",
     ),
     (
         "PbftMessage",
@@ -317,18 +343,23 @@ const GOLDEN: &[(&str, usize, &str)] = &[
     ),
     (
         "SlotMessage",
-        317,
-        "7bb6f6c8eecdff33da0fc4a73d797b3e5a83439a3d61784b5ef8fce022c80de1",
+        294,
+        "e5d4a09192076a48ca1bbd66487669bdd755bd5400dfd1858839f9174b177aa7",
     ),
     (
         "SmrFrame::Peer",
-        118,
-        "b2359ae431689463cbb7a507e10da4479829316f1d40da905bb148dcfc22e64c",
+        95,
+        "fc517ddeaa732fb4656499cee6844ce98141720654d4d56680feec382371bf05",
     ),
     (
         "SmrFrame::CheckpointVote",
         61,
         "9e48e2e4d993d30f0d3f9ead6ebdc042bebe6e97480de65eda3ee62d7965d885",
+    ),
+    (
+        "PhaseMessage (s < n)",
+        104,
+        "b148ae267126f7804d95c67dbfa4a35f476f41fb8fe96eaf708e7fa145e3d6c1",
     ),
 ];
 
@@ -378,6 +409,7 @@ fn rows(f: &Fixtures) -> Vec<(&'static str, Vec<u8>)> {
             "SmrFrame::CheckpointVote",
             SmrFrame::<KvStore>::CheckpointVote(f.checkpoint.clone()).to_wire_bytes(),
         ),
+        ("PhaseMessage (s < n)", f.sampled_prepare.to_wire_bytes()),
     ]
 }
 
@@ -474,6 +506,13 @@ fn every_fixture_decodes_back_equal_and_verifies() {
         },
     });
     round_trip(&SmrFrame::<KvStore>::CheckpointVote(f.checkpoint.clone()));
+
+    let sampled_keys = f.sampled_ring.public();
+    let sampled_ctx = VerifyCtx::new(&f.sampled_cfg, &sampled_keys);
+    assert_eq!(
+        round_trip(&f.sampled_prepare).verify(Phase::Prepare, &sampled_ctx),
+        Ok(())
+    );
 }
 
 /// The envelope's whole promise, for any body: the signed fixture verifies;
@@ -528,6 +567,7 @@ fn no_signed_type_survives_tampering_or_a_foreign_key() {
     assert_unforgeable((), &f.hs_new_view, ring);
     assert_unforgeable((), &f.hs_broadcast, ring);
     assert_unforgeable((), &f.checkpoint, ring);
+    assert_unforgeable(Phase::Prepare, &f.sampled_prepare, &f.sampled_ring);
 
     // The phase lives outside the vote body, so only the domain tag keeps
     // a Prepare vote from being replayed as a Commit vote.
@@ -540,6 +580,33 @@ fn no_signed_type_survives_tampering_or_a_foreign_key() {
         f.pbft_prepare.verify_in(VotePhase::Commit, &keys),
         Err(RejectReason::BadSignature)
     );
+
+    // A vote carries a VRF proof exactly where the sample is smaller than
+    // the cluster. Moved to the other regime's form and re-signed honestly,
+    // each vote still passes the envelope, and the proof check stops it:
+    // the n = 7 vote (s = n) with its sender's proof, the n = 16 vote
+    // (s < n) without one.
+    let with_proof = PhaseBody {
+        proof: f.sampled_prepare.proof,
+        ..f.prepare.body
+    };
+    let without_proof = PhaseBody {
+        proof: None,
+        ..f.sampled_prepare.body
+    };
+    let sampled_keys = f.sampled_ring.public();
+    for (body, cfg, keys) in [
+        (with_proof, &f.cfg, &keys),
+        (without_proof, &f.sampled_cfg, &sampled_keys),
+    ] {
+        let sk = ring.signing_key(body.sender.index()).unwrap();
+        let forged = PhaseMessage::sign_in(sk, Phase::Prepare, body);
+        assert_eq!(forged.verify_in(Phase::Prepare, keys), Ok(()));
+        assert_eq!(
+            forged.verify(Phase::Prepare, &VerifyCtx::new(cfg, keys)),
+            Err(RejectReason::BadVrfProof)
+        );
+    }
 }
 
 #[test]

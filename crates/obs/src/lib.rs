@@ -107,6 +107,9 @@ pub struct Obs {
     pub frames_malformed: Counter,
     /// Frames that could not be written to a peer socket.
     pub frames_unsendable: Counter,
+    /// Messages a replica addressed to itself, handed straight back to
+    /// its own process: no frame, so no `frame_bytes_out` / `frame_bytes_in`.
+    pub self_deliveries: Counter,
     /// Client requests shed under overload.
     pub shed_requests: Counter,
     /// Client contacts answered with a leader redirect.
@@ -178,6 +181,7 @@ impl Obs {
             frames_torn: registry.counter("frames_torn"),
             frames_malformed: registry.counter("frames_malformed"),
             frames_unsendable: registry.counter("frames_unsendable"),
+            self_deliveries: registry.counter("self_deliveries"),
             shed_requests: registry.counter("shed_requests"),
             redirects_served: registry.counter("redirects_served"),
             checkpoints_taken: registry.counter("checkpoints_taken"),
@@ -211,13 +215,17 @@ impl Obs {
         &self.registry
     }
 
-    /// Pre-fetches the labeled counter for frame bytes received of `kind`.
+    /// Pre-fetches the labeled counter for frame bytes received of `kind`:
+    /// bytes of frames that crossed a socket. A message a replica sends
+    /// itself is not a frame and is not charged (see `self_deliveries`).
     pub fn frame_bytes_in(&self, kind: &str) -> Counter {
         self.registry
             .counter_labeled("frame_bytes_in", &[("kind", kind)])
     }
 
-    /// Pre-fetches the labeled counter for frame bytes sent of `kind`.
+    /// Pre-fetches the labeled counter for frame bytes sent of `kind`:
+    /// bytes of frames written for a socket. A message a replica sends
+    /// itself is not a frame and is not charged (see `self_deliveries`).
     pub fn frame_bytes_out(&self, kind: &str) -> Counter {
         self.registry
             .counter_labeled("frame_bytes_out", &[("kind", kind)])

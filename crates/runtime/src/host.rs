@@ -11,15 +11,19 @@
 //! timers, hands out decoded events, and otherwise sleeps in `epoll_wait`
 //! until a socket is ready or a timer is due. It models no network of its
 //! own: a frame is encoded, counted and queued, and link faults (drops,
-//! partitions, jitter) are the simulator's `DelayModel`s.
+//! partitions, jitter) are the simulator's `DelayModel`s. A message the
+//! replica addresses to itself is no frame at all: it is queued straight
+//! back as the event the decoder would have made of it (counted in
+//! `self_deliveries`), so no replica connects to its own listener.
 //!
 //! [`Host::drive`] is the single place a process's [`Action`]s are
 //! interpreted: build a detached [`Context`], let the caller poke the
 //! process, drain, and apply the sends and timers. The frame codec is not
-//! the host's: the caller supplies `encode` for outbound messages and
-//! `decode` for "bytes → event", and handles the non-protocol events
-//! (client requests) itself — answering through [`Host::write`] — which
-//! keeps the SMR frame types in `live`. Rejected input is counted in the
+//! the host's: the caller supplies `encode` for outbound messages,
+//! `decode` for "bytes → event" and `deliver` for "own message → event",
+//! and handles the non-protocol events (client requests) itself —
+//! answering through [`Host::write`] — which keeps the SMR frame types in
+//! `live`. Rejected input is counted in the
 //! replica's [`Obs`] (`frames_malformed`, `frames_torn`,
 //! `frames_unsendable`) and never panics the loop.
 
@@ -243,6 +247,8 @@ pub(crate) struct Host<M, E> {
     /// Sender id + message → charged counter and frame payload.
     encode: fn(usize, M) -> (FrameKind, Vec<u8>),
     decode: Decoder<E>,
+    /// Own id + message → the event `decode` makes of its frame.
+    deliver: fn(usize, M) -> E,
     out_peer: Counter,
     out_checkpoint: Counter,
     out_state: Counter,
@@ -253,8 +259,9 @@ pub(crate) struct Host<M, E> {
     free: Vec<u32>,
     /// The connection to each peer this host opened, by replica index.
     peers: Vec<Option<ConnId>>,
-    /// Events decoded by the last wait and not yet handed out: at most
-    /// what [`MAX_READ_PER_WAKE`] bytes per ready connection hold.
+    /// Events decoded by the last wait and not yet handed out — at most
+    /// what [`MAX_READ_PER_WAKE`] bytes per ready connection hold — and
+    /// the process's messages to itself, in the order they were queued.
     ready: VecDeque<E>,
     /// Connections written to since the last wait, each listed once: they
     /// are flushed just before the next, so the frames one batch of
@@ -267,8 +274,9 @@ pub(crate) struct Host<M, E> {
 
 impl<M, E> Host<M, E> {
     /// A host for replica `id` of the `shared` cluster, accepting on
-    /// `listener` and turning inbound frames into events
-    /// with `decode`. Peer connections are opened on first send.
+    /// `listener`, turning inbound frames into events with `decode` and
+    /// its own messages into events with `deliver`. Peer connections are
+    /// opened on first send.
     ///
     /// # Errors
     ///
@@ -281,6 +289,7 @@ impl<M, E> Host<M, E> {
         obs: Arc<Obs>,
         encode: fn(usize, M) -> (FrameKind, Vec<u8>),
         decode: impl Fn(&[u8], ConnId) -> Option<E> + Send + 'static,
+        deliver: fn(usize, M) -> E,
     ) -> io::Result<Self> {
         listener.set_nonblocking(true)?;
         let poller = Poller::new()?;
@@ -296,6 +305,7 @@ impl<M, E> Host<M, E> {
             obs,
             encode,
             decode: Box::new(decode),
+            deliver,
             listener,
             poller,
             events: Events::with_capacity(EVENTS_PER_WAIT),
@@ -367,8 +377,8 @@ impl<M, E> Host<M, E> {
     }
 
     /// Serves the sockets for up to `wait` and discards every event they
-    /// carry (a paused replica hears nothing, but its peers' and clients'
-    /// writes still drain).
+    /// carry, and every message to itself still queued (a paused replica
+    /// hears nothing, but its peers' and clients' writes still drain).
     pub(crate) fn discard_events(&mut self, wait: Duration) {
         self.poll(wait);
         self.ready.clear();
@@ -410,9 +420,16 @@ impl<M, E> Host<M, E> {
     }
 
     /// Encodes `msg`, charges it to its byte counter and queues it for
-    /// peer `to`, (re)connecting as needed.
+    /// peer `to`, (re)connecting as needed. A message to itself is handed
+    /// back instead: queued behind the events already decoded, as the
+    /// event its frame would have become, with no frame and no socket.
     fn send(&mut self, to: usize, msg: M) {
         if to >= self.addrs().len() {
+            return;
+        }
+        if to == self.id {
+            self.obs.self_deliveries.inc();
+            self.ready.push_back((self.deliver)(self.id, msg));
             return;
         }
         let (kind, frame) = (self.encode)(self.id, msg);
@@ -686,7 +703,9 @@ fn open_conn(slots: &mut [Slot], id: ConnId) -> Option<&mut Conn> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::live::{smr_decoder, LiveSmrBuilder, SmrEvent, SmrFrame};
+    use crate::live::{
+        encode_smr_message, smr_decoder, smr_delivery, LiveSmrBuilder, SmrEvent, SmrFrame,
+    };
     use crate::transport::{read_frame, write_frame, FrameError};
     use probft_core::wire::Wire;
     use probft_smr::{Command, Consistency, KvStore, RequestId, SmrMessage};
@@ -702,21 +721,15 @@ mod tests {
         fn on_timer(&mut self, _: TimerToken, _: &mut Context<'_, SmrMessage>) {}
     }
 
-    fn unused_encoder(_: usize, _: SmrMessage) -> (FrameKind, Vec<u8>) {
-        (FrameKind::Peer, Vec::new())
-    }
-
-    /// Runs a real host — replica 0 of a 4-replica SMR cluster, with the
-    /// SMR frame decoder — lets `rogue` write to one connection and hang
-    /// up, drives `next_event` until the host has accepted and closed
-    /// that connection, and returns `(frames_malformed, frames_torn,
-    /// events handed out)`.
-    fn feed(rogue: impl Fn(&mut TcpStream)) -> (u64, u64, usize) {
+    /// A real host with the SMR codec: replica 0 of a cluster whose one
+    /// address is its own listener, decoding as a 4-replica cluster.
+    /// Returns the host, its telemetry and its address.
+    fn test_host() -> (Host<SmrMessage, SmrEvent<KvStore>>, Arc<Obs>, SocketAddr) {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr");
         let decode = smr_decoder::<KvStore>(4, &Obs::new("decoder"));
         let obs = Arc::new(Obs::new("host"));
-        let mut host: Host<SmrMessage, SmrEvent<KvStore>> = Host::new(
+        let host = Host::new(
             0,
             listener,
             Arc::new(Shared {
@@ -725,10 +738,20 @@ mod tests {
                 boot: Instant::now(),
             }),
             obs.clone(),
-            unused_encoder,
+            encode_smr_message::<KvStore>,
             decode,
+            smr_delivery::<KvStore>,
         )
         .expect("host");
+        (host, obs, addr)
+    }
+
+    /// Runs [`test_host`], lets `rogue` write to one connection and hang
+    /// up, drives `next_event` until the host has accepted and closed
+    /// that connection, and returns `(frames_malformed, frames_torn,
+    /// events handed out)`.
+    fn feed(rogue: impl Fn(&mut TcpStream)) -> (u64, u64, usize) {
+        let (mut host, obs, addr) = test_host();
         let mut peer = TcpStream::connect(addr).expect("connect");
         rogue(&mut peer);
         drop(peer);
@@ -743,6 +766,55 @@ mod tests {
         }
         events += host.ready.len();
         (obs.frames_malformed.get(), obs.frames_torn.get(), events)
+    }
+
+    /// A message the host sends to its own id comes back from
+    /// `next_event` as the event a peer frame from itself decodes to,
+    /// with no connection opened or accepted and no frame byte charged;
+    /// `self_deliveries` counts it. A paused replica's `discard_events`
+    /// drops a self-delivered message like any other event.
+    #[test]
+    fn a_message_to_itself_is_handed_back_without_a_socket() {
+        use probft_core::config::View;
+        use probft_core::message::{Message, Wish, WishBody};
+        use probft_crypto::keyring::Keyring;
+        use probft_quorum::ReplicaId;
+        use probft_smr::SlotMessage;
+
+        let keyring = Keyring::generate(4, b"self");
+        let wish = Wish::sign(
+            keyring.signing_key(0).expect("in range"),
+            WishBody {
+                sender: ReplicaId(0),
+                view: View(2),
+            },
+        );
+        let msg = SmrMessage::Slot(SlotMessage {
+            slot: 3,
+            inner: Message::Wish(wish),
+        });
+        let (mut host, obs, _) = test_host();
+
+        host.drive(|ctx| ctx.send(ProcessId(0), msg.clone()));
+        match host.next_event(&mut Idle) {
+            Some(SmrEvent::Peer(from, got)) => assert_eq!((from, got), (ProcessId(0), msg.clone())),
+            Some(SmrEvent::Client(..)) => panic!("a client event"),
+            None => panic!("the message did not come back"),
+        }
+        assert_eq!(obs.self_deliveries.get(), 1);
+
+        host.drive(|ctx| ctx.send(ProcessId(0), msg.clone()));
+        // Polls the sockets: a connection to the own listener would be
+        // accepted here.
+        host.discard_events(Duration::from_millis(50));
+        assert!(host.next_event(&mut Idle).is_none(), "discard kept it");
+        assert_eq!(obs.self_deliveries.get(), 2);
+
+        assert!(host.slots.is_empty(), "a connection was opened or accepted");
+        assert!(host.peers.iter().all(Option::is_none));
+        for kind in ["peer", "checkpoint", "state"] {
+            assert_eq!(obs.frame_bytes_out(kind).get(), 0, "{kind}");
+        }
     }
 
     /// Regression: short (< 4 byte) and undecodable frames from a rogue

@@ -445,6 +445,7 @@ impl<S: StateMachine> LiveSmrBuilder<S> {
                 obs.clone(),
                 encode_smr_message::<S>,
                 smr_decoder::<S>(n, obs),
+                smr_delivery::<S>,
             );
             hosts.push(host.map_err(ClusterError::Bind)?);
         }
@@ -643,7 +644,10 @@ pub(crate) enum SmrEvent<S: StateMachine> {
 
 /// The SMR shape's outbound codec: each [`SmrMessage`] variant onto its
 /// wire frame, charged to its byte counter.
-fn encode_smr_message<S: StateMachine>(id: usize, msg: SmrMessage) -> (FrameKind, Vec<u8>) {
+pub(crate) fn encode_smr_message<S: StateMachine>(
+    id: usize,
+    msg: SmrMessage,
+) -> (FrameKind, Vec<u8>) {
     let from = wire_id(id);
     let (kind, frame) = match msg {
         SmrMessage::Slot(msg) => (FrameKind::Peer, SmrFrame::<S>::Peer { from, msg }),
@@ -652,6 +656,12 @@ fn encode_smr_message<S: StateMachine>(id: usize, msg: SmrMessage) -> (FrameKind
         SmrMessage::StateReply(rep) => (FrameKind::State, SmrFrame::StateReply { from, rep }),
     };
     (kind, frame.to_wire_bytes())
+}
+
+/// A replica's message to itself as the event [`smr_decoder`] makes of the
+/// frame it would have sent: a peer event from its own id.
+pub(crate) fn smr_delivery<S: StateMachine>(id: usize, msg: SmrMessage) -> SmrEvent<S> {
+    SmrEvent::Peer(ProcessId(id), msg)
 }
 
 /// The SMR shape's inbound codec for an `n`-replica cluster: one frame to

@@ -25,7 +25,8 @@ fn a_sixteen_replica_cluster_adds_at_most_one_thread_per_replica() {
     let mut client = cluster.client(1);
     // A few decided slots: every replica has by now sent to (and so
     // connected to) the peers its samples name, and accepted theirs —
-    // ≈ n² connections, each of which a thread-per-connection host would
+    // n(n − 1) connections (none to itself: a message to self never
+    // leaves the host), each of which a thread-per-connection host would
     // read on a thread of its own.
     for i in 0..4 {
         client.put(&format!("k{i}"), "v").expect("applied");

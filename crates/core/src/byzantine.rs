@@ -50,7 +50,8 @@ use crate::value::Value;
 use probft_crypto::schnorr::SigningKey;
 use probft_quorum::ReplicaId;
 use probft_simnet::process::{Context, Process, ProcessId, TimerToken};
-use rand::Rng;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
 use std::fmt;
 use std::marker::PhantomData;
@@ -114,6 +115,10 @@ pub struct ByzantineReplica<V: CertVote = PhaseBody> {
     seen_proposals: Vec<SignedProposal>,
     /// Guards against double-casting the helper votes.
     helper_voted: bool,
+    /// The coin of the randomized strategies, seeded from this replica's
+    /// verifying key: the run's keyring fixes it, and no honest process
+    /// holds one.
+    rng: StdRng,
     vote: PhantomData<V>,
 }
 
@@ -121,6 +126,7 @@ impl<V: CertVote> ByzantineReplica<V> {
     /// A Byzantine replica in `seat`, colluding with the `faulty` set.
     pub fn new(seat: Seat, faulty: Arc<BTreeSet<ReplicaId>>, strategy: ByzantineStrategy) -> Self {
         let Seat { cfg, id, sk, .. } = seat;
+        let rng = StdRng::seed_from_u64(u64::from_le_bytes(sk.verifying_key().to_bytes()));
         ByzantineReplica {
             cfg,
             id,
@@ -129,6 +135,7 @@ impl<V: CertVote> ByzantineReplica<V> {
             strategy,
             seen_proposals: Vec::new(),
             helper_voted: false,
+            rng,
             vote: PhantomData,
         }
     }
@@ -159,7 +166,7 @@ impl<V: CertVote> ByzantineReplica<V> {
         &mut self,
         value: Value,
         recipients: impl IntoIterator<Item = ReplicaId>,
-        ctx: &mut Context<'_, MessageOf<V>>,
+        ctx: &mut Context<MessageOf<V>>,
     ) -> SignedProposal {
         let propose = Signed::lead(&self.sk, self.id, View::FIRST, value, vec![]);
         let proposal = propose.proposal;
@@ -177,7 +184,7 @@ impl<V: CertVote> ByzantineReplica<V> {
     ///
     /// Byzantine replicas skip quorum formation entirely — they commit
     /// without having prepared, which honest verifiers cannot observe.
-    fn cast_split_votes(&mut self, ctx: &mut Context<'_, MessageOf<V>>) {
+    fn cast_split_votes(&mut self, ctx: &mut Context<MessageOf<V>>) {
         if self.helper_voted || self.seen_proposals.len() < 2 {
             return;
         }
@@ -216,7 +223,7 @@ impl<V: CertVote> ByzantineReplica<V> {
 impl<V: CertVote> Process for ByzantineReplica<V> {
     type Message = MessageOf<V>;
 
-    fn on_start(&mut self, ctx: &mut Context<'_, MessageOf<V>>) {
+    fn on_start(&mut self, ctx: &mut Context<MessageOf<V>>) {
         match self.strategy.clone() {
             ByzantineStrategy::Crash => ctx.halt(),
             ByzantineStrategy::Silent => {}
@@ -232,10 +239,10 @@ impl<V: CertVote> Process for ByzantineReplica<V> {
                 let n = self.cfg.n();
                 let mut assignment: Vec<Vec<ReplicaId>> = vec![Vec::new(); values];
                 for r in 0..n {
-                    if ctx.rng().gen_bool(skip_fraction) {
+                    if self.rng.gen_bool(skip_fraction) {
                         continue;
                     }
-                    let v = ctx.rng().gen_range(0..values);
+                    let v = self.rng.gen_range(0..values);
                     assignment[v].push(ReplicaId::from(r));
                 }
                 for (tag, group) in assignment.into_iter().enumerate() {
@@ -286,12 +293,7 @@ impl<V: CertVote> Process for ByzantineReplica<V> {
         }
     }
 
-    fn on_message(
-        &mut self,
-        _from: ProcessId,
-        msg: MessageOf<V>,
-        ctx: &mut Context<'_, MessageOf<V>>,
-    ) {
+    fn on_message(&mut self, _from: ProcessId, msg: MessageOf<V>, ctx: &mut Context<MessageOf<V>>) {
         match &self.strategy {
             ByzantineStrategy::OptimalSplitLeader => {
                 // Helpers collect the leader's signed equivocating
@@ -326,7 +328,7 @@ impl<V: CertVote> Process for ByzantineReplica<V> {
         }
     }
 
-    fn on_timer(&mut self, _token: TimerToken, _ctx: &mut Context<'_, MessageOf<V>>) {}
+    fn on_timer(&mut self, _token: TimerToken, _ctx: &mut Context<MessageOf<V>>) {}
 }
 
 impl<V: CertVote> fmt::Debug for ByzantineReplica<V> {

@@ -127,19 +127,19 @@ enum Node<P: Protocol> {
 impl<P: Protocol> Process for Node<P> {
     type Message = Msg<P>;
 
-    fn on_start(&mut self, ctx: &mut Context<'_, Msg<P>>) {
+    fn on_start(&mut self, ctx: &mut Context<Msg<P>>) {
         match self {
             Node::Honest(r) => r.on_start(ctx),
             Node::Byzantine(b) => b.on_start(ctx),
         }
     }
-    fn on_message(&mut self, from: ProcessId, msg: Msg<P>, ctx: &mut Context<'_, Msg<P>>) {
+    fn on_message(&mut self, from: ProcessId, msg: Msg<P>, ctx: &mut Context<Msg<P>>) {
         match self {
             Node::Honest(r) => r.on_message(from, msg, ctx),
             Node::Byzantine(b) => b.on_message(from, msg, ctx),
         }
     }
-    fn on_timer(&mut self, token: TimerToken, ctx: &mut Context<'_, Msg<P>>) {
+    fn on_timer(&mut self, token: TimerToken, ctx: &mut Context<Msg<P>>) {
         match self {
             Node::Honest(r) => r.on_timer(token, ctx),
             Node::Byzantine(b) => b.on_timer(token, ctx),
@@ -188,7 +188,8 @@ impl<P: Protocol> Instance<P> {
         }
     }
 
-    /// Sets the RNG seed (runs are deterministic per seed).
+    /// Sets the seed that deals the keys and draws the network's delays
+    /// (runs are deterministic per seed).
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self

@@ -157,7 +157,7 @@ impl<V: CertVote> Phases for ThreePhase<V> {
     // -----------------------------------------------------------------
     // newView(v): Algorithm 1 lines 1–5.
     // -----------------------------------------------------------------
-    fn enter_view(&mut self, shell: &mut ShellState, ctx: &mut Context<'_, MessageOf<V>>) {
+    fn enter_view(&mut self, shell: &mut ShellState, ctx: &mut Context<MessageOf<V>>) {
         self.accepted = None;
         self.block_view = false;
         self.sent_commit = false;
@@ -192,7 +192,7 @@ impl<V: CertVote> Phases for ThreePhase<V> {
         &mut self,
         msg: MessageOf<V>,
         shell: &mut ShellState,
-        ctx: &mut Context<'_, MessageOf<V>>,
+        ctx: &mut Context<MessageOf<V>>,
     ) {
         if self.check_equivocation(&msg, shell, ctx) {
             return;
@@ -217,7 +217,7 @@ impl<V: CertVote> ThreePhase<V> {
         value: Value,
         justification: Vec<Signed<NewLeaderBody<V>>>,
         shell: &ShellState,
-        ctx: &mut Context<'_, MessageOf<V>>,
+        ctx: &mut Context<MessageOf<V>>,
     ) {
         let (sk, id, view) = (&shell.seat.sk, shell.seat.id, shell.current_view());
         let propose = Signed::lead(sk, id, view, value, justification);
@@ -232,7 +232,7 @@ impl<V: CertVote> ThreePhase<V> {
         &mut self,
         msg: Signed<NewLeaderBody<V>>,
         shell: &mut ShellState,
-        ctx: &mut Context<'_, MessageOf<V>>,
+        ctx: &mut Context<MessageOf<V>>,
     ) {
         // pre (line 6): curView = v ∧ i = leader(v); each message valid.
         if !shell.is_leader() || self.proposed {
@@ -261,7 +261,7 @@ impl<V: CertVote> ThreePhase<V> {
         &mut self,
         propose: Signed<ProposeBody<V>>,
         shell: &mut ShellState,
-        ctx: &mut Context<'_, MessageOf<V>>,
+        ctx: &mut Context<MessageOf<V>>,
     ) {
         // pre (line 13): ¬blockView ∧ curView = v ∧ ¬voted ∧ safeProposal(m)
         // (the caller checked the first two).
@@ -285,7 +285,7 @@ impl<V: CertVote> ThreePhase<V> {
 
     /// Casts this replica's `phase` vote for the accepted proposal to the
     /// recipients the vote policy names (lines 15–16 and 19–20).
-    fn cast_vote(&self, phase: Phase, shell: &ShellState, ctx: &mut Context<'_, MessageOf<V>>) {
+    fn cast_vote(&self, phase: Phase, shell: &ShellState, ctx: &mut Context<MessageOf<V>>) {
         let Some(accepted) = &self.accepted else {
             return;
         };
@@ -302,7 +302,7 @@ impl<V: CertVote> ThreePhase<V> {
         phase: Phase,
         vote: Signed<V>,
         shell: &mut ShellState,
-        ctx: &mut Context<'_, MessageOf<V>>,
+        ctx: &mut Context<MessageOf<V>>,
     ) {
         // Receiver-specific precondition (ProBFT: i ∈ S).
         if !vote.counts_for(shell.seat.id, &shell.seat.cfg) {
@@ -324,7 +324,7 @@ impl<V: CertVote> ThreePhase<V> {
 
     /// Fires the prepare-quorum rule (lines 17–20) if its preconditions
     /// hold: records the prepared certificate and casts `Commit`.
-    fn maybe_commit(&mut self, shell: &mut ShellState, ctx: &mut Context<'_, MessageOf<V>>) {
+    fn maybe_commit(&mut self, shell: &mut ShellState, ctx: &mut Context<MessageOf<V>>) {
         if self.block_view || self.sent_commit {
             return;
         }
@@ -358,7 +358,7 @@ impl<V: CertVote> ThreePhase<V> {
     // -----------------------------------------------------------------
     // Commit quorum: lines 21–22.
     // -----------------------------------------------------------------
-    fn maybe_decide(&mut self, shell: &mut ShellState, ctx: &mut Context<'_, MessageOf<V>>) {
+    fn maybe_decide(&mut self, shell: &mut ShellState, ctx: &mut Context<MessageOf<V>>) {
         // pre (line 21): ¬blockView ∧ preparedVal = x ∧
         //                curView = preparedView = v.
         let view = shell.current_view();
@@ -389,7 +389,7 @@ impl<V: CertVote> ThreePhase<V> {
         &mut self,
         msg: &MessageOf<V>,
         shell: &mut ShellState,
-        ctx: &mut Context<'_, MessageOf<V>>,
+        ctx: &mut Context<MessageOf<V>>,
     ) -> bool {
         // pre (line 23): ¬blockView ∧ curView = v ∧ j = leader(v) ∧
         //                voted ∧ curVal ≠ x.
@@ -420,8 +420,6 @@ mod tests {
     use probft_crypto::schnorr::Signature;
     use probft_simnet::process::{Action, Process, ProcessId};
     use probft_simnet::time::SimTime;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
     use std::sync::Arc;
 
     /// n = 16, l = 1 → q = 4, o = 1.5 → s = 6: samples leave most replicas
@@ -476,20 +474,19 @@ mod tests {
     fn replica_five(
         cfg: &crate::config::SharedConfig,
         ring: &Keyring,
-        rng: &mut StdRng,
         accepted: &Propose,
     ) -> Replica {
         let sk = ring.signing_key(5).unwrap().clone();
         let keys = Arc::new(ring.public());
         let mut replica = Replica::new(cfg.clone(), ReplicaId(5), sk, keys, Value::from_tag(5));
-        let mut ctx = Context::detached(ProcessId(5), SimTime::ZERO, rng);
+        let mut ctx = Context::detached(ProcessId(5), SimTime::ZERO);
         replica.on_start(&mut ctx);
         replica.on_message(ProcessId(0), Message::Propose(accepted.clone()), &mut ctx);
         replica
     }
 
-    fn deliver(replica: &mut Replica, msg: Message, rng: &mut StdRng) -> Vec<Action<Message>> {
-        let mut ctx = Context::detached(ProcessId(5), SimTime::ZERO, rng);
+    fn deliver(replica: &mut Replica, msg: Message) -> Vec<Action<Message>> {
+        let mut ctx = Context::detached(ProcessId(5), SimTime::ZERO);
         replica.on_message(ProcessId(1), msg, &mut ctx);
         ctx.drain_actions()
     }
@@ -527,15 +524,14 @@ mod tests {
     #[test]
     fn vote_from_outside_its_derived_sample_is_rejected_and_not_tallied() {
         let (cfg, ring) = setup();
-        let mut rng = StdRng::seed_from_u64(1);
         let accepted = propose(&ring, 1);
         let (counting, not_counting) = prepares(&cfg, &ring, &accepted, ReplicaId(5));
         let quorum = cfg.probabilistic_quorum();
         assert!(counting.len() >= quorum && !not_counting.is_empty());
 
-        let mut replica = replica_five(&cfg, &ring, &mut rng, &accepted);
+        let mut replica = replica_five(&cfg, &ring, &accepted);
         for vote in &counting[..quorum - 1] {
-            deliver(&mut replica, Message::Prepare(*vote), &mut rng);
+            deliver(&mut replica, Message::Prepare(*vote));
         }
         assert_eq!(
             (replica.stats.rejected, replica.stats.prepare_quorums),
@@ -543,18 +539,14 @@ mod tests {
         );
 
         // A genuine, verifying vote — whose sample replica 5 is not in.
-        deliver(&mut replica, Message::Prepare(not_counting[0]), &mut rng);
+        deliver(&mut replica, Message::Prepare(not_counting[0]));
         assert_eq!(
             (replica.stats.rejected, replica.stats.prepare_quorums),
             (1, 0)
         );
 
         // One more vote that does count completes the quorum.
-        deliver(
-            &mut replica,
-            Message::Prepare(counting[quorum - 1]),
-            &mut rng,
-        );
+        deliver(&mut replica, Message::Prepare(counting[quorum - 1]));
         assert_eq!(
             (replica.stats.rejected, replica.stats.prepare_quorums),
             (1, 1)
@@ -564,7 +556,6 @@ mod tests {
     #[test]
     fn conflicting_header_in_a_relayed_vote_blocks_a_replica_outside_its_sample() {
         let (cfg, ring) = setup();
-        let mut rng = StdRng::seed_from_u64(2);
         let accepted = propose(&ring, 1);
         // The leader also signed a header for another value; all replica 5
         // ever sees of it is a vote relayed from outside the vote's sample.
@@ -572,8 +563,8 @@ mod tests {
         let (_, not_counting) = prepares(&cfg, &ring, &conflicting, ReplicaId(5));
         let relayed = Message::Prepare(not_counting[0]);
 
-        let mut replica = replica_five(&cfg, &ring, &mut rng, &accepted);
-        let actions = deliver(&mut replica, relayed.clone(), &mut rng);
+        let mut replica = replica_five(&cfg, &ring, &accepted);
+        let actions = deliver(&mut replica, relayed.clone());
         assert_eq!(replica.stats.equivocations_detected, 1);
         assert_eq!(replica.stats.rejected, 0);
 
@@ -594,7 +585,7 @@ mod tests {
         // Line 24: the view is blocked — even a quorum no longer prepares.
         let (counting, _) = prepares(&cfg, &ring, &accepted, ReplicaId(5));
         for vote in counting {
-            assert!(deliver(&mut replica, Message::Prepare(vote), &mut rng).is_empty());
+            assert!(deliver(&mut replica, Message::Prepare(vote)).is_empty());
         }
         assert_eq!(replica.stats.prepare_quorums, 0);
     }
@@ -621,10 +612,9 @@ mod tests {
     /// What `step` makes the instance send.
     fn drive(
         instance: &mut ReplicaInstance,
-        step: impl FnOnce(&mut ReplicaInstance, &mut Context<'_, Message>),
+        step: impl FnOnce(&mut ReplicaInstance, &mut Context<Message>),
     ) -> Vec<Action<Message>> {
-        let mut rng = StdRng::seed_from_u64(0);
-        let mut ctx = Context::detached(ProcessId(5), SimTime::ZERO, &mut rng);
+        let mut ctx = Context::detached(ProcessId(5), SimTime::ZERO);
         step(instance, &mut ctx);
         ctx.drain_actions()
     }

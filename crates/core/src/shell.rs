@@ -144,14 +144,14 @@ pub trait Phases: Sized {
     fn as_wish(msg: &Self::Message) -> Option<&Wish>;
 
     /// `newView(v)`: the shell has just moved to `shell.current_view()`.
-    fn enter_view(&mut self, shell: &mut ShellState, ctx: &mut Context<'_, Self::Message>);
+    fn enter_view(&mut self, shell: &mut ShellState, ctx: &mut Context<Self::Message>);
 
     /// A verified message of the current view (never a `Wish`).
     fn on_message(
         &mut self,
         msg: Self::Message,
         shell: &mut ShellState,
-        ctx: &mut Context<'_, Self::Message>,
+        ctx: &mut Context<Self::Message>,
     );
 }
 
@@ -274,7 +274,7 @@ impl<P: Phases> InstanceHalf<P> {
     /// `newView(view)`, in pinned order: the protocol's own sends, then the
     /// view's buffered messages. Views must be driven in increasing order;
     /// any may be skipped.
-    pub fn new_view(&mut self, view: View, ctx: &mut Context<'_, P::Message>) {
+    pub fn new_view(&mut self, view: View, ctx: &mut Context<P::Message>) {
         self.state.view = view;
         self.state.stats.views_entered = self.state.stats.views_entered.saturating_add(1);
         self.phases.enter_view(&mut self.state, ctx);
@@ -290,11 +290,7 @@ impl<P: Phases> InstanceHalf<P> {
     /// a view not yet entered, or — a verified `Wish`, which belongs to
     /// the view half — back to the driver. A message the phases call moot
     /// is dropped before either.
-    pub fn on_message(
-        &mut self,
-        msg: P::Message,
-        ctx: &mut Context<'_, P::Message>,
-    ) -> Option<Wish> {
+    pub fn on_message(&mut self, msg: P::Message, ctx: &mut Context<P::Message>) -> Option<Wish> {
         // A vote for a quorum rule that has already fired is dropped as if
         // the network had lost it: unverified, uncounted but for this.
         if self.phases.is_moot(&msg) {
@@ -382,12 +378,12 @@ impl<P: Phases> ViewShell<P> {
 
     /// `newView(v)` for the view the synchronizer is in, in pinned order:
     /// timer, the protocol's own sends, the view's buffered messages.
-    fn enter_view(&mut self, ctx: &mut Context<'_, P::Message>) {
+    fn enter_view(&mut self, ctx: &mut Context<P::Message>) {
         self.sync.arm(&self.instance.seat.cfg, ctx);
         self.instance.new_view(self.sync.current_view(), ctx);
     }
 
-    fn apply_sync_action(&mut self, action: SyncAction, ctx: &mut Context<'_, P::Message>) {
+    fn apply_sync_action(&mut self, action: SyncAction, ctx: &mut Context<P::Message>) {
         if let Some(view) = action.broadcast_wish {
             let wish = Wish::cast(&self.instance.seat, view);
             ctx.multicast(self.instance.peers(), wish.into());
@@ -410,18 +406,18 @@ impl<P: Phases> Deref for ViewShell<P> {
 impl<P: Phases> Process for ViewShell<P> {
     type Message = P::Message;
 
-    fn on_start(&mut self, ctx: &mut Context<'_, P::Message>) {
+    fn on_start(&mut self, ctx: &mut Context<P::Message>) {
         self.enter_view(ctx);
     }
 
-    fn on_message(&mut self, _from: ProcessId, msg: P::Message, ctx: &mut Context<'_, P::Message>) {
+    fn on_message(&mut self, _from: ProcessId, msg: P::Message, ctx: &mut Context<P::Message>) {
         if let Some(wish) = self.instance.on_message(msg, ctx) {
             let action = self.sync.on_wish(wish.sender, wish.view);
             self.apply_sync_action(action, ctx);
         }
     }
 
-    fn on_timer(&mut self, token: TimerToken, ctx: &mut Context<'_, P::Message>) {
+    fn on_timer(&mut self, token: TimerToken, ctx: &mut Context<P::Message>) {
         if let Some(action) = self.sync.on_timer(token, &self.instance.seat.cfg, ctx) {
             self.apply_sync_action(action, ctx);
         }
@@ -462,7 +458,7 @@ mod tests {
     impl Process for Node {
         type Message = Message;
 
-        fn on_start(&mut self, ctx: &mut Context<'_, Message>) {
+        fn on_start(&mut self, ctx: &mut Context<Message>) {
             match self {
                 Node::Honest(r) => r.on_start(ctx),
                 Node::Flooder(seat) => {
@@ -478,12 +474,12 @@ mod tests {
                 }
             }
         }
-        fn on_message(&mut self, from: ProcessId, msg: Message, ctx: &mut Context<'_, Message>) {
+        fn on_message(&mut self, from: ProcessId, msg: Message, ctx: &mut Context<Message>) {
             if let Node::Honest(r) = self {
                 r.on_message(from, msg, ctx);
             }
         }
-        fn on_timer(&mut self, token: TimerToken, ctx: &mut Context<'_, Message>) {
+        fn on_timer(&mut self, token: TimerToken, ctx: &mut Context<Message>) {
             if let Node::Honest(r) = self {
                 r.on_timer(token, ctx);
             }
@@ -576,8 +572,7 @@ mod tests {
         let keys = Arc::new(ring.public());
         let sk = |i: usize| ring.signing_key(i).unwrap().clone();
         let mut replica = Replica::new(cfg, ReplicaId(1), sk(1), keys, Value::from_tag(1));
-        let mut rng = rand::SeedableRng::seed_from_u64(0);
-        let mut ctx = Context::detached(ProcessId(1), SimTime::ZERO, &mut rng);
+        let mut ctx = Context::detached(ProcessId(1), SimTime::ZERO);
         replica.on_start(&mut ctx);
         for (view, buffered) in [
             (1 + VIEW_BUFFER_HORIZON, true),
@@ -625,12 +620,10 @@ mod tests {
     /// What `drive` made the instance send, as `(to, message)` pairs.
     fn sent(
         instance: &mut ReplicaInstance,
-        drive: impl FnOnce(&mut ReplicaInstance, &mut Context<'_, Message>),
+        drive: impl FnOnce(&mut ReplicaInstance, &mut Context<Message>),
     ) -> Vec<(usize, Message)> {
         use probft_simnet::process::Action;
-        let mut rng = rand::SeedableRng::seed_from_u64(0);
-        let mut ctx =
-            Context::detached(ProcessId(instance.seat.id.index()), SimTime::ZERO, &mut rng);
+        let mut ctx = Context::detached(ProcessId(instance.seat.id.index()), SimTime::ZERO);
         drive(instance, &mut ctx);
         ctx.drain_actions()
             .into_iter()

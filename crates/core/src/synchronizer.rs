@@ -114,7 +114,7 @@ impl Synchronizer {
     }
 
     /// (Re)starts the view timer; one still pending goes stale.
-    pub fn arm<M>(&mut self, cfg: &ProbftConfig, ctx: &mut Context<'_, M>) {
+    pub fn arm<M>(&mut self, cfg: &ProbftConfig, ctx: &mut Context<M>) {
         let behind = self.current.0.saturating_sub(self.progress_view.0);
         let delay = cfg.timeout_for(View(behind.saturating_add(1)));
         self.timer = self.timer.wrapping_add(1);
@@ -129,7 +129,7 @@ impl Synchronizer {
 
     /// The view timer follows the work: begun afresh while there is
     /// `work` to time, stopped (whatever is pending goes stale) otherwise.
-    pub fn restart<M>(&mut self, work: bool, cfg: &ProbftConfig, ctx: &mut Context<'_, M>) {
+    pub fn restart<M>(&mut self, work: bool, cfg: &ProbftConfig, ctx: &mut Context<M>) {
         if work {
             self.arm(cfg, ctx);
         } else {
@@ -145,7 +145,7 @@ impl Synchronizer {
         &mut self,
         token: TimerToken,
         cfg: &ProbftConfig,
-        ctx: &mut Context<'_, M>,
+        ctx: &mut Context<M>,
     ) -> Option<SyncAction> {
         if token.0 != self.timer {
             return None;

@@ -41,11 +41,11 @@ pub enum HsStrategy {
 impl Process for HsStrategy {
     type Message = HsMessage;
 
-    fn on_start(&mut self, ctx: &mut Context<'_, HsMessage>) {
+    fn on_start(&mut self, ctx: &mut Context<HsMessage>) {
         if *self == HsStrategy::Crash {
             ctx.halt();
         }
     }
-    fn on_message(&mut self, _f: ProcessId, _m: HsMessage, _c: &mut Context<'_, HsMessage>) {}
-    fn on_timer(&mut self, _t: TimerToken, _c: &mut Context<'_, HsMessage>) {}
+    fn on_message(&mut self, _f: ProcessId, _m: HsMessage, _c: &mut Context<HsMessage>) {}
+    fn on_timer(&mut self, _t: TimerToken, _c: &mut Context<HsMessage>) {}
 }

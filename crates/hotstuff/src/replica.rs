@@ -69,7 +69,7 @@ impl Phases for HsPhases {
         }
     }
 
-    fn enter_view(&mut self, shell: &mut ShellState, ctx: &mut Context<'_, HsMessage>) {
+    fn enter_view(&mut self, shell: &mut ShellState, ctx: &mut Context<HsMessage>) {
         self.voted.clear();
         self.new_views.clear();
         self.votes.clear();
@@ -97,12 +97,7 @@ impl Phases for HsPhases {
         }
     }
 
-    fn on_message(
-        &mut self,
-        msg: HsMessage,
-        shell: &mut ShellState,
-        ctx: &mut Context<'_, HsMessage>,
-    ) {
+    fn on_message(&mut self, msg: HsMessage, shell: &mut ShellState, ctx: &mut Context<HsMessage>) {
         match msg {
             HsMessage::NewView(m) => self.on_new_view(m.body.sender, m.body.prepare_qc, shell, ctx),
             HsMessage::Broadcast(b) => self.on_broadcast(b.body.payload, shell, ctx),
@@ -113,11 +108,7 @@ impl Phases for HsPhases {
 }
 
 /// Signs `payload` as the current view's leader and broadcasts it.
-fn broadcast_as_leader(
-    payload: LeaderBroadcast,
-    shell: &ShellState,
-    ctx: &mut Context<'_, HsMessage>,
-) {
+fn broadcast_as_leader(payload: LeaderBroadcast, shell: &ShellState, ctx: &mut Context<HsMessage>) {
     let body = BroadcastBody {
         sender: shell.seat.id,
         view: shell.current_view(),
@@ -133,7 +124,7 @@ impl HsPhases {
         sender: ReplicaId,
         prepare_qc: Option<Qc>,
         shell: &mut ShellState,
-        ctx: &mut Context<'_, HsMessage>,
+        ctx: &mut Context<HsMessage>,
     ) {
         if !shell.is_leader() || self.proposed {
             return;
@@ -189,7 +180,7 @@ impl HsPhases {
         phase: HsPhase,
         digest: Digest,
         shell: &ShellState,
-        ctx: &mut Context<'_, HsMessage>,
+        ctx: &mut Context<HsMessage>,
     ) {
         if !self.voted.insert(phase) {
             return;
@@ -208,7 +199,7 @@ impl HsPhases {
         &mut self,
         payload: LeaderBroadcast,
         shell: &mut ShellState,
-        ctx: &mut Context<'_, HsMessage>,
+        ctx: &mut Context<HsMessage>,
     ) {
         // A QC counts only if it certifies `phase` in the current view.
         let certifies = |qc: &Qc, phase: HsPhase| {
@@ -237,7 +228,7 @@ impl HsPhases {
         }
     }
 
-    fn on_vote(&mut self, vote: HsVote, shell: &ShellState, ctx: &mut Context<'_, HsMessage>) {
+    fn on_vote(&mut self, vote: HsVote, shell: &ShellState, ctx: &mut Context<HsMessage>) {
         if !shell.is_leader() {
             return;
         }

@@ -209,3 +209,26 @@ fn unsafe_members_deny_unsafe_outside_their_documented_blocks() {
         assert_eq!(blocks, expected_blocks, "{member}: unsafe blocks");
     }
 }
+
+#[test]
+fn the_host_and_the_replication_layer_depend_on_no_rng() {
+    // An honest replica's only randomness is its VRF. With `rand` among
+    // these dependencies, the host or an honest replica could hold an RNG
+    // again; their tests may still draw (dev-dependencies).
+    for manifest in ["crates/runtime/Cargo.toml", "crates/smr/Cargo.toml"] {
+        let text = repo_file(manifest);
+        let (_, deps) = text
+            .split_once("\n[dependencies]\n")
+            .unwrap_or_else(|| panic!("{manifest}: no [dependencies]"));
+        let table = deps.split("\n[").next().unwrap_or(deps);
+        let names: Vec<&str> = table
+            .lines()
+            .filter_map(|l| l.split(['.', '=', ' ']).next())
+            .collect();
+        assert!(
+            names.contains(&"probft-core"),
+            "{manifest}: [dependencies] unread"
+        );
+        assert!(!names.contains(&"rand"), "{manifest} depends on rand");
+    }
+}

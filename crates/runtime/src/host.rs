@@ -5,11 +5,12 @@
 //! or opened — a slab of non-blocking sockets, each with an inbound
 //! [`FrameAssembler`] and an outbound byte queue — plus the epoll
 //! [`Poller`] that says which of them are ready, the timer heap, and the
-//! per-kind outbound byte counters. No call here waits on a socket (the
-//! one exception is connecting to a peer while the cluster boots), so one
-//! thread serves every peer and client: [`Host::next_event`] fires due
-//! timers, hands out decoded events, and otherwise sleeps in `epoll_wait`
-//! until a socket is ready or a timer is due. It models no network of its
+//! per-kind outbound byte counters. No call here waits on a socket (a
+//! connect to a peer is one try, answered from the backlog of a listener
+//! bound before any host ran, or refused by a dead peer), so one thread
+//! serves every peer and client: [`Host::next_event`] fires due timers,
+//! hands out decoded events, and otherwise sleeps in `epoll_wait` until a
+//! socket is ready or a timer is due. It models no network of its
 //! own: a frame is encoded, counted and queued, and link faults (drops,
 //! partitions, jitter) are the simulator's `DelayModel`s. A message the
 //! replica addresses to itself is no frame at all: it is queued straight
@@ -32,8 +33,6 @@ use epoll::{Events, Interest, Poller};
 use probft_obs::{Counter, Obs};
 use probft_simnet::process::{Action, Context, Process, ProcessId, TimerToken};
 use probft_simnet::time::SimTime;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::io::{self, Read, Write};
@@ -104,18 +103,6 @@ impl Shared {
         SimTime::from_ticks(micros(self.boot.elapsed()))
     }
 }
-
-/// Connect attempts while a cluster boots (peers come up concurrently;
-/// retry for up to ~500 ms).
-const BOOT_CONNECT_ATTEMPTS: u32 = 50;
-
-/// Connect attempts once the boot window has passed: one quick try, so a
-/// dead replica costs the sender an immediate refusal instead of a 500 ms
-/// stall inside its event loop on every send.
-const STEADY_CONNECT_ATTEMPTS: u32 = 1;
-
-/// How long after start a host still retries refused connects.
-const BOOT_WINDOW: Duration = Duration::from_secs(5);
 
 /// How long a connection's outbound queue may go without the socket
 /// taking a byte before the connection is dropped. A peer (or client)
@@ -269,7 +256,6 @@ pub(crate) struct Host<M, E> {
     unflushed: Vec<ConnId>,
     read_buf: Box<[u8]>,
     timers: BinaryHeap<Reverse<(Instant, TimerToken)>>,
-    rng: StdRng,
 }
 
 impl<M, E> Host<M, E> {
@@ -315,7 +301,6 @@ impl<M, E> Host<M, E> {
             unflushed: Vec::new(),
             read_buf: vec![0; READ_CHUNK].into_boxed_slice(),
             timers: BinaryHeap::new(),
-            rng: StdRng::seed_from_u64(0x11FE ^ id as u64),
         })
     }
 
@@ -331,10 +316,10 @@ impl<M, E> Host<M, E> {
     /// One step of the hosted process: `step` pokes it through a detached
     /// context, the actions it emitted are applied to the sockets and the
     /// timer heap, and what `step` returned is returned.
-    pub(crate) fn drive<R>(&mut self, step: impl FnOnce(&mut Context<'_, M>) -> R) -> R {
+    pub(crate) fn drive<R>(&mut self, step: impl FnOnce(&mut Context<M>) -> R) -> R {
         let now = self.shared.now();
         let (out, actions) = {
-            let mut ctx = Context::detached(ProcessId(self.id), now, &mut self.rng);
+            let mut ctx = Context::detached(ProcessId(self.id), now);
             (step(&mut ctx), ctx.drain_actions())
         };
         for action in actions {
@@ -444,34 +429,21 @@ impl<M, E> Host<M, E> {
         }
     }
 
-    /// The connection to peer `to`, opened if there is none: retrying
-    /// while the cluster boots (peers come up concurrently), failing fast
-    /// afterwards so a dead peer costs a refusal, not a stall, per send.
+    /// The connection to peer `to`, opened with one connect if there is
+    /// none. Every listener is bound before any host runs, so only a dead
+    /// peer refuses, and it costs the send that refusal, not a stall.
     fn connect_peer(&mut self, to: usize) -> Option<ConnId> {
         if let Some(open) = self.peers.get(to).copied().flatten() {
             if open_conn(&mut self.slots, open).is_some() {
                 return Some(open);
             }
         }
-        let addr = *self.addrs().get(to)?;
-        let attempts = if self.shared.boot.elapsed() < BOOT_WINDOW {
-            BOOT_CONNECT_ATTEMPTS
-        } else {
-            STEADY_CONNECT_ATTEMPTS
-        };
-        for attempt in 0..attempts {
-            if attempt > 0 {
-                crate::pacing::pause(crate::pacing::CONNECT_RETRY);
-            }
-            if let Ok(stream) = TcpStream::connect(addr) {
-                let conn = self.insert(stream);
-                if let Some(slot) = self.peers.get_mut(to) {
-                    *slot = conn;
-                }
-                return conn;
-            }
+        let stream = TcpStream::connect(*self.addrs().get(to)?).ok()?;
+        let conn = self.insert(stream);
+        if let Some(slot) = self.peers.get_mut(to) {
+            *slot = conn;
         }
-        None
+        conn
     }
 
     /// Waits up to `wait` for a socket to be ready, then accepts, reads
@@ -716,9 +688,9 @@ mod tests {
 
     impl Process for Idle {
         type Message = SmrMessage;
-        fn on_start(&mut self, _: &mut Context<'_, SmrMessage>) {}
-        fn on_message(&mut self, _: ProcessId, _: SmrMessage, _: &mut Context<'_, SmrMessage>) {}
-        fn on_timer(&mut self, _: TimerToken, _: &mut Context<'_, SmrMessage>) {}
+        fn on_start(&mut self, _: &mut Context<SmrMessage>) {}
+        fn on_message(&mut self, _: ProcessId, _: SmrMessage, _: &mut Context<SmrMessage>) {}
+        fn on_timer(&mut self, _: TimerToken, _: &mut Context<SmrMessage>) {}
     }
 
     /// A real host with the SMR codec: replica 0 of a cluster whose one

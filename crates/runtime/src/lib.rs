@@ -11,8 +11,8 @@
 //! actions against sockets and the wall clock.
 //!
 //! There is one replica host — listener and connection slab, frame
-//! assembly and outbound queues, connect policy, timer heap and action
-//! applier, all counting into the replica's `probft-obs` registry —
+//! assembly and outbound queues, one-try peer connects, timer heap and
+//! action applier, all counting into the replica's `probft-obs` registry —
 //! generic over the hosted [`Process`]'s message type and the events its
 //! frame codec yields, and one instantiation of it: [`LiveSmrBuilder`],
 //! whose codec ([`SmrFrame`]) carries replica traffic and the client side

@@ -18,11 +18,6 @@ pub(crate) const QUIESCE_POLL: Duration = Duration::from_millis(5);
 /// discards what they bring, between looks at its resume flag.
 pub(crate) const PAUSED_POLL: Duration = Duration::from_millis(5);
 
-/// Backoff between TCP connect attempts against a peer that refused: peers
-/// of a booting cluster come up concurrently, so refusals are expected for
-/// the first few tens of milliseconds.
-pub(crate) const CONNECT_RETRY: Duration = Duration::from_millis(10);
-
 /// Client-side pause after a failed connect/send before trying the next
 /// replica, so a dead cluster is probed, not hammered.
 pub(crate) const CLIENT_RETRY: Duration = Duration::from_millis(10);

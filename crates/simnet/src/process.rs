@@ -1,7 +1,6 @@
 //! The process abstraction: event handlers plus an action-collecting context.
 
 use crate::time::{SimDuration, SimTime};
-use rand::rngs::StdRng;
 use std::fmt;
 
 /// Identifies a process (replica) within a simulation, indexed from zero.
@@ -39,26 +38,22 @@ pub struct TimerToken(pub u64);
 
 /// A simulated process: a deterministic state machine driven by events.
 ///
-/// Implementations must be deterministic given the event sequence and the
-/// RNG exposed through [`Context::rng`]; the simulator guarantees that the
-/// same run seed replays the identical execution.
+/// Implementations must be deterministic given the event sequence: a
+/// process draws no randomness from its context (an honest replica's only
+/// randomness is its VRF), so the simulator's run seed, which fixes the
+/// delays, replays the identical execution.
 pub trait Process {
     /// The message type exchanged over the simulated network.
     type Message;
 
     /// Invoked once, before any message, at the process's start time.
-    fn on_start(&mut self, ctx: &mut Context<'_, Self::Message>);
+    fn on_start(&mut self, ctx: &mut Context<Self::Message>);
 
     /// Invoked for each delivered message.
-    fn on_message(
-        &mut self,
-        from: ProcessId,
-        msg: Self::Message,
-        ctx: &mut Context<'_, Self::Message>,
-    );
+    fn on_message(&mut self, from: ProcessId, msg: Self::Message, ctx: &mut Context<Self::Message>);
 
     /// Invoked when a timer set via [`Context::set_timer`] fires.
-    fn on_timer(&mut self, token: TimerToken, ctx: &mut Context<'_, Self::Message>);
+    fn on_timer(&mut self, token: TimerToken, ctx: &mut Context<Self::Message>);
 }
 
 /// An outbound action recorded by a process during one handler invocation.
@@ -87,35 +82,30 @@ pub enum Action<M> {
     Halt,
 }
 
-/// Handler-scoped view of the simulation: identity, clock, RNG, and an
-/// action sink for sends and timers.
+/// Handler-scoped view of the simulation: identity, clock, and an action
+/// sink for sends and timers.
 ///
 /// Actions take effect when the handler returns; the network model assigns
 /// delivery times at that point.
-pub struct Context<'a, M> {
+pub struct Context<M> {
     id: ProcessId,
     now: SimTime,
-    rng: &'a mut StdRng,
-    pub(crate) actions: Vec<Action<M>>,
+    actions: Vec<Action<M>>,
 }
 
-impl<'a, M> Context<'a, M> {
-    pub(crate) fn new(id: ProcessId, now: SimTime, rng: &'a mut StdRng) -> Self {
+impl<M> Context<M> {
+    /// Creates a context for one handler invocation of process `id` at `now`.
+    ///
+    /// The [`Simulation`](crate::sim::Simulation) builds one per event;
+    /// embedding runtimes (the SMR composition layer, the TCP runtime) use
+    /// it to invoke [`Process`] handlers directly and then interpret the
+    /// recorded actions via [`drain_actions`](Self::drain_actions).
+    pub fn detached(id: ProcessId, now: SimTime) -> Self {
         Context {
             id,
             now,
-            rng,
             actions: Vec::new(),
         }
-    }
-
-    /// Creates a context not attached to a [`Simulation`](crate::sim::Simulation).
-    ///
-    /// Embedding runtimes (the SMR composition layer, the TCP runtime) use
-    /// this to invoke [`Process`] handlers directly and then interpret the
-    /// recorded actions via [`drain_actions`](Self::drain_actions).
-    pub fn detached(id: ProcessId, now: SimTime, rng: &'a mut StdRng) -> Self {
-        Self::new(id, now, rng)
     }
 
     /// Removes and returns the actions recorded so far.
@@ -131,14 +121,6 @@ impl<'a, M> Context<'a, M> {
     /// The current virtual time.
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// The simulation's deterministic RNG.
-    ///
-    /// Byzantine strategies use this for randomized misbehaviour; honest
-    /// protocol code should rely on the VRF instead.
-    pub fn rng(&mut self) -> &mut StdRng {
-        self.rng
     }
 
     /// Sends `msg` to `to`. Delivery time is chosen by the network model.
@@ -176,7 +158,7 @@ impl<'a, M> Context<'a, M> {
     }
 }
 
-impl<M> fmt::Debug for Context<'_, M> {
+impl<M> fmt::Debug for Context<M> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Context")
             .field("id", &self.id)
@@ -189,12 +171,10 @@ impl<M> fmt::Debug for Context<'_, M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
 
     #[test]
     fn context_records_actions() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut ctx: Context<'_, u32> = Context::new(ProcessId(0), SimTime::ZERO, &mut rng);
+        let mut ctx: Context<u32> = Context::detached(ProcessId(0), SimTime::ZERO);
         ctx.send(ProcessId(1), 42);
         ctx.multicast([ProcessId(2), ProcessId(3)], 7);
         ctx.set_timer(SimDuration::from_ticks(10), TimerToken(99));

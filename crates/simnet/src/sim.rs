@@ -1,7 +1,8 @@
 //! The discrete-event simulation engine.
 //!
-//! [`Simulation`] owns a set of processes, a network delay model, a
-//! deterministic RNG, and a time-ordered event queue. Runs are exactly
+//! [`Simulation`] owns a set of processes, a network delay model, the
+//! deterministic RNG that model draws from, and a time-ordered event queue
+//! (processes draw from no RNG of the simulation's). Runs are exactly
 //! reproducible: the same processes, network model, and seed yield the same
 //! event sequence, which the integration tests rely on for Monte Carlo
 //! experiments and regression debugging.
@@ -80,13 +81,13 @@ pub enum RunOutcome {
 /// struct Echo { last: Option<u32> }
 /// impl Process for Echo {
 ///     type Message = Ping;
-///     fn on_start(&mut self, ctx: &mut Context<'_, Ping>) {
+///     fn on_start(&mut self, ctx: &mut Context<Ping>) {
 ///         if ctx.id() == ProcessId(0) { ctx.send(ProcessId(1), Ping(7)); }
 ///     }
-///     fn on_message(&mut self, _f: ProcessId, m: Ping, _c: &mut Context<'_, Ping>) {
+///     fn on_message(&mut self, _f: ProcessId, m: Ping, _c: &mut Context<Ping>) {
 ///         self.last = Some(m.0);
 ///     }
-///     fn on_timer(&mut self, _t: TimerToken, _c: &mut Context<'_, Ping>) {}
+///     fn on_timer(&mut self, _t: TimerToken, _c: &mut Context<Ping>) {}
 /// }
 ///
 /// let mut sim = Simulation::new(Fixed(SimDuration::from_ticks(3)), 42);
@@ -106,6 +107,7 @@ pub struct Simulation<P: Process> {
     free: Vec<usize>,
     now: SimTime,
     seq: u64,
+    /// The delay model's coin.
     rng: StdRng,
     network: Box<dyn DelayModel>,
     metrics: MessageMetrics,
@@ -117,7 +119,8 @@ impl<P: Process> Simulation<P>
 where
     P::Message: Measurable + Clone,
 {
-    /// Creates a simulation with the given network model and RNG seed.
+    /// Creates a simulation with the given network model and the seed of
+    /// its delay RNG.
     pub fn new<D: DelayModel + 'static>(network: D, seed: u64) -> Self {
         Simulation {
             processes: Vec::new(),
@@ -321,35 +324,29 @@ where
         self.events_processed += 1;
 
         match kind {
-            EventKind::Start(pid) => {
-                if self.alive[pid.index()] {
-                    let mut ctx = Context::new(pid, self.now, &mut self.rng);
-                    self.processes[pid.index()].on_start(&mut ctx);
-                    let actions = std::mem::take(&mut ctx.actions);
-                    self.flush_actions(pid, actions);
-                }
-            }
+            EventKind::Start(pid) => self.handle(pid, |p, ctx| p.on_start(ctx)),
             EventKind::Deliver { to, from, msg } => {
                 if self.alive[to.index()] {
                     self.metrics.record_delivery(msg.kind());
-                    let mut ctx = Context::new(to, self.now, &mut self.rng);
-                    self.processes[to.index()].on_message(from, msg, &mut ctx);
-                    let actions = std::mem::take(&mut ctx.actions);
-                    self.flush_actions(to, actions);
+                    self.handle(to, |p, ctx| p.on_message(from, msg, ctx));
                 } else {
                     self.metrics.record_drop(msg.kind());
                 }
             }
             EventKind::Timer { process, token } => {
-                if self.alive[process.index()] {
-                    let mut ctx = Context::new(process, self.now, &mut self.rng);
-                    self.processes[process.index()].on_timer(token, &mut ctx);
-                    let actions = std::mem::take(&mut ctx.actions);
-                    self.flush_actions(process, actions);
-                }
+                self.handle(process, |p, ctx| p.on_timer(token, ctx));
             }
         }
         true
+    }
+
+    /// Runs one handler of `pid`, if it is alive, and applies its actions.
+    fn handle(&mut self, pid: ProcessId, handler: impl FnOnce(&mut P, &mut Context<P::Message>)) {
+        if self.alive[pid.index()] {
+            let mut ctx = Context::detached(pid, self.now);
+            handler(&mut self.processes[pid.index()], &mut ctx);
+            self.flush_actions(pid, ctx.drain_actions());
+        }
     }
 
     /// Runs until the queue drains or `max_events` have been processed.
@@ -466,14 +463,14 @@ mod tests {
     impl Process for PingPong {
         type Message = Msg;
 
-        fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
+        fn on_start(&mut self, ctx: &mut Context<Msg>) {
             if ctx.id() == ProcessId(0) && self.rounds_left > 0 {
                 self.rounds_left -= 1;
                 ctx.send(ProcessId(1), Msg::Ping(0));
             }
         }
 
-        fn on_message(&mut self, from: ProcessId, msg: Msg, ctx: &mut Context<'_, Msg>) {
+        fn on_message(&mut self, from: ProcessId, msg: Msg, ctx: &mut Context<Msg>) {
             match msg {
                 Msg::Ping(k) => ctx.send(from, Msg::Pong(k)),
                 Msg::Pong(k) => {
@@ -486,7 +483,7 @@ mod tests {
             }
         }
 
-        fn on_timer(&mut self, token: TimerToken, _ctx: &mut Context<'_, Msg>) {
+        fn on_timer(&mut self, token: TimerToken, _ctx: &mut Context<Msg>) {
             self.last_timer = Some(token);
         }
     }
@@ -526,7 +523,7 @@ mod tests {
             trace.made - 1
         }
 
-        fn gossip(&mut self, ctx: &mut Context<'_, Msg>) {
+        fn gossip(&mut self, ctx: &mut Context<Msg>) {
             let Some(mask) = self.plan.pop() else { return };
             for to in 0..8 {
                 if mask & (1 << to) != 0 {
@@ -538,17 +535,17 @@ mod tests {
 
     impl Process for Gossip {
         type Message = Msg;
-        fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
+        fn on_start(&mut self, ctx: &mut Context<Msg>) {
             let token = TimerToken(self.number());
             ctx.set_timer(SimDuration::from_ticks(self.timer_at), token);
             self.gossip(ctx);
         }
-        fn on_message(&mut self, _: ProcessId, msg: Msg, ctx: &mut Context<'_, Msg>) {
+        fn on_message(&mut self, _: ProcessId, msg: Msg, ctx: &mut Context<Msg>) {
             let (Msg::Ping(number) | Msg::Pong(number)) = msg;
             self.trace.borrow_mut().handled.push((ctx.now(), number));
             self.gossip(ctx);
         }
-        fn on_timer(&mut self, token: TimerToken, ctx: &mut Context<'_, Msg>) {
+        fn on_timer(&mut self, token: TimerToken, ctx: &mut Context<Msg>) {
             self.trace.borrow_mut().handled.push((ctx.now(), token.0));
         }
     }
@@ -724,13 +721,13 @@ mod tests {
         struct Forever;
         impl Process for Forever {
             type Message = Msg;
-            fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
+            fn on_start(&mut self, ctx: &mut Context<Msg>) {
                 ctx.send(ProcessId(1 - ctx.id().index()), Msg::Ping(0));
             }
-            fn on_message(&mut self, from: ProcessId, _m: Msg, ctx: &mut Context<'_, Msg>) {
+            fn on_message(&mut self, from: ProcessId, _m: Msg, ctx: &mut Context<Msg>) {
                 ctx.send(from, Msg::Ping(0));
             }
-            fn on_timer(&mut self, _t: TimerToken, _c: &mut Context<'_, Msg>) {}
+            fn on_timer(&mut self, _t: TimerToken, _c: &mut Context<Msg>) {}
         }
         let mut sim: Simulation<Forever> = Simulation::new(Fixed(SimDuration::from_ticks(1)), 0);
         sim.add_process(Forever);
@@ -746,13 +743,13 @@ mod tests {
         }
         impl Process for TimerProc {
             type Message = Msg;
-            fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
+            fn on_start(&mut self, ctx: &mut Context<Msg>) {
                 ctx.set_timer(SimDuration::from_ticks(30), TimerToken(3));
                 ctx.set_timer(SimDuration::from_ticks(10), TimerToken(1));
                 ctx.set_timer(SimDuration::from_ticks(20), TimerToken(2));
             }
-            fn on_message(&mut self, _f: ProcessId, _m: Msg, _c: &mut Context<'_, Msg>) {}
-            fn on_timer(&mut self, token: TimerToken, _ctx: &mut Context<'_, Msg>) {
+            fn on_message(&mut self, _f: ProcessId, _m: Msg, _c: &mut Context<Msg>) {}
+            fn on_timer(&mut self, token: TimerToken, _ctx: &mut Context<Msg>) {
                 self.fired.push(token.0);
             }
         }
@@ -770,17 +767,17 @@ mod tests {
         }
         impl Process for Halter {
             type Message = Msg;
-            fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
+            fn on_start(&mut self, ctx: &mut Context<Msg>) {
                 if ctx.id() == ProcessId(0) {
                     ctx.send(ProcessId(1), Msg::Ping(1));
                     ctx.send(ProcessId(1), Msg::Ping(2));
                 }
             }
-            fn on_message(&mut self, _f: ProcessId, _m: Msg, ctx: &mut Context<'_, Msg>) {
+            fn on_message(&mut self, _f: ProcessId, _m: Msg, ctx: &mut Context<Msg>) {
                 self.got += 1;
                 ctx.halt();
             }
-            fn on_timer(&mut self, _t: TimerToken, _c: &mut Context<'_, Msg>) {}
+            fn on_timer(&mut self, _t: TimerToken, _c: &mut Context<Msg>) {}
         }
         let mut sim = Simulation::new(Fixed(SimDuration::from_ticks(1)), 0);
         sim.add_process(Halter { got: 0 });
@@ -798,15 +795,15 @@ mod tests {
         }
         impl Process for Counter {
             type Message = Msg;
-            fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
+            fn on_start(&mut self, ctx: &mut Context<Msg>) {
                 if ctx.id() == ProcessId(0) {
                     ctx.send(ProcessId(1), Msg::Ping(0));
                 }
             }
-            fn on_message(&mut self, _f: ProcessId, _m: Msg, _c: &mut Context<'_, Msg>) {
+            fn on_message(&mut self, _f: ProcessId, _m: Msg, _c: &mut Context<Msg>) {
                 self.got += 1;
             }
-            fn on_timer(&mut self, _t: TimerToken, _c: &mut Context<'_, Msg>) {}
+            fn on_timer(&mut self, _t: TimerToken, _c: &mut Context<Msg>) {}
         }
         let mut sim = Simulation::new(Lossy::new(Fixed(SimDuration::from_ticks(1)), 0.0, 1.0), 0);
         sim.add_process(Counter { got: 0 });
@@ -836,14 +833,14 @@ mod tests {
         }
         impl Process for SelfSender {
             type Message = Msg;
-            fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
+            fn on_start(&mut self, ctx: &mut Context<Msg>) {
                 let me = ctx.id();
                 ctx.send(me, Msg::Ping(0));
             }
-            fn on_message(&mut self, _f: ProcessId, _m: Msg, _c: &mut Context<'_, Msg>) {
+            fn on_message(&mut self, _f: ProcessId, _m: Msg, _c: &mut Context<Msg>) {
                 self.received = true;
             }
-            fn on_timer(&mut self, _t: TimerToken, _c: &mut Context<'_, Msg>) {}
+            fn on_timer(&mut self, _t: TimerToken, _c: &mut Context<Msg>) {}
         }
         let mut sim = Simulation::new(Fixed(SimDuration::from_ticks(1)), 0);
         sim.add_process(SelfSender { received: false });

@@ -411,7 +411,7 @@ impl Checkpointer {
         applied: &Snapshot<S>,
         seat: &Seat,
         obs: &Obs,
-        ctx: &mut Context<'_, SmrMessage>,
+        ctx: &mut Context<SmrMessage>,
     ) -> Option<u64> {
         let slot = applied.slot;
         if !self.is_boundary(slot)
@@ -469,7 +469,7 @@ impl Checkpointer {
         next_apply: u64,
         seat: &Seat,
         obs: &Obs,
-        ctx: &mut Context<'_, SmrMessage>,
+        ctx: &mut Context<SmrMessage>,
     ) -> Option<u64> {
         if vote.verify_signature(&seat.keys).is_err() {
             obs.drops_invalid_checkpoint.inc();
@@ -487,7 +487,7 @@ impl Checkpointer {
         next_apply: u64,
         seat: &Seat,
         obs: &Obs,
-        ctx: &mut Context<'_, SmrMessage>,
+        ctx: &mut Context<SmrMessage>,
     ) -> Option<u64> {
         let slot = vote.slot;
         if !self.is_boundary(slot) {
@@ -536,7 +536,7 @@ impl Checkpointer {
         next_apply: u64,
         seat: &Seat,
         obs: &Obs,
-        ctx: &mut Context<'_, SmrMessage>,
+        ctx: &mut Context<SmrMessage>,
     ) -> Option<u64> {
         let quorum = seat.cfg.deterministic_quorum();
         let mut counts: BTreeMap<Digest, usize> = BTreeMap::new();
@@ -626,7 +626,7 @@ impl Checkpointer {
         min_slot: u64,
         seat: &Seat,
         obs: &Obs,
-        ctx: &mut Context<'_, SmrMessage>,
+        ctx: &mut Context<SmrMessage>,
     ) {
         let Some(stable) = self.stable.as_ref().filter(|s| s.slot >= min_slot) else {
             return;
@@ -655,7 +655,7 @@ impl Checkpointer {
         next_apply: u64,
         seat: &Seat,
         obs: &Obs,
-        ctx: &Context<'_, SmrMessage>,
+        ctx: &Context<SmrMessage>,
     ) -> Option<Snapshot<S>> {
         if self.interval == 0 || !rep.slot.is_multiple_of(self.interval) {
             obs.drops_invalid_checkpoint.inc();
@@ -721,8 +721,6 @@ mod tests {
     use probft_crypto::keyring::Keyring;
     use probft_simnet::process::Action;
     use probft_simnet::time::SimTime;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
     use std::sync::Arc;
 
     /// Peepholes for this crate's tests (the node's included).
@@ -880,15 +878,15 @@ mod tests {
     }
 
     /// Replica `id`'s seat in the 4-replica cluster of `ring` (stability
-    /// quorum 3), with the obs bundle and RNG a checkpointer call needs.
-    fn seat(ring: &Keyring, id: usize) -> (Seat, Obs, StdRng) {
+    /// quorum 3), with the obs bundle a checkpointer call needs.
+    fn seat(ring: &Keyring, id: usize) -> (Seat, Obs) {
         let seat = Seat {
             cfg: ProbftConfig::builder(4).build_shared(),
             id: ReplicaId::from(id),
             sk: ring.signing_key(id).unwrap().clone(),
             keys: Arc::new(ring.public()),
         };
-        (seat, Obs::new("test"), StdRng::seed_from_u64(1))
+        (seat, Obs::new("test"))
     }
 
     fn vote(ring: &Keyring, from: usize, slot: u64, digest: Digest) -> CheckpointVote {
@@ -921,8 +919,8 @@ mod tests {
     #[test]
     fn checkpoint_slot_spray_evicts_itself_not_an_honest_boundary() {
         let ring = Keyring::generate(4, b"checkpoint-tests");
-        let (seat, obs, mut rng) = seat(&ring, 0);
-        let mut ctx = Context::detached(ProcessId(0), SimTime::ZERO, &mut rng);
+        let (seat, obs) = seat(&ring, 0);
+        let mut ctx = Context::detached(ProcessId(0), SimTime::ZERO);
         let mut ckpt = Checkpointer::new(2, 4);
         let honest = Sha256::digest(b"honest");
         for from in [1, 2] {
@@ -949,8 +947,8 @@ mod tests {
     #[test]
     fn lagging_stability_drops_the_oldest_snapshot_and_the_next_still_stabilises() {
         let ring = Keyring::generate(4, b"checkpoint-tests");
-        let (seat, obs, mut rng) = seat(&ring, 0);
-        let mut ctx = Context::detached(ProcessId(0), SimTime::ZERO, &mut rng);
+        let (seat, obs) = seat(&ring, 0);
+        let mut ctx = Context::detached(ProcessId(0), SimTime::ZERO);
         let mut ckpt = Checkpointer::new(2, 1);
         let boundaries = MAX_PENDING_CHECKPOINTS as u64 + 1;
         for boundary in 1..=boundaries {
@@ -996,8 +994,8 @@ mod tests {
     #[test]
     fn state_request_above_stable_or_from_a_served_peer_sends_nothing() {
         let ring = Keyring::generate(4, b"checkpoint-tests");
-        let (seat, obs, mut rng) = seat(&ring, 0);
-        let mut ctx = Context::detached(ProcessId(0), SimTime::ZERO, &mut rng);
+        let (seat, obs) = seat(&ring, 0);
+        let mut ctx = Context::detached(ProcessId(0), SimTime::ZERO);
         let mut ckpt = Checkpointer::new(2, 1);
         let applied = applied_through(2);
         ckpt.maybe_take_checkpoint(&applied, &seat, &obs, &mut ctx);

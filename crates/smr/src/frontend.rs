@@ -125,7 +125,7 @@ impl<C> Frontend<C> {
         kind: OpKind,
         op: S::Op,
         from: C,
-        ctx: &mut Context<'_, SmrMessage>,
+        ctx: &mut Context<SmrMessage>,
     ) -> Option<Reply<S::Response>> {
         if !node.leads() {
             return Some(redirect(node, request, ctx));
@@ -155,7 +155,7 @@ impl<C> Frontend<C> {
         consistency: Consistency,
         op: S::Op,
         from: C,
-        ctx: &mut Context<'_, SmrMessage>,
+        ctx: &mut Context<SmrMessage>,
     ) -> Option<Reply<S::Response>> {
         match consistency {
             Consistency::Linearizable => {
@@ -177,7 +177,7 @@ impl<C> Frontend<C> {
     pub fn on_applied<S: StateMachine>(
         &mut self,
         node: &mut SmrNode<S>,
-        ctx: &Context<'_, SmrMessage>,
+        ctx: &Context<SmrMessage>,
     ) -> Vec<(C, Reply<S::Response>)> {
         let now = ctx.now().ticks();
         let mut answers = Vec::new();
@@ -204,7 +204,7 @@ impl<C> Frontend<C> {
 fn redirect<S: StateMachine, R>(
     node: &mut SmrNode<S>,
     request: RequestId,
-    ctx: &mut Context<'_, SmrMessage>,
+    ctx: &mut Context<SmrMessage>,
 ) -> Reply<R> {
     let (leader, obs, now) = (node.current_leader(), node.obs(), ctx.now().ticks());
     obs.redirects_served.inc();
@@ -226,8 +226,6 @@ mod tests {
     use probft_core::config::{ProbftConfig, SharedConfig};
     use probft_crypto::keyring::Keyring;
     use probft_simnet::process::{Action, Process, ProcessId};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
     use std::collections::VecDeque;
     use std::sync::Arc;
 
@@ -237,7 +235,6 @@ mod tests {
         nodes: Vec<SmrNode<KvStore>>,
         queue: VecDeque<(usize, usize, SmrMessage)>,
         now: SimTime,
-        rng: StdRng,
     }
 
     impl Net {
@@ -254,7 +251,6 @@ mod tests {
                 nodes: (0..4).map(node).collect(),
                 queue: VecDeque::new(),
                 now: SimTime::ZERO,
-                rng: StdRng::seed_from_u64(1),
             }
         }
 
@@ -262,9 +258,9 @@ mod tests {
         fn at<R>(
             &mut self,
             i: usize,
-            f: impl FnOnce(&mut SmrNode<KvStore>, &mut Context<'_, SmrMessage>) -> R,
+            f: impl FnOnce(&mut SmrNode<KvStore>, &mut Context<SmrMessage>) -> R,
         ) -> R {
-            let mut ctx = Context::detached(ProcessId(i), self.now, &mut self.rng);
+            let mut ctx = Context::detached(ProcessId(i), self.now);
             let out = f(&mut self.nodes[i], &mut ctx);
             for action in ctx.drain_actions() {
                 if let Action::Send { to, msg } = action {

@@ -83,7 +83,7 @@ impl SmrBuilder {
         SmrBuilder { spec }
     }
 
-    /// Sets the RNG seed.
+    /// Sets the seed that deals the keys and draws the network's delays.
     pub fn seed(mut self, seed: u64) -> Self {
         self.spec.seed = seed;
         self

@@ -67,8 +67,6 @@ use probft_obs::{Obs, TraceKind};
 use probft_quorum::ReplicaId;
 use probft_simnet::metrics::Measurable;
 use probft_simnet::process::{Action, Context, Process, ProcessId, TimerToken};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -337,7 +335,6 @@ pub struct SmrNode<S: StateMachine> {
     /// (`probft-obs`). The live runtime attaches a shared handle so the
     /// nemesis and shutdown aggregation see what this node records.
     obs: Arc<Obs>,
-    rng: StdRng,
 }
 
 impl<S: StateMachine> SmrNode<S> {
@@ -364,7 +361,6 @@ impl<S: StateMachine> SmrNode<S> {
             applied_events: Vec::new(),
             checkpointer: Checkpointer::new(settings.checkpoint_interval, settings.pipeline_depth),
             obs: Arc::new(Obs::new(format!("replica-{}", id.0))),
-            rng: StdRng::seed_from_u64(0xD15C_0000 ^ id.0 as u64),
             seat,
             settings,
         }
@@ -505,7 +501,7 @@ impl<S: StateMachine> SmrNode<S> {
     /// pipeline window allows. The client front-end calls this on the
     /// leader for each accepted client request (writes *and*
     /// linearizable reads).
-    pub fn submit(&mut self, entry: Entry<S::Op>, ctx: &mut Context<'_, SmrMessage>) {
+    pub fn submit(&mut self, entry: Entry<S::Op>, ctx: &mut Context<SmrMessage>) {
         // A caller that skips the `overloaded()` admission check must
         // still not grow this queue without bound.
         if self.pending.try_push(entry).is_err() {
@@ -521,7 +517,7 @@ impl<S: StateMachine> SmrNode<S> {
     /// runs, and if the leader stays silent this node's wish, tagged with
     /// the slot, starts its peers' timers too. A live leader refutes it by
     /// proposing the slot: one (possibly empty) slot, no view change.
-    pub fn on_redirect(&mut self, ctx: &mut Context<'_, SmrMessage>) {
+    pub fn on_redirect(&mut self, ctx: &mut Context<SmrMessage>) {
         if self.settings.serving && self.slots.is_empty() && !self.done() {
             self.open_next_slot(ctx);
         }
@@ -589,7 +585,7 @@ impl<S: StateMachine> SmrNode<S> {
     /// followers open slots on demand when traffic for them arrives,
     /// including traffic buffered while its slot was beyond the window:
     /// nobody repeats it, so the window reaching it is that demand.
-    fn open_ready_slots(&mut self, ctx: &mut Context<'_, SmrMessage>) {
+    fn open_ready_slots(&mut self, ctx: &mut Context<SmrMessage>) {
         while !self.done() && self.next_open < self.window_end() {
             let proposing = !self.pending.is_empty() && self.leads();
             let buffered = self.future.range(self.next_open..self.window_end()).next();
@@ -601,7 +597,7 @@ impl<S: StateMachine> SmrNode<S> {
     }
 
     /// Opens slot `next_open`, born in the log's view.
-    fn open_next_slot(&mut self, ctx: &mut Context<'_, SmrMessage>) {
+    fn open_next_slot(&mut self, ctx: &mut Context<SmrMessage>) {
         let slot = self.next_open;
         self.next_open = self.next_open.saturating_add(1);
         let (value, batched) = self.next_value();
@@ -628,14 +624,14 @@ impl<S: StateMachine> SmrNode<S> {
     /// Feeds one event into a slot's instance — a message, or with `None`
     /// Algorithm 1's `newView` for the log's view — relays what it sends,
     /// and handles a resulting decision.
-    fn drive(&mut self, slot: u64, msg: Option<Message>, ctx: &mut Context<'_, SmrMessage>) {
+    fn drive(&mut self, slot: u64, msg: Option<Message>, ctx: &mut Context<SmrMessage>) {
         let Some((instance, opened_at)) = self.slots.get_mut(&slot) else {
             return;
         };
         let already_decided = instance.decision().is_some();
         let me = ProcessId(self.seat.id.index());
         let actions = {
-            let mut inner = Context::detached(me, ctx.now(), &mut self.rng);
+            let mut inner = Context::detached(me, ctx.now());
             match msg {
                 // A wish is the node's, and was counted on arrival.
                 Some(Message::Wish(_)) => {}
@@ -685,7 +681,7 @@ impl<S: StateMachine> SmrNode<S> {
 
     /// A verified wish, whatever its tag: the log's synchronizer counts
     /// it, and a sender found behind is told where the log is.
-    fn on_wish(&mut self, wish: &Wish, ctx: &mut Context<'_, SmrMessage>) {
+    fn on_wish(&mut self, wish: &Wish, ctx: &mut Context<SmrMessage>) {
         if wish.view > self.sync.current_view() {
             self.obs.note_view_doubt(ctx.now().ticks());
         }
@@ -707,7 +703,7 @@ impl<S: StateMachine> SmrNode<S> {
 
     /// Does what the synchronizer asked: broadcast this node's wish, and
     /// on entry move the whole log — `newView` in every slot in flight.
-    fn follow(&mut self, action: SyncAction, ctx: &mut Context<'_, SmrMessage>) {
+    fn follow(&mut self, action: SyncAction, ctx: &mut Context<SmrMessage>) {
         if let Some(view) = action.broadcast_wish {
             ctx.multicast((0..self.seat.cfg.n()).map(ProcessId), self.wish(view));
         }
@@ -728,7 +724,7 @@ impl<S: StateMachine> SmrNode<S> {
     /// refills the pipeline window. After each applied slot the
     /// checkpointer gets to snapshot the agreed state (it does so every
     /// `checkpoint_interval` slots).
-    fn advance(&mut self, ctx: &mut Context<'_, SmrMessage>) {
+    fn advance(&mut self, ctx: &mut Context<SmrMessage>) {
         let (frontier, now) = (self.applied.slot, ctx.now().ticks());
         while !self.done() {
             let slot = self.applied.slot;
@@ -814,7 +810,7 @@ impl<S: StateMachine> SmrNode<S> {
     /// this node, so a view timer already running keeps running — a
     /// deposed leader that took a checkpoint every interval would
     /// otherwise never time out of the view it no longer leads.
-    fn restore_from(&mut self, snapshot: Snapshot<S>, ctx: &mut Context<'_, SmrMessage>) {
+    fn restore_from(&mut self, snapshot: Snapshot<S>, ctx: &mut Context<SmrMessage>) {
         self.next_open = snapshot.slot;
         self.slots.clear();
         self.future.retain(|&s, _| s >= snapshot.slot);
@@ -854,7 +850,7 @@ impl<S: StateMachine> SmrNode<S> {
         &mut self,
         from: ProcessId,
         msg: SlotMessage,
-        ctx: &mut Context<'_, SmrMessage>,
+        ctx: &mut Context<SmrMessage>,
     ) {
         let slot = msg.slot;
         if let Message::Wish(wish) = &msg.inner {
@@ -921,12 +917,12 @@ impl<S: StateMachine> SmrNode<S> {
 impl<S: StateMachine> Process for SmrNode<S> {
     type Message = SmrMessage;
 
-    fn on_start(&mut self, ctx: &mut Context<'_, SmrMessage>) {
+    fn on_start(&mut self, ctx: &mut Context<SmrMessage>) {
         self.obs.view.set(self.sync.current_view().0);
         self.open_ready_slots(ctx);
     }
 
-    fn on_message(&mut self, from: ProcessId, msg: SmrMessage, ctx: &mut Context<'_, SmrMessage>) {
+    fn on_message(&mut self, from: ProcessId, msg: SmrMessage, ctx: &mut Context<SmrMessage>) {
         let (next_apply, seat, obs) = (self.applied.slot, &self.seat, &self.obs);
         match msg {
             SmrMessage::Slot(msg) => self.on_slot_message(from, msg, ctx),
@@ -951,7 +947,7 @@ impl<S: StateMachine> Process for SmrNode<S> {
         }
     }
 
-    fn on_timer(&mut self, token: TimerToken, ctx: &mut Context<'_, SmrMessage>) {
+    fn on_timer(&mut self, token: TimerToken, ctx: &mut Context<SmrMessage>) {
         if let Some(action) = self.sync.on_timer(token, &self.seat.cfg, ctx) {
             self.obs.note_view_timeout(ctx.now().ticks());
             self.follow(action, ctx);
@@ -985,20 +981,19 @@ mod tests {
     use probft_crypto::keyring::Keyring;
     use probft_simnet::time::SimTime;
 
-    fn test_node(settings: SmrSettings) -> (SmrNode<KvStore>, StdRng) {
+    fn test_node(settings: SmrSettings) -> SmrNode<KvStore> {
         let n = 4;
         let cfg: SharedConfig = Arc::new(ProbftConfig::builder(n).build());
         let keyring = Keyring::generate(n, b"node-tests");
         let public = Arc::new(keyring.public());
-        let node = SmrNode::new(
+        SmrNode::new(
             cfg,
             ReplicaId(0),
             keyring.signing_key(0).expect("in range").clone(),
             public,
             Vec::new(),
             settings,
-        );
-        (node, StdRng::seed_from_u64(7))
+        )
     }
 
     /// Any message from peer 1, tagged with `slot`.
@@ -1059,14 +1054,14 @@ mod tests {
     /// counted, nothing is buffered for it.
     #[test]
     fn far_future_slot_spray_is_dropped_not_buffered() {
-        let (mut node, mut rng) = test_node(SmrSettings {
+        let mut node = test_node(SmrSettings {
             pipeline_depth: 2,
             ..SmrSettings::sequential(1_000_000)
         });
         let spray = 1000;
         for i in 0..spray {
             let msg = slot_msg(b"node-tests", 1_000_000 + i);
-            let mut ctx = Context::detached(ProcessId(0), SimTime::ZERO, &mut rng);
+            let mut ctx = Context::detached(ProcessId(0), SimTime::ZERO);
             node.on_message(ProcessId(1), msg, &mut ctx);
         }
         assert_eq!(node.obs.drops_future_horizon.get(), spray);
@@ -1081,7 +1076,7 @@ mod tests {
     /// growing its buffer without bound.
     #[test]
     fn single_slot_flood_is_capped() {
-        let (mut node, mut rng) = test_node(SmrSettings {
+        let mut node = test_node(SmrSettings {
             pipeline_depth: 2,
             ..SmrSettings::sequential(1_000_000)
         });
@@ -1091,7 +1086,7 @@ mod tests {
         let flood = MAX_BUFFERED_PER_SLOT as u64 + 500;
         for _ in 0..flood {
             let msg = slot_msg(b"node-tests", slot);
-            let mut ctx = Context::detached(ProcessId(0), SimTime::ZERO, &mut rng);
+            let mut ctx = Context::detached(ProcessId(0), SimTime::ZERO);
             node.on_message(ProcessId(1), msg, &mut ctx);
         }
         assert_eq!(node.buffered_future(), MAX_BUFFERED_PER_SLOT);
@@ -1102,7 +1097,7 @@ mod tests {
     /// fresh node reports an empty, bounded footprint.
     #[test]
     fn footprint_accessors_start_empty() {
-        let (node, _rng) = test_node(SmrSettings::sequential(4));
+        let node = test_node(SmrSettings::sequential(4));
         assert_eq!(node.resident_slots(), 0);
         assert_eq!(node.buffered_future(), 0);
         let drops = node.obs.snapshot();
@@ -1125,7 +1120,7 @@ mod tests {
     /// cached response.
     #[test]
     fn reply_cache_deduplicates_and_replays_response() {
-        let (mut node, _rng) = test_node(SmrSettings::sequential(usize::MAX));
+        let mut node = test_node(SmrSettings::sequential(usize::MAX));
         let request = RequestId { client: 9, seq: 1 };
         let entry = Entry::tagged_write(
             request,
@@ -1156,7 +1151,7 @@ mod tests {
     /// log position and never mutate it.
     #[test]
     fn log_ordered_read_observes_prefix_without_mutation() {
-        let (mut node, _rng) = test_node(SmrSettings::sequential(usize::MAX));
+        let mut node = test_node(SmrSettings::sequential(usize::MAX));
         node.apply_entry(Entry::write(Command::Put {
             key: "k".into(),
             value: "before".into(),
@@ -1176,12 +1171,12 @@ mod tests {
 
     /// A node with checkpointing at the given interval, as replica `id`
     /// of the shared 4-replica test keyring.
-    fn checkpoint_node(id: usize, interval: usize, depth: usize) -> (SmrNode<KvStore>, StdRng) {
+    fn checkpoint_node(id: usize, interval: usize, depth: usize) -> SmrNode<KvStore> {
         let n = 4;
         let cfg: SharedConfig = Arc::new(ProbftConfig::builder(n).build());
         let keyring = Keyring::generate(n, b"node-tests");
         let public = Arc::new(keyring.public());
-        let node = SmrNode::new(
+        SmrNode::new(
             cfg,
             ReplicaId::from(id),
             keyring.signing_key(id).expect("in range").clone(),
@@ -1191,8 +1186,7 @@ mod tests {
                 checkpoint_interval: interval,
                 ..SmrSettings::live(depth)
             },
-        );
-        (node, StdRng::seed_from_u64(id as u64 + 1))
+        )
     }
 
     /// A peer's signed attestation of `digest` at `slot`.
@@ -1211,7 +1205,7 @@ mod tests {
     /// Applies `count` tagged puts as one entry per slot and advances the
     /// apply frontier accordingly (the unit-test stand-in for decided
     /// consensus slots).
-    fn apply_slots(node: &mut SmrNode<KvStore>, rng: &mut StdRng, from: u64, count: u64) {
+    fn apply_slots(node: &mut SmrNode<KvStore>, from: u64, count: u64) {
         for i in from..from + count {
             let entry = Entry::tagged_write(
                 RequestId {
@@ -1228,7 +1222,7 @@ mod tests {
             // Preserve the next_open ≥ next_apply invariant the real
             // apply path maintains.
             node.next_open = node.next_open.max(i + 1);
-            let mut ctx = Context::detached(ProcessId(node.seat.id.index()), SimTime::ZERO, rng);
+            let mut ctx = Context::detached(ProcessId(node.seat.id.index()), SimTime::ZERO);
             let stable = node.checkpointer.maybe_take_checkpoint(
                 &node.applied,
                 &node.seat,
@@ -1244,8 +1238,8 @@ mod tests {
     /// digest chain all survive.
     #[test]
     fn stable_checkpoint_truncates_log_and_keeps_reply_cache() {
-        let (mut node, mut rng) = checkpoint_node(0, 2, 1);
-        apply_slots(&mut node, &mut rng, 0, 2);
+        let mut node = checkpoint_node(0, 2, 1);
+        apply_slots(&mut node, 0, 2);
         assert_eq!(node.obs.checkpoints_taken.get(), 1);
         let digest = node
             .checkpointer
@@ -1265,7 +1259,7 @@ mod tests {
         // complete it.
         assert!(node.stable_checkpoint().is_none());
         for peer in [1, 2] {
-            let mut ctx = Context::detached(ProcessId(0), SimTime::ZERO, &mut rng);
+            let mut ctx = Context::detached(ProcessId(0), SimTime::ZERO);
             node.on_message(ProcessId(peer), peer_vote(peer, 2, digest), &mut ctx);
         }
         let stable = node.stable_checkpoint().expect("quorum reached");
@@ -1289,15 +1283,15 @@ mod tests {
     #[test]
     fn laggard_restores_from_attested_state_reply() {
         // Replica 0 applies 4 slots and checkpoints at slot 4.
-        let (mut donor, mut donor_rng) = checkpoint_node(0, 4, 1);
-        apply_slots(&mut donor, &mut donor_rng, 0, 4);
+        let mut donor = checkpoint_node(0, 4, 1);
+        apply_slots(&mut donor, 0, 4);
         let (digest, snapshot) = donor.checkpointer.own_checkpoint(4).expect("own");
         let snapshot = snapshot.to_vec();
 
         // Replica 3 never saw any of it. Votes from 0, 1, 2 arrive.
-        let (mut laggard, mut rng) = checkpoint_node(3, 4, 1);
+        let mut laggard = checkpoint_node(3, 4, 1);
         for peer in [0, 1, 2] {
-            let mut ctx = Context::detached(ProcessId(3), SimTime::ZERO, &mut rng);
+            let mut ctx = Context::detached(ProcessId(3), SimTime::ZERO);
             laggard.on_message(ProcessId(peer), peer_vote(peer, 4, digest), &mut ctx);
             let requests: Vec<_> = ctx
                 .drain_actions()
@@ -1342,7 +1336,7 @@ mod tests {
         let last = bad.len() - 1;
         bad[last] ^= 0xFF;
         let dropped_before = laggard.obs.drops_invalid_checkpoint.get();
-        let mut ctx = Context::detached(ProcessId(3), SimTime::ZERO, &mut rng);
+        let mut ctx = Context::detached(ProcessId(3), SimTime::ZERO);
         laggard.on_message(
             ProcessId(1),
             SmrMessage::StateReply(StateReply {
@@ -1359,7 +1353,7 @@ mod tests {
         assert_eq!(laggard.slots_applied(), 0, "tampered snapshot ignored");
 
         // …as is a certificate short of the quorum…
-        let mut ctx = Context::detached(ProcessId(3), SimTime::ZERO, &mut rng);
+        let mut ctx = Context::detached(ProcessId(3), SimTime::ZERO);
         laggard.on_message(
             ProcessId(1),
             SmrMessage::StateReply(StateReply {
@@ -1376,7 +1370,7 @@ mod tests {
         assert_eq!(laggard.slots_applied(), 0, "sub-quorum certificate ignored");
 
         // …the attested one restores.
-        let mut ctx = Context::detached(ProcessId(3), SimTime::ZERO, &mut rng);
+        let mut ctx = Context::detached(ProcessId(3), SimTime::ZERO);
         laggard.on_message(
             ProcessId(1),
             SmrMessage::StateReply(StateReply {
@@ -1404,7 +1398,7 @@ mod tests {
             .expect("stable")
             .snapshot
             .clone();
-        let mut ctx = Context::detached(ProcessId(3), SimTime::ZERO, &mut rng);
+        let mut ctx = Context::detached(ProcessId(3), SimTime::ZERO);
         laggard.on_message(
             ProcessId(2),
             SmrMessage::StateReply(StateReply {
@@ -1426,11 +1420,11 @@ mod tests {
     fn unsolicited_checkpoint_push_restores_a_voteless_laggard() {
         // Donor: 4 slots applied, checkpoint at 4 made stable by votes
         // from peers 1 and 2.
-        let (mut donor, mut donor_rng) = checkpoint_node(0, 4, 1);
-        apply_slots(&mut donor, &mut donor_rng, 0, 4);
+        let mut donor = checkpoint_node(0, 4, 1);
+        apply_slots(&mut donor, 0, 4);
         let digest = donor.checkpointer.own_checkpoint(4).expect("own").0;
         for peer in [1, 2] {
-            let mut ctx = Context::detached(ProcessId(0), SimTime::ZERO, &mut donor_rng);
+            let mut ctx = Context::detached(ProcessId(0), SimTime::ZERO);
             donor.on_message(ProcessId(peer), peer_vote(peer, 4, digest), &mut ctx);
         }
         let stable = donor.stable_checkpoint().expect("stable");
@@ -1440,7 +1434,7 @@ mod tests {
         // makes the donor push its checkpoint — exactly once.
         let mut pushes = Vec::new();
         for _ in 0..3 {
-            let mut ctx = Context::detached(ProcessId(0), SimTime::ZERO, &mut donor_rng);
+            let mut ctx = Context::detached(ProcessId(0), SimTime::ZERO);
             donor.on_message(ProcessId(3), slot_msg(b"node-tests", 0), &mut ctx);
             pushes.extend(ctx.drain_actions().into_iter().filter_map(|a| match a {
                 Action::Send {
@@ -1455,8 +1449,8 @@ mod tests {
         assert_eq!(to, ProcessId(3));
 
         // The voteless laggard accepts it purely on the certificate.
-        let (mut laggard, mut rng) = checkpoint_node(3, 4, 1);
-        let mut ctx = Context::detached(ProcessId(3), SimTime::ZERO, &mut rng);
+        let mut laggard = checkpoint_node(3, 4, 1);
+        let mut ctx = Context::detached(ProcessId(3), SimTime::ZERO);
         laggard.on_message(ProcessId(0), SmrMessage::StateReply(rep), &mut ctx);
         assert_eq!(laggard.slots_applied(), 4);
         assert_eq!(laggard.state(), donor.state());
@@ -1472,10 +1466,10 @@ mod tests {
     #[test]
     fn a_transfer_keeps_the_view_timer_and_the_slots_it_lands_on() {
         let (interval, depth) = (8, 1);
-        let (mut donor, mut donor_rng) = checkpoint_node(0, interval, depth);
-        apply_slots(&mut donor, &mut donor_rng, 0, 8);
+        let mut donor = checkpoint_node(0, interval, depth);
+        apply_slots(&mut donor, 0, 8);
         let digest = donor.checkpointer.own_checkpoint(8).expect("own").0;
-        let mut ctx = Context::detached(ProcessId(0), SimTime::ZERO, &mut donor_rng);
+        let mut ctx = Context::detached(ProcessId(0), SimTime::ZERO);
         for peer in [1, 2] {
             donor.on_message(ProcessId(peer), peer_vote(peer, 8, digest), &mut ctx);
         }
@@ -1488,8 +1482,8 @@ mod tests {
             _ => None,
         });
 
-        let (mut laggard, mut rng) = checkpoint_node(3, interval, depth);
-        let mut ctx = Context::detached(ProcessId(3), SimTime::ZERO, &mut rng);
+        let mut laggard = checkpoint_node(3, interval, depth);
+        let mut ctx = Context::detached(ProcessId(3), SimTime::ZERO);
         for slot in [0, 8] {
             laggard.on_message(ProcessId(1), slot_msg(b"node-tests", slot), &mut ctx);
         }
@@ -1516,8 +1510,8 @@ mod tests {
 
         // Restored with nothing to reopen, the kept timer wishes once when
         // it fires and then stops: an idle node times nothing.
-        let (mut idle, mut rng) = checkpoint_node(3, interval, depth);
-        let mut ctx = Context::detached(ProcessId(3), SimTime::ZERO, &mut rng);
+        let mut idle = checkpoint_node(3, interval, depth);
+        let mut ctx = Context::detached(ProcessId(3), SimTime::ZERO);
         idle.on_message(ProcessId(1), slot_msg(b"node-tests", 0), &mut ctx);
         idle.on_message(ProcessId(0), rep, &mut ctx);
         assert_eq!(idle.resident_slots(), 0);
@@ -1544,16 +1538,16 @@ mod tests {
     #[test]
     fn checkpoint_is_pushed_only_to_a_peer_that_would_take_it() {
         let depth = 2;
-        let (mut donor, mut donor_rng) = checkpoint_node(0, 4, depth);
-        apply_slots(&mut donor, &mut donor_rng, 0, 4);
+        let mut donor = checkpoint_node(0, 4, depth);
+        apply_slots(&mut donor, 0, 4);
         let digest = donor.checkpointer.own_checkpoint(4).expect("own").0;
         for peer in [1, 2] {
-            let mut ctx = Context::detached(ProcessId(0), SimTime::ZERO, &mut donor_rng);
+            let mut ctx = Context::detached(ProcessId(0), SimTime::ZERO);
             donor.on_message(ProcessId(peer), peer_vote(peer, 4, digest), &mut ctx);
         }
         let stable = donor.stable_checkpoint().expect("stable").slot;
         let mut push_for = |slot: u64| {
-            let mut ctx = Context::detached(ProcessId(0), SimTime::ZERO, &mut donor_rng);
+            let mut ctx = Context::detached(ProcessId(0), SimTime::ZERO);
             donor.on_message(ProcessId(3), slot_msg(b"node-tests", slot), &mut ctx);
             ctx.drain_actions().into_iter().any(|a| {
                 matches!(
@@ -1584,27 +1578,26 @@ mod tests {
         let cfg: SharedConfig = Arc::new(ProbftConfig::builder(N).build());
         let keyring = Keyring::generate(N, b"node-tests");
         let public = Arc::new(keyring.public());
-        let mut nodes: Vec<(SmrNode<KvStore>, StdRng)> = (0..N)
+        let mut nodes: Vec<SmrNode<KvStore>> = (0..N)
             .map(|id| {
-                let node = SmrNode::new(
+                SmrNode::new(
                     cfg.clone(),
                     ReplicaId::from(id),
                     keyring.signing_key(id).expect("in range").clone(),
                     public.clone(),
                     Vec::new(),
                     SmrSettings::live(1),
-                );
-                (node, StdRng::seed_from_u64(id as u64))
+                )
             })
             .collect();
         /// Runs `f` on node `id`; returns what it sent as `(from, to, msg)`.
         fn step(
-            nodes: &mut [(SmrNode<KvStore>, StdRng)],
+            nodes: &mut [SmrNode<KvStore>],
             id: usize,
-            f: impl FnOnce(&mut SmrNode<KvStore>, &mut Context<'_, SmrMessage>),
+            f: impl FnOnce(&mut SmrNode<KvStore>, &mut Context<SmrMessage>),
         ) -> Vec<(usize, usize, SmrMessage)> {
-            let (node, rng) = &mut nodes[id];
-            let mut ctx = Context::detached(ProcessId(id), SimTime::ZERO, rng);
+            let node = &mut nodes[id];
+            let mut ctx = Context::detached(ProcessId(id), SimTime::ZERO);
             f(node, &mut ctx);
             ctx.drain_actions()
                 .into_iter()
@@ -1637,7 +1630,7 @@ mod tests {
                 }));
             }
         }
-        assert_eq!(nodes[0].0.slots_applied(), 2);
+        assert_eq!(nodes[0].slots_applied(), 2);
         // Slot 1's traffic first (buffered: the window is slot 0 alone),
         // then slot 0's.
         let slot_of = |msg: &SmrMessage| match msg {
@@ -1650,8 +1643,8 @@ mod tests {
                 n.on_message(ProcessId(from), msg, ctx)
             });
         }
-        assert_eq!(nodes[LATE].0.slots_applied(), 2, "slot 1 never opened");
-        assert_eq!(nodes[LATE].0.log_digest(), nodes[0].0.log_digest());
+        assert_eq!(nodes[LATE].slots_applied(), 2, "slot 1 never opened");
+        assert_eq!(nodes[LATE].log_digest(), nodes[0].log_digest());
     }
 
     /// A genuine, correctly certified `StateReply` for a checkpoint the
@@ -1659,18 +1652,18 @@ mod tests {
     /// in-flight slots whose traffic peers never retransmit.
     #[test]
     fn in_window_state_reply_leaves_in_flight_slots_alone() {
-        let (mut donor, mut donor_rng) = checkpoint_node(0, 4, 1);
-        apply_slots(&mut donor, &mut donor_rng, 0, 4);
+        let mut donor = checkpoint_node(0, 4, 1);
+        apply_slots(&mut donor, 0, 4);
         let digest = donor.checkpointer.own_checkpoint(4).expect("own").0;
         for peer in [1, 2] {
-            let mut ctx = Context::detached(ProcessId(0), SimTime::ZERO, &mut donor_rng);
+            let mut ctx = Context::detached(ProcessId(0), SimTime::ZERO);
             donor.on_message(ProcessId(peer), peer_vote(peer, 4, digest), &mut ctx);
         }
         let rep = donor.stable_checkpoint().expect("stable").clone();
 
         // Depth 4: slot 4 is exactly `next_apply + pipeline_depth`.
-        let (mut node, mut rng) = checkpoint_node(3, 4, 4);
-        let mut ctx = Context::detached(ProcessId(3), SimTime::ZERO, &mut rng);
+        let mut node = checkpoint_node(3, 4, 4);
+        let mut ctx = Context::detached(ProcessId(3), SimTime::ZERO);
         node.on_redirect(&mut ctx);
         node.on_message(ProcessId(0), SmrMessage::StateReply(rep.clone()), &mut ctx);
         assert_eq!(node.resident_slots(), 1, "the open slot survives");
@@ -1679,8 +1672,8 @@ mod tests {
         assert_eq!(node.obs.drops_invalid_checkpoint.get(), 0, "genuine");
 
         // One slot shallower and the same reply is out of reach: restore.
-        let (mut shallow, mut rng) = checkpoint_node(3, 4, 3);
-        let mut ctx = Context::detached(ProcessId(3), SimTime::ZERO, &mut rng);
+        let mut shallow = checkpoint_node(3, 4, 3);
+        let mut ctx = Context::detached(ProcessId(3), SimTime::ZERO);
         shallow.on_message(ProcessId(0), SmrMessage::StateReply(rep), &mut ctx);
         assert_eq!(shallow.slots_applied(), 4);
     }
@@ -1688,8 +1681,8 @@ mod tests {
     /// Unsigned or forged checkpoint votes never count toward a quorum.
     #[test]
     fn forged_checkpoint_votes_are_dropped() {
-        let (mut node, mut rng) = checkpoint_node(0, 2, 1);
-        apply_slots(&mut node, &mut rng, 0, 2);
+        let mut node = checkpoint_node(0, 2, 1);
+        apply_slots(&mut node, 0, 2);
         let digest = node.checkpointer.own_checkpoint(2).expect("own").0;
         // Votes "from" replicas 1 and 2, but signed with the wrong keys.
         let other = Keyring::generate(4, b"imposter");
@@ -1702,7 +1695,7 @@ mod tests {
                     digest,
                 },
             );
-            let mut ctx = Context::detached(ProcessId(0), SimTime::ZERO, &mut rng);
+            let mut ctx = Context::detached(ProcessId(0), SimTime::ZERO);
             node.on_message(
                 ProcessId(peer),
                 SmrMessage::CheckpointVote(forged),
@@ -1734,8 +1727,8 @@ mod tests {
     /// leader.
     #[test]
     fn redirect_opens_one_slot_only_on_idle_lazy_nodes() {
-        let (mut node, mut rng) = checkpoint_node(1, 0, 4);
-        let mut ctx = Context::detached(ProcessId(1), SimTime::ZERO, &mut rng);
+        let mut node = checkpoint_node(1, 0, 4);
+        let mut ctx = Context::detached(ProcessId(1), SimTime::ZERO);
         node.on_redirect(&mut ctx);
         assert_eq!(node.slots_opened(), 1);
         // The one timer runs, sized for a view no further than progress.
@@ -1749,14 +1742,14 @@ mod tests {
             .collect();
         assert_eq!(timers, [node.seat.cfg.base_timeout()]);
         // Already in flight: a second redirect is a no-op.
-        let mut ctx = Context::detached(ProcessId(1), SimTime::ZERO, &mut rng);
+        let mut ctx = Context::detached(ProcessId(1), SimTime::ZERO);
         node.on_redirect(&mut ctx);
         assert_eq!(node.slots_opened(), 1);
         assert!(ctx.drain_actions().is_empty());
         // Workload-mode nodes open nothing on a redirect (the workload
         // drives them).
-        let (mut eager, mut rng2) = test_node(SmrSettings::sequential(4));
-        let mut ctx2 = Context::detached(ProcessId(0), SimTime::ZERO, &mut rng2);
+        let mut eager = test_node(SmrSettings::sequential(4));
+        let mut ctx2 = Context::detached(ProcessId(0), SimTime::ZERO);
         eager.on_redirect(&mut ctx2);
         assert_eq!(eager.slots_opened(), 0);
     }

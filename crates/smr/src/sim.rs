@@ -46,8 +46,6 @@ use probft_simnet::metrics::Measurable;
 use probft_simnet::process::{Action, Context, Process, ProcessId, TimerToken};
 use probft_simnet::sim::{RunOutcome, Simulation};
 use probft_simnet::time::{SimDuration, SimTime};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 use std::time::Duration;
@@ -191,7 +189,7 @@ impl Client {
 
     /// Sends the front request where the policy says, or wakes when it is
     /// due.
-    fn send(&mut self, ctx: &mut Context<'_, Msg>) {
+    fn send(&mut self, ctx: &mut Context<Msg>) {
         let Some((due, request, op)) = self.queue.front() else {
             return;
         };
@@ -213,13 +211,13 @@ impl Client {
 impl Process for Client {
     type Message = Msg;
 
-    fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
+    fn on_start(&mut self, ctx: &mut Context<Msg>) {
         self.send(ctx);
     }
 
     /// A reply to the attempt in flight; any other (an earlier attempt's,
     /// from a replica since left) is dropped, as with its connection.
-    fn on_message(&mut self, from: ProcessId, msg: Msg, ctx: &mut Context<'_, Msg>) {
+    fn on_message(&mut self, from: ProcessId, msg: Msg, ctx: &mut Context<Msg>) {
         let (Msg::Reply(reply), Some((_, asked))) = (msg, self.asked) else {
             return;
         };
@@ -244,7 +242,7 @@ impl Process for Client {
         }
     }
 
-    fn on_timer(&mut self, token: TimerToken, ctx: &mut Context<'_, Msg>) {
+    fn on_timer(&mut self, token: TimerToken, ctx: &mut Context<Msg>) {
         match self.asked {
             None if token == WAKE => self.send(ctx),
             Some((attempt, asked)) if token == attempt => {
@@ -259,7 +257,7 @@ impl Process for Client {
 /// A Byzantine replica's behaviour beside its honest node: called at start
 /// (`None`) and after the node handled each peer message.
 pub type Strategy =
-    Box<dyn FnMut(Option<&SmrMessage>, &SmrNode<KvStore>, &mut Context<'_, SmrMessage>)>;
+    Box<dyn FnMut(Option<&SmrMessage>, &SmrNode<KvStore>, &mut Context<SmrMessage>)>;
 
 /// What a cluster is made of. [`Spec::new`] is the live cluster's shape —
 /// its view timeout, serving mode at depth 4 — on [`network`].
@@ -315,8 +313,6 @@ pub struct Member {
     redirect_at: Option<SimTime>,
     /// Paused: input dropped, timers held until resume, nothing sent.
     paused: bool,
-    /// Handed to the node's contexts, which draw nothing from it.
-    rng: StdRng,
     /// Test probe: `(when, delay)` of the first 4 096 timers the node set.
     pub timers: Vec<(SimTime, SimDuration)>,
     /// Test probe: when the node first sent a wish of its own to a peer.
@@ -352,14 +348,14 @@ impl Member {
     /// node did, and sends the answers it applied.
     fn observe<R>(
         &mut self,
-        ctx: &mut Context<'_, Msg>,
+        ctx: &mut Context<Msg>,
         step: impl FnOnce(
             &mut SmrNode<KvStore>,
             &mut Frontend<ProcessId>,
-            &mut Context<'_, SmrMessage>,
+            &mut Context<SmrMessage>,
         ) -> R,
     ) -> R {
-        let mut inner = Context::detached(ctx.id(), ctx.now(), &mut self.rng);
+        let mut inner = Context::detached(ctx.id(), ctx.now());
         let out = step(&mut self.node, &mut self.frontend, &mut inner);
         let answers = self.frontend.on_applied(&mut self.node, &inner);
         for action in inner.drain_actions() {
@@ -386,7 +382,7 @@ impl Member {
     }
 
     /// Runs the Byzantine strategy, if any, after the node heard `heard`.
-    fn scheme(&mut self, heard: Option<&SmrMessage>, ctx: &mut Context<'_, Msg>) {
+    fn scheme(&mut self, heard: Option<&SmrMessage>, ctx: &mut Context<Msg>) {
         if let Some(mut strategy) = self.strategy.take() {
             self.observe(ctx, |node, _, ctx| strategy(heard, node, ctx));
             self.strategy = Some(strategy);
@@ -401,7 +397,7 @@ fn is_wish(msg: &SmrMessage) -> bool {
 impl Process for Member {
     type Message = Msg;
 
-    fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
+    fn on_start(&mut self, ctx: &mut Context<Msg>) {
         if let Some(at) = self.redirect_at {
             ctx.set_timer(SimDuration::from_ticks(at.ticks()), REDIRECT);
         }
@@ -409,7 +405,7 @@ impl Process for Member {
         self.scheme(None, ctx);
     }
 
-    fn on_message(&mut self, from: ProcessId, msg: Msg, ctx: &mut Context<'_, Msg>) {
+    fn on_message(&mut self, from: ProcessId, msg: Msg, ctx: &mut Context<Msg>) {
         if self.paused {
             return;
         }
@@ -434,7 +430,7 @@ impl Process for Member {
         }
     }
 
-    fn on_timer(&mut self, token: TimerToken, ctx: &mut Context<'_, Msg>) {
+    fn on_timer(&mut self, token: TimerToken, ctx: &mut Context<Msg>) {
         if self.paused {
             // Held: looked at again after the host's paused-replica wait.
             ctx.set_timer(SimDuration::from_ticks(PAUSED_POLL), token);
@@ -466,15 +462,15 @@ impl Proc {
 impl Process for Proc {
     type Message = Msg;
 
-    fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
+    fn on_start(&mut self, ctx: &mut Context<Msg>) {
         self.process().on_start(ctx);
     }
 
-    fn on_message(&mut self, from: ProcessId, msg: Msg, ctx: &mut Context<'_, Msg>) {
+    fn on_message(&mut self, from: ProcessId, msg: Msg, ctx: &mut Context<Msg>) {
         self.process().on_message(from, msg, ctx);
     }
 
-    fn on_timer(&mut self, token: TimerToken, ctx: &mut Context<'_, Msg>) {
+    fn on_timer(&mut self, token: TimerToken, ctx: &mut Context<Msg>) {
         self.process().on_timer(token, ctx);
     }
 }
@@ -528,7 +524,6 @@ impl Cluster {
                 strategy: strategy.map(|k| spec.byzantine.remove(k).1),
                 redirect_at,
                 paused: false,
-                rng: StdRng::seed_from_u64(0),
                 timers: Vec::new(),
                 first_wish_at: None,
                 wishes_heard: 0,

@@ -19,7 +19,7 @@ use live::{hammer, nemesis_dir, sweep};
 use probft::runtime::nemesis::{execute, Fault, FaultPlan};
 use probft::runtime::LiveSmrBuilder;
 use probft::smr::nemesis::SPRAY_FRAMES;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Acceptance: a Byzantine peer sprays far-future wishes over TCP, and
 /// then the leader dies mid-stream, while four clients hammer the cluster.
@@ -38,10 +38,22 @@ fn leader_kill_mid_stream_under_concurrent_load() {
         .start()
         .expect("cluster boots");
 
+    // The plan starts once a quarter of the 800 writes is applied, so the
+    // kill lands with requests in flight. Timed from boot instead, a fast
+    // machine could confirm them all first, and no survivor had work left
+    // to recover on.
     let plan = FaultPlan::new(seed)
-        .at(Duration::from_millis(100), Fault::FarFutureSpray)
-        .at(Duration::from_millis(200), Fault::KillLeader);
+        .at(Duration::ZERO, Fault::FarFutureSpray)
+        .at(Duration::from_millis(50), Fault::KillLeader);
     let (confirmed, _, _) = hammer(&cluster, 4, 200, || {
+        let give_up = Instant::now() + Duration::from_secs(60);
+        while cluster.applied_lens().into_iter().max() < Some(200) && Instant::now() < give_up {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the test polls a live cluster from outside"
+            )]
+            std::thread::sleep(Duration::from_millis(1));
+        }
         let run = execute(&cluster, &plan);
         run.write_transcript(nemesis_dir().join(format!("leader_kill-seed{seed}.log")))
             .expect("transcript written");

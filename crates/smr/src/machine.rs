@@ -90,6 +90,8 @@ pub struct RequestId {
     pub seq: u64,
 }
 
+wire_fields! { impl Wire for RequestId { client, seq } }
+
 impl fmt::Display for RequestId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "c{}#{}", self.client, self.seq)
@@ -440,6 +442,19 @@ mod tests {
         .encode(&mut torn);
         torn.truncate(torn.len() - 1);
         assert!(Batch::<Command>::from_wire_bytes(&torn).is_err());
+    }
+
+    #[test]
+    fn request_id_is_client_then_seq() {
+        let request = RequestId { client: 7, seq: 42 };
+        let bytes = request.to_wire_bytes();
+        assert_eq!(bytes, [7u64.to_be_bytes(), 42u64.to_be_bytes()].concat());
+        assert_eq!(request.wire_len(), 16);
+        assert_eq!(RequestId::from_wire_bytes(&bytes), Ok(request));
+        assert_eq!(
+            RequestId::from_wire_bytes(&bytes[..15]),
+            Err(WireError::UnexpectedEnd)
+        );
     }
 
     #[test]

@@ -50,10 +50,10 @@ use probft::hotstuff::{
 };
 use probft::pbft::{PbftMessage, PbftNewLeader, PbftPropose, Vote, VoteBody, VotePhase};
 use probft::quorum::ReplicaId;
-use probft::runtime::SmrFrame;
+use probft::runtime::{SmrFrame, SmrReply};
 use probft::smr::{
-    CheckpointBody, CheckpointVote, Command, KvResponse, KvStore, SlotMessage, Snapshot,
-    StateMachine, StateReply, StateRequest,
+    CheckpointBody, CheckpointVote, Command, Consistency, KvResponse, KvStore, OpKind, RequestId,
+    SlotMessage, Snapshot, StateMachine, StateReply, StateRequest,
 };
 use std::collections::BTreeMap;
 
@@ -733,4 +733,198 @@ const GOLDEN_TRANSFER: &[(&str, usize, &str)] = &[
 #[test]
 fn checkpoint_transfer_encodings_are_pinned() {
     assert_pinned(transfer_rows(), GOLDEN_TRANSFER);
+}
+
+/// One fixed instance of each encoding on the client path: the two frames a
+/// client sends, the four replies it gets back (a redirect carrying the
+/// leader's address), each `Command` and `KvResponse` shape and the request
+/// id. `(name, wire bytes)`, each checked to decode back equal. Generated on
+/// the commit before these enums' codecs became `wire_fields!` declarations.
+fn client_rows() -> Vec<(&'static str, Vec<u8>)> {
+    let request = RequestId { client: 7, seq: 3 };
+    let frame = |frame: SmrFrame<KvStore>| round_trip(&frame).to_wire_bytes();
+    let reply = |reply: SmrReply<KvResponse>| frame(SmrFrame::Reply(reply));
+    let mut rows = vec![
+        ("RequestId", round_trip(&request).to_wire_bytes()),
+        (
+            "SmrFrame::Request",
+            frame(SmrFrame::Request {
+                request,
+                kind: OpKind::Write,
+                op: Command::Put {
+                    key: "k".into(),
+                    value: "v".into(),
+                },
+            }),
+        ),
+        (
+            "SmrFrame::ReadRequest",
+            frame(SmrFrame::ReadRequest {
+                request,
+                consistency: Consistency::Leader,
+                op: Command::Get { key: "k".into() },
+            }),
+        ),
+        (
+            "SmrReply::Applied",
+            reply(SmrReply::Applied {
+                request,
+                response: KvResponse::Prev(Some("old".into())),
+            }),
+        ),
+        (
+            "SmrReply::Read",
+            reply(SmrReply::Read {
+                request,
+                response: KvResponse::Value(Some("v".into())),
+            }),
+        ),
+        (
+            "SmrReply::Redirect",
+            reply(SmrReply::Redirect {
+                request,
+                leader: ReplicaId(2),
+                addr: "127.0.0.1:7002".parse().unwrap(),
+            }),
+        ),
+        (
+            "SmrReply::Overloaded",
+            reply(SmrReply::Overloaded {
+                request,
+                queued: 64,
+            }),
+        ),
+    ];
+    let commands = [
+        (
+            "Command::Put",
+            Command::Put {
+                key: "key".into(),
+                value: "value".into(),
+            },
+        ),
+        ("Command::Delete", Command::Delete { key: "key".into() }),
+        ("Command::Noop", Command::Noop),
+        ("Command::Get", Command::Get { key: "key".into() }),
+    ];
+    let responses = [
+        ("KvResponse::Unit", KvResponse::Unit),
+        ("KvResponse::Prev(None)", KvResponse::Prev(None)),
+        (
+            "KvResponse::Prev(Some)",
+            KvResponse::Prev(Some("old".into())),
+        ),
+        (
+            "KvResponse::Removed(Some)",
+            KvResponse::Removed(Some("gone".into())),
+        ),
+        ("KvResponse::Removed(None)", KvResponse::Removed(None)),
+        (
+            "KvResponse::Value(Some)",
+            KvResponse::Value(Some("v".into())),
+        ),
+        ("KvResponse::Value(None)", KvResponse::Value(None)),
+    ];
+    rows.extend(commands.map(|(name, c)| (name, round_trip(&c).to_wire_bytes())));
+    rows.extend(responses.map(|(name, r)| (name, round_trip(&r).to_wire_bytes())));
+    rows
+}
+
+/// `(name, wire length, SHA-256 of the wire bytes)`.
+const GOLDEN_CLIENT: &[(&str, usize, &str)] = &[
+    (
+        "RequestId",
+        16,
+        "4258d21fa8b089775e259aa9febfd960b65e9680b40d5bb7e9dfc74ccc784538",
+    ),
+    (
+        "SmrFrame::Request",
+        37,
+        "5ce42ebdfae0fc4fb8d78416b9f0f07ac6d97b723d72a28400f49f45587f5716",
+    ),
+    (
+        "SmrFrame::ReadRequest",
+        28,
+        "9138ab079ec714a907fb0407f95d567b86a80febd222f06c5b9bf739988607c2",
+    ),
+    (
+        "SmrReply::Applied",
+        30,
+        "f2b9335c1e81531a92742ed0d388254562b896fd1af90b7f71d820f367a1cf16",
+    ),
+    (
+        "SmrReply::Read",
+        28,
+        "8ef2e8c35a3ebbe4ab71112877cb4830a5b45ee072e42090d8762a05989dd999",
+    ),
+    (
+        "SmrReply::Redirect",
+        43,
+        "2d6c6325af0cf127782f2a6e4b9f86b52fc2450ab98398487a959a23842f401f",
+    ),
+    (
+        "SmrReply::Overloaded",
+        21,
+        "702359a78934596dc5f2ce1da89567a85875ffb6de4a7a02b8772fa283225153",
+    ),
+    (
+        "Command::Put",
+        25,
+        "0844a24926c9dcfed9468704648a5128142f8352ee6f7054c68a3792e0cc2fc2",
+    ),
+    (
+        "Command::Delete",
+        12,
+        "79e4ed2d6c0089dbfb21077f31231bf1cfe42c12775a406a5eea90f694cc3f4b",
+    ),
+    (
+        "Command::Noop",
+        1,
+        "084fed08b978af4d7d196a7446a86b58009e636b611db16211b65a9aadff29c5",
+    ),
+    (
+        "Command::Get",
+        12,
+        "7b9ded4fb7cc2b6a07f528ad3c14dbb9d74f87bb4c4034c3a72571e93feef01b",
+    ),
+    (
+        "KvResponse::Unit",
+        1,
+        "4bf5122f344554c53bde2ebb8cd2b7e3d1600ad631c385a5d7cce23c7785459a",
+    ),
+    (
+        "KvResponse::Prev(None)",
+        2,
+        "99be5efb88ca2013bd8e4eb035fd42d5245468fe9afa70d8ba9c1c419a48c4e8",
+    ),
+    (
+        "KvResponse::Prev(Some)",
+        13,
+        "389e5f06e03353f9172fb4de0c36cac615f07b9f2ea4ce85981282030fd2b30a",
+    ),
+    (
+        "KvResponse::Removed(Some)",
+        14,
+        "86f869707b31dd4307671f4d9eae5fc1b16258e3d16e1767af1d6de5895fedf2",
+    ),
+    (
+        "KvResponse::Removed(None)",
+        2,
+        "9b4fb24edd6d1d8830e272398263cdbf026b97392cc35387b991dc0248a628f9",
+    ),
+    (
+        "KvResponse::Value(Some)",
+        11,
+        "097820c25f8b413ddea156cd9ab570fd876076a251e8a52034f13e5aa1ff7052",
+    ),
+    (
+        "KvResponse::Value(None)",
+        2,
+        "c0ba8a33ac67f44abff5984dfbb6f56c46b880ac2b86e1f23e7fa9c402c53ae7",
+    ),
+];
+
+#[test]
+fn client_encodings_are_pinned() {
+    assert_pinned(client_rows(), GOLDEN_CLIENT);
 }

@@ -634,7 +634,7 @@ impl<V: CertVote> MessageOf<V> {
 
 wire_fields! {
     impl<V: CertVote> Wire for MessageOf<V> {
-        1 => Propose, 2 => Prepare, 3 => Commit, 4 => NewLeader, 5 => Wish
+        1 => Propose(m), 2 => Prepare(m), 3 => Commit(m), 4 => NewLeader(m), 5 => Wish(m)
     }
 }
 

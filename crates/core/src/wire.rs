@@ -12,8 +12,8 @@
 //! type's [`Wire::encode`], [`Wire::wire_len`] and [`Wire::decode`] from
 //! one field list, so the byte count the simulator charges cannot drift
 //! from the bytes a socket carries. Only what is not a plain field list
-//! (a capped count, a flag byte, a struct variant, a vote's optional
-//! proof) is written by hand.
+//! (a capped count, a flag byte, a vote's optional proof) is written by
+//! hand.
 //!
 //! "What is signed" is exactly "what is sent", and that is enforced, not
 //! promised: a signed message is a [`Signed<B>`](crate::signed::Signed)
@@ -27,6 +27,7 @@ use probft_crypto::vrf::{VrfProof, VRF_PROOF_LEN};
 use probft_quorum::ReplicaId;
 use std::error::Error;
 use std::fmt;
+use std::net::SocketAddr;
 
 /// Errors produced while decoding wire bytes.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -117,18 +118,19 @@ pub trait Wire: Sized {
 ///   `wire_fields! { impl<V: Wire> Wire for NewLeaderBody<V> { sender, view, … } }`
 ///   encodes the fields in list order, sums their [`Wire::wire_len`]s with
 ///   [`fields_len`], and decodes a struct literal in the same order.
-/// * An enum whose variants each wrap one `Wire` value, by tag:
-///   `wire_fields! { impl Wire for HsMessage { 1 => NewView, 2 => Broadcast, … } }`
-///   writes the tag byte, then the payload; an unlisted tag decodes to
-///   [`WireError::UnknownTag`].
-/// * An enum of unit variants, by tag: `wire_fields! { impl Wire for HsPhase
-///   { Prepare = 1, … } }` is the tag byte alone.
+/// * An enum, by tag: each variant is the tag byte, then its fields in
+///   list order. A variant is a unit (`3 => Noop`), one payload named for
+///   the expansion (`2 => Prepare(m)`) or named fields
+///   (`1 => Propose { value, high_qc }`); an unlisted tag decodes to
+///   [`WireError::UnknownTag`]. One last `_ => Reply` may wrap an enum
+///   whose tags are its own: it is encoded as that enum alone, and every
+///   tag not listed decodes as it.
 #[macro_export]
 macro_rules! wire_fields {
-    (impl $(<$g:ident: $bound:path>)? Wire for $ty:ident $(<$p:ident>)? {
+    (impl $(<$($g:ident: $bound:path),+>)? Wire for $ty:ident $(<$($p:ident),+>)? {
         $($field:ident),+ $(,)?
     }) => {
-        impl $(<$g: $bound>)? $crate::wire::Wire for $ty $(<$p>)? {
+        impl $(<$($g: $bound),+>)? $crate::wire::Wire for $ty $(<$($p),+>)? {
             fn encode(&self, out: &mut Vec<u8>) {
                 $($crate::wire::Wire::encode(&self.$field, out);)+
             }
@@ -140,46 +142,48 @@ macro_rules! wire_fields {
             }
         }
     };
-    (impl $(<$g:ident: $bound:path>)? Wire for $ty:ident $(<$p:ident>)? {
-        $($tag:literal => $variant:ident),+ $(,)?
+    (impl $(<$($g:ident: $bound:path),+>)? Wire for $ty:ident $(<$($p:ident),+>)? {
+        $($tag:literal => $variant:ident $(($one:ident))? $({ $($field:ident),+ $(,)? })?),+
+        $(, _ => $inner:ident)? $(,)?
     }) => {
-        impl $(<$g: $bound>)? $crate::wire::Wire for $ty $(<$p>)? {
+        impl $(<$($g: $bound),+>)? $crate::wire::Wire for $ty $(<$($p),+>)? {
             fn encode(&self, out: &mut Vec<u8>) {
                 match self {
-                    $(Self::$variant(v) => $crate::wire::put::tagged(out, $tag, v),)+
+                    $(Self::$variant $(($one))? $({ $($field),+ })? => {
+                        out.push($tag);
+                        $($crate::wire::Wire::encode($one, out);)?
+                        $($($crate::wire::Wire::encode($field, out);)+)?
+                    })+
+                    $(Self::$inner(v) => $crate::wire::Wire::encode(v, out),)?
                 }
             }
             fn wire_len(&self) -> usize {
-                let payload = match self {
-                    $(Self::$variant(v) => $crate::wire::Wire::wire_len(v),)+
-                };
-                $crate::wire::fields_len([1, payload])
+                match self {
+                    $(Self::$variant $(($one))? $({ $($field),+ })? => $crate::wire::fields_len([
+                        1 $(, $crate::wire::Wire::wire_len($one))?
+                        $($(, $crate::wire::Wire::wire_len($field))+)?
+                    ]),)+
+                    $(Self::$inner(v) => $crate::wire::Wire::wire_len(v),)?
+                }
             }
             fn decode(r: &mut $crate::wire::Reader<'_>) -> Result<Self, $crate::wire::WireError> {
-                match r.u8()? {
-                    $($tag => Ok(Self::$variant($crate::wire::Wire::decode(r)?)),)+
-                    t => Err($crate::wire::WireError::UnknownTag(t)),
+                match r.peek()? {
+                    $($tag => {
+                        r.u8()?;
+                        $(let $one = $crate::wire::Wire::decode(r)?;)?
+                        $($(let $field = $crate::wire::Wire::decode(r)?;)+)?
+                        Ok(Self::$variant $(($one))? $({ $($field),+ })?)
+                    })+
+                    _ => $crate::wire_fields!(@unlisted r $(, $inner)?),
                 }
             }
         }
     };
-    (impl Wire for $ty:ident { $($variant:ident = $tag:literal),+ $(,)? }) => {
-        impl $crate::wire::Wire for $ty {
-            fn encode(&self, out: &mut Vec<u8>) {
-                out.push(match self {
-                    $(Self::$variant => $tag,)+
-                });
-            }
-            fn wire_len(&self) -> usize {
-                1
-            }
-            fn decode(r: &mut $crate::wire::Reader<'_>) -> Result<Self, $crate::wire::WireError> {
-                match r.u8()? {
-                    $($tag => Ok(Self::$variant),)+
-                    t => Err($crate::wire::WireError::UnknownTag(t)),
-                }
-            }
-        }
+    (@unlisted $r:ident) => {
+        Err($crate::wire::WireError::UnknownTag($r.u8()?))
+    };
+    (@unlisted $r:ident, $inner:ident) => {
+        Ok(Self::$inner($crate::wire::Wire::decode($r)?))
     };
 }
 
@@ -277,12 +281,6 @@ impl<'a> Reader<'a> {
 
 /// Encoder helpers mirroring [`Reader`].
 pub mod put {
-    /// Appends an enum variant's tag byte followed by its payload.
-    pub fn tagged(out: &mut Vec<u8>, tag: u8, payload: &impl super::Wire) {
-        out.push(tag);
-        payload.encode(out);
-    }
-
     /// Appends a big-endian `u32`.
     pub fn u32(out: &mut Vec<u8>, v: u32) {
         out.extend_from_slice(&v.to_be_bytes());
@@ -325,7 +323,10 @@ impl<T: Wire> Wire for Vec<T> {
 impl<T: Wire> Wire for Option<T> {
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
-            Some(value) => put::tagged(out, 1, value),
+            Some(value) => {
+                out.push(1);
+                value.encode(out);
+            }
             None => out.push(0),
         }
     }
@@ -350,6 +351,46 @@ impl Wire for u64 {
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         r.u64()
+    }
+}
+
+impl Wire for u32 {
+    fn encode(&self, out: &mut Vec<u8>) {
+        put::u32(out, *self);
+    }
+    fn wire_len(&self) -> usize {
+        4
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        r.u32()
+    }
+}
+
+/// Length-prefixed UTF-8.
+impl Wire for String {
+    fn encode(&self, out: &mut Vec<u8>) {
+        put::var_bytes(out, self.as_bytes());
+    }
+    fn wire_len(&self) -> usize {
+        fields_len([8, self.len()])
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        String::from_utf8(r.var_bytes()?.to_vec()).map_err(|_| WireError::BadCrypto("utf-8"))
+    }
+}
+
+/// The address's text form, as a [`String`].
+impl Wire for SocketAddr {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.to_string().encode(out);
+    }
+    fn wire_len(&self) -> usize {
+        self.to_string().wire_len()
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        String::decode(r)?
+            .parse()
+            .map_err(|_| WireError::BadCrypto("socket address"))
     }
 }
 
@@ -540,6 +581,102 @@ mod tests {
         assert_eq!(
             VrfProof::from_wire_bytes(&[0xFF; VRF_PROOF_LEN]),
             Err(WireError::BadCrypto("vrf proof"))
+        );
+    }
+
+    /// Every variant shape the enum arm takes, over two generic parameters.
+    #[derive(Debug, PartialEq)]
+    enum Shape<A, B> {
+        Unit,
+        One(A),
+        Named { first: A, second: B },
+    }
+
+    crate::wire_fields! {
+        impl<A: Wire, B: Wire> Wire for Shape<A, B> {
+            1 => Unit, 2 => One(v), 5 => Named { first, second }
+        }
+    }
+
+    /// An enum that hands every tag it does not list to `Shape`.
+    #[derive(Debug, PartialEq)]
+    enum Outer {
+        Own(u64),
+        Inner(Shape<u32, u64>),
+    }
+
+    crate::wire_fields! { impl Wire for Outer { 3 => Own(v), _ => Inner } }
+
+    /// `value` encodes to `bytes`, `wire_len` counts them, and they decode
+    /// back to `value`.
+    fn assert_encodes<T: Wire + PartialEq + fmt::Debug>(value: &T, bytes: &[u8]) {
+        assert_eq!(value.to_wire_bytes(), bytes);
+        assert_eq!(value.wire_len(), bytes.len());
+        assert_eq!(T::from_wire_bytes(bytes).as_ref(), Ok(value));
+    }
+
+    #[test]
+    fn each_variant_shape_is_its_tag_then_its_fields() {
+        assert_encodes(&Shape::<u32, u64>::Unit, &[1]);
+        assert_encodes(&Shape::<u32, u64>::One(7), &[2, 0, 0, 0, 7]);
+        let named = Shape::<u32, u64>::Named {
+            first: 1,
+            second: 2,
+        };
+        assert_encodes(&named, &[5, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2]);
+
+        let unlisted = Shape::<u32, u64>::from_wire_bytes(&[3]);
+        assert_eq!(unlisted, Err(WireError::UnknownTag(3)));
+        let empty = Shape::<u32, u64>::from_wire_bytes(&[]);
+        assert_eq!(empty, Err(WireError::UnexpectedEnd));
+        let torn = Shape::<u32, u64>::from_wire_bytes(&[5, 0, 0, 0, 1, 0]);
+        assert_eq!(torn, Err(WireError::UnexpectedEnd));
+    }
+
+    #[test]
+    fn the_pass_through_variant_takes_the_tags_it_owns() {
+        assert_encodes(&Outer::Own(9), &[3, 0, 0, 0, 0, 0, 0, 0, 9]);
+        // The inner enum is encoded alone: its tag is the outer one.
+        assert_encodes(&Outer::Inner(Shape::Unit), &[1]);
+        assert_encodes(&Outer::Inner(Shape::One(4)), &[2, 0, 0, 0, 4]);
+        // A tag neither enum lists is the inner enum's error.
+        assert_eq!(Outer::from_wire_bytes(&[4]), Err(WireError::UnknownTag(4)));
+        assert_eq!(Outer::from_wire_bytes(&[]), Err(WireError::UnexpectedEnd));
+    }
+
+    #[test]
+    fn strings_and_addresses_round_trip_and_reject_bad_text() {
+        assert_encodes(&0xDEAD_BEEF_u32, &[0xDE, 0xAD, 0xBE, 0xEF]);
+        assert_eq!(
+            u32::from_wire_bytes(&[1, 2, 3]),
+            Err(WireError::UnexpectedEnd)
+        );
+
+        let text = String::from("héllo");
+        let mut bytes = 6u64.to_be_bytes().to_vec();
+        bytes.extend_from_slice(text.as_bytes());
+        assert_encodes(&text, &bytes);
+        assert_encodes(&String::new(), &[0; 8]);
+        let mut bad = 1u64.to_be_bytes().to_vec();
+        bad.push(0xFF);
+        assert_eq!(
+            String::from_wire_bytes(&bad),
+            Err(WireError::BadCrypto("utf-8"))
+        );
+
+        for addr in ["127.0.0.1:7002", "[::1]:65535"] {
+            let parsed: SocketAddr = addr.parse().unwrap();
+            assert_eq!(parsed.to_wire_bytes(), String::from(addr).to_wire_bytes());
+            assert_encodes(&parsed, &parsed.to_wire_bytes());
+        }
+        let not_an_addr = String::from("not-an-addr").to_wire_bytes();
+        assert_eq!(
+            SocketAddr::from_wire_bytes(&not_an_addr),
+            Err(WireError::BadCrypto("socket address"))
+        );
+        assert_eq!(
+            SocketAddr::from_wire_bytes(&bad),
+            Err(WireError::BadCrypto("utf-8"))
         );
     }
 

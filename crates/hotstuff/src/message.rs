@@ -12,7 +12,7 @@ use probft_core::error::RejectReason;
 use probft_core::message::{VerifyCtx, Wish};
 use probft_core::signed::{Signed, SignedBody};
 use probft_core::value::Value;
-use probft_core::wire::{fields_len, put, Reader, Wire, WireError};
+use probft_core::wire::Wire;
 use probft_core::wire_fields;
 use probft_crypto::sha256::Digest;
 use probft_quorum::ReplicaId;
@@ -30,7 +30,7 @@ pub enum HsPhase {
     Commit,
 }
 
-wire_fields! { impl Wire for HsPhase { Prepare = 1, PreCommit = 2, Commit = 3 } }
+wire_fields! { impl Wire for HsPhase { 1 => Prepare, 2 => PreCommit, 3 => Commit } }
 
 /// A phase vote sent to the leader.
 pub type HsVote = Signed<HsVoteBody>;
@@ -118,41 +118,9 @@ pub enum LeaderBroadcast {
     Decide(Qc),
 }
 
-impl Wire for LeaderBroadcast {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            LeaderBroadcast::Propose { value, high_qc } => {
-                out.push(1);
-                value.encode(out);
-                high_qc.encode(out);
-            }
-            LeaderBroadcast::PreCommit(qc) => put::tagged(out, 2, qc),
-            LeaderBroadcast::Commit(qc) => put::tagged(out, 3, qc),
-            LeaderBroadcast::Decide(qc) => put::tagged(out, 4, qc),
-        }
-    }
-    fn wire_len(&self) -> usize {
-        let payload = match self {
-            LeaderBroadcast::Propose { value, high_qc } => {
-                fields_len([value.wire_len(), high_qc.wire_len()])
-            }
-            LeaderBroadcast::PreCommit(qc)
-            | LeaderBroadcast::Commit(qc)
-            | LeaderBroadcast::Decide(qc) => qc.wire_len(),
-        };
-        fields_len([1, payload])
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            1 => Ok(LeaderBroadcast::Propose {
-                value: Wire::decode(r)?,
-                high_qc: Wire::decode(r)?,
-            }),
-            2 => Ok(LeaderBroadcast::PreCommit(Qc::decode(r)?)),
-            3 => Ok(LeaderBroadcast::Commit(Qc::decode(r)?)),
-            4 => Ok(LeaderBroadcast::Decide(Qc::decode(r)?)),
-            t => Err(WireError::UnknownTag(t)),
-        }
+wire_fields! {
+    impl Wire for LeaderBroadcast {
+        1 => Propose { value, high_qc }, 2 => PreCommit(qc), 3 => Commit(qc), 4 => Decide(qc)
     }
 }
 
@@ -263,7 +231,9 @@ impl HsMessage {
     }
 }
 
-wire_fields! { impl Wire for HsMessage { 1 => NewView, 2 => Broadcast, 3 => Vote, 4 => Wish } }
+wire_fields! {
+    impl Wire for HsMessage { 1 => NewView(m), 2 => Broadcast(m), 3 => Vote(m), 4 => Wish(m) }
+}
 
 impl Measurable for HsMessage {
     fn kind(&self) -> &'static str {
@@ -292,6 +262,7 @@ impl Measurable for HsMessage {
 mod tests {
     use super::*;
     use probft_core::config::ProbftConfig;
+    use probft_core::wire::WireError;
     use probft_crypto::keyring::Keyring;
 
     fn setup() -> (ProbftConfig, Keyring) {

@@ -23,7 +23,8 @@
 
 use crate::host::{bind_listeners, wire_id, ConnId, FrameKind, Host, Shared};
 use probft_core::config::{ProbftConfig, SharedConfig, View};
-use probft_core::wire::{put, Reader, Wire, WireError};
+use probft_core::wire::Wire;
+use probft_core::wire_fields;
 use probft_crypto::keyring::Keyring;
 use probft_obs::Obs;
 use probft_quorum::ReplicaId;
@@ -113,167 +114,16 @@ pub enum SmrFrame<S: StateMachine> {
 /// address too.
 pub type SmrReply<R> = Reply<R, SocketAddr>;
 
-const FRAME_PEER: u8 = 1;
-const FRAME_REQUEST: u8 = 2;
-const FRAME_APPLIED: u8 = 3;
-const FRAME_REDIRECT: u8 = 4;
-const FRAME_READ_REQUEST: u8 = 5;
-const FRAME_READ_REPLY: u8 = 6;
-const FRAME_CHECKPOINT_VOTE: u8 = 7;
-const FRAME_STATE_REQUEST: u8 = 8;
-const FRAME_STATE_REPLY: u8 = 9;
-const FRAME_OVERLOADED: u8 = 10;
-
-fn encode_addr(out: &mut Vec<u8>, addr: &SocketAddr) {
-    put::var_bytes(out, addr.to_string().as_bytes());
-}
-
-fn decode_addr(r: &mut Reader<'_>) -> Result<SocketAddr, WireError> {
-    std::str::from_utf8(r.var_bytes()?)
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .ok_or(WireError::BadCrypto("socket address"))
-}
-
-fn encode_request(out: &mut Vec<u8>, request: RequestId) {
-    put::u64(out, request.client);
-    put::u64(out, request.seq);
-}
-
-fn decode_request(r: &mut Reader<'_>) -> Result<RequestId, WireError> {
-    Ok(RequestId {
-        client: r.u64()?,
-        seq: r.u64()?,
-    })
-}
-
-impl<S: StateMachine> Wire for SmrFrame<S> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            SmrFrame::Peer { from, msg } => {
-                out.push(FRAME_PEER);
-                put::u32(out, *from);
-                msg.encode(out);
-            }
-            SmrFrame::Request { request, kind, op } => {
-                out.push(FRAME_REQUEST);
-                encode_request(out, *request);
-                kind.encode(out);
-                op.encode(out);
-            }
-            SmrFrame::Reply(SmrReply::Applied { request, response }) => {
-                out.push(FRAME_APPLIED);
-                encode_request(out, *request);
-                response.encode(out);
-            }
-            SmrFrame::Reply(SmrReply::Redirect {
-                request,
-                leader,
-                addr,
-            }) => {
-                out.push(FRAME_REDIRECT);
-                encode_request(out, *request);
-                put::u32(out, leader.0);
-                encode_addr(out, addr);
-            }
-            SmrFrame::Reply(SmrReply::Overloaded { request, queued }) => {
-                out.push(FRAME_OVERLOADED);
-                encode_request(out, *request);
-                put::u32(out, *queued);
-            }
-            SmrFrame::ReadRequest {
-                request,
-                consistency,
-                op,
-            } => {
-                out.push(FRAME_READ_REQUEST);
-                encode_request(out, *request);
-                consistency.encode(out);
-                op.encode(out);
-            }
-            SmrFrame::Reply(SmrReply::Read { request, response }) => {
-                out.push(FRAME_READ_REPLY);
-                encode_request(out, *request);
-                response.encode(out);
-            }
-            SmrFrame::CheckpointVote(vote) => {
-                out.push(FRAME_CHECKPOINT_VOTE);
-                vote.encode(out);
-            }
-            SmrFrame::StateRequest { from, req } => {
-                out.push(FRAME_STATE_REQUEST);
-                put::u32(out, *from);
-                req.encode(out);
-            }
-            SmrFrame::StateReply { from, rep } => {
-                out.push(FRAME_STATE_REPLY);
-                put::u32(out, *from);
-                rep.encode(out);
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            FRAME_PEER => {
-                let from = r.u32()?;
-                let msg = SlotMessage::decode(r)?;
-                Ok(SmrFrame::Peer { from, msg })
-            }
-            FRAME_REQUEST => {
-                let request = decode_request(r)?;
-                let kind = OpKind::decode(r)?;
-                let op = S::Op::decode(r)?;
-                Ok(SmrFrame::Request { request, kind, op })
-            }
-            FRAME_APPLIED => {
-                let request = decode_request(r)?;
-                let response = S::Response::decode(r)?;
-                Ok(SmrFrame::Reply(SmrReply::Applied { request, response }))
-            }
-            FRAME_REDIRECT => {
-                let request = decode_request(r)?;
-                let leader = ReplicaId(r.u32()?);
-                let addr = decode_addr(r)?;
-                Ok(SmrFrame::Reply(SmrReply::Redirect {
-                    request,
-                    leader,
-                    addr,
-                }))
-            }
-            FRAME_OVERLOADED => {
-                let request = decode_request(r)?;
-                let queued = r.u32()?;
-                Ok(SmrFrame::Reply(SmrReply::Overloaded { request, queued }))
-            }
-            FRAME_READ_REQUEST => {
-                let request = decode_request(r)?;
-                let consistency = Consistency::decode(r)?;
-                let op = S::Op::decode(r)?;
-                Ok(SmrFrame::ReadRequest {
-                    request,
-                    consistency,
-                    op,
-                })
-            }
-            FRAME_READ_REPLY => {
-                let request = decode_request(r)?;
-                let response = S::Response::decode(r)?;
-                Ok(SmrFrame::Reply(SmrReply::Read { request, response }))
-            }
-            FRAME_CHECKPOINT_VOTE => Ok(SmrFrame::CheckpointVote(CheckpointVote::decode(r)?)),
-            FRAME_STATE_REQUEST => {
-                let from = r.u32()?;
-                let req = StateRequest::decode(r)?;
-                Ok(SmrFrame::StateRequest { from, req })
-            }
-            FRAME_STATE_REPLY => {
-                let from = r.u32()?;
-                let rep = StateReply::decode(r)?;
-                Ok(SmrFrame::StateReply { from, rep })
-            }
-            t => Err(WireError::UnknownTag(t)),
-        }
+// The tags a reply takes (3, 4, 6 and 10) are `Reply`'s own.
+wire_fields! {
+    impl<S: StateMachine> Wire for SmrFrame<S> {
+        1 => Peer { from, msg },
+        2 => Request { request, kind, op },
+        5 => ReadRequest { request, consistency, op },
+        7 => CheckpointVote(vote),
+        8 => StateRequest { from, req },
+        9 => StateReply { from, rep },
+        _ => Reply,
     }
 }
 
@@ -779,6 +629,7 @@ fn write_reply<S: StateMachine>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use probft_core::wire::put;
     use probft_smr::{CheckpointBody, Command, KvResponse};
 
     fn sample_request() -> RequestId {
@@ -874,30 +725,30 @@ mod tests {
         assert!(SmrFrame::<KvStore>::from_wire_bytes(&[]).is_err());
         assert!(SmrFrame::<KvStore>::from_wire_bytes(&[0xFF, 1, 2, 3]).is_err());
         // A peer frame with a truncated slot message.
-        let mut bytes = vec![FRAME_PEER];
+        let mut bytes = vec![1u8];
         put::u32(&mut bytes, 0);
         put::u64(&mut bytes, 7);
         assert!(SmrFrame::<KvStore>::from_wire_bytes(&bytes).is_err());
         // A read request with a bad consistency tag.
-        let mut bytes = vec![FRAME_READ_REQUEST];
+        let mut bytes = vec![5u8];
         put::u64(&mut bytes, 3);
         put::u64(&mut bytes, 9);
         bytes.push(7); // no such tier
         assert!(SmrFrame::<KvStore>::from_wire_bytes(&bytes).is_err());
         // A redirect whose address bytes are not an address.
-        let mut bytes = vec![FRAME_REDIRECT];
+        let mut bytes = vec![4u8];
         put::u64(&mut bytes, 3);
         put::u64(&mut bytes, 9);
         put::u32(&mut bytes, 1);
         put::var_bytes(&mut bytes, b"not-an-addr");
         assert!(SmrFrame::<KvStore>::from_wire_bytes(&bytes).is_err());
         // A checkpoint vote too short to hold a signature.
-        let mut bytes = vec![FRAME_CHECKPOINT_VOTE];
+        let mut bytes = vec![7u8];
         put::u32(&mut bytes, 1);
         put::u64(&mut bytes, 64);
         assert!(SmrFrame::<KvStore>::from_wire_bytes(&bytes).is_err());
         // A state reply whose snapshot length prefix overruns the frame.
-        let mut bytes = vec![FRAME_STATE_REPLY];
+        let mut bytes = vec![9u8];
         put::u32(&mut bytes, 1);
         put::u64(&mut bytes, 64);
         put::u64(&mut bytes, 1_000_000);

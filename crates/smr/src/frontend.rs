@@ -11,6 +11,8 @@
 
 use crate::machine::{Consistency, Entry, OpKind, RequestId, StateMachine};
 use crate::node::{SmrMessage, SmrNode};
+use probft_core::wire::Wire;
+use probft_core::wire_fields;
 use probft_obs::TraceKind;
 use probft_quorum::ReplicaId;
 use probft_simnet::process::Context;
@@ -67,6 +69,17 @@ pub enum Reply<R, A = ()> {
         /// The queue depth it was shed at: a load signal.
         queued: u32,
     },
+}
+
+// The live wire's reply frames: the tags are `SmrFrame`'s, which passes
+// every tag it does not list through to here.
+wire_fields! {
+    impl<R: Wire, A: Wire> Wire for Reply<R, A> {
+        3 => Applied { request, response },
+        4 => Redirect { request, leader, addr },
+        6 => Read { request, response },
+        10 => Overloaded { request, queued },
+    }
 }
 
 impl<R, A> Reply<R, A> {
@@ -224,9 +237,11 @@ mod tests {
     use crate::kv::{Command, KvResponse, KvStore};
     use crate::node::SmrSettings;
     use probft_core::config::{ProbftConfig, SharedConfig};
+    use probft_core::wire::WireError;
     use probft_crypto::keyring::Keyring;
     use probft_simnet::process::{Action, Process, ProcessId};
     use std::collections::VecDeque;
+    use std::net::SocketAddr;
     use std::sync::Arc;
 
     /// Four nodes (replica 0 leads) and the messages between them, delivered
@@ -309,6 +324,47 @@ mod tests {
 
     fn applied(front: &mut Front, net: &mut Net) -> Vec<(u32, Reply<KvResponse>)> {
         net.at(0, |node, ctx| front.on_applied(node, ctx))
+    }
+
+    #[test]
+    fn a_reply_is_its_frame_tag_then_its_fields() {
+        let request = RequestId { client: 3, seq: 9 };
+        let addr: SocketAddr = "127.0.0.1:7002".parse().expect("an address");
+        let leader = ReplicaId(2);
+        let replies: [(u8, Reply<KvResponse, SocketAddr>); 4] = [
+            (
+                3,
+                Reply::Applied {
+                    request,
+                    response: KvResponse::Unit,
+                },
+            ),
+            (
+                4,
+                Reply::Redirect {
+                    request,
+                    leader,
+                    addr,
+                },
+            ),
+            (
+                6,
+                Reply::Read {
+                    request,
+                    response: KvResponse::Value(None),
+                },
+            ),
+            (10, Reply::Overloaded { request, queued: 5 }),
+        ];
+        for (tag, reply) in replies {
+            let bytes = reply.to_wire_bytes();
+            assert_eq!(bytes.first(), Some(&tag));
+            assert_eq!(bytes.get(1..17), Some(&request.to_wire_bytes()[..]));
+            assert_eq!(reply.wire_len(), bytes.len());
+            assert_eq!(Reply::from_wire_bytes(&bytes), Ok(reply));
+        }
+        let unlisted = Reply::<KvResponse, SocketAddr>::from_wire_bytes(&[1]);
+        assert_eq!(unlisted, Err(WireError::UnknownTag(1)));
     }
 
     #[test]

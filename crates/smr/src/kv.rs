@@ -8,8 +8,8 @@
 //! threaded back to clients.
 
 use crate::machine::StateMachine;
-use probft_core::value::Value;
 use probft_core::wire::{put, Reader, Wire, WireError};
+use probft_core::wire_fields;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -39,69 +39,11 @@ pub enum Command {
     },
 }
 
-impl Command {
-    /// Encodes the command into a consensus [`Value`].
-    pub fn to_value(&self) -> Value {
-        Value::new(self.to_wire_bytes())
-    }
-
-    /// Decodes a command from a [`Value`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`WireError`] if the payload is not a valid command.
-    pub fn from_value(value: &Value) -> Result<Self, WireError> {
-        Command::from_wire_bytes(value.as_bytes())
-    }
-}
-
-// Wire tags 4 and 5 belonged to the pre-redesign `Batch` and
-// `Command::Tagged` encodings; they stay unused so a stray old payload
-// errors instead of aliasing.
-const CMD_PUT: u8 = 1;
-const CMD_DELETE: u8 = 2;
-const CMD_NOOP: u8 = 3;
-const CMD_GET: u8 = 6;
-
-fn decode_string(r: &mut Reader<'_>, what: &'static str) -> Result<String, WireError> {
-    String::from_utf8(r.var_bytes()?.to_vec()).map_err(|_| WireError::BadCrypto(what))
-}
-
-impl Wire for Command {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Command::Put { key, value } => {
-                out.push(CMD_PUT);
-                put::var_bytes(out, key.as_bytes());
-                put::var_bytes(out, value.as_bytes());
-            }
-            Command::Delete { key } => {
-                out.push(CMD_DELETE);
-                put::var_bytes(out, key.as_bytes());
-            }
-            Command::Noop => out.push(CMD_NOOP),
-            Command::Get { key } => {
-                out.push(CMD_GET);
-                put::var_bytes(out, key.as_bytes());
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            CMD_PUT => Ok(Command::Put {
-                key: decode_string(r, "utf-8 key")?,
-                value: decode_string(r, "utf-8 value")?,
-            }),
-            CMD_DELETE => Ok(Command::Delete {
-                key: decode_string(r, "utf-8 key")?,
-            }),
-            CMD_NOOP => Ok(Command::Noop),
-            CMD_GET => Ok(Command::Get {
-                key: decode_string(r, "utf-8 key")?,
-            }),
-            t => Err(WireError::UnknownTag(t)),
-        }
-    }
+// Tags 4 and 5 belonged to the pre-redesign `Batch` and `Command::Tagged`
+// encodings; they stay unused so a stray old payload errors instead of
+// aliasing.
+wire_fields! {
+    impl Wire for Command { 1 => Put { key, value }, 2 => Delete { key }, 3 => Noop, 6 => Get { key } }
 }
 
 impl fmt::Display for Command {
@@ -139,56 +81,8 @@ impl KvResponse {
     }
 }
 
-const RESP_UNIT: u8 = 1;
-const RESP_PREV: u8 = 2;
-const RESP_REMOVED: u8 = 3;
-const RESP_VALUE: u8 = 4;
-
-fn encode_opt_string(out: &mut Vec<u8>, v: &Option<String>) {
-    match v {
-        None => out.push(0),
-        Some(s) => {
-            out.push(1);
-            put::var_bytes(out, s.as_bytes());
-        }
-    }
-}
-
-fn decode_opt_string(r: &mut Reader<'_>) -> Result<Option<String>, WireError> {
-    match r.u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(decode_string(r, "utf-8 response value")?)),
-        t => Err(WireError::UnknownTag(t)),
-    }
-}
-
-impl Wire for KvResponse {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            KvResponse::Unit => out.push(RESP_UNIT),
-            KvResponse::Prev(v) => {
-                out.push(RESP_PREV);
-                encode_opt_string(out, v);
-            }
-            KvResponse::Removed(v) => {
-                out.push(RESP_REMOVED);
-                encode_opt_string(out, v);
-            }
-            KvResponse::Value(v) => {
-                out.push(RESP_VALUE);
-                encode_opt_string(out, v);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            RESP_UNIT => Ok(KvResponse::Unit),
-            RESP_PREV => Ok(KvResponse::Prev(decode_opt_string(r)?)),
-            RESP_REMOVED => Ok(KvResponse::Removed(decode_opt_string(r)?)),
-            RESP_VALUE => Ok(KvResponse::Value(decode_opt_string(r)?)),
-            t => Err(WireError::UnknownTag(t)),
-        }
-    }
+wire_fields! {
+    impl Wire for KvResponse { 1 => Unit, 2 => Prev(v), 3 => Removed(v), 4 => Value(v) }
 }
 
 impl fmt::Display for KvResponse {
@@ -259,8 +153,8 @@ impl Wire for KvStore {
         )]
         put::u32(out, self.map.len() as u32);
         for (key, value) in &self.map {
-            put::var_bytes(out, key.as_bytes());
-            put::var_bytes(out, value.as_bytes());
+            key.encode(out);
+            value.encode(out);
         }
         put::u64(out, self.applied);
     }
@@ -269,9 +163,7 @@ impl Wire for KvStore {
         let count = r.count(MAX_KV_ENTRIES)?;
         let mut map = BTreeMap::new();
         for _ in 0..count {
-            let key = decode_string(r, "utf-8 key")?;
-            let value = decode_string(r, "utf-8 value")?;
-            map.insert(key, value);
+            map.insert(String::decode(r)?, String::decode(r)?);
         }
         let applied = r.u64()?;
         Ok(KvStore { map, applied })
@@ -314,7 +206,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn command_value_round_trip() {
+    fn command_round_trip() {
         for cmd in [
             Command::Put {
                 key: "k".into(),
@@ -324,15 +216,16 @@ mod tests {
             Command::Noop,
             Command::Get { key: "k".into() },
         ] {
-            let value = cmd.to_value();
-            assert_eq!(Command::from_value(&value).unwrap(), cmd);
+            let bytes = cmd.to_wire_bytes();
+            assert_eq!(cmd.wire_len(), bytes.len());
+            assert_eq!(Command::from_wire_bytes(&bytes).unwrap(), cmd);
         }
     }
 
     #[test]
-    fn malformed_value_rejected() {
-        assert!(Command::from_value(&Value::new(b"junk".to_vec())).is_err());
-        assert!(Command::from_value(&Value::new(vec![])).is_err());
+    fn malformed_command_rejected() {
+        assert!(Command::from_wire_bytes(b"junk").is_err());
+        assert!(Command::from_wire_bytes(&[]).is_err());
         // The retired pre-redesign tags must not decode.
         assert!(Command::from_wire_bytes(&[4]).is_err());
         assert!(Command::from_wire_bytes(&[5]).is_err());

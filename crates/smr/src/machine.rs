@@ -132,7 +132,7 @@ impl Consistency {
     }
 }
 
-wire_fields! { impl Wire for Consistency { Local = 0, Leader = 1, Linearizable = 2 } }
+wire_fields! { impl Wire for Consistency { 0 => Local, 1 => Leader, 2 => Linearizable } }
 
 impl fmt::Display for Consistency {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -154,7 +154,7 @@ pub enum OpKind {
     Read,
 }
 
-wire_fields! { impl Wire for OpKind { Write = 0, Read = 1 } }
+wire_fields! { impl Wire for OpKind { 0 => Write, 1 => Read } }
 
 /// One unit of the replicated log: an operation, its read/write kind, and
 /// — for client submissions — the [`RequestId`] used for deduplication
@@ -228,8 +228,7 @@ impl<Op: Wire> Wire for Entry<Op> {
         }
         out.push(flags);
         if let Some(request) = self.request {
-            put::u64(out, request.client);
-            put::u64(out, request.seq);
+            request.encode(out);
         }
         self.op.encode(out);
     }
@@ -239,14 +238,9 @@ impl<Op: Wire> Wire for Entry<Op> {
         if flags & !(ENTRY_TAGGED_BIT | ENTRY_READ_BIT) != 0 {
             return Err(WireError::UnknownTag(flags));
         }
-        let request = if flags & ENTRY_TAGGED_BIT != 0 {
-            Some(RequestId {
-                client: r.u64()?,
-                seq: r.u64()?,
-            })
-        } else {
-            None
-        };
+        let request = (flags & ENTRY_TAGGED_BIT != 0)
+            .then(|| RequestId::decode(r))
+            .transpose()?;
         let kind = if flags & ENTRY_READ_BIT != 0 {
             OpKind::Read
         } else {

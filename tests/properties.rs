@@ -31,8 +31,8 @@ proptest! {
             1 => Command::Delete { key },
             _ => Command::Noop,
         };
-        let encoded = cmd.to_value();
-        prop_assert_eq!(Command::from_value(&encoded).unwrap(), cmd);
+        let encoded = cmd.to_wire_bytes();
+        prop_assert_eq!(Command::from_wire_bytes(&encoded).unwrap(), cmd);
     }
 
     /// Batches of entries round-trip the wire codec intact, including

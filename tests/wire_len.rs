@@ -23,11 +23,14 @@ use probft::hotstuff::{
 };
 use probft::pbft::{PbftMessage, PbftNewLeader, PbftPropose, VoteBody};
 use probft::quorum::ReplicaId;
+use probft::runtime::{SmrFrame, SmrReply};
 use probft::simnet::Measurable;
 use probft::smr::{
     CheckpointBody, CheckpointVote, SlotMessage, SmrMessage, StateReply, StateRequest,
 };
+use probft::smr::{Command, Consistency, KvResponse, KvStore, OpKind, RequestId};
 use std::fmt::Debug;
+use std::net::SocketAddr;
 
 /// `wire_len` is the encoding's length, and so is `wire_size`, which the
 /// simulator charges; and the encoding decodes to `message`.
@@ -224,5 +227,143 @@ fn wire_len_is_the_encoded_length_of_every_kind() {
         ("HotStuff Wish", HsMessage::Wish(wish)),
     ] {
         check(name, &message);
+    }
+}
+
+/// The live wire beside the consensus traffic: every `SmrFrame` shape, a
+/// reply of each kind among them, and each reply, `Command` and
+/// `KvResponse` alone. Their `wire_len` is the field walk a `wire_fields!`
+/// declaration writes, not an encode-and-count.
+#[test]
+fn wire_len_is_the_encoded_length_of_every_frame() {
+    let ring = Keyring::generate(7, b"wire-len");
+    let sk = |i: usize| ring.signing_key(i).unwrap();
+    let request = RequestId { client: 3, seq: 9 };
+    let wish = Wish::sign(
+        sk(2),
+        WishBody {
+            sender: ReplicaId(2),
+            view: View(5),
+        },
+    );
+    let attest = |i: usize| {
+        CheckpointVote::sign(
+            sk(i),
+            CheckpointBody {
+                from: ReplicaId::from(i),
+                slot: 32,
+                digest: Sha256::digest(b"snapshot"),
+            },
+        )
+    };
+    let put = Command::Put {
+        key: "key".into(),
+        value: "v".repeat(300),
+    };
+    let get = Command::Get { key: "key".into() };
+    let addr: SocketAddr = "[::1]:7002".parse().unwrap();
+    let replies = [
+        (
+            "Reply Applied",
+            SmrReply::Applied {
+                request,
+                response: KvResponse::Prev(Some("old".into())),
+            },
+        ),
+        (
+            "Reply Read",
+            SmrReply::Read {
+                request,
+                response: KvResponse::Value(None),
+            },
+        ),
+        (
+            "Reply Redirect",
+            SmrReply::Redirect {
+                request,
+                leader: ReplicaId(4),
+                addr,
+            },
+        ),
+        (
+            "Reply Overloaded",
+            SmrReply::Overloaded {
+                request,
+                queued: 64,
+            },
+        ),
+    ];
+    let mut frames: Vec<(&str, SmrFrame<KvStore>)> = vec![
+        (
+            "SmrFrame Peer",
+            SmrFrame::Peer {
+                from: 2,
+                msg: SlotMessage {
+                    slot: 9,
+                    inner: Message::Wish(wish),
+                },
+            },
+        ),
+        (
+            "SmrFrame Request",
+            SmrFrame::Request {
+                request,
+                kind: OpKind::Write,
+                op: put.clone(),
+            },
+        ),
+        (
+            "SmrFrame ReadRequest",
+            SmrFrame::ReadRequest {
+                request,
+                consistency: Consistency::Linearizable,
+                op: get.clone(),
+            },
+        ),
+        (
+            "SmrFrame CheckpointVote",
+            SmrFrame::CheckpointVote(attest(1)),
+        ),
+        (
+            "SmrFrame StateRequest",
+            SmrFrame::StateRequest {
+                from: 6,
+                req: StateRequest { min_slot: 32 },
+            },
+        ),
+        (
+            "SmrFrame StateReply",
+            SmrFrame::StateReply {
+                from: 1,
+                rep: StateReply {
+                    slot: 32,
+                    snapshot: vec![7; 153],
+                    certificate: (0..5).map(attest).collect(),
+                },
+            },
+        ),
+    ];
+    for (name, reply) in replies {
+        roundtrip(name, &reply);
+        frames.push((name, SmrFrame::Reply(reply)));
+    }
+    for (name, frame) in &frames {
+        roundtrip(name, frame);
+    }
+    for (name, command) in [
+        ("Command Put", put),
+        ("Command Delete", Command::Delete { key: "key".into() }),
+        ("Command Noop", Command::Noop),
+        ("Command Get", get),
+    ] {
+        roundtrip(name, &command);
+    }
+    for (name, response) in [
+        ("KvResponse Unit", KvResponse::Unit),
+        ("KvResponse Prev", KvResponse::Prev(Some("old".into()))),
+        ("KvResponse Removed", KvResponse::Removed(None)),
+        ("KvResponse Value", KvResponse::Value(Some("v".into()))),
+    ] {
+        roundtrip(name, &response);
     }
 }
